@@ -236,16 +236,18 @@ func BenchmarkEndToEndDSE(b *testing.B) {
 // one full-system WLS solve on IEEE-118, crossed with the gain-matrix
 // storage format. The formats are forced explicitly because FormatAuto
 // keeps the 118-bus gain (nnz below the parallel threshold) on scalar
-// CSR; the csr row is therefore the historical default.
+// CSR; the csr row — Jacobi-PCG, the paper's solver — is therefore the
+// historical default, and the ldl row is what wls.Options{} runs now.
 func BenchmarkCentralizedWLS118(b *testing.B) {
 	fx := benchFixture(b)
 	for _, f := range []struct {
 		name string
 		opts wls.Options
 	}{
-		{"csr", wls.Options{Format: wls.FormatCSR}},
-		{"bsr", wls.Options{Format: wls.FormatBSR}},
+		{"csr", wls.Options{Precond: wls.PrecondJacobi, Format: wls.FormatCSR}},
+		{"bsr", wls.Options{Precond: wls.PrecondJacobi, Format: wls.FormatBSR}},
 		{"bjacobi", wls.Options{Precond: wls.PrecondBlockJacobi}},
+		{"ldl", wls.Options{}},
 	} {
 		b.Run(f.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -332,7 +334,7 @@ func BenchmarkAblationPreconditioner(b *testing.B) {
 		{"none", wls.PrecondNone, wls.FormatAuto},
 		{"jacobi", wls.PrecondJacobi, wls.FormatAuto},
 		{"ic0", wls.PrecondIC0, wls.FormatAuto},
-		{"ssor", wls.PrecondSSOR, wls.FormatAuto},
+		{"ldl", wls.PrecondLDL, wls.FormatAuto},
 		{"jacobi-bsr", wls.PrecondJacobi, wls.FormatBSR},
 		{"bjacobi", wls.PrecondBlockJacobi, wls.FormatAuto},
 	}
@@ -376,7 +378,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 	}{{"pcg", wls.PCG}, {"dense", wls.Dense}, {"qr", wls.QR}} {
 		b.Run(s.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CentralizedEstimate(context.Background(), fx.Net, fx.Meas, wls.Options{Solver: s.kind}); err != nil {
+				if _, err := core.CentralizedEstimate(context.Background(), fx.Net, fx.Meas, wls.Options{Solver: s.kind, Precond: wls.PrecondJacobi}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -391,7 +393,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run("workers-"+itoa(w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CentralizedEstimate(context.Background(), fx.Net, fx.Meas, wls.Options{Workers: w}); err != nil {
+				if _, err := core.CentralizedEstimate(context.Background(), fx.Net, fx.Meas, wls.Options{Precond: wls.PrecondJacobi, Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -534,27 +536,32 @@ func BenchmarkDSE118Rounds(b *testing.B) {
 // value-refreshed, warm-started full DSE pass on the pinned session under
 // the tracker's default numeric-reuse tier (ReuseGain). The reported
 // gain-skip-frac is the fraction of gain-solve iterations that ran on the
-// previous frame's G and preconditioner.
+// previous frame's G and preconditioner. The jacobi row is the historical
+// BenchmarkTrackerFrames; the ldl row is the default preconditioner.
 func BenchmarkTrackerFrames(b *testing.B) {
 	fx := benchFixture(b)
-	tracker := core.NewTracker(fx.Dec, core.DSEOptions{Rounds: 2})
-	if _, err := tracker.Process(fx.Meas); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var skips, total int
-	for i := 0; i < b.N; i++ {
-		res, err := tracker.Process(fx.Meas)
-		if err != nil {
-			b.Fatal(err)
-		}
-		skips += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips
-		total += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips +
-			res.Step1Stats.GainRefreshes + res.Step2Stats.GainRefreshes
-	}
-	if total > 0 {
-		b.ReportMetric(float64(skips)/float64(total), "gain-skip-frac")
+	for _, p := range []wls.PrecondKind{wls.PrecondJacobi, wls.PrecondLDL} {
+		b.Run(p.String(), func(b *testing.B) {
+			tracker := core.NewTracker(fx.Dec, core.DSEOptions{Rounds: 2, WLS: wls.Options{Precond: p}})
+			if _, err := tracker.Process(fx.Meas); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var skips, total int
+			for i := 0; i < b.N; i++ {
+				res, err := tracker.Process(fx.Meas)
+				if err != nil {
+					b.Fatal(err)
+				}
+				skips += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips
+				total += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips +
+					res.Step1Stats.GainRefreshes + res.Step2Stats.GainRefreshes
+			}
+			if total > 0 {
+				b.ReportMetric(float64(skips)/float64(total), "gain-skip-frac")
+			}
+		})
 	}
 }
 
@@ -570,8 +577,7 @@ var reuseModes = []struct {
 
 // BenchmarkTrackerFramesReuse crosses the steady-state tracked frame with
 // the numeric-reuse tier, isolating what each tier saves on the hot
-// tracking path (BenchmarkTrackerFrames keeps its historical name and
-// default for cross-record comparison).
+// tracking path under the default preconditioner.
 func BenchmarkTrackerFramesReuse(b *testing.B) {
 	fx := benchFixture(b)
 	for _, mode := range reuseModes {
@@ -1001,6 +1007,83 @@ func BenchmarkGainMulMultiVec118(b *testing.B) {
 			}
 		})
 	}
+}
+
+// weccGain is the centralized gain matrix of the 12-area synthetic WECC
+// (1 416 buses, n = 2 831 states) under the full SCADA plan at flat start —
+// the size axis for the symbolic and factorization kernels, where the
+// IEEE-118 gain is too small to show what an ordering or a factor costs.
+func weccGain(b *testing.B) *sparse.CSR {
+	b.Helper()
+	n, err := grid.SynthWECC(grid.SynthOptions{Areas: 12, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ms := meas.FullPlan().Build(n)
+	ref := n.SlackIndex()
+	mod, err := meas.NewModel(n, ms, ref, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hj := mod.Jacobian(mod.FlatVec())
+	return sparse.NewGainPlan(hj).Refresh(hj, mod.Weights())
+}
+
+// BenchmarkMinDegree times the fill-reducing ordering the LDLᵀ factor
+// computes once per gain pattern — paid on every cold centralized solve.
+func BenchmarkMinDegree(b *testing.B) {
+	g := weccGain(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(sparse.MinDegree(g)) != g.Rows {
+			b.Fatal("short permutation")
+		}
+	}
+}
+
+// BenchmarkLDLFactor splits the default preconditioner's cost on the
+// WECC-scale gain into its three stages: symbolic analysis (ordering,
+// elimination tree, column counts), numeric refactorization in place, and
+// one permuted forward/diagonal/backward solve. factor-nnz is the number of
+// off-diagonals of L, against gain-lower-nnz in G's own lower triangle.
+func BenchmarkLDLFactor(b *testing.B) {
+	g := weccGain(b)
+	f, err := sparse.NewLDL(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	z, r := make([]float64, g.Rows), make([]float64, g.Rows)
+	for i := range r {
+		r[i] = 1 + float64(i%7)
+	}
+	fill := func(b *testing.B) {
+		b.ReportMetric(float64(f.FactorNNZ()), "factor-nnz")
+		b.ReportMetric(float64((g.NNZ()-g.Rows)/2), "gain-lower-nnz")
+	}
+	b.Run("analyze", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sparse.AnalyzeLDL(g); err != nil {
+				b.Fatal(err)
+			}
+		}
+		fill(b)
+	})
+	b.Run("refresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := f.Refresh(g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("apply", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.Apply(z, r)
+		}
+	})
 }
 
 // BenchmarkPartitionerScales exercises the multilevel partitioner on a

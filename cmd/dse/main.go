@@ -17,6 +17,7 @@ import (
 
 	gridse "repro"
 	"repro/internal/cluster"
+	"repro/internal/wls"
 )
 
 func main() {
@@ -35,6 +36,7 @@ func main() {
 		frames     = flag.Int("frames", 1, "track this many measurement frames in-process (session reuse + warm starts)")
 		gainReuse  = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto, off, precond, gain")
 		adaptGate  = flag.Bool("adaptive-gate", false, "scale the reuse drift gate from observed lagged-solve outcomes")
+		precond    = flag.String("precond", wls.Options{}.Precond.String(), "PCG preconditioner: ldl, jacobi, none, ic0 or bjacobi (jacobi is the paper's solver [2])")
 	)
 	flag.Parse()
 
@@ -50,7 +52,11 @@ func main() {
 	default:
 		log.Fatalf("unknown -gain-reuse %q (want auto, off, precond or gain)", *gainReuse)
 	}
-	wlsOpts := gridse.EstimatorOptions{GainReuse: reuseKind, AdaptiveGate: *adaptGate}
+	precondKind, err := wls.ParsePrecond(*precond)
+	if err != nil {
+		log.Fatal(err)
+	}
+	wlsOpts := gridse.EstimatorOptions{GainReuse: reuseKind, AdaptiveGate: *adaptGate, Precond: precondKind}
 
 	// Interrupt (Ctrl-C) or SIGTERM cancels the run cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -23,7 +23,7 @@ func main() {
 		noise    = flag.Float64("noise", 1.0, "meter noise level (1 = nominal)")
 		seed     = flag.Int64("seed", 42, "measurement noise seed")
 		solver   = flag.String("solver", "pcg", "gain-matrix solver: pcg|dense|qr")
-		precond  = flag.String("precond", "jacobi", "PCG preconditioner: none|jacobi|bjacobi|ic0|ssor")
+		precond  = flag.String("precond", wls.Options{}.Precond.String(), "PCG preconditioner: ldl|jacobi|none|ic0|bjacobi (jacobi is the paper's solver [2])")
 		format   = flag.String("format", "auto", "gain-matrix layout: auto|csr|bsr")
 		reuse    = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto|off|precond|gain")
 		adaptive = flag.Bool("adaptive-gate", false, "scale the reuse drift gate from observed lagged-solve outcomes")
@@ -74,19 +74,8 @@ func main() {
 	default:
 		log.Fatalf("unknown solver %q", *solver)
 	}
-	switch *precond {
-	case "none":
-		opts.Precond = gridse.PrecondNone
-	case "jacobi":
-		opts.Precond = gridse.PrecondJacobi
-	case "ic0":
-		opts.Precond = gridse.PrecondIC0
-	case "ssor":
-		opts.Precond = gridse.PrecondSSOR
-	case "bjacobi":
-		opts.Precond = gridse.PrecondBlockJacobi
-	default:
-		log.Fatalf("unknown preconditioner %q", *precond)
+	if opts.Precond, err = wls.ParsePrecond(*precond); err != nil {
+		log.Fatal(err)
 	}
 	switch *format {
 	case "auto":

@@ -170,10 +170,10 @@ const (
 	SolverPCG          = wls.PCG
 	SolverDense        = wls.Dense
 	SolverQR           = wls.QR
+	PrecondLDL         = wls.PrecondLDL
 	PrecondJacobi      = wls.PrecondJacobi
 	PrecondNone        = wls.PrecondNone
 	PrecondIC0         = wls.PrecondIC0
-	PrecondSSOR        = wls.PrecondSSOR
 	PrecondBlockJacobi = wls.PrecondBlockJacobi
 	FormatAuto         = wls.FormatAuto
 	FormatCSR          = wls.FormatCSR

@@ -87,11 +87,13 @@ type SweepStats struct {
 	GNIterations int
 	CGIterations int
 	// GainRefreshes/GainSkips/PrecondSkips/ReuseFallbacks aggregate the §10
-	// drift-gated reuse counters over all estimated cases.
-	GainRefreshes  int
-	GainSkips      int
-	PrecondSkips   int
-	ReuseFallbacks int
+	// drift-gated reuse counters over all estimated cases, and
+	// PrecondFallbacks the LDLᵀ breakdowns that ran on Jacobi.
+	GainRefreshes    int
+	GainSkips        int
+	PrecondSkips     int
+	ReuseFallbacks   int
+	PrecondFallbacks int
 	// BatchedCases and BatchFallbacks split the estimated cases of a
 	// batched sweep (PoolOptions.Batch ≥ 2) by whether the case completed
 	// inside a batched multi-RHS solve or fell back to the scalar path;
@@ -125,6 +127,7 @@ func (st *SweepStats) add(o SweepStats) {
 	st.GainSkips += o.GainSkips
 	st.PrecondSkips += o.PrecondSkips
 	st.ReuseFallbacks += o.ReuseFallbacks
+	st.PrecondFallbacks += o.PrecondFallbacks
 	st.BatchedCases += o.BatchedCases
 	st.BatchFallbacks += o.BatchFallbacks
 	st.Reanchors += o.Reanchors
@@ -543,6 +546,7 @@ func (p *Pool) screenBatched(ctx context.Context, frame []meas.Measurement, rati
 			st.GainSkips += bc.Res.GainSkips
 			st.PrecondSkips += bc.Res.PrecondSkips
 			st.ReuseFallbacks += bc.Res.ReuseFallbacks
+			st.PrecondFallbacks += bc.Res.PrecondFallbacks
 			results[k].Estimate = bc.Res
 			if ratings != nil {
 				results[k].Violations = p.acViolations(cases[k], estimatedState(&results[k]), ratings, threshold)
@@ -744,6 +748,7 @@ func (p *Pool) runCentralized(ctx context.Context, out int, frame []meas.Measure
 	st.GainSkips += res.GainSkips
 	st.PrecondSkips += res.PrecondSkips
 	st.ReuseFallbacks += res.ReuseFallbacks
+	st.PrecondFallbacks += res.PrecondFallbacks
 	return nil
 }
 
@@ -778,6 +783,7 @@ func (p *Pool) runDistributed(ctx context.Context, out int, e *caseSession, fram
 	st.GainSkips += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips
 	st.PrecondSkips += res.Step1Stats.PrecondSkips + res.Step2Stats.PrecondSkips
 	st.ReuseFallbacks += res.Step1Stats.ReuseFallbacks + res.Step2Stats.ReuseFallbacks
+	st.PrecondFallbacks += res.Step1Stats.PrecondFallbacks + res.Step2Stats.PrecondFallbacks
 	return nil
 }
 

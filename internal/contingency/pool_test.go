@@ -398,6 +398,48 @@ func TestPoolBatchedDrainOrderDeterministicError(t *testing.T) {
 	}
 }
 
+// TestPoolPrecondBreakdownDegradesToJacobi: outage 3 of the ring fixture
+// has a singular gain at the flat start — semidefinite but consistent, so
+// Jacobi-CG solves it while no factor exists. The default preconditioner
+// must run those refreshes on Jacobi, count them through SweepStats, and
+// land within 1e-9 of a pool configured with Jacobi outright.
+func TestPoolPrecondBreakdownDegradesToJacobi(t *testing.T) {
+	n, frame := ringUnobservableFixture(t)
+	ctx := context.Background()
+	screen := func(opts wls.Options) (CaseEstimate, SweepStats) {
+		t.Helper()
+		pool, err := NewPool(n, PoolOptions{WLS: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, stats, err := pool.Screen(ctx, frame, nil, []int{3}, ParallelOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0], stats
+	}
+	got, stats := screen(wls.Options{})
+	want, jstats := screen(wls.Options{Precond: wls.PrecondJacobi})
+	if stats.PrecondFallbacks == 0 {
+		t.Fatal("singular flat-start gain was not counted as a factorization breakdown")
+	}
+	if stats.PrecondFallbacks >= stats.GNIterations {
+		t.Fatalf("%d breakdowns over %d Gauss–Newton iterations: the factor never recovered off the flat start",
+			stats.PrecondFallbacks, stats.GNIterations)
+	}
+	if jstats.PrecondFallbacks != 0 {
+		t.Fatalf("Jacobi pool reported %d factorization breakdowns", jstats.PrecondFallbacks)
+	}
+	if stats.GNIterations != jstats.GNIterations {
+		t.Fatalf("%d Gauss–Newton iterations, Jacobi pool %d", stats.GNIterations, jstats.GNIterations)
+	}
+	for i, v := range want.Estimate.X {
+		if d := math.Abs(got.Estimate.X[i] - v); d > 1e-9 {
+			t.Fatalf("x[%d] = %v, Jacobi pool %v", i, got.Estimate.X[i], v)
+		}
+	}
+}
+
 func TestPoolValidation(t *testing.T) {
 	n := grid.Case14()
 	plan := meas.FullPlan().Build(n)

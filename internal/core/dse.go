@@ -105,10 +105,13 @@ type StepStats struct {
 	// how many gain-solve iterations recomputed G = HᵀWH versus reused the
 	// lagged values, how many ran on lagged preconditioner numerics, and
 	// how many lagged steps the residual-decrease guard rolled back.
-	GainRefreshes  int
-	GainSkips      int
-	PrecondSkips   int
-	ReuseFallbacks int
+	// PrecondFallbacks counts refreshes whose LDLᵀ factorization broke down
+	// and that ran on Jacobi instead.
+	GainRefreshes    int
+	GainSkips        int
+	PrecondSkips     int
+	ReuseFallbacks   int
+	PrecondFallbacks int
 }
 
 // DSEResult is the outcome of a full DSE run.
@@ -376,6 +379,7 @@ func (st *StepStats) addIterations(results []*wls.Result) {
 			st.GainSkips += r.GainSkips
 			st.PrecondSkips += r.PrecondSkips
 			st.ReuseFallbacks += r.ReuseFallbacks
+			st.PrecondFallbacks += r.PrecondFallbacks
 		}
 	}
 }

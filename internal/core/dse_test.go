@@ -470,15 +470,16 @@ func TestRunDSEWithRTUPlan(t *testing.T) {
 
 // TestRunDSEBSRFormatMatchesDefault: the WLS gain-format knob flows
 // through DSEOptions into every local estimator; the blocked layout must
-// reproduce the default (CSR) distributed solution to solver tolerance.
+// reproduce the scalar (CSR) Jacobi-PCG distributed solution to solver
+// tolerance.
 func TestRunDSEBSRFormatMatchesDefault(t *testing.T) {
 	fx := newFixture(t, grid.Case118, 9, 1)
-	def, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{})
+	def, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{WLS: wls.Options{Precond: wls.PrecondJacobi}})
 	if err != nil {
 		t.Fatalf("RunDSE default: %v", err)
 	}
 	for _, opts := range []wls.Options{
-		{Format: wls.FormatBSR},
+		{Precond: wls.PrecondJacobi, Format: wls.FormatBSR},
 		{Precond: wls.PrecondBlockJacobi},
 	} {
 		bsr, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{WLS: opts})

@@ -12,35 +12,39 @@ import (
 // tracks IEEE-118 frames within 1e-9 of the always-refresh path, per
 // subsystem and per frame.
 func TestTrackerReusePrecondPinned(t *testing.T) {
-	fx := newFixture(t, grid.Case118, 9, 1)
-	trackRe := NewTracker(fx.dec, DSEOptions{Rounds: 2, WLS: wls.Options{GainReuse: wls.ReusePrecond}})
-	trackOff := NewTracker(fx.dec, DSEOptions{Rounds: 2, WLS: wls.Options{GainReuse: wls.ReuseOff}})
+	for _, pk := range []wls.PrecondKind{wls.PrecondLDL, wls.PrecondJacobi} {
+		t.Run(pk.String(), func(t *testing.T) {
+			fx := newFixture(t, grid.Case118, 9, 1)
+			trackRe := NewTracker(fx.dec, DSEOptions{Rounds: 2, WLS: wls.Options{Precond: pk, GainReuse: wls.ReusePrecond}})
+			trackOff := NewTracker(fx.dec, DSEOptions{Rounds: 2, WLS: wls.Options{Precond: pk, GainReuse: wls.ReuseOff}})
 
-	for f := 0; f < 4; f++ {
-		frame := frameFor(t, fx, 1, int64(40+f))
-		resRe, err := trackRe.Process(frame)
-		if err != nil {
-			t.Fatalf("frame %d reuse: %v", f, err)
-		}
-		resOff, err := trackOff.Process(frame)
-		if err != nil {
-			t.Fatalf("frame %d off: %v", f, err)
-		}
-		var worst float64
-		for i := range resRe.State.Vm {
-			if d := math.Abs(resRe.State.Vm[i] - resOff.State.Vm[i]); d > worst {
-				worst = d
+			for f := 0; f < 4; f++ {
+				frame := frameFor(t, fx, 1, int64(40+f))
+				resRe, err := trackRe.Process(frame)
+				if err != nil {
+					t.Fatalf("frame %d reuse: %v", f, err)
+				}
+				resOff, err := trackOff.Process(frame)
+				if err != nil {
+					t.Fatalf("frame %d off: %v", f, err)
+				}
+				var worst float64
+				for i := range resRe.State.Vm {
+					if d := math.Abs(resRe.State.Vm[i] - resOff.State.Vm[i]); d > worst {
+						worst = d
+					}
+					if d := math.Abs(resRe.State.Va[i] - resOff.State.Va[i]); d > worst {
+						worst = d
+					}
+				}
+				if worst > 1e-9 {
+					t.Fatalf("frame %d: ReusePrecond tracking deviates %g from always-refresh (want ≤1e-9)", f, worst)
+				}
+				if resRe.Step1Stats.GainSkips+resRe.Step2Stats.GainSkips != 0 {
+					t.Fatalf("frame %d: ReusePrecond skipped gain refreshes", f)
+				}
 			}
-			if d := math.Abs(resRe.State.Va[i] - resOff.State.Va[i]); d > worst {
-				worst = d
-			}
-		}
-		if worst > 1e-9 {
-			t.Fatalf("frame %d: ReusePrecond tracking deviates %g from always-refresh (want ≤1e-9)", f, worst)
-		}
-		if resRe.Step1Stats.GainSkips+resRe.Step2Stats.GainSkips != 0 {
-			t.Fatalf("frame %d: ReusePrecond skipped gain refreshes", f)
-		}
+		})
 	}
 }
 
@@ -49,39 +53,43 @@ func TestTrackerReusePrecondPinned(t *testing.T) {
 // previous frame's numerics — more than half of the iterations after the
 // cold frame skip the gain refresh entirely — without losing accuracy.
 func TestTrackerSteadyFramesSkipGainRefresh(t *testing.T) {
-	fx := newFixture(t, grid.Case118, 9, 1)
-	tracker := NewTracker(fx.dec, DSEOptions{Rounds: 2})
+	for _, pk := range []wls.PrecondKind{wls.PrecondLDL, wls.PrecondJacobi} {
+		t.Run(pk.String(), func(t *testing.T) {
+			fx := newFixture(t, grid.Case118, 9, 1)
+			tracker := NewTracker(fx.dec, DSEOptions{Rounds: 2, WLS: wls.Options{Precond: pk}})
 
-	var skips, refreshes, fallbacks int
-	for f := 0; f < 5; f++ {
-		res, err := tracker.Process(frameFor(t, fx, 1, int64(60+f)))
-		if err != nil {
-			t.Fatalf("frame %d: %v", f, err)
-		}
-		var worst float64
-		for i := range res.State.Vm {
-			if d := math.Abs(res.State.Vm[i] - fx.truth.Vm[i]); d > worst {
-				worst = d
+			var skips, refreshes, fallbacks int
+			for f := 0; f < 5; f++ {
+				res, err := tracker.Process(frameFor(t, fx, 1, int64(60+f)))
+				if err != nil {
+					t.Fatalf("frame %d: %v", f, err)
+				}
+				var worst float64
+				for i := range res.State.Vm {
+					if d := math.Abs(res.State.Vm[i] - fx.truth.Vm[i]); d > worst {
+						worst = d
+					}
+				}
+				if worst > 0.05 {
+					t.Fatalf("frame %d max Vm error %g under ReuseGain tracking", f, worst)
+				}
+				if f == 0 {
+					continue // cold frame builds the anchors
+				}
+				skips += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips
+				refreshes += res.Step1Stats.GainRefreshes + res.Step2Stats.GainRefreshes
+				fallbacks += res.Step1Stats.ReuseFallbacks + res.Step2Stats.ReuseFallbacks
 			}
-		}
-		if worst > 0.05 {
-			t.Fatalf("frame %d max Vm error %g under ReuseGain tracking", f, worst)
-		}
-		if f == 0 {
-			continue // cold frame builds the anchors
-		}
-		skips += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips
-		refreshes += res.Step1Stats.GainRefreshes + res.Step2Stats.GainRefreshes
-		fallbacks += res.Step1Stats.ReuseFallbacks + res.Step2Stats.ReuseFallbacks
+			total := skips + refreshes
+			if total == 0 {
+				t.Fatal("no gain-solve iterations counted")
+			}
+			if 2*skips <= total {
+				t.Fatalf("steady frames skipped %d/%d gain refreshes (want >50%%)", skips, total)
+			}
+			t.Logf("steady frames: %d/%d gain refreshes skipped, %d guard fallbacks", skips, total, fallbacks)
+		})
 	}
-	total := skips + refreshes
-	if total == 0 {
-		t.Fatal("no gain-solve iterations counted")
-	}
-	if 2*skips <= total {
-		t.Fatalf("steady frames skipped %d/%d gain refreshes (want >50%%)", skips, total)
-	}
-	t.Logf("steady frames: %d/%d gain refreshes skipped, %d guard fallbacks", skips, total, fallbacks)
 }
 
 // TestStandaloneRunsStayBitIdentical: the reuse anchors a tracking or

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 )
 
 func testFixture(t *testing.T) *Fixture {
@@ -74,31 +75,44 @@ func TestTable2MappingBalancesBetter(t *testing.T) {
 	}
 }
 
+// minRelayed runs an overhead sweep three times and keeps each size's
+// fastest relay: a scheduling stall on a loaded machine only ever adds
+// time, so the minimum is the sample closest to the transport's own cost.
+func minRelayed(t *testing.T, sweep func(context.Context, []int) ([]OverheadRow, error), sizes []int) []time.Duration {
+	t.Helper()
+	best := make([]time.Duration, len(sizes))
+	for rep := 0; rep < 3; rep++ {
+		rows, err := sweep(context.Background(), sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rows {
+			if r.Relayed <= 0 {
+				t.Fatal("non-positive relay timing")
+			}
+			if rep == 0 || r.Relayed < best[i] {
+				best[i] = r.Relayed
+			}
+		}
+	}
+	return best
+}
+
 func TestTables3And4OverheadShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network timing test")
 	}
 	sizes := []int{1 << 20, 4 << 20}
-	local, err := RunTable3(context.Background(), sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := RunTable4(context.Background(), sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := minRelayed(t, RunTable3, sizes)
+	remote := minRelayed(t, RunTable4, sizes)
 	for i := range sizes {
-		if local[i].Relayed <= 0 || remote[i].Relayed <= 0 {
-			t.Fatal("non-positive relay timing")
-		}
 		// Paper shape: network path slower than loopback for the same size.
-		if remote[i].Relayed < local[i].Relayed {
-			t.Errorf("size %d: shaped relay %v faster than loopback %v",
-				sizes[i], remote[i].Relayed, local[i].Relayed)
+		if remote[i] < local[i] {
+			t.Errorf("size %d: shaped relay %v faster than loopback %v", sizes[i], remote[i], local[i])
 		}
 	}
 	// Larger transfers take longer (linearity's weakest precondition).
-	if local[1].Relayed < local[0].Relayed {
+	if local[1] < local[0] {
 		t.Error("4MiB relay faster than 1MiB")
 	}
 }

@@ -91,12 +91,12 @@ func TestCGAllPreconditioners(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ic0: %v", err)
 	}
-	ssor, err := NewSSOR(a, 1.2)
+	ldl, err := NewLDL(a)
 	if err != nil {
-		t.Fatalf("ssor: %v", err)
+		t.Fatalf("ldl: %v", err)
 	}
 	iters := map[string]int{}
-	for _, p := range []Preconditioner{IdentityPreconditioner{}, jac, ic, ssor} {
+	for _, p := range []Preconditioner{IdentityPreconditioner{}, jac, ic, ldl} {
 		res, err := CG(a, b, CGOptions{Tol: 1e-10, Precond: p})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
@@ -105,6 +105,9 @@ func TestCGAllPreconditioners(t *testing.T) {
 			t.Fatalf("%s residual %g", p.Name(), rn)
 		}
 		iters[p.Name()] = res.Iterations
+	}
+	if iters["ldl"] != 1 {
+		t.Errorf("a complete factor is an exact preconditioner: %d CG iterations, want 1", iters["ldl"])
 	}
 	if iters["ic0"] > iters["none"] {
 		t.Errorf("IC(0) (%d iters) should not be slower than plain CG (%d iters)",
@@ -248,16 +251,6 @@ func TestJacobiRejectsZeroDiagonal(t *testing.T) {
 	a := coo.ToCSR() // (1,1) diagonal entry missing => zero
 	if _, err := NewJacobi(a); err == nil {
 		t.Fatal("expected error for zero diagonal")
-	}
-}
-
-func TestSSORRejectsBadOmega(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	a := randomSPD(rng, 5)
-	for _, w := range []float64{0, -1, 2, 2.5} {
-		if _, err := NewSSOR(a, w); err == nil {
-			t.Fatalf("omega=%v accepted", w)
-		}
 	}
 }
 

@@ -272,13 +272,13 @@ func TestPreconditionerRefreshMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssor, err := NewSSOR(a, 1.0)
+	ldl, err := NewLDL(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// New numerics on the unchanged pattern: a uniform scaling keeps the
-	// matrix SPD, so all three factorizations remain well-defined.
+	// matrix SPD, so every factorization remains well-defined.
 	scaled := a.Clone()
 	for k := range scaled.Val {
 		scaled.Val[k] *= 1.75
@@ -290,7 +290,7 @@ func TestPreconditionerRefreshMatchesRebuild(t *testing.T) {
 	}{
 		{"jacobi", jac, func(m *CSR) (Preconditioner, error) { return NewJacobi(m) }},
 		{"ic0", ic, func(m *CSR) (Preconditioner, error) { return NewIC0(m) }},
-		{"ssor", ssor, func(m *CSR) (Preconditioner, error) { return NewSSOR(m, 1.0) }},
+		{"ldl", ldl, func(m *CSR) (Preconditioner, error) { return NewLDL(m) }},
 	}
 	for _, tc := range refreshers {
 		ref, ok := tc.p.(Refresher)

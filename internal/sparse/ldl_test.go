@@ -1,0 +1,226 @@
+package sparse
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// gainFixture is G = HᵀWH of a measurement-Jacobian-shaped H with weights
+// spread over six decades, the PMU/SCADA mix that stresses conditioning.
+func gainFixture(rng *rand.Rand, n, extra int) *CSR {
+	h, w := outageFixture(rng, n, extra)
+	for i := range w {
+		if i%7 == 0 {
+			w[i] *= 1e6
+		}
+	}
+	return Gain(h, w)
+}
+
+// TestLDLSolveMatchesDense: one Apply of a fresh factor is a direct solve,
+// checked against dense LU on random SPD and gain-shaped matrices.
+func TestLDLSolveMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	cases := map[string]*CSR{
+		"spd-1":     randomSPD(rng, 1),
+		"spd-40":    randomSPD(rng, 40),
+		"spd-150":   randomSPD(rng, 150),
+		"gain-60":   gainFixture(rng, 60, 90),
+		"gain-300":  gainFixture(rng, 300, 500),
+		"tridiag":   pathMatrix([]int{0, 1, 2, 3, 4, 5, 6, 7}),
+		"scrambled": pathMatrix([]int{3, 7, 0, 5, 1, 6, 2, 4}),
+		"mesh":      meshMatrix(12, 9),
+	}
+	for name, a := range cases {
+		f, err := NewLDL(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b := make([]float64, a.Rows)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		want, err := SolveDense(a.ToDense(), b)
+		if err != nil {
+			t.Fatalf("%s: dense: %v", name, err)
+		}
+		got := make([]float64, a.Rows)
+		f.Apply(got, b)
+		for i := range want {
+			if d := math.Abs(got[i] - want[i]); d > 1e-9*(1+math.Abs(want[i])) {
+				t.Fatalf("%s: x[%d] = %g, dense %g", name, i, got[i], want[i])
+			}
+		}
+		res, err := CG(a, b, CGOptions{Tol: 1e-10, Precond: f})
+		if err != nil || res.Iterations > 2 {
+			t.Fatalf("%s: CG on a fresh factor: %d iterations, err %v", name, res.Iterations, err)
+		}
+	}
+}
+
+// meshMatrix is the shifted Laplacian of an nx×ny grid graph numbered row
+// by row: SPD, and near-planar like a transmission network.
+func meshMatrix(nx, ny int) *CSR {
+	n := nx * ny
+	coo := NewCOO(n, n)
+	edge := func(u, v int) {
+		coo.Add(u, v, -1)
+		coo.Add(v, u, -1)
+		coo.Add(u, u, 1)
+		coo.Add(v, v, 1)
+	}
+	for y := 0; y < ny; y++ {
+		for x := 0; x < nx; x++ {
+			u := y*nx + x
+			coo.Add(u, u, 0.01)
+			if x+1 < nx {
+				edge(u, u+1)
+			}
+			if y+1 < ny {
+				edge(u, u+nx)
+			}
+		}
+	}
+	return coo.ToCSR()
+}
+
+// TestLDLFillStaysSparse: on a near-planar pattern the factor's own
+// ordering keeps the fill to a small multiple of the matrix's lower
+// triangle; the row-by-row numbering of the same mesh fills a full band,
+// nx entries per column.
+func TestLDLFillStaysSparse(t *testing.T) {
+	const nx, ny = 30, 30
+	a := meshMatrix(nx, ny)
+	f, err := NewLDL(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lower := (a.NNZ() - a.Rows) / 2
+	if f.FactorNNZ() < lower {
+		t.Fatalf("factor has %d off-diagonals, fewer than the matrix's %d", f.FactorNNZ(), lower)
+	}
+	if band := nx * (a.Rows - nx); f.FactorNNZ() > band/2 {
+		t.Fatalf("factor has %d off-diagonals against %d in the matrix and %d in the natural-order band: the ordering is not reducing fill",
+			f.FactorNNZ(), lower, band)
+	}
+}
+
+func TestLDLRefreshRejectsChangedPattern(t *testing.T) {
+	f, err := NewLDL(csrFromDense([][]float64{
+		{4, 1, 0},
+		{1, 4, 1},
+		{0, 1, 4},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coo := NewCOO(3, 3)
+	for i := 0; i < 3; i++ {
+		coo.Add(i, i, 4)
+	}
+	coo.Add(0, 2, 1)
+	coo.Add(2, 0, 1)
+	if err := f.Refresh(coo.ToCSR()); err == nil || errors.Is(err, ErrNotSPD) {
+		t.Fatalf("refresh on a different pattern: got %v, want a pattern error", err)
+	}
+	if err := f.Refresh(randomSPD(rand.New(rand.NewSource(1)), 4)); err == nil {
+		t.Fatal("refresh on a different dimension accepted")
+	}
+	coo = NewCOO(2, 2)
+	coo.Add(0, 0, 1)
+	coo.Add(0, 1, 1)
+	coo.Add(1, 0, 1)
+	if _, err := AnalyzeLDL(coo.ToCSR()); err == nil {
+		t.Fatal("missing diagonal accepted")
+	}
+}
+
+// TestLDLBreakdownLeavesFactorReusable: semidefinite, indefinite and NaN
+// inputs all return ErrNotSPD, and the same factor then refactors a good
+// matrix bitwise as a factor that never saw the bad one.
+func TestLDLBreakdownLeavesFactorReusable(t *testing.T) {
+	good := csrFromDense([][]float64{
+		{2, -1, 0, -1},
+		{-1, 3, -1, 0},
+		{0, -1, 2, -1},
+		{-1, 0, -1, 3},
+	})
+	bad := map[string]*CSR{
+		// A ring Laplacian: every row sums to zero, rank n−1.
+		"semidefinite": csrFromDense([][]float64{
+			{2, -1, 0, -1},
+			{-1, 2, -1, 0},
+			{0, -1, 2, -1},
+			{-1, 0, -1, 2},
+		}),
+		"indefinite": csrFromDense([][]float64{
+			{2, -1, 0, -1},
+			{-1, -3, -1, 0},
+			{0, -1, 2, -1},
+			{-1, 0, -1, 3},
+		}),
+		"nan": csrFromDense([][]float64{
+			{2, -1, 0, -1},
+			{-1, math.NaN(), -1, 0},
+			{0, -1, 2, -1},
+			{-1, 0, -1, 3},
+		}),
+	}
+	clean, err := NewLDL(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := []float64{1, -2, 3, -4}
+	want := make([]float64, 4)
+	clean.Apply(want, r)
+	for name, m := range bad {
+		if _, err := NewLDL(m); !errors.Is(err, ErrNotSPD) {
+			t.Fatalf("%s: NewLDL: got %v, want ErrNotSPD", name, err)
+		}
+		f, err := NewLDL(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Refresh(m); !errors.Is(err, ErrNotSPD) {
+			t.Fatalf("%s: Refresh: got %v, want ErrNotSPD", name, err)
+		}
+		for i, v := range f.y {
+			if v != 0 {
+				t.Fatalf("%s: scratch y[%d] = %g after breakdown, want 0", name, i, v)
+			}
+		}
+		if err := f.Refresh(good); err != nil {
+			t.Fatalf("%s: refactor after breakdown: %v", name, err)
+		}
+		got := make([]float64, 4)
+		f.Apply(got, r)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: z[%d] = %v after recovery, clean factor %v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestLDLRefreshApplyZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	a := gainFixture(rng, 120, 200)
+	f, err := NewLDL(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, r := make([]float64, a.Rows), make([]float64, a.Rows)
+	for i := range r {
+		r[i] = rng.NormFloat64()
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := f.Refresh(a); err != nil {
+			t.Fatal(err)
+		}
+		f.Apply(z, r)
+	}); allocs != 0 {
+		t.Fatalf("Refresh+Apply allocated %v times per run, want 0", allocs)
+	}
+}

@@ -154,7 +154,7 @@ func (a *CSR) Diagonal() []float64 {
 // DiagonalInto writes the main diagonal into d (length min(Rows, Cols)),
 // walking each row directly instead of binary-searching per index. Missing
 // diagonal entries are written as 0. It allocates nothing, so numeric
-// refreshes (Jacobi/SSOR preconditioners) can call it per iteration.
+// refreshes (the Jacobi preconditioner) can call it per iteration.
 func (a *CSR) DiagonalInto(d []float64) {
 	n := a.Rows
 	if a.Cols < n {

@@ -6,12 +6,13 @@ import (
 )
 
 // Fill-reducing orderings for symmetric matrices. A zero-fill incomplete
-// factorization (IC(0), SSOR's triangular sweeps) captures more of the true
-// factor when the matrix is first permuted so that connected unknowns sit
-// close together: the discarded fill shrinks, the preconditioner tightens,
-// and PCG needs fewer iterations. The orderings here are computed once per
-// sparsity pattern — the natural companion to the symbolic GainPlan — and
-// consumed as a symmetric permutation P·A·Pᵀ.
+// factorization (IC(0)) captures more of the true factor when the matrix is
+// first permuted so that connected unknowns sit close together: the
+// discarded fill shrinks, the preconditioner tightens, and PCG needs fewer
+// iterations; a complete factorization (LDLFactor) stays sparse only under
+// an ordering that keeps its fill down. The orderings here are computed
+// once per sparsity pattern — the natural companion to the symbolic
+// GainPlan — and consumed as a symmetric permutation P·A·Pᵀ.
 //
 // Permutation convention: perm[new] = old, i.e. row new of the permuted
 // matrix is row perm[new] of the original. InversePerm flips it.
@@ -126,55 +127,153 @@ func bfsLevels(a *CSR, start int, level []int, queue []int) (int, []int) {
 // MinDegree computes a greedy minimum-degree ordering of the symmetric
 // sparsity pattern of a: repeatedly eliminate the vertex of smallest degree
 // in the elimination graph, turning its neighborhood into a clique. It
-// reduces fill directly (where RCM reduces bandwidth) at a higher one-time
-// cost — the elimination graph is maintained explicitly, O(n²) in the worst
-// case — which is amortized over every numeric refresh of the plan that
-// uses it. Ties break on the lower vertex index, keeping the ordering
-// deterministic.
+// reduces fill directly (where RCM reduces bandwidth). The elimination
+// graph is kept explicitly as duplicate-free adjacency slices — exact
+// degrees, no quotient-graph approximation — and the next vertex comes off
+// a binary heap keyed (degree, index), so ties break on the lower vertex
+// index and the ordering is deterministic. One elimination costs the
+// summed length of its neighbors' lists, which on the near-planar graphs
+// of power networks stays a small constant.
 func MinDegree(a *CSR) []int {
 	n := mustSquare(a, "MinDegree")
-	adj := make([]map[int]struct{}, n)
+	// Symmetrize defensively: every off-diagonal entry contributes both
+	// directions, then each list drops its duplicates.
+	cnt := make([]int, n+1)
 	for i := 0; i < n; i++ {
-		adj[i] = make(map[int]struct{}, a.RowNNZ(i))
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if j := a.ColIdx[k]; j != i {
+				cnt[i+1]++
+				cnt[j+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		cnt[i+1] += cnt[i]
+	}
+	backing := make([]int, cnt[n])
+	adj := make([][]int, n)
+	for i := range adj {
+		adj[i] = backing[cnt[i]:cnt[i]:cnt[i+1]]
 	}
 	for i := 0; i < n; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			if i != j {
-				adj[i][j] = struct{}{}
-				adj[j][i] = struct{}{} // symmetrize defensively
+			if j := a.ColIdx[k]; j != i {
+				adj[i] = append(adj[i], j)
+				adj[j] = append(adj[j], i)
 			}
 		}
 	}
+	// seen[w] == stamp marks w as a member of the set being built; every
+	// set takes a fresh stamp, so the array is never cleared.
+	seen, stamp := make([]int, n), 0
+	h := degHeap{heap: make([]int, n), pos: make([]int, n), deg: make([]int, n)}
+	for i, ai := range adj {
+		stamp++
+		k := 0
+		for _, w := range ai {
+			if seen[w] != stamp {
+				seen[w] = stamp
+				ai[k] = w
+				k++
+			}
+		}
+		adj[i] = ai[:k]
+		h.deg[i] = k
+		h.heap[i], h.pos[i] = i, i
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+
 	perm := make([]int, 0, n)
-	eliminated := make([]bool, n)
-	nbrs := make([]int, 0, n)
-	for len(perm) < n {
-		v := -1
-		for u := 0; u < n; u++ {
-			if !eliminated[u] && (v < 0 || len(adj[u]) < len(adj[v])) {
-				v = u
-			}
-		}
+	for len(h.heap) > 0 {
+		v := h.pop()
 		perm = append(perm, v)
-		eliminated[v] = true
-		nbrs = nbrs[:0]
-		for u := range adj[v] {
-			nbrs = append(nbrs, u)
-		}
-		sort.Ints(nbrs) // map iteration order must not leak into the graph
+		nbrs := adj[v]
 		for _, u := range nbrs {
-			delete(adj[u], v)
-		}
-		for i, u := range nbrs {
-			for _, w := range nbrs[i+1:] {
-				adj[u][w] = struct{}{}
-				adj[w][u] = struct{}{}
+			// adj[u] ← (adj[u] ∖ {v}) ∪ (nbrs ∖ {u}).
+			stamp++
+			au, at := adj[u], 0
+			for i, w := range au {
+				seen[w] = stamp
+				if w == v {
+					at = i
+				}
 			}
+			au[at] = au[len(au)-1]
+			au = au[:len(au)-1]
+			for _, w := range nbrs {
+				if w != u && seen[w] != stamp {
+					au = append(au, w)
+				}
+			}
+			adj[u] = au
+			h.update(u, len(au))
 		}
 		adj[v] = nil
 	}
 	return perm
+}
+
+// degHeap is MinDegree's indexed binary min-heap over the uneliminated
+// vertices, ordered by (deg, vertex); pos locates a vertex in heap.
+type degHeap struct {
+	heap, pos, deg []int
+}
+
+func (h *degHeap) less(i, j int) bool {
+	u, v := h.heap[i], h.heap[j]
+	return h.deg[u] < h.deg[v] || (h.deg[u] == h.deg[v] && u < v)
+}
+
+func (h *degHeap) swap(i, j int) {
+	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
+	h.pos[h.heap[i]], h.pos[h.heap[j]] = i, j
+}
+
+func (h *degHeap) up(i int) {
+	for i > 0 && h.less(i, (i-1)/2) {
+		h.swap(i, (i-1)/2)
+		i = (i - 1) / 2
+	}
+}
+
+func (h *degHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h.heap) {
+			return
+		}
+		if c+1 < len(h.heap) && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h.swap(i, c)
+		i = c
+	}
+}
+
+// pop removes and returns the minimum vertex.
+func (h *degHeap) pop() int {
+	v := h.heap[0]
+	last := len(h.heap) - 1
+	h.swap(0, last)
+	h.heap = h.heap[:last]
+	h.down(0)
+	return v
+}
+
+// update sets vertex u's degree and restores the heap order.
+func (h *degHeap) update(u, deg int) {
+	old := h.deg[u]
+	h.deg[u] = deg
+	if deg < old {
+		h.up(h.pos[u])
+	} else if deg > old {
+		h.down(h.pos[u])
+	}
 }
 
 // InversePerm returns the inverse permutation: inv[perm[i]] = i.

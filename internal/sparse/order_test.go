@@ -3,6 +3,8 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -92,6 +94,90 @@ func TestMinDegreeValidAndDeterministic(t *testing.T) {
 	for i := range perm {
 		if perm[i] != again[i] {
 			t.Fatal("MinDegree is not deterministic")
+		}
+	}
+}
+
+// minDegreeReference is the explicit elimination-graph ordering MinDegree
+// replaced, kept as its oracle: adjacency sets, a linear scan for the
+// minimum (degree, index), clique formation over the sorted neighborhood.
+func minDegreeReference(a *CSR) []int {
+	n := a.Rows
+	adj := make([]map[int]struct{}, n)
+	for i := 0; i < n; i++ {
+		adj[i] = make(map[int]struct{}, a.RowNNZ(i))
+	}
+	for i := 0; i < n; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if j := a.ColIdx[k]; i != j {
+				adj[i][j] = struct{}{}
+				adj[j][i] = struct{}{}
+			}
+		}
+	}
+	perm := make([]int, 0, n)
+	eliminated := make([]bool, n)
+	nbrs := make([]int, 0, n)
+	for len(perm) < n {
+		v := -1
+		for u := 0; u < n; u++ {
+			if !eliminated[u] && (v < 0 || len(adj[u]) < len(adj[v])) {
+				v = u
+			}
+		}
+		perm = append(perm, v)
+		eliminated[v] = true
+		nbrs = nbrs[:0]
+		for u := range adj[v] {
+			nbrs = append(nbrs, u)
+		}
+		sort.Ints(nbrs)
+		for _, u := range nbrs {
+			delete(adj[u], v)
+		}
+		for i, u := range nbrs {
+			for _, w := range nbrs[i+1:] {
+				adj[u][w] = struct{}{}
+				adj[w][u] = struct{}{}
+			}
+		}
+		adj[v] = nil
+	}
+	return perm
+}
+
+// TestMinDegreeMatchesReference pins the heap-and-slices MinDegree to the
+// permutation the map-based one produced, entry for entry.
+func TestMinDegreeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	twoTriangles := NewCOO(7, 7)
+	for i := 0; i < 7; i++ {
+		twoTriangles.Add(i, i, 1)
+	}
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}} {
+		twoTriangles.Add(e[0], e[1], -1)
+		twoTriangles.Add(e[1], e[0], -1)
+	}
+	// One-sided pattern: MinDegree symmetrizes what it is given.
+	oneSided := NewCOO(5, 5)
+	for _, e := range [][2]int{{0, 4}, {1, 4}, {2, 3}, {3, 0}} {
+		oneSided.Add(e[0], e[1], 1)
+	}
+	cases := map[string]*CSR{
+		"spd-60":        randomSPD(rng, 60),
+		"spd-120":       randomSPD(rng, 120),
+		"gain-200":      gainFixture(rng, 200, 260),
+		"path":          pathMatrix(rng.Perm(40)),
+		"mesh":          meshMatrix(17, 11),
+		"two-triangles": twoTriangles.ToCSR(),
+		"one-sided":     oneSided.ToCSR(),
+		"empty":         NewCOO(0, 0).ToCSR(),
+	}
+	for name, a := range cases {
+		got, want := MinDegree(a), minDegreeReference(a)
+		assertPerm(t, got, a.Rows)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: MinDegree = %v, reference %v", name, got, want)
 		}
 	}
 }

@@ -323,107 +323,6 @@ func (p *IC0Preconditioner) Apply(z, r []float64) {
 // Name implements Preconditioner.
 func (p *IC0Preconditioner) Name() string { return "ic0" }
 
-// SSORPreconditioner implements the symmetric successive over-relaxation
-// preconditioner M = (D/ω + L)·(D/ω)⁻¹·(D/ω + L)ᵀ / (2-ω) for a symmetric
-// matrix with lower triangle L and diagonal D.
-type SSORPreconditioner struct {
-	n      int
-	omega  float64
-	diag   []float64
-	scale  float64
-	lower  *CSR // strictly lower triangle
-	upperT *CSR // strictly lower triangle again (Lᵀ applied by scatter)
-}
-
-// NewSSOR builds an SSOR preconditioner with relaxation factor omega in (0,2).
-func NewSSOR(a *CSR, omega float64) (*SSORPreconditioner, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("sparse: SSOR requires square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if omega <= 0 || omega >= 2 {
-		return nil, fmt.Errorf("sparse: SSOR omega %g outside (0,2)", omega)
-	}
-	d := a.Diagonal()
-	for i, v := range d {
-		if v <= 0 {
-			return nil, fmt.Errorf("sparse: SSOR: non-positive diagonal %g at %d", v, i)
-		}
-	}
-	coo := NewCOO(a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.ColIdx[k] < i {
-				coo.Add(i, a.ColIdx[k], a.Val[k])
-			}
-		}
-	}
-	lower := coo.ToCSR()
-	return &SSORPreconditioner{
-		n: a.Rows, omega: omega, diag: d,
-		scale: 2 - omega, lower: lower, upperT: lower,
-	}, nil
-}
-
-// Refresh implements Refresher: it rewrites the stored diagonal and strict
-// lower triangle in place from a matrix with the pattern the preconditioner
-// was built from.
-func (p *SSORPreconditioner) Refresh(a *CSR) error {
-	if a.Rows != p.n || a.Cols != p.n {
-		return fmt.Errorf("sparse: SSOR refresh with %dx%d matrix, built for %d", a.Rows, a.Cols, p.n)
-	}
-	a.DiagonalInto(p.diag)
-	for i, v := range p.diag {
-		if v <= 0 {
-			return fmt.Errorf("sparse: SSOR: non-positive diagonal %g at %d", v, i)
-		}
-	}
-	idx := 0
-	for i := 0; i < p.n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.ColIdx[k] < i {
-				if idx >= len(p.lower.Val) || p.lower.ColIdx[idx] != a.ColIdx[k] {
-					return fmt.Errorf("sparse: SSOR refresh with changed sparsity pattern at row %d", i)
-				}
-				p.lower.Val[idx] = a.Val[k]
-				idx++
-			}
-		}
-	}
-	if idx != len(p.lower.Val) {
-		return fmt.Errorf("sparse: SSOR refresh with changed sparsity pattern (%d != %d entries)", idx, len(p.lower.Val))
-	}
-	return nil
-}
-
-// Apply implements Preconditioner.
-func (p *SSORPreconditioner) Apply(z, r []float64) {
-	w := p.omega
-	// Forward: (D/ω + L)·y = r
-	for i := 0; i < p.n; i++ {
-		sum := r[i]
-		for k := p.lower.RowPtr[i]; k < p.lower.RowPtr[i+1]; k++ {
-			sum -= p.lower.Val[k] * z[p.lower.ColIdx[k]]
-		}
-		z[i] = sum * w / p.diag[i]
-	}
-	// Scale by D/ω then multiply by (2-ω) factor folded in at the end.
-	for i := 0; i < p.n; i++ {
-		z[i] *= p.diag[i] / w
-	}
-	// Backward: (D/ω + Lᵀ)·z = y, scatter form over rows in reverse.
-	for i := p.n - 1; i >= 0; i-- {
-		z[i] *= w / p.diag[i]
-		zi := z[i]
-		for k := p.upperT.RowPtr[i]; k < p.upperT.RowPtr[i+1]; k++ {
-			z[p.upperT.ColIdx[k]] -= p.upperT.Val[k] * zi
-		}
-	}
-	Scal(p.scale, z)
-}
-
-// Name implements Preconditioner.
-func (p *SSORPreconditioner) Name() string { return "ssor" }
-
 // BlockJacobiPreconditioner inverts the 2×2 diagonal blocks of a blocked
 // gain matrix exactly (closed form). With the bus-interleaved state layout
 // each diagonal block is one bus's (θᵢ, Vᵢ) self-coupling, so the block

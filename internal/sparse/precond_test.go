@@ -113,31 +113,3 @@ func TestIC0ErrNotSPDFromNew(t *testing.T) {
 		t.Fatalf("got %v, want ErrNotSPD", err)
 	}
 }
-
-// TestSSORNoMatrixRetained: SSOR must copy what it needs — mutating the
-// source matrix after construction must not change Apply (regression for
-// the dead *CSR field that silently pinned the caller's gain matrix).
-func TestSSORNoMatrixRetained(t *testing.T) {
-	a := csrFromDense([][]float64{
-		{4, -1, 0},
-		{-1, 4, -1},
-		{0, -1, 4},
-	})
-	p, err := NewSSOR(a, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := []float64{1, 2, 3}
-	before := make([]float64, 3)
-	p.Apply(before, r)
-	for k := range a.Val {
-		a.Val[k] = math.NaN()
-	}
-	after := make([]float64, 3)
-	p.Apply(after, r)
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("SSOR read the source matrix after construction at %d", i)
-		}
-	}
-}

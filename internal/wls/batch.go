@@ -137,16 +137,17 @@ func NewBatchEngine(base *Engine) *BatchEngine {
 
 // Supported reports whether the batched path can serve the given solve
 // configuration: the PCG solver on the natural-ordered CSR gain layout with
-// a Jacobi or identity preconditioner. For those configurations the batch
-// honors the same convergence contract (outer tolerance, residual-decrease
-// guard, CG tolerance) while substituting the anchor-amortized IC0 inner
-// preconditioner; anything else (orderings, blocked layouts, per-case
-// factorization preconditioners, direct solvers) runs scalar.
+// the default LDLᵀ, a Jacobi or the identity preconditioner. For those
+// configurations the batch honors the same convergence contract (outer
+// tolerance, residual-decrease guard, CG tolerance) while substituting the
+// anchor-amortized IC0 inner preconditioner; anything else (orderings,
+// blocked layouts, IC(0) or block-Jacobi per case, direct solvers) runs
+// scalar.
 func (b *BatchEngine) Supported(opts Options) bool {
 	if opts.Solver != PCG {
 		return false
 	}
-	if opts.Precond != PrecondJacobi && opts.Precond != PrecondNone {
+	if opts.Precond != PrecondLDL && opts.Precond != PrecondJacobi && opts.Precond != PrecondNone {
 		return false
 	}
 	if format, err := b.base.resolveFormat(opts); err != nil || format != FormatCSR {
@@ -305,7 +306,7 @@ func (b *BatchEngine) prepare(ce *BatchCase, opts Options, scr *batchScratch) bo
 			return false
 		}
 	}
-	if opts.Precond == PrecondJacobi {
+	if opts.Precond != PrecondNone {
 		for _, d := range ce.diag {
 			if !(d > 0) || math.IsInf(d, 1) {
 				return false
@@ -461,7 +462,7 @@ func (b *BatchEngine) lockstep(ctx context.Context, elig []*BatchCase, opts Opti
 		// spectrum far less than the ~4× iteration headroom IC0 buys over
 		// the per-case Jacobi diagonal.
 		cgOpts.Precond = b.anchorPre
-	} else if opts.Precond == PrecondJacobi {
+	} else if opts.Precond != PrecondNone {
 		if scr.pre == nil || scr.pre.K() != k {
 			scr.pre = sparse.NewBatchJacobi(n, k)
 		}

@@ -61,6 +61,14 @@ type Engine struct {
 	preBSR  bool // cached preconditioner was built on the blocked layout
 	havePre bool
 
+	// ldl is the LDLᵀ factor of ldlOf's pattern. Its symbolic analysis is
+	// plan-like: ColdStart, ResetReuse, Rebind, masks and a breakdown drop
+	// or overwrite its numerics only, and the ordering pass never repeats.
+	// pre holds it while the last refresh factored, and a Jacobi stand-in
+	// (preKind still PrecondLDL) while the last refresh broke down.
+	ldl   *sparse.LDLFactor
+	ldlOf *sparse.CSR
+
 	// reuse anchors the drift-gated numeric-reuse tier (Options.GainReuse):
 	// the state and weights at the last full gain+preconditioner refresh,
 	// the gain system refreshed there, and the resolved solve configuration
@@ -405,7 +413,7 @@ func (e *Engine) SolveLinear(opts Options) (*Result, error) {
 		}
 		e.gainRHS(hj, opts)
 		e.havePrevDx = false
-		dx, res.CGIterations, err = e.solveGain(gs, opts, cgTol)
+		dx, res.CGIterations, err = e.solveGain(gs, opts, cgTol, res)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wls: linear PMU solve: %w", err)
@@ -449,7 +457,7 @@ func resolveOrdering(opts Options) OrderingKind {
 		return OrderNatural
 	}
 	if opts.Ordering == OrderAuto {
-		if opts.Precond == PrecondIC0 || opts.Precond == PrecondSSOR {
+		if opts.Precond == PrecondIC0 {
 			return OrderRCM
 		}
 		return OrderNatural
@@ -484,9 +492,9 @@ func (e *Engine) gplanFor(kind OrderingKind) (*sparse.GainPlan, error) {
 }
 
 // resolveFormat maps the Format knob to a concrete gain layout for this
-// solve. Only the PCG path has a blocked variant; IC(0) and SSOR are
-// triangular sweeps over scalar storage and silently stay on CSR even
-// under an explicit FormatBSR. FormatAuto engages the blocked layout for
+// solve. Only the PCG path has a blocked variant; the factorizations (LDLᵀ,
+// IC(0)) are triangular sweeps over scalar storage and silently stay on CSR
+// even under an explicit FormatBSR. FormatAuto engages the blocked layout for
 // the block-friendly preconditioners on systems big enough that the
 // parallel kernels run — on smaller systems the layout change buys nothing
 // and Auto preserves the scalar path exactly.
@@ -705,7 +713,7 @@ func (e *Engine) gainStep(x []float64, hj *sparse.CSR, opts Options, cgTol float
 	if tier == lagGain {
 		e.gainRHS(hj, opts)
 		e.skipPre = true
-		dx, cg, err := e.solveGain(e.reuse.gs, opts, cgTol)
+		dx, cg, err := e.solveGain(e.reuse.gs, opts, cgTol, res)
 		e.skipPre = false
 		res.CGIterations += cg
 		if err == nil && cg <= reuseCGFactor*e.reuse.freshCG+reuseCGSlack && e.trialImproves(x, dx) {
@@ -735,7 +743,7 @@ func (e *Engine) gainStep(x []float64, hj *sparse.CSR, opts Options, cgTol float
 			e.reuse.valid = false
 			return nil, gerr
 		}
-		dx, cg, err = e.solveGain(gs, opts, cgTol)
+		dx, cg, err = e.solveGain(gs, opts, cgTol, res)
 		res.CGIterations += cg
 		res.GainRefreshes++
 		if err != nil {
@@ -752,7 +760,7 @@ func (e *Engine) gainStep(x []float64, hj *sparse.CSR, opts Options, cgTol float
 	}
 	e.gainRHS(hj, opts)
 	e.skipPre = tier == lagPrecond
-	dx, cg, err := e.solveGain(gs, opts, cgTol)
+	dx, cg, err := e.solveGain(gs, opts, cgTol, res)
 	e.skipPre = false
 	res.CGIterations += cg
 	res.GainRefreshes++
@@ -775,8 +783,9 @@ func (e *Engine) gainStep(x []float64, hj *sparse.CSR, opts Options, cgTol float
 // preconditioner numerics, the CG workspace, and the previous Δx as a CG
 // warm start. gp's G (and therefore the preconditioner built from it) may
 // live in permuted space; rhs and the returned Δx are always in natural
-// order — CG handles the boundary permutes.
-func (e *Engine) solveGain(gs gainSystem, opts Options, cgTol float64) ([]float64, int, error) {
+// order — CG handles the boundary permutes. res takes the preconditioner
+// breakdown count; the CG iterations are returned for the caller's guard.
+func (e *Engine) solveGain(gs gainSystem, opts Options, cgTol float64, res *Result) ([]float64, int, error) {
 	g := gs.gp.G
 	switch opts.Solver {
 	case Dense:
@@ -796,7 +805,7 @@ func (e *Engine) solveGain(gs gainSystem, opts Options, cgTol float64) ([]float6
 			op = gs.bsr
 			pre, err = e.preconditionerBSR(gs.bsr, opts.Precond)
 		} else {
-			pre, err = e.preconditioner(g, opts.Precond)
+			pre, err = e.preconditioner(g, opts.Precond, res)
 		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("wls: preconditioner: %w", err)
@@ -830,16 +839,34 @@ func (e *Engine) solveGain(gs gainSystem, opts Options, cgTol float64) ([]float6
 
 // preconditioner returns the preconditioner for G, refreshing the cached
 // one's numerics in place when the kind is unchanged (G's pattern is fixed
-// by the gain plan, so the symbolic setup never repeats).
-func (e *Engine) preconditioner(g *sparse.CSR, kind PrecondKind) (sparse.Preconditioner, error) {
+// by the gain plan, so the symbolic setup never repeats). An LDLᵀ refresh
+// that breaks down on a numerically singular G degrades to Jacobi for that
+// refresh, counted in res.PrecondFallbacks: CG on a semidefinite but
+// consistent system can still converge where a factor cannot exist, and
+// where it cannot, CG is what reports the gain as not positive definite.
+func (e *Engine) preconditioner(g *sparse.CSR, kind PrecondKind, res *Result) (sparse.Preconditioner, error) {
 	if kind == PrecondNone {
 		return sparse.IdentityPreconditioner{}, nil
 	}
-	if e.havePre && e.preKind == kind && !e.preBSR {
-		if e.skipPre {
-			// Drift-gated reuse: the cached numerics are close enough.
-			return e.pre, nil
+	cached := e.havePre && e.preKind == kind && !e.preBSR
+	if cached && e.skipPre {
+		// Drift-gated reuse: the cached numerics are close enough.
+		return e.pre, nil
+	}
+	build := kind
+	if kind == PrecondLDL {
+		switch err := e.refactor(g); {
+		case err == nil:
+			e.pre, e.preKind, e.preBSR, e.havePre = e.ldl, kind, false, true
+			return e.ldl, nil
+		case !errors.Is(err, sparse.ErrNotSPD):
+			e.havePre = false
+			return nil, err
 		}
+		res.PrecondFallbacks++
+		build, cached = PrecondJacobi, false // breakdowns are rare: the stand-in is built anew
+	}
+	if cached {
 		if ref, ok := e.pre.(sparse.Refresher); ok {
 			if err := ref.Refresh(g); err == nil {
 				return e.pre, nil
@@ -851,13 +878,11 @@ func (e *Engine) preconditioner(g *sparse.CSR, kind PrecondKind) (sparse.Precond
 	}
 	var pre sparse.Preconditioner
 	var err error
-	switch kind {
+	switch build {
 	case PrecondJacobi:
 		pre, err = sparse.NewJacobi(g)
 	case PrecondIC0:
 		pre, err = sparse.NewIC0(g)
-	case PrecondSSOR:
-		pre, err = sparse.NewSSOR(g, 1.0)
 	case PrecondBlockJacobi:
 		return nil, fmt.Errorf("wls: block-jacobi preconditioner requires the BSR gain format")
 	default:
@@ -869,6 +894,19 @@ func (e *Engine) preconditioner(g *sparse.CSR, kind PrecondKind) (sparse.Precond
 	}
 	e.pre, e.preKind, e.preBSR, e.havePre = pre, kind, false, true
 	return pre, nil
+}
+
+// refactor refreshes the LDLᵀ factor's numerics from g, running the symbolic
+// analysis first if the engine has none for this gain matrix yet.
+func (e *Engine) refactor(g *sparse.CSR) error {
+	if e.ldl == nil || e.ldlOf != g {
+		f, err := sparse.AnalyzeLDL(g)
+		if err != nil {
+			return err
+		}
+		e.ldl, e.ldlOf = f, g
+	}
+	return e.ldl.Refresh(g)
 }
 
 // preconditionerBSR is the blocked-layout counterpart of preconditioner:

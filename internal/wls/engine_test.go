@@ -106,8 +106,8 @@ func legacySolveGain(g *sparse.CSR, rhs []float64, opts Options, cgTol float64) 
 			pre, err = sparse.NewJacobi(g)
 		case PrecondIC0:
 			pre, err = sparse.NewIC0(g)
-		case PrecondSSOR:
-			pre, err = sparse.NewSSOR(g, 1.0)
+		case PrecondLDL:
+			pre, err = sparse.NewLDL(g)
 		}
 		if err != nil {
 			return nil, 0, err
@@ -144,20 +144,28 @@ func engineTestModel(t *testing.T, build func() *grid.Network, noise float64, se
 	return mod
 }
 
+// forEachPrecond runs a preconditioner-agnostic contract under the default
+// LDLᵀ factor and under Jacobi, the default it was first written against.
+func forEachPrecond(t *testing.T, f func(t *testing.T, pk PrecondKind)) {
+	for _, pk := range []PrecondKind{PrecondLDL, PrecondJacobi} {
+		t.Run(pk.String(), func(t *testing.T) { f(t, pk) })
+	}
+}
+
 func TestEngineMatchesLegacyEstimate(t *testing.T) {
-	// The legacy path always assembles in natural order, so the ic0/ssor
-	// cases pin Ordering explicitly (OrderAuto would pick RCM for them);
+	// The legacy path always assembles in natural order, so the ic0 case
+	// pins Ordering explicitly (OrderAuto would pick RCM for it);
 	// the ordered path is compared against legacy separately in
 	// TestEngineOrderedMatchesLegacy at the looser permuted-solve tolerance.
 	cases := []struct {
 		name string
 		opts Options
 	}{
-		{"pcg-jacobi", Options{}},
+		{"pcg-ldl", Options{}},
+		{"pcg-jacobi", Options{Precond: PrecondJacobi}},
 		{"pcg-none", Options{Precond: PrecondNone}},
 		{"pcg-ic0", Options{Precond: PrecondIC0, Ordering: OrderNatural}},
-		{"pcg-ssor", Options{Precond: PrecondSSOR, Ordering: OrderNatural}},
-		{"pcg-serial", Options{Workers: 1}},
+		{"pcg-serial", Options{Precond: PrecondJacobi, Workers: 1}},
 		{"dense", Options{Solver: Dense}},
 		{"qr", Options{Solver: QR}},
 	}
@@ -195,11 +203,11 @@ func TestEngineMatchesLegacyEstimate(t *testing.T) {
 
 func TestEngineMatchesLegacyOn118(t *testing.T) {
 	mod := engineTestModel(t, grid.Case118, 0.01, 7)
-	want, err := legacyEstimate(mod, Options{}, nil)
+	want, err := legacyEstimate(mod, Options{Precond: PrecondJacobi}, nil)
 	if err != nil {
 		t.Fatalf("legacy: %v", err)
 	}
-	got, err := Estimate(mod, Options{})
+	got, err := Estimate(mod, Options{Precond: PrecondJacobi})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -227,8 +235,8 @@ func TestEngineOrderedMatchesLegacy(t *testing.T) {
 		{"ic0-rcm", Options{Precond: PrecondIC0, Ordering: OrderRCM}},
 		{"ic0-auto", Options{Precond: PrecondIC0}}, // auto resolves to RCM
 		{"ic0-mindeg", Options{Precond: PrecondIC0, Ordering: OrderMinDegree}},
-		{"ssor-rcm", Options{Precond: PrecondSSOR, Ordering: OrderRCM}},
-		{"jacobi-rcm", Options{Ordering: OrderRCM}},
+		{"ldl-rcm", Options{Precond: PrecondLDL, Ordering: OrderRCM}},
+		{"jacobi-rcm", Options{Precond: PrecondJacobi, Ordering: OrderRCM}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			legacy := tc.opts
@@ -386,4 +394,70 @@ func TestEngineIterationZeroAllocKernels(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("numeric refresh kernels allocated %v times per run, want 0", allocs)
 	}
+}
+
+// TestLDLAnalysisSurvivesNumericResets: the factor's symbolic analysis is
+// plan-like. Everything that drops or overwrites numerics — ColdStart,
+// ResetReuse, Rebind, mask and unmask, a factorization breakdown — keeps
+// the one analysis the first solve built, and the estimate afterwards is
+// bitwise the first one.
+func TestLDLAnalysisSurvivesNumericResets(t *testing.T) {
+	modA := engineTestModel(t, grid.Case30, 0.01, 5)
+	modB := engineTestModel(t, grid.Case30, 0.01, 6)
+	eng := NewEngine(modA)
+	opts := Options{GainReuse: ReuseGain}
+	first, err := eng.Estimate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analysis := eng.ldl
+	if analysis == nil {
+		t.Fatal("the default solve built no LDLᵀ factor")
+	}
+	check := func(step string) {
+		t.Helper()
+		eng.ResetReuse() // a lagged solve is not bitwise a fresh one
+		res, err := eng.Estimate(opts)
+		if err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+		if eng.ldl != analysis {
+			t.Fatalf("%s triggered a second symbolic analysis", step)
+		}
+		if res.PrecondFallbacks != 0 {
+			t.Fatalf("after %s: %d factorization breakdowns", step, res.PrecondFallbacks)
+		}
+		for i := range first.X {
+			if math.Float64bits(res.X[i]) != math.Float64bits(first.X[i]) {
+				t.Fatalf("after %s: x[%d] = %v, first solve %v", step, i, res.X[i], first.X[i])
+			}
+		}
+	}
+	check("ResetReuse")
+	eng.ColdStart()
+	check("ColdStart")
+
+	if err := eng.Rebind(modB); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Estimate(opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Rebind(modA); err != nil {
+		t.Fatal(err)
+	}
+	check("Rebind")
+
+	// Every weight zero: G = 0, the factor breaks down on its first pivot,
+	// and the Jacobi stand-in then rejects the zero diagonal.
+	for i := range modA.Meas {
+		if err := eng.MaskMeasurement(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.Estimate(opts); err == nil {
+		t.Fatal("estimate on a fully masked model succeeded")
+	}
+	eng.UnmaskAll()
+	check("mask, breakdown and unmask")
 }

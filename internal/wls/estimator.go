@@ -5,7 +5,8 @@
 //	G(x)·Δx = Hᵀ(x)·W·(z − h(x)),   G = Hᵀ·W·H
 //
 // with the symmetric positive-definite gain matrix G solved by the parallel
-// preconditioned conjugate-gradient method of the paper's HPC solution [2],
+// preconditioned conjugate-gradient method of the paper's HPC solution [2]
+// — by default preconditioned with a complete sparse factor of G itself —
 // plus chi-square bad-data detection, largest-normalized-residual
 // identification, and a numerical observability check.
 package wls
@@ -35,12 +36,18 @@ const (
 // PrecondKind selects the PCG preconditioner.
 type PrecondKind int
 
-// Preconditioner choices for the PCG gain solve.
+// Preconditioner choices for the PCG gain solve. PrecondLDL, the default,
+// is a complete sparse LDLᵀ factor of the gain matrix under its own
+// fill-reducing ordering (sparse.LDLFactor): CG converges in one iteration
+// on a freshly factored gain and in a handful on a factor the reuse tiers
+// lag. A gain too close to singular to factor runs that refresh on the
+// Jacobi preconditioner instead (Result.PrecondFallbacks). PrecondJacobi is
+// the diagonal preconditioner of the paper's solver [2].
 const (
-	PrecondJacobi PrecondKind = iota
+	PrecondLDL PrecondKind = iota
+	PrecondJacobi
 	PrecondNone
 	PrecondIC0
-	PrecondSSOR
 	// PrecondBlockJacobi inverts the 2×2 per-bus (θ, V) diagonal blocks of
 	// the gain matrix exactly. It requires the blocked gain layout and
 	// therefore implies FormatBSR (an explicit FormatCSR is rejected).
@@ -49,19 +56,33 @@ const (
 
 func (p PrecondKind) String() string {
 	switch p {
+	case PrecondLDL:
+		return "ldl"
 	case PrecondJacobi:
 		return "jacobi"
 	case PrecondNone:
 		return "none"
 	case PrecondIC0:
 		return "ic0"
-	case PrecondSSOR:
-		return "ssor"
 	case PrecondBlockJacobi:
 		return "block-jacobi"
 	default:
 		return fmt.Sprintf("PrecondKind(%d)", int(p))
 	}
+}
+
+// ParsePrecond maps a preconditioner name as PrecondKind.String prints it
+// (or the short "bjacobi") back to its kind, for command-line flags.
+func ParsePrecond(name string) (PrecondKind, error) {
+	if name == "bjacobi" {
+		return PrecondBlockJacobi, nil
+	}
+	for p := PrecondLDL; p <= PrecondBlockJacobi; p++ {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("wls: unknown preconditioner %q (want ldl, jacobi, none, ic0 or bjacobi)", name)
 }
 
 // OrderingKind selects the fill-reducing ordering applied to the gain
@@ -70,11 +91,12 @@ func (p PrecondKind) String() string {
 // map, so choosing an ordering costs nothing per iteration.
 type OrderingKind int
 
-// Gain-matrix orderings. OrderAuto picks RCM whenever the preconditioner
-// is a zero-fill incomplete factorization (IC(0)) or a triangular sweep
-// (SSOR) — the cases where bandwidth reduction tightens the preconditioner
-// — and natural ordering otherwise (Jacobi and unpreconditioned CG are
-// permutation-invariant, so reordering would only add boundary work).
+// Gain-matrix orderings. OrderAuto picks RCM when the preconditioner is the
+// zero-fill incomplete factorization IC(0) — where bandwidth reduction
+// tightens the preconditioner — and natural ordering otherwise: Jacobi and
+// unpreconditioned CG are permutation-invariant, and the LDLᵀ factor
+// carries its own fill-reducing permutation, so reordering the gain plan
+// would only add boundary work and a second symbolic build.
 const (
 	OrderAuto OrderingKind = iota
 	OrderNatural
@@ -108,8 +130,8 @@ type FormatKind int
 // index traffic per value and unrolled block mat-vecs. FormatAuto picks
 // BSR for the block-friendly preconditioners (Jacobi, block-Jacobi) on
 // systems large enough for the parallel kernels to engage, and scalar CSR
-// otherwise; IC(0) and SSOR always run on scalar CSR. Dense and QR solvers
-// ignore the knob.
+// otherwise; the factorizations (LDLᵀ, IC(0)) always run on scalar CSR.
+// Dense and QR solvers ignore the knob.
 const (
 	FormatAuto FormatKind = iota
 	FormatCSR
@@ -198,10 +220,10 @@ type Options struct {
 	MaxIter int
 	// Solver selects the gain-matrix solver (default PCG).
 	Solver SolverKind
-	// Precond selects the PCG preconditioner (default Jacobi).
+	// Precond selects the PCG preconditioner (default PrecondLDL).
 	Precond PrecondKind
 	// Ordering selects the fill-reducing gain-matrix ordering for the PCG
-	// solve (default OrderAuto: RCM for IC(0)/SSOR, natural otherwise).
+	// solve (default OrderAuto: RCM for IC(0), natural otherwise).
 	// Under FormatBSR the ordering acts on the bus quotient graph — buses
 	// are ordered, then expanded to (θ, V) pairs. Ignored by the Dense and
 	// QR solvers.
@@ -284,6 +306,10 @@ type Result struct {
 	// ReuseFallbacks counts lagged-gain iterations rolled back by the
 	// residual-decrease guard (the iteration then refreshed and re-solved).
 	ReuseFallbacks int
+	// PrecondFallbacks counts preconditioner refreshes whose LDLᵀ
+	// factorization broke down on a numerically singular gain and that ran
+	// on the Jacobi preconditioner instead.
+	PrecondFallbacks int
 }
 
 // ErrNotConverged reports that Gauss–Newton hit its iteration cap.

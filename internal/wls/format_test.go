@@ -25,7 +25,7 @@ func maxAbsDiff(a, b []float64) float64 {
 // orderings.
 func TestFormatBSRMatchesCSROn118(t *testing.T) {
 	mod := engineTestModel(t, grid.Case118, 0.01, 7)
-	ref, err := Estimate(mod, Options{Format: FormatCSR})
+	ref, err := Estimate(mod, Options{Precond: PrecondJacobi, Format: FormatCSR})
 	if err != nil {
 		t.Fatalf("csr estimate: %v", err)
 	}
@@ -33,13 +33,13 @@ func TestFormatBSRMatchesCSROn118(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"bsr-jacobi", Options{Format: FormatBSR}},
-		{"bsr-jacobi-serial", Options{Format: FormatBSR, Workers: 1}},
+		{"bsr-jacobi", Options{Precond: PrecondJacobi, Format: FormatBSR}},
+		{"bsr-jacobi-serial", Options{Precond: PrecondJacobi, Format: FormatBSR, Workers: 1}},
 		{"bsr-none", Options{Format: FormatBSR, Precond: PrecondNone}},
 		{"bjacobi", Options{Precond: PrecondBlockJacobi}},
 		{"bjacobi-rcm", Options{Precond: PrecondBlockJacobi, Ordering: OrderRCM}},
 		{"bjacobi-mindeg", Options{Precond: PrecondBlockJacobi, Ordering: OrderMinDegree}},
-		{"bsr-jacobi-rcm", Options{Format: FormatBSR, Ordering: OrderRCM}},
+		{"bsr-jacobi-rcm", Options{Precond: PrecondJacobi, Format: FormatBSR, Ordering: OrderRCM}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,11 +64,11 @@ func TestFormatBSRMatchesCSROn118(t *testing.T) {
 func TestFormatAutoIsTransparent(t *testing.T) {
 	for _, build := range []func() *grid.Network{grid.Case14, grid.Case118} {
 		mod := engineTestModel(t, build, 0.01, 3)
-		def, err := Estimate(mod, Options{})
+		def, err := Estimate(mod, Options{Precond: PrecondJacobi})
 		if err != nil {
 			t.Fatalf("default: %v", err)
 		}
-		auto, err := Estimate(mod, Options{Format: FormatAuto})
+		auto, err := Estimate(mod, Options{Precond: PrecondJacobi, Format: FormatAuto})
 		if err != nil {
 			t.Fatalf("auto: %v", err)
 		}
@@ -92,20 +92,22 @@ func TestFormatCSRRejectsBlockJacobi(t *testing.T) {
 }
 
 func TestFormatBSRFallsBackForIC0(t *testing.T) {
-	// IC(0) and SSOR have no blocked implementation; FormatBSR quietly
+	// The factorizations have no blocked implementation; FormatBSR quietly
 	// keeps them on CSR rather than failing.
 	mod := engineTestModel(t, grid.Case14, 0.01, 3)
-	ref, err := Estimate(mod, Options{Precond: PrecondIC0, Ordering: OrderNatural})
-	if err != nil {
-		t.Fatalf("csr ic0: %v", err)
-	}
-	got, err := Estimate(mod, Options{Precond: PrecondIC0, Ordering: OrderNatural, Format: FormatBSR})
-	if err != nil {
-		t.Fatalf("bsr ic0: %v", err)
-	}
-	for i := range ref.X {
-		if got.X[i] != ref.X[i] {
-			t.Fatalf("ic0 fallback changed x[%d]", i)
+	for _, pk := range []PrecondKind{PrecondIC0, PrecondLDL} {
+		ref, err := Estimate(mod, Options{Precond: pk, Ordering: OrderNatural})
+		if err != nil {
+			t.Fatalf("csr %v: %v", pk, err)
+		}
+		got, err := Estimate(mod, Options{Precond: pk, Ordering: OrderNatural, Format: FormatBSR})
+		if err != nil {
+			t.Fatalf("bsr %v: %v", pk, err)
+		}
+		for i := range ref.X {
+			if got.X[i] != ref.X[i] {
+				t.Fatalf("%v fallback changed x[%d]", pk, i)
+			}
 		}
 	}
 }

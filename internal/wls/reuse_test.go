@@ -25,105 +25,109 @@ func refreshValues(t *testing.T, mod *meas.Model, n *grid.Network, truth []meas.
 // IEEE-118 frames with ReusePrecond (exact gain operator, lagged
 // preconditioner numerics) stays within 1e-9 of the always-refresh path.
 func TestReusePrecondMatchesAlwaysRefresh(t *testing.T) {
-	n := grid.Case118()
-	truth := solved(t, n)
-	plan := meas.FullPlan().Build(n)
-	ref := n.SlackIndex()
+	forEachPrecond(t, func(t *testing.T, pk PrecondKind) {
+		n := grid.Case118()
+		truth := solved(t, n)
+		plan := meas.FullPlan().Build(n)
+		ref := n.SlackIndex()
 
-	newMod := func() *meas.Model {
-		ms, err := meas.Simulate(n, plan, truth, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mod, err := meas.NewModel(n, ms, ref, truth.Va[ref])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mod
-	}
-	modRe, modOff := newMod(), newMod()
-	engRe, engOff := NewEngine(modRe), NewEngine(modOff)
-
-	var warmRe, warmOff []float64
-	var skips int
-	for f := 0; f < 5; f++ {
-		fms, err := meas.Simulate(n, plan, truth, 1, int64(f+2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		refreshValues(t, modRe, n, fms)
-		refreshValues(t, modOff, n, fms)
-
-		resRe, err := engRe.Estimate(Options{GainReuse: ReusePrecond, X0: warmRe, X0Gate: WarmStartGate})
-		if err != nil {
-			t.Fatalf("frame %d reuse: %v", f, err)
-		}
-		resOff, err := engOff.Estimate(Options{GainReuse: ReuseOff, X0: warmOff, X0Gate: WarmStartGate})
-		if err != nil {
-			t.Fatalf("frame %d off: %v", f, err)
-		}
-		var worst float64
-		for i := range resRe.X {
-			if d := math.Abs(resRe.X[i] - resOff.X[i]); d > worst {
-				worst = d
+		newMod := func() *meas.Model {
+			ms, err := meas.Simulate(n, plan, truth, 1, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
+			mod, err := meas.NewModel(n, ms, ref, truth.Va[ref])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mod
 		}
-		if worst > 1e-9 {
-			t.Fatalf("frame %d: ReusePrecond state deviates %g from always-refresh (want ≤1e-9)", f, worst)
+		modRe, modOff := newMod(), newMod()
+		engRe, engOff := NewEngine(modRe), NewEngine(modOff)
+
+		var warmRe, warmOff []float64
+		var skips int
+		for f := 0; f < 5; f++ {
+			fms, err := meas.Simulate(n, plan, truth, 1, int64(f+2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			refreshValues(t, modRe, n, fms)
+			refreshValues(t, modOff, n, fms)
+
+			resRe, err := engRe.Estimate(Options{Precond: pk, GainReuse: ReusePrecond, X0: warmRe, X0Gate: WarmStartGate})
+			if err != nil {
+				t.Fatalf("frame %d reuse: %v", f, err)
+			}
+			resOff, err := engOff.Estimate(Options{Precond: pk, GainReuse: ReuseOff, X0: warmOff, X0Gate: WarmStartGate})
+			if err != nil {
+				t.Fatalf("frame %d off: %v", f, err)
+			}
+			var worst float64
+			for i := range resRe.X {
+				if d := math.Abs(resRe.X[i] - resOff.X[i]); d > worst {
+					worst = d
+				}
+			}
+			if worst > 1e-9 {
+				t.Fatalf("frame %d: ReusePrecond state deviates %g from always-refresh (want ≤1e-9)", f, worst)
+			}
+			if resRe.GainSkips != 0 {
+				t.Fatalf("frame %d: ReusePrecond skipped %d gain refreshes (must keep the operator exact)", f, resRe.GainSkips)
+			}
+			if resOff.PrecondSkips != 0 || resOff.GainSkips != 0 {
+				t.Fatalf("frame %d: ReuseOff reported skips (%d precond, %d gain)", f, resOff.PrecondSkips, resOff.GainSkips)
+			}
+			skips += resRe.PrecondSkips
+			warmRe, warmOff = resRe.X, resOff.X
 		}
-		if resRe.GainSkips != 0 {
-			t.Fatalf("frame %d: ReusePrecond skipped %d gain refreshes (must keep the operator exact)", f, resRe.GainSkips)
+		if skips == 0 {
+			t.Fatal("ReusePrecond never skipped a preconditioner refresh across 5 steady frames")
 		}
-		if resOff.PrecondSkips != 0 || resOff.GainSkips != 0 {
-			t.Fatalf("frame %d: ReuseOff reported skips (%d precond, %d gain)", f, resOff.PrecondSkips, resOff.GainSkips)
-		}
-		skips += resRe.PrecondSkips
-		warmRe, warmOff = resRe.X, resOff.X
-	}
-	if skips == 0 {
-		t.Fatal("ReusePrecond never skipped a preconditioner refresh across 5 steady frames")
-	}
-	t.Logf("preconditioner refreshes skipped across frames: %d", skips)
+		t.Logf("preconditioner refreshes skipped across frames: %d", skips)
+	})
 }
 
 // TestReuseGainFallbackOnStateJump: a state jump far past the drift gate
 // must force a fresh refresh, so a warm engine carrying a stale anchor
 // produces exactly the same solve as a cold engine.
 func TestReuseGainFallbackOnStateJump(t *testing.T) {
-	n := grid.Case118()
-	truth := solved(t, n)
-	mod := buildModel(t, n, truth, 1, 7)
-	opts := Options{GainReuse: ReuseGain}
+	forEachPrecond(t, func(t *testing.T, pk PrecondKind) {
+		n := grid.Case118()
+		truth := solved(t, n)
+		mod := buildModel(t, n, truth, 1, 7)
+		opts := Options{Precond: pk, GainReuse: ReuseGain}
 
-	warmEng := NewEngine(mod)
-	if _, err := warmEng.Estimate(opts); err != nil {
-		t.Fatal(err) // anchors the reuse state at the solution
-	}
-	// Flat restart: scaled drift from the anchored solution is far above
-	// the gate, so the first iteration must refresh, and from there the
-	// warm engine's trajectory is the cold engine's.
-	warmRes, err := warmEng.Estimate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldRes, err := NewEngine(mod).Estimate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range warmRes.X {
-		if warmRes.X[i] != coldRes.X[i] {
-			t.Fatalf("state %d: warm %.17g != cold %.17g (stale anchor leaked into the jumped solve)", i, warmRes.X[i], coldRes.X[i])
+		warmEng := NewEngine(mod)
+		if _, err := warmEng.Estimate(opts); err != nil {
+			t.Fatal(err) // anchors the reuse state at the solution
 		}
-	}
-	if warmRes.GainRefreshes != coldRes.GainRefreshes || warmRes.GainSkips != coldRes.GainSkips ||
-		warmRes.CGIterations != coldRes.CGIterations {
-		t.Fatalf("warm counters (refresh %d, skip %d, cg %d) != cold (refresh %d, skip %d, cg %d)",
-			warmRes.GainRefreshes, warmRes.GainSkips, warmRes.CGIterations,
-			coldRes.GainRefreshes, coldRes.GainSkips, coldRes.CGIterations)
-	}
-	if warmRes.GainRefreshes == 0 {
-		t.Fatal("jumped solve never refreshed the gain matrix")
-	}
+		// Flat restart: scaled drift from the anchored solution is far above
+		// the gate, so the first iteration must refresh, and from there the
+		// warm engine's trajectory is the cold engine's.
+		warmRes, err := warmEng.Estimate(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldRes, err := NewEngine(mod).Estimate(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range warmRes.X {
+			if warmRes.X[i] != coldRes.X[i] {
+				t.Fatalf("state %d: warm %.17g != cold %.17g (stale anchor leaked into the jumped solve)", i, warmRes.X[i], coldRes.X[i])
+			}
+		}
+		if warmRes.GainRefreshes != coldRes.GainRefreshes || warmRes.GainSkips != coldRes.GainSkips ||
+			warmRes.CGIterations != coldRes.CGIterations {
+			t.Fatalf("warm counters (refresh %d, skip %d, cg %d) != cold (refresh %d, skip %d, cg %d)",
+				warmRes.GainRefreshes, warmRes.GainSkips, warmRes.CGIterations,
+				coldRes.GainRefreshes, coldRes.GainSkips, coldRes.CGIterations)
+		}
+		if warmRes.GainRefreshes == 0 {
+			t.Fatal("jumped solve never refreshed the gain matrix")
+		}
+	})
 }
 
 // TestReuseGainSteadySolveSkipsRefresh: a steady re-estimate from the
@@ -131,53 +135,55 @@ func TestReuseGainFallbackOnStateJump(t *testing.T) {
 // zero gain refreshes, zero preconditioner refreshes — and allocates no
 // more than the always-refresh path.
 func TestReuseGainSteadySolveSkipsRefresh(t *testing.T) {
-	n := grid.Case118()
-	truth := solved(t, n)
-	mod := buildModel(t, n, truth, 1, 9)
+	forEachPrecond(t, func(t *testing.T, pk PrecondKind) {
+		n := grid.Case118()
+		truth := solved(t, n)
+		mod := buildModel(t, n, truth, 1, 9)
 
-	eng := NewEngine(mod)
-	opts := Options{GainReuse: ReuseGain, Workers: 1}
-	cold, err := eng.Estimate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.X0 = sparse.CopyVec(cold.X)
-	steady, err := eng.Estimate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if steady.GainRefreshes != 0 || steady.GainSkips != steady.Iterations {
-		t.Fatalf("steady solve: %d refreshes, %d skips over %d iterations (want all skipped)",
-			steady.GainRefreshes, steady.GainSkips, steady.Iterations)
-	}
-	if steady.PrecondSkips != steady.Iterations {
-		t.Fatalf("steady solve: %d preconditioner skips over %d iterations", steady.PrecondSkips, steady.Iterations)
-	}
-	if steady.ReuseFallbacks != 0 {
-		t.Fatalf("steady solve tripped the guard %d times", steady.ReuseFallbacks)
-	}
-
-	offEng := NewEngine(mod)
-	offOpts := opts
-	offOpts.GainReuse = ReuseOff
-	if _, err := offEng.Estimate(offOpts); err != nil {
-		t.Fatal(err)
-	}
-	reuseAllocs := testing.AllocsPerRun(5, func() {
-		if _, err := eng.Estimate(opts); err != nil {
+		eng := NewEngine(mod)
+		opts := Options{Precond: pk, GainReuse: ReuseGain, Workers: 1}
+		cold, err := eng.Estimate(opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	offAllocs := testing.AllocsPerRun(5, func() {
+		opts.X0 = sparse.CopyVec(cold.X)
+		steady, err := eng.Estimate(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if steady.GainRefreshes != 0 || steady.GainSkips != steady.Iterations {
+			t.Fatalf("steady solve: %d refreshes, %d skips over %d iterations (want all skipped)",
+				steady.GainRefreshes, steady.GainSkips, steady.Iterations)
+		}
+		if steady.PrecondSkips != steady.Iterations {
+			t.Fatalf("steady solve: %d preconditioner skips over %d iterations", steady.PrecondSkips, steady.Iterations)
+		}
+		if steady.ReuseFallbacks != 0 {
+			t.Fatalf("steady solve tripped the guard %d times", steady.ReuseFallbacks)
+		}
+
+		offEng := NewEngine(mod)
+		offOpts := opts
+		offOpts.GainReuse = ReuseOff
 		if _, err := offEng.Estimate(offOpts); err != nil {
 			t.Fatal(err)
 		}
+		reuseAllocs := testing.AllocsPerRun(5, func() {
+			if _, err := eng.Estimate(opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		offAllocs := testing.AllocsPerRun(5, func() {
+			if _, err := offEng.Estimate(offOpts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if reuseAllocs > offAllocs {
+			t.Fatalf("drift-gated steady solve allocates %.0f vs %.0f always-refresh (reuse must not add allocations)",
+				reuseAllocs, offAllocs)
+		}
+		t.Logf("steady-solve allocations: reuse %.0f, always-refresh %.0f", reuseAllocs, offAllocs)
 	})
-	if reuseAllocs > offAllocs {
-		t.Fatalf("drift-gated steady solve allocates %.0f vs %.0f always-refresh (reuse must not add allocations)",
-			reuseAllocs, offAllocs)
-	}
-	t.Logf("steady-solve allocations: reuse %.0f, always-refresh %.0f", reuseAllocs, offAllocs)
 }
 
 // TestMaskMeasurementMatchesRemoval: zeroing a measurement's weight slot
