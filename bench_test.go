@@ -7,8 +7,6 @@ package gridse_test
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"sync"
 	"testing"
 
@@ -817,193 +815,6 @@ func BenchmarkContingencyPool118(b *testing.B) {
 			}
 			if total > 0 {
 				b.ReportMetric(float64(skips)/float64(total), "gain-skip-frac")
-			}
-		})
-	}
-}
-
-// BenchmarkContingencyPoolBatch118 measures the batched multi-RHS sweep
-// against the scalar pooled sweep on warm IEEE-118 re-screens: the batch
-// axis sets how many outage cases share one lockstep gain solve (1 =
-// scalar path). batch-frac reports the fraction of estimated cases that
-// completed inside a batch; compact-frac the fraction of shared solver
-// passes that ran at a compacted width. The nocompact variant pins the
-// batch at full width, isolating the compaction win.
-func BenchmarkContingencyPoolBatch118(b *testing.B) {
-	n := grid.Case118()
-	pf, err := powerflow.Solve(n, powerflow.Options{FlatStart: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan := meas.FullPlan().Build(n)
-	frames := make([][]meas.Measurement, 2)
-	for i := range frames {
-		if frames[i], err = meas.Simulate(n, plan, pf.State, 1, int64(i+1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ratings, err := contingency.AutoRatings(n, pf.State, 1.3, 0.3, contingency.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	popts := contingency.ParallelOptions{Workers: 4, Scheduling: contingency.CounterScheduling}
-	for _, cfg := range []struct {
-		batch     int
-		nocompact bool
-	}{{1, false}, {4, false}, {8, false}, {8, true}, {16, false}} {
-		name := fmt.Sprintf("batch=%d", cfg.batch)
-		if cfg.nocompact {
-			name += "-nocompact"
-		}
-		b.Run(name, func(b *testing.B) {
-			pool, err := contingency.NewPool(n, contingency.PoolOptions{
-				Batch: cfg.batch,
-				WLS:   wls.Options{NoBatchCompact: cfg.nocompact},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Two priming sweeps: the first builds skeletons, the second
-			// seeds warm starts inside the batch anchor gate.
-			for _, f := range frames {
-				if _, _, err := pool.Screen(ctx, f, ratings, nil, popts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			skips, total, batched, estimated := 0, 0, 0, 0
-			matVecs, narrow := 0, 0
-			for i := 0; i < b.N; i++ {
-				_, stats, err := pool.Screen(ctx, frames[i%2], ratings, nil, popts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.SkeletonBuilds != 0 {
-					b.Fatalf("warm sweep rebuilt %d skeletons", stats.SkeletonBuilds)
-				}
-				skips += stats.GainSkips
-				total += stats.GainSkips + stats.GainRefreshes
-				batched += stats.BatchedCases
-				estimated += stats.Estimated
-				matVecs += stats.BatchMatVecs
-				narrow += stats.CompactedMatVecs
-			}
-			if total > 0 {
-				b.ReportMetric(float64(skips)/float64(total), "gain-skip-frac")
-			}
-			if estimated > 0 {
-				b.ReportMetric(float64(batched)/float64(estimated), "batch-frac")
-			}
-			if matVecs > 0 {
-				b.ReportMetric(float64(narrow)/float64(matVecs), "compact-frac")
-			}
-		})
-	}
-}
-
-// BenchmarkBatchCGDrain measures active-column compaction on a drain-heavy
-// batched solve: 16 columns over the IEEE-118 gain whose warm starts range
-// from cold to nearly converged, so most lanes retire early and the solve
-// spends its tail iterations at a fraction of the original width. The
-// nocompact axis pins the shared pass at full width (the pre-compaction
-// behavior); compact-frac reports the fraction of shared passes that ran
-// narrowed.
-func BenchmarkBatchCGDrain(b *testing.B) {
-	fx := benchFixture(b)
-	ref := fx.Net.SlackIndex()
-	mod, err := meas.NewModel(fx.Net, fx.Meas, ref, fx.Truth.Va[ref])
-	if err != nil {
-		b.Fatal(err)
-	}
-	hj := mod.Jacobian(mod.FlatVec())
-	gp := sparse.NewGainPlan(hj)
-	g := gp.Refresh(hj, mod.Weights())
-	n := g.Rows
-	pre, err := sparse.NewJacobi(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const k = 16
-	rhs := make([]float64, n*k)
-	x0 := make([]float64, n*k)
-	col := make([]float64, n)
-	for c := 0; c < k; c++ {
-		for i := 0; i < n; i++ {
-			col[i] = 1 + float64((i*31+c*17)%11)
-			rhs[i*k+c] = col[i]
-		}
-		if c == 0 {
-			continue // one cold column anchors the full batch width
-		}
-		// Staggered warm quality: column c pre-solved to 10^-(c/2+2), so
-		// pairs of columns drain together every few iterations.
-		warm, err := sparse.CG(g, col, sparse.CGOptions{
-			Tol: math.Pow(10, -float64(c/2+2)), Precond: pre, Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			x0[i*k+c] = warm.X[i]
-		}
-	}
-	work := sparse.NewBatchCGWorkspace(n, k)
-	for _, nocompact := range []bool{false, true} {
-		name := "compact"
-		if nocompact {
-			name = "nocompact"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := sparse.BatchCGOptions{Tol: 1e-10, Precond: pre, Workers: 1,
-				X0: x0, Work: work, NoCompact: nocompact}
-			matVecs, narrow := 0, 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := sparse.BatchCG(g, rhs, k, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				matVecs += res.MatVecs
-				narrow += res.CompactedMatVecs
-			}
-			if matVecs > 0 {
-				b.ReportMetric(float64(narrow)/float64(matVecs), "compact-frac")
-			}
-		})
-	}
-}
-
-// BenchmarkGainMulMultiVec118 isolates the batched mat-vec kernel the
-// multi-RHS CG is built on: one pass over the IEEE-118 gain nonzeros
-// applied to K interleaved columns versus K separate scalar passes.
-func BenchmarkGainMulMultiVec118(b *testing.B) {
-	fx := benchFixture(b)
-	ref := fx.Net.SlackIndex()
-	mod, err := meas.NewModel(fx.Net, fx.Meas, ref, fx.Truth.Va[ref])
-	if err != nil {
-		b.Fatal(err)
-	}
-	hj := mod.Jacobian(mod.FlatVec())
-	gp := sparse.NewGainPlan(hj)
-	g := gp.Refresh(hj, mod.Weights())
-	n := g.Rows
-	for _, k := range []int{4, 8, 16} {
-		x := make([]float64, n*k)
-		y := make([]float64, n*k)
-		for i := range x {
-			x[i] = 1 + float64(i%7)
-		}
-		b.Run(fmt.Sprintf("scalar-x%d", k), func(b *testing.B) {
-			xs, ys := x[:n], y[:n]
-			for i := 0; i < b.N; i++ {
-				for c := 0; c < k; c++ {
-					g.MulVec(ys, xs)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("multi-x%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g.MulMultiVec(y, x, k)
 			}
 		})
 	}

@@ -32,7 +32,6 @@ func main() {
 		estimated = flag.Bool("estimated", false, "screen the WLS estimate instead of the true state")
 		estCases  = flag.Bool("estimate-cases", false, "what-if estimation screen: re-estimate every outage on its perturbed topology (session-pooled)")
 		frames    = flag.Int("frames", 1, "telemetry frames to re-screen with -estimate-cases")
-		batch     = flag.Int("batch", 8, "cases per batched multi-RHS gain solve with -estimate-cases (0/1 = scalar)")
 		workers   = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		sched     = flag.String("sched", "counter", "case scheduling: static|counter")
 		top       = flag.Int("top", 5, "worst violations to print")
@@ -87,7 +86,7 @@ func main() {
 	popts := contingency.ParallelOptions{Workers: *workers, Scheduling: scheduling}
 
 	if *estCases {
-		screenPooled(ctx, net, truth, ratings, popts, *frames, *batch, *sched, *top)
+		screenPooled(ctx, net, truth, ratings, popts, *frames, *sched, *top)
 		return
 	}
 
@@ -108,9 +107,9 @@ func main() {
 // screenPooled runs the session-pooled what-if estimation sweep across
 // telemetry frames: each frame simulates fresh noisy measurements, and the
 // pool re-estimates every outage, paying skeleton cost only on frame 1.
-func screenPooled(ctx context.Context, net *gridse.Network, truth *gridse.PowerFlowResult, ratings []float64, popts contingency.ParallelOptions, frames, batch int, sched string, top int) {
+func screenPooled(ctx context.Context, net *gridse.Network, truth *gridse.PowerFlowResult, ratings []float64, popts contingency.ParallelOptions, frames int, sched string, top int) {
 	plan := gridse.FullPlan().Build(net)
-	pool, err := contingency.NewPool(net, contingency.PoolOptions{Batch: batch})
+	pool, err := contingency.NewPool(net, contingency.PoolOptions{})
 	if err != nil {
 		log.Fatalf("pool: %v", err)
 	}
@@ -138,16 +137,6 @@ func screenPooled(ctx context.Context, net *gridse.Network, truth *gridse.PowerF
 			stats.SkeletonBuilds, stats.Estimated,
 			stats.GainSkips, stats.GainSkips+stats.GainRefreshes,
 			stats.PrecondSkips, stats.WarmStarts, stats.GNIterations)
-		if batch >= 2 {
-			fmt.Printf("  batched %d/%d (fallbacks %d, reanchors %d)\n",
-				stats.BatchedCases, stats.Estimated, stats.BatchFallbacks, stats.Reanchors)
-			frac := 0.0
-			if stats.BatchMatVecs > 0 {
-				frac = float64(stats.CompactedMatVecs) / float64(stats.BatchMatVecs)
-			}
-			fmt.Printf("  compactions %d, compacted mat-vecs %d/%d (%.0f%%)\n",
-				stats.Compactions, stats.CompactedMatVecs, stats.BatchMatVecs, 100*frac)
-		}
 		last = results
 	}
 	var rs []contingency.Result

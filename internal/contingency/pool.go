@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -38,15 +36,8 @@ type PoolOptions struct {
 	// SensitivityRadius is the boundary-sensitivity radius for perturbed
 	// decompositions (0 selects 1, matching DecomposeOptions).
 	SensitivityRadius int
-	// Batch, when ≥ 2, groups up to Batch non-islanding cases per batched
-	// multi-RHS gain solve (wls.BatchEngine): the sweep anchors a shared
-	// base-topology gain operator once per frame and each batch runs all
-	// its lagged Gauss–Newton steps through one pass over the operator's
-	// nonzeros, with per-case sparse delta patches for the outage. Cases
-	// the batch cannot serve (structure mismatch, drift past the anchor
-	// gate, guard trips) fall back to the ordinary scalar path with
-	// identical results. 0 or 1 keeps every case scalar; Decomposition mode
-	// and an explicit WLS.X0 ignore the knob.
+	// Batch is accepted and ignored. It exists only because
+	// benchmark/workload.go still sets it.
 	Batch int
 }
 
@@ -94,22 +85,12 @@ type SweepStats struct {
 	PrecondSkips     int
 	ReuseFallbacks   int
 	PrecondFallbacks int
-	// BatchedCases and BatchFallbacks split the estimated cases of a
-	// batched sweep (PoolOptions.Batch ≥ 2) by whether the case completed
-	// inside a batched multi-RHS solve or fell back to the scalar path;
-	// Reanchors counts sweeps that re-anchored the shared base gain
-	// operator (the first batched sweep always does). All three stay zero
-	// on scalar sweeps.
-	BatchedCases   int
-	BatchFallbacks int
-	Reanchors      int
-	// Compactions counts batched-solver width repacks: drained columns
-	// removed from the shared mat-vec mid-solve. BatchMatVecs and
-	// CompactedMatVecs count the batched solver's shared-operator passes
-	// and those that ran below the original batch width — their ratio is
-	// the sweep's compacted-iteration fraction. All three stay zero on
-	// scalar sweeps.
-	Compactions      int
+	// BatchedCases, BatchFallbacks, Reanchors, BatchMatVecs and
+	// CompactedMatVecs are always zero. They exist only because
+	// benchmark/workload.go still reads them.
+	BatchedCases     int
+	BatchFallbacks   int
+	Reanchors        int
 	BatchMatVecs     int
 	CompactedMatVecs int
 }
@@ -128,12 +109,6 @@ func (st *SweepStats) add(o SweepStats) {
 	st.PrecondSkips += o.PrecondSkips
 	st.ReuseFallbacks += o.ReuseFallbacks
 	st.PrecondFallbacks += o.PrecondFallbacks
-	st.BatchedCases += o.BatchedCases
-	st.BatchFallbacks += o.BatchFallbacks
-	st.Reanchors += o.Reanchors
-	st.Compactions += o.Compactions
-	st.BatchMatVecs += o.BatchMatVecs
-	st.CompactedMatVecs += o.CompactedMatVecs
 }
 
 // Pool is a session pool for what-if re-screening: per outage it caches the
@@ -163,44 +138,6 @@ type Pool struct {
 	// entries maps outage branch index -> cached per-contingency session.
 	entries map[int]*caseSession
 	builds  int // cumulative skeleton builds over the pool's lifetime
-
-	// Batched-sweep state (PoolOptions.Batch ≥ 2): the base-topology
-	// session the shared gain operator anchors on, the batch engine over
-	// it, and the frame-index → base-measurement-index inverse of its keep
-	// mapping (rebuilt per sweep, read-only during one).
-	baseSess    *caseSession
-	batch       *wls.BatchEngine
-	frameToBase []int32
-	// Per-sweep scheduling scratch (Screen is serialized by runMu, so one
-	// set per pool keeps the warm steady state allocation-free).
-	drain     drainSorter
-	unitStats []SweepStats
-	caseErrs  []error
-}
-
-// caseCost is one outage's recorded lockstep cost from its previous
-// successful estimate.
-type caseCost struct{ gn, cg int }
-
-// drainSorter orders case positions ascending by recorded (GN, CG) cost
-// with an original-index tie-break. It implements sort.Interface on pool-
-// owned slices so repeated sweeps sort without allocating.
-type drainSorter struct {
-	order []int
-	costs []caseCost // indexed by case position, not by order slot
-}
-
-func (s *drainSorter) Len() int      { return len(s.order) }
-func (s *drainSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
-func (s *drainSorter) Less(a, b int) bool {
-	ca, cb := s.costs[s.order[a]], s.costs[s.order[b]]
-	if ca.gn != cb.gn {
-		return ca.gn < cb.gn
-	}
-	if ca.cg != cb.cg {
-		return ca.cg < cb.cg
-	}
-	return s.order[a] < s.order[b]
 }
 
 // caseSession is one outage's cached stack. During a sweep each case is
@@ -219,15 +156,6 @@ type caseSession struct {
 	scratch  []meas.Measurement
 	warm     []float64
 	haveWarm bool
-	// bc carries the case's batched-solve state (delta-patch cache) across
-	// sweeps; measMap is its case → base measurement mapping scratch.
-	bc      *wls.BatchCase
-	measMap []int32
-	// lastGN/lastCG record the previous successful estimate's iteration
-	// counts; the batched sweep co-schedules cases of similar cost so the
-	// columns of one lockstep unit drain together (drain-aware scheduling).
-	lastGN, lastCG int
-	haveCost       bool
 
 	// Distributed mode.
 	dec *core.Decomposition
@@ -257,13 +185,11 @@ func (p *Pool) SkeletonBuilds() int {
 	return p.builds
 }
 
-// Reset drops every cached entry, including the batched sweep's base
-// session and anchor. The next sweep rebuilds from scratch.
+// Reset drops every cached entry. The next sweep rebuilds from scratch.
 func (p *Pool) Reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.entries = make(map[int]*caseSession)
-	p.baseSess, p.batch = nil, nil
 }
 
 // ResetAnchors keeps the skeletons but drops every numeric carry — warm
@@ -282,12 +208,6 @@ func (p *Pool) ResetAnchors() {
 		if e.trk != nil {
 			e.trk.Reset()
 		}
-	}
-	if p.baseSess != nil {
-		p.baseSess.eng.ColdStart()
-	}
-	if p.batch != nil {
-		p.batch.InvalidateAnchor()
 	}
 }
 
@@ -337,18 +257,6 @@ func (p *Pool) Screen(ctx context.Context, frame []meas.Measurement, ratings []f
 
 	p.invalidate(cases)
 
-	if p.opts.Batch >= 2 && p.opts.Decomposition == nil && p.opts.WLS.X0 == nil {
-		if results, stats, ok, err := p.screenBatched(ctx, frame, ratings, cases, opts, threshold); ok {
-			return results, stats, err
-		}
-		// Batched path unavailable (unsupported solve configuration or the
-		// base anchor estimate failed): the scalar sweep decides the frame.
-	}
-	return p.screenScalar(ctx, frame, ratings, cases, opts, threshold)
-}
-
-// screenScalar is the ordinary one-case-per-solve sweep body.
-func (p *Pool) screenScalar(ctx context.Context, frame []meas.Measurement, ratings []float64, cases []int, opts ParallelOptions, threshold float64) ([]CaseEstimate, SweepStats, error) {
 	results := make([]CaseEstimate, len(cases))
 	perCase := make([]SweepStats, len(cases))
 	chk := newIslandChecker(p.base)
@@ -387,301 +295,6 @@ func (p *Pool) screenScalar(ctx context.Context, frame []meas.Measurement, ratin
 	return results, stats, nil
 }
 
-// batchWLSOptions resolves the per-case WLS options of a batched sweep:
-// the tracking reuse tier by default and the standard warm-start gate (the
-// gate is inert for cases without a warm start, so setting it up front
-// matches the scalar path's per-case logic exactly).
-func (p *Pool) batchWLSOptions() wls.Options {
-	wopts := p.opts.WLS
-	if wopts.GainReuse == wls.ReuseAuto {
-		wopts.GainReuse = wls.ReuseGain
-	}
-	if wopts.X0Gate == 0 {
-		wopts.X0Gate = wls.WarmStartGate
-	}
-	return wopts
-}
-
-// screenBatched is the batched sweep body: one shared-anchor preparation,
-// then units of up to Batch cases scheduled across workers, each unit
-// solved by one lockstep multi-RHS gain solve (scalar fallback per case
-// inside wls.BatchEngine). Units are packed drain-aware: cases are ordered
-// by their previous frame's recorded (GN, CG) iteration cost so the
-// columns of one unit tend to converge — and therefore drain and compact —
-// together. Because that ordering decouples unit index from case index,
-// per-case failures are collected against the original case indices and
-// the lowest-indexed failing case's error is returned after the sweep,
-// preserving the scalar path's deterministic error contract (cancellation
-// still wins, and no partial results are returned). ok = false reports the
-// batched path cannot run this sweep and no case was attempted.
-func (p *Pool) screenBatched(ctx context.Context, frame []meas.Measurement, ratings []float64, cases []int, opts ParallelOptions, threshold float64) ([]CaseEstimate, SweepStats, bool, error) {
-	wopts := p.batchWLSOptions()
-	var prep SweepStats
-	if !p.ensureBase(frame, &prep) {
-		return nil, SweepStats{}, false, nil
-	}
-	if !p.batch.Supported(wopts) {
-		return nil, SweepStats{}, false, nil
-	}
-	// Serial pre-sweep anchor: the base-topology estimate for this frame,
-	// re-anchoring the shared gain operator when the operating point moved.
-	// Its own solver work is sweep overhead, not a case, so only Reanchors
-	// records it in the stats.
-	if _, reanchored, err := p.batch.EnsureAnchor(ctx, wopts); err != nil {
-		if ctx.Err() != nil {
-			return nil, SweepStats{}, true, fmt.Errorf("contingency: screen canceled: %w", ctx.Err())
-		}
-		return nil, SweepStats{}, false, nil
-	} else if reanchored {
-		prep.Reanchors = 1
-	}
-	// Invert the base keep mapping: frame index → base measurement index.
-	if cap(p.frameToBase) < len(frame) {
-		p.frameToBase = make([]int32, len(frame))
-	}
-	p.frameToBase = p.frameToBase[:len(frame)]
-	for i := range p.frameToBase {
-		p.frameToBase[i] = -1
-	}
-	for bi, fi := range p.baseSess.keep {
-		p.frameToBase[fi] = int32(bi)
-	}
-
-	width := p.opts.Batch
-	units := (len(cases) + width - 1) / width
-	results := make([]CaseEstimate, len(cases))
-	perCase := make([]SweepStats, len(cases))
-	if cap(p.unitStats) < units {
-		p.unitStats = make([]SweepStats, units)
-	}
-	perUnit := p.unitStats[:units]
-	for u := range perUnit {
-		perUnit[u] = SweepStats{}
-	}
-	order := p.drainOrder(cases)
-	// Per-case failures, indexed by original case position. The unit
-	// closures record failures here and keep sweeping; the lowest-indexed
-	// one is the sweep's error, exactly as the scalar scheduler's own
-	// watermark guarantees when units and cases coincide.
-	if cap(p.caseErrs) < len(cases) {
-		p.caseErrs = make([]error, len(cases))
-	}
-	caseErrs := p.caseErrs[:len(cases)]
-	for i := range caseErrs {
-		caseErrs[i] = nil
-	}
-	var minFail atomic.Int64
-	minFail.Store(int64(len(cases)))
-	fail := func(k int, err error) {
-		caseErrs[k] = err
-		for {
-			cur := minFail.Load()
-			if int64(k) >= cur || minFail.CompareAndSwap(cur, int64(k)) {
-				return
-			}
-		}
-	}
-	chk := newIslandChecker(p.base)
-	err := schedule(ctx, units, opts.Workers, opts.Scheduling, func(u int) error {
-		lo, hi := u*width, (u+1)*width
-		if hi > len(cases) {
-			hi = len(cases)
-		}
-		bcs := make([]*wls.BatchCase, 0, hi-lo)
-		sess := make([]*caseSession, 0, hi-lo)
-		idxs := make([]int, 0, hi-lo)
-		for _, k := range order[lo:hi] {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("contingency: screen canceled: %w", err)
-			}
-			if int64(k) >= minFail.Load() {
-				continue // a lower-indexed case already failed
-			}
-			out := cases[k]
-			ce := CaseEstimate{Result: Result{Outage: out}}
-			st := &perCase[k]
-			st.Cases = 1
-			if chk.islands(out) {
-				ce.Islanding = true
-				st.Islanding = 1
-				results[k] = ce
-				continue
-			}
-			e, err := p.ensureCase(out, frame, st)
-			if err != nil {
-				fail(k, fmt.Errorf("contingency: outage %d: %w", out, err))
-				continue
-			}
-			results[k] = ce
-			bcs = append(bcs, p.prepareBatchCase(e, st))
-			sess = append(sess, e)
-			idxs = append(idxs, k)
-		}
-		if len(bcs) == 0 {
-			return nil
-		}
-		bst := p.batch.SolveBatch(ctx, bcs, wopts)
-		perUnit[u].Compactions += bst.Compactions
-		perUnit[u].BatchMatVecs += bst.MatVecs
-		perUnit[u].CompactedMatVecs += bst.CompactedMatVecs
-		for i, bc := range bcs {
-			k := idxs[i]
-			if bc.Err != nil {
-				fail(k, fmt.Errorf("contingency: outage %d: %w", cases[k], bc.Err))
-				continue
-			}
-			e := sess[i]
-			e.warm, e.haveWarm = bc.Res.X, true
-			e.lastGN, e.lastCG, e.haveCost = bc.Res.Iterations, bc.Res.CGIterations, true
-			st := &perCase[k]
-			st.Estimated = 1
-			if bc.Fallback {
-				st.BatchFallbacks = 1
-			} else {
-				st.BatchedCases = 1
-			}
-			st.GNIterations += bc.Res.Iterations
-			st.CGIterations += bc.Res.CGIterations
-			st.GainRefreshes += bc.Res.GainRefreshes
-			st.GainSkips += bc.Res.GainSkips
-			st.PrecondSkips += bc.Res.PrecondSkips
-			st.ReuseFallbacks += bc.Res.ReuseFallbacks
-			st.PrecondFallbacks += bc.Res.PrecondFallbacks
-			results[k].Estimate = bc.Res
-			if ratings != nil {
-				results[k].Violations = p.acViolations(cases[k], estimatedState(&results[k]), ratings, threshold)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, SweepStats{}, true, err
-	}
-	if k := minFail.Load(); int(k) < len(cases) {
-		return nil, SweepStats{}, true, caseErrs[k]
-	}
-
-	stats := prep
-	for _, st := range perCase {
-		stats.add(st)
-	}
-	for _, st := range perUnit {
-		stats.add(st)
-	}
-	p.mu.Lock()
-	p.builds += stats.SkeletonBuilds
-	p.mu.Unlock()
-	return results, stats, true, nil
-}
-
-// drainOrder returns the case indices permuted for drain-aware unit
-// packing: ascending by the previous sweep's recorded (GN, CG) iteration
-// cost, so cases expected to converge in the same number of lockstep
-// rounds share a batch unit and its columns drain together. Cases without
-// history (first sweep, fresh sessions, islanding) sort last as a group.
-// Ties break on the original case index, so the permutation — and with it
-// the sweep's unit composition — is deterministic given a deterministic
-// frame history.
-func (p *Pool) drainOrder(cases []int) []int {
-	if cap(p.drain.costs) < len(cases) {
-		p.drain.costs = make([]caseCost, len(cases))
-		p.drain.order = make([]int, len(cases))
-	}
-	p.drain.costs = p.drain.costs[:len(cases)]
-	p.drain.order = p.drain.order[:len(cases)]
-	p.mu.Lock()
-	for i, out := range cases {
-		if e := p.entries[out]; e != nil && e.haveCost {
-			p.drain.costs[i] = caseCost{e.lastGN, e.lastCG}
-		} else {
-			p.drain.costs[i] = caseCost{math.MaxInt, math.MaxInt}
-		}
-	}
-	p.mu.Unlock()
-	for i := range p.drain.order {
-		p.drain.order[i] = i
-	}
-	sort.Sort(&p.drain)
-	return p.drain.order
-}
-
-// ensureBase builds or value-refreshes the base-topology session the
-// batched sweep anchors on, (re)creating the batch engine when the session
-// was rebuilt. It reports false when the base model cannot be built for
-// this frame.
-func (p *Pool) ensureBase(frame []meas.Measurement, st *SweepStats) bool {
-	if p.baseSess != nil && !p.baseSess.refreshCentralized(frame) {
-		p.baseSess, p.batch = nil, nil // frame layout drift: rebuild
-	}
-	if p.baseSess == nil {
-		e := &caseSession{outage: -1, net: p.base}
-		e.rebuildKeep(frame)
-		ms := append([]meas.Measurement(nil), e.scratch...)
-		ref := p.base.SlackIndex()
-		mod, err := meas.NewModel(p.base, ms, ref, refAngleFrom(ms, p.base.Buses[ref].ID))
-		if err != nil {
-			return false
-		}
-		e.mod, e.eng = mod, wls.NewEngine(mod)
-		p.baseSess = e
-		st.SkeletonBuilds++
-	}
-	if p.batch == nil {
-		p.batch = wls.NewBatchEngine(p.baseSess.eng)
-	}
-	return true
-}
-
-// ensureCase returns the outage's session, built or value-refreshed for
-// this frame — the session half of runCentralized.
-func (p *Pool) ensureCase(out int, frame []meas.Measurement, st *SweepStats) (*caseSession, error) {
-	e := p.sessionFor(out)
-	if e != nil && !e.refreshCentralized(frame) {
-		e = nil // layout drift: rebuild below
-	}
-	if e == nil {
-		var err error
-		if e, err = p.buildCentralized(out, frame); err != nil {
-			return nil, err
-		}
-		st.SkeletonBuilds++
-		p.mu.Lock()
-		p.entries[out] = e
-		p.mu.Unlock()
-	}
-	return e, nil
-}
-
-// sessionFor returns the cached session for an outage, nil if absent.
-func (p *Pool) sessionFor(out int) *caseSession {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.entries[out]
-}
-
-// prepareBatchCase assembles the session's wls.BatchCase for this sweep:
-// the case → base measurement mapping through the frame indices, and the
-// previous sweep's warm start.
-func (p *Pool) prepareBatchCase(e *caseSession, st *SweepStats) *wls.BatchCase {
-	if e.bc == nil {
-		e.bc = &wls.BatchCase{Eng: e.eng}
-	}
-	if cap(e.measMap) < len(e.keep) {
-		e.measMap = make([]int32, len(e.keep))
-	}
-	e.measMap = e.measMap[:len(e.keep)]
-	for ci, fi := range e.keep {
-		e.measMap[ci] = p.frameToBase[fi]
-	}
-	e.bc.MeasMap = e.measMap
-	e.bc.X0 = nil
-	if e.haveWarm && len(e.warm) == e.mod.NState() {
-		e.bc.X0 = e.warm
-		st.WarmStarts = 1
-	}
-	return e.bc
-}
-
 // invalidate applies the pool's two invalidation rules before a sweep:
 // drop everything when the base topology changed since the last snapshot,
 // and prune entries whose outage left the requested case list.
@@ -690,7 +303,6 @@ func (p *Pool) invalidate(cases []int) {
 	defer p.mu.Unlock()
 	if !sameTopology(p.base, p.sig) {
 		p.entries = make(map[int]*caseSession)
-		p.baseSess, p.batch = nil, nil
 		p.sig = p.base.Clone()
 		return
 	}
@@ -715,13 +327,22 @@ func (p *Pool) runCase(ctx context.Context, out int, frame []meas.Measurement, c
 	if p.opts.Decomposition != nil {
 		return p.runDistributed(ctx, out, e, frame, ce, st)
 	}
-	return p.runCentralized(ctx, out, frame, ce, st)
+	return p.runCentralized(ctx, out, e, frame, ce, st)
 }
 
-func (p *Pool) runCentralized(ctx context.Context, out int, frame []meas.Measurement, ce *CaseEstimate, st *SweepStats) error {
-	e, err := p.ensureCase(out, frame, st)
-	if err != nil {
-		return err
+func (p *Pool) runCentralized(ctx context.Context, out int, e *caseSession, frame []meas.Measurement, ce *CaseEstimate, st *SweepStats) error {
+	if e != nil && !e.refreshCentralized(frame) {
+		e = nil // layout drift: rebuild below
+	}
+	if e == nil {
+		var err error
+		if e, err = p.buildCentralized(out, frame); err != nil {
+			return err
+		}
+		st.SkeletonBuilds++
+		p.mu.Lock()
+		p.entries[out] = e
+		p.mu.Unlock()
 	}
 
 	wopts := p.opts.WLS
@@ -739,8 +360,8 @@ func (p *Pool) runCentralized(ctx context.Context, out int, frame []meas.Measure
 	if err != nil {
 		return err
 	}
-	e.warm, e.haveWarm = res.X, true
-	e.lastGN, e.lastCG, e.haveCost = res.Iterations, res.CGIterations, true
+	// A copy: res.X goes to the caller, who may edit it in place.
+	e.warm, e.haveWarm = append(e.warm[:0], res.X...), true
 	ce.Estimate = res
 	st.GNIterations += res.Iterations
 	st.CGIterations += res.CGIterations

@@ -29,12 +29,50 @@ func poolFrames(t *testing.T, n *grid.Network, plan []meas.Measurement) (f1, f2 
 	return f1, f2
 }
 
-// TestPoolRescreenEquivalence is the tentpole acceptance test: re-screening
+// denseOracle estimates one outage cold with the dense normal-equations
+// solver on a perturbed network and measurement model built here, sharing
+// neither the pool's session plumbing nor the sparse solve path.
+func denseOracle(t *testing.T, n *grid.Network, out int, frame []meas.Measurement) *wls.Result {
+	t.Helper()
+	pnet := n.Clone()
+	pnet.Branches[out].Status = false
+	ref := pnet.SlackIndex()
+	var ms []meas.Measurement
+	refAngle := 0.0
+	for _, m := range frame {
+		if (m.Kind == meas.Pflow || m.Kind == meas.Qflow) && m.Branch == out {
+			continue
+		}
+		if m.Kind == meas.Angle && m.Bus == pnet.Buses[ref].ID {
+			refAngle = m.Value
+		}
+		ms = append(ms, m)
+	}
+	mod, err := meas.NewModel(pnet, ms, ref, refAngle)
+	if err != nil {
+		t.Fatalf("outage %d: oracle model: %v", out, err)
+	}
+	res, err := wls.Estimate(mod, wls.Options{Solver: wls.Dense, Tol: 1e-9})
+	if err != nil {
+		t.Fatalf("outage %d: oracle estimate: %v", out, err)
+	}
+	return res
+}
+
+// TestPoolRescreenEquivalence is the pool's acceptance test: re-screening
 // an unchanged contingency list on a second frame performs zero skeleton
 // constructions, produces estimates within 1e-9 of a cold per-outage sweep,
-// and spends fewer Gauss–Newton iterations than the cold sweep.
+// and spends fewer Gauss–Newton iterations than the cold sweep. The first,
+// the last and (where the grid has one) a parallel-circuit estimated case
+// of the warm sweep are also held to 1e-6 of the dense oracle, so the pool
+// is not checked against its own cold path alone.
 func TestPoolRescreenEquivalence(t *testing.T) {
-	n := grid.Case14()
+	// IEEE-14 has no parallel circuits; IEEE-118 has several.
+	t.Run("ieee14", func(t *testing.T) { testRescreenEquivalence(t, grid.Case14(), false) })
+	t.Run("ieee118", func(t *testing.T) { testRescreenEquivalence(t, grid.Case118(), true) })
+}
+
+func testRescreenEquivalence(t *testing.T, n *grid.Network, wantParallel bool) {
 	st := solved(t, n)
 	plan := meas.FullPlan().Build(n)
 	frame1, frame2 := poolFrames(t, n, plan)
@@ -110,6 +148,46 @@ func TestPoolRescreenEquivalence(t *testing.T) {
 			t.Fatalf("case %d violation count differs: %d vs %d", i, len(w.Violations), len(c.Violations))
 		}
 	}
+
+	// Independent oracle on the first, last and one parallel-circuit case.
+	first, last, parallel := -1, -1, -1
+	for i, ce := range res2 {
+		if ce.Islanding {
+			continue
+		}
+		if first < 0 {
+			first = i
+		}
+		last = i
+		if parallel >= 0 {
+			continue
+		}
+		br := n.Branches[ce.Outage]
+		for bi, o := range n.Branches {
+			if bi != ce.Outage && o.Status &&
+				(o.From == br.From && o.To == br.To || o.From == br.To && o.To == br.From) {
+				parallel = i
+				break
+			}
+		}
+	}
+	if wantParallel != (parallel >= 0) {
+		t.Fatalf("parallel-circuit outage found = %v, want %v", parallel >= 0, wantParallel)
+	}
+	for _, i := range []int{first, last, parallel} {
+		if i < 0 {
+			continue
+		}
+		want := denseOracle(t, n, res2[i].Outage, frame2)
+		for b := range want.State.Vm {
+			dvm := math.Abs(res2[i].Estimate.State.Vm[b] - want.State.Vm[b])
+			dva := math.Abs(res2[i].Estimate.State.Va[b] - want.State.Va[b])
+			if dvm > 1e-6 || dva > 1e-6 {
+				t.Fatalf("outage %d bus %d: warm pooled state off the dense oracle by Vm %g, Va %g",
+					res2[i].Outage, b, dvm, dva)
+			}
+		}
+	}
 }
 
 // TestPoolGainReuseDefault checks the pool resolves ReuseAuto to the
@@ -133,6 +211,59 @@ func TestPoolGainReuseDefault(t *testing.T) {
 	}
 	if stats2.GainSkips == 0 {
 		t.Errorf("re-screen skipped no gain refreshes under the default reuse tier: %+v", stats2)
+	}
+}
+
+// TestPoolWarmStartNotAliased: the pool's warm starts are its own copies.
+// A caller that overwrites every returned Estimate.X between two sweeps
+// gets a second sweep bitwise equal to that of an untouched twin pool.
+func TestPoolWarmStartNotAliased(t *testing.T) {
+	n := grid.Case14()
+	plan := meas.FullPlan().Build(n)
+	frame1, frame2 := poolFrames(t, n, plan)
+	ctx := context.Background()
+	popts := ParallelOptions{Workers: 2}
+	var second [2][]CaseEstimate
+	for k := range second {
+		pool, err := NewPool(n, PoolOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res1, _, err := pool.Screen(ctx, frame1, nil, nil, popts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			for _, ce := range res1 {
+				if ce.Estimate == nil {
+					continue
+				}
+				for i := range ce.Estimate.X {
+					ce.Estimate.X[i] = math.NaN()
+				}
+			}
+		}
+		var stats SweepStats
+		if second[k], stats, err = pool.Screen(ctx, frame2, nil, nil, popts); err != nil {
+			t.Fatalf("pool %d re-screen: %v", k, err)
+		}
+		if stats.WarmStarts != stats.Estimated {
+			t.Fatalf("pool %d re-screen warm-started %d of %d cases", k, stats.WarmStarts, stats.Estimated)
+		}
+	}
+	for i, ce := range second[0] {
+		twin := second[1][i]
+		if ce.Islanding {
+			continue
+		}
+		if ce.Estimate.Iterations != twin.Estimate.Iterations {
+			t.Fatalf("outage %d: %d Gauss–Newton iterations, untouched twin %d", ce.Outage, ce.Estimate.Iterations, twin.Estimate.Iterations)
+		}
+		for j, x := range ce.Estimate.X {
+			if math.Float64bits(x) != math.Float64bits(twin.Estimate.X[j]) {
+				t.Fatalf("outage %d x[%d] = %v, untouched twin %v", ce.Outage, j, x, twin.Estimate.X[j])
+			}
+		}
 	}
 }
 
@@ -260,46 +391,70 @@ func TestPoolCaseListPruning(t *testing.T) {
 }
 
 // TestPoolDeterministicError checks the pool inherits schedule()'s error
-// contract: with every case failing (unobservable frame), the reported
-// error is always the first requested case's, under both scheduling modes.
+// contract under both scheduling modes: the reported error is always the
+// first requested case's, with no partial results. Two inputs: IEEE-14 on
+// an unobservable frame, where every case fails, and the ring fixture,
+// where outages 0 and 1 fail through the rank check while outage 3
+// estimates — so a pool's second sweep can find outage 3 already warm.
 func TestPoolDeterministicError(t *testing.T) {
-	n := grid.Case14()
-	st := solved(t, n)
+	n14 := grid.Case14()
 	// Voltage magnitudes alone leave every angle unobservable.
 	var plan []meas.Measurement
-	for _, b := range n.Buses {
+	for _, b := range n14.Buses {
 		plan = append(plan, meas.Measurement{Kind: meas.Vmag, Bus: b.ID, Sigma: 0.004})
 	}
-	frame, err := meas.Simulate(n, plan, st, 1, 1)
+	frame14, err := meas.Simulate(n14, plan, solved(t, n14), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk := newIslandChecker(n)
-	var cases []int
-	for bi, br := range n.Branches {
+	chk := newIslandChecker(n14)
+	var cases14 []int
+	for bi, br := range n14.Branches {
 		if br.Status && !chk.islands(bi) {
-			cases = append(cases, bi)
+			cases14 = append(cases14, bi)
 		}
 	}
+
+	ring, ringFrame := ringUnobservableFixture(t)
+	// Fixture sanity: the unmetered outage on its own must estimate fine.
+	healthy, err := NewPool(ring, PoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := healthy.Screen(context.Background(), ringFrame, nil, []int{3}, ParallelOptions{}); err != nil {
+		t.Fatalf("healthy outage failed: %v", err)
+	}
+
+	t.Run("ieee14-all-fail", func(t *testing.T) { expectFirstCaseError(t, n14, frame14, cases14) })
+	t.Run("ring4-mixed", func(t *testing.T) { expectFirstCaseError(t, ring, ringFrame, []int{0, 1, 3}) })
+}
+
+// expectFirstCaseError sweeps a failing case list twice per pool, five
+// pools per scheduling mode, and requires cases[0]'s ErrUnobservable and no
+// partial results every time.
+func expectFirstCaseError(t *testing.T, n *grid.Network, frame []meas.Measurement, cases []int) {
+	t.Helper()
+	want := "outage " + strconv.Itoa(cases[0])
 	for _, sched := range []Scheduling{StaticScheduling, CounterScheduling} {
 		for rep := 0; rep < 5; rep++ {
 			pool, err := NewPool(n, PoolOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, _, err := pool.Screen(context.Background(), frame, nil, cases, ParallelOptions{Workers: 4, Scheduling: sched})
-			if err == nil {
-				t.Fatalf("sched=%v: unobservable sweep succeeded", sched)
-			}
-			if res != nil {
-				t.Fatalf("sched=%v: partial results returned with error", sched)
-			}
-			if !errors.Is(err, wls.ErrUnobservable) {
-				t.Fatalf("sched=%v: error %v does not wrap ErrUnobservable", sched, err)
-			}
-			want := "outage " + strconv.Itoa(cases[0])
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("sched=%v rep=%d: error %q is not the first case's (%s)", sched, rep, err, want)
+			for sweep := 0; sweep < 2; sweep++ {
+				res, _, err := pool.Screen(context.Background(), frame, nil, cases, ParallelOptions{Workers: 4, Scheduling: sched})
+				if err == nil {
+					t.Fatalf("sched=%v sweep=%d: unobservable sweep succeeded", sched, sweep)
+				}
+				if res != nil {
+					t.Fatalf("sched=%v sweep=%d: partial results returned with error", sched, sweep)
+				}
+				if !errors.Is(err, wls.ErrUnobservable) {
+					t.Fatalf("sched=%v sweep=%d: error %v does not wrap ErrUnobservable", sched, sweep, err)
+				}
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("sched=%v rep=%d sweep=%d: error %q is not the first case's (%s)", sched, rep, sweep, err, want)
+				}
 			}
 		}
 	}
@@ -348,54 +503,6 @@ func ringUnobservableFixture(t *testing.T) (*grid.Network, []meas.Measurement) {
 		t.Fatal(err)
 	}
 	return n, frame
-}
-
-// TestPoolBatchedDrainOrderDeterministicError checks drain-aware unit
-// packing keeps schedule()'s error contract on the batched path: whatever
-// order recorded per-case costs induce, a sweep with failing cases always
-// reports the first requested case's error with no partial results, under
-// both scheduling modes. The second sweep of each pool runs with cost
-// history (only the successful outage 3 has any, so it sorts ahead of the
-// history-less failures), exercising the cross-unit failure watermark on a
-// genuinely reordered sweep.
-func TestPoolBatchedDrainOrderDeterministicError(t *testing.T) {
-	n, frame := ringUnobservableFixture(t)
-	ctx := context.Background()
-
-	// Fixture sanity: the unmetered outage on its own must estimate fine.
-	ok, err := NewPool(n, PoolOptions{Batch: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ok.Screen(ctx, frame, nil, []int{3}, ParallelOptions{}); err != nil {
-		t.Fatalf("healthy outage failed: %v", err)
-	}
-
-	cases := []int{0, 1, 3}
-	for _, sched := range []Scheduling{StaticScheduling, CounterScheduling} {
-		for rep := 0; rep < 3; rep++ {
-			pool, err := NewPool(n, PoolOptions{Batch: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for sweep := 0; sweep < 2; sweep++ {
-				res, _, err := pool.Screen(ctx, frame, nil, cases, ParallelOptions{Workers: 3, Scheduling: sched})
-				if err == nil {
-					t.Fatalf("sched=%v sweep=%d: sweep with unobservable outages succeeded", sched, sweep)
-				}
-				if res != nil {
-					t.Fatalf("sched=%v sweep=%d: partial results returned with error", sched, sweep)
-				}
-				if !errors.Is(err, wls.ErrUnobservable) {
-					t.Fatalf("sched=%v sweep=%d: error %v does not wrap ErrUnobservable", sched, sweep, err)
-				}
-				if want := "outage 0"; !strings.Contains(err.Error(), want) {
-					t.Fatalf("sched=%v rep=%d sweep=%d: error %q is not the first case's (%s)",
-						sched, rep, sweep, err, want)
-				}
-			}
-		}
-	}
 }
 
 // TestPoolPrecondBreakdownDegradesToJacobi: outage 3 of the ring fixture
@@ -535,98 +642,4 @@ func TestPoolDistributed(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPoolBatchedEquivalence: a batched pool (Batch >= 2) reproduces the
-// scalar pool's estimates within 1e-9 on every case of a full IEEE-118
-// sweep, falls back cleanly on the cold first frame (no warm starts inside
-// the anchor gate yet), and actually serves cases batched on the warm
-// re-screen with zero skeleton builds.
-func TestPoolBatchedEquivalence(t *testing.T) {
-	n := grid.Case118()
-	st := solved(t, n)
-	plan := meas.FullPlan().Build(n)
-	frame1, frame2 := poolFrames(t, n, plan)
-	ratings, err := AutoRatings(n, st, 1.3, 0.3, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tol 1e-9 lands both paths well within the 1e-9 comparison bound of
-	// the exact minimizer (see TestBatchEngineMatchesScalar).
-	wopts := wls.Options{Tol: 1e-9}
-	popts := ParallelOptions{Workers: 4, Scheduling: CounterScheduling}
-	ctx := context.Background()
-
-	scalar, err := NewPool(n, PoolOptions{WLS: wopts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := NewPool(n, PoolOptions{WLS: wopts, Batch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	compare := func(tag string, a, b []CaseEstimate) {
-		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d scalar cases vs %d batched", tag, len(a), len(b))
-		}
-		for i := range a {
-			s, g := a[i], b[i]
-			if s.Outage != g.Outage || s.Islanding != g.Islanding {
-				t.Fatalf("%s case %d differs structurally", tag, i)
-			}
-			if s.Islanding {
-				continue
-			}
-			for bus := range s.Estimate.State.Vm {
-				if d := math.Abs(s.Estimate.State.Vm[bus] - g.Estimate.State.Vm[bus]); d > 1e-9 {
-					t.Fatalf("%s case %d bus %d Vm differs by %g", tag, i, bus, d)
-				}
-				if d := math.Abs(s.Estimate.State.Va[bus] - g.Estimate.State.Va[bus]); d > 1e-9 {
-					t.Fatalf("%s case %d bus %d Va differs by %g", tag, i, bus, d)
-				}
-			}
-			if len(s.Violations) != len(g.Violations) {
-				t.Fatalf("%s case %d violation count differs: %d vs %d", tag, i, len(s.Violations), len(g.Violations))
-			}
-		}
-	}
-
-	resS1, _, err := scalar.Screen(ctx, frame1, ratings, nil, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB1, statsB1, err := batched.Screen(ctx, frame1, ratings, nil, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compare("frame1", resS1, resB1)
-	if statsB1.Reanchors != 1 {
-		t.Fatalf("first batched sweep re-anchored %d times, want 1", statsB1.Reanchors)
-	}
-	if statsB1.BatchedCases+statsB1.BatchFallbacks != statsB1.Estimated {
-		t.Fatalf("batched/fallback split %d+%d does not cover %d estimated cases",
-			statsB1.BatchedCases, statsB1.BatchFallbacks, statsB1.Estimated)
-	}
-
-	resS2, _, err := scalar.Screen(ctx, frame2, ratings, nil, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB2, statsB2, err := batched.Screen(ctx, frame2, ratings, nil, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compare("frame2", resS2, resB2)
-	if statsB2.SkeletonBuilds != 0 {
-		t.Fatalf("batched re-screen performed %d skeleton builds, want 0", statsB2.SkeletonBuilds)
-	}
-	if statsB2.WarmStarts != statsB2.Estimated {
-		t.Errorf("batched re-screen warm-started %d of %d cases", statsB2.WarmStarts, statsB2.Estimated)
-	}
-	if statsB2.BatchedCases == 0 {
-		t.Fatalf("warm batched re-screen served no case batched: %+v", statsB2)
-	}
-	t.Logf("re-screen: %d/%d batched (%d fallbacks)", statsB2.BatchedCases, statsB2.Estimated, statsB2.BatchFallbacks)
 }

@@ -7,11 +7,25 @@ import (
 	"testing"
 )
 
-// gainFixture is G = HᵀWH of a measurement-Jacobian-shaped H with weights
-// spread over six decades, the PMU/SCADA mix that stresses conditioning.
+// gainFixture is G = HᵀWH of a measurement-Jacobian-shaped H — a scaled
+// identity on top (full column rank, positive diagonal) plus random
+// coupling rows — with weights spread over six decades, the PMU/SCADA mix
+// that stresses conditioning.
 func gainFixture(rng *rand.Rand, n, extra int) *CSR {
-	h, w := outageFixture(rng, n, extra)
+	coo := NewCOO(n+extra, n)
+	for i := 0; i < n; i++ {
+		coo.Add(i, i, 1+rng.Float64())
+	}
+	for r := 0; r < extra; r++ {
+		deg := 2 + rng.Intn(3)
+		for d := 0; d < deg; d++ {
+			coo.Add(n+r, rng.Intn(n), rng.NormFloat64())
+		}
+	}
+	h := coo.ToCSR()
+	w := make([]float64, h.Rows)
 	for i := range w {
+		w[i] = 0.5 + rng.Float64()
 		if i%7 == 0 {
 			w[i] *= 1e6
 		}

@@ -256,12 +256,6 @@ type Options struct {
 	// semantics are unchanged, so estimates stay pinned to the fixed-gate
 	// path exactly as ReuseGain already guarantees.
 	AdaptiveGate bool
-	// NoBatchCompact disables active-column width compaction inside the
-	// batched multi-RHS solver (BatchEngine): the shared mat-vec then runs
-	// at the original batch width until the last column drains. Estimates
-	// are bitwise identical either way; the knob exists to benchmark and
-	// debug the compaction path. Scalar solves ignore it.
-	NoBatchCompact bool
 	// X0Gate, when positive, guards the warm start behind a scaled-residual
 	// test: X0 is kept only while its weighted residual J(X0) stays within
 	// X0Gate·J(flat) of the flat start's, and otherwise the solve quietly
