@@ -897,6 +897,56 @@ func BenchmarkLDLFactor(b *testing.B) {
 	})
 }
 
+// BenchmarkMeasKernel times the compiled measurement kernel on its own, at
+// both sizes: h(x) alone, H(x) alone, and the EvalInto+Refresh pair one
+// Gauss–Newton iterate runs at one state. The state alternates between two
+// vectors so every iteration pays its state load (a repeated state would be
+// served from the load the plan already holds). trig/op is the number of
+// sines and cosines evaluated per iteration, counted by the plan:
+// two per distinct metered bus pair per load, against roughly 48 per branch
+// for the pair under the per-measurement evaluator this kernel replaced.
+func BenchmarkMeasKernel(b *testing.B) {
+	wecc, err := grid.SynthWECC(grid.SynthOptions{Areas: 12, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []*grid.Network{grid.Case118(), wecc} {
+		pf, err := powerflow.Solve(n, powerflow.Options{FlatStart: true, MaxIter: 40})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ms, err := meas.Simulate(n, meas.FullPlan().Build(n), pf.State, 1, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ref := n.SlackIndex()
+		mod, err := meas.NewModel(n, ms, ref, pf.State.Va[ref])
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl := mod.NewJacobianPlan()
+		xs := [2][]float64{mod.StateToVec(pf.State), mod.FlatVec()}
+		h := make([]float64, mod.NMeas())
+		for _, op := range []struct {
+			name string
+			run  func(x []float64)
+		}{
+			{"eval", func(x []float64) { pl.EvalInto(h, x) }},
+			{"refresh", func(x []float64) { pl.Refresh(x) }},
+			{"eval+refresh", func(x []float64) { pl.EvalInto(h, x); pl.Refresh(x) }},
+		} {
+			b.Run(n.Name+"/"+op.name, func(b *testing.B) {
+				b.ReportAllocs()
+				trig := pl.TrigEvals()
+				for i := 0; i < b.N; i++ {
+					op.run(xs[i&1])
+				}
+				b.ReportMetric(float64(pl.TrigEvals()-trig)/float64(b.N), "trig/op")
+			})
+		}
+	}
+}
+
 // BenchmarkPartitionerScales exercises the multilevel partitioner on a
 // large random graph (well beyond the 9-vertex paper graph).
 func BenchmarkPartitionerScales(b *testing.B) {

@@ -21,6 +21,7 @@ import (
 	gridse "repro"
 	"repro/internal/contingency"
 	"repro/internal/grid"
+	"repro/internal/prof"
 )
 
 func main() {
@@ -35,8 +36,14 @@ func main() {
 		workers   = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		sched     = flag.String("sched", "counter", "case scheduling: static|counter")
 		top       = flag.Int("top", 5, "worst violations to print")
+		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	)
 	flag.Parse()
+	stopProfile, err := prof.StartCPU(*cpuProf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopProfile()
 
 	// Interrupt (Ctrl-C) or SIGTERM cancels the screen cleanly: the sweeps
 	// below check the context before every case.
@@ -44,7 +51,6 @@ func main() {
 	defer stop()
 
 	var net *gridse.Network
-	var err error
 	if *areas > 0 {
 		net, err = grid.SynthWECC(grid.SynthOptions{Areas: *areas, Seed: 1})
 	} else {

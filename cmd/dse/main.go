@@ -17,6 +17,7 @@ import (
 
 	gridse "repro"
 	"repro/internal/cluster"
+	"repro/internal/prof"
 	"repro/internal/wls"
 )
 
@@ -37,8 +38,14 @@ func main() {
 		gainReuse  = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto, off, precond, gain")
 		adaptGate  = flag.Bool("adaptive-gate", false, "scale the reuse drift gate from observed lagged-solve outcomes")
 		precond    = flag.String("precond", wls.Options{}.Precond.String(), "PCG preconditioner: ldl, jacobi, none, ic0 or bjacobi (jacobi is the paper's solver [2])")
+		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	)
 	flag.Parse()
+	stopProfile, err := prof.StartCPU(*cpuProfile)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopProfile()
 
 	reuseKind := gridse.ReuseAuto
 	switch *gainReuse {

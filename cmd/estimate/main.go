@@ -14,6 +14,7 @@ import (
 	"syscall"
 
 	gridse "repro"
+	"repro/internal/prof"
 	"repro/internal/wls"
 )
 
@@ -31,8 +32,14 @@ func main() {
 		plan     = flag.String("plan", "full", "metering plan: full|rtu|pmu")
 		baddata  = flag.Bool("baddata", false, "run chi-square bad-data detection")
 		robust   = flag.Bool("robust", false, "use the Huber M-estimator")
+		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	)
 	flag.Parse()
+	stopProfile, err := prof.StartCPU(*cpuProf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopProfile()
 
 	// Interrupt (Ctrl-C) or SIGTERM cancels the solve cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

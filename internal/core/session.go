@@ -362,7 +362,8 @@ func (s *Session) buildBoundary(global []meas.Measurement, state *powerflow.Stat
 }
 
 // refresh folds a new frame and aggregated state into the boundary
-// skeleton, reporting false when the frame layout drifted (rebuild).
+// skeleton, reporting false when the frame layout drifted or carries a
+// non-finite value (rebuild; NewModel names the bad measurement).
 func (b *boundarySession) refresh(d *Decomposition, global []meas.Measurement, state *powerflow.State) bool {
 	if len(global) != b.nGlobal {
 		return false
@@ -372,7 +373,7 @@ func (b *boundarySession) refresh(d *Decomposition, global []meas.Measurement, s
 			continue
 		}
 		g, o := global[gsrc], &b.mod.Meas[i]
-		if g.Kind != o.Kind || g.FromSide != o.FromSide || g.Sigma != o.Sigma {
+		if g.Kind != o.Kind || g.FromSide != o.FromSide || g.Sigma != o.Sigma || finiteValue(int(gsrc), g) != nil {
 			return false
 		}
 		o.Value = g.Value

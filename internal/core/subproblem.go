@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/grid"
@@ -336,7 +337,9 @@ func (d *Decomposition) finishSubproblem(s *Subsystem, localNet *grid.Network, m
 // angle is rebound to the fresh PMU value, and restoration pseudo-angles
 // follow it. The frame must have the same layout (count, kinds, locations,
 // sigmas) as the one the skeleton was built from; any drift returns an
-// error wrapping ErrStaleSkeleton, the caller's signal to rebuild.
+// error wrapping ErrStaleSkeleton, the caller's signal to rebuild. A
+// non-finite value returns one wrapping meas.ErrBadMeasurement, as the
+// rebuild's NewModel will.
 func (sp *Subproblem) UpdateMeasurements(global []meas.Measurement) error {
 	if sp.src == nil {
 		return fmt.Errorf("%w: skeleton has no refresh provenance", ErrStaleSkeleton)
@@ -370,6 +373,9 @@ func (sp *Subproblem) UpdateMeasurements(global []meas.Measurement) error {
 				return fmt.Errorf("%w: frame position %d changed bus", ErrStaleSkeleton, s)
 			}
 		}
+		if err := finiteValue(int(s), g); err != nil {
+			return err
+		}
 		o.Value = g.Value
 	}
 	for _, r := range sp.restored {
@@ -378,6 +384,15 @@ func (sp *Subproblem) UpdateMeasurements(global []meas.Measurement) error {
 		}
 	}
 	mod.SetRefAngle(sp.refAngle)
+	return nil
+}
+
+// finiteValue is the check meas.NewModel and Model.UpdateValues apply to a
+// telemetered value, for the folds that write Model.Meas in place.
+func finiteValue(pos int, g meas.Measurement) error {
+	if math.IsNaN(g.Value) || math.IsInf(g.Value, 0) {
+		return fmt.Errorf("%w: frame position %d (%s) has non-finite value %g", meas.ErrBadMeasurement, pos, g.Key(), g.Value)
+	}
 	return nil
 }
 

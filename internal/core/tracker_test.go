@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/meas"
 	"repro/internal/powerflow"
 	"repro/internal/scada"
+	"repro/internal/wls"
 )
 
 func TestTrackerWarmStartsReduceIterations(t *testing.T) {
@@ -118,5 +120,71 @@ func TestDSEWithTopologyChange(t *testing.T) {
 	}
 	if worst > 0.03 {
 		t.Errorf("max Vm error %g after topology change", worst)
+	}
+}
+
+// A NaN telemetered value must surface as meas.ErrBadMeasurement from every
+// entry point — on a tracker's first (skeleton-building) frame, on a warm
+// frame, and on the NewModel / UpdateValues steps in front of a direct wls
+// estimate — not as a conjugate-gradient failure.
+func TestBadMeasurementTypedErrorEndToEnd(t *testing.T) {
+	fx := newFixture(t, grid.Case30, 3, 1)
+	plan := meas.FullPlan().Build(fx.net)
+	plan = append(plan, PMUPlanFor(fx.dec, plan, 0.0005)...)
+	good, err := meas.Simulate(fx.net, plan, fx.truth, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]meas.Measurement(nil), good...)
+	bad[4].Value = math.NaN()
+
+	cold := NewTracker(fx.dec, DSEOptions{})
+	if _, err := cold.Step(context.Background(), bad); !errors.Is(err, meas.ErrBadMeasurement) {
+		t.Fatalf("cold tracked frame with a NaN value: %v, want meas.ErrBadMeasurement", err)
+	}
+	warm := NewTracker(fx.dec, DSEOptions{})
+	if _, err := warm.Step(context.Background(), good); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Step(context.Background(), bad); !errors.Is(err, meas.ErrBadMeasurement) {
+		t.Fatalf("warm tracked frame with a NaN value: %v, want meas.ErrBadMeasurement", err)
+	}
+	if _, err := warm.Step(context.Background(), good); err != nil {
+		t.Fatalf("tracker did not recover on the next clean frame: %v", err)
+	}
+
+	// A tie-line flow reaches only the coordinator's boundary system, whose
+	// warm refresh folds the frame in place too.
+	hier := DistributedOptions{Clusters: 3, HierarchicalRefine: true}
+	if _, err := RunHierarchical(context.Background(), fx.dec, good, hier); err != nil {
+		t.Fatal(err)
+	}
+	tie := append([]meas.Measurement(nil), good...)
+	for i, m := range tie {
+		if (m.Kind == meas.Pflow || m.Kind == meas.Qflow) && m.Branch == fx.dec.TieLines[0].Branch {
+			tie[i].Value = math.NaN()
+			break
+		}
+	}
+	if _, err := RunHierarchical(context.Background(), fx.dec, tie, hier); !errors.Is(err, meas.ErrBadMeasurement) {
+		t.Fatalf("warm hierarchical frame with a NaN tie-line flow: %v, want meas.ErrBadMeasurement", err)
+	}
+
+	ref := fx.net.SlackIndex()
+	if _, err := meas.NewModel(fx.net, bad, ref, fx.truth.Va[ref]); !errors.Is(err, meas.ErrBadMeasurement) {
+		t.Fatalf("NewModel with a NaN value: %v, want meas.ErrBadMeasurement", err)
+	}
+	// A rejected frame leaves the model as it was, so wls.Estimate still
+	// solves the last good one.
+	mod, err := meas.NewModel(fx.net, append([]meas.Measurement(nil), good...), ref, fx.truth.Va[ref])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad[4].Value = math.Inf(1)
+	if err := mod.UpdateValues(bad); !errors.Is(err, meas.ErrBadMeasurement) {
+		t.Fatalf("UpdateValues with a +Inf value: %v, want meas.ErrBadMeasurement", err)
+	}
+	if _, err := wls.Estimate(mod, wls.Options{}); err != nil {
+		t.Fatalf("wls.Estimate after a rejected frame: %v", err)
 	}
 }

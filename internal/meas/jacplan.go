@@ -2,6 +2,7 @@ package meas
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sparse"
 )
@@ -9,14 +10,21 @@ import (
 // JacobianPlan is the symbolic half of the measurement Jacobian H(x). The
 // sparsity pattern of H is fixed by the network topology and measurement
 // set, not by the state, so a plan built once per model lets every
-// Gauss-Newton iteration rewrite only H.Val in place — no COO triplets, no
+// Gauss-Newton iteration rewrite only H.Val in place — no triplets, no
 // sorting, no allocation.
 //
 // The plan's pattern is the structural pattern of H: entries whose
 // derivative happens to vanish at some state are stored as explicit zeros
-// rather than dropped, matching Model.Jacobian. A refreshed H is therefore
-// bitwise-identical to a fresh Jacobian(x), because both paths run the same
-// jacCore emission over the same pattern.
+// rather than dropped.
+//
+// The plan also owns the state load h(x) and H(x) share. EvalInto and
+// Refresh load the state they are handed unless it is, bit for bit, the
+// state already loaded under the same reference angle; so the
+// EvalInto/Refresh pair of one Gauss–Newton iterate, or a trial evaluation
+// followed by the refresh at the accepted trial point, pays for unpacking,
+// trigonometry and injections once. Rebind drops the load; a changed
+// reference angle (Model.SetRefAngle) or an x edited in place fails the
+// comparison.
 type JacobianPlan struct {
 	mod *Model
 
@@ -24,81 +32,82 @@ type JacobianPlan struct {
 	// must treat it as read-only and valid until the next Refresh.
 	H *sparse.CSR
 
-	// slots maps jacCore emission order to H.Val positions: the k-th entry
-	// surviving the reference-angle filter lands at H.Val[slots[k]].
+	// val is H.Val plus one trailing sink element, and slots maps the
+	// kernel's emission order to positions in it: emissions with no column
+	// (derivatives with respect to the reference angle) go to the sink.
+	val   []float64
 	slots []int32
 
-	// Scratch owned by the plan so Refresh and EvalInto allocate nothing.
-	vm, va, pc, qc []float64
-
-	// cursor walks slots during a refresh; the closures are built once at
-	// plan construction so a refresh allocates no closure objects.
-	cursor             int
-	refreshA, refreshV func(row, bus int, v float64)
+	// st is loaded for state x under reference angle refAngle when loaded is
+	// set; trig counts the sines and cosines all loads so far evaluated.
+	st       *stateLoad
+	x        []float64
+	refAngle float64
+	loaded   bool
+	trig     int
 }
 
-// NewJacobianPlan builds the symbolic Jacobian plan: one pass of jacCore
-// with emission-index tags instead of values fixes the pattern and the slot
-// map. The plan stays valid for the model's lifetime (topology and
-// measurement locations are immutable after NewModel).
+// NewJacobianPlan builds the symbolic Jacobian plan. Rows arrive in
+// measurement order with a handful of columns each, so the CSR skeleton and
+// the slot map come straight from the kernel's row patterns: count, then
+// sort the columns inside each row. The plan stays valid for the model's
+// lifetime (topology and measurement locations are immutable after
+// NewModel).
 func (mod *Model) NewJacobianPlan() *JacobianPlan {
-	nb := mod.Net.N()
-	pl := &JacobianPlan{
-		mod: mod,
-		vm:  make([]float64, nb),
-		va:  make([]float64, nb),
-	}
-	if mod.needInj {
-		pl.pc = make([]float64, nb)
-		pl.qc = make([]float64, nb)
-	}
-
-	// Symbolic pass: emit every structural entry carrying its emission index
-	// as the value, so the COO→CSR conversion reveals where each emission
-	// lands in the sorted Val array. Entry values are irrelevant to the
-	// pattern; a flat-start state keeps jacCore's arithmetic well-defined.
-	for i := range pl.vm {
-		pl.vm[i] = 1
-	}
-	coo := sparse.NewCOO(len(mod.Meas), mod.NState())
-	tag := 0
-	mod.jacCore(pl.vm, pl.va, pl.pc, pl.qc,
-		func(row, bus int, v float64) {
-			if p := mod.angPos[bus]; p >= 0 {
-				coo.Add(row, p, float64(tag))
-				tag++
+	m := len(mod.Meas)
+	rowPtr := make([]int, m+1)
+	var cols []int
+	emissions := 0
+	for mi := 0; mi < m; mi++ {
+		cols = mod.rowPattern(mi, cols[:0])
+		emissions += len(cols)
+		for _, c := range cols {
+			if c >= 0 {
+				rowPtr[mi+1]++
 			}
-		},
-		func(row, bus int, v float64) {
-			coo.Add(row, mod.nAngles+bus, float64(tag))
-			tag++
-		})
-	h := coo.ToCSR()
-	if h.NNZ() != tag {
-		// A duplicate (row, col) emission would have summed two tags and
-		// silently corrupted the slot map.
-		panic(fmt.Sprintf("meas: JacobianPlan found %d entries for %d emissions (duplicate pattern entry)", h.NNZ(), tag))
-	}
-	pl.slots = make([]int32, tag)
-	for pos, v := range h.Val {
-		pl.slots[int(v)] = int32(pos)
-	}
-	for i := range h.Val {
-		h.Val[i] = 0
-	}
-	pl.H = h
-
-	pl.refreshA = func(row, bus int, v float64) {
-		if mod.angPos[bus] >= 0 {
-			pl.H.Val[pl.slots[pl.cursor]] = v
-			pl.cursor++
 		}
+		rowPtr[mi+1] += rowPtr[mi]
 	}
-	pl.refreshV = func(row, bus int, v float64) {
-		pl.H.Val[pl.slots[pl.cursor]] = v
-		pl.cursor++
+	nnz := rowPtr[m]
+	colIdx := make([]int, nnz)
+	slots := make([]int32, emissions)
+	var ord []int // the row's emissions that have a column, sorted by it
+	em := 0
+	for mi := 0; mi < m; mi++ {
+		cols = mod.rowPattern(mi, cols[:0])
+		ord = ord[:0]
+		for i, c := range cols {
+			if c < 0 {
+				slots[em+i] = int32(nnz)
+				continue
+			}
+			at := len(ord)
+			ord = append(ord, i)
+			for ; at > 0 && cols[ord[at-1]] > c; at-- {
+				ord[at] = ord[at-1]
+			}
+			ord[at] = i
+		}
+		for r, i := range ord {
+			if r > 0 && cols[ord[r-1]] == cols[i] {
+				// Two emissions on one (row, col) would overwrite each other
+				// on every refresh.
+				panic(fmt.Sprintf("meas: measurement %d (%s) emits column %d twice", mi, mod.Meas[mi].Key(), cols[i]))
+			}
+			colIdx[rowPtr[mi]+r] = cols[i]
+			slots[em+i] = int32(rowPtr[mi] + r)
+		}
+		em += len(cols)
 	}
-	return pl
+	val := make([]float64, nnz+1)
+	return &JacobianPlan{
+		mod:   mod,
+		H:     &sparse.CSR{Rows: m, Cols: mod.NState(), RowPtr: rowPtr, ColIdx: colIdx, Val: val[:nnz:nnz]},
+		val:   val,
+		slots: slots,
+		st:    mod.newStateLoad(),
+		x:     make([]float64, mod.NState()),
+	}
 }
 
 // Rebind points the plan at a structurally identical model (same network
@@ -114,34 +123,58 @@ func (pl *JacobianPlan) Rebind(mod *Model) error {
 		return fmt.Errorf("meas: JacobianPlan rebind to structurally different model")
 	}
 	pl.mod = mod
+	pl.loaded = false
 	return nil
 }
 
-// Refresh recomputes H(x) numerically into the plan's skeleton without
-// allocating, and returns it. Shared entries are bitwise-identical to a
-// fresh Model.Jacobian(x); entries the legacy assembly would drop for being
-// exactly zero are stored as explicit zeros.
-func (pl *JacobianPlan) Refresh(x []float64) *sparse.CSR {
+// TrigEvals returns the number of sines and cosines the plan has evaluated
+// so far: two per bus pair the measurement set reads, once per distinct
+// state handed to EvalInto or Refresh in a row.
+func (pl *JacobianPlan) TrigEvals() int { return pl.trig }
+
+// ensureLoaded makes pl.st the load of x under the model's current
+// reference angle. Bits are compared, not values: +0 and −0 are different
+// states to the signed-zero arithmetic downstream.
+func (pl *JacobianPlan) ensureLoaded(x []float64) {
 	mod := pl.mod
-	mod.unpackState(x, pl.vm, pl.va)
-	if mod.needInj {
-		calcInj(mod.y, pl.vm, pl.va, pl.pc, pl.qc)
+	if pl.loaded && math.Float64bits(pl.refAngle) == math.Float64bits(mod.refAngle) && sameBits(x, pl.x) {
+		return
 	}
-	pl.cursor = 0
-	mod.jacCore(pl.vm, pl.va, pl.pc, pl.qc, pl.refreshA, pl.refreshV)
+	mod.load(pl.st, x)
+	copy(pl.x, x)
+	pl.refAngle = mod.refAngle
+	pl.loaded = true
+	pl.trig += 2 * (len(mod.k.pairLo) - 1)
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Refresh recomputes H(x) numerically into the plan's skeleton without
+// allocating, and returns it.
+func (pl *JacobianPlan) Refresh(x []float64) *sparse.CSR {
+	pl.ensureLoaded(x)
+	if n := pl.mod.jacobianLoaded(pl.st, pl.val, pl.slots); n != len(pl.slots) {
+		panic(fmt.Sprintf("meas: Jacobian pass emitted %d entries, the plan's pattern has %d", n, len(pl.slots)))
+	}
 	return pl.H
 }
 
 // EvalInto computes h(x) into the caller-owned buffer h (length NMeas)
 // without allocating, bitwise-identical to Model.Eval(x).
 func (pl *JacobianPlan) EvalInto(h, x []float64) {
-	mod := pl.mod
-	if len(h) != len(mod.Meas) {
-		panic(fmt.Sprintf("meas: EvalInto buffer length %d != %d measurements", len(h), len(mod.Meas)))
+	if len(h) != len(pl.mod.Meas) {
+		panic(fmt.Sprintf("meas: EvalInto buffer length %d != %d measurements", len(h), len(pl.mod.Meas)))
 	}
-	mod.unpackState(x, pl.vm, pl.va)
-	if mod.needInj {
-		calcInj(mod.y, pl.vm, pl.va, pl.pc, pl.qc)
-	}
-	mod.evalCore(pl.vm, pl.va, pl.pc, pl.qc, h)
+	pl.ensureLoaded(x)
+	pl.mod.evalLoaded(pl.st, h)
 }

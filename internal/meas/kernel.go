@@ -1,0 +1,355 @@
+package meas
+
+import (
+	"fmt"
+	"math"
+	"sort"
+
+	"repro/internal/grid"
+)
+
+// kernel is a Model compiled into flat, integer-indexed tables: everything
+// h(x) and H(x) need that does not depend on the state is resolved once, at
+// NewModel, so the Gauss–Newton loop does no bus-number map lookup, no
+// branch-admittance arithmetic and no trigonometry beyond one math.Sincos
+// per bus pair per state (stateLoad).
+type kernel struct {
+	// ops has one record per measurement, in measurement order.
+	ops []measOp
+	// ends has one record per distinct metered branch end; the P and Q flow
+	// measurements of one end share it.
+	ends []flowEnd
+	// pairLo/pairHi list the distinct bus pairs lo < hi whose angle
+	// difference some measurement reads: the two ends of every metered
+	// branch end and the neighbours of every injection-metered bus. Pair 0
+	// is the zero-angle pair (cos 1, sin +0) that Y-bus diagonal entries
+	// point at; its bus fields are unused.
+	pairLo, pairHi []int32
+	// ytrig[e] is the trig reference (see stateLoad) of Y-bus entry e = (i,k)
+	// for θi−θk. It is filled for the rows of injection-metered buses only;
+	// no other row is ever read.
+	ytrig []int32
+	// injBus lists the internal indices of the buses carrying a Pinj or Qinj
+	// measurement, ascending.
+	injBus []int32
+}
+
+// measOp is one measurement resolved to internal indices.
+type measOp struct {
+	kind Kind
+	idx  int32 // internal bus index (bus kinds) or index into kernel.ends (flows)
+}
+
+// flowEnd is one metered branch end: the measured end first, its four
+// two-port admittance constants, and where to find cos/sin of θf−θt.
+type flowEnd struct {
+	f, t               int32
+	trig               int32
+	gff, bff, gft, bft float64
+}
+
+// endAdmittance returns the two-port admittance constants seen from one end
+// of branch br (the standard transformer model BuildYBus documents): the
+// self block (gff, bff) of the measured end and the transfer block (gft,
+// bft) towards the other end.
+func endAdmittance(br grid.Branch, fromSide bool) (gff, bff, gft, bft float64) {
+	den := br.R*br.R + br.X*br.X
+	gs := br.R / den
+	bs := -br.X / den
+	tap := br.Tap
+	if tap == 0 {
+		tap = 1
+	}
+	s, c := math.Sincos(br.Shift)
+	bc2 := br.B / 2
+	if fromSide {
+		return gs / (tap * tap), (bs + bc2) / (tap * tap),
+			-(gs*c - bs*s) / tap, -(bs*c + gs*s) / tap
+	}
+	return gs, bs + bc2, -(gs*c + bs*s) / tap, -(bs*c - gs*s) / tap
+}
+
+// compile fills mod.k from the validated measurement set. ops arrives with
+// bus kinds already resolved to internal bus indices and flow kinds carrying
+// the branch-end key 2·branch + (0 from side, 1 to side).
+func (mod *Model) compile(ops []measOp) {
+	n, y := mod.Net, mod.y
+	k := &mod.k
+	k.ops = ops
+
+	// pairOf[e] numbers the pair of upper-triangular Y-bus entry e on first
+	// use; the sorted Y-bus rows make the lookup a binary search, no map.
+	pairOf := make([]int32, y.NNZ())
+	k.pairLo = make([]int32, 1, y.NNZ()/2+1)
+	k.pairHi = make([]int32, 1, y.NNZ()/2+1)
+	trigOf := func(i, j int) int32 {
+		lo, hi, dir := i, j, int32(0)
+		if i > j {
+			lo, hi, dir = j, i, 1
+		}
+		row := y.ColIdx[y.RowPtr[lo]:y.RowPtr[lo+1]]
+		at := sort.SearchInts(row, hi)
+		if at == len(row) || row[at] != hi {
+			panic(fmt.Sprintf("meas: buses %d and %d are metered as connected but share no admittance entry", lo, hi))
+		}
+		e := y.RowPtr[lo] + at
+		if pairOf[e] == 0 {
+			pairOf[e] = int32(len(k.pairLo))
+			k.pairLo = append(k.pairLo, int32(lo))
+			k.pairHi = append(k.pairHi, int32(hi))
+		}
+		return 2*pairOf[e] + dir
+	}
+
+	// endOf[key] is 1 + the index into k.ends of branch-end key, 0 while the
+	// end is unmetered and −1 once counted but not yet built.
+	endOf := make([]int32, 2*len(n.Branches))
+	injAt := make([]bool, y.N)
+	nEnds, nInj := 0, 0
+	for _, op := range ops {
+		switch op.kind {
+		case Pflow, Qflow:
+			if endOf[op.idx] == 0 {
+				endOf[op.idx] = -1
+				nEnds++
+			}
+		case Pinj, Qinj:
+			if !injAt[op.idx] {
+				injAt[op.idx] = true
+				nInj++
+			}
+		}
+	}
+
+	k.ends = make([]flowEnd, 0, nEnds)
+	for i, op := range ops {
+		if op.kind != Pflow && op.kind != Qflow {
+			continue
+		}
+		if endOf[op.idx] < 0 {
+			br, fromSide := n.Branches[op.idx/2], op.idx%2 == 0
+			f, t := n.MustIndex(br.From), n.MustIndex(br.To)
+			if !fromSide {
+				f, t = t, f
+			}
+			end := flowEnd{f: int32(f), t: int32(t), trig: trigOf(f, t)}
+			end.gff, end.bff, end.gft, end.bft = endAdmittance(br, fromSide)
+			k.ends = append(k.ends, end)
+			endOf[op.idx] = int32(len(k.ends))
+		}
+		ops[i].idx = endOf[op.idx] - 1
+	}
+
+	if nInj == 0 {
+		return
+	}
+	k.ytrig = make([]int32, y.NNZ())
+	k.injBus = make([]int32, 0, nInj)
+	for i, metered := range injAt {
+		if !metered {
+			continue
+		}
+		k.injBus = append(k.injBus, int32(i))
+		for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
+			if j := y.ColIdx[e]; j != i {
+				k.ytrig[e] = trigOf(i, j)
+			}
+		}
+	}
+}
+
+// stateLoad is everything h(x) and H(x) share at one state x: the unpacked
+// magnitudes and angles, cos and sin of every pair's angle difference, and
+// the bus injections. Loading it is the only place the Gauss–Newton loop
+// calls a trigonometric function.
+//
+// A trig reference r = 2·pair + dir names cos[r>>1] and sin[r]: dir 0 is
+// θlo−θhi, dir 1 the reverse. Both directions come from one math.Sincos,
+// bit for bit what separate evaluations would give: cos is even and sin odd
+// exactly in math's implementation, and a−b = −(b−a) exactly in IEEE
+// arithmetic unless the difference is zero, where sin(±0) = ±0 is the
+// argument itself.
+type stateLoad struct {
+	vm, va   []float64 // per bus
+	cos, sin []float64 // per pair, two sines each
+	p, q     []float64 // per bus, set at injection-metered buses only; nil without any
+}
+
+func (mod *Model) newStateLoad() *stateLoad {
+	nb, np := mod.Net.N(), len(mod.k.pairLo)
+	size := 2*nb + 3*np
+	if len(mod.k.injBus) > 0 {
+		size += 2 * nb
+	}
+	buf := make([]float64, size)
+	cut := func(n int) []float64 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	st := &stateLoad{vm: cut(nb), va: cut(nb), cos: cut(np), sin: cut(2 * np)}
+	st.cos[0] = 1
+	if len(mod.k.injBus) > 0 {
+		st.p, st.q = cut(nb), cut(nb)
+	}
+	return st
+}
+
+// load fills st for the state vector x.
+func (mod *Model) load(st *stateLoad, x []float64) {
+	k := &mod.k
+	mod.unpackState(x, st.vm, st.va)
+	vm, va := st.vm, st.va
+	for p := 1; p < len(k.pairLo); p++ {
+		lo, hi := k.pairLo[p], k.pairHi[p]
+		th := va[lo] - va[hi]
+		s, c := math.Sincos(th)
+		st.cos[p] = c
+		st.sin[2*p] = s
+		if th == 0 {
+			st.sin[2*p+1] = va[hi] - va[lo]
+		} else {
+			st.sin[2*p+1] = -s
+		}
+	}
+
+	// Bus injections, accumulated in Y-bus row order (diagonal included,
+	// through the zero-angle pair) exactly as powerflow does.
+	y := mod.y
+	for _, i := range k.injBus {
+		var pi, qi float64
+		for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
+			g, b, r := y.G[e], y.B[e], k.ytrig[e]
+			c, s := st.cos[r>>1], st.sin[r]
+			vj := vm[y.ColIdx[e]]
+			pi += vj * (g*c + b*s)
+			qi += vj * (g*s - b*c)
+		}
+		st.p[i] = vm[i] * pi
+		st.q[i] = vm[i] * qi
+	}
+}
+
+// evalLoaded writes h(x) into h from the loaded state.
+func (mod *Model) evalLoaded(st *stateLoad, h []float64) {
+	k := &mod.k
+	for mi, op := range k.ops {
+		switch op.kind {
+		case Vmag:
+			h[mi] = st.vm[op.idx]
+		case Angle:
+			h[mi] = st.va[op.idx]
+		case Pinj:
+			h[mi] = st.p[op.idx]
+		case Qinj:
+			h[mi] = st.q[op.idx]
+		case Pflow:
+			e := &k.ends[op.idx]
+			vf, vt := st.vm[e.f], st.vm[e.t]
+			c, s := st.cos[e.trig>>1], st.sin[e.trig]
+			h[mi] = vf*vf*e.gff + vf*vt*(e.gft*c+e.bft*s)
+		case Qflow:
+			e := &k.ends[op.idx]
+			vf, vt := st.vm[e.f], st.vm[e.t]
+			c, s := st.cos[e.trig>>1], st.sin[e.trig]
+			h[mi] = -vf*vf*e.bff + vf*vt*(e.gft*s-e.bft*c)
+		}
+	}
+}
+
+// rowPattern appends to cols the state column of every Jacobian entry the
+// kernel emits for measurement mi, in emission order: −1 stands for the
+// reference angle, which has no column. jacobianLoaded emits values in the
+// same order; the two must change together, and Refresh checks that their
+// emission counts agree.
+func (mod *Model) rowPattern(mi int, cols []int) []int {
+	k, y, nA := &mod.k, mod.y, mod.nAngles
+	op := k.ops[mi]
+	switch op.kind {
+	case Vmag:
+		cols = append(cols, nA+int(op.idx))
+	case Angle:
+		cols = append(cols, mod.angPos[op.idx])
+	case Pinj, Qinj:
+		i := int(op.idx)
+		for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
+			j := y.ColIdx[e]
+			cols = append(cols, mod.angPos[j], nA+j)
+		}
+	case Pflow, Qflow:
+		e := &k.ends[op.idx]
+		cols = append(cols, mod.angPos[e.f], mod.angPos[e.t], nA+int(e.f), nA+int(e.t))
+	}
+	return cols
+}
+
+// jacobianLoaded writes every Jacobian entry at the loaded state:
+// emission number c goes to val[slots[c]]. Entries with no column (the
+// reference angle) carry a slot past the matrix's values, so the loop
+// stores unconditionally. It returns the number of emissions.
+func (mod *Model) jacobianLoaded(st *stateLoad, val []float64, slots []int32) int {
+	k, y, vm := &mod.k, mod.y, st.vm
+	c := 0
+	for _, op := range k.ops {
+		switch op.kind {
+		case Vmag, Angle:
+			val[slots[c]] = 1
+			c++
+		case Pinj:
+			i := int(op.idx)
+			vi := vm[i]
+			for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
+				j, g, b := y.ColIdx[e], y.G[e], y.B[e]
+				if j == i {
+					val[slots[c]] = -st.q[i] - b*vi*vi
+					val[slots[c+1]] = st.p[i]/vi + g*vi
+				} else {
+					r := k.ytrig[e]
+					cs, sn := st.cos[r>>1], st.sin[r]
+					val[slots[c]] = vi * vm[j] * (g*sn - b*cs)
+					val[slots[c+1]] = vi * (g*cs + b*sn)
+				}
+				c += 2
+			}
+		case Qinj:
+			i := int(op.idx)
+			vi := vm[i]
+			for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
+				j, g, b := y.ColIdx[e], y.G[e], y.B[e]
+				if j == i {
+					val[slots[c]] = st.p[i] - g*vi*vi
+					val[slots[c+1]] = st.q[i]/vi - b*vi
+				} else {
+					r := k.ytrig[e]
+					cs, sn := st.cos[r>>1], st.sin[r]
+					val[slots[c]] = -vi * vm[j] * (g*cs + b*sn)
+					val[slots[c+1]] = vi * (g*sn - b*cs)
+				}
+				c += 2
+			}
+		case Pflow:
+			// Pf = Vf²·gff + Vf·Vt·(gft·c + bft·s)
+			e := &k.ends[op.idx]
+			vf, vt := vm[e.f], vm[e.t]
+			cs, sn := st.cos[e.trig>>1], st.sin[e.trig]
+			dThf := vf * vt * (-e.gft*sn + e.bft*cs)
+			val[slots[c]] = dThf
+			val[slots[c+1]] = -dThf
+			val[slots[c+2]] = 2*vf*e.gff + vt*(e.gft*cs+e.bft*sn)
+			val[slots[c+3]] = vf * (e.gft*cs + e.bft*sn)
+			c += 4
+		case Qflow:
+			// Qf = −Vf²·bff + Vf·Vt·(gft·s − bft·c)
+			e := &k.ends[op.idx]
+			vf, vt := vm[e.f], vm[e.t]
+			cs, sn := st.cos[e.trig>>1], st.sin[e.trig]
+			dThf := vf * vt * (e.gft*cs + e.bft*sn)
+			val[slots[c]] = dThf
+			val[slots[c+1]] = -dThf
+			val[slots[c+2]] = -2*vf*e.bff + vt*(e.gft*sn-e.bft*cs)
+			val[slots[c+3]] = vf * (e.gft*sn - e.bft*cs)
+			c += 4
+		}
+	}
+	return c
+}

@@ -6,6 +6,7 @@
 package meas
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -71,19 +72,45 @@ func (m Measurement) Key() string {
 	}
 }
 
+// ErrBadMeasurement marks a measurement no estimate can use: a NaN or
+// infinite value, or a sigma that is NaN, infinite, zero or negative.
+// NewModel and UpdateValues wrap it with the measurement's index and Key.
+var ErrBadMeasurement = errors.New("meas: bad measurement")
+
 // Model evaluates h(x) and H(x) for a fixed network and measurement set.
 // The state vector is x = [θ at every non-reference bus, V at every bus],
 // with the reference (slack) angle fixed at its known value.
+//
+// NewModel snapshots the network: the admittance matrix and the branch-end
+// constants of every metered flow are computed there, once, so a later edit
+// of Net's branch or shunt parameters does not reach h(x) or H(x). Only
+// measurement values (UpdateValues) and the reference angle (SetRefAngle)
+// may change under a live model.
 type Model struct {
 	Net  *grid.Network
 	Meas []Measurement
 
 	y        *grid.YBus
+	k        kernel
 	refBus   int   // internal index of the angle-reference bus
 	angPos   []int // internal bus index -> angle position in x, -1 for ref
 	nAngles  int
 	refAngle float64
-	needInj  bool // any Pinj/Qinj measurement present
+}
+
+// checkValue and checkSigma are the ErrBadMeasurement conditions.
+func checkValue(i int, m Measurement) error {
+	if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) {
+		return fmt.Errorf("%w: measurement %d (%s) has non-finite value %g", ErrBadMeasurement, i, m.Key(), m.Value)
+	}
+	return nil
+}
+
+func checkSigma(i int, m Measurement) error {
+	if !(m.Sigma > 0) || math.IsInf(m.Sigma, 0) {
+		return fmt.Errorf("%w: measurement %d (%s) has sigma %g, want finite and positive", ErrBadMeasurement, i, m.Key(), m.Sigma)
+	}
+	return nil
 }
 
 // NewModel builds a measurement model. ref is the internal index of the
@@ -92,12 +119,22 @@ func NewModel(n *grid.Network, ms []Measurement, ref int, refAngle float64) (*Mo
 	if ref < 0 || ref >= n.N() {
 		return nil, fmt.Errorf("meas: reference bus index %d out of range", ref)
 	}
+	for bi, br := range n.Branches {
+		// The negated comparison also catches a NaN impedance.
+		if den := br.R*br.R + br.X*br.X; br.Status && !(den > 0) {
+			return nil, fmt.Errorf("meas: in-service branch %d (%d-%d) has no series impedance (R=%g, X=%g)", bi, br.From, br.To, br.R, br.X)
+		}
+	}
+	ops := make([]measOp, len(ms))
 	for i, m := range ms {
+		ops[i].kind = m.Kind
 		switch m.Kind {
 		case Vmag, Pinj, Qinj, Angle:
-			if _, ok := n.Index(m.Bus); !ok {
+			bus, ok := n.Index(m.Bus)
+			if !ok {
 				return nil, fmt.Errorf("meas: measurement %d references unknown bus %d", i, m.Bus)
 			}
+			ops[i].idx = int32(bus)
 		case Pflow, Qflow:
 			if m.Branch < 0 || m.Branch >= len(n.Branches) {
 				return nil, fmt.Errorf("meas: measurement %d references unknown branch %d", i, m.Branch)
@@ -105,22 +142,23 @@ func NewModel(n *grid.Network, ms []Measurement, ref int, refAngle float64) (*Mo
 			if !n.Branches[m.Branch].Status {
 				return nil, fmt.Errorf("meas: measurement %d references out-of-service branch %d", i, m.Branch)
 			}
+			ops[i].idx = int32(2 * m.Branch)
+			if !m.FromSide {
+				ops[i].idx++
+			}
 		default:
 			return nil, fmt.Errorf("meas: measurement %d has invalid kind %v", i, m.Kind)
 		}
-		if m.Sigma <= 0 {
-			return nil, fmt.Errorf("meas: measurement %d has non-positive sigma %g", i, m.Sigma)
+		if err := checkSigma(i, m); err != nil {
+			return nil, err
+		}
+		if err := checkValue(i, m); err != nil {
+			return nil, err
 		}
 	}
 	mod := &Model{
 		Net: n, Meas: ms, y: grid.BuildYBus(n),
 		refBus: ref, refAngle: refAngle,
-	}
-	for _, m := range ms {
-		if m.Kind == Pinj || m.Kind == Qinj {
-			mod.needInj = true
-			break
-		}
 	}
 	mod.angPos = make([]int, n.N())
 	pos := 0
@@ -133,6 +171,7 @@ func NewModel(n *grid.Network, ms []Measurement, ref int, refAngle float64) (*Mo
 		pos++
 	}
 	mod.nAngles = pos
+	mod.compile(ops)
 	return mod, nil
 }
 
@@ -215,202 +254,25 @@ func (mod *Model) FlatVec() []float64 {
 	return x
 }
 
-// branchY returns the two-port admittance blocks of branch br.
-func branchY(br grid.Branch) (gff, bff, gft, bft, gtf, btf, gtt, btt float64) {
-	den := br.R*br.R + br.X*br.X
-	gs := br.R / den
-	bs := -br.X / den
-	tap := br.Tap
-	if tap == 0 {
-		tap = 1
-	}
-	c, s := math.Cos(br.Shift), math.Sin(br.Shift)
-	bc2 := br.B / 2
-	gff = gs / (tap * tap)
-	bff = (bs + bc2) / (tap * tap)
-	gtt = gs
-	btt = bs + bc2
-	gft = -(gs*c - bs*s) / tap
-	bft = -(bs*c + gs*s) / tap
-	gtf = -(gs*c + bs*s) / tap
-	btf = -(bs*c - gs*s) / tap
-	return
-}
-
-// Eval computes h(x) for the model's measurement set.
+// Eval computes h(x) for the model's measurement set: one state load and
+// one pass of the compiled kernel, as JacobianPlan.EvalInto does on buffers
+// it keeps.
 func (mod *Model) Eval(x []float64) []float64 {
-	st := mod.VecToState(x)
+	st := mod.newStateLoad()
+	mod.load(st, x)
 	h := make([]float64, len(mod.Meas))
-	var p, q []float64
-	if mod.needInj {
-		p = make([]float64, mod.Net.N())
-		q = make([]float64, mod.Net.N())
-		calcInj(mod.y, st.Vm, st.Va, p, q)
-	}
-	mod.evalCore(st.Vm, st.Va, p, q, h)
+	mod.evalLoaded(st, h)
 	return h
 }
 
-// evalCore evaluates h(x) into h from unpacked state (vm, va) and, when the
-// measurement set includes injections, precomputed injections (pc, qc). It
-// allocates nothing; every evaluation path funnels through it so the
-// plan-based numeric refresh is bitwise-identical to a fresh Eval.
-func (mod *Model) evalCore(vm, va, pc, qc, h []float64) {
-	for mi, m := range mod.Meas {
-		switch m.Kind {
-		case Vmag:
-			h[mi] = vm[mod.Net.MustIndex(m.Bus)]
-		case Angle:
-			h[mi] = va[mod.Net.MustIndex(m.Bus)]
-		case Pinj, Qinj:
-			i := mod.Net.MustIndex(m.Bus)
-			if m.Kind == Pinj {
-				h[mi] = pc[i]
-			} else {
-				h[mi] = qc[i]
-			}
-		case Pflow, Qflow:
-			pf, qf := mod.flow(m, vm, va)
-			if m.Kind == Pflow {
-				h[mi] = pf
-			} else {
-				h[mi] = qf
-			}
-		}
-	}
-}
-
-// flow evaluates the complex power flow at one end of a branch.
-func (mod *Model) flow(m Measurement, vm, va []float64) (pf, qf float64) {
-	br := mod.Net.Branches[m.Branch]
-	f := mod.Net.MustIndex(br.From)
-	t := mod.Net.MustIndex(br.To)
-	gff, bff, gft, bft, gtf, btf, gtt, btt := branchY(br)
-	if !m.FromSide {
-		f, t = t, f
-		gff, bff, gft, bft = gtt, btt, gtf, btf
-	}
-	vf, vt := vm[f], vm[t]
-	th := va[f] - va[t]
-	c, s := math.Cos(th), math.Sin(th)
-	pf = vf*vf*gff + vf*vt*(gft*c+bft*s)
-	qf = -vf*vf*bff + vf*vt*(gft*s-bft*c)
-	return
-}
-
-// calcInj mirrors powerflow's injection computation (duplicated here to keep
-// the packages independent; both are covered by tests against each other).
-func calcInj(y *grid.YBus, vm, va, p, q []float64) {
-	for i := 0; i < y.N; i++ {
-		var pi, qi float64
-		y.Row(i, func(j int, g, b float64) {
-			th := va[i] - va[j]
-			c, s := math.Cos(th), math.Sin(th)
-			pi += vm[j] * (g*c + b*s)
-			qi += vm[j] * (g*s - b*c)
-		})
-		p[i] = vm[i] * pi
-		q[i] = vm[i] * qi
-	}
-}
-
 // Jacobian assembles the sparse measurement Jacobian H(x) with one row per
-// measurement and one column per state variable. Structural entries whose
-// derivative is exactly zero at x are kept as explicit zeros, so the
-// pattern (and the floating-point contribution order of everything built
-// from it, like the gain matrix) is identical to a JacobianPlan refresh at
-// any state.
+// measurement and one column per state variable: a one-shot JacobianPlan,
+// refreshed at x. Structural entries whose derivative is exactly zero at x
+// are kept as explicit zeros, so the pattern (and the floating-point
+// contribution order of everything built from it, like the gain matrix) is
+// the same at any state.
 func (mod *Model) Jacobian(x []float64) *sparse.CSR {
-	st := mod.VecToState(x)
-	coo := sparse.NewCOO(len(mod.Meas), mod.NState())
-	addA := func(row, bus int, v float64) { // d/dθ_bus
-		if p := mod.angPos[bus]; p >= 0 {
-			coo.Add(row, p, v)
-		}
-	}
-	addV := func(row, bus int, v float64) { // d/dV_bus
-		coo.Add(row, mod.nAngles+bus, v)
-	}
-	var pc, qc []float64
-	if mod.needInj {
-		pc = make([]float64, mod.Net.N())
-		qc = make([]float64, mod.Net.N())
-		calcInj(mod.y, st.Vm, st.Va, pc, qc)
-	}
-	mod.jacCore(st.Vm, st.Va, pc, qc, addA, addV)
-	return coo.ToCSR()
-}
-
-// jacCore emits every structural Jacobian entry for the state (vm, va) in a
-// fixed, deterministic order, calling addA for d/dθ entries and addV for
-// d/dV entries with the raw derivative value. Filtering (reference-angle
-// column, zero values) is the callbacks' business, which lets Jacobian,
-// the symbolic plan build, and the numeric refresh all share one code path
-// — the refresh is therefore bitwise-identical to a fresh assembly.
-func (mod *Model) jacCore(vm, va, pc, qc []float64, addA, addV func(row, bus int, v float64)) {
-	for mi, m := range mod.Meas {
-		switch m.Kind {
-		case Vmag:
-			addV(mi, mod.Net.MustIndex(m.Bus), 1)
-		case Angle:
-			addA(mi, mod.Net.MustIndex(m.Bus), 1)
-		case Pinj:
-			i := mod.Net.MustIndex(m.Bus)
-			vi := vm[i]
-			mod.y.Row(i, func(k int, g, b float64) {
-				if k == i {
-					addA(mi, i, -qc[i]-b*vi*vi)
-					addV(mi, i, pc[i]/vi+g*vi)
-					return
-				}
-				th := va[i] - va[k]
-				c, s := math.Cos(th), math.Sin(th)
-				addA(mi, k, vi*vm[k]*(g*s-b*c))
-				addV(mi, k, vi*(g*c+b*s))
-			})
-		case Qinj:
-			i := mod.Net.MustIndex(m.Bus)
-			vi := vm[i]
-			mod.y.Row(i, func(k int, g, b float64) {
-				if k == i {
-					addA(mi, i, pc[i]-g*vi*vi)
-					addV(mi, i, qc[i]/vi-b*vi)
-					return
-				}
-				th := va[i] - va[k]
-				c, s := math.Cos(th), math.Sin(th)
-				addA(mi, k, -vi*vm[k]*(g*c+b*s))
-				addV(mi, k, vi*(g*s-b*c))
-			})
-		case Pflow, Qflow:
-			br := mod.Net.Branches[m.Branch]
-			f := mod.Net.MustIndex(br.From)
-			t := mod.Net.MustIndex(br.To)
-			gff, bff, gft, bft, gtf, btf, gtt, btt := branchY(br)
-			if !m.FromSide {
-				f, t = t, f
-				gff, bff, gft, bft = gtt, btt, gtf, btf
-			}
-			vf, vt := vm[f], vm[t]
-			th := va[f] - va[t]
-			c, s := math.Cos(th), math.Sin(th)
-			if m.Kind == Pflow {
-				// Pf = Vf²·gff + Vf·Vt·(gft·c + bft·s)
-				dThf := vf * vt * (-gft*s + bft*c)
-				addA(mi, f, dThf)
-				addA(mi, t, -dThf)
-				addV(mi, f, 2*vf*gff+vt*(gft*c+bft*s))
-				addV(mi, t, vf*(gft*c+bft*s))
-			} else {
-				// Qf = −Vf²·bff + Vf·Vt·(gft·s − bft·c)
-				dThf := vf * vt * (gft*c + bft*s)
-				addA(mi, f, dThf)
-				addA(mi, t, -dThf)
-				addV(mi, f, -2*vf*bff+vt*(gft*s-bft*c))
-				addV(mi, t, vf*(gft*s-bft*c))
-			}
-		}
-	}
+	return mod.NewJacobianPlan().Refresh(x)
 }
 
 // Weights returns the WLS weight vector w_i = 1/σ_i².
@@ -436,6 +298,7 @@ func (mod *Model) SetRefAngle(a float64) { mod.refAngle = a }
 // identical measurement set (same kinds, locations, and sigmas, in the same
 // order). It is how a streaming frame of fresh telemetry is folded into an
 // existing model without invalidating any symbolic solver plan built on it.
+// A non-finite value fails with ErrBadMeasurement and changes nothing.
 func (mod *Model) UpdateValues(ms []Measurement) error {
 	if len(ms) != len(mod.Meas) {
 		return fmt.Errorf("meas: UpdateValues with %d measurements, model has %d", len(ms), len(mod.Meas))
@@ -445,6 +308,9 @@ func (mod *Model) UpdateValues(ms []Measurement) error {
 		if m.Kind != o.Kind || m.Bus != o.Bus || m.Branch != o.Branch ||
 			m.FromSide != o.FromSide || m.Sigma != o.Sigma {
 			return fmt.Errorf("meas: UpdateValues structure mismatch at measurement %d (%s vs %s)", i, m.Key(), o.Key())
+		}
+		if err := checkValue(i, m); err != nil {
+			return err
 		}
 	}
 	for i, m := range ms {
