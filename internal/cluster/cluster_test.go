@@ -71,6 +71,77 @@ func TestShapedLinkLatency(t *testing.T) {
 	}
 }
 
+// TestShapedLatencyChargedPerMessage: a persistent link must not hide the
+// lab network's latency behind its first message — k envelopes sent in
+// turn over one 20 ms link take at least k × 20 ms, what k connections
+// used to cost.
+func TestShapedLatencyChargedPerMessage(t *testing.T) {
+	const k = 4
+	const latency = 20 * time.Millisecond
+	tb, err := NewTestbed(2, 1, NewShapedTransport(LinkProfile{Latency: latency}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	src, dst := tb.Sites[0], tb.Sites[1]
+
+	start := time.Now()
+	for i := 0; i < k; i++ {
+		if err := src.Client().Send(context.Background(), dst.Name, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < k; i++ {
+		msg, err := dst.Client().Recv(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg[0] != byte(i) {
+			t.Fatalf("envelope %d arrived as %d: one link must keep order", i, msg[0])
+		}
+	}
+	if elapsed := time.Since(start); elapsed < k*latency {
+		t.Errorf("%d envelopes over a %v link took %v, want ≥ %v", k, latency, elapsed, k*latency)
+	}
+}
+
+// TestTestbedCloseWithLinksUp: every site holds links into every other;
+// closing the testbed must not have one site wait on a handler that is
+// reading another site's still-open link.
+func TestTestbedCloseWithLinksUp(t *testing.T) {
+	tb, err := NewTestbed(3, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range tb.Sites {
+		for _, to := range tb.Sites {
+			if from == to {
+				continue
+			}
+			if err := from.Client().Send(context.Background(), to.Name, []byte(from.Name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, s := range tb.Sites {
+		for i := 0; i < len(tb.Sites)-1; i++ {
+			if _, err := s.Client().Recv(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		tb.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Testbed.Close hung with inbound links still open")
+	}
+}
+
 func TestUnshapedPassThrough(t *testing.T) {
 	tr := NewShapedTransport(LoopbackProfile(), nil)
 	ln, err := tr.Listen("127.0.0.1:0")

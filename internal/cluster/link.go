@@ -19,8 +19,8 @@ import (
 type LinkProfile struct {
 	// Bandwidth caps throughput in bytes/second. Zero means unlimited.
 	Bandwidth float64
-	// Latency is the one-way propagation delay added to each connection's
-	// first byte. Zero means none.
+	// Latency is the one-way propagation delay every message pays, however
+	// long its connection has been up. Zero means none.
 	Latency time.Duration
 }
 
@@ -92,10 +92,13 @@ func (l *shapedListener) Accept() (net.Conn, error) {
 	return newShapedConn(c, l.profile), nil
 }
 
-// shapedConn paces writes: the first write pays the latency, every write
-// pays its serialization delay at the configured bandwidth. Pacing is
-// enforced on the sender side, which is where serialization delay occurs
-// on a real link.
+// shapedConn paces writes: every write pays the latency plus its
+// serialization delay at the configured bandwidth. A Write is a message —
+// both medici protocols hand a whole framed message to one Write — so a
+// persistent link charges each envelope the latency a connection per
+// message used to, and k messages sent in turn take k latencies. Pacing
+// is enforced on the sender side, which is where serialization delay
+// occurs on a real link.
 type shapedConn struct {
 	net.Conn
 	profile LinkProfile
@@ -106,7 +109,6 @@ type shapedConn struct {
 	closeOnce sync.Once
 
 	mu       sync.Mutex
-	started  bool
 	nextFree time.Time
 }
 
@@ -123,10 +125,7 @@ func (c *shapedConn) Write(b []byte) (int, error) {
 	if c.nextFree.Before(now) {
 		c.nextFree = now
 	}
-	if !c.started {
-		c.nextFree = c.nextFree.Add(c.profile.Latency)
-		c.started = true
-	}
+	c.nextFree = c.nextFree.Add(c.profile.Latency)
 	if c.profile.Bandwidth > 0 {
 		serialization := time.Duration(float64(len(b)) / c.profile.Bandwidth * float64(time.Second))
 		c.nextFree = c.nextFree.Add(serialization)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -184,5 +185,265 @@ func TestRunDSECancelPropagates(t *testing.T) {
 	}()
 	if _, err := RunDSE(ctx, fx.dec, fx.ms, DSEOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
+	}
+}
+
+// faultTransport is loopback TCP with two fault hooks for the persistent
+// links. onWrite runs before the n-th write (1-based, counted across
+// connections) on any dialed connection: in a RunDistributed of 9 subsystems
+// writes 1–9 are the acquire requests and 10 onward the envelopes. kill(i)
+// closes the i-th listener and every connection it accepted — a peer
+// whose receiver goes away with its inbound links still up; the testbed's
+// sites are listeners 0..2.
+type faultTransport struct {
+	medici.TCPTransport
+	onWrite func(n int)
+
+	mu        sync.Mutex
+	writes    int
+	listeners []*faultListener
+}
+
+type faultListener struct {
+	net.Listener
+	mu       sync.Mutex
+	accepted []net.Conn
+}
+
+func (l *faultListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.accepted = append(l.accepted, conn)
+		l.mu.Unlock()
+	}
+	return conn, err
+}
+
+type faultConn struct {
+	net.Conn
+	tr *faultTransport
+}
+
+func (c faultConn) Write(b []byte) (int, error) {
+	c.tr.mu.Lock()
+	c.tr.writes++
+	n := c.tr.writes
+	c.tr.mu.Unlock()
+	if c.tr.onWrite != nil {
+		c.tr.onWrite(n)
+	}
+	return c.Conn.Write(b)
+}
+
+func (t *faultTransport) Dial(addr string) (net.Conn, error) {
+	return t.DialContext(context.Background(), addr)
+}
+
+func (t *faultTransport) DialContext(ctx context.Context, addr string) (net.Conn, error) {
+	conn, err := t.TCPTransport.DialContext(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return faultConn{conn, t}, nil
+}
+
+func (t *faultTransport) Listen(addr string) (net.Listener, error) {
+	ln, err := t.TCPTransport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	fl := &faultListener{Listener: ln}
+	t.mu.Lock()
+	t.listeners = append(t.listeners, fl)
+	t.mu.Unlock()
+	return fl, nil
+}
+
+func (t *faultTransport) kill(i int) {
+	t.mu.Lock()
+	l := t.listeners[i]
+	t.mu.Unlock()
+	l.Close()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, conn := range l.accepted {
+		conn.Close()
+	}
+}
+
+// rerunClean checks that a failed run left the decomposition usable: the
+// next run on it, over a healthy network, succeeds with the full exchange.
+func rerunClean(t *testing.T, fx *fixture, wantMessages int) {
+	t.Helper()
+	res, err := RunDistributed(context.Background(), fx.dec, fx.ms, DistributedOptions{Clusters: 3})
+	if err != nil {
+		t.Fatalf("run after a failed one: %v", err)
+	}
+	if res.WireMessages != wantMessages {
+		t.Errorf("run after a failed one moved %d messages, want %d", res.WireMessages, wantMessages)
+	}
+	for i := range fx.truth.Vm {
+		if d := math.Abs(res.State.Va[i] - fx.truth.Va[i]); d > 0.03 {
+			t.Errorf("run after a failed one: bus %d Va error %g", fx.net.Buses[i].ID, d)
+		}
+	}
+}
+
+// TestRunDistributedPeerClosesMidExchange: a site whose receiver goes away
+// while envelopes are in flight must fail the run — a wrapped error naming
+// the exchange, within PhaseTimeout, never a result built from half an
+// exchange — and the next run must not inherit anything from it.
+func TestRunDistributedPeerClosesMidExchange(t *testing.T) {
+	fx := newFixture(t, grid.Case118, 9, 1)
+	clean, err := RunDistributed(context.Background(), fx.dec, fx.ms, DistributedOptions{Clusters: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr := &faultTransport{}
+	tr.onWrite = func(n int) {
+		if n == 12 { // the third envelope: links are up, some packets delivered
+			tr.kill(1)
+		}
+	}
+	const phaseTimeout = 300 * time.Millisecond
+	start := time.Now()
+	res, err := RunDistributed(context.Background(), fx.dec, fx.ms, DistributedOptions{
+		Clusters: 3, Transport: tr, PhaseTimeout: phaseTimeout,
+	})
+	if err == nil || res != nil {
+		t.Fatalf("run with a dead peer returned %v, %v", res, err)
+	}
+	if !strings.Contains(err.Error(), "exchange") {
+		t.Errorf("error does not name the exchange: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > phaseTimeout+2*time.Second {
+		t.Errorf("run took %v with a %v phase timeout", elapsed, phaseTimeout)
+	}
+	rerunClean(t, fx, clean.WireMessages)
+}
+
+// TestRunDistributedCancelMidSend: cancellation landing on an envelope
+// write returns a wrapped context.Canceled naming the exchange, leaves no
+// goroutine behind, and the next run succeeds.
+func TestRunDistributedCancelMidSend(t *testing.T) {
+	fx := newFixture(t, grid.Case118, 9, 1)
+	clean, err := RunDistributed(context.Background(), fx.dec, fx.ms, DistributedOptions{Clusters: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tr := &faultTransport{}
+	tr.onWrite = func(n int) {
+		if n == 12 {
+			cancel()
+		}
+	}
+	start := time.Now()
+	res, err := RunDistributed(ctx, fx.dec, fx.ms, DistributedOptions{Clusters: 3, Transport: tr})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("canceled run returned %v, %v", res, err)
+	}
+	if !strings.Contains(err.Error(), "exchange") {
+		t.Errorf("error does not name the exchange: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("canceled run took %v", elapsed)
+	}
+	if n := waitGoroutines(base, 5*time.Second); n > base+2 {
+		t.Errorf("goroutines leaked: %d before run, %d after settle", base, n)
+	}
+	rerunClean(t, fx, clean.WireMessages)
+}
+
+// closeOrderTransport is loopback TCP that records, per connection, which
+// end called Close first. Both ends of a connection share the key
+// "dialer address>listener address".
+type closeOrderTransport struct {
+	medici.TCPTransport
+	mu    sync.Mutex
+	first map[string]string // link -> "dialing" | "accepting"
+}
+
+type closeOrderConn struct {
+	net.Conn
+	tr        *closeOrderTransport
+	link, end string
+}
+
+func (c closeOrderConn) Close() error {
+	c.tr.mu.Lock()
+	if _, seen := c.tr.first[c.link]; !seen {
+		c.tr.first[c.link] = c.end
+	}
+	c.tr.mu.Unlock()
+	return c.Conn.Close()
+}
+
+type closeOrderListener struct {
+	net.Listener
+	tr *closeOrderTransport
+}
+
+func (l closeOrderListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return closeOrderConn{conn, l.tr, conn.RemoteAddr().String() + ">" + conn.LocalAddr().String(), "accepting"}, nil
+}
+
+func (t *closeOrderTransport) Dial(addr string) (net.Conn, error) {
+	return t.DialContext(context.Background(), addr)
+}
+
+func (t *closeOrderTransport) DialContext(ctx context.Context, addr string) (net.Conn, error) {
+	conn, err := t.TCPTransport.DialContext(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return closeOrderConn{conn, t, conn.LocalAddr().String() + ">" + conn.RemoteAddr().String(), "dialing"}, nil
+}
+
+func (t *closeOrderTransport) Listen(addr string) (net.Listener, error) {
+	ln, err := t.TCPTransport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return closeOrderListener{ln, t}, nil
+}
+
+// TestRunsHangUpFromTheDialingEnd: every link of a run — site to site, site
+// to data source, site to coordinator — is closed first by the end that
+// dialed it, so TIME_WAIT never lands on a listener's port (DESIGN §12: a
+// run per frame otherwise slows every later Listen to milliseconds).
+func TestRunsHangUpFromTheDialingEnd(t *testing.T) {
+	fx := newFixture(t, grid.Case118, 9, 1)
+	for name, run := range map[string]func(DistributedOptions) error{
+		"distributed": func(o DistributedOptions) error {
+			_, err := RunDistributed(context.Background(), fx.dec, fx.ms, o)
+			return err
+		},
+		"hierarchical": func(o DistributedOptions) error {
+			_, err := RunHierarchical(context.Background(), fx.dec, fx.ms, o)
+			return err
+		},
+	} {
+		tr := &closeOrderTransport{first: make(map[string]string)}
+		if err := run(DistributedOptions{Clusters: 3, Transport: tr}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(tr.first) < 3 {
+			t.Errorf("%s: only %d links seen", name, len(tr.first))
+		}
+		for link, end := range tr.first {
+			if end != "dialing" {
+				t.Errorf("%s: link %s was closed first by its %s end", name, link, end)
+			}
+		}
 	}
 }

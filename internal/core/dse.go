@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -382,22 +380,4 @@ func (st *StepStats) addIterations(results []*wls.Result) {
 			st.PrecondFallbacks += r.PrecondFallbacks
 		}
 	}
-}
-
-// EncodePacket serializes a pseudo packet for middleware transmission.
-func EncodePacket(p PseudoPacket) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return nil, fmt.Errorf("core: encoding pseudo packet: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePacket deserializes a pseudo packet received from the middleware.
-func DecodePacket(b []byte) (PseudoPacket, error) {
-	var p PseudoPacket
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
-		return PseudoPacket{}, fmt.Errorf("core: decoding pseudo packet: %w", err)
-	}
-	return p, nil
 }

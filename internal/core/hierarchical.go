@@ -61,7 +61,10 @@ func RunHierarchical(ctx context.Context, d *Decomposition, global []meas.Measur
 	if err != nil {
 		return nil, err
 	}
-	defer coord.Close()
+	defer func() {
+		tb.HangUp() // dialing ends first
+		coord.Close()
+	}()
 
 	mapping, err := d.MapStep1(p, opts.Map)
 	if err != nil {

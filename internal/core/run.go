@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -16,15 +14,6 @@ import (
 	"repro/internal/powerflow"
 	"repro/internal/wls"
 )
-
-// Envelope wraps middleware payloads with routing metadata so one site can
-// host many state estimators behind a single endpoint.
-type Envelope struct {
-	Kind    string // "pseudo" | "migrate"
-	FromSub int
-	ToSub   int
-	Payload []byte
-}
 
 // DistributedOptions configures a full architecture run on a simulated
 // multi-cluster testbed.
@@ -183,7 +172,7 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 	var wireMu sync.Mutex
 	acqCtx, acqCancel := opts.phaseContext(ctx)
 	err = runOnSites(acqCtx, "acquire", tb, res.Step1Mapping.Assign, func(ctx context.Context, si int, site *cluster.Site) error {
-		payload, err := medici.Fetch(ctx, opts.Transport, source.URL(), []byte(fmt.Sprintf("sub:%d", si)))
+		payload, err := site.Client().Fetch(ctx, source.URL(), encodeSubRequest(si))
 		if err != nil {
 			return fmt.Errorf("core: site %s acquiring subsystem %d data: %w", site.Name, si, err)
 		}
@@ -197,6 +186,10 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 	if err != nil {
 		return nil, err
 	}
+	// The sites are done with the data source and hang up on it before it
+	// closes: a link is closed from its dialing end.
+	tb.HangUp()
+	source.Close()
 	res.Timings.Acquire = time.Since(start)
 
 	// --- DSE Step 1 on the sites. ---
@@ -233,7 +226,11 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 	// --- Raw-data redistribution for migrated subsystems. ---
 	start = time.Now()
 	redistCtx, redistCancel := opts.phaseContext(ctx)
-	err = func() error {
+	migrateTo := make([]int, len(res.Migrated))
+	for k, si := range res.Migrated {
+		migrateTo[k] = res.Step2Mapping.Assign[si]
+	}
+	err = shipEnvelopes(redistCtx, "redistribute", tb, migrateTo, func(ctx context.Context) error {
 		for _, si := range res.Migrated {
 			from := tb.Sites[res.Step1Mapping.Assign[si]]
 			to := tb.Sites[res.Step2Mapping.Assign[si]]
@@ -241,21 +238,19 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 			if err != nil {
 				return err
 			}
-			if err := sendEnvelope(redistCtx, from, to.Name, Envelope{Kind: "migrate", FromSub: si, ToSub: si, Payload: payload}); err != nil {
+			if err := sendEnvelope(ctx, from, to.Name, Envelope{Kind: EnvelopeMigrate, FromSub: si, ToSub: si, Payload: payload}); err != nil {
 				return err
 			}
 			res.WireBytes += len(payload)
 			res.WireMessages++
 		}
-		// Drain the migration messages (sites would hand them to their data
-		// processors; estimation below reuses the in-memory models).
-		for range res.Migrated {
-			if _, err := recvEnvelopeAny(redistCtx, tb, "redistribute"); err != nil {
-				return err
-			}
-		}
 		return nil
-	}()
+	}, func(site *cluster.Site, env Envelope) error {
+		// The new site takes delivery of the raw data (its data processor
+		// would build the model from it; estimation below reuses the
+		// in-memory one).
+		return checkRouting(env, EnvelopeMigrate, tb, res.Step2Mapping.Assign, site)
+	})
 	redistCancel()
 	if err != nil {
 		return nil, err
@@ -273,15 +268,23 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 	// Inter-site packets travel via the middleware; intra-site packets are
 	// handed over in memory (same control center).
 	exchCtx, exchCancel := opts.phaseContext(ctx)
-	err = func() error {
-		var wire int
+	var wireTo []int // destination site of every packet that goes on the wire
+	for si := 0; si < m; si++ {
+		for _, nb := range d.Neighbors(si) {
+			if assign[si] == assign[nb] {
+				incoming[nb] = append(incoming[nb], packets[si])
+			} else {
+				wireTo = append(wireTo, assign[nb])
+			}
+		}
+	}
+	err = shipEnvelopes(exchCtx, "exchange", tb, wireTo, func(ctx context.Context) error {
 		for si := 0; si < m; si++ {
 			// One packet, one encoding: the same bytes serve every remote
 			// neighbor (and the size accounting).
 			var payload []byte
 			for _, nb := range d.Neighbors(si) {
 				if assign[si] == assign[nb] {
-					incoming[nb] = append(incoming[nb], packets[si])
 					continue
 				}
 				if payload == nil {
@@ -290,28 +293,28 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 						return err
 					}
 				}
-				env := Envelope{Kind: "pseudo", FromSub: si, ToSub: nb, Payload: payload}
-				if err := sendEnvelope(exchCtx, tb.Sites[assign[si]], tb.Sites[assign[nb]].Name, env); err != nil {
+				env := Envelope{Kind: EnvelopePseudo, FromSub: si, ToSub: nb, Payload: payload}
+				if err := sendEnvelope(ctx, tb.Sites[assign[si]], tb.Sites[assign[nb]].Name, env); err != nil {
 					return err
 				}
 				res.WireBytes += len(payload)
 				res.WireMessages++
-				wire++
 			}
-		}
-		for k := 0; k < wire; k++ {
-			env, err := recvEnvelopeAny(exchCtx, tb, "exchange")
-			if err != nil {
-				return err
-			}
-			pkt, err := DecodePacket(env.Payload)
-			if err != nil {
-				return err
-			}
-			incoming[env.ToSub] = append(incoming[env.ToSub], pkt)
 		}
 		return nil
-	}()
+	}, func(site *cluster.Site, env Envelope) error {
+		if err := checkRouting(env, EnvelopePseudo, tb, assign, site); err != nil {
+			return err
+		}
+		pkt, err := DecodePacket(env.Payload)
+		if err != nil {
+			return err
+		}
+		// Only ToSub's own site appends here, and the in-memory hand-overs
+		// above finished before any site started receiving.
+		incoming[env.ToSub] = append(incoming[env.ToSub], pkt)
+		return nil
+	})
 	exchCancel()
 	if err != nil {
 		return nil, err
@@ -408,62 +411,57 @@ func runOnSites(ctx context.Context, phase string, tb *cluster.Testbed, assign [
 }
 
 func sendEnvelope(ctx context.Context, from *cluster.Site, toName string, env Envelope) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return fmt.Errorf("core: encoding envelope: %w", err)
+	frame, err := env.encode()
+	if err != nil {
+		return err
 	}
-	return from.Client().Send(ctx, toName, buf.Bytes())
+	return from.Client().Send(ctx, toName, frame)
 }
 
-// envelopePollInterval is how often recvEnvelopeAny rescans the sites'
-// buffered receivers between cancellation checks.
-const envelopePollInterval = 200 * time.Microsecond
-
-// recvEnvelopeAny receives the next envelope from whichever site has one
-// pending (round-robin polling over the sites' buffered receivers). If no
-// envelope arrives before ctx is done — a lost or misrouted message — it
-// returns ctx.Err() wrapped with the phase name instead of spinning
-// forever.
-func recvEnvelopeAny(ctx context.Context, tb *cluster.Testbed, phase string) (Envelope, error) {
-	timer := time.NewTimer(envelopePollInterval)
-	defer timer.Stop()
-	for {
-		for _, s := range tb.Sites {
-			select {
-			case msg := <-s.Client().Messages():
-				var env Envelope
-				if err := gob.NewDecoder(bytes.NewReader(msg)).Decode(&env); err != nil {
-					return Envelope{}, fmt.Errorf("core: decoding envelope: %w", err)
-				}
-				return env, nil
-			default:
+// shipEnvelopes runs one middleware phase. Every site takes delivery of
+// the envelopes addressed to it — dest holds the destination site of each
+// envelope send will put on the wire — blocking on its own inbox until the
+// next one arrives or ctx ends, and passes each to deliver (sequentially
+// within a site, concurrently across sites). The sites are already
+// receiving when send starts, so a phase is never bounded by what inboxes
+// and socket buffers can hold. A lost envelope surfaces as ctx's error
+// wrapped with the phase and the site still waiting.
+func shipEnvelopes(ctx context.Context, phase string, tb *cluster.Testbed, dest []int, send func(ctx context.Context) error, deliver func(site *cluster.Site, env Envelope) error) error {
+	if len(dest) == 0 {
+		return send(ctx) // nothing crosses sites
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	received := make(chan error, 1)
+	go func() {
+		received <- runOnSites(ctx, phase, tb, dest, func(ctx context.Context, _ int, site *cluster.Site) error {
+			msg, err := site.Client().Recv(ctx)
+			if err != nil {
+				return fmt.Errorf("core: %s: site %s waiting for envelope: %w", phase, site.Name, err)
 			}
-		}
-		timer.Reset(envelopePollInterval)
-		select {
-		case <-ctx.Done():
-			return Envelope{}, fmt.Errorf("core: %s: waiting for envelope: %w", phase, ctx.Err())
-		case <-timer.C:
-		}
+			env, err := decodeEnvelope(msg)
+			if err != nil {
+				return fmt.Errorf("core: %s: site %s: %w", phase, site.Name, err)
+			}
+			return deliver(site, env)
+		})
+	}()
+	if err := send(ctx); err != nil {
+		cancel()
+		<-received
+		return fmt.Errorf("core: %s: %w", phase, err)
 	}
+	return <-received
 }
 
-// parseSubRequest decodes a "sub:<idx>" data-source request.
-func parseSubRequest(req []byte, m int) (int, error) {
-	var si int
-	if _, err := fmt.Sscanf(string(req), "sub:%d", &si); err != nil {
-		return 0, fmt.Errorf("core: malformed data request %q", req)
+// checkRouting rejects an envelope of the wrong kind or one that names a
+// subsystem the receiving site does not host under assign.
+func checkRouting(env Envelope, kind EnvelopeKind, tb *cluster.Testbed, assign []int, site *cluster.Site) error {
+	if env.Kind != kind {
+		return fmt.Errorf("core: site %s received envelope kind %d, want %d", site.Name, env.Kind, kind)
 	}
-	if si < 0 || si >= m {
-		return 0, fmt.Errorf("core: data request for unknown subsystem %d", si)
+	if env.ToSub < 0 || env.ToSub >= len(assign) || tb.Sites[assign[env.ToSub]] != site {
+		return fmt.Errorf("core: site %s received an envelope for subsystem %d, which it does not host", site.Name, env.ToSub)
 	}
-	return si, nil
-}
-
-func encodeMeasurements(ms []meas.Measurement) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ms); err != nil {
-		return nil, fmt.Errorf("core: encoding measurements: %w", err)
-	}
-	return buf.Bytes(), nil
+	return nil
 }

@@ -252,3 +252,56 @@ func TestHierarchicalRefinementImprovesBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestWireAccountingPinned: with a fixed layout the wire accounting is an
+// exact function of the run's own mappings and packets — nothing a codec
+// may re-describe from one message to the next. IEEE-118 in 9 subsystems
+// on 3 clusters under the default mapping moves 35 messages: 9
+// acquisitions and 26 pseudo-measurement envelopes.
+func TestWireAccountingPinned(t *testing.T) {
+	fx := newFixture(t, grid.Case118, 9, 1)
+	res, err := RunDistributed(context.Background(), fx.dec, fx.ms, DistributedOptions{Clusters: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMessages, wantBytes := 0, 0
+	rawBytes := make([]int, len(fx.dec.Subsystems))
+	for si := range fx.dec.Subsystems {
+		sp, err := fx.dec.BuildStep1(si, fx.ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rawBytes[si] = 4 + 34*len(sp.Model.Meas)
+		wantMessages++ // acquisition
+		wantBytes += rawBytes[si]
+		pkt := fx.dec.ExtractPseudo(si, sp, res.Step1[si].State)
+		for _, nb := range fx.dec.Neighbors(si) {
+			if res.Step2Mapping.Assign[si] != res.Step2Mapping.Assign[nb] {
+				wantMessages++
+				wantBytes += 12 + 24*len(pkt.States)
+			}
+		}
+	}
+	for _, si := range res.Migrated {
+		wantMessages++
+		wantBytes += rawBytes[si]
+	}
+	if res.WireMessages != wantMessages || res.WireBytes != wantBytes {
+		t.Errorf("wire accounting %d messages / %d bytes, want %d / %d", res.WireMessages, res.WireBytes, wantMessages, wantBytes)
+	}
+	if res.WireMessages != 35 {
+		t.Errorf("WireMessages = %d, want the pinned 35", res.WireMessages)
+	}
+
+	hier, err := RunHierarchical(context.Background(), fx.dec, fx.ms, DistributedOptions{Clusters: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCoord := 0
+	for _, s := range fx.dec.Subsystems {
+		wantCoord += 12 + 24*len(s.Buses) // one packet per subsystem, every own bus in it
+	}
+	if hier.CoordinatorBytes != wantCoord {
+		t.Errorf("CoordinatorBytes = %d, want %d", hier.CoordinatorBytes, wantCoord)
+	}
+}

@@ -22,9 +22,8 @@ type MifPipeline struct {
 
 	mu      sync.Mutex
 	started bool
-	ln      []net.Listener
-	wg      sync.WaitGroup
-	stopped chan struct{} // closed by Stop; releases the ctx watcher
+	acc     []*acceptor // one per component, in component order
+	unwatch func() bool // detaches Stop from the Start context
 }
 
 // NewMifPipeline creates an empty pipeline.
@@ -156,44 +155,17 @@ func (p *MifPipeline) Start(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("medici: component %q listen %s: %w", c.name, in.Addr(), err)
 		}
-		p.ln = append(p.ln, ln)
-		p.wg.Add(1)
-		go p.serveComponent(ctx, c, ln)
-	}
-	p.stopped = make(chan struct{})
-	if ctx.Done() != nil {
-		stopped := p.stopped
-		go func() {
-			select {
-			case <-ctx.Done():
-				p.Stop()
-			case <-stopped:
-			}
-		}()
-	}
-	p.started = true
-	return nil
-}
-
-// serveComponent accepts inbound connections for one component and relays
-// each connection's messages to the outbound endpoint. ctx bounds every
-// outbound relay dial.
-func (p *MifPipeline) serveComponent(ctx context.Context, c *Component, ln net.Listener) {
-	defer p.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			defer conn.Close()
-			if err := p.relay(ctx, c, conn); err != nil && !errors.Is(err, io.EOF) {
+		acc := newAcceptor(ln)
+		p.acc = append(p.acc, acc)
+		acc.serve(func(conn net.Conn) {
+			if err := p.relay(ctx, c, conn); err != nil && !acc.isClosed() {
 				log.Printf("medici: pipeline %q component %q relay: %v", p.name, c.name, err)
 			}
-		}()
+		})
 	}
+	p.unwatch = context.AfterFunc(ctx, p.Stop)
+	p.started = true
+	return nil
 }
 
 // relay is the store-and-forward router: it reads each framed message from
@@ -232,23 +204,25 @@ func (p *MifPipeline) relay(ctx context.Context, c *Component, in net.Conn) erro
 	}
 }
 
-// Stop closes all listeners and waits for in-flight relays to finish. It
-// is safe to call more than once (the Start-context watcher also calls it
-// on cancellation).
+// Stop closes every listener and every inbound connection — an upstream
+// client that streams keeps its link open until it closes, so waiting for
+// it to hang up first could wait forever — then waits for the relays. A
+// message already read off its inbound link is still forwarded; one only
+// partly received is dropped. It is safe to call more than once (canceling
+// the Start context also calls it).
 func (p *MifPipeline) Stop() {
 	p.mu.Lock()
-	lns := p.ln
-	p.ln = nil
+	acc := p.acc
+	p.acc = nil
 	p.started = false
-	if p.stopped != nil {
-		close(p.stopped)
-		p.stopped = nil
+	if p.unwatch != nil {
+		p.unwatch()
+		p.unwatch = nil
 	}
 	p.mu.Unlock()
-	for _, ln := range lns {
-		ln.Close()
+	for _, a := range acc {
+		a.close()
 	}
-	p.wg.Wait()
 }
 
 // InboundURLs returns the bound inbound endpoint URLs, resolving a ":0"
@@ -256,9 +230,9 @@ func (p *MifPipeline) Stop() {
 func (p *MifPipeline) InboundURLs() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]string, len(p.ln))
-	for i, ln := range p.ln {
-		out[i] = "tcp://" + ln.Addr().String()
+	out := make([]string, len(p.acc))
+	for i, a := range p.acc {
+		out[i] = "tcp://" + a.ln.Addr().String()
 	}
 	return out
 }

@@ -24,6 +24,11 @@ type Protocol interface {
 	ReadMessage(r io.Reader) ([]byte, error)
 	// Name identifies the protocol ("eof", "lengthPrefix").
 	Name() string
+	// Streams reports whether messages are delimited inside the byte
+	// stream, so one connection can carry many of them. A protocol that
+	// returns false ends its message by closing the connection; senders
+	// then dial once per message and never keep the link.
+	Streams() bool
 }
 
 // EOFProtocol delimits exactly one message per connection: the writer
@@ -57,6 +62,9 @@ func (EOFProtocol) ReadMessage(r io.Reader) ([]byte, error) {
 // Name implements Protocol.
 func (EOFProtocol) Name() string { return "eof" }
 
+// Streams implements Protocol: the close is the delimiter.
+func (EOFProtocol) Streams() bool { return false }
+
 // LengthPrefixProtocol frames each message with an 8-byte big-endian
 // length, allowing many messages per connection. MaxMessage guards against
 // hostile or corrupt headers; zero means 1 GiB.
@@ -74,17 +82,16 @@ func (p LengthPrefixProtocol) limit() uint64 {
 	return p.MaxMessage
 }
 
-// WriteMessage implements Protocol.
+// WriteMessage implements Protocol. Header and body leave in one Write, so
+// a frame costs one syscall and a shaped link sees it as one message.
 func (p LengthPrefixProtocol) WriteMessage(w io.Writer, msg []byte) error {
 	if uint64(len(msg)) > p.limit() {
 		return fmt.Errorf("%w: %d > %d", ErrMessageTooLarge, len(msg), p.limit())
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], uint64(len(msg)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(msg)
+	frame := make([]byte, 8+len(msg))
+	binary.BigEndian.PutUint64(frame, uint64(len(msg)))
+	copy(frame[8:], msg)
+	_, err := w.Write(frame)
 	return err
 }
 
@@ -103,6 +110,9 @@ func (p LengthPrefixProtocol) ReadMessage(r io.Reader) ([]byte, error) {
 	}
 	msg := make([]byte, n)
 	if _, err := io.ReadFull(r, msg); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF // the header promised a body: not a clean end
+		}
 		return nil, fmt.Errorf("medici: truncated message body: %w", err)
 	}
 	return msg, nil
@@ -110,3 +120,6 @@ func (p LengthPrefixProtocol) ReadMessage(r io.Reader) ([]byte, error) {
 
 // Name implements Protocol.
 func (p LengthPrefixProtocol) Name() string { return "lengthPrefix" }
+
+// Streams implements Protocol.
+func (p LengthPrefixProtocol) Streams() bool { return true }

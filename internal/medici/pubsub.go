@@ -1,10 +1,9 @@
 package medici
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
-	"fmt"
+	"encoding/binary"
+	"errors"
 	"log"
 	"sync"
 	"time"
@@ -17,10 +16,32 @@ import (
 // requested rate — the broker decimates faster streams per subscriber,
 // GridStat's core QoS mechanism.
 
-// pubFrame is the broker wire format (gob inside length-prefix frames).
+// pubFrame is one publication. On the wire it is the body of a
+// length-prefix frame: a 4-byte little-endian topic length, the topic,
+// then the payload to the end of the frame.
 type pubFrame struct {
 	Topic   string
 	Payload []byte
+}
+
+func (f pubFrame) encode() []byte {
+	b := make([]byte, 0, 4+len(f.Topic)+len(f.Payload))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Topic)))
+	b = append(b, f.Topic...)
+	return append(b, f.Payload...)
+}
+
+// decodePubFrame checks the topic length against the frame before slicing;
+// Payload aliases b.
+func decodePubFrame(b []byte) (pubFrame, error) {
+	if len(b) < 4 {
+		return pubFrame{}, errors.New("medici: publish frame shorter than its header")
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if uint64(n) > uint64(len(b)-4) {
+		return pubFrame{}, errors.New("medici: publish frame topic length exceeds the frame")
+	}
+	return pubFrame{Topic: string(b[4 : 4+n]), Payload: b[4+n:]}, nil
 }
 
 // Broker is a topic-based publish/subscribe router with per-subscriber
@@ -142,9 +163,9 @@ func (b *Broker) dispatchLoop() {
 		if err != nil {
 			return // broker closed
 		}
-		var f pubFrame
-		if err := gob.NewDecoder(bytes.NewReader(msg)).Decode(&f); err != nil {
-			log.Printf("medici: broker: bad publish frame: %v", err)
+		f, err := decodePubFrame(msg)
+		if err != nil {
+			log.Printf("medici: broker: %v", err)
 			continue
 		}
 		b.deliver(f)
@@ -216,27 +237,5 @@ func NewPublisher(brokerURL string, tr Transport) (*Publisher, error) {
 // Publish sends one topic update. The context bounds the dial and write
 // to the broker.
 func (p *Publisher) Publish(ctx context.Context, topic string, payload []byte) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pubFrame{Topic: topic, Payload: payload}); err != nil {
-		return fmt.Errorf("medici: encoding publish frame: %w", err)
-	}
-	ep, err := ParseEndpoint(p.broker)
-	if err != nil {
-		return err
-	}
-	conn, err := p.transport.DialContext(ctx, ep.Addr())
-	if err != nil {
-		return fmt.Errorf("medici: dialing broker: %w", ctxIOErr(ctx, err))
-	}
-	if deadline, ok := ctx.Deadline(); ok {
-		conn.SetWriteDeadline(deadline)
-	}
-	stop := cancelOnDone(ctx, conn)
-	werr := p.frame.WriteMessage(conn, buf.Bytes())
-	stop()
-	cerr := conn.Close()
-	if werr != nil {
-		return ctxIOErr(ctx, werr)
-	}
-	return cerr
+	return sendOnce(ctx, p.transport, p.broker, p.frame, pubFrame{Topic: topic, Payload: payload}.encode())
 }

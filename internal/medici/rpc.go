@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -14,9 +15,9 @@ import (
 // middleware client sends the request for data to the destination URL. The
 // middleware resolves the location by the URL, routes the requests and
 // fetches remote measurement data into a local data buffer." A DataServer
-// exposes a fetch handler at an endpoint; Fetch dials it, sends the
-// request and reads the reply on the same connection (length-prefix
-// framed).
+// exposes a fetch handler at an endpoint and answers every request frame
+// on a connection with one reply frame (length-prefix framed), until the
+// caller hangs up. MWClient.Fetch keeps one such connection per server.
 
 // Handler produces the reply for one data request. Returning an error
 // sends an error frame to the caller.
@@ -24,10 +25,8 @@ type Handler func(request []byte) ([]byte, error)
 
 // DataServer serves fetch requests at a TCP endpoint.
 type DataServer struct {
-	ln      net.Listener
-	frame   LengthPrefixProtocol
+	acc     *acceptor
 	handler Handler
-	wg      sync.WaitGroup
 
 	closeOnce sync.Once
 	closeErr  error
@@ -45,52 +44,43 @@ func NewDataServer(tr Transport, addr string, handler Handler) (*DataServer, err
 	if err != nil {
 		return nil, fmt.Errorf("medici: data server listen %s: %w", addr, err)
 	}
-	s := &DataServer{ln: ln, handler: handler}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &DataServer{acc: newAcceptor(ln), handler: handler}
+	s.acc.serve(s.answer)
 	return s, nil
 }
 
 // URL returns the server's endpoint URL.
-func (s *DataServer) URL() string { return "tcp://" + s.ln.Addr().String() }
+func (s *DataServer) URL() string { return "tcp://" + s.acc.ln.Addr().String() }
 
-func (s *DataServer) acceptLoop() {
-	defer s.wg.Done()
+// answer serves one connection's requests in order.
+func (s *DataServer) answer(conn net.Conn) {
+	var frame LengthPrefixProtocol
 	for {
-		conn, err := s.ln.Accept()
+		req, err := frame.ReadMessage(conn)
 		if err != nil {
+			if !errors.Is(err, io.EOF) && !s.acc.isClosed() {
+				log.Printf("medici: data server: reading request: %v", err)
+			}
 			return
 		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			req, err := s.frame.ReadMessage(conn)
-			if err != nil {
-				log.Printf("medici: data server: reading request: %v", err)
-				return
-			}
-			reply, err := s.handler(req)
-			// Status byte prefix: 0 = ok, 1 = handler error (message follows).
-			var out []byte
-			if err != nil {
-				out = append([]byte{1}, []byte(err.Error())...)
-			} else {
-				out = append([]byte{0}, reply...)
-			}
-			if err := s.frame.WriteMessage(conn, out); err != nil {
-				log.Printf("medici: data server: writing reply: %v", err)
-			}
-		}()
+		reply, err := s.handler(req)
+		var out []byte // status byte, then the reply or the error text
+		if err != nil {
+			out = append([]byte{1}, err.Error()...)
+		} else {
+			out = append([]byte{0}, reply...)
+		}
+		if err := frame.WriteMessage(conn, out); err != nil {
+			log.Printf("medici: data server: writing reply: %v", err)
+			return
+		}
 	}
 }
 
-// Close stops the server and waits for in-flight requests.
+// Close stops the server, hanging up on its callers; a request still in
+// its handler loses its reply.
 func (s *DataServer) Close() error {
-	s.closeOnce.Do(func() {
-		s.closeErr = s.ln.Close()
-		s.wg.Wait()
-	})
+	s.closeOnce.Do(func() { s.closeErr = s.acc.close() })
 	return s.closeErr
 }
 
@@ -101,48 +91,48 @@ var ErrRemote = errors.New("medici: remote fetch error")
 // carries no deadline of its own.
 const DefaultFetchTimeout = 30 * time.Second
 
-// Fetch sends a request to a data server URL and returns its reply —
-// MW_Client_Recv's pull counterpart. The context bounds the whole
-// exchange (dial, send and receive); when it carries no deadline,
-// DefaultFetchTimeout applies. Cancellation surfaces as ctx.Err().
-func Fetch(ctx context.Context, tr Transport, url string, request []byte) ([]byte, error) {
-	if tr == nil {
-		tr = TCPTransport{}
-	}
+// Fetch sends a request to the data server at url and returns its reply —
+// MW_Client_Recv's pull counterpart — over the client's persistent link to
+// that server: successive requests share one connection, and concurrent
+// ones take turns on it. The context bounds the whole exchange (dial, send
+// and receive); when it carries no deadline, DefaultFetchTimeout applies.
+// Cancellation surfaces as ctx.Err(). An error from the remote handler
+// comes back wrapped in ErrRemote and leaves the link up: the stream is
+// still in step.
+func (c *MWClient) Fetch(ctx context.Context, url string, request []byte) ([]byte, error) {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, DefaultFetchTimeout)
 		defer cancel()
 	}
-	ep, err := ParseEndpoint(url)
+	var reply []byte
+	err := c.onLink(ctx, url, func(conn net.Conn) (err error) {
+		reply, err = roundTrip(conn, request)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	conn, err := tr.DialContext(ctx, ep.Addr())
-	if err != nil {
-		return nil, fmt.Errorf("medici: fetch dial %s: %w", ep.Addr(), ctxIOErr(ctx, err))
+	// Status byte prefix: 0 = ok, 1 = handler error (message follows).
+	if reply[0] != 0 {
+		return nil, fmt.Errorf("%w: %s", ErrRemote, reply[1:])
 	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(deadline); err != nil {
-			return nil, err
-		}
-	}
-	stop := cancelOnDone(ctx, conn)
-	defer stop()
+	return reply[1:], nil
+}
+
+// roundTrip is one fetch exchange on an established connection: write the
+// request frame, read the reply frame, status byte included.
+func roundTrip(conn net.Conn, request []byte) ([]byte, error) {
 	var frame LengthPrefixProtocol
 	if err := frame.WriteMessage(conn, request); err != nil {
-		return nil, fmt.Errorf("medici: fetch send: %w", ctxIOErr(ctx, err))
+		return nil, fmt.Errorf("medici: fetch send: %w", err)
 	}
 	reply, err := frame.ReadMessage(conn)
 	if err != nil {
-		return nil, fmt.Errorf("medici: fetch receive: %w", ctxIOErr(ctx, err))
+		return nil, fmt.Errorf("medici: fetch receive: %w", err)
 	}
 	if len(reply) == 0 {
-		return nil, fmt.Errorf("medici: fetch: empty reply frame")
+		return nil, errors.New("medici: fetch: empty reply frame")
 	}
-	if reply[0] != 0 {
-		return nil, fmt.Errorf("%w: %s", ErrRemote, string(reply[1:]))
-	}
-	return reply[1:], nil
+	return reply, nil
 }

@@ -10,6 +10,17 @@ import (
 	"time"
 )
 
+// fetchClient is a client with no peers, for tests that only fetch.
+func fetchClient(t *testing.T) *MWClient {
+	t.Helper()
+	c, err := NewMWClient("fetcher", "127.0.0.1:0", NewRegistry(), nil, LengthPrefixProtocol{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 func TestFetchRoundTrip(t *testing.T) {
 	srv, err := NewDataServer(nil, "127.0.0.1:0", func(req []byte) ([]byte, error) {
 		return append([]byte("data-for:"), req...), nil
@@ -21,7 +32,7 @@ func TestFetchRoundTrip(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	reply, err := Fetch(ctx, nil, srv.URL(), []byte("bus-voltages"))
+	reply, err := fetchClient(t).Fetch(ctx, srv.URL(), []byte("bus-voltages"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +51,7 @@ func TestFetchEmptyReplyBody(t *testing.T) {
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	reply, err := Fetch(ctx, nil, srv.URL(), []byte("x"))
+	reply, err := fetchClient(t).Fetch(ctx, srv.URL(), []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +70,7 @@ func TestFetchRemoteError(t *testing.T) {
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	_, err = Fetch(ctx, nil, srv.URL(), []byte("nothing"))
+	_, err = fetchClient(t).Fetch(ctx, srv.URL(), []byte("nothing"))
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("err = %v, want ErrRemote", err)
 	}
@@ -76,12 +87,13 @@ func TestFetchConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 30; i++ {
 		wg.Add(1)
+		c := fetchClient(t) // a connection each: the server answers them side by side
 		go func(i int) {
 			defer wg.Done()
 			req := []byte(fmt.Sprintf("req-%d", i))
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			reply, err := Fetch(ctx, nil, srv.URL(), req)
+			reply, err := c.Fetch(ctx, srv.URL(), req)
 			if err != nil {
 				t.Errorf("fetch %d: %v", i, err)
 				return
@@ -103,7 +115,7 @@ func TestFetchDeadServer(t *testing.T) {
 	srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	if _, err := Fetch(ctx, nil, url, []byte("x")); err == nil {
+	if _, err := fetchClient(t).Fetch(ctx, url, []byte("x")); err == nil {
 		t.Fatal("fetch from closed server succeeded")
 	}
 }
@@ -144,7 +156,7 @@ func TestFetchDeadlineExpiry(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = Fetch(ctx, nil, srv.URL(), []byte("slow"))
+	_, err = fetchClient(t).Fetch(ctx, srv.URL(), []byte("slow"))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -171,7 +183,7 @@ func TestFetchCancelUnblocks(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = Fetch(ctx, nil, srv.URL(), []byte("slow"))
+	_, err = fetchClient(t).Fetch(ctx, srv.URL(), []byte("slow"))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
