@@ -231,20 +231,16 @@ func BenchmarkEndToEndDSE(b *testing.B) {
 }
 
 // BenchmarkCentralizedWLS118 is the baseline the paper compares against:
-// one full-system WLS solve on IEEE-118, crossed with the gain-matrix
-// storage format. The formats are forced explicitly because FormatAuto
-// keeps the 118-bus gain (nnz below the parallel threshold) on scalar
-// CSR; the csr row — Jacobi-PCG, the paper's solver — is therefore the
-// historical default, and the ldl row is what wls.Options{} runs now.
+// one full-system WLS solve on IEEE-118. The jacobi row is Jacobi-PCG, the
+// paper's solver (named csr up to BENCH_12), and the ldl row is what
+// wls.Options{} runs.
 func BenchmarkCentralizedWLS118(b *testing.B) {
 	fx := benchFixture(b)
 	for _, f := range []struct {
 		name string
 		opts wls.Options
 	}{
-		{"csr", wls.Options{Precond: wls.PrecondJacobi, Format: wls.FormatCSR}},
-		{"bsr", wls.Options{Precond: wls.PrecondJacobi, Format: wls.FormatBSR}},
-		{"bjacobi", wls.Options{Precond: wls.PrecondBlockJacobi}},
+		{"jacobi", wls.Options{Precond: wls.PrecondJacobi}},
 		{"ldl", wls.Options{}},
 	} {
 		b.Run(f.name, func(b *testing.B) {
@@ -259,9 +255,7 @@ func BenchmarkCentralizedWLS118(b *testing.B) {
 
 // BenchmarkGainKernels118 isolates the two hot gain-matrix kernels of the
 // PCG solve — numeric refresh G = HᵀWH and mat-vec y = G·x — on the
-// IEEE-118 gain in scalar CSR versus 2×2 bus-blocked BSR, both through
-// the same bus-interleaved ordering so only the storage layout differs.
-// This is the kernel-level speedup the blocked format exists for.
+// IEEE-118 gain as the engine stores it: scalar CSR in natural order.
 func BenchmarkGainKernels118(b *testing.B) {
 	fx := benchFixture(b)
 	ref := fx.Net.SlackIndex()
@@ -271,34 +265,22 @@ func BenchmarkGainKernels118(b *testing.B) {
 	}
 	hj := mod.Jacobian(mod.FlatVec())
 	w := mod.Weights()
-	perm := sparse.BusInterleave(mod.NAngles(), fx.Net.N(), mod.RefBus(), nil)
-	gp := sparse.NewGainPlanOrdered(hj, perm)
+	gp := sparse.NewGainPlan(hj)
 	g := gp.Refresh(hj, w)
-	bm := gp.RefreshBSR(hj, w)
 
 	b.Run("refresh/csr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			gp.Refresh(hj, w)
 		}
 	})
-	b.Run("refresh/bsr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			gp.RefreshBSR(hj, w)
-		}
-	})
-	x := make([]float64, bm.Cols)
+	x := make([]float64, g.Cols)
 	for i := range x {
 		x[i] = 1 + float64(i%7)
 	}
-	y := make([]float64, bm.Rows)
+	y := make([]float64, g.Rows)
 	b.Run("matvec/csr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			g.MulVec(y[:g.Rows], x[:g.Cols])
-		}
-	})
-	b.Run("matvec/bsr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bm.MulVec(y, x)
+			g.MulVec(y, x)
 		}
 	})
 }
@@ -315,53 +297,22 @@ func BenchmarkPowerFlow118(b *testing.B) {
 
 // --- Ablation benches (design choices called out in DESIGN.md §5) ---
 
-// BenchmarkAblationPreconditioner compares gain-solve preconditioners on
-// the full IEEE-118 estimation, crossed with the fill-reducing ordering of
-// the gain matrix (natural / RCM / min-degree). Jacobi is permutation-
-// invariant, so its orderings should tie — a built-in sanity row.
+// BenchmarkAblationPreconditioner compares the gain-solve preconditioners
+// on the full IEEE-118 estimation.
 func BenchmarkAblationPreconditioner(b *testing.B) {
 	fx := benchFixture(b)
-	// The format axis keeps the historical csr row names unchanged (they
-	// anchor cross-run comparisons) and adds blocked variants: jacobi on
-	// the BSR gain, and the 2×2 block-Jacobi preconditioner (BSR-only).
-	precs := []struct {
-		name   string
-		kind   wls.PrecondKind
-		format wls.FormatKind
-	}{
-		{"none", wls.PrecondNone, wls.FormatAuto},
-		{"jacobi", wls.PrecondJacobi, wls.FormatAuto},
-		{"ic0", wls.PrecondIC0, wls.FormatAuto},
-		{"ldl", wls.PrecondLDL, wls.FormatAuto},
-		{"jacobi-bsr", wls.PrecondJacobi, wls.FormatBSR},
-		{"bjacobi", wls.PrecondBlockJacobi, wls.FormatAuto},
-	}
-	orders := []struct {
-		name string
-		kind wls.OrderingKind
-	}{
-		{"natural", wls.OrderNatural},
-		{"rcm", wls.OrderRCM},
-		{"mindeg", wls.OrderMinDegree},
-	}
-	for _, p := range precs {
-		for _, o := range orders {
-			if p.kind == wls.PrecondNone && o.kind != wls.OrderNatural {
-				continue // unpreconditioned CG is ordering-blind
-			}
-			b.Run(p.name+"/"+o.name, func(b *testing.B) {
-				var cg int
-				for i := 0; i < b.N; i++ {
-					res, err := core.CentralizedEstimate(context.Background(), fx.Net, fx.Meas,
-						wls.Options{Precond: p.kind, Ordering: o.kind, Format: p.format})
-					if err != nil {
-						b.Fatal(err)
-					}
-					cg = res.CGIterations
+	for _, p := range []wls.PrecondKind{wls.PrecondLDL, wls.PrecondJacobi, wls.PrecondNone} {
+		b.Run(p.String(), func(b *testing.B) {
+			var cg int
+			for i := 0; i < b.N; i++ {
+				res, err := core.CentralizedEstimate(context.Background(), fx.Net, fx.Meas, wls.Options{Precond: p})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(cg), "cg-iters")
-			})
-		}
+				cg = res.CGIterations
+			}
+			b.ReportMetric(float64(cg), "cg-iters")
+		})
 	}
 }
 
@@ -540,25 +491,7 @@ func BenchmarkTrackerFrames(b *testing.B) {
 	fx := benchFixture(b)
 	for _, p := range []wls.PrecondKind{wls.PrecondJacobi, wls.PrecondLDL} {
 		b.Run(p.String(), func(b *testing.B) {
-			tracker := core.NewTracker(fx.Dec, core.DSEOptions{Rounds: 2, WLS: wls.Options{Precond: p}})
-			if _, err := tracker.Process(fx.Meas); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var skips, total int
-			for i := 0; i < b.N; i++ {
-				res, err := tracker.Process(fx.Meas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				skips += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips
-				total += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips +
-					res.Step1Stats.GainRefreshes + res.Step2Stats.GainRefreshes
-			}
-			if total > 0 {
-				b.ReportMetric(float64(skips)/float64(total), "gain-skip-frac")
-			}
+			benchTrackedFrames(b, fx.Dec, [][]meas.Measurement{fx.Meas}, wls.Options{Precond: p})
 		})
 	}
 }
@@ -569,37 +502,55 @@ var reuseModes = []struct {
 	kind wls.GainReuseKind
 }{
 	{"off", wls.ReuseOff},
-	{"precond", wls.ReusePrecond},
 	{"gain", wls.ReuseGain},
 }
 
 // BenchmarkTrackerFramesReuse crosses the steady-state tracked frame with
-// the numeric-reuse tier, isolating what each tier saves on the hot
-// tracking path under the default preconditioner.
+// the numeric-reuse tier, isolating what the lagged tier saves on the hot
+// tracking path: IEEE-118 re-tracking one frame (every step inside the
+// drift gate), and the 1 416-bus 12-area synthetic WECC cycling eight noise
+// draws — the size and the frame-to-frame movement at which
+// wls.ReuseGainGateDefault was chosen (DESIGN §10).
 func BenchmarkTrackerFramesReuse(b *testing.B) {
 	fx := benchFixture(b)
 	for _, mode := range reuseModes {
 		b.Run(mode.name, func(b *testing.B) {
-			tracker := core.NewTracker(fx.Dec, core.DSEOptions{Rounds: 2, WLS: wls.Options{GainReuse: mode.kind}})
-			if _, err := tracker.Process(fx.Meas); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var skips, total int
-			for i := 0; i < b.N; i++ {
-				res, err := tracker.Process(fx.Meas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				skips += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips
-				total += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips +
-					res.Step1Stats.GainRefreshes + res.Step2Stats.GainRefreshes
-			}
-			if total > 0 {
-				b.ReportMetric(float64(skips)/float64(total), "gain-skip-frac")
-			}
+			benchTrackedFrames(b, fx.Dec, [][]meas.Measurement{fx.Meas}, wls.Options{GainReuse: mode.kind})
 		})
+	}
+
+	dec, frames := weccDSEFixture(b, 12, 8)
+	for _, mode := range reuseModes {
+		b.Run("synth-wecc-12/"+mode.name, func(b *testing.B) {
+			benchTrackedFrames(b, dec, frames, wls.Options{GainReuse: mode.kind})
+		})
+	}
+}
+
+// benchTrackedFrames times Tracker.Process cycling through frames, after
+// one untimed pass over them, and reports the fraction of gain-solve
+// iterations that ran on lagged numerics.
+func benchTrackedFrames(b *testing.B, dec *core.Decomposition, frames [][]meas.Measurement, opts wls.Options) {
+	tracker := core.NewTracker(dec, core.DSEOptions{Rounds: 2, WLS: opts})
+	for _, f := range frames {
+		if _, err := tracker.Process(f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var skips, total int
+	for i := 0; i < b.N; i++ {
+		res, err := tracker.Process(frames[i%len(frames)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		skips += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips
+		total += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips +
+			res.Step1Stats.GainRefreshes + res.Step2Stats.GainRefreshes
+	}
+	if total > 0 {
+		b.ReportMetric(float64(skips)/float64(total), "gain-skip-frac")
 	}
 }
 
@@ -668,32 +619,43 @@ func BenchmarkGainReuse118(b *testing.B) {
 	}
 }
 
+// weccDSEFixture builds the areas-area synthetic WECC, one subsystem per
+// area, and nFrames noise draws (seeds 1, 2, …) of its full metering plan
+// with the PMUs DSE needs at the subsystem reference buses.
+func weccDSEFixture(b *testing.B, areas, nFrames int) (*core.Decomposition, [][]meas.Measurement) {
+	b.Helper()
+	n, err := grid.SynthWECC(grid.SynthOptions{Areas: areas, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pf, err := powerflow.Solve(n, powerflow.Options{FlatStart: true, MaxIter: 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec, err := core.DecomposeWithParts(n, areas, grid.AreaParts(n), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := meas.FullPlan().Build(n)
+	plan = append(plan, core.PMUPlanFor(dec, plan, 0.0005)...)
+	frames := make([][]meas.Measurement, nFrames)
+	for k := range frames {
+		if frames[k], err = meas.Simulate(n, plan, pf.State, 1, int64(1+k)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return dec, frames
+}
+
 // BenchmarkWECCScaleDSE runs the full DSE flow on multi-area synthetic
 // interconnections — the paper's WECC ongoing-work scenario.
 func BenchmarkWECCScaleDSE(b *testing.B) {
 	for _, areas := range []int{4, 12} {
 		b.Run("areas-"+itoa(areas), func(b *testing.B) {
-			n, err := grid.SynthWECC(grid.SynthOptions{Areas: areas, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pf, err := powerflow.Solve(n, powerflow.Options{FlatStart: true, MaxIter: 40})
-			if err != nil {
-				b.Fatal(err)
-			}
-			dec, err := core.DecomposeWithParts(n, areas, grid.AreaParts(n), 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan := meas.FullPlan().Build(n)
-			plan = append(plan, core.PMUPlanFor(dec, plan, 0.0005)...)
-			ms, err := meas.Simulate(n, plan, pf.State, 1, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
+			dec, frames := weccDSEFixture(b, areas, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunDSE(context.Background(), dec, ms, core.DSEOptions{}); err != nil {
+				if _, err := core.RunDSE(context.Background(), dec, frames[0], core.DSEOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

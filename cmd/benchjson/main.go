@@ -10,9 +10,12 @@
 //
 // With -compare OLD.json the tool additionally prints a per-benchmark
 // ratio table (new/old ms/op and allocs/op) against a previously committed
-// record, flagging entries whose time ratio exceeds -tol. The comparison
-// is a report, not a gate: the exit status stays zero, matching the
-// repo's non-gating CI bench job.
+// record, flagging entries whose time ratio exceeds -tol. The time ratios
+// are a report, not a gate: CI machine noise routinely exceeds any
+// tolerance. Allocation counts are deterministic for a given build, so a
+// benchmark present in both records whose allocs/op rose by more than 5 %
+// makes the tool exit with status 3 — the one result the CI bench job
+// fails on.
 //
 // Repeated runs of the same benchmark (from -count N) are aggregated: the
 // JSON records the minimum ns/op (the least-noise estimate of the true
@@ -48,7 +51,7 @@ type Entry struct {
 
 func main() {
 	out := flag.String("o", "BENCH_1.json", "output JSON file ('-' for stdout)")
-	compare := flag.String("compare", "", "previous JSON record to diff against (report only, never fails)")
+	compare := flag.String("compare", "", "previous JSON record to diff against (fails, status 3, only on an allocs/op rise > 5%)")
 	tol := flag.Float64("tol", 1.10, "time ratio above which a benchmark is flagged as a regression")
 	flag.Parse()
 
@@ -97,9 +100,18 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		writeComparison(os.Stdout, old, entries, *tol)
+		if writeComparison(os.Stdout, old, entries, *tol) > 0 {
+			os.Exit(exitAllocs)
+		}
 	}
 }
+
+// allocTol is the allocs/op ratio above which -compare fails, and
+// exitAllocs the exit status that reports it (1 is any other error).
+const (
+	allocTol   = 1.05
+	exitAllocs = 3
+)
 
 // loadRecord reads a previously committed benchmark JSON record.
 func loadRecord(path string) (map[string]*Entry, error) {
@@ -116,14 +128,15 @@ func loadRecord(path string) (map[string]*Entry, error) {
 
 // writeComparison prints the per-benchmark new/old ratio table. Benchmarks
 // present on only one side are listed as added/removed; a time ratio above
-// tol is flagged, a reciprocal improvement is marked.
-func writeComparison(w io.Writer, old, cur map[string]*Entry, tol float64) {
+// tol is flagged, a reciprocal improvement is marked. It returns how many
+// benchmarks' allocs/op rose past allocTol.
+func writeComparison(w io.Writer, old, cur map[string]*Entry, tol float64) int {
 	names := make([]string, 0, len(cur))
 	for n := range cur {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	regressions := 0
+	regressions, allocRises := 0, 0
 	fmt.Fprintf(w, "%-64s %12s %12s %8s %10s\n", "benchmark", "old ms/op", "new ms/op", "ratio", "allocs")
 	for _, n := range names {
 		e := cur[n]
@@ -150,6 +163,10 @@ func writeComparison(w io.Writer, old, cur map[string]*Entry, tol float64) {
 		case ratio > 0 && ratio < 1/tol:
 			note = "  (improved)"
 		}
+		if o.AllocsPerOp > 0 && e.AllocsPerOp > allocTol*o.AllocsPerOp {
+			note += "  << allocs"
+			allocRises++
+		}
 		fmt.Fprintf(w, "%-64s %12.3f %12.3f %7.2fx %10s%s\n", n, o.NsPerOp/1e6, e.NsPerOp/1e6, ratio, allocs, note)
 	}
 	removed := make([]string, 0)
@@ -165,6 +182,10 @@ func writeComparison(w io.Writer, old, cur map[string]*Entry, tol float64) {
 	if regressions > 0 {
 		fmt.Fprintf(w, "benchjson: %d benchmark(s) slower than %.2fx the previous record\n", regressions, tol)
 	}
+	if allocRises > 0 {
+		fmt.Fprintf(w, "benchjson: %d benchmark(s) allocate more than %.2fx the previous record's allocs/op\n", allocRises, allocTol)
+	}
+	return allocRises
 }
 
 // parse scans go-test bench output. A benchmark line looks like

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -44,7 +45,15 @@ func TestWriteComparisonFlagsRegressions(t *testing.T) {
 		"BenchmarkAdded-8": {NsPerOp: 1e6},
 	}
 	var sb strings.Builder
-	writeComparison(&sb, old, cur, 1.10)
+	if rises := writeComparison(&sb, old, cur, 1.10); rises != 1 {
+		t.Fatalf("%d allocs/op rises reported, want 1 (BenchmarkSlow, 10 -> 20)", rises)
+	}
+	// Time alone never gates, nor does an allocation rise within 5 %.
+	steady := map[string]*Entry{"BenchmarkB-8": {NsPerOp: 1e6, AllocsPerOp: 100}}
+	slower := map[string]*Entry{"BenchmarkB-8": {NsPerOp: 5e6, AllocsPerOp: 104}}
+	if rises := writeComparison(io.Discard, steady, slower, 1.10); rises != 0 {
+		t.Fatalf("%d allocs/op rises reported for 100 -> 104, want 0", rises)
+	}
 	out := sb.String()
 	for _, want := range []string{
 		"<< regression",  // BenchmarkSlow at 2.00x
@@ -53,6 +62,7 @@ func TestWriteComparisonFlagsRegressions(t *testing.T) {
 		"removed",        // BenchmarkRemoved has no new record
 		"2.00x",          // slow time ratio and alloc ratio
 		"1 benchmark(s)", // regression summary line
+		"<< allocs",      // BenchmarkSlow allocates 2.00x
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("comparison output missing %q:\n%s", want, out)

@@ -35,9 +35,8 @@ func main() {
 		hier       = flag.Bool("hierarchical", false, "run the coordinator-based hierarchical mode instead of peer-to-peer DSE")
 		refine     = flag.Bool("refine", false, "with -hierarchical: coordinator re-estimates the boundary system")
 		frames     = flag.Int("frames", 1, "track this many measurement frames in-process (session reuse + warm starts)")
-		gainReuse  = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto, off, precond, gain")
-		adaptGate  = flag.Bool("adaptive-gate", false, "scale the reuse drift gate from observed lagged-solve outcomes")
-		precond    = flag.String("precond", wls.Options{}.Precond.String(), "PCG preconditioner: ldl, jacobi, none, ic0 or bjacobi (jacobi is the paper's solver [2])")
+		gainReuse  = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto, off, gain")
+		precond    = flag.String("precond", wls.Options{}.Precond.String(), "PCG preconditioner: ldl, jacobi or none (jacobi is the paper's solver [2])")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	)
 	flag.Parse()
@@ -52,18 +51,16 @@ func main() {
 	case "auto":
 	case "off":
 		reuseKind = gridse.ReuseOff
-	case "precond":
-		reuseKind = gridse.ReusePrecond
 	case "gain":
 		reuseKind = gridse.ReuseGain
 	default:
-		log.Fatalf("unknown -gain-reuse %q (want auto, off, precond or gain)", *gainReuse)
+		log.Fatalf("unknown -gain-reuse %q (want auto, off or gain)", *gainReuse)
 	}
 	precondKind, err := wls.ParsePrecond(*precond)
 	if err != nil {
 		log.Fatal(err)
 	}
-	wlsOpts := gridse.EstimatorOptions{GainReuse: reuseKind, AdaptiveGate: *adaptGate, Precond: precondKind}
+	wlsOpts := gridse.EstimatorOptions{GainReuse: reuseKind, Precond: precondKind}
 
 	// Interrupt (Ctrl-C) or SIGTERM cancels the run cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

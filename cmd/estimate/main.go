@@ -24,10 +24,8 @@ func main() {
 		noise    = flag.Float64("noise", 1.0, "meter noise level (1 = nominal)")
 		seed     = flag.Int64("seed", 42, "measurement noise seed")
 		solver   = flag.String("solver", "pcg", "gain-matrix solver: pcg|dense|qr")
-		precond  = flag.String("precond", wls.Options{}.Precond.String(), "PCG preconditioner: ldl|jacobi|none|ic0|bjacobi (jacobi is the paper's solver [2])")
-		format   = flag.String("format", "auto", "gain-matrix layout: auto|csr|bsr")
-		reuse    = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto|off|precond|gain")
-		adaptive = flag.Bool("adaptive-gate", false, "scale the reuse drift gate from observed lagged-solve outcomes")
+		precond  = flag.String("precond", wls.Options{}.Precond.String(), "PCG preconditioner: ldl|jacobi|none (jacobi is the paper's solver [2])")
+		reuse    = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto|off|gain")
 		workers  = flag.Int("workers", 0, "parallel mat-vec workers (0 = GOMAXPROCS)")
 		plan     = flag.String("plan", "full", "metering plan: full|rtu|pmu")
 		baddata  = flag.Bool("baddata", false, "run chi-square bad-data detection")
@@ -70,7 +68,7 @@ func main() {
 		log.Fatalf("simulate: %v", err)
 	}
 
-	opts := gridse.EstimatorOptions{Workers: *workers, AdaptiveGate: *adaptive}
+	opts := gridse.EstimatorOptions{Workers: *workers}
 	switch *solver {
 	case "pcg":
 		opts.Solver = gridse.SolverPCG
@@ -84,23 +82,11 @@ func main() {
 	if opts.Precond, err = wls.ParsePrecond(*precond); err != nil {
 		log.Fatal(err)
 	}
-	switch *format {
-	case "auto":
-		opts.Format = gridse.FormatAuto
-	case "csr":
-		opts.Format = gridse.FormatCSR
-	case "bsr":
-		opts.Format = gridse.FormatBSR
-	default:
-		log.Fatalf("unknown format %q", *format)
-	}
 	switch *reuse {
 	case "auto":
 		opts.GainReuse = gridse.ReuseAuto
 	case "off":
 		opts.GainReuse = gridse.ReuseOff
-	case "precond":
-		opts.GainReuse = gridse.ReusePrecond
 	case "gain":
 		opts.GainReuse = gridse.ReuseGain
 	default:

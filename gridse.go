@@ -165,23 +165,17 @@ type (
 	Observability = wls.Observability
 )
 
-// Estimator solver, preconditioner, gain-layout, and numeric-reuse choices.
+// Estimator solver, preconditioner, and numeric-reuse choices.
 const (
-	SolverPCG          = wls.PCG
-	SolverDense        = wls.Dense
-	SolverQR           = wls.QR
-	PrecondLDL         = wls.PrecondLDL
-	PrecondJacobi      = wls.PrecondJacobi
-	PrecondNone        = wls.PrecondNone
-	PrecondIC0         = wls.PrecondIC0
-	PrecondBlockJacobi = wls.PrecondBlockJacobi
-	FormatAuto         = wls.FormatAuto
-	FormatCSR          = wls.FormatCSR
-	FormatBSR          = wls.FormatBSR
-	ReuseAuto          = wls.ReuseAuto
-	ReuseOff           = wls.ReuseOff
-	ReusePrecond       = wls.ReusePrecond
-	ReuseGain          = wls.ReuseGain
+	SolverPCG     = wls.PCG
+	SolverDense   = wls.Dense
+	SolverQR      = wls.QR
+	PrecondLDL    = wls.PrecondLDL
+	PrecondJacobi = wls.PrecondJacobi
+	PrecondNone   = wls.PrecondNone
+	ReuseAuto     = wls.ReuseAuto
+	ReuseOff      = wls.ReuseOff
+	ReuseGain     = wls.ReuseGain
 )
 
 // Estimate runs centralized WLS state estimation with default options,

@@ -15,10 +15,10 @@ import (
 
 // PoolOptions configures a what-if estimation pool.
 type PoolOptions struct {
-	// WLS configures every per-outage Gauss–Newton solve. GainReuse left at
-	// ReuseAuto resolves to the tracking tier (wls.ReuseGain): re-screens of
-	// a quiescent system run whole what-if solves on the previous sweep's
-	// gain and preconditioner numerics.
+	// WLS configures every per-outage Gauss–Newton solve. The pool keeps its
+	// engines across sweeps, so GainReuse left at ReuseAuto runs as
+	// wls.ReuseGain: re-screens of a quiescent system run whole what-if
+	// solves on the previous sweep's gain and preconditioner numerics.
 	WLS wls.Options
 	// Decomposition, when set, switches the pool from centralized what-if
 	// estimation (one wls.Engine per outage on the full perturbed network)
@@ -30,8 +30,8 @@ type PoolOptions struct {
 	// angles at all buses is the simple sufficient covering, since
 	// connectivity repair can move reference buses on perturbed topologies).
 	Decomposition *core.Decomposition
-	// DSE configures the distributed runs (Decomposition mode only). Cache
-	// is ignored: each pool entry pins its own tracker session.
+	// DSE configures the distributed runs (Decomposition mode only); each
+	// pool entry's tracker pins its own session.
 	DSE core.DSEOptions
 	// SensitivityRadius is the boundary-sensitivity radius for perturbed
 	// decompositions (0 selects 1, matching DecomposeOptions).
@@ -77,9 +77,10 @@ type SweepStats struct {
 	// iterations over all estimated cases.
 	GNIterations int
 	CGIterations int
-	// GainRefreshes/GainSkips/PrecondSkips/ReuseFallbacks aggregate the §10
-	// drift-gated reuse counters over all estimated cases, and
-	// PrecondFallbacks the LDLᵀ breakdowns that ran on Jacobi.
+	// GainRefreshes/GainSkips/ReuseFallbacks aggregate the §10 drift-gated
+	// reuse counters over all estimated cases, and PrecondFallbacks the LDLᵀ
+	// breakdowns that ran on Jacobi. PrecondSkips always equals GainSkips
+	// and stays only because benchmark/workload.go still reads it.
 	GainRefreshes    int
 	GainSkips        int
 	PrecondSkips     int
@@ -379,9 +380,7 @@ func (p *Pool) runDistributed(ctx context.Context, out int, e *caseSession, fram
 		if err != nil {
 			return err
 		}
-		dseOpts := p.opts.DSE
-		dseOpts.Cache = nil // each entry pins its own tracker session
-		e = &caseSession{outage: out, net: dec.Net, dec: dec, trk: core.NewTracker(dec, dseOpts)}
+		e = &caseSession{outage: out, net: dec.Net, dec: dec, trk: core.NewTracker(dec, p.opts.DSE)}
 		st.SkeletonBuilds++
 		p.mu.Lock()
 		p.entries[out] = e

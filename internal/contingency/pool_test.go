@@ -80,10 +80,10 @@ func testRescreenEquivalence(t *testing.T, n *grid.Network, wantParallel bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ReusePrecond keeps the gain operator exact, so pooled estimates stay
+	// ReuseOff keeps the gain operator exact, so pooled estimates stay
 	// pinned to the cold path; the tight tolerance keeps the warm-started
 	// and flat-started fixed points within 1e-9 of each other.
-	wopts := wls.Options{Tol: 1e-9, GainReuse: wls.ReusePrecond}
+	wopts := wls.Options{Tol: 1e-9, GainReuse: wls.ReuseOff}
 	popts := ParallelOptions{Workers: 3, Scheduling: CounterScheduling}
 	ctx := context.Background()
 

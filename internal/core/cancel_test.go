@@ -174,7 +174,8 @@ func TestRunDistributedExchangeTimeout(t *testing.T) {
 }
 
 // TestRunDSECancelPropagates: RunDSE (the in-process flow) also honors
-// cancellation between Gauss-Newton iterations.
+// cancellation between Gauss-Newton iterations. The run is given far more
+// Step-2 rounds than fit before the cancel, so it cannot finish first.
 func TestRunDSECancelPropagates(t *testing.T) {
 	fx := weccFixture(t, 6)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -183,7 +184,7 @@ func TestRunDSECancelPropagates(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := RunDSE(ctx, fx.dec, fx.ms, DSEOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := RunDSE(ctx, fx.dec, fx.ms, DSEOptions{Rounds: 2000}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 }

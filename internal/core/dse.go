@@ -41,54 +41,6 @@ type DSEOptions struct {
 	// wls.WarmStartGate) — the flat-start-every-round baseline used by
 	// equivalence tests and ablation benchmarks.
 	NoStep2WarmStart bool
-	// Cache, when non-nil, pins a private Session for the run instead of
-	// the decomposition-owned one (the Tracker supplies a Cache so its
-	// session survives Tracker.Reset semantics independently of other
-	// users of the same Decomposition).
-	//
-	// Deprecated: callers no longer need to pass a cache for cross-frame
-	// plan reuse — every Decomposition lazily owns a Session that RunDSE,
-	// RunDistributed, and RunHierarchical use automatically.
-	Cache *DSECache
-}
-
-// DSECache pins one Session across orchestrator calls. It survives as a
-// thin alias from the pre-session API: the per-subsystem engine slots it
-// used to hold now live in the Session, together with the subproblem
-// skeletons and warm-start state the old cache could not keep.
-//
-// Deprecated: see DSEOptions.Cache.
-type DSECache struct {
-	mu sync.Mutex
-	s  *Session
-}
-
-// sessionFor returns the cache's pinned session locked for one run,
-// (re)creating it when absent, bound to a different decomposition, or
-// configured differently.
-func (c *DSECache) sessionFor(d *Decomposition, opts DSEOptions) (*Session, func()) {
-	cfg := sessionConfigFor(opts)
-	c.mu.Lock()
-	s := c.s
-	if s == nil || s.d != d || s.cfg != cfg {
-		s = NewSession(d, opts)
-		c.s = s
-	}
-	c.mu.Unlock()
-	return lockOrClone(s, d, opts)
-}
-
-// SkeletonBuilds reports the pinned session's cumulative skeleton-build
-// count (zero when no session has been created yet). See
-// Session.SkeletonBuilds.
-func (c *DSECache) SkeletonBuilds() int {
-	c.mu.Lock()
-	s := c.s
-	c.mu.Unlock()
-	if s == nil {
-		return 0
-	}
-	return s.SkeletonBuilds()
 }
 
 // StepStats reports one DSE phase.
@@ -98,13 +50,14 @@ type StepStats struct {
 	Iterations int
 	// CGIterations sums inner PCG iterations across subsystems.
 	CGIterations int
-	// GainRefreshes/GainSkips/PrecondSkips/ReuseFallbacks aggregate the
-	// drift-gated numeric-reuse counters across subsystems (wls.Result):
-	// how many gain-solve iterations recomputed G = HᵀWH versus reused the
-	// lagged values, how many ran on lagged preconditioner numerics, and
-	// how many lagged steps the residual-decrease guard rolled back.
-	// PrecondFallbacks counts refreshes whose LDLᵀ factorization broke down
-	// and that ran on Jacobi instead.
+	// GainRefreshes/GainSkips/ReuseFallbacks aggregate the drift-gated
+	// numeric-reuse counters across subsystems (wls.Result): how many
+	// gain-solve iterations recomputed G = HᵀWH versus reused the lagged
+	// values, and how many lagged steps the residual-decrease guard rolled
+	// back. PrecondSkips always equals GainSkips and stays only because
+	// benchmark/workload.go still reads it. PrecondFallbacks counts
+	// refreshes whose LDLᵀ factorization broke down and that ran on Jacobi
+	// instead.
 	GainRefreshes    int
 	GainSkips        int
 	PrecondSkips     int
@@ -139,22 +92,16 @@ type DSEResult struct {
 // The context governs the whole run: cancellation is checked between
 // Step-2 rounds and inside every subsystem's Gauss-Newton loop, and the
 // first subsystem error cancels its siblings (fail-fast).
-// resolveSessionReuse applies the session-layer default for the
-// drift-gated numeric-reuse knob: every session-backed orchestrator
-// resolves wls.ReuseAuto to the bit-safe ReusePrecond tier (exact gain
-// operator, lagged preconditioner numerics), so repeated rounds and
-// tracked frames skip preconditioner rebuilds by default while the
-// estimate stays pinned to the always-refresh path. The Tracker further
-// upgrades its own frames to ReuseGain (Tracker.Step).
-func resolveSessionReuse(opts DSEOptions) DSEOptions {
-	if opts.WLS.GainReuse == wls.ReuseAuto {
-		opts.WLS.GainReuse = wls.ReusePrecond
-	}
-	return opts
+func RunDSE(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DSEOptions) (*DSEResult, error) {
+	sess, release := d.sessionFor(opts)
+	defer release()
+	return sess.runDSE(ctx, global, opts)
 }
 
-func RunDSE(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DSEOptions) (*DSEResult, error) {
-	opts = resolveSessionReuse(opts)
+// runDSE is RunDSE on a session the caller has locked.
+func (sess *Session) runDSE(ctx context.Context, global []meas.Measurement, opts DSEOptions) (*DSEResult, error) {
+	opts = sess.beginRun(opts)
+	d := sess.d
 	m := len(d.Subsystems)
 	rounds := opts.Rounds
 	if rounds <= 0 {
@@ -164,9 +111,6 @@ func RunDSE(ctx context.Context, d *Decomposition, global []meas.Measurement, op
 		Step1: make([]*wls.Result, m),
 		Step2: make([]*wls.Result, m),
 	}
-	sess, release := acquireSession(d, opts)
-	defer release()
-	sess.beginRun(opts.WarmStart != nil)
 
 	// DSE Step 1: local estimation per subsystem.
 	probs1 := make([]*Subproblem, m)

@@ -467,32 +467,3 @@ func TestRunDSEWithRTUPlan(t *testing.T) {
 	}
 	t.Logf("RTU-plan DSE: %d measurements, max Vm error %.5f", len(ms), worst)
 }
-
-// TestRunDSEBSRFormatMatchesDefault: the WLS gain-format knob flows
-// through DSEOptions into every local estimator; the blocked layout must
-// reproduce the scalar (CSR) Jacobi-PCG distributed solution to solver
-// tolerance.
-func TestRunDSEBSRFormatMatchesDefault(t *testing.T) {
-	fx := newFixture(t, grid.Case118, 9, 1)
-	def, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{WLS: wls.Options{Precond: wls.PrecondJacobi}})
-	if err != nil {
-		t.Fatalf("RunDSE default: %v", err)
-	}
-	for _, opts := range []wls.Options{
-		{Precond: wls.PrecondJacobi, Format: wls.FormatBSR},
-		{Precond: wls.PrecondBlockJacobi},
-	} {
-		bsr, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{WLS: opts})
-		if err != nil {
-			t.Fatalf("RunDSE %v/%v: %v", opts.Format, opts.Precond, err)
-		}
-		for i := range def.State.Vm {
-			dvm := math.Abs(bsr.State.Vm[i] - def.State.Vm[i])
-			dva := math.Abs(bsr.State.Va[i] - def.State.Va[i])
-			if dvm > 1e-9 || dva > 1e-9 {
-				t.Fatalf("%v/%v differs from default at bus %d: dVm=%g dVa=%g",
-					opts.Format, opts.Precond, i, dvm, dva)
-			}
-		}
-	}
-}

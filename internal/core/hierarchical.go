@@ -35,7 +35,6 @@ type HierarchicalResult struct {
 // the next Gauss-Newton iteration and unblocks the coordinator's receive
 // loop. TotalTimeout (when set) derives an overall deadline from ctx.
 func RunHierarchical(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DistributedOptions) (*HierarchicalResult, error) {
-	opts.DSE = resolveSessionReuse(opts.DSE)
 	p := opts.Clusters
 	if p <= 0 {
 		p = 3
@@ -71,9 +70,9 @@ func RunHierarchical(ctx context.Context, d *Decomposition, global []meas.Measur
 		return nil, err
 	}
 
-	sess, release := acquireSession(d, opts.DSE)
+	sess, release := d.sessionFor(opts.DSE)
 	defer release()
-	sess.beginRun(opts.DSE.WarmStart != nil)
+	opts.DSE = sess.beginRun(opts.DSE)
 
 	res := &HierarchicalResult{Local: make([]*wls.Result, m)}
 	probs := make([]*Subproblem, m)

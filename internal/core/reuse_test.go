@@ -8,46 +8,6 @@ import (
 	"repro/internal/wls"
 )
 
-// TestTrackerReusePrecondPinned: the session default tier (ReusePrecond)
-// tracks IEEE-118 frames within 1e-9 of the always-refresh path, per
-// subsystem and per frame.
-func TestTrackerReusePrecondPinned(t *testing.T) {
-	for _, pk := range []wls.PrecondKind{wls.PrecondLDL, wls.PrecondJacobi} {
-		t.Run(pk.String(), func(t *testing.T) {
-			fx := newFixture(t, grid.Case118, 9, 1)
-			trackRe := NewTracker(fx.dec, DSEOptions{Rounds: 2, WLS: wls.Options{Precond: pk, GainReuse: wls.ReusePrecond}})
-			trackOff := NewTracker(fx.dec, DSEOptions{Rounds: 2, WLS: wls.Options{Precond: pk, GainReuse: wls.ReuseOff}})
-
-			for f := 0; f < 4; f++ {
-				frame := frameFor(t, fx, 1, int64(40+f))
-				resRe, err := trackRe.Process(frame)
-				if err != nil {
-					t.Fatalf("frame %d reuse: %v", f, err)
-				}
-				resOff, err := trackOff.Process(frame)
-				if err != nil {
-					t.Fatalf("frame %d off: %v", f, err)
-				}
-				var worst float64
-				for i := range resRe.State.Vm {
-					if d := math.Abs(resRe.State.Vm[i] - resOff.State.Vm[i]); d > worst {
-						worst = d
-					}
-					if d := math.Abs(resRe.State.Va[i] - resOff.State.Va[i]); d > worst {
-						worst = d
-					}
-				}
-				if worst > 1e-9 {
-					t.Fatalf("frame %d: ReusePrecond tracking deviates %g from always-refresh (want ≤1e-9)", f, worst)
-				}
-				if resRe.Step1Stats.GainSkips+resRe.Step2Stats.GainSkips != 0 {
-					t.Fatalf("frame %d: ReusePrecond skipped gain refreshes", f)
-				}
-			}
-		})
-	}
-}
-
 // TestTrackerSteadyFramesSkipGainRefresh: under the tracker default
 // (ReuseGain), steady-state frames run most gain-solve iterations on the
 // previous frame's numerics — more than half of the iterations after the

@@ -98,7 +98,6 @@ type DistributedResult struct {
 // deadlines from ctx; with both zero and an unexpiring ctx, behavior is
 // identical to the pre-context implementation.
 func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DistributedOptions) (*DistributedResult, error) {
-	opts.DSE = resolveSessionReuse(opts.DSE)
 	p := opts.Clusters
 	if p <= 0 {
 		p = 3
@@ -145,9 +144,9 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 	// --- Raw-data acquisition: each site fetches its subsystems' SCADA
 	// measurements from the data source through the middleware (the
 	// Figure 1 path: data source -> middleware -> data processor). ---
-	sess, release := acquireSession(d, opts.DSE)
+	sess, release := d.sessionFor(opts.DSE)
 	defer release()
-	sess.beginRun(opts.DSE.WarmStart != nil)
+	opts.DSE = sess.beginRun(opts.DSE)
 	probs1 := make([]*Subproblem, m)
 	engs1 := make([]*wls.Engine, m)
 	for si := 0; si < m; si++ {

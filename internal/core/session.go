@@ -24,11 +24,10 @@ import (
 // Subproblem.UpdateMeasurements / UpdatePseudo.
 //
 // Every Decomposition lazily owns one session, which RunDSE,
-// RunDistributed, and RunHierarchical acquire automatically; a DSECache
-// pins a private one (the Tracker does this). A session serves one run at
-// a time — acquisition is a TryLock, and a concurrent run on the same
-// decomposition falls back to a throwaway private session rather than
-// blocking or racing.
+// RunDistributed, and RunHierarchical acquire automatically; a Tracker
+// pins a private one. A session serves one run at a time — acquisition is
+// a TryLock, and a concurrent run on the same decomposition falls back to
+// a throwaway private session rather than blocking or racing.
 //
 // Concurrency invariant: within a run, subsystem slot si is touched only
 // by the goroutine estimating subsystem si (RunDSE's per-subsystem
@@ -102,17 +101,23 @@ func (s *Session) Reset() {
 	s.boundary = nil
 }
 
-// beginRun prepares the session for one orchestrator call. Warm-start
-// carries and the engines' drift-gated numeric-reuse anchors are kept only
-// for a continuing tracking run (the caller supplied the previous frame's
-// solutions); a standalone run always starts cold so that repeated runs
-// over the same data stay bit-identical.
-func (s *Session) beginRun(continuing bool) {
-	if continuing {
-		return
+// beginRun prepares the session for one orchestrator call and returns the
+// options the call's solves run under. The session's engines outlive a
+// solve, so it runs wls.ReuseAuto as ReuseGain (DESIGN §10): Step-2 rounds
+// and tracked frames solve on the previous solve's gain and factor while
+// the state stays inside the drift gate. Warm-start carries and the
+// engines' reuse anchors are kept only for a continuing tracking run (the
+// caller supplied the previous frame's solutions); a standalone run always
+// starts cold so that repeated runs over the same data stay bit-identical.
+func (s *Session) beginRun(opts DSEOptions) DSEOptions {
+	if opts.WLS.GainReuse == wls.ReuseAuto {
+		opts.WLS.GainReuse = wls.ReuseGain
+	}
+	if opts.WarmStart != nil {
+		return opts
 	}
 	for i := range s.subs {
-		s.subs[i].warm2, s.subs[i].haveWarm2 = nil, false
+		s.subs[i].haveWarm2 = false
 		if s.subs[i].eng1 != nil {
 			s.subs[i].eng1.ResetReuse()
 		}
@@ -126,6 +131,7 @@ func (s *Session) beginRun(continuing bool) {
 			s.boundary.eng.ResetReuse()
 		}
 	}
+	return opts
 }
 
 // step1 returns subsystem si's Step-1 subproblem and engine, refreshed
@@ -192,22 +198,11 @@ func (s *Session) step2Start(si int) []float64 {
 }
 
 // noteStep2 records subsystem si's Step-2 solution as the next round's
-// (or frame's) warm-start candidate.
+// (or frame's) warm-start candidate — a copy: x goes to the caller, who may
+// edit it in place.
 func (s *Session) noteStep2(si int, x []float64) {
-	s.subs[si].warm2, s.subs[si].haveWarm2 = x, true
-}
-
-// acquireSession resolves the session an orchestrator call runs on: the
-// one pinned by opts.Cache when set, else the decomposition-owned one.
-// Either way the session is locked for the duration of the run; when it is
-// already busy (a concurrent run on the same decomposition), the caller
-// gets a throwaway private session instead — correctness over reuse. The
-// returned release must be called when the run ends.
-func acquireSession(d *Decomposition, opts DSEOptions) (*Session, func()) {
-	if c := opts.Cache; c != nil {
-		return c.sessionFor(d, opts)
-	}
-	return d.sessionFor(opts)
+	sl := &s.subs[si]
+	sl.warm2, sl.haveWarm2 = append(sl.warm2[:0], x...), true
 }
 
 // sessionFor returns the decomposition-owned session, creating or

@@ -37,7 +37,7 @@ type sessionSnap struct {
 func snapshotSession(t *testing.T, s *Session) []sessionSnap {
 	t.Helper()
 	if s == nil {
-		t.Fatal("no session pinned in the cache")
+		t.Fatal("the decomposition owns no session after a run")
 	}
 	snaps := make([]sessionSnap, len(s.subs))
 	for si := range s.subs {
@@ -61,20 +61,19 @@ func snapshotSession(t *testing.T, s *Session) []sessionSnap {
 func TestSessionSkeletonIdentityAcrossFrames(t *testing.T) {
 	fx := newFixture(t, grid.Case118, 9, 1)
 	frame2 := frameFor(t, fx, 1, 12)
-	cache := &DSECache{}
-	opts := DSEOptions{Rounds: 2, Cache: cache}
+	opts := DSEOptions{Rounds: 2}
 
 	if _, err := RunDSE(context.Background(), fx.dec, fx.ms, opts); err != nil {
 		t.Fatalf("frame 1: %v", err)
 	}
-	snaps := snapshotSession(t, cache.s)
+	snaps := snapshotSession(t, fx.dec.session)
 
 	res2, err := RunDSE(context.Background(), fx.dec, frame2, opts)
 	if err != nil {
 		t.Fatalf("frame 2: %v", err)
 	}
-	for si := range cache.s.subs {
-		sl := &cache.s.subs[si]
+	for si := range fx.dec.session.subs {
+		sl := &fx.dec.session.subs[si]
 		if sl.step1 != snaps[si].sp1 || sl.step2 != snaps[si].sp2 {
 			t.Errorf("subsystem %d: skeleton rebuilt on frame 2 (value refresh expected)", si)
 		}
@@ -111,16 +110,15 @@ func TestSessionSkeletonIdentityAcrossFrames(t *testing.T) {
 // pointer afterwards.
 func TestSessionSkeletonIdentityAcrossRounds(t *testing.T) {
 	fx := newFixture(t, grid.Case118, 9, 1)
-	cache := &DSECache{}
-	if _, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{Rounds: 1, Cache: cache}); err != nil {
+	if _, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{Rounds: 1}); err != nil {
 		t.Fatal(err)
 	}
-	snaps := snapshotSession(t, cache.s)
-	if _, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{Rounds: 3, Cache: cache}); err != nil {
+	snaps := snapshotSession(t, fx.dec.session)
+	if _, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{Rounds: 3}); err != nil {
 		t.Fatal(err)
 	}
-	for si := range cache.s.subs {
-		sl := &cache.s.subs[si]
+	for si := range fx.dec.session.subs {
+		sl := &fx.dec.session.subs[si]
 		if sl.step2 != snaps[si].sp2 || sl.eng2 != snaps[si].eng2 {
 			t.Errorf("subsystem %d: Step-2 skeleton/engine rebuilt during a multi-round run", si)
 		}
@@ -159,20 +157,19 @@ func TestSessionCrossRoundWarmStart(t *testing.T) {
 // refreshing into a stale skeleton.
 func TestSessionRebuildOnLayoutChange(t *testing.T) {
 	fx := newFixture(t, grid.Case118, 9, 1)
-	cache := &DSECache{}
-	opts := DSEOptions{Cache: cache}
+	opts := DSEOptions{}
 	if _, err := RunDSE(context.Background(), fx.dec, fx.ms, opts); err != nil {
 		t.Fatal(err)
 	}
-	snaps := snapshotSession(t, cache.s)
+	snaps := snapshotSession(t, fx.dec.session)
 
 	grown := append(append([]meas.Measurement{}, fx.ms...), fx.ms[0])
 	if _, err := RunDSE(context.Background(), fx.dec, grown, opts); err != nil {
 		t.Fatalf("run after layout change: %v", err)
 	}
 	rebuilt := false
-	for si := range cache.s.subs {
-		if cache.s.subs[si].step1 != snaps[si].sp1 {
+	for si := range fx.dec.session.subs {
+		if fx.dec.session.subs[si].step1 != snaps[si].sp1 {
 			rebuilt = true
 		}
 	}
@@ -191,18 +188,17 @@ func TestSessionRebuildOnLayoutChange(t *testing.T) {
 func TestSessionRestorationRefresh(t *testing.T) {
 	fx := newFixture(t, grid.Case118, 9, 1)
 	frame2 := frameFor(t, fx, 1, 17)
-	cache := &DSECache{}
-	opts := DSEOptions{RestoreObservability: true, Cache: cache}
+	opts := DSEOptions{RestoreObservability: true}
 	if _, err := RunDSE(context.Background(), fx.dec, fx.ms, opts); err != nil {
 		t.Fatal(err)
 	}
-	snaps := snapshotSession(t, cache.s)
+	snaps := snapshotSession(t, fx.dec.session)
 	res, err := RunDSE(context.Background(), fx.dec, frame2, opts)
 	if err != nil {
 		t.Fatalf("restored frame 2: %v", err)
 	}
-	for si := range cache.s.subs {
-		if cache.s.subs[si].step1 != snaps[si].sp1 {
+	for si := range fx.dec.session.subs {
+		if fx.dec.session.subs[si].step1 != snaps[si].sp1 {
 			t.Errorf("subsystem %d: restored Step-1 skeleton rebuilt on frame 2", si)
 		}
 	}
@@ -219,23 +215,22 @@ func TestSessionRestorationRefresh(t *testing.T) {
 // (pseudo sigma, restoration) must not be served by a stale session.
 func TestSessionConfigChangeRebuilds(t *testing.T) {
 	fx := newFixture(t, grid.Case118, 9, 1)
-	cache := &DSECache{}
-	if _, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{Cache: cache}); err != nil {
+	if _, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	first := cache.s
-	if _, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{Cache: cache, PseudoSigma: 0.05}); err != nil {
+	first := fx.dec.session
+	if _, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{PseudoSigma: 0.05}); err != nil {
 		t.Fatal(err)
 	}
-	if cache.s == first {
+	if fx.dec.session == first {
 		t.Error("session survived a PseudoSigma change")
 	}
 	// Same config again: the new session is kept.
-	second := cache.s
-	if _, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{Cache: cache, PseudoSigma: 0.05}); err != nil {
+	second := fx.dec.session
+	if _, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{PseudoSigma: 0.05}); err != nil {
 		t.Fatal(err)
 	}
-	if cache.s != second {
+	if fx.dec.session != second {
 		t.Error("session not reused under an unchanged config")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/meas"
-	"repro/internal/wls"
 )
 
 // Tracker runs distributed state estimation over successive measurement
@@ -16,11 +15,13 @@ type Tracker struct {
 	Dec  *Decomposition
 	Opts DSEOptions
 
+	// warm holds the previous frame's Step-1 solutions in buffers the
+	// tracker owns: the solutions themselves go out in DSEResult.
 	warm [][]float64
-	// cache pins the tracker's Session across frames: subproblem skeletons,
-	// solver engines, and Step-2 warm carries are built on the first frame
-	// and value-refreshed on every later one.
-	cache *DSECache
+	// sess is the tracker's own Session: subproblem skeletons, solver
+	// engines, and Step-2 warm carries are built on the first frame and
+	// value-refreshed on every later one.
+	sess *Session
 	// Frames counts processed frames.
 	Frames int
 }
@@ -43,21 +44,12 @@ func (t *Tracker) Process(frame []meas.Measurement) (*DSEResult, error) {
 func (t *Tracker) Step(ctx context.Context, frame []meas.Measurement) (*DSEResult, error) {
 	opts := t.Opts
 	opts.WarmStart = t.warm
-	if opts.WLS.GainReuse == wls.ReuseAuto {
-		// Tracking operation defaults to the full lagged-gain tier: steady
-		// frames drift far below the reuse gate, so whole Step-1/Step-2
-		// solves run on the previous frame's gain and preconditioner
-		// numerics, and the residual-decrease guard forces a refresh the
-		// moment an event breaks the steady state.
-		opts.WLS.GainReuse = wls.ReuseGain
+	if t.sess == nil || t.sess.d != t.Dec || t.sess.cfg != sessionConfigFor(opts) {
+		t.sess = NewSession(t.Dec, opts)
 	}
-	if opts.Cache == nil {
-		if t.cache == nil {
-			t.cache = &DSECache{}
-		}
-		opts.Cache = t.cache
-	}
-	res, err := RunDSE(ctx, t.Dec, frame, opts)
+	sess, release := lockOrClone(t.sess, t.Dec, opts)
+	defer release()
+	res, err := sess.runDSE(ctx, frame, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +58,7 @@ func (t *Tracker) Step(ctx context.Context, frame []meas.Measurement) (*DSEResul
 	}
 	for si, r := range res.Step1 {
 		if r != nil {
-			t.warm[si] = r.X
+			t.warm[si] = append(t.warm[si][:0], r.X...)
 		}
 	}
 	t.Frames++
@@ -79,13 +71,10 @@ func (t *Tracker) Step(ctx context.Context, frame []meas.Measurement) (*DSEResul
 // steady tracked frame adds zero; callers sample the counter around a Step
 // to verify a frame was value-refresh only.
 func (t *Tracker) SkeletonBuilds() int {
-	if t.Opts.Cache != nil {
-		return t.Opts.Cache.SkeletonBuilds()
-	}
-	if t.cache == nil {
+	if t.sess == nil {
 		return 0
 	}
-	return t.cache.SkeletonBuilds()
+	return t.sess.SkeletonBuilds()
 }
 
 // Reset drops the warm-start state and the session — skeletons, engines,
@@ -93,6 +82,6 @@ func (t *Tracker) SkeletonBuilds() int {
 // them describe a layout that no longer exists).
 func (t *Tracker) Reset() {
 	t.warm = nil
-	t.cache = nil
+	t.sess = nil
 	t.Frames = 0
 }

@@ -73,6 +73,42 @@ func TestTrackerReset(t *testing.T) {
 	}
 }
 
+// TestTrackerWarmStartNotAliased: the warm starts a tracker and its session
+// carry into the next frame are their own copies. A caller that scribbles
+// over every state vector it was handed changes no later frame: two trackers
+// on twin decompositions stay bitwise equal, one of them with its results
+// NaN-filled between frames.
+func TestTrackerWarmStartNotAliased(t *testing.T) {
+	fx, twin := newFixture(t, grid.Case118, 9, 1), newFixture(t, grid.Case118, 9, 1)
+	scribbled := NewTracker(fx.dec, DSEOptions{Rounds: 2})
+	untouched := NewTracker(twin.dec, DSEOptions{Rounds: 2})
+	for f := 0; f < 4; f++ {
+		frame := frameFor(t, fx, 1, int64(60+f))
+		got, err := scribbled.Step(t.Context(), frame)
+		if err != nil {
+			t.Fatalf("frame %d after scribbling on the previous results: %v", f, err)
+		}
+		want, err := untouched.Step(t.Context(), frame)
+		if err != nil {
+			t.Fatalf("frame %d: %v", f, err)
+		}
+		for i := range want.State.Vm {
+			if math.Float64bits(got.State.Vm[i]) != math.Float64bits(want.State.Vm[i]) ||
+				math.Float64bits(got.State.Va[i]) != math.Float64bits(want.State.Va[i]) {
+				t.Fatalf("frame %d bus %d: %.17g/%.17g, untouched twin %.17g/%.17g",
+					f, i, got.State.Vm[i], got.State.Va[i], want.State.Vm[i], want.State.Va[i])
+			}
+		}
+		for _, rs := range [][]*wls.Result{got.Step1, got.Step2} {
+			for _, r := range rs {
+				for i := range r.X {
+					r.X[i] = math.NaN()
+				}
+			}
+		}
+	}
+}
+
 // TestDSEWithTopologyChange: a tie-line outage changes the decomposition;
 // re-decomposing and re-running must keep working — the Bose et al.
 // network-failure scenario the architecture must accommodate.

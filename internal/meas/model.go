@@ -181,30 +181,13 @@ func (mod *Model) NState() int { return mod.nAngles + mod.Net.N() }
 // NMeas returns the number of measurements.
 func (mod *Model) NMeas() int { return len(mod.Meas) }
 
-// NAngles returns the number of angle state variables (#buses − 1).
+// NAngles returns the number of angle state variables (#buses − 1). The
+// program does not call it; it stays only because benchmark/replay.go does.
 func (mod *Model) NAngles() int { return mod.nAngles }
 
 // RefBus returns the internal index of the angle-reference bus (the one
 // bus with no angle variable in the state vector).
 func (mod *Model) RefBus() int { return mod.refBus }
-
-// StateBus returns, for every state-vector position, the internal index of
-// the bus that variable belongs to: angle positions first (ascending bus
-// order, reference bus skipped), then one magnitude per bus. It is the
-// block map the bus-interleaved solver layout collapses the gain pattern
-// with (sparse.Quotient + sparse.BusInterleave).
-func (mod *Model) StateBus() []int {
-	out := make([]int, mod.NState())
-	for b, p := range mod.angPos {
-		if p >= 0 {
-			out[p] = b
-		}
-	}
-	for b := 0; b < mod.Net.N(); b++ {
-		out[mod.nAngles+b] = b
-	}
-	return out
-}
 
 // StateToVec packs a powerflow.State into the state vector layout.
 func (mod *Model) StateToVec(st powerflow.State) []float64 {

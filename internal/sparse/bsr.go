@@ -22,6 +22,10 @@ import (
 // are preserved and solves on the padded system restrict exactly to
 // solves on the original (the padding component of a right-hand side
 // gathered through a −1-padded CGOptions.Perm is zero and stays zero).
+//
+// The estimator no longer solves in this layout; BSR, NewBSR2 and the
+// GainPlan's AttachBSR / RefreshPoolBSR stay only because
+// benchmark/replay.go still times them.
 type BSR struct {
 	Rows, Cols int // scalar dimensions, always even (padding included)
 	RowPtr     []int
@@ -130,9 +134,6 @@ func (b *BSR) NNZ() int { return len(b.Val) }
 
 // NBlocks returns the number of stored 2×2 blocks.
 func (b *BSR) NBlocks() int { return len(b.ColIdx) }
-
-// BlockRows returns the number of block rows (Rows/2).
-func (b *BSR) BlockRows() int { return len(b.RowPtr) - 1 }
 
 // Padded reports whether the trailing scalar row/col is an identity
 // padding variable added for an odd-dimensional source matrix.

@@ -117,8 +117,8 @@ func TestBSRMulVecPoolMatchesSerial(t *testing.T) {
 	parts := p.Workers()
 	bounds := make([]int, parts+1)
 	b.partitionRows(bounds, parts)
-	if bounds[0] != 0 || bounds[parts] != b.BlockRows() {
-		t.Fatalf("partition bounds %v do not cover %d block rows", bounds, b.BlockRows())
+	if bounds[0] != 0 || bounds[parts] != len(b.RowPtr)-1 {
+		t.Fatalf("partition bounds %v do not cover %d block rows", bounds, len(b.RowPtr)-1)
 	}
 	for i := range got {
 		got[i] = 0
@@ -143,7 +143,7 @@ func TestBSRGainRefreshBitwise(t *testing.T) {
 		w := randomWeights(rng, rows)
 		gp := NewGainPlan(h)
 		g := gp.Refresh(h, w)
-		bsr := gp.RefreshBSR(h, w)
+		bsr := gp.RefreshPoolBSR(h, w, nil)
 		for i := 0; i < g.Rows; i++ {
 			for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
 				if got, want := bsr.At(i, g.ColIdx[k]), g.Val[k]; got != want {
@@ -173,7 +173,7 @@ func TestBSRRefreshPoolMatchesSerial(t *testing.T) {
 	h := randomCSR(rng, 600, 120, 600*8) // contributions cross the threshold
 	w := randomWeights(rng, 600)
 	serial := NewGainPlan(h)
-	serial.RefreshBSR(h, w)
+	serial.RefreshPoolBSR(h, w, nil)
 	pooled := NewGainPlan(h)
 	p := NewPool(4)
 	defer p.Close()
@@ -191,9 +191,9 @@ func TestBSRRefreshAndMatVecZeroAlloc(t *testing.T) {
 	h := randomCSR(rng, 120, 41, 120*6) // odd dimension: padded layout
 	w := randomWeights(rng, 120)
 	gp := NewGainPlan(h)
-	bsr := gp.RefreshBSR(h, w)
-	if allocs := testing.AllocsPerRun(20, func() { gp.RefreshBSR(h, w) }); allocs != 0 {
-		t.Fatalf("RefreshBSR allocated %v times per run, want 0", allocs)
+	bsr := gp.RefreshPoolBSR(h, w, nil)
+	if allocs := testing.AllocsPerRun(20, func() { gp.RefreshPoolBSR(h, w, nil) }); allocs != 0 {
+		t.Fatalf("RefreshPoolBSR allocated %v times per run, want 0", allocs)
 	}
 	x := make([]float64, bsr.Cols)
 	y := make([]float64, bsr.Rows)
@@ -232,36 +232,6 @@ func TestBusInterleaveLayout(t *testing.T) {
 		}
 	}
 	checkPerm(got, 7, "TestBusInterleaveLayout")
-}
-
-func TestQuotientCollapsesPattern(t *testing.T) {
-	// 5 variables in blocks {0,1}→0, {2,3}→1, {4}→2 with couplings
-	// (0,2), (3,4) and the diagonal.
-	coo := NewCOO(5, 5)
-	for i := 0; i < 5; i++ {
-		coo.Add(i, i, 1)
-	}
-	coo.Add(0, 2, 1)
-	coo.Add(2, 0, 1)
-	coo.Add(3, 4, 1)
-	coo.Add(4, 3, 1)
-	q := Quotient(coo.ToCSR(), []int{0, 0, 1, 1, 2}, 3)
-	type edge struct{ i, j int }
-	want := map[edge]bool{
-		{0, 0}: true, {1, 1}: true, {2, 2}: true,
-		{0, 1}: true, {1, 0}: true, {1, 2}: true, {2, 1}: true,
-	}
-	for i := 0; i < q.Rows; i++ {
-		for k := q.RowPtr[i]; k < q.RowPtr[i+1]; k++ {
-			if !want[edge{i, q.ColIdx[k]}] {
-				t.Fatalf("unexpected quotient entry (%d,%d)", i, q.ColIdx[k])
-			}
-			delete(want, edge{i, q.ColIdx[k]})
-		}
-	}
-	if len(want) != 0 {
-		t.Fatalf("missing quotient entries: %v", want)
-	}
 }
 
 // TestCGPaddedPermMatchesNatural: solving on the padded blocked operator
@@ -348,76 +318,13 @@ func TestMulTransVecPoolMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestBlockJacobiMatchesExplicitInverse(t *testing.T) {
-	// One well-conditioned block, one singular block (falls back to scalar
-	// Jacobi on its diagonal).
-	coo := NewCOO(4, 4)
-	coo.Add(0, 0, 4)
-	coo.Add(0, 1, 1)
-	coo.Add(1, 0, 1)
-	coo.Add(1, 1, 3)
-	coo.Add(2, 2, 2)
-	coo.Add(2, 3, 2)
-	coo.Add(3, 2, 2)
-	coo.Add(3, 3, 2) // det = 0
-	b := NewBSR2(coo.ToCSR())
-	p, err := NewBlockJacobi(b)
-	if err != nil {
-		t.Fatalf("NewBlockJacobi: %v", err)
-	}
-	r := []float64{1, 2, 3, 4}
-	z := make([]float64, 4)
-	p.Apply(z, r)
-	// Block 0: inv([[4,1],[1,3]]) · [1,2] = 1/11·[[3,-1],[-1,4]]·[1,2]
-	want0 := []float64{(3*1 - 1*2) / 11.0, (-1*1 + 4*2) / 11.0}
-	if math.Abs(z[0]-want0[0]) > 1e-15 || math.Abs(z[1]-want0[1]) > 1e-15 {
-		t.Fatalf("block 0 apply = %v, want %v", z[:2], want0)
-	}
-	// Block 1 is singular: scalar fallback 1/2 on both diagonals.
-	if z[2] != 3.0/2 || z[3] != 4.0/2 {
-		t.Fatalf("singular block apply = %v, want scalar-jacobi fallback", z[2:])
-	}
-	if p.Name() != "block-jacobi" {
-		t.Fatalf("Name() = %q", p.Name())
-	}
-}
-
-func TestBlockJacobiRefreshMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	h := randomCSR(rng, 200, 30, 200*5)
-	gp := NewGainPlan(h)
-	w1 := randomWeights(rng, 200)
-	w2 := randomWeights(rng, 200)
-	bsr := gp.RefreshBSR(h, w1)
-	p, err := NewBlockJacobi(bsr)
-	if err != nil {
-		t.Fatalf("NewBlockJacobi: %v", err)
-	}
-	gp.RefreshBSR(h, w2)
-	if err := p.RefreshBSR(bsr); err != nil {
-		t.Fatalf("RefreshBSR: %v", err)
-	}
-	fresh, err := NewBlockJacobi(bsr)
-	if err != nil {
-		t.Fatalf("rebuild: %v", err)
-	}
-	for i, v := range fresh.inv {
-		if p.inv[i] != v {
-			t.Fatalf("refreshed inv[%d] = %v, want %v", i, p.inv[i], v)
-		}
-	}
-	if allocs := testing.AllocsPerRun(20, func() { _ = p.RefreshBSR(bsr) }); allocs != 0 {
-		t.Fatalf("BlockJacobi.RefreshBSR allocated %v times per run, want 0", allocs)
-	}
-}
-
 func TestJacobiBSRMatchesScalarJacobi(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	h := randomCSR(rng, 150, 31, 150*5) // odd: padded blocked layout
 	w := randomWeights(rng, 150)
 	gp := NewGainPlan(h)
 	g := gp.Refresh(h, w)
-	bsr := gp.RefreshBSR(h, w)
+	bsr := gp.RefreshPoolBSR(h, w, nil)
 	scalar, err := NewJacobi(g)
 	if err != nil {
 		t.Fatalf("NewJacobi: %v", err)

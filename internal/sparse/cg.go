@@ -55,7 +55,8 @@ type CGOptions struct {
 	// variables a blocked operator appends (see BSR): a padding position
 	// gathers 0 from b and is skipped on the outward scatter, so len(Perm)
 	// tracks the operator dimension while b and X0 keep the original
-	// (unpadded) length.
+	// (unpadded) length. The estimator solves in natural order; the field
+	// stays only because benchmark/replay.go still sets it.
 	Perm []int
 }
 

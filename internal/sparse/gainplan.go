@@ -31,12 +31,6 @@ type GainPlan struct {
 	// roughly equal multiply-accumulate work rather than equal row count.
 	rowWork []int
 
-	// perm is the optional symmetric fill-reducing permutation baked into
-	// the scatter map (perm[new] = old); nil means natural ordering. When
-	// set, G is P·(HᵀWH)·Pᵀ and solves must permute b/x at the boundary
-	// (CGOptions.Perm).
-	perm []int
-
 	// bsr is the lazily built 2×2-blocked mirror of G (AttachBSR), and
 	// bsrPos maps every G entry to its flat slot in bsr.Val so the blocked
 	// refresh writes block storage directly — no scalar intermediate.
@@ -84,7 +78,10 @@ func NewGainPlan(h *CSR) *GainPlan {
 // row-parallel. perm follows the package convention (perm[new] = old,
 // length h.Cols); nil selects natural ordering. With a non-nil perm the
 // legacy bitwise-contribution-order guarantee applies to the permuted
-// entries' own deterministic order, not to the natural assembly.
+// entries' own deterministic order, not to the natural assembly. With G
+// permuted, a solve must permute b and x at the boundary (CGOptions.Perm).
+// The estimator only builds natural plans; a non-nil perm is passed only by
+// benchmark/replay.go.
 func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
 	n := h.Cols
 	var inv []int
@@ -147,7 +144,7 @@ func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
 
 	// Per-row column sort (legacy rowView order), then the dedup scan that
 	// fixes G's pattern and groups contributions per G entry.
-	gp := &GainPlan{hnnz: h.NNZ(), hrows: h.Rows, perm: perm}
+	gp := &GainPlan{hnnz: h.NNZ(), hrows: h.Rows}
 	gRowPtr := make([]int, n+1)
 	var gColIdx []int
 	gp.entryPtr = append(gp.entryPtr, 0)
@@ -175,12 +172,6 @@ func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
 	gp.G = &CSR{Rows: n, Cols: n, RowPtr: gRowPtr, ColIdx: gColIdx, Val: make([]float64, len(gColIdx))}
 	return gp
 }
-
-// Perm returns the symmetric permutation baked into the plan (perm[new] =
-// old), nil for natural ordering. Callers solving with the plan's G must
-// pass it through to the solver (CGOptions.Perm) so b and x are permuted at
-// the boundary.
-func (gp *GainPlan) Perm() []int { return gp.perm }
 
 // Refresh recomputes G.Val from the current numeric values of h and the
 // weights w, serially and without allocating. h must have the sparsity
@@ -215,8 +206,8 @@ func (gp *GainPlan) RefreshPool(h *CSR, w []float64, p *Pool) *CSR {
 // AttachBSR builds (once) the 2×2-blocked mirror of the plan's gain matrix
 // — a BSR skeleton over G's pattern, padded with a trailing identity
 // variable when the dimension is odd — together with a scatter map from
-// every G entry to its slot in block storage. RefreshBSR/RefreshPoolBSR
-// then rewrite the blocked values directly; G.Val itself is left untouched
+// every G entry to its slot in block storage. RefreshPoolBSR then
+// rewrites the blocked values directly; G.Val itself is left untouched
 // by the blocked refresh. The blocked layout only pays off when the plan's
 // ordering interleaves each bus's (θ, V) pair (see BusInterleave): that is
 // what lines G's 2×2 bus couplings up with the block grid.
@@ -227,20 +218,12 @@ func (gp *GainPlan) AttachBSR() *BSR {
 	return gp.bsr
 }
 
-// RefreshBSR recomputes the attached blocked gain matrix from the current
-// numeric values of h and the weights w, serially and without allocating
-// (the first call builds the skeleton via AttachBSR). Same contract as
-// Refresh: h must keep the plan's sparsity pattern.
-func (gp *GainPlan) RefreshBSR(h *CSR, w []float64) *BSR {
-	gp.check(h, w)
-	gp.AttachBSR()
-	gp.refreshRowsBSR(h, w, 0, gp.G.Rows)
-	return gp.bsr
-}
-
-// RefreshPoolBSR is RefreshBSR with rows distributed over the pool using
-// the same contribution-balanced partition as RefreshPool. Each scalar G
-// entry owns a distinct block slot, so workers never write the same index.
+// RefreshPoolBSR recomputes the attached blocked gain matrix from the
+// current numeric values of h and the weights w without allocating (the
+// first call builds the skeleton via AttachBSR), rows distributed over the
+// pool using the same contribution-balanced partition as RefreshPool. Each
+// scalar G entry owns a distinct block slot, so workers never write the same
+// index. Same contract as Refresh: h must keep the plan's sparsity pattern.
 func (gp *GainPlan) RefreshPoolBSR(h *CSR, w []float64, p *Pool) *BSR {
 	gp.check(h, w)
 	gp.AttachBSR()

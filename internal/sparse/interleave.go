@@ -15,6 +15,9 @@ import "fmt"
 // emitted last regardless of busOrder, so its lone V variable trails the
 // (θ, V) pairs and the blocked matrix needs exactly one trailing padding
 // slot (the identity row/col NewBSR2 appends).
+//
+// The program does not call it; it stays only because benchmark/replay.go
+// does.
 func BusInterleave(nAngles, nBuses, refBus int, busOrder []int) []int {
 	if nAngles != nBuses-1 {
 		panic(fmt.Sprintf("sparse: BusInterleave nAngles %d != nBuses-1 (%d)", nAngles, nBuses-1))
@@ -46,31 +49,4 @@ func BusInterleave(nAngles, nBuses, refBus int, busOrder []int) []int {
 		}
 	}
 	return append(perm, nAngles+refBus)
-}
-
-// Quotient collapses the sparsity pattern of a onto block vertices: the
-// result has one row/column per block and an entry (blockOf[i], blockOf[j])
-// for every stored entry (i, j) of a. Values are occurrence counts — the
-// orderings only read the pattern. It is used to order the bus quotient
-// graph of the gain matrix (RCM/MinDegree over buses) before BusInterleave
-// expands the bus order back to (θ, V) variable pairs.
-func Quotient(a *CSR, blockOf []int, nBlocks int) *CSR {
-	if len(blockOf) != a.Rows || a.Rows != a.Cols {
-		panic(fmt.Sprintf("sparse: Quotient blockOf length %d for %dx%d", len(blockOf), a.Rows, a.Cols))
-	}
-	coo := NewCOO(nBlocks, nBlocks)
-	for i := 0; i < a.Rows; i++ {
-		bi := blockOf[i]
-		if bi < 0 || bi >= nBlocks {
-			panic(fmt.Sprintf("sparse: Quotient block %d out of range %d", bi, nBlocks))
-		}
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			bj := blockOf[a.ColIdx[k]]
-			if bj < 0 || bj >= nBlocks {
-				panic(fmt.Sprintf("sparse: Quotient block %d out of range %d", bj, nBlocks))
-			}
-			coo.Add(bi, bj, 1)
-		}
-	}
-	return coo.ToCSR()
 }

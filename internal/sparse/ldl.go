@@ -151,8 +151,7 @@ func NewLDL(a *CSR) (*LDLFactor, error) {
 	return f, nil
 }
 
-// Refresh implements Refresher: it refactors in place from a matrix with
-// the analyzed pattern. A non-positive, NaN or cancellation-level pivot
+// Refresh refactors in place from a matrix with the analyzed pattern. A non-positive, NaN or cancellation-level pivot
 // returns ErrNotSPD; the factor then holds no usable numerics, but its
 // analysis and scratch are intact and a later Refresh may succeed.
 func (f *LDLFactor) Refresh(a *CSR) error {

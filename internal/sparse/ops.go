@@ -12,8 +12,7 @@ import (
 // fan-out/joins cost more than the multiply itself. The threshold is
 // nnz-based rather than row-based because per-row work varies wildly
 // between a near-diagonal gain matrix and a dense-ish one. It is exported
-// so layout heuristics elsewhere (wls FormatAuto) can agree with the
-// kernels on what "large enough to parallelize" means.
+// only because benchmark/replay.go still reads it.
 const ParallelNNZThreshold = 16384
 
 // parallelNNZThreshold is the internal alias predating the export.

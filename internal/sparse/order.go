@@ -1,133 +1,20 @@
 package sparse
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Fill-reducing orderings for symmetric matrices. A zero-fill incomplete
-// factorization (IC(0)) captures more of the true factor when the matrix is
-// first permuted so that connected unknowns sit close together: the
-// discarded fill shrinks, the preconditioner tightens, and PCG needs fewer
-// iterations; a complete factorization (LDLFactor) stays sparse only under
-// an ordering that keeps its fill down. The orderings here are computed
-// once per sparsity pattern — the natural companion to the symbolic
-// GainPlan — and consumed as a symmetric permutation P·A·Pᵀ.
+// Fill-reducing ordering for symmetric matrices. A complete factorization
+// (LDLFactor) stays sparse only under an ordering that keeps its fill down.
+// The ordering is computed once per sparsity pattern — the natural
+// companion to the symbolic GainPlan — and consumed as a symmetric
+// permutation P·A·Pᵀ.
 //
 // Permutation convention: perm[new] = old, i.e. row new of the permuted
 // matrix is row perm[new] of the original. InversePerm flips it.
 
-// RCM computes the reverse Cuthill–McKee ordering of the symmetric sparsity
-// pattern of a: breadth-first traversal from a pseudo-peripheral vertex,
-// visiting neighbors in ascending-degree order, then reversed. RCM is a
-// bandwidth/profile-reducing ordering, which is what zero-fill incomplete
-// factorizations want — entries dropped by the fixed pattern lie close to
-// the retained band. Disconnected components are ordered one after another.
-// Only the pattern of a is read; values are ignored. a must be square and
-// structurally symmetric (the gain matrix is).
-func RCM(a *CSR) []int {
-	n := mustSquare(a, "RCM")
-	deg := make([]int, n)
-	for i := 0; i < n; i++ {
-		deg[i] = offDiagDegree(a, i)
-	}
-	perm := make([]int, 0, n)
-	visited := make([]bool, n)
-	// Scratch shared by the component BFS and the pseudo-peripheral search.
-	queue := make([]int, 0, n)
-	level := make([]int, n)
-	for root := 0; root < n; root++ {
-		if visited[root] {
-			continue
-		}
-		start := pseudoPeripheral(a, root, deg, level, queue[:0])
-		// Cuthill–McKee BFS of the component rooted at start.
-		head := len(perm)
-		perm = append(perm, start)
-		visited[start] = true
-		for head < len(perm) {
-			v := perm[head]
-			head++
-			frontier := len(perm)
-			for k := a.RowPtr[v]; k < a.RowPtr[v+1]; k++ {
-				w := a.ColIdx[k]
-				if w != v && !visited[w] {
-					visited[w] = true
-					perm = append(perm, w)
-				}
-			}
-			newly := perm[frontier:]
-			sort.Slice(newly, func(i, j int) bool {
-				if deg[newly[i]] != deg[newly[j]] {
-					return deg[newly[i]] < deg[newly[j]]
-				}
-				return newly[i] < newly[j]
-			})
-		}
-	}
-	// Reverse: RCM numbers the BFS order back to front.
-	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	return perm
-}
-
-// pseudoPeripheral locates a vertex of near-maximal eccentricity in root's
-// component (George & Liu): build the BFS level structure, restart from a
-// minimum-degree vertex of the deepest level, and repeat while the
-// eccentricity keeps growing.
-func pseudoPeripheral(a *CSR, root int, deg, level []int, queue []int) int {
-	best, bestEcc := root, -1
-	for {
-		ecc, last := bfsLevels(a, best, level, queue)
-		if ecc <= bestEcc {
-			return best
-		}
-		bestEcc = ecc
-		// Minimum-degree vertex of the last level (deterministic tie-break
-		// by index: bfsLevels emits the level in ascending discovery order).
-		next := last[0]
-		for _, v := range last {
-			if deg[v] < deg[next] || (deg[v] == deg[next] && v < next) {
-				next = v
-			}
-		}
-		best = next
-	}
-}
-
-// bfsLevels runs a BFS from start, writing per-vertex levels (level is
-// fully reused; -1 marks unreached) and returning the eccentricity and the
-// vertices of the deepest level. queue is scratch with cap ≥ n.
-func bfsLevels(a *CSR, start int, level []int, queue []int) (int, []int) {
-	for i := range level {
-		level[i] = -1
-	}
-	queue = append(queue[:0], start)
-	level[start] = 0
-	ecc := 0
-	lastBegin := 0
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		if level[v] > ecc {
-			ecc = level[v]
-			lastBegin = head
-		}
-		for k := a.RowPtr[v]; k < a.RowPtr[v+1]; k++ {
-			w := a.ColIdx[k]
-			if w != v && level[w] < 0 {
-				level[w] = level[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return ecc, queue[lastBegin:]
-}
-
 // MinDegree computes a greedy minimum-degree ordering of the symmetric
 // sparsity pattern of a: repeatedly eliminate the vertex of smallest degree
 // in the elimination graph, turning its neighborhood into a clique. It
-// reduces fill directly (where RCM reduces bandwidth). The elimination
+// reduces fill directly (not bandwidth or profile). The elimination
 // graph is kept explicitly as duplicate-free adjacency slices — exact
 // degrees, no quotient-graph approximation — and the next vertex comes off
 // a binary heap keyed (degree, index), so ties break on the lower vertex
@@ -315,37 +202,9 @@ func PermuteSym(a *CSR, perm []int) *CSR {
 	return coo.ToCSR()
 }
 
-// Bandwidth returns the maximum |i-j| over stored entries — the quantity
-// RCM minimizes, exposed for tests and diagnostics.
-func Bandwidth(a *CSR) int {
-	bw := 0
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			d := i - a.ColIdx[k]
-			if d < 0 {
-				d = -d
-			}
-			if d > bw {
-				bw = d
-			}
-		}
-	}
-	return bw
-}
-
 func mustSquare(a *CSR, who string) int {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("sparse: %s requires a square matrix, got %dx%d", who, a.Rows, a.Cols))
 	}
 	return a.Rows
-}
-
-func offDiagDegree(a *CSR, i int) int {
-	d := 0
-	for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-		if a.ColIdx[k] != i {
-			d++
-		}
-	}
-	return d
 }

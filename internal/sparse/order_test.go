@@ -38,53 +38,6 @@ func assertPerm(t *testing.T, perm []int, n int) {
 	}
 }
 
-func TestRCMReducesBandwidth(t *testing.T) {
-	// A path graph numbered outside-in: natural bandwidth ~n, RCM must
-	// recover the chain (bandwidth 1).
-	n := 40
-	order := make([]int, n)
-	for i := range order {
-		if i%2 == 0 {
-			order[i] = i / 2
-		} else {
-			order[i] = n - 1 - i/2
-		}
-	}
-	a := pathMatrix(order)
-	perm := RCM(a)
-	assertPerm(t, perm, n)
-	before := Bandwidth(a)
-	after := Bandwidth(PermuteSym(a, perm))
-	if after != 1 {
-		t.Errorf("RCM bandwidth on a path = %d, want 1 (was %d)", after, before)
-	}
-}
-
-func TestRCMRandomSPDBandwidth(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randomSPD(rng, 120)
-	perm := RCM(a)
-	assertPerm(t, perm, a.Rows)
-	before, after := Bandwidth(a), Bandwidth(PermuteSym(a, perm))
-	if after > before {
-		t.Errorf("RCM increased bandwidth: %d -> %d", before, after)
-	}
-}
-
-func TestRCMDisconnectedComponents(t *testing.T) {
-	// Two separate triangles plus an isolated vertex.
-	coo := NewCOO(7, 7)
-	for i := 0; i < 7; i++ {
-		coo.Add(i, i, 1)
-	}
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}} {
-		coo.Add(e[0], e[1], -1)
-		coo.Add(e[1], e[0], -1)
-	}
-	perm := RCM(coo.ToCSR())
-	assertPerm(t, perm, 7)
-}
-
 func TestMinDegreeValidAndDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randomSPD(rng, 60)
@@ -195,7 +148,7 @@ func TestInversePerm(t *testing.T) {
 func TestPermuteSymValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randomSPD(rng, 25)
-	perm := RCM(a)
+	perm := MinDegree(a)
 	pa := PermuteSym(a, perm)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < a.Cols; j++ {
@@ -215,7 +168,7 @@ func TestGainPlanOrderedMatchesPermutedGain(t *testing.T) {
 	h := randomCSR(rng, 60, 30, 150)
 	w := randomWeights(rng, 60)
 	g := Gain(h, w)
-	perm := RCM(g)
+	perm := MinDegree(g)
 	want := PermuteSym(g, perm)
 	got := NewGainPlanOrdered(h, perm).Refresh(h, w)
 	if got.Rows != want.Rows || got.NNZ() != want.NNZ() {
@@ -234,7 +187,7 @@ func TestGainPlanOrderedMatchesPermutedGain(t *testing.T) {
 }
 
 // TestCGPermutedMatchesNatural solves the same SPD system in natural and
-// RCM-permuted space: b, X0, and X stay in original order at the CG
+// permuted space: b, X0, and X stay in original order at the CG
 // boundary, so the solutions must agree to solver precision.
 func TestCGPermutedMatchesNatural(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -247,7 +200,7 @@ func TestCGPermutedMatchesNatural(t *testing.T) {
 	if err != nil {
 		t.Fatalf("natural: %v", err)
 	}
-	perm := RCM(a)
+	perm := MinDegree(a)
 	pa := PermuteSym(a, perm)
 	pre, err := NewIC0(pa)
 	if err != nil {
@@ -281,7 +234,7 @@ func TestCGPermutedWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	x0 := append([]float64(nil), exact.X...)
-	perm := RCM(a)
+	perm := MinDegree(a)
 	res, err := CG(PermuteSym(a, perm), b, CGOptions{Tol: 1e-10, Perm: perm, X0: x0})
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +254,7 @@ func TestCGPermutedWarmStart(t *testing.T) {
 func TestCGPermutedZeroB(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	a := randomSPD(rng, 20)
-	perm := RCM(a)
+	perm := MinDegree(a)
 	res, err := CG(PermuteSym(a, perm), make([]float64, 20), CGOptions{Perm: perm})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +278,7 @@ func TestCGPermutedZeroAlloc(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	perm := RCM(a)
+	perm := MinDegree(a)
 	pa := PermuteSym(a, perm)
 	pre, err := NewIC0(pa)
 	if err != nil {

@@ -17,21 +17,6 @@ type Preconditioner interface {
 	Name() string
 }
 
-// Refresher is implemented by preconditioners that can refresh their
-// numeric content in place from a matrix whose values changed but whose
-// sparsity pattern did not — the per-iteration path of the solver engine,
-// which never re-allocates preconditioner storage on a fixed gain pattern.
-type Refresher interface {
-	Refresh(a *CSR) error
-}
-
-// BSRRefresher is the blocked-layout analog of Refresher: implemented by
-// preconditioners that can refresh their numeric content in place from a
-// 2×2-blocked matrix whose values changed but whose pattern did not.
-type BSRRefresher interface {
-	RefreshBSR(a *BSR) error
-}
-
 // IdentityPreconditioner is the no-op preconditioner (plain CG).
 type IdentityPreconditioner struct{}
 
@@ -65,7 +50,8 @@ func NewJacobi(a *CSR) (*JacobiPreconditioner, error) {
 
 // NewJacobiBSR builds a Jacobi preconditioner from the diagonal of a
 // blocked matrix. The padding variable's diagonal is 1, so its residual
-// component passes through Apply unchanged.
+// component passes through Apply unchanged. It and RefreshBSR stay only
+// because benchmark/replay.go still calls them.
 func NewJacobiBSR(a *BSR) (*JacobiPreconditioner, error) {
 	p := &JacobiPreconditioner{invDiag: make([]float64, a.Rows)}
 	if err := p.RefreshBSR(a); err != nil {
@@ -74,14 +60,14 @@ func NewJacobiBSR(a *BSR) (*JacobiPreconditioner, error) {
 	return p, nil
 }
 
-// Refresh implements Refresher: it recomputes the inverse diagonal in place
-// (no allocation) from a matrix with the same dimension.
+// Refresh recomputes the inverse diagonal in place (no allocation) from a
+// matrix with the same dimension.
 func (p *JacobiPreconditioner) Refresh(a *CSR) error {
 	a.DiagonalInto(p.invDiag)
 	return p.invertDiag()
 }
 
-// RefreshBSR implements BSRRefresher for the blocked gain layout.
+// RefreshBSR is Refresh for the blocked gain layout.
 func (p *JacobiPreconditioner) RefreshBSR(a *BSR) error {
 	if len(p.invDiag) != a.Rows {
 		return fmt.Errorf("sparse: jacobi refresh with %d-dim blocked matrix, built for %d", a.Rows, len(p.invDiag))
@@ -112,7 +98,8 @@ func (p *JacobiPreconditioner) Name() string { return "jacobi" }
 
 // IC0Preconditioner is a zero-fill incomplete Cholesky factorization
 // A ≈ L·Lᵀ restricted to the sparsity pattern of the lower triangle of A.
-// Apply solves L·y = r then Lᵀ·z = y.
+// Apply solves L·y = r then Lᵀ·z = y. The estimator no longer offers it; the
+// type stays only because benchmark/replay.go still times it.
 type IC0Preconditioner struct {
 	n      int
 	rowPtr []int // CSR of L (strictly sorted columns, diagonal last entry)
@@ -170,9 +157,9 @@ func NewIC0(a *CSR) (*IC0Preconditioner, error) {
 	return p, nil
 }
 
-// Refresh implements Refresher: it re-extracts the lower triangle of a into
-// the existing factor storage and refactorizes in place. a must have the
-// sparsity pattern the preconditioner was built from.
+// Refresh re-extracts the lower triangle of a into the existing factor
+// storage and refactorizes in place. a must have the sparsity pattern the
+// preconditioner was built from.
 func (p *IC0Preconditioner) Refresh(a *CSR) error {
 	if a.Rows != p.n || a.Cols != p.n {
 		return fmt.Errorf("sparse: IC0 refresh with %dx%d matrix, built for %d", a.Rows, a.Cols, p.n)
@@ -322,85 +309,3 @@ func (p *IC0Preconditioner) Apply(z, r []float64) {
 
 // Name implements Preconditioner.
 func (p *IC0Preconditioner) Name() string { return "ic0" }
-
-// BlockJacobiPreconditioner inverts the 2×2 diagonal blocks of a blocked
-// gain matrix exactly (closed form). With the bus-interleaved state layout
-// each diagonal block is one bus's (θᵢ, Vᵢ) self-coupling, so the block
-// inverse captures the local angle–magnitude coupling scalar Jacobi
-// discards, at the same embarrassingly parallel cost. A numerically
-// singular block degrades to scalar Jacobi on that block alone.
-type BlockJacobiPreconditioner struct {
-	inv []float64 // 4 per block row: the inverted diagonal blocks
-}
-
-// blockJacobiDetRelFloor is the relative determinant floor below which a
-// 2×2 diagonal block counts as singular: the determinant has cancelled to
-// roundoff against the magnitude of its products, so the closed-form
-// inverse would amplify noise. Such blocks fall back to scalar Jacobi.
-const blockJacobiDetRelFloor = 1e-12
-
-// NewBlockJacobi builds the block preconditioner from the diagonal blocks
-// of a. It returns an error when a block is unusable even by the scalar
-// fallback (zero or non-finite diagonal entry).
-func NewBlockJacobi(a *BSR) (*BlockJacobiPreconditioner, error) {
-	p := &BlockJacobiPreconditioner{inv: make([]float64, 2*a.Rows)}
-	if err := p.RefreshBSR(a); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// RefreshBSR implements BSRRefresher: it re-inverts the diagonal blocks in
-// place from a matrix with the dimension the preconditioner was built for.
-func (p *BlockJacobiPreconditioner) RefreshBSR(a *BSR) error {
-	if len(p.inv) != 2*a.Rows {
-		return fmt.Errorf("sparse: block-jacobi refresh with %d-dim matrix, built for %d", a.Rows, len(p.inv)/2)
-	}
-	nbr := a.BlockRows()
-	for br := 0; br < nbr; br++ {
-		var a00, a01, a10, a11 float64
-		for k := a.RowPtr[br]; k < a.RowPtr[br+1]; k++ {
-			if c := a.ColIdx[k]; c >= br {
-				if c == br {
-					a00, a01, a10, a11 = a.Val[4*k], a.Val[4*k+1], a.Val[4*k+2], a.Val[4*k+3]
-				}
-				break
-			}
-		}
-		d0, d1 := a00*a11, a01*a10
-		det := d0 - d1
-		m := p.inv[4*br : 4*br+4 : 4*br+4]
-		if det != 0 && !math.IsNaN(det) && !math.IsInf(det, 0) &&
-			math.Abs(det) > blockJacobiDetRelFloor*(math.Abs(d0)+math.Abs(d1)) {
-			m[0] = a11 / det
-			m[1] = -a01 / det
-			m[2] = -a10 / det
-			m[3] = a00 / det
-			continue
-		}
-		// Singular or ill-conditioned block: scalar Jacobi on this block.
-		if a00 == 0 || math.IsNaN(a00) || math.IsInf(a00, 0) ||
-			a11 == 0 || math.IsNaN(a11) || math.IsInf(a11, 0) {
-			return fmt.Errorf("sparse: block-jacobi: unusable diagonal block at block row %d (det %g, diag %g/%g)", br, det, a00, a11)
-		}
-		m[0] = 1 / a00
-		m[1] = 0
-		m[2] = 0
-		m[3] = 1 / a11
-	}
-	return nil
-}
-
-// Apply implements Preconditioner: z = blockdiag(B₀⁻¹, B₁⁻¹, …)·r.
-func (p *BlockJacobiPreconditioner) Apply(z, r []float64) {
-	for br := 0; 4*br < len(p.inv); br++ {
-		i := 2 * br
-		m := p.inv[4*br : 4*br+4 : 4*br+4]
-		r0, r1 := r[i], r[i+1]
-		z[i] = m[0]*r0 + m[1]*r1
-		z[i+1] = m[2]*r0 + m[3]*r1
-	}
-}
-
-// Name implements Preconditioner.
-func (p *BlockJacobiPreconditioner) Name() string { return "block-jacobi" }

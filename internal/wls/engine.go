@@ -30,25 +30,6 @@ type Engine struct {
 	gplan *sparse.GainPlan
 	pool  *sparse.Pool
 
-	// ordPlan caches one fill-reducing-ordered gain plan (ordKind names
-	// its ordering), built lazily from the natural plan's pattern the first
-	// time a solve asks for that ordering. gplan always stays the natural
-	// plan: the Dense path and covariance assembly consume G unpermuted.
-	ordPlan *sparse.GainPlan
-	ordKind OrderingKind
-
-	// bsrPlan caches the blocked-format gain plan: a gain plan whose baked
-	// permutation interleaves the state into per-bus (θ, V) pairs (composed
-	// with a bus-quotient fill-reducing ordering when requested, bsrOrd),
-	// with the 2×2 BSR mirror attached. bsrPerm is the CG boundary
-	// permutation — the interleave extended by one trailing −1 for the
-	// padding variable the blocked layout appends (the reference bus has no
-	// angle, so the padded dimension is even).
-	bsrPlan *sparse.GainPlan
-	bsrMat  *sparse.BSR
-	bsrPerm []int
-	bsrOrd  OrderingKind
-
 	// Persistent numeric buffers (m = measurements, n = states).
 	baseW, w, z, h, r, wr []float64 // length m
 	rhs, dx, prevDx       []float64 // length n
@@ -58,26 +39,20 @@ type Engine struct {
 
 	pre     sparse.Preconditioner
 	preKind PrecondKind
-	preBSR  bool // cached preconditioner was built on the blocked layout
 	havePre bool
 
-	// ldl is the LDLᵀ factor of ldlOf's pattern. Its symbolic analysis is
+	// ldl is the LDLᵀ factor of gplan.G's pattern. Its symbolic analysis is
 	// plan-like: ColdStart, ResetReuse, Rebind, masks and a breakdown drop
 	// or overwrite its numerics only, and the ordering pass never repeats.
 	// pre holds it while the last refresh factored, and a Jacobi stand-in
 	// (preKind still PrecondLDL) while the last refresh broke down.
-	ldl   *sparse.LDLFactor
-	ldlOf *sparse.CSR
+	ldl *sparse.LDLFactor
 
 	// reuse anchors the drift-gated numeric-reuse tier (Options.GainReuse):
-	// the state and weights at the last full gain+preconditioner refresh,
-	// the gain system refreshed there, and the resolved solve configuration
-	// it is valid for. skipPre makes the next preconditioner lookup return
-	// the cached numerics without an in-place refresh.
-	reuse   gainReuse
-	skipPre bool
-	xTrial  []float64 // length n, lagged-gain guard trial iterate
-	hValid  bool      // h/r already hold the next iterate's values (accepted trial)
+	// the state and weights at the last full gain+preconditioner refresh.
+	reuse  gainReuse
+	xTrial []float64 // length n, lagged-gain guard trial iterate
+	hValid bool      // h/r already hold the next iterate's values (accepted trial)
 }
 
 // gainReuse is the numeric-reuse anchor carried across Gauss–Newton
@@ -88,67 +63,7 @@ type gainReuse struct {
 	valid   bool
 	x       []float64 // length n, state at last refresh
 	w       []float64 // length m, weights at last refresh
-	gs      gainSystem
-	format  FormatKind
-	ord     OrderingKind
-	precond PrecondKind
-	freshCG int // CG iterations of the anchoring fresh solve (guard budget)
-
-	// Adaptive-gate state (Options.AdaptiveGate): adapt scales the drift
-	// gate (0 means uninitialized, i.e. ×1) and streak counts consecutive
-	// clean lagged-gain accepts since the last widening or setback. Both
-	// survive re-anchoring — the gate learns the signal's character, not a
-	// single anchor's.
-	adapt  float64
-	streak int
-}
-
-// Adaptive-gate dynamics: after adaptStreakRuns consecutive clean lagged
-// accepts (CG within slack of the fresh count) the gate doubles; any guard
-// fallback halves it. The scale is clamped to [1/adaptGateSpan,
-// adaptGateSpan] around the configured gate.
-const (
-	adaptGateSpan   = 8.0
-	adaptStreakRuns = 4
-)
-
-// adaptScale returns the current gate multiplier (1 when uninitialized).
-func (r *gainReuse) adaptScale() float64 {
-	if r.adapt == 0 {
-		return 1
-	}
-	return r.adapt
-}
-
-// adaptClean records a clean lagged-gain accept: after a full streak the
-// gate widens ×2, capped at adaptGateSpan.
-func (r *gainReuse) adaptClean() {
-	r.streak++
-	if r.streak < adaptStreakRuns {
-		return
-	}
-	r.streak = 0
-	if s := r.adaptScale() * 2; s <= adaptGateSpan {
-		r.adapt = s
-	} else {
-		r.adapt = adaptGateSpan
-	}
-}
-
-// adaptInflated records a lagged accept whose CG count inflated past the
-// fresh solve's (still within the guard budget): the streak resets but the
-// gate holds.
-func (r *gainReuse) adaptInflated() { r.streak = 0 }
-
-// adaptFallback records a guard fallback: the gate tightens ÷2, floored at
-// 1/adaptGateSpan.
-func (r *gainReuse) adaptFallback() {
-	r.streak = 0
-	if s := r.adaptScale() / 2; s >= 1/adaptGateSpan {
-		r.adapt = s
-	} else {
-		r.adapt = 1 / adaptGateSpan
-	}
+	freshCG int       // CG iterations of the anchoring fresh solve (guard budget)
 }
 
 // Lagged-gain guard budget: a lagged CG solve may spend up to
@@ -158,16 +73,6 @@ const (
 	reuseCGFactor = 3
 	reuseCGSlack  = 8
 )
-
-// gainSystem is the refreshed gain matrix a solve runs against: the plan
-// (whose scalar G the Dense path and scalar preconditioners consume), the
-// blocked mirror when the solve runs in BSR layout, and the CG boundary
-// permutation (padded with −1 for the blocked layout's identity variable).
-type gainSystem struct {
-	gp   *sparse.GainPlan
-	bsr  *sparse.BSR
-	perm []int
-}
 
 // NewEngine builds the symbolic plans and buffers for the model. The cost
 // is roughly one Jacobian assembly plus one gain assembly; it is amortized
@@ -290,10 +195,6 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 	if maxIter <= 0 {
 		maxIter = 25
 	}
-	cgTol := opts.CGTol
-	if cgTol <= 0 {
-		cgTol = 1e-10
-	}
 	if mod.NMeas() < mod.NState() {
 		return nil, fmt.Errorf("%w: %d measurements < %d states", ErrUnobservable, mod.NMeas(), mod.NState())
 	}
@@ -323,16 +224,11 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 		}
 	}
 
-	mode := resolveReuse(opts)
-	gate := opts.ReuseGate
-	if gate <= 0 {
-		if mode == ReuseGain {
-			gate = ReuseGainGateDefault
-		} else {
-			gate = ReuseGateDefault
-		}
-	}
-	if mode == ReuseOff {
+	// Only the PCG path has lagged numerics to skip, and only on request:
+	// ReuseAuto is exact Gauss–Newton here, because an owner that keeps its
+	// engines across solves resolves it before the solve.
+	lag := opts.Solver == PCG && opts.GainReuse == ReuseGain
+	if !lag {
 		// An unguarded solve rewrites G outside the anchor bookkeeping, so
 		// any anchor a previous gated solve left behind is stale after it.
 		e.reuse.valid = false
@@ -361,7 +257,7 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 		if opts.Solver == QR {
 			dx, err = solveQR(hj, e.w, e.r)
 		} else {
-			dx, err = e.gainStep(x, hj, opts, cgTol, mode, gate, res)
+			dx, err = e.gainStep(x, hj, opts, lag, res)
 		}
 		if err != nil {
 			return nil, err
@@ -403,17 +299,10 @@ func (e *Engine) SolveLinear(opts Options) (*Result, error) {
 	if opts.Solver == QR {
 		dx, err = solveQR(hj, e.w, e.r)
 	} else {
-		cgTol := opts.CGTol
-		if cgTol <= 0 {
-			cgTol = 1e-12
-		}
-		gs, gerr := e.refreshGain(hj, opts)
-		if gerr != nil {
-			return nil, fmt.Errorf("wls: linear PMU solve: %w", gerr)
-		}
+		e.refreshGain(hj, opts)
 		e.gainRHS(hj, opts)
 		e.havePrevDx = false
-		dx, res.CGIterations, err = e.solveGain(gs, opts, cgTol, res)
+		dx, res.CGIterations, err = e.solveGain(opts, cgTolLinear, false, res)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wls: linear PMU solve: %w", err)
@@ -449,147 +338,14 @@ func (e *Engine) finish(res *Result, x []float64) {
 	}
 }
 
-// resolveOrdering maps the user-facing Ordering knob to a concrete ordering
-// for this solve. Only the PCG path reorders: the Dense solver and the
-// covariance assembly read G in natural order, and QR never forms G.
-func resolveOrdering(opts Options) OrderingKind {
-	if opts.Solver != PCG {
-		return OrderNatural
-	}
-	if opts.Ordering == OrderAuto {
-		if opts.Precond == PrecondIC0 {
-			return OrderRCM
-		}
-		return OrderNatural
-	}
-	return opts.Ordering
-}
-
-// gplanFor returns the gain plan for the requested ordering, building and
-// caching the ordered plan on first use. The permutation is computed from
-// the natural plan's gain pattern (one RCM/min-degree pass) and baked into
-// a second scatter plan — pure symbolic work, repaid on every refresh.
-func (e *Engine) gplanFor(kind OrderingKind) (*sparse.GainPlan, error) {
-	switch kind {
-	case OrderAuto, OrderNatural:
-		return e.gplan, nil
-	case OrderRCM, OrderMinDegree:
-	default:
-		return nil, fmt.Errorf("wls: unknown ordering %v", kind)
-	}
-	if e.ordPlan != nil && e.ordKind == kind {
-		return e.ordPlan, nil
-	}
-	var perm []int
-	if kind == OrderRCM {
-		perm = sparse.RCM(e.gplan.G)
-	} else {
-		perm = sparse.MinDegree(e.gplan.G)
-	}
-	e.ordPlan = sparse.NewGainPlanOrdered(e.jplan.H, perm)
-	e.ordKind = kind
-	return e.ordPlan, nil
-}
-
-// resolveFormat maps the Format knob to a concrete gain layout for this
-// solve. Only the PCG path has a blocked variant; the factorizations (LDLᵀ,
-// IC(0)) are triangular sweeps over scalar storage and silently stay on CSR
-// even under an explicit FormatBSR. FormatAuto engages the blocked layout for
-// the block-friendly preconditioners on systems big enough that the
-// parallel kernels run — on smaller systems the layout change buys nothing
-// and Auto preserves the scalar path exactly.
-func (e *Engine) resolveFormat(opts Options) (FormatKind, error) {
-	if opts.Solver != PCG {
-		return FormatCSR, nil
-	}
-	blockCapable := opts.Precond == PrecondJacobi || opts.Precond == PrecondBlockJacobi || opts.Precond == PrecondNone
-	switch opts.Format {
-	case FormatCSR:
-		if opts.Precond == PrecondBlockJacobi {
-			return FormatCSR, fmt.Errorf("wls: block-jacobi preconditioner requires the BSR gain format")
-		}
-		return FormatCSR, nil
-	case FormatBSR:
-		if !blockCapable {
-			return FormatCSR, nil
-		}
-		return FormatBSR, nil
-	}
-	if opts.Precond == PrecondBlockJacobi {
-		return FormatBSR, nil
-	}
-	if opts.Precond == PrecondJacobi && e.gplan.G.NNZ() >= sparse.ParallelNNZThreshold {
-		return FormatBSR, nil
-	}
-	return FormatCSR, nil
-}
-
-// bsrSystem returns the blocked gain system for this solve, building and
-// caching the interleaved plan on first use. The state is permuted into
-// per-bus (θ, V) pairs (sparse.BusInterleave); an explicit RCM/min-degree
-// request is honored on the bus quotient graph — buses are ordered, then
-// expanded to variable pairs, so the 2×2 block grid survives the
-// reordering. OrderAuto stays in natural bus order: the blocked
-// preconditioners are permutation-invariant, so reordering would only add
-// symbolic cost.
-func (e *Engine) bsrSystem(opts Options) gainSystem {
-	kind := OrderNatural
-	if opts.Ordering == OrderRCM || opts.Ordering == OrderMinDegree {
-		kind = opts.Ordering
-	}
-	if e.bsrPlan == nil || e.bsrOrd != kind {
-		mod := e.mod
-		nb := mod.Net.N()
-		var busOrder []int
-		if kind != OrderNatural {
-			q := sparse.Quotient(e.gplan.G, mod.StateBus(), nb)
-			if kind == OrderRCM {
-				busOrder = sparse.RCM(q)
-			} else {
-				busOrder = sparse.MinDegree(q)
-			}
-		}
-		perm := sparse.BusInterleave(mod.NAngles(), nb, mod.RefBus(), busOrder)
-		e.bsrPlan = sparse.NewGainPlanOrdered(e.jplan.H, perm)
-		bsr := e.bsrPlan.AttachBSR()
-		cgPerm := make([]int, bsr.Rows)
-		copy(cgPerm, perm)
-		for i := len(perm); i < len(cgPerm); i++ {
-			cgPerm[i] = -1
-		}
-		e.bsrMat, e.bsrPerm, e.bsrOrd = bsr, cgPerm, kind
-	}
-	return gainSystem{gp: e.bsrPlan, bsr: e.bsrMat, perm: e.bsrPerm}
-}
-
-// refreshGain recomputes G = HᵀWH in place through the gain plan of the
-// resolved format and ordering, on the pool unless the caller forces
-// serial execution. In BSR layout the refresh writes block storage
-// directly — the scalar G of the blocked plan is never materialized.
-func (e *Engine) refreshGain(hj *sparse.CSR, opts Options) (gainSystem, error) {
-	format, err := e.resolveFormat(opts)
-	if err != nil {
-		return gainSystem{}, err
-	}
-	if format == FormatBSR {
-		gs := e.bsrSystem(opts)
-		if opts.Workers == 1 {
-			gs.gp.RefreshBSR(hj, e.w)
-		} else {
-			gs.gp.RefreshPoolBSR(hj, e.w, e.pool)
-		}
-		return gs, nil
-	}
-	gp, err := e.gplanFor(resolveOrdering(opts))
-	if err != nil {
-		return gainSystem{}, err
-	}
+// refreshGain recomputes G = HᵀWH in place through the gain plan, on the
+// pool unless the caller forces serial execution.
+func (e *Engine) refreshGain(hj *sparse.CSR, opts Options) {
 	if opts.Workers == 1 {
-		gp.Refresh(hj, e.w)
+		e.gplan.Refresh(hj, e.w)
 	} else {
-		gp.RefreshPool(hj, e.w, e.pool)
+		e.gplan.RefreshPool(hj, e.w, e.pool)
 	}
-	return gainSystem{gp: gp, perm: gp.Perm()}, nil
 }
 
 // gainRHS computes rhs = Hᵀ·W·r, using the pooled transpose mat-vec (with
@@ -607,76 +363,26 @@ func (e *Engine) gainRHS(hj *sparse.CSR, opts Options) {
 	sparse.GainRHSPool(e.rhs, hj, e.w, e.r, e.wr, e.pool, e.rhsScratch)
 }
 
-// resolveReuse maps the GainReuse knob to the tier this solve actually
-// runs. Only the PCG path has lagged numerics to skip; ReuseAuto resolves
-// to ReuseOff at this layer — callers that want a default-on tier (the
-// session orchestrators, the tracker) resolve Auto before the solve.
-func resolveReuse(opts Options) GainReuseKind {
-	if opts.Solver != PCG {
-		return ReuseOff
-	}
-	switch opts.GainReuse {
-	case ReusePrecond, ReuseGain:
-		return opts.GainReuse
-	default:
-		return ReuseOff
-	}
-}
-
-// lagTier is the per-iteration reuse decision.
-type lagTier int
-
-const (
-	lagNone    lagTier = iota // full refresh: gain and preconditioner
-	lagPrecond                // fresh gain, lagged preconditioner numerics
-	lagGain                   // lagged gain and preconditioner
-)
-
-// reuseTier gates the numeric reuse for one Gauss–Newton iteration at x:
-// the anchor must be valid for the exact solve configuration this iteration
-// resolves to (format, ordering, preconditioner — with the cached
-// preconditioner instance still present), the weights must be bitwise
-// unchanged, and the scaled state drift from the anchor must sit under the
-// gate. Anything else falls back to a full refresh.
-func (e *Engine) reuseTier(x []float64, opts Options, mode GainReuseKind, gate float64) lagTier {
+// canLag gates the numeric reuse for one Gauss–Newton iteration at x: the
+// anchor must be valid with the requested preconditioner's numerics still
+// cached, the weights must be bitwise unchanged, and the scaled state drift
+// from the anchor must sit under the gate. Anything else is a full refresh.
+func (e *Engine) canLag(x []float64, opts Options) bool {
 	if !e.reuse.valid {
-		return lagNone
+		return false
 	}
-	format, err := e.resolveFormat(opts)
-	if err != nil || format != e.reuse.format || opts.Ordering != e.reuse.ord || opts.Precond != e.reuse.precond {
-		return lagNone
+	if opts.Precond != PrecondNone && !(e.havePre && e.preKind == opts.Precond) {
+		return false
 	}
-	if opts.Precond != PrecondNone {
-		if !e.havePre || e.preKind != opts.Precond || e.preBSR != (format == FormatBSR) {
-			return lagNone
-		}
-	}
-	if !sparse.EqualVec(e.w, e.reuse.w) {
-		return lagNone
-	}
-	if sparse.ScaledDriftInf(x, e.reuse.x) > gate {
-		return lagNone
-	}
-	if mode == ReuseGain {
-		return lagGain
-	}
-	return lagPrecond
+	return sparse.EqualVec(e.w, e.reuse.w) &&
+		sparse.ScaledDriftInf(x, e.reuse.x) <= ReuseGainGateDefault
 }
 
 // noteRefresh anchors the reuse state after a fresh gain + preconditioner
 // refresh whose solve succeeded at iterate x with cg inner iterations.
-func (e *Engine) noteRefresh(x []float64, gs gainSystem, opts Options, cg int) {
-	format, err := e.resolveFormat(opts)
-	if err != nil {
-		e.reuse.valid = false
-		return
-	}
+func (e *Engine) noteRefresh(x []float64, cg int) {
 	copy(e.reuse.x, x)
 	copy(e.reuse.w, e.w)
-	e.reuse.gs = gs
-	e.reuse.format = format
-	e.reuse.ord = opts.Ordering
-	e.reuse.precond = opts.Precond
 	e.reuse.freshCG = cg
 	e.reuse.valid = true
 }
@@ -696,37 +402,21 @@ func (e *Engine) trialImproves(x, dx []float64) bool {
 	return e.weightedSSR(e.xTrial) <= jCur*(1+1e-12)
 }
 
-// gainStep produces one Gauss–Newton step for the iterate x: it decides
-// the reuse tier for this iteration, refreshes only what that tier
-// demands, solves G·Δx = HᵀW·r, and maintains the reuse anchor plus the
-// result's refresh/skip counters. The returned slice aliases the engine's
-// dx buffer, like solveGain's.
-func (e *Engine) gainStep(x []float64, hj *sparse.CSR, opts Options, cgTol float64, mode GainReuseKind, gate float64, res *Result) ([]float64, error) {
-	tier := lagNone
-	if mode != ReuseOff {
-		g := gate
-		if opts.AdaptiveGate {
-			g *= e.reuse.adaptScale()
-		}
-		tier = e.reuseTier(x, opts, mode, g)
-	}
-	if tier == lagGain {
-		e.gainRHS(hj, opts)
-		e.skipPre = true
-		dx, cg, err := e.solveGain(e.reuse.gs, opts, cgTol, res)
-		e.skipPre = false
+// gainStep produces one Gauss–Newton step for the iterate x: under lag it
+// first tries the anchored gain and preconditioner numerics, and otherwise
+// (or when the guard rejects the lagged step) refreshes both, solves
+// G·Δx = HᵀW·r, and maintains the reuse anchor plus the result's
+// refresh/skip counters. The returned slice aliases the engine's dx buffer,
+// like solveGain's.
+func (e *Engine) gainStep(x []float64, hj *sparse.CSR, opts Options, lag bool, res *Result) ([]float64, error) {
+	e.gainRHS(hj, opts)
+	if lag && e.canLag(x, opts) {
+		dx, cg, err := e.solveGain(opts, cgTol, true, res)
 		res.CGIterations += cg
 		if err == nil && cg <= reuseCGFactor*e.reuse.freshCG+reuseCGSlack && e.trialImproves(x, dx) {
 			res.GainSkips++
 			res.PrecondSkips++
 			e.hValid = true // the guard left h/r evaluated at x+dx
-			if opts.AdaptiveGate {
-				if cg <= e.reuse.freshCG+reuseCGSlack {
-					e.reuse.adaptClean()
-				} else {
-					e.reuse.adaptInflated()
-				}
-			}
 			return dx, nil
 		}
 		// Guard tripped: the stale operator stalled the descent, CG blew
@@ -735,58 +425,37 @@ func (e *Engine) gainStep(x []float64, hj *sparse.CSR, opts Options, cgTol float
 		// only clobbers the h/r buffers — so only the gain scatter, the
 		// preconditioner, and the CG solve repeat.
 		res.ReuseFallbacks++
-		if opts.AdaptiveGate {
-			e.reuse.adaptFallback()
-		}
-		gs, gerr := e.refreshGain(hj, opts)
-		if gerr != nil {
-			e.reuse.valid = false
-			return nil, gerr
-		}
-		dx, cg, err = e.solveGain(gs, opts, cgTol, res)
-		res.CGIterations += cg
-		res.GainRefreshes++
-		if err != nil {
-			e.reuse.valid = false
-			return nil, err
-		}
-		e.noteRefresh(x, gs, opts, cg)
-		return dx, nil
 	}
-
-	gs, gerr := e.refreshGain(hj, opts)
-	if gerr != nil {
-		return nil, gerr
-	}
-	e.gainRHS(hj, opts)
-	e.skipPre = tier == lagPrecond
-	dx, cg, err := e.solveGain(gs, opts, cgTol, res)
-	e.skipPre = false
+	e.refreshGain(hj, opts)
+	dx, cg, err := e.solveGain(opts, cgTol, false, res)
 	res.CGIterations += cg
 	res.GainRefreshes++
 	if err != nil {
 		e.reuse.valid = false
 		return nil, err
 	}
-	if tier == lagPrecond {
-		// The operator is fresh but the preconditioner numerics were kept:
-		// the anchor stays at the state the preconditioner was refreshed
-		// for, so the drift gate keeps measuring preconditioner staleness.
-		res.PrecondSkips++
-	} else if mode != ReuseOff {
-		e.noteRefresh(x, gs, opts, cg)
+	if lag {
+		e.noteRefresh(x, cg)
 	}
 	return dx, nil
 }
 
+// Inner CG relative tolerances: of a Gauss–Newton step, and of the single
+// solve of the linear (PMU-only) problem, which has no later iteration to
+// absorb an inexact one.
+const (
+	cgTol       = 1e-10
+	cgTolLinear = 1e-12
+)
+
 // solveGain solves G·Δx = rhs with the configured solver, reusing the
 // preconditioner numerics, the CG workspace, and the previous Δx as a CG
-// warm start. gp's G (and therefore the preconditioner built from it) may
-// live in permuted space; rhs and the returned Δx are always in natural
-// order — CG handles the boundary permutes. res takes the preconditioner
-// breakdown count; the CG iterations are returned for the caller's guard.
-func (e *Engine) solveGain(gs gainSystem, opts Options, cgTol float64, res *Result) ([]float64, int, error) {
-	g := gs.gp.G
+// warm start. lagged says G was not refreshed since the preconditioner
+// last was, so the cached numerics are the ones to use. res takes the
+// preconditioner breakdown count; the CG iterations are returned for the
+// caller's guard.
+func (e *Engine) solveGain(opts Options, tol float64, lagged bool, res *Result) ([]float64, int, error) {
+	g := e.gplan.G
 	switch opts.Solver {
 	case Dense:
 		x, err := sparse.SolveDense(g.ToDense(), e.rhs)
@@ -798,19 +467,11 @@ func (e *Engine) solveGain(gs gainSystem, opts Options, cgTol float64, res *Resu
 		}
 		return x, 0, nil
 	case PCG:
-		var op sparse.Operator = g
-		var pre sparse.Preconditioner
-		var err error
-		if gs.bsr != nil {
-			op = gs.bsr
-			pre, err = e.preconditionerBSR(gs.bsr, opts.Precond)
-		} else {
-			pre, err = e.preconditioner(g, opts.Precond, res)
-		}
+		pre, err := e.preconditioner(g, opts.Precond, lagged, res)
 		if err != nil {
 			return nil, 0, fmt.Errorf("wls: preconditioner: %w", err)
 		}
-		cgOpts := sparse.CGOptions{Tol: cgTol, Precond: pre, Work: e.work, Perm: gs.perm}
+		cgOpts := sparse.CGOptions{Tol: tol, Precond: pre, Work: e.work}
 		if opts.Workers > 0 {
 			cgOpts.Workers = opts.Workers
 		} else {
@@ -819,7 +480,7 @@ func (e *Engine) solveGain(gs gainSystem, opts Options, cgTol float64, res *Resu
 		if e.havePrevDx {
 			cgOpts.X0 = e.prevDx
 		}
-		cg, err := sparse.CG(op, e.rhs, cgOpts)
+		cg, err := sparse.CG(g, e.rhs, cgOpts)
 		if err != nil {
 			if errors.Is(err, sparse.ErrNotSPD) {
 				return nil, cg.Iterations, ErrUnobservable
@@ -837,114 +498,64 @@ func (e *Engine) solveGain(gs gainSystem, opts Options, cgTol float64, res *Resu
 	}
 }
 
-// preconditioner returns the preconditioner for G, refreshing the cached
-// one's numerics in place when the kind is unchanged (G's pattern is fixed
-// by the gain plan, so the symbolic setup never repeats). An LDLᵀ refresh
-// that breaks down on a numerically singular G degrades to Jacobi for that
-// refresh, counted in res.PrecondFallbacks: CG on a semidefinite but
-// consistent system can still converge where a factor cannot exist, and
-// where it cannot, CG is what reports the gain as not positive definite.
-func (e *Engine) preconditioner(g *sparse.CSR, kind PrecondKind, res *Result) (sparse.Preconditioner, error) {
+// preconditioner returns the preconditioner for G: the cached one as it is
+// on a lagged G, and otherwise with its numerics refreshed in place when the
+// kind is unchanged (G's pattern is fixed by the gain plan, so the symbolic
+// setup never repeats). An LDLᵀ refresh that breaks down on a numerically
+// singular G degrades to Jacobi for that refresh, counted in
+// res.PrecondFallbacks: CG on a semidefinite but consistent system can
+// still converge where a factor cannot exist, and where it cannot, CG is
+// what reports the gain as not positive definite.
+func (e *Engine) preconditioner(g *sparse.CSR, kind PrecondKind, lagged bool, res *Result) (sparse.Preconditioner, error) {
 	if kind == PrecondNone {
 		return sparse.IdentityPreconditioner{}, nil
 	}
-	cached := e.havePre && e.preKind == kind && !e.preBSR
-	if cached && e.skipPre {
-		// Drift-gated reuse: the cached numerics are close enough.
+	cached := e.havePre && e.preKind == kind
+	if cached && lagged {
 		return e.pre, nil
 	}
-	build := kind
-	if kind == PrecondLDL {
+	switch kind {
+	case PrecondLDL:
 		switch err := e.refactor(g); {
 		case err == nil:
-			e.pre, e.preKind, e.preBSR, e.havePre = e.ldl, kind, false, true
+			e.pre, e.preKind, e.havePre = e.ldl, kind, true
 			return e.ldl, nil
 		case !errors.Is(err, sparse.ErrNotSPD):
 			e.havePre = false
 			return nil, err
 		}
-		res.PrecondFallbacks++
-		build, cached = PrecondJacobi, false // breakdowns are rare: the stand-in is built anew
-	}
-	if cached {
-		if ref, ok := e.pre.(sparse.Refresher); ok {
-			if err := ref.Refresh(g); err == nil {
-				return e.pre, nil
-			}
-			// Refresh failure (pattern drift or factorization breakdown):
-			// fall through and rebuild from scratch.
-			e.havePre = false
-		}
-	}
-	var pre sparse.Preconditioner
-	var err error
-	switch build {
+		res.PrecondFallbacks++ // breakdowns are rare: the stand-in is built anew
 	case PrecondJacobi:
-		pre, err = sparse.NewJacobi(g)
-	case PrecondIC0:
-		pre, err = sparse.NewIC0(g)
-	case PrecondBlockJacobi:
-		return nil, fmt.Errorf("wls: block-jacobi preconditioner requires the BSR gain format")
+		if cached {
+			if err := e.pre.(*sparse.JacobiPreconditioner).Refresh(g); err != nil {
+				e.havePre = false
+				return nil, err
+			}
+			return e.pre, nil
+		}
 	default:
 		return nil, fmt.Errorf("wls: unknown preconditioner %v", kind)
 	}
+	pre, err := sparse.NewJacobi(g)
 	if err != nil {
 		e.havePre = false
 		return nil, err
 	}
-	e.pre, e.preKind, e.preBSR, e.havePre = pre, kind, false, true
+	e.pre, e.preKind, e.havePre = pre, kind, true
 	return pre, nil
 }
 
 // refactor refreshes the LDLᵀ factor's numerics from g, running the symbolic
-// analysis first if the engine has none for this gain matrix yet.
+// analysis first if the engine has none yet.
 func (e *Engine) refactor(g *sparse.CSR) error {
-	if e.ldl == nil || e.ldlOf != g {
+	if e.ldl == nil {
 		f, err := sparse.AnalyzeLDL(g)
 		if err != nil {
 			return err
 		}
-		e.ldl, e.ldlOf = f, g
+		e.ldl = f
 	}
 	return e.ldl.Refresh(g)
-}
-
-// preconditionerBSR is the blocked-layout counterpart of preconditioner:
-// it refreshes the cached preconditioner through sparse.BSRRefresher when
-// the kind is unchanged, and otherwise builds Jacobi or block-Jacobi from
-// the blocked diagonal. The padding variable's unit diagonal passes its
-// residual component through unchanged under either.
-func (e *Engine) preconditionerBSR(a *sparse.BSR, kind PrecondKind) (sparse.Preconditioner, error) {
-	if kind == PrecondNone {
-		return sparse.IdentityPreconditioner{}, nil
-	}
-	if e.havePre && e.preKind == kind && e.preBSR {
-		if e.skipPre {
-			return e.pre, nil
-		}
-		if ref, ok := e.pre.(sparse.BSRRefresher); ok {
-			if err := ref.RefreshBSR(a); err == nil {
-				return e.pre, nil
-			}
-			e.havePre = false
-		}
-	}
-	var pre sparse.Preconditioner
-	var err error
-	switch kind {
-	case PrecondJacobi:
-		pre, err = sparse.NewJacobiBSR(a)
-	case PrecondBlockJacobi:
-		pre, err = sparse.NewBlockJacobi(a)
-	default:
-		return nil, fmt.Errorf("wls: preconditioner %v does not support the BSR gain format", kind)
-	}
-	if err != nil {
-		e.havePre = false
-		return nil, err
-	}
-	e.pre, e.preKind, e.preBSR, e.havePre = pre, kind, true, true
-	return pre, nil
 }
 
 // NormalizedResiduals computes rᴺ_i = |r_i| / √Ω_ii for a result produced

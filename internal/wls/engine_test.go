@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/grid"
@@ -25,10 +26,6 @@ func legacyEstimate(mod *meas.Model, opts Options, scale []float64) (*Result, er
 	maxIter := opts.MaxIter
 	if maxIter <= 0 {
 		maxIter = 25
-	}
-	cgTol := opts.CGTol
-	if cgTol <= 0 {
-		cgTol = 1e-10
 	}
 	x := mod.FlatVec()
 	if opts.X0 != nil {
@@ -104,8 +101,6 @@ func legacySolveGain(g *sparse.CSR, rhs []float64, opts Options, cgTol float64) 
 			pre = sparse.IdentityPreconditioner{}
 		case PrecondJacobi:
 			pre, err = sparse.NewJacobi(g)
-		case PrecondIC0:
-			pre, err = sparse.NewIC0(g)
 		case PrecondLDL:
 			pre, err = sparse.NewLDL(g)
 		}
@@ -153,10 +148,6 @@ func forEachPrecond(t *testing.T, f func(t *testing.T, pk PrecondKind)) {
 }
 
 func TestEngineMatchesLegacyEstimate(t *testing.T) {
-	// The legacy path always assembles in natural order, so the ic0 case
-	// pins Ordering explicitly (OrderAuto would pick RCM for it);
-	// the ordered path is compared against legacy separately in
-	// TestEngineOrderedMatchesLegacy at the looser permuted-solve tolerance.
 	cases := []struct {
 		name string
 		opts Options
@@ -164,7 +155,6 @@ func TestEngineMatchesLegacyEstimate(t *testing.T) {
 		{"pcg-ldl", Options{}},
 		{"pcg-jacobi", Options{Precond: PrecondJacobi}},
 		{"pcg-none", Options{Precond: PrecondNone}},
-		{"pcg-ic0", Options{Precond: PrecondIC0, Ordering: OrderNatural}},
 		{"pcg-serial", Options{Precond: PrecondJacobi, Workers: 1}},
 		{"dense", Options{Solver: Dense}},
 		{"qr", Options{Solver: QR}},
@@ -221,99 +211,18 @@ func TestEngineMatchesLegacyOn118(t *testing.T) {
 	}
 }
 
-// TestEngineOrderedMatchesLegacy pins the fill-reducing-ordered PCG path
-// against the natural-order legacy solve: the permutation changes the CG
-// iterates (and usually the iteration count), not the solution, so states
-// must agree to 1e-10 — the permuted-solve acceptance tolerance, well under
-// measurement precision though looser than the bitwise natural-path 1e-12.
-func TestEngineOrderedMatchesLegacy(t *testing.T) {
-	mod := engineTestModel(t, grid.Case118, 0.01, 7)
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"ic0-rcm", Options{Precond: PrecondIC0, Ordering: OrderRCM}},
-		{"ic0-auto", Options{Precond: PrecondIC0}}, // auto resolves to RCM
-		{"ic0-mindeg", Options{Precond: PrecondIC0, Ordering: OrderMinDegree}},
-		{"ldl-rcm", Options{Precond: PrecondLDL, Ordering: OrderRCM}},
-		{"jacobi-rcm", Options{Precond: PrecondJacobi, Ordering: OrderRCM}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			legacy := tc.opts
-			legacy.Ordering = OrderNatural
-			want, err := legacyEstimate(mod, legacy, nil)
-			if err != nil {
-				t.Fatalf("legacy: %v", err)
-			}
-			got, err := Estimate(mod, tc.opts)
-			if err != nil {
-				t.Fatalf("ordered engine: %v", err)
-			}
-			for i := range want.X {
-				if d := math.Abs(got.X[i] - want.X[i]); d > 1e-10 {
-					t.Fatalf("x[%d]: ordered %v legacy %v (|Δ|=%.3g > 1e-10)", i, got.X[i], want.X[i], d)
-				}
-			}
-		})
-	}
-}
-
-// TestEngineRCMReducesIC0Iterations is the ordering payoff on the 118-bus
-// gain matrix: IC(0) on the RCM-permuted pattern captures more of the true
-// factor, so PCG must take strictly fewer iterations than with natural
-// ordering.
-func TestEngineRCMReducesIC0Iterations(t *testing.T) {
-	mod := engineTestModel(t, grid.Case118, 0.01, 7)
-	natural, err := NewEngine(mod).Estimate(Options{Precond: PrecondIC0, Ordering: OrderNatural})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcm, err := NewEngine(mod).Estimate(Options{Precond: PrecondIC0, Ordering: OrderRCM})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rcm.CGIterations >= natural.CGIterations {
-		t.Fatalf("RCM ordering did not reduce IC(0) PCG iterations: rcm %d, natural %d",
-			rcm.CGIterations, natural.CGIterations)
-	}
-	t.Logf("ic0 cg-iters: natural %d, rcm %d", natural.CGIterations, rcm.CGIterations)
-}
-
-// TestEngineOrderingSwitch flips one engine between orderings: the ordered
-// plan cache and the preconditioner must rebuild cleanly each way, and both
-// directions must keep producing the natural-order result.
-func TestEngineOrderingSwitch(t *testing.T) {
-	mod := engineTestModel(t, grid.Case14, 0.01, 4)
-	eng := NewEngine(mod)
-	want, err := eng.Estimate(Options{Precond: PrecondIC0, Ordering: OrderNatural})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ord := range []OrderingKind{OrderRCM, OrderNatural, OrderMinDegree, OrderRCM} {
-		got, err := eng.Estimate(Options{Precond: PrecondIC0, Ordering: ord})
-		if err != nil {
-			t.Fatalf("ordering %v: %v", ord, err)
-		}
-		for i := range want.X {
-			if d := math.Abs(got.X[i] - want.X[i]); d > 1e-10 {
-				t.Fatalf("ordering %v: x[%d] |Δ|=%.3g > 1e-10", ord, i, d)
-			}
-		}
-	}
-}
-
 // TestEngineReuse runs the same engine repeatedly and against fresh engines:
 // solver state (warm starts, preconditioner numerics, workspaces) must not
 // leak between calls.
 func TestEngineReuse(t *testing.T) {
 	mod := engineTestModel(t, grid.Case14, 0.01, 3)
 	eng := NewEngine(mod)
-	first, err := eng.Estimate(Options{Precond: PrecondIC0})
+	first, err := eng.Estimate(Options{Precond: PrecondJacobi})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for call := 0; call < 3; call++ {
-		again, err := eng.Estimate(Options{Precond: PrecondIC0})
+		again, err := eng.Estimate(Options{Precond: PrecondJacobi})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,6 +302,38 @@ func TestEngineIterationZeroAllocKernels(t *testing.T) {
 		sparse.GainRHSInto(eng.rhs, hj, eng.w, eng.r, eng.wr)
 	}); allocs != 0 {
 		t.Fatalf("numeric refresh kernels allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestGainMatrixBSREquivalence is the randomized property test of the
+// blocked gain layout on real gain patterns (the engine no longer solves in
+// it; benchmark/replay.go still builds it): for the 14/30/118-bus gain
+// matrices under random weights, the interleave-ordered blocked refresh
+// must match the same-ordered scalar refresh to 1e-12.
+func TestGainMatrixBSREquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, build := range []func() *grid.Network{grid.Case14, grid.Case30, grid.Case118} {
+		mod := engineTestModel(t, build, 0.01, 5)
+		hj := mod.Jacobian(mod.FlatVec())
+		perm := sparse.BusInterleave(mod.NAngles(), mod.Net.N(), mod.RefBus(), nil)
+		gp := sparse.NewGainPlanOrdered(hj, perm)
+		w := make([]float64, hj.Rows)
+		for trial := 0; trial < 3; trial++ {
+			for i := range w {
+				w[i] = 0.1 + rng.Float64()*10
+			}
+			g := gp.Refresh(hj, w)
+			bsr := gp.RefreshPoolBSR(hj, w, nil)
+			for i := 0; i < g.Rows; i++ {
+				for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
+					diff := math.Abs(bsr.At(i, g.ColIdx[k]) - g.Val[k])
+					if diff > 1e-12*(1+math.Abs(g.Val[k])) {
+						t.Fatalf("%s trial %d: blocked G(%d,%d) off by %g",
+							mod.Net.Name, trial, i, g.ColIdx[k], diff)
+					}
+				}
+			}
+		}
 	}
 }
 

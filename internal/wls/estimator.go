@@ -38,20 +38,15 @@ type PrecondKind int
 
 // Preconditioner choices for the PCG gain solve. PrecondLDL, the default,
 // is a complete sparse LDLᵀ factor of the gain matrix under its own
-// fill-reducing ordering (sparse.LDLFactor): CG converges in one iteration
-// on a freshly factored gain and in a handful on a factor the reuse tiers
-// lag. A gain too close to singular to factor runs that refresh on the
+// fill-reducing ordering (sparse.LDLFactor): CG converges in one iteration,
+// on a lagged gain too, because ReuseGain lags the factor with the gain it
+// factors. A gain too close to singular to factor runs that refresh on the
 // Jacobi preconditioner instead (Result.PrecondFallbacks). PrecondJacobi is
 // the diagonal preconditioner of the paper's solver [2].
 const (
 	PrecondLDL PrecondKind = iota
 	PrecondJacobi
 	PrecondNone
-	PrecondIC0
-	// PrecondBlockJacobi inverts the 2×2 per-bus (θ, V) diagonal blocks of
-	// the gain matrix exactly. It requires the blocked gain layout and
-	// therefore implies FormatBSR (an explicit FormatCSR is rejected).
-	PrecondBlockJacobi
 )
 
 func (p PrecondKind) String() string {
@@ -62,122 +57,50 @@ func (p PrecondKind) String() string {
 		return "jacobi"
 	case PrecondNone:
 		return "none"
-	case PrecondIC0:
-		return "ic0"
-	case PrecondBlockJacobi:
-		return "block-jacobi"
 	default:
 		return fmt.Sprintf("PrecondKind(%d)", int(p))
 	}
 }
 
 // ParsePrecond maps a preconditioner name as PrecondKind.String prints it
-// (or the short "bjacobi") back to its kind, for command-line flags.
+// back to its kind, for command-line flags.
 func ParsePrecond(name string) (PrecondKind, error) {
-	if name == "bjacobi" {
-		return PrecondBlockJacobi, nil
-	}
-	for p := PrecondLDL; p <= PrecondBlockJacobi; p++ {
+	for p := PrecondLDL; p <= PrecondNone; p++ {
 		if p.String() == name {
 			return p, nil
 		}
 	}
-	return 0, fmt.Errorf("wls: unknown preconditioner %q (want ldl, jacobi, none, ic0 or bjacobi)", name)
+	return 0, fmt.Errorf("wls: unknown preconditioner %q (want ldl, jacobi or none)", name)
 }
 
-// OrderingKind selects the fill-reducing ordering applied to the gain
-// matrix before the PCG solve. The permutation is symbolic work: it is
-// computed once per sparsity pattern and baked into the gain plan's scatter
-// map, so choosing an ordering costs nothing per iteration.
-type OrderingKind int
-
-// Gain-matrix orderings. OrderAuto picks RCM when the preconditioner is the
-// zero-fill incomplete factorization IC(0) — where bandwidth reduction
-// tightens the preconditioner — and natural ordering otherwise: Jacobi and
-// unpreconditioned CG are permutation-invariant, and the LDLᵀ factor
-// carries its own fill-reducing permutation, so reordering the gain plan
-// would only add boundary work and a second symbolic build.
-const (
-	OrderAuto OrderingKind = iota
-	OrderNatural
-	OrderRCM
-	OrderMinDegree
-)
-
-func (o OrderingKind) String() string {
-	switch o {
-	case OrderAuto:
-		return "auto"
-	case OrderNatural:
-		return "natural"
-	case OrderRCM:
-		return "rcm"
-	case OrderMinDegree:
-		return "mindeg"
-	default:
-		return fmt.Sprintf("OrderingKind(%d)", int(o))
-	}
-}
-
-// FormatKind selects the storage layout of the gain matrix for the PCG
-// solve. The layout is a pure performance knob: both formats assemble the
-// same contributions in the same order, so switching formats never changes
-// the estimate beyond the roundoff already inherent in reordering.
-type FormatKind int
-
-// Gain-matrix layouts. FormatBSR interleaves the state into per-bus
-// (θᵢ, Vᵢ) pairs and stores the gain matrix as dense 2×2 blocks — half the
-// index traffic per value and unrolled block mat-vecs. FormatAuto picks
-// BSR for the block-friendly preconditioners (Jacobi, block-Jacobi) on
-// systems large enough for the parallel kernels to engage, and scalar CSR
-// otherwise; the factorizations (LDLᵀ, IC(0)) always run on scalar CSR.
-// Dense and QR solvers ignore the knob.
-const (
-	FormatAuto FormatKind = iota
-	FormatCSR
-	FormatBSR
-)
-
-func (f FormatKind) String() string {
-	switch f {
-	case FormatAuto:
-		return "auto"
-	case FormatCSR:
-		return "csr"
-	case FormatBSR:
-		return "bsr"
-	default:
-		return fmt.Sprintf("FormatKind(%d)", int(f))
-	}
-}
-
-// GainReuseKind selects the drift-gated numeric-reuse tier of the PCG gain
-// solve. The engine anchors the state at which G = HᵀWH and the
-// preconditioner were last refreshed; while the scaled state drift from
-// that anchor stays under Options.ReuseGate (and the weights, format,
-// ordering, and preconditioner are unchanged), the selected tier skips the
-// corresponding numeric refresh work. The anchor survives across solves on
-// the same engine, so steady tracking frames inherit the previous frame's
-// numerics. Any layout change invalidates the anchor automatically (the
-// session layer rebuilds the engine on ErrStaleSkeleton), and
-// Engine.ResetReuse drops it explicitly.
+// GainReuseKind selects whether the PCG gain solve may run on lagged
+// numerics. The engine anchors the state at which G = HᵀWH and its
+// preconditioner were last refreshed; under ReuseGain, while the scaled
+// state drift from that anchor stays under ReuseGainGateDefault (and the
+// weights are unchanged), an iteration skips both refreshes. The anchor
+// survives across solves on the same engine, so steady tracking frames
+// inherit the previous frame's numerics. Any layout change invalidates the
+// anchor automatically (the session layer rebuilds the engine on
+// ErrStaleSkeleton), and Engine.ResetReuse drops it explicitly.
 type GainReuseKind int
 
-// Gain-reuse tiers. ReusePrecond keeps the gain operator exact and only
-// lags the preconditioner numerics — CG converges to the same solution, so
-// results stay pinned to the always-refresh path to solver tolerance.
-// ReuseGain additionally skips the gain refresh, running a lagged
-// Gauss–Newton iteration on stale G guarded by a residual-decrease test: if
-// the lagged step fails to reduce J(x), CG blows past its fresh-solve
-// iteration budget, or the solve errors, the engine refreshes at the
-// current iterate and re-solves. ReuseAuto defers the choice to the calling
-// layer — the session-backed DSE orchestrators resolve it to ReusePrecond
-// and the Tracker to ReuseGain, while a bare Engine treats it as ReuseOff.
+// Gain-reuse tiers. ReuseGain runs a lagged Gauss–Newton iteration on stale
+// G guarded by a residual-decrease test: if the lagged step fails to reduce
+// J(x), CG blows past its fresh-solve iteration budget, or the solve
+// errors, the engine refreshes at the current iterate and re-solves.
+// ReuseAuto is the owner's choice: an engine that lives for one solve
+// (Estimate) runs it as ReuseOff, exact Gauss–Newton, while the owners that
+// keep engines across solves — core.Session, contingency.Pool — resolve it
+// to ReuseGain.
 const (
 	ReuseAuto GainReuseKind = iota
 	ReuseOff
-	ReusePrecond
 	ReuseGain
+
+	// ReusePrecond is ReuseOff — an exact gain and a fresh factor every
+	// iteration, which is all the tier ever promised. The name stays only
+	// because benchmark/workload.go still refers to it.
+	ReusePrecond = ReuseOff
 )
 
 func (g GainReuseKind) String() string {
@@ -186,8 +109,6 @@ func (g GainReuseKind) String() string {
 		return "auto"
 	case ReuseOff:
 		return "off"
-	case ReusePrecond:
-		return "precond"
 	case ReuseGain:
 		return "gain"
 	default:
@@ -195,22 +116,17 @@ func (g GainReuseKind) String() string {
 	}
 }
 
-// ReuseGateDefault is the scaled state-drift gate used when
-// Options.ReuseGate is zero and the tier only lags the preconditioner
-// (ReusePrecond): per-unit voltage and radian angle moves under 1% keep
-// the lagged numerics. The preconditioner only steers CG, so a loose gate
-// is safe. A topology event or load step blows through it and forces a
-// refresh on the first iteration.
-const ReuseGateDefault = 0.01
-
-// ReuseGainGateDefault is the default drift gate for the lagged-gain tier
-// (ReuseGain). Lagging G itself degrades the Gauss–Newton contraction in
-// proportion to the drift — at 1% the extra iterations cost more than the
-// skipped refreshes save — so the gain tier re-anchors an order of
-// magnitude earlier. On steady IEEE-118 tracking this keeps the iteration
-// count within 1% of always-refresh while still skipping ~80% of gain
-// refreshes.
-const ReuseGainGateDefault = 1e-3
+// ReuseGainGateDefault is the scaled state-drift gate of ReuseGain: per-unit
+// voltage and radian angle moves under 0.8 % keep the lagged numerics.
+// Lagging G degrades the Gauss–Newton contraction in proportion to the
+// drift, so past some gate the extra iterations cost more than the skipped
+// refreshes save; where that happens depends on what a lagged iteration
+// costs. Under the LDLᵀ default the factor is lagged with the gain, so a
+// lagged step is one triangular solve, and the measured optimum on tracked
+// IEEE-118 and 1 416-bus frames is 8e-3 (DESIGN §10 has the sweep). A
+// topology event or load step blows through it and forces a refresh on the
+// first iteration.
+const ReuseGainGateDefault = 8e-3
 
 // Options controls the Gauss–Newton WLS iteration.
 type Options struct {
@@ -222,40 +138,15 @@ type Options struct {
 	Solver SolverKind
 	// Precond selects the PCG preconditioner (default PrecondLDL).
 	Precond PrecondKind
-	// Ordering selects the fill-reducing gain-matrix ordering for the PCG
-	// solve (default OrderAuto: RCM for IC(0), natural otherwise).
-	// Under FormatBSR the ordering acts on the bus quotient graph — buses
-	// are ordered, then expanded to (θ, V) pairs. Ignored by the Dense and
-	// QR solvers.
-	Ordering OrderingKind
-	// Format selects the gain-matrix storage layout for the PCG solve
-	// (default FormatAuto). See FormatKind.
-	Format FormatKind
-	// CGTol is the inner CG relative tolerance. Zero selects 1e-10.
-	CGTol float64
 	// Workers is the goroutine count for parallel mat-vec inside PCG.
 	Workers int
 	// X0 is an optional warm-start state vector; nil selects flat start.
 	X0 []float64
-	// GainReuse selects the drift-gated numeric-reuse tier for the PCG gain
-	// solve (default ReuseAuto, which a bare engine treats as ReuseOff; the
-	// session layer resolves it to ReusePrecond and the Tracker to
-	// ReuseGain). See GainReuseKind. Non-PCG solvers ignore the knob.
+	// GainReuse selects whether the PCG gain solve may run on lagged gain
+	// and preconditioner numerics (default ReuseAuto, which a one-shot
+	// Estimate runs as ReuseOff and the session layer and the contingency
+	// pool as ReuseGain). See GainReuseKind. Non-PCG solvers ignore the knob.
 	GainReuse GainReuseKind
-	// ReuseGate overrides the scaled state-drift gate for GainReuse. Zero
-	// selects the tier default: ReuseGateDefault for ReusePrecond,
-	// ReuseGainGateDefault for ReuseGain.
-	ReuseGate float64
-	// AdaptiveGate, when true, scales the reuse drift gate from the
-	// lagged-gain guard's observed outcomes: four consecutive clean lagged
-	// accepts (inner CG within slack of the anchoring fresh solve) double
-	// the gate, any guard fallback halves it, clamped to [gate/8, gate×8].
-	// Quiescent tracking signals thus widen the gate and skip more
-	// refreshes; jittery signals tighten it and re-anchor early. The learned
-	// scale persists across solves and anchors on the same engine. The guard
-	// semantics are unchanged, so estimates stay pinned to the fixed-gate
-	// path exactly as ReuseGain already guarantees.
-	AdaptiveGate bool
 	// X0Gate, when positive, guards the warm start behind a scaled-residual
 	// test: X0 is kept only while its weighted residual J(X0) stays within
 	// X0Gate·J(flat) of the flat start's, and otherwise the solve quietly
@@ -291,11 +182,12 @@ type Result struct {
 	CGIterations int
 	// GainRefreshes and GainSkips split the gain-solve iterations by
 	// whether G = HᵀWH was recomputed or the drift-gated reuse tier kept the
-	// lagged values (GainSkips stays zero below ReuseGain).
+	// lagged values (GainSkips stays zero under ReuseOff).
 	GainRefreshes int
 	GainSkips     int
-	// PrecondSkips counts iterations that ran CG on lagged preconditioner
-	// numerics (ReusePrecond and above).
+	// PrecondSkips always equals GainSkips: the preconditioner is lagged
+	// with the gain and never alone. The field stays only because
+	// benchmark/workload.go still reads it.
 	PrecondSkips int
 	// ReuseFallbacks counts lagged-gain iterations rolled back by the
 	// residual-decrease guard (the iteration then refreshed and re-solved).

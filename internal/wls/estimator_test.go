@@ -118,7 +118,7 @@ func TestAllPreconditionersAgree(t *testing.T) {
 	truth := solved(t, n)
 	mod := buildModel(t, n, truth, 1, 9)
 	var ref *Result
-	for _, p := range []PrecondKind{PrecondNone, PrecondJacobi, PrecondIC0, PrecondLDL} {
+	for _, p := range []PrecondKind{PrecondNone, PrecondJacobi, PrecondLDL} {
 		res, err := Estimate(mod, Options{Precond: p})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
@@ -364,7 +364,7 @@ func TestChiSquareTestValidation(t *testing.T) {
 }
 
 func TestPrecondKindString(t *testing.T) {
-	if PrecondJacobi.String() != "jacobi" || PrecondIC0.String() != "ic0" {
+	if PrecondJacobi.String() != "jacobi" || PrecondLDL.String() != "ldl" {
 		t.Fatal("PrecondKind.String")
 	}
 }
