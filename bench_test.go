@@ -253,6 +253,56 @@ func BenchmarkCentralizedWLS118(b *testing.B) {
 	}
 }
 
+// BenchmarkCentralizedWLSWECC12 is the same baseline at 1 416 buses — what
+// the gate's central_wecc12 workload runs: a cold solve, so the model, both
+// symbolic plans and the LDLᵀ analysis are paid inside every operation.
+func BenchmarkCentralizedWLSWECC12(b *testing.B) {
+	dec, frames := weccDSEFixture(b, 12, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.CentralizedEstimate(context.Background(), dec.Net, frames[0], wls.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGainPlanBuild times the symbolic half of G = HᵀWH alone — the
+// largest single share of a cold solve — on the centralized Jacobian
+// skeleton at both sizes. contribs is Σd² over H's rows, the number of
+// products the plan scatters (the length of its contribution arrays).
+func BenchmarkGainPlanBuild(b *testing.B) {
+	fx := benchFixture(b)
+	dec, frames := weccDSEFixture(b, 12, 1)
+	for _, c := range []struct {
+		name string
+		net  *grid.Network
+		ms   []meas.Measurement
+	}{
+		{"ieee118", fx.Net, fx.Meas},
+		{"synth-wecc-12", dec.Net, frames[0]},
+	} {
+		mod, err := meas.NewModel(c.net, c.ms, c.net.SlackIndex(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := mod.NewJacobianPlan().H
+		contribs := 0
+		for m := 0; m < h.Rows; m++ {
+			contribs += h.RowNNZ(m) * h.RowNNZ(m)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if sparse.NewGainPlan(h).G.Rows != h.Cols {
+					b.Fatal("gain plan of the wrong dimension")
+				}
+			}
+			b.ReportMetric(float64(contribs), "contribs")
+		})
+	}
+}
+
 // BenchmarkGainKernels118 isolates the two hot gain-matrix kernels of the
 // PCG solve — numeric refresh G = HᵀWH and mat-vec y = G·x — on the
 // IEEE-118 gain as the engine stores it: scalar CSR in natural order.

@@ -9,19 +9,21 @@
 //	go run ./cmd/benchjson -o BENCH_2.json -compare BENCH_1.json bench.txt
 //
 // With -compare OLD.json the tool additionally prints a per-benchmark
-// ratio table (new/old ms/op and allocs/op) against a previously committed
-// record, flagging entries whose time ratio exceeds -tol. The time ratios
-// are a report, not a gate: CI machine noise routinely exceeds any
-// tolerance. Allocation counts are deterministic for a given build, so a
-// benchmark present in both records whose allocs/op rose by more than 5 %
-// makes the tool exit with status 3 — the one result the CI bench job
-// fails on.
+// ratio table (new/old ms/op and allocs/op, plus the new record's median
+// and max/min spread) against a previously committed record, flagging
+// entries whose time ratio exceeds -tol. The time ratios are a report, not a
+// gate: CI machine noise routinely exceeds any tolerance. Allocation counts
+// are deterministic for a given build, so a benchmark present in both
+// records whose allocs/op rose by more than 5 % makes the tool exit with
+// status 3 — the one result the CI bench job fails on.
 //
 // Repeated runs of the same benchmark (from -count N) are aggregated: the
 // JSON records the minimum ns/op (the least-noise estimate of the true
-// cost), the minimum B/op and allocs/op (deterministic for a given build,
-// so min discards measurement artifacts), the mean of every b.ReportMetric
-// value, and the run count.
+// cost, and what -compare takes ratios of), the median ns/op and the
+// max/min spread of the runs (how far that minimum can be trusted), the
+// minimum B/op and allocs/op (deterministic for a given build, so min
+// discards measurement artifacts), the mean of every b.ReportMetric value,
+// and the run count.
 package main
 
 import (
@@ -39,12 +41,15 @@ import (
 // Entry is the aggregated record of one benchmark.
 type Entry struct {
 	Runs        int                `json:"runs"`
-	Iterations  int                `json:"iterations"` // b.N of the last run
-	NsPerOp     float64            `json:"ns_per_op"`
+	Iterations  int                `json:"iterations"`                 // b.N of the last run
+	NsPerOp     float64            `json:"ns_per_op"`                  // minimum over the runs
+	NsMedian    float64            `json:"ns_per_op_median,omitempty"` // records before BENCH_14 have none
+	NsSpread    float64            `json:"ns_per_op_spread,omitempty"` // slowest run / fastest run
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 
+	ns     []float64 // ns/op of every run
 	sums   map[string]float64
 	counts map[string]int
 }
@@ -137,12 +142,12 @@ func writeComparison(w io.Writer, old, cur map[string]*Entry, tol float64) int {
 	}
 	sort.Strings(names)
 	regressions, allocRises := 0, 0
-	fmt.Fprintf(w, "%-64s %12s %12s %8s %10s\n", "benchmark", "old ms/op", "new ms/op", "ratio", "allocs")
+	fmt.Fprintf(w, "%-64s %12s %12s %8s %10s %12s %8s\n", "benchmark", "old ms/op", "new ms/op", "ratio", "allocs", "median", "spread")
 	for _, n := range names {
 		e := cur[n]
 		o, ok := old[n]
 		if !ok {
-			fmt.Fprintf(w, "%-64s %12s %12.3f %8s %10s\n", n, "-", e.NsPerOp/1e6, "added", "-")
+			fmt.Fprintf(w, "%-64s %12s %12.3f %8s %10s %12.3f %7.2fx\n", n, "-", e.NsPerOp/1e6, "added", "-", e.NsMedian/1e6, e.NsSpread)
 			continue
 		}
 		ratio := 0.0
@@ -167,7 +172,7 @@ func writeComparison(w io.Writer, old, cur map[string]*Entry, tol float64) int {
 			note += "  << allocs"
 			allocRises++
 		}
-		fmt.Fprintf(w, "%-64s %12.3f %12.3f %7.2fx %10s%s\n", n, o.NsPerOp/1e6, e.NsPerOp/1e6, ratio, allocs, note)
+		fmt.Fprintf(w, "%-64s %12.3f %12.3f %7.2fx %10s %12.3f %7.2fx%s\n", n, o.NsPerOp/1e6, e.NsPerOp/1e6, ratio, allocs, e.NsMedian/1e6, e.NsSpread, note)
 	}
 	removed := make([]string, 0)
 	for n := range old {
@@ -229,9 +234,7 @@ func parse(r io.Reader) (map[string]*Entry, error) {
 			}
 			switch unit := f[i+1]; unit {
 			case "ns/op":
-				if e.Runs == 1 || v < e.NsPerOp {
-					e.NsPerOp = v
-				}
+				e.ns = append(e.ns, v)
 			case "B/op":
 				if e.Runs == 1 || v < e.BytesPerOp {
 					e.BytesPerOp = v
@@ -244,6 +247,20 @@ func parse(r io.Reader) (map[string]*Entry, error) {
 				e.sums[unit] += v
 				e.counts[unit]++
 			}
+		}
+	}
+	for _, e := range entries {
+		if len(e.ns) == 0 {
+			continue
+		}
+		sort.Float64s(e.ns)
+		mid := len(e.ns) / 2
+		e.NsPerOp, e.NsMedian = e.ns[0], e.ns[mid]
+		if len(e.ns)%2 == 0 {
+			e.NsMedian = (e.ns[mid-1] + e.ns[mid]) / 2
+		}
+		if e.ns[0] > 0 {
+			e.NsSpread = e.ns[len(e.ns)-1] / e.ns[0]
 		}
 	}
 	return entries, sc.Err()

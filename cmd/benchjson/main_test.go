@@ -33,6 +33,51 @@ PASS
 	}
 }
 
+// TestMedianAndSpreadOverCount: five runs of one benchmark, as -count 5
+// prints them. The record keeps the minimum, adds the median and the
+// slowest/fastest ratio, and the comparison table prints both.
+func TestMedianAndSpreadOverCount(t *testing.T) {
+	entries, err := parse(strings.NewReader(`
+BenchmarkCold  20  40000000 ns/op  13762138 B/op  224 allocs/op
+BenchmarkCold  20  34000000 ns/op  13762136 B/op  224 allocs/op
+BenchmarkCold  20  51000000 ns/op  13762140 B/op  225 allocs/op
+BenchmarkCold  20  36000000 ns/op  13762136 B/op  224 allocs/op
+BenchmarkCold  20  35000000 ns/op  13762136 B/op  224 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := entries["BenchmarkCold"]
+	if e == nil || e.Runs != 5 {
+		t.Fatalf("BenchmarkCold = %+v, want 5 runs", e)
+	}
+	if e.NsPerOp != 34e6 || e.NsMedian != 36e6 || e.NsSpread != 1.5 {
+		t.Fatalf("min %g median %g spread %g, want 3.4e7, 3.6e7, 1.5", e.NsPerOp, e.NsMedian, e.NsSpread)
+	}
+	if e.BytesPerOp != 13762136 || e.AllocsPerOp != 224 {
+		t.Fatalf("B/op %g allocs/op %g, want the minima 13762136 and 224", e.BytesPerOp, e.AllocsPerOp)
+	}
+	// An older record has no median; the ratio is still minimum over minimum.
+	var sb strings.Builder
+	old := map[string]*Entry{"BenchmarkCold": {NsPerOp: 68e6, AllocsPerOp: 3106}}
+	if rises := writeComparison(&sb, old, entries, 1.10); rises != 0 {
+		t.Fatalf("%d allocs/op rises reported, want 0", rises)
+	}
+	for _, want := range []string{"median", "spread", "0.50x", "36.000", "1.50x", "(improved)"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("comparison output missing %q:\n%s", want, sb.String())
+		}
+	}
+	// Two runs: the median is their mean.
+	entries, err = parse(strings.NewReader("BenchmarkX 1 10 ns/op\nBenchmarkX 1 30 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := entries["BenchmarkX"]; e.NsPerOp != 10 || e.NsMedian != 20 || e.NsSpread != 3 {
+		t.Fatalf("two runs: %+v, want min 10 median 20 spread 3", e)
+	}
+}
+
 func TestWriteComparisonFlagsRegressions(t *testing.T) {
 	old := map[string]*Entry{
 		"BenchmarkFast-8":    {NsPerOp: 1e6, AllocsPerOp: 10},

@@ -21,6 +21,7 @@ import (
 func main() {
 	var (
 		caseName = flag.String("case", "ieee118", "built-in case (ieee14|ieee30|ieee118)")
+		areas    = flag.Int("areas", 0, "instead of -case, synthesize a multi-area grid with this many areas (12 = the 1 416-bus benchmark grid)")
 		noise    = flag.Float64("noise", 1.0, "meter noise level (1 = nominal)")
 		seed     = flag.Int64("seed", 42, "measurement noise seed")
 		solver   = flag.String("solver", "pcg", "gain-matrix solver: pcg|dense|qr")
@@ -43,7 +44,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	net, err := gridse.CaseByName(*caseName)
+	var net *gridse.Network
+	if *areas > 0 {
+		net, err = gridse.SynthWECC(gridse.SynthOptions{Areas: *areas, Seed: 1})
+	} else {
+		net, err = gridse.CaseByName(*caseName)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -64,6 +65,99 @@ func TestRunDSEPropagatesUnobservableSubsystem(t *testing.T) {
 	_, err := RunDSE(context.Background(), fx.dec, ms, DSEOptions{})
 	if err == nil {
 		t.Fatal("unobservable subsystem not reported")
+	}
+}
+
+// withoutBus drops every measurement whose value depends on the state of
+// the bus with external id: its own voltage, angle, injection and flows, and
+// the injections at its neighbours. What is left has two structurally empty
+// Jacobian columns, θ and V of that bus, however many rows it keeps.
+func withoutBus(n *grid.Network, ms []meas.Measurement, id int) []meas.Measurement {
+	near := map[int]bool{id: true}
+	for _, br := range n.Branches {
+		if br.From == id || br.To == id {
+			near[br.From], near[br.To] = true, true
+		}
+	}
+	var kept []meas.Measurement
+	for _, m := range ms {
+		switch m.Kind {
+		case meas.Pinj, meas.Qinj:
+			if near[m.Bus] {
+				continue
+			}
+		case meas.Pflow, meas.Qflow:
+			if br := n.Branches[m.Branch]; br.From == id || br.To == id {
+				continue
+			}
+		default: // Vmag, Angle
+			if m.Bus == id {
+				continue
+			}
+		}
+		kept = append(kept, m)
+	}
+	return kept
+}
+
+// TestUntouchedStateIsUnobservable: m ≥ n says nothing about a state no
+// measurement depends on. IEEE-14 without everything that sees bus 8 keeps
+// 113 measurements for 27 states; every solver row must refuse it with
+// ErrUnobservable. Before the gain plan recorded empty columns the factor
+// and Jacobi failed untyped, and unpreconditioned CG returned the flat start
+// for bus 8 with a nil error; only Dense and QR said unobservable.
+func TestUntouchedStateIsUnobservable(t *testing.T) {
+	fx := newFixture(t, grid.Case14, 2, 1)
+	ms := withoutBus(fx.net, meas.FullPlan().Build(fx.net), 8)
+	ms, err := meas.Simulate(fx.net, ms, fx.truth, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 113 {
+		t.Fatalf("%d measurements left, want 113", len(ms))
+	}
+	for _, tc := range []struct {
+		name string
+		opts wls.Options
+	}{
+		{"pcg-ldl", wls.Options{}},
+		{"pcg-jacobi", wls.Options{Precond: wls.PrecondJacobi}},
+		{"pcg-none", wls.Options{Precond: wls.PrecondNone}},
+		{"dense", wls.Options{Solver: wls.Dense}},
+		{"qr", wls.Options{Solver: wls.QR}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := CentralizedEstimate(context.Background(), fx.net, ms, tc.opts)
+			if !errors.Is(err, wls.ErrUnobservable) {
+				t.Fatalf("err = %v (result %v), want wls.ErrUnobservable", err, res != nil)
+			}
+		})
+	}
+}
+
+// TestRunDSEUntouchedStateSurvivesWrapping: the same defect inside one
+// subsystem reaches RunDSE's caller still matching wls.ErrUnobservable,
+// under the step and subsystem it came from.
+func TestRunDSEUntouchedStateSurvivesWrapping(t *testing.T) {
+	fx := newFixture(t, grid.Case118, 9, 1)
+	victim := fx.dec.Subsystems[4]
+	boundary := intSet(victim.Boundary)
+	id := 0
+	for _, b := range victim.Buses {
+		if !boundary[b] && b != victim.RefBus {
+			id = fx.net.Buses[b].ID
+			break
+		}
+	}
+	if id == 0 {
+		t.Fatal("subsystem 4 has no internal bus besides its reference")
+	}
+	_, err := RunDSE(context.Background(), fx.dec, withoutBus(fx.net, fx.ms, id), DSEOptions{})
+	if !errors.Is(err, wls.ErrUnobservable) {
+		t.Fatalf("err = %v, want wls.ErrUnobservable", err)
+	}
+	if !strings.Contains(err.Error(), "step 1 subsystem 4: ") || !strings.Contains(err.Error(), ": no measurement touches state ") {
+		t.Fatalf("error lost its origin: %v", err)
 	}
 }
 

@@ -1,8 +1,9 @@
 package grid
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // YBus is the complex nodal admittance matrix Y = G + jB in a CSR-like
@@ -24,19 +25,20 @@ type YBus struct {
 //	Ytt =  ys + j·bc/2
 //
 // with series admittance ys = 1/(r + jx), charging bc, tap τ and shift θ.
+//
+// The terms of one entry — parallel circuits, the branches meeting at a
+// bus, its shunt — are summed in branch order, then the shunt.
 func BuildYBus(n *Network) *YBus {
 	nb := n.N()
-	type key struct{ row, col int }
-	type cval struct{ g, b float64 }
-	acc := make(map[key]cval, 8*nb)
-	add := func(i, j int, g, b float64) {
-		k := key{i, j}
-		v := acc[k]
-		v.g += g
-		v.b += b
-		acc[k] = v
+	type term struct {
+		row, col int
+		g, b     float64
 	}
-	for _, br := range n.InService() {
+	terms := make([]term, 0, 4*len(n.Branches)+nb)
+	for _, br := range n.Branches {
+		if !br.Status {
+			continue
+		}
 		f := n.MustIndex(br.From)
 		t := n.MustIndex(br.To)
 		den := br.R*br.R + br.X*br.X
@@ -49,45 +51,63 @@ func BuildYBus(n *Network) *YBus {
 		cosS, sinS := math.Cos(br.Shift), math.Sin(br.Shift)
 		bc2 := br.B / 2
 
-		add(f, f, gs/(tap*tap), (bs+bc2)/(tap*tap)) // Yff
-		add(t, t, gs, bs+bc2)                       // Ytt
-		// Yft = −(ys·e^{+jθ})/τ
-		add(f, t, -(gs*cosS-bs*sinS)/tap, -(bs*cosS+gs*sinS)/tap)
-		// Ytf = −(ys·e^{−jθ})/τ
-		add(t, f, -(gs*cosS+bs*sinS)/tap, -(bs*cosS-gs*sinS)/tap)
+		terms = append(terms,
+			term{f, f, gs / (tap * tap), (bs + bc2) / (tap * tap)}, // Yff
+			term{t, t, gs, bs + bc2},                               // Ytt
+			// Yft = −(ys·e^{+jθ})/τ
+			term{f, t, -(gs*cosS - bs*sinS) / tap, -(bs*cosS + gs*sinS) / tap},
+			// Ytf = −(ys·e^{−jθ})/τ
+			term{t, f, -(gs*cosS + bs*sinS) / tap, -(bs*cosS - gs*sinS) / tap})
 	}
 	for i, bus := range n.Buses {
 		if bus.Gs != 0 || bus.Bs != 0 {
-			add(i, i, bus.Gs/n.BaseMVA, bus.Bs/n.BaseMVA)
+			terms = append(terms, term{i, i, bus.Gs / n.BaseMVA, bus.Bs / n.BaseMVA})
 		}
 	}
 
-	keys := make([]key, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].row != keys[b].row {
-			return keys[a].row < keys[b].row
-		}
-		return keys[a].col < keys[b].col
-	})
-	y := &YBus{
-		N:      nb,
-		RowPtr: make([]int, nb+1),
-		ColIdx: make([]int, 0, len(keys)),
-		G:      make([]float64, 0, len(keys)),
-		B:      make([]float64, 0, len(keys)),
-	}
-	for _, k := range keys {
-		v := acc[k]
-		y.ColIdx = append(y.ColIdx, k.col)
-		y.G = append(y.G, v.g)
-		y.B = append(y.B, v.b)
-		y.RowPtr[k.row+1]++
+	// Bucket the terms by row, then order each short row by column. Both
+	// steps are stable, so the terms of one entry stay in emission order.
+	ptr := make([]int, nb+1)
+	for _, t := range terms {
+		ptr[t.row+1]++
 	}
 	for i := 0; i < nb; i++ {
-		y.RowPtr[i+1] += y.RowPtr[i]
+		ptr[i+1] += ptr[i]
+	}
+	rows := make([]term, len(terms))
+	next := make([]int, nb)
+	copy(next, ptr)
+	for _, t := range terms {
+		rows[next[t.row]] = t
+		next[t.row]++
+	}
+	y := &YBus{N: nb, RowPtr: make([]int, nb+1)}
+	nnz := 0
+	for i := 0; i < nb; i++ {
+		row := rows[ptr[i]:ptr[i+1]]
+		slices.SortStableFunc(row, func(a, b term) int { return cmp.Compare(a.col, b.col) })
+		for k := range row {
+			if k == 0 || row[k].col != row[k-1].col {
+				nnz++
+			}
+		}
+		y.RowPtr[i+1] = nnz
+	}
+
+	// Merge equal columns: every entry starts at zero and adds its terms.
+	y.ColIdx = make([]int, nnz)
+	y.G = make([]float64, nnz)
+	y.B = make([]float64, nnz)
+	e := -1
+	for i := 0; i < nb; i++ {
+		for k, t := range rows[ptr[i]:ptr[i+1]] {
+			if k == 0 || t.col != y.ColIdx[e] {
+				e++
+				y.ColIdx[e] = t.col
+			}
+			y.G[e] += t.g
+			y.B[e] += t.b
+		}
 	}
 	return y
 }

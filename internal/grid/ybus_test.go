@@ -1,0 +1,119 @@
+package grid
+
+import (
+	"math"
+	"sort"
+	"testing"
+)
+
+// mapYBus is the admittance assembly BuildYBus replaced, kept as the
+// oracle: one map accumulator per (row, col), keys sorted at the end.
+func mapYBus(n *Network) *YBus {
+	nb := n.N()
+	type key struct{ row, col int }
+	type cval struct{ g, b float64 }
+	acc := make(map[key]cval, 8*nb)
+	add := func(i, j int, g, b float64) {
+		k := key{i, j}
+		v := acc[k]
+		v.g += g
+		v.b += b
+		acc[k] = v
+	}
+	for _, br := range n.InService() {
+		f := n.MustIndex(br.From)
+		t := n.MustIndex(br.To)
+		den := br.R*br.R + br.X*br.X
+		gs := br.R / den
+		bs := -br.X / den
+		tap := br.Tap
+		if tap == 0 {
+			tap = 1
+		}
+		cosS, sinS := math.Cos(br.Shift), math.Sin(br.Shift)
+		bc2 := br.B / 2
+
+		add(f, f, gs/(tap*tap), (bs+bc2)/(tap*tap))
+		add(t, t, gs, bs+bc2)
+		add(f, t, -(gs*cosS-bs*sinS)/tap, -(bs*cosS+gs*sinS)/tap)
+		add(t, f, -(gs*cosS+bs*sinS)/tap, -(bs*cosS-gs*sinS)/tap)
+	}
+	for i, bus := range n.Buses {
+		if bus.Gs != 0 || bus.Bs != 0 {
+			add(i, i, bus.Gs/n.BaseMVA, bus.Bs/n.BaseMVA)
+		}
+	}
+	keys := make([]key, 0, len(acc))
+	for k := range acc {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		if keys[a].row != keys[b].row {
+			return keys[a].row < keys[b].row
+		}
+		return keys[a].col < keys[b].col
+	})
+	y := &YBus{N: nb, RowPtr: make([]int, nb+1)}
+	for _, k := range keys {
+		v := acc[k]
+		y.ColIdx = append(y.ColIdx, k.col)
+		y.G = append(y.G, v.g)
+		y.B = append(y.B, v.b)
+		y.RowPtr[k.row+1]++
+	}
+	for i := 0; i < nb; i++ {
+		y.RowPtr[i+1] += y.RowPtr[i]
+	}
+	return y
+}
+
+// TestBuildYBusBitwiseMatchesMapAssembly: the bucketed assembly keeps the
+// map version's summation order inside every entry, so pattern and values
+// are identical to the last bit — signs of zero included, which a lossless
+// line produces.
+func TestBuildYBusBitwiseMatchesMapAssembly(t *testing.T) {
+	nets := []*Network{Case14(), Case30(), Case118()}
+	for _, areas := range []int{2, 12} {
+		n, err := SynthWECC(SynthOptions{Areas: areas, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, n)
+	}
+	// Two parallel circuits 1–2 listed in opposite directions, a tapped
+	// phase shifter, a lossless line, a bus shunt, an out-of-service branch.
+	odd, err := New("odd", 100,
+		[]Bus{{ID: 1, Type: Slack, Vm: 1}, {ID: 2, Type: PQ, Vm: 1, Gs: 3, Bs: 19}, {ID: 7, Type: PQ, Vm: 1}, {ID: 4, Type: PQ, Vm: 1}},
+		[]Branch{
+			{From: 1, To: 2, R: 0.02, X: 0.1, B: 0.03, Status: true},
+			{From: 2, To: 7, R: 0.01, X: 0.2, Tap: 0.97, Shift: 0.1, Status: true},
+			{From: 2, To: 1, R: 0.03, X: 0.11, B: 0.01, Status: true},
+			{From: 7, To: 4, X: 0.3, Status: true},
+			{From: 4, To: 1, R: 0.05, X: 0.25, Status: false},
+			{From: 4, To: 2, R: 0.04, X: 0.15, Tap: 1.02, Status: true},
+		}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets = append(nets, odd)
+
+	for _, n := range nets {
+		got, want := BuildYBus(n), mapYBus(n)
+		if got.N != want.N || got.NNZ() != want.NNZ() {
+			t.Fatalf("%s: %d buses / %d entries, want %d / %d", n.Name, got.N, got.NNZ(), want.N, want.NNZ())
+		}
+		for i := range want.RowPtr {
+			if got.RowPtr[i] != want.RowPtr[i] {
+				t.Fatalf("%s: RowPtr[%d] = %d, want %d", n.Name, i, got.RowPtr[i], want.RowPtr[i])
+			}
+		}
+		for k := range want.ColIdx {
+			if got.ColIdx[k] != want.ColIdx[k] ||
+				math.Float64bits(got.G[k]) != math.Float64bits(want.G[k]) ||
+				math.Float64bits(got.B[k]) != math.Float64bits(want.B[k]) {
+				t.Fatalf("%s: entry %d = (%d, %v, %v), want (%d, %v, %v)", n.Name, k,
+					got.ColIdx[k], got.G[k], got.B[k], want.ColIdx[k], want.G[k], want.B[k])
+			}
+		}
+	}
+}

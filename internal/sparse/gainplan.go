@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -12,9 +14,10 @@ import (
 // Refresh is a flat multiply-accumulate pass with no COO triplets, no
 // sorting, and no allocation.
 //
-// The contribution order inside every G entry replicates the legacy
-// Gain(h, w) pipeline (COO insertion order, then the CSR row sort), so a
-// refreshed G is numerically identical to a freshly assembled one.
+// An entry's contributions are summed in ascending (measurement, H.Val
+// index) order: the same on every build and under every permutation, but not
+// the order Gain(h, w) sums its COO stream in, so the two agree to a few
+// ulps of Σ|w·h·h|, not bit for bit.
 type GainPlan struct {
 	// G is the gain-matrix skeleton; Refresh rewrites G.Val in place.
 	G *CSR
@@ -43,29 +46,13 @@ type GainPlan struct {
 	rbounds []int
 	rparts  int
 
-	hnnz  int // expected nnz of H, to catch pattern drift
-	hrows int
-}
-
-// tagRowView sorts a row's column indices carrying an int32 payload. The
-// comparisons (and therefore the permutation) are exactly those of the
-// rowView sort used by COO.ToCSR, keeping contribution order bitwise
-// faithful to the legacy assembly.
-type tagRowView struct {
-	cols []int
-	tags []int32
-}
-
-func (r tagRowView) Len() int           { return len(r.cols) }
-func (r tagRowView) Less(i, j int) bool { return r.cols[i] < r.cols[j] }
-func (r tagRowView) Swap(i, j int) {
-	r.cols[i], r.cols[j] = r.cols[j], r.cols[i]
-	r.tags[i], r.tags[j] = r.tags[j], r.tags[i]
+	hnnz, hrows int // expected nnz and rows of H, to catch pattern drift
+	emptyRow    int // see EmptyRow
 }
 
 // NewGainPlan computes the symbolic structure of Hᵀ·diag(w)·H from the
-// pattern of h. The plan stays valid as long as h's sparsity pattern is
-// unchanged (values are free to change — that is the point).
+// pattern of h, whose rows may be empty, unsorted, and repeat a column. The
+// plan stays valid while that pattern does; values are free to change.
 func NewGainPlan(h *CSR) *GainPlan {
 	return NewGainPlanOrdered(h, nil)
 }
@@ -73,105 +60,118 @@ func NewGainPlan(h *CSR) *GainPlan {
 // NewGainPlanOrdered is NewGainPlan with a symmetric fill-reducing
 // permutation of the assembled gain matrix baked into the scatter map:
 // every contribution targets G entry (inv[i], inv[j]) instead of (i, j), so
-// a numeric Refresh produces P·(HᵀWH)·Pᵀ directly — same flat
-// multiply-accumulate pass, zero extra per-refresh cost, RefreshPool stays
-// row-parallel. perm follows the package convention (perm[new] = old,
-// length h.Cols); nil selects natural ordering. With a non-nil perm the
-// legacy bitwise-contribution-order guarantee applies to the permuted
-// entries' own deterministic order, not to the natural assembly. With G
-// permuted, a solve must permute b and x at the boundary (CGOptions.Perm).
-// The estimator only builds natural plans; a non-nil perm is passed only by
-// benchmark/replay.go.
+// a numeric Refresh produces P·(HᵀWH)·Pᵀ directly at no extra per-refresh
+// cost. perm follows the package convention (perm[new] = old, length
+// h.Cols); nil selects natural ordering. With G permuted, a solve must
+// permute b and x at the boundary (CGOptions.Perm). The estimator only
+// builds natural plans; only benchmark/replay.go passes a perm.
+//
+// Row r of G is read off the column of H that feeds it: each measurement
+// with an entry there contributes its whole row. No triplet list is formed
+// and nothing larger than one row's column set is sorted.
 func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
-	n := h.Cols
-	var inv []int
+	n, nnz := h.Cols, h.NNZ()
+	work := 0 // Σd² over H's rows: the products one refresh accumulates
+	for m := 0; m < h.Rows; m++ {
+		work += h.RowNNZ(m) * h.RowNNZ(m)
+	}
+	if max(n, nnz, work) > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: NewGainPlan: %d columns / %d H entries / %d contributions exceed the plan's int32 indices", n, nnz, work))
+	}
+	col := h.ColIdx // col[p] is the row (and column) of G that H entry p feeds
 	if perm != nil {
 		checkPerm(perm, n, "NewGainPlanOrdered")
-		inv = InversePerm(perm)
-	}
-	ntrip := 0
-	for m := 0; m < h.Rows; m++ {
-		d := h.RowNNZ(m)
-		ntrip += d * d
-	}
-
-	// Triplet emission in the legacy order: for each measurement row, the
-	// outer product of the row with itself.
-	rowOf := make([]int, ntrip)  // target G row (column ci of H)
-	colOf := make([]int, ntrip)  // target G column (column cj of H)
-	tagA := make([]int32, ntrip) // H.Val index of the first factor
-	tagB := make([]int32, ntrip) // H.Val index of the second factor
-	tagM := make([]int32, ntrip) // measurement index (weight lookup)
-	t := 0
-	for m := 0; m < h.Rows; m++ {
-		lo, hi := h.RowPtr[m], h.RowPtr[m+1]
-		for p := lo; p < hi; p++ {
-			for q := lo; q < hi; q++ {
-				if inv != nil {
-					rowOf[t] = inv[h.ColIdx[p]]
-					colOf[t] = inv[h.ColIdx[q]]
-				} else {
-					rowOf[t] = h.ColIdx[p]
-					colOf[t] = h.ColIdx[q]
-				}
-				tagA[t] = int32(p)
-				tagB[t] = int32(q)
-				tagM[t] = int32(m)
-				t++
-			}
+		inv := InversePerm(perm)
+		col = make([]int, nnz)
+		for p, c := range h.ColIdx {
+			col[p] = inv[c]
 		}
 	}
 
-	// Stable counting sort by G row — the same pass COO.ToCSR performs.
-	rowPtr := make([]int, n+1)
-	for _, r := range rowOf {
-		rowPtr[r+1]++
+	// H by columns: colVal/colRow[colPtr[r]:colPtr[r+1]] are the entries that
+	// feed G row r, ascending because the fill sweeps H row by row.
+	gp := &GainPlan{hnnz: nnz, hrows: h.Rows, emptyRow: -1}
+	colPtr := make([]int, n+1)
+	for _, r := range col {
+		colPtr[r+1]++
 	}
-	for i := 0; i < n; i++ {
-		rowPtr[i+1] += rowPtr[i]
+	for r := 0; r < n; r++ {
+		if colPtr[r+1] == 0 && gp.emptyRow < 0 {
+			gp.emptyRow = r
+		}
+		colPtr[r+1] += colPtr[r]
 	}
-	scol := make([]int, ntrip)
-	order := make([]int32, ntrip)
-	next := make([]int, n)
-	copy(next, rowPtr[:n])
-	for k := 0; k < ntrip; k++ {
-		r := rowOf[k]
-		p := next[r]
-		scol[p] = colOf[k]
-		order[p] = int32(k)
-		next[r]++
+	colVal, colRow := make([]int32, nnz), make([]int32, nnz) // H.Val index, measurement
+	next := slices.Clone(colPtr[:n])
+	for m := 0; m < h.Rows; m++ {
+		for p := h.RowPtr[m]; p < h.RowPtr[m+1]; p++ {
+			k := next[col[p]]
+			next[col[p]]++
+			colVal[k], colRow[k] = int32(p), int32(m)
+		}
 	}
 
-	// Per-row column sort (legacy rowView order), then the dedup scan that
-	// fixes G's pattern and groups contributions per G entry.
-	gp := &GainPlan{hnnz: h.NNZ(), hrows: h.Rows}
-	gRowPtr := make([]int, n+1)
-	var gColIdx []int
-	gp.entryPtr = append(gp.entryPtr, 0)
-	gp.cA = make([]int32, 0, ntrip)
-	gp.cB = make([]int32, 0, ntrip)
-	gp.cM = make([]int32, 0, ntrip)
+	// Pass 1 lists each G row's distinct columns and counts the contributions
+	// to each in slot. A row has at least as many contributions as columns, so
+	// list and counts wait for pass 2 at the head of its stretch of cA and cB.
+	gp.cA, gp.cB, gp.cM = make([]int32, work), make([]int32, work), make([]int32, work)
 	gp.rowWork = make([]int, n+1)
-	for i := 0; i < n; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		sort.Sort(tagRowView{cols: scol[lo:hi], tags: order[lo:hi]})
-		for k := lo; k < hi; k++ {
-			if k == lo || scol[k] != scol[k-1] {
-				gColIdx = append(gColIdx, scol[k])
-				gp.entryPtr = append(gp.entryPtr, gp.entryPtr[len(gp.entryPtr)-1])
+	gRowPtr := make([]int, n+1)
+	seen, slot := make([]int, n), make([]int32, n) // seen[j] == r+1: j is listed for row r
+	for r := 0; r < n; r++ {
+		lo := gp.rowWork[r]
+		hi, end := lo, lo
+		for _, m := range colRow[colPtr[r]:colPtr[r+1]] {
+			for _, j := range col[h.RowPtr[m]:h.RowPtr[m+1]] {
+				if seen[j] != r+1 {
+					seen[j], slot[j] = r+1, 0
+					gp.cA[hi] = int32(j)
+					hi++
+				}
+				slot[j]++
 			}
-			src := order[k]
-			gp.cA = append(gp.cA, tagA[src])
-			gp.cB = append(gp.cB, tagB[src])
-			gp.cM = append(gp.cM, tagM[src])
-			gp.entryPtr[len(gp.entryPtr)-1]++
+			end += h.RowNNZ(int(m))
 		}
-		gRowPtr[i+1] = len(gColIdx)
-		gp.rowWork[i+1] = len(gp.cA)
+		for k := lo; k < hi; k++ {
+			gp.cB[k] = slot[gp.cA[k]]
+		}
+		gRowPtr[r+1], gp.rowWork[r+1] = gRowPtr[r]+hi-lo, end
+	}
+
+	// Pass 2 sorts each row's few columns, turns the counts into write
+	// offsets and walks the row again to drop every contribution in place.
+	gColIdx := make([]int, gRowPtr[n])
+	gp.entryPtr = make([]int32, gRowPtr[n]+1)
+	for r := 0; r < n; r++ {
+		g := gRowPtr[r]
+		row := gColIdx[g:gRowPtr[r+1]]
+		for k := range row {
+			row[k] = int(gp.cA[gp.rowWork[r]+k])
+			slot[row[k]] = gp.cB[gp.rowWork[r]+k]
+		}
+		slices.Sort(row)
+		for _, j := range row {
+			gp.entryPtr[g+1] = gp.entryPtr[g] + slot[j]
+			slot[j] = gp.entryPtr[g]
+			g++
+		}
+		for k := colPtr[r]; k < colPtr[r+1]; k++ {
+			p, m := colVal[k], colRow[k]
+			for q := h.RowPtr[m]; q < h.RowPtr[m+1]; q++ {
+				t := slot[col[q]]
+				slot[col[q]]++
+				gp.cA[t], gp.cB[t], gp.cM[t] = p, int32(q), m
+			}
+		}
 	}
 	gp.G = &CSR{Rows: n, Cols: n, RowPtr: gRowPtr, ColIdx: gColIdx, Val: make([]float64, len(gColIdx))}
 	return gp
 }
+
+// EmptyRow returns the first row of G without an entry, or -1 if there is
+// none: a column of H (the same index, under natural ordering) that no row
+// of H touches. G lacks that diagonal, so it is singular whatever the weights.
+func (gp *GainPlan) EmptyRow() int { return gp.emptyRow }
 
 // Refresh recomputes G.Val from the current numeric values of h and the
 // weights w, serially and without allocating. h must have the sparsity

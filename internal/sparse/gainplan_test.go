@@ -3,6 +3,8 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -15,11 +17,52 @@ func randomWeights(rng *rand.Rand, m int) []float64 {
 	return w
 }
 
-// TestGainPlanBitwiseMatchesGain is the core parity property: a numeric
-// refresh over the precomputed scatter map must reproduce the legacy
-// triplet-based Gain assembly bit for bit, because the plan replays the
-// same contribution order.
-func TestGainPlanBitwiseMatchesGain(t *testing.T) {
+// eps is the spacing of float64 at 1, the unit of the summation-order bound.
+var eps = math.Nextafter(1, 2) - 1
+
+// absCSR returns a with every value replaced by its magnitude.
+func absCSR(a *CSR) *CSR {
+	b := a.Clone()
+	for k, v := range b.Val {
+		b.Val[k] = math.Abs(v)
+	}
+	return b
+}
+
+// checkGainPlanAgainstGain compares a refreshed plan with the COO reference
+// assembly Gain(h, w): the same pattern, and every entry within
+// 8·ε·Σ|w·h·h| of the reference. The two sum an entry's contributions in
+// different orders (the plan in ascending measurement order, Gain in
+// whatever order COO.ToCSR's unstable row sort leaves), so bitwise equality
+// is not a contract; a few ulps of the absolute sum is.
+func checkGainPlanAgainstGain(t *testing.T, got *CSR, h *CSR, w []float64) {
+	t.Helper()
+	want, scale := Gain(h, w), Gain(absCSR(h), w)
+	if got.Rows != want.Rows || got.Cols != want.Cols || got.NNZ() != want.NNZ() {
+		t.Fatalf("shape mismatch: got %dx%d/%d want %dx%d/%d",
+			got.Rows, got.Cols, got.NNZ(), want.Rows, want.Cols, want.NNZ())
+	}
+	for i := 0; i <= got.Rows; i++ {
+		if got.RowPtr[i] != want.RowPtr[i] {
+			t.Fatalf("RowPtr[%d] %d != %d", i, got.RowPtr[i], want.RowPtr[i])
+		}
+	}
+	for k := range got.ColIdx {
+		if got.ColIdx[k] != want.ColIdx[k] {
+			t.Fatalf("ColIdx[%d] %d != %d", k, got.ColIdx[k], want.ColIdx[k])
+		}
+		if d := math.Abs(got.Val[k] - want.Val[k]); d > 8*eps*scale.Val[k] {
+			t.Fatalf("Val[%d] %v vs reference %v: |Δ| %.3g > 8ε·Σ|w·h·h| = %.3g",
+				k, got.Val[k], want.Val[k], d, 8*eps*scale.Val[k])
+		}
+	}
+}
+
+// TestGainPlanMatchesGain is the core parity property: a numeric
+// refresh over the precomputed scatter map reproduces the triplet-based
+// Gain assembly — pattern for pattern, and value for value up to the order
+// in which an entry's contributions are summed.
+func TestGainPlanMatchesGain(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		rows := 5 + rng.Intn(40)
@@ -28,40 +71,172 @@ func TestGainPlanBitwiseMatchesGain(t *testing.T) {
 		w := randomWeights(rng, rows)
 
 		gp := NewGainPlan(h)
-		got := gp.Refresh(h, w)
-		want := Gain(h, w)
-
-		if got.Rows != want.Rows || got.Cols != want.Cols || got.NNZ() != want.NNZ() {
-			t.Fatalf("trial %d: shape mismatch: got %dx%d/%d want %dx%d/%d",
-				trial, got.Rows, got.Cols, got.NNZ(), want.Rows, want.Cols, want.NNZ())
-		}
-		for i := 0; i <= got.Rows; i++ {
-			if got.RowPtr[i] != want.RowPtr[i] {
-				t.Fatalf("trial %d: RowPtr[%d] %d != %d", trial, i, got.RowPtr[i], want.RowPtr[i])
-			}
-		}
-		for k := range got.ColIdx {
-			if got.ColIdx[k] != want.ColIdx[k] {
-				t.Fatalf("trial %d: ColIdx[%d] %d != %d", trial, k, got.ColIdx[k], want.ColIdx[k])
-			}
-			if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
-				t.Fatalf("trial %d: Val[%d] %v (%#x) != %v (%#x)", trial, k,
-					got.Val[k], math.Float64bits(got.Val[k]), want.Val[k], math.Float64bits(want.Val[k]))
-			}
-		}
+		checkGainPlanAgainstGain(t, gp.Refresh(h, w), h, w)
 
 		// New numeric values on the same pattern: refresh again and compare.
 		for k := range h.Val {
 			h.Val[k] = rng.NormFloat64()
 		}
-		got = gp.Refresh(h, w)
-		want = Gain(h, w)
-		for k := range got.Val {
-			if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
-				t.Fatalf("trial %d after value change: Val[%d] %v != %v", trial, k, got.Val[k], want.Val[k])
+		checkGainPlanAgainstGain(t, gp.Refresh(h, w), h, w)
+	}
+}
+
+// raggedCSR builds an H that COO.ToCSR would never produce but the plan
+// must accept: row 0 is empty, row 1 is the only row touching column
+// cols-2 (a G row holding its diagonal alone), row 2 lists one column
+// twice, the other rows list up to five random columns unsorted and
+// possibly repeated, and no row touches column cols-1.
+func raggedCSR(rng *rand.Rand, rows, cols int) *CSR {
+	h := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	for m := 0; m < rows; m++ {
+		switch m {
+		case 0:
+		case 1:
+			h.ColIdx = append(h.ColIdx, cols-2)
+		case 2:
+			c := rng.Intn(cols - 2)
+			h.ColIdx = append(h.ColIdx, c, rng.Intn(cols-2), c)
+		default:
+			for d := rng.Intn(6); d > 0; d-- {
+				h.ColIdx = append(h.ColIdx, rng.Intn(cols-2))
+			}
+		}
+		h.RowPtr[m+1] = len(h.ColIdx)
+	}
+	h.Val = make([]float64, len(h.ColIdx))
+	for k := range h.Val {
+		h.Val[k] = rng.NormFloat64()
+	}
+	return h
+}
+
+// TestGainPlanMatchesDenseProduct checks the plan against a dense
+// triple-loop HᵀWH on ragged inputs, in natural order and under a random
+// symmetric permutation.
+func TestGainPlanMatchesDenseProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 50; trial++ {
+		rows, cols := 3+rng.Intn(30), 3+rng.Intn(12)
+		h := raggedCSR(rng, rows, cols)
+		w := randomWeights(rng, rows)
+
+		// Dense H and |H| (repeated columns summed), then G and the
+		// magnitude Σ w·|h|·|h| of what each entry sums.
+		hd, ha := NewDense(rows, cols), NewDense(rows, cols)
+		touched := make([]bool, cols)
+		for m := 0; m < rows; m++ {
+			for p := h.RowPtr[m]; p < h.RowPtr[m+1]; p++ {
+				hd.AddAt(m, h.ColIdx[p], h.Val[p])
+				ha.AddAt(m, h.ColIdx[p], math.Abs(h.Val[p]))
+				touched[h.ColIdx[p]] = true
+			}
+		}
+		want, scale := NewDense(cols, cols), NewDense(cols, cols)
+		for i := 0; i < cols; i++ {
+			for j := 0; j < cols; j++ {
+				for m := 0; m < rows; m++ {
+					want.AddAt(i, j, w[m]*hd.At(m, i)*hd.At(m, j))
+					scale.AddAt(i, j, w[m]*ha.At(m, i)*ha.At(m, j))
+				}
+			}
+		}
+
+		natural := make([]int, cols)
+		for c := range natural {
+			natural[c] = c
+		}
+		for _, ord := range [][]int{nil, rng.Perm(cols)} {
+			of := ord // of[r] is the column of H that feeds row r of G
+			if ord == nil {
+				of = natural
+			}
+			// Column cols-1 is untouched, so G has an empty row.
+			empty := slices.IndexFunc(of, func(c int) bool { return !touched[c] })
+			gp := NewGainPlanOrdered(h, ord)
+			if got := gp.EmptyRow(); got != empty {
+				t.Fatalf("trial %d perm %v: EmptyRow() = %d, want %d", trial, ord != nil, got, empty)
+			}
+			g := gp.Refresh(h, w)
+			for r := 0; r < cols; r++ {
+				for k := g.RowPtr[r] + 1; k < g.RowPtr[r+1]; k++ {
+					if g.ColIdx[k] <= g.ColIdx[k-1] {
+						t.Fatalf("trial %d: G row %d columns not strictly ascending: %v",
+							trial, r, g.ColIdx[g.RowPtr[r]:g.RowPtr[r+1]])
+					}
+				}
+				for c := 0; c < cols; c++ {
+					i, j := of[r], of[c]
+					if d := math.Abs(g.At(r, c) - want.At(i, j)); d > 8*eps*scale.At(i, j) {
+						t.Fatalf("trial %d perm %v: G(%d,%d) = %v, dense HᵀWH(%d,%d) = %v",
+							trial, ord != nil, r, c, g.At(r, c), i, j, want.At(i, j))
+					}
+				}
 			}
 		}
 	}
+}
+
+// TestGainPlanBuildDeterministic: two plans built from one H hold the same
+// scatter map, so their refreshes agree bit for bit — what lets a rebuilt
+// engine (a cold solve, a pool re-prime) reproduce the previous one exactly.
+func TestGainPlanBuildDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	h := randomCSR(rng, 80, 25, 400)
+	w := randomWeights(rng, 80)
+	a := NewGainPlan(h).Refresh(h, w)
+	b := NewGainPlan(h).Refresh(h, w)
+	for k := range a.Val {
+		if math.Float64bits(a.Val[k]) != math.Float64bits(b.Val[k]) {
+			t.Fatalf("Val[%d]: first build %v, second build %v", k, a.Val[k], b.Val[k])
+		}
+	}
+}
+
+// TestGainPlanOrderedEqualsPermutedNaturalPlan: the contribution order
+// inside an entry does not depend on the permutation, so the ordered plan's
+// G is PermuteSym of the natural plan's G entry for entry and bit for bit.
+func TestGainPlanOrderedEqualsPermutedNaturalPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	h := randomCSR(rng, 90, 35, 260)
+	w := randomWeights(rng, 90)
+	natural := NewGainPlan(h).Refresh(h, w)
+	perm := MinDegree(natural)
+	want := PermuteSym(natural, perm)
+	got := NewGainPlanOrdered(h, perm).Refresh(h, w)
+	if got.NNZ() != want.NNZ() {
+		t.Fatalf("nnz %d, want %d", got.NNZ(), want.NNZ())
+	}
+	for i := 0; i < got.Rows; i++ {
+		if got.RowPtr[i+1] != want.RowPtr[i+1] {
+			t.Fatalf("RowPtr[%d] %d != %d", i+1, got.RowPtr[i+1], want.RowPtr[i+1])
+		}
+		for k := got.RowPtr[i]; k < got.RowPtr[i+1]; k++ {
+			if got.ColIdx[k] != want.ColIdx[k] || math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+				t.Fatalf("entry %d of row %d: (%d, %v), want (%d, %v)",
+					k-got.RowPtr[i], i, got.ColIdx[k], got.Val[k], want.ColIdx[k], want.Val[k])
+			}
+		}
+	}
+}
+
+// TestGainPlanRejectsInt32Overflow: the plan indexes H entries and
+// contributions with int32. One row of 46 341 entries is Σd² > MaxInt32 on
+// an H of a few hundred kilobytes; the builder must refuse it by name
+// before allocating anything of that size.
+func TestGainPlanRejectsInt32Overflow(t *testing.T) {
+	const d = 46341 // d² = 2 147 488 281 > math.MaxInt32
+	h := &CSR{Rows: 1, Cols: d, RowPtr: []int{0, d}, ColIdx: make([]int, d), Val: make([]float64, d)}
+	for k := range h.ColIdx {
+		h.ColIdx[k] = k
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "46341 H entries") || !strings.Contains(msg, "2147488281 contributions") {
+			t.Fatalf("panic %q does not name both sizes", msg)
+		}
+	}()
+	NewGainPlan(h)
+	t.Fatal("a plan with more than MaxInt32 contributions was built")
 }
 
 func TestGainPlanPoolMatchesSerial(t *testing.T) {

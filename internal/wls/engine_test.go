@@ -147,6 +147,15 @@ func forEachPrecond(t *testing.T, f func(t *testing.T, pk PrecondKind)) {
 	}
 }
 
+// cgSlack is what "no more CG iterations than the legacy assembly" allows
+// on top of legacy's count: max(1, 1 %). The plan sums an entry's
+// contributions in ascending measurement order and sparse.Gain in COO sort
+// order, so the two G differ in the last ulp and a convergence test hundreds
+// of Jacobi-PCG iterations in can land one iteration either side.
+func cgSlack(legacy int) int {
+	return max(1, legacy/100)
+}
+
 func TestEngineMatchesLegacyEstimate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -182,7 +191,7 @@ func TestEngineMatchesLegacyEstimate(t *testing.T) {
 				t.Errorf("objective: engine %v legacy %v", got.ObjectiveJ, want.ObjectiveJ)
 			}
 			if tc.opts.Solver == PCG || tc.opts.Solver == 0 {
-				if got.CGIterations > want.CGIterations {
+				if got.CGIterations > want.CGIterations+cgSlack(want.CGIterations) {
 					t.Errorf("warm-started CG used more iterations: engine %d, legacy %d",
 						got.CGIterations, want.CGIterations)
 				}
@@ -206,7 +215,7 @@ func TestEngineMatchesLegacyOn118(t *testing.T) {
 			t.Fatalf("x[%d]: |Δ|=%.3g > 1e-12", i, d)
 		}
 	}
-	if got.CGIterations > want.CGIterations {
+	if got.CGIterations > want.CGIterations+cgSlack(want.CGIterations) {
 		t.Errorf("warm-started CG used more iterations: engine %d, legacy %d", got.CGIterations, want.CGIterations)
 	}
 }

@@ -1,6 +1,7 @@
 package wls
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -176,5 +177,31 @@ func TestLinearPMUWithQR(t *testing.T) {
 	dvm, _ := maxStateError(res.State, truth)
 	if dvm > 0.005 {
 		t.Fatalf("error %g", dvm)
+	}
+}
+
+// TestLinearPMUUntouchedState: a PMU plan that reads bus 5's magnitude
+// twice and its angle never still has m = n + 1 rows, but nothing moves θ5;
+// the one-shot solve must say so rather than fail inside the factor.
+func TestLinearPMUUntouchedState(t *testing.T) {
+	n := grid.Case14()
+	truth := solved(t, n)
+	plan := PMUOnlyPlan(n, 0.001)
+	for i, m := range plan {
+		if m.Kind == meas.Angle && m.Bus == 5 {
+			plan[i].Kind = meas.Vmag
+		}
+	}
+	ms, err := meas.Simulate(n, plan, truth, 1, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := n.SlackIndex()
+	mod, err := meas.NewModel(n, ms, ref, truth.Va[ref])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LinearPMUEstimate(mod, Options{}); !errors.Is(err, ErrUnobservable) {
+		t.Fatalf("err = %v, want ErrUnobservable", err)
 	}
 }
