@@ -267,13 +267,20 @@ func BenchmarkCentralizedWLSWECC12(b *testing.B) {
 	}
 }
 
-// BenchmarkGainPlanBuild times the symbolic half of G = HᵀWH alone — the
-// largest single share of a cold solve — on the centralized Jacobian
-// skeleton at both sizes. contribs is Σd² over H's rows, the number of
-// products the plan scatters (the length of its contribution arrays).
-func BenchmarkGainPlanBuild(b *testing.B) {
+// namedModel is a centralized measurement model at one benchmark size.
+type namedModel struct {
+	name string
+	mod  *meas.Model
+}
+
+// centralizedModels returns the centralized model of one metered frame at
+// both sizes the kernel benchmarks run at: IEEE-118 and the 12-area,
+// 1 416-bus synthetic WECC.
+func centralizedModels(b *testing.B) []namedModel {
+	b.Helper()
 	fx := benchFixture(b)
 	dec, frames := weccDSEFixture(b, 12, 1)
+	var out []namedModel
 	for _, c := range []struct {
 		name string
 		net  *grid.Network
@@ -286,7 +293,18 @@ func BenchmarkGainPlanBuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		h := mod.NewJacobianPlan().H
+		out = append(out, namedModel{c.name, mod})
+	}
+	return out
+}
+
+// BenchmarkGainPlanBuild times the symbolic half of G = HᵀWH alone — the
+// largest single share of a cold solve — on the centralized Jacobian
+// skeleton at both sizes. contribs is Σd² over H's rows, the number of
+// products the plan scatters (the length of its contribution arrays).
+func BenchmarkGainPlanBuild(b *testing.B) {
+	for _, c := range centralizedModels(b) {
+		h := c.mod.NewJacobianPlan().H
 		contribs := 0
 		for m := 0; m < h.Rows; m++ {
 			contribs += h.RowNNZ(m) * h.RowNNZ(m)
@@ -907,6 +925,77 @@ func BenchmarkLDLFactor(b *testing.B) {
 			f.Apply(z, r)
 		}
 	})
+}
+
+// BenchmarkGainSolve times one solve of G·Δx = HᵀW·r on a refreshed
+// centralized gain at the flat start, at both sizes, the ways the estimator
+// has run it: factor is the LDLᵀ substitution alone (a lagged step), and
+// factor+check adds the residual test paid once per refactorization (a fresh
+// step); factor-pcg is the CG call wrapped around the factor that both
+// replaced, and jacobi-pcg the paper's solver. subst/op and matvec/op count
+// the triangular substitutions and G mat-vecs one solve performs.
+func BenchmarkGainSolve(b *testing.B) {
+	for _, c := range centralizedModels(b) {
+		mod := c.mod
+		x := mod.FlatVec()
+		hj, w := mod.Jacobian(x), mod.Weights()
+		g := sparse.NewGainPlan(hj).Refresh(hj, w)
+		r := mod.Eval(x)
+		for i, m := range mod.Meas {
+			r[i] = m.Value - r[i]
+		}
+		rhs := sparse.GainRHS(hj, w, r)
+		f, err := sparse.NewLDL(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jac, err := sparse.NewJacobi(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dx, gx := make([]float64, g.Rows), make([]float64, g.Rows)
+		work := sparse.NewCGWorkspace(g.Rows)
+		report := func(b *testing.B, subst, matvec int) {
+			b.ReportMetric(float64(subst), "subst/op")
+			b.ReportMetric(float64(matvec), "matvec/op")
+		}
+		b.Run(c.name+"/factor", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f.Apply(dx, rhs)
+			}
+			report(b, 1, 0)
+		})
+		b.Run(c.name+"/factor+check", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f.Apply(dx, rhs)
+				g.MulVec(gx, dx)
+				sparse.Sub(gx, rhs, gx)
+				if sparse.Norm2(gx) > 1e-10*sparse.Norm2(rhs) {
+					b.Fatal("substitution fails the residual check")
+				}
+			}
+			report(b, 1, 1)
+		})
+		for _, pc := range []struct {
+			name  string
+			pre   sparse.Preconditioner
+			subst int // triangular substitutions per preconditioner apply
+		}{{"factor-pcg", f, 1}, {"jacobi-pcg", jac, 0}} {
+			b.Run(c.name+"/"+pc.name, func(b *testing.B) {
+				var iters int
+				for i := 0; i < b.N; i++ {
+					cg, err := sparse.CG(g, rhs, sparse.CGOptions{Tol: 1e-10, Precond: pc.pre, Workers: 1, Work: work})
+					if err != nil {
+						b.Fatal(err)
+					}
+					iters = cg.Iterations
+				}
+				// CG applies its preconditioner once to start and once per
+				// iteration, and multiplies by G once per iteration.
+				report(b, pc.subst*(iters+1), iters)
+			})
+		}
+	}
 }
 
 // BenchmarkMeasKernel times the compiled measurement kernel on its own, at

@@ -21,9 +21,20 @@ import (
 	"repro/internal/wls"
 )
 
+const defaultCase = "ieee118"
+
+// usageError reports a flag combination the command cannot run and exits
+// with the flag package's usage status.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "dse: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
+}
+
 func main() {
 	var (
-		caseName   = flag.String("case", "ieee118", "built-in case")
+		caseName   = flag.String("case", defaultCase, "built-in case")
+		areas      = flag.Int("areas", 0, "instead of -case, synthesize a multi-area grid with this many areas and decompose it one subsystem per area (12 = the 1 416-bus benchmark grid)")
 		subsystems = flag.Int("subsystems", 9, "number of subsystems (m)")
 		clusters   = flag.Int("clusters", 3, "number of HPC clusters (p)")
 		noise      = flag.Float64("noise", 1.0, "meter noise level")
@@ -36,10 +47,23 @@ func main() {
 		refine     = flag.Bool("refine", false, "with -hierarchical: coordinator re-estimates the boundary system")
 		frames     = flag.Int("frames", 1, "track this many measurement frames in-process (session reuse + warm starts)")
 		gainReuse  = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto, off, gain")
-		precond    = flag.String("precond", wls.Options{}.Precond.String(), "PCG preconditioner: ldl, jacobi or none (jacobi is the paper's solver [2])")
+		precond    = flag.String("precond", wls.Options{}.Precond.String(), "gain solve: ldl (the LDLᵀ factor solves directly, no CG), or PCG preconditioned by jacobi (the paper's solver [2]) or none")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	)
 	flag.Parse()
+	if *areas != 0 {
+		subsystemsSet := false
+		flag.Visit(func(f *flag.Flag) { subsystemsSet = subsystemsSet || f.Name == "subsystems" })
+		switch {
+		case *areas < 0:
+			usageError("-areas %d: want a positive area count", *areas)
+		case *caseName != defaultCase:
+			usageError("-areas synthesizes its own grid and cannot be combined with -case %s", *caseName)
+		case subsystemsSet && *subsystems != *areas:
+			usageError("-areas %d decomposes one subsystem per area and cannot be combined with -subsystems %d", *areas, *subsystems)
+		}
+		*subsystems = *areas
+	}
 	stopProfile, err := prof.StartCPU(*cpuProfile)
 	if err != nil {
 		log.Fatal(err)
@@ -66,7 +90,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	net, err := gridse.CaseByName(*caseName)
+	var net *gridse.Network
+	if *areas > 0 {
+		net, err = gridse.SynthWECC(gridse.SynthOptions{Areas: *areas, Seed: 1})
+	} else {
+		net, err = gridse.CaseByName(*caseName)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +103,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("power flow: %v", err)
 	}
-	dec, err := gridse.Decompose(net, *subsystems, gridse.DecomposeOptions{Seed: *seed})
+	var dec *gridse.Decomposition
+	if *areas > 0 {
+		dec, err = gridse.DecomposeWithParts(net, *areas, gridse.AreaParts(net), 1)
+	} else {
+		dec, err = gridse.Decompose(net, *subsystems, gridse.DecomposeOptions{Seed: *seed})
+	}
 	if err != nil {
 		log.Fatalf("decompose: %v", err)
 	}

@@ -25,7 +25,7 @@ func main() {
 		noise    = flag.Float64("noise", 1.0, "meter noise level (1 = nominal)")
 		seed     = flag.Int64("seed", 42, "measurement noise seed")
 		solver   = flag.String("solver", "pcg", "gain-matrix solver: pcg|dense|qr")
-		precond  = flag.String("precond", wls.Options{}.Precond.String(), "PCG preconditioner: ldl|jacobi|none (jacobi is the paper's solver [2])")
+		precond  = flag.String("precond", wls.Options{}.Precond.String(), "gain solve under -solver pcg: ldl (the LDLᵀ factor solves directly, no CG), or PCG preconditioned by jacobi (the paper's solver [2]) or none")
 		reuse    = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto|off|gain")
 		workers  = flag.Int("workers", 0, "parallel mat-vec workers (0 = GOMAXPROCS)")
 		plan     = flag.String("plan", "full", "metering plan: full|rtu|pmu")

@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -59,6 +60,10 @@ type Decomposition struct {
 	TieLines   []TieLine
 	// Owner maps each internal bus index to its subsystem index.
 	Owner []int
+
+	// neighbors[si] is what Neighbors(si) returns, fixed by TieLines and
+	// built with them.
+	neighbors [][]int
 
 	// session is the lazily created decomposition-owned DSE session (see
 	// Session); sessionMu guards the slot, not the session's contents.
@@ -239,6 +244,15 @@ func decompositionFromParts(n *grid.Network, m int, parts []int, radius int) (*D
 		boundary[f] = true
 		boundary[t] = true
 	}
+	d.neighbors = make([][]int, m)
+	for _, tl := range d.TieLines {
+		d.neighbors[tl.SubA] = append(d.neighbors[tl.SubA], tl.SubB)
+		d.neighbors[tl.SubB] = append(d.neighbors[tl.SubB], tl.SubA)
+	}
+	for si, nb := range d.neighbors {
+		slices.Sort(nb)
+		d.neighbors[si] = slices.Compact(nb)
+	}
 
 	// Sensitivity analysis: sensitive internal buses are the internal buses
 	// within `radius` hops of a boundary bus inside their own subsystem.
@@ -313,24 +327,9 @@ func (d *Decomposition) PerturbBranch(out, radius int) (*Decomposition, error) {
 }
 
 // Neighbors returns the subsystem indices adjacent to subsystem si via tie
-// lines, sorted and deduplicated.
-func (d *Decomposition) Neighbors(si int) []int {
-	set := make(map[int]bool)
-	for _, tl := range d.TieLines {
-		if tl.SubA == si {
-			set[tl.SubB] = true
-		}
-		if tl.SubB == si {
-			set[tl.SubA] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
+// lines, sorted and deduplicated. The slice is the decomposition's own,
+// shared by every caller and every goroutine: do not modify it.
+func (d *Decomposition) Neighbors(si int) []int { return d.neighbors[si] }
 
 // TieLinesOf returns the tie lines incident to subsystem si.
 func (d *Decomposition) TieLinesOf(si int) []TieLine {

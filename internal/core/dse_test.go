@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/grid"
@@ -167,6 +169,67 @@ func TestNeighborsAndDiameter(t *testing.T) {
 	diam := d.Diameter()
 	if diam < 1 || diam > 8 {
 		t.Errorf("diameter %d implausible for 9 subsystems", diam)
+	}
+}
+
+// mapNeighbors is Neighbors as it was computed on every call before the
+// lists were cached: a set over the tie lines, sorted.
+func mapNeighbors(d *Decomposition, si int) []int {
+	set := make(map[int]bool)
+	for _, tl := range d.TieLines {
+		if tl.SubA == si {
+			set[tl.SubB] = true
+		}
+		if tl.SubB == si {
+			set[tl.SubA] = true
+		}
+	}
+	out := make([]int, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestNeighborsCachedMatchesTieLineScan: the lists built once with the tie
+// lines are the per-call map version's, on the partitioner's split of
+// IEEE-118 and the area split of a 12-area SynthWECC; concurrent readers
+// under forEachSubsystem share them (run with -race), and a call allocates
+// nothing.
+func TestNeighborsCachedMatchesTieLineScan(t *testing.T) {
+	wecc, err := grid.SynthWECC(grid.SynthOptions{Areas: 12, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weccDec, err := DecomposeWithParts(wecc, 12, grid.AreaParts(wecc), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Decomposition{newFixture(t, grid.Case118, 9, 0).dec, weccDec} {
+		m := len(d.Subsystems)
+		err := forEachSubsystem(context.Background(), "neighbors", m, false, func(_ context.Context, si int) error {
+			for nb := 0; nb < m; nb++ { // every goroutine reads every list
+				if got, want := d.Neighbors(nb), mapNeighbors(d, nb); !slices.Equal(got, want) {
+					t.Errorf("%s: Neighbors(%d) = %v, tie-line scan %v", d.Net.Name, nb, got, want)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int
+		if allocs := testing.AllocsPerRun(100, func() {
+			for si := 0; si < m; si++ {
+				n += len(d.Neighbors(si))
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Neighbors allocates %v times per sweep, want 0", d.Net.Name, allocs)
+		}
+		if n == 0 {
+			t.Errorf("%s: no subsystem has a neighbor", d.Net.Name)
+		}
 	}
 }
 

@@ -7,9 +7,10 @@ import (
 )
 
 // LDLFactor is a complete sparse factorization P·A·Pᵀ = L·D·Lᵀ of a
-// symmetric positive-definite matrix (L unit lower triangular, D diagonal),
-// used as an exact preconditioner: CG on a freshly factored matrix converges
-// in one iteration, and in a handful on a factor that lags the operator.
+// symmetric positive-definite matrix (L unit lower triangular, D diagonal).
+// Apply is a direct solve, and how the estimator solves its gain system; the
+// factor is also a Preconditioner, so CG can polish a substitution that
+// misses its tolerance, or iterate on an operator the factor lags.
 //
 // The work splits the way the gain plans split theirs. AnalyzeLDL is the
 // symbolic half, paid once per sparsity pattern: the factor's own
@@ -208,8 +209,9 @@ func (f *LDLFactor) Refresh(a *CSR) error {
 	return nil
 }
 
-// Apply implements Preconditioner: z = A⁻¹·r by permuted forward, diagonal
-// and backward substitution. It allocates nothing.
+// Apply solves A·z = r by permuted forward, diagonal and backward
+// substitution, which also makes the factor a Preconditioner. It allocates
+// nothing.
 func (f *LDLFactor) Apply(z, r []float64) {
 	w := f.w
 	for k, o := range f.perm {

@@ -17,8 +17,11 @@ import (
 //   - H(x) is refreshed into a fixed CSR skeleton (meas.JacobianPlan),
 //   - G = HᵀWH is a flat multiply-accumulate over a precomputed scatter map
 //     (sparse.GainPlan), row-parallel on the persistent worker pool,
-//   - the preconditioner refreshes its numerics on G's fixed pattern,
-//   - CG reuses its iteration vectors and is warm-started with the previous
+//   - the LDLᵀ factor (or the Jacobi diagonal) refreshes its numerics on
+//     G's fixed pattern, and under the default the factor's substitution is
+//     the gain solve,
+//   - where CG runs — Jacobi, no preconditioner, a factorization breakdown —
+//     it reuses its iteration vectors and is warm-started with the previous
 //     iteration's Δx (discarded automatically if it would not help).
 //
 // One engine serves many solves: IRLS reweighting rounds, DSE Step-2
@@ -51,8 +54,8 @@ type Engine struct {
 	// reuse anchors the drift-gated numeric-reuse tier (Options.GainReuse):
 	// the state and weights at the last full gain+preconditioner refresh.
 	reuse  gainReuse
-	xTrial []float64 // length n, lagged-gain guard trial iterate
-	hValid bool      // h/r already hold the next iterate's values (accepted trial)
+	xTrial []float64 // length n, lagged-gain guard trial iterate; G·Δx scratch of the factor check
+	hValid bool      // h/r already hold the iterate's values (accepted trial, kept warm start)
 }
 
 // gainReuse is the numeric-reuse anchor carried across Gauss–Newton
@@ -60,19 +63,10 @@ type Engine struct {
 // rewritten outside the anchor bookkeeping (ReuseOff solves, SolveLinear,
 // NormalizedResiduals) or the session starts a standalone run.
 type gainReuse struct {
-	valid   bool
-	x       []float64 // length n, state at last refresh
-	w       []float64 // length m, weights at last refresh
-	freshCG int       // CG iterations of the anchoring fresh solve (guard budget)
+	valid bool
+	x     []float64 // length n, state at last refresh
+	w     []float64 // length m, weights at last refresh
 }
-
-// Lagged-gain guard budget: a lagged CG solve may spend up to
-// reuseCGFactor× the anchoring fresh solve's iterations (plus slack for
-// tiny counts) before the guard declares the stale operator unprofitable.
-const (
-	reuseCGFactor = 3
-	reuseCGSlack  = 8
-)
 
 // NewEngine builds the symbolic plans and buffers for the model. It is the
 // expensive part of a cold solve, not a rounding error on it: at 1 416 buses
@@ -220,12 +214,17 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 	for i, m := range mod.Meas {
 		e.z[i] = m.Value
 	}
+	e.hValid = false
 	if opts.X0 != nil && opts.X0Gate > 0 {
 		// Scaled-residual warm-start gate: keep X0 only if it explains the
 		// current measurement values markedly better than the flat profile.
+		// X0 is evaluated last, so a kept start enters the loop with h/r
+		// already at its values.
 		flat := mod.FlatVec()
-		if e.weightedSSR(x) > opts.X0Gate*e.weightedSSR(flat) {
+		if jFlat := e.weightedSSR(flat); e.weightedSSR(x) > opts.X0Gate*jFlat {
 			copy(x, flat)
+		} else {
+			e.hValid = true
 		}
 	}
 
@@ -241,15 +240,15 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 
 	res := &Result{}
 	e.havePrevDx = false
-	e.hValid = false
 	for iter := 0; iter < maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("wls: canceled at iteration %d: %w", iter, err)
 		}
 		if e.hValid {
-			// An accepted lagged-gain trial already evaluated h/r at this
-			// iterate (x was advanced by the exact dx the guard tried, so
-			// the buffered values are bitwise those of a re-evaluation).
+			// The warm-start gate or an accepted lagged-gain trial already
+			// evaluated h/r at this iterate (x was advanced by the exact dx
+			// the guard tried, so the buffered values are bitwise those of a
+			// re-evaluation).
 			e.hValid = false
 		} else {
 			e.jplan.EvalInto(e.h, x)
@@ -297,8 +296,10 @@ func (e *Engine) untouchedState() error {
 // Semantics match LinearPMUEstimate's solve.
 func (e *Engine) SolveLinear(opts Options) (*Result, error) {
 	// The linear solve rewrites G and the preconditioner outside the
-	// drift-gate bookkeeping, so any reuse anchor is stale afterwards.
+	// drift-gate bookkeeping, so any reuse anchor is stale afterwards, and so
+	// is an h/r carry an Estimate that returned early left behind.
 	e.reuse.valid = false
+	e.hValid = false
 	if err := e.untouchedState(); err != nil {
 		return nil, err
 	}
@@ -321,7 +322,7 @@ func (e *Engine) SolveLinear(opts Options) (*Result, error) {
 		e.refreshGain(hj, opts)
 		e.gainRHS(hj, opts)
 		e.havePrevDx = false
-		dx, res.CGIterations, err = e.solveGain(opts, cgTolLinear, false, res)
+		dx, err = e.solveGain(opts, cgTolLinear, false, res)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wls: linear PMU solve: %w", err)
@@ -343,12 +344,18 @@ func (e *Engine) weightedSSR(x []float64) float64 {
 	return j
 }
 
-// finish evaluates the final residuals and fills the caller-owned result
-// slices (the engine's internal buffers never escape).
+// finish evaluates the final residuals — or takes them from the r buffer
+// when the last step's accepted trial left it at x — and fills the
+// caller-owned result slices (the engine's internal buffers never escape).
 func (e *Engine) finish(res *Result, x []float64) {
-	e.jplan.EvalInto(e.h, x)
 	r := make([]float64, e.mod.NMeas())
-	sparse.Sub(r, e.z, e.h)
+	if e.hValid {
+		e.hValid = false
+		copy(r, e.r)
+	} else {
+		e.jplan.EvalInto(e.h, x)
+		sparse.Sub(r, e.z, e.h)
+	}
 	res.X = x
 	res.State = e.mod.VecToState(x)
 	res.Residuals = r
@@ -398,11 +405,10 @@ func (e *Engine) canLag(x []float64, opts Options) bool {
 }
 
 // noteRefresh anchors the reuse state after a fresh gain + preconditioner
-// refresh whose solve succeeded at iterate x with cg inner iterations.
-func (e *Engine) noteRefresh(x []float64, cg int) {
+// refresh whose solve succeeded at iterate x.
+func (e *Engine) noteRefresh(x []float64) {
 	copy(e.reuse.x, x)
 	copy(e.reuse.w, e.w)
-	e.reuse.freshCG = cg
 	e.reuse.valid = true
 }
 
@@ -430,91 +436,118 @@ func (e *Engine) trialImproves(x, dx []float64) bool {
 func (e *Engine) gainStep(x []float64, hj *sparse.CSR, opts Options, lag bool, res *Result) ([]float64, error) {
 	e.gainRHS(hj, opts)
 	if lag && e.canLag(x, opts) {
-		dx, cg, err := e.solveGain(opts, cgTol, true, res)
-		res.CGIterations += cg
-		if err == nil && cg <= reuseCGFactor*e.reuse.freshCG+reuseCGSlack && e.trialImproves(x, dx) {
+		dx, err := e.solveGain(opts, cgTol, true, res)
+		if err == nil && e.trialImproves(x, dx) {
 			res.GainSkips++
 			res.PrecondSkips++
 			e.hValid = true // the guard left h/r evaluated at x+dx
 			return dx, nil
 		}
-		// Guard tripped: the stale operator stalled the descent, CG blew
-		// its budget, or the solve failed outright. Refresh at the current
-		// iterate and re-solve. e.rhs still holds HᵀW·r for x — the guard
-		// only clobbers the h/r buffers — so only the gain scatter, the
-		// preconditioner, and the CG solve repeat.
+		// Guard tripped: the stale operator stalled the descent or the
+		// solve failed outright. Refresh at the current iterate and
+		// re-solve. e.rhs still holds HᵀW·r for x — the guard only clobbers
+		// the h/r buffers — so only the gain scatter, the factorization and
+		// the solve repeat.
 		res.ReuseFallbacks++
 	}
 	e.refreshGain(hj, opts)
-	dx, cg, err := e.solveGain(opts, cgTol, false, res)
-	res.CGIterations += cg
+	dx, err := e.solveGain(opts, cgTol, false, res)
 	res.GainRefreshes++
 	if err != nil {
 		e.reuse.valid = false
 		return nil, err
 	}
 	if lag {
-		e.noteRefresh(x, cg)
+		e.noteRefresh(x)
 	}
 	return dx, nil
 }
 
-// Inner CG relative tolerances: of a Gauss–Newton step, and of the single
-// solve of the linear (PMU-only) problem, which has no later iteration to
-// absorb an inexact one.
+// Relative residual tolerances of the gain solve — CG's stopping test, and
+// the bound a fresh factor's substitution is checked against: of a
+// Gauss–Newton step, and of the single solve of the linear (PMU-only)
+// problem, which has no later iteration to absorb an inexact one.
 const (
 	cgTol       = 1e-10
 	cgTolLinear = 1e-12
 )
 
-// solveGain solves G·Δx = rhs with the configured solver, reusing the
-// preconditioner numerics, the CG workspace, and the previous Δx as a CG
-// warm start. lagged says G was not refreshed since the preconditioner
-// last was, so the cached numerics are the ones to use. res takes the
-// preconditioner breakdown count; the CG iterations are returned for the
-// caller's guard.
-func (e *Engine) solveGain(opts Options, tol float64, lagged bool, res *Result) ([]float64, int, error) {
+// solveGain solves G·Δx = rhs with the configured solver; under PCG the
+// returned slice is the engine's dx buffer. lagged says G was not refreshed
+// since the preconditioner last was, so the cached numerics are the ones to
+// use, and they have solved this G before. res takes the CG iteration and
+// preconditioner breakdown counts.
+func (e *Engine) solveGain(opts Options, tol float64, lagged bool, res *Result) ([]float64, error) {
 	g := e.gplan.G
 	switch opts.Solver {
 	case Dense:
 		x, err := sparse.SolveDense(g.ToDense(), e.rhs)
 		if err != nil {
 			if errors.Is(err, sparse.ErrSingular) {
-				return nil, 0, ErrUnobservable
+				return nil, ErrUnobservable
 			}
-			return nil, 0, err
+			return nil, err
 		}
-		return x, 0, nil
+		return x, nil
 	case PCG:
 		pre, err := e.preconditioner(g, opts.Precond, lagged, res)
 		if err != nil {
-			return nil, 0, fmt.Errorf("wls: preconditioner: %w", err)
+			return nil, fmt.Errorf("wls: preconditioner: %w", err)
 		}
-		cgOpts := sparse.CGOptions{Tol: tol, Precond: pre, Work: e.work}
-		if opts.Workers > 0 {
-			cgOpts.Workers = opts.Workers
-		} else {
-			cgOpts.Pool = e.pool
-		}
-		if e.havePrevDx {
-			cgOpts.X0 = e.prevDx
-		}
-		cg, err := sparse.CG(g, e.rhs, cgOpts)
-		if err != nil {
-			if errors.Is(err, sparse.ErrNotSPD) {
-				return nil, cg.Iterations, ErrUnobservable
-			}
-			return nil, cg.Iterations, err
-		}
-		// cg.X aliases the workspace and the next solve overwrites it; keep
-		// a stable copy, which doubles as the next iteration's warm start.
-		copy(e.dx, cg.X)
-		copy(e.prevDx, e.dx)
-		e.havePrevDx = true
-		return e.dx, cg.Iterations, nil
+		return e.solveWith(pre, opts, tol, !lagged, res)
 	default:
-		return nil, 0, fmt.Errorf("wls: unknown solver %v", opts.Solver)
+		return nil, fmt.Errorf("wls: unknown solver %v", opts.Solver)
 	}
+}
+
+// solveWith solves G·Δx = rhs given the preconditioner's numerics. An
+// intact LDLᵀ factor is the solve: one substitution, and under verify — the
+// first solve after a refactorization — one residual check against tol.
+// Later solves on the same factor reuse numerics that passed it, and the
+// caller's trialImproves guards the step. CG runs where it has work to do:
+// Jacobi, no preconditioner, the Jacobi stand-in after a factorization
+// breakdown, and from the substitution's Δx when the check fails.
+func (e *Engine) solveWith(pre sparse.Preconditioner, opts Options, tol float64, verify bool, res *Result) ([]float64, error) {
+	g := e.gplan.G
+	var x0 []float64
+	if f, ok := pre.(*sparse.LDLFactor); ok {
+		f.Apply(e.dx, e.rhs)
+		if !verify || e.residualWithin(g, tol) {
+			return e.dx, nil
+		}
+		x0 = e.dx
+	} else if e.havePrevDx {
+		x0 = e.prevDx
+	}
+	cgOpts := sparse.CGOptions{Tol: tol, Precond: pre, Work: e.work, X0: x0}
+	if opts.Workers > 0 {
+		cgOpts.Workers = opts.Workers
+	} else {
+		cgOpts.Pool = e.pool
+	}
+	cg, err := sparse.CG(g, e.rhs, cgOpts)
+	res.CGIterations += cg.Iterations
+	if err != nil {
+		if errors.Is(err, sparse.ErrNotSPD) {
+			return nil, ErrUnobservable
+		}
+		return nil, err
+	}
+	// cg.X aliases the workspace and the next solve overwrites it; keep a
+	// stable copy, which doubles as the next iteration's warm start.
+	copy(e.dx, cg.X)
+	copy(e.prevDx, e.dx)
+	e.havePrevDx = true
+	return e.dx, nil
+}
+
+// residualWithin reports whether the dx buffer meets CG's stopping test,
+// ‖rhs − G·Δx‖₂ ≤ tol·‖rhs‖₂, at the cost of one mat-vec (into xTrial, free
+// whenever a solve runs). A NaN fails it.
+func (e *Engine) residualWithin(g *sparse.CSR, tol float64) bool {
+	g.MulVec(e.xTrial, e.dx)
+	sparse.Sub(e.xTrial, e.rhs, e.xTrial)
+	return sparse.Norm2(e.xTrial) <= tol*sparse.Norm2(e.rhs)
 }
 
 // preconditioner returns the preconditioner for G: the cached one as it is

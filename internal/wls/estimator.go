@@ -4,11 +4,12 @@
 //
 //	G(x)·Δx = Hᵀ(x)·W·(z − h(x)),   G = Hᵀ·W·H
 //
-// with the symmetric positive-definite gain matrix G solved by the parallel
-// preconditioned conjugate-gradient method of the paper's HPC solution [2]
-// — by default preconditioned with a complete sparse factor of G itself —
-// plus chi-square bad-data detection, largest-normalized-residual
-// identification, and a numerical observability check.
+// with the symmetric positive-definite gain matrix G solved, by default, by
+// a complete sparse LDLᵀ factorization and one substitution, and on request
+// by the parallel preconditioned conjugate-gradient method of the paper's
+// HPC solution [2], plus chi-square bad-data detection,
+// largest-normalized-residual identification, and a numerical observability
+// check.
 package wls
 
 import (
@@ -23,7 +24,9 @@ import (
 // SolverKind selects how the gain-matrix system is solved.
 type SolverKind int
 
-// Gain-matrix solvers. PCG is the paper's parallel iterative solver; Dense
+// Gain-matrix solvers. PCG is the sparse path: the paper's parallel
+// iterative solver under PrecondJacobi and PrecondNone, and the direct
+// factor-and-substitute solve under the default PrecondLDL; Dense
 // is a reference LU path used for validation and very small systems; QR
 // solves the least-squares problem by Givens orthogonalization without
 // ever forming the gain matrix (conditioning κ(H) instead of κ(H)²).
@@ -33,16 +36,19 @@ const (
 	QR
 )
 
-// PrecondKind selects the PCG preconditioner.
+// PrecondKind selects what the PCG gain solve is built on.
 type PrecondKind int
 
-// Preconditioner choices for the PCG gain solve. PrecondLDL, the default,
-// is a complete sparse LDLᵀ factor of the gain matrix under its own
-// fill-reducing ordering (sparse.LDLFactor): CG converges in one iteration,
-// on a lagged gain too, because ReuseGain lags the factor with the gain it
-// factors. A gain too close to singular to factor runs that refresh on the
-// Jacobi preconditioner instead (Result.PrecondFallbacks). PrecondJacobi is
-// the diagonal preconditioner of the paper's solver [2].
+// Choices for the PCG gain solve. PrecondLDL, the default, is a complete
+// sparse LDLᵀ factor of the gain matrix under its own fill-reducing ordering
+// (sparse.LDLFactor), and the factor is the solve: one substitution per
+// Gauss–Newton step and no CG call, on a lagged gain too, because ReuseGain
+// lags the factor with the gain it factors. The substitution is checked
+// against CG's stopping test once per refactorization, and CG, started from
+// it and preconditioned by the factor, polishes one that fails. A gain too
+// close to singular to factor runs that refresh as Jacobi-preconditioned CG
+// instead (Result.PrecondFallbacks). PrecondJacobi is the diagonal
+// preconditioner of the paper's solver [2], PrecondNone plain CG.
 const (
 	PrecondLDL PrecondKind = iota
 	PrecondJacobi
@@ -86,8 +92,8 @@ type GainReuseKind int
 
 // Gain-reuse tiers. ReuseGain runs a lagged Gauss–Newton iteration on stale
 // G guarded by a residual-decrease test: if the lagged step fails to reduce
-// J(x), CG blows past its fresh-solve iteration budget, or the solve
-// errors, the engine refreshes at the current iterate and re-solves.
+// J(x) or the solve errors, the engine refreshes at the current iterate and
+// re-solves.
 // ReuseAuto is the owner's choice: an engine that lives for one solve
 // (Estimate) runs it as ReuseOff, exact Gauss–Newton, while the owners that
 // keep engines across solves — core.Session, contingency.Pool — resolve it
@@ -122,8 +128,8 @@ func (g GainReuseKind) String() string {
 // drift, so past some gate the extra iterations cost more than the skipped
 // refreshes save; where that happens depends on what a lagged iteration
 // costs. Under the LDLᵀ default the factor is lagged with the gain, so a
-// lagged step is one triangular solve, and the measured optimum on tracked
-// IEEE-118 and 1 416-bus frames is 8e-3 (DESIGN §10 has the sweep). A
+// lagged step is one substitution, and the measured optimum on tracked
+// IEEE-118 and 1 416-bus frames is 8e-3 (DESIGN §10 has the sweeps). A
 // topology event or load step blows through it and forces a refresh on the
 // first iteration.
 const ReuseGainGateDefault = 8e-3
@@ -136,9 +142,13 @@ type Options struct {
 	MaxIter int
 	// Solver selects the gain-matrix solver (default PCG).
 	Solver SolverKind
-	// Precond selects the PCG preconditioner (default PrecondLDL).
+	// Precond selects what the PCG gain solve is built on (default
+	// PrecondLDL, which solves by substitution and runs no CG).
 	Precond PrecondKind
-	// Workers is the goroutine count for parallel mat-vec inside PCG.
+	// Workers is the goroutine count for the parallel mat-vec inside CG,
+	// where CG runs (PrecondJacobi, PrecondNone). Zero uses the shared
+	// worker pool; one also forces the G = HᵀWH refresh and the right-hand
+	// side to run serially, which is all it changes under PrecondLDL.
 	Workers int
 	// X0 is an optional warm-start state vector; nil selects flat start.
 	X0 []float64
@@ -178,7 +188,10 @@ type Result struct {
 	ObjectiveJ float64
 	// Residuals are z − h(x̂) per measurement.
 	Residuals []float64
-	// CGIterations is the cumulative inner CG iteration count (PCG solver).
+	// CGIterations is the cumulative inner CG iteration count. Under the
+	// default PrecondLDL it is zero unless a factorization broke down
+	// (PrecondFallbacks) or a fresh factor's substitution failed its
+	// residual check and was polished.
 	CGIterations int
 	// GainRefreshes and GainSkips split the gain-solve iterations by
 	// whether G = HᵀWH was recomputed or the drift-gated reuse tier kept the

@@ -105,11 +105,24 @@ func TestPCGMatchesDenseSolver(t *testing.T) {
 			t.Fatalf("x[%d]: PCG %g vs dense %g", i, rp.X[i], rd.X[i])
 		}
 	}
-	if rp.CGIterations == 0 {
-		t.Error("PCG path reported zero CG iterations")
+	if rp.CGIterations != 0 || rp.PrecondFallbacks != 0 {
+		t.Errorf("default path: %d CG iterations, %d factorization breakdowns (want the factor's substitution alone)",
+			rp.CGIterations, rp.PrecondFallbacks)
 	}
 	if rd.CGIterations != 0 {
 		t.Error("dense path reported CG iterations")
+	}
+	rj, err := Estimate(mod, Options{Solver: PCG, Precond: PrecondJacobi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rj.X {
+		if math.Abs(rj.X[i]-rd.X[i]) > 1e-6 {
+			t.Fatalf("x[%d]: Jacobi PCG %g vs dense %g", i, rj.X[i], rd.X[i])
+		}
+	}
+	if rj.CGIterations == 0 {
+		t.Error("PCG path reported zero CG iterations")
 	}
 }
 

@@ -73,6 +73,10 @@ func TestReuseGainMatchesDenseOracle(t *testing.T) {
 					t.Fatalf("%s frame %d: x[%d] = %.12g, dense oracle %.12g (|Δ| = %g)", n.Name, f, k, got.X[k], want.X[k], d)
 				}
 			}
+			if got.CGIterations != 0 || got.PrecondFallbacks != 0 {
+				t.Errorf("%s frame %d: %d CG iterations, %d factorization breakdowns (want the factor's substitution alone)",
+					n.Name, f, got.CGIterations, got.PrecondFallbacks)
+			}
 			if f > 0 {
 				skips += got.GainSkips
 				refreshes += got.GainRefreshes
