@@ -15,11 +15,14 @@ import (
 	"repro/internal/meas"
 	"repro/internal/medici"
 	"repro/internal/powerflow"
+	"repro/internal/wls"
 )
 
-// weccFixture builds a multi-area synthetic interconnection large enough
-// that DSE Step 1 takes well over 100ms, giving cancellation tests a wide
-// window to land inside the estimation phase.
+// weccFixture builds a multi-area synthetic interconnection, large enough
+// that one Gauss–Newton iteration of a subsystem is real work. A cold run on
+// it is tens of milliseconds, so a cancellation test that must land inside
+// the estimation phase also gives the run more iterations or rounds than fit
+// before its cancel.
 func weccFixture(t *testing.T, areas int) *fixture {
 	t.Helper()
 	n, err := grid.SynthWECC(grid.SynthOptions{Areas: areas, Seed: 1})
@@ -60,7 +63,8 @@ func waitGoroutines(base int, timeout time.Duration) int {
 // TestRunDistributedCancelMidStep1: canceling the run context while the
 // sites are grinding through Step 1 must abort the Gauss-Newton loops,
 // return a wrapped context.Canceled within a second of the cancellation,
-// and leave no goroutines behind.
+// and leave no goroutines behind. The estimators get a tolerance no step can
+// meet and no iteration cap to speak of, so Step 1 cannot end on its own.
 func TestRunDistributedCancelMidStep1(t *testing.T) {
 	fx := weccFixture(t, 9)
 	base := runtime.NumGoroutine()
@@ -69,12 +73,15 @@ func TestRunDistributedCancelMidStep1(t *testing.T) {
 	defer cancel()
 	var canceledAt time.Time
 	go func() {
-		time.Sleep(50 * time.Millisecond) // acquire takes ~4ms, Step 1 >100ms
+		time.Sleep(50 * time.Millisecond) // set-up and acquire take ~15ms
 		canceledAt = time.Now()
 		cancel()
 	}()
 
-	_, err := RunDistributed(ctx, fx.dec, fx.ms, DistributedOptions{Clusters: 3})
+	_, err := RunDistributed(ctx, fx.dec, fx.ms, DistributedOptions{
+		Clusters: 3,
+		DSE:      DSEOptions{WLS: wls.Options{Tol: 1e-300, MaxIter: 1 << 30}},
+	})
 	returned := time.Now()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)

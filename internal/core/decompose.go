@@ -65,6 +65,11 @@ type Decomposition struct {
 	// built with them.
 	neighbors [][]int
 
+	// mapped holds the latest MapStep1 and MapStep2 results (see
+	// memoMapping); mapMu guards it.
+	mapMu  sync.Mutex
+	mapped [2]*mapMemo
+
 	// session is the lazily created decomposition-owned DSE session (see
 	// Session); sessionMu guards the slot, not the session's contents.
 	sessionMu sync.Mutex

@@ -132,7 +132,7 @@ func TestBSRMulVecPoolMatchesSerial(t *testing.T) {
 }
 
 // TestBSRGainRefreshBitwise: a blocked refresh through the gain plan's
-// scatter map must hold exactly the values of the scalar refresh — same
+// entry-to-slot map must hold exactly the values of the scalar refresh — same
 // contributions, same order, different storage.
 func TestBSRGainRefreshBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))

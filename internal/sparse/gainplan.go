@@ -9,30 +9,42 @@ import (
 
 // GainPlan is the symbolic half of the gain-matrix product G = Hᵀ·diag(w)·H
 // for a fixed sparsity pattern of H. Building the plan does the one-time
-// structural work — G's pattern and a scatter map from every (H entry,
-// H entry, measurement) product to its target G entry — so each numeric
-// Refresh is a flat multiply-accumulate pass with no COO triplets, no
-// sorting, and no allocation.
+// structural work — G's pattern and H's entries listed by column — so each
+// numeric Refresh reads row r of G off column r of H: every measurement with
+// an entry there adds its whole row, scaled, into a dense accumulator that is
+// then gathered into the row's pattern. No COO triplets, no sorting, no
+// allocation, and no index of the Σd² products a refresh sums: the plan is
+// the size of H and G, not of their product.
 //
 // An entry's contributions are summed in ascending (measurement, H.Val
-// index) order: the same on every build and under every permutation, but not
-// the order Gain(h, w) sums its COO stream in, so the two agree to a few
-// ulps of Σ|w·h·h|, not bit for bit.
+// index) order: the same on every build, under every permutation and on
+// every worker count, but not the order Gain(h, w) sums its COO stream in, so
+// the two agree to a few ulps of Σ|w·h·h|, not bit for bit.
+//
+// A plan is not safe for concurrent use: refreshes share G.Val and the
+// accumulators.
 type GainPlan struct {
 	// G is the gain-matrix skeleton; Refresh rewrites G.Val in place.
 	G *CSR
 
-	// entryPtr[g]..entryPtr[g+1] delimit the contributions of G entry g in
-	// the flat contribution arrays below.
-	entryPtr []int32
-	// cA/cB are H.Val indices and cM the measurement (row of H) index of
-	// each contribution: G.Val[g] = Σ w[cM]·H.Val[cA]·H.Val[cB].
-	cA, cB, cM []int32
+	// H by columns: colVal and colRow[colPtr[r]:colPtr[r+1]] are the H.Val
+	// index and the measurement (row of H) of every H entry that feeds row r
+	// of G, ascending because the fill sweeps H row by row.
+	colPtr         []int
+	colVal, colRow []int32
+	// col[p] is the column of G that H entry p feeds under the plan's
+	// permutation; nil under natural ordering, where it is h.ColIdx[p].
+	col []int
 
-	// rowWork[i] is the total contribution count before row i of G — the
-	// prefix the pooled refresh partitions on, so each worker gets rows of
-	// roughly equal multiply-accumulate work rather than equal row count.
+	// rowWork[i] is the number of products summed into the rows of G before
+	// row i — the prefix the pooled refresh partitions on, so each worker gets
+	// rows of roughly equal multiply-accumulate work rather than equal row
+	// count. rowWork[G.Rows] is Σd² over H's rows.
 	rowWork []int
+
+	// acc holds one dense row of G per refresh worker (acc[0] is the serial
+	// one), all zero between rows: the gather re-zeroes what it reads.
+	acc [][]float64
 
 	// bsr is the lazily built 2×2-blocked mirror of G (AttachBSR), and
 	// bsrPos maps every G entry to its flat slot in bsr.Val so the blocked
@@ -40,9 +52,9 @@ type GainPlan struct {
 	bsr    *BSR
 	bsrPos []int32
 
-	// rbounds caches the contribution-balanced row partition for rparts
-	// workers; RefreshPool/RefreshPoolBSR would otherwise redo the
-	// workBoundary binary searches on every Gauss–Newton iteration.
+	// rbounds caches the work-balanced row partition for rparts workers;
+	// RefreshPool/RefreshPoolBSR would otherwise redo the workBoundary binary
+	// searches on every Gauss–Newton iteration.
 	rbounds []int
 	rparts  int
 
@@ -58,17 +70,19 @@ func NewGainPlan(h *CSR) *GainPlan {
 }
 
 // NewGainPlanOrdered is NewGainPlan with a symmetric fill-reducing
-// permutation of the assembled gain matrix baked into the scatter map:
-// every contribution targets G entry (inv[i], inv[j]) instead of (i, j), so
-// a numeric Refresh produces P·(HᵀWH)·Pᵀ directly at no extra per-refresh
-// cost. perm follows the package convention (perm[new] = old, length
-// h.Cols); nil selects natural ordering. With G permuted, a solve must
-// permute b and x at the boundary (CGOptions.Perm). The estimator only
-// builds natural plans; only benchmark/replay.go passes a perm.
+// permutation of the assembled gain matrix baked into the plan: H entry
+// (m, c) feeds row and column inv[c] of G instead of c, so a numeric Refresh
+// produces P·(HᵀWH)·Pᵀ directly at no extra per-refresh cost. perm follows
+// the package convention (perm[new] = old, length h.Cols); nil selects
+// natural ordering. With G permuted, a solve must permute b and x at the
+// boundary (CGOptions.Perm). The estimator only builds natural plans; only
+// benchmark/replay.go passes a perm.
 //
-// Row r of G is read off the column of H that feeds it: each measurement
-// with an entry there contributes its whole row. No triplet list is formed
-// and nothing larger than one row's column set is sorted.
+// The build is one sweep of H into column lists and one stamped walk per G
+// row over the rows of H that column reaches, which lists the row's distinct
+// columns; nothing larger than one row's column set is sorted. The plan
+// indexes H with int32 and Σd² bounds G's size, so an H beyond either is
+// refused by name before anything is allocated.
 func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
 	n, nnz := h.Cols, h.NNZ()
 	work := 0 // Σd² over H's rows: the products one refresh accumulates
@@ -78,7 +92,8 @@ func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
 	if max(n, nnz, work) > math.MaxInt32 {
 		panic(fmt.Sprintf("sparse: NewGainPlan: %d columns / %d H entries / %d contributions exceed the plan's int32 indices", n, nnz, work))
 	}
-	col := h.ColIdx // col[p] is the row (and column) of G that H entry p feeds
+	gp := &GainPlan{hnnz: nnz, hrows: h.Rows, emptyRow: -1, acc: [][]float64{make([]float64, n)}}
+	col := h.ColIdx
 	if perm != nil {
 		checkPerm(perm, n, "NewGainPlanOrdered")
 		inv := InversePerm(perm)
@@ -86,11 +101,9 @@ func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
 		for p, c := range h.ColIdx {
 			col[p] = inv[c]
 		}
+		gp.col = col
 	}
 
-	// H by columns: colVal/colRow[colPtr[r]:colPtr[r+1]] are the entries that
-	// feed G row r, ascending because the fill sweeps H row by row.
-	gp := &GainPlan{hnnz: nnz, hrows: h.Rows, emptyRow: -1}
 	colPtr := make([]int, n+1)
 	for _, r := range col {
 		colPtr[r+1]++
@@ -101,7 +114,7 @@ func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
 		}
 		colPtr[r+1] += colPtr[r]
 	}
-	colVal, colRow := make([]int32, nnz), make([]int32, nnz) // H.Val index, measurement
+	colVal, colRow := make([]int32, nnz), make([]int32, nnz)
 	next := slices.Clone(colPtr[:n])
 	for m := 0; m < h.Rows; m++ {
 		for p := h.RowPtr[m]; p < h.RowPtr[m+1]; p++ {
@@ -110,59 +123,31 @@ func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
 			colVal[k], colRow[k] = int32(p), int32(m)
 		}
 	}
+	gp.colPtr, gp.colVal, gp.colRow = colPtr, colVal, colRow
 
-	// Pass 1 lists each G row's distinct columns and counts the contributions
-	// to each in slot. A row has at least as many contributions as columns, so
-	// list and counts wait for pass 2 at the head of its stretch of cA and cB.
-	gp.cA, gp.cB, gp.cM = make([]int32, work), make([]int32, work), make([]int32, work)
+	// Row r of G holds the columns of every row of H with an entry in column
+	// r. A row of H that lists column r twice is walked twice and adds
+	// nothing the second time, but its products are summed twice, so it counts
+	// twice towards rowWork.
 	gp.rowWork = make([]int, n+1)
 	gRowPtr := make([]int, n+1)
-	seen, slot := make([]int, n), make([]int32, n) // seen[j] == r+1: j is listed for row r
+	gColIdx := make([]int, 0, nnz+n) // a guess that fits measured networks; append covers the rest
+	seen := next                     // its fill is done; seen[j] == r+1 marks j as listed for row r
+	clear(seen)
 	for r := 0; r < n; r++ {
-		lo := gp.rowWork[r]
-		hi, end := lo, lo
+		rowWork := 0
 		for _, m := range colRow[colPtr[r]:colPtr[r+1]] {
-			for _, j := range col[h.RowPtr[m]:h.RowPtr[m+1]] {
+			row := col[h.RowPtr[m]:h.RowPtr[m+1]]
+			for _, j := range row {
 				if seen[j] != r+1 {
-					seen[j], slot[j] = r+1, 0
-					gp.cA[hi] = int32(j)
-					hi++
+					seen[j] = r + 1
+					gColIdx = append(gColIdx, j)
 				}
-				slot[j]++
 			}
-			end += h.RowNNZ(int(m))
+			rowWork += len(row)
 		}
-		for k := lo; k < hi; k++ {
-			gp.cB[k] = slot[gp.cA[k]]
-		}
-		gRowPtr[r+1], gp.rowWork[r+1] = gRowPtr[r]+hi-lo, end
-	}
-
-	// Pass 2 sorts each row's few columns, turns the counts into write
-	// offsets and walks the row again to drop every contribution in place.
-	gColIdx := make([]int, gRowPtr[n])
-	gp.entryPtr = make([]int32, gRowPtr[n]+1)
-	for r := 0; r < n; r++ {
-		g := gRowPtr[r]
-		row := gColIdx[g:gRowPtr[r+1]]
-		for k := range row {
-			row[k] = int(gp.cA[gp.rowWork[r]+k])
-			slot[row[k]] = gp.cB[gp.rowWork[r]+k]
-		}
-		slices.Sort(row)
-		for _, j := range row {
-			gp.entryPtr[g+1] = gp.entryPtr[g] + slot[j]
-			slot[j] = gp.entryPtr[g]
-			g++
-		}
-		for k := colPtr[r]; k < colPtr[r+1]; k++ {
-			p, m := colVal[k], colRow[k]
-			for q := h.RowPtr[m]; q < h.RowPtr[m+1]; q++ {
-				t := slot[col[q]]
-				slot[col[q]]++
-				gp.cA[t], gp.cB[t], gp.cM[t] = p, int32(q), m
-			}
-		}
+		slices.Sort(gColIdx[gRowPtr[r]:])
+		gRowPtr[r+1], gp.rowWork[r+1] = len(gColIdx), gp.rowWork[r]+rowWork
 	}
 	gp.G = &CSR{Rows: n, Cols: n, RowPtr: gRowPtr, ColIdx: gColIdx, Val: make([]float64, len(gColIdx))}
 	return gp
@@ -178,28 +163,15 @@ func (gp *GainPlan) EmptyRow() int { return gp.emptyRow }
 // pattern the plan was built from.
 func (gp *GainPlan) Refresh(h *CSR, w []float64) *CSR {
 	gp.check(h, w)
-	gp.refreshRows(h, w, 0, gp.G.Rows)
+	gp.refreshRows(h, w, gp.acc[0], 0, gp.G.Rows, false)
 	return gp.G
 }
 
 // RefreshPool recomputes G.Val with rows of G distributed over the pool,
-// partitioned by contribution count (the actual flops) rather than row
-// count. Falls back to the serial pass for small systems or a nil pool.
+// partitioned by product count (the actual flops) rather than row count.
+// Falls back to the serial pass for small systems or a nil pool.
 func (gp *GainPlan) RefreshPool(h *CSR, w []float64, p *Pool) *CSR {
-	gp.check(h, w)
-	work := len(gp.cA)
-	parts := p.Workers()
-	if parts > gp.G.Rows {
-		parts = gp.G.Rows
-	}
-	if parts <= 1 || work < parallelNNZThreshold {
-		gp.refreshRows(h, w, 0, gp.G.Rows)
-		return gp.G
-	}
-	bounds := gp.refreshBounds(parts)
-	p.Run(parts, func(part int) {
-		gp.refreshRows(h, w, bounds[part], bounds[part+1])
-	})
+	gp.refreshPool(h, w, p, false)
 	return gp.G
 }
 
@@ -221,50 +193,40 @@ func (gp *GainPlan) AttachBSR() *BSR {
 // RefreshPoolBSR recomputes the attached blocked gain matrix from the
 // current numeric values of h and the weights w without allocating (the
 // first call builds the skeleton via AttachBSR), rows distributed over the
-// pool using the same contribution-balanced partition as RefreshPool. Each
-// scalar G entry owns a distinct block slot, so workers never write the same
-// index. Same contract as Refresh: h must keep the plan's sparsity pattern.
+// pool using the same work-balanced partition as RefreshPool. Each scalar G
+// entry owns a distinct block slot, so workers never write the same index,
+// and the kernel is RefreshPool's, so a blocked refresh holds the same values
+// as a scalar one bit for bit. Same contract as Refresh: h must keep the
+// plan's sparsity pattern.
 func (gp *GainPlan) RefreshPoolBSR(h *CSR, w []float64, p *Pool) *BSR {
-	gp.check(h, w)
 	gp.AttachBSR()
-	work := len(gp.cA)
-	parts := p.Workers()
-	if parts > gp.G.Rows {
-		parts = gp.G.Rows
-	}
-	if parts <= 1 || work < parallelNNZThreshold {
-		gp.refreshRowsBSR(h, w, 0, gp.G.Rows)
-		return gp.bsr
-	}
-	bounds := gp.refreshBounds(parts)
-	p.Run(parts, func(part int) {
-		gp.refreshRowsBSR(h, w, bounds[part], bounds[part+1])
-	})
+	gp.refreshPool(h, w, p, true)
 	return gp.bsr
 }
 
-// refreshRowsBSR is refreshRows writing into block storage through the
-// AttachBSR scatter map. The per-entry accumulation order is identical, so
-// a blocked refresh holds the same values as a scalar one bit for bit.
-func (gp *GainPlan) refreshRowsBSR(h *CSR, w []float64, rlo, rhi int) {
-	hv := h.Val
-	bv := gp.bsr.Val
-	for i := rlo; i < rhi; i++ {
-		for g := gp.G.RowPtr[i]; g < gp.G.RowPtr[i+1]; g++ {
-			sum := 0.0
-			for t := gp.entryPtr[g]; t < gp.entryPtr[g+1]; t++ {
-				sum += w[gp.cM[t]] * hv[gp.cA[t]] * hv[gp.cB[t]]
-			}
-			bv[gp.bsrPos[g]] = sum
-		}
+func (gp *GainPlan) refreshPool(h *CSR, w []float64, p *Pool, blocked bool) {
+	gp.check(h, w)
+	n := gp.G.Rows
+	parts := min(p.Workers(), n)
+	if parts <= 1 || gp.rowWork[n] < parallelNNZThreshold {
+		gp.refreshRows(h, w, gp.acc[0], 0, n, blocked)
+		return
 	}
+	bounds := gp.refreshBounds(parts)
+	p.Run(parts, func(part int) {
+		gp.refreshRows(h, w, gp.acc[part], bounds[part], bounds[part+1], blocked)
+	})
 }
 
-// refreshBounds returns the cached contribution-balanced partition of G's
-// rows into parts ranges, recomputing it only when the part count changes.
+// refreshBounds returns the cached work-balanced partition of G's rows into
+// parts ranges, recomputing it — and growing the accumulator set to one per
+// part — only when the part count changes.
 func (gp *GainPlan) refreshBounds(parts int) []int {
 	if gp.rparts == parts && len(gp.rbounds) == parts+1 {
 		return gp.rbounds
+	}
+	for len(gp.acc) < parts {
+		gp.acc = append(gp.acc, make([]float64, gp.G.Rows))
 	}
 	if cap(gp.rbounds) < parts+1 {
 		gp.rbounds = make([]int, parts+1)
@@ -277,7 +239,7 @@ func (gp *GainPlan) refreshBounds(parts int) []int {
 	return gp.rbounds
 }
 
-// workBoundary mirrors CSR.rowBoundary over the contribution-count prefix.
+// workBoundary mirrors CSR.rowBoundary over the product-count prefix.
 func (gp *GainPlan) workBoundary(w, parts int) int {
 	if w <= 0 {
 		return 0
@@ -285,7 +247,7 @@ func (gp *GainPlan) workBoundary(w, parts int) int {
 	if w >= parts {
 		return gp.G.Rows
 	}
-	target := len(gp.cA) * w / parts
+	target := gp.rowWork[gp.G.Rows] * w / parts
 	b := sort.SearchInts(gp.rowWork, target)
 	if b > gp.G.Rows {
 		b = gp.G.Rows
@@ -293,15 +255,35 @@ func (gp *GainPlan) workBoundary(w, parts int) int {
 	return b
 }
 
-func (gp *GainPlan) refreshRows(h *CSR, w []float64, rlo, rhi int) {
-	hv := h.Val
-	for i := rlo; i < rhi; i++ {
-		for g := gp.G.RowPtr[i]; g < gp.G.RowPtr[i+1]; g++ {
-			sum := 0.0
-			for t := gp.entryPtr[g]; t < gp.entryPtr[g+1]; t++ {
-				sum += w[gp.cM[t]] * hv[gp.cA[t]] * hv[gp.cB[t]]
+// refreshRows computes rows rlo..rhi-1 of G into G.Val, or into the attached
+// block storage when blocked. Row r is Σ w[m]·H(m, r)·(row m of H) over the
+// entries (m, r) of H's column r, taken in ascending (m, H.Val index) order
+// and accumulated into acc — dense, length G.Rows, all zero on entry and on
+// return — so every entry of G sums the same products in the same order
+// whichever rows a worker is given.
+func (gp *GainPlan) refreshRows(h *CSR, w, acc []float64, rlo, rhi int, blocked bool) {
+	hv, col := h.Val, gp.col
+	if col == nil {
+		col = h.ColIdx
+	}
+	dst, pos := gp.G.Val, []int32(nil)
+	if blocked {
+		dst, pos = gp.bsr.Val, gp.bsrPos
+	}
+	for r := rlo; r < rhi; r++ {
+		for k := gp.colPtr[r]; k < gp.colPtr[r+1]; k++ {
+			m := gp.colRow[k]
+			s := w[m] * hv[gp.colVal[k]]
+			for q := h.RowPtr[m]; q < h.RowPtr[m+1]; q++ {
+				acc[col[q]] += s * hv[q]
 			}
-			gp.G.Val[g] = sum
+		}
+		for g := gp.G.RowPtr[r]; g < gp.G.RowPtr[r+1]; g++ {
+			j, t := gp.G.ColIdx[g], g
+			if pos != nil {
+				t = int(pos[g])
+			}
+			dst[t], acc[j] = acc[j], 0
 		}
 	}
 }

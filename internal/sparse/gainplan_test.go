@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -59,7 +60,7 @@ func checkGainPlanAgainstGain(t *testing.T, got *CSR, h *CSR, w []float64) {
 }
 
 // TestGainPlanMatchesGain is the core parity property: a numeric
-// refresh over the precomputed scatter map reproduces the triplet-based
+// refresh over the plan reproduces the triplet-based
 // Gain assembly — pattern for pattern, and value for value up to the order
 // in which an entry's contributions are summed.
 func TestGainPlanMatchesGain(t *testing.T) {
@@ -177,7 +178,7 @@ func TestGainPlanMatchesDenseProduct(t *testing.T) {
 }
 
 // TestGainPlanBuildDeterministic: two plans built from one H hold the same
-// scatter map, so their refreshes agree bit for bit — what lets a rebuilt
+// column lists, so their refreshes agree bit for bit — what lets a rebuilt
 // engine (a cold solve, a pool re-prime) reproduce the previous one exactly.
 func TestGainPlanBuildDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -216,6 +217,153 @@ func TestGainPlanOrderedEqualsPermutedNaturalPlan(t *testing.T) {
 					k-got.RowPtr[i], i, got.ColIdx[k], got.Val[k], want.ColIdx[k], want.Val[k])
 			}
 		}
+	}
+}
+
+// replayGain is the refresh GainPlan ran before it read G off H's columns,
+// kept as the oracle for its summation order: every entry (r, j) of g's
+// pattern on its own, its products taken in ascending measurement and then
+// H.Val index order, each one w·hA·hB added to a sum that starts at zero.
+// perm is the plan's (nil for natural order).
+func replayGain(h *CSR, w []float64, perm []int, g *CSR) []float64 {
+	col := h.ColIdx
+	if perm != nil {
+		inv := InversePerm(perm)
+		col = make([]int, len(h.ColIdx))
+		for p, c := range h.ColIdx {
+			col[p] = inv[c]
+		}
+	}
+	val := make([]float64, g.NNZ())
+	for r := 0; r < g.Rows; r++ {
+		for e := g.RowPtr[r]; e < g.RowPtr[r+1]; e++ {
+			sum := 0.0
+			for m := 0; m < h.Rows; m++ {
+				for a := h.RowPtr[m]; a < h.RowPtr[m+1]; a++ {
+					if col[a] != r {
+						continue
+					}
+					for b := h.RowPtr[m]; b < h.RowPtr[m+1]; b++ {
+						if col[b] == g.ColIdx[e] {
+							sum += w[m] * h.Val[a] * h.Val[b]
+						}
+					}
+				}
+			}
+			val[e] = sum
+		}
+	}
+	return val
+}
+
+// assertBitEqual fails unless got and want hold the same float64 bit
+// patterns, which also tells 0 from -0 and one NaN from another.
+func assertBitEqual(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("%s: Val[%d] = %v, replayed order gives %v", what, k, got[k], want[k])
+		}
+	}
+}
+
+// assertAccumulatorsZero: every worker's dense row is all zero again once a
+// refresh has returned — what the next row, and the next refresh, rely on.
+func assertAccumulatorsZero(t *testing.T, what string, gp *GainPlan) {
+	t.Helper()
+	for part, acc := range gp.acc {
+		for j, v := range acc {
+			if v != 0 {
+				t.Fatalf("%s: accumulator %d holds %v at column %d after the refresh", what, part, v, j)
+			}
+		}
+	}
+}
+
+// TestGainRefreshReplaysOldOrder: reading row r of G off column r of H sums
+// every entry's products in the order the scatter map listed them, so G is
+// what it was bit for bit — on ragged H (empty, unsorted and column-repeating
+// rows), in natural order and under a random permutation, and on a second
+// refresh with new values and weights.
+func TestGainRefreshReplaysOldOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 30; trial++ {
+		rows, cols := 3+rng.Intn(30), 3+rng.Intn(12)
+		h := raggedCSR(rng, rows, cols)
+		for _, perm := range [][]int{nil, rng.Perm(cols)} {
+			gp := NewGainPlanOrdered(h, perm)
+			for pass := 0; pass < 2; pass++ {
+				for k := range h.Val {
+					h.Val[k] = rng.NormFloat64()
+				}
+				w := randomWeights(rng, rows)
+				g := gp.Refresh(h, w)
+				assertBitEqual(t, "ragged H", g.Val, replayGain(h, w, perm, g))
+				assertAccumulatorsZero(t, "ragged H", gp)
+			}
+		}
+	}
+}
+
+// TestGainRefreshPooledReplaysOldOrder: the same equality on an H large
+// enough for the pooled path, for 1, 2, 3 and 8 workers, scalar and blocked,
+// twice in a row with different values. A worker's rows do not change what an
+// entry sums, and each worker leaves its own accumulator zero. Run under
+// -race this is also the check that workers share nothing they write.
+func TestGainRefreshPooledReplaysOldOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const rows, cols = 420, 90
+	h := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	for m := 0; m < rows; m++ {
+		for d := 4 + rng.Intn(8); d > 0 && m%17 != 0; d-- { // every 17th row is empty
+			h.ColIdx = append(h.ColIdx, rng.Intn(cols)) // unsorted, may repeat
+		}
+		h.RowPtr[m+1] = len(h.ColIdx)
+	}
+	h.Val = make([]float64, len(h.ColIdx))
+	perm := rng.Perm(cols)
+	// Two sets of values and weights, replayed once each on the pattern every
+	// plan below shares.
+	pattern := NewGainPlanOrdered(h, perm).G
+	var vals, weights, wants [2][]float64
+	for pass := range vals {
+		vals[pass] = make([]float64, len(h.ColIdx))
+		for k := range vals[pass] {
+			vals[pass][k] = rng.NormFloat64()
+		}
+		weights[pass] = randomWeights(rng, rows)
+		h.Val = vals[pass]
+		wants[pass] = replayGain(h, weights[pass], perm, pattern)
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		pool := NewPool(workers)
+		gp := NewGainPlanOrdered(h, perm)
+		if gp.rowWork[cols] < parallelNNZThreshold {
+			t.Fatalf("fixture sums %d products, below the pooled threshold %d", gp.rowWork[cols], parallelNNZThreshold)
+		}
+		for pass, want := range wants {
+			h.Val = vals[pass]
+			what := fmt.Sprintf("RefreshPool, %d workers, pass %d", workers, pass)
+			assertBitEqual(t, what, gp.RefreshPool(h, weights[pass], pool).Val, want)
+			assertAccumulatorsZero(t, what, gp)
+			if len(gp.acc) != workers {
+				t.Fatalf("%s: %d accumulators, want one per worker", what, len(gp.acc))
+			}
+
+			what = fmt.Sprintf("RefreshPoolBSR, %d workers, pass %d", workers, pass)
+			clear(gp.G.Val) // the blocked refresh must not lean on the scalar one
+			blocked := gp.RefreshPoolBSR(h, weights[pass], pool)
+			got := make([]float64, len(want))
+			for e := range got {
+				got[e] = blocked.Val[gp.bsrPos[e]]
+			}
+			assertBitEqual(t, what, got, want)
+			assertAccumulatorsZero(t, what, gp)
+		}
+		pool.Close()
 	}
 }
 

@@ -56,9 +56,9 @@ const ldlPivotRelFloor = ic0PivotRelFloor
 
 // AnalyzeLDL runs the symbolic analysis of the symmetric matrix a and
 // returns a factor with no numeric content: Refresh must succeed before the
-// first Apply. a must be structurally symmetric; values are only ever read
-// from its lower triangle. It fails when a is not square or a diagonal
-// entry is not stored.
+// first Apply. a must be structurally symmetric and store no entry twice;
+// its rows need not be sorted. Values are only ever read from its lower
+// triangle. It fails when a is not square or a diagonal entry is not stored.
 func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("sparse: LDL requires square matrix, got %dx%d", a.Rows, a.Cols)
@@ -108,7 +108,10 @@ func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 	next := f.lnz // free until the column counts below
 	copy(next, f.upPtr[:n])
 	for i := 0; i < n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1] && a.ColIdx[k] < i; k++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if a.ColIdx[k] >= i {
+				continue // the same entries the count above took: rows need not be sorted
+			}
 			pi, pj := inv[i], inv[a.ColIdx[k]]
 			p := next[max(pi, pj)]
 			next[max(pi, pj)]++

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -70,6 +71,61 @@ func TestLDLSolveMatchesDense(t *testing.T) {
 		res, err := CG(a, b, CGOptions{Tol: 1e-10, Precond: f})
 		if err != nil || res.Iterations > 2 {
 			t.Fatalf("%s: CG on a fresh factor: %d iterations, err %v", name, res.Iterations, err)
+		}
+	}
+}
+
+// TestLDLUnsortedRows: the analysis counts and places the same lower-triangle
+// entries whatever order a row stores them in. Stopping the placement at the
+// first column ≥ i left the entries after it counted but never placed, and
+// the factor silently wrong: this 3×3 solved to (1.39, 0.44, 1.28).
+func TestLDLUnsortedRows(t *testing.T) {
+	// [[4 1 1] [1 3 0] [1 0 2]], row 0 stored as columns (2, 0, 1) and row 2
+	// as (2, 0); the right-hand side of x = (1, 1, 1).
+	a := &CSR{
+		Rows: 3, Cols: 3,
+		RowPtr: []int{0, 3, 5, 7},
+		ColIdx: []int{2, 0, 1, 0, 1, 2, 0},
+		Val:    []float64{1, 4, 1, 1, 3, 2, 1},
+	}
+	f, err := NewLDL(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, 3)
+	f.Apply(x, []float64{6, 4, 3})
+	for i, v := range x {
+		if math.Abs(v-1) > 1e-14 {
+			t.Fatalf("x = %v, want (1, 1, 1): x[%d] is off by %.3g", x, i, v-1)
+		}
+	}
+
+	// Shuffled rows of larger matrices factor to the sorted matrix's factor:
+	// same ordering, same fill, the same solution up to the order the sums run in.
+	rng := rand.New(rand.NewSource(63))
+	for name, m := range map[string]*CSR{"spd-80": randomSPD(rng, 80), "gain-150": gainFixture(rng, 150, 240), "mesh": meshMatrix(8, 6)} {
+		sorted, err := NewLDL(m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		shuffled, err := NewLDL(shuffleRows(rng, m))
+		if err != nil {
+			t.Fatalf("%s, shuffled: %v", name, err)
+		}
+		if !slices.Equal(sorted.perm, shuffled.perm) || sorted.FactorNNZ() != shuffled.FactorNNZ() {
+			t.Fatalf("%s: shuffling the rows changed the ordering or the fill (%d → %d)", name, sorted.FactorNNZ(), shuffled.FactorNNZ())
+		}
+		b := make([]float64, m.Rows)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		want, got := make([]float64, m.Rows), make([]float64, m.Rows)
+		sorted.Apply(want, b)
+		shuffled.Apply(got, b)
+		for i := range want {
+			if d := math.Abs(got[i] - want[i]); d > 1e-9*(1+math.Abs(want[i])) {
+				t.Fatalf("%s: x[%d] = %g from shuffled rows, %g from sorted", name, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -11,12 +11,12 @@ import (
 
 // Engine is a reusable WLS solver bound to one measurement-model structure.
 // Construction does the symbolic work once — the Jacobian sparsity plan,
-// the gain-matrix scatter plan, the CG workspace — so every subsequent
+// the gain-matrix plan, the CG workspace — so every subsequent
 // Gauss–Newton iteration only rewrites numeric values in place:
 //
 //   - H(x) is refreshed into a fixed CSR skeleton (meas.JacobianPlan),
-//   - G = HᵀWH is a flat multiply-accumulate over a precomputed scatter map
-//     (sparse.GainPlan), row-parallel on the persistent worker pool,
+//   - G = HᵀWH is read row by row off H's column lists into a fixed
+//     pattern (sparse.GainPlan), row-parallel on the persistent worker pool,
 //   - the LDLᵀ factor (or the Jacobi diagonal) refreshes its numerics on
 //     G's fixed pattern, and under the default the factor's substitution is
 //     the gain solve,
