@@ -57,17 +57,32 @@ func BenchmarkTable1Decomposition(b *testing.B) {
 	}
 }
 
+// freshDecomposition returns the fixture on a decomposition that has mapped
+// nothing yet — the fixture's own split, rebuilt off the clock. A
+// decomposition remembers its mappings, so without this every iteration of
+// the Table2 / Fig4 / Fig5 benchmarks after the first would time a
+// remembered mapping being copied (0.1 µs, which is what a frame after the
+// first pays) instead of the mapping.
+func freshDecomposition(b *testing.B, fx *experiments.Fixture) *experiments.Fixture {
+	b.Helper()
+	b.StopTimer()
+	dec, err := core.DecomposeWithParts(fx.Net, len(fx.Dec.Subsystems), fx.Dec.Owner, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fresh := &experiments.Fixture{Net: fx.Net, Truth: fx.Truth, Dec: dec, Meas: fx.Meas}
+	b.StartTimer()
+	return fresh
+}
+
 // BenchmarkTable2Mapping regenerates Table II: naive vs cost-model mapping
-// bus counts per cluster. Reports both imbalances. A decomposition remembers
-// its mappings, so here and in the Fig4 / Fig5 benchmarks every iteration
-// after the first times a remembered mapping being copied, as every frame
-// after the first does; BenchmarkPartitionerScales times the partitioner.
+// bus counts per cluster. Reports both imbalances.
 func BenchmarkTable2Mapping(b *testing.B) {
 	fx := benchFixture(b)
 	var t experiments.Table2
 	var err error
 	for i := 0; i < b.N; i++ {
-		t, err = experiments.RunTable2(fx, 3, 1)
+		t, err = experiments.RunTable2(freshDecomposition(b, fx), 3, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +172,7 @@ func BenchmarkFig4PartitionStep1(b *testing.B) {
 	var f experiments.MappingFigure
 	var err error
 	for i := 0; i < b.N; i++ {
-		f, err = experiments.RunFig4(fx, 3, 1)
+		f, err = experiments.RunFig4(freshDecomposition(b, fx), 3, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +187,7 @@ func BenchmarkFig5RepartitionStep2(b *testing.B) {
 	var f experiments.MappingFigure
 	var err error
 	for i := 0; i < b.N; i++ {
-		f, err = experiments.RunFig5(fx, 3, 1)
+		f, err = experiments.RunFig5(freshDecomposition(b, fx), 3, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -232,6 +247,7 @@ func BenchmarkEndToEndDSE(b *testing.B) {
 	b.ReportMetric(e.CentralizedTime.Seconds()*1e3, "centralized-ms")
 	b.ReportMetric(e.DistributedTime.Seconds()*1e3, "distributed-ms")
 	b.ReportMetric(float64(e.WireBytes), "wire-bytes")
+	b.ReportMetric(float64(e.WireMessages), "wire-msgs")
 }
 
 // BenchmarkCentralizedWLS118 is the baseline the paper compares against:
@@ -561,14 +577,21 @@ func BenchmarkDSE118Rounds(b *testing.B) {
 // the tracker's default numeric-reuse tier (ReuseGain). The reported
 // gain-skip-frac is the fraction of gain-solve iterations that ran on the
 // previous frame's G and preconditioner. The jacobi row is the historical
-// BenchmarkTrackerFrames; the ldl row is the default preconditioner.
+// BenchmarkTrackerFrames; the ldl row is the default preconditioner, and
+// ldl-sequential is that row under DSEOptions.Sequential — 27 solves of
+// ~15 µs on the caller's goroutine instead of on one goroutine each, the
+// pair ROADMAP's concurrency direction reads at -cpu 1,2.
 func BenchmarkTrackerFrames(b *testing.B) {
 	fx := benchFixture(b)
+	frames := [][]meas.Measurement{fx.Meas}
 	for _, p := range []wls.PrecondKind{wls.PrecondJacobi, wls.PrecondLDL} {
 		b.Run(p.String(), func(b *testing.B) {
-			benchTrackedFrames(b, fx.Dec, [][]meas.Measurement{fx.Meas}, wls.Options{Precond: p})
+			benchTrackedFrames(b, fx.Dec, frames, core.DSEOptions{Rounds: 2, WLS: wls.Options{Precond: p}})
 		})
 	}
+	b.Run("ldl-sequential", func(b *testing.B) {
+		benchTrackedFrames(b, fx.Dec, frames, core.DSEOptions{Rounds: 2, Sequential: true})
+	})
 }
 
 // reuseModes is the numeric-reuse benchmark axis.
@@ -590,14 +613,14 @@ func BenchmarkTrackerFramesReuse(b *testing.B) {
 	fx := benchFixture(b)
 	for _, mode := range reuseModes {
 		b.Run(mode.name, func(b *testing.B) {
-			benchTrackedFrames(b, fx.Dec, [][]meas.Measurement{fx.Meas}, wls.Options{GainReuse: mode.kind})
+			benchTrackedFrames(b, fx.Dec, [][]meas.Measurement{fx.Meas}, core.DSEOptions{Rounds: 2, WLS: wls.Options{GainReuse: mode.kind}})
 		})
 	}
 
 	dec, frames := weccDSEFixture(b, 12, 8)
 	for _, mode := range reuseModes {
 		b.Run("synth-wecc-12/"+mode.name, func(b *testing.B) {
-			benchTrackedFrames(b, dec, frames, wls.Options{GainReuse: mode.kind})
+			benchTrackedFrames(b, dec, frames, core.DSEOptions{Rounds: 2, WLS: wls.Options{GainReuse: mode.kind}})
 		})
 	}
 }
@@ -605,8 +628,8 @@ func BenchmarkTrackerFramesReuse(b *testing.B) {
 // benchTrackedFrames times Tracker.Process cycling through frames, after
 // one untimed pass over them, and reports the fraction of gain-solve
 // iterations that ran on lagged numerics.
-func benchTrackedFrames(b *testing.B, dec *core.Decomposition, frames [][]meas.Measurement, opts wls.Options) {
-	tracker := core.NewTracker(dec, core.DSEOptions{Rounds: 2, WLS: opts})
+func benchTrackedFrames(b *testing.B, dec *core.Decomposition, frames [][]meas.Measurement, opts core.DSEOptions) {
+	tracker := core.NewTracker(dec, opts)
 	for _, f := range frames {
 		if _, err := tracker.Process(f); err != nil {
 			b.Fatal(err)

@@ -39,7 +39,7 @@ func main() {
 		clusters   = flag.Int("clusters", 3, "number of HPC clusters (p)")
 		noise      = flag.Float64("noise", 1.0, "meter noise level")
 		seed       = flag.Int64("seed", 1, "random seed")
-		rounds     = flag.Int("rounds", 1, "DSE Step-2 rounds")
+		rounds     = flag.Int("rounds", 1, "DSE Step-2 rounds (with -inprocess or -frames; a run on the testbed does one)")
 		inproc     = flag.Bool("inprocess", false, "skip the TCP testbed, run in-process")
 		noMapping  = flag.Bool("nomapping", false, "use the naive contiguous assignment instead of the cost-model mapping")
 		shaped     = flag.Bool("shaped", false, "shape inter-site links to the lab-network profile")
@@ -63,6 +63,9 @@ func main() {
 			usageError("-areas %d decomposes one subsystem per area and cannot be combined with -subsystems %d", *areas, *subsystems)
 		}
 		*subsystems = *areas
+	}
+	if *rounds > 1 && !*inproc && *frames <= 1 {
+		usageError("-rounds %d needs -inprocess or -frames: a run on the testbed does one Step-2 round", *rounds)
 	}
 	stopProfile, err := prof.StartCPU(*cpuProfile)
 	if err != nil {

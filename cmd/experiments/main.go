@@ -210,7 +210,7 @@ func main() {
 			e.Timings.Map.Round(time.Microsecond), e.Timings.Step1.Round(time.Microsecond),
 			e.Timings.Remap.Round(time.Microsecond), e.Timings.Redistribute.Round(time.Microsecond),
 			e.Timings.Exchange.Round(time.Microsecond), e.Timings.Step2.Round(time.Microsecond))
-		fmt.Printf("middleware bytes:       %d\n", e.WireBytes)
+		fmt.Printf("middleware:             %d messages, %d bytes\n", e.WireMessages, e.WireBytes)
 		fmt.Printf("max |Vm| disagreement:  %.6f pu\n", e.MaxVmDelta)
 		return nil
 	})

@@ -137,22 +137,28 @@ func TestScheduleDeterministicError(t *testing.T) {
 	}
 }
 
-// TestScheduleMidSweepCancellation cancels the context from inside a case
-// and checks the sweep stops early and reports the cancellation, not a
-// case error.
+// TestScheduleMidSweepCancellation cancels the context from inside the fifth
+// case and checks the sweep stops early and reports the cancellation, not a
+// case error. Every case started after the cancelling one waits for the
+// cancellation before it returns, so how far the sweep gets is decided by
+// schedule — no worker draws a case once ctx is done — and not by whether
+// cancel() lands before the other workers drain 195 no-op cases.
 func TestScheduleMidSweepCancellation(t *testing.T) {
-	const nCases = 200
+	const nCases, workers, cancelAt = 200, 4, 5
 	for _, sched := range []Scheduling{StaticScheduling, CounterScheduling} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var mu sync.Mutex
 		ran := 0
-		err := schedule(ctx, nCases, 4, sched, func(k int) error {
+		err := schedule(ctx, nCases, workers, sched, func(k int) error {
 			mu.Lock()
 			ran++
 			n := ran
 			mu.Unlock()
-			if n == 5 {
+			switch {
+			case n == cancelAt:
 				cancel()
+			case n > cancelAt:
+				<-ctx.Done()
 			}
 			return nil
 		})
@@ -160,11 +166,10 @@ func TestScheduleMidSweepCancellation(t *testing.T) {
 		if err == nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("sched=%v: got %v, want wrapped context.Canceled", sched, err)
 		}
-		mu.Lock()
-		if ran >= nCases {
-			t.Fatalf("sched=%v: all %d cases ran despite mid-sweep cancellation", sched, ran)
+		// At the cancellation each other worker has at most one case in hand.
+		if ran > cancelAt+workers-1 {
+			t.Fatalf("sched=%v: %d cases ran, want at most %d after a cancellation in case %d", sched, ran, cancelAt+workers-1, cancelAt)
 		}
-		mu.Unlock()
 	}
 }
 

@@ -198,8 +198,9 @@ func TestRunDSECancelPropagates(t *testing.T) {
 
 // faultTransport is loopback TCP with two fault hooks for the persistent
 // links. onWrite runs before the n-th write (1-based, counted across
-// connections) on any dialed connection: in a RunDistributed of 9 subsystems
-// writes 1–9 are the acquire requests and 10 onward the envelopes. kill(i)
+// connections) on any dialed connection: in a RunDistributed on 3 sites
+// writes 1–3 are the sites' data requests and 4 onward the bundles of the
+// exchange (the default IEEE-118 run migrates nothing). kill(i)
 // closes the i-th listener and every connection it accepted — a peer
 // whose receiver goes away with its inbound links still up; the testbed's
 // sites are listeners 0..2.
@@ -311,7 +312,7 @@ func TestRunDistributedPeerClosesMidExchange(t *testing.T) {
 
 	tr := &faultTransport{}
 	tr.onWrite = func(n int) {
-		if n == 12 { // the third envelope: links are up, some packets delivered
+		if n == 5 { // the second of six bundles: a link is up, at most one bundle delivered
 			tr.kill(1)
 		}
 	}
@@ -347,7 +348,7 @@ func TestRunDistributedCancelMidSend(t *testing.T) {
 	defer cancel()
 	tr := &faultTransport{}
 	tr.onWrite = func(n int) {
-		if n == 12 {
+		if n == 5 {
 			cancel()
 		}
 	}

@@ -36,10 +36,11 @@ type DSEOptions struct {
 	RestoreObservability bool
 	// RestoreSigma is the pseudo-measurement sigma for restoration.
 	RestoreSigma float64
-	// NoStep2WarmStart disables the cross-round Step-2 warm start (round
-	// k+1 starting Gauss–Newton from round k's solution behind
-	// wls.WarmStartGate) — the flat-start-every-round baseline used by
-	// equivalence tests and ablation benchmarks.
+	// NoStep2WarmStart starts every Step-2 solve from the flat profile
+	// instead of from what the run already knows (Session.step2Start: the
+	// previous round's or frame's solution, else this run's Step-1 state and
+	// incoming pseudo-measurements, behind wls.WarmStartGate) — the baseline
+	// used by equivalence tests and ablation benchmarks.
 	NoStep2WarmStart bool
 }
 
@@ -177,14 +178,7 @@ func (sess *Session) runDSE(ctx context.Context, global []meas.Measurement, opts
 			if err != nil {
 				return err
 			}
-			wlsOpts := opts.WLS
-			if x0 := sess.step2Start(si); x0 != nil && !opts.NoStep2WarmStart && wlsOpts.X0 == nil {
-				wlsOpts.X0 = x0
-				if wlsOpts.X0Gate == 0 {
-					wlsOpts.X0Gate = wls.WarmStartGate
-				}
-			}
-			r, err := eng.EstimateCtx(ctx, wlsOpts)
+			r, err := eng.EstimateCtx(ctx, sess.step2Options(si, opts, res.Step1[si].State))
 			if err != nil {
 				return fmt.Errorf("core: step 2 subsystem %d: %w", si, err)
 			}
@@ -262,43 +256,50 @@ func restoreSubproblem(sp *Subproblem, sigma float64) error {
 // subsystem (fail-fast); errors collected before the stop are joined.
 // phase names the DSE phase in cancellation errors.
 func forEachSubsystem(ctx context.Context, phase string, m int, sequential bool, f func(ctx context.Context, si int) error) error {
-	if sequential {
-		for si := 0; si < m; si++ {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("core: %s: canceled before subsystem %d: %w", phase, si, err)
-			}
-			if err := f(ctx, si); err != nil {
-				return err
-			}
-		}
-		return nil
+	if !sequential {
+		return concurrently(ctx, phase, m, f)
 	}
+	for si := 0; si < m; si++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: %s: canceled before subsystem %d: %w", phase, si, err)
+		}
+		if err := f(ctx, si); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// concurrently runs tasks 0..n-1 of one phase on a goroutine each and waits
+// for all of them. The first error cancels the context handed to every
+// other task (fail-fast); errors collected before the stop are joined.
+func concurrently(ctx context.Context, phase string, n int, task func(ctx context.Context, i int) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	errs := make([]error, m)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for si := 0; si < m; si++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(si int) {
+		go func(i int) {
 			defer wg.Done()
 			if err := ctx.Err(); err != nil {
 				return // a sibling failed; don't start more work
 			}
-			if errs[si] = f(ctx, si); errs[si] != nil {
+			if errs[i] = task(ctx, i); errs[i] != nil {
 				cancel()
 			}
-		}(si)
+		}(i)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return err
 	}
-	// No subsystem recorded an error, yet the context may have been
-	// canceled by the parent before some goroutines started their work —
-	// their result slots are then silently empty, so the phase must not be
-	// treated as complete.
+	// No task recorded an error, yet the context may have been canceled by
+	// the parent before some of them started (or, inside a task, before it
+	// got through its list) — their result slots are then silently empty, so
+	// the phase must not be treated as complete.
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: %s: canceled before all subsystems completed: %w", phase, err)
+		return fmt.Errorf("core: %s: canceled before all of it completed: %w", phase, err)
 	}
 	return nil
 }

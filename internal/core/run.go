@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -79,7 +78,10 @@ type DistributedResult struct {
 	// WireBytes counts every byte handed to the middleware (raw-data
 	// acquisition + pseudo exchange + data redistribution).
 	WireBytes int
-	// WireMessages counts middleware sends.
+	// WireMessages counts middleware sends: one data request per site that
+	// hosts a subsystem, and per phase one bundle per ordered pair of sites
+	// with anything to ship between them — at most p + 2·p(p−1) whatever the
+	// mapping, which decides the bytes.
 	WireMessages int
 	// Step1 and Step2 hold per-subsystem estimation results.
 	Step1, Step2 []*wls.Result
@@ -97,6 +99,9 @@ type DistributedResult struct {
 // DistributedOptions.TotalTimeout and PhaseTimeout derive additional
 // deadlines from ctx; with both zero and an unexpiring ctx, behavior is
 // identical to the pre-context implementation.
+//
+// The testbed flow is one Step-2 round: DSEOptions.Rounds above 1 is an
+// error here, not a silently shorter run (RunDSE honours it).
 func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DistributedOptions) (*DistributedResult, error) {
 	p := opts.Clusters
 	if p <= 0 {
@@ -105,6 +110,9 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 	m := len(d.Subsystems)
 	if p > m {
 		return nil, fmt.Errorf("core: %d clusters for %d subsystems", p, m)
+	}
+	if opts.DSE.Rounds > 1 {
+		return nil, fmt.Errorf("core: DSEOptions.Rounds = %d: RunDistributed runs one Step-2 round (RunDSE runs more)", opts.DSE.Rounds)
 	}
 	if opts.TotalTimeout > 0 {
 		var cancel context.CancelFunc
@@ -158,27 +166,52 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 	}
 	start = time.Now()
 	source, err := medici.NewDataServer(opts.Transport, "127.0.0.1:0", func(req []byte) ([]byte, error) {
-		si, err := parseSubRequest(req, m)
+		subs, err := parseSubRequest(req, m)
 		if err != nil {
 			return nil, err
 		}
-		return encodeMeasurements(probs1[si].Model.Meas)
+		sets := make([][]meas.Measurement, len(subs))
+		for k, si := range subs {
+			sets[k] = probs1[si].Model.Meas
+		}
+		return encodeMeasurementSets(sets)
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer source.Close()
+	// Sites send concurrently, so the wire accounting takes a lock: one
+	// middleware message carrying payloadBytes of packets or measurements.
 	var wireMu sync.Mutex
-	acqCtx, acqCancel := opts.phaseContext(ctx)
-	err = runOnSites(acqCtx, "acquire", tb, res.Step1Mapping.Assign, func(ctx context.Context, si int, site *cluster.Site) error {
-		payload, err := site.Client().Fetch(ctx, source.URL(), encodeSubRequest(si))
-		if err != nil {
-			return fmt.Errorf("core: site %s acquiring subsystem %d data: %w", site.Name, si, err)
-		}
+	sent := func(payloadBytes int) {
 		wireMu.Lock()
-		res.WireBytes += len(payload)
+		res.WireBytes += payloadBytes
 		res.WireMessages++
 		wireMu.Unlock()
+	}
+	hosted := subsBySite(res.Step1Mapping.Assign, p)
+	acqCtx, acqCancel := opts.phaseContext(ctx)
+	err = concurrently(acqCtx, "acquire", p, func(ctx context.Context, c int) error {
+		if len(hosted[c]) == 0 {
+			return nil
+		}
+		site := tb.Sites[c]
+		reply, err := site.Client().Fetch(ctx, source.URL(), encodeSubRequest(hosted[c]))
+		if err != nil {
+			return fmt.Errorf("core: site %s acquiring its subsystems' data: %w", site.Name, err)
+		}
+		sets, err := decodeFrameList(reply)
+		if err == nil && len(sets) != len(hosted[c]) {
+			err = fmt.Errorf("%w: %d measurement sets for %d subsystems", errWire, len(sets), len(hosted[c]))
+		}
+		if err != nil {
+			return fmt.Errorf("core: site %s: data source reply: %w", site.Name, err)
+		}
+		payload := 0
+		for _, set := range sets {
+			payload += len(set)
+		}
+		sent(payload)
 		return nil
 	})
 	acqCancel()
@@ -225,26 +258,12 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 	// --- Raw-data redistribution for migrated subsystems. ---
 	start = time.Now()
 	redistCtx, redistCancel := opts.phaseContext(ctx)
-	migrateTo := make([]int, len(res.Migrated))
-	for k, si := range res.Migrated {
-		migrateTo[k] = res.Step2Mapping.Assign[si]
+	migrating := newBundles(p)
+	for _, si := range res.Migrated {
+		from, to := res.Step1Mapping.Assign[si], res.Step2Mapping.Assign[si]
+		migrating[from][to] = append(migrating[from][to], outEnvelope{FromSub: si, ToSub: si, Meas: probs1[si].Model.Meas})
 	}
-	err = shipEnvelopes(redistCtx, "redistribute", tb, migrateTo, func(ctx context.Context) error {
-		for _, si := range res.Migrated {
-			from := tb.Sites[res.Step1Mapping.Assign[si]]
-			to := tb.Sites[res.Step2Mapping.Assign[si]]
-			payload, err := encodeMeasurements(probs1[si].Model.Meas)
-			if err != nil {
-				return err
-			}
-			if err := sendEnvelope(ctx, from, to.Name, Envelope{Kind: EnvelopeMigrate, FromSub: si, ToSub: si, Payload: payload}); err != nil {
-				return err
-			}
-			res.WireBytes += len(payload)
-			res.WireMessages++
-		}
-		return nil
-	}, func(site *cluster.Site, env Envelope) error {
+	err = shipEnvelopes(redistCtx, "redistribute", tb, migrating, sent, func(site *cluster.Site, env Envelope) error {
 		// The new site takes delivery of the raw data (its data processor
 		// would build the model from it; estimation below reuses the
 		// in-memory one).
@@ -264,44 +283,22 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 	}
 	incoming := make([][]PseudoPacket, m)
 	assign := res.Step2Mapping.Assign
-	// Inter-site packets travel via the middleware; intra-site packets are
-	// handed over in memory (same control center).
+	// Inter-site packets travel via the middleware, bundled per pair of
+	// sites; intra-site packets are handed over in memory (same control
+	// center). Ascending (si, nb) here is the bundles' envelope order.
 	exchCtx, exchCancel := opts.phaseContext(ctx)
-	var wireTo []int // destination site of every packet that goes on the wire
+	exchanging := newBundles(p)
 	for si := 0; si < m; si++ {
 		for _, nb := range d.Neighbors(si) {
-			if assign[si] == assign[nb] {
+			from, to := assign[si], assign[nb]
+			if from == to {
 				incoming[nb] = append(incoming[nb], packets[si])
 			} else {
-				wireTo = append(wireTo, assign[nb])
+				exchanging[from][to] = append(exchanging[from][to], outEnvelope{FromSub: si, ToSub: nb, Packet: &packets[si]})
 			}
 		}
 	}
-	err = shipEnvelopes(exchCtx, "exchange", tb, wireTo, func(ctx context.Context) error {
-		for si := 0; si < m; si++ {
-			// One packet, one encoding: the same bytes serve every remote
-			// neighbor (and the size accounting).
-			var payload []byte
-			for _, nb := range d.Neighbors(si) {
-				if assign[si] == assign[nb] {
-					continue
-				}
-				if payload == nil {
-					var err error
-					if payload, err = EncodePacket(packets[si]); err != nil {
-						return err
-					}
-				}
-				env := Envelope{Kind: EnvelopePseudo, FromSub: si, ToSub: nb, Payload: payload}
-				if err := sendEnvelope(ctx, tb.Sites[assign[si]], tb.Sites[assign[nb]].Name, env); err != nil {
-					return err
-				}
-				res.WireBytes += len(payload)
-				res.WireMessages++
-			}
-		}
-		return nil
-	}, func(site *cluster.Site, env Envelope) error {
+	err = shipEnvelopes(exchCtx, "exchange", tb, exchanging, sent, func(site *cluster.Site, env Envelope) error {
 		if err := checkRouting(env, EnvelopePseudo, tb, assign, site); err != nil {
 			return err
 		}
@@ -338,7 +335,8 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 			return err
 		}
 		probs2[si] = sp
-		out := site.RunJobs(ctx, []cluster.EstimationJob{{ID: si, Model: sp.Model, Opts: opts.DSE.WLS, Engine: eng}})
+		wlsOpts := sess.step2Options(si, opts.DSE, res.Step1[si].State)
+		out := site.RunJobs(ctx, []cluster.EstimationJob{{ID: si, Model: sp.Model, Opts: wlsOpts, Engine: eng}})
 		if out[0].Err != nil {
 			return fmt.Errorf("core: step 2 subsystem %d on %s: %w", si, site.Name, out[0].Err)
 		}
@@ -364,6 +362,15 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 	return res, nil
 }
 
+// subsBySite lists each of p sites' subsystems under assign, ascending.
+func subsBySite(assign []int, p int) [][]int {
+	perSite := make([][]int, p)
+	for si, c := range assign {
+		perSite[c] = append(perSite[c], si)
+	}
+	return perSite
+}
+
 // runOnSites executes fn for every subsystem, grouped per site: each site
 // processes its subsystems sequentially while sites run concurrently —
 // the testbed's execution model. Orchestration is fail-fast: the first
@@ -372,85 +379,113 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 // All errors collected before the stop are reported via errors.Join.
 // phase names the run phase in cancellation errors.
 func runOnSites(ctx context.Context, phase string, tb *cluster.Testbed, assign []int, fn func(ctx context.Context, si int, site *cluster.Site) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	perSite := make([][]int, len(tb.Sites))
-	for si, c := range assign {
-		perSite[c] = append(perSite[c], si)
-	}
-	errs := make([]error, len(tb.Sites))
-	var wg sync.WaitGroup
-	for c := range tb.Sites {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for _, si := range perSite[c] {
-				if ctx.Err() != nil {
-					return // a sibling failed; don't start more work
-				}
-				if err := fn(ctx, si, tb.Sites[c]); err != nil {
-					errs[c] = err
-					cancel() // fail fast: stop the other sites
-					return
-				}
+	perSite := subsBySite(assign, len(tb.Sites))
+	return concurrently(ctx, phase, len(tb.Sites), func(ctx context.Context, c int) error {
+		for _, si := range perSite[c] {
+			if ctx.Err() != nil {
+				return nil // a sibling failed; don't start more work
 			}
-		}(c)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	// All sites finished cleanly, but a parent cancellation may have made
-	// them skip jobs without recording an error — the phase's result slots
-	// would be silently empty, so surface the cancellation.
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: %s: canceled before all sites completed: %w", phase, err)
-	}
-	return nil
+			if err := fn(ctx, si, tb.Sites[c]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
-func sendEnvelope(ctx context.Context, from *cluster.Site, toName string, env Envelope) error {
-	frame, err := env.encode()
-	if err != nil {
-		return err
+// newBundles returns the empty bundle table of a p-site phase: [a][b] lists
+// the envelopes site a owes site b.
+func newBundles(p int) [][][]outEnvelope {
+	bundles := make([][][]outEnvelope, p)
+	for a := range bundles {
+		bundles[a] = make([][]outEnvelope, p)
 	}
-	return from.Client().Send(ctx, toName, frame)
+	return bundles
 }
 
-// shipEnvelopes runs one middleware phase. Every site takes delivery of
-// the envelopes addressed to it — dest holds the destination site of each
-// envelope send will put on the wire — blocking on its own inbox until the
-// next one arrives or ctx ends, and passes each to deliver (sequentially
-// within a site, concurrently across sites). The sites are already
-// receiving when send starts, so a phase is never bounded by what inboxes
-// and socket buffers can hold. A lost envelope surfaces as ctx's error
-// wrapped with the phase and the site still waiting.
-func shipEnvelopes(ctx context.Context, phase string, tb *cluster.Testbed, dest []int, send func(ctx context.Context) error, deliver func(site *cluster.Site, env Envelope) error) error {
-	if len(dest) == 0 {
-		return send(ctx) // nothing crosses sites
+// shipEnvelopes runs one middleware phase, a bundle per ordered pair of
+// sites: bundles[a][b] holds the envelopes site a owes site b, in ascending
+// (FromSub, ToSub) order, and travels as one message. Every site with
+// something to send does so on a goroutine of its own — one destination
+// after the other, each bundle encoded as it goes out and reported to sent
+// with its payload bytes once it has — while every site that is owed
+// anything blocks on its own inbox for one bundle per site that owes it one
+// and passes each envelope to deliver (sequentially within a site,
+// concurrently across sites). Senders and receivers start together, so a
+// phase is never bounded by what inboxes and socket buffers can hold, and
+// the first failure on either side stops the rest. A lost bundle surfaces
+// as ctx's error wrapped with the phase and the site still waiting; a site
+// that ends up with another number of envelopes than it is owed fails the
+// phase.
+func shipEnvelopes(ctx context.Context, phase string, tb *cluster.Testbed, bundles [][][]outEnvelope, sent func(payloadBytes int), deliver func(site *cluster.Site, env Envelope) error) error {
+	p := len(tb.Sites)
+	owedBundles, owedEnvelopes, crossing := make([]int, p), make([]int, p), 0
+	for a := range bundles {
+		for b, envs := range bundles[a] {
+			if len(envs) > 0 {
+				owedBundles[b]++
+				owedEnvelopes[b] += len(envs)
+				crossing += len(envs)
+			}
+		}
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	received := make(chan error, 1)
-	go func() {
-		received <- runOnSites(ctx, phase, tb, dest, func(ctx context.Context, _ int, site *cluster.Site) error {
+	if crossing == 0 {
+		return nil // nothing crosses sites
+	}
+	send := func(ctx context.Context, a int) error {
+		for b, envs := range bundles[a] {
+			if len(envs) == 0 {
+				continue
+			}
+			bundle, err := encodeBundle(envs)
+			if err == nil {
+				err = tb.Sites[a].Client().Send(ctx, tb.Sites[b].Name, bundle)
+			}
+			if err != nil {
+				return fmt.Errorf("core: %s: site %s sending to %s: %w", phase, tb.Sites[a].Name, tb.Sites[b].Name, err)
+			}
+			payload := 0
+			for _, e := range envs {
+				payload += e.payloadSize()
+			}
+			sent(payload)
+		}
+		return nil
+	}
+	receive := func(ctx context.Context, b int) error {
+		site, got := tb.Sites[b], 0
+		for k := 0; k < owedBundles[b]; k++ {
 			msg, err := site.Client().Recv(ctx)
 			if err != nil {
 				return fmt.Errorf("core: %s: site %s waiting for envelope: %w", phase, site.Name, err)
 			}
-			env, err := decodeEnvelope(msg)
+			frames, err := decodeFrameList(msg)
 			if err != nil {
 				return fmt.Errorf("core: %s: site %s: %w", phase, site.Name, err)
 			}
-			return deliver(site, env)
-		})
-	}()
-	if err := send(ctx); err != nil {
-		cancel()
-		<-received
-		return fmt.Errorf("core: %s: %w", phase, err)
+			for _, frame := range frames {
+				env, err := decodeEnvelope(frame)
+				if err != nil {
+					return fmt.Errorf("core: %s: site %s: %w", phase, site.Name, err)
+				}
+				if err := deliver(site, env); err != nil {
+					return err
+				}
+			}
+			got += len(frames)
+		}
+		if got != owedEnvelopes[b] {
+			return fmt.Errorf("core: %s: site %s took delivery of %d envelopes, is owed %d", phase, site.Name, got, owedEnvelopes[b])
+		}
+		return nil
 	}
-	return <-received
+	// Tasks 0..p-1 are the sites sending, p..2p-1 the sites receiving.
+	return concurrently(ctx, phase, 2*p, func(ctx context.Context, i int) error {
+		if i < p {
+			return send(ctx, i)
+		}
+		return receive(ctx, i-p)
+	})
 }
 
 // checkRouting rejects an envelope of the wrong kind or one that names a

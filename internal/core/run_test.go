@@ -3,11 +3,16 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/grid"
+	"repro/internal/meas"
 	"repro/internal/powerflow"
 	"repro/internal/wls"
 )
@@ -253,18 +258,15 @@ func TestHierarchicalRefinementImprovesBoundary(t *testing.T) {
 	}
 }
 
-// TestWireAccountingPinned: with a fixed layout the wire accounting is an
-// exact function of the run's own mappings and packets — nothing a codec
-// may re-describe from one message to the next. IEEE-118 in 9 subsystems
-// on 3 clusters under the default mapping moves 35 messages: 9
-// acquisitions and 26 pseudo-measurement envelopes.
-func TestWireAccountingPinned(t *testing.T) {
-	fx := newFixture(t, grid.Case118, 9, 1)
-	res, err := RunDistributed(context.Background(), fx.dec, fx.ms, DistributedOptions{Clusters: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMessages, wantBytes := 0, 0
+// wireExpectation recomputes a run's wire accounting from its own mappings
+// and packets. A message is a site's data request or one bundle per ordered
+// pair of sites with something to ship in a phase; the bytes are the
+// payloads inside, whatever the bundling.
+func wireExpectation(t *testing.T, fx *fixture, res *DistributedResult) (messages, bytes int) {
+	t.Helper()
+	type sitePair struct{ from, to int }
+	acquiring := make(map[int]bool)
+	exchanging, migrating := make(map[sitePair]bool), make(map[sitePair]bool)
 	rawBytes := make([]int, len(fx.dec.Subsystems))
 	for si := range fx.dec.Subsystems {
 		sp, err := fx.dec.BuildStep1(si, fx.ms)
@@ -272,25 +274,41 @@ func TestWireAccountingPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		rawBytes[si] = 4 + 34*len(sp.Model.Meas)
-		wantMessages++ // acquisition
-		wantBytes += rawBytes[si]
+		acquiring[res.Step1Mapping.Assign[si]] = true
+		bytes += rawBytes[si]
 		pkt := fx.dec.ExtractPseudo(si, sp, res.Step1[si].State)
 		for _, nb := range fx.dec.Neighbors(si) {
-			if res.Step2Mapping.Assign[si] != res.Step2Mapping.Assign[nb] {
-				wantMessages++
-				wantBytes += 12 + 24*len(pkt.States)
+			if from, to := res.Step2Mapping.Assign[si], res.Step2Mapping.Assign[nb]; from != to {
+				exchanging[sitePair{from, to}] = true
+				bytes += 12 + 24*len(pkt.States)
 			}
 		}
 	}
 	for _, si := range res.Migrated {
-		wantMessages++
-		wantBytes += rawBytes[si]
+		migrating[sitePair{res.Step1Mapping.Assign[si], res.Step2Mapping.Assign[si]}] = true
+		bytes += rawBytes[si]
 	}
+	return len(acquiring) + len(migrating) + len(exchanging), bytes
+}
+
+// TestWireAccountingPinned: with a fixed layout the wire accounting is an
+// exact function of the run's own mappings and packets — nothing a codec
+// may re-describe from one message to the next. IEEE-118 in 9 subsystems on
+// 3 clusters under the default mapping moves 9 messages — 3 acquisitions
+// and 6 exchange bundles, every site a neighbour of every other — for the
+// 36 872 bytes its 35 per-packet messages used to carry.
+func TestWireAccountingPinned(t *testing.T) {
+	fx := newFixture(t, grid.Case118, 9, 1)
+	res, err := RunDistributed(context.Background(), fx.dec, fx.ms, DistributedOptions{Clusters: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMessages, wantBytes := wireExpectation(t, fx, res)
 	if res.WireMessages != wantMessages || res.WireBytes != wantBytes {
 		t.Errorf("wire accounting %d messages / %d bytes, want %d / %d", res.WireMessages, res.WireBytes, wantMessages, wantBytes)
 	}
-	if res.WireMessages != 35 {
-		t.Errorf("WireMessages = %d, want the pinned 35", res.WireMessages)
+	if res.WireMessages != 9 || res.WireBytes != 36872 {
+		t.Errorf("wire accounting %d messages / %d bytes, want the pinned 9 / 36872", res.WireMessages, res.WireBytes)
 	}
 
 	hier, err := RunHierarchical(context.Background(), fx.dec, fx.ms, DistributedOptions{Clusters: 3})
@@ -303,5 +321,159 @@ func TestWireAccountingPinned(t *testing.T) {
 	}
 	if hier.CoordinatorBytes != wantCoord {
 		t.Errorf("CoordinatorBytes = %d, want %d", hier.CoordinatorBytes, wantCoord)
+	}
+}
+
+// TestRunDistributedRejectsRounds: the testbed flow is one Step-2 round, and
+// a caller asking for more is told so instead of getting one.
+func TestRunDistributedRejectsRounds(t *testing.T) {
+	fx := newFixture(t, grid.Case30, 3, 1)
+	for _, rounds := range []int{0, 1} {
+		if _, err := RunDistributed(context.Background(), fx.dec, fx.ms, DistributedOptions{Clusters: 2, DSE: DSEOptions{Rounds: rounds}}); err != nil {
+			t.Errorf("Rounds %d: %v", rounds, err)
+		}
+	}
+	res, err := RunDistributed(context.Background(), fx.dec, fx.ms, DistributedOptions{Clusters: 2, DSE: DSEOptions{Rounds: 2}})
+	if err == nil || res != nil || !strings.Contains(err.Error(), "DSEOptions.Rounds") {
+		t.Fatalf("Rounds 2 returned %v, %v; want an error naming DSEOptions.Rounds", res, err)
+	}
+}
+
+// TestRunDistributedMigratesRawData: with a loose balance tolerance the
+// Step-2 remapping of the IEEE-118 fixture moves subsystems 0 and 8 to other
+// sites (the default run migrates nothing), so the redistribution phase
+// really ships their raw data, one bundle per pair of sites, and the run
+// still is the in-process computation.
+func TestRunDistributedMigratesRawData(t *testing.T) {
+	fx := newFixture(t, grid.Case118, 9, 1)
+	res, err := RunDistributed(context.Background(), fx.dec, fx.ms, DistributedOptions{
+		Clusters: 3, Map: MapOptions{ImbalanceTol: 1.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Migrated, []int{0, 8}) {
+		t.Fatalf("fixture migrates %v (%v -> %v), want [0 8]: find another mapping that migrates", res.Migrated, res.Step1Mapping.Assign, res.Step2Mapping.Assign)
+	}
+	wantMessages, wantBytes := wireExpectation(t, fx, res)
+	if res.WireMessages != wantMessages || res.WireBytes != wantBytes {
+		t.Errorf("wire accounting %d messages / %d bytes, want %d / %d", res.WireMessages, res.WireBytes, wantMessages, wantBytes)
+	}
+	inproc, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.State.Vm {
+		if math.Abs(res.State.Vm[i]-inproc.State.Vm[i]) > 1e-9 || math.Abs(res.State.Va[i]-inproc.State.Va[i]) > 1e-9 {
+			t.Fatalf("migrating and in-process solutions differ at bus %d", i)
+		}
+	}
+}
+
+// TestShipEnvelopesMigrateBundles drives the redistribution path directly:
+// hand-built EnvelopeMigrate bundles on a two-site testbed. Each pair of
+// sites is one message, every envelope is delivered once, in bundle order,
+// at the site that hosts its subsystem; an envelope for a subsystem the
+// receiving site does not host, one of the wrong kind, and a site ending up
+// with another number of envelopes than it is owed each fail the phase.
+func TestShipEnvelopesMigrateBundles(t *testing.T) {
+	sets := [][]meas.Measurement{
+		{{Kind: meas.Vmag, Bus: 1, Value: 1.01, Sigma: 0.004}},
+		{{Kind: meas.Pinj, Bus: 7, Value: -0.2, Sigma: 0.01}, {Kind: meas.Qflow, Branch: 3, FromSide: true, Value: 0.1, Sigma: 0.008}},
+		nil,
+		{{Kind: meas.Angle, Bus: 9, Value: 0.3, Sigma: 0.0005}},
+	}
+	assign := []int{0, 1, 1, 0} // the sites hosting subsystems 0..3 in Step 2
+	migrate := func(si int) outEnvelope { return outEnvelope{FromSub: si, ToSub: si, Meas: sets[si]} }
+	type delivery struct {
+		site string
+		sub  int
+	}
+	ship := func(t *testing.T, bundles [][][]outEnvelope, before func(tb *cluster.Testbed)) (got []delivery, messages, bytes int, err error) {
+		t.Helper()
+		tb, err := cluster.NewTestbed(2, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if before != nil {
+			before(tb)
+		}
+		var mu sync.Mutex
+		err = shipEnvelopes(ctx, "redistribute", tb, bundles, func(payloadBytes int) {
+			mu.Lock()
+			messages, bytes = messages+1, bytes+payloadBytes
+			mu.Unlock()
+		}, func(site *cluster.Site, env Envelope) error {
+			if err := checkRouting(env, EnvelopeMigrate, tb, assign, site); err != nil {
+				return err
+			}
+			ms, err := decodeMeasurements(env.Payload)
+			if err != nil || !sameMeasurements(ms, sets[env.ToSub]) || env.FromSub != env.ToSub {
+				t.Errorf("subsystem %d arrived as %+v (%v)", env.ToSub, ms, err)
+			}
+			mu.Lock()
+			got = append(got, delivery{site.Name, env.ToSub})
+			mu.Unlock()
+			return nil
+		})
+		return got, messages, bytes, err
+	}
+
+	bundles := newBundles(2)
+	bundles[0][1] = []outEnvelope{migrate(1), migrate(2)}
+	bundles[1][0] = []outEnvelope{migrate(3)}
+	got, messages, bytes, err := ship(t, bundles, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(got, func(a, b int) bool { return got[a].sub < got[b].sub })
+	if want := []delivery{{"Catamount", 1}, {"Catamount", 2}, {"Nwiceb", 3}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("deliveries %v, want %v", got, want)
+	}
+	if wantBytes := (4 + 34*2) + 4 + (4 + 34*1); messages != 2 || bytes != wantBytes {
+		t.Errorf("accounting %d messages / %d bytes, want 2 / %d", messages, bytes, wantBytes)
+	}
+
+	if _, messages, _, err := ship(t, newBundles(2), nil); err != nil || messages != 0 {
+		t.Errorf("a phase with nothing to ship: %d messages, %v", messages, err)
+	}
+
+	wrongSite := newBundles(2)
+	wrongSite[0][1] = []outEnvelope{migrate(1), migrate(0)} // subsystem 0 stays on site 0
+	if _, _, _, err := ship(t, wrongSite, nil); err == nil || !strings.Contains(err.Error(), "subsystem 0, which it does not host") {
+		t.Errorf("envelope for a subsystem hosted elsewhere: err = %v", err)
+	}
+
+	wrongKind := newBundles(2)
+	wrongKind[0][1] = []outEnvelope{{FromSub: 0, ToSub: 1, Packet: &PseudoPacket{FromSub: 0}}}
+	if _, _, _, err := ship(t, wrongKind, nil); err == nil || !strings.Contains(err.Error(), "envelope kind") {
+		t.Errorf("pseudo envelope in the redistribution: err = %v", err)
+	}
+
+	// A stray bundle already in the inbox stands in for a peer that ships
+	// fewer envelopes than it owes: the count is checked, not assumed.
+	stray, err := encodeBundle([]outEnvelope{migrate(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owed := newBundles(2)
+	owed[0][1] = []outEnvelope{migrate(1), migrate(2)}
+	_, _, _, err = ship(t, owed, func(tb *cluster.Testbed) {
+		if err := tb.Sites[0].Client().Send(context.Background(), "Catamount", stray); err != nil {
+			t.Fatal(err)
+		}
+		// The phase must find the stray first: wait until it is in the inbox.
+		for deadline := time.Now().Add(5 * time.Second); len(tb.Sites[1].Client().Messages()) == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("stray bundle never arrived")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "took delivery of 1 envelopes, is owed 2") {
+		t.Errorf("short bundle: err = %v", err)
 	}
 }

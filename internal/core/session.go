@@ -59,6 +59,9 @@ type subSession struct {
 	// it behind the wls.WarmStartGate scaled-residual gate.
 	warm2     []float64
 	haveWarm2 bool
+	// seed is the scratch state step2Start assembles a seed in, on the
+	// Step-2 network.
+	seed powerflow.State
 }
 
 // sessionConfig captures the DSEOptions fields baked into the cached
@@ -187,14 +190,60 @@ func (s *Session) step2(si int, global []meas.Measurement, incoming []PseudoPack
 // momentary value.
 func (s *Session) SkeletonBuilds() int { return int(s.builds.Load()) }
 
-// step2Start returns the warm-start vector for subsystem si's next Step-2
-// solve, or nil for a flat start. Valid only after step2 for this frame.
-func (s *Session) step2Start(si int) []float64 {
+// step2Start returns where subsystem si's next Step-2 solve starts. When
+// the session carries a Step-2 solution — a later round, or a tracked frame
+// — that is it. Otherwise the start is seeded from what this run already
+// knows about the Step-2 network: own buses at the subsystem's Step-1 state
+// (step1, on the Step-1 sub-network; matched by bus ID, the two networks
+// order their buses independently), external buses at the incoming
+// pseudo-measurement values, anything else at the flat profile. Valid only
+// after step2 for this frame; the seed lives in the slot's warm2 buffer.
+func (s *Session) step2Start(si int, step1 powerflow.State) []float64 {
 	sl := &s.subs[si]
-	if !sl.haveWarm2 || sl.step2 == nil || len(sl.warm2) != sl.step2.Model.NState() {
-		return nil
+	sp := sl.step2
+	if sl.haveWarm2 && len(sl.warm2) == sp.Model.NState() {
+		return sl.warm2
 	}
+	if nb := sp.Net.N(); len(sl.seed.Vm) != nb {
+		sl.seed = powerflow.State{Vm: make([]float64, nb), Va: make([]float64, nb)}
+	}
+	st := sl.seed
+	for i := range st.Vm {
+		st.Vm[i], st.Va[i] = 1, sp.Model.RefAngle()
+	}
+	for _, id := range sp.OwnBuses {
+		if l1, ok := sl.step1.Net.Index(id); ok {
+			l2 := sp.Net.MustIndex(id)
+			st.Vm[l2], st.Va[l2] = step1.Vm[l1], step1.Va[l1]
+		}
+	}
+	for _, ps := range sp.pseudo {
+		l2, v := sp.Net.MustIndex(int(ps.busID)), sp.Model.Meas[ps.mi].Value
+		if ps.angle {
+			st.Va[l2] = v
+		} else {
+			st.Vm[l2] = v
+		}
+	}
+	sl.warm2 = sp.Model.StateToVec(st)
 	return sl.warm2
+}
+
+// step2Options returns the solver options of subsystem si's next Step-2
+// solve under opts: opts.WLS started from step2Start behind
+// wls.WarmStartGate, like every other warm start — or left alone when the
+// caller fixed a start of its own or set NoStep2WarmStart (flat). Every
+// driver's Step 2 goes through here, so they stay one computation.
+func (s *Session) step2Options(si int, opts DSEOptions, step1 powerflow.State) wls.Options {
+	w := opts.WLS
+	if opts.NoStep2WarmStart || w.X0 != nil {
+		return w
+	}
+	w.X0 = s.step2Start(si, step1)
+	if w.X0Gate == 0 {
+		w.X0Gate = wls.WarmStartGate
+	}
+	return w
 }
 
 // noteStep2 records subsystem si's Step-2 solution as the next round's

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/meas"
@@ -65,6 +66,30 @@ func sameMeasurements(a, b []meas.Measurement) bool {
 	return true
 }
 
+// encodeEnvelope is one envelope as a bundle writes it — the header
+// encodeBundle appends, then the payload bytes — for the tests that hold
+// decodeEnvelope to a round trip and to canonical form.
+func encodeEnvelope(e Envelope) []byte {
+	b := make([]byte, 0, envelopeHeaderSize+len(e.Payload))
+	return append(appendEnvelopeHeader(b, e.Kind, e.FromSub, e.ToSub, len(e.Payload)), e.Payload...)
+}
+
+// encodeMeasurements is one measurement set in a buffer of its own.
+func encodeMeasurements(ms []meas.Measurement) ([]byte, error) {
+	return appendMeasurements(nil, ms)
+}
+
+// frameListOf is the frame-list layout over arbitrary bodies, written the
+// slow way: what encodeBundle and encodeMeasurementSets must produce around
+// theirs.
+func frameListOf(frames [][]byte) []byte {
+	b := le.AppendUint32(nil, uint32(len(frames)))
+	for _, f := range frames {
+		b = append(le.AppendUint32(b, uint32(len(f))), f...)
+	}
+	return b
+}
+
 // TestWireRoundTrip: Decode(Encode(v)) == v bit for bit, and every layout
 // has exactly the size the wire accounting relies on.
 func TestWireRoundTrip(t *testing.T) {
@@ -109,10 +134,7 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 
 		env := Envelope{Kind: EnvelopePseudo + EnvelopeKind(rng.Intn(2)), FromSub: randInt(rng), ToSub: randInt(rng), Payload: pb}
-		eb, err := env.encode()
-		if err != nil {
-			t.Fatal(err)
-		}
+		eb := encodeEnvelope(env)
 		if len(eb) != 21+len(pb) {
 			t.Fatalf("envelope is %d bytes, want %d", len(eb), 21+len(pb))
 		}
@@ -120,13 +142,94 @@ func TestWireRoundTrip(t *testing.T) {
 		if err != nil || got.Kind != env.Kind || got.FromSub != env.FromSub || got.ToSub != env.ToSub || !bytes.Equal(got.Payload, env.Payload) {
 			t.Fatalf("envelope round trip: %+v, %v; want %+v", got, err, env)
 		}
+
+		// A bundle of both kinds is the frame list of its envelopes, each
+		// the bytes the single encoders produce; the data source's reply is
+		// the frame list of its measurement sets.
+		k := rng.Intn(4)
+		var envs []outEnvelope
+		var want, sets [][]byte
+		var mss [][]meas.Measurement
+		for i := 0; i < k; i++ {
+			from, to := randInt(rng), randInt(rng)
+			envs = append(envs, outEnvelope{FromSub: from, ToSub: to, Packet: &pkt}, outEnvelope{FromSub: to, ToSub: from, Meas: ms})
+			want = append(want,
+				encodeEnvelope(Envelope{Kind: EnvelopePseudo, FromSub: from, ToSub: to, Payload: pb}),
+				encodeEnvelope(Envelope{Kind: EnvelopeMigrate, FromSub: to, ToSub: from, Payload: mb}))
+			mss, sets = append(mss, ms), append(sets, mb)
+		}
+		bundle, err := encodeBundle(envs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bundle, frameListOf(want)) {
+			t.Fatalf("bundle of %d envelopes is not the frame list of their encodings", len(envs))
+		}
+		frames, err := decodeFrameList(bundle)
+		if err != nil || len(frames) != len(want) {
+			t.Fatalf("bundle round trip: %d frames, %v; want %d", len(frames), err, len(want))
+		}
+		for i := range frames {
+			if !bytes.Equal(frames[i], want[i]) {
+				t.Fatalf("bundle frame %d differs from the envelope it was built from", i)
+			}
+		}
+		reply, err := encodeMeasurementSets(mss)
+		if err != nil || !bytes.Equal(reply, frameListOf(sets)) {
+			t.Fatalf("reply of %d measurement sets is not the frame list of their encodings (%v)", len(mss), err)
+		}
+
+		subs := make([]int, k)
+		for i := range subs {
+			subs[i] = rng.Intn(9)
+		}
+		req := encodeSubRequest(subs)
+		if len(req) != 4+4*k {
+			t.Fatalf("request for %d subsystems is %d bytes, want %d", k, len(req), 4+4*k)
+		}
+		if got, err := parseSubRequest(req, 9); err != nil || len(got) != k || (k > 0 && !reflect.DeepEqual(got, subs)) {
+			t.Fatalf("data request round trip: %v, %v; want %v", got, err, subs)
+		}
+	}
+}
+
+// TestBundleEncodesInOneAllocation: a bundle's size is known before a byte
+// of it is written, so encoding k envelopes allocates the bundle and
+// nothing else — no per-envelope frame, no growth (the data source's reply
+// likewise).
+func TestBundleEncodesInOneAllocation(t *testing.T) {
+	pkt := PseudoPacket{FromSub: 2, States: make([]BusState, 11)}
+	ms := make([]meas.Measurement, 57)
+	for k := 1; k <= 9; k += 4 {
+		var envs []outEnvelope
+		var sets [][]meas.Measurement
+		for i := 0; i < k; i++ {
+			envs = append(envs, outEnvelope{FromSub: 2, ToSub: i, Packet: &pkt}, outEnvelope{FromSub: i, ToSub: i, Meas: ms})
+			sets = append(sets, ms)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := encodeBundle(envs); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("encoding a bundle of %d envelopes allocates %v times, want 1", len(envs), n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := encodeMeasurementSets(sets); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("encoding a reply of %d measurement sets allocates %v times, want 1", k, n)
+		}
 	}
 }
 
 func TestWireRejectsMalformed(t *testing.T) {
 	pkt, _ := EncodePacket(PseudoPacket{FromSub: 3, States: []BusState{{BusID: 1, Vm: 1, Va: 0}, {BusID: 2, Vm: 1, Va: 0}}})
 	ms, _ := encodeMeasurements([]meas.Measurement{{Kind: meas.Pflow, Branch: 7, FromSide: true, Value: 0.5, Sigma: 0.01}})
-	env, _ := Envelope{Kind: EnvelopePseudo, FromSub: 1, ToSub: 2, Payload: pkt}.encode()
+	env := encodeEnvelope(Envelope{Kind: EnvelopePseudo, FromSub: 1, ToSub: 2, Payload: pkt})
+	list := frameListOf([][]byte{env, nil, ms})
+	cutLen := append([]byte(nil), list[:4+4+len(env)+2]...) // ends inside frame 1's length
 	hugeCount := func(b []byte, at int) []byte {
 		out := append([]byte(nil), b...)
 		le.PutUint32(out[at:], math.MaxUint32)
@@ -141,6 +244,8 @@ func TestWireRejectsMalformed(t *testing.T) {
 		"packet":       func(b []byte) error { _, err := DecodePacket(b); return err },
 		"measurements": func(b []byte) error { _, err := decodeMeasurements(b); return err },
 		"envelope":     func(b []byte) error { _, err := decodeEnvelope(b); return err },
+		"frame list":   func(b []byte) error { _, err := decodeFrameList(b); return err },
+		"data request": func(b []byte) error { _, err := parseSubRequest(b, 9); return err },
 	}
 	for _, tc := range []struct {
 		decoder, name string
@@ -162,6 +267,21 @@ func TestWireRejectsMalformed(t *testing.T) {
 		{"envelope", "trailing byte", append(append([]byte(nil), env...), 0)},
 		{"envelope", "oversized length", hugeCount(env, 17)},
 		{"envelope", "unknown kind", badKind},
+		{"frame list", "empty", nil},
+		{"frame list", "truncated count", list[:3]},
+		{"frame list", "ends inside a length", cutLen},
+		{"frame list", "length past the end", list[:len(list)-1]},
+		{"frame list", "trailing byte", append(append([]byte(nil), list...), 0)},
+		{"frame list", "count one short of the frames held", append(le.AppendUint32(nil, 2), list[4:]...)},
+		{"frame list", "count one past the frames held", append(le.AppendUint32(nil, 4), list[4:]...)},
+		{"frame list", "oversized count", hugeCount(list, 0)},
+		{"frame list", "count times four overflows u32", le.AppendUint32(nil, 1<<30)},
+		{"frame list", "oversized length", hugeCount(list, 4)},
+		{"data request", "empty", nil},
+		{"data request", "old text form", []byte("sub:1")},
+		{"data request", "truncated", encodeSubRequest([]int{1, 2})[:11]},
+		{"data request", "trailing byte", append(encodeSubRequest([]int{1, 2}), 0)},
+		{"data request", "oversized count", hugeCount(encodeSubRequest([]int{1, 2}), 0)},
 	} {
 		if err := decoders[tc.decoder](tc.in); !errors.Is(err, errWire) {
 			t.Errorf("%s, %s: err = %v, want errWire", tc.decoder, tc.name, err)
@@ -171,14 +291,11 @@ func TestWireRejectsMalformed(t *testing.T) {
 	if _, err := encodeMeasurements([]meas.Measurement{{Kind: 256}}); err == nil {
 		t.Error("a kind that does not fit the wire's byte was encoded")
 	}
-	if _, err := parseSubRequest(encodeSubRequest(9), 9); err == nil {
+	if _, err := parseSubRequest(encodeSubRequest([]int{8, 9}), 9); err == nil {
 		t.Error("data request past the last subsystem accepted")
 	}
-	if _, err := parseSubRequest([]byte("sub:1"), 9); err == nil {
-		t.Error("data request of the wrong size accepted")
-	}
-	if si, err := parseSubRequest(encodeSubRequest(8), 9); err != nil || si != 8 {
-		t.Errorf("data request round trip: %d, %v", si, err)
+	if frames, err := decodeFrameList(list); err != nil || len(frames) != 3 || len(frames[1]) != 0 || !bytes.Equal(frames[2], ms) {
+		t.Errorf("frame list with an empty body: %d frames, %v", len(frames), err)
 	}
 }
 
@@ -226,7 +343,7 @@ func FuzzDecodeMeasurements(f *testing.F) {
 }
 
 func FuzzDecodeEnvelope(f *testing.F) {
-	whole, _ := Envelope{Kind: EnvelopeMigrate, FromSub: 4, ToSub: 4, Payload: []byte("raw")}.encode()
+	whole := encodeEnvelope(Envelope{Kind: EnvelopeMigrate, FromSub: 4, ToSub: 4, Payload: []byte("raw")})
 	f.Add(whole)
 	f.Add(whole[:len(whole)-1])
 	f.Add(append(append([]byte(nil), whole...), 0))
@@ -237,8 +354,29 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if again, err := e.encode(); err != nil || !bytes.Equal(again, b) {
-			t.Fatalf("accepted %x, re-encodes to %x (%v)", b, again, err)
+		if again := encodeEnvelope(e); !bytes.Equal(again, b) {
+			t.Fatalf("accepted %x, re-encodes to %x", b, again)
+		}
+	})
+}
+
+func FuzzDecodeFrameList(f *testing.F) {
+	whole := frameListOf([][]byte{[]byte("first"), nil, []byte("third frame")})
+	f.Add(whole)
+	f.Add(whole[:2])                                // truncated count
+	f.Add(whole[:len(whole)-1])                     // last length runs past the end
+	f.Add(append(append([]byte(nil), whole...), 0)) // trailing byte
+	f.Add(le.AppendUint32(nil, 1<<30))              // n·4 overflows a u32
+	f.Add(le.AppendUint32(nil, math.MaxUint32))
+	f.Add([]byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		frames, err := decodeFrameList(b)
+		if err != nil {
+			return
+		}
+		if again := frameListOf(frames); !bytes.Equal(again, b) {
+			t.Fatalf("accepted %x, re-encodes to %x", b, again)
 		}
 	})
 }

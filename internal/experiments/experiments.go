@@ -265,6 +265,7 @@ type EndToEnd struct {
 	DistributedTime time.Duration
 	Timings         core.PhaseTimings
 	WireBytes       int
+	WireMessages    int
 	// MaxVmDelta is the largest |Vm| difference between the two solutions.
 	MaxVmDelta float64
 }
@@ -285,6 +286,7 @@ func RunEndToEnd(ctx context.Context, fx *Fixture, p int) (EndToEnd, error) {
 	e.DistributedTime = dist.Timings.Total
 	e.Timings = dist.Timings
 	e.WireBytes = dist.WireBytes
+	e.WireMessages = dist.WireMessages
 	for i := range cen.State.Vm {
 		if d := abs(dist.State.Vm[i] - cen.State.Vm[i]); d > e.MaxVmDelta {
 			e.MaxVmDelta = d
