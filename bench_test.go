@@ -499,43 +499,6 @@ func BenchmarkAblationSensitivity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSiteScheduling compares sequential vs gang-scheduled
-// estimation jobs on one site.
-func BenchmarkAblationSiteScheduling(b *testing.B) {
-	fx := benchFixture(b)
-	var jobs []cluster.EstimationJob
-	for si := range fx.Dec.Subsystems {
-		sp, err := fx.Dec.BuildStep1(si, fx.Meas)
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobs = append(jobs, cluster.EstimationJob{ID: si, Model: sp.Model})
-	}
-	tb, err := cluster.NewTestbed(1, 4, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tb.Close()
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, r := range tb.Sites[0].RunJobs(context.Background(), jobs) {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-		}
-	})
-	b.Run("concurrent", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, r := range tb.Sites[0].RunJobsConcurrent(context.Background(), jobs) {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkRoundsStudy regenerates the Step-2 convergence study and
 // reports the boundary RMS after 1 round and after diameter rounds.
 func BenchmarkRoundsStudy(b *testing.B) {

@@ -39,7 +39,7 @@ func main() {
 		clusters   = flag.Int("clusters", 3, "number of HPC clusters (p)")
 		noise      = flag.Float64("noise", 1.0, "meter noise level")
 		seed       = flag.Int64("seed", 1, "random seed")
-		rounds     = flag.Int("rounds", 1, "DSE Step-2 rounds (with -inprocess or -frames; a run on the testbed does one)")
+		rounds     = flag.Int("rounds", 1, "DSE Step-2 rounds, on the testbed or in process (not with -hierarchical, which has no Step 2)")
 		inproc     = flag.Bool("inprocess", false, "skip the TCP testbed, run in-process")
 		noMapping  = flag.Bool("nomapping", false, "use the naive contiguous assignment instead of the cost-model mapping")
 		shaped     = flag.Bool("shaped", false, "shape inter-site links to the lab-network profile")
@@ -64,8 +64,8 @@ func main() {
 		}
 		*subsystems = *areas
 	}
-	if *rounds > 1 && !*inproc && *frames <= 1 {
-		usageError("-rounds %d needs -inprocess or -frames: a run on the testbed does one Step-2 round", *rounds)
+	if *rounds > 1 && *hier && *frames <= 1 {
+		usageError("-rounds %d cannot be combined with -hierarchical: the coordinator flow has no Step 2 to repeat", *rounds)
 	}
 	stopProfile, err := prof.StartCPU(*cpuProfile)
 	if err != nil {

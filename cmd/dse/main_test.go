@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
@@ -30,28 +31,33 @@ func runDSE(t *testing.T, args ...string) (stdout, stderr string, err error) {
 	return out.String(), errOut.String(), err
 }
 
-// TestRoundsNeedInProcess: the testbed flows run one Step-2 round, so
-// -rounds N without -inprocess (or -frames) is refused by name instead of
-// quietly running one round; with -inprocess it runs.
-func TestRoundsNeedInProcess(t *testing.T) {
-	for _, args := range [][]string{
-		{"-case", "ieee30", "-subsystems", "3", "-rounds", "3"},
-		{"-case", "ieee30", "-subsystems", "3", "-rounds", "3", "-hierarchical"},
-	} {
-		stdout, stderr, err := runDSE(t, args...)
-		if err == nil || !strings.Contains(stderr, "-rounds 3 needs -inprocess") {
-			t.Errorf("dse %v: err %v, stderr %q; want a usage error naming -rounds", args, err, stderr)
-		}
-		if strings.Contains(stdout, "accuracy vs truth") {
-			t.Errorf("dse %v ran anyway:\n%s", args, stdout)
-		}
+// TestRoundsOnTheTestbed: -rounds N runs N Step-2 rounds wherever the
+// estimators sit — on the testbed every extra round is more middleware
+// messages — and is refused by name only with -hierarchical, which has no
+// Step 2, instead of quietly running none.
+func TestRoundsOnTheTestbed(t *testing.T) {
+	args := []string{"-case", "ieee30", "-subsystems", "3", "-clusters", "2"}
+	stdout, stderr, err := runDSE(t, append(args, "-rounds", "3", "-hierarchical")...)
+	if err == nil || !strings.Contains(stderr, "-rounds 3 cannot be combined with -hierarchical") {
+		t.Errorf("dse -rounds 3 -hierarchical: err %v, stderr %q; want a usage error naming -rounds", err, stderr)
 	}
-	stdout, stderr, err := runDSE(t, "-case", "ieee30", "-subsystems", "3", "-rounds", "3", "-inprocess")
+	if strings.Contains(stdout, "accuracy vs truth") {
+		t.Errorf("dse -rounds 3 -hierarchical ran anyway:\n%s", stdout)
+	}
+	stdout, stderr, err = runDSE(t, append(args, "-rounds", "3", "-inprocess")...)
 	if err != nil || !strings.Contains(stdout, "accuracy vs truth") {
 		t.Errorf("dse -rounds 3 -inprocess: %v\n%s%s", err, stdout, stderr)
 	}
-	stdout, stderr, err = runDSE(t, "-case", "ieee30", "-subsystems", "3", "-clusters", "2")
-	if err != nil || !strings.Contains(stdout, "middleware: ") {
-		t.Errorf("dse on the testbed: %v\n%s%s", err, stdout, stderr)
+	messages := func(extra ...string) int {
+		stdout, stderr, err := runDSE(t, append(args, extra...)...)
+		_, line, found := strings.Cut(stdout, "middleware: ")
+		var n int
+		if _, scanErr := fmt.Sscanf(line, "%d messages", &n); err != nil || !found || scanErr != nil {
+			t.Fatalf("dse %v on the testbed: %v, middleware line %q\n%s%s", extra, err, line, stdout, stderr)
+		}
+		return n
+	}
+	if one, three := messages("-rounds", "1"), messages("-rounds", "3"); one == 0 || three <= one {
+		t.Errorf("testbed runs moved %d middleware messages at -rounds 1 and %d at -rounds 3", one, three)
 	}
 }

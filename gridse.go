@@ -25,8 +25,8 @@
 //	fmt.Println(est.State.Vm)
 //
 // The full distributed flow is three calls: Decompose, PMUPlanFor (append
-// to the plan before simulation), then RunDSE or RunDistributed — both
-// context-first:
+// to the plan before simulation), then RunDSE or RunDistributed — one
+// sequence, run in process or placed on a testbed's sites, context-first:
 //
 //	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Second)
 //	defer cancel()
@@ -192,7 +192,8 @@ func EstimateWith(n *Network, ms []Measurement, opts EstimatorOptions) (*Estimat
 // EstimateContext runs centralized WLS estimation under a context: an
 // expired or canceled ctx aborts the solve between Gauss-Newton
 // iterations. RunDSE, RunDistributed and RunHierarchical likewise take a
-// context as their first argument.
+// context as their first argument and check it at the same points: one
+// driver runs all three.
 func EstimateContext(ctx context.Context, n *Network, ms []Measurement, opts EstimatorOptions) (*EstimatorResult, error) {
 	return core.CentralizedEstimate(ctx, n, ms, opts)
 }
@@ -277,9 +278,9 @@ type (
 	BusState = core.BusState
 	// Session is a decomposition's reusable DSE pipeline: cached subproblem
 	// skeletons, solver engines, and cross-round/cross-frame warm-start
-	// state. Every Decomposition lazily owns one, used automatically by
-	// RunDSE, RunDistributed, and RunHierarchical; Session.Reset drops the
-	// cached state after an external structural change.
+	// state. Every Decomposition lazily owns one, which the driver behind
+	// RunDSE, RunDistributed, and RunHierarchical runs on; Session.Reset
+	// drops the cached state after an external structural change.
 	Session = core.Session
 )
 
@@ -306,9 +307,10 @@ func RunDSE(ctx context.Context, d *Decomposition, ms []Measurement, opts DSEOpt
 }
 
 // RunDistributed executes the full architecture on a simulated testbed
-// (sites, middleware, mapping, redistribution). The context governs the
-// whole run; DistributedOptions.PhaseTimeout / TotalTimeout derive
-// per-phase and overall deadlines from it.
+// (sites, middleware, mapping, redistribution): RunDSE's sequence,
+// DSEOptions.Rounds and WarmStart included, bit for bit. The context
+// governs the whole run; DistributedOptions.PhaseTimeout / TotalTimeout
+// derive per-phase and overall deadlines from it.
 func RunDistributed(ctx context.Context, d *Decomposition, ms []Measurement, opts DistributedOptions) (*DistributedResult, error) {
 	return core.RunDistributed(ctx, d, ms, opts)
 }

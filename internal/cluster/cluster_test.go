@@ -6,11 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/grid"
-	"repro/internal/meas"
 	"repro/internal/medici"
-	"repro/internal/powerflow"
-	"repro/internal/wls"
 )
 
 func TestShapedLinkBandwidth(t *testing.T) {
@@ -180,7 +176,7 @@ func TestProfileString(t *testing.T) {
 	}
 }
 
-func TestTestbedSitesAndJobs(t *testing.T) {
+func TestTestbedSites(t *testing.T) {
 	tb, err := NewTestbed(3, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -202,32 +198,6 @@ func TestTestbedSitesAndJobs(t *testing.T) {
 	}
 	if string(msg) != "hello" {
 		t.Fatalf("got %q", msg)
-	}
-
-	// Run an estimation job on a site.
-	n := grid.Case14()
-	pf, err := powerflow.Solve(n, powerflow.Options{FlatStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := meas.Simulate(n, meas.FullPlan().Build(n), pf.State, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := meas.NewModel(n, ms, n.SlackIndex(), pf.State.Va[n.SlackIndex()])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, run := range []func(context.Context, []EstimationJob) []JobResult{
-		tb.Sites[0].RunJobs, tb.Sites[0].RunJobsConcurrent,
-	} {
-		results := run(context.Background(), []EstimationJob{{ID: 7, Model: mod, Opts: wls.Options{}}})
-		if len(results) != 1 || results[0].Err != nil {
-			t.Fatalf("job results: %+v", results)
-		}
-		if results[0].ID != 7 || !results[0].Result.Converged {
-			t.Fatalf("job 7 did not converge")
-		}
 	}
 }
 

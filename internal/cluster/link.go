@@ -1,8 +1,8 @@
 // Package cluster simulates the paper's testbed of HPC clusters (Nwiceb,
-// Catamount, Chinook): named sites with a master node and a pool of worker
-// goroutines, connected by network links that can be shaped to a target
-// bandwidth and latency. Shaped links reproduce the paper's
-// "workstation ↔ HPC cluster" network path (Table IV) on loopback TCP.
+// Catamount, Chinook): named sites with a master node and a worker width,
+// connected by network links that can be shaped to a target bandwidth and
+// latency. Shaped links reproduce the paper's "workstation ↔ HPC cluster"
+// network path (Table IV) on loopback TCP.
 package cluster
 
 import (

@@ -23,7 +23,8 @@ type DSEOptions struct {
 	// WLS configures each local estimator.
 	WLS wls.Options
 	// Sequential disables per-subsystem concurrency (used by benchmarks to
-	// measure the serial cost).
+	// measure the serial cost). It is the in-process placement's; a testbed
+	// runs a site's subsystems in turn and the sites side by side.
 	Sequential bool
 	// WarmStart optionally provides a per-subsystem Step-1 starting state
 	// (the previous frame's solution in tracking operation). Entries may
@@ -81,6 +82,10 @@ type DSEResult struct {
 	ExchangeBytes int
 	// ExchangeMessages counts the point-to-point sends.
 	ExchangeMessages int
+	// phases is the driver's clock — Step1, Exchange, Step2 and Aggregate,
+	// the middle two summed over rounds — which RunDistributed publishes in
+	// DistributedResult.Timings.
+	phases PhaseTimings
 }
 
 // RunDSE executes the DSE algorithm in-process: Step 1 on every subsystem,
@@ -96,119 +101,170 @@ type DSEResult struct {
 func RunDSE(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DSEOptions) (*DSEResult, error) {
 	sess, release := d.sessionFor(opts)
 	defer release()
-	return sess.runDSE(ctx, global, opts)
+	return sess.runDSE(ctx, inProcess{d, opts.Sequential}, global, opts)
 }
 
-// runDSE is RunDSE on a session the caller has locked.
-func (sess *Session) runDSE(ctx context.Context, global []meas.Measurement, opts DSEOptions) (*DSEResult, error) {
+// placement is what the DSE sequence does not know about itself: where a
+// phase's solves run and how a round's packets travel. inProcess (RunDSE,
+// Tracker) and *onTestbed (RunDistributed, RunHierarchical) are the two
+// there are.
+type placement interface {
+	// forEach runs f once per subsystem and waits for all of them; phase
+	// names the run phase in cancellation errors. No two calls of f for the
+	// same subsystem overlap, the first error stops the rest (fail-fast),
+	// and a nil return means every subsystem ran.
+	forEach(ctx context.Context, phase string, f func(ctx context.Context, si int) error) error
+	// exchange delivers a round's packets — packets[si] is what subsystem si
+	// has for each of its neighbours — and returns, per subsystem, the
+	// packets it received in ascending FromSub order, which is d.Neighbors
+	// order: the stable layout Session.step2 refreshes skeletons against.
+	exchange(ctx context.Context, round int, packets []PseudoPacket) ([][]PseudoPacket, error)
+}
+
+// inProcess places every estimator in the calling process: a phase is one
+// goroutine per subsystem, or one subsystem after the other when sequential,
+// and a packet is handed over in memory.
+type inProcess struct {
+	d          *Decomposition
+	sequential bool
+}
+
+func (p inProcess) forEach(ctx context.Context, phase string, f func(ctx context.Context, si int) error) error {
+	m := len(p.d.Subsystems)
+	if !p.sequential {
+		return concurrently(ctx, phase, m, f)
+	}
+	for si := 0; si < m; si++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: %s: canceled before subsystem %d: %w", phase, si, err)
+		}
+		if err := f(ctx, si); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (p inProcess) exchange(_ context.Context, _ int, packets []PseudoPacket) ([][]PseudoPacket, error) {
+	incoming := make([][]PseudoPacket, len(packets))
+	for si := range incoming {
+		nbrs := p.d.Neighbors(si)
+		incoming[si] = make([]PseudoPacket, len(nbrs))
+		for k, nb := range nbrs {
+			incoming[si][k] = packets[nb]
+		}
+	}
+	return incoming, nil
+}
+
+// runDSE is the DSE sequence — Step 1, then Rounds of pseudo-measurement
+// exchange and Step 2, then aggregation — on a session the caller has
+// locked, with its estimators placed by pl. Every driver runs this one
+// spelling of it, so rounds, warm starts, observability restoration and the
+// cancellation points mean the same thing wherever the estimators sit. It
+// also keeps the clock: res.phases says where the run's time went.
+func (sess *Session) runDSE(ctx context.Context, pl placement, global []meas.Measurement, opts DSEOptions) (*DSEResult, error) {
 	opts = sess.beginRun(opts)
 	d := sess.d
 	m := len(d.Subsystems)
-	rounds := opts.Rounds
-	if rounds <= 0 {
-		rounds = 1
-	}
-	res := &DSEResult{
-		Step1: make([]*wls.Result, m),
-		Step2: make([]*wls.Result, m),
-	}
+	res := &DSEResult{Step2: make([]*wls.Result, m)}
+	t := &res.phases
 
-	// DSE Step 1: local estimation per subsystem.
-	probs1 := make([]*Subproblem, m)
 	start := time.Now()
-	err := forEachSubsystem(ctx, "step 1", m, opts.Sequential, func(ctx context.Context, si int) error {
+	probs, step1, err := sess.runStep1(ctx, pl, global, opts)
+	if err != nil {
+		return nil, err
+	}
+	t.Step1 = time.Since(start)
+	res.Step1, res.Step1Stats.Duration = step1, t.Step1
+	res.Step1Stats.addIterations(step1)
+
+	// Each round every subsystem tells its neighbours what it now holds of
+	// the buses they watch — its Step-1 estimate first, then the previous
+	// round's — and re-estimates with what it is told.
+	last := step1
+	for round := 0; round < max(opts.Rounds, 1); round++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: canceled before step 2 round %d: %w", round, err)
+		}
+		start = time.Now()
+		packets := make([]PseudoPacket, m)
+		for si := range packets {
+			packets[si] = d.ExtractPseudo(si, probs[si], last[si].State)
+			// The volume is the algorithm's, whatever carries it: every
+			// neighbour receives the packet's wire bytes.
+			n := len(d.Neighbors(si))
+			res.ExchangeBytes += n * packets[si].wireSize()
+			res.ExchangeMessages += n
+		}
+		incoming, err := pl.exchange(ctx, round, packets)
+		if err != nil {
+			return nil, err
+		}
+		t.Exchange += time.Since(start)
+
+		start = time.Now()
+		err = pl.forEach(ctx, "step 2", func(ctx context.Context, si int) error {
+			sp, eng, err := sess.step2(si, global, incoming[si])
+			if err != nil {
+				return err
+			}
+			r, err := eng.EstimateCtx(ctx, sess.step2Options(si, opts, step1[si].State))
+			if err != nil {
+				return fmt.Errorf("core: step 2 subsystem %d: %w", si, err)
+			}
+			sess.noteStep2(si, r.X)
+			probs[si], res.Step2[si] = sp, r
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		t.Step2 += time.Since(start)
+		// res.Step2 is overwritten next round, so fold this round's
+		// iteration counts into the stats now — Duration spans all rounds
+		// and the counts must too.
+		res.Step2Stats.addIterations(res.Step2)
+		last = res.Step2
+	}
+	res.Step2Stats.Duration = t.Exchange + t.Step2
+
+	// Final step: aggregate the system-wide solution from each subsystem's
+	// own buses.
+	start = time.Now()
+	nb := d.Net.N()
+	res.State = powerflow.State{Vm: make([]float64, nb), Va: make([]float64, nb)}
+	for si, sp := range probs {
+		sp.MergeInto(d, res.Step2[si].State, &res.State)
+	}
+	t.Aggregate = time.Since(start)
+	return res, nil
+}
+
+// runStep1 is the sequence's first phase, which RunHierarchical runs alone:
+// every subsystem's local estimate on the frame, started from
+// opts.WarmStart where the caller supplied one. It returns the Step-1
+// subproblems beside the results. The caller has called beginRun.
+func (sess *Session) runStep1(ctx context.Context, pl placement, global []meas.Measurement, opts DSEOptions) ([]*Subproblem, []*wls.Result, error) {
+	m := len(sess.d.Subsystems)
+	probs, results := make([]*Subproblem, m), make([]*wls.Result, m)
+	err := pl.forEach(ctx, "step 1", func(ctx context.Context, si int) error {
 		sp, eng, err := sess.step1(si, global)
 		if err != nil {
 			return err
 		}
 		wlsOpts := opts.WLS
-		if opts.WarmStart != nil && si < len(opts.WarmStart) && opts.WarmStart[si] != nil {
+		if si < len(opts.WarmStart) && opts.WarmStart[si] != nil {
 			wlsOpts.X0 = opts.WarmStart[si]
 		}
 		r, err := eng.EstimateCtx(ctx, wlsOpts)
 		if err != nil {
 			return fmt.Errorf("core: step 1 subsystem %d: %w", si, err)
 		}
-		probs1[si] = sp
-		res.Step1[si] = r
+		probs[si], results[si] = sp, r
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.Step1Stats = statsOf(res.Step1, time.Since(start))
-
-	// Pseudo-measurement exchange + Step 2 rounds.
-	current := make([]powerflow.State, m)
-	currentProb := make([]*Subproblem, m)
-	for si := range current {
-		current[si] = res.Step1[si].State
-		currentProb[si] = probs1[si]
-	}
-	probs2 := make([]*Subproblem, m)
-	start = time.Now()
-	for round := 0; round < rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: canceled before step 2 round %d: %w", round, err)
-		}
-		packets := make([]PseudoPacket, m)
-		for si := 0; si < m; si++ {
-			packets[si] = d.ExtractPseudo(si, currentProb[si], current[si])
-		}
-		// Account the exchange: each subsystem encodes its packet once —
-		// the bytes every neighbor would receive — and sends it to each.
-		for si := 0; si < m; si++ {
-			nbrs := d.Neighbors(si)
-			if len(nbrs) == 0 {
-				continue
-			}
-			payload, err := EncodePacket(packets[si])
-			if err != nil {
-				return nil, err
-			}
-			res.ExchangeBytes += len(payload) * len(nbrs)
-			res.ExchangeMessages += len(nbrs)
-		}
-		err := forEachSubsystem(ctx, "step 2", m, opts.Sequential, func(ctx context.Context, si int) error {
-			var incoming []PseudoPacket
-			for _, nb := range d.Neighbors(si) {
-				incoming = append(incoming, packets[nb])
-			}
-			sp, eng, err := sess.step2(si, global, incoming)
-			if err != nil {
-				return err
-			}
-			r, err := eng.EstimateCtx(ctx, sess.step2Options(si, opts, res.Step1[si].State))
-			if err != nil {
-				return fmt.Errorf("core: step 2 subsystem %d: %w", si, err)
-			}
-			sess.noteStep2(si, r.X)
-			probs2[si] = sp
-			res.Step2[si] = r
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		// res.Step2 is overwritten next round, so fold this round's
-		// iteration counts into the stats now — Duration already spans all
-		// rounds and the counts must too.
-		res.Step2Stats.addIterations(res.Step2)
-		for si := 0; si < m; si++ {
-			current[si] = res.Step2[si].State
-			currentProb[si] = probs2[si]
-		}
-	}
-	res.Step2Stats.Duration = time.Since(start)
-
-	// Final step: aggregate the system-wide solution from each subsystem's
-	// own buses.
-	nb := d.Net.N()
-	res.State = powerflow.State{Vm: make([]float64, nb), Va: make([]float64, nb)}
-	for si := 0; si < m; si++ {
-		probs2[si].MergeInto(d, res.Step2[si].State, &res.State)
-	}
-	return res, nil
+	return probs, results, err
 }
 
 // PMUPlanFor returns the PMU measurements (voltage angle + magnitude) that
@@ -251,25 +307,6 @@ func restoreSubproblem(sp *Subproblem, sigma float64) error {
 	return sp.ReplaceMeasurements(augmented)
 }
 
-// forEachSubsystem runs f for every subsystem, concurrently unless
-// sequential. The first error cancels the context handed to every other
-// subsystem (fail-fast); errors collected before the stop are joined.
-// phase names the DSE phase in cancellation errors.
-func forEachSubsystem(ctx context.Context, phase string, m int, sequential bool, f func(ctx context.Context, si int) error) error {
-	if !sequential {
-		return concurrently(ctx, phase, m, f)
-	}
-	for si := 0; si < m; si++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: %s: canceled before subsystem %d: %w", phase, si, err)
-		}
-		if err := f(ctx, si); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // concurrently runs tasks 0..n-1 of one phase on a goroutine each and waits
 // for all of them. The first error cancels the context handed to every
 // other task (fail-fast); errors collected before the stop are joined.
@@ -302,12 +339,6 @@ func concurrently(ctx context.Context, phase string, n int, task func(ctx contex
 		return fmt.Errorf("core: %s: canceled before all of it completed: %w", phase, err)
 	}
 	return nil
-}
-
-func statsOf(results []*wls.Result, d time.Duration) StepStats {
-	st := StepStats{Duration: d}
-	st.addIterations(results)
-	return st
 }
 
 // addIterations accumulates one round's per-subsystem iteration counts.

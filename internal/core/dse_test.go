@@ -195,7 +195,7 @@ func mapNeighbors(d *Decomposition, si int) []int {
 // TestNeighborsCachedMatchesTieLineScan: the lists built once with the tie
 // lines are the per-call map version's, on the partitioner's split of
 // IEEE-118 and the area split of a 12-area SynthWECC; concurrent readers
-// under forEachSubsystem share them (run with -race), and a call allocates
+// under inProcess.forEach share them (run with -race), and a call allocates
 // nothing.
 func TestNeighborsCachedMatchesTieLineScan(t *testing.T) {
 	wecc, err := grid.SynthWECC(grid.SynthOptions{Areas: 12, Seed: 1})
@@ -208,7 +208,7 @@ func TestNeighborsCachedMatchesTieLineScan(t *testing.T) {
 	}
 	for _, d := range []*Decomposition{newFixture(t, grid.Case118, 9, 0).dec, weccDec} {
 		m := len(d.Subsystems)
-		err := forEachSubsystem(context.Background(), "neighbors", m, false, func(_ context.Context, si int) error {
+		err := inProcess{d: d}.forEach(context.Background(), "neighbors", func(_ context.Context, si int) error {
 			for nb := 0; nb < m; nb++ { // every goroutine reads every list
 				if got, want := d.Neighbors(nb), mapNeighbors(d, nb); !slices.Equal(got, want) {
 					t.Errorf("%s: Neighbors(%d) = %v, tie-line scan %v", d.Net.Name, nb, got, want)
@@ -368,6 +368,35 @@ func TestRunDSEMultipleRounds(t *testing.T) {
 	}
 	if rd.ExchangeMessages <= r1.ExchangeMessages {
 		t.Error("more rounds should exchange more messages")
+	}
+	// The exchange accounting is arithmetic on the packets, which keep their
+	// shape from round to round: every neighbour of a subsystem receives the
+	// 12 + 24·states bytes of its packet.
+	var perRoundBytes, perRoundMessages int
+	for si := range fx.dec.Subsystems {
+		sp, err := fx.dec.BuildStep1(si, fx.ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkt := fx.dec.ExtractPseudo(si, sp, r1.Step1[si].State)
+		payload, err := EncodePacket(pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(payload) != 12+24*len(pkt.States) {
+			t.Fatalf("subsystem %d: packet of %d states encodes to %d bytes", si, len(pkt.States), len(payload))
+		}
+		perRoundBytes += len(payload) * len(fx.dec.Neighbors(si))
+		perRoundMessages += len(fx.dec.Neighbors(si))
+	}
+	if perRoundBytes != 9456 {
+		t.Errorf("one round exchanges %d bytes on this fixture, pinned 9456", perRoundBytes)
+	}
+	for rounds, res := range map[int]*DSEResult{1: r1, fx.dec.Diameter(): rd} {
+		if res.ExchangeBytes != rounds*perRoundBytes || res.ExchangeMessages != rounds*perRoundMessages {
+			t.Errorf("%d rounds: %d exchange bytes in %d messages, want %d in %d", rounds,
+				res.ExchangeBytes, res.ExchangeMessages, rounds*perRoundBytes, rounds*perRoundMessages)
+		}
 	}
 	// More rounds must not blow up the solution.
 	for i := range fx.truth.Vm {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/grid"
 	"repro/internal/meas"
 	"repro/internal/medici"
@@ -26,83 +25,67 @@ type HierarchicalResult struct {
 }
 
 // RunHierarchical executes hierarchical state estimation on the testbed:
-// every subsystem solves locally (as in DSE Step 1), then each site sends
-// its subsystems' full solved states to the centralized coordinator, which
+// every subsystem solves locally — the DSE sequence's Step-1 phase, placed
+// on the sites as RunDistributed places it — then each site sends its
+// subsystems' full solved states to the centralized coordinator, which
 // combines them into the system-wide state. There is no peer-to-peer
-// Step 2; the coordinator is the single aggregation point.
+// Step 2, so DSEOptions.Rounds has nothing to count; the coordinator is the
+// single aggregation point.
 //
 // The context governs the run: cancellation aborts local estimation at
 // the next Gauss-Newton iteration and unblocks the coordinator's receive
-// loop. TotalTimeout (when set) derives an overall deadline from ctx.
+// loop. TotalTimeout (when set) derives an overall deadline from ctx, and
+// PhaseTimeout one for the local estimation and one for the ship-up.
 func RunHierarchical(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DistributedOptions) (*HierarchicalResult, error) {
-	p := opts.Clusters
-	if p <= 0 {
-		p = 3
-	}
-	m := len(d.Subsystems)
-	if p > m {
-		return nil, fmt.Errorf("core: %d clusters for %d subsystems", p, m)
-	}
 	if opts.TotalTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.TotalTimeout)
 		defer cancel()
 	}
 	start := time.Now()
-
-	tb, err := cluster.NewTestbed(p, opts.WorkersPerSite, opts.Transport)
+	pl, err := placeOnTestbed(d, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer tb.Close()
+	defer pl.tb.Close()
 	// The reliability coordinator gets its own endpoint, like any estimator.
-	coord, err := medici.NewMWClient("coordinator", "127.0.0.1:0", tb.Registry, opts.Transport, medici.LengthPrefixProtocol{}, 256)
+	coord, err := medici.NewMWClient("coordinator", "127.0.0.1:0", pl.tb.Registry, opts.Transport, medici.LengthPrefixProtocol{}, 256)
 	if err != nil {
 		return nil, err
 	}
 	defer func() {
-		tb.HangUp() // dialing ends first
+		pl.tb.HangUp() // dialing ends first
 		coord.Close()
 	}()
 
-	mapping, err := d.MapStep1(p, opts.Map)
+	mapping, err := d.MapStep1(len(pl.tb.Sites), opts.Map)
 	if err != nil {
 		return nil, err
 	}
+	pl.assign = mapping.Assign
 
 	sess, release := d.sessionFor(opts.DSE)
 	defer release()
-	opts.DSE = sess.beginRun(opts.DSE)
+	dseOpts := sess.beginRun(pl.opts.DSE)
+	probs, local, err := sess.runStep1(ctx, pl, global, dseOpts)
+	if err != nil {
+		return nil, err
+	}
+	res := &HierarchicalResult{Local: local}
 
-	res := &HierarchicalResult{Local: make([]*wls.Result, m)}
-	probs := make([]*Subproblem, m)
-	err = runOnSites(ctx, "local estimation", tb, mapping.Assign, func(ctx context.Context, si int, site *cluster.Site) error {
-		sp, eng, err := sess.step1(si, global)
-		if err != nil {
-			return err
-		}
-		probs[si] = sp
-		out := site.RunJobs(ctx, []cluster.EstimationJob{{ID: si, Model: sp.Model, Opts: opts.DSE.WLS, Engine: eng}})
-		if out[0].Err != nil {
-			return fmt.Errorf("core: hierarchical subsystem %d: %w", si, out[0].Err)
-		}
-		res.Local[si] = out[0].Result
-
-		// Ship the full own-bus solution to the coordinator.
+	// Every site ships its subsystems' full own-bus solutions up.
+	err = pl.forEach(ctx, "ship-up", func(ctx context.Context, si int) error {
+		sp, st := probs[si], local[si].State
 		pkt := PseudoPacket{FromSub: si}
 		for _, id := range sp.OwnBuses {
 			li := sp.Net.MustIndex(id)
-			pkt.States = append(pkt.States, BusState{
-				BusID: id,
-				Vm:    out[0].Result.State.Vm[li],
-				Va:    out[0].Result.State.Va[li],
-			})
+			pkt.States = append(pkt.States, BusState{BusID: id, Vm: st.Vm[li], Va: st.Va[li]})
 		}
 		payload, err := EncodePacket(pkt)
 		if err != nil {
 			return err
 		}
-		return site.Client().SendURL(ctx, coord.URL(), payload)
+		return pl.tb.Sites[pl.assign[si]].Client().SendURL(ctx, coord.URL(), payload)
 	})
 	if err != nil {
 		return nil, err
@@ -111,7 +94,7 @@ func RunHierarchical(ctx context.Context, d *Decomposition, global []meas.Measur
 	// Coordinator: collect one packet per subsystem and assemble the state.
 	nb := d.Net.N()
 	res.State = powerflow.State{Vm: make([]float64, nb), Va: make([]float64, nb)}
-	for k := 0; k < m; k++ {
+	for range local {
 		msg, err := coord.Recv(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("core: coordinator receive: %w", err)
@@ -128,7 +111,7 @@ func RunHierarchical(ctx context.Context, d *Decomposition, global []meas.Measur
 		}
 	}
 	if opts.HierarchicalRefine {
-		if err := sess.refineBoundary(ctx, global, &res.State, opts.DSE.WLS); err != nil {
+		if err := sess.refineBoundary(ctx, global, &res.State, dseOpts.WLS); err != nil {
 			return nil, fmt.Errorf("core: coordinator boundary refinement: %w", err)
 		}
 	}

@@ -37,8 +37,9 @@ type DistributedOptions struct {
 	// DSE configures the estimation itself.
 	DSE DSEOptions
 	// PhaseTimeout bounds each individual phase (acquire, step 1,
-	// redistribute, exchange, step 2) with its own deadline, derived from
-	// the run context. Zero means no per-phase deadline.
+	// redistribute, every round's exchange and step 2; RunHierarchical's
+	// local estimation and ship-up) with its own deadline, derived from the
+	// run context. Zero means no per-phase deadline.
 	PhaseTimeout time.Duration
 	// TotalTimeout bounds the whole run with a deadline derived from the
 	// run context. Zero means no overall deadline beyond the caller's ctx.
@@ -62,8 +63,8 @@ type PhaseTimings struct {
 	Step1        time.Duration
 	Remap        time.Duration // repartition before Step 2
 	Redistribute time.Duration // raw-data migration for re-mapped subsystems
-	Exchange     time.Duration // pseudo-measurement exchange via middleware
-	Step2        time.Duration
+	Exchange     time.Duration // pseudo-measurement exchange via middleware, all rounds
+	Step2        time.Duration // all rounds
 	Aggregate    time.Duration
 	Total        time.Duration
 }
@@ -79,58 +80,44 @@ type DistributedResult struct {
 	// acquisition + pseudo exchange + data redistribution).
 	WireBytes int
 	// WireMessages counts middleware sends: one data request per site that
-	// hosts a subsystem, and per phase one bundle per ordered pair of sites
-	// with anything to ship between them — at most p + 2·p(p−1) whatever the
+	// hosts a subsystem, and per phase — the redistribution, then every
+	// round's exchange — one bundle per ordered pair of sites with anything
+	// to ship between them: at most p + (1 + rounds)·p(p−1) whatever the
 	// mapping, which decides the bytes.
 	WireMessages int
-	// Step1 and Step2 hold per-subsystem estimation results.
+	// Step1 and Step2 hold per-subsystem estimation results, Step2 the last
+	// round's.
 	Step1, Step2 []*wls.Result
 }
 
 // RunDistributed executes the paper's full architecture flow on a simulated
-// testbed: map subsystems to clusters (Figure 4), run DSE Step 1 on each
-// site, remap (Figure 5), redistribute raw data for migrated subsystems,
-// exchange pseudo-measurements through MeDICi-style pipelines, run DSE
-// Step 2, and aggregate the system-wide solution.
+// testbed: map subsystems to clusters (Figure 4), have each site fetch its
+// subsystems' raw data, and run the DSE sequence — the one RunDSE runs —
+// placed on the sites: Step 1, then before the first exchange the remapping
+// (Figure 5) and the raw-data redistribution for migrated subsystems, then
+// DSEOptions.Rounds of pseudo-measurement exchange through MeDICi-style
+// pipelines and Step 2, and the aggregation of the system-wide solution.
+// Round for round it is RunDSE's computation, bit for bit.
 //
 // The context governs the entire run: cancellation aborts in-flight site
 // work at the next Gauss-Newton iteration and unblocks any middleware
 // receive, so the call returns promptly with a wrapped ctx.Err().
 // DistributedOptions.TotalTimeout and PhaseTimeout derive additional
-// deadlines from ctx; with both zero and an unexpiring ctx, behavior is
-// identical to the pre-context implementation.
-//
-// The testbed flow is one Step-2 round: DSEOptions.Rounds above 1 is an
-// error here, not a silently shorter run (RunDSE honours it).
+// deadlines from ctx, PhaseTimeout afresh for every round's exchange and
+// Step 2.
 func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DistributedOptions) (*DistributedResult, error) {
-	p := opts.Clusters
-	if p <= 0 {
-		p = 3
-	}
-	m := len(d.Subsystems)
-	if p > m {
-		return nil, fmt.Errorf("core: %d clusters for %d subsystems", p, m)
-	}
-	if opts.DSE.Rounds > 1 {
-		return nil, fmt.Errorf("core: DSEOptions.Rounds = %d: RunDistributed runs one Step-2 round (RunDSE runs more)", opts.DSE.Rounds)
-	}
 	if opts.TotalTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.TotalTimeout)
 		defer cancel()
 	}
 	totalStart := time.Now()
-
-	tb, err := cluster.NewTestbed(p, opts.WorkersPerSite, opts.Transport)
+	pl, err := placeOnTestbed(d, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer tb.Close()
-
-	res := &DistributedResult{
-		Step1: make([]*wls.Result, m),
-		Step2: make([]*wls.Result, m),
-	}
+	defer pl.tb.Close()
+	res, m, p := pl.res, len(d.Subsystems), len(pl.tb.Sites)
 
 	// --- Mapping before Step 1 (Figure 4). ---
 	start := time.Now()
@@ -147,55 +134,119 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 			return nil, err
 		}
 	}
+	pl.assign = res.Step1Mapping.Assign
 	res.Timings.Map = time.Since(start)
 
 	// --- Raw-data acquisition: each site fetches its subsystems' SCADA
 	// measurements from the data source through the middleware (the
-	// Figure 1 path: data source -> middleware -> data processor). ---
+	// Figure 1 path: data source -> middleware -> data processor). The
+	// source serves the sets the session's Step-1 skeletons select. ---
 	sess, release := d.sessionFor(opts.DSE)
 	defer release()
-	opts.DSE = sess.beginRun(opts.DSE)
-	probs1 := make([]*Subproblem, m)
-	engs1 := make([]*wls.Engine, m)
-	for si := 0; si < m; si++ {
-		sp, eng, err := sess.step1(si, global)
+	pl.raw = make([][]meas.Measurement, m)
+	for si := range pl.raw {
+		sp, _, err := sess.step1(si, global)
 		if err != nil {
 			return nil, err
 		}
-		probs1[si], engs1[si] = sp, eng
+		pl.raw[si] = sp.Model.Meas
 	}
 	start = time.Now()
-	source, err := medici.NewDataServer(opts.Transport, "127.0.0.1:0", func(req []byte) ([]byte, error) {
-		subs, err := parseSubRequest(req, m)
+	if err := pl.acquire(ctx); err != nil {
+		return nil, err
+	}
+	res.Timings.Acquire = time.Since(start)
+
+	dse, err := sess.runDSE(ctx, pl, global, pl.opts.DSE)
+	if err != nil {
+		return nil, err
+	}
+	res.State, res.Step1, res.Step2 = dse.State, dse.Step1, dse.Step2
+	t := &res.Timings
+	t.Step1, t.Step2, t.Aggregate = dse.phases.Step1, dse.phases.Step2, dse.phases.Aggregate
+	// The driver's exchange clock ran over the round-0 remapping and
+	// redistribution, which have fields of their own.
+	t.Exchange = dse.phases.Exchange - t.Remap - t.Redistribute
+	t.Total = time.Since(totalStart)
+	return res, nil
+}
+
+// onTestbed places a run's estimators on the sites of a testbed: a phase
+// runs each site's subsystems one after the other and the sites side by
+// side, under the current step's mapping and a PhaseTimeout of its own; a
+// packet crosses sites in the bundle the two sites exchange that round and
+// stays in memory within a site. Before round 0's exchange it remaps for
+// Step 2 and ships the migrated subsystems' raw data. Mappings, migrations,
+// their timings and the wire accounting go to res.
+type onTestbed struct {
+	tb   *cluster.Testbed
+	d    *Decomposition
+	opts DistributedOptions // DSE.WLS.Workers at the sites' width
+	res  *DistributedResult
+	// assign is the mapping the current step runs under.
+	assign []int
+	// raw[si] is subsystem si's raw measurement set: what the data source
+	// serves and a migration ships.
+	raw [][]meas.Measurement
+	// wireMu guards res.WireBytes / WireMessages: sites send concurrently.
+	wireMu sync.Mutex
+}
+
+// placeOnTestbed brings up the testbed of a run — opts.Clusters sites
+// (default 3, the paper's), at most one per subsystem — for the caller to
+// Close, and returns the placement on it, not yet mapped. Every solve runs
+// at its site's width, and every site of a testbed has the same.
+func placeOnTestbed(d *Decomposition, opts DistributedOptions) (*onTestbed, error) {
+	p := opts.Clusters
+	if p <= 0 {
+		p = 3
+	}
+	if m := len(d.Subsystems); p > m {
+		return nil, fmt.Errorf("core: %d clusters for %d subsystems", p, m)
+	}
+	tb, err := cluster.NewTestbed(p, opts.WorkersPerSite, opts.Transport)
+	if err != nil {
+		return nil, err
+	}
+	opts.DSE.WLS.Workers = tb.Sites[0].Workers
+	return &onTestbed{tb: tb, d: d, opts: opts, res: &DistributedResult{}}, nil
+}
+
+// sent accounts one middleware message carrying payloadBytes of packets or
+// measurements.
+func (p *onTestbed) sent(payloadBytes int) {
+	p.wireMu.Lock()
+	p.res.WireBytes += payloadBytes
+	p.res.WireMessages++
+	p.wireMu.Unlock()
+}
+
+// acquire stands up the data source and has every site that hosts a
+// subsystem fetch its subsystems' raw measurements in one request.
+func (p *onTestbed) acquire(ctx context.Context) error {
+	source, err := medici.NewDataServer(p.opts.Transport, "127.0.0.1:0", func(req []byte) ([]byte, error) {
+		subs, err := parseSubRequest(req, len(p.raw))
 		if err != nil {
 			return nil, err
 		}
 		sets := make([][]meas.Measurement, len(subs))
 		for k, si := range subs {
-			sets[k] = probs1[si].Model.Meas
+			sets[k] = p.raw[si]
 		}
 		return encodeMeasurementSets(sets)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer source.Close()
-	// Sites send concurrently, so the wire accounting takes a lock: one
-	// middleware message carrying payloadBytes of packets or measurements.
-	var wireMu sync.Mutex
-	sent := func(payloadBytes int) {
-		wireMu.Lock()
-		res.WireBytes += payloadBytes
-		res.WireMessages++
-		wireMu.Unlock()
-	}
-	hosted := subsBySite(res.Step1Mapping.Assign, p)
-	acqCtx, acqCancel := opts.phaseContext(ctx)
-	err = concurrently(acqCtx, "acquire", p, func(ctx context.Context, c int) error {
+	hosted := subsBySite(p.assign, len(p.tb.Sites))
+	ctx, cancel := p.opts.phaseContext(ctx)
+	defer cancel()
+	err = concurrently(ctx, "acquire", len(hosted), func(ctx context.Context, c int) error {
 		if len(hosted[c]) == 0 {
 			return nil
 		}
-		site := tb.Sites[c]
+		site := p.tb.Sites[c]
 		reply, err := site.Client().Fetch(ctx, source.URL(), encodeSubRequest(hosted[c]))
 		if err != nil {
 			return fmt.Errorf("core: site %s acquiring its subsystems' data: %w", site.Name, err)
@@ -211,86 +262,46 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 		for _, set := range sets {
 			payload += len(set)
 		}
-		sent(payload)
+		p.sent(payload)
 		return nil
 	})
-	acqCancel()
-	if err != nil {
-		return nil, err
-	}
 	// The sites are done with the data source and hang up on it before it
 	// closes: a link is closed from its dialing end.
-	tb.HangUp()
-	source.Close()
-	res.Timings.Acquire = time.Since(start)
+	p.tb.HangUp()
+	return err
+}
 
-	// --- DSE Step 1 on the sites. ---
-	start = time.Now()
-	step1Ctx, step1Cancel := opts.phaseContext(ctx)
-	err = runOnSites(step1Ctx, "step 1", tb, res.Step1Mapping.Assign, func(ctx context.Context, si int, site *cluster.Site) error {
-		sp := probs1[si]
-		out := site.RunJobs(ctx, []cluster.EstimationJob{{ID: si, Model: sp.Model, Opts: opts.DSE.WLS, Engine: engs1[si]}})
-		if out[0].Err != nil {
-			return fmt.Errorf("core: step 1 subsystem %d on %s: %w", si, site.Name, out[0].Err)
+func (p *onTestbed) forEach(ctx context.Context, phase string, f func(ctx context.Context, si int) error) error {
+	ctx, cancel := p.opts.phaseContext(ctx)
+	defer cancel()
+	perSite := subsBySite(p.assign, len(p.tb.Sites))
+	return concurrently(ctx, phase, len(perSite), func(ctx context.Context, c int) error {
+		for _, si := range perSite[c] {
+			if ctx.Err() != nil {
+				return nil // a sibling failed; don't start more work
+			}
+			if err := f(ctx, si); err != nil {
+				return fmt.Errorf("core: site %s: %w", p.tb.Sites[c].Name, err)
+			}
 		}
-		res.Step1[si] = out[0].Result
 		return nil
 	})
-	step1Cancel()
-	if err != nil {
-		return nil, err
-	}
-	res.Timings.Step1 = time.Since(start)
+}
 
-	// --- Remap before Step 2 (Figure 5). ---
-	start = time.Now()
-	if opts.NoMapping {
-		res.Step2Mapping = res.Step1Mapping
-	} else {
-		res.Step2Mapping, err = d.MapStep2(p, res.Step1Mapping, opts.Map)
-		if err != nil {
+func (p *onTestbed) exchange(ctx context.Context, round int, packets []PseudoPacket) ([][]PseudoPacket, error) {
+	if round == 0 {
+		if err := p.remap(ctx); err != nil {
 			return nil, err
 		}
 	}
-	res.Migrated = Migrations(res.Step1Mapping, res.Step2Mapping)
-	res.Timings.Remap = time.Since(start)
-
-	// --- Raw-data redistribution for migrated subsystems. ---
-	start = time.Now()
-	redistCtx, redistCancel := opts.phaseContext(ctx)
-	migrating := newBundles(p)
-	for _, si := range res.Migrated {
-		from, to := res.Step1Mapping.Assign[si], res.Step2Mapping.Assign[si]
-		migrating[from][to] = append(migrating[from][to], outEnvelope{FromSub: si, ToSub: si, Meas: probs1[si].Model.Meas})
-	}
-	err = shipEnvelopes(redistCtx, "redistribute", tb, migrating, sent, func(site *cluster.Site, env Envelope) error {
-		// The new site takes delivery of the raw data (its data processor
-		// would build the model from it; estimation below reuses the
-		// in-memory one).
-		return checkRouting(env, EnvelopeMigrate, tb, res.Step2Mapping.Assign, site)
-	})
-	redistCancel()
-	if err != nil {
-		return nil, err
-	}
-	res.Timings.Redistribute = time.Since(start)
-
-	// --- Pseudo-measurement exchange through the middleware. ---
-	start = time.Now()
-	packets := make([]PseudoPacket, m)
-	for si := 0; si < m; si++ {
-		packets[si] = d.ExtractPseudo(si, probs1[si], res.Step1[si].State)
-	}
-	incoming := make([][]PseudoPacket, m)
-	assign := res.Step2Mapping.Assign
 	// Inter-site packets travel via the middleware, bundled per pair of
 	// sites; intra-site packets are handed over in memory (same control
 	// center). Ascending (si, nb) here is the bundles' envelope order.
-	exchCtx, exchCancel := opts.phaseContext(ctx)
-	exchanging := newBundles(p)
-	for si := 0; si < m; si++ {
-		for _, nb := range d.Neighbors(si) {
-			from, to := assign[si], assign[nb]
+	incoming := make([][]PseudoPacket, len(packets))
+	exchanging := newBundles(len(p.tb.Sites))
+	for si := range packets {
+		for _, nb := range p.d.Neighbors(si) {
+			from, to := p.assign[si], p.assign[nb]
 			if from == to {
 				incoming[nb] = append(incoming[nb], packets[si])
 			} else {
@@ -298,8 +309,10 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 			}
 		}
 	}
-	err = shipEnvelopes(exchCtx, "exchange", tb, exchanging, sent, func(site *cluster.Site, env Envelope) error {
-		if err := checkRouting(env, EnvelopePseudo, tb, assign, site); err != nil {
+	ctx, cancel := p.opts.phaseContext(ctx)
+	defer cancel()
+	err := shipEnvelopes(ctx, "exchange", p.tb, exchanging, p.sent, func(site *cluster.Site, env Envelope) error {
+		if err := checkRouting(env, EnvelopePseudo, p.tb, p.assign, site); err != nil {
 			return err
 		}
 		pkt, err := DecodePacket(env.Payload)
@@ -311,55 +324,47 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 		incoming[env.ToSub] = append(incoming[env.ToSub], pkt)
 		return nil
 	})
-	exchCancel()
 	if err != nil {
 		return nil, err
 	}
-	// Wire arrival order is nondeterministic; a stable ascending-FromSub
-	// order (matching RunDSE's sorted Neighbors order) makes the Step-2
-	// problem layout reproducible and lets the session refresh its cached
-	// skeletons instead of rebuilding them.
-	for si := range incoming {
-		in := incoming[si]
+	// Wire arrival order is nondeterministic.
+	for _, in := range incoming {
 		sort.Slice(in, func(a, b int) bool { return in[a].FromSub < in[b].FromSub })
 	}
-	res.Timings.Exchange = time.Since(start)
+	return incoming, nil
+}
 
-	// --- DSE Step 2 on the (re-mapped) sites. ---
-	probs2 := make([]*Subproblem, m)
-	start = time.Now()
-	step2Ctx, step2Cancel := opts.phaseContext(ctx)
-	err = runOnSites(step2Ctx, "step 2", tb, assign, func(ctx context.Context, si int, site *cluster.Site) error {
-		sp, eng, err := sess.step2(si, global, incoming[si])
-		if err != nil {
+// remap moves the run from its Step-1 to its Step-2 mapping (Figure 5) and
+// ships every migrated subsystem's raw data to its new site.
+func (p *onTestbed) remap(ctx context.Context) error {
+	res, start := p.res, time.Now()
+	res.Step2Mapping = res.Step1Mapping
+	if !p.opts.NoMapping {
+		var err error
+		if res.Step2Mapping, err = p.d.MapStep2(len(p.tb.Sites), res.Step1Mapping, p.opts.Map); err != nil {
 			return err
 		}
-		probs2[si] = sp
-		wlsOpts := sess.step2Options(si, opts.DSE, res.Step1[si].State)
-		out := site.RunJobs(ctx, []cluster.EstimationJob{{ID: si, Model: sp.Model, Opts: wlsOpts, Engine: eng}})
-		if out[0].Err != nil {
-			return fmt.Errorf("core: step 2 subsystem %d on %s: %w", si, site.Name, out[0].Err)
-		}
-		sess.noteStep2(si, out[0].Result.X)
-		res.Step2[si] = out[0].Result
-		return nil
-	})
-	step2Cancel()
-	if err != nil {
-		return nil, err
 	}
-	res.Timings.Step2 = time.Since(start)
+	res.Migrated = Migrations(res.Step1Mapping, res.Step2Mapping)
+	p.assign = res.Step2Mapping.Assign
+	res.Timings.Remap = time.Since(start)
 
-	// --- Final step: aggregate. ---
 	start = time.Now()
-	nb := d.Net.N()
-	res.State = powerflow.State{Vm: make([]float64, nb), Va: make([]float64, nb)}
-	for si := 0; si < m; si++ {
-		probs2[si].MergeInto(d, res.Step2[si].State, &res.State)
+	ctx, cancel := p.opts.phaseContext(ctx)
+	defer cancel()
+	migrating := newBundles(len(p.tb.Sites))
+	for _, si := range res.Migrated {
+		from, to := res.Step1Mapping.Assign[si], p.assign[si]
+		migrating[from][to] = append(migrating[from][to], outEnvelope{FromSub: si, ToSub: si, Meas: p.raw[si]})
 	}
-	res.Timings.Aggregate = time.Since(start)
-	res.Timings.Total = time.Since(totalStart)
-	return res, nil
+	err := shipEnvelopes(ctx, "redistribute", p.tb, migrating, p.sent, func(site *cluster.Site, env Envelope) error {
+		// The new site takes delivery of the raw data (its data processor
+		// would build the model from it; estimation reuses the in-memory
+		// one).
+		return checkRouting(env, EnvelopeMigrate, p.tb, p.assign, site)
+	})
+	res.Timings.Redistribute = time.Since(start)
+	return err
 }
 
 // subsBySite lists each of p sites' subsystems under assign, ascending.
@@ -369,28 +374,6 @@ func subsBySite(assign []int, p int) [][]int {
 		perSite[c] = append(perSite[c], si)
 	}
 	return perSite
-}
-
-// runOnSites executes fn for every subsystem, grouped per site: each site
-// processes its subsystems sequentially while sites run concurrently —
-// the testbed's execution model. Orchestration is fail-fast: the first
-// error cancels the context passed to every other site's fn, so siblings
-// stop at their next cancellation point instead of running to completion.
-// All errors collected before the stop are reported via errors.Join.
-// phase names the run phase in cancellation errors.
-func runOnSites(ctx context.Context, phase string, tb *cluster.Testbed, assign []int, fn func(ctx context.Context, si int, site *cluster.Site) error) error {
-	perSite := subsBySite(assign, len(tb.Sites))
-	return concurrently(ctx, phase, len(tb.Sites), func(ctx context.Context, c int) error {
-		for _, si := range perSite[c] {
-			if ctx.Err() != nil {
-				return nil // a sibling failed; don't start more work
-			}
-			if err := fn(ctx, si, tb.Sites[c]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // newBundles returns the empty bundle table of a p-site phase: [a][b] lists

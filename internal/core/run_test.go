@@ -69,8 +69,7 @@ func TestRunDistributedMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range dist.State.Vm {
-		if math.Abs(dist.State.Vm[i]-inproc.State.Vm[i]) > 1e-9 ||
-			math.Abs(dist.State.Va[i]-inproc.State.Va[i]) > 1e-9 {
+		if dist.State.Vm[i] != inproc.State.Vm[i] || dist.State.Va[i] != inproc.State.Va[i] {
 			t.Fatalf("distributed and in-process solutions differ at bus %d", i)
 		}
 	}
@@ -258,11 +257,13 @@ func TestHierarchicalRefinementImprovesBoundary(t *testing.T) {
 	}
 }
 
-// wireExpectation recomputes a run's wire accounting from its own mappings
-// and packets. A message is a site's data request or one bundle per ordered
-// pair of sites with something to ship in a phase; the bytes are the
-// payloads inside, whatever the bundling.
-func wireExpectation(t *testing.T, fx *fixture, res *DistributedResult) (messages, bytes int) {
+// wireExpectation recomputes the wire accounting of a run of so many Step-2
+// rounds from its own mappings and packets. A message is a site's data
+// request or one bundle per ordered pair of sites with something to ship in
+// a phase; the bytes are the payloads inside, whatever the bundling. A
+// packet keeps its shape from round to round, so every round's exchange
+// costs what the first does.
+func wireExpectation(t *testing.T, fx *fixture, res *DistributedResult, rounds int) (messages, bytes int) {
 	t.Helper()
 	type sitePair struct{ from, to int }
 	acquiring := make(map[int]bool)
@@ -280,7 +281,7 @@ func wireExpectation(t *testing.T, fx *fixture, res *DistributedResult) (message
 		for _, nb := range fx.dec.Neighbors(si) {
 			if from, to := res.Step2Mapping.Assign[si], res.Step2Mapping.Assign[nb]; from != to {
 				exchanging[sitePair{from, to}] = true
-				bytes += 12 + 24*len(pkt.States)
+				bytes += rounds * (12 + 24*len(pkt.States))
 			}
 		}
 	}
@@ -288,7 +289,7 @@ func wireExpectation(t *testing.T, fx *fixture, res *DistributedResult) (message
 		migrating[sitePair{res.Step1Mapping.Assign[si], res.Step2Mapping.Assign[si]}] = true
 		bytes += rawBytes[si]
 	}
-	return len(acquiring) + len(migrating) + len(exchanging), bytes
+	return len(acquiring) + len(migrating) + rounds*len(exchanging), bytes
 }
 
 // TestWireAccountingPinned: with a fixed layout the wire accounting is an
@@ -303,7 +304,7 @@ func TestWireAccountingPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMessages, wantBytes := wireExpectation(t, fx, res)
+	wantMessages, wantBytes := wireExpectation(t, fx, res, 1)
 	if res.WireMessages != wantMessages || res.WireBytes != wantBytes {
 		t.Errorf("wire accounting %d messages / %d bytes, want %d / %d", res.WireMessages, res.WireBytes, wantMessages, wantBytes)
 	}
@@ -324,18 +325,100 @@ func TestWireAccountingPinned(t *testing.T) {
 	}
 }
 
-// TestRunDistributedRejectsRounds: the testbed flow is one Step-2 round, and
-// a caller asking for more is told so instead of getting one.
-func TestRunDistributedRejectsRounds(t *testing.T) {
-	fx := newFixture(t, grid.Case30, 3, 1)
-	for _, rounds := range []int{0, 1} {
-		if _, err := RunDistributed(context.Background(), fx.dec, fx.ms, DistributedOptions{Clusters: 2, DSE: DSEOptions{Rounds: rounds}}); err != nil {
-			t.Errorf("Rounds %d: %v", rounds, err)
+// TestDriversAgree: the testbed run and the in-process run are one sequence
+// under two placements, so for any number of Step-2 rounds they return the
+// same state bit for bit from the same Gauss–Newton iterations, and each
+// extra round costs the testbed one more bundle per ordered pair of sites
+// with a packet to exchange — 3 + 0 + rounds × 6 messages on IEEE-118 in 9
+// subsystems on 3 clusters.
+func TestDriversAgree(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		mk          func() *grid.Network
+		subs, sites int
+		pinned      map[int]int // rounds -> WireMessages
+	}{
+		{"ieee30", grid.Case30, 3, 2, nil},
+		{"ieee118", grid.Case118, 9, 3, map[int]int{1: 9, 2: 15, 4: 27}},
+	} {
+		fx := newFixture(t, tc.mk, tc.subs, 1)
+		for _, rounds := range []int{1, 2, 4} {
+			opts := DSEOptions{Rounds: rounds}
+			inproc, err := RunDSE(context.Background(), fx.dec, fx.ms, opts)
+			if err != nil {
+				t.Fatalf("%s, %d rounds: RunDSE: %v", tc.name, rounds, err)
+			}
+			dist, err := RunDistributed(context.Background(), fx.dec, fx.ms, DistributedOptions{Clusters: tc.sites, DSE: opts})
+			if err != nil {
+				t.Fatalf("%s, %d rounds: RunDistributed: %v", tc.name, rounds, err)
+			}
+			for i := range inproc.State.Vm {
+				if dist.State.Vm[i] != inproc.State.Vm[i] || dist.State.Va[i] != inproc.State.Va[i] {
+					t.Fatalf("%s, %d rounds: the drivers differ at bus %d: %.17g/%.17g on the testbed, %.17g/%.17g in process", tc.name, rounds,
+						i, dist.State.Vm[i], dist.State.Va[i], inproc.State.Vm[i], inproc.State.Va[i])
+				}
+			}
+			// Step2 holds the last round's results on either side.
+			if got, want := sumIterations(dist.Step1)+sumIterations(dist.Step2), sumIterations(inproc.Step1)+sumIterations(inproc.Step2); got != want {
+				t.Errorf("%s, %d rounds: Step 1 and the last Step 2 took %d GN iterations on the testbed, %d in process", tc.name, rounds, got, want)
+			}
+			wantMessages, wantBytes := wireExpectation(t, fx, dist, rounds)
+			if dist.WireMessages != wantMessages || dist.WireBytes != wantBytes {
+				t.Errorf("%s, %d rounds: wire accounting %d messages / %d bytes, want %d / %d", tc.name, rounds,
+					dist.WireMessages, dist.WireBytes, wantMessages, wantBytes)
+			}
+			if pinned, ok := tc.pinned[rounds]; ok && dist.WireMessages != pinned {
+				t.Errorf("%s, %d rounds: %d middleware messages, pinned %d", tc.name, rounds, dist.WireMessages, pinned)
+			}
 		}
 	}
-	res, err := RunDistributed(context.Background(), fx.dec, fx.ms, DistributedOptions{Clusters: 2, DSE: DSEOptions{Rounds: 2}})
-	if err == nil || res != nil || !strings.Contains(err.Error(), "DSEOptions.Rounds") {
-		t.Fatalf("Rounds 2 returned %v, %v; want an error naming DSEOptions.Rounds", res, err)
+}
+
+// TestRunDistributedWarmStart: DSEOptions.WarmStart means on the testbed
+// what it means to a Tracker — Step 1 starts from it, and the session keeps
+// its reuse anchors and Step-2 carries — so the second of two frames run
+// through RunDistributed with the first one's Step-1 solutions is the
+// tracker's second frame bit for bit, in fewer Step-1 Gauss–Newton
+// iterations than the same frame takes cold. (It used to keep the anchors
+// and drop the start.)
+func TestRunDistributedWarmStart(t *testing.T) {
+	fx := newFixture(t, grid.Case118, 9, 1)
+	frames := [][]meas.Measurement{frameFor(t, fx, 1, 100), frameFor(t, fx, 1, 101)}
+	ctx := context.Background()
+
+	tr := NewTracker(fx.dec, DSEOptions{})
+	var tracked *DSEResult
+	for _, frame := range frames {
+		var err error
+		if tracked, err = tr.Step(ctx, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	first, err := RunDistributed(ctx, fx.dec, frames[0], DistributedOptions{Clusters: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := make([][]float64, len(first.Step1))
+	for si, r := range first.Step1 {
+		warm[si] = append([]float64(nil), r.X...)
+	}
+	second, err := RunDistributed(ctx, fx.dec, frames[1], DistributedOptions{Clusters: 3, DSE: DSEOptions{WarmStart: warm}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tracked.State.Vm {
+		if second.State.Vm[i] != tracked.State.Vm[i] || second.State.Va[i] != tracked.State.Va[i] {
+			t.Fatalf("bus %d: warm-started testbed frame %.17g/%.17g, tracked frame %.17g/%.17g",
+				i, second.State.Vm[i], second.State.Va[i], tracked.State.Vm[i], tracked.State.Va[i])
+		}
+	}
+	cold, err := RunDistributed(ctx, fx.dec, frames[1], DistributedOptions{Clusters: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, was := sumIterations(second.Step1), sumIterations(cold.Step1); got >= was || got != tracked.Step1Stats.Iterations {
+		t.Errorf("warm-started Step 1 took %d GN iterations, cold %d, the tracker's %d", got, was, tracked.Step1Stats.Iterations)
 	}
 }
 
@@ -355,7 +438,7 @@ func TestRunDistributedMigratesRawData(t *testing.T) {
 	if !reflect.DeepEqual(res.Migrated, []int{0, 8}) {
 		t.Fatalf("fixture migrates %v (%v -> %v), want [0 8]: find another mapping that migrates", res.Migrated, res.Step1Mapping.Assign, res.Step2Mapping.Assign)
 	}
-	wantMessages, wantBytes := wireExpectation(t, fx, res)
+	wantMessages, wantBytes := wireExpectation(t, fx, res, 1)
 	if res.WireMessages != wantMessages || res.WireBytes != wantBytes {
 		t.Errorf("wire accounting %d messages / %d bytes, want %d / %d", res.WireMessages, res.WireBytes, wantMessages, wantBytes)
 	}

@@ -30,9 +30,9 @@ import (
 // a throwaway private session rather than blocking or racing.
 //
 // Concurrency invariant: within a run, subsystem slot si is touched only
-// by the goroutine estimating subsystem si (RunDSE's per-subsystem
-// goroutines and the testbed's per-site goroutines both preserve this),
-// so slots need no locking of their own.
+// from the driver's per-subsystem work, and a placement never overlaps two
+// calls for one subsystem (a goroutine per subsystem in process, one per
+// site on the testbed), so slots need no locking of their own.
 type Session struct {
 	d   *Decomposition
 	cfg sessionConfig
@@ -163,7 +163,7 @@ func (s *Session) step1(si int, global []meas.Measurement) (*Subproblem, *wls.En
 // step2 returns subsystem si's Step-2 subproblem and engine, refreshed
 // with the frame's values and the round's incoming packets. The incoming
 // slice must be in a stable order across rounds and frames (the
-// orchestrators use ascending FromSub, which is d.Neighbors order).
+// placements deliver ascending FromSub, which is d.Neighbors order).
 func (s *Session) step2(si int, global []meas.Measurement, incoming []PseudoPacket) (*Subproblem, *wls.Engine, error) {
 	sl := &s.subs[si]
 	if sl.step2 != nil &&
@@ -232,8 +232,7 @@ func (s *Session) step2Start(si int, step1 powerflow.State) []float64 {
 // step2Options returns the solver options of subsystem si's next Step-2
 // solve under opts: opts.WLS started from step2Start behind
 // wls.WarmStartGate, like every other warm start — or left alone when the
-// caller fixed a start of its own or set NoStep2WarmStart (flat). Every
-// driver's Step 2 goes through here, so they stay one computation.
+// caller fixed a start of its own or set NoStep2WarmStart (flat).
 func (s *Session) step2Options(si int, opts DSEOptions, step1 powerflow.State) wls.Options {
 	w := opts.WLS
 	if opts.NoStep2WarmStart || w.X0 != nil {

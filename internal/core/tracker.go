@@ -49,7 +49,7 @@ func (t *Tracker) Step(ctx context.Context, frame []meas.Measurement) (*DSEResul
 	}
 	sess, release := lockOrClone(t.sess, t.Dec, opts)
 	defer release()
-	res, err := sess.runDSE(ctx, frame, opts)
+	res, err := sess.runDSE(ctx, inProcess{t.Dec, opts.Sequential}, frame, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ type outEnvelope struct {
 
 func (e outEnvelope) payloadSize() int {
 	if e.Packet != nil {
-		return packetHeaderSize + busStateSize*len(e.Packet.States)
+		return e.Packet.wireSize()
 	}
 	return measHeaderSize + measSize*len(e.Meas)
 }
@@ -195,13 +195,16 @@ func decodeEnvelope(b []byte) (Envelope, error) {
 	return e, nil
 }
 
-// EncodePacket serializes a pseudo packet for middleware transmission:
-// 12 + 24·len(p.States) bytes.
+// wireSize is the length of p's layout: 12 + 24·len(p.States) bytes.
+func (p PseudoPacket) wireSize() int { return packetHeaderSize + busStateSize*len(p.States) }
+
+// EncodePacket serializes a pseudo packet for middleware transmission, in
+// wireSize bytes.
 func EncodePacket(p PseudoPacket) ([]byte, error) {
 	if uint64(len(p.States)) > math.MaxUint32 {
 		return nil, fmt.Errorf("core: pseudo packet of %d states exceeds the wire format", len(p.States))
 	}
-	return appendPacket(make([]byte, 0, packetHeaderSize+busStateSize*len(p.States)), p), nil
+	return appendPacket(make([]byte, 0, p.wireSize()), p), nil
 }
 
 // appendPacket writes p's layout onto b; the caller has checked the count.
