@@ -778,9 +778,12 @@ func BenchmarkAblationContingencyScheduling(b *testing.B) {
 }
 
 // BenchmarkContingencyPool118 measures the session-pooled what-if
-// estimation sweep on IEEE-118: cold (a fresh pool each sweep, paying every
-// skeleton build) versus pooled (a primed pool alternating two telemetry
-// frames, value-refresh + warm-start only), under both scheduling modes.
+// estimation sweep on IEEE-118: cold (a fresh pool each sweep, paying the
+// base skeleton and a clone per outage, with allocations and bytes per
+// sweep), prime (a fresh pool and two sweeps, the set-up the benchmark
+// gate's screen118 times) and pooled (a primed pool alternating two
+// telemetry frames, value-refresh + warm-start only), under both scheduling
+// modes.
 func BenchmarkContingencyPool118(b *testing.B) {
 	n := grid.Case118()
 	pf, err := powerflow.Solve(n, powerflow.Options{FlatStart: true})
@@ -805,6 +808,7 @@ func BenchmarkContingencyPool118(b *testing.B) {
 	}{{"static", contingency.StaticScheduling}, {"counter", contingency.CounterScheduling}} {
 		popts := contingency.ParallelOptions{Workers: 4, Scheduling: sched.kind}
 		b.Run("cold/"+sched.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pool, err := contingency.NewPool(n, contingency.PoolOptions{})
 				if err != nil {
@@ -812,6 +816,20 @@ func BenchmarkContingencyPool118(b *testing.B) {
 				}
 				if _, _, err := pool.Screen(ctx, frames[i%2], ratings, nil, popts); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("prime/"+sched.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pool, err := contingency.NewPool(n, contingency.PoolOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, f := range frames {
+					if _, _, err := pool.Screen(ctx, f, ratings, nil, popts); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -2,6 +2,7 @@ package contingency
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -21,8 +22,9 @@ type PoolOptions struct {
 	// solves on the previous sweep's gain and preconditioner numerics.
 	WLS wls.Options
 	// Decomposition, when set, switches the pool from centralized what-if
-	// estimation (one wls.Engine per outage on the full perturbed network)
-	// to distributed: each outage gets a perturbed decomposition
+	// estimation (one wls.Engine per outage on the full network with the
+	// branch out, all of them clones of one symbolic build) to distributed:
+	// each outage gets a perturbed decomposition
 	// (Decomposition.PerturbBranch) driven by a per-outage core.Tracker
 	// whose pinned session carries skeletons and reuse anchors. The frame
 	// must then satisfy RunDSE's PMU requirement — an angle measurement at
@@ -65,16 +67,21 @@ type SweepStats struct {
 	Cases     int
 	Islanding int
 	Estimated int
-	// SkeletonBuilds counts symbolic constructions this sweep: perturbed
-	// networks with their measurement models and engine plans (centralized)
-	// or perturbed decompositions plus session subproblem/engine builds
-	// (distributed). Zero on a warm re-screen.
+	// SkeletonBuilds counts per-outage entries built this sweep: value-only
+	// clones of the base skeleton (centralized; the skeleton itself, one per
+	// topology and frame layout, is not counted) or perturbed decompositions
+	// plus session subproblem/engine builds (distributed). Zero on a warm
+	// re-screen.
 	SkeletonBuilds int
-	// WarmStarts counts cases whose Gauss–Newton started from the previous
-	// sweep's solution (behind the wls.WarmStartGate residual gate).
+	// WarmStarts counts cases whose Gauss–Newton started from the case's own
+	// solution of the previous sweep (behind the wls.WarmStartGate residual
+	// gate). A case built this sweep starts from the sweep's base-case
+	// estimate behind the same gate and is not counted.
 	WarmStarts int
 	// GNIterations and CGIterations sum Gauss–Newton and inner PCG
-	// iterations over all estimated cases.
+	// iterations over all estimated cases, plus — here and in the counters
+	// below — the one base-case solve of a centralized sweep that built
+	// entries.
 	GNIterations int
 	CGIterations int
 	// GainRefreshes/GainSkips/ReuseFallbacks aggregate the §10 drift-gated
@@ -113,32 +120,66 @@ func (st *SweepStats) add(o SweepStats) {
 }
 
 // Pool is a session pool for what-if re-screening: per outage it caches the
-// perturbed-topology estimation stack — centralized: the outaged network
-// clone, its measurement model, and a wls.Engine with all symbolic plans;
-// distributed: a perturbed core.Decomposition and a core.Tracker with its
-// pinned session — together with the warm-start vector and drift-gated
-// reuse anchors of the previous sweep. The first sweep pays the skeleton
-// and symbolic cost once per outage; every re-screen of the same
-// contingency list across tracked frames is value-refresh + warm-start
-// only.
+// perturbed-topology estimation stack together with the warm-start vector
+// and drift-gated reuse anchors of the previous sweep. Centralized, the pool
+// does the symbolic work once, on the base network (skeleton), and an
+// outage's stack is a value-only clone of it: the base model with one
+// branch's admittance taken out and that branch's flow rows weight-masked,
+// under an engine that shares every index array and owns only values.
+// Distributed, it is a perturbed core.Decomposition and a core.Tracker with
+// its pinned session. The first sweep pays one analysis plus a numeric
+// refresh per outage; every re-screen of the same contingency list across
+// tracked frames is value-refresh + warm-start only.
 //
-// Invalidation: entries are dropped when the base topology changes between
-// sweeps (compared against a snapshot taken at pool creation) and pruned
-// when an outage leaves the requested case list. A frame whose measurement
-// layout drifts rebuilds just the affected entries (counted in
-// SweepStats.SkeletonBuilds).
+// Invalidation: the skeleton and every entry are dropped when the base
+// topology changes between sweeps (compared against a snapshot taken at
+// pool creation) or, centralized, the frame's measurement layout drifts
+// (the rebuilt entries are counted in SweepStats.SkeletonBuilds); entries
+// are pruned when an outage leaves the requested case list.
 //
 // A Pool serves one Screen call at a time; concurrent calls serialize.
 type Pool struct {
 	base *grid.Network
 	opts PoolOptions
 
-	runMu sync.Mutex // serializes Screen sweeps
-	mu    sync.Mutex // guards entries/sig/builds within a sweep
+	runMu sync.Mutex // serializes Screen sweeps and resets; guards sig and skel
+	mu    sync.Mutex // guards entries/builds within a sweep
 	sig   *grid.Network
+	// skel is centralized mode's one symbolic build, nil until the first
+	// sweep and after a Reset or a topology change. A sweep's workers only
+	// read it.
+	skel *skeleton
 	// entries maps outage branch index -> cached per-contingency session.
 	entries map[int]*caseSession
 	builds  int // cumulative skeleton builds over the pool's lifetime
+}
+
+// frameFilter projects telemetry frames onto a network: everything but the
+// flows metered on branches the network has out of service.
+type frameFilter struct {
+	net  *grid.Network
+	keep []int32 // kept measurement index -> frame index
+	// nFrame is the frame length the keep mapping was built against.
+	nFrame  int
+	scratch []meas.Measurement // the last frame's projection
+}
+
+// skeleton is the base-case estimation stack of a centralized pool: the
+// model over the frame's projection onto the base network and the engine
+// whose plans, gain pattern and LDLᵀ analysis every outage entry shares.
+type skeleton struct {
+	frameFilter
+	mod  *meas.Model
+	eng  *wls.Engine
+	seed sweepSeed // of the frame last loaded
+}
+
+// sweepSeed is the base-case estimate of one frame, solved before the
+// workers start by a sweep with a case that has no solution of its own yet:
+// the start of every such case.
+type sweepSeed struct {
+	x     []float64 // nil when not solved, or the base case did not solve
+	stats SweepStats
 }
 
 // caseSession is one outage's cached stack. During a sweep each case is
@@ -147,20 +188,19 @@ type Pool struct {
 type caseSession struct {
 	outage int
 
-	// Centralized mode.
-	net  *grid.Network
-	mod  *meas.Model
-	eng  *wls.Engine
-	keep []int32 // model measurement index -> frame index
-	// nGlobal is the frame length the keep mapping was built against.
-	nGlobal  int
-	scratch  []meas.Measurement
+	// Centralized mode: a view of the skeleton's model and a clone of its
+	// engine, the outaged branch's flow rows (masked, ascending) and the
+	// case's last solution.
+	mod      *meas.Model
+	eng      *wls.Engine
+	masked   []int
 	warm     []float64
 	haveWarm bool
 
 	// Distributed mode.
-	dec *core.Decomposition
-	trk *core.Tracker
+	dec    *core.Decomposition
+	trk    *core.Tracker
+	filter frameFilter
 }
 
 // NewPool prepares a what-if estimation pool over the base network. In
@@ -186,21 +226,24 @@ func (p *Pool) SkeletonBuilds() int {
 	return p.builds
 }
 
-// Reset drops every cached entry. The next sweep rebuilds from scratch.
+// Reset drops the skeleton and every cached entry. The next sweep rebuilds
+// from scratch.
 func (p *Pool) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.runMu.Lock()
+	defer p.runMu.Unlock()
+	p.skel = nil
 	p.entries = make(map[int]*caseSession)
 }
 
 // ResetAnchors keeps the skeletons but drops every numeric carry — warm
 // starts, drift-gated reuse anchors, cached preconditioners (centralized:
-// Engine.ColdStart; distributed: Tracker.Reset, which also drops the
-// tracker's session skeletons since its warm layout dies with them). The
-// next sweep re-anchors from flat starts and full refreshes.
+// Engine.ColdStart, which keeps the outage's masks; distributed:
+// Tracker.Reset, which also drops the tracker's session skeletons since its
+// warm layout dies with them). The next sweep re-anchors from the base-case
+// estimate (centralized) or flat starts and full refreshes.
 func (p *Pool) ResetAnchors() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.runMu.Lock()
+	defer p.runMu.Unlock()
 	for _, e := range p.entries {
 		if e.eng != nil {
 			e.eng.ColdStart()
@@ -257,16 +300,28 @@ func (p *Pool) Screen(ctx context.Context, frame []meas.Measurement, ratings []f
 	}
 
 	p.invalidate(cases)
+	chk := newIslandChecker(p.base)
+	islanding := make([]bool, len(cases))
+	for k, out := range cases {
+		islanding[k] = chk.islands(out)
+	}
+	if p.opts.Decomposition == nil {
+		if err := p.loadFrame(frame); err != nil {
+			return nil, SweepStats{}, err
+		}
+		if p.needsSeed(cases, islanding) {
+			p.skel.solveSeed(ctx, p.opts.WLS)
+		}
+	}
 
 	results := make([]CaseEstimate, len(cases))
 	perCase := make([]SweepStats, len(cases))
-	chk := newIslandChecker(p.base)
 	err := schedule(ctx, len(cases), opts.Workers, opts.Scheduling, func(k int) error {
 		out := cases[k]
 		ce := CaseEstimate{Result: Result{Outage: out}}
 		st := &perCase[k]
 		st.Cases = 1
-		if chk.islands(out) {
+		if islanding[k] {
 			ce.Islanding = true
 			st.Islanding = 1
 			results[k] = ce
@@ -290,6 +345,9 @@ func (p *Pool) Screen(ctx context.Context, frame []meas.Measurement, ratings []f
 	for _, st := range perCase {
 		stats.add(st)
 	}
+	if p.skel != nil {
+		stats.add(p.skel.seed.stats)
+	}
 	p.mu.Lock()
 	p.builds += stats.SkeletonBuilds
 	p.mu.Unlock()
@@ -300,9 +358,8 @@ func (p *Pool) Screen(ctx context.Context, frame []meas.Measurement, ratings []f
 // drop everything when the base topology changed since the last snapshot,
 // and prune entries whose outage left the requested case list.
 func (p *Pool) invalidate(cases []int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if !sameTopology(p.base, p.sig) {
+		p.skel = nil
 		p.entries = make(map[int]*caseSession)
 		p.sig = p.base.Clone()
 		return
@@ -318,6 +375,66 @@ func (p *Pool) invalidate(cases []int) {
 	}
 }
 
+// loadFrame folds the frame into the centralized skeleton, values only:
+// one projection and one UpdateValues per sweep, which every entry sees
+// through the measurement slice it shares. A first frame, or one whose
+// layout drifted past what UpdateValues accepts, builds the skeleton anew
+// and drops the entries cloned from the old one.
+func (p *Pool) loadFrame(frame []meas.Measurement) error {
+	if sk := p.skel; sk != nil {
+		sk.project(frame)
+		err := sk.mod.UpdateValues(sk.scratch)
+		if err == nil {
+			sk.mod.SetRefAngle(refAngleFrom(sk.scratch, p.base.Buses[sk.mod.RefBus()].ID))
+			sk.seed = sweepSeed{}
+			return nil
+		}
+		if errors.Is(err, meas.ErrBadMeasurement) {
+			return fmt.Errorf("contingency: base case: %w", err) // a bad frame, not a new layout
+		}
+	}
+	p.skel = nil
+	p.entries = make(map[int]*caseSession)
+	sk := &skeleton{frameFilter: frameFilter{net: p.base}}
+	sk.rebuild(frame)
+	ms := append([]meas.Measurement(nil), sk.scratch...)
+	ref := p.base.SlackIndex()
+	mod, err := meas.NewModel(p.base, ms, ref, refAngleFrom(ms, p.base.Buses[ref].ID))
+	if err != nil {
+		return fmt.Errorf("contingency: base case: %w", err)
+	}
+	sk.mod, sk.eng = mod, wls.NewEngine(mod)
+	p.skel = sk
+	return nil
+}
+
+// needsSeed reports whether the sweep estimates a case with no solution of
+// its own to start from: a non-islanding outage with no entry yet, or one
+// whose carry ResetAnchors dropped.
+func (p *Pool) needsSeed(cases []int, islanding []bool) bool {
+	for k, out := range cases {
+		if e := p.entries[out]; !islanding[k] && (e == nil || !e.haveWarm) {
+			return true
+		}
+	}
+	return false
+}
+
+// solveSeed runs the base-case estimate of the loaded frame on the
+// skeleton's engine, flat start and exact Gauss–Newton, so the seed depends
+// on the frame alone. It also leaves the engine factored, so every clone
+// made in the sweep shares the LDLᵀ analysis. A base case that does not
+// solve leaves no seed, and the cases start flat and report for themselves.
+func (sk *skeleton) solveSeed(ctx context.Context, wopts wls.Options) {
+	wopts.GainReuse = wls.ReuseOff
+	res, err := sk.eng.EstimateCtx(ctx, wopts)
+	if err != nil {
+		return
+	}
+	sk.seed.x = res.X
+	sk.seed.stats.addResult(res)
+}
+
 // runCase estimates one non-islanding outage, building or refreshing its
 // cached stack.
 func (p *Pool) runCase(ctx context.Context, out int, frame []meas.Measurement, ce *CaseEstimate, st *SweepStats) error {
@@ -328,16 +445,14 @@ func (p *Pool) runCase(ctx context.Context, out int, frame []meas.Measurement, c
 	if p.opts.Decomposition != nil {
 		return p.runDistributed(ctx, out, e, frame, ce, st)
 	}
-	return p.runCentralized(ctx, out, e, frame, ce, st)
+	return p.runCentralized(ctx, out, e, ce, st)
 }
 
-func (p *Pool) runCentralized(ctx context.Context, out int, e *caseSession, frame []meas.Measurement, ce *CaseEstimate, st *SweepStats) error {
-	if e != nil && !e.refreshCentralized(frame) {
-		e = nil // layout drift: rebuild below
-	}
+func (p *Pool) runCentralized(ctx context.Context, out int, e *caseSession, ce *CaseEstimate, st *SweepStats) error {
+	sk := p.skel
 	if e == nil {
 		var err error
-		if e, err = p.buildCentralized(out, frame); err != nil {
+		if e, err = sk.outage(out); err != nil {
 			return err
 		}
 		st.SkeletonBuilds++
@@ -345,17 +460,22 @@ func (p *Pool) runCentralized(ctx context.Context, out int, e *caseSession, fram
 		p.entries[out] = e
 		p.mu.Unlock()
 	}
+	e.mod.SetRefAngle(sk.mod.RefAngle())
 
 	wopts := p.opts.WLS
 	if wopts.GainReuse == wls.ReuseAuto {
 		wopts.GainReuse = wls.ReuseGain
 	}
-	if e.haveWarm && len(e.warm) == e.mod.NState() && wopts.X0 == nil {
-		wopts.X0 = e.warm
-		if wopts.X0Gate == 0 {
+	if wopts.X0 == nil {
+		if e.haveWarm {
+			wopts.X0 = e.warm
+			st.WarmStarts++
+		} else {
+			wopts.X0 = sk.seed.x
+		}
+		if wopts.X0 != nil && wopts.X0Gate == 0 {
 			wopts.X0Gate = wls.WarmStartGate
 		}
-		st.WarmStarts++
 	}
 	res, err := e.eng.EstimateCtx(ctx, wopts)
 	if err != nil {
@@ -363,7 +483,16 @@ func (p *Pool) runCentralized(ctx context.Context, out int, e *caseSession, fram
 	}
 	// A copy: res.X goes to the caller, who may edit it in place.
 	e.warm, e.haveWarm = append(e.warm[:0], res.X...), true
+	// The masked rows are not the case's measurements: without them m − n,
+	// and J (their weight is zero), read as on the outaged network's own set.
+	res.Residuals = dropRows(res.Residuals, e.masked)
 	ce.Estimate = res
+	st.addResult(res)
+	return nil
+}
+
+// addResult accumulates one solve's counters.
+func (st *SweepStats) addResult(res *wls.Result) {
 	st.GNIterations += res.Iterations
 	st.CGIterations += res.CGIterations
 	st.GainRefreshes += res.GainRefreshes
@@ -371,7 +500,47 @@ func (p *Pool) runCentralized(ctx context.Context, out int, e *caseSession, fram
 	st.PrecondSkips += res.PrecondSkips
 	st.ReuseFallbacks += res.ReuseFallbacks
 	st.PrecondFallbacks += res.PrecondFallbacks
-	return nil
+}
+
+// outage clones the skeleton for one outage: the model view with the
+// branch's admittance out, an engine on the shared plans, and the branch's
+// own flow rows masked.
+func (sk *skeleton) outage(out int) (*caseSession, error) {
+	mod, err := sk.mod.WithoutBranch(out)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := sk.eng.CloneFor(mod)
+	if err != nil {
+		return nil, err
+	}
+	e := &caseSession{outage: out, mod: mod, eng: eng}
+	for i, m := range mod.Meas {
+		if (m.Kind == meas.Pflow || m.Kind == meas.Qflow) && m.Branch == out {
+			if err := eng.MaskMeasurement(i); err != nil {
+				return nil, err
+			}
+			e.masked = append(e.masked, i)
+		}
+	}
+	return e, nil
+}
+
+// dropRows removes the given ascending rows from r in place.
+func dropRows(r []float64, rows []int) []float64 {
+	if len(rows) == 0 {
+		return r
+	}
+	w := rows[0]
+	for i := rows[0]; i < len(r); i++ {
+		if len(rows) > 0 && rows[0] == i {
+			rows = rows[1:]
+			continue
+		}
+		r[w] = r[i]
+		w++
+	}
+	return r[:w]
 }
 
 func (p *Pool) runDistributed(ctx context.Context, out int, e *caseSession, frame []meas.Measurement, ce *CaseEstimate, st *SweepStats) error {
@@ -380,18 +549,18 @@ func (p *Pool) runDistributed(ctx context.Context, out int, e *caseSession, fram
 		if err != nil {
 			return err
 		}
-		e = &caseSession{outage: out, net: dec.Net, dec: dec, trk: core.NewTracker(dec, p.opts.DSE)}
+		e = &caseSession{outage: out, dec: dec, trk: core.NewTracker(dec, p.opts.DSE), filter: frameFilter{net: dec.Net}}
 		st.SkeletonBuilds++
 		p.mu.Lock()
 		p.entries[out] = e
 		p.mu.Unlock()
 	}
-	e.filterFrame(frame)
+	e.filter.project(frame)
 	if e.trk.Frames > 0 {
 		st.WarmStarts++
 	}
 	b0 := e.trk.SkeletonBuilds()
-	res, err := e.trk.Step(ctx, e.scratch)
+	res, err := e.trk.Step(ctx, e.filter.scratch)
 	st.SkeletonBuilds += e.trk.SkeletonBuilds() - b0
 	if err != nil {
 		return err
@@ -407,98 +576,56 @@ func (p *Pool) runDistributed(ctx context.Context, out int, e *caseSession, fram
 	return nil
 }
 
-// buildCentralized constructs an outage's centralized stack: the perturbed
-// network, the frame filtered of measurements on the outaged branch, the
-// measurement model over the perturbed topology, and a fresh engine with
-// its symbolic plans.
-func (p *Pool) buildCentralized(out int, frame []meas.Measurement) (*caseSession, error) {
-	pnet := p.base.Clone()
-	pnet.Branches[out].Status = false
-	e := &caseSession{outage: out, net: pnet}
-	e.rebuildKeep(frame)
-	ms := append([]meas.Measurement(nil), e.scratch...)
-	ref := pnet.SlackIndex()
-	mod, err := meas.NewModel(pnet, ms, ref, refAngleFrom(ms, pnet.Buses[ref].ID))
-	if err != nil {
-		return nil, err
-	}
-	e.mod, e.eng = mod, wls.NewEngine(mod)
-	return e, nil
-}
-
-// dropMeas reports whether a frame measurement cannot exist on the
-// perturbed topology: a flow on the outaged branch or on any branch that is
-// out of service in the base case.
-func (e *caseSession) dropMeas(m meas.Measurement) bool {
+// drops reports whether a frame measurement cannot exist on the filter's
+// network: a flow on a branch that is out of service there (or unknown).
+func (f *frameFilter) drops(m meas.Measurement) bool {
 	if m.Kind != meas.Pflow && m.Kind != meas.Qflow {
 		return false
 	}
-	return m.Branch < 0 || m.Branch >= len(e.net.Branches) || !e.net.Branches[m.Branch].Status
+	return m.Branch < 0 || m.Branch >= len(f.net.Branches) || !f.net.Branches[m.Branch].Status
 }
 
-// rebuildKeep recomputes the kept-measurement mapping (everything the
-// perturbed topology can carry) and fills scratch with the kept subset.
-func (e *caseSession) rebuildKeep(frame []meas.Measurement) {
-	e.keep = e.keep[:0]
-	e.scratch = e.scratch[:0]
+// rebuild recomputes the kept-measurement mapping (everything the network
+// can carry) and fills scratch with the kept subset.
+func (f *frameFilter) rebuild(frame []meas.Measurement) {
+	f.keep = f.keep[:0]
+	f.scratch = f.scratch[:0]
 	for fi, m := range frame {
-		if e.dropMeas(m) {
+		if f.drops(m) {
 			continue
 		}
-		e.keep = append(e.keep, int32(fi))
-		e.scratch = append(e.scratch, m)
+		f.keep = append(f.keep, int32(fi))
+		f.scratch = append(f.scratch, m)
 	}
-	e.nGlobal = len(frame)
+	f.nFrame = len(frame)
 }
 
-// filterFrame refills scratch with the frame projected onto the perturbed
-// topology (distributed mode's per-sweep frame projection), reusing the
-// kept-index mapping while the frame layout holds.
-func (e *caseSession) filterFrame(frame []meas.Measurement) {
-	if len(frame) != e.nGlobal || len(e.keep) == 0 {
-		e.rebuildKeep(frame)
+// project refills scratch with the frame projected onto the network,
+// reusing the kept-index mapping while the frame layout holds.
+func (f *frameFilter) project(frame []meas.Measurement) {
+	if len(frame) != f.nFrame || len(f.keep) == 0 {
+		f.rebuild(frame)
 		return
 	}
 	dropped := 0
 	for _, m := range frame {
-		if e.dropMeas(m) {
+		if f.drops(m) {
 			dropped++
 		}
 	}
-	if len(e.keep)+dropped != len(frame) {
-		e.rebuildKeep(frame)
+	if len(f.keep)+dropped != len(frame) {
+		f.rebuild(frame)
 		return
 	}
-	e.scratch = e.scratch[:0]
-	for _, fi := range e.keep {
+	f.scratch = f.scratch[:0]
+	for _, fi := range f.keep {
 		m := frame[fi]
-		if e.dropMeas(m) {
-			e.rebuildKeep(frame)
+		if f.drops(m) {
+			f.rebuild(frame)
 			return
 		}
-		e.scratch = append(e.scratch, m)
+		f.scratch = append(f.scratch, m)
 	}
-}
-
-// refreshCentralized folds a new frame into the cached model, values only.
-// It reports false when the frame layout drifted past what UpdateValues
-// accepts — the caller then rebuilds the entry.
-func (e *caseSession) refreshCentralized(frame []meas.Measurement) bool {
-	if len(frame) != e.nGlobal {
-		return false
-	}
-	e.scratch = e.scratch[:0]
-	for _, fi := range e.keep {
-		e.scratch = append(e.scratch, frame[fi])
-	}
-	if len(e.scratch) != len(e.mod.Meas) {
-		return false
-	}
-	if err := e.mod.UpdateValues(e.scratch); err != nil {
-		return false
-	}
-	e.mod.SetRefAngle(refAngleFrom(e.scratch, e.net.Buses[e.mod.RefBus()].ID))
-	return true
 }
 
 // refAngleFrom returns the telemetered PMU angle at the reference bus, or 0

@@ -29,10 +29,11 @@ func poolFrames(t *testing.T, n *grid.Network, plan []meas.Measurement) (f1, f2 
 	return f1, f2
 }
 
-// denseOracle estimates one outage cold with the dense normal-equations
-// solver on a perturbed network and measurement model built here, sharing
-// neither the pool's session plumbing nor the sparse solve path.
-func denseOracle(t *testing.T, n *grid.Network, out int, frame []meas.Measurement) *wls.Result {
+// rebuiltOutage estimates one outage cold the slow way — a copy of the
+// network with the branch out, a measurement model over the frame without
+// that branch's flows, a fresh engine — sharing none of the pool's skeleton,
+// views or clones.
+func rebuiltOutage(t *testing.T, n *grid.Network, out int, frame []meas.Measurement, opts wls.Options) *wls.Result {
 	t.Helper()
 	pnet := n.Clone()
 	pnet.Branches[out].Status = false
@@ -50,13 +51,20 @@ func denseOracle(t *testing.T, n *grid.Network, out int, frame []meas.Measuremen
 	}
 	mod, err := meas.NewModel(pnet, ms, ref, refAngle)
 	if err != nil {
-		t.Fatalf("outage %d: oracle model: %v", out, err)
+		t.Fatalf("outage %d: rebuilt model: %v", out, err)
 	}
-	res, err := wls.Estimate(mod, wls.Options{Solver: wls.Dense, Tol: 1e-9})
+	res, err := wls.NewEngine(mod).Estimate(opts)
 	if err != nil {
-		t.Fatalf("outage %d: oracle estimate: %v", out, err)
+		t.Fatalf("outage %d: rebuilt estimate: %v", out, err)
 	}
 	return res
+}
+
+// denseOracle is rebuiltOutage on the dense normal-equations solver, so it
+// shares the sparse solve path with the pool neither.
+func denseOracle(t *testing.T, n *grid.Network, out int, frame []meas.Measurement) *wls.Result {
+	t.Helper()
+	return rebuiltOutage(t, n, out, frame, wls.Options{Solver: wls.Dense, Tol: 1e-9})
 }
 
 // TestPoolRescreenEquivalence is the pool's acceptance test: re-screening

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 )
@@ -41,23 +42,10 @@ func BuildYBus(n *Network) *YBus {
 		}
 		f := n.MustIndex(br.From)
 		t := n.MustIndex(br.To)
-		den := br.R*br.R + br.X*br.X
-		gs := br.R / den
-		bs := -br.X / den
-		tap := br.Tap
-		if tap == 0 {
-			tap = 1
-		}
-		cosS, sinS := math.Cos(br.Shift), math.Sin(br.Shift)
-		bc2 := br.B / 2
-
+		ff, tt, ft, tf := branchTerms(br)
 		terms = append(terms,
-			term{f, f, gs / (tap * tap), (bs + bc2) / (tap * tap)}, // Yff
-			term{t, t, gs, bs + bc2},                               // Ytt
-			// Yft = −(ys·e^{+jθ})/τ
-			term{f, t, -(gs*cosS - bs*sinS) / tap, -(bs*cosS + gs*sinS) / tap},
-			// Ytf = −(ys·e^{−jθ})/τ
-			term{t, f, -(gs*cosS + bs*sinS) / tap, -(bs*cosS - gs*sinS) / tap})
+			term{f, f, ff.g, ff.b}, term{t, t, tt.g, tt.b},
+			term{f, t, ft.g, ft.b}, term{t, f, tf.g, tf.b})
 	}
 	for i, bus := range n.Buses {
 		if bus.Gs != 0 || bus.Bs != 0 {
@@ -110,6 +98,91 @@ func BuildYBus(n *Network) *YBus {
 		}
 	}
 	return y
+}
+
+// admittance is one term g + jb of an admittance-matrix entry.
+type admittance struct{ g, b float64 }
+
+// branchTerms returns the four terms of the two-port model above that a
+// branch adds to the matrix, in the order BuildYBus emits them: Yff, Ytt,
+// Yft, Ytf. It is the one spelling of that arithmetic, so BuildYBus and
+// WithoutBranch agree bit for bit.
+func branchTerms(br Branch) (ff, tt, ft, tf admittance) {
+	den := br.R*br.R + br.X*br.X
+	gs := br.R / den
+	bs := -br.X / den
+	tap := br.Tap
+	if tap == 0 {
+		tap = 1
+	}
+	cosS, sinS := math.Cos(br.Shift), math.Sin(br.Shift)
+	bc2 := br.B / 2
+	return admittance{gs / (tap * tap), (bs + bc2) / (tap * tap)},
+		admittance{gs, bs + bc2},
+		// Yft = −(ys·e^{+jθ})/τ
+		admittance{-(gs*cosS - bs*sinS) / tap, -(bs*cosS + gs*sinS) / tap},
+		// Ytf = −(ys·e^{−jθ})/τ
+		admittance{-(gs*cosS + bs*sinS) / tap, -(bs*cosS - gs*sinS) / tap}
+}
+
+// WithoutBranch returns the admittance matrix of n with in-service branch
+// out taken out, on y's pattern: RowPtr and ColIdx are shared with y, G and
+// B are the copy's own. y must be BuildYBus(n). Only the four entries the
+// branch's terms land on change, and each is summed again from zero over
+// the remaining branches in BuildYBus's order, so every value equals the
+// one BuildYBus computes for the outaged network bit for bit; a bus pair
+// that loses its only branch keeps its two entries as explicit zeros.
+func (y *YBus) WithoutBranch(n *Network, out int) *YBus {
+	v := &YBus{N: y.N, RowPtr: y.RowPtr, ColIdx: y.ColIdx, G: slices.Clone(y.G), B: slices.Clone(y.B)}
+	o := n.Branches[out]
+	// side maps a bus number to 0 (the outage's From bus), 1 (its To bus)
+	// or −1, and at[r][c] is the entry of the block those two buses span
+	// (two distinct buses: New rejects self loops).
+	ends := [2]int{n.MustIndex(o.From), n.MustIndex(o.To)}
+	side := func(id int) int {
+		switch id {
+		case o.From:
+			return 0
+		case o.To:
+			return 1
+		}
+		return -1
+	}
+	var at [2][2]int
+	for r, i := range ends {
+		for c, j := range ends {
+			row := y.ColIdx[y.RowPtr[i]:y.RowPtr[i+1]]
+			k, ok := slices.BinarySearch(row, j)
+			if !ok {
+				panic(fmt.Sprintf("grid: admittance matrix has no entry (%d,%d) for branch %d", i, j, out))
+			}
+			at[r][c] = y.RowPtr[i] + k
+			v.G[at[r][c]], v.B[at[r][c]] = 0, 0
+		}
+	}
+	add := func(r, c int, t admittance) {
+		if r >= 0 && c >= 0 {
+			v.G[at[r][c]] += t.g
+			v.B[at[r][c]] += t.b
+		}
+	}
+	for bi, br := range n.Branches {
+		f, t := side(br.From), side(br.To)
+		if !br.Status || bi == out || f < 0 && t < 0 {
+			continue
+		}
+		ff, tt, ft, tf := branchTerms(br)
+		add(f, f, ff)
+		add(t, t, tt)
+		add(f, t, ft)
+		add(t, f, tf)
+	}
+	for r, i := range ends {
+		if bus := n.Buses[i]; bus.Gs != 0 || bus.Bs != 0 {
+			add(r, r, admittance{bus.Gs / n.BaseMVA, bus.Bs / n.BaseMVA})
+		}
+	}
+	return v
 }
 
 // At returns Y(i,j) as (g, b); zero if not stored.

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -67,11 +68,10 @@ func mapYBus(n *Network) *YBus {
 	return y
 }
 
-// TestBuildYBusBitwiseMatchesMapAssembly: the bucketed assembly keeps the
-// map version's summation order inside every entry, so pattern and values
-// are identical to the last bit — signs of zero included, which a lossless
-// line produces.
-func TestBuildYBusBitwiseMatchesMapAssembly(t *testing.T) {
+// ybusTestNetworks returns the IEEE cases, two synthetic WECC sizes and a
+// four-bus network of awkward branches.
+func ybusTestNetworks(t *testing.T) []*Network {
+	t.Helper()
 	nets := []*Network{Case14(), Case30(), Case118()}
 	for _, areas := range []int{2, 12} {
 		n, err := SynthWECC(SynthOptions{Areas: areas, Seed: 1})
@@ -95,8 +95,15 @@ func TestBuildYBusBitwiseMatchesMapAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets = append(nets, odd)
+	return append(nets, odd)
+}
 
+// TestBuildYBusBitwiseMatchesMapAssembly: the bucketed assembly keeps the
+// map version's summation order inside every entry, so pattern and values
+// are identical to the last bit — signs of zero included, which a lossless
+// line produces.
+func TestBuildYBusBitwiseMatchesMapAssembly(t *testing.T) {
+	nets := ybusTestNetworks(t)
 	for _, n := range nets {
 		got, want := BuildYBus(n), mapYBus(n)
 		if got.N != want.N || got.NNZ() != want.NNZ() {
@@ -114,6 +121,52 @@ func TestBuildYBusBitwiseMatchesMapAssembly(t *testing.T) {
 				t.Fatalf("%s: entry %d = (%d, %v, %v), want (%d, %v, %v)", n.Name, k,
 					got.ColIdx[k], got.G[k], got.B[k], want.ColIdx[k], want.G[k], want.B[k])
 			}
+		}
+	}
+}
+
+// TestYBusWithoutBranchMatchesRebuild: taking any in-service branch out of
+// the assembled matrix gives, on the shared pattern, the values BuildYBus
+// computes for the outaged network bit for bit — one of two parallel
+// circuits, a shifter and a shunted bus included — and an explicit +0 where
+// the rebuilt matrix stores nothing.
+func TestYBusWithoutBranchMatchesRebuild(t *testing.T) {
+	for _, n := range ybusTestNetworks(t) {
+		y := BuildYBus(n)
+		g0, b0 := slices.Clone(y.G), slices.Clone(y.B)
+		for out, br := range n.Branches {
+			if !br.Status || len(n.Branches) > 400 && out%7 != 0 {
+				continue // every branch of the small networks, a sample of the WECC ones
+			}
+			got := y.WithoutBranch(n, out)
+			if &got.RowPtr[0] != &y.RowPtr[0] || &got.ColIdx[0] != &y.ColIdx[0] {
+				t.Fatalf("%s outage %d: the pattern was copied", n.Name, out)
+			}
+			pn := n.Clone()
+			pn.Branches[out].Status = false
+			want := BuildYBus(pn)
+			stored := 0
+			for i := 0; i < got.N; i++ {
+				for k := got.RowPtr[i]; k < got.RowPtr[i+1]; k++ {
+					j := got.ColIdx[k]
+					wg, wb := want.At(i, j)
+					if math.Float64bits(got.G[k]) != math.Float64bits(wg) || math.Float64bits(got.B[k]) != math.Float64bits(wb) {
+						t.Fatalf("%s outage %d: Y(%d,%d) = (%v, %v), rebuilt (%v, %v)", n.Name, out, i, j, got.G[k], got.B[k], wg, wb)
+					}
+				}
+				// The rebuilt row's entries are all on the pattern.
+				for k := want.RowPtr[i]; k < want.RowPtr[i+1]; k++ {
+					if _, ok := slices.BinarySearch(got.ColIdx[got.RowPtr[i]:got.RowPtr[i+1]], want.ColIdx[k]); ok {
+						stored++
+					}
+				}
+			}
+			if stored != want.NNZ() {
+				t.Fatalf("%s outage %d: %d of the rebuilt matrix's %d entries are on the pattern", n.Name, out, stored, want.NNZ())
+			}
+		}
+		if !slices.Equal(y.G, g0) || !slices.Equal(y.B, b0) {
+			t.Fatalf("%s: WithoutBranch wrote to the base matrix", n.Name)
 		}
 	}
 }

@@ -110,6 +110,32 @@ func (mod *Model) NewJacobianPlan() *JacobianPlan {
 	}
 }
 
+// CloneFor returns a plan for view, a WithoutBranch view of the plan's model
+// (or that model itself), that shares every index array with pl — H's
+// RowPtr and ColIdx and the slot map — and owns only H.Val and its state
+// load: the pattern is the kernel's and the admittance pattern's, which a
+// view shares with its base.
+func (pl *JacobianPlan) CloneFor(view *Model) (*JacobianPlan, error) {
+	if !sameBacking(view.k.ops, pl.mod.k.ops) || !sameBacking(view.y.ColIdx, pl.mod.y.ColIdx) {
+		return nil, fmt.Errorf("meas: JacobianPlan clone for a model that does not share the plan's kernel")
+	}
+	nnz := pl.H.NNZ()
+	val := make([]float64, nnz+1)
+	return &JacobianPlan{
+		mod:   view,
+		H:     &sparse.CSR{Rows: pl.H.Rows, Cols: pl.H.Cols, RowPtr: pl.H.RowPtr, ColIdx: pl.H.ColIdx, Val: val[:nnz:nnz]},
+		val:   val,
+		slots: pl.slots,
+		st:    view.newStateLoad(),
+		x:     make([]float64, view.NState()),
+	}, nil
+}
+
+// sameBacking reports whether two slices are the same stretch of one array.
+func sameBacking[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // Rebind points the plan at a structurally identical model (same network
 // admittances and measurement set up to values), so a rebuilt model — a
 // fresh telemetry frame, a re-assembled DSE subproblem — keeps reusing the

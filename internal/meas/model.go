@@ -92,6 +92,7 @@ type Model struct {
 
 	y        *grid.YBus
 	k        kernel
+	out      int   // branch WithoutBranch took out, −1 on a model NewModel built
 	refBus   int   // internal index of the angle-reference bus
 	angPos   []int // internal bus index -> angle position in x, -1 for ref
 	nAngles  int
@@ -157,7 +158,7 @@ func NewModel(n *grid.Network, ms []Measurement, ref int, refAngle float64) (*Mo
 		}
 	}
 	mod := &Model{
-		Net: n, Meas: ms, y: grid.BuildYBus(n),
+		Net: n, Meas: ms, y: grid.BuildYBus(n), out: -1,
 		refBus: ref, refAngle: refAngle,
 	}
 	mod.angPos = make([]int, n.N())
@@ -173,6 +174,39 @@ func NewModel(n *grid.Network, ms []Measurement, ref int, refAngle float64) (*Mo
 	mod.nAngles = pos
 	mod.compile(ops)
 	return mod, nil
+}
+
+// WithoutBranch returns a view of the model with in-service branch br taken
+// out: what NewModel builds on a copy of Net with that branch out of
+// service, at the cost of one copy of the admittance values. The view
+// shares the compiled kernel, the admittance pattern, the state layout and
+// the measurement slice with mod — an UpdateValues through either reaches
+// both, and must not run while the other evaluates — and owns its
+// admittance values (grid.YBus.WithoutBranch) and its reference angle. Its
+// Net is mod's and still lists the branch in service.
+//
+// h(x) and H(x) of every row but the flows metered on br itself are, bit for
+// bit, those of the rebuilt model: the four admittance entries that change
+// are summed again in BuildYBus's order, and where a bus pair loses its only
+// branch the entry stays as an explicit zero, which adds ±0 to an injection
+// and writes ±0 into the Jacobian entries the rebuilt pattern does not have.
+// The flow rows of br keep the branch's constants and mean nothing; the
+// caller masks them (wls.Engine.MaskMeasurement). Net's branch and shunt
+// parameters must be what NewModel saw.
+func (mod *Model) WithoutBranch(br int) (*Model, error) {
+	if mod.out >= 0 {
+		return nil, fmt.Errorf("meas: WithoutBranch on a view that already has branch %d out", mod.out)
+	}
+	if br < 0 || br >= len(mod.Net.Branches) {
+		return nil, fmt.Errorf("meas: WithoutBranch: unknown branch %d", br)
+	}
+	if !mod.Net.Branches[br].Status {
+		return nil, fmt.Errorf("meas: WithoutBranch: branch %d is already out of service", br)
+	}
+	v := *mod
+	v.y = mod.y.WithoutBranch(mod.Net, br)
+	v.out = br
+	return &v, nil
 }
 
 // NState returns the state dimension: (#buses − 1) angles + #buses magnitudes.
@@ -311,7 +345,7 @@ func (mod *Model) SameStructure(other *Model) bool {
 	}
 	// refAngle is deliberately not compared: it is a per-frame measurement
 	// value (see SetRefAngle), and no symbolic plan depends on it.
-	if mod.refBus != other.refBus {
+	if mod.refBus != other.refBus || mod.out != other.out {
 		return false
 	}
 	a, b := mod.Net, other.Net

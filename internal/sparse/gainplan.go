@@ -153,6 +153,20 @@ func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
 	return gp
 }
 
+// SharePattern returns a plan for another H of the same pattern that shares
+// every index array with gp — the column lists, the permutation map, the
+// work prefix and G's pattern — and owns only G.Val and its accumulators.
+// The two plans refresh independently, also concurrently.
+func (gp *GainPlan) SharePattern() *GainPlan {
+	return &GainPlan{
+		G:      gp.G.SharePattern(),
+		colPtr: gp.colPtr, colVal: gp.colVal, colRow: gp.colRow, col: gp.col,
+		rowWork: gp.rowWork,
+		acc:     [][]float64{make([]float64, gp.G.Rows)},
+		hnnz:    gp.hnnz, hrows: gp.hrows, emptyRow: gp.emptyRow,
+	}
+}
+
 // EmptyRow returns the first row of G without an entry, or -1 if there is
 // none: a column of H (the same index, under natural ordering) that no row
 // of H touches. G lacks that diagonal, so it is singular whatever the weights.

@@ -16,7 +16,7 @@ import (
 // symbolic half, paid once per sparsity pattern: the factor's own
 // fill-reducing permutation (MinDegree), the permuted upper triangle with a
 // gather map into the source matrix's value array, the elimination tree and
-// the column counts that size L exactly. Refresh is the numeric half: an
+// the pattern of L. Refresh is the numeric half: an
 // up-looking factorization (Davis, "Algorithm 849: a concise sparse
 // Cholesky factorization package") that rewrites L and D in place and
 // allocates nothing. The permutation lives inside the factor — Apply takes
@@ -25,10 +25,13 @@ import (
 //
 // A factor is not safe for concurrent use: Refresh and Apply share scratch.
 type LDLFactor struct {
+	// The analysis: everything down to lRow depends on the pattern alone, is
+	// never written after AnalyzeLDL, and is shared by SharePattern.
 	n    int
 	perm []int // fill-reducing order, perm[new] = old
 
-	// Pattern of the analyzed matrix; Refresh rejects any other.
+	// Pattern of the analyzed matrix (its own arrays, not copies); Refresh
+	// rejects any other.
 	rowPtr, colIdx []int
 
 	// Strict upper triangle of P·A·Pᵀ by column: column k holds rows
@@ -36,11 +39,12 @@ type LDLFactor struct {
 	// k is a.Val[diagSrc[k]].
 	upPtr, upRow, upSrc, diagSrc []int
 
-	parent []int     // elimination tree (−1 at roots)
-	lPtr   []int     // column pointers of L's strict lower triangle
-	lRow   []int     // row indices, written by Refresh in discovery order
-	lVal   []float64 // L values
-	d      []float64 // D
+	parent []int // elimination tree (−1 at roots)
+	lPtr   []int // column pointers of L's strict lower triangle
+	lRow   []int // row indices, ascending within a column
+
+	lVal []float64 // L values
+	d    []float64 // D
 
 	// Refresh scratch: y accumulates one sparse row of L and is all zero
 	// between rows, also after a breakdown.
@@ -58,7 +62,8 @@ const ldlPivotRelFloor = ic0PivotRelFloor
 // returns a factor with no numeric content: Refresh must succeed before the
 // first Apply. a must be structurally symmetric and store no entry twice;
 // its rows need not be sorted. Values are only ever read from its lower
-// triangle. It fails when a is not square or a diagonal entry is not stored.
+// triangle. The factor keeps a's index arrays, which must not be edited
+// afterwards. It fails when a is not square or a diagonal entry is not stored.
 func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("sparse: LDL requires square matrix, got %dx%d", a.Rows, a.Cols)
@@ -67,8 +72,8 @@ func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 	f := &LDLFactor{
 		n:       n,
 		perm:    MinDegree(a),
-		rowPtr:  slices.Clone(a.RowPtr),
-		colIdx:  slices.Clone(a.ColIdx),
+		rowPtr:  a.RowPtr,
+		colIdx:  a.ColIdx,
 		upPtr:   make([]int, n+1),
 		diagSrc: make([]int, n),
 		parent:  make([]int, n),
@@ -140,7 +145,43 @@ func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 	}
 	f.lRow = make([]int, f.lPtr[n])
 	f.lVal = make([]float64, f.lPtr[n])
+
+	// The same walk again, now with a place for every entry: row k lands in
+	// each column of its pattern, so a column lists its rows ascending.
+	for k := 0; k < n; k++ {
+		f.flag[k] = -1
+		f.lnz[k] = 0
+	}
+	for k := 0; k < n; k++ {
+		f.flag[k] = k
+		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
+			for i := f.upRow[p]; f.flag[i] != k; i = f.parent[i] {
+				f.lRow[f.lPtr[i]+f.lnz[i]] = k
+				f.lnz[i]++
+				f.flag[i] = k
+			}
+		}
+	}
 	return f, nil
+}
+
+// SharePattern returns a factor for another matrix of the analyzed pattern
+// that shares the whole analysis with f — the ordering, the permuted upper
+// triangle, the elimination tree and L's pattern — and owns only L's values,
+// D and its scratch. It has no numeric content until its Refresh succeeds;
+// the two factors refresh and apply independently, also concurrently.
+func (f *LDLFactor) SharePattern() *LDLFactor {
+	c := *f
+	n := f.n
+	c.lVal = make([]float64, len(f.lVal))
+	c.d, c.y, c.w = make([]float64, n), make([]float64, n), make([]float64, n)
+	c.pattern, c.flag, c.lnz = make([]int, n), make([]int, n), make([]int, n)
+	return &c
+}
+
+// sameInts is slices.Equal behind the one-array case, which needs no pass.
+func sameInts(a, b []int) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
 }
 
 // NewLDL analyzes and factors a.
@@ -155,14 +196,17 @@ func NewLDL(a *CSR) (*LDLFactor, error) {
 	return f, nil
 }
 
-// Refresh refactors in place from a matrix with the analyzed pattern. A non-positive, NaN or cancellation-level pivot
-// returns ErrNotSPD; the factor then holds no usable numerics, but its
-// analysis and scratch are intact and a later Refresh may succeed.
+// Refresh refactors in place from a matrix with the analyzed pattern: the
+// analyzed matrix itself or one sharing its index arrays, which is every
+// call the estimator makes, or else one whose arrays compare equal. A
+// non-positive, NaN or cancellation-level pivot returns ErrNotSPD; the
+// factor then holds no usable numerics, but its analysis and scratch are
+// intact and a later Refresh may succeed.
 func (f *LDLFactor) Refresh(a *CSR) error {
 	if a.Rows != f.n || a.Cols != f.n {
 		return fmt.Errorf("sparse: LDL refresh with %dx%d matrix, built for %d", a.Rows, a.Cols, f.n)
 	}
-	if !slices.Equal(a.RowPtr, f.rowPtr) || !slices.Equal(a.ColIdx, f.colIdx) {
+	if !sameInts(a.RowPtr, f.rowPtr) || !sameInts(a.ColIdx, f.colIdx) {
 		return fmt.Errorf("sparse: LDL refresh with changed sparsity pattern")
 	}
 	n, y, pattern, flag, lnz := f.n, f.y, f.pattern, f.flag, f.lnz
@@ -200,7 +244,7 @@ func (f *LDLFactor) Refresh(a *CSR) error {
 			}
 			lki := yi / f.d[i]
 			dk -= lki * yi
-			f.lRow[end], f.lVal[end] = k, lki
+			f.lVal[end] = lki
 			lnz[i]++
 		}
 		// The negated comparison catches NaN as well.

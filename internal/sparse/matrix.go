@@ -218,6 +218,13 @@ func (a *CSR) Clone() *CSR {
 	return b
 }
 
+// SharePattern returns a matrix on a's sparsity pattern — the same RowPtr
+// and ColIdx arrays, not copies — with values of its own, all zero. Neither
+// matrix may edit the index arrays afterwards.
+func (a *CSR) SharePattern() *CSR {
+	return &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: make([]float64, len(a.Val))}
+}
+
 // Scale multiplies every stored entry by s, in place.
 func (a *CSR) Scale(s float64) {
 	for k := range a.Val {

@@ -35,7 +35,8 @@ type JacobiPreconditioner struct {
 }
 
 // NewJacobi builds a Jacobi preconditioner from the diagonal of a. It
-// returns an error if any diagonal entry is zero or not finite.
+// returns an error if any diagonal entry is zero (one that wraps ErrNotSPD)
+// or not finite.
 func NewJacobi(a *CSR) (*JacobiPreconditioner, error) {
 	n := a.Rows
 	if a.Cols < n {
@@ -78,7 +79,10 @@ func (p *JacobiPreconditioner) RefreshBSR(a *BSR) error {
 
 func (p *JacobiPreconditioner) invertDiag() error {
 	for i, v := range p.invDiag {
-		if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		if v == 0 {
+			return fmt.Errorf("sparse: jacobi: zero diagonal entry at %d: %w", i, ErrNotSPD)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("sparse: jacobi: unusable diagonal entry %g at %d", v, i)
 		}
 		p.invDiag[i] = 1 / v

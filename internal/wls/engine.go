@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/meas"
 	"repro/internal/sparse"
@@ -40,6 +41,11 @@ type Engine struct {
 	work                  *sparse.CGWorkspace
 	rhsScratch            []float64 // pooled-transpose partial accumulators
 
+	// masked counts the zero slots MaskMeasurement left in baseW, and
+	// maskedEmpty caches what they leave untouched: the first state only
+	// masked rows of H touch, −1 for none, maskedStale until asked.
+	masked, maskedEmpty int
+
 	pre     sparse.Preconditioner
 	preKind PrecondKind
 	havePre bool
@@ -58,6 +64,8 @@ type Engine struct {
 	hValid bool      // h/r already hold the iterate's values (accepted trial, kept warm start)
 }
 
+const maskedStale = -2
+
 // gainReuse is the numeric-reuse anchor carried across Gauss–Newton
 // iterations and solves. valid flips false whenever G's values are
 // rewritten outside the anchor bookkeeping (ReuseOff solves, SolveLinear,
@@ -74,10 +82,17 @@ type gainReuse struct {
 // iterations that follow (DESIGN §8 has the attribution), so whoever solves
 // the same structure again keeps the engine and Rebinds it.
 func NewEngine(mod *meas.Model) *Engine {
+	jplan := mod.NewJacobianPlan()
+	return newEngine(mod, jplan, sparse.NewGainPlan(jplan.H))
+}
+
+// newEngine allocates an engine's numeric buffers around its two plans.
+func newEngine(mod *meas.Model, jplan *meas.JacobianPlan, gplan *sparse.GainPlan) *Engine {
 	m, n := mod.NMeas(), mod.NState()
 	e := &Engine{
 		mod:    mod,
-		jplan:  mod.NewJacobianPlan(),
+		jplan:  jplan,
+		gplan:  gplan,
 		pool:   sparse.DefaultPool(),
 		baseW:  mod.Weights(),
 		w:      make([]float64, m),
@@ -93,8 +108,27 @@ func NewEngine(mod *meas.Model) *Engine {
 	}
 	e.reuse.x = make([]float64, n)
 	e.reuse.w = make([]float64, m)
-	e.gplan = sparse.NewGainPlan(e.jplan.H)
 	return e
+}
+
+// CloneFor returns an engine for view, a meas.Model.WithoutBranch view of
+// the engine's model, on the engine's symbolic work: the clone shares every
+// index array — H's and G's patterns, the Jacobian slot map, the gain plan's
+// column lists and, once the engine has factored, the whole LDLᵀ analysis —
+// and owns only values and buffers (H.Val, G.Val, L and D, weights,
+// iteration vectors). It starts unmasked and with no numeric carry, as
+// NewEngine(view) would. The shared arrays are never written again, so the
+// two engines, and any number of clones, solve concurrently.
+func (e *Engine) CloneFor(view *meas.Model) (*Engine, error) {
+	jplan, err := e.jplan.CloneFor(view)
+	if err != nil {
+		return nil, err
+	}
+	c := newEngine(view, jplan, e.gplan.SharePattern())
+	if e.ldl != nil {
+		c.ldl = e.ldl.SharePattern()
+	}
+	return c, nil
 }
 
 // ResetReuse drops the drift-gated numeric-reuse anchor: the next gain
@@ -130,9 +164,7 @@ func (e *Engine) Rebind(mod *meas.Model) error {
 		return err
 	}
 	e.mod = mod
-	for i, m := range mod.Meas {
-		e.baseW[i] = 1 / (m.Sigma * m.Sigma)
-	}
+	e.UnmaskAll()
 	return nil
 }
 
@@ -142,13 +174,23 @@ func (e *Engine) Rebind(mod *meas.Model) error {
 // every contribution the row makes to G = HᵀWH, the right-hand side, and
 // the objective, which is numerically equivalent to removing it (adding an
 // exact 0.0 to a floating-point accumulation is an identity). Masks
-// persist across solves on this engine until UnmaskAll; Rebind also resets
-// them, since it recomputes the base weights from the new model's sigmas.
+// persist across solves on this engine until UnmaskAll — ColdStart keeps
+// them; Rebind also resets them, since it recomputes the base weights from
+// the new model's sigmas.
+//
+// A mask is a value: the structural checks the plans make do not see it. So
+// the engine counts masked rows out of the m ≥ n test, and a state that
+// only masked rows touch fails the next solve with ErrUnobservable, as a
+// state no row touches does.
 func (e *Engine) MaskMeasurement(i int) error {
 	if i < 0 || i >= len(e.baseW) {
 		return fmt.Errorf("wls: mask index %d outside [0,%d)", i, len(e.baseW))
 	}
-	e.baseW[i] = 0
+	if e.baseW[i] != 0 {
+		e.baseW[i] = 0
+		e.masked++
+		e.maskedEmpty = maskedStale
+	}
 	return nil
 }
 
@@ -163,6 +205,7 @@ func (e *Engine) UnmaskAll() {
 	for i, m := range e.mod.Meas {
 		e.baseW[i] = 1 / (m.Sigma * m.Sigma)
 	}
+	e.masked = 0
 }
 
 // Estimate runs Gauss–Newton WLS estimation, reusing the engine's plans.
@@ -191,8 +234,8 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 	if maxIter <= 0 {
 		maxIter = 25
 	}
-	if mod.NMeas() < mod.NState() {
-		return nil, fmt.Errorf("%w: %d measurements < %d states", ErrUnobservable, mod.NMeas(), mod.NState())
+	if m := mod.NMeas() - e.masked; m < mod.NState() {
+		return nil, fmt.Errorf("%w: %d measurements < %d states", ErrUnobservable, m, mod.NState())
 	}
 	if err := e.untouchedState(); err != nil {
 		return nil, err
@@ -284,9 +327,31 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 // No solver can move it: the factor finds no diagonal, Jacobi a zero one,
 // and unpreconditioned CG, its right-hand side zero there too, converges
 // and returns the start value as if it were an estimate.
+//
+// Masked rows count as absent: the plan's check is structural and cannot
+// see a zero weight, so with masks set the unmasked rows of H are walked
+// once per change of the mask set.
 func (e *Engine) untouchedState() error {
 	if i := e.gplan.EmptyRow(); i >= 0 {
 		return fmt.Errorf("%w: no measurement touches state %d", ErrUnobservable, i)
+	}
+	if e.masked == 0 {
+		return nil
+	}
+	if e.maskedEmpty == maskedStale {
+		h := e.jplan.H
+		touched := make([]bool, h.Cols)
+		for m, w := range e.baseW {
+			if w != 0 {
+				for _, c := range h.ColIdx[h.RowPtr[m]:h.RowPtr[m+1]] {
+					touched[c] = true
+				}
+			}
+		}
+		e.maskedEmpty = slices.Index(touched, false)
+	}
+	if e.maskedEmpty >= 0 {
+		return fmt.Errorf("%w: only masked measurements touch state %d", ErrUnobservable, e.maskedEmpty)
 	}
 	return nil
 }
@@ -491,6 +556,11 @@ func (e *Engine) solveGain(opts Options, tol float64, lagged bool, res *Result) 
 		return x, nil
 	case PCG:
 		pre, err := e.preconditioner(g, opts.Precond, lagged, res)
+		if errors.Is(err, sparse.ErrNotSPD) {
+			// Not even a diagonal to iterate on: some state moves no
+			// weighted measurement at this iterate.
+			return nil, fmt.Errorf("%w: %v", ErrUnobservable, err)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("wls: preconditioner: %w", err)
 		}
@@ -560,6 +630,15 @@ func (e *Engine) residualWithin(g *sparse.CSR, tol float64) bool {
 // what reports the gain as not positive definite.
 func (e *Engine) preconditioner(g *sparse.CSR, kind PrecondKind, lagged bool, res *Result) (sparse.Preconditioner, error) {
 	if kind == PrecondNone {
+		// Plain CG has no refresh that would trip over a zero diagonal — a
+		// state no weighted measurement moves at this iterate — and would
+		// hand its start value back as an estimate.
+		if !lagged {
+			g.DiagonalInto(e.xTrial)
+			if i := slices.Index(e.xTrial, 0); i >= 0 {
+				return nil, fmt.Errorf("wls: zero gain diagonal at state %d: %w", i, sparse.ErrNotSPD)
+			}
+		}
 		return sparse.IdentityPreconditioner{}, nil
 	}
 	cached := e.havePre && e.preKind == kind

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -398,8 +399,8 @@ func TestLDLAnalysisSurvivesNumericResets(t *testing.T) {
 	}
 	check("Rebind")
 
-	// Every weight zero: G = 0, the factor breaks down on its first pivot,
-	// and the Jacobi stand-in then rejects the zero diagonal.
+	// Every weight zero: the solve is refused before any numerics (no
+	// unmasked measurement is left), and unmasking restores the weights.
 	for i := range modA.Meas {
 		if err := eng.MaskMeasurement(i); err != nil {
 			t.Fatal(err)
@@ -407,6 +408,42 @@ func TestLDLAnalysisSurvivesNumericResets(t *testing.T) {
 	}
 	if _, err := eng.Estimate(opts); err == nil {
 		t.Fatal("estimate on a fully masked model succeeded")
+	}
+	eng.UnmaskAll()
+	check("mask and unmask")
+
+	// A resistive spur's leaf bus seen through one flow row: both its
+	// states keep an unmasked row and m − masked ≥ n, so no count refuses
+	// the solve, but two unknowns share one equation and G is singular. The
+	// factor breaks down and the Jacobi stand-in carries those refreshes.
+	net := modA.Net
+	degree := make(map[int]int)
+	for _, br := range net.Branches {
+		degree[br.From]++
+		degree[br.To]++
+	}
+	spur := slices.IndexFunc(net.Branches, func(br grid.Branch) bool { return degree[br.To] == 1 && br.R != 0 })
+	if spur < 0 {
+		t.Fatal("IEEE-30 has no resistive spur")
+	}
+	leaf, hub := net.Branches[spur].To, net.Branches[spur].From
+	for i, m := range modA.Meas {
+		onSpur := (m.Kind == meas.Pflow || m.Kind == meas.Qflow) && m.Branch == spur
+		atEnds := (m.Kind == meas.Pinj || m.Kind == meas.Qinj) && (m.Bus == leaf || m.Bus == hub)
+		kept := m.Kind == meas.Pflow && m.Branch == spur && m.FromSide
+		if (onSpur || atEnds || m.Kind == meas.Vmag && m.Bus == leaf) && !kept {
+			if err := eng.MaskMeasurement(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	eng.ResetReuse()
+	res, err := eng.Estimate(opts)
+	if err != nil {
+		t.Fatalf("singular but consistent gain: %v", err)
+	}
+	if res.PrecondFallbacks == 0 {
+		t.Fatal("a singular gain factored without a breakdown")
 	}
 	eng.UnmaskAll()
 	check("mask, breakdown and unmask")
