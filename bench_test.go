@@ -1030,8 +1030,9 @@ func BenchmarkGainSolve(b *testing.B) {
 }
 
 // BenchmarkMeasKernel times the compiled measurement kernel on its own, at
-// both sizes: h(x) alone, H(x) alone, and the EvalInto+Refresh pair one
-// Gauss–Newton iterate runs at one state. The state alternates between two
+// both sizes: h(x) alone, H(x) alone, the EvalInto+Refresh pair a refreshing
+// Gauss–Newton iterate runs at one state, and the fused pass of a lagged one
+// (h, r, J and HᵀW·r, no H). The state alternates between two
 // vectors so every iteration pays its state load (a repeated state would be
 // served from the load the plan already holds). trig/op is the number of
 // sines and cosines evaluated per iteration, counted by the plan:
@@ -1059,6 +1060,11 @@ func BenchmarkMeasKernel(b *testing.B) {
 		pl := mod.NewJacobianPlan()
 		xs := [2][]float64{mod.StateToVec(pf.State), mod.FlatVec()}
 		h := make([]float64, mod.NMeas())
+		r, z, w := make([]float64, mod.NMeas()), make([]float64, mod.NMeas()), mod.Weights()
+		for i, m := range mod.Meas {
+			z[i] = m.Value
+		}
+		grad := make([]float64, mod.NState()+1)
 		for _, op := range []struct {
 			name string
 			run  func(x []float64)
@@ -1066,6 +1072,7 @@ func BenchmarkMeasKernel(b *testing.B) {
 			{"eval", func(x []float64) { pl.EvalInto(h, x) }},
 			{"refresh", func(x []float64) { pl.Refresh(x) }},
 			{"eval+refresh", func(x []float64) { pl.EvalInto(h, x); pl.Refresh(x) }},
+			{"grad", func(x []float64) { pl.GradInto(grad, h, r, x, z, w) }},
 		} {
 			b.Run(n.Name+"/"+op.name, func(b *testing.B) {
 				b.ReportAllocs()

@@ -291,31 +291,6 @@ func dcBranchFlow(n *grid.Network, theta []float64, br grid.Branch) float64 {
 	return (theta[f] - theta[t]) / br.X
 }
 
-// acBranchFlow returns the from-side AC active-power flow on a branch (pu),
-// evaluated from a voltage state — the AC counterpart of dcBranchFlow used
-// by the what-if estimation screen. Same two-port model as the measurement
-// layer's Pflow evaluation.
-func acBranchFlow(n *grid.Network, st powerflow.State, br grid.Branch) float64 {
-	den := br.R*br.R + br.X*br.X
-	if den == 0 {
-		return 0
-	}
-	gs, bs := br.R/den, -br.X/den
-	tap := br.Tap
-	if tap == 0 {
-		tap = 1
-	}
-	c0, s0 := math.Cos(br.Shift), math.Sin(br.Shift)
-	gff := gs / (tap * tap)
-	gft := -(gs*c0 - bs*s0) / tap
-	bft := -(bs*c0 + gs*s0) / tap
-	f, t := n.MustIndex(br.From), n.MustIndex(br.To)
-	vf, vt := st.Vm[f], st.Vm[t]
-	th := st.Va[f] - st.Va[t]
-	c, s := math.Cos(th), math.Sin(th)
-	return vf*vf*gff + vf*vt*(gft*c+bft*s)
-}
-
 // Summary condenses a screen into counts: total cases, islanding cases and
 // cases with at least one violation.
 func Summary(results []Result) (cases, islanding, insecure int) {

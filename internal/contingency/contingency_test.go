@@ -3,6 +3,7 @@ package contingency
 import (
 	"context"
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"repro/internal/grid"
@@ -233,12 +234,37 @@ func TestIslandsDisconnectedBase(t *testing.T) {
 	}
 }
 
+// The flow constants resolved once per pool are the two-port model: against
+// the complex-power definition Sf = Vf·conj(If), tap and phase shift
+// included, on every branch of a solved case.
+func TestFromEndFlowMatchesComplexPower(t *testing.T) {
+	n := grid.Case14().Clone()
+	n.Branches[7].Shift = 0.06 // a tapped transformer (4-7), made a phase shifter too
+	st := solved(t, n)
+	for bi, br := range n.Branches {
+		ys := 1 / complex(br.R, br.X)
+		tap := br.Tap
+		if tap == 0 {
+			tap = 1
+		}
+		a := cmplx.Rect(tap, br.Shift)
+		f, to := n.MustIndex(br.From), n.MustIndex(br.To)
+		vf, vt := cmplx.Rect(st.Vm[f], st.Va[f]), cmplx.Rect(st.Vm[to], st.Va[to])
+		want := real(vf * cmplx.Conj((ys+complex(0, br.B/2))/complex(tap*tap, 0)*vf-ys/cmplx.Conj(a)*vt))
+		e := newFromEnd(n, br)
+		if got := e.flow(st); math.Abs(got-want) > 1e-12 {
+			t.Errorf("branch %d: flow %v, Re(Vf·conj(If)) = %v", bi, got, want)
+		}
+	}
+}
+
 func TestACBranchFlowMatchesDCRoughly(t *testing.T) {
 	n := grid.Case14()
 	st := solved(t, n)
 	// Branch 0 (1-2) carries ~1.5 pu AC; the AC evaluation from the solved
 	// state must land in the same range the model's Pflow telemetry would.
-	f := acBranchFlow(n, st, n.Branches[0])
+	e := newFromEnd(n, n.Branches[0])
+	f := e.flow(st)
 	if f < 1.0 || f > 2.0 {
 		t.Fatalf("AC flow on 1-2 = %v pu, expected ~1.5", f)
 	}

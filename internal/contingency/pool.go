@@ -45,7 +45,7 @@ type PoolOptions struct {
 
 // CaseEstimate is one what-if estimation case: the screening verdict plus
 // the full estimator output it was derived from. Violations hold AC flows
-// (acBranchFlow on the estimated post-outage state) rather than Screen's DC
+// (fromEnd.flow on the estimated post-outage state) rather than Screen's DC
 // surrogates.
 type CaseEstimate struct {
 	Result
@@ -142,9 +142,12 @@ type Pool struct {
 	base *grid.Network
 	opts PoolOptions
 
-	runMu sync.Mutex // serializes Screen sweeps and resets; guards sig and skel
+	runMu sync.Mutex // serializes Screen sweeps and resets; guards sig, ends and skel
 	mu    sync.Mutex // guards entries/builds within a sweep
 	sig   *grid.Network
+	// ends has the from-side flow constants of every in-service branch of
+	// sig, resolved once per topology for the violation scan of every case.
+	ends []fromEnd
 	// skel is centralized mode's one symbolic build, nil until the first
 	// sweep and after a Reset or a topology change. A sweep's workers only
 	// read it.
@@ -210,12 +213,21 @@ func NewPool(n *grid.Network, opts PoolOptions) (*Pool, error) {
 	if opts.Decomposition != nil && opts.Decomposition.Net != n {
 		return nil, fmt.Errorf("contingency: pool decomposition is over a different network")
 	}
-	return &Pool{
-		base:    n,
-		opts:    opts,
-		sig:     n.Clone(),
-		entries: make(map[int]*caseSession),
-	}, nil
+	p := &Pool{base: n, opts: opts, entries: make(map[int]*caseSession)}
+	p.sign()
+	return p, nil
+}
+
+// sign records the base network's topology as the one the pool's cached
+// state is valid for.
+func (p *Pool) sign() {
+	p.sig = p.base.Clone()
+	p.ends = make([]fromEnd, len(p.sig.Branches))
+	for bi, br := range p.sig.Branches {
+		if br.Status {
+			p.ends[bi] = newFromEnd(p.sig, br)
+		}
+	}
 }
 
 // SkeletonBuilds reports the cumulative skeleton constructions over the
@@ -361,7 +373,7 @@ func (p *Pool) invalidate(cases []int) {
 	if !sameTopology(p.base, p.sig) {
 		p.skel = nil
 		p.entries = make(map[int]*caseSession)
-		p.sig = p.base.Clone()
+		p.sign()
 		return
 	}
 	want := make(map[int]bool, len(cases))
@@ -648,6 +660,33 @@ func estimatedState(ce *CaseEstimate) powerflow.State {
 	return ce.DSE.State
 }
 
+// fromEnd is the from-side AC active-power flow of one branch with
+// everything a state does not change resolved: the two bus indices and the
+// measurement layer's two-port constants (meas.EndAdmittance, the model its
+// Pflow evaluation uses). The zero value, a branch with no impedance, flows
+// nothing.
+type fromEnd struct {
+	f, t          int
+	gff, gft, bft float64
+}
+
+func newFromEnd(n *grid.Network, br grid.Branch) fromEnd {
+	if br.R == 0 && br.X == 0 {
+		return fromEnd{}
+	}
+	e := fromEnd{f: n.MustIndex(br.From), t: n.MustIndex(br.To)}
+	e.gff, _, e.gft, e.bft = meas.EndAdmittance(br, true)
+	return e
+}
+
+// flow evaluates the flow (pu) from a voltage state — the AC counterpart of
+// dcBranchFlow used by the what-if estimation screen.
+func (e *fromEnd) flow(st powerflow.State) float64 {
+	vf, vt := st.Vm[e.f], st.Vm[e.t]
+	s, c := math.Sincos(st.Va[e.f] - st.Va[e.t])
+	return vf*vf*e.gff + vf*vt*(e.gft*c+e.bft*s)
+}
+
 // acViolations scans the estimated post-outage AC flows for overloaded
 // monitored branches, the what-if analogue of dcViolations.
 func (p *Pool) acViolations(out int, st powerflow.State, ratings []float64, threshold float64) []Violation {
@@ -656,7 +695,7 @@ func (p *Pool) acViolations(out int, st powerflow.State, ratings []float64, thre
 		if !br.Status || bi == out || ratings[bi] <= 0 {
 			continue
 		}
-		f := acBranchFlow(p.base, st, br)
+		f := p.ends[bi].flow(st)
 		if loading := math.Abs(f) / ratings[bi]; loading >= threshold {
 			vs = append(vs, Violation{Branch: bi, Flow: f, Rating: ratings[bi], Loading: loading})
 		}

@@ -3,6 +3,7 @@ package meas
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/sparse"
 )
@@ -17,19 +18,20 @@ import (
 // derivative happens to vanish at some state are stored as explicit zeros
 // rather than dropped.
 //
-// The plan also owns the state load h(x) and H(x) share. EvalInto and
-// Refresh load the state they are handed unless it is, bit for bit, the
-// state already loaded under the same reference angle; so the
-// EvalInto/Refresh pair of one Gauss–Newton iterate, or a trial evaluation
-// followed by the refresh at the accepted trial point, pays for unpacking,
-// trigonometry and injections once. Rebind drops the load; a changed
-// reference angle (Model.SetRefAngle) or an x edited in place fails the
-// comparison.
+// The plan also owns the state load h(x), H(x) and the gradient share.
+// EvalInto, Refresh and GradInto load the state they are handed unless it
+// is, bit for bit, the state already loaded under the same reference angle;
+// so the EvalInto/Refresh pair of one Gauss–Newton iterate, or a trial
+// evaluation followed by the refresh at the accepted trial point, pays for
+// unpacking, trigonometry and injections once. Rebind drops the load; a
+// changed reference angle (Model.SetRefAngle) or an x edited in place fails
+// the comparison.
 type JacobianPlan struct {
 	mod *Model
 
-	// H is the Jacobian skeleton; Refresh rewrites H.Val in place. Callers
-	// must treat it as read-only and valid until the next Refresh.
+	// H is the Jacobian skeleton; Refresh rewrites H.Val in place, and nothing
+	// else does: after a GradInto it still holds the last Refresh's values.
+	// Callers must treat it as read-only and valid until the next Refresh.
 	H *sparse.CSR
 
 	// val is H.Val plus one trailing sink element, and slots maps the
@@ -37,6 +39,14 @@ type JacobianPlan struct {
 	// (derivatives with respect to the reference angle) go to the sink.
 	val   []float64
 	slots []int32
+
+	// cols is the state column of each emission, slots read through
+	// H.ColIdx, which GradInto sums through. Only lagged Gauss–Newton steps
+	// read it, so the first GradInto builds it — once per pattern: shared is
+	// the cell of the plan NewJacobianPlan built, a plan's own or its clone
+	// base's, and clones of one base take that first step concurrently.
+	cols   atomic.Pointer[[]int32]
+	shared *atomic.Pointer[[]int32]
 
 	// st is loaded for state x under reference angle refAngle when loaded is
 	// set; trig counts the sines and cosines all loads so far evaluated.
@@ -100,7 +110,7 @@ func (mod *Model) NewJacobianPlan() *JacobianPlan {
 		em += len(cols)
 	}
 	val := make([]float64, nnz+1)
-	return &JacobianPlan{
+	pl := &JacobianPlan{
 		mod:   mod,
 		H:     &sparse.CSR{Rows: m, Cols: mod.NState(), RowPtr: rowPtr, ColIdx: colIdx, Val: val[:nnz:nnz]},
 		val:   val,
@@ -108,13 +118,34 @@ func (mod *Model) NewJacobianPlan() *JacobianPlan {
 		st:    mod.newStateLoad(),
 		x:     make([]float64, mod.NState()),
 	}
+	pl.shared = &pl.cols
+	return pl
+}
+
+// columns returns the pattern's emission → column map, building it on first
+// use; H.Cols, one past the last state, stands for the sink. Plans racing
+// for the first use build the same map and all keep the one that landed.
+func (pl *JacobianPlan) columns() []int32 {
+	if cols := pl.shared.Load(); cols != nil {
+		return *cols
+	}
+	cols := make([]int32, len(pl.slots))
+	for c, slot := range pl.slots {
+		if int(slot) == len(pl.H.ColIdx) {
+			cols[c] = int32(pl.H.Cols)
+		} else {
+			cols[c] = int32(pl.H.ColIdx[slot])
+		}
+	}
+	pl.shared.CompareAndSwap(nil, &cols)
+	return *pl.shared.Load()
 }
 
 // CloneFor returns a plan for view, a WithoutBranch view of the plan's model
 // (or that model itself), that shares every index array with pl — H's
-// RowPtr and ColIdx and the slot map — and owns only H.Val and its state
-// load: the pattern is the kernel's and the admittance pattern's, which a
-// view shares with its base.
+// RowPtr and ColIdx, the slot map and the column map — and owns only H.Val
+// and its state load: the pattern is the kernel's and the admittance
+// pattern's, which a view shares with its base.
 func (pl *JacobianPlan) CloneFor(view *Model) (*JacobianPlan, error) {
 	if !sameBacking(view.k.ops, pl.mod.k.ops) || !sameBacking(view.y.ColIdx, pl.mod.y.ColIdx) {
 		return nil, fmt.Errorf("meas: JacobianPlan clone for a model that does not share the plan's kernel")
@@ -122,12 +153,13 @@ func (pl *JacobianPlan) CloneFor(view *Model) (*JacobianPlan, error) {
 	nnz := pl.H.NNZ()
 	val := make([]float64, nnz+1)
 	return &JacobianPlan{
-		mod:   view,
-		H:     &sparse.CSR{Rows: pl.H.Rows, Cols: pl.H.Cols, RowPtr: pl.H.RowPtr, ColIdx: pl.H.ColIdx, Val: val[:nnz:nnz]},
-		val:   val,
-		slots: pl.slots,
-		st:    view.newStateLoad(),
-		x:     make([]float64, view.NState()),
+		mod:    view,
+		H:      &sparse.CSR{Rows: pl.H.Rows, Cols: pl.H.Cols, RowPtr: pl.H.RowPtr, ColIdx: pl.H.ColIdx, Val: val[:nnz:nnz]},
+		val:    val,
+		slots:  pl.slots,
+		shared: pl.shared,
+		st:     view.newStateLoad(),
+		x:      make([]float64, view.NState()),
 	}, nil
 }
 
@@ -155,7 +187,7 @@ func (pl *JacobianPlan) Rebind(mod *Model) error {
 
 // TrigEvals returns the number of sines and cosines the plan has evaluated
 // so far: two per bus pair the measurement set reads, once per distinct
-// state handed to EvalInto or Refresh in a row.
+// state handed to EvalInto, Refresh or GradInto in a row.
 func (pl *JacobianPlan) TrigEvals() int { return pl.trig }
 
 // ensureLoaded makes pl.st the load of x under the model's current
@@ -189,10 +221,33 @@ func sameBits(a, b []float64) bool {
 // allocating, and returns it.
 func (pl *JacobianPlan) Refresh(x []float64) *sparse.CSR {
 	pl.ensureLoaded(x)
-	if n := pl.mod.jacobianLoaded(pl.st, pl.val, pl.slots); n != len(pl.slots) {
+	pl.checkEmissions(pl.mod.jacobianLoaded(pl.st, pl.val, pl.slots))
+	return pl.H
+}
+
+func (pl *JacobianPlan) checkEmissions(n int) {
+	if n != len(pl.slots) {
 		panic(fmt.Sprintf("meas: Jacobian pass emitted %d entries, the plan's pattern has %d", n, len(pl.slots)))
 	}
-	return pl.H
+}
+
+// GradInto is EvalInto, the residual and the right-hand side of the normal
+// equations in one pass over the measurements, without allocating and
+// without writing H: h = h(x), r = z − h, grad = H(x)ᵀ·diag(w)·r, and the
+// returned J = Σ wᵢ·rᵢ². h, r, z and w have length NMeas; grad has length
+// NState + 1 and its last element is scratch. Every bit of grad[:NState] is
+// what sparse.GainRHSInto computes from Refresh(x), and J what summing
+// w·r·r in measurement order gives.
+func (pl *JacobianPlan) GradInto(grad, h, r, x, z, w []float64) float64 {
+	if m := len(pl.mod.Meas); len(h) != m || len(r) != m || len(z) != m || len(w) != m || len(grad) != pl.H.Cols+1 {
+		panic(fmt.Sprintf("meas: GradInto buffer lengths h=%d r=%d z=%d w=%d grad=%d for %d measurements, %d states",
+			len(h), len(r), len(z), len(w), len(grad), m, pl.H.Cols))
+	}
+	pl.ensureLoaded(x)
+	clear(grad)
+	rs := residual{z: z, w: w, h: h, r: r}
+	pl.checkEmissions(pl.mod.gradLoaded(pl.st, grad, pl.columns(), &rs))
+	return rs.j
 }
 
 // EvalInto computes h(x) into the caller-owned buffer h (length NMeas)

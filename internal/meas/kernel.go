@@ -48,11 +48,12 @@ type flowEnd struct {
 	gff, bff, gft, bft float64
 }
 
-// endAdmittance returns the two-port admittance constants seen from one end
+// EndAdmittance returns the two-port admittance constants seen from one end
 // of branch br (the standard transformer model BuildYBus documents): the
 // self block (gff, bff) of the measured end and the transfer block (gft,
-// bft) towards the other end.
-func endAdmittance(br grid.Branch, fromSide bool) (gff, bff, gft, bft float64) {
+// bft) towards the other end. The active power entering that end is
+// Vf²·gff + Vf·Vt·(gft·cos θft + bft·sin θft).
+func EndAdmittance(br grid.Branch, fromSide bool) (gff, bff, gft, bft float64) {
 	den := br.R*br.R + br.X*br.X
 	gs := br.R / den
 	bs := -br.X / den
@@ -133,7 +134,7 @@ func (mod *Model) compile(ops []measOp) {
 				f, t = t, f
 			}
 			end := flowEnd{f: int32(f), t: int32(t), trig: trigOf(f, t)}
-			end.gff, end.bff, end.gft, end.bft = endAdmittance(br, fromSide)
+			end.gff, end.bff, end.gft, end.bft = EndAdmittance(br, fromSide)
 			k.ends = append(k.ends, end)
 			endOf[op.idx] = int32(len(k.ends))
 		}
@@ -349,6 +350,128 @@ func (mod *Model) jacobianLoaded(st *stateLoad, val []float64, slots []int32) in
 			val[slots[c+2]] = -2*vf*e.bff + vt*(e.gft*sn-e.bft*cs)
 			val[slots[c+3]] = vf * (e.gft*sn - e.bft*cs)
 			c += 4
+		}
+	}
+	return c
+}
+
+// residual is what gradLoaded reads and writes beside the gradient: measured
+// values and weights in, h(x), r = z − h(x) and J = Σ w·r² out.
+type residual struct {
+	z, w, h, r []float64
+	j          float64
+}
+
+// weigh records measurement mi's value h and returns w·r, the factor its row
+// of H enters the gradient with.
+func (rs *residual) weigh(mi int, h float64) float64 {
+	r := rs.z[mi] - h
+	rs.h[mi], rs.r[mi] = h, r
+	wr := rs.w[mi] * r
+	rs.j += wr * r
+	return wr
+}
+
+// gradLoaded is the fused pass of a lagged Gauss–Newton step: evalLoaded,
+// the residual and H(x)ᵀ·W·r in one walk over the measurements, H never
+// written. Emission number c, the derivative d that jacobianLoaded stores at
+// val[slots[c]], is added into grad[cols[c]] as d·(w·r): the product and, row
+// after row, the order sparse.GainRHSInto sums in, a row with w·r == 0
+// adding nothing as it adds nothing there — so grad is that sum bit for bit.
+// Entries with no column carry the index of grad's last element. The
+// derivatives are jacobianLoaded's, spelled a second time (a row buffer
+// between one emitter and two sinks cost the Refresh pass half its speed);
+// requireGradMatchesRefresh, on every fixture of TestKernelMatchesReference,
+// holds the two together. It returns the number of emissions.
+func (mod *Model) gradLoaded(st *stateLoad, grad []float64, cols []int32, rs *residual) int {
+	k, y, vm := &mod.k, mod.y, st.vm
+	c := 0
+	for mi, op := range k.ops {
+		switch op.kind {
+		case Vmag:
+			grad[cols[c]] += rs.weigh(mi, vm[op.idx])
+			c++
+		case Angle:
+			grad[cols[c]] += rs.weigh(mi, st.va[op.idx])
+			c++
+		case Pinj:
+			i := int(op.idx)
+			vi, pi, qi := vm[i], st.p[i], st.q[i]
+			lo, hi := y.RowPtr[i], y.RowPtr[i+1]
+			row := cols[c : c+2*(hi-lo)]
+			c += len(row)
+			wr := rs.weigh(mi, pi)
+			if wr == 0 {
+				continue
+			}
+			for e := lo; e < hi; e++ {
+				j, g, b := y.ColIdx[e], y.G[e], y.B[e]
+				var dTh, dV float64
+				if j == i {
+					dTh, dV = -qi-b*vi*vi, pi/vi+g*vi
+				} else {
+					r := k.ytrig[e]
+					cs, sn := st.cos[r>>1], st.sin[r]
+					dTh, dV = vi*vm[j]*(g*sn-b*cs), vi*(g*cs+b*sn)
+				}
+				grad[row[0]] += dTh * wr
+				grad[row[1]] += dV * wr
+				row = row[2:]
+			}
+		case Qinj:
+			i := int(op.idx)
+			vi, pi, qi := vm[i], st.p[i], st.q[i]
+			lo, hi := y.RowPtr[i], y.RowPtr[i+1]
+			row := cols[c : c+2*(hi-lo)]
+			c += len(row)
+			wr := rs.weigh(mi, qi)
+			if wr == 0 {
+				continue
+			}
+			for e := lo; e < hi; e++ {
+				j, g, b := y.ColIdx[e], y.G[e], y.B[e]
+				var dTh, dV float64
+				if j == i {
+					dTh, dV = pi-g*vi*vi, qi/vi-b*vi
+				} else {
+					r := k.ytrig[e]
+					cs, sn := st.cos[r>>1], st.sin[r]
+					dTh, dV = -vi*vm[j]*(g*cs+b*sn), vi*(g*sn-b*cs)
+				}
+				grad[row[0]] += dTh * wr
+				grad[row[1]] += dV * wr
+				row = row[2:]
+			}
+		case Pflow:
+			e := &k.ends[op.idx]
+			vf, vt := vm[e.f], vm[e.t]
+			cs, sn := st.cos[e.trig>>1], st.sin[e.trig]
+			a := e.gft*cs + e.bft*sn
+			dThf := vf * vt * (-e.gft*sn + e.bft*cs)
+			dVf, dVt := 2*vf*e.gff+vt*a, vf*a
+			row := cols[c : c+4]
+			c += 4
+			if wr := rs.weigh(mi, vf*vf*e.gff+vf*vt*a); wr != 0 {
+				grad[row[0]] += dThf * wr
+				grad[row[1]] += -dThf * wr
+				grad[row[2]] += dVf * wr
+				grad[row[3]] += dVt * wr
+			}
+		case Qflow:
+			e := &k.ends[op.idx]
+			vf, vt := vm[e.f], vm[e.t]
+			cs, sn := st.cos[e.trig>>1], st.sin[e.trig]
+			a := e.gft*sn - e.bft*cs
+			dThf := vf * vt * (e.gft*cs + e.bft*sn)
+			dVf, dVt := -2*vf*e.bff+vt*a, vf*a
+			row := cols[c : c+4]
+			c += 4
+			if wr := rs.weigh(mi, -vf*vf*e.bff+vf*vt*a); wr != 0 {
+				grad[row[0]] += dThf * wr
+				grad[row[1]] += -dThf * wr
+				grad[row[2]] += dVf * wr
+				grad[row[3]] += dVt * wr
+			}
 		}
 	}
 	return c

@@ -113,6 +113,8 @@ func TestKernelMatchesReference(t *testing.T) {
 			}
 			for _, x := range [][]float64{mod.FlatVec(), truth, perturbed} {
 				requireKernelMatchesReference(t, mod, pl, x)
+				z, w := gradInputs(mod, x)
+				requireGradMatchesRefresh(t, mod, pl, x, z, w)
 			}
 		}
 	}

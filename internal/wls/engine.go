@@ -61,7 +61,15 @@ type Engine struct {
 	// the state and weights at the last full gain+preconditioner refresh.
 	reuse  gainReuse
 	xTrial []float64 // length n, lagged-gain guard trial iterate; G·Δx scratch of the factor check
-	hValid bool      // h/r already hold the iterate's values (accepted trial, kept warm start)
+
+	// The lagged step's carry: with hValid, h/r already hold the iterate's
+	// values (accepted trial, kept warm start); with rhsValid, rhs and jx are
+	// HᵀW·r and J there too. Every fused pass lands in rhsTrial, which trades
+	// places with rhs when its iterate is taken; both are made on an engine's
+	// first lagged step, one sink element longer than n under the slice.
+	hValid, rhsValid bool
+	rhsTrial         []float64
+	jx               float64
 }
 
 const maskedStale = -2
@@ -257,28 +265,28 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 	for i, m := range mod.Meas {
 		e.z[i] = m.Value
 	}
-	e.hValid = false
+	// Only the PCG path has lagged numerics to skip, and only on request:
+	// ReuseAuto is exact Gauss–Newton here, because an owner that keeps its
+	// engines across solves resolves it before the solve. The weights are
+	// fixed for the solve, so the anchor's are compared once, here.
+	lag := opts.Solver == PCG && opts.GainReuse == ReuseGain
+	// An unguarded solve rewrites G outside the anchor bookkeeping, so any
+	// anchor a previous gated solve left behind is stale after it.
+	e.reuse.valid = e.reuse.valid && lag && sparse.EqualVec(e.w, e.reuse.w)
+
+	e.hValid, e.rhsValid = false, false
 	if opts.X0 != nil && opts.X0Gate > 0 {
 		// Scaled-residual warm-start gate: keep X0 only if it explains the
 		// current measurement values markedly better than the flat profile.
 		// X0 is evaluated last, so a kept start enters the loop with h/r
-		// already at its values.
+		// already at its values — and, when its first step can lag, with that
+		// step's right-hand side.
 		flat := mod.FlatVec()
-		if jFlat := e.weightedSSR(flat); e.weightedSSR(x) > opts.X0Gate*jFlat {
+		jFlat := e.weightedSSR(flat)
+		if e.evalAt(x, e.canLag(x, opts)) > opts.X0Gate*jFlat {
 			copy(x, flat)
-		} else {
-			e.hValid = true
+			e.hValid, e.rhsValid = false, false
 		}
-	}
-
-	// Only the PCG path has lagged numerics to skip, and only on request:
-	// ReuseAuto is exact Gauss–Newton here, because an owner that keeps its
-	// engines across solves resolves it before the solve.
-	lag := opts.Solver == PCG && opts.GainReuse == ReuseGain
-	if !lag {
-		// An unguarded solve rewrites G outside the anchor bookkeeping, so
-		// any anchor a previous gated solve left behind is stale after it.
-		e.reuse.valid = false
 	}
 
 	res := &Result{}
@@ -287,27 +295,42 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("wls: canceled at iteration %d: %w", iter, err)
 		}
-		if e.hValid {
-			// The warm-start gate or an accepted lagged-gain trial already
-			// evaluated h/r at this iterate (x was advanced by the exact dx
-			// the guard tried, so the buffered values are bitwise those of a
-			// re-evaluation).
-			e.hValid = false
-		} else {
-			e.jplan.EvalInto(e.h, x)
-			sparse.Sub(e.r, e.z, e.h)
+		// A lagged step is one fused pass per iterate: h, r, J and HᵀW·r at x,
+		// carried from the gate or the accepted trial that produced x (x was
+		// advanced by the exact dx the guard tried, so the buffered values are
+		// bitwise those of a re-evaluation), and H is not written.
+		lagging := e.canLag(x, opts)
+		if !e.hValid || lagging && !e.rhsValid {
+			e.evalAt(x, lagging)
 		}
-		hj := e.jplan.Refresh(x)
+		haveRHS := e.rhsValid
+		e.hValid, e.rhsValid = false, false
 
 		var dx []float64
 		var err error
-		if opts.Solver == QR {
-			dx, err = solveQR(hj, e.w, e.r)
-		} else {
-			dx, err = e.gainStep(x, hj, opts, lag, res)
+		if lagging {
+			if dx, err = e.solveGain(opts, cgTol, true, res); err == nil && e.trialImproves(x, dx, tol) {
+				res.GainSkips++
+				res.PrecondSkips++
+			} else {
+				// Guard tripped: the stale operator stalled the descent or the
+				// solve failed outright. Refresh at the current iterate and
+				// re-solve; the trial's pass went to rhsTrial, so rhs still
+				// holds HᵀW·r for x.
+				res.ReuseFallbacks++
+				dx = nil
+			}
 		}
-		if err != nil {
-			return nil, err
+		if dx == nil {
+			hj := e.jplan.Refresh(x)
+			if opts.Solver == QR {
+				dx, err = solveQR(hj, e.w, e.r)
+			} else {
+				dx, err = e.refreshStep(x, hj, opts, lag, haveRHS, res)
+			}
+			if err != nil {
+				return nil, err
+			}
 		}
 		sparse.Axpy(1, dx, x)
 		res.Iterations = iter + 1
@@ -455,9 +478,10 @@ func (e *Engine) gainRHS(hj *sparse.CSR, opts Options) {
 }
 
 // canLag gates the numeric reuse for one Gauss–Newton iteration at x: the
-// anchor must be valid with the requested preconditioner's numerics still
-// cached, the weights must be bitwise unchanged, and the scaled state drift
-// from the anchor must sit under the gate. Anything else is a full refresh.
+// anchor must be valid — which says the solve lags and its weights are the
+// anchor's, bit for bit — with the requested preconditioner's numerics still
+// cached, and the scaled state drift from the anchor must sit under the
+// gate. Anything else is a full refresh.
 func (e *Engine) canLag(x []float64, opts Options) bool {
 	if !e.reuse.valid {
 		return false
@@ -465,8 +489,7 @@ func (e *Engine) canLag(x []float64, opts Options) bool {
 	if opts.Precond != PrecondNone && !(e.havePre && e.preKind == opts.Precond) {
 		return false
 	}
-	return sparse.EqualVec(e.w, e.reuse.w) &&
-		sparse.ScaledDriftInf(x, e.reuse.x) <= ReuseGainGateDefault
+	return sparse.ScaledDriftInf(x, e.reuse.x) <= ReuseGainGateDefault
 }
 
 // noteRefresh anchors the reuse state after a fresh gain + preconditioner
@@ -477,43 +500,52 @@ func (e *Engine) noteRefresh(x []float64) {
 	e.reuse.valid = true
 }
 
-// trialImproves is the lagged-gain residual-decrease guard: the lagged step
-// dx is kept only if J(x+dx) does not exceed J(x). It consumes the
-// caller's residual at x from the r buffer before weightedSSR overwrites
-// h/r with the trial iterate's values; a fractional slack absorbs roundoff
-// on converged iterates where J is flat.
-func (e *Engine) trialImproves(x, dx []float64) bool {
-	jCur := 0.0
-	for i, r := range e.r {
-		jCur += e.w[i] * r * r
+// evalAt leaves h and r at x and returns J(x), which it also keeps in jx.
+// With grad it is the fused pass (meas.JacobianPlan.GradInto), and rhs is
+// HᵀW·r at x as well.
+func (e *Engine) evalAt(x []float64, grad bool) float64 {
+	e.hValid = true
+	if !grad {
+		e.jx = e.weightedSSR(x)
+		return e.jx
 	}
-	copy(e.xTrial, x)
-	sparse.Axpy(1, dx, e.xTrial)
-	return e.weightedSSR(e.xTrial) <= jCur*(1+1e-12)
+	n := len(e.rhs)
+	if e.rhsTrial == nil {
+		e.rhs, e.rhsTrial = make([]float64, n, n+1), make([]float64, n, n+1)
+	}
+	e.jx = e.jplan.GradInto(e.rhsTrial[:n+1], e.h, e.r, x, e.z, e.w)
+	e.rhs, e.rhsTrial, e.rhsValid = e.rhsTrial, e.rhs, true
+	return e.jx
 }
 
-// gainStep produces one Gauss–Newton step for the iterate x: under lag it
-// first tries the anchored gain and preconditioner numerics, and otherwise
-// (or when the guard rejects the lagged step) refreshes both, solves
-// G·Δx = HᵀW·r, and maintains the reuse anchor plus the result's
-// refresh/skip counters. The returned slice aliases the engine's dx buffer,
-// like solveGain's.
-func (e *Engine) gainStep(x []float64, hj *sparse.CSR, opts Options, lag bool, res *Result) ([]float64, error) {
-	e.gainRHS(hj, opts)
-	if lag && e.canLag(x, opts) {
-		dx, err := e.solveGain(opts, cgTol, true, res)
-		if err == nil && e.trialImproves(x, dx) {
-			res.GainSkips++
-			res.PrecondSkips++
-			e.hValid = true // the guard left h/r evaluated at x+dx
-			return dx, nil
-		}
-		// Guard tripped: the stale operator stalled the descent or the
-		// solve failed outright. Refresh at the current iterate and
-		// re-solve. e.rhs still holds HᵀW·r for x — the guard only clobbers
-		// the h/r buffers — so only the gain scatter, the factorization and
-		// the solve repeat.
-		res.ReuseFallbacks++
+// trialImproves is the lagged-gain residual-decrease guard: the lagged step
+// dx is kept only if J(x+dx) does not exceed J(x); a fractional slack absorbs
+// roundoff on converged iterates where J is flat. The trial evaluation is
+// the next iteration's fused pass; a step under tol has no next iteration
+// and evaluates h alone. A rejected trial hands rhs at x back and drops the
+// carry, h/r being the trial iterate's.
+func (e *Engine) trialImproves(x, dx []float64, tol float64) bool {
+	copy(e.xTrial, x)
+	sparse.Axpy(1, dx, e.xTrial)
+	jCur := e.jx
+	if e.evalAt(e.xTrial, sparse.NormInf(dx) >= tol) <= jCur*(1+1e-12) {
+		return true
+	}
+	if e.rhsValid {
+		e.rhs, e.rhsTrial = e.rhsTrial, e.rhs
+	}
+	e.hValid, e.rhsValid = false, false
+	return false
+}
+
+// refreshStep produces one exact Gauss–Newton step for the iterate x: it
+// refreshes the gain and the preconditioner from H(x), solves G·Δx = HᵀW·r
+// — forming the right-hand side unless a fused pass at x already has — and
+// maintains the reuse anchor plus the result's refresh counter. The
+// returned slice aliases the engine's dx buffer, like solveGain's.
+func (e *Engine) refreshStep(x []float64, hj *sparse.CSR, opts Options, lag, haveRHS bool, res *Result) ([]float64, error) {
+	if !haveRHS {
+		e.gainRHS(hj, opts)
 	}
 	e.refreshGain(hj, opts)
 	dx, err := e.solveGain(opts, cgTol, false, res)
