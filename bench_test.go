@@ -388,11 +388,12 @@ func BenchmarkPowerFlow118(b *testing.B) {
 
 // --- Ablation benches (design choices called out in DESIGN.md §5) ---
 
-// BenchmarkAblationPreconditioner compares the gain-solve preconditioners
-// on the full IEEE-118 estimation.
+// BenchmarkAblationPreconditioner compares the two gain solves — the LDLᵀ
+// factor's substitution and Jacobi-preconditioned CG — on the full IEEE-118
+// estimation.
 func BenchmarkAblationPreconditioner(b *testing.B) {
 	fx := benchFixture(b)
-	for _, p := range []wls.PrecondKind{wls.PrecondLDL, wls.PrecondJacobi, wls.PrecondNone} {
+	for _, p := range []wls.PrecondKind{wls.PrecondLDL, wls.PrecondJacobi} {
 		b.Run(p.String(), func(b *testing.B) {
 			var cg int
 			for i := 0; i < b.N; i++ {
@@ -403,25 +404,6 @@ func BenchmarkAblationPreconditioner(b *testing.B) {
 				cg = res.CGIterations
 			}
 			b.ReportMetric(float64(cg), "cg-iters")
-		})
-	}
-}
-
-// BenchmarkAblationSolver compares the three WLS solution paths on the
-// full IEEE-118 estimation: PCG normal equations (the paper's solver),
-// dense LU normal equations, and Givens QR.
-func BenchmarkAblationSolver(b *testing.B) {
-	fx := benchFixture(b)
-	for _, s := range []struct {
-		name string
-		kind wls.SolverKind
-	}{{"pcg", wls.PCG}, {"dense", wls.Dense}, {"qr", wls.QR}} {
-		b.Run(s.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.CentralizedEstimate(context.Background(), fx.Net, fx.Meas, wls.Options{Solver: s.kind, Precond: wls.PrecondJacobi}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -47,7 +47,7 @@ func main() {
 		refine     = flag.Bool("refine", false, "with -hierarchical: coordinator re-estimates the boundary system")
 		frames     = flag.Int("frames", 1, "track this many measurement frames in-process (session reuse + warm starts)")
 		gainReuse  = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto, off, gain")
-		precond    = flag.String("precond", wls.Options{}.Precond.String(), "gain solve: ldl (the LDLᵀ factor solves directly, no CG), or PCG preconditioned by jacobi (the paper's solver [2]) or none")
+		precond    = flag.String("precond", wls.Options{}.Precond.String(), "gain solve: ldl (the LDLᵀ factor solves directly, no CG) or jacobi (Jacobi-preconditioned CG, the paper's solver [2])")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	)
 	flag.Parse()

@@ -24,8 +24,7 @@ func main() {
 		areas    = flag.Int("areas", 0, "instead of -case, synthesize a multi-area grid with this many areas (12 = the 1 416-bus benchmark grid)")
 		noise    = flag.Float64("noise", 1.0, "meter noise level (1 = nominal)")
 		seed     = flag.Int64("seed", 42, "measurement noise seed")
-		solver   = flag.String("solver", "pcg", "gain-matrix solver: pcg|dense|qr")
-		precond  = flag.String("precond", wls.Options{}.Precond.String(), "gain solve under -solver pcg: ldl (the LDLᵀ factor solves directly, no CG), or PCG preconditioned by jacobi (the paper's solver [2]) or none")
+		precond  = flag.String("precond", wls.Options{}.Precond.String(), "gain solve: ldl (the LDLᵀ factor solves directly, no CG) or jacobi (Jacobi-preconditioned CG, the paper's solver [2])")
 		reuse    = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto|off|gain")
 		workers  = flag.Int("workers", 0, "parallel mat-vec workers (0 = GOMAXPROCS)")
 		plan     = flag.String("plan", "full", "metering plan: full|rtu|pmu")
@@ -75,16 +74,6 @@ func main() {
 	}
 
 	opts := gridse.EstimatorOptions{Workers: *workers}
-	switch *solver {
-	case "pcg":
-		opts.Solver = gridse.SolverPCG
-	case "dense":
-		opts.Solver = gridse.SolverDense
-	case "qr":
-		opts.Solver = gridse.SolverQR
-	default:
-		log.Fatalf("unknown solver %q", *solver)
-	}
 	if opts.Precond, err = wls.ParsePrecond(*precond); err != nil {
 		log.Fatal(err)
 	}
@@ -122,8 +111,8 @@ func main() {
 	}
 	fmt.Printf("case %s: %d measurements over %d states (redundancy %.2f)\n",
 		net.Name, len(ms), 2*net.N()-1, float64(len(ms))/float64(2*net.N()-1))
-	fmt.Printf("solver %s/%s: %d Gauss-Newton iterations, %d CG iterations, J = %.2f\n",
-		*solver, *precond, res.Iterations, res.CGIterations, res.ObjectiveJ)
+	fmt.Printf("gain solve %s: %d Gauss-Newton iterations, %d CG iterations, J = %.2f\n",
+		*precond, res.Iterations, res.CGIterations, res.ObjectiveJ)
 
 	var worstVm, worstVa float64
 	for i := range truth.State.Vm {

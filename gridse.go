@@ -165,14 +165,10 @@ type (
 	Observability = wls.Observability
 )
 
-// Estimator solver, preconditioner, and numeric-reuse choices.
+// Estimator gain-solve and numeric-reuse choices.
 const (
-	SolverPCG     = wls.PCG
-	SolverDense   = wls.Dense
-	SolverQR      = wls.QR
 	PrecondLDL    = wls.PrecondLDL
 	PrecondJacobi = wls.PrecondJacobi
-	PrecondNone   = wls.PrecondNone
 	ReuseAuto     = wls.ReuseAuto
 	ReuseOff      = wls.ReuseOff
 	ReuseGain     = wls.ReuseGain

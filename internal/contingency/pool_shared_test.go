@@ -38,7 +38,7 @@ func sameAsRebuilt(t *testing.T, what string, ce CaseEstimate, want *wls.Result)
 // circuits and pairs joined by one branch alike — estimated by the pool
 // equals the estimate of a model and engine rebuilt for that outage alone,
 // residual for residual and violation for violation, and the first, middle
-// and last case of each grid sit within 1e-6 of the dense oracle.
+// and last case of each grid sit within 1e-6 of the Jacobi-PCG oracle.
 func TestPoolMatchesRebuiltModels(t *testing.T) {
 	for _, n := range []*grid.Network{grid.Case14(), grid.Case30(), grid.Case118()} {
 		st := solved(t, n)
@@ -83,12 +83,12 @@ func TestPoolMatchesRebuiltModels(t *testing.T) {
 			}
 		}
 		for _, i := range []int{estimated[0], estimated[len(estimated)/2], estimated[len(estimated)-1]} {
-			want := denseOracle(t, n, res[i].Outage, frame)
+			want := rebuiltOutage(t, n, res[i].Outage, frame, oracleOpts)
 			for b := range want.State.Vm {
 				dvm := math.Abs(res[i].Estimate.State.Vm[b] - want.State.Vm[b])
 				dva := math.Abs(res[i].Estimate.State.Va[b] - want.State.Va[b])
 				if dvm > 1e-6 || dva > 1e-6 {
-					t.Fatalf("%s outage %d bus %d: off the dense oracle by Vm %g, Va %g", n.Name, res[i].Outage, b, dvm, dva)
+					t.Fatalf("%s outage %d bus %d: off the oracle by Vm %g, Va %g", n.Name, res[i].Outage, b, dvm, dva)
 				}
 			}
 		}
@@ -287,14 +287,14 @@ func maskedOnlyFixture(t *testing.T, injAt1 bool) (*grid.Network, []meas.Measure
 // TestPoolMaskedOnlyStateUnobservable: an outage whose flow rows were a
 // state's only measurements passes every structural check — the rows are
 // still in the skeleton — and must fail as ErrUnobservable naming the
-// outage under every gain solve, on the first sweep and on a repeat, while
+// outage under both gain solves, on the first sweep and on a repeat, while
 // the other outages of the sweep's grid estimate. With an injection metered
 // across the lost pair the state is touched by an unmasked row whose
 // entries are exact zeros, which only the numerics can tell.
 func TestPoolMaskedOnlyStateUnobservable(t *testing.T) {
 	for _, injAt1 := range []bool{false, true} {
 		n, frame := maskedOnlyFixture(t, injAt1)
-		for _, wopts := range []wls.Options{{}, {Precond: wls.PrecondJacobi}, {Precond: wls.PrecondNone}, {Solver: wls.Dense}} {
+		for _, wopts := range []wls.Options{{}, {Precond: wls.PrecondJacobi}} {
 			pool, err := NewPool(n, PoolOptions{WLS: wopts})
 			if err != nil {
 				t.Fatal(err)

@@ -60,19 +60,17 @@ func rebuiltOutage(t *testing.T, n *grid.Network, out int, frame []meas.Measurem
 	return res
 }
 
-// denseOracle is rebuiltOutage on the dense normal-equations solver, so it
-// shares the sparse solve path with the pool neither.
-func denseOracle(t *testing.T, n *grid.Network, out int, frame []meas.Measurement) *wls.Result {
-	t.Helper()
-	return rebuiltOutage(t, n, out, frame, wls.Options{Solver: wls.Dense, Tol: 1e-9})
-}
+// oracleOpts makes rebuiltOutage the pool's independent oracle: Jacobi-
+// preconditioned CG shares no factor, and no CloneFor or SharePattern state,
+// with the pool's LDLᵀ path.
+var oracleOpts = wls.Options{Precond: wls.PrecondJacobi, Tol: 1e-9}
 
 // TestPoolRescreenEquivalence is the pool's acceptance test: re-screening
 // an unchanged contingency list on a second frame performs zero skeleton
 // constructions, produces estimates within 1e-9 of a cold per-outage sweep,
 // and spends fewer Gauss–Newton iterations than the cold sweep. The first,
 // the last and (where the grid has one) a parallel-circuit estimated case
-// of the warm sweep are also held to 1e-6 of the dense oracle, so the pool
+// of the warm sweep are also held to 1e-6 of the Jacobi-PCG oracle, so the pool
 // is not checked against its own cold path alone.
 func TestPoolRescreenEquivalence(t *testing.T) {
 	// IEEE-14 has no parallel circuits; IEEE-118 has several.
@@ -186,12 +184,12 @@ func testRescreenEquivalence(t *testing.T, n *grid.Network, wantParallel bool) {
 		if i < 0 {
 			continue
 		}
-		want := denseOracle(t, n, res2[i].Outage, frame2)
+		want := rebuiltOutage(t, n, res2[i].Outage, frame2, oracleOpts)
 		for b := range want.State.Vm {
 			dvm := math.Abs(res2[i].Estimate.State.Vm[b] - want.State.Vm[b])
 			dva := math.Abs(res2[i].Estimate.State.Va[b] - want.State.Va[b])
 			if dvm > 1e-6 || dva > 1e-6 {
-				t.Fatalf("outage %d bus %d: warm pooled state off the dense oracle by Vm %g, Va %g",
+				t.Fatalf("outage %d bus %d: warm pooled state off the oracle by Vm %g, Va %g",
 					res2[i].Outage, b, dvm, dva)
 			}
 		}

@@ -102,10 +102,9 @@ func withoutBus(n *grid.Network, ms []meas.Measurement, id int) []meas.Measureme
 
 // TestUntouchedStateIsUnobservable: m ≥ n says nothing about a state no
 // measurement depends on. IEEE-14 without everything that sees bus 8 keeps
-// 113 measurements for 27 states; every solver row must refuse it with
+// 113 measurements for 27 states; both gain solves must refuse it with
 // ErrUnobservable. Before the gain plan recorded empty columns the factor
-// and Jacobi failed untyped, and unpreconditioned CG returned the flat start
-// for bus 8 with a nil error; only Dense and QR said unobservable.
+// and Jacobi failed untyped.
 func TestUntouchedStateIsUnobservable(t *testing.T) {
 	fx := newFixture(t, grid.Case14, 2, 1)
 	ms := withoutBus(fx.net, meas.FullPlan().Build(fx.net), 8)
@@ -122,9 +121,6 @@ func TestUntouchedStateIsUnobservable(t *testing.T) {
 	}{
 		{"pcg-ldl", wls.Options{}},
 		{"pcg-jacobi", wls.Options{Precond: wls.PrecondJacobi}},
-		{"pcg-none", wls.Options{Precond: wls.PrecondNone}},
-		{"dense", wls.Options{Solver: wls.Dense}},
-		{"qr", wls.Options{Solver: wls.QR}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := CentralizedEstimate(context.Background(), fx.net, ms, tc.opts)

@@ -151,10 +151,3 @@ func IdentifyBadData(mod *meas.Model, opts Options, threshold float64, maxRemova
 		}
 	}
 }
-
-// refAngleOf recovers the reference angle a model was built with by
-// evaluating the reference bus angle from the flat vector.
-func refAngleOf(mod *meas.Model) float64 {
-	st := mod.VecToState(mod.FlatVec())
-	return st.Va[mod.Net.SlackIndex()]
-}

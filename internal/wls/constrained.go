@@ -3,6 +3,7 @@ package wls
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/meas"
 	"repro/internal/sparse"
@@ -74,7 +75,7 @@ func EstimateConstrained(mod *meas.Model, constraints []Constraint, opts Options
 		}
 		cms[i] = meas.Measurement{Kind: c.Kind, Bus: c.Bus, Sigma: 1, Value: 0}
 	}
-	cmod, err := meas.NewModel(mod.Net, cms, modelRefIndex(mod), refAngleOf(mod))
+	cmod, err := meas.NewModel(mod.Net, cms, mod.RefBus(), mod.RefAngle())
 	if err != nil {
 		return nil, err
 	}
@@ -104,9 +105,12 @@ func EstimateConstrained(mod *meas.Model, constraints []Constraint, opts Options
 	cplan := cmod.NewJacobianPlan()
 	pool := sparse.DefaultPool()
 	h := make([]float64, mod.NMeas())
-	rhs := make([]float64, n)
 	wr := make([]float64, mod.NMeas())
 	cval := make([]float64, nc)
+	// The (n+nc) × (n+nc) KKT system, reassembled every iteration; b's
+	// first n entries are HᵀW·r.
+	kkt := sparse.NewDense(n+nc, n+nc)
+	b := make([]float64, n+nc)
 
 	out := &ConstrainedResult{Result: &Result{}}
 	r := make([]float64, mod.NMeas())
@@ -115,13 +119,11 @@ func EstimateConstrained(mod *meas.Model, constraints []Constraint, opts Options
 		sparse.Sub(r, z, h)
 		hj := jplan.Refresh(x)
 		g := gplan.RefreshPool(hj, w, pool)
-		sparse.GainRHSInto(rhs, hj, w, r, wr)
+		sparse.GainRHSInto(b[:n], hj, w, r, wr)
 		cplan.EvalInto(cval, x)
 		cj := cplan.Refresh(x)
 
-		// Assemble the (n+nc) × (n+nc) KKT system.
-		dim := n + nc
-		kkt := sparse.NewDense(dim, dim)
+		clear(kkt.Data)
 		for i := 0; i < g.Rows; i++ {
 			for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
 				kkt.AddAt(i, g.ColIdx[k], g.Val[k])
@@ -135,8 +137,6 @@ func EstimateConstrained(mod *meas.Model, constraints []Constraint, opts Options
 				kkt.AddAt(col, n+ci, v)
 			}
 		}
-		b := make([]float64, dim)
-		copy(b, rhs)
 		for ci := 0; ci < nc; ci++ {
 			b[n+ci] = -cval[ci]
 		}
@@ -166,7 +166,7 @@ func EstimateConstrained(mod *meas.Model, constraints []Constraint, opts Options
 	}
 	cplan.EvalInto(cval, x)
 	for _, cv := range cval {
-		if a := absf(cv); a > out.MaxConstraintViolation {
+		if a := math.Abs(cv); a > out.MaxConstraintViolation {
 			out.MaxConstraintViolation = a
 		}
 	}
@@ -193,28 +193,4 @@ func ZeroInjectionConstraints(mod *meas.Model) []Constraint {
 			Constraint{Kind: meas.Qinj, Bus: b.ID})
 	}
 	return out
-}
-
-// modelRefIndex recovers the model's reference bus index by probing which
-// bus angle is immune to state-vector changes.
-func modelRefIndex(mod *meas.Model) int {
-	x := mod.FlatVec()
-	for i := range x[:mod.NState()-mod.Net.N()] {
-		x[i] += 1
-	}
-	st := mod.VecToState(x)
-	flat := mod.VecToState(mod.FlatVec())
-	for i := range st.Va {
-		if st.Va[i] == flat.Va[i] {
-			return i
-		}
-	}
-	return mod.Net.SlackIndex()
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -21,9 +21,9 @@ import (
 //   - the LDLᵀ factor (or the Jacobi diagonal) refreshes its numerics on
 //     G's fixed pattern, and under the default the factor's substitution is
 //     the gain solve,
-//   - where CG runs — Jacobi, no preconditioner, a factorization breakdown —
-//     it reuses its iteration vectors and is warm-started with the previous
-//     iteration's Δx (discarded automatically if it would not help).
+//   - where CG runs — Jacobi, a factorization breakdown — it reuses its
+//     iteration vectors and is warm-started with the previous iteration's
+//     Δx (discarded automatically if it would not help).
 //
 // One engine serves many solves: IRLS reweighting rounds, DSE Step-2
 // re-evaluation rounds, and successive tracking frames all reuse the same
@@ -265,11 +265,11 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 	for i, m := range mod.Meas {
 		e.z[i] = m.Value
 	}
-	// Only the PCG path has lagged numerics to skip, and only on request:
-	// ReuseAuto is exact Gauss–Newton here, because an owner that keeps its
-	// engines across solves resolves it before the solve. The weights are
-	// fixed for the solve, so the anchor's are compared once, here.
-	lag := opts.Solver == PCG && opts.GainReuse == ReuseGain
+	// Lagged numerics only on request: ReuseAuto is exact Gauss–Newton here,
+	// because an owner that keeps its engines across solves resolves it
+	// before the solve. The weights are fixed for the solve, so the anchor's
+	// are compared once, here.
+	lag := opts.GainReuse == ReuseGain
 	// An unguarded solve rewrites G outside the anchor bookkeeping, so any
 	// anchor a previous gated solve left behind is stale after it.
 	e.reuse.valid = e.reuse.valid && lag && sparse.EqualVec(e.w, e.reuse.w)
@@ -322,13 +322,7 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 			}
 		}
 		if dx == nil {
-			hj := e.jplan.Refresh(x)
-			if opts.Solver == QR {
-				dx, err = solveQR(hj, e.w, e.r)
-			} else {
-				dx, err = e.refreshStep(x, hj, opts, lag, haveRHS, res)
-			}
-			if err != nil {
+			if dx, err = e.refreshStep(x, e.jplan.Refresh(x), opts, lag, haveRHS, res); err != nil {
 				return nil, err
 			}
 		}
@@ -347,9 +341,7 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 }
 
 // untouchedState reports a state whose column of H is structurally empty.
-// No solver can move it: the factor finds no diagonal, Jacobi a zero one,
-// and unpreconditioned CG, its right-hand side zero there too, converges
-// and returns the start value as if it were an estimate.
+// No solve can move it: the factor finds no diagonal and Jacobi a zero one.
 //
 // Masked rows count as absent: the plan's check is structural and cannot
 // see a zero weight, so with masks set the unmasked rows of H are walked
@@ -402,16 +394,10 @@ func (e *Engine) SolveLinear(opts Options) (*Result, error) {
 	hj := e.jplan.Refresh(x)
 
 	res := &Result{Iterations: 1, Converged: true}
-	var dx []float64
-	var err error
-	if opts.Solver == QR {
-		dx, err = solveQR(hj, e.w, e.r)
-	} else {
-		e.refreshGain(hj, opts)
-		e.gainRHS(hj, opts)
-		e.havePrevDx = false
-		dx, err = e.solveGain(opts, cgTolLinear, false, res)
-	}
+	e.refreshGain(hj, opts)
+	e.gainRHS(hj, opts)
+	e.havePrevDx = false
+	dx, err := e.solveGain(opts, cgTolLinear, false, res)
 	if err != nil {
 		return nil, fmt.Errorf("wls: linear PMU solve: %w", err)
 	}
@@ -483,13 +469,8 @@ func (e *Engine) gainRHS(hj *sparse.CSR, opts Options) {
 // cached, and the scaled state drift from the anchor must sit under the
 // gate. Anything else is a full refresh.
 func (e *Engine) canLag(x []float64, opts Options) bool {
-	if !e.reuse.valid {
-		return false
-	}
-	if opts.Precond != PrecondNone && !(e.havePre && e.preKind == opts.Precond) {
-		return false
-	}
-	return sparse.ScaledDriftInf(x, e.reuse.x) <= ReuseGainGateDefault
+	return e.reuse.valid && e.havePre && e.preKind == opts.Precond &&
+		sparse.ScaledDriftInf(x, e.reuse.x) <= ReuseGainGateDefault
 }
 
 // noteRefresh anchors the reuse state after a fresh gain + preconditioner
@@ -569,37 +550,21 @@ const (
 	cgTolLinear = 1e-12
 )
 
-// solveGain solves G·Δx = rhs with the configured solver; under PCG the
-// returned slice is the engine's dx buffer. lagged says G was not refreshed
-// since the preconditioner last was, so the cached numerics are the ones to
-// use, and they have solved this G before. res takes the CG iteration and
-// preconditioner breakdown counts.
+// solveGain solves G·Δx = rhs into the engine's dx buffer and returns it.
+// lagged says G was not refreshed since the preconditioner last was, so the
+// cached numerics are the ones to use, and they have solved this G before.
+// res takes the CG iteration and preconditioner breakdown counts.
 func (e *Engine) solveGain(opts Options, tol float64, lagged bool, res *Result) ([]float64, error) {
-	g := e.gplan.G
-	switch opts.Solver {
-	case Dense:
-		x, err := sparse.SolveDense(g.ToDense(), e.rhs)
-		if err != nil {
-			if errors.Is(err, sparse.ErrSingular) {
-				return nil, ErrUnobservable
-			}
-			return nil, err
-		}
-		return x, nil
-	case PCG:
-		pre, err := e.preconditioner(g, opts.Precond, lagged, res)
-		if errors.Is(err, sparse.ErrNotSPD) {
-			// Not even a diagonal to iterate on: some state moves no
-			// weighted measurement at this iterate.
-			return nil, fmt.Errorf("%w: %v", ErrUnobservable, err)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("wls: preconditioner: %w", err)
-		}
-		return e.solveWith(pre, opts, tol, !lagged, res)
-	default:
-		return nil, fmt.Errorf("wls: unknown solver %v", opts.Solver)
+	pre, err := e.preconditioner(e.gplan.G, opts.Precond, lagged, res)
+	if errors.Is(err, sparse.ErrNotSPD) {
+		// Not even a diagonal to iterate on: some state moves no weighted
+		// measurement at this iterate.
+		return nil, fmt.Errorf("%w: %v", ErrUnobservable, err)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("wls: preconditioner: %w", err)
+	}
+	return e.solveWith(pre, opts, tol, !lagged, res)
 }
 
 // solveWith solves G·Δx = rhs given the preconditioner's numerics. An
@@ -607,8 +572,8 @@ func (e *Engine) solveGain(opts Options, tol float64, lagged bool, res *Result) 
 // first solve after a refactorization — one residual check against tol.
 // Later solves on the same factor reuse numerics that passed it, and the
 // caller's trialImproves guards the step. CG runs where it has work to do:
-// Jacobi, no preconditioner, the Jacobi stand-in after a factorization
-// breakdown, and from the substitution's Δx when the check fails.
+// Jacobi, the Jacobi stand-in after a factorization breakdown, and from the
+// substitution's Δx when the check fails.
 func (e *Engine) solveWith(pre sparse.Preconditioner, opts Options, tol float64, verify bool, res *Result) ([]float64, error) {
 	g := e.gplan.G
 	var x0 []float64
@@ -661,18 +626,6 @@ func (e *Engine) residualWithin(g *sparse.CSR, tol float64) bool {
 // still converge where a factor cannot exist, and where it cannot, CG is
 // what reports the gain as not positive definite.
 func (e *Engine) preconditioner(g *sparse.CSR, kind PrecondKind, lagged bool, res *Result) (sparse.Preconditioner, error) {
-	if kind == PrecondNone {
-		// Plain CG has no refresh that would trip over a zero diagonal — a
-		// state no weighted measurement moves at this iterate — and would
-		// hand its start value back as an estimate.
-		if !lagged {
-			g.DiagonalInto(e.xTrial)
-			if i := slices.Index(e.xTrial, 0); i >= 0 {
-				return nil, fmt.Errorf("wls: zero gain diagonal at state %d: %w", i, sparse.ErrNotSPD)
-			}
-		}
-		return sparse.IdentityPreconditioner{}, nil
-	}
 	cached := e.havePre && e.preKind == kind
 	if cached && lagged {
 		return e.pre, nil

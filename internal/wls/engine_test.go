@@ -15,11 +15,26 @@ import (
 	"repro/internal/sparse"
 )
 
+// oracleSolve is how legacyEstimate solves each Gauss–Newton step.
+type oracleSolve int
+
+const (
+	// oracleCG runs sparse.CG on G, preconditioned as opts.Precond names.
+	oracleCG oracleSolve = iota
+	// oracleDense factors G by dense LU with partial pivoting.
+	oracleDense
+	// oracleQR triangularizes √W·H by Givens rotations (solveQR) and never
+	// forms G.
+	oracleQR
+)
+
 // legacyEstimate is a frozen copy of the pre-engine Gauss–Newton path
-// (fresh COO assembly of H and G every iteration, cold-started CG). The
-// engine must reproduce its results to well under measurement precision;
-// this pins the refactor against silent numerical drift.
-func legacyEstimate(mod *meas.Model, opts Options, scale []float64) (*Result, error) {
+// (fresh mod.Jacobian and sparse.Gain every iteration, cold-started CG),
+// and the loop the dense and QR oracles run in. It calls no Engine method,
+// so the engine's loop, lagged-step guard and h/r carry are checked against
+// code they do not share; the engine must reproduce its results to well
+// under measurement precision.
+func legacyEstimate(mod *meas.Model, opts Options, scale []float64, solve oracleSolve) (*Result, error) {
 	tol := opts.Tol
 	if tol <= 0 {
 		tol = 1e-6
@@ -51,12 +66,12 @@ func legacyEstimate(mod *meas.Model, opts Options, scale []float64) (*Result, er
 		var dx []float64
 		var cgIters int
 		var err error
-		if opts.Solver == QR {
+		if solve == oracleQR {
 			dx, err = solveQR(hj, w, r)
 		} else {
 			g := sparse.Gain(hj, w)
 			rhs := sparse.GainRHS(hj, w, r)
-			dx, cgIters, err = legacySolveGain(g, rhs, opts, cgTol)
+			dx, cgIters, err = legacySolveGain(g, rhs, opts, solve)
 		}
 		if err != nil {
 			return nil, err
@@ -83,42 +98,33 @@ func legacyEstimate(mod *meas.Model, opts Options, scale []float64) (*Result, er
 	return res, nil
 }
 
-func legacySolveGain(g *sparse.CSR, rhs []float64, opts Options, cgTol float64) ([]float64, int, error) {
-	switch opts.Solver {
-	case Dense:
+func legacySolveGain(g *sparse.CSR, rhs []float64, opts Options, solve oracleSolve) ([]float64, int, error) {
+	if solve == oracleDense {
 		x, err := sparse.SolveDense(g.ToDense(), rhs)
-		if err != nil {
-			if errors.Is(err, sparse.ErrSingular) {
-				return nil, 0, ErrUnobservable
-			}
-			return nil, 0, err
+		if errors.Is(err, sparse.ErrSingular) {
+			return nil, 0, ErrUnobservable
 		}
-		return x, 0, nil
-	case PCG:
-		var pre sparse.Preconditioner
-		var err error
-		switch opts.Precond {
-		case PrecondNone:
-			pre = sparse.IdentityPreconditioner{}
-		case PrecondJacobi:
-			pre, err = sparse.NewJacobi(g)
-		case PrecondLDL:
-			pre, err = sparse.NewLDL(g)
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		cg, err := sparse.CG(g, rhs, sparse.CGOptions{Tol: cgTol, Precond: pre, Workers: opts.Workers})
-		if err != nil {
-			if errors.Is(err, sparse.ErrNotSPD) {
-				return nil, cg.Iterations, ErrUnobservable
-			}
-			return nil, cg.Iterations, err
-		}
-		return cg.X, cg.Iterations, nil
-	default:
-		return nil, 0, fmt.Errorf("unknown solver %v", opts.Solver)
+		return x, 0, err
 	}
+	var pre sparse.Preconditioner
+	var err error
+	switch opts.Precond {
+	case PrecondJacobi:
+		pre, err = sparse.NewJacobi(g)
+	case PrecondLDL:
+		pre, err = sparse.NewLDL(g)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	cg, err := sparse.CG(g, rhs, sparse.CGOptions{Tol: cgTol, Precond: pre, Workers: opts.Workers})
+	if err != nil {
+		if errors.Is(err, sparse.ErrNotSPD) {
+			return nil, cg.Iterations, ErrUnobservable
+		}
+		return nil, cg.Iterations, err
+	}
+	return cg.X, cg.Iterations, nil
 }
 
 func engineTestModel(t *testing.T, build func() *grid.Network, noise float64, seed int64) *meas.Model {
@@ -157,22 +163,25 @@ func cgSlack(legacy int) int {
 	return max(1, legacy/100)
 }
 
+// TestEngineMatchesLegacyEstimate: the engine against the legacy loop, on
+// the legacy CG under the same preconditioner and, for the default, on the
+// dense and QR oracles.
 func TestEngineMatchesLegacyEstimate(t *testing.T) {
 	cases := []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		solve oracleSolve
 	}{
-		{"pcg-ldl", Options{}},
-		{"pcg-jacobi", Options{Precond: PrecondJacobi}},
-		{"pcg-none", Options{Precond: PrecondNone}},
-		{"pcg-serial", Options{Precond: PrecondJacobi, Workers: 1}},
-		{"dense", Options{Solver: Dense}},
-		{"qr", Options{Solver: QR}},
+		{"pcg-ldl", Options{}, oracleCG},
+		{"pcg-jacobi", Options{Precond: PrecondJacobi}, oracleCG},
+		{"pcg-serial", Options{Precond: PrecondJacobi, Workers: 1}, oracleCG},
+		{"dense", Options{}, oracleDense},
+		{"qr", Options{}, oracleQR},
 	}
 	mod := engineTestModel(t, grid.Case14, 0.01, 42)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := legacyEstimate(mod, tc.opts, nil)
+			want, err := legacyEstimate(mod, tc.opts, nil, tc.solve)
 			if err != nil {
 				t.Fatalf("legacy: %v", err)
 			}
@@ -191,11 +200,9 @@ func TestEngineMatchesLegacyEstimate(t *testing.T) {
 			if d := math.Abs(got.ObjectiveJ - want.ObjectiveJ); d > 1e-9*(1+want.ObjectiveJ) {
 				t.Errorf("objective: engine %v legacy %v", got.ObjectiveJ, want.ObjectiveJ)
 			}
-			if tc.opts.Solver == PCG || tc.opts.Solver == 0 {
-				if got.CGIterations > want.CGIterations+cgSlack(want.CGIterations) {
-					t.Errorf("warm-started CG used more iterations: engine %d, legacy %d",
-						got.CGIterations, want.CGIterations)
-				}
+			if tc.solve == oracleCG && got.CGIterations > want.CGIterations+cgSlack(want.CGIterations) {
+				t.Errorf("warm-started CG used more iterations: engine %d, legacy %d",
+					got.CGIterations, want.CGIterations)
 			}
 		})
 	}
@@ -203,7 +210,7 @@ func TestEngineMatchesLegacyEstimate(t *testing.T) {
 
 func TestEngineMatchesLegacyOn118(t *testing.T) {
 	mod := engineTestModel(t, grid.Case118, 0.01, 7)
-	want, err := legacyEstimate(mod, Options{Precond: PrecondJacobi}, nil)
+	want, err := legacyEstimate(mod, Options{Precond: PrecondJacobi}, nil, oracleCG)
 	if err != nil {
 		t.Fatalf("legacy: %v", err)
 	}
@@ -261,7 +268,7 @@ func TestEngineRebind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := legacyEstimate(modB, Options{}, nil)
+	want, err := legacyEstimate(modB, Options{}, nil, oracleCG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +299,9 @@ func TestEngineContextCancellation(t *testing.T) {
 	}
 }
 
-// TestEngineEstimateAllocations doesn't demand zero (result slices and the
-// dense/QR paths allocate by design) but pins the per-iteration hot path:
-// repeat solves on one engine must allocate far less than the legacy
-// assemble-everything-per-iteration path.
+// TestEngineIterationZeroAllocKernels pins the per-iteration hot path: the
+// numeric refreshes of H, G and the right-hand side allocate nothing, where
+// the legacy path assembles everything anew each iteration.
 func TestEngineIterationZeroAllocKernels(t *testing.T) {
 	mod := engineTestModel(t, grid.Case14, 0.01, 9)
 	eng := NewEngine(mod)

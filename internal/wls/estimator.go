@@ -21,38 +21,22 @@ import (
 	"repro/internal/powerflow"
 )
 
-// SolverKind selects how the gain-matrix system is solved.
-type SolverKind int
-
-// Gain-matrix solvers. PCG is the sparse path: the paper's parallel
-// iterative solver under PrecondJacobi and PrecondNone, and the direct
-// factor-and-substitute solve under the default PrecondLDL; Dense
-// is a reference LU path used for validation and very small systems; QR
-// solves the least-squares problem by Givens orthogonalization without
-// ever forming the gain matrix (conditioning κ(H) instead of κ(H)²).
-const (
-	PCG SolverKind = iota
-	Dense
-	QR
-)
-
-// PrecondKind selects what the PCG gain solve is built on.
+// PrecondKind selects what the gain solve G·Δx = HᵀW·r is built on.
 type PrecondKind int
 
-// Choices for the PCG gain solve. PrecondLDL, the default, is a complete
-// sparse LDLᵀ factor of the gain matrix under its own fill-reducing ordering
+// The two gain solves. PrecondLDL, the default, is a complete sparse LDLᵀ
+// factor of the gain matrix under its own fill-reducing ordering
 // (sparse.LDLFactor), and the factor is the solve: one substitution per
 // Gauss–Newton step and no CG call, on a lagged gain too, because ReuseGain
 // lags the factor with the gain it factors. The substitution is checked
 // against CG's stopping test once per refactorization, and CG, started from
 // it and preconditioned by the factor, polishes one that fails. A gain too
 // close to singular to factor runs that refresh as Jacobi-preconditioned CG
-// instead (Result.PrecondFallbacks). PrecondJacobi is the diagonal
-// preconditioner of the paper's solver [2], PrecondNone plain CG.
+// instead (Result.PrecondFallbacks). PrecondJacobi is CG under the diagonal
+// preconditioner, the paper's solver [2].
 const (
 	PrecondLDL PrecondKind = iota
 	PrecondJacobi
-	PrecondNone
 )
 
 func (p PrecondKind) String() string {
@@ -61,8 +45,6 @@ func (p PrecondKind) String() string {
 		return "ldl"
 	case PrecondJacobi:
 		return "jacobi"
-	case PrecondNone:
-		return "none"
 	default:
 		return fmt.Sprintf("PrecondKind(%d)", int(p))
 	}
@@ -71,15 +53,15 @@ func (p PrecondKind) String() string {
 // ParsePrecond maps a preconditioner name as PrecondKind.String prints it
 // back to its kind, for command-line flags.
 func ParsePrecond(name string) (PrecondKind, error) {
-	for p := PrecondLDL; p <= PrecondNone; p++ {
+	for p := PrecondLDL; p <= PrecondJacobi; p++ {
 		if p.String() == name {
 			return p, nil
 		}
 	}
-	return 0, fmt.Errorf("wls: unknown preconditioner %q (want ldl, jacobi or none)", name)
+	return 0, fmt.Errorf("wls: unknown preconditioner %q (want ldl or jacobi)", name)
 }
 
-// GainReuseKind selects whether the PCG gain solve may run on lagged
+// GainReuseKind selects whether the gain solve may run on lagged
 // numerics. The engine anchors the state at which G = HᵀWH and its
 // preconditioner were last refreshed; under ReuseGain, while the scaled
 // state drift from that anchor stays under ReuseGainGateDefault (and the
@@ -140,22 +122,20 @@ type Options struct {
 	Tol float64
 	// MaxIter caps Gauss–Newton iterations. Zero selects 25.
 	MaxIter int
-	// Solver selects the gain-matrix solver (default PCG).
-	Solver SolverKind
-	// Precond selects what the PCG gain solve is built on (default
-	// PrecondLDL, which solves by substitution and runs no CG).
+	// Precond selects what the gain solve is built on (default PrecondLDL,
+	// which solves by substitution and runs no CG).
 	Precond PrecondKind
 	// Workers is the goroutine count for the parallel mat-vec inside CG,
-	// where CG runs (PrecondJacobi, PrecondNone). Zero uses the shared
-	// worker pool; one also forces the G = HᵀWH refresh and the right-hand
-	// side to run serially, which is all it changes under PrecondLDL.
+	// where CG runs (PrecondJacobi). Zero uses the shared worker pool; one
+	// also forces the G = HᵀWH refresh and the right-hand side to run
+	// serially, which is all it changes under PrecondLDL.
 	Workers int
 	// X0 is an optional warm-start state vector; nil selects flat start.
 	X0 []float64
-	// GainReuse selects whether the PCG gain solve may run on lagged gain
-	// and preconditioner numerics (default ReuseAuto, which a one-shot
-	// Estimate runs as ReuseOff and the session layer and the contingency
-	// pool as ReuseGain). See GainReuseKind. Non-PCG solvers ignore the knob.
+	// GainReuse selects whether the gain solve may run on lagged gain and
+	// preconditioner numerics (default ReuseAuto, which a one-shot Estimate
+	// runs as ReuseOff and the session layer and the contingency pool as
+	// ReuseGain). See GainReuseKind.
 	GainReuse GainReuseKind
 	// X0Gate, when positive, guards the warm start behind a scaled-residual
 	// test: X0 is kept only while its weighted residual J(X0) stays within

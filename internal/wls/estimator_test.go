@@ -88,31 +88,29 @@ func TestEstimateWithNoiseCloseToTruth(t *testing.T) {
 	}
 }
 
+// TestPCGMatchesDenseSolver: both gain solves against the dense LU oracle.
 func TestPCGMatchesDenseSolver(t *testing.T) {
 	n := grid.Case30()
 	truth := solved(t, n)
 	mod := buildModel(t, n, truth, 1, 7)
-	rp, err := Estimate(mod, Options{Solver: PCG})
+	rp, err := Estimate(mod, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Estimate(mod, Options{Solver: Dense})
+	rd, err := legacyEstimate(mod, Options{}, nil, oracleDense)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range rp.X {
 		if math.Abs(rp.X[i]-rd.X[i]) > 1e-6 {
-			t.Fatalf("x[%d]: PCG %g vs dense %g", i, rp.X[i], rd.X[i])
+			t.Fatalf("x[%d]: default %g vs dense %g", i, rp.X[i], rd.X[i])
 		}
 	}
 	if rp.CGIterations != 0 || rp.PrecondFallbacks != 0 {
 		t.Errorf("default path: %d CG iterations, %d factorization breakdowns (want the factor's substitution alone)",
 			rp.CGIterations, rp.PrecondFallbacks)
 	}
-	if rd.CGIterations != 0 {
-		t.Error("dense path reported CG iterations")
-	}
-	rj, err := Estimate(mod, Options{Solver: PCG, Precond: PrecondJacobi})
+	rj, err := Estimate(mod, Options{Precond: PrecondJacobi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +129,7 @@ func TestAllPreconditionersAgree(t *testing.T) {
 	truth := solved(t, n)
 	mod := buildModel(t, n, truth, 1, 9)
 	var ref *Result
-	for _, p := range []PrecondKind{PrecondNone, PrecondJacobi, PrecondLDL} {
+	for _, p := range []PrecondKind{PrecondJacobi, PrecondLDL} {
 		res, err := Estimate(mod, Options{Precond: p})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
@@ -217,8 +215,8 @@ func TestEstimateUnobservableRankDeficient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Estimate(mod, Options{Solver: Dense}); !errors.Is(err, ErrUnobservable) {
-		t.Fatalf("dense err = %v, want ErrUnobservable", err)
+	if _, err := Estimate(mod, Options{}); !errors.Is(err, ErrUnobservable) {
+		t.Fatalf("err = %v, want ErrUnobservable", err)
 	}
 	obs := CheckObservability(mod)
 	if obs.Observable {

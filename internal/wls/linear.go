@@ -28,7 +28,7 @@ func LinearPMUEstimate(mod *meas.Model, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("%w: %d phasor measurements < %d states", ErrUnobservable, mod.NMeas(), mod.NState())
 	}
 	// h(x) = H·x + c with constant H: one linearization at flat start is
-	// exact, so a single normal-equation (or QR) solve finishes the job,
+	// exact, so a single normal-equation solve finishes the job,
 	// routed through the solver engine so the phasor problem shares the
 	// plan/workspace machinery of the nonlinear path.
 	return NewEngine(mod).SolveLinear(opts)

@@ -63,7 +63,8 @@ func outageOf(t *testing.T, net *grid.Network, rng *rand.Rand) *grid.Network {
 
 // TestDefaultMatchesDenseOracle checks wls.Options{} — the gain solved by
 // the complete LDLᵀ factor's substitution — against the dense LU
-// normal-equations solver, which shares none of the sparse solve path: same
+// normal-equations oracle in legacyEstimate's Gauss–Newton loop, which
+// shares neither the sparse solve path nor the engine's loop: same
 // Gauss–Newton trajectory length, states within 1e-8, and no fresh factor
 // whose substitution needed a CG polish.
 func TestDefaultMatchesDenseOracle(t *testing.T) {
@@ -85,7 +86,7 @@ func TestDefaultMatchesDenseOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: default: %v", net.Name, err)
 			}
-			want, err := Estimate(mod, Options{Solver: Dense})
+			want, err := legacyEstimate(mod, Options{}, nil, oracleDense)
 			if err != nil {
 				t.Fatalf("%s: dense: %v", net.Name, err)
 			}

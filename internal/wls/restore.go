@@ -24,7 +24,6 @@ func RestoreObservability(mod *meas.Model, sigma float64) ([]meas.Measurement, [
 	if obs.Observable {
 		return mod.Meas, nil, nil
 	}
-	refAngle := refAngleOf(mod)
 	nAngles := obs.NState - mod.Net.N()
 	var added []meas.Measurement
 	for _, state := range obs.WeakStates {
@@ -35,7 +34,7 @@ func RestoreObservability(mod *meas.Model, sigma float64) ([]meas.Measurement, [
 			if err != nil {
 				return nil, nil, err
 			}
-			m = meas.Measurement{Kind: meas.Angle, Bus: bus, Sigma: sigma, Value: refAngle}
+			m = meas.Measurement{Kind: meas.Angle, Bus: bus, Sigma: sigma, Value: mod.RefAngle()}
 		} else {
 			bus := mod.Net.Buses[state-nAngles].ID
 			m = meas.Measurement{Kind: meas.Vmag, Bus: bus, Sigma: sigma, Value: 1}

@@ -45,8 +45,8 @@ func unobservableModel(t *testing.T) (*meas.Model, *grid.Network) {
 
 func TestRestoreObservabilityMakesSolvable(t *testing.T) {
 	mod, n := unobservableModel(t)
-	if _, err := Estimate(mod, Options{Solver: Dense}); err == nil {
-		t.Fatal("fixture should be unobservable")
+	if _, err := Estimate(mod, Options{}); !errors.Is(err, ErrUnobservable) {
+		t.Fatalf("fixture should be unobservable: %v", err)
 	}
 	augmented, added, err := RestoreObservability(mod, 0.05)
 	if err != nil {
@@ -158,6 +158,8 @@ func TestLinearPMURejectsNonPhasor(t *testing.T) {
 	}
 }
 
+// TestLinearPMUWithQR: the one-shot phasor solve against one Givens QR step
+// of the same linear model from flat start.
 func TestLinearPMUWithQR(t *testing.T) {
 	n := grid.Case14()
 	truth := solved(t, n)
@@ -170,13 +172,27 @@ func TestLinearPMUWithQR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := LinearPMUEstimate(mod, Options{Solver: QR})
+	res, err := LinearPMUEstimate(mod, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dvm, _ := maxStateError(res.State, truth)
 	if dvm > 0.005 {
 		t.Fatalf("error %g", dvm)
+	}
+	x := mod.FlatVec()
+	r := mod.Eval(x)
+	for i, m := range mod.Meas {
+		r[i] = m.Value - r[i]
+	}
+	dx, err := solveQR(mod.Jacobian(x), mod.Weights(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range x {
+		if d := math.Abs(x[i] + dx[i] - res.X[i]); d > 1e-10 {
+			t.Fatalf("x[%d] = %.12g, QR %.12g (|Δ| = %g)", i, res.X[i], x[i]+dx[i], d)
+		}
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // frames of a drifting operating point under ReuseGain — a cold solve, then
 // warm re-solves from the previous solution — and every frame must land
 // within the Gauss–Newton tolerance of a flat-start dense-LU estimate of
-// that frame on a model of its own, with lagged steps actually taken.
+// that frame on a model of its own, in legacyEstimate's loop, with lagged
+// steps actually taken.
 func TestReuseGainMatchesDenseOracle(t *testing.T) {
 	wecc, err := grid.SynthWECC(grid.SynthOptions{Areas: 2, Seed: 1})
 	if err != nil {
@@ -64,7 +65,7 @@ func TestReuseGainMatchesDenseOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Estimate(oracle, Options{Solver: Dense, Tol: 1e-10})
+			want, err := legacyEstimate(oracle, Options{Tol: 1e-10}, nil, oracleDense)
 			if err != nil {
 				t.Fatalf("%s frame %d: dense: %v", n.Name, f, err)
 			}

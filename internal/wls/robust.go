@@ -41,7 +41,8 @@ var ErrRobustNotConverged = errors.New("wls: robust estimator did not converge")
 // least squares: solve WLS, standardize residuals, down-weight those
 // beyond K sigma (w ← w·K/|r/σ|), and repeat until the state settles.
 // Unlike the detection–identification cycle, gross errors are suppressed
-// without removing measurements.
+// without removing measurements. A state still moving after MaxReweights
+// rounds returns the last round's result with ErrRobustNotConverged.
 func EstimateRobust(mod *meas.Model, opts RobustOptions) (*RobustResult, error) {
 	k := opts.K
 	if k <= 0 {
@@ -67,6 +68,7 @@ func EstimateRobust(mod *meas.Model, opts RobustOptions) (*RobustResult, error) 
 	eng := NewEngine(mod)
 	var prev []float64
 	out := &RobustResult{}
+	settled := false
 	for round := 0; round < maxRounds; round++ {
 		res, err := eng.estimateWeighted(context.Background(), opts.Inner, scale)
 		if err != nil {
@@ -82,7 +84,7 @@ func EstimateRobust(mod *meas.Model, opts RobustOptions) (*RobustResult, error) 
 					maxDelta = d
 				}
 			}
-			if maxDelta < tol {
+			if settled = maxDelta < tol; settled {
 				break
 			}
 		}
@@ -98,13 +100,13 @@ func EstimateRobust(mod *meas.Model, opts RobustOptions) (*RobustResult, error) 
 			}
 		}
 	}
-	if out.Result == nil {
-		return nil, ErrRobustNotConverged
-	}
 	for i, s := range scale {
 		if s < 1 {
 			out.Downweighted = append(out.Downweighted, i)
 		}
+	}
+	if !settled {
+		return out, fmt.Errorf("%w after %d rounds", ErrRobustNotConverged, out.Reweights)
 	}
 	return out, nil
 }

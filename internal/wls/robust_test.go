@@ -1,11 +1,14 @@
 package wls
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
 	"repro/internal/meas"
+	"repro/internal/sparse"
 )
 
 func TestRobustMatchesWLSOnCleanData(t *testing.T) {
@@ -101,16 +104,81 @@ func TestRobustMultipleGrossErrors(t *testing.T) {
 	}
 }
 
+// TestRobustWithQRInner runs EstimateRobust's IRLS rounds (K 1.5, state
+// tolerance 1e-6) with every inner solve by the QR oracle's Gauss–Newton
+// loop: the same round count, the same down-weighted set, states within
+// 1e-8.
 func TestRobustWithQRInner(t *testing.T) {
 	n := grid.Case14()
 	truth := solved(t, n)
 	mod := buildModel(t, n, truth, 1, 73)
-	rob, err := EstimateRobust(mod, RobustOptions{Inner: Options{Solver: QR}})
+	rob, err := EstimateRobust(mod, RobustOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dvm, _ := maxStateError(rob.State, truth)
 	if dvm > 0.01 {
 		t.Errorf("error %g", dvm)
+	}
+
+	scale := make([]float64, mod.NMeas())
+	for i := range scale {
+		scale[i] = 1
+	}
+	var want *Result
+	step := make([]float64, mod.NState())
+	rounds := 0
+	for rounds < 15 {
+		prev := want
+		if want, err = legacyEstimate(mod, Options{}, scale, oracleQR); err != nil {
+			t.Fatal(err)
+		}
+		rounds++
+		if prev != nil {
+			if sparse.Sub(step, want.X, prev.X); sparse.NormInf(step) < 1e-6 {
+				break
+			}
+		}
+		for i, m := range mod.Meas {
+			scale[i] = min(1, 1.5/(math.Abs(want.Residuals[i])/m.Sigma))
+		}
+	}
+	var down []int
+	for i, s := range scale {
+		if s < 1 {
+			down = append(down, i)
+		}
+	}
+	if rounds != rob.Reweights || !slices.Equal(down, rob.Downweighted) {
+		t.Errorf("QR inner: %d rounds, down-weighted %v; EstimateRobust: %d, %v", rounds, down, rob.Reweights, rob.Downweighted)
+	}
+	for i := range want.X {
+		if d := math.Abs(rob.X[i] - want.X[i]); d > 1e-8 {
+			t.Fatalf("x[%d]: EstimateRobust %v vs QR inner %v (|Δ| = %g)", i, rob.X[i], want.X[i], d)
+		}
+	}
+}
+
+// TestRobustReportsIRLSCap: a state still moving when the IRLS cap is hit
+// is ErrRobustNotConverged, with the last round's result, as Estimate
+// reports its own cap. The gross-error fixture settles in 8 rounds.
+func TestRobustReportsIRLSCap(t *testing.T) {
+	n := grid.Case14()
+	truth := solved(t, n)
+	bad, err := meas.InjectBadData(buildModel(t, n, truth, 1, 67).Meas, 40, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := n.SlackIndex()
+	mod, err := meas.NewModel(n, bad, ref, truth.Va[ref])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rob, err := EstimateRobust(mod, RobustOptions{MaxReweights: 2})
+	if !errors.Is(err, ErrRobustNotConverged) || rob == nil || rob.Result == nil || rob.Reweights != 2 {
+		t.Fatalf("MaxReweights 2: err = %v, result %+v", err, rob)
+	}
+	if rob, err = EstimateRobust(mod, RobustOptions{}); err != nil || rob.Reweights <= 2 {
+		t.Fatalf("default cap: err = %v after %d rounds", err, rob.Reweights)
 	}
 }
