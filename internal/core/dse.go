@@ -205,7 +205,7 @@ func (sess *Session) runDSE(ctx context.Context, pl placement, global []meas.Mea
 
 		start = time.Now()
 		err = pl.forEach(ctx, "step 2", func(ctx context.Context, si int) error {
-			sp, eng, err := sess.step2(si, global, incoming[si])
+			sp, eng, err := sess.step2(si, global, incoming[si], round == 0)
 			if err != nil {
 				return err
 			}

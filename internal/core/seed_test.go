@@ -166,7 +166,7 @@ func TestStep2SeedMatchesBusesByID(t *testing.T) {
 		}
 		external := 0
 		for si := range fx.dec.Subsystems {
-			sp, _, err := sess.step2(si, fx.ms, incomingFor(fx.dec, si, packets))
+			sp, _, err := sess.step2(si, fx.ms, incomingFor(fx.dec, si, packets), true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +211,7 @@ func TestStep2SeedRejectedWhenStep1IsSpoiled(t *testing.T) {
 	if err != nil {
 		t.Fatalf("step 1 on the spoiled frame: %v", err)
 	}
-	_, eng2, err := sess.step2(victim, fx.ms, incomingFor(fx.dec, victim, packets))
+	_, eng2, err := sess.step2(victim, fx.ms, incomingFor(fx.dec, victim, packets), true)
 	if err != nil {
 		t.Fatal(err)
 	}

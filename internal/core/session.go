@@ -161,13 +161,15 @@ func (s *Session) step1(si int, global []meas.Measurement) (*Subproblem, *wls.En
 }
 
 // step2 returns subsystem si's Step-2 subproblem and engine, refreshed
-// with the frame's values and the round's incoming packets. The incoming
-// slice must be in a stable order across rounds and frames (the
+// with the round's incoming packets and, when newFrame says this is the
+// frame's first round, with the frame's values: a later round finds them
+// already in the skeleton, which that first round refreshed or built. The
+// incoming slice must be in a stable order across rounds and frames (the
 // placements deliver ascending FromSub, which is d.Neighbors order).
-func (s *Session) step2(si int, global []meas.Measurement, incoming []PseudoPacket) (*Subproblem, *wls.Engine, error) {
+func (s *Session) step2(si int, global []meas.Measurement, incoming []PseudoPacket, newFrame bool) (*Subproblem, *wls.Engine, error) {
 	sl := &s.subs[si]
 	if sl.step2 != nil &&
-		sl.step2.UpdateMeasurements(global) == nil &&
+		(!newFrame || sl.step2.UpdateMeasurements(global) == nil) &&
 		sl.step2.UpdatePseudo(incoming) == nil {
 		return sl.step2, sl.eng2, nil
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/grid"
@@ -48,6 +49,12 @@ type Subproblem struct {
 	refAngle float64
 	refBusID int // external ID of the angle-reference bus
 
+	// own pairs every OwnBuses entry with its sub-network and full-network
+	// indices (MergeInto), and emit lists the subsystem's boundary, then
+	// sensitive, buses present in Net (ExtractPseudo): resolved once here
+	// rather than through Network.Index per bus per round.
+	own, emit []busRef
+
 	// Build provenance: where each model measurement's value comes from, so
 	// a cached skeleton can be refreshed with fresh values (see
 	// UpdateMeasurements / UpdatePseudo) instead of being rebuilt per frame.
@@ -59,6 +66,10 @@ type Subproblem struct {
 	nGlobal   int            // frame length the skeleton was built from
 	nPackets  int            // expected incoming packet count (step 2)
 }
+
+// busRef is one bus of a subproblem: its external ID, its index in the
+// sub-network and its index in the full network.
+type busRef struct{ id, local, global int32 }
 
 // pseudoSlot ties one pseudo-measurement model entry to its coordinates in
 // the incoming packet slice (packet position, state position, angle/Vm).
@@ -322,12 +333,23 @@ func (d *Decomposition) finishSubproblem(s *Subsystem, localNet *grid.Network, m
 		return nil, fmt.Errorf("core: subsystem %d model: %w", s.Index, err)
 	}
 	ownIDs := make([]int, len(s.Buses))
+	own := make([]busRef, len(s.Buses))
 	for i, gi := range s.Buses {
-		ownIDs[i] = d.Net.Buses[gi].ID
+		id := d.Net.Buses[gi].ID
+		ownIDs[i] = id
+		own[i] = busRef{id: int32(id), local: int32(localNet.MustIndex(id)), global: int32(gi)}
+	}
+	emit := make([]busRef, 0, len(s.Boundary)+len(s.Sensitive))
+	for _, gi := range slices.Concat(s.Boundary, s.Sensitive) {
+		id := d.Net.Buses[gi].ID
+		if li, ok := localNet.Index(id); ok {
+			emit = append(emit, busRef{id: int32(id), local: int32(li), global: int32(gi)})
+		}
 	}
 	return &Subproblem{
 		Sub: s, Net: localNet, Model: mod, OwnBuses: ownIDs,
 		refAngle: refAngle, refBusID: refID, refSrc: -1,
+		own: own, emit: emit,
 	}, nil
 }
 
@@ -474,35 +496,23 @@ func (sp *Subproblem) ReplaceMeasurements(ms []meas.Measurement) error {
 
 // ExtractPseudo packages the boundary and sensitive-internal bus states of
 // subsystem si from a solved local state — the payload sent to every
-// neighbor after Step 1.
+// neighbor after Step 1. sp is one of si's subproblems.
 func (d *Decomposition) ExtractPseudo(si int, sp *Subproblem, st powerflow.State) PseudoPacket {
-	s := &d.Subsystems[si]
-	pkt := PseudoPacket{FromSub: si}
-	emit := func(gi int) {
-		id := d.Net.Buses[gi].ID
-		li, ok := sp.Net.Index(id)
-		if !ok {
-			return
-		}
-		pkt.States = append(pkt.States, BusState{BusID: id, Vm: st.Vm[li], Va: st.Va[li]})
+	states := make([]BusState, len(sp.emit))
+	for k, b := range sp.emit {
+		states[k] = BusState{BusID: int(b.id), Vm: st.Vm[b.local], Va: st.Va[b.local]}
 	}
-	for _, b := range s.Boundary {
-		emit(b)
-	}
-	for _, b := range s.Sensitive {
-		emit(b)
-	}
-	return pkt
+	return PseudoPacket{FromSub: si, States: states}
 }
 
 // MergeInto writes the subproblem's solved own-bus states into a global
-// state vector (indexed by the full network's internal bus order).
+// state vector (indexed by the full network's internal bus order). d is the
+// decomposition sp was built from, whose bus indices sp resolved at build
+// time.
 func (sp *Subproblem) MergeInto(d *Decomposition, st powerflow.State, global *powerflow.State) {
-	for _, id := range sp.OwnBuses {
-		li := sp.Net.MustIndex(id)
-		gi := d.Net.MustIndex(id)
-		global.Vm[gi] = st.Vm[li]
-		global.Va[gi] = st.Va[li]
+	for _, b := range sp.own {
+		global.Vm[b.global] = st.Vm[b.local]
+		global.Va[b.global] = st.Va[b.local]
 	}
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -104,6 +106,74 @@ func TestTrackerWarmStartNotAliased(t *testing.T) {
 				for i := range r.X {
 					r.X[i] = math.NaN()
 				}
+			}
+		}
+	}
+}
+
+// TestTrackerReadsAReusedFrameBuffer: a caller that rewrites one measurement
+// slice in place between frames gets, bit for bit, what fresh slices get —
+// at one and at three Step-2 rounds, from a tracker and from the testbed run
+// warm-started the way a tracker is. The first Step-2 round of a frame reads
+// the frame's values, whatever slice carries them, and the later rounds
+// find them already in place.
+func TestTrackerReadsAReusedFrameBuffer(t *testing.T) {
+	fx := newFixture(t, grid.Case118, 9, 1)
+	frames := make([][]meas.Measurement, 3)
+	for f := range frames {
+		frames[f] = frameFor(t, fx, 1, int64(80+f))
+	}
+	ctx := t.Context()
+	for _, rounds := range []int{1, 3} {
+		// Twin decompositions, so each run keeps a session of its own.
+		opts := DSEOptions{Rounds: rounds}
+		fresh := NewTracker(fx.dec, opts)
+		reused := NewTracker(newFixture(t, grid.Case118, 9, 1).dec, opts)
+		onTestbed := newFixture(t, grid.Case118, 9, 1).dec
+		buf := make([]meas.Measurement, len(frames[0]))
+		var warm [][]float64
+		for f, frame := range frames {
+			want, err := fresh.Step(ctx, slices.Clone(frame))
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, frame)
+			got, err := reused.Step(ctx, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%d rounds, frame %d", rounds, f)
+			requireSameRun(t, what+", reused buffer", got.State, got.Step1, got.Step2, want)
+			dist, err := RunDistributed(ctx, onTestbed, buf, DistributedOptions{Clusters: 3, DSE: DSEOptions{Rounds: rounds, WarmStart: warm}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRun(t, what+", reused buffer on the testbed", dist.State, dist.Step1, dist.Step2, want)
+			warm = make([][]float64, len(dist.Step1))
+			for si, r := range dist.Step1 {
+				warm[si] = r.X
+			}
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// requireSameRun fails unless a run's aggregated state and every subsystem's
+// Step-1 and last Step-2 estimate equal want's bit for bit, from as many
+// Gauss–Newton iterations.
+func requireSameRun(t *testing.T, what string, state powerflow.State, step1, step2 []*wls.Result, want *DSEResult) {
+	t.Helper()
+	for i := range want.State.Vm {
+		if !sameBits(state.Vm[i], want.State.Vm[i]) || !sameBits(state.Va[i], want.State.Va[i]) {
+			t.Fatalf("%s: bus %d at %.17g/%.17g, want %.17g/%.17g", what, i, state.Vm[i], state.Va[i], want.State.Vm[i], want.State.Va[i])
+		}
+	}
+	for step, pair := range [][2][]*wls.Result{{step1, want.Step1}, {step2, want.Step2}} {
+		for si, r := range pair[0] {
+			w := pair[1][si]
+			if r.Iterations != w.Iterations || !sameBits(r.ObjectiveJ, w.ObjectiveJ) || !slices.EqualFunc(r.X, w.X, sameBits) {
+				t.Fatalf("%s: step %d subsystem %d took %d iterations to J %v, want %d to J %v", what, step+1, si, r.Iterations, r.ObjectiveJ, w.Iterations, w.ObjectiveJ)
 			}
 		}
 	}

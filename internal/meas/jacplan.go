@@ -55,6 +55,10 @@ type JacobianPlan struct {
 	refAngle float64
 	loaded   bool
 	trig     int
+
+	// flat is h at the flat profile, evaluated by the first FlatObjective
+	// and dropped by Rebind; its Angle rows are never read.
+	flat []float64
 }
 
 // NewJacobianPlan builds the symbolic Jacobian plan. Rows arrive in
@@ -143,9 +147,10 @@ func (pl *JacobianPlan) columns() []int32 {
 
 // CloneFor returns a plan for view, a WithoutBranch view of the plan's model
 // (or that model itself), that shares every index array with pl — H's
-// RowPtr and ColIdx, the slot map and the column map — and owns only H.Val
-// and its state load: the pattern is the kernel's and the admittance
-// pattern's, which a view shares with its base.
+// RowPtr and ColIdx, the slot map and the column map — and owns only H.Val,
+// its state load and its h at the flat profile, which the view's admittance
+// values decide: the pattern is the kernel's and the admittance pattern's,
+// which a view shares with its base.
 func (pl *JacobianPlan) CloneFor(view *Model) (*JacobianPlan, error) {
 	if !sameBacking(view.k.ops, pl.mod.k.ops) || !sameBacking(view.y.ColIdx, pl.mod.y.ColIdx) {
 		return nil, fmt.Errorf("meas: JacobianPlan clone for a model that does not share the plan's kernel")
@@ -182,6 +187,7 @@ func (pl *JacobianPlan) Rebind(mod *Model) error {
 	}
 	pl.mod = mod
 	pl.loaded = false
+	pl.flat = nil
 	return nil
 }
 
@@ -258,4 +264,41 @@ func (pl *JacobianPlan) EvalInto(h, x []float64) {
 	}
 	pl.ensureLoaded(x)
 	pl.mod.evalLoaded(pl.st, h)
+}
+
+// FlatObjective returns J at the flat profile, Σ wᵢ·(zᵢ − hᵢ(flat))² summed in
+// measurement order: bit for bit what evaluating h at Model.FlatVec() and
+// summing w·r·r over r = z − h gives, without a state load. At the flat
+// profile every angle difference is +0 whatever the (finite) reference
+// angle, so h there depends on it only through the Angle rows, which read
+// it live; the other rows are evaluated on the plan's first call and kept
+// until Rebind. z and w have length NMeas.
+func (pl *JacobianPlan) FlatObjective(z, w []float64) float64 {
+	mod := pl.mod
+	if m := len(mod.Meas); len(z) != m || len(w) != m {
+		panic(fmt.Sprintf("meas: FlatObjective buffer lengths z=%d w=%d for %d measurements", len(z), len(w), m))
+	}
+	ref, flat := mod.refAngle, pl.flat
+	switch {
+	case math.IsInf(ref, 0) || math.IsNaN(ref):
+		// The angle differences are NaN, not +0: nothing to keep.
+		flat = mod.Eval(mod.FlatVec())
+	case flat == nil:
+		// On the plan's own load, which is then the flat profile's.
+		flat = make([]float64, len(mod.Meas))
+		mod.flatInto(pl.x)
+		pl.loaded = false
+		pl.EvalInto(flat, pl.x)
+		pl.flat = flat
+	}
+	var j float64
+	for i, op := range mod.k.ops {
+		h := flat[i]
+		if op.kind == Angle {
+			h = ref
+		}
+		r := z[i] - h
+		j += w[i] * r * r
+	}
+	return j
 }

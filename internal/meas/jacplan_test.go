@@ -3,6 +3,7 @@ package meas
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -148,5 +149,103 @@ func TestUpdateValuesAndSameStructure(t *testing.T) {
 	}
 	if mod.SameStructure(short) {
 		t.Fatal("SameStructure accepted differing measurement counts")
+	}
+}
+
+// flatObjectiveByEvaluation is J at the flat profile the way the warm-start
+// gate summed it before the plan kept h there: a state load at FlatVec(),
+// r = z − h, and w·r·r added up in measurement order.
+func flatObjectiveByEvaluation(mod *Model, z, w []float64) float64 {
+	h := mod.Eval(mod.FlatVec())
+	var j float64
+	for i := range h {
+		r := z[i] - h[i]
+		j += w[i] * r * r
+	}
+	return j
+}
+
+// TestFlatObjectiveMatchesFlatEvaluation: the plan's J at the flat profile,
+// read off h there as evaluated once, is bit for bit the sum over a fresh
+// evaluation at FlatVec() — at reference angles 0, −0, 1e-300, 0.3 and −π,
+// under the models' own, scaled and masked weights, on IEEE-14 and IEEE-118
+// with PMU angles and on an outage view, whose plan keeps h of its own. A
+// Rebind drops the kept h.
+func TestFlatObjectiveMatchesFlatEvaluation(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, n := range []*grid.Network{grid.Case14(), grid.Case118()} {
+		ms := FullPlan().Build(n)
+		for _, b := range n.Buses {
+			if rng.Intn(4) == 0 {
+				ms = append(ms, Measurement{Kind: Angle, Bus: b.ID, Sigma: 5e-4})
+			}
+		}
+		z := make([]float64, len(ms))
+		for i := range ms {
+			ms[i].Value = 0.1 * rng.NormFloat64()
+			z[i] = ms[i].Value
+		}
+		mod, err := NewModel(n, ms, n.SlackIndex(), 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := 0 // the branch with the most charging: its ends' Q(flat) change
+		for bi, br := range n.Branches {
+			if br.Status && br.B > n.Branches[out].B {
+				out = bi
+			}
+		}
+		view, err := mod.WithoutBranch(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := mod.Weights()
+		pl := mod.NewJacobianPlan()
+		pl.FlatObjective(z, own) // the base keeps its h(flat) before the clone
+		viewPl, err := pl.CloneFor(view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scaled, masked := make([]float64, len(own)), make([]float64, len(own))
+		for i, w := range own {
+			scaled[i] = w * (0.5 + 1.5*rng.Float64())
+			if i%5 != 0 {
+				masked[i] = scaled[i]
+			}
+		}
+		weights := map[string][]float64{"own": own, "scaled": scaled, "masked": masked}
+		refs := []float64{0.3, 0, math.Copysign(0, -1), 1e-300, -math.Pi}
+		for _, c := range []struct {
+			name string
+			mod  *Model
+			pl   *JacobianPlan
+		}{{"base", mod, pl}, {"outage", view, viewPl}} {
+			for _, ref := range refs {
+				c.mod.SetRefAngle(ref)
+				for wn, w := range weights {
+					got, want := c.pl.FlatObjective(z, w), flatObjectiveByEvaluation(c.mod, z, w)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s %s, reference angle %g, %s weights: J(flat) %v, evaluated %v", n.Name, c.name, ref, wn, got, want)
+					}
+				}
+			}
+		}
+		if pl.FlatObjective(z, own) == viewPl.FlatObjective(z, own) {
+			t.Fatalf("%s: taking out branch %d leaves J(flat) unchanged, so the outage case checks nothing", n.Name, out)
+		}
+
+		other, err := NewModel(n, slices.Clone(ms), n.SlackIndex(), -0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pl.Rebind(other); err != nil {
+			t.Fatal(err)
+		}
+		if pl.flat != nil {
+			t.Fatalf("%s: Rebind kept h at the flat profile", n.Name)
+		}
+		if got, want := pl.FlatObjective(z, own), flatObjectiveByEvaluation(other, z, own); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: after Rebind J(flat) %v, evaluated %v", n.Name, got, want)
+		}
 	}
 }

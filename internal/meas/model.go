@@ -262,13 +262,18 @@ func (mod *Model) unpackState(x, vm, va []float64) {
 // angle, magnitudes at 1 pu).
 func (mod *Model) FlatVec() []float64 {
 	x := make([]float64, mod.NState())
+	mod.flatInto(x)
+	return x
+}
+
+// flatInto writes the flat-start state into x (length NState).
+func (mod *Model) flatInto(x []float64) {
 	for i := 0; i < mod.nAngles; i++ {
 		x[i] = mod.refAngle
 	}
 	for i := mod.nAngles; i < len(x); i++ {
 		x[i] = 1
 	}
-	return x
 }
 
 // Eval computes h(x) for the model's measurement set: one state load and

@@ -6,4 +6,5 @@ var (
 	MinDegreeReference = minDegreeReference
 	FillOf             = fillOf
 	ShuffleRows        = shuffleRows
+	LDLMatchesOracle   = ldlMatchesOracle
 )

@@ -16,12 +16,13 @@ import (
 // symbolic half, paid once per sparsity pattern: the factor's own
 // fill-reducing permutation (MinDegree), the permuted upper triangle with a
 // gather map into the source matrix's value array, the elimination tree and
-// the pattern of L. Refresh is the numeric half: an
-// up-looking factorization (Davis, "Algorithm 849: a concise sparse
-// Cholesky factorization package") that rewrites L and D in place and
-// allocates nothing. The permutation lives inside the factor — Apply takes
-// and returns vectors in the matrix's own order — so the matrix, the CG
-// iteration and every other consumer of it stay in natural order.
+// the pattern of L. Refresh is the numeric half: an up-looking
+// factorization (Davis, "Algorithm 849: a concise sparse Cholesky
+// factorization package") that rewrites L and D in place and allocates
+// nothing but the error of a breakdown. The permutation lives inside the
+// factor — Apply takes and returns vectors in the matrix's own order — so
+// the matrix, the CG iteration and every other consumer of it stay in
+// natural order.
 //
 // A factor is not safe for concurrent use: Refresh and Apply share scratch.
 type LDLFactor struct {
@@ -39,9 +40,9 @@ type LDLFactor struct {
 	// k is a.Val[diagSrc[k]].
 	upPtr, upRow, upSrc, diagSrc []int
 
-	parent []int // elimination tree (−1 at roots)
-	lPtr   []int // column pointers of L's strict lower triangle
-	lRow   []int // row indices, ascending within a column
+	parent []int   // elimination tree (−1 at roots)
+	lPtr   []int   // column pointers of L's strict lower triangle
+	lRow   []int32 // row indices, ascending within a column
 
 	lVal []float64 // L values
 	d    []float64 // D
@@ -52,6 +53,22 @@ type LDLFactor struct {
 	pattern, flag, lnz []int
 	w                  []float64 // Apply's permuted vector
 }
+
+// PivotError is the ErrNotSPD an LDLᵀ refresh returns, naming where the
+// elimination broke down: State is the row of the matrix, in its own
+// order, whose pivot Pivot fell to ldlPivotRelFloor·|Diag| or below (or is
+// NaN), Diag being that row's diagonal entry. errors.Is(err, ErrNotSPD)
+// holds for it.
+type PivotError struct {
+	State       int
+	Pivot, Diag float64
+}
+
+func (e *PivotError) Error() string {
+	return fmt.Sprintf("%v: pivot %g at state %d, diagonal %g", ErrNotSPD, e.Pivot, e.State, e.Diag)
+}
+
+func (e *PivotError) Unwrap() error { return ErrNotSPD }
 
 // ldlPivotRelFloor is the smallest fraction of the matrix diagonal a pivot
 // may retain after the update subtractions, as ic0PivotRelFloor: below it
@@ -67,6 +84,9 @@ const ldlPivotRelFloor = ic0PivotRelFloor
 func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("sparse: LDL requires square matrix, got %dx%d", a.Rows, a.Cols)
+	}
+	if a.Rows > math.MaxInt32 {
+		return nil, fmt.Errorf("sparse: LDL of dimension %d exceeds the factor's int32 row indices", a.Rows)
 	}
 	n := a.Rows
 	f := &LDLFactor{
@@ -143,7 +163,7 @@ func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 	for k := 0; k < n; k++ {
 		f.lPtr[k+1] = f.lPtr[k] + f.lnz[k]
 	}
-	f.lRow = make([]int, f.lPtr[n])
+	f.lRow = make([]int32, f.lPtr[n])
 	f.lVal = make([]float64, f.lPtr[n])
 
 	// The same walk again, now with a place for every entry: row k lands in
@@ -156,7 +176,7 @@ func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 		f.flag[k] = k
 		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
 			for i := f.upRow[p]; f.flag[i] != k; i = f.parent[i] {
-				f.lRow[f.lPtr[i]+f.lnz[i]] = k
+				f.lRow[f.lPtr[i]+f.lnz[i]] = int32(k)
 				f.lnz[i]++
 				f.flag[i] = k
 			}
@@ -199,9 +219,9 @@ func NewLDL(a *CSR) (*LDLFactor, error) {
 // Refresh refactors in place from a matrix with the analyzed pattern: the
 // analyzed matrix itself or one sharing its index arrays, which is every
 // call the estimator makes, or else one whose arrays compare equal. A
-// non-positive, NaN or cancellation-level pivot returns ErrNotSPD; the
-// factor then holds no usable numerics, but its analysis and scratch are
-// intact and a later Refresh may succeed.
+// non-positive, NaN or cancellation-level pivot returns a *PivotError, which
+// is ErrNotSPD; the factor then holds no usable numerics, but its analysis
+// and scratch are intact and a later Refresh may succeed.
 func (f *LDLFactor) Refresh(a *CSR) error {
 	if a.Rows != f.n || a.Cols != f.n {
 		return fmt.Errorf("sparse: LDL refresh with %dx%d matrix, built for %d", a.Rows, a.Cols, f.n)
@@ -210,6 +230,7 @@ func (f *LDLFactor) Refresh(a *CSR) error {
 		return fmt.Errorf("sparse: LDL refresh with changed sparsity pattern")
 	}
 	n, y, pattern, flag, lnz := f.n, f.y, f.pattern, f.flag, f.lnz
+	lPtr, lRow, lVal, d := f.lPtr, f.lRow, f.lVal, f.d
 	for k := 0; k < n; k++ {
 		// Scatter column k of the upper triangle into y and collect the
 		// pattern of row k of L in topological order at pattern[top:].
@@ -238,45 +259,52 @@ func (f *LDLFactor) Refresh(a *CSR) error {
 			i := pattern[top]
 			yi := y[i]
 			y[i] = 0
-			end := f.lPtr[i] + lnz[i]
-			for p := f.lPtr[i]; p < end; p++ {
-				y[f.lRow[p]] -= f.lVal[p] * yi
+			lo, end := lPtr[i], lPtr[i]+lnz[i]
+			rows := lRow[lo:end]
+			vals := lVal[lo:end][:len(rows)]
+			for p, r := range rows {
+				y[r] -= vals[p] * yi
 			}
-			lki := yi / f.d[i]
+			lki := yi / d[i]
 			dk -= lki * yi
-			f.lVal[end] = lki
+			lVal[end] = lki
 			lnz[i]++
 		}
 		// The negated comparison catches NaN as well.
 		if !(dk > ldlPivotRelFloor*math.Abs(akk)) {
-			return ErrNotSPD
+			return &PivotError{State: f.perm[k], Pivot: dk, Diag: akk}
 		}
-		f.d[k] = dk
+		d[k] = dk
 	}
 	return nil
 }
 
 // Apply solves A·z = r by permuted forward, diagonal and backward
 // substitution, which also makes the factor a Preconditioner. It allocates
-// nothing.
+// nothing. The division by D is the first operation the backward sweep
+// applies to each entry, which is where a separate pass would have left it.
 func (f *LDLFactor) Apply(z, r []float64) {
-	w := f.w
+	n := f.n
+	w, d, lPtr := f.w[:n], f.d[:n], f.lPtr[:n+1]
 	for k, o := range f.perm {
 		w[k] = r[o]
 	}
-	for j := 0; j < f.n; j++ {
+	for j := 0; j < n; j++ {
+		lo, hi := lPtr[j], lPtr[j+1]
+		rows := f.lRow[lo:hi]
+		vals := f.lVal[lo:hi][:len(rows)]
 		wj := w[j]
-		for p := f.lPtr[j]; p < f.lPtr[j+1]; p++ {
-			w[f.lRow[p]] -= f.lVal[p] * wj
+		for p, i := range rows {
+			w[i] -= vals[p] * wj
 		}
 	}
-	for j, dj := range f.d {
-		w[j] /= dj
-	}
-	for j := f.n - 1; j >= 0; j-- {
-		wj := w[j]
-		for p := f.lPtr[j]; p < f.lPtr[j+1]; p++ {
-			wj -= f.lVal[p] * w[f.lRow[p]]
+	for j := n - 1; j >= 0; j-- {
+		lo, hi := lPtr[j], lPtr[j+1]
+		rows := f.lRow[lo:hi]
+		vals := f.lVal[lo:hi][:len(rows)]
+		wj := w[j] / d[j]
+		for p, i := range rows {
+			wj -= vals[p] * w[i]
 		}
 		w[j] = wj
 	}

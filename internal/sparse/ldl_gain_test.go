@@ -90,3 +90,27 @@ func TestLDLApplyAloneMeetsCGTolerance(t *testing.T) {
 		}
 	}
 }
+
+// TestLDLMatchesOracleOnGains: on the estimator's centralized gains —
+// IEEE-14, 30 and 118 and the 12-area SynthWECC, and the IEEE-118 gain with
+// its rows stored shuffled — L, D and one solution are bitwise those of the
+// substitution and refactorization kept in ldl_test.go as the oracle.
+func TestLDLMatchesOracleOnGains(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	g118 := centralGain(t, grid.Case118())
+	for name, g := range map[string]*sparse.CSR{
+		"ieee14":           centralGain(t, grid.Case14()),
+		"ieee30":           centralGain(t, grid.Case30()),
+		"ieee118":          g118,
+		"ieee118-shuffled": sparse.ShuffleRows(rng, g118),
+		"synth-wecc-12":    centralGain(t, synthWECC(t, 12, 1)),
+	} {
+		r := make([]float64, g.Rows)
+		for i := range r {
+			r[i] = rng.NormFloat64()
+		}
+		if err := sparse.LDLMatchesOracle(g, r); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}

@@ -2,11 +2,161 @@ package sparse
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 )
+
+// ldlOracle is the factor's numeric half as it was written before L's row
+// indices became int32 and the division by D moved into the backward sweep:
+// the reference LDLFactor.Refresh and Apply must equal bit for bit. It runs
+// on a factor's analysis, with a []int copy of L's row indices and values
+// and scratch of its own.
+type ldlOracle struct {
+	f                  *LDLFactor
+	lRow               []int
+	lVal, d, y, w      []float64
+	pattern, flag, lnz []int
+}
+
+func newLDLOracle(f *LDLFactor) *ldlOracle {
+	o := &ldlOracle{
+		f: f, lRow: make([]int, len(f.lRow)), lVal: make([]float64, len(f.lVal)),
+		d: make([]float64, f.n), y: make([]float64, f.n), w: make([]float64, f.n),
+		pattern: make([]int, f.n), flag: make([]int, f.n), lnz: make([]int, f.n),
+	}
+	for p, i := range f.lRow {
+		o.lRow[p] = int(i)
+	}
+	return o
+}
+
+func (o *ldlOracle) refresh(a *CSR) error {
+	f := o.f
+	n, y, pattern, flag, lnz := f.n, o.y, o.pattern, o.flag, o.lnz
+	for k := 0; k < n; k++ {
+		top := n
+		flag[k] = k
+		lnz[k] = 0
+		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
+			i := f.upRow[p]
+			y[i] += a.Val[f.upSrc[p]]
+			depth := 0
+			for ; flag[i] != k; i = f.parent[i] {
+				pattern[depth] = i
+				depth++
+				flag[i] = k
+			}
+			for depth > 0 {
+				top--
+				depth--
+				pattern[top] = pattern[depth]
+			}
+		}
+		akk := a.Val[f.diagSrc[k]]
+		dk := akk
+		for ; top < n; top++ {
+			i := pattern[top]
+			yi := y[i]
+			y[i] = 0
+			end := f.lPtr[i] + lnz[i]
+			for p := f.lPtr[i]; p < end; p++ {
+				y[o.lRow[p]] -= o.lVal[p] * yi
+			}
+			lki := yi / o.d[i]
+			dk -= lki * yi
+			o.lVal[end] = lki
+			lnz[i]++
+		}
+		if !(dk > ldlPivotRelFloor*math.Abs(akk)) {
+			return ErrNotSPD
+		}
+		o.d[k] = dk
+	}
+	return nil
+}
+
+func (o *ldlOracle) apply(z, r []float64) {
+	f, w := o.f, o.w
+	for k, i := range f.perm {
+		w[k] = r[i]
+	}
+	for j := 0; j < f.n; j++ {
+		wj := w[j]
+		for p := f.lPtr[j]; p < f.lPtr[j+1]; p++ {
+			w[o.lRow[p]] -= o.lVal[p] * wj
+		}
+	}
+	for j, dj := range o.d {
+		w[j] /= dj
+	}
+	for j := f.n - 1; j >= 0; j-- {
+		wj := w[j]
+		for p := f.lPtr[j]; p < f.lPtr[j+1]; p++ {
+			wj -= o.lVal[p] * w[o.lRow[p]]
+		}
+		w[j] = wj
+	}
+	for k, i := range f.perm {
+		z[i] = w[k]
+	}
+}
+
+// ldlMatchesOracle factors a and solves for r with LDLFactor and with the
+// oracle on the same analysis, and reports the first L, D or solution entry
+// whose bits differ.
+func ldlMatchesOracle(a *CSR, r []float64) error {
+	f, err := NewLDL(a)
+	if err != nil {
+		return err
+	}
+	o := newLDLOracle(f)
+	if err := o.refresh(a); err != nil {
+		return fmt.Errorf("oracle: %w", err)
+	}
+	got, want := make([]float64, a.Rows), make([]float64, a.Rows)
+	f.Apply(got, r)
+	o.apply(want, r)
+	for _, c := range []struct {
+		what      string
+		got, want []float64
+	}{{"L", f.lVal, o.lVal}, {"D", f.d, o.d}, {"solution", got, want}} {
+		for i := range c.want {
+			if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
+				return fmt.Errorf("%s[%d] = %v, oracle %v", c.what, i, c.got[i], c.want[i])
+			}
+		}
+	}
+	return nil
+}
+
+// TestLDLMatchesOracle: Refresh and Apply are bitwise the oracle's on random
+// SPD and gain-shaped patterns, on a gain whose rows are stored shuffled, and
+// on a mesh; the estimator's own gains are in ldl_gain_test.go.
+func TestLDLMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	cases := map[string]*CSR{
+		"spd-1":   randomSPD(rng, 1),
+		"mesh":    meshMatrix(14, 11),
+		"shuffle": shuffleRows(rng, gainFixture(rng, 200, 320)),
+	}
+	for k := 0; k < 8; k++ {
+		n := 5 + rng.Intn(200)
+		cases[fmt.Sprintf("spd-%d", n)] = randomSPD(rng, n)
+		cases[fmt.Sprintf("gain-%d", n)] = gainFixture(rng, n, n+rng.Intn(2*n))
+	}
+	for name, a := range cases {
+		r := make([]float64, a.Rows)
+		for i := range r {
+			r[i] = rng.NormFloat64()
+		}
+		if err := ldlMatchesOracle(a, r); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
 
 // gainFixture is G = HᵀWH of a measurement-Jacobian-shaped H — a scaled
 // identity on top (full column rank, positive diagonal) plus random
@@ -270,6 +420,62 @@ func TestLDLBreakdownLeavesFactorReusable(t *testing.T) {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%s: z[%d] = %v after recovery, clean factor %v", name, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestLDLBreakdownNamesItsState: a breakdown is a *PivotError naming the
+// state, in the matrix's own order, whose pivot vanished — and still
+// ErrNotSPD. A gain whose every row touching one state carries zero weight
+// has an all-zero column there, so that state's pivot is exactly zero; in a
+// singular 3×3 whose first two states are one state twice, the pivot
+// vanishes at whichever of the two the ordering eliminates second.
+func TestLDLBreakdownNamesItsState(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	const n, dead = 60, 17
+	coo := NewCOO(n+90, n)
+	for i := 0; i < n; i++ {
+		coo.Add(i, i, 1+rng.Float64())
+	}
+	for r := 0; r < 90; r++ {
+		for k := 0; k < 3; k++ {
+			coo.Add(n+r, rng.Intn(n), rng.NormFloat64())
+		}
+	}
+	h := coo.ToCSR()
+	w := make([]float64, h.Rows)
+	for m := range w {
+		w[m] = 0.5 + rng.Float64()
+		if slices.Contains(h.ColIdx[h.RowPtr[m]:h.RowPtr[m+1]], dead) {
+			w[m] = 0
+		}
+	}
+	singular := csrFromDense([][]float64{
+		{1, 1, 0},
+		{1, 1, 0},
+		{0, 0, 3},
+	})
+	for name, c := range map[string]struct {
+		a     *CSR
+		state func(f *LDLFactor) int
+		diag  float64
+	}{
+		"zero-weight column": {Gain(h, w), func(*LDLFactor) int { return dead }, 0},
+		"singular 3x3": {singular, func(f *LDLFactor) int {
+			return f.perm[max(slices.Index(f.perm, 0), slices.Index(f.perm, 1))]
+		}, 1},
+	} {
+		f, err := AnalyzeLDL(c.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = f.Refresh(c.a)
+		var pe *PivotError
+		if !errors.As(err, &pe) || !errors.Is(err, ErrNotSPD) {
+			t.Fatalf("%s: Refresh returned %v, want a *PivotError that is ErrNotSPD", name, err)
+		}
+		if want := c.state(f); pe.State != want || pe.Pivot != 0 || pe.Diag != c.diag {
+			t.Errorf("%s: %+v, want state %d, pivot 0, diagonal %g", name, *pe, want, c.diag)
 		}
 	}
 }

@@ -278,13 +278,13 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 	if opts.X0 != nil && opts.X0Gate > 0 {
 		// Scaled-residual warm-start gate: keep X0 only if it explains the
 		// current measurement values markedly better than the flat profile.
-		// X0 is evaluated last, so a kept start enters the loop with h/r
+		// J at the flat profile costs no state load (the plan keeps h there),
+		// and X0 is evaluated last, so a kept start enters the loop with h/r
 		// already at its values — and, when its first step can lag, with that
 		// step's right-hand side.
-		flat := mod.FlatVec()
-		jFlat := e.weightedSSR(flat)
+		jFlat := e.jplan.FlatObjective(e.z, e.w)
 		if e.evalAt(x, e.canLag(x, opts)) > opts.X0Gate*jFlat {
-			copy(x, flat)
+			copy(x, mod.FlatVec())
 			e.hValid, e.rhsValid = false, false
 		}
 	}
@@ -406,18 +406,6 @@ func (e *Engine) SolveLinear(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// weightedSSR evaluates J(x) = Σ wᵢ·(zᵢ − hᵢ(x))² with the engine's current
-// weights and measurement vector, reusing the h/r buffers.
-func (e *Engine) weightedSSR(x []float64) float64 {
-	e.jplan.EvalInto(e.h, x)
-	sparse.Sub(e.r, e.z, e.h)
-	var j float64
-	for i, r := range e.r {
-		j += e.w[i] * r * r
-	}
-	return j
-}
-
 // finish evaluates the final residuals — or takes them from the r buffer
 // when the last step's accepted trial left it at x — and fills the
 // caller-owned result slices (the engine's internal buffers never escape).
@@ -487,8 +475,14 @@ func (e *Engine) noteRefresh(x []float64) {
 func (e *Engine) evalAt(x []float64, grad bool) float64 {
 	e.hValid = true
 	if !grad {
-		e.jx = e.weightedSSR(x)
-		return e.jx
+		e.jplan.EvalInto(e.h, x)
+		sparse.Sub(e.r, e.z, e.h)
+		var j float64
+		for i, r := range e.r {
+			j += e.w[i] * r * r
+		}
+		e.jx = j
+		return j
 	}
 	n := len(e.rhs)
 	if e.rhsTrial == nil {
