@@ -1020,6 +1020,11 @@ func BenchmarkGainSolve(b *testing.B) {
 // sines and cosines evaluated per iteration, counted by the plan:
 // two per distinct metered bus pair per load, against roughly 48 per branch
 // for the pair under the per-measurement evaluator this kernel replaced.
+//
+// The P and Q rows of one bus or branch end sit next to each other in every
+// plan we build, and the kernel takes such a pair as one step. The unpaired
+// rows time the same measurements with every P row moved ahead of every Q
+// row, so no pair forms: the single-row steps alone.
 func BenchmarkMeasKernel(b *testing.B) {
 	wecc, err := grid.SynthWECC(grid.SynthOptions{Areas: 12, Seed: 1})
 	if err != nil {
@@ -1034,36 +1039,49 @@ func BenchmarkMeasKernel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ref := n.SlackIndex()
-		mod, err := meas.NewModel(n, ms, ref, pf.State.Va[ref])
-		if err != nil {
-			b.Fatal(err)
-		}
-		pl := mod.NewJacobianPlan()
-		xs := [2][]float64{mod.StateToVec(pf.State), mod.FlatVec()}
-		h := make([]float64, mod.NMeas())
-		r, z, w := make([]float64, mod.NMeas()), make([]float64, mod.NMeas()), mod.Weights()
-		for i, m := range mod.Meas {
-			z[i] = m.Value
-		}
-		grad := make([]float64, mod.NState()+1)
-		for _, op := range []struct {
-			name string
-			run  func(x []float64)
-		}{
-			{"eval", func(x []float64) { pl.EvalInto(h, x) }},
-			{"refresh", func(x []float64) { pl.Refresh(x) }},
-			{"eval+refresh", func(x []float64) { pl.EvalInto(h, x); pl.Refresh(x) }},
-			{"grad", func(x []float64) { pl.GradInto(grad, h, r, x, z, w) }},
-		} {
-			b.Run(n.Name+"/"+op.name, func(b *testing.B) {
-				b.ReportAllocs()
-				trig := pl.TrigEvals()
-				for i := 0; i < b.N; i++ {
-					op.run(xs[i&1])
+		unpaired := make([]meas.Measurement, 0, len(ms))
+		for _, q := range []bool{false, true} {
+			for _, m := range ms {
+				if (m.Kind == meas.Qinj || m.Kind == meas.Qflow) == q {
+					unpaired = append(unpaired, m)
 				}
-				b.ReportMetric(float64(pl.TrigEvals()-trig)/float64(b.N), "trig/op")
-			})
+			}
+		}
+		for _, set := range []struct {
+			name string
+			ms   []meas.Measurement
+		}{{n.Name, ms}, {n.Name + "/unpaired", unpaired}} {
+			ref := n.SlackIndex()
+			mod, err := meas.NewModel(n, set.ms, ref, pf.State.Va[ref])
+			if err != nil {
+				b.Fatal(err)
+			}
+			pl := mod.NewJacobianPlan()
+			xs := [2][]float64{mod.StateToVec(pf.State), mod.FlatVec()}
+			h := make([]float64, mod.NMeas())
+			r, z, w := make([]float64, mod.NMeas()), make([]float64, mod.NMeas()), mod.Weights()
+			for i, m := range mod.Meas {
+				z[i] = m.Value
+			}
+			grad := make([]float64, mod.NState()+1)
+			for _, op := range []struct {
+				name string
+				run  func(x []float64)
+			}{
+				{"eval", func(x []float64) { pl.EvalInto(h, x) }},
+				{"refresh", func(x []float64) { pl.Refresh(x) }},
+				{"eval+refresh", func(x []float64) { pl.EvalInto(h, x); pl.Refresh(x) }},
+				{"grad", func(x []float64) { pl.GradInto(grad, h, r, x, z, w) }},
+			} {
+				b.Run(set.name+"/"+op.name, func(b *testing.B) {
+					b.ReportAllocs()
+					trig := pl.TrigEvals()
+					for i := 0; i < b.N; i++ {
+						op.run(xs[i&1])
+					}
+					b.ReportMetric(float64(pl.TrigEvals()-trig)/float64(b.N), "trig/op")
+				})
+			}
 		}
 	}
 }

@@ -251,9 +251,9 @@ func (pl *JacobianPlan) GradInto(grad, h, r, x, z, w []float64) float64 {
 	}
 	pl.ensureLoaded(x)
 	clear(grad)
-	rs := residual{z: z, w: w, h: h, r: r}
-	pl.checkEmissions(pl.mod.gradLoaded(pl.st, grad, pl.columns(), &rs))
-	return rs.j
+	c, j := pl.mod.gradLoaded(pl.st, grad, pl.columns(), &residual{z: z, w: w, h: h, r: r})
+	pl.checkEmissions(c)
+	return j
 }
 
 // EvalInto computes h(x) into the caller-owned buffer h (length NMeas)
@@ -294,7 +294,7 @@ func (pl *JacobianPlan) FlatObjective(z, w []float64) float64 {
 	var j float64
 	for i, op := range mod.k.ops {
 		h := flat[i]
-		if op.kind == Angle {
+		if op.step == stepAngle {
 			h = ref
 		}
 		r := z[i] - h

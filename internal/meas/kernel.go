@@ -34,11 +34,36 @@ type kernel struct {
 	injBus []int32
 }
 
-// measOp is one measurement resolved to internal indices.
+// measOp is one measurement resolved to internal indices and to the step
+// the passes take at its row.
 type measOp struct {
-	kind Kind
 	idx  int32 // internal bus index (bus kinds) or index into kernel.ends (flows)
+	step opStep
 }
+
+// opStep is what evalLoaded, jacobianLoaded and gradLoaded do at one row: the
+// row's measurement alone, or, at the first row of a site's P and Q pair,
+// both rows.
+type opStep uint8
+
+const (
+	stepVmag opStep = iota
+	stepAngle
+	stepPinj
+	stepQinj
+	stepPflow
+	stepQflow
+	// stepInjPair is a Pinj row whose next row is the Qinj row of the same
+	// bus, stepFlowPair a Pflow row whose next row is the Qflow row of the
+	// same branch end. The passes take such a pair at its P row, and the Q
+	// row's step is stepSibling: nothing left to do.
+	stepInjPair
+	stepFlowPair
+	stepSibling
+)
+
+// stepOf is the single-row step of each measurement kind.
+var stepOf = [...]opStep{Vmag: stepVmag, Angle: stepAngle, Pinj: stepPinj, Qinj: stepQinj, Pflow: stepPflow, Qflow: stepQflow}
 
 // flowEnd is one metered branch end: the measured end first, its four
 // two-port admittance constants, and where to find cos/sin of θf−θt.
@@ -72,9 +97,10 @@ func EndAdmittance(br grid.Branch, fromSide bool) (gff, bff, gft, bft float64) {
 
 // compile fills mod.k from the validated measurement set. ops arrives with
 // bus kinds already resolved to internal bus indices and flow kinds carrying
-// the branch-end key 2·branch + (0 from side, 1 to side).
+// the branch-end key 2·branch + (0 from side, 1 to side); compile sets every
+// step.
 func (mod *Model) compile(ops []measOp) {
-	n, y := mod.Net, mod.y
+	n, y, ms := mod.Net, mod.y, mod.Meas
 	k := &mod.k
 	k.ops = ops
 
@@ -107,8 +133,8 @@ func (mod *Model) compile(ops []measOp) {
 	endOf := make([]int32, 2*len(n.Branches))
 	injAt := make([]bool, y.N)
 	nEnds, nInj := 0, 0
-	for _, op := range ops {
-		switch op.kind {
+	for i, op := range ops {
+		switch ms[i].Kind {
 		case Pflow, Qflow:
 			if endOf[op.idx] == 0 {
 				endOf[op.idx] = -1
@@ -124,7 +150,7 @@ func (mod *Model) compile(ops []measOp) {
 
 	k.ends = make([]flowEnd, 0, nEnds)
 	for i, op := range ops {
-		if op.kind != Pflow && op.kind != Qflow {
+		if kind := ms[i].Kind; kind != Pflow && kind != Qflow {
 			continue
 		}
 		if endOf[op.idx] < 0 {
@@ -139,6 +165,27 @@ func (mod *Model) compile(ops []measOp) {
 			endOf[op.idx] = int32(len(k.ends))
 		}
 		ops[i].idx = endOf[op.idx] - 1
+	}
+
+	// Every plan we build lists the P and Q rows of one site back to back;
+	// rows in any other order (reversed, split, alone, duplicated) stay
+	// single steps.
+	for i := 0; i < len(ops); i++ {
+		kind := ms[i].Kind
+		ops[i].step = stepOf[kind]
+		if i+1 == len(ops) || ops[i+1].idx != ops[i].idx {
+			continue
+		}
+		switch next := ms[i+1].Kind; {
+		case kind == Pinj && next == Qinj:
+			ops[i].step = stepInjPair
+		case kind == Pflow && next == Qflow:
+			ops[i].step = stepFlowPair
+		default:
+			continue
+		}
+		i++
+		ops[i].step = stepSibling
 	}
 
 	if nInj == 0 {
@@ -231,29 +278,39 @@ func (mod *Model) load(st *stateLoad, x []float64) {
 	}
 }
 
-// evalLoaded writes h(x) into h from the loaded state.
+// evalLoaded writes h(x) into h from the loaded state. A flow pair reads the
+// end's magnitudes and trig once for both rows.
 func (mod *Model) evalLoaded(st *stateLoad, h []float64) {
 	k := &mod.k
 	for mi, op := range k.ops {
-		switch op.kind {
-		case Vmag:
+		switch op.step {
+		case stepVmag:
 			h[mi] = st.vm[op.idx]
-		case Angle:
+		case stepAngle:
 			h[mi] = st.va[op.idx]
-		case Pinj:
+		case stepPinj:
 			h[mi] = st.p[op.idx]
-		case Qinj:
+		case stepQinj:
 			h[mi] = st.q[op.idx]
-		case Pflow:
+		case stepInjPair:
+			h[mi], h[mi+1] = st.p[op.idx], st.q[op.idx]
+		case stepPflow:
 			e := &k.ends[op.idx]
 			vf, vt := st.vm[e.f], st.vm[e.t]
 			c, s := st.cos[e.trig>>1], st.sin[e.trig]
 			h[mi] = vf*vf*e.gff + vf*vt*(e.gft*c+e.bft*s)
-		case Qflow:
+		case stepQflow:
 			e := &k.ends[op.idx]
 			vf, vt := st.vm[e.f], st.vm[e.t]
 			c, s := st.cos[e.trig>>1], st.sin[e.trig]
 			h[mi] = -vf*vf*e.bff + vf*vt*(e.gft*s-e.bft*c)
+		case stepFlowPair:
+			e := &k.ends[op.idx]
+			vf, vt := st.vm[e.f], st.vm[e.t]
+			c, s := st.cos[e.trig>>1], st.sin[e.trig]
+			vv := vf * vt
+			h[mi] = vf*vf*e.gff + vv*(e.gft*c+e.bft*s)
+			h[mi+1] = -vf*vf*e.bff + vv*(e.gft*s-e.bft*c)
 		}
 	}
 }
@@ -262,23 +319,24 @@ func (mod *Model) evalLoaded(st *stateLoad, h []float64) {
 // kernel emits for measurement mi, in emission order: −1 stands for the
 // reference angle, which has no column. jacobianLoaded emits values in the
 // same order; the two must change together, and Refresh checks that their
-// emission counts agree.
+// emission counts agree. The P and Q rows of one site emit the same columns,
+// which gradLoaded relies on.
 func (mod *Model) rowPattern(mi int, cols []int) []int {
 	k, y, nA := &mod.k, mod.y, mod.nAngles
-	op := k.ops[mi]
-	switch op.kind {
+	idx := k.ops[mi].idx
+	switch mod.Meas[mi].Kind {
 	case Vmag:
-		cols = append(cols, nA+int(op.idx))
+		cols = append(cols, nA+int(idx))
 	case Angle:
-		cols = append(cols, mod.angPos[op.idx])
+		cols = append(cols, mod.angPos[idx])
 	case Pinj, Qinj:
-		i := int(op.idx)
+		i := int(idx)
 		for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
 			j := y.ColIdx[e]
 			cols = append(cols, mod.angPos[j], nA+j)
 		}
 	case Pflow, Qflow:
-		e := &k.ends[op.idx]
+		e := &k.ends[idx]
 		cols = append(cols, mod.angPos[e.f], mod.angPos[e.t], nA+int(e.f), nA+int(e.t))
 	}
 	return cols
@@ -288,15 +346,21 @@ func (mod *Model) rowPattern(mi int, cols []int) []int {
 // emission number c goes to val[slots[c]]. Entries with no column (the
 // reference angle) carry a slot past the matrix's values, so the loop
 // stores unconditionally. It returns the number of emissions.
+//
+// A pair is one step. An injection pair walks the Y-bus row once and forms
+// u = g·cos + b·sin and v = g·sin − b·cos once per entry for all four
+// derivatives; a flow pair reads the end's magnitudes and trig once. Every
+// derivative keeps the operations, and so the bits, of its single-row
+// spelling.
 func (mod *Model) jacobianLoaded(st *stateLoad, val []float64, slots []int32) int {
 	k, y, vm := &mod.k, mod.y, st.vm
 	c := 0
 	for _, op := range k.ops {
-		switch op.kind {
-		case Vmag, Angle:
+		switch op.step {
+		case stepVmag, stepAngle:
 			val[slots[c]] = 1
 			c++
-		case Pinj:
+		case stepPinj:
 			i := int(op.idx)
 			vi := vm[i]
 			for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
@@ -312,7 +376,7 @@ func (mod *Model) jacobianLoaded(st *stateLoad, val []float64, slots []int32) in
 				}
 				c += 2
 			}
-		case Qinj:
+		case stepQinj:
 			i := int(op.idx)
 			vi := vm[i]
 			for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
@@ -328,27 +392,57 @@ func (mod *Model) jacobianLoaded(st *stateLoad, val []float64, slots []int32) in
 				}
 				c += 2
 			}
-		case Pflow:
-			// Pf = Vf²·gff + Vf·Vt·(gft·c + bft·s)
+		case stepInjPair:
+			i := int(op.idx)
+			vi := vm[i]
+			lo, hi := y.RowPtr[i], y.RowPtr[i+1]
+			cq := c + 2*(hi-lo) // the Qinj row's first emission
+			for e := lo; e < hi; e++ {
+				j, g, b := y.ColIdx[e], y.G[e], y.B[e]
+				if j == i {
+					val[slots[c]] = -st.q[i] - b*vi*vi
+					val[slots[c+1]] = st.p[i]/vi + g*vi
+					val[slots[cq]] = st.p[i] - g*vi*vi
+					val[slots[cq+1]] = st.q[i]/vi - b*vi
+				} else {
+					r := k.ytrig[e]
+					cs, sn := st.cos[r>>1], st.sin[r]
+					u, v := g*cs+b*sn, g*sn-b*cs
+					vv := vi * vm[j]
+					val[slots[c]] = vv * v
+					val[slots[c+1]] = vi * u
+					val[slots[cq]] = -vv * u
+					val[slots[cq+1]] = vi * v
+				}
+				c += 2
+				cq += 2
+			}
+			c = cq
+		case stepPflow, stepQflow, stepFlowPair:
 			e := &k.ends[op.idx]
 			vf, vt := vm[e.f], vm[e.t]
 			cs, sn := st.cos[e.trig>>1], st.sin[e.trig]
-			dThf := vf * vt * (-e.gft*sn + e.bft*cs)
-			val[slots[c]] = dThf
-			val[slots[c+1]] = -dThf
-			val[slots[c+2]] = 2*vf*e.gff + vt*(e.gft*cs+e.bft*sn)
-			val[slots[c+3]] = vf * (e.gft*cs + e.bft*sn)
-			c += 4
-		case Qflow:
+			vv := vf * vt
+			if op.step != stepQflow {
+				// Pf = Vf²·gff + Vf·Vt·(gft·c + bft·s)
+				a := e.gft*cs + e.bft*sn
+				dThf := vv * (-e.gft*sn + e.bft*cs)
+				val[slots[c]] = dThf
+				val[slots[c+1]] = -dThf
+				val[slots[c+2]] = 2*vf*e.gff + vt*a
+				val[slots[c+3]] = vf * a
+				c += 4
+				if op.step == stepPflow {
+					continue
+				}
+			}
 			// Qf = −Vf²·bff + Vf·Vt·(gft·s − bft·c)
-			e := &k.ends[op.idx]
-			vf, vt := vm[e.f], vm[e.t]
-			cs, sn := st.cos[e.trig>>1], st.sin[e.trig]
-			dThf := vf * vt * (e.gft*cs + e.bft*sn)
+			a := e.gft*sn - e.bft*cs
+			dThf := vv * (e.gft*cs + e.bft*sn)
 			val[slots[c]] = dThf
 			val[slots[c+1]] = -dThf
-			val[slots[c+2]] = -2*vf*e.bff + vt*(e.gft*sn-e.bft*cs)
-			val[slots[c+3]] = vf * (e.gft*sn - e.bft*cs)
+			val[slots[c+2]] = -2*vf*e.bff + vt*a
+			val[slots[c+3]] = vf * a
 			c += 4
 		}
 	}
@@ -356,20 +450,18 @@ func (mod *Model) jacobianLoaded(st *stateLoad, val []float64, slots []int32) in
 }
 
 // residual is what gradLoaded reads and writes beside the gradient: measured
-// values and weights in, h(x), r = z − h(x) and J = Σ w·r² out.
+// values and weights in, h(x) and r = z − h(x) out.
 type residual struct {
 	z, w, h, r []float64
-	j          float64
 }
 
 // weigh records measurement mi's value h and returns w·r, the factor its row
-// of H enters the gradient with.
-func (rs *residual) weigh(mi int, h float64) float64 {
+// of H enters the gradient with, and w·r·r, its term of J.
+func (rs *residual) weigh(mi int, h float64) (wr, jr float64) {
 	r := rs.z[mi] - h
 	rs.h[mi], rs.r[mi] = h, r
-	wr := rs.w[mi] * r
-	rs.j += wr * r
-	return wr
+	wr = rs.w[mi] * r
+	return wr, wr * r
 }
 
 // gradLoaded is the fused pass of a lagged Gauss–Newton step: evalLoaded,
@@ -382,97 +474,168 @@ func (rs *residual) weigh(mi int, h float64) float64 {
 // derivatives are jacobianLoaded's, spelled a second time (a row buffer
 // between one emitter and two sinks cost the Refresh pass half its speed);
 // requireGradMatchesRefresh, on every fixture of TestKernelMatchesReference,
-// holds the two together. It returns the number of emissions.
-func (mod *Model) gradLoaded(st *stateLoad, grad []float64, cols []int32, rs *residual) int {
+// holds the two together. It returns the number of emissions and J = Σ w·r²,
+// summed in measurement order.
+//
+// A pair is one step, as in jacobianLoaded. Its two rows are adjacent and
+// emit the same columns, and a row never lists a column twice, so each
+// element of grad still receives the P row's product and then the Q row's,
+// with nothing between: the order GainRHSInto adds them in. A half weighted
+// to zero adds nothing and leaves the other half to its single-row walk.
+func (mod *Model) gradLoaded(st *stateLoad, grad []float64, cols []int32, rs *residual) (int, float64) {
 	k, y, vm := &mod.k, mod.y, st.vm
-	c := 0
+	c, obj := 0, 0.0
 	for mi, op := range k.ops {
-		switch op.kind {
-		case Vmag:
-			grad[cols[c]] += rs.weigh(mi, vm[op.idx])
+		switch op.step {
+		case stepVmag:
+			wr, jr := rs.weigh(mi, vm[op.idx])
+			obj += jr
+			grad[cols[c]] += wr
 			c++
-		case Angle:
-			grad[cols[c]] += rs.weigh(mi, st.va[op.idx])
+		case stepAngle:
+			wr, jr := rs.weigh(mi, st.va[op.idx])
+			obj += jr
+			grad[cols[c]] += wr
 			c++
-		case Pinj:
+		case stepPinj, stepQinj, stepInjPair:
 			i := int(op.idx)
 			vi, pi, qi := vm[i], st.p[i], st.q[i]
 			lo, hi := y.RowPtr[i], y.RowPtr[i+1]
 			row := cols[c : c+2*(hi-lo)]
 			c += len(row)
-			wr := rs.weigh(mi, pi)
-			if wr == 0 {
-				continue
+			var wrP, wrQ, jr float64
+			switch op.step {
+			case stepPinj:
+				wrP, jr = rs.weigh(mi, pi)
+			case stepQinj:
+				wrQ, jr = rs.weigh(mi, qi)
+			default:
+				// The Qinj sibling emits row's columns again.
+				c += len(row)
+				wrP, jr = rs.weigh(mi, pi)
+				obj += jr
+				wrQ, jr = rs.weigh(mi+1, qi)
 			}
-			for e := lo; e < hi; e++ {
-				j, g, b := y.ColIdx[e], y.G[e], y.B[e]
-				var dTh, dV float64
-				if j == i {
-					dTh, dV = -qi-b*vi*vi, pi/vi+g*vi
-				} else {
-					r := k.ytrig[e]
-					cs, sn := st.cos[r>>1], st.sin[r]
-					dTh, dV = vi*vm[j]*(g*sn-b*cs), vi*(g*cs+b*sn)
+			obj += jr
+			switch {
+			case wrP != 0 && wrQ != 0:
+				for e := lo; e < hi; e++ {
+					j, g, b := y.ColIdx[e], y.G[e], y.B[e]
+					var dThP, dVP, dThQ, dVQ float64
+					if j == i {
+						dThP, dVP = -qi-b*vi*vi, pi/vi+g*vi
+						dThQ, dVQ = pi-g*vi*vi, qi/vi-b*vi
+					} else {
+						r := k.ytrig[e]
+						cs, sn := st.cos[r>>1], st.sin[r]
+						u, v := g*cs+b*sn, g*sn-b*cs
+						vv := vi * vm[j]
+						dThP, dVP = vv*v, vi*u
+						dThQ, dVQ = -vv*u, vi*v
+					}
+					grad[row[0]] = grad[row[0]] + dThP*wrP + dThQ*wrQ
+					grad[row[1]] = grad[row[1]] + dVP*wrP + dVQ*wrQ
+					row = row[2:]
 				}
-				grad[row[0]] += dTh * wr
-				grad[row[1]] += dV * wr
-				row = row[2:]
-			}
-		case Qinj:
-			i := int(op.idx)
-			vi, pi, qi := vm[i], st.p[i], st.q[i]
-			lo, hi := y.RowPtr[i], y.RowPtr[i+1]
-			row := cols[c : c+2*(hi-lo)]
-			c += len(row)
-			wr := rs.weigh(mi, qi)
-			if wr == 0 {
-				continue
-			}
-			for e := lo; e < hi; e++ {
-				j, g, b := y.ColIdx[e], y.G[e], y.B[e]
-				var dTh, dV float64
-				if j == i {
-					dTh, dV = pi-g*vi*vi, qi/vi-b*vi
-				} else {
-					r := k.ytrig[e]
-					cs, sn := st.cos[r>>1], st.sin[r]
-					dTh, dV = -vi*vm[j]*(g*cs+b*sn), vi*(g*sn-b*cs)
+			case wrP != 0:
+				for e := lo; e < hi; e++ {
+					j, g, b := y.ColIdx[e], y.G[e], y.B[e]
+					var dTh, dV float64
+					if j == i {
+						dTh, dV = -qi-b*vi*vi, pi/vi+g*vi
+					} else {
+						r := k.ytrig[e]
+						cs, sn := st.cos[r>>1], st.sin[r]
+						dTh, dV = vi*vm[j]*(g*sn-b*cs), vi*(g*cs+b*sn)
+					}
+					grad[row[0]] += dTh * wrP
+					grad[row[1]] += dV * wrP
+					row = row[2:]
 				}
-				grad[row[0]] += dTh * wr
-				grad[row[1]] += dV * wr
-				row = row[2:]
+			case wrQ != 0:
+				for e := lo; e < hi; e++ {
+					j, g, b := y.ColIdx[e], y.G[e], y.B[e]
+					var dTh, dV float64
+					if j == i {
+						dTh, dV = pi-g*vi*vi, qi/vi-b*vi
+					} else {
+						r := k.ytrig[e]
+						cs, sn := st.cos[r>>1], st.sin[r]
+						dTh, dV = -vi*vm[j]*(g*cs+b*sn), vi*(g*sn-b*cs)
+					}
+					grad[row[0]] += dTh * wrQ
+					grad[row[1]] += dV * wrQ
+					row = row[2:]
+				}
 			}
-		case Pflow:
+		case stepPflow:
 			e := &k.ends[op.idx]
 			vf, vt := vm[e.f], vm[e.t]
 			cs, sn := st.cos[e.trig>>1], st.sin[e.trig]
 			a := e.gft*cs + e.bft*sn
-			dThf := vf * vt * (-e.gft*sn + e.bft*cs)
-			dVf, dVt := 2*vf*e.gff+vt*a, vf*a
 			row := cols[c : c+4]
 			c += 4
-			if wr := rs.weigh(mi, vf*vf*e.gff+vf*vt*a); wr != 0 {
+			wr, jr := rs.weigh(mi, vf*vf*e.gff+vf*vt*a)
+			obj += jr
+			if wr != 0 {
+				dThf := vf * vt * (-e.gft*sn + e.bft*cs)
 				grad[row[0]] += dThf * wr
 				grad[row[1]] += -dThf * wr
-				grad[row[2]] += dVf * wr
-				grad[row[3]] += dVt * wr
+				grad[row[2]] += (2*vf*e.gff + vt*a) * wr
+				grad[row[3]] += vf * a * wr
 			}
-		case Qflow:
+		case stepQflow:
 			e := &k.ends[op.idx]
 			vf, vt := vm[e.f], vm[e.t]
 			cs, sn := st.cos[e.trig>>1], st.sin[e.trig]
 			a := e.gft*sn - e.bft*cs
-			dThf := vf * vt * (e.gft*cs + e.bft*sn)
-			dVf, dVt := -2*vf*e.bff+vt*a, vf*a
 			row := cols[c : c+4]
 			c += 4
-			if wr := rs.weigh(mi, -vf*vf*e.bff+vf*vt*a); wr != 0 {
+			wr, jr := rs.weigh(mi, -vf*vf*e.bff+vf*vt*a)
+			obj += jr
+			if wr != 0 {
+				dThf := vf * vt * (e.gft*cs + e.bft*sn)
 				grad[row[0]] += dThf * wr
 				grad[row[1]] += -dThf * wr
-				grad[row[2]] += dVf * wr
-				grad[row[3]] += dVt * wr
+				grad[row[2]] += (-2*vf*e.bff + vt*a) * wr
+				grad[row[3]] += vf * a * wr
+			}
+		case stepFlowPair:
+			e := &k.ends[op.idx]
+			vf, vt := vm[e.f], vm[e.t]
+			cs, sn := st.cos[e.trig>>1], st.sin[e.trig]
+			vv := vf * vt
+			aP, aQ := e.gft*cs+e.bft*sn, e.gft*sn-e.bft*cs
+			// The Qflow sibling emits row's columns again.
+			row := cols[c : c+4]
+			c += 8
+			wrP, jr := rs.weigh(mi, vf*vf*e.gff+vv*aP)
+			obj += jr
+			wrQ, jr := rs.weigh(mi+1, -vf*vf*e.bff+vv*aQ)
+			obj += jr
+			// dθf, dVf and dVt of each half; dθt is −dθf.
+			dThP, dVfP, dVtP := vv*(-e.gft*sn+e.bft*cs), 2*vf*e.gff+vt*aP, vf*aP
+			dThQ, dVfQ, dVtQ := vv*(e.gft*cs+e.bft*sn), -2*vf*e.bff+vt*aQ, vf*aQ
+			if wrP != 0 && wrQ != 0 {
+				grad[row[0]] = grad[row[0]] + dThP*wrP + dThQ*wrQ
+				grad[row[1]] = grad[row[1]] + -dThP*wrP + -dThQ*wrQ
+				grad[row[2]] = grad[row[2]] + dVfP*wrP + dVfQ*wrQ
+				grad[row[3]] = grad[row[3]] + dVtP*wrP + dVtQ*wrQ
+				continue
+			}
+			if wrP != 0 {
+				grad[row[0]] += dThP * wrP
+				grad[row[1]] += -dThP * wrP
+				grad[row[2]] += dVfP * wrP
+				grad[row[3]] += dVtP * wrP
+			}
+			if wrQ != 0 {
+				grad[row[0]] += dThQ * wrQ
+				grad[row[1]] += -dThQ * wrQ
+				grad[row[2]] += dVfQ * wrQ
+				grad[row[3]] += dVtQ * wrQ
 			}
 		}
 	}
-	return c
+	return c, obj
 }

@@ -16,7 +16,7 @@ import (
 // an off-nominal tap, a lossless transformer (exact-zero conductances, so
 // signed zeros reach H at a flat start), two parallel circuits, a branch
 // listed against the bus order, and a slack bus that is not bus 0.
-func handBuiltNetwork(t *testing.T) *grid.Network {
+func handBuiltNetwork(t testing.TB) *grid.Network {
 	t.Helper()
 	buses := []grid.Bus{
 		{ID: 10, Type: grid.PQ, Pd: 30, Qd: 8, Vm: 1},

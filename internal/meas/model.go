@@ -128,7 +128,6 @@ func NewModel(n *grid.Network, ms []Measurement, ref int, refAngle float64) (*Mo
 	}
 	ops := make([]measOp, len(ms))
 	for i, m := range ms {
-		ops[i].kind = m.Kind
 		switch m.Kind {
 		case Vmag, Pinj, Qinj, Angle:
 			bus, ok := n.Index(m.Bus)

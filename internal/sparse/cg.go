@@ -136,6 +136,12 @@ type CGResult struct {
 // requested tolerance.
 var ErrCGDiverged = errors.New("sparse: conjugate gradient did not converge")
 
+// ErrCGBreakdown reports that CG met a non-finite number — in ‖b‖, in the
+// curvature p·A·p or in ‖r‖² — and stopped at the iteration it appeared. It
+// points at a NaN or Inf in the matrix or the right-hand side, which is
+// neither slow convergence (ErrCGDiverged) nor a curvature ≤ 0 (ErrNotSPD).
+var ErrCGBreakdown = errors.New("sparse: conjugate gradient broke down on a non-finite value")
+
 // warmStartGate is the acceptance threshold for CGOptions.X0: the guess is
 // kept only when its squared residual is at most this fraction of the zero
 // start's (a 10× smaller residual norm). A marginally better guess saves
@@ -147,7 +153,10 @@ const warmStartGate = 0.01
 // CG solves A·x = b for symmetric positive-definite A using the
 // preconditioned conjugate-gradient method. A may be a scalar *CSR or a
 // blocked *BSR operator. The returned CGResult is valid even on
-// ErrCGDiverged (it holds the best iterate reached).
+// ErrCGDiverged (it holds the best iterate reached). A non-finite ‖b‖ fails
+// before the first iteration and a NaN curvature or residual norm at the
+// iteration it appears, both with ErrCGBreakdown; a finite curvature ≤ 0 is
+// ErrNotSPD.
 func CG(a Operator, b []float64, opts CGOptions) (CGResult, error) {
 	rows, cols := a.Dims()
 	if rows != cols {
@@ -244,6 +253,9 @@ func CG(a Operator, b []float64, opts CGOptions) (CGResult, error) {
 	if bnorm == 0 {
 		return CGResult{X: finishX(), Converged: true}, nil
 	}
+	if math.IsNaN(bnorm) || math.IsInf(bnorm, 0) {
+		return CGResult{X: finishX(), Residual: math.NaN()}, ErrCGBreakdown
+	}
 	// rr tracks ‖r‖² across iterations so the solver never spends a
 	// separate pass per iteration on the residual norm: it is recomputed
 	// inside the r-update (axpy) loop below.
@@ -297,10 +309,17 @@ func CG(a Operator, b []float64, opts CGOptions) (CGResult, error) {
 			res.X = finishX()
 			return res, nil
 		}
+		if math.IsNaN(rr) {
+			res.X = finishX()
+			return res, ErrCGBreakdown
+		}
 		mulVec(ap, p)
 		pap := Dot(p, ap)
-		if pap <= 0 {
+		if !(pap > 0) {
 			res.X = finishX()
+			if math.IsNaN(pap) {
+				return res, ErrCGBreakdown
+			}
 			return res, ErrNotSPD
 		}
 		alpha := rz / pap

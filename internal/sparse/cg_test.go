@@ -178,6 +178,60 @@ func TestCGIndefiniteDetected(t *testing.T) {
 	}
 }
 
+// A NaN stops CG where it appears instead of running it to its 4n cap and
+// naming slow convergence: in b at entry, in A at the first curvature. It is
+// not ErrNotSPD either, which the estimator reads as unobservability.
+func TestCGBreaksDownOnNaN(t *testing.T) {
+	const n = 2000
+	tridiag := func(nanAt int) *CSR {
+		coo := NewCOO(n, n)
+		for i := 0; i < n; i++ {
+			coo.Add(i, i, 4)
+			if i > 0 {
+				coo.Add(i, i-1, -1)
+				coo.Add(i-1, i, -1)
+			}
+		}
+		a := coo.ToCSR()
+		if nanAt >= 0 {
+			a.Val[nanAt] = math.NaN()
+		}
+		return a
+	}
+	ones := func() []float64 {
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = 1
+		}
+		return b
+	}
+	nanB := ones()
+	nanB[n/2] = math.NaN()
+	infB := ones()
+	infB[7] = math.Inf(-1)
+	for _, tc := range []struct {
+		name string
+		a    *CSR
+		b    []float64
+	}{
+		{"NaN in b", tridiag(-1), nanB},
+		{"-Inf in b", tridiag(-1), infB},
+		{"NaN in A", tridiag(3 * n / 2), ones()},
+	} {
+		res, err := CG(tc.a, tc.b, CGOptions{Workers: 1})
+		if !errors.Is(err, ErrCGBreakdown) || errors.Is(err, ErrNotSPD) {
+			t.Fatalf("%s: err = %v, want ErrCGBreakdown and not ErrNotSPD", tc.name, err)
+		}
+		if res.Iterations > 1 {
+			t.Fatalf("%s: %d iterations before the breakdown, want at most 1", tc.name, res.Iterations)
+		}
+	}
+	// The same system without the NaN converges.
+	if _, err := CG(tridiag(-1), ones(), CGOptions{Workers: 1}); err != nil {
+		t.Fatalf("finite tridiagonal: %v", err)
+	}
+}
+
 // Property: CG with Jacobi preconditioning solves every random SPD system
 // to the requested tolerance.
 func TestCGQuick(t *testing.T) {
