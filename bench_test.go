@@ -1011,6 +1011,53 @@ func BenchmarkGainSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkNormalizedResiduals times the residual covariance of the
+// largest-normalized-residual test on one centralized estimate at both sizes:
+// H and G refreshed at the estimate, G refactored on the engine's analysis and
+// one substitution per measurement. ieee118-dense is the dense-LU assembly it
+// replaced, kept here as the comparison row; at 1 416 buses that one is a
+// 2 831² dense factor.
+func BenchmarkNormalizedResiduals(b *testing.B) {
+	for _, c := range centralizedModels(b) {
+		eng := wls.NewEngine(c.mod)
+		res, err := eng.Estimate(wls.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.NormalizedResiduals(res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if c.name != "ieee118" {
+			continue
+		}
+		b.Run(c.name+"-dense", func(b *testing.B) {
+			b.ReportAllocs()
+			hi := make([]float64, c.mod.NState())
+			for i := 0; i < b.N; i++ {
+				hj := c.mod.Jacobian(res.X)
+				lu, err := sparse.Factor(sparse.Gain(hj, c.mod.Weights()).ToDense())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for m := 0; m < hj.Rows; m++ {
+					clear(hi)
+					for k := hj.RowPtr[m]; k < hj.RowPtr[m+1]; k++ {
+						hi[hj.ColIdx[k]] = hj.Val[k]
+					}
+					if _, err := lu.Solve(hi); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMeasKernel times the compiled measurement kernel on its own, at
 // both sizes: h(x) alone, H(x) alone, the EvalInto+Refresh pair a refreshing
 // Gauss–Newton iterate runs at one state, and the fused pass of a lagged one

@@ -76,7 +76,7 @@ func main() {
 		state = est.State
 	}
 
-	ratings, err := contingency.AutoRatings(net, truth.State, *margin, *floor, contingency.Options{Workers: *workers})
+	ratings, err := contingency.AutoRatings(net, truth.State, *margin, *floor, contingency.Options{})
 	if err != nil {
 		log.Fatalf("ratings: %v", err)
 	}

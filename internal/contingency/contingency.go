@@ -2,8 +2,9 @@
 // operational tools the paper's introduction lists as consumers of the
 // estimated state ("contingency analysis, optimal power flow, economic
 // dispatch"). The screen takes the state estimator's solution, derives bus
-// injections, and for every single-branch outage re-solves the DC network
-// to flag post-contingency overloads and islanding. A Pool upgrades the
+// injections, and for every single-branch outage re-solves the DC network —
+// a rank-one update of one factorization of the intact network's B′ — to
+// flag post-contingency overloads and islanding. A Pool upgrades the
 // screen to full what-if AC estimation: per-outage solver sessions re-run
 // the WLS estimator on each perturbed topology and carry their symbolic
 // plans and numeric anchors across re-screens.
@@ -14,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/grid"
 	"repro/internal/powerflow"
@@ -40,25 +43,20 @@ type Options struct {
 	// LoadingThreshold flags branches above this fraction of their rating
 	// (default 1.0 — report only true overloads).
 	LoadingThreshold float64
-	// Workers parallelizes the CG solves inside each case (0 = GOMAXPROCS).
-	Workers int
 }
 
 // AutoRatings synthesizes per-branch ratings from a base-case state: each
 // in-service branch is rated at max(|base flow|·margin, floor). The IEEE
 // test cases carry no MVA ratings, so screening experiments derive them
 // from the operating point (margin 1.3 and floor 0.3 pu are typical
-// planning-study surrogates). opts configures the base-case DC solve
-// (notably Workers for the CG kernels).
-func AutoRatings(n *grid.Network, st powerflow.State, margin, floor float64, opts Options) ([]float64, error) {
+// planning-study surrogates). No field of Options applies to the ratings.
+// A base network with a bus that has no path to the slack fails with
+// ErrIslanding, as Screen and ParallelScreen do.
+func AutoRatings(n *grid.Network, st powerflow.State, margin, floor float64, _ Options) ([]float64, error) {
 	if margin <= 1 {
 		return nil, fmt.Errorf("contingency: rating margin %g must exceed 1", margin)
 	}
-	p, err := injectionsFromState(n, st)
-	if err != nil {
-		return nil, err
-	}
-	theta, err := solveDC(n, p, -1, opts)
+	dc, err := newDCScreen(n, st)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +65,7 @@ func AutoRatings(n *grid.Network, st powerflow.State, margin, floor float64, opt
 		if !br.Status {
 			continue
 		}
-		f := dcBranchFlow(n, theta, br)
+		f := dcBranchFlow(n, dc.theta0, br)
 		r := math.Abs(f) * margin
 		if r < floor {
 			r = floor
@@ -78,48 +76,17 @@ func AutoRatings(n *grid.Network, st powerflow.State, margin, floor float64, opt
 }
 
 // Screen runs the N-1 sweep over every in-service branch, serially, in
-// ascending branch order. ratings has one entry per branch (0 =
-// unmonitored). The injections come from the estimated (or true) state st.
+// ascending branch order: ParallelScreen with one worker. ratings has one
+// entry per branch (0 = unmonitored). The injections come from the estimated
+// (or true) state st.
 //
 // Error contract (shared with ParallelScreen): on any failure no partial
-// results are returned — the error is the one for the lowest-indexed
-// failing outage. Cancellation is checked before every case; a canceled
-// context aborts the sweep with a wrapped ctx.Err().
+// results are returned. A base network with a bus that has no path to the
+// slack fails before the first case with ErrIslanding naming the bus.
+// Cancellation is checked before every case; a canceled context aborts the
+// sweep with a wrapped ctx.Err().
 func Screen(ctx context.Context, n *grid.Network, st powerflow.State, ratings []float64, opts Options) ([]Result, error) {
-	if len(ratings) != len(n.Branches) {
-		return nil, fmt.Errorf("contingency: %d ratings for %d branches", len(ratings), len(n.Branches))
-	}
-	if opts.LoadingThreshold <= 0 {
-		opts.LoadingThreshold = 1.0
-	}
-	p, err := injectionsFromState(n, st)
-	if err != nil {
-		return nil, err
-	}
-
-	chk := newIslandChecker(n)
-	var results []Result
-	for out, br := range n.Branches {
-		if !br.Status {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("contingency: screen canceled at outage %d: %w", out, err)
-		}
-		res := Result{Outage: out}
-		if chk.islands(out) {
-			res.Islanding = true
-			results = append(results, res)
-			continue
-		}
-		theta, err := solveDC(n, p, out, opts)
-		if err != nil {
-			return nil, fmt.Errorf("contingency: outage %d: %w", out, err)
-		}
-		res.Violations = dcViolations(n, theta, ratings, out, opts.LoadingThreshold)
-		results = append(results, res)
-	}
-	return results, nil
+	return ParallelScreen(ctx, n, st, ratings, ParallelOptions{Options: opts, Workers: 1})
 }
 
 // dcViolations scans the post-contingency DC angles for overloaded
@@ -157,7 +124,8 @@ func injectionsFromState(n *grid.Network, st powerflow.State) ([]float64, error)
 	return out, nil
 }
 
-// ErrIslanding reports that an outage disconnects the network.
+// ErrIslanding reports that an outage disconnects the network, or that the
+// base network is already split with a part the slack does not reach.
 var ErrIslanding = errors.New("contingency: outage islands the network")
 
 // islandChecker answers "does removing branch b split its component?" for
@@ -223,63 +191,104 @@ func (c *islandChecker) islands(out int) bool {
 	return true
 }
 
-// solveDC solves B'·θ = P with branch `out` removed (out < 0 keeps all),
-// slack angle pinned to zero. B' is SPD on the reduced system, so the
-// Jacobi-preconditioned CG solver applies.
-func solveDC(n *grid.Network, p []float64, out int, opts Options) ([]float64, error) {
-	nb := n.N()
-	slack := n.SlackIndex()
-	pos := make([]int, nb) // bus -> reduced index; slack = -1
-	ri := 0
-	for i := range pos {
-		if i == slack {
-			pos[i] = -1
-			continue
-		}
-		pos[i] = ri
-		ri++
-	}
-	coo := sparse.NewCOO(ri, ri)
-	rhs := make([]float64, ri)
-	for i, v := range p {
-		if pos[i] >= 0 {
-			rhs[pos[i]] = v
-		}
-	}
-	for bi, br := range n.Branches {
-		if !br.Status || bi == out || br.X == 0 {
-			continue
-		}
-		bsus := 1 / br.X
-		f, t := n.MustIndex(br.From), n.MustIndex(br.To)
-		pf, pt := pos[f], pos[t]
-		if pf >= 0 {
-			coo.Add(pf, pf, bsus)
-		}
-		if pt >= 0 {
-			coo.Add(pt, pt, bsus)
-		}
-		if pf >= 0 && pt >= 0 {
-			coo.Add(pf, pt, -bsus)
-			coo.Add(pt, pf, -bsus)
-		}
-	}
-	b := coo.ToCSR()
-	jac, err := sparse.NewJacobi(b)
+// dcScreen is the DC model of one network for a whole N-1 sweep: B′ of the
+// intact network, its slack row and column replaced by θ_slack = 0, factored
+// once, and the base angles θ₀ = B′⁻¹P. Taking out branch k, of susceptance b
+// and incidence a (+1 at its from bus, −1 at its to bus, 0 at the slack),
+// leaves B′ − b·a·aᵀ, so by Sherman–Morrison
+//
+//	θ = θ₀ + y · b(aᵀθ₀) / (1 − b·aᵀy),  y = B′⁻¹a:
+//
+// one substitution and a scalar per outage, the line-outage distribution
+// factor of branch k. The denominator vanishes exactly when the outage
+// islands, which the sweep leaves to islandChecker.
+type dcScreen struct {
+	n      *grid.Network
+	slack  int
+	theta0 []float64
+	// solvers holds *dcSolver: Apply writes its factor's own scratch, so each
+	// case in flight takes one.
+	solvers sync.Pool
+}
+
+// dcSolver is a factor of B′ sharing the base factor's analysis, with the
+// scratch of one outage.
+type dcSolver struct {
+	f    *sparse.LDLFactor
+	a, y []float64
+}
+
+// newDCScreen builds and factors B′ and solves the base case for the
+// injections of st. A bus with no path to the slack makes B′ singular, and
+// the factor's breakdown names it: the error is ErrIslanding.
+func newDCScreen(n *grid.Network, st powerflow.State) (*dcScreen, error) {
+	p, err := injectionsFromState(n, st)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sparse.CG(b, rhs, sparse.CGOptions{Tol: 1e-10, Precond: jac, Workers: opts.Workers})
-	if err != nil {
-		return nil, err
+	nb, slack := n.N(), n.SlackIndex()
+	coo := sparse.NewCOO(nb, nb)
+	for i := 0; i < nb; i++ {
+		coo.Add(i, i, 0) // a bus no branch reaches still has its pivot
 	}
-	theta := make([]float64, nb)
-	for i, pi := range pos {
-		if pi >= 0 {
-			theta[i] = res.X[pi]
+	coo.Add(slack, slack, 1)
+	add := func(i, j int, v float64) {
+		if i != slack && j != slack {
+			coo.Add(i, j, v)
 		}
 	}
-	return theta, nil
+	for _, br := range n.Branches {
+		if br.Status && br.X != 0 {
+			f, t := n.MustIndex(br.From), n.MustIndex(br.To)
+			add(f, f, 1/br.X)
+			add(t, t, 1/br.X)
+			add(f, t, -1/br.X)
+			add(t, f, -1/br.X)
+		}
+	}
+	bp := coo.ToCSR()
+	base, err := sparse.NewLDL(bp)
+	var pe *sparse.PivotError
+	if errors.As(err, &pe) {
+		return nil, fmt.Errorf("%w: bus %d has no path to the slack", ErrIslanding, n.Buses[pe.State].ID)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("contingency: DC base case: %w", err)
+	}
+	s := &dcScreen{n: n, slack: slack, theta0: make([]float64, nb)}
+	s.solvers.New = func() any {
+		f := base.SharePattern()
+		if err := f.Refresh(bp); err != nil {
+			panic(err) // base factored this very B′, and a refresh is deterministic
+		}
+		return &dcSolver{f: f, a: make([]float64, nb), y: make([]float64, nb)}
+	}
+	p[slack] = 0
+	base.Apply(s.theta0, p)
+	return s, nil
+}
+
+// outage returns the bus angles with in-service branch out taken out, and
+// the Sherman–Morrison denominator 1 − b·aᵀy, which is zero (to roundoff)
+// exactly when the outage islands: the angles are then meaningless.
+func (s *dcScreen) outage(out int) (theta []float64, den float64) {
+	theta = slices.Clone(s.theta0)
+	br := s.n.Branches[out]
+	if br.X == 0 {
+		return theta, 1 // never in B′
+	}
+	w := s.solvers.Get().(*dcSolver)
+	defer s.solvers.Put(w)
+	f, t := s.n.MustIndex(br.From), s.n.MustIndex(br.To)
+	w.a[f]++
+	w.a[t]--
+	w.a[s.slack] = 0
+	w.f.Apply(w.y, w.a)
+	w.a[f], w.a[t] = 0, 0
+	b := 1 / br.X
+	den = 1 - b*(w.y[f]-w.y[t]) // y is 0 at the slack
+	sparse.Axpy(b*(s.theta0[f]-s.theta0[t])/den, w.y, theta)
+	return theta, den
 }
 
 // dcBranchFlow returns the DC flow on a branch: (θ_f − θ_t)/x.

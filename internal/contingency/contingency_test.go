@@ -2,12 +2,15 @@ package contingency
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
 	"repro/internal/powerflow"
+	"repro/internal/sparse"
 )
 
 func solved(t *testing.T, n *grid.Network) powerflow.State {
@@ -24,14 +27,11 @@ func TestDCFlowMatchesACRoughly(t *testing.T) {
 	// larger flows on a lightly loaded system.
 	n := grid.Case14()
 	st := solved(t, n)
-	p, err := injectionsFromState(n, st)
+	dc, err := newDCScreen(n, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	theta, err := solveDC(n, p, -1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	theta := dc.theta0
 	// Branch 0 is 1-2, the heaviest corridor (~1.5 pu AC).
 	f := dcBranchFlow(n, theta, n.Branches[0])
 	if f < 1.0 || f > 2.0 {
@@ -53,10 +53,7 @@ func TestAutoRatingsCoverBaseCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := injectionsFromState(n, st)
-	theta, err := solveDC(n, p, -1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	theta := rebuiltDC(t, n, p, -1)
 	for bi, br := range n.Branches {
 		if !br.Status {
 			continue
@@ -70,16 +67,6 @@ func TestAutoRatingsCoverBaseCase(t *testing.T) {
 	}
 	if _, err := AutoRatings(n, st, 0.9, 0.3, Options{}); err == nil {
 		t.Fatal("margin < 1 accepted")
-	}
-	// Workers plumbs through to the base-case DC solve.
-	r2, err := AutoRatings(n, st, 1.3, 0.3, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for bi := range ratings {
-		if math.Abs(ratings[bi]-r2[bi]) > 1e-9 {
-			t.Fatalf("branch %d rating differs with workers: %v vs %v", bi, ratings[bi], r2[bi])
-		}
 	}
 }
 
@@ -230,6 +217,205 @@ func TestIslandsDisconnectedBase(t *testing.T) {
 	for out := 0; out < 6; out++ {
 		if chk.islands(out) {
 			t.Fatalf("loop outage %d on pre-split network misreported as islanding", out)
+		}
+	}
+}
+
+// rebuiltDC is the DC solve the screen ran per outage before it factored B′
+// once: B′ assembled afresh with branch out removed (out < 0 keeps all), the
+// slack pinned to zero, and Jacobi-preconditioned CG, here to a relative
+// residual of 1e-13. It calls nothing the screen runs.
+func rebuiltDC(t *testing.T, n *grid.Network, p []float64, out int) []float64 {
+	t.Helper()
+	slack := n.SlackIndex()
+	pos := make([]int, n.N())
+	rows := 0
+	for i := range pos {
+		pos[i] = -1
+		if i != slack {
+			pos[i] = rows
+			rows++
+		}
+	}
+	coo := sparse.NewCOO(rows, rows)
+	rhs := make([]float64, rows)
+	for i, v := range p {
+		if pos[i] >= 0 {
+			rhs[pos[i]] = v
+		}
+	}
+	for bi, br := range n.Branches {
+		if !br.Status || bi == out || br.X == 0 {
+			continue
+		}
+		b := 1 / br.X
+		f, to := pos[n.MustIndex(br.From)], pos[n.MustIndex(br.To)]
+		if f >= 0 {
+			coo.Add(f, f, b)
+		}
+		if to >= 0 {
+			coo.Add(to, to, b)
+		}
+		if f >= 0 && to >= 0 {
+			coo.Add(f, to, -b)
+			coo.Add(to, f, -b)
+		}
+	}
+	bp := coo.ToCSR()
+	jac, err := sparse.NewJacobi(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sparse.CG(bp, rhs, sparse.CGOptions{Tol: 1e-13, Precond: jac, Workers: 1})
+	if err != nil {
+		t.Fatalf("outage %d: %v", out, err)
+	}
+	theta := make([]float64, n.N())
+	for i, r := range pos {
+		if r >= 0 {
+			theta[i] = res.X[r]
+		}
+	}
+	return theta
+}
+
+// screenCases are the networks the one-factor DC screen is held to its
+// oracle on, with their solved states.
+func screenCases(t *testing.T) map[string]*grid.Network {
+	t.Helper()
+	wecc, err := grid.SynthWECC(grid.SynthOptions{Areas: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*grid.Network{"ieee14": grid.Case14(), "ieee30": grid.Case30(), "ieee118": grid.Case118(), "synth-wecc-4": wecc}
+}
+
+// TestDCOutagesMatchRebuiltB: every outage of the one-factor screen — the
+// base factor plus a rank-one update — against B′ rebuilt without the branch
+// and solved by CG: every branch flow within 1e-9 pu and the same violation
+// list, on IEEE-14, -30, -118 and the 4-area synthetic WECC.
+func TestDCOutagesMatchRebuiltB(t *testing.T) {
+	for name, n := range screenCases(t) {
+		pf, err := powerflow.Solve(n, powerflow.Options{FlatStart: true, MaxIter: 40})
+		if err != nil {
+			t.Fatalf("%s: powerflow: %v", name, err)
+		}
+		ratings, err := AutoRatings(n, pf.State, 1.3, 0.3, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := Screen(context.Background(), n, pf.State, ratings, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p, _ := injectionsFromState(n, pf.State)
+		dc, err := newDCScreen(n, pf.State)
+		if err != nil {
+			t.Fatal(err)
+		}
+		violations := 0
+		for _, r := range results {
+			if r.Islanding {
+				continue
+			}
+			want := rebuiltDC(t, n, p, r.Outage)
+			got, _ := dc.outage(r.Outage)
+			for bi, br := range n.Branches {
+				if br.Status && bi != r.Outage {
+					if d := math.Abs(dcBranchFlow(n, got, br) - dcBranchFlow(n, want, br)); d > 1e-9 {
+						t.Fatalf("%s: outage %d: flow on branch %d off the rebuilt solve by %g pu", name, r.Outage, bi, d)
+					}
+				}
+			}
+			wantV := dcViolations(n, want, ratings, r.Outage, 1)
+			if len(wantV) != len(r.Violations) {
+				t.Fatalf("%s: outage %d: %d violations, rebuilt solve %d", name, r.Outage, len(r.Violations), len(wantV))
+			}
+			for k, v := range wantV {
+				if r.Violations[k].Branch != v.Branch {
+					t.Fatalf("%s: outage %d: violation %d on branch %d, rebuilt solve %d", name, r.Outage, k, r.Violations[k].Branch, v.Branch)
+				}
+			}
+			violations += len(wantV)
+		}
+		t.Logf("%s: %d cases, %d violations", name, len(results), violations)
+	}
+}
+
+// TestDCDenominatorIsIslanding: the Sherman–Morrison denominator 1 − b·aᵀy
+// vanishes on exactly the outages islandChecker calls islanding, on every
+// in-service branch of the oracle networks and of two parallel circuits.
+func TestDCDenominatorIsIslanding(t *testing.T) {
+	nets := screenCases(t)
+	buses := []grid.Bus{{ID: 1, Type: grid.Slack, Vm: 1}, {ID: 2, Type: grid.PQ, Vm: 1}, {ID: 3, Type: grid.PQ, Vm: 1}}
+	parallel, err := grid.New("parallel", 100, buses, []grid.Branch{
+		{From: 1, To: 2, X: 0.1, Status: true},
+		{From: 1, To: 2, X: 0.2, Status: true},
+		{From: 2, To: 3, X: 0.1, Status: true},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets["parallel"] = parallel
+	for name, n := range nets {
+		flat := powerflow.State{Vm: make([]float64, n.N()), Va: make([]float64, n.N())}
+		dc, err := newDCScreen(n, flat) // the denominator does not depend on the injections
+		if err != nil {
+			t.Fatal(err)
+		}
+		chk := newIslandChecker(n)
+		islanding := 0
+		for out, br := range n.Branches {
+			if !br.Status {
+				continue
+			}
+			_, den := dc.outage(out)
+			if islands := chk.islands(out); islands != (math.Abs(den) <= 1e-10) {
+				t.Errorf("%s: outage %d: denominator %g, islandChecker says islanding %v", name, out, den, islands)
+			} else if islands {
+				islanding++
+			}
+		}
+		t.Logf("%s: %d islanding outages", name, islanding)
+	}
+}
+
+// TestPreSplitBaseFailsExplicitly: two triangles with no branch between them
+// and the slack in one. The other has no angle reference, so B′ is singular
+// and no DC case has an answer. Lossless, its injections happened to be
+// consistent and CG returned some solution everywhere; lossy, AutoRatings
+// still did and the screens failed at an outage with CG's "not positive
+// definite". Every entry point now fails before any case with ErrIslanding
+// naming a bus of the second triangle.
+func TestPreSplitBaseFailsExplicitly(t *testing.T) {
+	for _, r := range []float64{0, 0.02} {
+		buses := []grid.Bus{
+			{ID: 1, Type: grid.Slack, Vm: 1}, {ID: 2, Type: grid.PQ, Vm: 1}, {ID: 3, Type: grid.PQ, Vm: 1},
+			{ID: 4, Type: grid.PQ, Vm: 1}, {ID: 5, Type: grid.PQ, Vm: 1}, {ID: 6, Type: grid.PQ, Vm: 1},
+		}
+		var branches []grid.Branch
+		for _, e := range [][2]int{{1, 2}, {2, 3}, {3, 1}, {4, 5}, {5, 6}, {6, 4}} {
+			branches = append(branches, grid.Branch{From: e[0], To: e[1], R: r, X: 0.1, Status: true})
+		}
+		n, err := grid.New("split", 100, buses, branches, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := powerflow.State{Vm: []float64{1, 1.01, 0.99, 1, 1.02, 0.98}, Va: []float64{0, -0.05, -0.02, 0.1, 0.04, -0.03}}
+		ratings := make([]float64, len(branches))
+		for i := range ratings {
+			ratings[i] = 1
+		}
+		ctx := context.Background()
+		_, errRatings := AutoRatings(n, st, 1.3, 0.3, Options{})
+		_, errScreen := Screen(ctx, n, st, ratings, Options{})
+		_, errParallel := ParallelScreen(ctx, n, st, ratings, ParallelOptions{Workers: 2})
+		for entry, err := range map[string]error{"AutoRatings": errRatings, "Screen": errScreen, "ParallelScreen": errParallel} {
+			if !errors.Is(err, ErrIslanding) || !strings.Contains(err.Error(), "has no path to the slack") {
+				t.Errorf("R = %g: %s: %v, want ErrIslanding naming a bus with no path to the slack", r, entry, err)
+			} else if !strings.Contains(err.Error(), "bus 4 ") && !strings.Contains(err.Error(), "bus 5 ") && !strings.Contains(err.Error(), "bus 6 ") {
+				t.Errorf("R = %g: %s: %v names a bus of the slack's triangle", r, entry, err)
+			}
 		}
 	}
 }

@@ -132,10 +132,10 @@ func schedule(ctx context.Context, nCases, workers int, sched Scheduling, run fu
 	return nil
 }
 
-// ParallelScreen runs the N-1 sweep across workers. Results are ordered by
-// outage branch index regardless of scheduling, and the error contract
-// matches Screen: no partial results, lowest-indexed failing outage wins
-// deterministically under both scheduling modes.
+// ParallelScreen runs the N-1 sweep across workers, every case on one
+// factorization of the base network's B′ (see dcScreen). Results are ordered
+// by outage branch index regardless of scheduling, and the error contract
+// matches Screen.
 func ParallelScreen(ctx context.Context, n *grid.Network, st powerflow.State, ratings []float64, opts ParallelOptions) ([]Result, error) {
 	if len(ratings) != len(n.Branches) {
 		return nil, fmt.Errorf("contingency: %d ratings for %d branches", len(ratings), len(n.Branches))
@@ -143,7 +143,7 @@ func ParallelScreen(ctx context.Context, n *grid.Network, st powerflow.State, ra
 	if opts.LoadingThreshold <= 0 {
 		opts.LoadingThreshold = 1.0
 	}
-	p, err := injectionsFromState(n, st)
+	dc, err := newDCScreen(n, st)
 	if err != nil {
 		return nil, err
 	}
@@ -158,18 +158,11 @@ func ParallelScreen(ctx context.Context, n *grid.Network, st powerflow.State, ra
 	chk := newIslandChecker(n)
 	err = schedule(ctx, len(cases), opts.Workers, opts.Scheduling, func(k int) error {
 		out := cases[k]
-		res := Result{Outage: out}
-		if chk.islands(out) {
-			res.Islanding = true
-			results[k] = res
-			return nil
+		results[k] = Result{Outage: out, Islanding: chk.islands(out)}
+		if !results[k].Islanding {
+			theta, _ := dc.outage(out)
+			results[k].Violations = dcViolations(n, theta, ratings, out, opts.LoadingThreshold)
 		}
-		theta, err := solveDC(n, p, out, opts.Options)
-		if err != nil {
-			return fmt.Errorf("contingency: outage %d: %w", out, err)
-		}
-		res.Violations = dcViolations(n, theta, ratings, out, opts.LoadingThreshold)
-		results[k] = res
 		return nil
 	})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/meas"
-	"repro/internal/sparse"
 )
 
 // ChiSquareTest performs the J(x̂) chi-square goodness-of-fit test for bad
@@ -34,58 +33,10 @@ func chiSquareQuantile(k, p float64) float64 {
 	return k * a * a * a
 }
 
-// NormalizedResiduals computes rᴺ_i = |r_i| / √Ω_ii where
-// Ω = R − H·G⁻¹·Hᵀ is the residual covariance. It uses a dense factorization
-// of the gain matrix, which is exact and affordable for the network sizes in
-// this reproduction (n ≤ a few hundred).
+// NormalizedResiduals computes the normalized residuals of res, an estimate
+// on mod, on an engine of its own (see Engine.NormalizedResiduals).
 func NormalizedResiduals(res *Result, mod *meas.Model) ([]float64, error) {
-	hj := mod.Jacobian(res.X)
-	w := mod.Weights()
-	g := sparse.Gain(hj, w)
-	return normalizedResiduals(res, mod, hj, g, nil)
-}
-
-// normalizedResiduals is the covariance computation shared by the
-// standalone path (fresh H and G) and the engine path (plan-refreshed H
-// and G). w carries the effective weights when the engine path has masked
-// measurements (nil means all rows are active): a masked row contributes
-// nothing to G, so the Ω_ii formula does not apply to it and it reports 0
-// — masked measurements carry no information and are never flagged.
-func normalizedResiduals(res *Result, mod *meas.Model, hj, g *sparse.CSR, w []float64) ([]float64, error) {
-	lu, err := sparse.Factor(g.ToDense())
-	if err != nil {
-		return nil, fmt.Errorf("wls: gain factorization for residual covariance: %w", err)
-	}
-	n := mod.NState()
-	m := mod.NMeas()
-	out := make([]float64, m)
-	// For each measurement row h_i: Ω_ii = R_ii − h_i·G⁻¹·h_iᵀ.
-	hi := make([]float64, n)
-	for i := 0; i < m; i++ {
-		if w != nil && w[i] == 0 {
-			out[i] = 0
-			continue
-		}
-		for j := range hi {
-			hi[j] = 0
-		}
-		for k := hj.RowPtr[i]; k < hj.RowPtr[i+1]; k++ {
-			hi[hj.ColIdx[k]] = hj.Val[k]
-		}
-		y, err := lu.Solve(hi)
-		if err != nil {
-			return nil, err
-		}
-		omega := mod.Meas[i].Sigma*mod.Meas[i].Sigma - sparse.Dot(hi, y)
-		if omega < 1e-12 {
-			// Critical measurement: residual is structurally zero and its
-			// error is undetectable. Report 0 so it is never flagged.
-			out[i] = 0
-			continue
-		}
-		out[i] = math.Abs(res.Residuals[i]) / math.Sqrt(omega)
-	}
-	return out, nil
+	return NewEngine(mod).NormalizedResiduals(res)
 }
 
 // BadDatum describes one identified bad measurement.

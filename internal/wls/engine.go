@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/meas"
@@ -668,16 +669,44 @@ func (e *Engine) refactor(g *sparse.CSR) error {
 	return e.ldl.Refresh(g)
 }
 
-// NormalizedResiduals computes rᴺ_i = |r_i| / √Ω_ii for a result produced
-// by this engine, reusing the engine's Jacobian and gain plans for the
-// covariance assembly. See the package-level NormalizedResiduals for the
-// formulation.
+// NormalizedResiduals computes rᴺ_i = |r_i| / √Ω_ii for a result on the
+// engine's model, where Ω = R − H·G⁻¹·Hᵀ is the residual covariance. H and G
+// are refreshed at res.X under the unscaled weights and G is refactored on
+// the engine's cached LDLᵀ analysis, so each Ω_ii = σ_i² − h_i·G⁻¹·h_iᵀ is one
+// substitution. A masked row contributes nothing to G and a critical one
+// (Ω_ii < 1e-8·σ_i², relative so that it holds at any meter precision) has a
+// structurally zero residual whose error is undetectable: both report 0 and
+// are never flagged.
 func (e *Engine) NormalizedResiduals(res *Result) ([]float64, error) {
-	// The covariance assembly rewrites the natural plan's G values outside
-	// the drift-gate bookkeeping; drop any reuse anchor that may alias it.
+	// G and its factor are rewritten outside the drift-gate bookkeeping: with
+	// the anchor dropped, the next solve refreshes both before it lags.
 	e.reuse.valid = false
 	hj := e.jplan.Refresh(res.X)
 	copy(e.w, e.baseW)
-	g := e.gplan.RefreshPool(hj, e.w, e.pool)
-	return normalizedResiduals(res, e.mod, hj, g, e.w)
+	if err := e.refactor(e.gplan.RefreshPool(hj, e.w, e.pool)); err != nil {
+		return nil, fmt.Errorf("wls: gain factorization for residual covariance: %w", err)
+	}
+	out := make([]float64, len(e.w))
+	hi, y := make([]float64, len(e.rhs)), make([]float64, len(e.rhs))
+	for i, m := range e.mod.Meas {
+		if e.w[i] == 0 {
+			continue
+		}
+		row := hj.ColIdx[hj.RowPtr[i]:hj.RowPtr[i+1]]
+		vals := hj.Val[hj.RowPtr[i]:hj.RowPtr[i+1]]
+		for k, c := range row {
+			hi[c] = vals[k]
+		}
+		e.ldl.Apply(y, hi)
+		var hgh float64
+		for k, c := range row {
+			hgh += vals[k] * y[c]
+			hi[c] = 0
+		}
+		s2 := m.Sigma * m.Sigma
+		if omega := s2 - hgh; omega >= 1e-8*s2 {
+			out[i] = math.Abs(res.Residuals[i]) / math.Sqrt(omega)
+		}
+	}
+	return out, nil
 }
