@@ -522,10 +522,9 @@ func BenchmarkDSE118Rounds(b *testing.B) {
 // the tracker's default numeric-reuse tier (ReuseGain). The reported
 // gain-skip-frac is the fraction of gain-solve iterations that ran on the
 // previous frame's G and preconditioner. The jacobi row is the historical
-// BenchmarkTrackerFrames; the ldl row is the default preconditioner, and
-// ldl-sequential is that row under DSEOptions.Sequential — 27 solves of
-// ~15 µs on the caller's goroutine instead of on one goroutine each, the
-// pair ROADMAP's concurrency direction reads at -cpu 1,2.
+// BenchmarkTrackerFrames; the ldl row is the default preconditioner — 27
+// solves of ~10 µs, which the phase runner spreads over the caller and its
+// helpers, so -cpu 1,2 reads what a second core buys a 13-bus subsystem.
 func BenchmarkTrackerFrames(b *testing.B) {
 	fx := benchFixture(b)
 	frames := [][]meas.Measurement{fx.Meas}
@@ -534,9 +533,6 @@ func BenchmarkTrackerFrames(b *testing.B) {
 			benchTrackedFrames(b, fx.Dec, frames, core.DSEOptions{Rounds: 2, WLS: wls.Options{Precond: p}})
 		})
 	}
-	b.Run("ldl-sequential", func(b *testing.B) {
-		benchTrackedFrames(b, fx.Dec, frames, core.DSEOptions{Rounds: 2, Sequential: true})
-	})
 }
 
 // reuseModes is the numeric-reuse benchmark axis.

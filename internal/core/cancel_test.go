@@ -60,6 +60,15 @@ func waitGoroutines(base int, timeout time.Duration) int {
 	}
 }
 
+// goroutineBaseline returns the goroutine count a leak check compares
+// against, taken once the phase runner has a helper for every extra P: the
+// first in-process phase of a test binary starts them and they never exit,
+// so a count taken before them would read them as a leak.
+func goroutineBaseline() int {
+	_ = phases.run(context.Background(), "baseline", runtime.GOMAXPROCS(0), func(context.Context, int) error { return nil })
+	return runtime.NumGoroutine()
+}
+
 // TestRunDistributedCancelMidStep1: canceling the run context while the
 // sites are grinding through Step 1 must abort the Gauss-Newton loops,
 // return a wrapped context.Canceled within a second of the cancellation,
@@ -67,7 +76,7 @@ func waitGoroutines(base int, timeout time.Duration) int {
 // meet and no iteration cap to speak of, so Step 1 cannot end on its own.
 func TestRunDistributedCancelMidStep1(t *testing.T) {
 	fx := weccFixture(t, 9)
-	base := runtime.NumGoroutine()
+	base := goroutineBaseline()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -193,6 +202,84 @@ func TestRunDSECancelPropagates(t *testing.T) {
 	}()
 	if _, err := RunDSE(ctx, fx.dec, fx.ms, DSEOptions{Rounds: 2000}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
+	}
+}
+
+// cancelInPhase is a placement that cancels the run as the named phase's
+// first subsystem starts, so every solve of that phase sees a canceled
+// context.
+type cancelInPhase struct {
+	placement
+	phase  string
+	cancel context.CancelFunc
+}
+
+func (p cancelInPhase) forEach(ctx context.Context, phase string, f func(ctx context.Context, si int) error) error {
+	if phase != p.phase {
+		return p.placement.forEach(ctx, phase, f)
+	}
+	var once sync.Once
+	return p.placement.forEach(ctx, phase, func(ctx context.Context, si int) error {
+		once.Do(p.cancel)
+		return f(ctx, si)
+	})
+}
+
+// TestTrackerCancelMidStep2: a tracked frame canceled inside Step 2 returns
+// a wrapped context.Canceled naming the phase, leaves no goroutine behind
+// (the baseline is taken after the first frames, which start the phase
+// runner's helpers and the kernels' worker pool for good), and the
+// tracker's next frame is the one a tracker that never saw the canceled
+// frame computes. The canceled frame's Step 1 ran to the end, so under the
+// default reuse tier its engines' lagged gains moved on, and the two agree
+// to the Gauss–Newton tolerance; with reuse off they agree bit for bit.
+func TestTrackerCancelMidStep2(t *testing.T) {
+	fx := newFixture(t, grid.Case118, 9, 1)
+	first, next := frameFor(t, fx, 1, 60), frameFor(t, fx, 1, 61)
+	for _, reuse := range []wls.GainReuseKind{wls.ReuseAuto, wls.ReuseOff} {
+		opts := DSEOptions{Rounds: 2, WLS: wls.Options{GainReuse: reuse}}
+		canceled, clean := NewTracker(fx.dec, opts), NewTracker(fx.dec, opts)
+		for _, tr := range []*Tracker{canceled, clean} {
+			if _, err := tr.Step(context.Background(), first); err != nil {
+				t.Fatal(err)
+			}
+		}
+		base := runtime.NumGoroutine()
+
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := canceled.stepOn(ctx, cancelInPhase{inProcess{fx.dec}, "step 2", cancel}, next)
+		cancel()
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("reuse %v: canceled frame returned %v, %v", reuse, res, err)
+		}
+		if !strings.Contains(err.Error(), "step 2") {
+			t.Errorf("reuse %v: error does not name Step 2: %v", reuse, err)
+		}
+		if n := waitGoroutines(base, 5*time.Second); n > base+2 {
+			t.Errorf("reuse %v: goroutines leaked: %d before the canceled frame, %d after settle", reuse, base, n)
+		}
+
+		got, err := canceled.Step(context.Background(), next)
+		if err != nil {
+			t.Fatalf("reuse %v: frame after the canceled one: %v", reuse, err)
+		}
+		want, err := clean.Step(context.Background(), next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if canceled.Frames != clean.Frames {
+			t.Errorf("reuse %v: tracker counts %d frames after a canceled one, a clean tracker %d", reuse, canceled.Frames, clean.Frames)
+		}
+		if reuse == wls.ReuseOff {
+			requireSameRun(t, "frame after a canceled one, reuse off", got.State, got.Step1, got.Step2, want)
+			continue
+		}
+		for i := range want.State.Vm {
+			if math.Abs(got.State.Vm[i]-want.State.Vm[i]) > 1e-6 || math.Abs(got.State.Va[i]-want.State.Va[i]) > 1e-6 {
+				t.Errorf("frame after a canceled one: bus %d at %v/%v, a clean tracker %v/%v",
+					i, got.State.Vm[i], got.State.Va[i], want.State.Vm[i], want.State.Va[i])
+			}
+		}
 	}
 }
 
@@ -342,7 +429,7 @@ func TestRunDistributedCancelMidSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine()
+	base := goroutineBaseline()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

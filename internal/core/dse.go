@@ -2,9 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
+	"runtime"
 	"time"
 
 	"repro/internal/meas"
@@ -20,12 +19,10 @@ type DSEOptions struct {
 	// Rounds is the number of Step-2 re-evaluation rounds. Zero selects 1;
 	// the convergence bound is the decomposition-graph diameter [10].
 	Rounds int
-	// WLS configures each local estimator.
+	// WLS configures each local estimator. In process, with at least as
+	// many subsystems as GOMAXPROCS, Workers 0 runs as 1: the phase already
+	// keeps every core busy with solves.
 	WLS wls.Options
-	// Sequential disables per-subsystem concurrency (used by benchmarks to
-	// measure the serial cost). It is the in-process placement's; a testbed
-	// runs a site's subsystems in turn and the sites side by side.
-	Sequential bool
 	// WarmStart optionally provides a per-subsystem Step-1 starting state
 	// (the previous frame's solution in tracking operation). Entries may
 	// be nil; lengths must match each subproblem's state dimension.
@@ -90,10 +87,10 @@ type DSEResult struct {
 
 // RunDSE executes the DSE algorithm in-process: Step 1 on every subsystem,
 // pseudo-measurement extraction and exchange, then Rounds of Step 2, and
-// the final aggregation. Subsystem estimations run concurrently (one
-// goroutine per estimator) unless opts.Sequential. The global measurement
-// set must contain a PMU angle measurement at every subsystem's reference
-// bus (see PMUPlanFor).
+// the final aggregation. A phase's subsystem estimations run side by side,
+// on the caller and on up to GOMAXPROCS−1 persistent helpers. The global
+// measurement set must contain a PMU angle measurement at every subsystem's
+// reference bus (see PMUPlanFor).
 //
 // The context governs the whole run: cancellation is checked between
 // Step-2 rounds and inside every subsystem's Gauss-Newton loop, and the
@@ -101,7 +98,21 @@ type DSEResult struct {
 func RunDSE(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DSEOptions) (*DSEResult, error) {
 	sess, release := d.sessionFor(opts)
 	defer release()
-	return sess.runDSE(ctx, inProcess{d, opts.Sequential}, global, opts)
+	return sess.runDSE(ctx, inProcess{d}, global, inProcessOptions(d, opts))
+}
+
+// inProcessOptions returns opts as an in-process run solves under. A phase
+// with at least one subsystem per P keeps every core busy with solves, so a
+// solve left on the shared kernel pool (WLS.Workers 0) runs its kernels on
+// its own goroutine instead: a solve parked on the pool leaves its P with no
+// other subsystem to run, and waking it costs more than the pooled rows save
+// (DESIGN §9). With fewer subsystems than Ps the pool has idle cores to fill,
+// and the solves keep it.
+func inProcessOptions(d *Decomposition, opts DSEOptions) DSEOptions {
+	if opts.WLS.Workers == 0 && len(d.Subsystems) >= runtime.GOMAXPROCS(0) {
+		opts.WLS.Workers = 1
+	}
+	return opts
 }
 
 // placement is what the DSE sequence does not know about itself: where a
@@ -121,28 +132,15 @@ type placement interface {
 	exchange(ctx context.Context, round int, packets []PseudoPacket) ([][]PseudoPacket, error)
 }
 
-// inProcess places every estimator in the calling process: a phase is one
-// goroutine per subsystem, or one subsystem after the other when sequential,
-// and a packet is handed over in memory.
+// inProcess places every estimator in the calling process: a phase runs on
+// the phase runner (the caller and its helpers claiming subsystems from one
+// counter), and a packet is handed over in memory.
 type inProcess struct {
-	d          *Decomposition
-	sequential bool
+	d *Decomposition
 }
 
 func (p inProcess) forEach(ctx context.Context, phase string, f func(ctx context.Context, si int) error) error {
-	m := len(p.d.Subsystems)
-	if !p.sequential {
-		return concurrently(ctx, phase, m, f)
-	}
-	for si := 0; si < m; si++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: %s: canceled before subsystem %d: %w", phase, si, err)
-		}
-		if err := f(ctx, si); err != nil {
-			return err
-		}
-	}
-	return nil
+	return phases.run(ctx, phase, len(p.d.Subsystems), f)
 }
 
 func (p inProcess) exchange(_ context.Context, _ int, packets []PseudoPacket) ([][]PseudoPacket, error) {
@@ -305,40 +303,6 @@ func restoreSubproblem(sp *Subproblem, sigma float64) error {
 		return nil
 	}
 	return sp.ReplaceMeasurements(augmented)
-}
-
-// concurrently runs tasks 0..n-1 of one phase on a goroutine each and waits
-// for all of them. The first error cancels the context handed to every
-// other task (fail-fast); errors collected before the stop are joined.
-func concurrently(ctx context.Context, phase string, n int, task func(ctx context.Context, i int) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				return // a sibling failed; don't start more work
-			}
-			if errs[i] = task(ctx, i); errs[i] != nil {
-				cancel()
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	// No task recorded an error, yet the context may have been canceled by
-	// the parent before some of them started (or, inside a task, before it
-	// got through its list) — their result slots are then silently empty, so
-	// the phase must not be treated as complete.
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: %s: canceled before all of it completed: %w", phase, err)
-	}
-	return nil
 }
 
 // addIterations accumulates one round's per-subsystem iteration counts.

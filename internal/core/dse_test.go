@@ -339,13 +339,16 @@ func TestRunDSEWithNoiseCloseToCentralized(t *testing.T) {
 	}
 }
 
+// TestRunDSESequentialMatchesConcurrent: RunDSE on the phase runner equals,
+// bit for bit, the same run with every phase's subsystems in index order on
+// the calling goroutine.
 func TestRunDSESequentialMatchesConcurrent(t *testing.T) {
 	fx := newFixture(t, grid.Case30, 3, 1)
 	a, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{Sequential: true})
+	b, err := NewSession(fx.dec, DSEOptions{}).runDSE(context.Background(), inOrder{inProcess{fx.dec}}, fx.ms, DSEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

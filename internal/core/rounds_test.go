@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -30,7 +29,7 @@ func TestRunDistributedPeerClosesInLaterRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine()
+	base := goroutineBaseline()
 
 	tr := &faultTransport{}
 	tr.onWrite = func(n int) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -479,6 +480,45 @@ func checkRouting(env Envelope, kind EnvelopeKind, tb *cluster.Testbed, assign [
 	}
 	if env.ToSub < 0 || env.ToSub >= len(assign) || tb.Sites[assign[env.ToSub]] != site {
 		return fmt.Errorf("core: site %s received an envelope for subsystem %d, which it does not host", site.Name, env.ToSub)
+	}
+	return nil
+}
+
+// concurrently runs tasks 0..n-1 of one phase on a goroutine each and waits
+// for all of them. The first error cancels the context handed to every
+// other task (fail-fast); errors collected before the stop are joined. It is
+// the testbed's: every site stands for a machine of its own, and the tasks
+// of an I/O phase (acquire, shipEnvelopes) block on each other — a receiver
+// waits for senders — so each needs a goroutine of its own. The phase
+// runner, whose caller takes part and whose helpers may be fewer than the
+// tasks, would deadlock once its caller claimed a receiver.
+func concurrently(ctx context.Context, phase string, n int, task func(ctx context.Context, i int) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := ctx.Err(); err != nil {
+				return // a sibling failed; don't start more work
+			}
+			if errs[i] = task(ctx, i); errs[i] != nil {
+				cancel()
+			}
+		}(i)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	// No task recorded an error, yet the context may have been canceled by
+	// the parent before some of them started (or, inside a task, before it
+	// got through its list) — their result slots are then silently empty, so
+	// the phase must not be treated as complete.
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("core: %s: canceled before all of it completed: %w", phase, err)
 	}
 	return nil
 }

@@ -31,8 +31,8 @@ import (
 //
 // Concurrency invariant: within a run, subsystem slot si is touched only
 // from the driver's per-subsystem work, and a placement never overlaps two
-// calls for one subsystem (a goroutine per subsystem in process, one per
-// site on the testbed), so slots need no locking of their own.
+// calls for one subsystem (in process a subsystem is claimed once per phase,
+// on the testbed its site runs it), so slots need no locking of their own.
 type Session struct {
 	d   *Decomposition
 	cfg sessionConfig
@@ -50,7 +50,8 @@ type Session struct {
 }
 
 // subSession is one subsystem's slot: skeletons, engines, and the Step-2
-// warm-start carry. Accessed only by the goroutine running that subsystem.
+// warm-start carry. Accessed only by the goroutine running that subsystem's
+// work of the phase.
 type subSession struct {
 	step1, step2 *Subproblem
 	eng1, eng2   *wls.Engine

@@ -240,7 +240,11 @@ func TestSessionConfigChangeRebuilds(t *testing.T) {
 // the observable consequence of zero construction in steady state.
 func TestTrackerSteadyStateAllocs(t *testing.T) {
 	fx := newFixture(t, grid.Case118, 9, 1)
-	tracker := NewTracker(fx.dec, DSEOptions{Sequential: true})
+	tracker := NewTracker(fx.dec, DSEOptions{})
+	// In index order on this goroutine, so that no helper's start lands in
+	// either count.
+	pl := inOrder{inProcess{fx.dec}}
+	ctx := context.Background()
 
 	mallocs := func(f func()) uint64 {
 		var m0, m1 runtime.MemStats
@@ -251,16 +255,16 @@ func TestTrackerSteadyStateAllocs(t *testing.T) {
 		return m1.Mallocs - m0.Mallocs
 	}
 	cold := mallocs(func() {
-		if _, err := tracker.Process(fx.ms); err != nil {
+		if _, err := tracker.stepOn(ctx, pl, fx.ms); err != nil {
 			t.Errorf("cold frame: %v", err)
 		}
 	})
 	// One settling frame, then measure steady state.
-	if _, err := tracker.Process(fx.ms); err != nil {
+	if _, err := tracker.stepOn(ctx, pl, fx.ms); err != nil {
 		t.Fatal(err)
 	}
 	steady := mallocs(func() {
-		if _, err := tracker.Process(fx.ms); err != nil {
+		if _, err := tracker.stepOn(ctx, pl, fx.ms); err != nil {
 			t.Errorf("steady frame: %v", err)
 		}
 	})

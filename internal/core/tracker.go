@@ -39,9 +39,17 @@ func (t *Tracker) Process(frame []meas.Measurement) (*DSEResult, error) {
 
 // Step runs one full DSE pass on a measurement frame and retains the
 // per-subsystem solutions as the next frame's warm start. Cancellation
-// aborts the pass without corrupting the warm-start state (a canceled
-// frame leaves the tracker exactly as it was).
+// aborts the pass without corrupting the warm-start state: a canceled frame
+// leaves the warm starts and Frames as they were. The phases it finished
+// still moved the engines' lagged gains (and a finished Step-2 round the
+// Step-2 carries), so the next frame agrees with an uncanceled tracker's to
+// the solve tolerance, not bit for bit.
 func (t *Tracker) Step(ctx context.Context, frame []meas.Measurement) (*DSEResult, error) {
+	return t.stepOn(ctx, inProcess{t.Dec}, frame)
+}
+
+// stepOn is Step with the frame's phases placed by pl.
+func (t *Tracker) stepOn(ctx context.Context, pl placement, frame []meas.Measurement) (*DSEResult, error) {
 	opts := t.Opts
 	opts.WarmStart = t.warm
 	if t.sess == nil || t.sess.d != t.Dec || t.sess.cfg != sessionConfigFor(opts) {
@@ -49,7 +57,7 @@ func (t *Tracker) Step(ctx context.Context, frame []meas.Measurement) (*DSEResul
 	}
 	sess, release := lockOrClone(t.sess, t.Dec, opts)
 	defer release()
-	res, err := sess.runDSE(ctx, inProcess{t.Dec, opts.Sequential}, frame, opts)
+	res, err := sess.runDSE(ctx, pl, frame, inProcessOptions(t.Dec, opts))
 	if err != nil {
 		return nil, err
 	}
