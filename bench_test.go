@@ -252,8 +252,9 @@ func BenchmarkEndToEndDSE(b *testing.B) {
 
 // BenchmarkCentralizedWLS118 is the baseline the paper compares against:
 // one full-system WLS solve on IEEE-118. The jacobi row is Jacobi-PCG, the
-// paper's solver (named csr up to BENCH_12), and the ldl row is what
-// wls.Options{} runs.
+// paper's solver (named csr up to BENCH_12), the ldl row is what
+// wls.Options{} runs — the lagged tier, whose last step reuses the previous
+// gain and factor — and ldl-exact is exact Gauss–Newton (ReuseOff).
 func BenchmarkCentralizedWLS118(b *testing.B) {
 	fx := benchFixture(b)
 	for _, f := range []struct {
@@ -262,6 +263,7 @@ func BenchmarkCentralizedWLS118(b *testing.B) {
 	}{
 		{"jacobi", wls.Options{Precond: wls.PrecondJacobi}},
 		{"ldl", wls.Options{}},
+		{"ldl-exact", wls.Options{GainReuse: wls.ReuseOff}},
 	} {
 		b.Run(f.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -276,15 +278,39 @@ func BenchmarkCentralizedWLS118(b *testing.B) {
 // BenchmarkCentralizedWLSWECC12 is the same baseline at 1 416 buses — what
 // the gate's central_wecc12 workload runs: a cold solve, so the model, both
 // symbolic plans and the LDLᵀ analysis are paid inside every operation.
+// gn-iters and lagged count its Gauss–Newton steps and those that reused
+// the previous gain and factor.
 func BenchmarkCentralizedWLSWECC12(b *testing.B) {
+	benchCentralizedWECC12(b, wls.Options{})
+}
+
+// BenchmarkCentralizedWLSWECC12Exact is the same solve under exact
+// Gauss–Newton (ReuseOff): a gain refresh and a factorization every step.
+func BenchmarkCentralizedWLSWECC12Exact(b *testing.B) {
+	benchCentralizedWECC12(b, wls.Options{GainReuse: wls.ReuseOff})
+}
+
+// BenchmarkCentralizedWLSWECC12Serial is the default solve with the gain
+// refresh and the right-hand side kept off the kernel pool (Workers 1). At
+// -cpu 1 it reads what the default row reads; at -cpu 2 it says what the
+// pooled gain refresh buys inside one cold solve.
+func BenchmarkCentralizedWLSWECC12Serial(b *testing.B) {
+	benchCentralizedWECC12(b, wls.Options{Workers: 1})
+}
+
+func benchCentralizedWECC12(b *testing.B, opts wls.Options) {
 	dec, frames := weccDSEFixture(b, 12, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var res *wls.Result
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CentralizedEstimate(context.Background(), dec.Net, frames[0], wls.Options{}); err != nil {
+		var err error
+		if res, err = core.CentralizedEstimate(context.Background(), dec.Net, frames[0], opts); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(res.Iterations), "gn-iters")
+	b.ReportMetric(float64(res.GainSkips), "lagged")
 }
 
 // namedModel is a centralized measurement model at one benchmark size.

@@ -46,7 +46,7 @@ func main() {
 		hier       = flag.Bool("hierarchical", false, "run the coordinator-based hierarchical mode instead of peer-to-peer DSE")
 		refine     = flag.Bool("refine", false, "with -hierarchical: coordinator re-estimates the boundary system")
 		frames     = flag.Int("frames", 1, "track this many measurement frames in-process (session reuse + warm starts)")
-		gainReuse  = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto, off, gain")
+		gainReuse  = flag.String("gain-reuse", wls.Options{}.GainReuse.String(), "drift-gated gain/factor reuse: gain (lag while the state stays inside the gate) or off (exact Gauss-Newton)")
 		precond    = flag.String("precond", wls.Options{}.Precond.String(), "gain solve: ldl (the LDLᵀ factor solves directly, no CG) or jacobi (Jacobi-preconditioned CG, the paper's solver [2])")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	)
@@ -73,15 +73,9 @@ func main() {
 	}
 	defer stopProfile()
 
-	reuseKind := gridse.ReuseAuto
-	switch *gainReuse {
-	case "auto":
-	case "off":
-		reuseKind = gridse.ReuseOff
-	case "gain":
-		reuseKind = gridse.ReuseGain
-	default:
-		log.Fatalf("unknown -gain-reuse %q (want auto, off or gain)", *gainReuse)
+	reuseKind, ok := map[string]wls.GainReuseKind{"gain": wls.ReuseGain, "off": wls.ReuseOff}[*gainReuse]
+	if !ok {
+		log.Fatalf("unknown -gain-reuse %q (want gain or off)", *gainReuse)
 	}
 	precondKind, err := wls.ParsePrecond(*precond)
 	if err != nil {

@@ -25,7 +25,7 @@ func main() {
 		noise    = flag.Float64("noise", 1.0, "meter noise level (1 = nominal)")
 		seed     = flag.Int64("seed", 42, "measurement noise seed")
 		precond  = flag.String("precond", wls.Options{}.Precond.String(), "gain solve: ldl (the LDLᵀ factor solves directly, no CG) or jacobi (Jacobi-preconditioned CG, the paper's solver [2])")
-		reuse    = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto|off|gain")
+		reuse    = flag.String("gain-reuse", wls.Options{}.GainReuse.String(), "drift-gated gain/factor reuse: gain (lag while the state stays inside the gate) or off (exact Gauss-Newton)")
 		workers  = flag.Int("workers", 0, "parallel mat-vec workers (0 = GOMAXPROCS)")
 		plan     = flag.String("plan", "full", "metering plan: full|rtu|pmu")
 		baddata  = flag.Bool("baddata", false, "run chi-square bad-data detection")
@@ -77,15 +77,9 @@ func main() {
 	if opts.Precond, err = wls.ParsePrecond(*precond); err != nil {
 		log.Fatal(err)
 	}
-	switch *reuse {
-	case "auto":
-		opts.GainReuse = gridse.ReuseAuto
-	case "off":
-		opts.GainReuse = gridse.ReuseOff
-	case "gain":
-		opts.GainReuse = gridse.ReuseGain
-	default:
-		log.Fatalf("unknown gain-reuse %q", *reuse)
+	var ok bool
+	if opts.GainReuse, ok = map[string]wls.GainReuseKind{"gain": wls.ReuseGain, "off": wls.ReuseOff}[*reuse]; !ok {
+		log.Fatalf("unknown -gain-reuse %q (want gain or off)", *reuse)
 	}
 
 	var res *gridse.EstimatorResult
@@ -111,8 +105,8 @@ func main() {
 	}
 	fmt.Printf("case %s: %d measurements over %d states (redundancy %.2f)\n",
 		net.Name, len(ms), 2*net.N()-1, float64(len(ms))/float64(2*net.N()-1))
-	fmt.Printf("gain solve %s: %d Gauss-Newton iterations, %d CG iterations, J = %.2f\n",
-		*precond, res.Iterations, res.CGIterations, res.ObjectiveJ)
+	fmt.Printf("gain solve %s, reuse %s: %d Gauss-Newton iterations (%d refreshes, %d lagged, %d guard rollbacks), %d CG iterations, J = %.2f\n",
+		*precond, opts.GainReuse, res.Iterations, res.GainRefreshes, res.GainSkips, res.ReuseFallbacks, res.CGIterations, res.ObjectiveJ)
 
 	var worstVm, worstVa float64
 	for i := range truth.State.Vm {

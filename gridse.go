@@ -169,9 +169,8 @@ type (
 const (
 	PrecondLDL    = wls.PrecondLDL
 	PrecondJacobi = wls.PrecondJacobi
-	ReuseAuto     = wls.ReuseAuto
-	ReuseOff      = wls.ReuseOff
 	ReuseGain     = wls.ReuseGain
+	ReuseOff      = wls.ReuseOff
 )
 
 // Estimate runs centralized WLS state estimation with default options,

@@ -17,9 +17,9 @@ import (
 // PoolOptions configures a what-if estimation pool.
 type PoolOptions struct {
 	// WLS configures every per-outage Gauss–Newton solve. The pool keeps its
-	// engines across sweeps, so GainReuse left at ReuseAuto runs as
-	// wls.ReuseGain: re-screens of a quiescent system run whole what-if
-	// solves on the previous sweep's gain and preconditioner numerics.
+	// engines across sweeps, so under the default wls.ReuseGain re-screens of
+	// a quiescent system run whole what-if solves on the previous sweep's
+	// gain and preconditioner numerics.
 	WLS wls.Options
 	// Decomposition, when set, switches the pool from centralized what-if
 	// estimation (one wls.Engine per outage on the full network with the
@@ -475,9 +475,6 @@ func (p *Pool) runCentralized(ctx context.Context, out int, e *caseSession, ce *
 	e.mod.SetRefAngle(sk.mod.RefAngle())
 
 	wopts := p.opts.WLS
-	if wopts.GainReuse == wls.ReuseAuto {
-		wopts.GainReuse = wls.ReuseGain
-	}
 	if wopts.X0 == nil {
 		if e.haveWarm {
 			wopts.X0 = e.warm

@@ -196,8 +196,8 @@ func testRescreenEquivalence(t *testing.T, n *grid.Network, wantParallel bool) {
 	}
 }
 
-// TestPoolGainReuseDefault checks the pool resolves ReuseAuto to the
-// tracking tier: a quiescent re-screen skips gain refreshes.
+// TestPoolGainReuseDefault checks the pool's default options run the
+// lagged tier: a quiescent re-screen skips gain refreshes.
 func TestPoolGainReuseDefault(t *testing.T) {
 	n := grid.Case14()
 	plan := meas.FullPlan().Build(n)

@@ -236,7 +236,7 @@ func (p cancelInPhase) forEach(ctx context.Context, phase string, f func(ctx con
 func TestTrackerCancelMidStep2(t *testing.T) {
 	fx := newFixture(t, grid.Case118, 9, 1)
 	first, next := frameFor(t, fx, 1, 60), frameFor(t, fx, 1, 61)
-	for _, reuse := range []wls.GainReuseKind{wls.ReuseAuto, wls.ReuseOff} {
+	for _, reuse := range []wls.GainReuseKind{wls.ReuseGain, wls.ReuseOff} {
 		opts := DSEOptions{Rounds: 2, WLS: wls.Options{GainReuse: reuse}}
 		canceled, clean := NewTracker(fx.dec, opts), NewTracker(fx.dec, opts)
 		for _, tr := range []*Tracker{canceled, clean} {

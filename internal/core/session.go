@@ -106,17 +106,14 @@ func (s *Session) Reset() {
 }
 
 // beginRun prepares the session for one orchestrator call and returns the
-// options the call's solves run under. The session's engines outlive a
-// solve, so it runs wls.ReuseAuto as ReuseGain (DESIGN §10): Step-2 rounds
-// and tracked frames solve on the previous solve's gain and factor while
-// the state stays inside the drift gate. Warm-start carries and the
-// engines' reuse anchors are kept only for a continuing tracking run (the
-// caller supplied the previous frame's solutions); a standalone run always
-// starts cold so that repeated runs over the same data stay bit-identical.
+// options the call's solves run under. Under the default ReuseGain tier
+// (DESIGN §10), Step-2 rounds and tracked frames solve on the previous
+// solve's gain and factor while the state stays inside the drift gate.
+// Warm-start carries and the engines' reuse anchors are kept only for a
+// continuing tracking run (the caller supplied the previous frame's
+// solutions); a standalone run always starts cold so that repeated runs over
+// the same data stay bit-identical.
 func (s *Session) beginRun(opts DSEOptions) DSEOptions {
-	if opts.WLS.GainReuse == wls.ReuseAuto {
-		opts.WLS.GainReuse = wls.ReuseGain
-	}
 	if opts.WarmStart != nil {
 		return opts
 	}

@@ -37,8 +37,9 @@ type LDLFactor struct {
 
 	// Strict upper triangle of P·A·Pᵀ by column: column k holds rows
 	// upRow[p] < k whose values are a.Val[upSrc[p]]; the diagonal of column
-	// k is a.Val[diagSrc[k]].
-	upPtr, upRow, upSrc, diagSrc []int
+	// k is a.Val[diagSrc[k]]. Rows and sources are int32, as lRow is.
+	upPtr, diagSrc []int
+	upRow, upSrc   []int32
 
 	parent []int   // elimination tree (−1 at roots)
 	lPtr   []int   // column pointers of L's strict lower triangle
@@ -85,8 +86,8 @@ func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("sparse: LDL requires square matrix, got %dx%d", a.Rows, a.Cols)
 	}
-	if a.Rows > math.MaxInt32 {
-		return nil, fmt.Errorf("sparse: LDL of dimension %d exceeds the factor's int32 row indices", a.Rows)
+	if nnz := len(a.ColIdx); max(a.Rows, nnz) > math.MaxInt32 {
+		return nil, fmt.Errorf("sparse: LDL of dimension %d with %d entries exceeds the factor's int32 indices", a.Rows, nnz)
 	}
 	n := a.Rows
 	f := &LDLFactor{
@@ -128,8 +129,8 @@ func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 	for k := 0; k < n; k++ {
 		f.upPtr[k+1] += f.upPtr[k]
 	}
-	f.upRow = make([]int, f.upPtr[n])
-	f.upSrc = make([]int, f.upPtr[n])
+	f.upRow = make([]int32, f.upPtr[n])
+	f.upSrc = make([]int32, f.upPtr[n])
 	next := f.lnz // free until the column counts below
 	copy(next, f.upPtr[:n])
 	for i := 0; i < n; i++ {
@@ -140,7 +141,7 @@ func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 			pi, pj := inv[i], inv[a.ColIdx[k]]
 			p := next[max(pi, pj)]
 			next[max(pi, pj)]++
-			f.upRow[p], f.upSrc[p] = min(pi, pj), k
+			f.upRow[p], f.upSrc[p] = int32(min(pi, pj)), int32(k)
 		}
 	}
 
@@ -151,7 +152,7 @@ func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 		f.flag[k] = k
 		f.lnz[k] = 0
 		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
-			for i := f.upRow[p]; f.flag[i] != k; i = f.parent[i] {
+			for i := int(f.upRow[p]); f.flag[i] != k; i = f.parent[i] {
 				if f.parent[i] < 0 {
 					f.parent[i] = k
 				}
@@ -175,7 +176,7 @@ func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 	for k := 0; k < n; k++ {
 		f.flag[k] = k
 		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
-			for i := f.upRow[p]; f.flag[i] != k; i = f.parent[i] {
+			for i := int(f.upRow[p]); f.flag[i] != k; i = f.parent[i] {
 				f.lRow[f.lPtr[i]+f.lnz[i]] = int32(k)
 				f.lnz[i]++
 				f.flag[i] = k
@@ -238,7 +239,7 @@ func (f *LDLFactor) Refresh(a *CSR) error {
 		flag[k] = k
 		lnz[k] = 0
 		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
-			i := f.upRow[p]
+			i := int(f.upRow[p])
 			y[i] += a.Val[f.upSrc[p]]
 			depth := 0
 			for ; flag[i] != k; i = f.parent[i] {

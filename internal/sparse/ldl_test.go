@@ -41,7 +41,7 @@ func (o *ldlOracle) refresh(a *CSR) error {
 		flag[k] = k
 		lnz[k] = 0
 		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
-			i := f.upRow[p]
+			i := int(f.upRow[p])
 			y[i] += a.Val[f.upSrc[p]]
 			depth := 0
 			for ; flag[i] != k; i = f.parent[i] {

@@ -64,12 +64,14 @@ func TestSharePatternSharesIndexArrays(t *testing.T) {
 	fc := f.SharePattern()
 	for what, pair := range map[string][2][]int{
 		"perm": {fc.perm, f.perm}, "rowPtr": {fc.rowPtr, f.rowPtr}, "colIdx": {fc.colIdx, f.colIdx},
-		"upPtr": {fc.upPtr, f.upPtr}, "upRow": {fc.upRow, f.upRow}, "upSrc": {fc.upSrc, f.upSrc},
-		"diagSrc": {fc.diagSrc, f.diagSrc}, "parent": {fc.parent, f.parent}, "lPtr": {fc.lPtr, f.lPtr},
+		"upPtr": {fc.upPtr, f.upPtr}, "diagSrc": {fc.diagSrc, f.diagSrc},
+		"parent": {fc.parent, f.parent}, "lPtr": {fc.lPtr, f.lPtr},
 	} {
 		sameInts(what, pair[0], pair[1])
 	}
 	same32("lRow", fc.lRow, f.lRow)
+	same32("upRow", fc.upRow, f.upRow)
+	same32("upSrc", fc.upSrc, f.upSrc)
 	sameInts("the analyzed matrix's ColIdx", f.colIdx, gp.G.ColIdx)
 	if &fc.lVal[0] == &f.lVal[0] || &fc.d[0] == &f.d[0] || &fc.y[0] == &f.y[0] || &fc.flag[0] == &f.flag[0] {
 		t.Fatal("the cloned factor shares values or scratch")

@@ -208,3 +208,61 @@ func TestEstimateAfterNormalizedResiduals(t *testing.T) {
 		}
 	})
 }
+
+// TestBadDataVerdictsMatchExactTier plants a 20σ error on IEEE-14, -30 and
+// -118 under the SCADA plan. The default tier, which lags the last step of
+// every solve of the identification cycle, must reach the exact tier's
+// verdicts: the same rows removed in the same order, each at the same rᴺ to
+// 1e-6 relative, and the χ² test's J of the first solve and of the clean
+// final one equal to 1e-9 relative.
+func TestBadDataVerdictsMatchExactTier(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func() *grid.Network
+		bad   int
+	}{
+		{"ieee14", grid.Case14, 30},
+		{"ieee30", grid.Case30, 40},
+		{"ieee118", grid.Case118, 200},
+	} {
+		mod := engineTestModel(t, c.build, 1, 51)
+		ms, err := meas.InjectBadData(mod.Meas, c.bad, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mod.UpdateValues(ms); err != nil {
+			t.Fatal(err)
+		}
+		var removed [2][]BadDatum
+		var first, final [2]*Result
+		for k, reuse := range []GainReuseKind{ReuseGain, ReuseOff} {
+			if first[k], err = Estimate(mod, Options{GainReuse: reuse}); err != nil {
+				t.Fatalf("%s/%v: %v", c.name, reuse, err)
+			}
+			if removed[k], final[k], err = IdentifyBadData(mod, Options{GainReuse: reuse}, 3, 5); err != nil {
+				t.Fatalf("%s/%v: %v", c.name, reuse, err)
+			}
+		}
+		if first[0].GainSkips == 0 || final[0].GainSkips == 0 {
+			t.Fatalf("%s: the default tier never lagged: the case tests nothing", c.name)
+		}
+		lag, exact := removed[0], removed[1]
+		if len(exact) == 0 || exact[0].Index != c.bad {
+			t.Fatalf("%s: exact tier identified %+v, want measurement %d first", c.name, exact, c.bad)
+		}
+		if len(lag) != len(exact) {
+			t.Fatalf("%s: identified %+v by default, %+v exactly", c.name, lag, exact)
+		}
+		for i := range exact {
+			if lag[i].Index != exact[i].Index || math.Abs(lag[i].Normalized-exact[i].Normalized) > 1e-6*exact[i].Normalized {
+				t.Errorf("%s: removal %d: measurement %d at rᴺ %.9g by default, %d at %.9g exactly",
+					c.name, i, lag[i].Index, lag[i].Normalized, exact[i].Index, exact[i].Normalized)
+			}
+		}
+		for k, pair := range [][2]*Result{first, final} {
+			if a, b := pair[0].ObjectiveJ, pair[1].ObjectiveJ; math.Abs(a-b) > 1e-9*b {
+				t.Errorf("%s: J of the %s solve %.12g by default, %.12g exactly", c.name, []string{"first", "final"}[k], a, b)
+			}
+		}
+	}
+}

@@ -66,8 +66,8 @@ type Engine struct {
 	// The lagged step's carry: with hValid, h/r already hold the iterate's
 	// values (accepted trial, kept warm start); with rhsValid, rhs and jx are
 	// HᵀW·r and J there too. Every fused pass lands in rhsTrial, which trades
-	// places with rhs when its iterate is taken; both are made on an engine's
-	// first lagged step, one sink element longer than n under the slice.
+	// places with rhs when its iterate is taken; both hold a sink element past
+	// n, and rhsTrial is made on an engine's first lagged step.
 	hValid, rhsValid bool
 	rhsTrial         []float64
 	jx               float64
@@ -76,9 +76,9 @@ type Engine struct {
 const maskedStale = -2
 
 // gainReuse is the numeric-reuse anchor carried across Gauss–Newton
-// iterations and solves. valid flips false whenever G's values are
-// rewritten outside the anchor bookkeeping (ReuseOff solves, SolveLinear,
-// NormalizedResiduals) or the session starts a standalone run.
+// iterations and solves. valid flips false when G is rewritten outside the
+// anchor bookkeeping (ReuseOff, SolveLinear, NormalizedResiduals), a kept
+// lagged step does not shrink the step, or a session starts a standalone run.
 type gainReuse struct {
 	valid bool
 	x     []float64 // length n, state at last refresh
@@ -109,7 +109,7 @@ func newEngine(mod *meas.Model, jplan *meas.JacobianPlan, gplan *sparse.GainPlan
 		h:      make([]float64, m),
 		r:      make([]float64, m),
 		wr:     make([]float64, m),
-		rhs:    make([]float64, n),
+		rhs:    make([]float64, n, n+1),
 		dx:     make([]float64, n),
 		prevDx: make([]float64, n),
 		work:   sparse.NewCGWorkspace(n),
@@ -266,10 +266,8 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 	for i, m := range mod.Meas {
 		e.z[i] = m.Value
 	}
-	// Lagged numerics only on request: ReuseAuto is exact Gauss–Newton here,
-	// because an owner that keeps its engines across solves resolves it
-	// before the solve. The weights are fixed for the solve, so the anchor's
-	// are compared once, here.
+	// Lagged numerics unless ReuseOff asks for exact Gauss–Newton. The
+	// weights are fixed for the solve, so the anchor's are compared once, here.
 	lag := opts.GainReuse == ReuseGain
 	// An unguarded solve rewrites G outside the anchor bookkeeping, so any
 	// anchor a previous gated solve left behind is stale after it.
@@ -292,6 +290,7 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 
 	res := &Result{}
 	e.havePrevDx = false
+	prevStep := math.Inf(1)
 	for iter := 0; iter < maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("wls: canceled at iteration %d: %w", iter, err)
@@ -309,10 +308,12 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 
 		var dx []float64
 		var err error
+		lagged := false
 		if lagging {
 			if dx, err = e.solveGain(opts, cgTol, true, res); err == nil && e.trialImproves(x, dx, tol) {
 				res.GainSkips++
 				res.PrecondSkips++
+				lagged = true
 			} else {
 				// Guard tripped: the stale operator stalled the descent or the
 				// solve failed outright. Refresh at the current iterate and
@@ -327,9 +328,17 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 				return nil, err
 			}
 		}
+		step := sparse.NormInf(dx)
+		if lagged && step >= prevStep {
+			// The stale operator no longer contracts, though J fell: on an
+			// ill-conditioned gain a lagged step can trade error along its
+			// stiff rows for error along weak ones. The next step refreshes.
+			e.reuse.valid = false
+		}
+		prevStep = step
 		sparse.Axpy(1, dx, x)
 		res.Iterations = iter + 1
-		if sparse.NormInf(dx) < tol {
+		if step < tol {
 			res.Converged = true
 			break
 		}
@@ -487,7 +496,7 @@ func (e *Engine) evalAt(x []float64, grad bool) float64 {
 	}
 	n := len(e.rhs)
 	if e.rhsTrial == nil {
-		e.rhs, e.rhsTrial = make([]float64, n, n+1), make([]float64, n, n+1)
+		e.rhsTrial = make([]float64, n, n+1)
 	}
 	e.jx = e.jplan.GradInto(e.rhsTrial[:n+1], e.h, e.r, x, e.z, e.w)
 	e.rhs, e.rhsTrial, e.rhsValid = e.rhsTrial, e.rhs, true

@@ -163,20 +163,21 @@ func cgSlack(legacy int) int {
 	return max(1, legacy/100)
 }
 
-// TestEngineMatchesLegacyEstimate: the engine against the legacy loop, on
-// the legacy CG under the same preconditioner and, for the default, on the
-// dense and QR oracles.
+// TestEngineMatchesLegacyEstimate: the engine's exact tier (ReuseOff)
+// against the legacy loop, which is exact Gauss–Newton, on the legacy CG
+// under the same preconditioner and, for the LDLᵀ solve, on the dense and QR
+// oracles. TestDefaultMatchesDenseOracle holds the default tier.
 func TestEngineMatchesLegacyEstimate(t *testing.T) {
 	cases := []struct {
 		name  string
 		opts  Options
 		solve oracleSolve
 	}{
-		{"pcg-ldl", Options{}, oracleCG},
-		{"pcg-jacobi", Options{Precond: PrecondJacobi}, oracleCG},
-		{"pcg-serial", Options{Precond: PrecondJacobi, Workers: 1}, oracleCG},
-		{"dense", Options{}, oracleDense},
-		{"qr", Options{}, oracleQR},
+		{"pcg-ldl", Options{GainReuse: ReuseOff}, oracleCG},
+		{"pcg-jacobi", Options{Precond: PrecondJacobi, GainReuse: ReuseOff}, oracleCG},
+		{"pcg-serial", Options{Precond: PrecondJacobi, Workers: 1, GainReuse: ReuseOff}, oracleCG},
+		{"dense", Options{GainReuse: ReuseOff}, oracleDense},
+		{"qr", Options{GainReuse: ReuseOff}, oracleQR},
 	}
 	mod := engineTestModel(t, grid.Case14, 0.01, 42)
 	for _, tc := range cases {
@@ -210,11 +211,12 @@ func TestEngineMatchesLegacyEstimate(t *testing.T) {
 
 func TestEngineMatchesLegacyOn118(t *testing.T) {
 	mod := engineTestModel(t, grid.Case118, 0.01, 7)
-	want, err := legacyEstimate(mod, Options{Precond: PrecondJacobi}, nil, oracleCG)
+	opts := Options{Precond: PrecondJacobi, GainReuse: ReuseOff}
+	want, err := legacyEstimate(mod, opts, nil, oracleCG)
 	if err != nil {
 		t.Fatalf("legacy: %v", err)
 	}
-	got, err := Estimate(mod, Options{Precond: PrecondJacobi})
+	got, err := Estimate(mod, opts)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -258,17 +260,18 @@ func TestEngineRebind(t *testing.T) {
 	modA := engineTestModel(t, grid.Case14, 0.01, 5)
 	modB := engineTestModel(t, grid.Case14, 0.01, 6) // same structure, new values
 	eng := NewEngine(modA)
-	if _, err := eng.Estimate(Options{}); err != nil {
+	exact := Options{GainReuse: ReuseOff}
+	if _, err := eng.Estimate(exact); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Rebind(modB); err != nil {
 		t.Fatalf("rebind to same-structure model: %v", err)
 	}
-	got, err := eng.Estimate(Options{})
+	got, err := eng.Estimate(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := legacyEstimate(modB, Options{}, nil, oracleCG)
+	want, err := legacyEstimate(modB, exact, nil, oracleCG)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,18 +72,17 @@ func ParsePrecond(name string) (PrecondKind, error) {
 // ErrStaleSkeleton), and Engine.ResetReuse drops it explicitly.
 type GainReuseKind int
 
-// Gain-reuse tiers. ReuseGain runs a lagged Gauss–Newton iteration on stale
-// G guarded by a residual-decrease test: if the lagged step fails to reduce
-// J(x) or the solve errors, the engine refreshes at the current iterate and
-// re-solves.
-// ReuseAuto is the owner's choice: an engine that lives for one solve
-// (Estimate) runs it as ReuseOff, exact Gauss–Newton, while the owners that
-// keep engines across solves — core.Session, contingency.Pool — resolve it
-// to ReuseGain.
+// Gain-reuse tiers. ReuseGain, the zero value, runs a lagged Gauss–Newton
+// iteration on stale G guarded by a residual-decrease test: if the lagged
+// step fails to reduce J(x) or the solve errors, the engine refreshes at the
+// current iterate and re-solves. A one-shot solve anchors on its own
+// refreshes, so its step inside the gate — in practice the last — lags: it
+// stops on the same ‖Δx‖∞ < Tol as exact Gauss–Newton and lands within Tol
+// of it (DESIGN §10 has the contract and where it is tighter). ReuseOff is
+// exact Gauss–Newton: a fresh gain and factor every iteration.
 const (
-	ReuseAuto GainReuseKind = iota
+	ReuseGain GainReuseKind = iota
 	ReuseOff
-	ReuseGain
 
 	// ReusePrecond is ReuseOff — an exact gain and a fresh factor every
 	// iteration, which is all the tier ever promised. The name stays only
@@ -93,8 +92,6 @@ const (
 
 func (g GainReuseKind) String() string {
 	switch g {
-	case ReuseAuto:
-		return "auto"
 	case ReuseOff:
 		return "off"
 	case ReuseGain:
@@ -133,9 +130,8 @@ type Options struct {
 	// X0 is an optional warm-start state vector; nil selects flat start.
 	X0 []float64
 	// GainReuse selects whether the gain solve may run on lagged gain and
-	// preconditioner numerics (default ReuseAuto, which a one-shot Estimate
-	// runs as ReuseOff and the session layer and the contingency pool as
-	// ReuseGain). See GainReuseKind.
+	// preconditioner numerics (default ReuseGain; ReuseOff is exact
+	// Gauss–Newton). See GainReuseKind.
 	GainReuse GainReuseKind
 	// X0Gate, when positive, guards the warm start behind a scaled-residual
 	// test: X0 is kept only while its weighted residual J(X0) stays within

@@ -1,6 +1,7 @@
 package wls
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,6 +16,13 @@ import (
 // decades per row and five in the gain — and simulates one noisy frame.
 func oracleModel(t *testing.T, net *grid.Network, rng *rand.Rand) *meas.Model {
 	t.Helper()
+	return oracleModelWith(t, net, rng, nil)
+}
+
+// oracleModelWith is oracleModel with edit applied to the plan before the
+// frame is simulated.
+func oracleModelWith(t *testing.T, net *grid.Network, rng *rand.Rand, edit func([]meas.Measurement)) *meas.Model {
+	t.Helper()
 	pf, err := powerflow.Solve(net, powerflow.Options{FlatStart: true, MaxIter: 40})
 	if err != nil {
 		t.Fatalf("powerflow %s: %v", net.Name, err)
@@ -26,6 +34,9 @@ func oracleModel(t *testing.T, net *grid.Network, rng *rand.Rand) *meas.Model {
 				meas.Measurement{Kind: meas.Angle, Bus: b.ID, Sigma: 5e-4},
 				meas.Measurement{Kind: meas.Vmag, Bus: b.ID, Sigma: 5e-4})
 		}
+	}
+	if edit != nil {
+		edit(plan)
 	}
 	ms, err := meas.Simulate(net, plan, pf.State, 1, rng.Int63())
 	if err != nil {
@@ -61,13 +72,10 @@ func outageOf(t *testing.T, net *grid.Network, rng *rand.Rand) *grid.Network {
 	return nil
 }
 
-// TestDefaultMatchesDenseOracle checks wls.Options{} — the gain solved by
-// the complete LDLᵀ factor's substitution — against the dense LU
-// normal-equations oracle in legacyEstimate's Gauss–Newton loop, which
-// shares neither the sparse solve path nor the engine's loop: same
-// Gauss–Newton trajectory length, states within 1e-8, and no fresh factor
-// whose substitution needed a CG polish.
-func TestDefaultMatchesDenseOracle(t *testing.T) {
+// oracleFixtures yields the oracle's networks: IEEE-14, IEEE-30, IEEE-118
+// and two 236-bus SynthWECC grids, each intact and with one random outage,
+// metered by oracleModel.
+func oracleFixtures(t *testing.T, f func(mod *meas.Model)) {
 	synth := func(seed int64) func() *grid.Network {
 		return func() *grid.Network {
 			n, err := grid.SynthWECC(grid.SynthOptions{Areas: 2, Seed: seed})
@@ -81,30 +89,157 @@ func TestDefaultMatchesDenseOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(100 + i)))
 		base := build()
 		for _, net := range []*grid.Network{base, outageOf(t, base, rng)} {
-			mod := oracleModel(t, net, rng)
-			got, err := Estimate(mod, Options{})
-			if err != nil {
-				t.Fatalf("%s: default: %v", net.Name, err)
-			}
-			want, err := legacyEstimate(mod, Options{}, nil, oracleDense)
-			if err != nil {
-				t.Fatalf("%s: dense: %v", net.Name, err)
-			}
-			if got.Iterations != want.Iterations {
-				t.Errorf("%s: %d Gauss–Newton iterations, dense oracle %d", net.Name, got.Iterations, want.Iterations)
-			}
-			if got.PrecondFallbacks != 0 {
-				t.Errorf("%s: %d factorization breakdowns on an observable system", net.Name, got.PrecondFallbacks)
-			}
-			if got.CGIterations != 0 {
-				t.Errorf("%s: %d CG iterations over %d fresh-factor steps (want 0: every substitution passes the residual check)",
-					net.Name, got.CGIterations, got.Iterations)
-			}
-			for k := range want.X {
-				if d := math.Abs(got.X[k] - want.X[k]); d > 1e-8 {
-					t.Fatalf("%s: x[%d] = %.12g, dense oracle %.12g (|Δ| = %g)", net.Name, k, got.X[k], want.X[k], d)
+			f(oracleModel(t, net, rng))
+		}
+	}
+}
+
+// TestExactMatchesDenseOracle checks the exact tier (ReuseOff) — the gain
+// solved by the complete LDLᵀ factor's substitution at every step — against
+// the dense LU normal-equations oracle in legacyEstimate's Gauss–Newton
+// loop, which shares neither the sparse solve path nor the engine's loop:
+// same Gauss–Newton trajectory length, states within 1e-8, and no fresh
+// factor whose substitution needed a CG polish.
+func TestExactMatchesDenseOracle(t *testing.T) {
+	oracleFixtures(t, func(mod *meas.Model) {
+		name := mod.Net.Name
+		got, err := Estimate(mod, Options{GainReuse: ReuseOff})
+		if err != nil {
+			t.Fatalf("%s: exact: %v", name, err)
+		}
+		want, err := legacyEstimate(mod, Options{}, nil, oracleDense)
+		if err != nil {
+			t.Fatalf("%s: dense: %v", name, err)
+		}
+		if got.Iterations != want.Iterations {
+			t.Errorf("%s: %d Gauss–Newton iterations, dense oracle %d", name, got.Iterations, want.Iterations)
+		}
+		requireCleanFactor(t, name, got)
+		requireNear(t, name, got.X, want.X, 1e-8)
+	})
+}
+
+// TestDefaultMatchesDenseOracle checks the contract of a default one-shot
+// solve (Options{}, the lagged tier anchored on its own refreshes, DESIGN
+// §10) against the same dense oracle: it stops on the same ‖Δx‖∞ < Tol,
+// takes at most one more Gauss–Newton iteration, lands within 1e-7, and
+// lags at least one step on every fixture, with no CG polish and no
+// factorization breakdown.
+func TestDefaultMatchesDenseOracle(t *testing.T) {
+	oracleFixtures(t, func(mod *meas.Model) {
+		name := mod.Net.Name
+		got, err := Estimate(mod, Options{})
+		if err != nil {
+			t.Fatalf("%s: default: %v", name, err)
+		}
+		want, err := legacyEstimate(mod, Options{}, nil, oracleDense)
+		if err != nil {
+			t.Fatalf("%s: dense: %v", name, err)
+		}
+		if got.Iterations > want.Iterations+1 {
+			t.Errorf("%s: %d Gauss–Newton iterations, dense oracle %d (want at most one more)", name, got.Iterations, want.Iterations)
+		}
+		if got.GainSkips == 0 {
+			t.Errorf("%s: no lagged step in %d iterations", name, got.Iterations)
+		}
+		requireCleanFactor(t, name, got)
+		requireNear(t, name, got.X, want.X, 1e-7)
+	})
+}
+
+// requireCleanFactor fails a solve that broke a factorization down or ran CG.
+func requireCleanFactor(t *testing.T, name string, got *Result) {
+	t.Helper()
+	if got.PrecondFallbacks != 0 {
+		t.Errorf("%s: %d factorization breakdowns on an observable system", name, got.PrecondFallbacks)
+	}
+	if got.CGIterations != 0 {
+		t.Errorf("%s: %d CG iterations over %d steps (want 0: every fresh factor's substitution passes the residual check)",
+			name, got.CGIterations, got.Iterations)
+	}
+}
+
+// requireNear fails when got and want differ by more than tol anywhere.
+func requireNear(t *testing.T, name string, got, want []float64, tol float64) {
+	t.Helper()
+	for k := range want {
+		if d := math.Abs(got[k] - want[k]); d > tol {
+			t.Fatalf("%s: x[%d] = %.12g, dense oracle %.12g (|Δ| = %g > %g)", name, k, got[k], want[k], d, tol)
+		}
+	}
+}
+
+// TestDefaultUnderWeightMix holds the default tier to the dense oracle on
+// IEEE-118 under the PMU σ 5e-4 + SCADA mix with one meter made far more
+// precise than the rest: a voltage magnitude at σ 1e-11, and a branch flow
+// at σ 1e-8 and 1e-7. A flow row's derivatives turn with the state, so a
+// lagged gain's stiff direction points slightly off the current one, and
+// its step can trade error along that row for error along weak directions:
+// at σ 1e-8 the guard rejects such a step (ReuseFallbacks), at σ 1e-7 J still
+// falls and the step is kept, and the solve went 25 iterations without
+// converging until a lagged step that does not shrink the step re-anchors.
+// Every case must converge within Tol of the oracle with J equal to the
+// exact tier's to 1e-9, and no accepted lagged step may raise J: the solve
+// is replayed with MaxIter 1, 2, … to read J and the counters after each
+// step.
+func TestDefaultUnderWeightMix(t *testing.T) {
+	const tol = 1e-6
+	for _, c := range []struct {
+		key      string
+		sigma    float64
+		fallback bool // the guard must reject a lagged step
+	}{
+		{"V:bus1", 1e-11, false},
+		{"Pflow:br10:t", 1e-8, true},
+		{"Pflow:br10:t", 1e-7, false},
+	} {
+		name := fmt.Sprintf("%s at σ %g", c.key, c.sigma)
+		found := false
+		mod := oracleModelWith(t, grid.Case118(), rand.New(rand.NewSource(7)), func(plan []meas.Measurement) {
+			for i := range plan {
+				if plan[i].Key() == c.key {
+					plan[i].Sigma, found = c.sigma, true
 				}
 			}
+		})
+		if !found {
+			t.Fatalf("%s: no such meter", name)
+		}
+		got, err := Estimate(mod, Options{})
+		if err != nil {
+			t.Fatalf("%s: default: %v", name, err)
+		}
+		exact, err := Estimate(mod, Options{GainReuse: ReuseOff})
+		if err != nil {
+			t.Fatalf("%s: exact: %v", name, err)
+		}
+		want, err := legacyEstimate(mod, Options{}, nil, oracleDense)
+		if err != nil {
+			t.Fatalf("%s: dense: %v", name, err)
+		}
+		requireNear(t, name, got.X, want.X, tol)
+		if d := math.Abs(got.ObjectiveJ - exact.ObjectiveJ); d > 1e-9*exact.ObjectiveJ {
+			t.Errorf("%s: J %.12g by default, %.12g exactly", name, got.ObjectiveJ, exact.ObjectiveJ)
+		}
+		if got.GainSkips+got.ReuseFallbacks == 0 || c.fallback != (got.ReuseFallbacks > 0) {
+			t.Errorf("%s: %d lagged steps kept and %d rolled back, want a lagged attempt and rollbacks %v",
+				name, got.GainSkips, got.ReuseFallbacks, c.fallback)
+		}
+
+		var prev *Result
+		for k := 1; k <= got.Iterations; k++ {
+			step, err := Estimate(mod, Options{MaxIter: k})
+			if err != nil && k == got.Iterations {
+				t.Fatalf("%s: replay to %d iterations: %v", name, k, err)
+			}
+			if step.GainRefreshes+step.GainSkips != k || step.ReuseFallbacks > step.GainRefreshes {
+				t.Fatalf("%s: after step %d: %d refreshes, %d lagged, %d rollbacks", name, k,
+					step.GainRefreshes, step.GainSkips, step.ReuseFallbacks)
+			}
+			if prev != nil && step.GainSkips > prev.GainSkips && step.ObjectiveJ > prev.ObjectiveJ*(1+1e-12) {
+				t.Errorf("%s: lagged step %d kept with J %.15g after %.15g", name, k, step.ObjectiveJ, prev.ObjectiveJ)
+			}
+			prev = step
 		}
 	}
 }
