@@ -474,6 +474,28 @@ func BenchmarkAblationMapping(b *testing.B) {
 	}
 }
 
+// BenchmarkRunDistributedFrames serves frames through RunDistributed on one
+// decomposition — IEEE-118 in 9 subsystems on 3 loopback clusters, the
+// gate's dist118 — after an untimed first frame has brought the kept testbed
+// up and dialed its links, so it times the steady-state frame (DESIGN §12).
+func BenchmarkRunDistributedFrames(b *testing.B) {
+	b.Run("ieee118", func(b *testing.B) {
+		fx := freshDecomposition(b, benchFixture(b))
+		defer fx.Dec.Close()
+		opts := core.DistributedOptions{Clusters: 3}
+		if _, err := core.RunDistributed(context.Background(), fx.Dec, fx.Meas, opts); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.RunDistributed(context.Background(), fx.Dec, fx.Meas, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkAblationSensitivity sweeps the sensitive-internal-bus radius:
 // larger radii exchange more state (bytes) for better Step-2 anchoring.
 func BenchmarkAblationSensitivity(b *testing.B) {

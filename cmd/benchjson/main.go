@@ -11,8 +11,11 @@
 // With -compare OLD.json the tool additionally prints a per-benchmark
 // ratio table (new/old ms/op and allocs/op, plus the new record's median
 // and max/min spread) against a previously committed record, flagging
-// entries whose time ratio exceeds -tol. The time ratios are a report, not a
-// gate: CI machine noise routinely exceeds any tolerance. Allocation counts
+// entries whose time ratio exceeds -tol. The table opens with the control
+// rows (MinDegree/*, PowerFlow118, PartitionerScales): code the estimator's
+// changes do not touch, so their drift between the records is the
+// machines', and a drift over 15 % is flagged. The time ratios are a
+// report, not a gate: CI machine noise routinely exceeds any tolerance. Allocation counts
 // are deterministic for a given build, so a benchmark present in both
 // records whose allocs/op rose by more than 5 % makes the tool exit with
 // status 3 — the one result the CI bench job fails on.
@@ -131,7 +134,52 @@ func loadRecord(path string) (map[string]*Entry, error) {
 	return entries, nil
 }
 
-// writeComparison prints the per-benchmark new/old ratio table. Benchmarks
+// controlDrift is the time drift of a control row beyond which two records
+// are flagged as taken on machines that ran at different speeds.
+const controlDrift = 0.15
+
+// isControl reports whether name is a control row: a benchmark of code no
+// estimator change touches — the fill-reducing ordering, a Newton power
+// flow, the graph partitioner.
+func isControl(name string) bool {
+	name = strings.TrimPrefix(name, "Benchmark")
+	return strings.HasPrefix(name, "MinDegree/") || name == "PowerFlow118" || name == "PartitionerScales"
+}
+
+// writeControlDrift prints the new/old time ratio of every control row
+// present in both records, flagging a drift over controlDrift, and returns
+// how many drifted.
+func writeControlDrift(w io.Writer, old, cur map[string]*Entry) int {
+	var names []string
+	for n := range cur {
+		if o, ok := old[n]; ok && isControl(n) && o.NsPerOp > 0 {
+			names = append(names, n)
+		}
+	}
+	if len(names) == 0 {
+		return 0
+	}
+	sort.Strings(names)
+	fmt.Fprintf(w, "%-64s %12s %12s %8s\n", "control row (machine drift)", "old ms/op", "new ms/op", "ratio")
+	drifted := 0
+	for _, n := range names {
+		o, e := old[n], cur[n]
+		ratio, note := e.NsPerOp/o.NsPerOp, ""
+		if ratio > 1+controlDrift || ratio < 1-controlDrift {
+			note = "  << drift"
+			drifted++
+		}
+		fmt.Fprintf(w, "%-64s %12.3f %12.3f %7.2fx%s\n", n, o.NsPerOp/1e6, e.NsPerOp/1e6, ratio, note)
+	}
+	if drifted > 0 {
+		fmt.Fprintf(w, "benchjson: %d of %d control rows drifted more than %.0f %%: the time ratios below measure the machines as much as the code\n", drifted, len(names), 100*controlDrift)
+	}
+	fmt.Fprintln(w)
+	return drifted
+}
+
+// writeComparison prints the control rows' drift, then the per-benchmark
+// new/old ratio table. Benchmarks
 // present on only one side are listed as added/removed; a time ratio above
 // tol is flagged, a reciprocal improvement is marked. It returns how many
 // benchmarks' allocs/op rose past allocTol.
@@ -142,6 +190,7 @@ func writeComparison(w io.Writer, old, cur map[string]*Entry, tol float64) int {
 	}
 	sort.Strings(names)
 	regressions, allocRises := 0, 0
+	writeControlDrift(w, old, cur)
 	fmt.Fprintf(w, "%-64s %12s %12s %8s %10s %12s %8s\n", "benchmark", "old ms/op", "new ms/op", "ratio", "allocs", "median", "spread")
 	for _, n := range names {
 		e := cur[n]

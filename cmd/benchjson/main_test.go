@@ -114,3 +114,38 @@ func TestWriteComparisonFlagsRegressions(t *testing.T) {
 		}
 	}
 }
+
+// TestControlRowsPrintedFirst: the control rows open the comparison, a
+// drift past 15 % either way is flagged, and drift alone never fails it.
+func TestControlRowsPrintedFirst(t *testing.T) {
+	old := map[string]*Entry{
+		"BenchmarkMinDegree/ieee118": {NsPerOp: 1e6},
+		"BenchmarkPowerFlow118":      {NsPerOp: 1e6},
+		"BenchmarkPartitionerScales": {NsPerOp: 1e6},
+		"BenchmarkAbc":               {NsPerOp: 1e6, AllocsPerOp: 10},
+	}
+	cur := map[string]*Entry{
+		"BenchmarkMinDegree/ieee118": {NsPerOp: 1.4e6},
+		"BenchmarkPowerFlow118":      {NsPerOp: 1.1e6},
+		"BenchmarkPartitionerScales": {NsPerOp: 0.8e6},
+		"BenchmarkAbc":               {NsPerOp: 1e6, AllocsPerOp: 10},
+	}
+	var sb strings.Builder
+	if rises := writeComparison(&sb, old, cur, 1.10); rises != 0 {
+		t.Fatalf("%d allocs/op rises reported, want 0", rises)
+	}
+	out := sb.String()
+	control, table := strings.Index(out, "control row"), strings.Index(out, "BenchmarkAbc")
+	if control < 0 || table < control {
+		t.Fatalf("control rows do not open the comparison:\n%s", out)
+	}
+	if n := strings.Count(out[:table], "<< drift"); n != 2 {
+		t.Fatalf("%d control rows flagged, want 2 (1.40x and 0.80x):\n%s", n, out)
+	}
+	if !strings.Contains(out, "2 of 3 control rows drifted") {
+		t.Fatalf("no drift summary:\n%s", out)
+	}
+	if writeControlDrift(io.Discard, map[string]*Entry{"BenchmarkAbc": {NsPerOp: 1}}, cur) != 0 {
+		t.Fatal("a record without control rows reported drift")
+	}
+}

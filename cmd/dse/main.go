@@ -45,7 +45,7 @@ func main() {
 		shaped     = flag.Bool("shaped", false, "shape inter-site links to the lab-network profile")
 		hier       = flag.Bool("hierarchical", false, "run the coordinator-based hierarchical mode instead of peer-to-peer DSE")
 		refine     = flag.Bool("refine", false, "with -hierarchical: coordinator re-estimates the boundary system")
-		frames     = flag.Int("frames", 1, "track this many measurement frames in-process (session reuse + warm starts)")
+		frames     = flag.Int("frames", 1, "serve this many measurement frames on one decomposition: with -inprocess a tracker (session reuse + warm starts), otherwise one testbed run per frame on the testbed the decomposition keeps")
 		gainReuse  = flag.String("gain-reuse", wls.Options{}.GainReuse.String(), "drift-gated gain/factor reuse: gain (lag while the state stays inside the gate) or off (exact Gauss-Newton)")
 		precond    = flag.String("precond", wls.Options{}.Precond.String(), "gain solve: ldl (the LDLᵀ factor solves directly, no CG) or jacobi (Jacobi-preconditioned CG, the paper's solver [2])")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -64,7 +64,8 @@ func main() {
 		}
 		*subsystems = *areas
 	}
-	if *rounds > 1 && *hier && *frames <= 1 {
+	tracking := *inproc && *frames > 1
+	if *rounds > 1 && *hier && !tracking {
 		usageError("-rounds %d cannot be combined with -hierarchical: the coordinator flow has no Step 2 to repeat", *rounds)
 	}
 	stopProfile, err := prof.StartCPU(*cpuProfile)
@@ -109,6 +110,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("decompose: %v", err)
 	}
+	defer dec.Close()
 	plan := gridse.FullPlan().Build(net)
 	plan = append(plan, gridse.PMUPlanFor(dec, plan, 0.0005)...)
 	ms, err := gridse.SimulateMeasurements(net, plan, truth.State, *noise, *seed)
@@ -120,17 +122,27 @@ func main() {
 		net.Name, len(dec.Subsystems), len(dec.TieLines), dec.Diameter())
 
 	var state gridse.State
-	if *frames > 1 {
+	// Frame 0 is ms; frame f the same plan simulated with seed+f.
+	frame := func(f int) []gridse.Measurement {
+		if f == 0 {
+			return ms
+		}
+		fms, err := gridse.SimulateMeasurements(net, plan, truth.State, *noise, *seed+int64(f))
+		if err != nil {
+			log.Fatalf("simulate frame %d: %v", f, err)
+		}
+		return fms
+	}
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	switch {
+	case tracking:
 		// Tracking operation: successive acquisition cycles over one
 		// decomposition. The first frame pays the symbolic build (skeletons,
 		// solver plans); every later frame is a value-only refresh with
 		// warm-started solves, so its cost is the steady-state frame cost.
 		tracker := gridse.NewTracker(dec, gridse.DSEOptions{Rounds: *rounds, WLS: wlsOpts})
 		for f := 0; f < *frames; f++ {
-			fms, err := gridse.SimulateMeasurements(net, plan, truth.State, *noise, *seed+int64(f))
-			if err != nil {
-				log.Fatalf("simulate frame %d: %v", f, err)
-			}
+			fms := frame(f)
 			frameStart := time.Now()
 			res, err := tracker.Step(ctx, fms)
 			if err != nil {
@@ -144,19 +156,26 @@ func main() {
 				skips, skips+refreshes)
 			state = res.State
 		}
-	} else if *hier {
-		res, err := gridse.RunHierarchical(ctx, dec, ms, gridse.DistributedOptions{
-			Clusters:           *clusters,
-			HierarchicalRefine: *refine,
-			DSE:                gridse.DSEOptions{WLS: wlsOpts},
-		})
-		if err != nil {
-			log.Fatalf("hierarchical: %v", err)
+	case *hier:
+		// Every frame after the first runs on the sites, links and
+		// coordinator endpoint the first one brought up.
+		for f := 0; f < *frames; f++ {
+			res, err := gridse.RunHierarchical(ctx, dec, frame(f), gridse.DistributedOptions{
+				Clusters:           *clusters,
+				HierarchicalRefine: *refine,
+				DSE:                gridse.DSEOptions{WLS: wlsOpts},
+			})
+			if err != nil {
+				log.Fatalf("hierarchical: %v", err)
+			}
+			if *frames > 1 {
+				fmt.Printf("frame %d: ", f)
+			}
+			fmt.Printf("hierarchical run: %v, %d bytes to coordinator (refine=%v)\n",
+				us(res.Duration), res.CoordinatorBytes, *refine)
+			state = res.State
 		}
-		fmt.Printf("hierarchical run: %v, %d bytes to coordinator (refine=%v)\n",
-			res.Duration.Round(time.Microsecond), res.CoordinatorBytes, *refine)
-		state = res.State
-	} else if *inproc {
+	case *inproc:
 		res, err := gridse.RunDSE(ctx, dec, ms, gridse.DSEOptions{Rounds: *rounds, WLS: wlsOpts})
 		if err != nil {
 			log.Fatalf("dse: %v", err)
@@ -166,7 +185,7 @@ func main() {
 			res.Step2Stats.Duration.Round(time.Microsecond), res.Step2Stats.Iterations,
 			res.ExchangeBytes)
 		state = res.State
-	} else {
+	default:
 		opts := gridse.DistributedOptions{
 			Clusters:  *clusters,
 			NoMapping: *noMapping,
@@ -175,19 +194,26 @@ func main() {
 		if *shaped {
 			opts.Transport = cluster.NewShapedTransport(cluster.LabNetworkProfile(), nil)
 		}
-		res, err := gridse.RunDistributed(ctx, dec, ms, opts)
-		if err != nil {
-			log.Fatalf("distributed dse: %v", err)
+		// The first frame brings the testbed up and dials its links; every
+		// later one runs on them, so the cold frame and the steady state
+		// show apart.
+		var res *gridse.DistributedResult
+		for f := 0; f < *frames; f++ {
+			if res, err = gridse.RunDistributed(ctx, dec, frame(f), opts); err != nil {
+				log.Fatalf("distributed dse: %v", err)
+			}
+			if *frames > 1 {
+				t := res.Timings
+				fmt.Printf("frame %d: map=%v acquire=%v exchange=%v total=%v\n", f, us(t.Map), us(t.Acquire), us(t.Exchange), us(t.Total))
+			}
 		}
 		fmt.Printf("step-1 mapping: %v (imbalance %.3f)\n", res.Step1Mapping.Assign, res.Step1Mapping.Imbalance)
 		fmt.Printf("step-2 mapping: %v (imbalance %.3f, migrated %v)\n",
 			res.Step2Mapping.Assign, res.Step2Mapping.Imbalance, res.Migrated)
 		fmt.Printf("middleware: %d messages, %d bytes\n", res.WireMessages, res.WireBytes)
+		t := res.Timings
 		fmt.Printf("timings: map=%v acquire=%v step1=%v remap=%v redistribute=%v exchange=%v step2=%v aggregate=%v total=%v\n",
-			res.Timings.Map.Round(time.Microsecond), res.Timings.Acquire.Round(time.Microsecond), res.Timings.Step1.Round(time.Microsecond),
-			res.Timings.Remap.Round(time.Microsecond), res.Timings.Redistribute.Round(time.Microsecond),
-			res.Timings.Exchange.Round(time.Microsecond), res.Timings.Step2.Round(time.Microsecond),
-			res.Timings.Aggregate.Round(time.Microsecond), res.Timings.Total.Round(time.Microsecond))
+			us(t.Map), us(t.Acquire), us(t.Step1), us(t.Remap), us(t.Redistribute), us(t.Exchange), us(t.Step2), us(t.Aggregate), us(t.Total))
 		state = res.State
 	}
 

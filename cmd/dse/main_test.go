@@ -61,3 +61,21 @@ func TestRoundsOnTheTestbed(t *testing.T) {
 		t.Errorf("testbed runs moved %d middleware messages at -rounds 1 and %d at -rounds 3", one, three)
 	}
 }
+
+// TestFramesOnTheTestbed: without -inprocess, -frames N serves N frames on
+// the testbed, one line each, every frame moving the same middleware
+// messages; the summary lines describe the last frame.
+func TestFramesOnTheTestbed(t *testing.T) {
+	stdout, stderr, err := runDSE(t, "-case", "ieee30", "-subsystems", "3", "-clusters", "2", "-frames", "3")
+	if err != nil {
+		t.Fatalf("dse -frames 3: %v\n%s%s", err, stdout, stderr)
+	}
+	for _, want := range []string{"frame 0: map=", "frame 2: map=", "middleware: ", "accuracy vs truth"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("dse -frames 3 printed no %q:\n%s", want, stdout)
+		}
+	}
+	if strings.Contains(stdout, "GN iters") {
+		t.Errorf("dse -frames 3 ran the in-process tracker:\n%s", stdout)
+	}
+}

@@ -33,6 +33,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("decompose: %v", err)
 	}
+	// The testbed a distributed run brings up stays with dec for the next
+	// run until Close.
+	defer dec.Close()
 	plan := gridse.FullPlan().Build(net)
 	plan = append(plan, gridse.PMUPlanFor(dec, plan, 0.0005)...)
 	ms, err := gridse.SimulateMeasurements(net, plan, truth.State, *noise, *seed)

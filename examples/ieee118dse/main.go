@@ -34,6 +34,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("decompose: %v", err)
 	}
+	// The testbed a distributed run brings up stays with dec for the next
+	// run until Close.
+	defer dec.Close()
 	fmt.Printf("decomposed %s into %d subsystems, %d tie lines (diameter %d)\n",
 		net.Name, len(dec.Subsystems), len(dec.TieLines), dec.Diameter())
 	for _, s := range dec.Subsystems {

@@ -247,7 +247,11 @@ var InjectBadData = meas.InjectBadData
 
 // Distributed state estimation (internal/core).
 type (
-	// Decomposition is a power-system decomposition into subsystems.
+	// Decomposition is a power-system decomposition into subsystems. It
+	// keeps the testbed RunDistributed and RunHierarchical bring up — sites,
+	// links, data source, coordinator endpoint — for the next run; Close
+	// releases it (a decomposition dropped without Close has it released by
+	// the garbage collector).
 	Decomposition = core.Decomposition
 	// Subsystem is one decomposition piece.
 	Subsystem = core.Subsystem

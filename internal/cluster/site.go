@@ -68,19 +68,13 @@ func NewTestbed(n, workersPerSite int, tr medici.Transport) (*Testbed, error) {
 	return tb, nil
 }
 
-// HangUp closes every site's outbound links and leaves the sites up; the
-// next send or fetch redials.
-func (t *Testbed) HangUp() {
+// Close releases every site. All sites hang up their outbound links before
+// any closes its listener, so each link is closed from its dialing end (see
+// medici.MWClient.HangUp for what the other order costs).
+func (t *Testbed) Close() {
 	for _, s := range t.Sites {
 		s.Client().HangUp()
 	}
-}
-
-// Close releases every site. All sites hang up before any closes its
-// listener, so each link is closed from its dialing end (see
-// medici.MWClient.HangUp for what the other order costs).
-func (t *Testbed) Close() {
-	t.HangUp()
 	for _, s := range t.Sites {
 		s.Close()
 	}

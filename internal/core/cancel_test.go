@@ -285,18 +285,20 @@ func TestTrackerCancelMidStep2(t *testing.T) {
 
 // faultTransport is loopback TCP with two fault hooks for the persistent
 // links. onWrite runs before the n-th write (1-based, counted across
-// connections) on any dialed connection: in a RunDistributed on 3 sites
-// writes 1–3 are the sites' data requests and 4 onward the bundles of the
-// exchange (the default IEEE-118 run migrates nothing). kill(i)
-// closes the i-th listener and every connection it accepted — a peer
-// whose receiver goes away with its inbound links still up; the testbed's
-// sites are listeners 0..2.
+// connections) on any dialed connection: in the first RunDistributed on 3
+// sites writes 1–3 are the sites' data requests and 4 onward the bundles of
+// the exchange (the default IEEE-118 run migrates nothing); a second run on
+// the kept testbed writes 10–12 and 13–18. kill(i) closes the i-th listener
+// and every connection it accepted — a peer whose receiver goes away with
+// its inbound links still up; a testbed's sites are listeners 0..2 and its
+// data source listener 3. dials counts the connections dialed.
 type faultTransport struct {
 	medici.TCPTransport
 	onWrite func(n int)
 
 	mu        sync.Mutex
 	writes    int
+	dials     int
 	listeners []*faultListener
 }
 
@@ -341,7 +343,17 @@ func (t *faultTransport) DialContext(ctx context.Context, addr string) (net.Conn
 	if err != nil {
 		return nil, err
 	}
+	t.mu.Lock()
+	t.dials++
+	t.mu.Unlock()
 	return faultConn{conn, t}, nil
+}
+
+// dialed returns how many connections have been dialed so far.
+func (t *faultTransport) dialed() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dials
 }
 
 func (t *faultTransport) Listen(addr string) (net.Listener, error) {
@@ -463,6 +475,7 @@ type closeOrderTransport struct {
 	medici.TCPTransport
 	mu    sync.Mutex
 	first map[string]string // link -> "dialing" | "accepting"
+	dials int
 }
 
 type closeOrderConn struct {
@@ -502,6 +515,9 @@ func (t *closeOrderTransport) DialContext(ctx context.Context, addr string) (net
 	if err != nil {
 		return nil, err
 	}
+	t.mu.Lock()
+	t.dials++
+	t.mu.Unlock()
 	return closeOrderConn{conn, t, conn.LocalAddr().String() + ">" + conn.RemoteAddr().String(), "dialing"}, nil
 }
 
@@ -513,33 +529,65 @@ func (t *closeOrderTransport) Listen(addr string) (net.Listener, error) {
 	return closeOrderListener{ln, t}, nil
 }
 
+// checkClosedFromDialingEnd fails unless every link tr dialed has been
+// closed, each first by the end that dialed it.
+func checkClosedFromDialingEnd(t *testing.T, what string, tr *closeOrderTransport) {
+	t.Helper()
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if len(tr.first) != tr.dials {
+		t.Errorf("%s: %d of %d dialed links closed", what, len(tr.first), tr.dials)
+	}
+	for link, end := range tr.first {
+		if end != "dialing" {
+			t.Errorf("%s: link %s was closed first by its %s end", what, link, end)
+		}
+	}
+}
+
 // TestRunsHangUpFromTheDialingEnd: every link of a run — site to site, site
-// to data source, site to coordinator — is closed first by the end that
-// dialed it, so TIME_WAIT never lands on a listener's port (DESIGN §12: a
-// run per frame otherwise slows every later Listen to milliseconds).
+// to data source, site to coordinator — stays up on the kept testbed from
+// one run to the next, and is closed first by the end that dialed it when
+// the links do go: after a failed run and at Decomposition.Close. So
+// TIME_WAIT never lands on a listener's port (DESIGN §12: a testbed brought
+// up per run otherwise slows every later Listen to milliseconds).
 func TestRunsHangUpFromTheDialingEnd(t *testing.T) {
 	fx := newFixture(t, grid.Case118, 9, 1)
-	for name, run := range map[string]func(DistributedOptions) error{
-		"distributed": func(o DistributedOptions) error {
-			_, err := RunDistributed(context.Background(), fx.dec, fx.ms, o)
+	for name, run := range map[string]func(context.Context, DistributedOptions) error{
+		"distributed": func(ctx context.Context, o DistributedOptions) error {
+			_, err := RunDistributed(ctx, fx.dec, fx.ms, o)
 			return err
 		},
-		"hierarchical": func(o DistributedOptions) error {
-			_, err := RunHierarchical(context.Background(), fx.dec, fx.ms, o)
+		"hierarchical": func(ctx context.Context, o DistributedOptions) error {
+			_, err := RunHierarchical(ctx, fx.dec, fx.ms, o)
 			return err
 		},
 	} {
 		tr := &closeOrderTransport{first: make(map[string]string)}
-		if err := run(DistributedOptions{Clusters: 3, Transport: tr}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(tr.first) < 3 {
-			t.Errorf("%s: only %d links seen", name, len(tr.first))
-		}
-		for link, end := range tr.first {
-			if end != "dialing" {
-				t.Errorf("%s: link %s was closed first by its %s end", name, link, end)
+		opts := DistributedOptions{Clusters: 3, Transport: tr}
+		for i := 0; i < 2; i++ {
+			if err := run(context.Background(), opts); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 		}
+		tr.mu.Lock()
+		dialed, closed := tr.dials, len(tr.first)
+		tr.mu.Unlock()
+		if dialed < 3 || closed != 0 {
+			t.Errorf("%s: two runs dialed %d links and closed %d, want ≥ 3 kept up", name, dialed, closed)
+		}
+
+		canceled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := run(canceled, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s on a canceled context: %v", name, err)
+		}
+		checkClosedFromDialingEnd(t, name+", after a failed run", tr)
+
+		if err := run(context.Background(), opts); err != nil {
+			t.Fatalf("%s after a failed run: %v", name, err)
+		}
+		fx.dec.Close()
+		checkClosedFromDialingEnd(t, name+", at Close", tr)
 	}
 }

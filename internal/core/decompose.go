@@ -74,6 +74,12 @@ type Decomposition struct {
 	// Session); sessionMu guards the slot, not the session's contents.
 	sessionMu sync.Mutex
 	session   *Session
+
+	// testbed is the testbed kept between distributed runs (see
+	// testbedFor); testbedMu guards the slot, the testbed's own mu the run
+	// using it.
+	testbedMu sync.Mutex
+	testbed   *keptTestbed
 }
 
 // DecomposeOptions tunes the preliminary step.

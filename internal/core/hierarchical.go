@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/meas"
-	"repro/internal/medici"
 	"repro/internal/powerflow"
 	"repro/internal/wls"
 )
@@ -30,13 +29,14 @@ type HierarchicalResult struct {
 // subsystems' full solved states to the centralized coordinator, which
 // combines them into the system-wide state. There is no peer-to-peer
 // Step 2, so DSEOptions.Rounds has nothing to count; the coordinator is the
-// single aggregation point.
+// single aggregation point. It runs on the testbed d keeps for
+// RunDistributed, which keeps the coordinator's endpoint too.
 //
 // The context governs the run: cancellation aborts local estimation at
 // the next Gauss-Newton iteration and unblocks the coordinator's receive
 // loop. TotalTimeout (when set) derives an overall deadline from ctx, and
 // PhaseTimeout one for the local estimation and one for the ship-up.
-func RunHierarchical(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DistributedOptions) (*HierarchicalResult, error) {
+func RunHierarchical(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DistributedOptions) (_ *HierarchicalResult, err error) {
 	if opts.TotalTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.TotalTimeout)
@@ -47,16 +47,13 @@ func RunHierarchical(ctx context.Context, d *Decomposition, global []meas.Measur
 	if err != nil {
 		return nil, err
 	}
-	defer pl.tb.Close()
-	// The reliability coordinator gets its own endpoint, like any estimator.
-	coord, err := medici.NewMWClient("coordinator", "127.0.0.1:0", pl.tb.Registry, opts.Transport, medici.LengthPrefixProtocol{}, 256)
+	defer func() { pl.release(err != nil) }()
+	// The reliability coordinator gets its own endpoint, like any
+	// estimator, and keeps it with the testbed.
+	coord, err := pl.coordinator()
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		pl.tb.HangUp() // dialing ends first
-		coord.Close()
-	}()
 
 	mapping, err := d.MapStep1(len(pl.tb.Sites), opts.Map)
 	if err != nil {

@@ -98,7 +98,9 @@ type DistributedResult struct {
 // (Figure 5) and the raw-data redistribution for migrated subsystems, then
 // DSEOptions.Rounds of pseudo-measurement exchange through MeDICi-style
 // pipelines and Step 2, and the aggregation of the system-wide solution.
-// Round for round it is RunDSE's computation, bit for bit.
+// Round for round it is RunDSE's computation, bit for bit. The testbed —
+// sites, links, data source — stays with d for its next run until
+// d.Close; a run that fails takes it down (DESIGN §12).
 //
 // The context governs the entire run: cancellation aborts in-flight site
 // work at the next Gauss-Newton iteration and unblocks any middleware
@@ -106,7 +108,7 @@ type DistributedResult struct {
 // DistributedOptions.TotalTimeout and PhaseTimeout derive additional
 // deadlines from ctx, PhaseTimeout afresh for every round's exchange and
 // Step 2.
-func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DistributedOptions) (*DistributedResult, error) {
+func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DistributedOptions) (_ *DistributedResult, err error) {
 	if opts.TotalTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.TotalTimeout)
@@ -117,7 +119,7 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 	if err != nil {
 		return nil, err
 	}
-	defer pl.tb.Close()
+	defer func() { pl.release(err != nil) }()
 	res, m, p := pl.res, len(d.Subsystems), len(pl.tb.Sites)
 
 	// --- Mapping before Step 1 (Figure 4). ---
@@ -180,10 +182,13 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 // Step 2 and ships the migrated subsystems' raw data. Mappings, migrations,
 // their timings and the wire accounting go to res.
 type onTestbed struct {
-	tb   *cluster.Testbed
-	d    *Decomposition
-	opts DistributedOptions // DSE.WLS.Workers at the sites' width
-	res  *DistributedResult
+	*keptTestbed
+	// release hands the testbed back when the run returns, saying whether
+	// the run failed (see testbedFor).
+	release func(failed bool)
+	d       *Decomposition
+	opts    DistributedOptions // DSE.WLS.Workers at the sites' width
+	res     *DistributedResult
 	// assign is the mapping the current step runs under.
 	assign []int
 	// raw[si] is subsystem si's raw measurement set: what the data source
@@ -193,10 +198,11 @@ type onTestbed struct {
 	wireMu sync.Mutex
 }
 
-// placeOnTestbed brings up the testbed of a run — opts.Clusters sites
-// (default 3, the paper's), at most one per subsystem — for the caller to
-// Close, and returns the placement on it, not yet mapped. Every solve runs
-// at its site's width, and every site of a testbed has the same.
+// placeOnTestbed takes the testbed of a run — opts.Clusters sites
+// (default 3, the paper's), at most one per subsystem — from d.testbedFor
+// and returns the placement on it, not yet mapped, for the caller to
+// release. Every solve runs at its site's width, and every site of a
+// testbed has the same.
 func placeOnTestbed(d *Decomposition, opts DistributedOptions) (*onTestbed, error) {
 	p := opts.Clusters
 	if p <= 0 {
@@ -205,12 +211,12 @@ func placeOnTestbed(d *Decomposition, opts DistributedOptions) (*onTestbed, erro
 	if m := len(d.Subsystems); p > m {
 		return nil, fmt.Errorf("core: %d clusters for %d subsystems", p, m)
 	}
-	tb, err := cluster.NewTestbed(p, opts.WorkersPerSite, opts.Transport)
+	kept, release, err := d.testbedFor(newTestbedKey(p, opts))
 	if err != nil {
 		return nil, err
 	}
-	opts.DSE.WLS.Workers = tb.Sites[0].Workers
-	return &onTestbed{tb: tb, d: d, opts: opts, res: &DistributedResult{}}, nil
+	opts.DSE.WLS.Workers = kept.tb.Sites[0].Workers
+	return &onTestbed{keptTestbed: kept, release: release, d: d, opts: opts, res: &DistributedResult{}}, nil
 }
 
 // sent accounts one middleware message carrying payloadBytes of packets or
@@ -222,33 +228,19 @@ func (p *onTestbed) sent(payloadBytes int) {
 	p.wireMu.Unlock()
 }
 
-// acquire stands up the data source and has every site that hosts a
-// subsystem fetch its subsystems' raw measurements in one request.
+// acquire has every site that hosts a subsystem fetch its subsystems' raw
+// measurements from the data source in one request.
 func (p *onTestbed) acquire(ctx context.Context) error {
-	source, err := medici.NewDataServer(p.opts.Transport, "127.0.0.1:0", func(req []byte) ([]byte, error) {
-		subs, err := parseSubRequest(req, len(p.raw))
-		if err != nil {
-			return nil, err
-		}
-		sets := make([][]meas.Measurement, len(subs))
-		for k, si := range subs {
-			sets[k] = p.raw[si]
-		}
-		return encodeMeasurementSets(sets)
-	})
-	if err != nil {
-		return err
-	}
-	defer source.Close()
+	p.serve(p.raw)
 	hosted := subsBySite(p.assign, len(p.tb.Sites))
 	ctx, cancel := p.opts.phaseContext(ctx)
 	defer cancel()
-	err = concurrently(ctx, "acquire", len(hosted), func(ctx context.Context, c int) error {
+	return concurrently(ctx, "acquire", len(hosted), func(ctx context.Context, c int) error {
 		if len(hosted[c]) == 0 {
 			return nil
 		}
 		site := p.tb.Sites[c]
-		reply, err := site.Client().Fetch(ctx, source.URL(), encodeSubRequest(hosted[c]))
+		reply, err := site.Client().Fetch(ctx, p.sourceURL, encodeSubRequest(hosted[c]))
 		if err != nil {
 			return fmt.Errorf("core: site %s acquiring its subsystems' data: %w", site.Name, err)
 		}
@@ -266,10 +258,6 @@ func (p *onTestbed) acquire(ctx context.Context) error {
 		p.sent(payload)
 		return nil
 	})
-	// The sites are done with the data source and hang up on it before it
-	// closes: a link is closed from its dialing end.
-	p.tb.HangUp()
-	return err
 }
 
 func (p *onTestbed) forEach(ctx context.Context, phase string, f func(ctx context.Context, si int) error) error {

@@ -216,8 +216,7 @@ func (c *MWClient) Messages() <-chan []byte { return c.recv.Messages() }
 // first: on the dialing side that holds an ephemeral port nobody asked for
 // by number, on the accepting side the listener's own port — and a process
 // that keeps opening listeners on port 0 while tens of thousands of those
-// linger (a testbed per frame does) finds Listen slowing from microseconds
-// to milliseconds.
+// linger finds Listen slowing from microseconds to milliseconds.
 func (c *MWClient) HangUp() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
