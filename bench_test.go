@@ -1055,6 +1055,23 @@ func BenchmarkGainSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckObservability times the structural observability check on
+// one centralized frame's meters at both sizes: the unit-admittance
+// Jacobian, its gain plan, the factor's analysis and one refresh (these
+// sets need no pin). weak is the number of unobservable directions found.
+func BenchmarkCheckObservability(b *testing.B) {
+	for _, c := range centralizedModels(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var obs wls.Observability
+			for i := 0; i < b.N; i++ {
+				obs = wls.CheckObservability(c.mod)
+			}
+			b.ReportMetric(float64(obs.NState-obs.Rank), "weak")
+		})
+	}
+}
+
 // BenchmarkNormalizedResiduals times the residual covariance of the
 // largest-normalized-residual test on one centralized estimate at both sizes:
 // H and G refreshed at the estimate, G refactored on the engine's analysis and

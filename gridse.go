@@ -161,7 +161,7 @@ type (
 	EstimatorResult = wls.Result
 	// BadDatum is one identified bad measurement.
 	BadDatum = wls.BadDatum
-	// Observability reports observability analysis.
+	// Observability reports a structural observability analysis.
 	Observability = wls.Observability
 )
 
@@ -219,11 +219,13 @@ var NormalizedResiduals = wls.NormalizedResiduals
 // IdentifyBadData runs the largest-normalized-residual identification loop.
 var IdentifyBadData = wls.IdentifyBadData
 
-// CheckObservability performs numerical observability analysis.
+// CheckObservability decides observability from which meters exist, not
+// from their sigmas: the rank of the unit-weight flat-start Jacobian on the
+// unit-admittance network, found by LDLᵀ on its gain.
 var CheckObservability = wls.CheckObservability
 
-// RestoreObservability adds pseudo-measurements to make an unobservable
-// measurement set solvable.
+// RestoreObservability adds one flat-profile pseudo-measurement per weak
+// state CheckObservability finds, making the measurement set solvable.
 var RestoreObservability = wls.RestoreObservability
 
 // EstimateConstrained runs equality-constrained WLS (exact zero-injection

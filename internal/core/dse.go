@@ -27,13 +27,11 @@ type DSEOptions struct {
 	// (the previous frame's solution in tracking operation). Entries may
 	// be nil; lengths must match each subproblem's state dimension.
 	WarmStart [][]float64
-	// RestoreObservability augments any unobservable subsystem's
-	// measurement set with flat-profile pseudo-measurements (sigma
-	// RestoreSigma, default 0.05) instead of failing — telemetry-loss
+	// RestoreObservability augments any unobservable subsystem's Step-1
+	// measurement set with flat-profile pseudo-measurements
+	// (wls.RestoreObservability) instead of failing — telemetry-loss
 	// resilience at reduced redundancy.
 	RestoreObservability bool
-	// RestoreSigma is the pseudo-measurement sigma for restoration.
-	RestoreSigma float64
 	// NoStep2WarmStart starts every Step-2 solve from the flat profile
 	// instead of from what the run already knows (Session.step2Start: the
 	// previous round's or frame's solution, else this run's Step-1 state and
@@ -294,11 +292,8 @@ func PMUPlanFor(d *Decomposition, base []meas.Measurement, sigma float64) []meas
 
 // restoreSubproblem augments an unobservable subproblem with flat-profile
 // pseudo-measurements.
-func restoreSubproblem(sp *Subproblem, sigma float64) error {
-	augmented, added, err := wls.RestoreObservability(sp.Model, sigma)
-	if err != nil {
-		return err
-	}
+func restoreSubproblem(sp *Subproblem) error {
+	augmented, added := wls.RestoreObservability(sp.Model)
 	if len(added) == 0 {
 		return nil
 	}

@@ -69,22 +69,17 @@ type subSession struct {
 // skeletons; a change means the skeletons no longer describe the problem
 // and the session must be rebuilt.
 type sessionConfig struct {
-	pseudoSigma  float64
-	restore      bool
-	restoreSigma float64
+	pseudoSigma float64
+	restore     bool
 }
 
 func sessionConfigFor(opts DSEOptions) sessionConfig {
 	cfg := sessionConfig{
-		pseudoSigma:  opts.PseudoSigma,
-		restore:      opts.RestoreObservability,
-		restoreSigma: opts.RestoreSigma,
+		pseudoSigma: opts.PseudoSigma,
+		restore:     opts.RestoreObservability,
 	}
 	if cfg.pseudoSigma <= 0 {
 		cfg.pseudoSigma = PseudoSigmaDefault
-	}
-	if !cfg.restore {
-		cfg.restoreSigma = 0
 	}
 	return cfg
 }
@@ -149,7 +144,7 @@ func (s *Session) step1(si int, global []meas.Measurement) (*Subproblem, *wls.En
 		return nil, nil, err
 	}
 	if s.cfg.restore {
-		if err := restoreSubproblem(sp, s.cfg.restoreSigma); err != nil {
+		if err := restoreSubproblem(sp); err != nil {
 			return nil, nil, fmt.Errorf("core: step 1 subsystem %d restoration: %w", si, err)
 		}
 	}

@@ -211,6 +211,29 @@ func TestSessionRestorationRefresh(t *testing.T) {
 	}
 }
 
+// TestSessionRestorationStiffMeter: a voltage meter as precise as σ 1e-11
+// leaves every subsystem observable, so restoration puts no
+// pseudo-measurement into any Step-1 skeleton. A check that weighs the
+// meters sees the stiff one as rank loss here and adds 28.
+func TestSessionRestorationStiffMeter(t *testing.T) {
+	fx := newFixture(t, grid.Case118, 9, 1)
+	ms := append([]meas.Measurement(nil), fx.ms...)
+	for i, m := range ms {
+		if m.Kind == meas.Vmag {
+			ms[i].Sigma = 1e-11
+			break
+		}
+	}
+	if _, err := RunDSE(context.Background(), fx.dec, ms, DSEOptions{RestoreObservability: true}); err != nil {
+		t.Fatal(err)
+	}
+	for si, sl := range fx.dec.session.subs {
+		if n := len(sl.step1.restored); n != 0 {
+			t.Errorf("subsystem %d: restoration added %d pseudo-measurements", si, n)
+		}
+	}
+}
+
 // TestSessionConfigChangeRebuilds: DSEOptions that alter skeleton content
 // (pseudo sigma, restoration) must not be served by a stale session.
 func TestSessionConfigChangeRebuilds(t *testing.T) {

@@ -222,6 +222,18 @@ func (mod *Model) NAngles() int { return mod.nAngles }
 // bus with no angle variable in the state vector).
 func (mod *Model) RefBus() int { return mod.refBus }
 
+// StateBus returns the internal index of the bus whose angle (angle true)
+// or voltage magnitude sits at position i of the state vector.
+func (mod *Model) StateBus(i int) (bus int, angle bool) {
+	if i >= mod.nAngles {
+		return i - mod.nAngles, false
+	}
+	if i >= mod.refBus {
+		return i + 1, true // the angle positions skip the reference bus
+	}
+	return i, true
+}
+
 // StateToVec packs a powerflow.State into the state vector layout.
 func (mod *Model) StateToVec(st powerflow.State) []float64 {
 	x := make([]float64, mod.NState())

@@ -191,6 +191,30 @@ func TestStateVecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStateBus: StateBus names the bus StateToVec packs into each state
+// position, with the reference bus away from either end of the bus list.
+func TestStateBus(t *testing.T) {
+	n := grid.Case14()
+	mod, err := NewModel(n, nil, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := powerflow.State{Vm: make([]float64, n.N()), Va: make([]float64, n.N())}
+	for b := range st.Vm {
+		st.Va[b], st.Vm[b] = float64(b+1), float64(-b-1)
+	}
+	for i, v := range mod.StateToVec(st) {
+		bus, angle := mod.StateBus(i)
+		want := st.Vm[bus]
+		if angle {
+			want = st.Va[bus]
+		}
+		if v != want || angle && bus == mod.RefBus() {
+			t.Errorf("state %d: StateBus says bus %d (angle %v), the vector holds %g", i, bus, angle, v)
+		}
+	}
+}
+
 func TestModelValidation(t *testing.T) {
 	n := grid.Case14()
 	bad := []struct {

@@ -202,7 +202,8 @@ func (a *CSR) checkMulDims(y, x []float64) {
 // Gain computes the weighted normal-equation ("gain") matrix G = Hᵀ·diag(w)·H.
 // w must have length H.Rows; the result is an H.Cols × H.Cols symmetric
 // positive-semidefinite CSR matrix (positive-definite when H has full column
-// rank and w > 0). This is the core product of WLS state estimation.
+// rank and w > 0). The estimator assembles G through a GainPlan; this COO
+// assembly is the reference the plan and the dense test oracles build from.
 func Gain(h *CSR, w []float64) *CSR {
 	if len(w) != h.Rows {
 		panic(fmt.Sprintf("sparse: Gain weight length %d != rows %d", len(w), h.Rows))

@@ -2,7 +2,9 @@ package wls
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -230,13 +232,39 @@ func TestEstimateUnobservableRankDeficient(t *testing.T) {
 	}
 }
 
+// TestCheckObservabilityFullPlan: a fully metered network is observable
+// whatever its meters' sigmas, one voltage meter as stiff as σ 1e-11
+// included, and restoration adds nothing to it. A check that weighs the
+// meters reads the stiff sets as rank-deficient.
 func TestCheckObservabilityFullPlan(t *testing.T) {
-	n := grid.Case14()
-	truth := solved(t, n)
-	mod := buildModel(t, n, truth, 0, 1)
-	obs := CheckObservability(mod)
-	if !obs.Observable {
-		t.Fatalf("full plan must be observable: rank %d / %d", obs.Rank, obs.NState)
+	for _, c := range []struct {
+		name string
+		mk   func() *grid.Network
+	}{{"ieee14", grid.Case14}, {"ieee30", grid.Case30}, {"ieee118", grid.Case118}} {
+		n := c.mk()
+		truth := solved(t, n)
+		for _, sigma := range []float64{0, 1e-8, 1e-11} {
+			t.Run(fmt.Sprintf("%s/sigma=%g", c.name, sigma), func(t *testing.T) {
+				ms, err := meas.Simulate(n, meas.FullPlan().Build(n), truth, 0, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sigma > 0 { // 0 keeps the plan's own sigmas
+					ms[slices.IndexFunc(ms, func(m meas.Measurement) bool { return m.Kind == meas.Vmag })].Sigma = sigma
+				}
+				ref := n.SlackIndex()
+				mod, err := meas.NewModel(n, ms, ref, truth.Va[ref])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if obs := CheckObservability(mod); !obs.Observable || obs.Rank != obs.NState {
+					t.Fatalf("full plan must be observable: rank %d / %d, weak %v", obs.Rank, obs.NState, obs.WeakStates)
+				}
+				if _, added := RestoreObservability(mod); len(added) != 0 {
+					t.Fatalf("restoration added %d pseudo-measurements to a full plan", len(added))
+				}
+			})
+		}
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // second range" as PMU deployment grows).
 //
 // Every bus must carry both a magnitude and an angle measurement for full
-// observability (buses without PMUs can be covered by pseudo-measurements
-// first; see RestoreObservability).
+// observability (a bus without a PMU can be covered first by
+// RestoreObservability, whose flat-profile pseudo-measurements are phasors).
 func LinearPMUEstimate(mod *meas.Model, opts Options) (*Result, error) {
 	for i, m := range mod.Meas {
 		if m.Kind != meas.Vmag && m.Kind != meas.Angle {

@@ -48,10 +48,7 @@ func TestRestoreObservabilityMakesSolvable(t *testing.T) {
 	if _, err := Estimate(mod, Options{}); !errors.Is(err, ErrUnobservable) {
 		t.Fatalf("fixture should be unobservable: %v", err)
 	}
-	augmented, added, err := RestoreObservability(mod, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	augmented, added := RestoreObservability(mod)
 	if len(added) == 0 {
 		t.Fatal("nothing added for unobservable set")
 	}
@@ -84,10 +81,7 @@ func TestRestoreObservabilityNoopWhenObservable(t *testing.T) {
 	n := grid.Case14()
 	truth := solved(t, n)
 	mod := buildModel(t, n, truth, 0, 1)
-	out, added, err := RestoreObservability(mod, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, added := RestoreObservability(mod)
 	if len(added) != 0 {
 		t.Fatalf("added %d pseudos to an observable set", len(added))
 	}
