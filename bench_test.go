@@ -281,25 +281,36 @@ func BenchmarkCentralizedWLS118(b *testing.B) {
 // gn-iters and lagged count its Gauss–Newton steps and those that reused
 // the previous gain and factor.
 func BenchmarkCentralizedWLSWECC12(b *testing.B) {
-	benchCentralizedWECC12(b, wls.Options{})
+	benchCentralizedWECC(b, 12, wls.Options{})
 }
 
 // BenchmarkCentralizedWLSWECC12Exact is the same solve under exact
 // Gauss–Newton (ReuseOff): a gain refresh and a factorization every step.
 func BenchmarkCentralizedWLSWECC12Exact(b *testing.B) {
-	benchCentralizedWECC12(b, wls.Options{GainReuse: wls.ReuseOff})
+	benchCentralizedWECC(b, 12, wls.Options{GainReuse: wls.ReuseOff})
 }
 
 // BenchmarkCentralizedWLSWECC12Serial is the default solve with the gain
-// refresh and the right-hand side kept off the kernel pool (Workers 1). At
-// -cpu 1 it reads what the default row reads; at -cpu 2 it says what the
-// pooled gain refresh buys inside one cold solve.
+// refresh, the right-hand side, the LDLᵀ analysis and the factor refresh
+// kept off the kernel pool (Workers 1). At -cpu 1 it reads what the default
+// row reads; at -cpu 2 it says what the pool buys inside one cold solve.
 func BenchmarkCentralizedWLSWECC12Serial(b *testing.B) {
-	benchCentralizedWECC12(b, wls.Options{Workers: 1})
+	benchCentralizedWECC(b, 12, wls.Options{Workers: 1})
 }
 
-func benchCentralizedWECC12(b *testing.B, opts wls.Options) {
-	dec, frames := weccDSEFixture(b, 12, 1)
+// BenchmarkCentralizedWLSWECC37 is the cold centralized solve at 37 areas,
+// 4 366 buses, and …Serial the same with Workers 1: the pool's gain at the
+// larger size.
+func BenchmarkCentralizedWLSWECC37(b *testing.B) {
+	benchCentralizedWECC(b, 37, wls.Options{})
+}
+
+func BenchmarkCentralizedWLSWECC37Serial(b *testing.B) {
+	benchCentralizedWECC(b, 37, wls.Options{Workers: 1})
+}
+
+func benchCentralizedWECC(b *testing.B, areas int, opts wls.Options) {
+	dec, frames := weccDSEFixture(b, areas, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var res *wls.Result
@@ -943,8 +954,11 @@ func BenchmarkMinDegree(b *testing.B) {
 // BenchmarkLDLFactor splits the default preconditioner's cost on the
 // WECC-scale gain into its three stages: symbolic analysis (ordering,
 // elimination tree, column counts), numeric refactorization in place, and
-// one permuted forward/diagonal/backward solve. factor-nnz is the number of
-// off-diagonals of L, against gain-lower-nnz in G's own lower triangle.
+// one permuted forward/diagonal/backward solve. refresh-pool is the
+// refactorization with the elimination forest split over the shared pool,
+// as the estimator runs it; parts is the pool's part count (1: serial).
+// factor-nnz is the number of off-diagonals of L, against gain-lower-nnz in
+// G's own lower triangle.
 func BenchmarkLDLFactor(b *testing.B) {
 	g := weccGain(b)
 	f, err := sparse.NewLDL(g)
@@ -975,6 +989,21 @@ func BenchmarkLDLFactor(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("refresh-pool", func(b *testing.B) {
+		pool := sparse.DefaultPool()
+		fp, err := sparse.AnalyzeLDLPool(g, pool)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := fp.RefreshPool(g, pool); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(pool.Workers()), "parts")
 	})
 	b.Run("apply", func(b *testing.B) {
 		b.ReportAllocs()

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func randomWeights(rng *rand.Rand, m int) []float64 {
@@ -463,6 +465,34 @@ func TestDefaultPoolShared(t *testing.T) {
 	DefaultPool().Run(8, func(part int) { n.Add(1) })
 	if n.Load() != 8 {
 		t.Fatalf("ran %d parts, want 8", n.Load())
+	}
+}
+
+// TestDefaultPoolFollowsGOMAXPROCS: the shared pool, started once, splits
+// every pooled kernel into as many parts as GOMAXPROCS allows at the call,
+// up to one per CPU, and never has more parts of a Run in flight — under
+// each GOMAXPROCS of go test -cpu 1,2,4 and after GOMAXPROCS changes.
+func TestDefaultPoolFollowsGOMAXPROCS(t *testing.T) {
+	p := DefaultPool()
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	for _, n := range []int{procs, 1, 2, 4} {
+		runtime.GOMAXPROCS(n)
+		want := min(runtime.NumCPU(), n)
+		if got := p.Workers(); got != want {
+			t.Fatalf("GOMAXPROCS %d on %d CPUs: %d parts, want %d", n, runtime.NumCPU(), got, want)
+		}
+		var active, peak atomic.Int64
+		p.Run(64, func(int) {
+			a := active.Add(1)
+			for old := peak.Load(); a > old && !peak.CompareAndSwap(old, a); old = peak.Load() {
+			}
+			time.Sleep(20 * time.Microsecond)
+			active.Add(-1)
+		})
+		if peak.Load() > int64(want) {
+			t.Fatalf("GOMAXPROCS %d: %d parts ran at once, want at most %d", n, peak.Load(), want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // LDLFactor is a complete sparse factorization P·A·Pᵀ = L·D·Lᵀ of a
@@ -23,6 +24,10 @@ import (
 // factor — Apply takes and returns vectors in the matrix's own order — so
 // the matrix, the CG iteration and every other consumer of it stay in
 // natural order.
+//
+// Row k of L reads and writes only columns in k's subtree of the
+// elimination tree, so RefreshPool factors disjoint subtrees side by side
+// and their ancestors after them, bit for bit what Refresh computes.
 //
 // A factor is not safe for concurrent use: Refresh and Apply share scratch.
 type LDLFactor struct {
@@ -45,11 +50,21 @@ type LDLFactor struct {
 	lPtr   []int   // column pointers of L's strict lower triangle
 	lRow   []int32 // row indices, ascending within a column
 
+	// The split of the elimination forest for splitParts parts (0: none
+	// made): part p factors columns splitCols[splitPtr[p]:splitPtr[p+1]],
+	// ascending, and the top is the segment after the last part. Made by
+	// AnalyzeLDLPool or a RefreshPool, never edited, so SharePattern shares
+	// the arrays; a new part count makes new ones.
+	splitParts int
+	splitCols  []int32
+	splitPtr   []int
+
 	lVal []float64 // L values
 	d    []float64 // D
 
 	// Refresh scratch: y accumulates one sparse row of L and is all zero
-	// between rows, also after a breakdown.
+	// between rows, also after a breakdown. A pooled refresh gives each part
+	// the segment of pattern its columns hold in splitCols.
 	y                  []float64
 	pattern, flag, lnz []int
 	w                  []float64 // Apply's permuted vector
@@ -82,7 +97,12 @@ const ldlPivotRelFloor = ic0PivotRelFloor
 // its rows need not be sorted. Values are only ever read from its lower
 // triangle. The factor keeps a's index arrays, which must not be edited
 // afterwards. It fails when a is not square or a diagonal entry is not stored.
-func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
+func AnalyzeLDL(a *CSR) (*LDLFactor, error) { return AnalyzeLDLPool(a, nil) }
+
+// AnalyzeLDLPool is AnalyzeLDL that also splits the elimination forest for
+// RefreshPool on p, which would otherwise split it on its first call. With
+// a nil or one-worker pool, or below ParallelNNZThreshold, it is AnalyzeLDL.
+func AnalyzeLDLPool(a *CSR, p *Pool) (*LDLFactor, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("sparse: LDL requires square matrix, got %dx%d", a.Rows, a.Cols)
 	}
@@ -183,12 +203,16 @@ func AnalyzeLDL(a *CSR) (*LDLFactor, error) {
 			}
 		}
 	}
+	if parts := p.Workers(); parts > 1 && len(a.ColIdx) >= parallelNNZThreshold {
+		f.split(parts)
+	}
 	return f, nil
 }
 
 // SharePattern returns a factor for another matrix of the analyzed pattern
 // that shares the whole analysis with f — the ordering, the permuted upper
-// triangle, the elimination tree and L's pattern — and owns only L's values,
+// triangle, the elimination tree, L's pattern and the split of the forest,
+// if one was made — and owns only L's values,
 // D and its scratch. It has no numeric content until its Refresh succeeds;
 // the two factors refresh and apply independently, also concurrently.
 func (f *LDLFactor) SharePattern() *LDLFactor {
@@ -224,60 +248,258 @@ func NewLDL(a *CSR) (*LDLFactor, error) {
 // is ErrNotSPD; the factor then holds no usable numerics, but its analysis
 // and scratch are intact and a later Refresh may succeed.
 func (f *LDLFactor) Refresh(a *CSR) error {
+	if err := f.check(a); err != nil {
+		return err
+	}
+	return f.refreshSerial(a.Val)
+}
+
+// RefreshPool is Refresh with the parts of the split run side by side on p
+// and the top after them on the caller, making the split for p's part count
+// first if the analysis holds none for it. Its L and D, and the *PivotError
+// of a breakdown, are Refresh's bit for bit: after a breakdown in a part the
+// serial pass runs again to find the first failing row. With a nil or
+// one-worker pool, or below ParallelNNZThreshold, it is Refresh.
+func (f *LDLFactor) RefreshPool(a *CSR, p *Pool) error {
+	if err := f.check(a); err != nil {
+		return err
+	}
+	parts := p.Workers()
+	if parts <= 1 || len(a.ColIdx) < parallelNNZThreshold {
+		return f.refreshSerial(a.Val)
+	}
+	if f.splitParts != parts {
+		f.split(parts)
+	}
+	val, cols, ptr := a.Val, f.splitCols, f.splitPtr
+	var broke atomic.Bool
+	p.Run(parts, func(part int) {
+		lo, hi := ptr[part], ptr[part+1]
+		pattern := f.pattern[lo:hi] // room for every column of the part
+		for _, k := range cols[lo:hi] {
+			if f.row(val, int(k), pattern) != nil {
+				broke.Store(true)
+				return
+			}
+		}
+	})
+	if broke.Load() {
+		return f.refreshSerial(val)
+	}
+	// No part broke down and the top runs in ascending order, so the first
+	// top row that breaks down is the first the serial pass would meet.
+	for _, k := range cols[ptr[parts]:] {
+		if pe := f.row(val, int(k), f.pattern); pe != nil {
+			return pe
+		}
+	}
+	return nil
+}
+
+func (f *LDLFactor) check(a *CSR) error {
 	if a.Rows != f.n || a.Cols != f.n {
 		return fmt.Errorf("sparse: LDL refresh with %dx%d matrix, built for %d", a.Rows, a.Cols, f.n)
 	}
 	if !sameInts(a.RowPtr, f.rowPtr) || !sameInts(a.ColIdx, f.colIdx) {
 		return fmt.Errorf("sparse: LDL refresh with changed sparsity pattern")
 	}
-	n, y, pattern, flag, lnz := f.n, f.y, f.pattern, f.flag, f.lnz
-	lPtr, lRow, lVal, d := f.lPtr, f.lRow, f.lVal, f.d
-	for k := 0; k < n; k++ {
-		// Scatter column k of the upper triangle into y and collect the
-		// pattern of row k of L in topological order at pattern[top:].
-		top := n
-		flag[k] = k
-		lnz[k] = 0
-		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
-			i := int(f.upRow[p])
-			y[i] += a.Val[f.upSrc[p]]
-			depth := 0
-			for ; flag[i] != k; i = f.parent[i] {
-				pattern[depth] = i
-				depth++
-				flag[i] = k
-			}
-			for depth > 0 {
-				top--
-				depth--
-				pattern[top] = pattern[depth]
-			}
+	return nil
+}
+
+// refreshSerial factors every row in ascending order: the one-part split.
+func (f *LDLFactor) refreshSerial(val []float64) error {
+	for k := 0; k < f.n; k++ {
+		if pe := f.row(val, k, f.pattern); pe != nil {
+			return pe
 		}
-		// Sparse triangular solve for row k of L, and the pivot.
-		akk := a.Val[f.diagSrc[k]]
-		dk := akk
-		for ; top < n; top++ {
-			i := pattern[top]
-			yi := y[i]
-			y[i] = 0
-			lo, end := lPtr[i], lPtr[i]+lnz[i]
-			rows := lRow[lo:end]
-			vals := lVal[lo:end][:len(rows)]
-			for p, r := range rows {
-				y[r] -= vals[p] * yi
-			}
-			lki := yi / d[i]
-			dk -= lki * yi
-			lVal[end] = lki
-			lnz[i]++
-		}
-		// The negated comparison catches NaN as well.
-		if !(dk > ldlPivotRelFloor*math.Abs(akk)) {
-			return &PivotError{State: f.perm[k], Pivot: dk, Diag: akk}
-		}
-		d[k] = dk
 	}
 	return nil
+}
+
+// row computes row k of L and D[k] from the values val of the analyzed
+// pattern, every earlier row of k's subtree being done. It touches y, flag,
+// lnz, L and D only at k and the columns below it in the elimination tree,
+// and collects its pattern in pattern, which needs room for those columns.
+func (f *LDLFactor) row(val []float64, k int, pattern []int) *PivotError {
+	y, flag, lnz, parent := f.y, f.flag, f.lnz, f.parent
+	lPtr, lRow, lVal := f.lPtr, f.lRow, f.lVal
+	// Scatter column k of the upper triangle into y and collect the pattern
+	// of row k of L in topological order at pattern[top:].
+	top := len(pattern)
+	flag[k] = k
+	lnz[k] = 0
+	for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
+		i := int(f.upRow[p])
+		y[i] += val[f.upSrc[p]]
+		depth := 0
+		for ; flag[i] != k; i = parent[i] {
+			pattern[depth] = i
+			depth++
+			flag[i] = k
+		}
+		for depth > 0 {
+			top--
+			depth--
+			pattern[top] = pattern[depth]
+		}
+	}
+	// Sparse triangular solve for row k of L, and the pivot.
+	akk := val[f.diagSrc[k]]
+	dk := akk
+	for _, i := range pattern[top:] {
+		yi := y[i]
+		y[i] = 0
+		lo, end := lPtr[i], lPtr[i]+lnz[i]
+		rows := lRow[lo:end]
+		vals := lVal[lo:end][:len(rows)]
+		for p, r := range rows {
+			y[r] -= vals[p] * yi
+		}
+		lki := yi / f.d[i]
+		dk -= lki * yi
+		lVal[end] = lki
+		lnz[i]++
+	}
+	// The negated comparison catches NaN as well.
+	if !(dk > ldlPivotRelFloor*math.Abs(akk)) {
+		return &PivotError{State: f.perm[k], Pivot: dk, Diag: akk}
+	}
+	f.d[k] = dk
+	return nil
+}
+
+// split divides the elimination forest into parts subtree sets and the top
+// above them, after Geist and Ng's subtree-to-processor mapping. Starting
+// from the roots, it moves the heaviest subtree's root to the top, its
+// children becoming subtrees, for as long as that can still lower the
+// estimated time of a pooled refresh: the top plus the heaviest part of a
+// largest-first packing of the subtrees. Work is counted in row-kernel
+// steps. The search runs in Apply's vector and the refresh scratch, all of
+// it free between calls, and allocates only the split itself.
+func (f *LDLFactor) split(parts int) {
+	n, parent := f.n, f.parent
+	// rowWork[k]: the scatter of upper column k, plus, for each entry of row
+	// k of L, the entries above it in its column that the solve subtracts.
+	rowWork, sub := f.w, f.y
+	for k := 0; k < n; k++ {
+		rowWork[k] = float64(f.upPtr[k+1] - f.upPtr[k] + 1)
+	}
+	for i := 0; i < n; i++ {
+		for j, r := range f.lRow[f.lPtr[i]:f.lPtr[i+1]] {
+			rowWork[r] += float64(j + 1)
+		}
+	}
+	// Subtree work, and children and roots as first-child / next-sibling
+	// lists.
+	child, sibling, roots := f.pattern, f.flag, -1
+	copy(sub, rowWork)
+	for k := 0; k < n; k++ {
+		child[k] = -1
+		if p := parent[k]; p >= 0 {
+			sub[p] += sub[k]
+		}
+	}
+	for k := n - 1; k >= 0; k-- {
+		if p := parent[k]; p >= 0 {
+			sibling[k], child[p] = child[p], k
+		} else {
+			sibling[k], roots = roots, k
+		}
+	}
+	heavier := func(a, b int) int { // a first: more work, then the lower index
+		if sub[a] != sub[b] {
+			if sub[a] > sub[b] {
+				return -1
+			}
+			return 1
+		}
+		return a - b
+	}
+	cols, ptr := make([]int32, n), make([]int, parts+2)
+	loads := ptr[:parts]
+	// pack sorts set heaviest first, gives each subtree to the least loaded
+	// part, noting it in assign unless that is nil, and returns the heaviest
+	// load.
+	pack := func(set []int, assign []int) float64 {
+		slices.SortFunc(set, heavier)
+		clear(loads)
+		for _, k := range set {
+			b := 0
+			for q := range loads {
+				if loads[q] < loads[b] {
+					b = q
+				}
+			}
+			loads[b] += int(sub[k])
+			if assign != nil {
+				assign[k] = b + 1
+			}
+		}
+		return float64(slices.Max(loads))
+	}
+
+	// cand, the candidate subtrees, is a window on scratch that pack leaves
+	// sorted, heaviest first: a root moved to the top leaves at the front and
+	// its children join at the back, each node once. cols logs the moves.
+	cand, total := f.lnz[:0], 0.0
+	for k := roots; k >= 0; k = sibling[k] {
+		cand = append(cand, k)
+		total += sub[k]
+	}
+	best, moved, topWork := math.Inf(1), 0, 0.0
+	for t := 0; len(cand) > 0; t++ {
+		if est := pack(cand, nil) + topWork; est < best {
+			best, moved = est, t
+		}
+		k := cand[0]
+		// No later state beats this bound: the top only grows, and the rest
+		// packs no better than evenly.
+		if topWork += rowWork[k]; topWork+(total-topWork)/float64(parts) >= best {
+			break
+		}
+		cols[t] = int32(k)
+		cand = cand[1:]
+		for c := child[k]; c >= 0; c = sibling[c] {
+			cand = append(cand, c)
+		}
+	}
+
+	// Replay the best state: mark its top (part parts+1), pack its subtrees
+	// into parts 1..parts, and give every other column its parent's part.
+	part := f.lnz
+	clear(part)
+	for _, k := range cols[:moved] {
+		part[k] = parts + 1
+	}
+	set := f.pattern[:0]
+	for k := 0; k < n; k++ {
+		if part[k] == 0 && (parent[k] < 0 || part[parent[k]] == parts+1) {
+			set = append(set, k)
+		}
+	}
+	pack(set, part)
+	for k := n - 1; k >= 0; k-- {
+		if part[k] == 0 {
+			part[k] = part[parent[k]]
+		}
+	}
+	// Place the columns part by part, ascending within each: ptr[q] is where
+	// part q starts, the top being part parts, and ptr[parts+1] = n.
+	clear(ptr)
+	for _, q := range part {
+		ptr[q]++
+	}
+	for q := 1; q < len(ptr); q++ {
+		ptr[q] += ptr[q-1]
+	}
+	next := f.flag
+	copy(next, ptr)
+	for k, q := range part {
+		cols[next[q-1]] = int32(k)
+		next[q-1]++
+	}
+	clear(sub) // y is all zero between rows
+	f.splitParts, f.splitCols, f.splitPtr = parts, cols, ptr
 }
 
 // Apply solves A·z = r by permuted forward, diagonal and backward

@@ -4,8 +4,11 @@ package sparse_test
 // powerflow and meas, which import sparse.
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -112,5 +115,135 @@ func TestLDLMatchesOracleOnGains(t *testing.T) {
 		if err := sparse.LDLMatchesOracle(g, r); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestLDLRefreshPoolMatchesSerialOnGains: on the centralized gains of the
+// 4-, 12- and 37-area SynthWECC, a pooled refresh at 1, 2 and 4 workers
+// holds L and D bit for bit as the serial one does — on a fresh factor, on
+// a second refresh of the same factor with other values, and on a factor
+// sharing the pattern, which shares the split too.
+func TestLDLRefreshPoolMatchesSerialOnGains(t *testing.T) {
+	for _, areas := range []int{4, 12, 37} {
+		g := centralGain(t, synthWECC(t, areas, 1))
+		// The second pass: the same pattern with a heavier diagonal.
+		g2 := &sparse.CSR{Rows: g.Rows, Cols: g.Cols, RowPtr: g.RowPtr, ColIdx: g.ColIdx, Val: slices.Clone(g.Val)}
+		for i := 0; i < g2.Rows; i++ {
+			for p := g2.RowPtr[i]; p < g2.RowPtr[i+1]; p++ {
+				if g2.ColIdx[p] == i {
+					g2.Val[p] *= 1.5
+				}
+			}
+		}
+		serial, err := sparse.AnalyzeLDL(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			pool := sparse.NewPool(workers)
+			f, err := sparse.AnalyzeLDLPool(g, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cols, ptr := sparse.LDLSplit(f); workers > 1 {
+				sizes := make([]int, len(ptr)-1)
+				for q := range sizes {
+					sizes[q] = ptr[q+1] - ptr[q]
+				}
+				if len(cols) != g.Rows || len(sizes) != workers+1 {
+					t.Fatalf("areas %d, %d workers: split of %d columns into %d segments", areas, workers, len(cols), len(sizes))
+				}
+				t.Logf("areas %d (%d states), %d workers: part and top sizes %v", areas, g.Rows, workers, sizes)
+			} else if cols != nil {
+				t.Fatalf("areas %d: a one-worker pool split the forest", areas)
+			}
+			for pass, a := range []*sparse.CSR{g, g2, g} {
+				what := fmt.Sprintf("areas %d, %d workers, pass %d", areas, workers, pass)
+				if err := serial.Refresh(a); err != nil {
+					t.Fatalf("%s: serial: %v", what, err)
+				}
+				if err := f.RefreshPool(a, pool); err != nil {
+					t.Fatalf("%s: pooled: %v", what, err)
+				}
+				assertSameFactor(t, what, f, serial)
+				if pass == 1 {
+					c := f.SharePattern()
+					if err := c.RefreshPool(a, pool); err != nil {
+						t.Fatalf("%s: shared pattern: %v", what, err)
+					}
+					assertSameFactor(t, what+", shared pattern", c, serial)
+				}
+			}
+			pool.Close()
+		}
+	}
+}
+
+func assertSameFactor(t *testing.T, what string, got, want *sparse.LDLFactor) {
+	t.Helper()
+	gl, gd := sparse.LDLNumerics(got)
+	wl, wd := sparse.LDLNumerics(want)
+	for name, p := range map[string][2][]float64{"L": {gl, wl}, "D": {gd, wd}} {
+		for i := range p[1] {
+			if math.Float64bits(p[0][i]) != math.Float64bits(p[1][i]) {
+				t.Fatalf("%s: %s[%d] = %v, serial %v", what, name, i, p[0][i], p[1][i])
+			}
+		}
+	}
+}
+
+// TestLDLRefreshPoolBreakdown: a gain made indefinite in some of its
+// columns fails the pooled refresh with the *PivotError of the serial one —
+// the first failing row in elimination order, wherever the split put it: in
+// one part, in both parts (the later part's column first in the forest's
+// order), or in the top. A good refresh afterwards matches the serial
+// factor bit for bit again.
+func TestLDLRefreshPoolBreakdown(t *testing.T) {
+	g := centralGain(t, synthWECC(t, 12, 1))
+	pool := sparse.NewPool(2)
+	defer pool.Close()
+	f, err := sparse.AnalyzeLDLPool(g, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := sparse.AnalyzeLDL(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, ptr := sparse.LDLSplit(f)
+	perm := sparse.LDLPerm(f)
+	part0, part1, top := cols[ptr[0]:ptr[1]], cols[ptr[1]:ptr[2]], cols[ptr[2]:]
+	for name, broken := range map[string][]int32{
+		"part 0":         {part0[len(part0)/2]},
+		"both parts":     {part0[len(part0)-1], part1[0]},
+		"top":            {top[0]},
+		"part 1 and top": {part1[len(part1)-1], top[len(top)-1]},
+	} {
+		bad := &sparse.CSR{Rows: g.Rows, Cols: g.Cols, RowPtr: g.RowPtr, ColIdx: g.ColIdx, Val: slices.Clone(g.Val)}
+		for _, k := range broken {
+			i := perm[k]
+			for p := bad.RowPtr[i]; p < bad.RowPtr[i+1]; p++ {
+				if bad.ColIdx[p] == i {
+					bad.Val[p] = -bad.Val[p]
+				}
+			}
+		}
+		var want, got *sparse.PivotError
+		if err := serial.Refresh(bad); !errors.As(err, &want) {
+			t.Fatalf("%s: serial refresh returned %v, want a *PivotError", name, err)
+		}
+		if err := f.RefreshPool(bad, pool); !errors.As(err, &got) {
+			t.Fatalf("%s: pooled refresh returned %v, want a *PivotError", name, err)
+		}
+		if *got != *want {
+			t.Errorf("%s: pooled %+v, serial %+v", name, *got, *want)
+		}
+		if err := serial.Refresh(g); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.RefreshPool(g, pool); err != nil {
+			t.Fatalf("%s: refresh after the breakdown: %v", name, err)
+		}
+		assertSameFactor(t, name+", after the breakdown", f, serial)
 	}
 }

@@ -17,77 +17,85 @@ import (
 // nested call, deadlocking the pool).
 type Pool struct {
 	workers int
-	tasks   chan poolTask
+	procs   bool // Workers follows GOMAXPROCS (NewPool(0), DefaultPool)
+	tasks   chan *poolRun
 	once    sync.Once
 }
 
-type poolTask struct {
-	fn *poolRun
-	wg *sync.WaitGroup
-}
-
-// poolRun is the shared state of one Run call: workers claim part indices
-// from the counter until the range is exhausted. Sharing one allocation per
-// Run keeps the per-call overhead flat in the worker count.
+// poolRun is the shared state of one Run call: the caller and the workers
+// it enlisted claim part indices from the counter until the range is
+// exhausted. It is the one allocation a Run makes, whatever the worker count.
 type poolRun struct {
 	next  atomic.Int64
 	parts int64
 	f     func(part int)
+	wg    sync.WaitGroup
 }
 
-// NewPool starts a pool with the given number of workers; workers <= 0
-// selects runtime.GOMAXPROCS(0). The workers live until Close.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// claim runs parts until none is left.
+func (r *poolRun) claim() {
+	for {
+		i := r.next.Add(1) - 1
+		if i >= r.parts {
+			return
+		}
+		r.f(int(i))
 	}
-	p := &Pool{workers: workers, tasks: make(chan poolTask, 4*workers)}
+}
+
+// NewPool starts a pool with the given number of workers. workers <= 0
+// starts one per CPU and makes the pool follow GOMAXPROCS: it then runs at
+// most GOMAXPROCS parts at a time, also after GOMAXPROCS changed. The
+// workers live until Close.
+func NewPool(workers int) *Pool {
+	procs := workers <= 0
+	if procs {
+		workers = runtime.NumCPU()
+	}
+	p := &Pool{workers: workers, procs: procs, tasks: make(chan *poolRun, 4*workers)}
 	for i := 0; i < workers; i++ {
 		go func() {
-			for t := range p.tasks {
-				for {
-					i := t.fn.next.Add(1) - 1
-					if i >= t.fn.parts {
-						break
-					}
-					t.fn.f(int(i))
-				}
-				t.wg.Done()
+			for r := range p.tasks {
+				r.claim()
+				r.wg.Done()
 			}
 		}()
 	}
 	return p
 }
 
-// Workers returns the pool's worker count.
+// Workers returns how many parts the pool runs side by side: its worker
+// count, capped at the current GOMAXPROCS for a pool that follows it. The
+// pooled kernels split their work into this many parts.
 func (p *Pool) Workers() int {
 	if p == nil {
 		return 1
 	}
+	if p.procs {
+		return min(p.workers, runtime.GOMAXPROCS(0))
+	}
 	return p.workers
 }
 
-// Run invokes f(part) for every part in [0, parts), distributing parts over
-// the pool's workers, and blocks until all parts complete. With a nil pool,
-// a single worker, or a single part, it runs inline on the caller.
+// Run invokes f(part) for every part in [0, parts) and blocks until all
+// parts complete. The caller claims parts itself, beside up to Workers()−1
+// pool workers. With a nil pool, a single worker, or a single part, it runs
+// inline on the caller.
 func (p *Pool) Run(parts int, f func(part int)) {
-	if p == nil || p.workers <= 1 || parts <= 1 {
+	helpers := min(p.Workers(), parts) - 1
+	if helpers <= 0 {
 		for i := 0; i < parts; i++ {
 			f(i)
 		}
 		return
 	}
 	r := &poolRun{parts: int64(parts), f: f}
-	helpers := p.workers
-	if helpers > parts {
-		helpers = parts
-	}
-	var wg sync.WaitGroup
-	wg.Add(helpers)
+	r.wg.Add(helpers)
 	for i := 0; i < helpers; i++ {
-		p.tasks <- poolTask{fn: r, wg: &wg}
+		p.tasks <- r
 	}
-	wg.Wait()
+	r.claim()
+	r.wg.Wait()
 }
 
 // Close shuts the workers down. Run must not be called after Close.
@@ -98,10 +106,12 @@ var (
 	defaultPoolOnce sync.Once
 )
 
-// DefaultPool returns the process-wide shared pool, started on first use
-// with GOMAXPROCS workers. The solver engine uses it by default so that any
-// number of concurrent estimators (one per subsystem in a DSE run) share
-// one set of compute workers instead of each spawning their own.
+// DefaultPool returns the process-wide shared pool, NewPool(0) started on
+// first use: a worker per CPU, running as many parts as GOMAXPROCS allows
+// at each call, so that a GOMAXPROCS set after it started (go test -cpu
+// 1,2,4) still sizes every pooled kernel. The solver engine uses it by default so that any number of concurrent
+// estimators (one per subsystem in a DSE run) share one set of compute
+// workers instead of each spawning their own.
 func DefaultPool() *Pool {
 	defaultPoolOnce.Do(func() { defaultPool = NewPool(0) })
 	return defaultPool

@@ -48,7 +48,7 @@ func TestFactorSolvePolishedWhenCheckFails(t *testing.T) {
 		return sparse.NormInf(d) / sparse.NormInf(want)
 	}
 
-	if err := e.refactor(g); err != nil {
+	if err := e.refactor(g, nil); err != nil {
 		t.Fatal(err)
 	}
 	res := &Result{}
@@ -60,7 +60,7 @@ func TestFactorSolvePolishedWhenCheckFails(t *testing.T) {
 
 	off := g.Clone()
 	off.Scale(1 + 1e-3)
-	if err := e.refactor(off); err != nil {
+	if err := e.refactor(off, nil); err != nil {
 		t.Fatal(err)
 	}
 	res = &Result{}
@@ -172,7 +172,7 @@ func TestResultResidualsAreThoseOfTheReturnedState(t *testing.T) {
 			eng, opts := trackedEngine(t)
 			off := eng.gplan.G.Clone()
 			off.Scale(0.25)
-			if err := eng.refactor(off); err != nil {
+			if err := eng.refactor(off, nil); err != nil {
 				t.Fatal(err)
 			}
 			opts.MaxIter = maxIter

@@ -12,16 +12,17 @@ import (
 )
 
 // Engine is a reusable WLS solver bound to one measurement-model structure.
-// Construction does the symbolic work once — the Jacobian sparsity plan,
-// the gain-matrix plan, the CG workspace — so every subsequent
-// Gauss–Newton iteration only rewrites numeric values in place:
+// Construction does the symbolic work once — the Jacobian sparsity plan and
+// the gain-matrix plan — so every subsequent Gauss–Newton iteration only
+// rewrites numeric values in place:
 //
 //   - H(x) is refreshed into a fixed CSR skeleton (meas.JacobianPlan),
 //   - G = HᵀWH is read row by row off H's column lists into a fixed
 //     pattern (sparse.GainPlan), row-parallel on the persistent worker pool,
 //   - the LDLᵀ factor (or the Jacobi diagonal) refreshes its numerics on
-//     G's fixed pattern, and under the default the factor's substitution is
-//     the gain solve,
+//     G's fixed pattern, subtrees of its elimination forest side by side on
+//     the pool, and under the default the factor's substitution is the gain
+//     solve,
 //   - where CG runs — Jacobi, a factorization breakdown — it reuses its
 //     iteration vectors and is warm-started with the previous iteration's
 //     Δx (discarded automatically if it would not help).
@@ -39,8 +40,8 @@ type Engine struct {
 	baseW, w, z, h, r, wr []float64 // length m
 	rhs, dx, prevDx       []float64 // length n
 	havePrevDx            bool
-	work                  *sparse.CGWorkspace
-	rhsScratch            []float64 // pooled-transpose partial accumulators
+	work                  *sparse.CGWorkspace // made on the first CG solve
+	rhsScratch            []float64           // pooled-transpose partial accumulators
 
 	// masked counts the zero slots MaskMeasurement left in baseW, and
 	// maskedEmpty caches what they leave untouched: the first state only
@@ -57,6 +58,11 @@ type Engine struct {
 	// pre holds it while the last refresh factored, and a Jacobi stand-in
 	// (preKind still PrecondLDL) while the last refresh broke down.
 	ldl *sparse.LDLFactor
+	// analysis is the LDLᵀ analysis running beside an engine's first solve
+	// (startAnalysis); refactor and CloneFor join it. inlineAnalysis keeps
+	// it on the caller, for tests.
+	analysis       chan ldlAnalysis
+	inlineAnalysis bool
 
 	// reuse anchors the drift-gated numeric-reuse tier (Options.GainReuse):
 	// the state and weights at the last full gain+preconditioner refresh.
@@ -74,6 +80,12 @@ type Engine struct {
 }
 
 const maskedStale = -2
+
+// ldlAnalysis is what an overlapped sparse.AnalyzeLDLPool returns.
+type ldlAnalysis struct {
+	f   *sparse.LDLFactor
+	err error
+}
 
 // gainReuse is the numeric-reuse anchor carried across Gauss–Newton
 // iterations and solves. valid flips false when G is rewritten outside the
@@ -112,7 +124,6 @@ func newEngine(mod *meas.Model, jplan *meas.JacobianPlan, gplan *sparse.GainPlan
 		rhs:    make([]float64, n, n+1),
 		dx:     make([]float64, n),
 		prevDx: make([]float64, n),
-		work:   sparse.NewCGWorkspace(n),
 		xTrial: make([]float64, n),
 	}
 	e.reuse.x = make([]float64, n)
@@ -134,7 +145,7 @@ func (e *Engine) CloneFor(view *meas.Model) (*Engine, error) {
 		return nil, err
 	}
 	c := newEngine(view, jplan, e.gplan.SharePattern())
-	if e.ldl != nil {
+	if err := e.joinAnalysis(); err == nil && e.ldl != nil {
 		c.ldl = e.ldl.SharePattern()
 	}
 	return c, nil
@@ -249,6 +260,7 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 	if err := e.untouchedState(); err != nil {
 		return nil, err
 	}
+	e.startAnalysis(opts)
 
 	x := mod.FlatVec()
 	if opts.X0 != nil {
@@ -559,7 +571,7 @@ const (
 // cached numerics are the ones to use, and they have solved this G before.
 // res takes the CG iteration and preconditioner breakdown counts.
 func (e *Engine) solveGain(opts Options, tol float64, lagged bool, res *Result) ([]float64, error) {
-	pre, err := e.preconditioner(e.gplan.G, opts.Precond, lagged, res)
+	pre, err := e.preconditioner(e.gplan.G, opts, lagged, res)
 	if errors.Is(err, sparse.ErrNotSPD) {
 		// Not even a diagonal to iterate on: some state moves no weighted
 		// measurement at this iterate.
@@ -589,6 +601,9 @@ func (e *Engine) solveWith(pre sparse.Preconditioner, opts Options, tol float64,
 		x0 = e.dx
 	} else if e.havePrevDx {
 		x0 = e.prevDx
+	}
+	if e.work == nil {
+		e.work = &sparse.CGWorkspace{}
 	}
 	cgOpts := sparse.CGOptions{Tol: tol, Precond: pre, Work: e.work, X0: x0}
 	if opts.Workers > 0 {
@@ -629,14 +644,15 @@ func (e *Engine) residualWithin(g *sparse.CSR, tol float64) bool {
 // res.PrecondFallbacks: CG on a semidefinite but consistent system can
 // still converge where a factor cannot exist, and where it cannot, CG is
 // what reports the gain as not positive definite.
-func (e *Engine) preconditioner(g *sparse.CSR, kind PrecondKind, lagged bool, res *Result) (sparse.Preconditioner, error) {
+func (e *Engine) preconditioner(g *sparse.CSR, opts Options, lagged bool, res *Result) (sparse.Preconditioner, error) {
+	kind := opts.Precond
 	cached := e.havePre && e.preKind == kind
 	if cached && lagged {
 		return e.pre, nil
 	}
 	switch kind {
 	case PrecondLDL:
-		switch err := e.refactor(g); {
+		switch err := e.refactor(g, e.kernelPool(opts)); {
 		case err == nil:
 			e.pre, e.preKind, e.havePre = e.ldl, kind, true
 			return e.ldl, nil
@@ -665,17 +681,61 @@ func (e *Engine) preconditioner(g *sparse.CSR, kind PrecondKind, lagged bool, re
 	return pre, nil
 }
 
-// refactor refreshes the LDLᵀ factor's numerics from g, running the symbolic
-// analysis first if the engine has none yet.
-func (e *Engine) refactor(g *sparse.CSR) error {
+// refactor refreshes the LDLᵀ factor's numerics from g on pool (nil:
+// serially), joining or running the symbolic analysis first if the engine
+// has none yet.
+func (e *Engine) refactor(g *sparse.CSR, pool *sparse.Pool) error {
+	if err := e.joinAnalysis(); err != nil {
+		return err
+	}
 	if e.ldl == nil {
-		f, err := sparse.AnalyzeLDL(g)
+		f, err := sparse.AnalyzeLDLPool(g, pool)
 		if err != nil {
 			return err
 		}
 		e.ldl = f
 	}
-	return e.ldl.Refresh(g)
+	return e.ldl.RefreshPool(g, pool)
+}
+
+// kernelPool is the pool the gain kernels and the factor run on: none when
+// the caller forces serial execution.
+func (e *Engine) kernelPool(opts Options) *sparse.Pool {
+	if opts.Workers == 1 {
+		return nil
+	}
+	return e.pool
+}
+
+// startAnalysis starts the LDLᵀ analysis of G's pattern on a goroutine when
+// a solve is about to factor for the first time and the factor will run on
+// the pool: the analysis reads only the pattern, which the gain plan fixed,
+// so the first step's numerics — h(x), H, the right-hand side, G — run on
+// the caller meanwhile. The goroutine ends with the analysis, and the
+// channel holds its result, so an engine dropped unjoined leaks nothing.
+// Below the pool's gates the analysis runs where refactor needs it.
+func (e *Engine) startAnalysis(opts Options) {
+	pool := e.kernelPool(opts)
+	if e.ldl != nil || e.analysis != nil || e.inlineAnalysis || opts.Precond != PrecondLDL ||
+		pool.Workers() <= 1 || e.gplan.G.NNZ() < sparse.ParallelNNZThreshold {
+		return
+	}
+	ch, g := make(chan ldlAnalysis, 1), e.gplan.G
+	e.analysis = ch
+	go func() {
+		f, err := sparse.AnalyzeLDLPool(g, pool)
+		ch <- ldlAnalysis{f, err}
+	}()
+}
+
+// joinAnalysis waits for a pending analysis and takes its factor.
+func (e *Engine) joinAnalysis() error {
+	if e.analysis == nil {
+		return nil
+	}
+	a := <-e.analysis
+	e.analysis, e.ldl = nil, a.f
+	return a.err
 }
 
 // NormalizedResiduals computes rᴺ_i = |r_i| / √Ω_ii for a result on the
@@ -692,7 +752,7 @@ func (e *Engine) NormalizedResiduals(res *Result) ([]float64, error) {
 	e.reuse.valid = false
 	hj := e.jplan.Refresh(res.X)
 	copy(e.w, e.baseW)
-	if err := e.refactor(e.gplan.RefreshPool(hj, e.w, e.pool)); err != nil {
+	if err := e.refactor(e.gplan.RefreshPool(hj, e.w, e.pool), e.pool); err != nil {
 		return nil, fmt.Errorf("wls: gain factorization for residual covariance: %w", err)
 	}
 	out := make([]float64, len(e.w))

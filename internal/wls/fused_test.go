@@ -88,7 +88,7 @@ func TestRejectedTrialRefreshesAtIterate(t *testing.T) {
 	eng, opts := trackedEngine(t)
 	off := eng.gplan.G.Clone()
 	off.Scale(0.25)
-	if err := eng.refactor(off); err != nil {
+	if err := eng.refactor(off, nil); err != nil {
 		t.Fatal(err)
 	}
 	opts.MaxIter = 1
