@@ -606,9 +606,10 @@ var reuseModes = []struct {
 // BenchmarkTrackerFramesReuse crosses the steady-state tracked frame with
 // the numeric-reuse tier, isolating what the lagged tier saves on the hot
 // tracking path: IEEE-118 re-tracking one frame (every step inside the
-// drift gate), and the 1 416-bus 12-area synthetic WECC cycling eight noise
-// draws — the size and the frame-to-frame movement at which
-// wls.ReuseGainGateDefault was chosen (DESIGN §10).
+// drift gate), and the 1 416-bus 12-area and 4 366-bus 37-area synthetic
+// WECC cycling eight noise draws — the 12-area size and frame-to-frame
+// movement are where wls.ReuseGainGateDefault was chosen (DESIGN §10).
+// gain-rounds-1 is the tracker at its defaults: one Step-2 round.
 func BenchmarkTrackerFramesReuse(b *testing.B) {
 	fx := benchFixture(b)
 	for _, mode := range reuseModes {
@@ -617,10 +618,63 @@ func BenchmarkTrackerFramesReuse(b *testing.B) {
 		})
 	}
 
-	dec, frames := weccDSEFixture(b, 12, 8)
-	for _, mode := range reuseModes {
-		b.Run("synth-wecc-12/"+mode.name, func(b *testing.B) {
-			benchTrackedFrames(b, dec, frames, core.DSEOptions{Rounds: 2, WLS: wls.Options{GainReuse: mode.kind}})
+	for _, areas := range []int{12, 37} {
+		dec, frames := weccDSEFixture(b, areas, 8)
+		name := "synth-wecc-" + itoa(areas) + "/"
+		for _, mode := range reuseModes {
+			b.Run(name+mode.name, func(b *testing.B) {
+				benchTrackedFrames(b, dec, frames, core.DSEOptions{Rounds: 2, WLS: wls.Options{GainReuse: mode.kind}})
+			})
+		}
+		b.Run(name+"gain-rounds-1", func(b *testing.B) {
+			benchTrackedFrames(b, dec, frames, core.DSEOptions{Rounds: 1})
+		})
+	}
+}
+
+// BenchmarkCentralizedTracked is the centralized side of a tracked frame,
+// to read beside TrackerFramesReuse/synth-wecc-*/gain: one wls engine kept
+// across the eight frames of weccDSEFixture, each frame a
+// Model.UpdateValues and a solve under the default options warm-started
+// from the last estimate behind WarmStartGate, after one untimed pass.
+func BenchmarkCentralizedTracked(b *testing.B) {
+	for _, areas := range []int{12, 37} {
+		dec, frames := weccDSEFixture(b, areas, 8)
+		b.Run("synth-wecc-"+itoa(areas), func(b *testing.B) {
+			mod, err := meas.NewModel(dec.Net, frames[0], dec.Net.SlackIndex(), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng := wls.NewEngine(mod)
+			res, err := eng.Estimate(wls.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			last := slices.Clone(res.X)
+			var iters, lagged int
+			frame := func(k int) {
+				if err := mod.UpdateValues(frames[k%len(frames)]); err != nil {
+					b.Fatal(err)
+				}
+				res, err := eng.Estimate(wls.Options{X0: last, X0Gate: wls.WarmStartGate})
+				if err != nil {
+					b.Fatal(err)
+				}
+				copy(last, res.X)
+				iters += res.Iterations
+				lagged += res.GainSkips
+			}
+			for k := range frames {
+				frame(k)
+			}
+			iters, lagged = 0, 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				frame(i)
+			}
+			b.ReportMetric(float64(iters)/float64(b.N), "gn-iters")
+			b.ReportMetric(float64(lagged)/float64(b.N), "lagged")
 		})
 	}
 }
@@ -952,9 +1006,10 @@ func BenchmarkMinDegree(b *testing.B) {
 }
 
 // BenchmarkLDLFactor splits the default preconditioner's cost on the
-// WECC-scale gain into its three stages: symbolic analysis (ordering,
-// elimination tree, column counts), numeric refactorization in place, and
-// one permuted forward/diagonal/backward solve. refresh-pool is the
+// WECC-scale gain into its three stages: symbolic analysis (ordering, whose
+// elimination also gives the elimination tree and L's pattern, and the
+// permuted upper triangle), numeric refactorization in place, and one
+// permuted forward/diagonal/backward solve. refresh-pool is the
 // refactorization with the elimination forest split over the shared pool,
 // as the estimator runs it; parts is the pool's part count (1: serial).
 // factor-nnz is the number of off-diagonals of L, against gain-lower-nnz in

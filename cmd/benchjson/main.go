@@ -12,9 +12,9 @@
 // ratio table (new/old ms/op and allocs/op, plus the new record's median
 // and max/min spread) against a previously committed record, flagging
 // entries whose time ratio exceeds -tol. The table opens with the control
-// rows (MinDegree/*, PowerFlow118, PartitionerScales): code the estimator's
-// changes do not touch, so their drift between the records is the
-// machines', and a drift over 15 % is flagged. The time ratios are a
+// rows (FastDecoupledVsNewton/*, PowerFlow118, PartitionerScales): code the
+// estimator's changes do not touch, so their drift between the records is
+// the machines', and a drift over 15 % is flagged. The time ratios are a
 // report, not a gate: CI machine noise routinely exceeds any tolerance. Allocation counts
 // are deterministic for a given build, so a benchmark present in both
 // records whose allocs/op rose by more than 5 % makes the tool exit with
@@ -139,11 +139,11 @@ func loadRecord(path string) (map[string]*Entry, error) {
 const controlDrift = 0.15
 
 // isControl reports whether name is a control row: a benchmark of code no
-// estimator change touches — the fill-reducing ordering, a Newton power
-// flow, the graph partitioner.
+// estimator change touches — the two power-flow solvers, the graph
+// partitioner.
 func isControl(name string) bool {
 	name = strings.TrimPrefix(name, "Benchmark")
-	return strings.HasPrefix(name, "MinDegree/") || name == "PowerFlow118" || name == "PartitionerScales"
+	return strings.HasPrefix(name, "FastDecoupledVsNewton/") || name == "PowerFlow118" || name == "PartitionerScales"
 }
 
 // writeControlDrift prints the new/old time ratio of every control row

@@ -7,6 +7,9 @@ var (
 	FillOf             = fillOf
 	ShuffleRows        = shuffleRows
 	LDLMatchesOracle   = ldlMatchesOracle
+	AnalysisMatches    = analysisMatchesOracle
+	RandomSPD          = randomSPD
+	GainFixture        = gainFixture
 )
 
 // LDLNumerics returns the factor's own L values and D.

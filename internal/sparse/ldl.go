@@ -15,9 +15,9 @@ import (
 //
 // The work splits the way the gain plans split theirs. AnalyzeLDL is the
 // symbolic half, paid once per sparsity pattern: the factor's own
-// fill-reducing permutation (MinDegree), the permuted upper triangle with a
-// gather map into the source matrix's value array, the elimination tree and
-// the pattern of L. Refresh is the numeric half: an up-looking
+// fill-reducing permutation (MinDegree's elimination, which also yields the
+// elimination tree and the pattern of L) and the permuted upper triangle
+// with a gather map into the source matrix's value array. Refresh is the numeric half: an up-looking
 // factorization (Davis, "Algorithm 849: a concise sparse Cholesky
 // factorization package") that rewrites L and D in place and allocates
 // nothing but the error of a breakdown. The permutation lives inside the
@@ -96,7 +96,8 @@ const ldlPivotRelFloor = ic0PivotRelFloor
 // first Apply. a must be structurally symmetric and store no entry twice;
 // its rows need not be sorted. Values are only ever read from its lower
 // triangle. The factor keeps a's index arrays, which must not be edited
-// afterwards. It fails when a is not square or a diagonal entry is not stored.
+// afterwards. It fails when a is not square or a diagonal entry is missing
+// or stored twice.
 func AnalyzeLDL(a *CSR) (*LDLFactor, error) { return AnalyzeLDLPool(a, nil) }
 
 // AnalyzeLDLPool is AnalyzeLDL that also splits the elimination forest for
@@ -110,9 +111,10 @@ func AnalyzeLDLPool(a *CSR, p *Pool) (*LDLFactor, error) {
 		return nil, fmt.Errorf("sparse: LDL of dimension %d with %d entries exceeds the factor's int32 indices", a.Rows, nnz)
 	}
 	n := a.Rows
+	e := eliminate(a, true)
 	f := &LDLFactor{
 		n:       n,
-		perm:    MinDegree(a),
+		perm:    e.perm,
 		rowPtr:  a.RowPtr,
 		colIdx:  a.ColIdx,
 		upPtr:   make([]int, n+1),
@@ -126,7 +128,10 @@ func AnalyzeLDLPool(a *CSR, p *Pool) (*LDLFactor, error) {
 		lnz:     make([]int, n),
 		w:       make([]float64, n),
 	}
-	inv := InversePerm(f.perm)
+	inv := e.rep // the ordering's scratch, free now
+	for k, o := range f.perm {
+		inv[o] = k
+	}
 
 	// Entry (i, j), j < i, of a lands in column max(inv i, inv j) of the
 	// permuted upper triangle.
@@ -137,6 +142,9 @@ func AnalyzeLDLPool(a *CSR, p *Pool) (*LDLFactor, error) {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			switch j := a.ColIdx[k]; {
 			case j == i:
+				if f.diagSrc[inv[i]] >= 0 {
+					return nil, fmt.Errorf("sparse: LDL: diagonal stored twice at row %d", i)
+				}
 				f.diagSrc[inv[i]] = k
 			case j < i:
 				f.upPtr[max(inv[i], inv[j])+1]++
@@ -151,7 +159,7 @@ func AnalyzeLDLPool(a *CSR, p *Pool) (*LDLFactor, error) {
 	}
 	f.upRow = make([]int32, f.upPtr[n])
 	f.upSrc = make([]int32, f.upPtr[n])
-	next := f.lnz // free until the column counts below
+	next := e.seen
 	copy(next, f.upPtr[:n])
 	for i := 0; i < n; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
@@ -164,49 +172,63 @@ func AnalyzeLDLPool(a *CSR, p *Pool) (*LDLFactor, error) {
 			f.upRow[p], f.upSrc[p] = int32(min(pi, pj)), int32(k)
 		}
 	}
-
-	// Elimination tree and column counts: row k of L is the union of the
-	// tree paths from each upper-triangle entry of column k towards k.
-	for k := 0; k < n; k++ {
-		f.parent[k] = -1
-		f.flag[k] = k
-		f.lnz[k] = 0
-		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
-			for i := int(f.upRow[p]); f.flag[i] != k; i = f.parent[i] {
-				if f.parent[i] < 0 {
-					f.parent[i] = k
-				}
-				f.lnz[i]++
-				f.flag[i] = k
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		f.lPtr[k+1] = f.lPtr[k] + f.lnz[k]
-	}
-	f.lRow = make([]int32, f.lPtr[n])
-	f.lVal = make([]float64, f.lPtr[n])
-
-	// The same walk again, now with a place for every entry: row k lands in
-	// each column of its pattern, so a column lists its rows ascending.
-	for k := 0; k < n; k++ {
-		f.flag[k] = -1
-		f.lnz[k] = 0
-	}
-	for k := 0; k < n; k++ {
-		f.flag[k] = k
-		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
-			for i := int(f.upRow[p]); f.flag[i] != k; i = f.parent[i] {
-				f.lRow[f.lPtr[i]+f.lnz[i]] = int32(k)
-				f.lnz[i]++
-				f.flag[i] = k
-			}
-		}
-	}
+	f.lower(&e)
 	if parts := p.Workers(); parts > 1 && len(a.ColIdx) >= parallelNNZThreshold {
 		f.split(parts)
 	}
 	return f, nil
+}
+
+// lower reads L's pattern and the elimination tree off the elimination e
+// that made f's ordering. When a supervariable was eliminated its neighbors
+// were exactly the supervariables below it in L (George and Liu's
+// elimination graph), so member j of a supervariable of width w starting at
+// k holds rows k+j+1 … k+w−1 in its column of L, then every member of each
+// neighbor in ascending order — its degree then, less j, rows in all — and
+// its parent in the elimination tree is the first of those rows.
+func (f *LDLFactor) lower(e *elimination) {
+	n, perm, lPtr := f.n, f.perm, f.lPtr
+	for s := 0; s < n; s += e.weight[perm[s]] {
+		v := perm[s]
+		for j := range e.weight[v] {
+			lPtr[s+j+1] = e.deg[v] - j
+		}
+		// Name each neighbor by where it starts, for the sort below.
+		for i, u := range e.adj[v] {
+			e.adj[v][i] = int32(e.end[u] - e.weight[u])
+		}
+	}
+	for k := 0; k < n; k++ {
+		lPtr[k+1] += lPtr[k]
+	}
+	f.lRow = make([]int32, lPtr[n])
+	f.lVal = make([]float64, lPtr[n])
+	for s := 0; s < n; {
+		v := perm[s]
+		last, nbrs := s+e.weight[v]-1, e.adj[v]
+		slices.Sort(nbrs)
+		below := f.lRow[lPtr[last]:lPtr[last+1]]
+		c := 0
+		for _, t := range nbrs {
+			for r := range int32(e.weight[perm[t]]) {
+				below[c] = t + r
+				c++
+			}
+		}
+		f.parent[last] = -1
+		if len(nbrs) > 0 {
+			f.parent[last] = int(nbrs[0])
+		}
+		for k := s; k < last; k++ {
+			col := f.lRow[lPtr[k]:lPtr[k+1]]
+			for r := k + 1; r <= last; r++ {
+				col[r-k-1] = int32(r)
+			}
+			copy(col[last-k:], below)
+			f.parent[k] = k + 1
+		}
+		s = last + 1
+	}
 }
 
 // SharePattern returns a factor for another matrix of the analyzed pattern

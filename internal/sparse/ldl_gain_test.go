@@ -247,3 +247,35 @@ func TestLDLRefreshPoolBreakdown(t *testing.T) {
 		assertSameFactor(t, name+", after the breakdown", f, serial)
 	}
 }
+
+// TestAnalysisMatchesWalkOracle: the analysis that reads L's pattern and the
+// elimination tree off the minimum-degree elimination holds every array the
+// two elimination-tree walks it replaced built — ordering, permuted upper
+// triangle, tree, L's pattern and, on a pool, the split of the forest — on
+// the IEEE cases, the 2- to 37-area SynthWECC gains, random SPD and
+// gain-shaped patterns and a gain whose rows are stored shuffled, at 1, 2
+// and 4 pool workers.
+func TestAnalysisMatchesWalkOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	cases := map[string]*sparse.CSR{
+		"ieee14":   centralGain(t, grid.Case14()),
+		"ieee30":   centralGain(t, grid.Case30()),
+		"ieee118":  centralGain(t, grid.Case118()),
+		"spd-90":   sparse.RandomSPD(rng, 90),
+		"spd-400":  sparse.RandomSPD(rng, 400),
+		"gain-300": sparse.GainFixture(rng, 300, 450),
+	}
+	for _, areas := range []int{2, 4, 12, 37} {
+		cases[fmt.Sprintf("synth-wecc-%d", areas)] = centralGain(t, synthWECC(t, areas, 1))
+	}
+	cases["synth-wecc-4-shuffled"] = sparse.ShuffleRows(rng, cases["synth-wecc-4"])
+	for _, workers := range []int{1, 2, 4} {
+		pool := sparse.NewPool(workers)
+		for name, g := range cases {
+			if err := sparse.AnalysisMatches(g, pool); err != nil {
+				t.Errorf("%s, %d workers: %v", name, workers, err)
+			}
+		}
+		pool.Close()
+	}
+}

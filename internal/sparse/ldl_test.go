@@ -500,3 +500,239 @@ func TestLDLRefreshApplyZeroAlloc(t *testing.T) {
 		t.Fatalf("Refresh+Apply allocated %v times per run, want 0", allocs)
 	}
 }
+
+// walkAnalysis is the symbolic analysis as it was built before L's pattern
+// came off the minimum-degree elimination, kept as the oracle AnalyzeLDL
+// must equal array for array: MinDegree's ordering, the permuted upper
+// triangle, then a walk up the elimination tree from every upper-triangle
+// entry to count each column of L, and the same walk again to place its
+// rows. With parts > 1 it also splits the forest as AnalyzeLDLPool would.
+func walkAnalysis(a *CSR, parts int) (*LDLFactor, error) {
+	n := a.Rows
+	f := &LDLFactor{
+		n: n, perm: MinDegree(a),
+		upPtr: make([]int, n+1), diagSrc: make([]int, n), parent: make([]int, n), lPtr: make([]int, n+1),
+		d: make([]float64, n), y: make([]float64, n), w: make([]float64, n),
+		pattern: make([]int, n), flag: make([]int, n), lnz: make([]int, n),
+	}
+	inv := InversePerm(f.perm)
+	for i := range f.diagSrc {
+		f.diagSrc[i] = -1
+	}
+	for i := 0; i < n; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			switch j := a.ColIdx[k]; {
+			case j == i:
+				f.diagSrc[inv[i]] = k
+			case j < i:
+				f.upPtr[max(inv[i], inv[j])+1]++
+			}
+		}
+		if f.diagSrc[inv[i]] < 0 {
+			return nil, fmt.Errorf("missing diagonal at row %d", i)
+		}
+	}
+	for k := 0; k < n; k++ {
+		f.upPtr[k+1] += f.upPtr[k]
+	}
+	f.upRow, f.upSrc = make([]int32, f.upPtr[n]), make([]int32, f.upPtr[n])
+	next := slices.Clone(f.upPtr[:n])
+	for i := 0; i < n; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if a.ColIdx[k] >= i {
+				continue
+			}
+			pi, pj := inv[i], inv[a.ColIdx[k]]
+			p := next[max(pi, pj)]
+			next[max(pi, pj)]++
+			f.upRow[p], f.upSrc[p] = int32(min(pi, pj)), int32(k)
+		}
+	}
+	// Row k of L is the union of the tree paths from each upper-triangle
+	// entry of column k towards k.
+	for k := 0; k < n; k++ {
+		f.parent[k] = -1
+		f.flag[k] = k
+		f.lnz[k] = 0
+		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
+			for i := int(f.upRow[p]); f.flag[i] != k; i = f.parent[i] {
+				if f.parent[i] < 0 {
+					f.parent[i] = k
+				}
+				f.lnz[i]++
+				f.flag[i] = k
+			}
+		}
+	}
+	for k := 0; k < n; k++ {
+		f.lPtr[k+1] = f.lPtr[k] + f.lnz[k]
+	}
+	f.lRow, f.lVal = make([]int32, f.lPtr[n]), make([]float64, f.lPtr[n])
+	for k := 0; k < n; k++ {
+		f.flag[k] = -1
+		f.lnz[k] = 0
+	}
+	for k := 0; k < n; k++ {
+		f.flag[k] = k
+		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
+			for i := int(f.upRow[p]); f.flag[i] != k; i = f.parent[i] {
+				f.lRow[f.lPtr[i]+f.lnz[i]] = int32(k)
+				f.lnz[i]++
+				f.flag[i] = k
+			}
+		}
+	}
+	if parts > 1 {
+		f.split(parts)
+	}
+	return f, nil
+}
+
+// analysisMatchesOracle analyzes a on p and reports the first array of the
+// analysis that differs from walkAnalysis's for p's part count: the ordering,
+// the permuted upper triangle, the elimination tree, L's pattern and the
+// split of the forest.
+func analysisMatchesOracle(a *CSR, p *Pool) error {
+	f, err := AnalyzeLDLPool(a, p)
+	if err != nil {
+		return err
+	}
+	parts := 1
+	if f.splitParts > 0 {
+		parts = f.splitParts
+	}
+	o, err := walkAnalysis(a, parts)
+	if err != nil {
+		return fmt.Errorf("oracle: %w", err)
+	}
+	for _, c := range []struct {
+		what      string
+		got, want []int
+	}{
+		{"perm", f.perm, o.perm}, {"upPtr", f.upPtr, o.upPtr}, {"diagSrc", f.diagSrc, o.diagSrc},
+		{"parent", f.parent, o.parent}, {"lPtr", f.lPtr, o.lPtr}, {"splitPtr", f.splitPtr, o.splitPtr},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			return fmt.Errorf("%s differs from the walk oracle's", c.what)
+		}
+	}
+	for _, c := range []struct {
+		what      string
+		got, want []int32
+	}{
+		{"upRow", f.upRow, o.upRow}, {"upSrc", f.upSrc, o.upSrc}, {"lRow", f.lRow, o.lRow},
+		{"splitCols", f.splitCols, o.splitCols},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			return fmt.Errorf("%s differs from the walk oracle's", c.what)
+		}
+	}
+	return nil
+}
+
+// FuzzAnalyzeLDL turns bytes into a small pattern with a full diagonal.
+// Symmetric, its analysis must equal the walk oracle's array for array. Made
+// one-sided or given a repeated entry, the analysis must not panic: it
+// either fails, or its factor solves the matrix Refresh reads — the lower
+// triangle mirrored, repeats summed — as the dense solve does.
+func FuzzAnalyzeLDL(f *testing.F) {
+	f.Add(uint8(0), uint8(0), []byte{})
+	f.Add(uint8(7), uint8(0), []byte{0, 1, 1, 2, 0, 2, 3, 4, 4, 5, 3, 5})
+	f.Add(uint8(12), uint8(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 11, 3, 9, 1, 1})
+	f.Add(uint8(9), uint8(2), []byte{0, 4, 1, 4, 2, 3, 3, 0, 8, 1})
+	f.Add(uint8(40), uint8(3), []byte("a gain matrix is a two-hop graph of the network"))
+	f.Fuzz(func(t *testing.T, size, mode uint8, data []byte) {
+		n := int(size) % 40
+		coo := NewCOO(n, n)
+		dense := NewDense(n, n) // the matrix Refresh reads
+		add := func(i, j int, v float64) {
+			coo.Add(i, j, v)
+			if j <= i {
+				dense.AddAt(i, j, v)
+				dense.Set(j, i, dense.At(i, j))
+			}
+		}
+		var edges [][2]int
+		for k := 0; n > 0 && k+1 < len(data); k += 2 {
+			if u, v := int(data[k])%n, int(data[k+1])%n; u != v {
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+		deg := make([]float64, n)
+		for _, e := range edges {
+			deg[e[0]]++
+			deg[e[1]]++
+		}
+		for i := 0; i < n; i++ {
+			add(i, i, 2*deg[i]+1) // diagonally dominant, whatever is mirrored
+		}
+		for k, e := range edges {
+			v := -1 - float64(k%3)/4
+			switch mode % 4 {
+			case 0, 1: // symmetric
+				add(e[0], e[1], v)
+				add(e[1], e[0], v)
+			case 2: // one-sided
+				add(e[0], e[1], v)
+			case 3: // symmetric, every third pair twice
+				add(e[0], e[1], v)
+				add(e[1], e[0], v)
+				if k%3 == 0 {
+					add(e[0], e[1], v)
+					add(e[1], e[0], v)
+				}
+			}
+		}
+		a := coo.ToCSR() // sums repeats and sorts rows
+		if mode%4 >= 2 {
+			a = rawCSR(coo)
+		}
+		if mode%2 == 1 {
+			a = shuffleRows(rand.New(rand.NewSource(int64(len(data)))), a)
+		}
+		if mode%4 <= 1 {
+			if err := analysisMatchesOracle(a, nil); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		fac, err := NewLDL(a)
+		if err != nil {
+			return
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = float64(i%5) - 2
+		}
+		want, err := SolveDense(dense, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, n)
+		fac.Apply(got, b)
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+				t.Fatalf("x[%d] = %g, dense solve %g", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// rawCSR lays out the entries of coo row by row as they were added, repeats
+// kept apart.
+func rawCSR(coo *COO) *CSR {
+	a := &CSR{Rows: coo.Rows, Cols: coo.Cols, RowPtr: make([]int, coo.Rows+1)}
+	for _, i := range coo.rowIdx {
+		a.RowPtr[i+1]++
+	}
+	for i := 0; i < a.Rows; i++ {
+		a.RowPtr[i+1] += a.RowPtr[i]
+	}
+	a.ColIdx, a.Val = make([]int, len(coo.colIdx)), make([]float64, len(coo.val))
+	next := slices.Clone(a.RowPtr[:a.Rows])
+	for k, i := range coo.rowIdx {
+		a.ColIdx[next[i]], a.Val[next[i]] = coo.colIdx[k], coo.val[k]
+		next[i]++
+	}
+	return a
+}

@@ -17,7 +17,34 @@ import (
 // MinDegree computes a greedy minimum-degree ordering of the symmetric
 // sparsity pattern of a: repeatedly eliminate the vertex of smallest degree
 // in the elimination graph, turning its neighborhood into a clique. It
-// reduces fill directly (not bandwidth or profile).
+// reduces fill directly (not bandwidth or profile). a's pattern need not be
+// symmetric, sorted or free of repeated entries: the ordering is that of the
+// symmetric, duplicate-free closure of its off-diagonal entries, which is
+// formed first unless a's rows already are one. The ordering is
+// deterministic and does not depend on the order of a row's entries.
+func MinDegree(a *CSR) []int {
+	n := mustSquare(a, "MinDegree")
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: MinDegree: dimension %d exceeds the int32 adjacency lists", n))
+	}
+	return eliminate(a, false).perm
+}
+
+// elimination is what the minimum-degree elimination leaves: the ordering
+// and, for each supervariable v (named by its lowest member), its weight,
+// where its members end in the ordering, its degree when it was eliminated
+// and its neighbor list then — the representatives of the supervariables
+// below it in L, in no particular order. rep and seen are scratch of n
+// entries each that the caller may reuse.
+type elimination struct {
+	perm, weight, end, deg []int
+	adj                    [][]int32
+	rep, seen              []int
+}
+
+// eliminate orders the pattern of the n×n matrix a. With lower set it orders
+// the closure of a's strict lower triangle alone, the matrix AnalyzeLDL
+// factors; otherwise the closure of all of a's off-diagonal entries.
 //
 // The elimination runs on supervariables. Vertices with the same closed
 // neighborhood — the same row pattern, as a bus's θ and V rows have in a gain
@@ -31,89 +58,61 @@ import (
 // (degree, lowest member index), which is the vertex a one-at-a-time
 // elimination with the same tie-break would take next; that elimination then
 // takes the rest of the supervariable before anything else, so the two leave
-// the same fill, and compression only saves the work. The ordering is
-// deterministic and does not depend on the order of a's rows' entries, which
-// need not be sorted. One elimination costs the summed length of its
-// neighbors' lists, which on the near-planar graphs of power networks stays a
-// small constant.
-func MinDegree(a *CSR) []int {
-	n := mustSquare(a, "MinDegree")
-	if n > math.MaxInt32 {
-		panic(fmt.Sprintf("sparse: MinDegree: dimension %d exceeds the int32 adjacency lists", n))
+// the same fill, and compression only saves the work. One elimination costs
+// the summed length of its neighbors' lists, which on the near-planar graphs
+// of power networks stays a small constant.
+func eliminate(a *CSR, lower bool) elimination {
+	n := a.Rows
+	seen := make([]int, n)
+	ptr, idx := a.RowPtr, a.ColIdx
+	if !symmetricRows(n, ptr, idx, seen) {
+		c := closure(a, lower)
+		ptr, idx = c.RowPtr, c.ColIdx
 	}
-	// Symmetrize defensively: every off-diagonal entry contributes both
-	// directions, then each list drops its duplicates. On a symmetric input
-	// that leaves every list half its capacity to grow into.
-	cnt := make([]int, n+1)
+	// The pattern is symmetric and stores no entry twice from here on, so a
+	// row is a vertex's neighborhood. sum[i] adds up i's closed
+	// neighborhood: equal sets have equal sums.
+	deg, sum := make([]int, n), make([]int, n)
 	for i := 0; i < n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if j := a.ColIdx[k]; j != i {
-				cnt[i+1]++
-				cnt[j+1]++
+		d, s := 0, i
+		for _, j := range idx[ptr[i]:ptr[i+1]] {
+			if j != i {
+				d++
+				s += j
 			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		cnt[i+1] += cnt[i]
-	}
-	backing := make([]int32, cnt[n])
-	adj := make([][]int32, n)
-	for i := range adj {
-		adj[i] = backing[cnt[i]:cnt[i]:cnt[i+1]]
-	}
-	for i := 0; i < n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if j := a.ColIdx[k]; j != i {
-				adj[i] = append(adj[i], int32(j))
-				adj[j] = append(adj[j], int32(i))
-			}
-		}
-	}
-	// seen[w] == stamp marks w as a member of the set being built; every
-	// set takes a fresh stamp, so the array is never cleared. sum[i] adds up
-	// i's closed neighborhood: equal sets have equal sums.
-	seen, stamp := make([]int, n), 0
-	sum := cnt[:n] // the offsets are in adj's slice headers now
-	for i, ai := range adj {
-		stamp++
-		k, s := 0, i
-		for _, w := range ai {
-			if seen[w] != stamp {
-				seen[w] = stamp
-				ai[k] = w
-				k++
-				s += int(w)
-			}
-		}
-		adj[i], sum[i] = ai[:k], s
+		deg[i], sum[i] = d, s
 	}
 
 	// Supervariables: rep[u] is the lowest-index vertex with u's closed
 	// neighborhood and weight[rep] the number of vertices it stands for. Such
 	// vertices are adjacent, so v's candidates are its higher neighbors of
-	// equal list length and sum, each confirmed member by member.
-	rep, weight := make([]int, n), make([]int, n)
+	// equal degree and sum, each confirmed member by member. seen[w] == stamp
+	// marks w as a member of the set being built; every set takes a fresh
+	// stamp, so the array is never cleared.
+	rep, weight, stamp := make([]int, n), make([]int, n), 0
 	for v := range rep {
 		rep[v], weight[v] = v, 1
 	}
-	for v, av := range adj {
+	for v := 0; v < n; v++ {
 		if rep[v] != v {
 			continue
 		}
-		stamped := false
-		for _, u := range av {
-			if int(u) < v || rep[u] != int(u) || len(adj[u]) != len(av) || sum[u] != sum[v] {
+		row, stamped := idx[ptr[v]:ptr[v+1]], false
+		for _, u := range row {
+			if u <= v || rep[u] != u || deg[u] != deg[v] || sum[u] != sum[v] {
 				continue
 			}
 			if !stamped {
 				stamp++
-				stamped, seen[v] = true, stamp
-				for _, w := range av {
+				stamped = true
+				for _, w := range row {
 					seen[w] = stamp
 				}
+				seen[v] = stamp
 			}
 			same := true
-			for _, w := range adj[u] {
+			for _, w := range idx[ptr[u]:ptr[u+1]] {
 				same = same && seen[w] == stamp
 			}
 			if same {
@@ -122,36 +121,52 @@ func MinDegree(a *CSR) []int {
 			}
 		}
 	}
-	// The compressed graph: representatives only, lists in place.
-	h := degHeap{heap: make([]int, 0, n), pos: make([]int, n), deg: make([]int, n)}
-	for v, av := range adj {
+	// The compressed graph: each representative's representative neighbors,
+	// in room for twice as many. A vertex's degree is its row's count: its
+	// other members and every member of each neighbor are its neighbors.
+	room, reps := 0, 0
+	for v := 0; v < n; v++ {
 		if rep[v] != v {
-			adj[v] = nil
 			continue
 		}
-		k, d := 0, weight[v]-1 // v's other members are its neighbors too
-		for _, u := range av {
-			if rep[u] == int(u) {
-				av[k] = u
-				k++
-				d += weight[u]
+		reps++
+		for _, u := range idx[ptr[v]:ptr[v+1]] {
+			if u != v && rep[u] == u {
+				room += 2
 			}
 		}
-		adj[v], h.deg[v] = av[:k], d
+	}
+	backing := make([]int32, room)
+	adj := make([][]int32, n)
+	h := degHeap{heap: make([]uint64, 0, reps), pos: make([]int, n)}
+	for v := 0; v < n; v++ {
+		if rep[v] != v {
+			continue
+		}
+		av := backing[:0]
+		for _, u := range idx[ptr[v]:ptr[v+1]] {
+			if u != v && rep[u] == u {
+				av = append(av, int32(u))
+			}
+		}
+		adj[v], backing = av[:len(av):2*len(av)], backing[2*len(av):]
 		h.pos[v] = len(h.heap)
-		h.heap = append(h.heap, v)
+		h.heap = append(h.heap, heapKey(deg[v], v))
 	}
 	for i := len(h.heap)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 
-	// first[v] is where supervariable v's members start in the ordering; it
-	// takes over sum's array, whose last reader was the merge above.
-	first, placed := sum, 0
-	var arena listArena
+	// end[v] is where supervariable v starts in the ordering, and where it
+	// ends once the permutation below has placed its members; it takes over
+	// sum's array, whose last reader was the merge above. A supervariable's
+	// list is never written after its elimination, so it stays behind as its
+	// block of L.
+	end, placed := sum, 0
+	arena := listArena{chunk: room / 4} // a first chunk of half the lists' room
 	for len(h.heap) > 0 {
 		v := h.pop()
-		first[v] = placed
+		end[v] = placed
 		placed += weight[v]
 		nbrs := adj[v]
 		for _, u := range nbrs {
@@ -169,30 +184,79 @@ func MinDegree(a *CSR) []int {
 			if most := len(au) + len(nbrs) - 1; most > cap(au) {
 				au = append(arena.carve(2*most), au...)
 			}
-			d := h.deg[u] - weight[v]
+			d := deg[u] - weight[v]
 			for _, w := range nbrs {
 				if w != u && seen[w] != stamp {
 					au = append(au, w)
 					d += weight[w]
 				}
 			}
-			adj[u] = au
+			adj[u], deg[u] = au, d
 			h.update(int(u), d)
 		}
-		adj[v] = nil
 	}
 	perm := make([]int, n)
 	for w, v := range rep {
-		perm[first[v]] = w
-		first[v]++
+		perm[end[v]] = w
+		end[v]++
 	}
-	return perm
+	return elimination{perm: perm, weight: weight, end: end, deg: deg, adj: adj, rep: rep, seen: seen}
 }
 
-// listArena hands MinDegree the adjacency lists that outgrow their place,
-// carved from chunks of doubling size so the ordering allocates a handful of
-// slices however many lists regrow. A list that moves leaves its old place
-// unused; the chunks die with the call.
+// symmetricRows reports whether every row of the n×n pattern ptr/idx lists
+// its entries in strictly ascending order and the pattern is symmetric —
+// the layout the gain plan builds, which the elimination then reads as it
+// is. Rows are matched in one pass: row i's entries below the diagonal must
+// meet the entries above the diagonal of rows j < i in order, each of which
+// cur[j] points at next. cur is scratch of n entries, left zero.
+func symmetricRows(n int, ptr, idx, cur []int) bool {
+	defer clear(cur)
+	for i := 0; i < n; i++ {
+		lo, hi := ptr[i], ptr[i+1]
+		cur[i] = hi
+		for k := lo; k < hi; k++ {
+			j := idx[k]
+			switch {
+			case k > lo && j <= idx[k-1]:
+				return false
+			case j < i:
+				if c := cur[j]; c == ptr[j+1] || idx[c] != i {
+					return false
+				}
+				cur[j]++
+			case j > i && cur[i] == hi:
+				cur[i] = k
+			}
+		}
+	}
+	for j := 0; j < n; j++ {
+		if cur[j] != ptr[j+1] {
+			return false
+		}
+	}
+	return true
+}
+
+// closure returns the symmetric pattern of a's off-diagonal entries, or of
+// its strict lower triangle alone if lower is set, sorted and free of
+// repeats.
+func closure(a *CSR, lower bool) *CSR {
+	c := NewCOO(a.Rows, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if j < i || j > i && !lower {
+				c.Add(i, j, 1)
+				c.Add(j, i, 1)
+			}
+		}
+	}
+	return c.ToCSR()
+}
+
+// listArena hands the elimination the adjacency lists that outgrow their
+// place, carved from chunks of doubling size so the ordering allocates a
+// handful of slices however many lists regrow. A list that moves leaves its
+// old place unused; the chunks die with the elimination.
 type listArena struct {
 	free  []int32
 	chunk int
@@ -209,24 +273,23 @@ func (a *listArena) carve(n int) []int32 {
 	return list
 }
 
-// degHeap is MinDegree's indexed binary min-heap over the uneliminated
-// vertices, ordered by (deg, vertex); pos locates a vertex in heap.
+// degHeap is the elimination's indexed binary min-heap over the
+// uneliminated supervariables. An entry is the key deg<<32 | v, so one
+// comparison orders by (degree, vertex); pos locates a vertex in heap.
 type degHeap struct {
-	heap, pos, deg []int
+	heap []uint64
+	pos  []int
 }
 
-func (h *degHeap) less(i, j int) bool {
-	u, v := h.heap[i], h.heap[j]
-	return h.deg[u] < h.deg[v] || (h.deg[u] == h.deg[v] && u < v)
-}
+func heapKey(deg, v int) uint64 { return uint64(deg)<<32 | uint64(v) }
 
 func (h *degHeap) swap(i, j int) {
 	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]], h.pos[h.heap[j]] = i, j
+	h.pos[h.heap[i]&math.MaxUint32], h.pos[h.heap[j]&math.MaxUint32] = i, j
 }
 
 func (h *degHeap) up(i int) {
-	for i > 0 && h.less(i, (i-1)/2) {
+	for i > 0 && h.heap[i] < h.heap[(i-1)/2] {
 		h.swap(i, (i-1)/2)
 		i = (i - 1) / 2
 	}
@@ -238,10 +301,10 @@ func (h *degHeap) down(i int) {
 		if c >= len(h.heap) {
 			return
 		}
-		if c+1 < len(h.heap) && h.less(c+1, c) {
+		if c+1 < len(h.heap) && h.heap[c+1] < h.heap[c] {
 			c++
 		}
-		if !h.less(c, i) {
+		if h.heap[c] >= h.heap[i] {
 			return
 		}
 		h.swap(i, c)
@@ -251,7 +314,7 @@ func (h *degHeap) down(i int) {
 
 // pop removes and returns the minimum vertex.
 func (h *degHeap) pop() int {
-	v := h.heap[0]
+	v := int(h.heap[0] & math.MaxUint32)
 	last := len(h.heap) - 1
 	h.swap(0, last)
 	h.heap = h.heap[:last]
@@ -261,12 +324,13 @@ func (h *degHeap) pop() int {
 
 // update sets vertex u's degree and restores the heap order.
 func (h *degHeap) update(u, deg int) {
-	old := h.deg[u]
-	h.deg[u] = deg
-	if deg < old {
-		h.up(h.pos[u])
-	} else if deg > old {
-		h.down(h.pos[u])
+	i := h.pos[u]
+	old := h.heap[i]
+	h.heap[i] = heapKey(deg, u)
+	if h.heap[i] < old {
+		h.up(i)
+	} else if h.heap[i] > old {
+		h.down(i)
 	}
 }
 

@@ -109,26 +109,21 @@ func NewEngine(mod *meas.Model) *Engine {
 
 // newEngine allocates an engine's numeric buffers around its two plans.
 func newEngine(mod *meas.Model, jplan *meas.JacobianPlan, gplan *sparse.GainPlan) *Engine {
-	m, n := mod.NMeas(), mod.NState()
-	e := &Engine{
-		mod:    mod,
-		jplan:  jplan,
-		gplan:  gplan,
-		pool:   sparse.DefaultPool(),
-		baseW:  mod.Weights(),
-		w:      make([]float64, m),
-		z:      make([]float64, m),
-		h:      make([]float64, m),
-		r:      make([]float64, m),
-		wr:     make([]float64, m),
-		rhs:    make([]float64, n, n+1),
-		dx:     make([]float64, n),
-		prevDx: make([]float64, n),
-		xTrial: make([]float64, n),
-	}
+	e := &Engine{mod: mod, jplan: jplan, gplan: gplan, pool: sparse.DefaultPool()}
+	e.allocate()
+	return e
+}
+
+// allocate makes the engine's numeric buffers for its model.
+func (e *Engine) allocate() {
+	m, n := e.mod.NMeas(), e.mod.NState()
+	e.baseW = e.mod.Weights()
+	e.w, e.z, e.h = make([]float64, m), make([]float64, m), make([]float64, m)
+	e.r, e.wr = make([]float64, m), make([]float64, m)
+	e.rhs = make([]float64, n, n+1)
+	e.dx, e.prevDx, e.xTrial = make([]float64, n), make([]float64, n), make([]float64, n)
 	e.reuse.x = make([]float64, n)
 	e.reuse.w = make([]float64, m)
-	return e
 }
 
 // CloneFor returns an engine for view, a meas.Model.WithoutBranch view of

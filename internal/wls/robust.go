@@ -119,5 +119,11 @@ func estimateWeighted(ctx context.Context, mod *meas.Model, opts Options, scale 
 	if mod.NMeas() < mod.NState() {
 		return nil, fmt.Errorf("%w: %d measurements < %d states", ErrUnobservable, mod.NMeas(), mod.NState())
 	}
-	return NewEngine(mod).estimateWeighted(ctx, opts, scale)
+	jplan := mod.NewJacobianPlan()
+	e := &Engine{mod: mod, jplan: jplan, gplan: sparse.NewGainPlan(jplan.H), pool: sparse.DefaultPool()}
+	// The analysis reads only the gain plan, so a one-shot solve starts it
+	// before its buffers are made.
+	e.startAnalysis(opts)
+	e.allocate()
+	return e.estimateWeighted(ctx, opts, scale)
 }
