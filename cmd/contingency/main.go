@@ -34,7 +34,6 @@ func main() {
 		estCases  = flag.Bool("estimate-cases", false, "what-if estimation screen: re-estimate every outage on its perturbed topology (session-pooled)")
 		frames    = flag.Int("frames", 1, "telemetry frames to re-screen with -estimate-cases")
 		workers   = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		sched     = flag.String("sched", "counter", "case scheduling: static|counter")
 		top       = flag.Int("top", 5, "worst violations to print")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	)
@@ -80,19 +79,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("ratings: %v", err)
 	}
-	var scheduling contingency.Scheduling
-	switch *sched {
-	case "static":
-		scheduling = contingency.StaticScheduling
-	case "counter":
-		scheduling = contingency.CounterScheduling
-	default:
-		log.Fatalf("unknown scheduling %q", *sched)
-	}
-	popts := contingency.ParallelOptions{Workers: *workers, Scheduling: scheduling}
+	popts := contingency.ParallelOptions{Workers: *workers}
 
 	if *estCases {
-		screenPooled(ctx, net, truth, ratings, popts, *frames, *sched, *top)
+		screenPooled(ctx, net, truth, ratings, popts, *frames, *top)
 		return
 	}
 
@@ -103,8 +93,8 @@ func main() {
 	}
 	elapsed := time.Since(start)
 	cases, islanding, insecure := contingency.Summary(results)
-	fmt.Printf("case %s: %d N-1 cases in %v (%s scheduling)\n",
-		net.Name, cases, elapsed.Round(time.Millisecond), *sched)
+	fmt.Printf("case %s: %d N-1 cases in %v\n",
+		net.Name, cases, elapsed.Round(time.Millisecond))
 	fmt.Printf("islanding: %d, insecure: %d, secure: %d\n",
 		islanding, insecure, cases-islanding-insecure)
 	printWorst(net, results, *top)
@@ -113,7 +103,7 @@ func main() {
 // screenPooled runs the session-pooled what-if estimation sweep across
 // telemetry frames: each frame simulates fresh noisy measurements, and the
 // pool re-estimates every outage, paying skeleton cost only on frame 1.
-func screenPooled(ctx context.Context, net *gridse.Network, truth *gridse.PowerFlowResult, ratings []float64, popts contingency.ParallelOptions, frames int, sched string, top int) {
+func screenPooled(ctx context.Context, net *gridse.Network, truth *gridse.PowerFlowResult, ratings []float64, popts contingency.ParallelOptions, frames, top int) {
 	plan := gridse.FullPlan().Build(net)
 	pool, err := contingency.NewPool(net, contingency.PoolOptions{})
 	if err != nil {
@@ -137,12 +127,12 @@ func screenPooled(ctx context.Context, net *gridse.Network, truth *gridse.PowerF
 				insecure++
 			}
 		}
-		fmt.Printf("frame %d: %d what-if cases (%d islanding, %d insecure) in %v (%s scheduling)\n",
-			f+1, stats.Cases, stats.Islanding, insecure, elapsed.Round(time.Millisecond), sched)
-		fmt.Printf("  skeleton builds %d/%d, gain skips %d/%d, precond skips %d, warm starts %d, GN iters %d\n",
+		fmt.Printf("frame %d: %d what-if cases (%d islanding, %d insecure) in %v\n",
+			f+1, stats.Cases, stats.Islanding, insecure, elapsed.Round(time.Millisecond))
+		fmt.Printf("  skeleton builds %d/%d, gain skips %d/%d, warm starts %d, GN iters %d\n",
 			stats.SkeletonBuilds, stats.Estimated,
 			stats.GainSkips, stats.GainSkips+stats.GainRefreshes,
-			stats.PrecondSkips, stats.WarmStarts, stats.GNIterations)
+			stats.WarmStarts, stats.Iterations)
 		last = results
 	}
 	var rs []contingency.Result

@@ -148,12 +148,12 @@ func main() {
 			if err != nil {
 				log.Fatalf("frame %d: %v", f, err)
 			}
-			skips := res.Step1Stats.GainSkips + res.Step2Stats.GainSkips
-			refreshes := res.Step1Stats.GainRefreshes + res.Step2Stats.GainRefreshes
+			c := res.Step1Stats.Counters
+			c.Add(res.Step2Stats.Counters)
 			fmt.Printf("frame %d: %v (step1 %d GN iters, step2 %d GN iters, gain refresh skipped %d/%d)\n",
 				f, time.Since(frameStart).Round(time.Microsecond),
 				res.Step1Stats.Iterations, res.Step2Stats.Iterations,
-				skips, skips+refreshes)
+				c.GainSkips, c.GainSkips+c.GainRefreshes)
 			state = res.State
 		}
 	case *hier:

@@ -310,8 +310,8 @@ func RunDSE(ctx context.Context, d *Decomposition, ms []Measurement, opts DSEOpt
 // RunDistributed executes the full architecture on a simulated testbed
 // (sites, middleware, mapping, redistribution): RunDSE's sequence,
 // DSEOptions.Rounds and WarmStart included, bit for bit. The context
-// governs the whole run; DistributedOptions.PhaseTimeout / TotalTimeout
-// derive per-phase and overall deadlines from it.
+// governs the whole run, and a deadline on it bounds the run;
+// DistributedOptions.PhaseTimeout derives per-phase deadlines from it.
 func RunDistributed(ctx context.Context, d *Decomposition, ms []Measurement, opts DistributedOptions) (*DistributedResult, error) {
 	return core.RunDistributed(ctx, d, ms, opts)
 }

@@ -11,53 +11,45 @@ import (
 	"repro/internal/powerflow"
 )
 
-// Scheduling selects how N-1 cases are distributed over workers. The
-// paper's HPC state-estimation code [2] grew out of PNNL's counter-based
-// dynamic load balancing for massive contingency analysis (Chen, Huang,
-// Chavarría-Miranda 2010); both schemes are provided so the ablation
-// benchmark can reproduce that comparison.
+// Scheduling names how N-1 cases are distributed over workers. There is one
+// scheme, CounterScheduling.
 type Scheduling int
 
-// Scheduling schemes.
-const (
-	// StaticScheduling pre-assigns an equal contiguous slice of cases to
-	// each worker. Imbalance arises when case costs differ (islanding
-	// cases are cheap, re-solves expensive).
-	StaticScheduling Scheduling = iota
-	// CounterScheduling is the dynamic scheme: workers grab the next case
-	// from a shared atomic counter as they finish, self-balancing.
-	CounterScheduling
-)
+// CounterScheduling is counter-based dynamic load balancing, the scheme the
+// paper's HPC state-estimation code [2] grew out of (PNNL's massive
+// contingency analysis, Chen, Huang, Chavarría-Miranda 2010): workers grab
+// the next case from a shared atomic counter as they finish,
+// self-balancing.
+const CounterScheduling Scheduling = 0
 
 // ParallelOptions configures a parallel screen.
 type ParallelOptions struct {
 	Options
 	// Workers is the worker-goroutine count (0 = GOMAXPROCS).
 	Workers int
-	// Scheduling selects static or counter-based dynamic assignment.
+	// Scheduling is accepted and ignored: every sweep runs under
+	// CounterScheduling. It exists only because benchmark/workload.go still
+	// sets it.
 	Scheduling Scheduling
 }
 
-// schedule fans cases 0..nCases-1 out across workers under the selected
-// scheduling scheme, running `run` at most once per case. It implements the
-// deterministic error contract shared by every sweep entry point:
+// schedule fans cases 0..nCases-1 out across workers, each drawing the next
+// case from a shared counter as it finishes one, running `run` at most once
+// per case. It implements the deterministic error contract shared by every
+// sweep entry point:
 //
 //   - Cancellation is checked before each case; a canceled context wins
 //     over case errors and is returned wrapped.
 //   - Otherwise, if any case failed, the returned error is the one for the
-//     lowest-numbered failing case — regardless of worker count or
-//     scheduling mode. Workers skip cases above the lowest failure seen so
-//     far (their results are discarded anyway), but every case below it
-//     still runs, so the winning error is deterministic whenever the
-//     per-case failures are.
+//     lowest-numbered failing case, whatever the worker count. Workers
+//     skip cases above the lowest failure seen so far (their results are
+//     discarded anyway), but every case below it still runs, so the
+//     winning error is deterministic whenever the per-case failures are.
 //
-// Both modes hand each worker an ascending sequence of case indices, which
-// is what lets a worker stop drawing cases (rather than merely skip) once
-// it reaches the failure watermark.
-func schedule(ctx context.Context, nCases, workers int, sched Scheduling, run func(k int) error) error {
-	if sched != StaticScheduling && sched != CounterScheduling {
-		return fmt.Errorf("contingency: unknown scheduling %d", sched)
-	}
+// The counter hands each worker an ascending sequence of case indices,
+// which is what lets a worker stop drawing cases (rather than merely skip)
+// once it reaches the failure watermark.
+func schedule(ctx context.Context, nCases, workers int, run func(k int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -91,35 +83,18 @@ func schedule(ctx context.Context, nCases, workers int, sched Scheduling, run fu
 	}
 
 	var wg sync.WaitGroup
-	switch sched {
-	case StaticScheduling:
-		for w := 0; w < workers; w++ {
-			lo := w * nCases / workers
-			hi := (w + 1) * nCases / workers
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for k := lo; k < hi; k++ {
-					if !runCase(k) {
-						return
-					}
+	var counter atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(counter.Add(1)) - 1
+				if k >= nCases || !runCase(k) {
+					return
 				}
-			}(lo, hi)
-		}
-	case CounterScheduling:
-		var counter atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(counter.Add(1)) - 1
-					if k >= nCases || !runCase(k) {
-						return
-					}
-				}
-			}()
-		}
+			}
+		}()
 	}
 	wg.Wait()
 
@@ -134,8 +109,8 @@ func schedule(ctx context.Context, nCases, workers int, sched Scheduling, run fu
 
 // ParallelScreen runs the N-1 sweep across workers, every case on one
 // factorization of the base network's B′ (see dcScreen). Results are ordered
-// by outage branch index regardless of scheduling, and the error contract
-// matches Screen.
+// by outage branch index whatever order the workers ran them in, and the
+// error contract matches Screen.
 func ParallelScreen(ctx context.Context, n *grid.Network, st powerflow.State, ratings []float64, opts ParallelOptions) ([]Result, error) {
 	if len(ratings) != len(n.Branches) {
 		return nil, fmt.Errorf("contingency: %d ratings for %d branches", len(ratings), len(n.Branches))
@@ -156,7 +131,7 @@ func ParallelScreen(ctx context.Context, n *grid.Network, st powerflow.State, ra
 
 	results := make([]Result, len(cases))
 	chk := newIslandChecker(n)
-	err = schedule(ctx, len(cases), opts.Workers, opts.Scheduling, func(k int) error {
+	err = schedule(ctx, len(cases), opts.Workers, func(k int) error {
 		out := cases[k]
 		results[k] = Result{Outage: out, Islanding: chk.islands(out)}
 		if !results[k].Islanding {

@@ -22,28 +22,23 @@ func TestParallelScreenMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []Scheduling{StaticScheduling, CounterScheduling} {
-		par, err := ParallelScreen(ctx, n, st, ratings, ParallelOptions{
-			Workers: 4, Scheduling: sched,
-		})
-		if err != nil {
-			t.Fatalf("scheduling %d: %v", sched, err)
+	par, err := ParallelScreen(ctx, n, st, ratings, ParallelOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(par) != len(serial) {
+		t.Fatalf("%d cases vs serial %d", len(par), len(serial))
+	}
+	for i := range serial {
+		if par[i].Outage != serial[i].Outage || par[i].Islanding != serial[i].Islanding {
+			t.Fatalf("case %d differs", i)
 		}
-		if len(par) != len(serial) {
-			t.Fatalf("scheduling %d: %d cases vs serial %d", sched, len(par), len(serial))
+		if len(par[i].Violations) != len(serial[i].Violations) {
+			t.Fatalf("case %d has %d violations vs %d", i, len(par[i].Violations), len(serial[i].Violations))
 		}
-		for i := range serial {
-			if par[i].Outage != serial[i].Outage || par[i].Islanding != serial[i].Islanding {
-				t.Fatalf("scheduling %d: case %d differs", sched, i)
-			}
-			if len(par[i].Violations) != len(serial[i].Violations) {
-				t.Fatalf("scheduling %d: case %d has %d violations vs %d",
-					sched, i, len(par[i].Violations), len(serial[i].Violations))
-			}
-			for j := range serial[i].Violations {
-				if par[i].Violations[j] != serial[i].Violations[j] {
-					t.Fatalf("scheduling %d: violation %d/%d differs", sched, i, j)
-				}
+		for j := range serial[i].Violations {
+			if par[i].Violations[j] != serial[i].Violations[j] {
+				t.Fatalf("violation %d/%d differs", i, j)
 			}
 		}
 	}
@@ -56,7 +51,7 @@ func TestParallelScreenSingleWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ParallelScreen(context.Background(), n, st, ratings, ParallelOptions{Workers: 1, Scheduling: CounterScheduling})
+	res, err := ParallelScreen(context.Background(), n, st, ratings, ParallelOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +66,6 @@ func TestParallelScreenValidation(t *testing.T) {
 	ctx := context.Background()
 	if _, err := ParallelScreen(ctx, n, st, []float64{1}, ParallelOptions{}); err == nil {
 		t.Fatal("short ratings accepted")
-	}
-	ratings := make([]float64, len(n.Branches))
-	if _, err := ParallelScreen(ctx, n, st, ratings, ParallelOptions{Scheduling: Scheduling(9)}); err == nil {
-		t.Fatal("bad scheduling accepted")
 	}
 }
 
@@ -100,39 +91,37 @@ func TestParallelScreenCancellation(t *testing.T) {
 }
 
 // TestScheduleDeterministicError drives the shared scheduler with injected
-// per-case failures and checks that, under both scheduling modes and any
-// worker count, the reported error is always the lowest failing case's —
-// not whichever worker happened to record its error last.
+// per-case failures and checks that, under any worker count, the reported
+// error is always the lowest failing case's — not whichever worker happened
+// to record its error last.
 func TestScheduleDeterministicError(t *testing.T) {
 	const nCases = 40
 	failAt := map[int]bool{7: true, 13: true, 31: true}
-	for _, sched := range []Scheduling{StaticScheduling, CounterScheduling} {
-		for _, workers := range []int{1, 3, 8} {
-			for rep := 0; rep < 25; rep++ {
-				var mu sync.Mutex
-				ran := make(map[int]bool)
-				err := schedule(context.Background(), nCases, workers, sched, func(k int) error {
-					mu.Lock()
-					ran[k] = true
-					mu.Unlock()
-					if failAt[k] {
-						return fmt.Errorf("case %d failed", k)
-					}
-					return nil
-				})
-				if err == nil || err.Error() != "case 7 failed" {
-					t.Fatalf("sched=%v workers=%d rep=%d: got error %v, want case 7's", sched, workers, rep, err)
-				}
-				// Every case below the lowest failure must have run, so the
-				// winner can never be preempted by an unseen earlier failure.
+	for _, workers := range []int{1, 3, 8} {
+		for rep := 0; rep < 25; rep++ {
+			var mu sync.Mutex
+			ran := make(map[int]bool)
+			err := schedule(context.Background(), nCases, workers, func(k int) error {
 				mu.Lock()
-				for k := 0; k < 7; k++ {
-					if !ran[k] {
-						t.Fatalf("sched=%v workers=%d: case %d below the failure watermark skipped", sched, workers, k)
-					}
-				}
+				ran[k] = true
 				mu.Unlock()
+				if failAt[k] {
+					return fmt.Errorf("case %d failed", k)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "case 7 failed" {
+				t.Fatalf("workers=%d rep=%d: got error %v, want case 7's", workers, rep, err)
 			}
+			// Every case below the lowest failure must have run, so the
+			// winner can never be preempted by an unseen earlier failure.
+			mu.Lock()
+			for k := 0; k < 7; k++ {
+				if !ran[k] {
+					t.Fatalf("workers=%d: case %d below the failure watermark skipped", workers, k)
+				}
+			}
+			mu.Unlock()
 		}
 	}
 }
@@ -145,53 +134,49 @@ func TestScheduleDeterministicError(t *testing.T) {
 // cancel() lands before the other workers drain 195 no-op cases.
 func TestScheduleMidSweepCancellation(t *testing.T) {
 	const nCases, workers, cancelAt = 200, 4, 5
-	for _, sched := range []Scheduling{StaticScheduling, CounterScheduling} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var mu sync.Mutex
-		ran := 0
-		err := schedule(ctx, nCases, workers, sched, func(k int) error {
-			mu.Lock()
-			ran++
-			n := ran
-			mu.Unlock()
-			switch {
-			case n == cancelAt:
-				cancel()
-			case n > cancelAt:
-				<-ctx.Done()
-			}
-			return nil
-		})
-		cancel()
-		if err == nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("sched=%v: got %v, want wrapped context.Canceled", sched, err)
+	ctx, cancel := context.WithCancel(context.Background())
+	var mu sync.Mutex
+	ran := 0
+	err := schedule(ctx, nCases, workers, func(k int) error {
+		mu.Lock()
+		ran++
+		n := ran
+		mu.Unlock()
+		switch {
+		case n == cancelAt:
+			cancel()
+		case n > cancelAt:
+			<-ctx.Done()
 		}
-		// At the cancellation each other worker has at most one case in hand.
-		if ran > cancelAt+workers-1 {
-			t.Fatalf("sched=%v: %d cases ran, want at most %d after a cancellation in case %d", sched, ran, cancelAt+workers-1, cancelAt)
-		}
+		return nil
+	})
+	cancel()
+	if err == nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want wrapped context.Canceled", err)
+	}
+	// At the cancellation each other worker has at most one case in hand.
+	if ran > cancelAt+workers-1 {
+		t.Fatalf("%d cases ran, want at most %d after a cancellation in case %d", ran, cancelAt+workers-1, cancelAt)
 	}
 }
 
 // TestScheduleRunsEachCaseOnce checks the error-free path covers every case
-// exactly once under both modes.
+// exactly once.
 func TestScheduleRunsEachCaseOnce(t *testing.T) {
 	const nCases = 57
-	for _, sched := range []Scheduling{StaticScheduling, CounterScheduling} {
-		counts := make([]int, nCases)
-		var mu sync.Mutex
-		if err := schedule(context.Background(), nCases, 5, sched, func(k int) error {
-			mu.Lock()
-			counts[k]++
-			mu.Unlock()
-			return nil
-		}); err != nil {
-			t.Fatalf("sched=%v: %v", sched, err)
-		}
-		for k, c := range counts {
-			if c != 1 {
-				t.Fatalf("sched=%v: case %d ran %d times", sched, k, c)
-			}
+	counts := make([]int, nCases)
+	var mu sync.Mutex
+	if err := schedule(context.Background(), nCases, 5, func(k int) error {
+		mu.Lock()
+		counts[k]++
+		mu.Unlock()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for k, c := range counts {
+		if c != 1 {
+			t.Fatalf("case %d ran %d times", k, c)
 		}
 	}
 }

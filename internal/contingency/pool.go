@@ -7,7 +7,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/meas"
 	"repro/internal/powerflow"
@@ -21,23 +20,6 @@ type PoolOptions struct {
 	// a quiescent system run whole what-if solves on the previous sweep's
 	// gain and preconditioner numerics.
 	WLS wls.Options
-	// Decomposition, when set, switches the pool from centralized what-if
-	// estimation (one wls.Engine per outage on the full network with the
-	// branch out, all of them clones of one symbolic build) to distributed:
-	// each outage gets a perturbed decomposition
-	// (Decomposition.PerturbBranch) driven by a per-outage core.Tracker
-	// whose pinned session carries skeletons and reuse anchors. The frame
-	// must then satisfy RunDSE's PMU requirement — an angle measurement at
-	// every subsystem reference bus of every perturbed decomposition (PMU
-	// angles at all buses is the simple sufficient covering, since
-	// connectivity repair can move reference buses on perturbed topologies).
-	Decomposition *core.Decomposition
-	// DSE configures the distributed runs (Decomposition mode only); each
-	// pool entry's tracker pins its own session.
-	DSE core.DSEOptions
-	// SensitivityRadius is the boundary-sensitivity radius for perturbed
-	// decompositions (0 selects 1, matching DecomposeOptions).
-	SensitivityRadius int
 	// Batch is accepted and ignored. It exists only because
 	// benchmark/workload.go still sets it.
 	Batch int
@@ -49,12 +31,8 @@ type PoolOptions struct {
 // surrogates.
 type CaseEstimate struct {
 	Result
-	// Estimate is the centralized per-outage WLS solution (nil for
-	// islanding cases and in Decomposition mode).
+	// Estimate is the per-outage WLS solution (nil for islanding cases).
 	Estimate *wls.Result
-	// DSE is the distributed per-outage solution (nil for islanding cases
-	// and in centralized mode).
-	DSE *core.DSEResult
 }
 
 // SweepStats aggregates one Pool.Screen sweep. The skeleton-build and
@@ -68,31 +46,20 @@ type SweepStats struct {
 	Islanding int
 	Estimated int
 	// SkeletonBuilds counts per-outage entries built this sweep: value-only
-	// clones of the base skeleton (centralized; the skeleton itself, one per
-	// topology and frame layout, is not counted) or perturbed decompositions
-	// plus session subproblem/engine builds (distributed). Zero on a warm
-	// re-screen.
+	// clones of the base skeleton (the skeleton itself, one per topology and
+	// frame layout, is not counted). Zero on a warm re-screen.
 	SkeletonBuilds int
 	// WarmStarts counts cases whose Gauss–Newton started from the case's own
 	// solution of the previous sweep (behind the wls.WarmStartGate residual
 	// gate). A case built this sweep starts from the sweep's base-case
 	// estimate behind the same gate and is not counted.
 	WarmStarts int
-	// GNIterations and CGIterations sum Gauss–Newton and inner PCG
-	// iterations over all estimated cases, plus — here and in the counters
-	// below — the one base-case solve of a centralized sweep that built
-	// entries.
+	// Counters sums the solves of every estimated case, plus the one
+	// base-case solve of a sweep that seeded new or reset cases.
+	wls.Counters
+	// GNIterations mirrors Counters.Iterations. It exists only because
+	// benchmark/workload.go still reads it.
 	GNIterations int
-	CGIterations int
-	// GainRefreshes/GainSkips/ReuseFallbacks aggregate the §10 drift-gated
-	// reuse counters over all estimated cases, and PrecondFallbacks the LDLᵀ
-	// breakdowns that ran on Jacobi. PrecondSkips always equals GainSkips
-	// and stays only because benchmark/workload.go still reads it.
-	GainRefreshes    int
-	GainSkips        int
-	PrecondSkips     int
-	ReuseFallbacks   int
-	PrecondFallbacks int
 	// BatchedCases, BatchFallbacks, Reanchors, BatchMatVecs and
 	// CompactedMatVecs are always zero. They exist only because
 	// benchmark/workload.go still reads them.
@@ -110,32 +77,25 @@ func (st *SweepStats) add(o SweepStats) {
 	st.Estimated += o.Estimated
 	st.SkeletonBuilds += o.SkeletonBuilds
 	st.WarmStarts += o.WarmStarts
-	st.GNIterations += o.GNIterations
-	st.CGIterations += o.CGIterations
-	st.GainRefreshes += o.GainRefreshes
-	st.GainSkips += o.GainSkips
-	st.PrecondSkips += o.PrecondSkips
-	st.ReuseFallbacks += o.ReuseFallbacks
-	st.PrecondFallbacks += o.PrecondFallbacks
+	st.Add(o.Counters)
 }
 
 // Pool is a session pool for what-if re-screening: per outage it caches the
 // perturbed-topology estimation stack together with the warm-start vector
-// and drift-gated reuse anchors of the previous sweep. Centralized, the pool
-// does the symbolic work once, on the base network (skeleton), and an
-// outage's stack is a value-only clone of it: the base model with one
-// branch's admittance taken out and that branch's flow rows weight-masked,
-// under an engine that shares every index array and owns only values.
-// Distributed, it is a perturbed core.Decomposition and a core.Tracker with
-// its pinned session. The first sweep pays one analysis plus a numeric
-// refresh per outage; every re-screen of the same contingency list across
-// tracked frames is value-refresh + warm-start only.
+// and drift-gated reuse anchors of the previous sweep. The pool does the
+// symbolic work once, on the base network (skeleton), and an outage's stack
+// is a value-only clone of it: the base model with one branch's admittance
+// taken out and that branch's flow rows weight-masked, under an engine that
+// shares every index array and owns only values. The first sweep pays one
+// analysis plus a numeric refresh per outage; every re-screen of the same
+// contingency list across tracked frames is value-refresh + warm-start
+// only.
 //
 // Invalidation: the skeleton and every entry are dropped when the base
 // topology changes between sweeps (compared against a snapshot taken at
-// pool creation) or, centralized, the frame's measurement layout drifts
-// (the rebuilt entries are counted in SweepStats.SkeletonBuilds); entries
-// are pruned when an outage leaves the requested case list.
+// pool creation) or the frame's measurement layout drifts (the rebuilt
+// entries are counted in SweepStats.SkeletonBuilds); entries are pruned
+// when an outage leaves the requested case list.
 //
 // A Pool serves one Screen call at a time; concurrent calls serialize.
 type Pool struct {
@@ -148,9 +108,8 @@ type Pool struct {
 	// ends has the from-side flow constants of every in-service branch of
 	// sig, resolved once per topology for the violation scan of every case.
 	ends []fromEnd
-	// skel is centralized mode's one symbolic build, nil until the first
-	// sweep and after a Reset or a topology change. A sweep's workers only
-	// read it.
+	// skel is the pool's one symbolic build, nil until the first sweep and
+	// after a Reset or a topology change. A sweep's workers only read it.
 	skel *skeleton
 	// entries maps outage branch index -> cached per-contingency session.
 	entries map[int]*caseSession
@@ -167,9 +126,9 @@ type frameFilter struct {
 	scratch []meas.Measurement // the last frame's projection
 }
 
-// skeleton is the base-case estimation stack of a centralized pool: the
-// model over the frame's projection onto the base network and the engine
-// whose plans, gain pattern and LDLᵀ analysis every outage entry shares.
+// skeleton is the base-case estimation stack of a pool: the model over the
+// frame's projection onto the base network and the engine whose plans, gain
+// pattern and LDLᵀ analysis every outage entry shares.
 type skeleton struct {
 	frameFilter
 	mod  *meas.Model
@@ -181,38 +140,26 @@ type skeleton struct {
 // workers start by a sweep with a case that has no solution of its own yet:
 // the start of every such case.
 type sweepSeed struct {
-	x     []float64 // nil when not solved, or the base case did not solve
-	stats SweepStats
+	x        []float64 // nil when not solved, or the base case did not solve
+	counters wls.Counters
 }
 
-// caseSession is one outage's cached stack. During a sweep each case is
+// caseSession is one outage's cached stack: a view of the skeleton's model
+// and a clone of its engine, the outaged branch's flow rows (masked,
+// ascending) and the case's last solution. During a sweep each case is
 // touched by exactly one worker (outages are unique within a case list), so
 // the fields need no lock of their own.
 type caseSession struct {
-	outage int
-
-	// Centralized mode: a view of the skeleton's model and a clone of its
-	// engine, the outaged branch's flow rows (masked, ascending) and the
-	// case's last solution.
+	outage   int
 	mod      *meas.Model
 	eng      *wls.Engine
 	masked   []int
 	warm     []float64
 	haveWarm bool
-
-	// Distributed mode.
-	dec    *core.Decomposition
-	trk    *core.Tracker
-	filter frameFilter
 }
 
-// NewPool prepares a what-if estimation pool over the base network. In
-// distributed mode (opts.Decomposition set) the base network is the
-// decomposition's; n must then be the same network.
+// NewPool prepares a what-if estimation pool over the base network.
 func NewPool(n *grid.Network, opts PoolOptions) (*Pool, error) {
-	if opts.Decomposition != nil && opts.Decomposition.Net != n {
-		return nil, fmt.Errorf("contingency: pool decomposition is over a different network")
-	}
 	p := &Pool{base: n, opts: opts, entries: make(map[int]*caseSession)}
 	p.sign()
 	return p, nil
@@ -248,22 +195,15 @@ func (p *Pool) Reset() {
 }
 
 // ResetAnchors keeps the skeletons but drops every numeric carry — warm
-// starts, drift-gated reuse anchors, cached preconditioners (centralized:
-// Engine.ColdStart, which keeps the outage's masks; distributed:
-// Tracker.Reset, which also drops the tracker's session skeletons since its
-// warm layout dies with them). The next sweep re-anchors from the base-case
-// estimate (centralized) or flat starts and full refreshes.
+// starts, drift-gated reuse anchors, cached preconditioners
+// (Engine.ColdStart, which keeps the outage's masks). The next sweep
+// re-anchors from the base-case estimate.
 func (p *Pool) ResetAnchors() {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
 	for _, e := range p.entries {
-		if e.eng != nil {
-			e.eng.ColdStart()
-			e.warm, e.haveWarm = nil, false
-		}
-		if e.trk != nil {
-			e.trk.Reset()
-		}
+		e.eng.ColdStart()
+		e.warm, e.haveWarm = nil, false
 	}
 }
 
@@ -273,10 +213,9 @@ func (p *Pool) ResetAnchors() {
 // scans the estimated AC flows against ratings. cases lists outage branch
 // indices (nil = every in-service branch, ascending); ratings may be nil to
 // skip the violation scan, else one entry per branch (0 = unmonitored).
-// Scheduling and the worker count come from opts, exactly as in
-// ParallelScreen, and the error contract is the same: no partial results,
-// lowest-indexed failing case wins deterministically, cancellation is
-// checked per case.
+// The worker count comes from opts, exactly as in ParallelScreen, and the
+// error contract is the same: no partial results, lowest-indexed failing
+// case wins deterministically, cancellation is checked per case.
 func (p *Pool) Screen(ctx context.Context, frame []meas.Measurement, ratings []float64, cases []int, opts ParallelOptions) ([]CaseEstimate, SweepStats, error) {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
@@ -317,18 +256,16 @@ func (p *Pool) Screen(ctx context.Context, frame []meas.Measurement, ratings []f
 	for k, out := range cases {
 		islanding[k] = chk.islands(out)
 	}
-	if p.opts.Decomposition == nil {
-		if err := p.loadFrame(frame); err != nil {
-			return nil, SweepStats{}, err
-		}
-		if p.needsSeed(cases, islanding) {
-			p.skel.solveSeed(ctx, p.opts.WLS)
-		}
+	if err := p.loadFrame(frame); err != nil {
+		return nil, SweepStats{}, err
+	}
+	if p.needsSeed(cases, islanding) {
+		p.skel.solveSeed(ctx, p.opts.WLS)
 	}
 
 	results := make([]CaseEstimate, len(cases))
 	perCase := make([]SweepStats, len(cases))
-	err := schedule(ctx, len(cases), opts.Workers, opts.Scheduling, func(k int) error {
+	err := schedule(ctx, len(cases), opts.Workers, func(k int) error {
 		out := cases[k]
 		ce := CaseEstimate{Result: Result{Outage: out}}
 		st := &perCase[k]
@@ -339,12 +276,12 @@ func (p *Pool) Screen(ctx context.Context, frame []meas.Measurement, ratings []f
 			results[k] = ce
 			return nil
 		}
-		if err := p.runCase(ctx, out, frame, &ce, st); err != nil {
+		if err := p.runCase(ctx, out, &ce, st); err != nil {
 			return fmt.Errorf("contingency: outage %d: %w", out, err)
 		}
 		st.Estimated = 1
 		if ratings != nil {
-			ce.Violations = p.acViolations(out, estimatedState(&ce), ratings, threshold)
+			ce.Violations = p.acViolations(out, ce.Estimate.State, ratings, threshold)
 		}
 		results[k] = ce
 		return nil
@@ -357,9 +294,8 @@ func (p *Pool) Screen(ctx context.Context, frame []meas.Measurement, ratings []f
 	for _, st := range perCase {
 		stats.add(st)
 	}
-	if p.skel != nil {
-		stats.add(p.skel.seed.stats)
-	}
+	stats.Add(p.skel.seed.counters)
+	stats.GNIterations = stats.Iterations
 	p.mu.Lock()
 	p.builds += stats.SkeletonBuilds
 	p.mu.Unlock()
@@ -444,23 +380,16 @@ func (sk *skeleton) solveSeed(ctx context.Context, wopts wls.Options) {
 		return
 	}
 	sk.seed.x = res.X
-	sk.seed.stats.addResult(res)
+	sk.seed.counters = res.Counters
 }
 
 // runCase estimates one non-islanding outage, building or refreshing its
 // cached stack.
-func (p *Pool) runCase(ctx context.Context, out int, frame []meas.Measurement, ce *CaseEstimate, st *SweepStats) error {
+func (p *Pool) runCase(ctx context.Context, out int, ce *CaseEstimate, st *SweepStats) error {
 	p.mu.Lock()
 	e := p.entries[out]
 	p.mu.Unlock()
 
-	if p.opts.Decomposition != nil {
-		return p.runDistributed(ctx, out, e, frame, ce, st)
-	}
-	return p.runCentralized(ctx, out, e, ce, st)
-}
-
-func (p *Pool) runCentralized(ctx context.Context, out int, e *caseSession, ce *CaseEstimate, st *SweepStats) error {
 	sk := p.skel
 	if e == nil {
 		var err error
@@ -496,19 +425,8 @@ func (p *Pool) runCentralized(ctx context.Context, out int, e *caseSession, ce *
 	// and J (their weight is zero), read as on the outaged network's own set.
 	res.Residuals = dropRows(res.Residuals, e.masked)
 	ce.Estimate = res
-	st.addResult(res)
+	st.Add(res.Counters)
 	return nil
-}
-
-// addResult accumulates one solve's counters.
-func (st *SweepStats) addResult(res *wls.Result) {
-	st.GNIterations += res.Iterations
-	st.CGIterations += res.CGIterations
-	st.GainRefreshes += res.GainRefreshes
-	st.GainSkips += res.GainSkips
-	st.PrecondSkips += res.PrecondSkips
-	st.ReuseFallbacks += res.ReuseFallbacks
-	st.PrecondFallbacks += res.PrecondFallbacks
 }
 
 // outage clones the skeleton for one outage: the model view with the
@@ -550,39 +468,6 @@ func dropRows(r []float64, rows []int) []float64 {
 		w++
 	}
 	return r[:w]
-}
-
-func (p *Pool) runDistributed(ctx context.Context, out int, e *caseSession, frame []meas.Measurement, ce *CaseEstimate, st *SweepStats) error {
-	if e == nil {
-		dec, err := p.opts.Decomposition.PerturbBranch(out, p.opts.SensitivityRadius)
-		if err != nil {
-			return err
-		}
-		e = &caseSession{outage: out, dec: dec, trk: core.NewTracker(dec, p.opts.DSE), filter: frameFilter{net: dec.Net}}
-		st.SkeletonBuilds++
-		p.mu.Lock()
-		p.entries[out] = e
-		p.mu.Unlock()
-	}
-	e.filter.project(frame)
-	if e.trk.Frames > 0 {
-		st.WarmStarts++
-	}
-	b0 := e.trk.SkeletonBuilds()
-	res, err := e.trk.Step(ctx, e.filter.scratch)
-	st.SkeletonBuilds += e.trk.SkeletonBuilds() - b0
-	if err != nil {
-		return err
-	}
-	ce.DSE = res
-	st.GNIterations += res.Step1Stats.Iterations + res.Step2Stats.Iterations
-	st.CGIterations += res.Step1Stats.CGIterations + res.Step2Stats.CGIterations
-	st.GainRefreshes += res.Step1Stats.GainRefreshes + res.Step2Stats.GainRefreshes
-	st.GainSkips += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips
-	st.PrecondSkips += res.Step1Stats.PrecondSkips + res.Step2Stats.PrecondSkips
-	st.ReuseFallbacks += res.Step1Stats.ReuseFallbacks + res.Step2Stats.ReuseFallbacks
-	st.PrecondFallbacks += res.Step1Stats.PrecondFallbacks + res.Step2Stats.PrecondFallbacks
-	return nil
 }
 
 // drops reports whether a frame measurement cannot exist on the filter's
@@ -647,14 +532,6 @@ func refAngleFrom(ms []meas.Measurement, refID int) float64 {
 		}
 	}
 	return 0
-}
-
-// estimatedState returns the case's estimated post-outage operating point.
-func estimatedState(ce *CaseEstimate) powerflow.State {
-	if ce.Estimate != nil {
-		return ce.Estimate.State
-	}
-	return ce.DSE.State
 }
 
 // fromEnd is the from-side AC active-power flow of one branch with

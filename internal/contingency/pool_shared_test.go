@@ -52,7 +52,7 @@ func TestPoolMatchesRebuiltModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, stats, err := pool.Screen(context.Background(), frame, ratings, nil, ParallelOptions{Workers: 3, Scheduling: CounterScheduling})
+		res, stats, err := pool.Screen(context.Background(), frame, ratings, nil, ParallelOptions{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

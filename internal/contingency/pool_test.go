@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/meas"
 	"repro/internal/wls"
@@ -90,7 +89,7 @@ func testRescreenEquivalence(t *testing.T, n *grid.Network, wantParallel bool) {
 	// pinned to the cold path; the tight tolerance keeps the warm-started
 	// and flat-started fixed points within 1e-9 of each other.
 	wopts := wls.Options{Tol: 1e-9, GainReuse: wls.ReuseOff}
-	popts := ParallelOptions{Workers: 3, Scheduling: CounterScheduling}
+	popts := ParallelOptions{Workers: 3}
 	ctx := context.Background()
 
 	pool, err := NewPool(n, PoolOptions{WLS: wopts})
@@ -117,6 +116,20 @@ func testRescreenEquivalence(t *testing.T, n *grid.Network, wantParallel bool) {
 	}
 	if stats2.WarmStarts != stats2.Estimated {
 		t.Errorf("re-screen warm-started %d of %d cases", stats2.WarmStarts, stats2.Estimated)
+	}
+	// Every case of the warm sweep has a solution to start from, so no seed
+	// solve runs and the sweep's counters are its cases' alone.
+	var sum wls.Counters
+	for _, ce := range res2 {
+		if ce.Estimate != nil {
+			sum.Add(ce.Estimate.Counters)
+		}
+	}
+	if stats2.Counters != sum {
+		t.Errorf("re-screen counters %+v, its cases sum to %+v", stats2.Counters, sum)
+	}
+	if stats2.GNIterations != stats2.Iterations {
+		t.Errorf("GNIterations %d, Iterations %d", stats2.GNIterations, stats2.Iterations)
 	}
 
 	cold, err := NewPool(n, PoolOptions{WLS: wopts})
@@ -397,7 +410,7 @@ func TestPoolCaseListPruning(t *testing.T) {
 }
 
 // TestPoolDeterministicError checks the pool inherits schedule()'s error
-// contract under both scheduling modes: the reported error is always the
+// contract: the reported error is always the
 // first requested case's, with no partial results. Two inputs: IEEE-14 on
 // an unobservable frame, where every case fails, and the ring fixture,
 // where outages 0 and 1 fail through the rank check while outage 3
@@ -436,31 +449,29 @@ func TestPoolDeterministicError(t *testing.T) {
 }
 
 // expectFirstCaseError sweeps a failing case list twice per pool, five
-// pools per scheduling mode, and requires cases[0]'s ErrUnobservable and no
+// pools, and requires cases[0]'s ErrUnobservable and no
 // partial results every time.
 func expectFirstCaseError(t *testing.T, n *grid.Network, frame []meas.Measurement, cases []int) {
 	t.Helper()
 	want := "outage " + strconv.Itoa(cases[0])
-	for _, sched := range []Scheduling{StaticScheduling, CounterScheduling} {
-		for rep := 0; rep < 5; rep++ {
-			pool, err := NewPool(n, PoolOptions{})
-			if err != nil {
-				t.Fatal(err)
+	for rep := 0; rep < 5; rep++ {
+		pool, err := NewPool(n, PoolOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sweep := 0; sweep < 2; sweep++ {
+			res, _, err := pool.Screen(context.Background(), frame, nil, cases, ParallelOptions{Workers: 4})
+			if err == nil {
+				t.Fatalf("rep=%d sweep=%d: unobservable sweep succeeded", rep, sweep)
 			}
-			for sweep := 0; sweep < 2; sweep++ {
-				res, _, err := pool.Screen(context.Background(), frame, nil, cases, ParallelOptions{Workers: 4, Scheduling: sched})
-				if err == nil {
-					t.Fatalf("sched=%v sweep=%d: unobservable sweep succeeded", sched, sweep)
-				}
-				if res != nil {
-					t.Fatalf("sched=%v sweep=%d: partial results returned with error", sched, sweep)
-				}
-				if !errors.Is(err, wls.ErrUnobservable) {
-					t.Fatalf("sched=%v sweep=%d: error %v does not wrap ErrUnobservable", sched, sweep, err)
-				}
-				if !strings.Contains(err.Error(), want) {
-					t.Fatalf("sched=%v rep=%d sweep=%d: error %q is not the first case's (%s)", sched, rep, sweep, err, want)
-				}
+			if res != nil {
+				t.Fatalf("rep=%d sweep=%d: partial results returned with error", rep, sweep)
+			}
+			if !errors.Is(err, wls.ErrUnobservable) {
+				t.Fatalf("rep=%d sweep=%d: error %v does not wrap ErrUnobservable", rep, sweep, err)
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("rep=%d sweep=%d: error %q is not the first case's (%s)", rep, sweep, err, want)
 			}
 		}
 	}
@@ -576,76 +587,5 @@ func TestPoolValidation(t *testing.T) {
 	res, _, err := pool.Screen(canceled, frame1, nil, nil, ParallelOptions{})
 	if err == nil || res != nil {
 		t.Fatal("pre-canceled context accepted")
-	}
-	// Decomposition over a different network is rejected at construction.
-	n2 := grid.Case14()
-	dec, err := core.Decompose(n2, 2, core.DecomposeOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPool(n, PoolOptions{Decomposition: dec}); err == nil {
-		t.Fatal("foreign decomposition accepted")
-	}
-}
-
-// TestPoolDistributed runs the decomposition-backed pool: each outage gets
-// a perturbed decomposition and tracker, and the second frame performs zero
-// subproblem constructions.
-func TestPoolDistributed(t *testing.T) {
-	n := grid.Case118()
-	dec, err := core.Decompose(n, 4, core.DecomposeOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// PMUs everywhere: connectivity repair can move reference buses on
-	// perturbed decompositions, so every bus must carry an angle.
-	plan := meas.PlanOptions{VoltageAt: 1, InjectionsAt: 1, FlowsAt: 1, PMUAt: 1, Sigmas: meas.DefaultSigmas()}.Build(n)
-	frame1, frame2 := poolFrames(t, n, plan)
-
-	chk := newIslandChecker(n)
-	var cases []int
-	for bi, br := range n.Branches {
-		if br.Status && !chk.islands(bi) {
-			cases = append(cases, bi)
-		}
-		if len(cases) == 3 {
-			break
-		}
-	}
-	pool, err := NewPool(n, PoolOptions{Decomposition: dec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	res1, stats1, err := pool.Screen(ctx, frame1, nil, cases, ParallelOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats1.SkeletonBuilds == 0 {
-		t.Fatal("first distributed sweep built nothing")
-	}
-	for i, ce := range res1 {
-		if ce.DSE == nil || ce.Estimate != nil {
-			t.Fatalf("case %d: want DSE result only, got %+v", i, ce)
-		}
-	}
-	res2, stats2, err := pool.Screen(ctx, frame2, nil, cases, ParallelOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats2.SkeletonBuilds != 0 {
-		t.Fatalf("distributed re-screen performed %d skeleton builds, want 0", stats2.SkeletonBuilds)
-	}
-	if stats2.WarmStarts != len(cases) {
-		t.Errorf("re-screen warm-started %d of %d cases", stats2.WarmStarts, len(cases))
-	}
-	// The estimate should track the true state closely on the full plan.
-	truth := solved(t, n)
-	for i, ce := range res2 {
-		for b := range truth.Vm {
-			if math.Abs(ce.DSE.State.Vm[b]-truth.Vm[b]) > 0.05 {
-				t.Fatalf("case %d bus %d Vm off by > 0.05", i, b)
-			}
-		}
 	}
 }

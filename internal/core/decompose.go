@@ -312,31 +312,6 @@ func decompositionFromParts(n *grid.Network, m int, parts []int, radius int) (*D
 	return d, nil
 }
 
-// PerturbBranch derives the what-if decomposition for a single-branch
-// outage: the network is cloned with branch `out` switched out of service,
-// and the clone is re-decomposed from this decomposition's bus-to-subsystem
-// assignment (connectivity-repaired, since losing a branch can split a
-// subsystem's induced subgraph even when the network as a whole stays
-// connected). radius is the sensitivity radius (0 selects 1). The perturbed
-// decomposition owns its own lazily built session, so a contingency pool
-// holding one per outage amortizes skeleton builds across re-screens. The
-// outage must not island the network — callers screen with an islanding
-// check first.
-func (d *Decomposition) PerturbBranch(out, radius int) (*Decomposition, error) {
-	if out < 0 || out >= len(d.Net.Branches) {
-		return nil, fmt.Errorf("core: perturb branch %d out of range [0,%d)", out, len(d.Net.Branches))
-	}
-	if !d.Net.Branches[out].Status {
-		return nil, fmt.Errorf("core: perturb branch %d already out of service", out)
-	}
-	pnet := d.Net.Clone()
-	pnet.Branches[out].Status = false
-	if !pnet.Connected() {
-		return nil, fmt.Errorf("core: outage of branch %d islands the network", out)
-	}
-	return DecomposeWithParts(pnet, len(d.Subsystems), d.Owner, radius)
-}
-
 // Neighbors returns the subsystem indices adjacent to subsystem si via tie
 // lines, sorted and deduplicated. The slice is the decomposition's own,
 // shared by every caller and every goroutine: do not modify it.

@@ -40,26 +40,11 @@ type DSEOptions struct {
 	NoStep2WarmStart bool
 }
 
-// StepStats reports one DSE phase.
+// StepStats reports one DSE phase: its wall time and the summed counters
+// of every subsystem solve it ran, over all rounds of a multi-round Step 2.
 type StepStats struct {
 	Duration time.Duration
-	// Iterations sums Gauss–Newton iterations across subsystems.
-	Iterations int
-	// CGIterations sums inner PCG iterations across subsystems.
-	CGIterations int
-	// GainRefreshes/GainSkips/ReuseFallbacks aggregate the drift-gated
-	// numeric-reuse counters across subsystems (wls.Result): how many
-	// gain-solve iterations recomputed G = HᵀWH versus reused the lagged
-	// values, and how many lagged steps the residual-decrease guard rolled
-	// back. PrecondSkips always equals GainSkips and stays only because
-	// benchmark/workload.go still reads it. PrecondFallbacks counts
-	// refreshes whose LDLᵀ factorization broke down and that ran on Jacobi
-	// instead.
-	GainRefreshes    int
-	GainSkips        int
-	PrecondSkips     int
-	ReuseFallbacks   int
-	PrecondFallbacks int
+	wls.Counters
 }
 
 // DSEResult is the outcome of a full DSE run.
@@ -173,7 +158,7 @@ func (sess *Session) runDSE(ctx context.Context, pl placement, global []meas.Mea
 	}
 	t.Step1 = time.Since(start)
 	res.Step1, res.Step1Stats.Duration = step1, t.Step1
-	res.Step1Stats.addIterations(step1)
+	res.Step1Stats.addRound(step1)
 
 	// Each round every subsystem tells its neighbours what it now holds of
 	// the buses they watch — its Step-1 estimate first, then the previous
@@ -220,7 +205,7 @@ func (sess *Session) runDSE(ctx context.Context, pl placement, global []meas.Mea
 		// res.Step2 is overwritten next round, so fold this round's
 		// iteration counts into the stats now — Duration spans all rounds
 		// and the counts must too.
-		res.Step2Stats.addIterations(res.Step2)
+		res.Step2Stats.addRound(res.Step2)
 		last = res.Step2
 	}
 	res.Step2Stats.Duration = t.Exchange + t.Step2
@@ -300,19 +285,13 @@ func restoreSubproblem(sp *Subproblem) error {
 	return sp.ReplaceMeasurements(augmented)
 }
 
-// addIterations accumulates one round's per-subsystem iteration counts.
+// addRound accumulates one round's per-subsystem counters.
 // Multi-round phases call it once per round so the totals cover the same
 // span as Duration.
-func (st *StepStats) addIterations(results []*wls.Result) {
+func (st *StepStats) addRound(results []*wls.Result) {
 	for _, r := range results {
 		if r != nil {
-			st.Iterations += r.Iterations
-			st.CGIterations += r.CGIterations
-			st.GainRefreshes += r.GainRefreshes
-			st.GainSkips += r.GainSkips
-			st.PrecondSkips += r.PrecondSkips
-			st.ReuseFallbacks += r.ReuseFallbacks
-			st.PrecondFallbacks += r.PrecondFallbacks
+			st.Add(r.Counters)
 		}
 	}
 }

@@ -34,14 +34,9 @@ type HierarchicalResult struct {
 //
 // The context governs the run: cancellation aborts local estimation at
 // the next Gauss-Newton iteration and unblocks the coordinator's receive
-// loop. TotalTimeout (when set) derives an overall deadline from ctx, and
-// PhaseTimeout one for the local estimation and one for the ship-up.
+// loop. PhaseTimeout (when set) derives a deadline from ctx for the local
+// estimation and another for the ship-up.
 func RunHierarchical(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DistributedOptions) (_ *HierarchicalResult, err error) {
-	if opts.TotalTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.TotalTimeout)
-		defer cancel()
-	}
 	start := time.Now()
 	pl, err := placeOnTestbed(d, opts)
 	if err != nil {

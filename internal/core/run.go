@@ -20,8 +20,6 @@ import (
 type DistributedOptions struct {
 	// Clusters is the number of HPC sites (the paper uses 3).
 	Clusters int
-	// WorkersPerSite sets each site's parallel-solver width.
-	WorkersPerSite int
 	// Transport connects the sites (nil = plain loopback TCP; use a
 	// cluster.ShapedTransport for a lab-network profile).
 	Transport medici.Transport
@@ -42,9 +40,6 @@ type DistributedOptions struct {
 	// local estimation and ship-up) with its own deadline, derived from the
 	// run context. Zero means no per-phase deadline.
 	PhaseTimeout time.Duration
-	// TotalTimeout bounds the whole run with a deadline derived from the
-	// run context. Zero means no overall deadline beyond the caller's ctx.
-	TotalTimeout time.Duration
 }
 
 // phaseContext derives the context governing one named phase: PhaseTimeout
@@ -104,16 +99,11 @@ type DistributedResult struct {
 //
 // The context governs the entire run: cancellation aborts in-flight site
 // work at the next Gauss-Newton iteration and unblocks any middleware
-// receive, so the call returns promptly with a wrapped ctx.Err().
-// DistributedOptions.TotalTimeout and PhaseTimeout derive additional
-// deadlines from ctx, PhaseTimeout afresh for every round's exchange and
-// Step 2.
+// receive, so the call returns promptly with a wrapped ctx.Err(); a
+// deadline on ctx bounds the whole run. DistributedOptions.PhaseTimeout
+// derives a deadline per phase from ctx, afresh for every round's exchange
+// and Step 2.
 func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DistributedOptions) (_ *DistributedResult, err error) {
-	if opts.TotalTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.TotalTimeout)
-		defer cancel()
-	}
 	totalStart := time.Now()
 	pl, err := placeOnTestbed(d, opts)
 	if err != nil {

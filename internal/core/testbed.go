@@ -32,16 +32,16 @@ type keptTestbed struct {
 	coord *medici.MWClient
 }
 
-// testbedKey is what a testbed is built from: the resolved site count,
-// site width and transport.
+// testbedKey is what a testbed is built from: the resolved site count and
+// transport.
 type testbedKey struct {
-	sites, workers int
-	transport      medici.Transport
+	sites     int
+	transport medici.Transport
 }
 
 // newTestbedKey resolves opts for a testbed of p sites.
 func newTestbedKey(p int, opts DistributedOptions) testbedKey {
-	k := testbedKey{sites: p, workers: max(opts.WorkersPerSite, 1), transport: opts.Transport}
+	k := testbedKey{sites: p, transport: opts.Transport}
 	if k.transport == nil {
 		k.transport = medici.TCPTransport{}
 	}
@@ -50,7 +50,7 @@ func newTestbedKey(p int, opts DistributedOptions) testbedKey {
 
 // newKeptTestbed brings up the sites, then the data source.
 func newKeptTestbed(key testbedKey) (*keptTestbed, error) {
-	tb, err := cluster.NewTestbed(key.sites, key.workers, key.transport)
+	tb, err := cluster.NewTestbed(key.sites, 1, key.transport)
 	if err != nil {
 		return nil, err
 	}

@@ -34,6 +34,19 @@ func TestTrackerWarmStartsReduceIterations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", k, err)
 		}
+		// One round, so each phase's counters are its subsystems' sum.
+		for step, st := range []struct {
+			stats StepStats
+			rs    []*wls.Result
+		}{{res.Step1Stats, res.Step1}, {res.Step2Stats, res.Step2}} {
+			var sum wls.Counters
+			for _, r := range st.rs {
+				sum.Add(r.Counters)
+			}
+			if st.stats.Counters != sum {
+				t.Fatalf("frame %d step %d: counters %+v, its subsystems sum to %+v", k, step+1, st.stats.Counters, sum)
+			}
+		}
 		if k == 0 {
 			first = res.Step1Stats.Iterations
 		} else {
@@ -292,5 +305,52 @@ func TestBadMeasurementTypedErrorEndToEnd(t *testing.T) {
 	}
 	if _, err := wls.Estimate(mod, wls.Options{}); err != nil {
 		t.Fatalf("wls.Estimate after a rejected frame: %v", err)
+	}
+}
+
+// TestTrackerSkeletonBuildCounter checks the session's build counter: the
+// first tracked frame pays every skeleton construction, a second frame with
+// the same layout pays none.
+func TestTrackerSkeletonBuildCounter(t *testing.T) {
+	n := grid.Case118()
+	d, err := Decompose(n, 4, DecomposeOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := powerflow.Solve(n, powerflow.Options{FlatStart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := meas.FullPlan().Build(n)
+	plan = append(plan, PMUPlanFor(d, plan, 0)...)
+	frame1, err := meas.Simulate(n, plan, pf.State, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame2, err := meas.Simulate(n, plan, pf.State, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	trk := NewTracker(d, DSEOptions{})
+	if trk.SkeletonBuilds() != 0 {
+		t.Fatalf("fresh tracker reports %d builds", trk.SkeletonBuilds())
+	}
+	if _, err := trk.Process(frame1); err != nil {
+		t.Fatal(err)
+	}
+	b1 := trk.SkeletonBuilds()
+	if b1 == 0 {
+		t.Fatal("first frame built no skeletons")
+	}
+	if _, err := trk.Process(frame2); err != nil {
+		t.Fatal(err)
+	}
+	if b2 := trk.SkeletonBuilds(); b2 != b1 {
+		t.Fatalf("second frame performed %d skeleton builds, want 0", b2-b1)
+	}
+	trk.Reset()
+	if trk.SkeletonBuilds() != 0 {
+		t.Fatalf("reset tracker reports %d builds", trk.SkeletonBuilds())
 	}
 }

@@ -410,7 +410,8 @@ func (e *Engine) SolveLinear(opts Options) (*Result, error) {
 	sparse.Sub(e.r, e.z, e.h)
 	hj := e.jplan.Refresh(x)
 
-	res := &Result{Iterations: 1, Converged: true}
+	res := &Result{Converged: true}
+	res.Iterations = 1
 	e.refreshGain(hj, opts)
 	e.gainRHS(hj, opts)
 	e.havePrevDx = false

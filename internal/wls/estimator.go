@@ -156,14 +156,21 @@ type Result struct {
 	State powerflow.State
 	// X is the raw state vector (model layout).
 	X []float64
-	// Iterations is the Gauss–Newton iteration count.
-	Iterations int
 	// Converged reports whether ‖Δx‖∞ reached tolerance.
 	Converged bool
 	// ObjectiveJ is the weighted sum of squared residuals J(x̂).
 	ObjectiveJ float64
 	// Residuals are z − h(x̂) per measurement.
 	Residuals []float64
+	Counters
+}
+
+// Counters is the work one or more Gauss–Newton solves did. A Result holds
+// its own solve's; core.StepStats and contingency.SweepStats embed it and
+// sum their solves' with Add.
+type Counters struct {
+	// Iterations is the Gauss–Newton iteration count.
+	Iterations int
 	// CGIterations is the cumulative inner CG iteration count. Under the
 	// default PrecondLDL it is zero unless a factorization broke down
 	// (PrecondFallbacks) or a fresh factor's substitution failed its
@@ -185,6 +192,17 @@ type Result struct {
 	// factorization broke down on a numerically singular gain and that ran
 	// on the Jacobi preconditioner instead.
 	PrecondFallbacks int
+}
+
+// Add accumulates o into c.
+func (c *Counters) Add(o Counters) {
+	c.Iterations += o.Iterations
+	c.CGIterations += o.CGIterations
+	c.GainRefreshes += o.GainRefreshes
+	c.GainSkips += o.GainSkips
+	c.PrecondSkips += o.PrecondSkips
+	c.ReuseFallbacks += o.ReuseFallbacks
+	c.PrecondFallbacks += o.PrecondFallbacks
 }
 
 // ErrNotConverged reports that Gauss–Newton hit its iteration cap.

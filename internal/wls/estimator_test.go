@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -503,5 +504,23 @@ func TestX0GateRejectsBadStart(t *testing.T) {
 	}
 	if good.Iterations > flat.Iterations {
 		t.Errorf("gated good start took %d iterations vs %d flat — gate rejected a good X0", good.Iterations, flat.Iterations)
+	}
+}
+
+// TestCountersAddSumsEveryField gives every field of two Counters its own
+// value and checks Add sums each one, so a counter added to the struct
+// without its line in Add fails here.
+func TestCountersAddSumsEveryField(t *testing.T) {
+	var a, b Counters
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetInt(int64(1 + i))
+		vb.Field(i).SetInt(int64(100 * (1 + i)))
+	}
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		if got, want := va.Field(i).Int(), int64(101*(1+i)); got != want {
+			t.Errorf("Add: %s = %d, want %d", va.Type().Field(i).Name, got, want)
+		}
 	}
 }
