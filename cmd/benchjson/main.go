@@ -139,11 +139,12 @@ func loadRecord(path string) (map[string]*Entry, error) {
 const controlDrift = 0.15
 
 // isControl reports whether name is a control row: a benchmark of code no
-// estimator change touches — the two power-flow solvers, the graph
-// partitioner.
+// estimator change touches — the fast-decoupled power flow, the graph
+// partitioner. The Newton power flow solves its steps on the estimator's
+// gain plan and LDLᵀ factor, so its rows are not controls.
 func isControl(name string) bool {
 	name = strings.TrimPrefix(name, "Benchmark")
-	return strings.HasPrefix(name, "FastDecoupledVsNewton/") || name == "PowerFlow118" || name == "PartitionerScales"
+	return name == "FastDecoupledVsNewton/fast-decoupled" || name == "PartitionerScales"
 }
 
 // writeControlDrift prints the new/old time ratio of every control row

@@ -116,19 +116,23 @@ func TestWriteComparisonFlagsRegressions(t *testing.T) {
 }
 
 // TestControlRowsPrintedFirst: the control rows open the comparison, a
-// drift past 15 % either way is flagged, and drift alone never fails it.
+// drift past 15 % either way is flagged, and drift alone never fails it. The
+// Newton power-flow rows are not controls: a drifted one is a regression in
+// the table, never a drift.
 func TestControlRowsPrintedFirst(t *testing.T) {
 	old := map[string]*Entry{
-		"BenchmarkFastDecoupledVsNewton/newton": {NsPerOp: 1e6},
-		"BenchmarkPowerFlow118":                 {NsPerOp: 1e6},
-		"BenchmarkPartitionerScales":            {NsPerOp: 1e6},
-		"BenchmarkAbc":                          {NsPerOp: 1e6, AllocsPerOp: 10},
+		"BenchmarkFastDecoupledVsNewton/fast-decoupled": {NsPerOp: 1e6},
+		"BenchmarkFastDecoupledVsNewton/newton":         {NsPerOp: 1e6},
+		"BenchmarkPowerFlow118":                         {NsPerOp: 1e6},
+		"BenchmarkPartitionerScales":                    {NsPerOp: 1e6},
+		"BenchmarkAbc":                                  {NsPerOp: 1e6, AllocsPerOp: 10},
 	}
 	cur := map[string]*Entry{
-		"BenchmarkFastDecoupledVsNewton/newton": {NsPerOp: 1.4e6},
-		"BenchmarkPowerFlow118":                 {NsPerOp: 1.1e6},
-		"BenchmarkPartitionerScales":            {NsPerOp: 0.8e6},
-		"BenchmarkAbc":                          {NsPerOp: 1e6, AllocsPerOp: 10},
+		"BenchmarkFastDecoupledVsNewton/fast-decoupled": {NsPerOp: 1.4e6},
+		"BenchmarkFastDecoupledVsNewton/newton":         {NsPerOp: 1.4e6},
+		"BenchmarkPowerFlow118":                         {NsPerOp: 1.1e6},
+		"BenchmarkPartitionerScales":                    {NsPerOp: 0.8e6},
+		"BenchmarkAbc":                                  {NsPerOp: 1e6, AllocsPerOp: 10},
 	}
 	var sb strings.Builder
 	if rises := writeComparison(&sb, old, cur, 1.10); rises != 0 {
@@ -142,10 +146,20 @@ func TestControlRowsPrintedFirst(t *testing.T) {
 	if n := strings.Count(out[:table], "<< drift"); n != 2 {
 		t.Fatalf("%d control rows flagged, want 2 (1.40x and 0.80x):\n%s", n, out)
 	}
-	if !strings.Contains(out, "2 of 3 control rows drifted") {
+	if !strings.Contains(out, "2 of 2 control rows drifted") {
 		t.Fatalf("no drift summary:\n%s", out)
+	}
+	if strings.Contains(out[:table], "newton") || strings.Contains(out[:table], "PowerFlow118") {
+		t.Fatalf("a Newton power-flow row is printed as a control:\n%s", out)
+	}
+	newton := strings.Index(out, "BenchmarkFastDecoupledVsNewton/newton")
+	if line, _, _ := strings.Cut(out[max(newton, 0):], "\n"); newton < table || !strings.Contains(line, "<< regression") || strings.Contains(line, "drift") {
+		t.Fatalf("the 1.40x newton row is not a regression in the table:\n%s", out)
 	}
 	if writeControlDrift(io.Discard, map[string]*Entry{"BenchmarkAbc": {NsPerOp: 1}}, cur) != 0 {
 		t.Fatal("a record without control rows reported drift")
+	}
+	if writeControlDrift(io.Discard, old, map[string]*Entry{"BenchmarkPartitionerScales": {NsPerOp: 1.1e6}}) != 0 {
+		t.Fatal("a 1.10x control row was counted as drift")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -70,7 +71,7 @@ func ReadCase(r io.Reader) (*Network, error) {
 				return fail(fmt.Errorf("case needs 2 fields, got %d", len(f)-1))
 			}
 			name = f[1]
-			v, err := strconv.ParseFloat(f[2], 64)
+			v, err := parseFloat(f[2])
 			if err != nil {
 				return fail(err)
 			}
@@ -130,13 +131,23 @@ func ReadCase(r io.Reader) (*Network, error) {
 func parseFloats(fields []string) ([]float64, error) {
 	out := make([]float64, len(fields))
 	for i, s := range fields {
-		v, err := strconv.ParseFloat(s, 64)
+		v, err := parseFloat(s)
 		if err != nil {
 			return nil, fmt.Errorf("field %d: %w", i+1, err)
 		}
 		out[i] = v
 	}
 	return out, nil
+}
+
+// parseFloat is strconv.ParseFloat that also refuses NaN and ±Inf, which
+// no field of a case can mean: a NaN load would reach the power flow.
+func parseFloat(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("non-finite value %q", s)
+	}
+	return v, err
 }
 
 // ByName returns a built-in case by name ("ieee14", "ieee30", "ieee118").

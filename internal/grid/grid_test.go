@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -294,11 +295,39 @@ func TestCodecErrors(t *testing.T) {
 	}
 }
 
+// TestReadCaseRejectsNonFinite: a NaN or ±Inf field of any record fails the
+// read and names its line. IEEE-14 with a NaN load at bus 4 used to read
+// cleanly and solve to NaN voltages reported as converged.
+func TestReadCaseRejectsNonFinite(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteCase(&buf, Case14()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		prefix string // the first line starting with it is edited
+		field  int
+		value  string
+	}{
+		{"bus 4 ", 3, "NaN"}, {"branch 1 2 ", 4, "+Inf"}, {"gen ", 2, "-inf"}, {"case ", 2, "nan"},
+	} {
+		lines := strings.Split(buf.String(), "\n")
+		k := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, c.prefix) })
+		f := strings.Fields(lines[k])
+		f[c.field] = c.value
+		lines[k] = strings.Join(f, " ")
+		_, err := ReadCase(strings.NewReader(strings.Join(lines, "\n")))
+		if want := fmt.Sprintf("line %d: ", k+1); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%q with %s read with error %v, want a non-finite value on %q", c.prefix, c.value, err, want)
+		}
+	}
+}
+
 // FuzzReadCase: no input panics the case reader, and a case it accepts
 // writes out and reads back as the same network. %v prints a float as the
-// shortest decimal that parses back to it, and a NaN as NaN, so networks
-// that print alike are equal field for field. The seeds are the three IEEE
-// cases and a two-bus case, whose mutations reach every record quickly.
+// shortest decimal that parses back to it, and the reader refuses NaN, so
+// networks that print alike are equal field for field. The seeds are the
+// three IEEE cases, a two-bus case, whose mutations reach every record
+// quickly, and the same case with a NaN load.
 func FuzzReadCase(f *testing.F) {
 	for _, n := range []*Network{Case14(), Case30(), Case118()} {
 		var buf bytes.Buffer
@@ -308,6 +337,7 @@ func FuzzReadCase(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte("case two 100\nbus 1 3 0 0 0 0 1 0 138 1\nbus 2 1 10 5 0 0 1 0 138 1\nbranch 1 2 0.01 0.1 0.02 0 0 1\ngen 1 10 0 1.02 1\n"))
+	f.Add([]byte("case two 100\nbus 1 3 0 0 0 0 1 0 138 1\nbus 2 1 NaN 5 0 0 1 0 138 1\nbranch 1 2 0.01 0.1 0.02 0 0 1\ngen 1 10 0 1.02 1\n"))
 	show := func(n *Network) string {
 		return fmt.Sprintf("%q %v %v %v %v", n.Name, n.BaseMVA, n.Buses, n.Branches, n.Gens)
 	}

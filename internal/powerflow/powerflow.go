@@ -8,20 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/sparse"
-)
-
-// JacobianSolver selects how the Newton correction system is solved.
-type JacobianSolver int
-
-// Jacobian solver choices. Auto uses dense LU up to 600 buses and the
-// sparse ILU(0)-preconditioned BiCGSTAB beyond (WECC-scale systems).
-const (
-	JacobianAuto JacobianSolver = iota
-	JacobianDense
-	JacobianSparse
 )
 
 // Options controls the Newton–Raphson iteration.
@@ -34,15 +24,7 @@ type Options struct {
 	// FlatStart initializes all angles to 0 and PQ magnitudes to 1 pu
 	// instead of the values stored on the buses.
 	FlatStart bool
-	// Solver picks the linear solver for the Newton step.
-	Solver JacobianSolver
-	// Workers parallelizes the sparse solver's mat-vec (0 = GOMAXPROCS).
-	Workers int
 }
-
-// autoSparseThreshold is the bus count above which JacobianAuto switches
-// from dense LU to the sparse iterative solver.
-const autoSparseThreshold = 600
 
 // State is a solved (or candidate) operating point: voltage magnitude and
 // angle per internal bus index.
@@ -130,28 +112,46 @@ func Solve(n *grid.Network, opts Options) (*Result, error) {
 
 	pCalc := make([]float64, nb)
 	qCalc := make([]float64, nb)
-	mismatch := func() ([]float64, float64) {
+	f := make([]float64, na+nq)
+	// mismatch evaluates f = scheduled − calculated injections and returns
+	// ‖f‖∞. A non-finite entry fails the solve by bus: it would never compare
+	// above the worst so far, and the solve would "converge" on it.
+	mismatch := func() (float64, error) {
 		calcInjections(y, vm, va, pCalc, qCalc)
-		f := make([]float64, na+nq)
-		worst := 0.0
 		for k, i := range pvpq {
 			f[k] = pSched[i] - pCalc[i]
-			if a := math.Abs(f[k]); a > worst {
-				worst = a
-			}
 		}
 		for k, i := range pq {
 			f[na+k] = qSched[i] - qCalc[i]
-			if a := math.Abs(f[na+k]); a > worst {
+		}
+		worst := 0.0
+		for k, v := range f {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				bus, kind := pvpq, "P"
+				if k >= na {
+					bus, kind, k = pq, "Q", k-na
+				}
+				return 0, fmt.Errorf("powerflow: %s mismatch %v at bus %d", kind, v, n.Buses[bus[k]].ID)
+			}
+			if a := math.Abs(v); a > worst {
 				worst = a
 			}
 		}
-		return f, worst
+		return worst, nil
+	}
+	step, err := newNewtonStep(na+nq, func(add func(r, c int, v float64)) {
+		fillJacobian(add, y, vm, va, pCalc, qCalc, pvpq, pq, posA, posV)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("powerflow: %w", err)
 	}
 
 	res := &Result{}
 	for iter := 0; iter <= maxIter; iter++ {
-		f, worst := mismatch()
+		worst, err := mismatch()
+		if err != nil {
+			return nil, err
+		}
 		res.Iterations = iter
 		res.Mismatch = worst
 		if worst <= tol {
@@ -165,7 +165,7 @@ func Solve(n *grid.Network, opts Options) (*Result, error) {
 			break
 		}
 
-		dx, err := solveNewtonStep(n.N(), opts, y, vm, va, pCalc, qCalc, pvpq, pq, posA, posV, f)
+		dx, err := step.solve(f)
 		if err != nil {
 			return nil, fmt.Errorf("powerflow: Jacobian solve at iteration %d: %w", iter, err)
 		}
@@ -202,43 +202,58 @@ func calcInjections(y *grid.YBus, vm, va, p, q []float64) {
 	}
 }
 
-// solveNewtonStep assembles and solves J·dx = f, choosing dense LU or
-// sparse ILU(0)+BiCGSTAB per the options (Auto switches on system size).
-func solveNewtonStep(nb int, opts Options, y *grid.YBus, vm, va, pCalc, qCalc []float64,
-	pvpq, pq []int, posA, posV map[int]int, f []float64) ([]float64, error) {
+// newtonStep solves the Newton system J·Δx = f through the normal equations
+// JᵀJ·Δx = Jᵀf, on the kernels the estimator solves its gain system with: a
+// GainPlan forms G = JᵀJ at unit weights and an LDLᵀ factor solves it. J's
+// pattern, the plan and the factor's analysis depend on the network alone, so
+// they are built once per solve; a step refills J, refreshes G and refactors
+// it. Squaring J squares its condition number, but the stopping test is on
+// the exactly evaluated mismatch, so a less accurate step can cost an
+// iteration and never the accuracy of the solution.
+type newtonStep struct {
+	fill          func(add func(r, c int, v float64)) // emits J at the current state
+	jac           *sparse.CSR
+	slot          []int // the k-th entry fill emits lands in jac.Val[slot[k]]
+	plan          *sparse.GainPlan
+	ldl           *sparse.LDLFactor
+	ones, rhs, dx []float64
+}
 
-	solver := opts.Solver
-	if solver == JacobianAuto {
-		if nb > autoSparseThreshold {
-			solver = JacobianSparse
-		} else {
-			solver = JacobianDense
-		}
+// newNewtonStep lays out J's pattern from one fill and runs the symbolic
+// work on it. A fill's values are never read here, only its entries.
+func newNewtonStep(dim int, fill func(add func(r, c int, v float64))) (*newtonStep, error) {
+	coo := sparse.NewCOO(dim, dim)
+	fill(coo.Add)
+	jac := coo.ToCSR()
+	s := &newtonStep{fill: fill, jac: jac, slot: make([]int, 0, jac.NNZ()), plan: sparse.NewGainPlan(jac),
+		ones: make([]float64, dim), rhs: make([]float64, dim), dx: make([]float64, dim)}
+	fill(func(r, c int, _ float64) {
+		k, _ := slices.BinarySearch(jac.ColIdx[jac.RowPtr[r]:jac.RowPtr[r+1]], c)
+		s.slot = append(s.slot, jac.RowPtr[r]+k)
+	})
+	for i := range s.ones {
+		s.ones[i] = 1
 	}
-	dim := len(pvpq) + len(pq)
-	switch solver {
-	case JacobianDense:
-		j := sparse.NewDense(dim, dim)
-		fillJacobian(j.AddAt, y, vm, va, pCalc, qCalc, pvpq, pq, posA, posV)
-		return sparse.SolveDense(j, f)
-	case JacobianSparse:
-		coo := sparse.NewCOO(dim, dim)
-		fillJacobian(coo.Add, y, vm, va, pCalc, qCalc, pvpq, pq, posA, posV)
-		j := coo.ToCSR()
-		ilu, err := sparse.NewILU0(j)
-		if err != nil {
-			return nil, fmt.Errorf("powerflow: ILU(0): %w", err)
-		}
-		res, err := sparse.BiCGSTAB(j, f, sparse.BiCGSTABOptions{
-			Tol: 1e-12, Precond: ilu, Workers: opts.Workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("powerflow: BiCGSTAB: %w", err)
-		}
-		return res.X, nil
-	default:
-		return nil, fmt.Errorf("powerflow: unknown Jacobian solver %d", solver)
+	var err error
+	s.ldl, err = sparse.AnalyzeLDL(s.plan.G)
+	return s, err
+}
+
+// solve refills J at the current state and returns Δx; the slice is reused
+// by the next call.
+func (s *newtonStep) solve(f []float64) ([]float64, error) {
+	clear(s.jac.Val)
+	k := 0
+	s.fill(func(_, _ int, v float64) {
+		s.jac.Val[s.slot[k]] += v
+		k++
+	})
+	if err := s.ldl.Refresh(s.plan.Refresh(s.jac, s.ones)); err != nil {
+		return nil, err
 	}
+	s.jac.MulTransVec(s.rhs, f)
+	s.ldl.Apply(s.dx, s.rhs)
+	return s.dx, nil
 }
 
 // fillJacobian emits the entries of the Newton power-flow Jacobian
@@ -248,11 +263,10 @@ func solveNewtonStep(nb int, opts Options, y *grid.YBus, vm, va, pCalc, qCalc []
 //
 // restricted to the unknowns (angles at pvpq buses, magnitudes at pq
 // buses) through the add callback.
-func fillJacobian(addEntry func(r, c int, v float64), y *grid.YBus, vm, va, pCalc, qCalc []float64,
+func fillJacobian(add func(r, c int, v float64), y *grid.YBus, vm, va, pCalc, qCalc []float64,
 	pvpq, pq []int, posA, posV map[int]int) {
 
 	na := len(pvpq)
-	j := jacAdder{add: addEntry}
 
 	for _, i := range pvpq {
 		ri := posA[i]
@@ -261,20 +275,20 @@ func fillJacobian(addEntry func(r, c int, v float64), y *grid.YBus, vm, va, pCal
 			c, s := math.Cos(th), math.Sin(th)
 			if k == i {
 				// dPi/dθi = −Qi − Bii·Vi²
-				j.AddAt(ri, ri, -qCalc[i]-b*vm[i]*vm[i])
+				add(ri, ri, -qCalc[i]-b*vm[i]*vm[i])
 				if ci, ok := posV[i]; ok {
 					// dPi/dVi = Pi/Vi + Gii·Vi
-					j.AddAt(ri, na+ci, pCalc[i]/vm[i]+g*vm[i])
+					add(ri, na+ci, pCalc[i]/vm[i]+g*vm[i])
 				}
 				return
 			}
 			// dPi/dθk = Vi·Vk·(G·sinθ − B·cosθ)
 			if ck, ok := posA[k]; ok {
-				j.AddAt(ri, ck, vm[i]*vm[k]*(g*s-b*c))
+				add(ri, ck, vm[i]*vm[k]*(g*s-b*c))
 			}
 			// dPi/dVk = Vi·(G·cosθ + B·sinθ)
 			if ck, ok := posV[k]; ok {
-				j.AddAt(ri, na+ck, vm[i]*(g*c+b*s))
+				add(ri, na+ck, vm[i]*(g*c+b*s))
 			}
 		})
 	}
@@ -285,30 +299,22 @@ func fillJacobian(addEntry func(r, c int, v float64), y *grid.YBus, vm, va, pCal
 			c, s := math.Cos(th), math.Sin(th)
 			if k == i {
 				// dQi/dθi = Pi − Gii·Vi²
-				j.AddAt(ri, posA[i], pCalc[i]-g*vm[i]*vm[i])
+				add(ri, posA[i], pCalc[i]-g*vm[i]*vm[i])
 				// dQi/dVi = Qi/Vi − Bii·Vi
-				j.AddAt(ri, na+posV[i], qCalc[i]/vm[i]-b*vm[i])
+				add(ri, na+posV[i], qCalc[i]/vm[i]-b*vm[i])
 				return
 			}
 			// dQi/dθk = −Vi·Vk·(G·cosθ + B·sinθ)
 			if ck, ok := posA[k]; ok {
-				j.AddAt(ri, ck, -vm[i]*vm[k]*(g*c+b*s))
+				add(ri, ck, -vm[i]*vm[k]*(g*c+b*s))
 			}
 			// dQi/dVk = Vi·(G·sinθ − B·cosθ)
 			if ck, ok := posV[k]; ok {
-				j.AddAt(ri, na+ck, vm[i]*(g*s-b*c))
+				add(ri, na+ck, vm[i]*(g*s-b*c))
 			}
 		})
 	}
 }
-
-// jacAdder adapts an add callback to the AddAt method shape used by the
-// fill loops.
-type jacAdder struct {
-	add func(r, c int, v float64)
-}
-
-func (j jacAdder) AddAt(r, c int, v float64) { j.add(r, c, v) }
 
 // Injections recomputes (P, Q) bus injections in per-unit for a given state.
 func Injections(n *grid.Network, st State) (p, q []float64) {

@@ -3,6 +3,7 @@ package powerflow
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -118,6 +119,26 @@ func TestSolveDisconnectedFails(t *testing.T) {
 	}
 	if _, err := Solve(n, Options{}); err == nil {
 		t.Fatal("expected error for disconnected network")
+	}
+}
+
+// TestSolveFailsOnNonFiniteMismatch: a NaN or infinite load fails the solve,
+// naming the bus, instead of "converging" in one iteration on NaN voltages.
+func TestSolveFailsOnNonFiniteMismatch(t *testing.T) {
+	for _, c := range []struct {
+		bus  int
+		set  func(b *grid.Bus)
+		want string
+	}{
+		{4, func(b *grid.Bus) { b.Pd = math.NaN() }, "P mismatch NaN at bus 4"},
+		{9, func(b *grid.Bus) { b.Qd = math.Inf(1) }, "Q mismatch -Inf at bus 9"},
+	} {
+		n := grid.Case14().Clone()
+		c.set(&n.Buses[n.MustIndex(c.bus)])
+		res, err := Solve(n, Options{FlatStart: true})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("bus %d: Solve returned %+v, %v; want an error containing %q", c.bus, res, err, c.want)
+		}
 	}
 }
 

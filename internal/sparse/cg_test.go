@@ -405,10 +405,6 @@ func TestVectorKernels(t *testing.T) {
 	if y[0] != 9 || y[1] != 12 || y[2] != 15 {
 		t.Fatalf("Axpy = %v", y)
 	}
-	Scal(0.5, y)
-	if y[0] != 4.5 {
-		t.Fatalf("Scal = %v", y)
-	}
 	d := make([]float64, 3)
 	Sub(d, b, a)
 	if d[0] != 3 || d[1] != 3 || d[2] != 3 {

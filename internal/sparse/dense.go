@@ -6,8 +6,9 @@ import (
 	"math"
 )
 
-// Dense is a row-major dense matrix used for the (small) Newton power-flow
-// Jacobian and for reference solves in tests.
+// Dense is a row-major dense matrix used for the fast-decoupled power flow's
+// B′ and B″, the constrained estimator's KKT system and reference solves in
+// tests.
 type Dense struct {
 	Rows, Cols int
 	Data       []float64 // len Rows*Cols, row-major

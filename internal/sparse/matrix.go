@@ -1,8 +1,8 @@
 // Package sparse provides the sparse and dense linear-algebra kernels used
 // by the state-estimation stack: COO/CSR matrices, parallel matrix-vector
-// products, weighted normal-equation (gain matrix) assembly, a preconditioned
-// conjugate-gradient solver for symmetric positive-definite systems, and a
-// small dense LU solver for the Newton power-flow Jacobian.
+// products, weighted normal-equation (gain matrix) assembly, a complete
+// sparse LDLᵀ factor and a preconditioned conjugate-gradient solver for
+// symmetric positive-definite systems, and a small dense LU solver.
 //
 // Matrices are real, double precision. Row/column indices are 0-based.
 package sparse
@@ -140,17 +140,6 @@ func (a *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// Diagonal returns a copy of the main diagonal (length min(Rows, Cols)).
-func (a *CSR) Diagonal() []float64 {
-	n := a.Rows
-	if a.Cols < n {
-		n = a.Cols
-	}
-	d := make([]float64, n)
-	a.DiagonalInto(d)
-	return d
-}
-
 // DiagonalInto writes the main diagonal into d (length min(Rows, Cols)),
 // walking each row directly instead of binary-searching per index. Missing
 // diagonal entries are written as 0. It allocates nothing, so numeric
@@ -249,17 +238,4 @@ func (a *CSR) String() string {
 		s += "\n"
 	}
 	return s
-}
-
-// Eye returns the n×n identity matrix in CSR form.
-func Eye(n int) *CSR {
-	rowPtr := make([]int, n+1)
-	colIdx := make([]int, n)
-	val := make([]float64, n)
-	for i := 0; i < n; i++ {
-		rowPtr[i+1] = i + 1
-		colIdx[i] = i
-		val[i] = 1
-	}
-	return &CSR{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }

@@ -234,64 +234,26 @@ func TestGainRHS(t *testing.T) {
 	}
 }
 
-func TestSelectRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	a := randomCSR(rng, 10, 5, 25)
-	rows := []int{7, 0, 3}
-	s := a.SelectRows(rows)
-	if s.Rows != 3 || s.Cols != 5 {
-		t.Fatalf("shape %dx%d", s.Rows, s.Cols)
-	}
-	for i, r := range rows {
-		for j := 0; j < 5; j++ {
-			if s.At(i, j) != a.At(r, j) {
-				t.Fatalf("SelectRows mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestSelectCols(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	a := randomCSR(rng, 6, 10, 30)
-	cols := []int{9, 2, 4}
-	s := a.SelectCols(cols)
-	if s.Rows != 6 || s.Cols != 3 {
-		t.Fatalf("shape %dx%d", s.Rows, s.Cols)
-	}
-	for i := 0; i < 6; i++ {
-		for jn, jo := range cols {
-			if s.At(i, jn) != a.At(i, jo) {
-				t.Fatalf("SelectCols mismatch at (%d,%d)", i, jn)
-			}
-		}
-	}
-}
-
-func TestEye(t *testing.T) {
-	e := Eye(4)
-	x := []float64{1, 2, 3, 4}
-	y := make([]float64, 4)
-	e.MulVec(y, x)
-	for i := range x {
-		if y[i] != x[i] {
-			t.Fatalf("Eye·x[%d] = %v", i, y[i])
-		}
-	}
-}
-
 func TestDiagonal(t *testing.T) {
-	coo := NewCOO(3, 3)
+	coo := NewCOO(3, 4)
 	coo.Add(0, 0, 2)
 	coo.Add(1, 1, -3)
+	coo.Add(1, 3, 5)
 	coo.Add(2, 0, 9)
-	d := coo.ToCSR().Diagonal()
+	d := []float64{7, 7, 7} // stale: a missing diagonal must read 0
+	coo.ToCSR().DiagonalInto(d)
 	want := []float64{2, -3, 0}
 	for i := range want {
 		if d[i] != want[i] {
-			t.Fatalf("Diagonal[%d] = %v, want %v", i, d[i], want[i])
+			t.Fatalf("DiagonalInto[%d] = %v, want %v", i, d[i], want[i])
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DiagonalInto accepted a slice of the wrong length")
+		}
+	}()
+	coo.ToCSR().DiagonalInto(make([]float64, 4))
 }
 
 func TestCloneIndependent(t *testing.T) {

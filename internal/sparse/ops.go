@@ -260,50 +260,3 @@ func GainRHSPool(dst []float64, h *CSR, w, r, wr []float64, p *Pool, scratch []f
 	}
 	h.MulTransVecPool(dst, wr, p, scratch)
 }
-
-// SelectRows returns the submatrix of A formed by the given rows, in order.
-// Column dimension is preserved.
-func (a *CSR) SelectRows(rows []int) *CSR {
-	nnz := 0
-	for _, r := range rows {
-		nnz += a.RowNNZ(r)
-	}
-	rowPtr := make([]int, len(rows)+1)
-	colIdx := make([]int, 0, nnz)
-	val := make([]float64, 0, nnz)
-	for i, r := range rows {
-		if r < 0 || r >= a.Rows {
-			panic(fmt.Sprintf("sparse: SelectRows row %d out of range %d", r, a.Rows))
-		}
-		colIdx = append(colIdx, a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]]...)
-		val = append(val, a.Val[a.RowPtr[r]:a.RowPtr[r+1]]...)
-		rowPtr[i+1] = len(val)
-	}
-	return &CSR{Rows: len(rows), Cols: a.Cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-}
-
-// SelectCols returns the submatrix with only the given columns (renumbered
-// 0..len(cols)-1 in the given order). Rows keep their positions.
-func (a *CSR) SelectCols(cols []int) *CSR {
-	// Dense remap slice: old column -> new column (or -1). A flat lookup
-	// per stored entry beats a map probe on the hot submatrix paths.
-	remap := make([]int, a.Cols)
-	for i := range remap {
-		remap[i] = -1
-	}
-	for newIdx, c := range cols {
-		if c < 0 || c >= a.Cols {
-			panic(fmt.Sprintf("sparse: SelectCols col %d out of range %d", c, a.Cols))
-		}
-		remap[c] = newIdx
-	}
-	coo := NewCOO(a.Rows, len(cols))
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if nc := remap[a.ColIdx[k]]; nc >= 0 {
-				coo.Add(i, nc, a.Val[k])
-			}
-		}
-	}
-	return coo.ToCSR()
-}

@@ -38,13 +38,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Scal scales v by alpha in place.
-func Scal(alpha float64, v []float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
-}
-
 // CopyVec returns a fresh copy of v.
 func CopyVec(v []float64) []float64 { return append([]float64(nil), v...) }
 
