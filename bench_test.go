@@ -383,7 +383,8 @@ func BenchmarkGainPlanBuild(b *testing.B) {
 // centralized gain as the engine stores it: scalar CSR in natural order.
 // The IEEE-118 rows keep the names the records know; the -synth-wecc-12 rows
 // are the same kernels at 1 416 buses, where a refresh is a third of what a
-// cold solve has left.
+// cold solve has left. A refresh reports products, the multiply-adds it
+// sums: Σ d(d+1)/2 over H's rows, G's lower triangle and diagonal.
 func BenchmarkGainKernels118(b *testing.B) {
 	for _, c := range centralizedModels(b) {
 		suffix := ""
@@ -394,11 +395,16 @@ func BenchmarkGainKernels118(b *testing.B) {
 		w := c.mod.Weights()
 		gp := sparse.NewGainPlan(hj)
 		g := gp.Refresh(hj, w)
+		products := 0
+		for m := 0; m < hj.Rows; m++ {
+			products += hj.RowNNZ(m) * (hj.RowNNZ(m) + 1) / 2
+		}
 
 		b.Run("refresh/csr"+suffix, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				gp.Refresh(hj, w)
 			}
+			b.ReportMetric(float64(products), "products")
 		})
 		x := make([]float64, g.Cols)
 		for i := range x {

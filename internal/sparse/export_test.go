@@ -10,6 +10,7 @@ var (
 	AnalysisMatches    = analysisMatchesOracle
 	RandomSPD          = randomSPD
 	GainFixture        = gainFixture
+	WalkingRefresh     = walkingRefresh
 )
 
 // LDLNumerics returns the factor's own L values and D.

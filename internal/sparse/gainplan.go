@@ -11,15 +11,20 @@ import (
 // for a fixed sparsity pattern of H. Building the plan does the one-time
 // structural work — G's pattern and H's entries listed by column — so each
 // numeric Refresh reads row r of G off column r of H: every measurement with
-// an entry there adds its whole row, scaled, into a dense accumulator that is
-// then gathered into the row's pattern. No COO triplets, no sorting, no
-// allocation, and no index of the Σd² products a refresh sums: the plan is
-// the size of H and G, not of their product.
+// an entry there adds its row, scaled, into a dense accumulator that is then
+// gathered into the row's pattern. No COO triplets, no sorting, no
+// allocation, and no index of the products a refresh sums: the plan is the
+// size of H and G, not of their product.
 //
-// An entry's contributions are summed in ascending (measurement, H.Val
-// index) order: the same on every build, under every permutation and on
-// every worker count, but not the order Gain(h, w) sums its COO stream in, so
-// the two agree to a few ulps of Σ|w·h·h|, not bit for bit.
+// H's rows must be canonical — columns strictly increasing, as COO.ToCSR and
+// the Jacobian plans build them — so the products of G's lower triangle and
+// diagonal, the part an LDLᵀ factor reads, are for each measurement a prefix
+// of its row. A refresh sums only those, then copies the strict lower
+// triangle onto the upper, so G is exactly symmetric. An entry's
+// contributions are summed in ascending (measurement, H.Val index) order:
+// the same on every build, under every permutation and on every worker
+// count, but not the order Gain(h, w) sums its COO stream in, so the two
+// agree to a few ulps of Σ|w·h·h|, not bit for bit.
 //
 // A plan is not safe for concurrent use: refreshes share G.Val and the
 // accumulators.
@@ -27,28 +32,40 @@ type GainPlan struct {
 	// G is the gain-matrix skeleton; Refresh rewrites G.Val in place.
 	G *CSR
 
+	// H's pattern as the plan was built on it (H's own arrays, not copies);
+	// a refresh panics on any other.
+	hRowPtr, hColIdx []int
+
 	// H by columns: colVal and colRow[colPtr[r]:colPtr[r+1]] are the H.Val
-	// index and the measurement (row of H) of every H entry that feeds row r
-	// of G, ascending because the fill sweeps H row by row.
+	// index and the measurement (row of H) of every H entry in column r,
+	// ascending because the fill sweeps H row by row. Row colRow[k] of H up
+	// to and including entry colVal[k] is its columns ≤ r: what it adds to
+	// row r of G's lower triangle.
 	colPtr         []int
 	colVal, colRow []int32
-	// col[p] is the column of G that H entry p feeds under the plan's
-	// permutation; nil under natural ordering, where it is h.ColIdx[p].
-	col []int
 
 	// rowWork[i] is the number of products summed into the rows of G before
 	// row i — the prefix the pooled refresh partitions on, so each worker gets
 	// rows of roughly equal multiply-accumulate work rather than equal row
-	// count. rowWork[G.Rows] is Σd² over H's rows.
+	// count. rowWork[G.Rows] is Σ d(d+1)/2 over H's rows.
 	rowWork []int
 
 	// acc holds one dense row of G per refresh worker (acc[0] is the serial
-	// one), all zero between rows: the gather re-zeroes what it reads.
-	acc [][]float64
+	// one), all zero between rows: the gather re-zeroes what it reads. next is
+	// the mirror pass's cursor per row.
+	acc  [][]float64
+	next []int32
+
+	// An ordered plan (NewGainPlanOrdered) runs the natural plan nat's
+	// refresh, which stores natural entry g at G.Val[to[g]]; H's pattern, the
+	// column lists, the work prefix and the scratch above are then nat's alone.
+	nat *GainPlan
+	to  []int32
 
 	// bsr is the lazily built 2×2-blocked mirror of G (AttachBSR), and
-	// bsrPos maps every G entry to its flat slot in bsr.Val so the blocked
-	// refresh writes block storage directly — no scalar intermediate.
+	// bsrPos maps every entry the refresh computes (of G, or of nat.G for an
+	// ordered plan) to its flat slot in bsr.Val so the blocked refresh writes
+	// block storage directly — no scalar intermediate.
 	bsr    *BSR
 	bsrPos []int32
 
@@ -58,54 +75,41 @@ type GainPlan struct {
 	rbounds []int
 	rparts  int
 
-	hnnz, hrows int // expected nnz and rows of H, to catch pattern drift
-	emptyRow    int // see EmptyRow
+	emptyRow int // see EmptyRow
 }
 
 // NewGainPlan computes the symbolic structure of Hᵀ·diag(w)·H from the
-// pattern of h, whose rows may be empty, unsorted, and repeat a column. The
-// plan stays valid while that pattern does; values are free to change.
-func NewGainPlan(h *CSR) *GainPlan {
-	return NewGainPlanOrdered(h, nil)
-}
-
-// NewGainPlanOrdered is NewGainPlan with a symmetric fill-reducing
-// permutation of the assembled gain matrix baked into the plan: H entry
-// (m, c) feeds row and column inv[c] of G instead of c, so a numeric Refresh
-// produces P·(HᵀWH)·Pᵀ directly at no extra per-refresh cost. perm follows
-// the package convention (perm[new] = old, length h.Cols); nil selects
-// natural ordering. With G permuted, a solve must permute b and x at the
-// boundary (CGOptions.Perm). The estimator only builds natural plans; only
-// benchmark/replay.go passes a perm.
+// pattern of h, whose rows may be empty but must be canonical: columns
+// strictly increasing within each row. The plan stays valid while that
+// pattern does; values are free to change.
 //
 // The build is one sweep of H into column lists and one stamped walk per G
 // row over the rows of H that column reaches, which lists the row's distinct
 // columns; nothing larger than one row's column set is sorted. The plan
 // indexes H with int32 and Σd² bounds G's size, so an H beyond either is
-// refused by name before anything is allocated.
-func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
+// refused by name before anything is allocated, as is a row that is not
+// canonical.
+func NewGainPlan(h *CSR) *GainPlan {
 	n, nnz := h.Cols, h.NNZ()
-	work := 0 // Σd² over H's rows: the products one refresh accumulates
+	work := 0 // Σd² over H's rows: a bound on G's size
 	for m := 0; m < h.Rows; m++ {
 		work += h.RowNNZ(m) * h.RowNNZ(m)
 	}
 	if max(n, nnz, work) > math.MaxInt32 {
 		panic(fmt.Sprintf("sparse: NewGainPlan: %d columns / %d H entries / %d contributions exceed the plan's int32 indices", n, nnz, work))
 	}
-	gp := &GainPlan{hnnz: nnz, hrows: h.Rows, emptyRow: -1, acc: [][]float64{make([]float64, n)}}
-	col := h.ColIdx
-	if perm != nil {
-		checkPerm(perm, n, "NewGainPlanOrdered")
-		inv := InversePerm(perm)
-		col = make([]int, nnz)
-		for p, c := range h.ColIdx {
-			col[p] = inv[c]
+	for m := 0; m < h.Rows; m++ {
+		for p := h.RowPtr[m] + 1; p < h.RowPtr[m+1]; p++ {
+			if h.ColIdx[p] <= h.ColIdx[p-1] {
+				panic(fmt.Sprintf("sparse: NewGainPlan: row %d of H lists column %d after column %d; the plan needs strictly increasing columns", m, h.ColIdx[p], h.ColIdx[p-1]))
+			}
 		}
-		gp.col = col
 	}
+	gp := &GainPlan{hRowPtr: h.RowPtr, hColIdx: h.ColIdx, emptyRow: -1,
+		acc: [][]float64{make([]float64, n)}, next: make([]int32, n)}
 
 	colPtr := make([]int, n+1)
-	for _, r := range col {
+	for _, r := range h.ColIdx {
 		colPtr[r+1]++
 	}
 	for r := 0; r < n; r++ {
@@ -114,21 +118,20 @@ func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
 		}
 		colPtr[r+1] += colPtr[r]
 	}
-	colVal, colRow := make([]int32, nnz), make([]int32, nnz)
+	lists := make([]int32, 2*nnz) // colVal and colRow, one allocation
+	colVal, colRow := lists[:nnz:nnz], lists[nnz:]
 	next := slices.Clone(colPtr[:n])
 	for m := 0; m < h.Rows; m++ {
 		for p := h.RowPtr[m]; p < h.RowPtr[m+1]; p++ {
-			k := next[col[p]]
-			next[col[p]]++
+			k := next[h.ColIdx[p]]
+			next[h.ColIdx[p]]++
 			colVal[k], colRow[k] = int32(p), int32(m)
 		}
 	}
 	gp.colPtr, gp.colVal, gp.colRow = colPtr, colVal, colRow
 
 	// Row r of G holds the columns of every row of H with an entry in column
-	// r. A row of H that lists column r twice is walked twice and adds
-	// nothing the second time, but its products are summed twice, so it counts
-	// twice towards rowWork.
+	// r; the refresh sums, of each such row, the products up to column r.
 	gp.rowWork = make([]int, n+1)
 	gRowPtr := make([]int, n+1)
 	gColIdx := make([]int, 0, nnz+n) // a guess that fits measured networks; append covers the rest
@@ -136,15 +139,15 @@ func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
 	clear(seen)
 	for r := 0; r < n; r++ {
 		rowWork := 0
-		for _, m := range colRow[colPtr[r]:colPtr[r+1]] {
-			row := col[h.RowPtr[m]:h.RowPtr[m+1]]
-			for _, j := range row {
+		for k := colPtr[r]; k < colPtr[r+1]; k++ {
+			m := colRow[k]
+			for _, j := range h.ColIdx[h.RowPtr[m]:h.RowPtr[m+1]] {
 				if seen[j] != r+1 {
 					seen[j] = r + 1
 					gColIdx = append(gColIdx, j)
 				}
 			}
-			rowWork += len(row)
+			rowWork += int(colVal[k]) - h.RowPtr[m] + 1
 		}
 		slices.Sort(gColIdx[gRowPtr[r]:])
 		gRowPtr[r+1], gp.rowWork[r+1] = len(gColIdx), gp.rowWork[r]+rowWork
@@ -153,18 +156,63 @@ func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
 	return gp
 }
 
-// SharePattern returns a plan for another H of the same pattern that shares
-// every index array with gp — the column lists, the permutation map, the
-// work prefix and G's pattern — and owns only G.Val and its accumulators.
-// The two plans refresh independently, also concurrently.
-func (gp *GainPlan) SharePattern() *GainPlan {
-	return &GainPlan{
-		G:      gp.G.SharePattern(),
-		colPtr: gp.colPtr, colVal: gp.colVal, colRow: gp.colRow, col: gp.col,
-		rowWork: gp.rowWork,
-		acc:     [][]float64{make([]float64, gp.G.Rows)},
-		hnnz:    gp.hnnz, hrows: gp.hrows, emptyRow: gp.emptyRow,
+// NewGainPlanOrdered is NewGainPlan with a symmetric fill-reducing
+// permutation of the assembled gain matrix: its G is P·(HᵀWH)·Pᵀ, entry
+// (inv[i], inv[j]) holding natural entry (i, j). perm follows the package
+// convention (perm[new] = old, length h.Cols); nil selects natural ordering.
+// The plan is a natural plan whose refresh stores through a map into the
+// permuted pattern, so its G is PermuteSym of the natural plan's G bit for
+// bit, exactly symmetric, and h's rows must be canonical as there. With G
+// permuted, a solve must permute b and x at the boundary (CGOptions.Perm).
+// The estimator only builds natural plans; only benchmark/replay.go passes a
+// perm.
+func NewGainPlanOrdered(h *CSR, perm []int) *GainPlan {
+	nat := NewGainPlan(h)
+	if perm == nil {
+		return nat
 	}
+	n, g := h.Cols, nat.G
+	checkPerm(perm, n, "NewGainPlanOrdered")
+	// Row r of the permuted G is natural row perm[r] renamed by inv. G is
+	// exactly symmetric, so natural entry (j, i) may stand for (i, j):
+	// walking the natural rows j = perm[c] in permuted order c appends c to
+	// every row inv[i] that row lists, which fills each permuted row sorted.
+	inv := InversePerm(perm)
+	gp := &GainPlan{G: &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, g.NNZ()), Val: make([]float64, g.NNZ())},
+		nat: nat, to: make([]int32, g.NNZ()), emptyRow: -1}
+	for r, i := range perm {
+		gp.G.RowPtr[r+1] = gp.G.RowPtr[r] + g.RowPtr[i+1] - g.RowPtr[i]
+	}
+	next := slices.Clone(gp.G.RowPtr[:n])
+	for c, j := range perm {
+		for t := g.RowPtr[j]; t < g.RowPtr[j+1]; t++ {
+			r := inv[g.ColIdx[t]]
+			gp.G.ColIdx[next[r]], gp.to[t] = c, int32(next[r])
+			next[r]++
+		}
+	}
+	for r := 0; r < n && gp.emptyRow < 0; r++ {
+		if gp.G.RowPtr[r+1] == gp.G.RowPtr[r] {
+			gp.emptyRow = r
+		}
+	}
+	return gp
+}
+
+// SharePattern returns a plan for another H of the same pattern that shares
+// every index array with gp — H's pattern, the column lists, the map into
+// the permuted pattern, the work prefix and G's pattern — and owns only G.Val
+// and its scratch. The two plans refresh independently, also concurrently.
+func (gp *GainPlan) SharePattern() *GainPlan {
+	c := &GainPlan{G: gp.G.SharePattern(), to: gp.to, emptyRow: gp.emptyRow}
+	if gp.nat != nil {
+		c.nat = gp.nat.SharePattern()
+		return c
+	}
+	c.hRowPtr, c.hColIdx = gp.hRowPtr, gp.hColIdx
+	c.colPtr, c.colVal, c.colRow, c.rowWork = gp.colPtr, gp.colVal, gp.colRow, gp.rowWork
+	c.acc, c.next = [][]float64{make([]float64, gp.G.Rows)}, make([]int32, gp.G.Rows)
+	return c
 }
 
 // EmptyRow returns the first row of G without an entry, or -1 if there is
@@ -176,14 +224,14 @@ func (gp *GainPlan) EmptyRow() int { return gp.emptyRow }
 // weights w, serially and without allocating. h must have the sparsity
 // pattern the plan was built from.
 func (gp *GainPlan) Refresh(h *CSR, w []float64) *CSR {
-	gp.check(h, w)
-	gp.refreshRows(h, w, gp.acc[0], 0, gp.G.Rows, false)
+	gp.refreshPool(h, w, nil, false)
 	return gp.G
 }
 
 // RefreshPool recomputes G.Val with rows of G distributed over the pool,
-// partitioned by product count (the actual flops) rather than row count.
-// Falls back to the serial pass for small systems or a nil pool.
+// partitioned by product count (the actual flops) rather than row count,
+// and mirrors the lower triangle after the join. Falls back to the serial
+// pass for small systems or a nil pool.
 func (gp *GainPlan) RefreshPool(h *CSR, w []float64, p *Pool) *CSR {
 	gp.refreshPool(h, w, p, false)
 	return gp.G
@@ -200,6 +248,13 @@ func (gp *GainPlan) RefreshPool(h *CSR, w []float64, p *Pool) *CSR {
 func (gp *GainPlan) AttachBSR() *BSR {
 	if gp.bsr == nil {
 		gp.bsr, gp.bsrPos = newBSR2From(gp.G)
+		if gp.to != nil {
+			pos := make([]int32, len(gp.to))
+			for g, t := range gp.to {
+				pos[g] = gp.bsrPos[t]
+			}
+			gp.bsrPos = pos
+		}
 	}
 	return gp.bsr
 }
@@ -219,17 +274,24 @@ func (gp *GainPlan) RefreshPoolBSR(h *CSR, w []float64, p *Pool) *BSR {
 }
 
 func (gp *GainPlan) refreshPool(h *CSR, w []float64, p *Pool, blocked bool) {
+	dst, pos := gp.G.Val, gp.to
+	if blocked {
+		dst, pos = gp.bsr.Val, gp.bsrPos
+	}
+	if gp.nat != nil {
+		gp = gp.nat
+	}
 	gp.check(h, w)
 	n := gp.G.Rows
-	parts := min(p.Workers(), n)
-	if parts <= 1 || gp.rowWork[n] < parallelNNZThreshold {
-		gp.refreshRows(h, w, gp.acc[0], 0, n, blocked)
-		return
+	if parts := min(p.Workers(), n); parts <= 1 || gp.rowWork[n] < parallelNNZThreshold {
+		gp.refreshRows(h, w, gp.acc[0], 0, n, dst, pos)
+	} else {
+		bounds := gp.refreshBounds(parts)
+		p.Run(parts, func(part int) {
+			gp.refreshRows(h, w, gp.acc[part], bounds[part], bounds[part+1], dst, pos)
+		})
 	}
-	bounds := gp.refreshBounds(parts)
-	p.Run(parts, func(part int) {
-		gp.refreshRows(h, w, gp.acc[part], bounds[part], bounds[part+1], blocked)
-	})
+	gp.mirror(dst, pos)
 }
 
 // refreshBounds returns the cached work-balanced partition of G's rows into
@@ -269,31 +331,30 @@ func (gp *GainPlan) workBoundary(w, parts int) int {
 	return b
 }
 
-// refreshRows computes rows rlo..rhi-1 of G into G.Val, or into the attached
-// block storage when blocked. Row r is Σ w[m]·H(m, r)·(row m of H) over the
-// entries (m, r) of H's column r, taken in ascending (m, H.Val index) order
-// and accumulated into acc — dense, length G.Rows, all zero on entry and on
-// return — so every entry of G sums the same products in the same order
-// whichever rows a worker is given.
-func (gp *GainPlan) refreshRows(h *CSR, w, acc []float64, rlo, rhi int, blocked bool) {
-	hv, col := h.Val, gp.col
-	if col == nil {
-		col = h.ColIdx
-	}
-	dst, pos := gp.G.Val, []int32(nil)
-	if blocked {
-		dst, pos = gp.bsr.Val, gp.bsrPos
-	}
+// refreshRows computes the lower triangle and diagonal of rows rlo..rhi-1
+// of G into dst, at pos[g] for entry g if pos is not nil. Row r is
+// Σ w[m]·H(m, r)·(row m of H up to column r) over the entries (m, r) of H's
+// column r, taken in ascending (m, H.Val index) order and accumulated into
+// acc — dense, length G.Rows, all zero on entry and on return — so every
+// entry of G sums the same products in the same order whichever rows a
+// worker is given.
+func (gp *GainPlan) refreshRows(h *CSR, w, acc []float64, rlo, rhi int, dst []float64, pos []int32) {
+	hv := h.Val
 	for r := rlo; r < rhi; r++ {
 		for k := gp.colPtr[r]; k < gp.colPtr[r+1]; k++ {
-			m := gp.colRow[k]
-			s := w[m] * hv[gp.colVal[k]]
-			for q := h.RowPtr[m]; q < h.RowPtr[m+1]; q++ {
-				acc[col[q]] += s * hv[q]
+			m, e := gp.colRow[k], int(gp.colVal[k])
+			s := w[m] * hv[e]
+			lo := h.RowPtr[m]
+			vals := hv[lo : e+1]
+			for q, c := range h.ColIdx[lo : e+1][:len(vals)] {
+				acc[c] += s * vals[q]
 			}
 		}
 		for g := gp.G.RowPtr[r]; g < gp.G.RowPtr[r+1]; g++ {
 			j, t := gp.G.ColIdx[g], g
+			if j > r {
+				break
+			}
 			if pos != nil {
 				t = int(pos[g])
 			}
@@ -302,10 +363,31 @@ func (gp *GainPlan) refreshRows(h *CSR, w, acc []float64, rlo, rhi int, blocked 
 	}
 }
 
+// mirror copies G's strict lower triangle onto the upper. Taken row by row,
+// the entries (r, j), j < r, reach each row j's upper triangle in ascending
+// r, its column order, so a cursor per row, set past the diagonal when the
+// pass reaches it, names the slot of G(j, r).
+func (gp *GainPlan) mirror(dst []float64, pos []int32) {
+	g, next := gp.G, gp.next
+	for r := 0; r < g.Rows; r++ {
+		k := g.RowPtr[r]
+		for ; k < g.RowPtr[r+1] && g.ColIdx[k] < r; k++ {
+			j := g.ColIdx[k]
+			if pos != nil {
+				dst[pos[next[j]]] = dst[pos[k]]
+			} else {
+				dst[next[j]] = dst[k]
+			}
+			next[j]++
+		}
+		next[r] = int32(k + 1)
+	}
+}
+
 func (gp *GainPlan) check(h *CSR, w []float64) {
-	if h.NNZ() != gp.hnnz || h.Rows != gp.hrows {
+	if !sameInts(h.RowPtr, gp.hRowPtr) || !sameInts(h.ColIdx, gp.hColIdx) {
 		panic(fmt.Sprintf("sparse: GainPlan refresh with changed H pattern (%d rows/%d nnz, plan %d/%d)",
-			h.Rows, h.NNZ(), gp.hrows, gp.hnnz))
+			h.Rows, h.NNZ(), len(gp.hRowPtr)-1, len(gp.hColIdx)))
 	}
 	if len(w) != h.Rows {
 		panic(fmt.Sprintf("sparse: GainPlan weight length %d != rows %d", len(w), h.Rows))

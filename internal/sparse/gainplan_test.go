@@ -84,11 +84,11 @@ func TestGainPlanMatchesGain(t *testing.T) {
 	}
 }
 
-// raggedCSR builds an H that COO.ToCSR would never produce but the plan
-// must accept: row 0 is empty, row 1 is the only row touching column
-// cols-2 (a G row holding its diagonal alone), row 2 lists one column
-// twice, the other rows list up to five random columns unsorted and
-// possibly repeated, and no row touches column cols-1.
+// raggedCSR builds an H with the corners a measured network may not show:
+// row 0 is empty, row 1 is the only row touching column cols-2 (a G row
+// holding its diagonal alone), the other rows list up to five distinct
+// random columns, ascending as a plan requires, and no row touches column
+// cols-1.
 func raggedCSR(rng *rand.Rand, rows, cols int) *CSR {
 	h := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
 	for m := 0; m < rows; m++ {
@@ -96,13 +96,10 @@ func raggedCSR(rng *rand.Rand, rows, cols int) *CSR {
 		case 0:
 		case 1:
 			h.ColIdx = append(h.ColIdx, cols-2)
-		case 2:
-			c := rng.Intn(cols - 2)
-			h.ColIdx = append(h.ColIdx, c, rng.Intn(cols-2), c)
 		default:
-			for d := rng.Intn(6); d > 0; d-- {
-				h.ColIdx = append(h.ColIdx, rng.Intn(cols-2))
-			}
+			row := rng.Perm(cols - 2)[:rng.Intn(min(6, cols-1))]
+			slices.Sort(row)
+			h.ColIdx = append(h.ColIdx, row...)
 		}
 		h.RowPtr[m+1] = len(h.ColIdx)
 	}
@@ -123,8 +120,8 @@ func TestGainPlanMatchesDenseProduct(t *testing.T) {
 		h := raggedCSR(rng, rows, cols)
 		w := randomWeights(rng, rows)
 
-		// Dense H and |H| (repeated columns summed), then G and the
-		// magnitude Σ w·|h|·|h| of what each entry sums.
+		// Dense H and |H|, then G and the magnitude Σ w·|h|·|h| of what each
+		// entry sums.
 		hd, ha := NewDense(rows, cols), NewDense(rows, cols)
 		touched := make([]bool, cols)
 		for m := 0; m < rows; m++ {
@@ -223,30 +220,24 @@ func TestGainPlanOrderedEqualsPermutedNaturalPlan(t *testing.T) {
 }
 
 // replayGain is the refresh GainPlan ran before it read G off H's columns,
-// kept as the oracle for its summation order: every entry (r, j) of g's
-// pattern on its own, its products taken in ascending measurement and then
-// H.Val index order, each one w·hA·hB added to a sum that starts at zero.
-// perm is the plan's (nil for natural order).
-func replayGain(h *CSR, w []float64, perm []int, g *CSR) []float64 {
-	col := h.ColIdx
-	if perm != nil {
-		inv := InversePerm(perm)
-		col = make([]int, len(h.ColIdx))
-		for p, c := range h.ColIdx {
-			col[p] = inv[c]
-		}
-	}
+// kept as the oracle for its summation order: every entry (r, j), j ≤ r, of
+// g's pattern on its own, its products taken in ascending measurement and
+// then H.Val index order, each one w·hA·hB (hA in column r) added to a sum
+// that starts at zero. An entry above the diagonal holds its mirror's sum,
+// so the oracle is bitwise symmetric. g must be in natural order.
+func replayGain(h *CSR, w []float64, g *CSR) []float64 {
 	val := make([]float64, g.NNZ())
 	for r := 0; r < g.Rows; r++ {
 		for e := g.RowPtr[r]; e < g.RowPtr[r+1]; e++ {
+			i, j := max(r, g.ColIdx[e]), min(r, g.ColIdx[e])
 			sum := 0.0
 			for m := 0; m < h.Rows; m++ {
 				for a := h.RowPtr[m]; a < h.RowPtr[m+1]; a++ {
-					if col[a] != r {
+					if h.ColIdx[a] != i {
 						continue
 					}
 					for b := h.RowPtr[m]; b < h.RowPtr[m+1]; b++ {
-						if col[b] == g.ColIdx[e] {
+						if h.ColIdx[b] == j {
 							sum += w[m] * h.Val[a] * h.Val[b]
 						}
 					}
@@ -256,6 +247,25 @@ func replayGain(h *CSR, w []float64, perm []int, g *CSR) []float64 {
 		}
 	}
 	return val
+}
+
+// replayOrdered is the oracle for an ordered plan's G: PermuteSym of the
+// replayed natural G, whose pattern the ordered plan shares.
+func replayOrdered(h *CSR, w []float64, perm []int) []float64 {
+	g := NewGainPlan(h).G
+	return PermuteSym(&CSR{Rows: g.Rows, Cols: g.Cols, RowPtr: g.RowPtr, ColIdx: g.ColIdx, Val: replayGain(h, w, g)}, perm).Val
+}
+
+// assertSymmetric fails unless every entry of g holds its mirror's bits.
+func assertSymmetric(t *testing.T, what string, g *CSR) {
+	t.Helper()
+	for r := 0; r < g.Rows; r++ {
+		for e := g.RowPtr[r]; e < g.RowPtr[r+1]; e++ {
+			if v, m := g.Val[e], g.At(g.ColIdx[e], r); math.Float64bits(v) != math.Float64bits(m) {
+				t.Fatalf("%s: G(%d,%d) = %v, G(%d,%d) = %v", what, r, g.ColIdx[e], v, g.ColIdx[e], r, m)
+			}
+		}
+	}
 }
 
 // assertBitEqual fails unless got and want hold the same float64 bit
@@ -274,8 +284,12 @@ func assertBitEqual(t *testing.T, what string, got, want []float64) {
 
 // assertAccumulatorsZero: every worker's dense row is all zero again once a
 // refresh has returned — what the next row, and the next refresh, rely on.
+// An ordered plan's accumulators are its natural plan's.
 func assertAccumulatorsZero(t *testing.T, what string, gp *GainPlan) {
 	t.Helper()
+	if gp.nat != nil {
+		gp = gp.nat
+	}
 	for part, acc := range gp.acc {
 		for j, v := range acc {
 			if v != 0 {
@@ -285,11 +299,12 @@ func assertAccumulatorsZero(t *testing.T, what string, gp *GainPlan) {
 	}
 }
 
-// TestGainRefreshReplaysOldOrder: reading row r of G off column r of H sums
-// every entry's products in the order the scatter map listed them, so G is
-// what it was bit for bit — on ragged H (empty, unsorted and column-repeating
-// rows), in natural order and under a random permutation, and on a second
-// refresh with new values and weights.
+// TestGainRefreshReplaysOldOrder: reading row r of G's lower triangle off
+// column r of H sums every entry's products in the order the scatter map
+// listed them, so that triangle and the diagonal are what they were bit for
+// bit, and the upper triangle is their mirror — on ragged H (empty rows, a
+// column alone, an untouched column), in natural order and under a random
+// permutation, and on a second refresh with new values and weights.
 func TestGainRefreshReplaysOldOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 30; trial++ {
@@ -303,7 +318,12 @@ func TestGainRefreshReplaysOldOrder(t *testing.T) {
 				}
 				w := randomWeights(rng, rows)
 				g := gp.Refresh(h, w)
-				assertBitEqual(t, "ragged H", g.Val, replayGain(h, w, perm, g))
+				want := replayGain(h, w, g)
+				if perm != nil {
+					want = replayOrdered(h, w, perm)
+				}
+				assertBitEqual(t, "ragged H", g.Val, want)
+				assertSymmetric(t, "ragged H", g)
 				assertAccumulatorsZero(t, "ragged H", gp)
 			}
 		}
@@ -313,23 +333,24 @@ func TestGainRefreshReplaysOldOrder(t *testing.T) {
 // TestGainRefreshPooledReplaysOldOrder: the same equality on an H large
 // enough for the pooled path, for 1, 2, 3 and 8 workers, scalar and blocked,
 // twice in a row with different values. A worker's rows do not change what an
-// entry sums, and each worker leaves its own accumulator zero. Run under
-// -race this is also the check that workers share nothing they write.
+// entry sums, the mirror runs after the join, and each worker leaves its own
+// accumulator zero. Run under -race this is also the check that workers
+// share nothing they write.
 func TestGainRefreshPooledReplaysOldOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	const rows, cols = 420, 90
+	const rows, cols = 600, 90
 	h := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
 	for m := 0; m < rows; m++ {
-		for d := 4 + rng.Intn(8); d > 0 && m%17 != 0; d-- { // every 17th row is empty
-			h.ColIdx = append(h.ColIdx, rng.Intn(cols)) // unsorted, may repeat
+		if m%17 != 0 { // every 17th row is empty
+			row := rng.Perm(cols)[:4+rng.Intn(8)]
+			slices.Sort(row)
+			h.ColIdx = append(h.ColIdx, row...)
 		}
 		h.RowPtr[m+1] = len(h.ColIdx)
 	}
 	h.Val = make([]float64, len(h.ColIdx))
 	perm := rng.Perm(cols)
-	// Two sets of values and weights, replayed once each on the pattern every
-	// plan below shares.
-	pattern := NewGainPlanOrdered(h, perm).G
+	// Two sets of values and weights, replayed once each.
 	var vals, weights, wants [2][]float64
 	for pass := range vals {
 		vals[pass] = make([]float64, len(h.ColIdx))
@@ -338,29 +359,31 @@ func TestGainRefreshPooledReplaysOldOrder(t *testing.T) {
 		}
 		weights[pass] = randomWeights(rng, rows)
 		h.Val = vals[pass]
-		wants[pass] = replayGain(h, weights[pass], perm, pattern)
+		wants[pass] = replayOrdered(h, weights[pass], perm)
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		pool := NewPool(workers)
 		gp := NewGainPlanOrdered(h, perm)
-		if gp.rowWork[cols] < parallelNNZThreshold {
-			t.Fatalf("fixture sums %d products, below the pooled threshold %d", gp.rowWork[cols], parallelNNZThreshold)
+		if work := gp.nat.rowWork[cols]; work < parallelNNZThreshold {
+			t.Fatalf("fixture sums %d products, below the pooled threshold %d", work, parallelNNZThreshold)
 		}
 		for pass, want := range wants {
 			h.Val = vals[pass]
 			what := fmt.Sprintf("RefreshPool, %d workers, pass %d", workers, pass)
 			assertBitEqual(t, what, gp.RefreshPool(h, weights[pass], pool).Val, want)
 			assertAccumulatorsZero(t, what, gp)
-			if len(gp.acc) != workers {
-				t.Fatalf("%s: %d accumulators, want one per worker", what, len(gp.acc))
+			if len(gp.nat.acc) != workers {
+				t.Fatalf("%s: %d accumulators, want one per worker", what, len(gp.nat.acc))
 			}
 
 			what = fmt.Sprintf("RefreshPoolBSR, %d workers, pass %d", workers, pass)
 			clear(gp.G.Val) // the blocked refresh must not lean on the scalar one
 			blocked := gp.RefreshPoolBSR(h, weights[pass], pool)
 			got := make([]float64, len(want))
-			for e := range got {
-				got[e] = blocked.Val[gp.bsrPos[e]]
+			for r := 0; r < cols; r++ {
+				for e := gp.G.RowPtr[r]; e < gp.G.RowPtr[r+1]; e++ {
+					got[e] = blocked.At(r, gp.G.ColIdx[e])
+				}
 			}
 			assertBitEqual(t, what, got, want)
 			assertAccumulatorsZero(t, what, gp)
@@ -417,17 +440,122 @@ func TestGainPlanRefreshZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGainPlanRefusesNonCanonicalRows: a row of H whose columns do not
+// strictly increase — unsorted, or listing one column twice — is refused at
+// build by name, since the refresh reads each row's lower products as a
+// prefix of it.
+func TestGainPlanRefusesNonCanonicalRows(t *testing.T) {
+	for name, cols := range map[string][]int{"unsorted": {0, 3, 2}, "repeated": {1, 2, 2}} {
+		h := &CSR{Rows: 2, Cols: 4, RowPtr: []int{0, 1, 4}, ColIdx: append([]int{1}, cols...), Val: make([]float64, 4)}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "row 1 of H") || !strings.Contains(msg, "strictly increasing") {
+					t.Fatalf("%s: panic %q does not name the row and the rule", name, msg)
+				}
+			}()
+			NewGainPlan(h)
+			t.Fatalf("%s: a plan was built on a non-canonical row", name)
+		}()
+	}
+}
+
+// FuzzGainPlan turns bytes into a canonical H — two bytes a row, a bitmask
+// over at most 16 columns, so rows come out empty, alone in a column or
+// full — with random values and weights and a random permutation. The
+// natural plan's G must be the replay oracle's bit for bit, its lower
+// triangle summed and its upper mirrored, and bitwise symmetric; the
+// ordered plan's G must be PermuteSym of it bit for bit. With mode odd one
+// row with two entries or more is made non-canonical, its first two columns
+// swapped or repeated, and the build must refuse it by name and panic with
+// nothing else.
+func FuzzGainPlan(f *testing.F) {
+	f.Add(uint8(4), uint8(0), int64(1), []byte{3, 0, 5, 0, 0, 0, 12, 0})
+	f.Add(uint8(16), uint8(1), int64(2), []byte{255, 255, 1, 128, 0, 0, 7, 1, 64, 32})
+	f.Add(uint8(9), uint8(3), int64(3), []byte("rows of a measurement Jacobian"))
+	f.Fuzz(func(t *testing.T, cols, mode uint8, seed int64, data []byte) {
+		n := 1 + int(cols)%16
+		h := &CSR{Rows: len(data) / 2, Cols: n, RowPtr: make([]int, len(data)/2+1)}
+		for m := 0; m < h.Rows; m++ {
+			mask := int(data[2*m]) | int(data[2*m+1])<<8
+			for c := 0; c < n; c++ {
+				if mask>>c&1 == 1 {
+					h.ColIdx = append(h.ColIdx, c)
+				}
+			}
+			h.RowPtr[m+1] = len(h.ColIdx)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		h.Val = make([]float64, len(h.ColIdx))
+		for k := range h.Val {
+			h.Val[k] = rng.NormFloat64()
+		}
+		w, perm := randomWeights(rng, h.Rows), rng.Perm(n)
+
+		if mode%2 == 1 {
+			m := 0
+			for m < h.Rows && h.RowNNZ(m) < 2 {
+				m++
+			}
+			if m == h.Rows {
+				return
+			}
+			p := h.RowPtr[m]
+			if mode%4 == 1 {
+				h.ColIdx[p], h.ColIdx[p+1] = h.ColIdx[p+1], h.ColIdx[p]
+			} else {
+				h.ColIdx[p+1] = h.ColIdx[p]
+			}
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, fmt.Sprintf("row %d of H", m)) || !strings.Contains(msg, "strictly increasing") {
+					t.Fatalf("panic %q, want the refusal of row %d", msg, m)
+				}
+			}()
+			NewGainPlanOrdered(h, perm)
+			t.Fatalf("a plan was built on non-canonical row %d", m)
+		}
+
+		g := NewGainPlan(h).Refresh(h, w)
+		assertBitEqual(t, "natural plan", g.Val, replayGain(h, w, g))
+		assertSymmetric(t, "natural plan", g)
+		want := PermuteSym(g, perm)
+		got := NewGainPlanOrdered(h, perm).Refresh(h, w)
+		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+			t.Fatal("the ordered plan's pattern is not PermuteSym's")
+		}
+		assertBitEqual(t, "ordered plan", got.Val, want.Val)
+	})
+}
+
+// TestGainPlanPatternDriftPanics: a refresh with an H of another pattern
+// panics by name, also when only one column moved and the row count and nnz
+// still match; an H of the same pattern in arrays of its own refreshes.
 func TestGainPlanPatternDriftPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	h := randomCSR(rng, 20, 10, 60)
 	gp := NewGainPlan(h)
-	other := randomCSR(rng, 21, 10, 60)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("refresh with a different H shape did not panic")
+	gp.Refresh(h.Clone(), randomWeights(rng, 20))
+
+	moved := h.Clone()
+	for m := 0; m < moved.Rows; m++ {
+		// The last entry of a row below the last column moves there, which
+		// keeps the row canonical.
+		if last := moved.RowPtr[m+1] - 1; last >= moved.RowPtr[m] && moved.ColIdx[last] < moved.Cols-1 {
+			moved.ColIdx[last] = moved.Cols - 1
+			break
 		}
-	}()
-	gp.Refresh(other, randomWeights(rng, 21))
+	}
+	for name, other := range map[string]*CSR{"another shape": randomCSR(rng, 21, 10, 60), "one column moved": moved} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "changed H pattern") {
+					t.Fatalf("%s: panic %q, want one naming the changed pattern", name, msg)
+				}
+			}()
+			gp.Refresh(other, randomWeights(rng, other.Rows))
+			t.Fatalf("%s: the refresh did not panic", name)
+		}()
+	}
 }
 
 func TestPoolRunCoversAllParts(t *testing.T) {

@@ -16,14 +16,16 @@ import (
 // The work splits the way the gain plans split theirs. AnalyzeLDL is the
 // symbolic half, paid once per sparsity pattern: the factor's own
 // fill-reducing permutation (MinDegree's elimination, which also yields the
-// elimination tree and the pattern of L) and the permuted upper triangle
-// with a gather map into the source matrix's value array. Refresh is the numeric half: an up-looking
-// factorization (Davis, "Algorithm 849: a concise sparse Cholesky
-// factorization package") that rewrites L and D in place and allocates
-// nothing but the error of a breakdown. The permutation lives inside the
-// factor — Apply takes and returns vectors in the matrix's own order — so
-// the matrix, the CG iteration and every other consumer of it stay in
-// natural order.
+// elimination tree and the pattern of L), the permuted upper triangle with a
+// gather map into the source matrix's value array, and each row of L in the
+// order the elimination-tree walk reaches its columns. Refresh is the
+// numeric half: an up-looking factorization (Davis, "Algorithm 849: a
+// concise sparse Cholesky factorization package") that replays those rows
+// instead of walking the tree again, rewrites L and D in place and
+// allocates nothing but the error of a breakdown. The permutation lives
+// inside the factor — Apply takes and returns vectors in the matrix's own
+// order — so the matrix, the CG iteration and every other consumer of it
+// stay in natural order.
 //
 // Row k of L reads and writes only columns in k's subtree of the
 // elimination tree, so RefreshPool factors disjoint subtrees side by side
@@ -31,8 +33,8 @@ import (
 //
 // A factor is not safe for concurrent use: Refresh and Apply share scratch.
 type LDLFactor struct {
-	// The analysis: everything down to lRow depends on the pattern alone, is
-	// never written after AnalyzeLDL, and is shared by SharePattern.
+	// The analysis: everything down to lRowCol depends on the pattern alone,
+	// is never written after AnalyzeLDL, and is shared by SharePattern.
 	n    int
 	perm []int // fill-reducing order, perm[new] = old
 
@@ -43,12 +45,19 @@ type LDLFactor struct {
 	// Strict upper triangle of P·A·Pᵀ by column: column k holds rows
 	// upRow[p] < k whose values are a.Val[upSrc[p]]; the diagonal of column
 	// k is a.Val[diagSrc[k]]. Rows and sources are int32, as lRow is.
-	upPtr, diagSrc []int
-	upRow, upSrc   []int32
+	upPtr                 []int
+	upRow, upSrc, diagSrc []int32
 
 	parent []int   // elimination tree (−1 at roots)
 	lPtr   []int   // column pointers of L's strict lower triangle
 	lRow   []int32 // row indices, ascending within a column
+
+	// L's strict lower triangle by rows: row k holds columns
+	// lRowCol[lRowPtr[k]:lRowPtr[k+1]] in the order a refresh solves for
+	// them, each before its ancestors in the elimination tree: the order the
+	// walk up the tree from each entry of upper column k lays them out in.
+	lRowPtr []int
+	lRowCol []int32
 
 	// The split of the elimination forest for splitParts parts (0: none
 	// made): part p factors columns splitCols[splitPtr[p]:splitPtr[p+1]],
@@ -63,11 +72,11 @@ type LDLFactor struct {
 	d    []float64 // D
 
 	// Refresh scratch: y accumulates one sparse row of L and is all zero
-	// between rows, also after a breakdown. A pooled refresh gives each part
-	// the segment of pattern its columns hold in splitCols.
-	y                  []float64
-	pattern, flag, lnz []int
-	w                  []float64 // Apply's permuted vector
+	// between rows, also after a breakdown; lnz[i] counts the rows of column
+	// i of L done so far.
+	y   []float64
+	lnz []int
+	w   []float64 // Apply's permuted vector
 }
 
 // PivotError is the ErrNotSPD an LDLᵀ refresh returns, naming where the
@@ -95,9 +104,12 @@ const ldlPivotRelFloor = ic0PivotRelFloor
 // returns a factor with no numeric content: Refresh must succeed before the
 // first Apply. a must be structurally symmetric and store no entry twice;
 // its rows need not be sorted. Values are only ever read from its lower
-// triangle. The factor keeps a's index arrays, which must not be edited
-// afterwards. It fails when a is not square or a diagonal entry is missing
-// or stored twice.
+// triangle and diagonal. The analysis records, for every row of L, its
+// columns in the order the up-looking walk of the elimination tree reaches
+// them (nnz(L) int32 in all), so that a refresh forms every product in the
+// walk's order without walking. The factor keeps a's index arrays, which
+// must not be edited afterwards. It fails when a is not square or a
+// diagonal entry is missing or stored twice.
 func AnalyzeLDL(a *CSR) (*LDLFactor, error) { return AnalyzeLDLPool(a, nil) }
 
 // AnalyzeLDLPool is AnalyzeLDL that also splits the elimination forest for
@@ -118,13 +130,11 @@ func AnalyzeLDLPool(a *CSR, p *Pool) (*LDLFactor, error) {
 		rowPtr:  a.RowPtr,
 		colIdx:  a.ColIdx,
 		upPtr:   make([]int, n+1),
-		diagSrc: make([]int, n),
+		diagSrc: make([]int32, n),
 		parent:  make([]int, n),
 		lPtr:    make([]int, n+1),
 		d:       make([]float64, n),
 		y:       make([]float64, n),
-		pattern: make([]int, n),
-		flag:    make([]int, n),
 		lnz:     make([]int, n),
 		w:       make([]float64, n),
 	}
@@ -145,7 +155,7 @@ func AnalyzeLDLPool(a *CSR, p *Pool) (*LDLFactor, error) {
 				if f.diagSrc[inv[i]] >= 0 {
 					return nil, fmt.Errorf("sparse: LDL: diagonal stored twice at row %d", i)
 				}
-				f.diagSrc[inv[i]] = k
+				f.diagSrc[inv[i]] = int32(k)
 			case j < i:
 				f.upPtr[max(inv[i], inv[j])+1]++
 			}
@@ -173,8 +183,9 @@ func AnalyzeLDLPool(a *CSR, p *Pool) (*LDLFactor, error) {
 		}
 	}
 	f.lower(&e)
+	f.rows(e.seen)
 	if parts := p.Workers(); parts > 1 && len(a.ColIdx) >= parallelNNZThreshold {
-		f.split(parts)
+		f.split(parts, e.seen, e.deg) // the elimination's scratch, free now
 	}
 	return f, nil
 }
@@ -231,18 +242,56 @@ func (f *LDLFactor) lower(e *elimination) {
 	}
 }
 
+// rows records, for every row k of L, the order a refresh solves for its
+// columns in: the up-looking factorization's walk of the elimination tree
+// (Davis's ereach). From each entry of upper column k in turn it climbs the
+// tree until it meets a column the row already holds, and lays the path,
+// bottom first, ahead of the paths before it, so every column comes before
+// its ancestors. Each row's slot of lRowCol is exactly its size and doubles
+// as the walk's path stack. flag is scratch of length n.
+func (f *LDLFactor) rows(flag []int) {
+	n := f.n
+	clear(flag)
+	f.lRowPtr = make([]int, n+1)
+	for _, r := range f.lRow {
+		f.lRowPtr[r+1]++
+	}
+	for k := 0; k < n; k++ {
+		f.lRowPtr[k+1] += f.lRowPtr[k]
+	}
+	f.lRowCol = make([]int32, f.lRowPtr[n])
+	for k := 0; k < n; k++ {
+		pattern := f.lRowCol[f.lRowPtr[k]:f.lRowPtr[k+1]]
+		top := len(pattern)
+		flag[k] = k
+		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
+			depth := 0
+			for i := int(f.upRow[p]); flag[i] != k; i = f.parent[i] {
+				pattern[depth] = int32(i)
+				depth++
+				flag[i] = k
+			}
+			for depth > 0 {
+				top--
+				depth--
+				pattern[top] = pattern[depth]
+			}
+		}
+	}
+}
+
 // SharePattern returns a factor for another matrix of the analyzed pattern
 // that shares the whole analysis with f — the ordering, the permuted upper
-// triangle, the elimination tree, L's pattern and the split of the forest,
-// if one was made — and owns only L's values,
-// D and its scratch. It has no numeric content until its Refresh succeeds;
+// triangle, the elimination tree, L's pattern by columns and by rows and the
+// split of the forest, if one was made — and owns only L's values, D and its
+// scratch. It has no numeric content until its Refresh succeeds;
 // the two factors refresh and apply independently, also concurrently.
 func (f *LDLFactor) SharePattern() *LDLFactor {
 	c := *f
 	n := f.n
 	c.lVal = make([]float64, len(f.lVal))
 	c.d, c.y, c.w = make([]float64, n), make([]float64, n), make([]float64, n)
-	c.pattern, c.flag, c.lnz = make([]int, n), make([]int, n), make([]int, n)
+	c.lnz = make([]int, n)
 	return &c
 }
 
@@ -291,15 +340,13 @@ func (f *LDLFactor) RefreshPool(a *CSR, p *Pool) error {
 		return f.refreshSerial(a.Val)
 	}
 	if f.splitParts != parts {
-		f.split(parts)
+		f.split(parts, make([]int, f.n), make([]int, f.n))
 	}
 	val, cols, ptr := a.Val, f.splitCols, f.splitPtr
 	var broke atomic.Bool
 	p.Run(parts, func(part int) {
-		lo, hi := ptr[part], ptr[part+1]
-		pattern := f.pattern[lo:hi] // room for every column of the part
-		for _, k := range cols[lo:hi] {
-			if f.row(val, int(k), pattern) != nil {
+		for _, k := range cols[ptr[part]:ptr[part+1]] {
+			if f.row(val, int(k)) != nil {
 				broke.Store(true)
 				return
 			}
@@ -311,7 +358,7 @@ func (f *LDLFactor) RefreshPool(a *CSR, p *Pool) error {
 	// No part broke down and the top runs in ascending order, so the first
 	// top row that breaks down is the first the serial pass would meet.
 	for _, k := range cols[ptr[parts]:] {
-		if pe := f.row(val, int(k), f.pattern); pe != nil {
+		if pe := f.row(val, int(k)); pe != nil {
 			return pe
 		}
 	}
@@ -331,7 +378,7 @@ func (f *LDLFactor) check(a *CSR) error {
 // refreshSerial factors every row in ascending order: the one-part split.
 func (f *LDLFactor) refreshSerial(val []float64) error {
 	for k := 0; k < f.n; k++ {
-		if pe := f.row(val, k, f.pattern); pe != nil {
+		if pe := f.row(val, k); pe != nil {
 			return pe
 		}
 	}
@@ -339,36 +386,21 @@ func (f *LDLFactor) refreshSerial(val []float64) error {
 }
 
 // row computes row k of L and D[k] from the values val of the analyzed
-// pattern, every earlier row of k's subtree being done. It touches y, flag,
-// lnz, L and D only at k and the columns below it in the elimination tree,
-// and collects its pattern in pattern, which needs room for those columns.
-func (f *LDLFactor) row(val []float64, k int, pattern []int) *PivotError {
-	y, flag, lnz, parent := f.y, f.flag, f.lnz, f.parent
+// pattern, every earlier row of k's subtree being done. It scatters upper
+// column k into y and solves for the columns of row k in their recorded
+// order, touching y, lnz, L and D only at k and the columns below it in the
+// elimination tree.
+func (f *LDLFactor) row(val []float64, k int) *PivotError {
+	y, lnz := f.y, f.lnz
 	lPtr, lRow, lVal := f.lPtr, f.lRow, f.lVal
-	// Scatter column k of the upper triangle into y and collect the pattern
-	// of row k of L in topological order at pattern[top:].
-	top := len(pattern)
-	flag[k] = k
-	lnz[k] = 0
 	for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
-		i := int(f.upRow[p])
-		y[i] += val[f.upSrc[p]]
-		depth := 0
-		for ; flag[i] != k; i = parent[i] {
-			pattern[depth] = i
-			depth++
-			flag[i] = k
-		}
-		for depth > 0 {
-			top--
-			depth--
-			pattern[top] = pattern[depth]
-		}
+		y[f.upRow[p]] += val[f.upSrc[p]]
 	}
+	lnz[k] = 0
 	// Sparse triangular solve for row k of L, and the pivot.
 	akk := val[f.diagSrc[k]]
 	dk := akk
-	for _, i := range pattern[top:] {
+	for _, i := range f.lRowCol[f.lRowPtr[k]:f.lRowPtr[k+1]] {
 		yi := y[i]
 		y[i] = 0
 		lo, end := lPtr[i], lPtr[i]+lnz[i]
@@ -396,9 +428,9 @@ func (f *LDLFactor) row(val []float64, k int, pattern []int) *PivotError {
 // children becoming subtrees, for as long as that can still lower the
 // estimated time of a pooled refresh: the top plus the heaviest part of a
 // largest-first packing of the subtrees. Work is counted in row-kernel
-// steps. The search runs in Apply's vector and the refresh scratch, all of
-// it free between calls, and allocates only the split itself.
-func (f *LDLFactor) split(parts int) {
+// steps. The search runs in Apply's vector, y and lnz, all free between
+// calls, and in child and sibling, scratch of length n the caller owns.
+func (f *LDLFactor) split(parts int, child, sibling []int) {
 	n, parent := f.n, f.parent
 	// rowWork[k]: the scatter of upper column k, plus, for each entry of row
 	// k of L, the entries above it in its column that the solve subtracts.
@@ -413,7 +445,7 @@ func (f *LDLFactor) split(parts int) {
 	}
 	// Subtree work, and children and roots as first-child / next-sibling
 	// lists.
-	child, sibling, roots := f.pattern, f.flag, -1
+	roots := -1
 	copy(sub, rowWork)
 	for k := 0; k < n; k++ {
 		child[k] = -1
@@ -493,7 +525,7 @@ func (f *LDLFactor) split(parts int) {
 	for _, k := range cols[:moved] {
 		part[k] = parts + 1
 	}
-	set := f.pattern[:0]
+	set := child[:0]
 	for k := 0; k < n; k++ {
 		if part[k] == 0 && (parent[k] < 0 || part[parent[k]] == parts+1) {
 			set = append(set, k)
@@ -514,7 +546,7 @@ func (f *LDLFactor) split(parts int) {
 	for q := 1; q < len(ptr); q++ {
 		ptr[q] += ptr[q-1]
 	}
-	next := f.flag
+	next := sibling
 	copy(next, ptr)
 	for k, q := range part {
 		cols[next[q-1]] = int32(k)

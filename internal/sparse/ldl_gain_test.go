@@ -118,6 +118,45 @@ func TestLDLMatchesOracleOnGains(t *testing.T) {
 	}
 }
 
+// TestLDLRowReplayMatchesWalkOnGains: the refresh that replays each row's
+// recorded pattern holds L and D bit for bit as the kernel that walked the
+// elimination tree on every row, kept in ldl_test.go as the oracle — on the
+// IEEE-14, 30 and 118 gains and the 2-, 4- and 12-area SynthWECC gains,
+// serially and pooled at 1, 2 and 4 workers.
+func TestLDLRowReplayMatchesWalkOnGains(t *testing.T) {
+	cases := map[string]*sparse.CSR{
+		"ieee14":  centralGain(t, grid.Case14()),
+		"ieee30":  centralGain(t, grid.Case30()),
+		"ieee118": centralGain(t, grid.Case118()),
+	}
+	for _, areas := range []int{2, 4, 12} {
+		cases[fmt.Sprintf("synth-wecc-%d", areas)] = centralGain(t, synthWECC(t, areas, 1))
+	}
+	for name, g := range cases {
+		f, err := sparse.AnalyzeLDL(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walked := f.SharePattern()
+		if err := sparse.WalkingRefresh(walked, g); err != nil {
+			t.Fatalf("%s: walking refresh: %v", name, err)
+		}
+		if err := f.Refresh(g); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		assertSameFactor(t, name+", serial", f, walked)
+		for _, workers := range []int{1, 2, 4} {
+			pool := sparse.NewPool(workers)
+			c := f.SharePattern()
+			if err := c.RefreshPool(g, pool); err != nil {
+				t.Fatalf("%s, %d workers: %v", name, workers, err)
+			}
+			assertSameFactor(t, fmt.Sprintf("%s, %d workers", name, workers), c, walked)
+			pool.Close()
+		}
+	}
+}
+
 // TestLDLRefreshPoolMatchesSerialOnGains: on the centralized gains of the
 // 4-, 12- and 37-area SynthWECC, a pooled refresh at 1, 2 and 4 workers
 // holds L and D bit for bit as the serial one does — on a fresh factor, on

@@ -506,15 +506,17 @@ func TestLDLRefreshApplyZeroAlloc(t *testing.T) {
 // must equal array for array: MinDegree's ordering, the permuted upper
 // triangle, then a walk up the elimination tree from every upper-triangle
 // entry to count each column of L, and the same walk again to place its
-// rows. With parts > 1 it also splits the forest as AnalyzeLDLPool would.
+// rows, and once more to list each row of L in the order the walking refresh
+// solves for it. With parts > 1 it also splits the forest as AnalyzeLDLPool
+// would.
 func walkAnalysis(a *CSR, parts int) (*LDLFactor, error) {
 	n := a.Rows
 	f := &LDLFactor{
 		n: n, perm: MinDegree(a),
-		upPtr: make([]int, n+1), diagSrc: make([]int, n), parent: make([]int, n), lPtr: make([]int, n+1),
-		d: make([]float64, n), y: make([]float64, n), w: make([]float64, n),
-		pattern: make([]int, n), flag: make([]int, n), lnz: make([]int, n),
+		upPtr: make([]int, n+1), diagSrc: make([]int32, n), parent: make([]int, n), lPtr: make([]int, n+1),
+		d: make([]float64, n), y: make([]float64, n), w: make([]float64, n), lnz: make([]int, n),
 	}
+	flag := make([]int, n)
 	inv := InversePerm(f.perm)
 	for i := range f.diagSrc {
 		f.diagSrc[i] = -1
@@ -523,7 +525,7 @@ func walkAnalysis(a *CSR, parts int) (*LDLFactor, error) {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			switch j := a.ColIdx[k]; {
 			case j == i:
-				f.diagSrc[inv[i]] = k
+				f.diagSrc[inv[i]] = int32(k)
 			case j < i:
 				f.upPtr[max(inv[i], inv[j])+1]++
 			}
@@ -552,15 +554,15 @@ func walkAnalysis(a *CSR, parts int) (*LDLFactor, error) {
 	// entry of column k towards k.
 	for k := 0; k < n; k++ {
 		f.parent[k] = -1
-		f.flag[k] = k
+		flag[k] = k
 		f.lnz[k] = 0
 		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
-			for i := int(f.upRow[p]); f.flag[i] != k; i = f.parent[i] {
+			for i := int(f.upRow[p]); flag[i] != k; i = f.parent[i] {
 				if f.parent[i] < 0 {
 					f.parent[i] = k
 				}
 				f.lnz[i]++
-				f.flag[i] = k
+				flag[i] = k
 			}
 		}
 	}
@@ -569,29 +571,116 @@ func walkAnalysis(a *CSR, parts int) (*LDLFactor, error) {
 	}
 	f.lRow, f.lVal = make([]int32, f.lPtr[n]), make([]float64, f.lPtr[n])
 	for k := 0; k < n; k++ {
-		f.flag[k] = -1
+		flag[k] = -1
 		f.lnz[k] = 0
 	}
 	for k := 0; k < n; k++ {
-		f.flag[k] = k
+		flag[k] = k
 		for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
-			for i := int(f.upRow[p]); f.flag[i] != k; i = f.parent[i] {
+			for i := int(f.upRow[p]); flag[i] != k; i = f.parent[i] {
 				f.lRow[f.lPtr[i]+f.lnz[i]] = int32(k)
 				f.lnz[i]++
-				f.flag[i] = k
+				flag[i] = k
 			}
 		}
 	}
+	// Row k's pattern in the order the walking refresh solves for it.
+	f.lRowPtr = make([]int, n+1)
+	pattern := make([]int, n)
+	for k := range flag {
+		flag[k] = -1
+	}
+	for k := 0; k < n; k++ {
+		for _, i := range pattern[ereach(f, k, flag, pattern):] {
+			f.lRowCol = append(f.lRowCol, int32(i))
+		}
+		f.lRowPtr[k+1] = len(f.lRowCol)
+	}
 	if parts > 1 {
-		f.split(parts)
+		f.split(parts, make([]int, n), make([]int, n))
 	}
 	return f, nil
 }
 
+// ereach is the elimination-tree walk LDLFactor's row kernel made on every
+// refresh before the analysis recorded its result: it collects the pattern
+// of row k of L in topological order at pattern[top:], pattern having room
+// for every column below k, and returns top. flag must hold no k.
+func ereach(f *LDLFactor, k int, flag, pattern []int) int {
+	top := len(pattern)
+	flag[k] = k
+	for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
+		i := int(f.upRow[p])
+		depth := 0
+		for ; flag[i] != k; i = f.parent[i] {
+			pattern[depth] = i
+			depth++
+			flag[i] = k
+		}
+		for depth > 0 {
+			top--
+			depth--
+			pattern[top] = pattern[depth]
+		}
+	}
+	return top
+}
+
+// walkingRow is LDLFactor.row as it was before it replayed a recorded
+// pattern: the scatter of upper column k, the walk, then the same solve (the
+// walk used to run inside the scatter loop, which changes nothing: the
+// scatter writes distinct entries of an all-zero y). It is the oracle the
+// replaying kernel must equal bit for bit, L and D alike.
+func walkingRow(f *LDLFactor, val []float64, k int, flag, pattern []int) *PivotError {
+	y, lnz := f.y, f.lnz
+	lPtr, lRow, lVal := f.lPtr, f.lRow, f.lVal
+	for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
+		y[f.upRow[p]] += val[f.upSrc[p]]
+	}
+	top := ereach(f, k, flag, pattern)
+	lnz[k] = 0
+	akk := val[f.diagSrc[k]]
+	dk := akk
+	for _, i := range pattern[top:] {
+		yi := y[i]
+		y[i] = 0
+		lo, end := lPtr[i], lPtr[i]+lnz[i]
+		rows := lRow[lo:end]
+		vals := lVal[lo:end][:len(rows)]
+		for p, r := range rows {
+			y[r] -= vals[p] * yi
+		}
+		lki := yi / f.d[i]
+		dk -= lki * yi
+		lVal[end] = lki
+		lnz[i]++
+	}
+	if !(dk > ldlPivotRelFloor*math.Abs(akk)) {
+		return &PivotError{State: f.perm[k], Pivot: dk, Diag: akk}
+	}
+	f.d[k] = dk
+	return nil
+}
+
+// walkingRefresh refactors f from a serially with walkingRow, on scratch of
+// its own, into f's L and D.
+func walkingRefresh(f *LDLFactor, a *CSR) error {
+	flag, pattern := make([]int, f.n), make([]int, f.n)
+	for k := range flag {
+		flag[k] = -1
+	}
+	for k := 0; k < f.n; k++ {
+		if pe := walkingRow(f, a.Val, k, flag, pattern); pe != nil {
+			return pe
+		}
+	}
+	return nil
+}
+
 // analysisMatchesOracle analyzes a on p and reports the first array of the
 // analysis that differs from walkAnalysis's for p's part count: the ordering,
-// the permuted upper triangle, the elimination tree, L's pattern and the
-// split of the forest.
+// the permuted upper triangle, the elimination tree, L's pattern by columns,
+// its rows in the walk's order and the split of the forest.
 func analysisMatchesOracle(a *CSR, p *Pool) error {
 	f, err := AnalyzeLDLPool(a, p)
 	if err != nil {
@@ -609,8 +698,9 @@ func analysisMatchesOracle(a *CSR, p *Pool) error {
 		what      string
 		got, want []int
 	}{
-		{"perm", f.perm, o.perm}, {"upPtr", f.upPtr, o.upPtr}, {"diagSrc", f.diagSrc, o.diagSrc},
-		{"parent", f.parent, o.parent}, {"lPtr", f.lPtr, o.lPtr}, {"splitPtr", f.splitPtr, o.splitPtr},
+		{"perm", f.perm, o.perm}, {"upPtr", f.upPtr, o.upPtr},
+		{"parent", f.parent, o.parent}, {"lPtr", f.lPtr, o.lPtr}, {"lRowPtr", f.lRowPtr, o.lRowPtr},
+		{"splitPtr", f.splitPtr, o.splitPtr},
 	} {
 		if !slices.Equal(c.got, c.want) {
 			return fmt.Errorf("%s differs from the walk oracle's", c.what)
@@ -620,8 +710,8 @@ func analysisMatchesOracle(a *CSR, p *Pool) error {
 		what      string
 		got, want []int32
 	}{
-		{"upRow", f.upRow, o.upRow}, {"upSrc", f.upSrc, o.upSrc}, {"lRow", f.lRow, o.lRow},
-		{"splitCols", f.splitCols, o.splitCols},
+		{"upRow", f.upRow, o.upRow}, {"upSrc", f.upSrc, o.upSrc}, {"diagSrc", f.diagSrc, o.diagSrc}, {"lRow", f.lRow, o.lRow},
+		{"lRowCol", f.lRowCol, o.lRowCol}, {"splitCols", f.splitCols, o.splitCols},
 	} {
 		if !slices.Equal(c.got, c.want) {
 			return fmt.Errorf("%s differs from the walk oracle's", c.what)
@@ -631,7 +721,8 @@ func analysisMatchesOracle(a *CSR, p *Pool) error {
 }
 
 // FuzzAnalyzeLDL turns bytes into a small pattern with a full diagonal.
-// Symmetric, its analysis must equal the walk oracle's array for array. Made
+// Symmetric, its analysis must equal the walk oracle's array for array, the
+// recorded row patterns being the sequence the walk visits. Made
 // one-sided or given a repeated entry, the analysis must not panic: it
 // either fails, or its factor solves the matrix Refresh reads — the lower
 // triangle mirrored, repeats summed — as the dense solve does.

@@ -44,6 +44,8 @@ func TestSharePatternSharesIndexArrays(t *testing.T) {
 	sameInts("G.ColIdx", gc.G.ColIdx, gp.G.ColIdx)
 	sameInts("colPtr", gc.colPtr, gp.colPtr)
 	sameInts("rowWork", gc.rowWork, gp.rowWork)
+	sameInts("H.RowPtr", gc.hRowPtr, gp.hRowPtr)
+	sameInts("H.ColIdx", gc.hColIdx, gp.hColIdx)
 	same32("colVal", gc.colVal, gp.colVal)
 	same32("colRow", gc.colRow, gp.colRow)
 	if &gc.G.Val[0] == &gp.G.Val[0] || &gc.acc[0][0] == &gp.acc[0][0] {
@@ -64,16 +66,18 @@ func TestSharePatternSharesIndexArrays(t *testing.T) {
 	fc := f.SharePattern()
 	for what, pair := range map[string][2][]int{
 		"perm": {fc.perm, f.perm}, "rowPtr": {fc.rowPtr, f.rowPtr}, "colIdx": {fc.colIdx, f.colIdx},
-		"upPtr": {fc.upPtr, f.upPtr}, "diagSrc": {fc.diagSrc, f.diagSrc},
-		"parent": {fc.parent, f.parent}, "lPtr": {fc.lPtr, f.lPtr},
+		"upPtr":  {fc.upPtr, f.upPtr},
+		"parent": {fc.parent, f.parent}, "lPtr": {fc.lPtr, f.lPtr}, "lRowPtr": {fc.lRowPtr, f.lRowPtr},
 	} {
 		sameInts(what, pair[0], pair[1])
 	}
 	same32("lRow", fc.lRow, f.lRow)
+	same32("lRowCol", fc.lRowCol, f.lRowCol)
 	same32("upRow", fc.upRow, f.upRow)
 	same32("upSrc", fc.upSrc, f.upSrc)
+	same32("diagSrc", fc.diagSrc, f.diagSrc)
 	sameInts("the analyzed matrix's ColIdx", f.colIdx, gp.G.ColIdx)
-	if &fc.lVal[0] == &f.lVal[0] || &fc.d[0] == &f.d[0] || &fc.y[0] == &f.y[0] || &fc.flag[0] == &f.flag[0] {
+	if &fc.lVal[0] == &f.lVal[0] || &fc.d[0] == &f.d[0] || &fc.y[0] == &f.y[0] || &fc.lnz[0] == &f.lnz[0] {
 		t.Fatal("the cloned factor shares values or scratch")
 	}
 	// The clone factors the clone's G, which shares the analyzed pattern.
