@@ -251,17 +251,15 @@ func BenchmarkEndToEndDSE(b *testing.B) {
 }
 
 // BenchmarkCentralizedWLS118 is the baseline the paper compares against:
-// one full-system WLS solve on IEEE-118. The jacobi row is Jacobi-PCG, the
-// paper's solver (named csr up to BENCH_12), the ldl row is what
-// wls.Options{} runs — the lagged tier, whose last step reuses the previous
-// gain and factor — and ldl-exact is exact Gauss–Newton (ReuseOff).
+// one full-system WLS solve on IEEE-118. The ldl row is what wls.Options{}
+// runs — the lagged tier, whose last step reuses the previous gain and
+// factor — and ldl-exact is exact Gauss–Newton (ReuseOff).
 func BenchmarkCentralizedWLS118(b *testing.B) {
 	fx := benchFixture(b)
 	for _, f := range []struct {
 		name string
 		opts wls.Options
 	}{
-		{"jacobi", wls.Options{Precond: wls.PrecondJacobi}},
 		{"ldl", wls.Options{}},
 		{"ldl-exact", wls.Options{GainReuse: wls.ReuseOff}},
 	} {
@@ -431,41 +429,6 @@ func BenchmarkPowerFlow118(b *testing.B) {
 
 // --- Ablation benches (design choices called out in DESIGN.md §5) ---
 
-// BenchmarkAblationPreconditioner compares the two gain solves — the LDLᵀ
-// factor's substitution and Jacobi-preconditioned CG — on the full IEEE-118
-// estimation.
-func BenchmarkAblationPreconditioner(b *testing.B) {
-	fx := benchFixture(b)
-	for _, p := range []wls.PrecondKind{wls.PrecondLDL, wls.PrecondJacobi} {
-		b.Run(p.String(), func(b *testing.B) {
-			var cg int
-			for i := 0; i < b.N; i++ {
-				res, err := core.CentralizedEstimate(context.Background(), fx.Net, fx.Meas, wls.Options{Precond: p})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cg = res.CGIterations
-			}
-			b.ReportMetric(float64(cg), "cg-iters")
-		})
-	}
-}
-
-// BenchmarkAblationWorkers sweeps the parallel mat-vec width of the PCG
-// solver (the paper's parallel SE code dimension).
-func BenchmarkAblationWorkers(b *testing.B) {
-	fx := benchFixture(b)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run("workers-"+itoa(w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.CentralizedEstimate(context.Background(), fx.Net, fx.Meas, wls.Options{Precond: wls.PrecondJacobi, Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationMapping compares the end-to-end distributed run with the
 // cost-model mapping vs the naive contiguous assignment (Table II's
 // motivation).
@@ -586,18 +549,14 @@ func BenchmarkDSE118Rounds(b *testing.B) {
 // value-refreshed, warm-started full DSE pass on the pinned session under
 // the tracker's default numeric-reuse tier (ReuseGain). The reported
 // gain-skip-frac is the fraction of gain-solve iterations that ran on the
-// previous frame's G and preconditioner. The jacobi row is the historical
-// BenchmarkTrackerFrames; the ldl row is the default preconditioner — 27
-// solves of ~10 µs, which the phase runner spreads over the caller and its
-// helpers, so -cpu 1,2 reads what a second core buys a 13-bus subsystem.
+// previous frame's G and factor. Its one row, ldl, is 27 solves of ~10 µs,
+// which the phase runner spreads over the caller and its helpers, so
+// -cpu 1,2 reads what a second core buys a 13-bus subsystem.
 func BenchmarkTrackerFrames(b *testing.B) {
 	fx := benchFixture(b)
-	frames := [][]meas.Measurement{fx.Meas}
-	for _, p := range []wls.PrecondKind{wls.PrecondJacobi, wls.PrecondLDL} {
-		b.Run(p.String(), func(b *testing.B) {
-			benchTrackedFrames(b, fx.Dec, frames, core.DSEOptions{Rounds: 2, WLS: wls.Options{Precond: p}})
-		})
-	}
+	b.Run("ldl", func(b *testing.B) {
+		benchTrackedFrames(b, fx.Dec, [][]meas.Measurement{fx.Meas}, core.DSEOptions{Rounds: 2})
+	})
 }
 
 // reuseModes is the numeric-reuse benchmark axis.
@@ -1093,7 +1052,7 @@ func BenchmarkGainSolve(b *testing.B) {
 			b.Run(c.name+"/"+pc.name, func(b *testing.B) {
 				var iters int
 				for i := 0; i < b.N; i++ {
-					cg, err := sparse.CG(g, rhs, sparse.CGOptions{Tol: 1e-10, Precond: pc.pre, Workers: 1, Work: work})
+					cg, err := sparse.CG(g, rhs, sparse.CGOptions{Tol: 1e-10, Precond: pc.pre, Work: work})
 					if err != nil {
 						b.Fatal(err)
 					}

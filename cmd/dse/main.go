@@ -47,7 +47,6 @@ func main() {
 		refine     = flag.Bool("refine", false, "with -hierarchical: coordinator re-estimates the boundary system")
 		frames     = flag.Int("frames", 1, "serve this many measurement frames on one decomposition: with -inprocess a tracker (session reuse + warm starts), otherwise one testbed run per frame on the testbed the decomposition keeps")
 		gainReuse  = flag.String("gain-reuse", wls.Options{}.GainReuse.String(), "drift-gated gain/factor reuse: gain (lag while the state stays inside the gate) or off (exact Gauss-Newton)")
-		precond    = flag.String("precond", wls.Options{}.Precond.String(), "gain solve: ldl (the LDLᵀ factor solves directly, no CG) or jacobi (Jacobi-preconditioned CG, the paper's solver [2])")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	)
 	flag.Parse()
@@ -78,11 +77,7 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown -gain-reuse %q (want gain or off)", *gainReuse)
 	}
-	precondKind, err := wls.ParsePrecond(*precond)
-	if err != nil {
-		log.Fatal(err)
-	}
-	wlsOpts := gridse.EstimatorOptions{GainReuse: reuseKind, Precond: precondKind}
+	wlsOpts := gridse.EstimatorOptions{GainReuse: reuseKind}
 
 	// Interrupt (Ctrl-C) or SIGTERM cancels the run cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

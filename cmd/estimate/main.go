@@ -24,9 +24,7 @@ func main() {
 		areas    = flag.Int("areas", 0, "instead of -case, synthesize a multi-area grid with this many areas (12 = the 1 416-bus benchmark grid)")
 		noise    = flag.Float64("noise", 1.0, "meter noise level (1 = nominal)")
 		seed     = flag.Int64("seed", 42, "measurement noise seed")
-		precond  = flag.String("precond", wls.Options{}.Precond.String(), "gain solve: ldl (the LDLᵀ factor solves directly, no CG) or jacobi (Jacobi-preconditioned CG, the paper's solver [2])")
 		reuse    = flag.String("gain-reuse", wls.Options{}.GainReuse.String(), "drift-gated gain/factor reuse: gain (lag while the state stays inside the gate) or off (exact Gauss-Newton)")
-		workers  = flag.Int("workers", 0, "parallel mat-vec workers (0 = GOMAXPROCS)")
 		plan     = flag.String("plan", "full", "metering plan: full|rtu|pmu")
 		baddata  = flag.Bool("baddata", false, "run chi-square bad-data detection")
 		robust   = flag.Bool("robust", false, "use the Huber M-estimator")
@@ -73,10 +71,7 @@ func main() {
 		log.Fatalf("simulate: %v", err)
 	}
 
-	opts := gridse.EstimatorOptions{Workers: *workers}
-	if opts.Precond, err = wls.ParsePrecond(*precond); err != nil {
-		log.Fatal(err)
-	}
+	var opts gridse.EstimatorOptions
 	var ok bool
 	if opts.GainReuse, ok = map[string]wls.GainReuseKind{"gain": wls.ReuseGain, "off": wls.ReuseOff}[*reuse]; !ok {
 		log.Fatalf("unknown -gain-reuse %q (want gain or off)", *reuse)
@@ -105,8 +100,8 @@ func main() {
 	}
 	fmt.Printf("case %s: %d measurements over %d states (redundancy %.2f)\n",
 		net.Name, len(ms), 2*net.N()-1, float64(len(ms))/float64(2*net.N()-1))
-	fmt.Printf("gain solve %s, reuse %s: %d Gauss-Newton iterations (%d refreshes, %d lagged, %d guard rollbacks), %d CG iterations, J = %.2f\n",
-		*precond, opts.GainReuse, res.Iterations, res.GainRefreshes, res.GainSkips, res.ReuseFallbacks, res.CGIterations, res.ObjectiveJ)
+	fmt.Printf("reuse %s: %d Gauss-Newton iterations (%d refreshes, %d lagged, %d guard rollbacks), %d CG iterations, J = %.2f\n",
+		opts.GainReuse, res.Iterations, res.GainRefreshes, res.GainSkips, res.ReuseFallbacks, res.CGIterations, res.ObjectiveJ)
 
 	var worstVm, worstVa float64
 	for i := range truth.State.Vm {

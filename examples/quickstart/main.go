@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("simulated %d measurements (redundancy %.1fx)\n",
 		len(ms), float64(len(ms))/float64(2*net.N()-1))
 
-	// Weighted-least-squares state estimation (PCG-solved gain matrix).
+	// Weighted-least-squares state estimation (gain matrix solved by its LDLᵀ factor).
 	est, err := gridse.Estimate(net, ms)
 	if err != nil {
 		log.Fatalf("estimate: %v", err)

@@ -165,12 +165,10 @@ type (
 	Observability = wls.Observability
 )
 
-// Estimator gain-solve and numeric-reuse choices.
+// Estimator numeric-reuse choices.
 const (
-	PrecondLDL    = wls.PrecondLDL
-	PrecondJacobi = wls.PrecondJacobi
-	ReuseGain     = wls.ReuseGain
-	ReuseOff      = wls.ReuseOff
+	ReuseGain = wls.ReuseGain
+	ReuseOff  = wls.ReuseOff
 )
 
 // Estimate runs centralized WLS state estimation with default options,

@@ -266,7 +266,7 @@ func rebuiltDC(t *testing.T, n *grid.Network, p []float64, out int) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sparse.CG(bp, rhs, sparse.CGOptions{Tol: 1e-13, Precond: jac, Workers: 1})
+	res, err := sparse.CG(bp, rhs, sparse.CGOptions{Tol: 1e-13, Precond: jac})
 	if err != nil {
 		t.Fatalf("outage %d: %v", out, err)
 	}

@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/meas"
+	"repro/internal/powerflow"
+	"repro/internal/sparse"
 	"repro/internal/wls"
 )
 
@@ -34,6 +36,17 @@ func poolFrames(t *testing.T, n *grid.Network, plan []meas.Measurement) (f1, f2 
 // views or clones.
 func rebuiltOutage(t *testing.T, n *grid.Network, out int, frame []meas.Measurement, opts wls.Options) *wls.Result {
 	t.Helper()
+	res, err := wls.NewEngine(rebuiltModel(t, n, out, frame)).Estimate(opts)
+	if err != nil {
+		t.Fatalf("outage %d: rebuilt estimate: %v", out, err)
+	}
+	return res
+}
+
+// rebuiltModel is rebuiltOutage's measurement model: the network copy with
+// branch out open and the frame without that branch's flows.
+func rebuiltModel(t *testing.T, n *grid.Network, out int, frame []meas.Measurement) *meas.Model {
+	t.Helper()
 	pnet := n.Clone()
 	pnet.Branches[out].Status = false
 	ref := pnet.SlackIndex()
@@ -52,24 +65,43 @@ func rebuiltOutage(t *testing.T, n *grid.Network, out int, frame []meas.Measurem
 	if err != nil {
 		t.Fatalf("outage %d: rebuilt model: %v", out, err)
 	}
-	res, err := wls.NewEngine(mod).Estimate(opts)
-	if err != nil {
-		t.Fatalf("outage %d: rebuilt estimate: %v", out, err)
-	}
-	return res
+	return mod
 }
 
-// oracleOpts makes rebuiltOutage the pool's independent oracle: Jacobi-
-// preconditioned CG shares no factor, and no CloneFor or SharePattern state,
-// with the pool's LDLᵀ path.
-var oracleOpts = wls.Options{Precond: wls.PrecondJacobi, Tol: 1e-9}
+// oracleOutage is the pool's independent oracle: Gauss–Newton from the flat
+// start on the rebuilt model, each step a dense LU solve of a freshly
+// assembled G·Δx = HᵀW·r, until ‖Δx‖∞ < 1e-9. It shares no factor, plan,
+// engine, CloneFor or SharePattern state with the pool.
+func oracleOutage(t *testing.T, n *grid.Network, out int, frame []meas.Measurement) powerflow.State {
+	t.Helper()
+	mod := rebuiltModel(t, n, out, frame)
+	x, w := mod.FlatVec(), mod.Weights()
+	r := make([]float64, mod.NMeas())
+	for iter := 0; iter < 25; iter++ {
+		for i, m := range mod.Meas {
+			r[i] = m.Value
+		}
+		sparse.Sub(r, r, mod.Eval(x))
+		hj := mod.Jacobian(x)
+		dx, err := sparse.SolveDense(sparse.Gain(hj, w).ToDense(), sparse.GainRHS(hj, w, r))
+		if err != nil {
+			t.Fatalf("outage %d: dense oracle: %v", out, err)
+		}
+		sparse.Axpy(1, dx, x)
+		if sparse.NormInf(dx) < 1e-9 {
+			return mod.VecToState(x)
+		}
+	}
+	t.Fatalf("outage %d: dense oracle did not converge", out)
+	return powerflow.State{}
+}
 
 // TestPoolRescreenEquivalence is the pool's acceptance test: re-screening
 // an unchanged contingency list on a second frame performs zero skeleton
 // constructions, produces estimates within 1e-9 of a cold per-outage sweep,
 // and spends fewer Gauss–Newton iterations than the cold sweep. The first,
 // the last and (where the grid has one) a parallel-circuit estimated case
-// of the warm sweep are also held to 1e-6 of the Jacobi-PCG oracle, so the pool
+// of the warm sweep are also held to 1e-6 of the dense oracle, so the pool
 // is not checked against its own cold path alone.
 func TestPoolRescreenEquivalence(t *testing.T) {
 	// IEEE-14 has no parallel circuits; IEEE-118 has several.
@@ -197,10 +229,10 @@ func testRescreenEquivalence(t *testing.T, n *grid.Network, wantParallel bool) {
 		if i < 0 {
 			continue
 		}
-		want := rebuiltOutage(t, n, res2[i].Outage, frame2, oracleOpts)
-		for b := range want.State.Vm {
-			dvm := math.Abs(res2[i].Estimate.State.Vm[b] - want.State.Vm[b])
-			dva := math.Abs(res2[i].Estimate.State.Va[b] - want.State.Va[b])
+		want := oracleOutage(t, n, res2[i].Outage, frame2)
+		for b := range want.Vm {
+			dvm := math.Abs(res2[i].Estimate.State.Vm[b] - want.Vm[b])
+			dva := math.Abs(res2[i].Estimate.State.Va[b] - want.Va[b])
 			if dvm > 1e-6 || dva > 1e-6 {
 				t.Fatalf("outage %d bus %d: warm pooled state off the oracle by Vm %g, Va %g",
 					res2[i].Outage, b, dvm, dva)
@@ -524,26 +556,26 @@ func ringUnobservableFixture(t *testing.T) (*grid.Network, []meas.Measurement) {
 
 // TestPoolPrecondBreakdownDegradesToJacobi: outage 3 of the ring fixture
 // has a singular gain at the flat start — semidefinite but consistent, so
-// Jacobi-CG solves it while no factor exists. The default preconditioner
-// must run those refreshes on Jacobi, count them through SweepStats, and
-// land within 1e-9 of a pool configured with Jacobi outright.
+// Jacobi-CG solves it while no factor exists. The pool must run those
+// refreshes on the Jacobi stand-in, count them through SweepStats, and land
+// within 1e-9 of a warm re-screen of the same case, which starts at that
+// estimate, where the gain factors, and records no breakdown.
 func TestPoolPrecondBreakdownDegradesToJacobi(t *testing.T) {
 	n, frame := ringUnobservableFixture(t)
-	ctx := context.Background()
-	screen := func(opts wls.Options) (CaseEstimate, SweepStats) {
+	pool, err := NewPool(n, PoolOptions{WLS: wls.Options{Tol: 1e-9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	screen := func() (CaseEstimate, SweepStats) {
 		t.Helper()
-		pool, err := NewPool(n, PoolOptions{WLS: opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, stats, err := pool.Screen(ctx, frame, nil, []int{3}, ParallelOptions{})
+		res, stats, err := pool.Screen(context.Background(), frame, nil, []int{3}, ParallelOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res[0], stats
 	}
-	got, stats := screen(wls.Options{})
-	want, jstats := screen(wls.Options{Precond: wls.PrecondJacobi})
+	got, stats := screen()
+	want, wstats := screen()
 	if stats.PrecondFallbacks == 0 {
 		t.Fatal("singular flat-start gain was not counted as a factorization breakdown")
 	}
@@ -551,15 +583,12 @@ func TestPoolPrecondBreakdownDegradesToJacobi(t *testing.T) {
 		t.Fatalf("%d breakdowns over %d Gauss–Newton iterations: the factor never recovered off the flat start",
 			stats.PrecondFallbacks, stats.GNIterations)
 	}
-	if jstats.PrecondFallbacks != 0 {
-		t.Fatalf("Jacobi pool reported %d factorization breakdowns", jstats.PrecondFallbacks)
-	}
-	if stats.GNIterations != jstats.GNIterations {
-		t.Fatalf("%d Gauss–Newton iterations, Jacobi pool %d", stats.GNIterations, jstats.GNIterations)
+	if wstats.WarmStarts != 1 || wstats.PrecondFallbacks != 0 {
+		t.Fatalf("warm re-screen: %d warm starts, %d factorization breakdowns (want 1 and 0)", wstats.WarmStarts, wstats.PrecondFallbacks)
 	}
 	for i, v := range want.Estimate.X {
 		if d := math.Abs(got.Estimate.X[i] - v); d > 1e-9 {
-			t.Fatalf("x[%d] = %v, Jacobi pool %v", i, got.Estimate.X[i], v)
+			t.Fatalf("x[%d] = %v, warm re-screen %v", i, got.Estimate.X[i], v)
 		}
 	}
 }

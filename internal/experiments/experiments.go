@@ -19,12 +19,6 @@ import (
 	"repro/internal/wls"
 )
 
-// paperWLS is the estimator configuration of every paper-table run: the
-// Jacobi-preconditioned CG of the paper's HPC solver [2], not the complete
-// factor wls.Options{} now defaults to, so the regenerated tables keep
-// measuring the algorithm the paper measured.
-var paperWLS = wls.Options{Precond: wls.PrecondJacobi}
-
 // Fixture bundles the IEEE-118 scenario every experiment starts from.
 type Fixture struct {
 	Net   *grid.Network
@@ -223,9 +217,7 @@ func RunExpr2(levels []float64, trials int) (Expr2Fit, error) {
 			if err != nil {
 				return fit, err
 			}
-			opts := paperWLS
-			opts.Tol = 1e-9
-			res, err := wls.Estimate(mod, opts)
+			res, err := wls.Estimate(mod, wls.Options{Tol: 1e-9})
 			if err != nil {
 				return fit, err
 			}
@@ -273,13 +265,13 @@ type EndToEnd struct {
 // RunEndToEnd executes both paths and reports times and agreement.
 func RunEndToEnd(ctx context.Context, fx *Fixture, p int) (EndToEnd, error) {
 	start := time.Now()
-	cen, err := core.CentralizedEstimate(ctx, fx.Net, fx.Meas, paperWLS)
+	cen, err := core.CentralizedEstimate(ctx, fx.Net, fx.Meas, wls.Options{})
 	if err != nil {
 		return EndToEnd{}, err
 	}
 	e := EndToEnd{CentralizedTime: time.Since(start)}
 
-	dist, err := core.RunDistributed(ctx, fx.Dec, fx.Meas, core.DistributedOptions{Clusters: p, DSE: core.DSEOptions{WLS: paperWLS}})
+	dist, err := core.RunDistributed(ctx, fx.Dec, fx.Meas, core.DistributedOptions{Clusters: p})
 	if err != nil {
 		return e, err
 	}

@@ -25,7 +25,7 @@ func RunRoundsStudy(ctx context.Context, fx *Fixture) ([]RoundsPoint, error) {
 	}
 	var out []RoundsPoint
 	for rounds := 1; rounds <= maxRounds; rounds++ {
-		res, err := core.RunDSE(ctx, fx.Dec, fx.Meas, core.DSEOptions{Rounds: rounds, WLS: paperWLS})
+		res, err := core.RunDSE(ctx, fx.Dec, fx.Meas, core.DSEOptions{Rounds: rounds})
 		if err != nil {
 			return out, err
 		}

@@ -2,9 +2,7 @@ package sparse
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // BSR is a block-sparse-row matrix with uniform 2×2 blocks. RowPtr and
@@ -180,35 +178,6 @@ func (b *BSR) DiagonalInto(d []float64) {
 func (b *BSR) MulVec(y, x []float64) {
 	b.checkMulDims(y, x)
 	b.mulVecBlockRows(y, x, 0, len(b.RowPtr)-1)
-}
-
-// MulVecParallel computes y = B·x splitting block rows across workers
-// goroutines, nnz-balanced like the CSR path. workers <= 0 selects
-// runtime.GOMAXPROCS(0).
-func (b *BSR) MulVecParallel(y, x []float64, workers int) {
-	b.checkMulDims(y, x)
-	nbr := len(b.RowPtr) - 1
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nbr {
-		workers = nbr
-	}
-	if workers <= 1 || b.NNZ() < parallelNNZThreshold {
-		b.mulVecBlockRows(y, x, 0, nbr)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := b.blockRowBoundary(w, workers)
-		hi := b.blockRowBoundary(w+1, workers)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			b.mulVecBlockRows(y, x, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // MulVecPool computes y = B·x on the persistent pool, block rows

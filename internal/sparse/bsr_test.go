@@ -77,14 +77,6 @@ func TestBSRMatVecMatchesCSR(t *testing.T) {
 		if b.Padded() && got[n] != x[n] {
 			t.Fatalf("n=%d: padding output %v, want identity pass-through %v", n, got[n], x[n])
 		}
-
-		gotPar := make([]float64, b.Rows)
-		b.MulVecParallel(gotPar, x, 4)
-		for i := range got {
-			if gotPar[i] != got[i] {
-				t.Fatalf("n=%d: parallel y[%d] = %v, want %v", n, i, gotPar[i], got[i])
-			}
-		}
 	}
 }
 
@@ -245,7 +237,7 @@ func TestCGPaddedPermMatchesNatural(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	ref, err := CG(a, b, CGOptions{Tol: 1e-12, Workers: 1})
+	ref, err := CG(a, b, CGOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatalf("natural CG: %v", err)
 	}
@@ -260,7 +252,7 @@ func TestCGPaddedPermMatchesNatural(t *testing.T) {
 	copy(cgPerm, perm)
 	cgPerm[n] = -1
 	work := NewCGWorkspace(bsr.Rows)
-	got, err := CG(bsr, b, CGOptions{Tol: 1e-12, Workers: 1, Perm: cgPerm, Work: work})
+	got, err := CG(bsr, b, CGOptions{Tol: 1e-12, Perm: cgPerm, Work: work})
 	if err != nil {
 		t.Fatalf("padded permuted CG: %v", err)
 	}
@@ -272,7 +264,7 @@ func TestCGPaddedPermMatchesNatural(t *testing.T) {
 
 	// Warm start in caller space (length n, not padded) must be accepted
 	// and behave like the scalar path's gate.
-	warm, err := CG(bsr, b, CGOptions{Tol: 1e-12, Workers: 1, Perm: cgPerm, Work: work, X0: ref.X[:n]})
+	warm, err := CG(bsr, b, CGOptions{Tol: 1e-12, Perm: cgPerm, Work: work, X0: ref.X[:n]})
 	if err != nil {
 		t.Fatalf("warm padded CG: %v", err)
 	}

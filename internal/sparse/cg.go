@@ -15,7 +15,6 @@ type Operator interface {
 	Dims() (rows, cols int)
 	NNZ() int
 	MulVec(y, x []float64)
-	MulVecParallel(y, x []float64, workers int)
 	partitionRows(bounds []int, parts int)
 	mulVecRanges(y, x []float64, p *Pool, bounds []int)
 }
@@ -30,11 +29,8 @@ type CGOptions struct {
 	MaxIter int
 	// Precond is the preconditioner; nil selects identity.
 	Precond Preconditioner
-	// Workers is the goroutine count for the parallel mat-vec;
-	// 0 selects GOMAXPROCS, 1 forces serial. Ignored when Pool is set.
-	Workers int
-	// Pool, when non-nil, runs the mat-vec on the persistent worker pool
-	// instead of spawning goroutines per call.
+	// Pool, when non-nil, runs the mat-vec on the persistent worker pool;
+	// nil runs it serially.
 	Pool *Pool
 	// X0 is an optional initial guess (length n). Nil means the zero
 	// vector. The guess is kept only when its residual norm beats the zero
@@ -186,21 +182,10 @@ func CG(a Operator, b []float64, opts CGOptions) (CGResult, error) {
 		work = &CGWorkspace{}
 	}
 	work.resize(n)
-	var mulVec func(y, x []float64)
-	if opts.Pool != nil {
-		parts := opts.Pool.Workers()
-		if parts > n {
-			parts = n
-		}
-		if parts > 1 && a.NNZ() >= parallelNNZThreshold {
-			pool, bounds := opts.Pool, work.partition(a, parts)
-			mulVec = func(y, x []float64) { a.mulVecRanges(y, x, pool, bounds) }
-		} else {
-			mulVec = a.MulVec
-		}
-	} else {
-		workers := opts.Workers
-		mulVec = func(y, x []float64) { a.MulVecParallel(y, x, workers) }
+	mulVec := a.MulVec
+	if parts := min(opts.Pool.Workers(), n); parts > 1 && a.NNZ() >= parallelNNZThreshold {
+		pool, bounds := opts.Pool, work.partition(a, parts)
+		mulVec = func(y, x []float64) { a.mulVecRanges(y, x, pool, bounds) }
 	}
 
 	// With a fill-reducing permutation, the iteration runs entirely in

@@ -218,7 +218,7 @@ func TestCGBreaksDownOnNaN(t *testing.T) {
 		{"-Inf in b", tridiag(-1), infB},
 		{"NaN in A", tridiag(3 * n / 2), ones()},
 	} {
-		res, err := CG(tc.a, tc.b, CGOptions{Workers: 1})
+		res, err := CG(tc.a, tc.b, CGOptions{})
 		if !errors.Is(err, ErrCGBreakdown) || errors.Is(err, ErrNotSPD) {
 			t.Fatalf("%s: err = %v, want ErrCGBreakdown and not ErrNotSPD", tc.name, err)
 		}
@@ -227,7 +227,7 @@ func TestCGBreaksDownOnNaN(t *testing.T) {
 		}
 	}
 	// The same system without the NaN converges.
-	if _, err := CG(tridiag(-1), ones(), CGOptions{Workers: 1}); err != nil {
+	if _, err := CG(tridiag(-1), ones(), CGOptions{}); err != nil {
 		t.Fatalf("finite tridiagonal: %v", err)
 	}
 }

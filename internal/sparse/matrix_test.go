@@ -120,26 +120,6 @@ func TestMulVecAgainstDense(t *testing.T) {
 	}
 }
 
-func TestMulVecParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randomCSR(rng, 1000, 1000, 8000)
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	ys := make([]float64, a.Rows)
-	yp := make([]float64, a.Rows)
-	a.MulVec(ys, x)
-	for _, workers := range []int{1, 2, 3, 7, 16} {
-		a.MulVecParallel(yp, x, workers)
-		for i := range ys {
-			if !almostEq(ys[i], yp[i], 1e-12) {
-				t.Fatalf("workers=%d row %d: parallel %v vs serial %v", workers, i, yp[i], ys[i])
-			}
-		}
-	}
-}
-
 func TestMulTransVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randomCSR(rng, 10, 6, 30)

@@ -2,9 +2,7 @@ package sparse
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // ParallelNNZThreshold is the matrix size (stored entries) below which the
@@ -28,35 +26,6 @@ func (a *CSR) MulVec(y, x []float64) {
 		}
 		y[i] = sum
 	}
-}
-
-// MulVecParallel computes y = A·x splitting rows across workers goroutines.
-// workers <= 0 selects runtime.GOMAXPROCS(0). Rows are divided into
-// contiguous blocks of roughly equal nnz so each worker writes a disjoint
-// slice of y and carries a comparable share of the multiply work.
-func (a *CSR) MulVecParallel(y, x []float64, workers int) {
-	a.checkMulDims(y, x)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers <= 1 || a.NNZ() < parallelNNZThreshold {
-		a.MulVec(y, x)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := a.rowBoundary(w, workers)
-		hi := a.rowBoundary(w+1, workers)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			a.mulVecRows(y, x, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // MulVecPool computes y = A·x on the persistent pool, rows partitioned into

@@ -288,7 +288,7 @@ func TestCGPermutedZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	work := NewCGWorkspace(60)
-	opts := CGOptions{Tol: 1e-10, Precond: pre, Workers: 1, Work: work, Perm: perm}
+	opts := CGOptions{Tol: 1e-10, Precond: pre, Work: work, Perm: perm}
 	if _, err := CG(pa, b, opts); err != nil {
 		t.Fatal(err)
 	}

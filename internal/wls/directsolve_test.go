@@ -125,14 +125,9 @@ func sameSolve(t *testing.T, name string, got, want *Result) {
 // the anchor, so it lags from its first iteration and takes several.
 func trackedEngine(t *testing.T) (*Engine, Options) {
 	t.Helper()
-	return trackedEngineWith(t, PrecondLDL)
-}
-
-func trackedEngineWith(t *testing.T, pk PrecondKind) (*Engine, Options) {
-	t.Helper()
 	mod := engineTestModel(t, grid.Case118, 0.01, 7)
 	eng := NewEngine(mod)
-	opts := Options{GainReuse: ReuseGain, Precond: pk}
+	opts := Options{GainReuse: ReuseGain}
 	cold, err := eng.Estimate(opts)
 	if err != nil {
 		t.Fatal(err)

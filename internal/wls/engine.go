@@ -19,13 +19,11 @@ import (
 //   - H(x) is refreshed into a fixed CSR skeleton (meas.JacobianPlan),
 //   - G = HᵀWH is read row by row off H's column lists into a fixed
 //     pattern (sparse.GainPlan), row-parallel on the persistent worker pool,
-//   - the LDLᵀ factor (or the Jacobi diagonal) refreshes its numerics on
-//     G's fixed pattern, subtrees of its elimination forest side by side on
-//     the pool, and under the default the factor's substitution is the gain
-//     solve,
-//   - where CG runs — Jacobi, a factorization breakdown — it reuses its
-//     iteration vectors and is warm-started with the previous iteration's
-//     Δx (discarded automatically if it would not help).
+//   - the LDLᵀ factor refreshes its numerics on G's fixed pattern, subtrees
+//     of its elimination forest side by side on the pool, and its
+//     substitution is the gain solve,
+//   - where CG runs — a factorization breakdown, a substitution that fails
+//     its residual check — it reuses its iteration vectors.
 //
 // One engine serves many solves: IRLS reweighting rounds, DSE Step-2
 // re-evaluation rounds, and successive tracking frames all reuse the same
@@ -37,9 +35,8 @@ type Engine struct {
 	pool  *sparse.Pool
 
 	// Persistent numeric buffers (m = measurements, n = states).
-	baseW, w, z, h, r, wr []float64 // length m
-	rhs, dx, prevDx       []float64 // length n
-	havePrevDx            bool
+	baseW, w, z, h, r, wr []float64           // length m
+	rhs, dx               []float64           // length n
 	work                  *sparse.CGWorkspace // made on the first CG solve
 	rhsScratch            []float64           // pooled-transpose partial accumulators
 
@@ -49,14 +46,13 @@ type Engine struct {
 	masked, maskedEmpty int
 
 	pre     sparse.Preconditioner
-	preKind PrecondKind
 	havePre bool
 
 	// ldl is the LDLᵀ factor of gplan.G's pattern. Its symbolic analysis is
 	// plan-like: ColdStart, ResetReuse, Rebind, masks and a breakdown drop
 	// or overwrite its numerics only, and the ordering pass never repeats.
 	// pre holds it while the last refresh factored, and a Jacobi stand-in
-	// (preKind still PrecondLDL) while the last refresh broke down.
+	// while the last refresh broke down.
 	ldl *sparse.LDLFactor
 	// analysis is the LDLᵀ analysis running beside an engine's first solve
 	// (startAnalysis); refactor and CloneFor join it. inlineAnalysis keeps
@@ -121,7 +117,7 @@ func (e *Engine) allocate() {
 	e.w, e.z, e.h = make([]float64, m), make([]float64, m), make([]float64, m)
 	e.r, e.wr = make([]float64, m), make([]float64, m)
 	e.rhs = make([]float64, n, n+1)
-	e.dx, e.prevDx, e.xTrial = make([]float64, n), make([]float64, n), make([]float64, n)
+	e.dx, e.xTrial = make([]float64, n), make([]float64, n)
 	e.reuse.x = make([]float64, n)
 	e.reuse.w = make([]float64, m)
 }
@@ -162,7 +158,6 @@ func (e *Engine) ColdStart() {
 	e.reuse.valid = false
 	e.havePre = false
 	e.pre = nil
-	e.havePrevDx = false
 }
 
 // Model returns the model the engine is currently bound to.
@@ -231,9 +226,6 @@ func (e *Engine) Estimate(opts Options) (*Result, error) {
 // EstimateCtx runs Gauss–Newton WLS estimation under a context, reusing the
 // engine's plans. Semantics match wls.EstimateCtx.
 func (e *Engine) EstimateCtx(ctx context.Context, opts Options) (*Result, error) {
-	if opts.X0 != nil && len(opts.X0) != e.mod.NState() {
-		return nil, fmt.Errorf("wls: warm start length %d != state dim %d", len(opts.X0), e.mod.NState())
-	}
 	return e.estimateWeighted(ctx, opts, nil)
 }
 
@@ -296,7 +288,6 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 	}
 
 	res := &Result{}
-	e.havePrevDx = false
 	prevStep := math.Inf(1)
 	for iter := 0; iter < maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -414,7 +405,6 @@ func (e *Engine) SolveLinear(opts Options) (*Result, error) {
 	res.Iterations = 1
 	e.refreshGain(hj, opts)
 	e.gainRHS(hj, opts)
-	e.havePrevDx = false
 	dx, err := e.solveGain(opts, cgTolLinear, false, res)
 	if err != nil {
 		return nil, fmt.Errorf("wls: linear PMU solve: %w", err)
@@ -471,12 +461,11 @@ func (e *Engine) gainRHS(hj *sparse.CSR, opts Options) {
 
 // canLag gates the numeric reuse for one Gauss–Newton iteration at x: the
 // anchor must be valid — which says the solve lags and its weights are the
-// anchor's, bit for bit — with the requested preconditioner's numerics still
-// cached, and the scaled state drift from the anchor must sit under the
-// gate. Anything else is a full refresh.
+// anchor's, bit for bit — with the factor's numerics still cached, and the
+// scaled state drift from the anchor must sit under the gate. Anything else
+// is a full refresh.
 func (e *Engine) canLag(x []float64, opts Options) bool {
-	return e.reuse.valid && e.havePre && e.preKind == opts.Precond &&
-		sparse.ScaledDriftInf(x, e.reuse.x) <= ReuseGainGateDefault
+	return e.reuse.valid && e.havePre && sparse.ScaledDriftInf(x, e.reuse.x) <= ReuseGainGateDefault
 }
 
 // noteRefresh anchors the reuse state after a fresh gain + preconditioner
@@ -584,7 +573,7 @@ func (e *Engine) solveGain(opts Options, tol float64, lagged bool, res *Result) 
 // first solve after a refactorization — one residual check against tol.
 // Later solves on the same factor reuse numerics that passed it, and the
 // caller's trialImproves guards the step. CG runs where it has work to do:
-// Jacobi, the Jacobi stand-in after a factorization breakdown, and from the
+// on the Jacobi stand-in after a factorization breakdown, and from the
 // substitution's Δx when the check fails.
 func (e *Engine) solveWith(pre sparse.Preconditioner, opts Options, tol float64, verify bool, res *Result) ([]float64, error) {
 	g := e.gplan.G
@@ -595,19 +584,11 @@ func (e *Engine) solveWith(pre sparse.Preconditioner, opts Options, tol float64,
 			return e.dx, nil
 		}
 		x0 = e.dx
-	} else if e.havePrevDx {
-		x0 = e.prevDx
 	}
 	if e.work == nil {
 		e.work = &sparse.CGWorkspace{}
 	}
-	cgOpts := sparse.CGOptions{Tol: tol, Precond: pre, Work: e.work, X0: x0}
-	if opts.Workers > 0 {
-		cgOpts.Workers = opts.Workers
-	} else {
-		cgOpts.Pool = e.pool
-	}
-	cg, err := sparse.CG(g, e.rhs, cgOpts)
+	cg, err := sparse.CG(g, e.rhs, sparse.CGOptions{Tol: tol, Precond: pre, Work: e.work, X0: x0, Pool: e.kernelPool(opts)})
 	res.CGIterations += cg.Iterations
 	if err != nil {
 		if errors.Is(err, sparse.ErrNotSPD) {
@@ -615,11 +596,8 @@ func (e *Engine) solveWith(pre sparse.Preconditioner, opts Options, tol float64,
 		}
 		return nil, err
 	}
-	// cg.X aliases the workspace and the next solve overwrites it; keep a
-	// stable copy, which doubles as the next iteration's warm start.
+	// cg.X aliases the workspace and the next solve overwrites it.
 	copy(e.dx, cg.X)
-	copy(e.prevDx, e.dx)
-	e.havePrevDx = true
 	return e.dx, nil
 }
 
@@ -633,47 +611,32 @@ func (e *Engine) residualWithin(g *sparse.CSR, tol float64) bool {
 }
 
 // preconditioner returns the preconditioner for G: the cached one as it is
-// on a lagged G, and otherwise with its numerics refreshed in place when the
-// kind is unchanged (G's pattern is fixed by the gain plan, so the symbolic
-// setup never repeats). An LDLᵀ refresh that breaks down on a numerically
-// singular G degrades to Jacobi for that refresh, counted in
-// res.PrecondFallbacks: CG on a semidefinite but consistent system can
-// still converge where a factor cannot exist, and where it cannot, CG is
-// what reports the gain as not positive definite.
+// on a lagged G, and otherwise the LDLᵀ factor with its numerics refreshed
+// in place (G's pattern is fixed by the gain plan, so the symbolic setup
+// never repeats). A refresh that breaks down on a numerically singular G
+// degrades to Jacobi for that refresh, counted in res.PrecondFallbacks: CG
+// on a semidefinite but consistent system can still converge where a
+// factor cannot exist, and where it cannot, CG is what reports the gain as
+// not positive definite.
 func (e *Engine) preconditioner(g *sparse.CSR, opts Options, lagged bool, res *Result) (sparse.Preconditioner, error) {
-	kind := opts.Precond
-	cached := e.havePre && e.preKind == kind
-	if cached && lagged {
+	if e.havePre && lagged {
 		return e.pre, nil
 	}
-	switch kind {
-	case PrecondLDL:
-		switch err := e.refactor(g, e.kernelPool(opts)); {
-		case err == nil:
-			e.pre, e.preKind, e.havePre = e.ldl, kind, true
-			return e.ldl, nil
-		case !errors.Is(err, sparse.ErrNotSPD):
-			e.havePre = false
-			return nil, err
-		}
-		res.PrecondFallbacks++ // breakdowns are rare: the stand-in is built anew
-	case PrecondJacobi:
-		if cached {
-			if err := e.pre.(*sparse.JacobiPreconditioner).Refresh(g); err != nil {
-				e.havePre = false
-				return nil, err
-			}
-			return e.pre, nil
-		}
-	default:
-		return nil, fmt.Errorf("wls: unknown preconditioner %v", kind)
+	switch err := e.refactor(g, e.kernelPool(opts)); {
+	case err == nil:
+		e.pre, e.havePre = e.ldl, true
+		return e.ldl, nil
+	case !errors.Is(err, sparse.ErrNotSPD):
+		e.havePre = false
+		return nil, err
 	}
+	res.PrecondFallbacks++ // breakdowns are rare: the stand-in is built anew
 	pre, err := sparse.NewJacobi(g)
 	if err != nil {
 		e.havePre = false
 		return nil, err
 	}
-	e.pre, e.preKind, e.havePre = pre, kind, true
+	e.pre, e.havePre = pre, true
 	return pre, nil
 }
 
@@ -712,7 +675,7 @@ func (e *Engine) kernelPool(opts Options) *sparse.Pool {
 // Below the pool's gates the analysis runs where refactor needs it.
 func (e *Engine) startAnalysis(opts Options) {
 	pool := e.kernelPool(opts)
-	if e.ldl != nil || e.analysis != nil || e.inlineAnalysis || opts.Precond != PrecondLDL ||
+	if e.ldl != nil || e.analysis != nil || e.inlineAnalysis ||
 		pool.Workers() <= 1 || e.gplan.G.NNZ() < sparse.ParallelNNZThreshold {
 		return
 	}

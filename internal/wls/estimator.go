@@ -4,10 +4,15 @@
 //
 //	G(x)·Δx = Hᵀ(x)·W·(z − h(x)),   G = Hᵀ·W·H
 //
-// with the symmetric positive-definite gain matrix G solved, by default, by
-// a complete sparse LDLᵀ factorization and one substitution, and on request
-// by the parallel preconditioned conjugate-gradient method of the paper's
-// HPC solution [2], plus chi-square bad-data detection,
+// with the symmetric positive-definite gain matrix G solved by a complete
+// sparse LDLᵀ factorization under its own fill-reducing ordering
+// (sparse.LDLFactor): one substitution per Gauss–Newton step and no CG call,
+// on a lagged gain too, because ReuseGain lags the factor with the gain it
+// factors. The substitution is checked against CG's stopping test once per
+// refactorization, and CG, started from it and preconditioned by the factor,
+// polishes one that fails. A gain too close to singular to factor runs that
+// refresh as Jacobi-preconditioned CG instead (Result.PrecondFallbacks).
+// The package also has chi-square bad-data detection,
 // largest-normalized-residual identification, and a numerical observability
 // check.
 package wls
@@ -20,46 +25,6 @@ import (
 	"repro/internal/meas"
 	"repro/internal/powerflow"
 )
-
-// PrecondKind selects what the gain solve G·Δx = HᵀW·r is built on.
-type PrecondKind int
-
-// The two gain solves. PrecondLDL, the default, is a complete sparse LDLᵀ
-// factor of the gain matrix under its own fill-reducing ordering
-// (sparse.LDLFactor), and the factor is the solve: one substitution per
-// Gauss–Newton step and no CG call, on a lagged gain too, because ReuseGain
-// lags the factor with the gain it factors. The substitution is checked
-// against CG's stopping test once per refactorization, and CG, started from
-// it and preconditioned by the factor, polishes one that fails. A gain too
-// close to singular to factor runs that refresh as Jacobi-preconditioned CG
-// instead (Result.PrecondFallbacks). PrecondJacobi is CG under the diagonal
-// preconditioner, the paper's solver [2].
-const (
-	PrecondLDL PrecondKind = iota
-	PrecondJacobi
-)
-
-func (p PrecondKind) String() string {
-	switch p {
-	case PrecondLDL:
-		return "ldl"
-	case PrecondJacobi:
-		return "jacobi"
-	default:
-		return fmt.Sprintf("PrecondKind(%d)", int(p))
-	}
-}
-
-// ParsePrecond maps a preconditioner name as PrecondKind.String prints it
-// back to its kind, for command-line flags.
-func ParsePrecond(name string) (PrecondKind, error) {
-	for p := PrecondLDL; p <= PrecondJacobi; p++ {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("wls: unknown preconditioner %q (want ldl or jacobi)", name)
-}
 
 // GainReuseKind selects whether the gain solve may run on lagged
 // numerics. The engine anchors the state at which G = HᵀWH and its
@@ -119,13 +84,9 @@ type Options struct {
 	Tol float64
 	// MaxIter caps Gauss–Newton iterations. Zero selects 25.
 	MaxIter int
-	// Precond selects what the gain solve is built on (default PrecondLDL,
-	// which solves by substitution and runs no CG).
-	Precond PrecondKind
-	// Workers is the goroutine count for the parallel mat-vec inside CG,
-	// where CG runs (PrecondJacobi). Zero uses the shared worker pool; one
-	// also forces the G = HᵀWH refresh and the right-hand side to run
-	// serially, which is all it changes under PrecondLDL.
+	// Workers 1 runs every kernel of the solve serially: G = HᵀWH, the
+	// right-hand side, the factor refresh and any CG. Any other value runs
+	// them on the shared worker pool.
 	Workers int
 	// X0 is an optional warm-start state vector; nil selects flat start.
 	X0 []float64
@@ -171,10 +132,9 @@ type Result struct {
 type Counters struct {
 	// Iterations is the Gauss–Newton iteration count.
 	Iterations int
-	// CGIterations is the cumulative inner CG iteration count. Under the
-	// default PrecondLDL it is zero unless a factorization broke down
-	// (PrecondFallbacks) or a fresh factor's substitution failed its
-	// residual check and was polished.
+	// CGIterations is the cumulative inner CG iteration count. It is zero
+	// unless a factorization broke down (PrecondFallbacks) or a fresh
+	// factor's substitution failed its residual check and was polished.
 	CGIterations int
 	// GainRefreshes and GainSkips split the gain-solve iterations by
 	// whether G = HᵀWH was recomputed or the drift-gated reuse tier kept the
@@ -222,8 +182,5 @@ func Estimate(mod *meas.Model, opts Options) (*Result, error) {
 // an expired or canceled context aborts the solve with ctx.Err() instead
 // of finishing the current estimation.
 func EstimateCtx(ctx context.Context, mod *meas.Model, opts Options) (*Result, error) {
-	if opts.X0 != nil && len(opts.X0) != mod.NState() {
-		return nil, fmt.Errorf("wls: warm start length %d != state dim %d", len(opts.X0), mod.NState())
-	}
 	return estimateWeighted(ctx, mod, opts, nil)
 }

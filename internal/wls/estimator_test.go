@@ -91,7 +91,7 @@ func TestEstimateWithNoiseCloseToTruth(t *testing.T) {
 	}
 }
 
-// TestPCGMatchesDenseSolver: both gain solves against the dense LU oracle.
+// TestPCGMatchesDenseSolver: the gain solve against the dense LU oracle.
 func TestPCGMatchesDenseSolver(t *testing.T) {
 	n := grid.Case30()
 	truth := solved(t, n)
@@ -113,51 +113,17 @@ func TestPCGMatchesDenseSolver(t *testing.T) {
 		t.Errorf("default path: %d CG iterations, %d factorization breakdowns (want the factor's substitution alone)",
 			rp.CGIterations, rp.PrecondFallbacks)
 	}
-	rj, err := Estimate(mod, Options{Precond: PrecondJacobi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rj.X {
-		if math.Abs(rj.X[i]-rd.X[i]) > 1e-6 {
-			t.Fatalf("x[%d]: Jacobi PCG %g vs dense %g", i, rj.X[i], rd.X[i])
-		}
-	}
-	if rj.CGIterations == 0 {
-		t.Error("PCG path reported zero CG iterations")
-	}
-}
-
-func TestAllPreconditionersAgree(t *testing.T) {
-	n := grid.Case14()
-	truth := solved(t, n)
-	mod := buildModel(t, n, truth, 1, 9)
-	var ref *Result
-	for _, p := range []PrecondKind{PrecondJacobi, PrecondLDL} {
-		res, err := Estimate(mod, Options{Precond: p})
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		for i := range res.X {
-			if math.Abs(res.X[i]-ref.X[i]) > 1e-5 {
-				t.Fatalf("%v: x[%d] differs from reference: %g vs %g", p, i, res.X[i], ref.X[i])
-			}
-		}
-	}
 }
 
 func TestEstimateParallelWorkersAgree(t *testing.T) {
 	n := grid.Case118()
 	truth := solved(t, n)
 	mod := buildModel(t, n, truth, 1, 11)
-	r1, err := Estimate(mod, Options{Precond: PrecondJacobi, Workers: 1})
+	r1, err := Estimate(mod, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Estimate(mod, Options{Precond: PrecondJacobi, Workers: 8})
+	r8, err := Estimate(mod, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,12 +366,6 @@ func TestChiSquareTestValidation(t *testing.T) {
 	}
 	if _, _, err := ChiSquareTest(res, mod, 1.5); err == nil {
 		t.Error("confidence > 1 accepted")
-	}
-}
-
-func TestPrecondKindString(t *testing.T) {
-	if PrecondJacobi.String() != "jacobi" || PrecondLDL.String() != "ldl" {
-		t.Fatal("PrecondKind.String")
 	}
 }
 

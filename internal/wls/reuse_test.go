@@ -94,11 +94,12 @@ func TestReuseGainMatchesDenseOracle(t *testing.T) {
 // must force a fresh refresh, so a warm engine carrying a stale anchor
 // produces exactly the same solve as a cold engine.
 func TestReuseGainFallbackOnStateJump(t *testing.T) {
-	forEachPrecond(t, func(t *testing.T, pk PrecondKind) {
+	// The subtest names the gain solve the body runs on: the LDLᵀ factor.
+	t.Run("ldl", func(t *testing.T) {
 		n := grid.Case118()
 		truth := solved(t, n)
 		mod := buildModel(t, n, truth, 1, 7)
-		opts := Options{Precond: pk, GainReuse: ReuseGain}
+		opts := Options{GainReuse: ReuseGain}
 
 		warmEng := NewEngine(mod)
 		if _, err := warmEng.Estimate(opts); err != nil {
@@ -137,13 +138,14 @@ func TestReuseGainFallbackOnStateJump(t *testing.T) {
 // zero gain refreshes, zero preconditioner refreshes — and allocates no
 // more than the always-refresh path.
 func TestReuseGainSteadySolveSkipsRefresh(t *testing.T) {
-	forEachPrecond(t, func(t *testing.T, pk PrecondKind) {
+	// The subtest names the gain solve the body runs on: the LDLᵀ factor.
+	t.Run("ldl", func(t *testing.T) {
 		n := grid.Case118()
 		truth := solved(t, n)
 		mod := buildModel(t, n, truth, 1, 9)
 
 		eng := NewEngine(mod)
-		opts := Options{Precond: pk, GainReuse: ReuseGain, Workers: 1}
+		opts := Options{GainReuse: ReuseGain, Workers: 1}
 		cold, err := eng.Estimate(opts)
 		if err != nil {
 			t.Fatal(err)
