@@ -354,9 +354,10 @@ func centralizedModels(b *testing.B) []namedModel {
 }
 
 // BenchmarkGainPlanBuild times the symbolic half of G = HᵀWH alone — the
-// largest single share of a cold solve — on the centralized Jacobian
-// skeleton at both sizes. contribs is Σd² over H's rows, the number of
-// products the plan scatters (the length of its contribution arrays).
+// build a cold solve's LDLᵀ analysis waits for — on the centralized Jacobian
+// skeleton at both sizes. contribs is Σd² over H's rows, what the sorted
+// build once walked; walked is what the build's stamped walk visits (see
+// gainPlanWalk).
 func BenchmarkGainPlanBuild(b *testing.B) {
 	for _, c := range centralizedModels(b) {
 		h := c.mod.NewJacobianPlan().H
@@ -364,6 +365,7 @@ func BenchmarkGainPlanBuild(b *testing.B) {
 		for m := 0; m < h.Rows; m++ {
 			contribs += h.RowNNZ(m) * h.RowNNZ(m)
 		}
+		walked := gainPlanWalk(h)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -372,8 +374,33 @@ func BenchmarkGainPlanBuild(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(contribs), "contribs")
+			b.ReportMetric(float64(walked), "walked")
 		})
 	}
+}
+
+// gainPlanWalk counts the H entries NewGainPlan's stamped walk visits: for
+// each column r, the columns before r of every row with an entry there, rows
+// ascending, less each prefix equal to the one walked before it — at most
+// Σ d(d−1)/2 over H's rows.
+func gainPlanWalk(h *sparse.CSR) int {
+	prefixes := make([][][]int, h.Cols)
+	for m := 0; m < h.Rows; m++ {
+		row := h.ColIdx[h.RowPtr[m]:h.RowPtr[m+1]]
+		for p, c := range row {
+			prefixes[c] = append(prefixes[c], row[:p])
+		}
+	}
+	walked := 0
+	for _, col := range prefixes {
+		var last []int
+		for _, pre := range col {
+			if !slices.Equal(pre, last) {
+				walked, last = walked+len(pre), pre
+			}
+		}
+	}
+	return walked
 }
 
 // BenchmarkGainKernels118 isolates the two hot gain-matrix kernels of the

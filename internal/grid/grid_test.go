@@ -325,7 +325,8 @@ func TestReadCaseRejectsNonFinite(t *testing.T) {
 // FuzzReadCase: no input panics the case reader, and a case it accepts
 // writes out and reads back as the same network. %v prints a float as the
 // shortest decimal that parses back to it, and the reader refuses NaN, so
-// networks that print alike are equal field for field. The seeds are the
+// networks that print alike are equal field for field. Its admittance
+// matrix is the sorted term list's (sortedYBus) bit for bit. The seeds are the
 // three IEEE cases, a two-bus case, whose mutations reach every record
 // quickly, and the same case with a NaN load.
 func FuzzReadCase(f *testing.F) {
@@ -357,6 +358,7 @@ func FuzzReadCase(f *testing.F) {
 		if got, want := show(back), show(n); got != want {
 			t.Fatalf("round trip changed the network:\n%s\nread back as\n%s", want, got)
 		}
+		requireYBusBitwise(t, n.Name, BuildYBus(n), sortedYBus(n))
 	})
 }
 

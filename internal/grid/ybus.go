@@ -28,14 +28,36 @@ type YBus struct {
 // with series admittance ys = 1/(r + jx), charging bc, tap τ and shift θ.
 //
 // The terms of one entry — parallel circuits, the branches meeting at a
-// bus, its shunt — are summed in branch order, then the shunt.
+// bus, its shunt — are summed in branch order, then the shunt: each row's
+// terms land in its bucket of one buffer in that order, sorted stably.
 func BuildYBus(n *Network) *YBus {
 	nb := n.N()
 	type term struct {
-		row, col int
-		g, b     float64
+		col  int
+		g, b float64
 	}
-	terms := make([]term, 0, 4*len(n.Branches)+nb)
+	// ptr[i] is where row i's bucket starts; placing a term advances it, so
+	// once all are placed ptr[i] is where the bucket ends.
+	ptr := make([]int, nb+1)
+	for _, br := range n.Branches {
+		if br.Status {
+			ptr[n.MustIndex(br.From)+1] += 2
+			ptr[n.MustIndex(br.To)+1] += 2
+		}
+	}
+	for i, bus := range n.Buses {
+		if bus.Gs != 0 || bus.Bs != 0 {
+			ptr[i+1]++
+		}
+	}
+	for i := 0; i < nb; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	rows := make([]term, ptr[nb])
+	place := func(row, col int, t admittance) {
+		rows[ptr[row]] = term{col, t.g, t.b}
+		ptr[row]++
+	}
 	for _, br := range n.Branches {
 		if !br.Status {
 			continue
@@ -43,36 +65,22 @@ func BuildYBus(n *Network) *YBus {
 		f := n.MustIndex(br.From)
 		t := n.MustIndex(br.To)
 		ff, tt, ft, tf := branchTerms(br)
-		terms = append(terms,
-			term{f, f, ff.g, ff.b}, term{t, t, tt.g, tt.b},
-			term{f, t, ft.g, ft.b}, term{t, f, tf.g, tf.b})
+		place(f, f, ff)
+		place(t, t, tt)
+		place(f, t, ft)
+		place(t, f, tf)
 	}
 	for i, bus := range n.Buses {
 		if bus.Gs != 0 || bus.Bs != 0 {
-			terms = append(terms, term{i, i, bus.Gs / n.BaseMVA, bus.Bs / n.BaseMVA})
+			place(i, i, admittance{bus.Gs / n.BaseMVA, bus.Bs / n.BaseMVA})
 		}
 	}
 
-	// Bucket the terms by row, then order each short row by column. Both
-	// steps are stable, so the terms of one entry stay in emission order.
-	ptr := make([]int, nb+1)
-	for _, t := range terms {
-		ptr[t.row+1]++
-	}
-	for i := 0; i < nb; i++ {
-		ptr[i+1] += ptr[i]
-	}
-	rows := make([]term, len(terms))
-	next := make([]int, nb)
-	copy(next, ptr)
-	for _, t := range terms {
-		rows[next[t.row]] = t
-		next[t.row]++
-	}
 	y := &YBus{N: nb, RowPtr: make([]int, nb+1)}
-	nnz := 0
+	nnz, lo := 0, 0
 	for i := 0; i < nb; i++ {
-		row := rows[ptr[i]:ptr[i+1]]
+		row := rows[lo:ptr[i]]
+		lo = ptr[i]
 		slices.SortStableFunc(row, func(a, b term) int { return cmp.Compare(a.col, b.col) })
 		for k := range row {
 			if k == 0 || row[k].col != row[k-1].col {
@@ -86,9 +94,9 @@ func BuildYBus(n *Network) *YBus {
 	y.ColIdx = make([]int, nnz)
 	y.G = make([]float64, nnz)
 	y.B = make([]float64, nnz)
-	e := -1
+	e, lo := -1, 0
 	for i := 0; i < nb; i++ {
-		for k, t := range rows[ptr[i]:ptr[i+1]] {
+		for k, t := range rows[lo:ptr[i]] {
 			if k == 0 || t.col != y.ColIdx[e] {
 				e++
 				y.ColIdx[e] = t.col
@@ -96,6 +104,7 @@ func BuildYBus(n *Network) *YBus {
 			y.G[e] += t.g
 			y.B[e] += t.b
 		}
+		lo = ptr[i]
 	}
 	return y
 }

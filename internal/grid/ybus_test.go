@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -68,6 +69,80 @@ func mapYBus(n *Network) *YBus {
 	return y
 }
 
+// sortedYBus is the bucketed assembly as it was before the terms went
+// straight into their rows' buckets, kept as the oracle: every term listed
+// first, then bucketed by row and each row stably sorted by column.
+func sortedYBus(n *Network) *YBus {
+	nb := n.N()
+	type term struct {
+		row, col int
+		g, b     float64
+	}
+	terms := make([]term, 0, 4*len(n.Branches)+nb)
+	for _, br := range n.Branches {
+		if !br.Status {
+			continue
+		}
+		f := n.MustIndex(br.From)
+		t := n.MustIndex(br.To)
+		ff, tt, ft, tf := branchTerms(br)
+		terms = append(terms,
+			term{f, f, ff.g, ff.b}, term{t, t, tt.g, tt.b},
+			term{f, t, ft.g, ft.b}, term{t, f, tf.g, tf.b})
+	}
+	for i, bus := range n.Buses {
+		if bus.Gs != 0 || bus.Bs != 0 {
+			terms = append(terms, term{i, i, bus.Gs / n.BaseMVA, bus.Bs / n.BaseMVA})
+		}
+	}
+
+	// Bucket the terms by row, then order each short row by column. Both
+	// steps are stable, so the terms of one entry stay in emission order.
+	ptr := make([]int, nb+1)
+	for _, t := range terms {
+		ptr[t.row+1]++
+	}
+	for i := 0; i < nb; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	rows := make([]term, len(terms))
+	next := make([]int, nb)
+	copy(next, ptr)
+	for _, t := range terms {
+		rows[next[t.row]] = t
+		next[t.row]++
+	}
+	y := &YBus{N: nb, RowPtr: make([]int, nb+1)}
+	nnz := 0
+	for i := 0; i < nb; i++ {
+		row := rows[ptr[i]:ptr[i+1]]
+		slices.SortStableFunc(row, func(a, b term) int { return cmp.Compare(a.col, b.col) })
+		for k := range row {
+			if k == 0 || row[k].col != row[k-1].col {
+				nnz++
+			}
+		}
+		y.RowPtr[i+1] = nnz
+	}
+
+	// Merge equal columns: every entry starts at zero and adds its terms.
+	y.ColIdx = make([]int, nnz)
+	y.G = make([]float64, nnz)
+	y.B = make([]float64, nnz)
+	e := -1
+	for i := 0; i < nb; i++ {
+		for k, t := range rows[ptr[i]:ptr[i+1]] {
+			if k == 0 || t.col != y.ColIdx[e] {
+				e++
+				y.ColIdx[e] = t.col
+			}
+			y.G[e] += t.g
+			y.B[e] += t.b
+		}
+	}
+	return y
+}
+
 // ybusTestNetworks returns the IEEE cases, two synthetic WECC sizes and a
 // four-bus network of awkward branches.
 func ybusTestNetworks(t *testing.T) []*Network {
@@ -99,28 +174,35 @@ func ybusTestNetworks(t *testing.T) []*Network {
 }
 
 // TestBuildYBusBitwiseMatchesMapAssembly: the bucketed assembly keeps the
-// map version's summation order inside every entry, so pattern and values
-// are identical to the last bit — signs of zero included, which a lossless
-// line produces.
+// summation order inside every entry of the map version and of the sorted
+// term list, so pattern and values are identical to the last bit — signs of
+// zero included, which a lossless line produces.
 func TestBuildYBusBitwiseMatchesMapAssembly(t *testing.T) {
-	nets := ybusTestNetworks(t)
-	for _, n := range nets {
-		got, want := BuildYBus(n), mapYBus(n)
-		if got.N != want.N || got.NNZ() != want.NNZ() {
-			t.Fatalf("%s: %d buses / %d entries, want %d / %d", n.Name, got.N, got.NNZ(), want.N, want.NNZ())
+	for _, n := range ybusTestNetworks(t) {
+		for _, want := range []*YBus{mapYBus(n), sortedYBus(n)} {
+			requireYBusBitwise(t, n.Name, BuildYBus(n), want)
 		}
-		for i := range want.RowPtr {
-			if got.RowPtr[i] != want.RowPtr[i] {
-				t.Fatalf("%s: RowPtr[%d] = %d, want %d", n.Name, i, got.RowPtr[i], want.RowPtr[i])
-			}
+	}
+}
+
+// requireYBusBitwise fails unless got and want hold the same pattern and the
+// same bits in every entry.
+func requireYBusBitwise(t *testing.T, name string, got, want *YBus) {
+	t.Helper()
+	if got.N != want.N || got.NNZ() != want.NNZ() {
+		t.Fatalf("%s: %d buses / %d entries, want %d / %d", name, got.N, got.NNZ(), want.N, want.NNZ())
+	}
+	for i := range want.RowPtr {
+		if got.RowPtr[i] != want.RowPtr[i] {
+			t.Fatalf("%s: RowPtr[%d] = %d, want %d", name, i, got.RowPtr[i], want.RowPtr[i])
 		}
-		for k := range want.ColIdx {
-			if got.ColIdx[k] != want.ColIdx[k] ||
-				math.Float64bits(got.G[k]) != math.Float64bits(want.G[k]) ||
-				math.Float64bits(got.B[k]) != math.Float64bits(want.B[k]) {
-				t.Fatalf("%s: entry %d = (%d, %v, %v), want (%d, %v, %v)", n.Name, k,
-					got.ColIdx[k], got.G[k], got.B[k], want.ColIdx[k], want.G[k], want.B[k])
-			}
+	}
+	for k := range want.ColIdx {
+		if got.ColIdx[k] != want.ColIdx[k] ||
+			math.Float64bits(got.G[k]) != math.Float64bits(want.G[k]) ||
+			math.Float64bits(got.B[k]) != math.Float64bits(want.B[k]) {
+			t.Fatalf("%s: entry %d = (%d, %v, %v), want (%d, %v, %v)", name, k,
+				got.ColIdx[k], got.G[k], got.B[k], want.ColIdx[k], want.G[k], want.B[k])
 		}
 	}
 }

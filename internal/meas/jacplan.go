@@ -61,57 +61,78 @@ type JacobianPlan struct {
 	flat []float64
 }
 
-// NewJacobianPlan builds the symbolic Jacobian plan. Rows arrive in
-// measurement order with a handful of columns each, so the CSR skeleton and
-// the slot map come straight from the kernel's row patterns: count, then
-// sort the columns inside each row. The plan stays valid for the model's
-// lifetime (topology and measurement locations are immutable after
-// NewModel).
+// NewJacobianPlan builds the symbolic Jacobian plan: it counts the kernel's
+// emissions, then writes H's pattern and the slot map in one pass over the
+// measurements, sorting nothing. Every row's sorted columns are known in
+// closed form, because x lists the angles (the reference bus's left out)
+// before the magnitudes, each in bus order: an injection row holds its
+// Y-bus row's angles, then its magnitudes; a flow row its two angles, then
+// its two magnitudes, each pair ordered by bus; a Vmag or Angle row one
+// column. The slot map follows the kernel's emission order (jacobianLoaded)
+// into those positions. The plan stays valid for the model's lifetime
+// (topology and measurement locations are immutable after NewModel).
 func (mod *Model) NewJacobianPlan() *JacobianPlan {
-	m := len(mod.Meas)
-	rowPtr := make([]int, m+1)
-	var cols []int
-	emissions := 0
-	for mi := 0; mi < m; mi++ {
-		cols = mod.rowPattern(mi, cols[:0])
-		emissions += len(cols)
-		for _, c := range cols {
-			if c >= 0 {
-				rowPtr[mi+1]++
-			}
+	k, y, nA := &mod.k, mod.y, mod.nAngles
+	m, emissions := len(mod.Meas), 0
+	for mi, op := range k.ops {
+		switch mod.Meas[mi].Kind {
+		case Pinj, Qinj:
+			emissions += 2 * (y.RowPtr[op.idx+1] - y.RowPtr[op.idx])
+		case Pflow, Qflow:
+			emissions += 4
+		default:
+			emissions++
 		}
-		rowPtr[mi+1] += rowPtr[mi]
 	}
-	nnz := rowPtr[m]
-	colIdx := make([]int, nnz)
-	slots := make([]int32, emissions)
-	var ord []int // the row's emissions that have a column, sorted by it
-	em := 0
-	for mi := 0; mi < m; mi++ {
-		cols = mod.rowPattern(mi, cols[:0])
-		ord = ord[:0]
-		for i, c := range cols {
-			if c < 0 {
-				slots[em+i] = int32(nnz)
-				continue
-			}
-			at := len(ord)
-			ord = append(ord, i)
-			for ; at > 0 && cols[ord[at-1]] > c; at-- {
-				ord[at] = ord[at-1]
-			}
-			ord[at] = i
+	rowPtr, colIdx, slots := make([]int, m+1), make([]int, 0, emissions), make([]int32, emissions)
+	// put gives emission c the next entry of H, in column col; the reference
+	// angle's col is −1, and its slot, the sink, is set once nnz is known.
+	put := func(c, col int) {
+		slots[c] = -1
+		if col >= 0 {
+			slots[c] = int32(len(colIdx))
+			colIdx = append(colIdx, col)
 		}
-		for r, i := range ord {
-			if r > 0 && cols[ord[r-1]] == cols[i] {
-				// Two emissions on one (row, col) would overwrite each other
-				// on every refresh.
-				panic(fmt.Sprintf("meas: measurement %d (%s) emits column %d twice", mi, mod.Meas[mi].Key(), cols[i]))
+	}
+	c := 0 // the row's first emission
+	for mi, op := range k.ops {
+		switch i := int(op.idx); mod.Meas[mi].Kind {
+		case Vmag:
+			put(c, nA+i)
+			c++
+		case Angle:
+			put(c, mod.angPos[i])
+			c++
+		case Pinj, Qinj:
+			// Emission 2q is the angle of the row's q-th bus, 2q+1 its magnitude.
+			row := y.ColIdx[y.RowPtr[i]:y.RowPtr[i+1]]
+			for q, j := range row {
+				put(c+2*q, mod.angPos[j])
 			}
-			colIdx[rowPtr[mi]+r] = cols[i]
-			slots[em+i] = int32(rowPtr[mi] + r)
+			for q, j := range row {
+				put(c+2*q+1, nA+j)
+			}
+			c += 2 * len(row)
+		case Pflow, Qflow:
+			// Emissions: the angles of f and t, then their magnitudes.
+			e := &k.ends[i]
+			bus, lo, hi := [2]int{int(e.f), int(e.t)}, 0, 1
+			if e.t < e.f {
+				lo, hi = 1, 0
+			}
+			put(c+lo, mod.angPos[bus[lo]])
+			put(c+hi, mod.angPos[bus[hi]])
+			put(c+2+lo, nA+bus[lo])
+			put(c+2+hi, nA+bus[hi])
+			c += 4
 		}
-		em += len(cols)
+		rowPtr[mi+1] = len(colIdx)
+	}
+	nnz := len(colIdx)
+	for c, slot := range slots {
+		if slot < 0 {
+			slots[c] = int32(nnz)
+		}
 	}
 	val := make([]float64, nnz+1)
 	pl := &JacobianPlan{

@@ -249,3 +249,141 @@ func TestFlatObjectiveMatchesFlatEvaluation(t *testing.T) {
 		}
 	}
 }
+
+// rowPattern appends to cols the state column of every Jacobian entry the
+// kernel emits for measurement mi, in emission order (jacobianLoaded), −1
+// standing for the reference angle, which has no column.
+func (mod *Model) rowPattern(mi int, cols []int) []int {
+	k, y, nA := &mod.k, mod.y, mod.nAngles
+	idx := k.ops[mi].idx
+	switch mod.Meas[mi].Kind {
+	case Vmag:
+		cols = append(cols, nA+int(idx))
+	case Angle:
+		cols = append(cols, mod.angPos[idx])
+	case Pinj, Qinj:
+		i := int(idx)
+		for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
+			j := y.ColIdx[e]
+			cols = append(cols, mod.angPos[j], nA+j)
+		}
+	case Pflow, Qflow:
+		e := &k.ends[idx]
+		cols = append(cols, mod.angPos[e.f], mod.angPos[e.t], nA+int(e.f), nA+int(e.t))
+	}
+	return cols
+}
+
+// twoPassJacobianPattern is H's pattern and the slot map as the plan once
+// built them, the oracle of the closed-form build: count every row's
+// columns, then list each row's emissions again and insertion-sort them by
+// column. It fails if a row emits one column twice.
+func twoPassJacobianPattern(t *testing.T, mod *Model) (rowPtr, colIdx []int, slots []int32) {
+	t.Helper()
+	m := len(mod.Meas)
+	rowPtr = make([]int, m+1)
+	var cols []int
+	emissions := 0
+	for mi := 0; mi < m; mi++ {
+		cols = mod.rowPattern(mi, cols[:0])
+		emissions += len(cols)
+		for _, c := range cols {
+			if c >= 0 {
+				rowPtr[mi+1]++
+			}
+		}
+		rowPtr[mi+1] += rowPtr[mi]
+	}
+	nnz := rowPtr[m]
+	colIdx = make([]int, nnz)
+	slots = make([]int32, emissions)
+	var ord []int // the row's emissions that have a column, sorted by it
+	em := 0
+	for mi := 0; mi < m; mi++ {
+		cols = mod.rowPattern(mi, cols[:0])
+		ord = ord[:0]
+		for i, c := range cols {
+			if c < 0 {
+				slots[em+i] = int32(nnz)
+				continue
+			}
+			at := len(ord)
+			ord = append(ord, i)
+			for ; at > 0 && cols[ord[at-1]] > c; at-- {
+				ord[at] = ord[at-1]
+			}
+			ord[at] = i
+		}
+		for r, i := range ord {
+			if r > 0 && cols[ord[r-1]] == cols[i] {
+				t.Fatalf("measurement %d (%s) emits column %d twice", mi, mod.Meas[mi].Key(), cols[i])
+			}
+			colIdx[rowPtr[mi]+r] = cols[i]
+			slots[em+i] = int32(rowPtr[mi] + r)
+		}
+		em += len(cols)
+	}
+	return rowPtr, colIdx, slots
+}
+
+// requireJacobianPlanMatchesTwoPass fails unless pl's pattern and slot map
+// are the two-pass build's on pl's model.
+func requireJacobianPlanMatchesTwoPass(t *testing.T, mod *Model, pl *JacobianPlan) {
+	t.Helper()
+	rowPtr, colIdx, slots := twoPassJacobianPattern(t, mod)
+	requireSameInts(t, "RowPtr", pl.H.RowPtr, rowPtr)
+	requireSameInts(t, "ColIdx", pl.H.ColIdx, colIdx)
+	requireSameInts(t, "slots", pl.slots, slots)
+	if len(pl.val) != len(colIdx)+1 {
+		t.Fatalf("%d values and sink for %d entries", len(pl.val), len(colIdx))
+	}
+}
+
+// requireSameInts fails at the first entry where got and the two-pass
+// build's want differ.
+func requireSameInts[T int | int32](t *testing.T, name string, got, want []T) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s has %d entries, two-pass build %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d] = %d, two-pass build %d", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestJacobianPlanMatchesTwoPassBuild: the closed-form plan is the two-pass
+// build's, pattern and slot map, on the full SCADA plan and an RTU plan with
+// dropped meters, on IEEE-14/30/118 with the reference at the slack and at
+// the most connected bus (so the reference angle sits inside many injection
+// rows), with the measurement order reversed and shuffled, and on a set
+// holding an Angle row at the reference bus itself.
+func TestJacobianPlanMatchesTwoPassBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for _, n := range []*grid.Network{grid.Case14(), grid.Case30(), grid.Case118()} {
+		hub := 0
+		y := grid.BuildYBus(n)
+		for i := 0; i < n.N(); i++ {
+			if y.RowPtr[i+1]-y.RowPtr[i] > y.RowPtr[hub+1]-y.RowPtr[hub] {
+				hub = i
+			}
+		}
+		for _, ref := range []int{n.SlackIndex(), hub} {
+			for _, plan := range [][]Measurement{FullPlan().Build(n), RTUPlan(3).Build(n)} {
+				plan = append(plan, Measurement{Kind: Angle, Bus: n.Buses[ref].ID, Sigma: 1e-3})
+				reversed := slices.Clone(plan)
+				slices.Reverse(reversed)
+				shuffled := slices.Clone(plan)
+				rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+				for _, ms := range [][]Measurement{plan, reversed, shuffled} {
+					mod, err := NewModel(n, ms, ref, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireJacobianPlanMatchesTwoPass(t, mod, mod.NewJacobianPlan())
+				}
+			}
+		}
+	}
+}

@@ -315,37 +315,17 @@ func (mod *Model) evalLoaded(st *stateLoad, h []float64) {
 	}
 }
 
-// rowPattern appends to cols the state column of every Jacobian entry the
-// kernel emits for measurement mi, in emission order: −1 stands for the
-// reference angle, which has no column. jacobianLoaded emits values in the
-// same order; the two must change together, and Refresh checks that their
-// emission counts agree. The P and Q rows of one site emit the same columns,
-// which gradLoaded relies on.
-func (mod *Model) rowPattern(mi int, cols []int) []int {
-	k, y, nA := &mod.k, mod.y, mod.nAngles
-	idx := k.ops[mi].idx
-	switch mod.Meas[mi].Kind {
-	case Vmag:
-		cols = append(cols, nA+int(idx))
-	case Angle:
-		cols = append(cols, mod.angPos[idx])
-	case Pinj, Qinj:
-		i := int(idx)
-		for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
-			j := y.ColIdx[e]
-			cols = append(cols, mod.angPos[j], nA+j)
-		}
-	case Pflow, Qflow:
-		e := &k.ends[idx]
-		cols = append(cols, mod.angPos[e.f], mod.angPos[e.t], nA+int(e.f), nA+int(e.t))
-	}
-	return cols
-}
-
 // jacobianLoaded writes every Jacobian entry at the loaded state:
 // emission number c goes to val[slots[c]]. Entries with no column (the
 // reference angle) carry a slot past the matrix's values, so the loop
 // stores unconditionally. It returns the number of emissions.
+//
+// A row emits in a fixed order: a Vmag or Angle row its one derivative, an
+// injection row ∂/∂θj then ∂/∂Vj for each bus j of its Y-bus row, a flow row
+// ∂/∂θf, ∂/∂θt, ∂/∂Vf, ∂/∂Vt. NewJacobianPlan lays the slot map out in that
+// order, so the two change together; Refresh checks that their emission
+// counts agree. The P and Q rows of one site emit the same columns, which
+// gradLoaded relies on.
 //
 // A pair is one step. An injection pair walks the Y-bus row once and forms
 // u = g·cos + b·sin and v = g·sin − b·cos once per entry for all four

@@ -15,9 +15,11 @@ import (
 // TestKernelMatchesReference almost never reach the single-row steps. The
 // cases here draw the rows of the hand-built 5-bus network and IEEE-14 in
 // every arrangement — siblings adjacent, reversed, split, alone and
-// duplicated — and hold the kernel to the reference evaluator and to the
-// Refresh gradient at a state near flat, with zero weights and exact-zero
-// residuals planted on either half of a pair, on both, or on a row alone.
+// duplicated — and hold the plan's pattern and slot map to the two-pass
+// build (twoPassJacobianPattern), and the kernel to the reference evaluator
+// and to the Refresh gradient at a state near flat, with zero weights and
+// exact-zero residuals planted on either half of a pair, on both, or on a
+// row alone.
 
 // rowOrderFixture is one network the cases draw from.
 type rowOrderFixture struct {
@@ -131,6 +133,7 @@ func checkRowOrder(t *testing.T, fixtures []rowOrderFixture, data []byte) (steps
 	}
 
 	pl := mod.NewJacobianPlan()
+	requireJacobianPlanMatchesTwoPass(t, mod, pl)
 	requireKernelMatchesReference(t, mod, pl, x)
 	requireGradMatchesRefresh(t, mod, pl, x, z, w)
 	for _, op := range mod.k.ops {

@@ -180,26 +180,6 @@ func (b *BSR) MulVec(y, x []float64) {
 	b.mulVecBlockRows(y, x, 0, len(b.RowPtr)-1)
 }
 
-// MulVecPool computes y = B·x on the persistent pool, block rows
-// partitioned into contiguous nnz-balanced ranges. It allocates only the
-// pool hand-off and falls back to the serial kernel for small matrices or
-// a nil/single-worker pool.
-func (b *BSR) MulVecPool(y, x []float64, p *Pool) {
-	b.checkMulDims(y, x)
-	nbr := len(b.RowPtr) - 1
-	parts := p.Workers()
-	if parts > nbr {
-		parts = nbr
-	}
-	if parts <= 1 || b.NNZ() < parallelNNZThreshold {
-		b.mulVecBlockRows(y, x, 0, nbr)
-		return
-	}
-	p.Run(parts, func(w int) {
-		b.mulVecBlockRows(y, x, b.blockRowBoundary(w, parts), b.blockRowBoundary(w+1, parts))
-	})
-}
-
 // mulVecBlockRows is the block-row-range kernel shared by all BSR mat-vec
 // paths: fully unrolled 2×2 block multiplies over contiguous values. The
 // per-scalar-row accumulation is sequential in ascending column order, so
@@ -250,8 +230,7 @@ func (b *BSR) partitionRows(bounds []int, parts int) {
 	}
 }
 
-// mulVecRanges runs the pooled mat-vec over precomputed partition bounds,
-// skipping the per-call boundary searches of MulVecPool.
+// mulVecRanges runs the pooled mat-vec over precomputed partition bounds.
 func (b *BSR) mulVecRanges(y, x []float64, p *Pool, bounds []int) {
 	p.Run(len(bounds)-1, func(w int) {
 		b.mulVecBlockRows(y, x, bounds[w], bounds[w+1])

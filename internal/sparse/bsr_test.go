@@ -80,7 +80,9 @@ func TestBSRMatVecMatchesCSR(t *testing.T) {
 	}
 }
 
-func TestBSRMulVecPoolMatchesSerial(t *testing.T) {
+// TestBSRMulVecRangesMatchesSerial: the pooled mat-vec CG runs, over the
+// cached block-row partition, is the serial kernel's bit for bit.
+func TestBSRMulVecRangesMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// Big enough that NNZ crosses the parallel threshold and the pooled
 	// path actually partitions.
@@ -98,22 +100,11 @@ func TestBSRMulVecPoolMatchesSerial(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	got := make([]float64, b.Rows)
-	b.MulVecPool(got, x, p)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pooled y[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-
-	// Cached-bounds form used by CG.
 	parts := p.Workers()
 	bounds := make([]int, parts+1)
 	b.partitionRows(bounds, parts)
 	if bounds[0] != 0 || bounds[parts] != len(b.RowPtr)-1 {
 		t.Fatalf("partition bounds %v do not cover %d block rows", bounds, len(b.RowPtr)-1)
-	}
-	for i := range got {
-		got[i] = 0
 	}
 	b.mulVecRanges(got, x, p, bounds)
 	for i := range want {

@@ -3,14 +3,15 @@ package sparse
 // Test oracles and helpers for the external test package, which builds the
 // estimator's real gain matrices (grid and meas import sparse).
 var (
-	MinDegreeReference = minDegreeReference
-	FillOf             = fillOf
-	ShuffleRows        = shuffleRows
-	LDLMatchesOracle   = ldlMatchesOracle
-	AnalysisMatches    = analysisMatchesOracle
-	RandomSPD          = randomSPD
-	GainFixture        = gainFixture
-	WalkingRefresh     = walkingRefresh
+	MinDegreeReference  = minDegreeReference
+	FillOf              = fillOf
+	ShuffleRows         = shuffleRows
+	LDLMatchesOracle    = ldlMatchesOracle
+	AnalysisMatches     = analysisMatchesOracle
+	RandomSPD           = randomSPD
+	GainFixture         = gainFixture
+	WalkingRefresh      = walkingRefresh
+	GainPatternMismatch = gainPatternMismatch
 )
 
 // LDLNumerics returns the factor's own L values and D.

@@ -83,14 +83,16 @@ type GainPlan struct {
 // strictly increasing within each row. The plan stays valid while that
 // pattern does; values are free to change.
 //
-// The build is one sweep of H into column lists and one stamped walk per G
-// row over the rows of H that column reaches, which lists the row's distinct
-// columns; nothing larger than one row's column set is sorted. The plan
+// The build sorts nothing. It sweeps H into column lists, walks each G
+// row's strict lower triangle off the prefixes of the H rows its column
+// reaches, unsorted, and then lays G out by two counting passes over those
+// lists: the lower triangles scattered by row give every upper triangle
+// sorted, and the upper triangles scattered back every lower one. The plan
 // indexes H with int32 and Σd² bounds G's size, so an H beyond either is
 // refused by name before anything is allocated, as is a row that is not
 // canonical.
 func NewGainPlan(h *CSR) *GainPlan {
-	n, nnz := h.Cols, h.NNZ()
+	n, nnz, hRowPtr, hColIdx := h.Cols, h.NNZ(), h.RowPtr, h.ColIdx
 	work := 0 // Σd² over H's rows: a bound on G's size
 	for m := 0; m < h.Rows; m++ {
 		work += h.RowNNZ(m) * h.RowNNZ(m)
@@ -98,19 +100,18 @@ func NewGainPlan(h *CSR) *GainPlan {
 	if max(n, nnz, work) > math.MaxInt32 {
 		panic(fmt.Sprintf("sparse: NewGainPlan: %d columns / %d H entries / %d contributions exceed the plan's int32 indices", n, nnz, work))
 	}
-	for m := 0; m < h.Rows; m++ {
-		for p := h.RowPtr[m] + 1; p < h.RowPtr[m+1]; p++ {
-			if h.ColIdx[p] <= h.ColIdx[p-1] {
-				panic(fmt.Sprintf("sparse: NewGainPlan: row %d of H lists column %d after column %d; the plan needs strictly increasing columns", m, h.ColIdx[p], h.ColIdx[p-1]))
-			}
-		}
-	}
-	gp := &GainPlan{hRowPtr: h.RowPtr, hColIdx: h.ColIdx, emptyRow: -1,
+	gp := &GainPlan{hRowPtr: hRowPtr, hColIdx: hColIdx, emptyRow: -1,
 		acc: [][]float64{make([]float64, n)}, next: make([]int32, n)}
 
 	colPtr := make([]int, n+1)
-	for _, r := range h.ColIdx {
-		colPtr[r+1]++
+	for m := 0; m < h.Rows; m++ {
+		row := hColIdx[hRowPtr[m]:hRowPtr[m+1]]
+		for p, c := range row {
+			if p > 0 && c <= row[p-1] {
+				panic(fmt.Sprintf("sparse: NewGainPlan: row %d of H lists column %d after column %d; the plan needs strictly increasing columns", m, c, row[p-1]))
+			}
+			colPtr[c+1]++
+		}
 	}
 	for r := 0; r < n; r++ {
 		if colPtr[r+1] == 0 && gp.emptyRow < 0 {
@@ -120,37 +121,93 @@ func NewGainPlan(h *CSR) *GainPlan {
 	}
 	lists := make([]int32, 2*nnz) // colVal and colRow, one allocation
 	colVal, colRow := lists[:nnz:nnz], lists[nnz:]
-	next := slices.Clone(colPtr[:n])
+	next := gp.next // the fill's cursor per column, then the walk's stamps, then cursors per row of G
+	for r := range next {
+		next[r] = int32(colPtr[r])
+	}
 	for m := 0; m < h.Rows; m++ {
-		for p := h.RowPtr[m]; p < h.RowPtr[m+1]; p++ {
-			k := next[h.ColIdx[p]]
-			next[h.ColIdx[p]]++
+		for p := hRowPtr[m]; p < hRowPtr[m+1]; p++ {
+			k := next[hColIdx[p]]
+			next[hColIdx[p]]++
 			colVal[k], colRow[k] = int32(p), int32(m)
 		}
 	}
 	gp.colPtr, gp.colVal, gp.colRow = colPtr, colVal, colRow
 
-	// Row r of G holds the columns of every row of H with an entry in column
-	// r; the refresh sums, of each such row, the products up to column r.
+	// The strict lower triangle of row r of G is the union, over the entries
+	// (m, r) of H's column r, of row m's columns before r: a stamped walk of
+	// those prefixes — at most Σ d(d−1)/2 entries of H, and a prefix equal to
+	// the one before it, as a P row's and its Q sibling's are, is skipped —
+	// lists it, unsorted, after the rows before it. gRowPtr holds where each
+	// list ends until the row sizes are known.
 	gp.rowWork = make([]int, n+1)
 	gRowPtr := make([]int, n+1)
-	gColIdx := make([]int, 0, nnz+n) // a guess that fits measured networks; append covers the rest
-	seen := next                     // its fill is done; seen[j] == r+1 marks j as listed for row r
+	low := make([]int32, 0, nnz) // a guess that fits measured networks; append covers the rest
+	seen := next
 	clear(seen)
 	for r := 0; r < n; r++ {
-		rowWork := 0
+		rowWork, stamp, last := 0, int32(r+1), []int(nil) // last: the prefix walked last
 		for k := colPtr[r]; k < colPtr[r+1]; k++ {
-			m := colRow[k]
-			for _, j := range h.ColIdx[h.RowPtr[m]:h.RowPtr[m+1]] {
-				if seen[j] != r+1 {
-					seen[j] = r + 1
-					gColIdx = append(gColIdx, j)
+			pre := hColIdx[hRowPtr[colRow[k]]:colVal[k]]
+			rowWork += len(pre) + 1
+			if slices.Equal(pre, last) {
+				continue
+			}
+			last = pre
+			for _, j := range pre {
+				if seen[j] != stamp {
+					seen[j] = stamp
+					low = append(low, int32(j))
 				}
 			}
-			rowWork += int(colVal[k]) - h.RowPtr[m] + 1
 		}
-		slices.Sort(gColIdx[gRowPtr[r]:])
-		gRowPtr[r+1], gp.rowWork[r+1] = len(gColIdx), gp.rowWork[r]+rowWork
+		gRowPtr[r+1], gp.rowWork[r+1] = len(low), gp.rowWork[r]+rowWork
+	}
+
+	// Row r of G is its lower triangle, its diagonal if column r of H has an
+	// entry, and its upper triangle: every row whose lower triangle lists r.
+	// up[r] counts the upper triangle, then is the cursor into it.
+	diag := func(r int) int { return min(colPtr[r+1]-colPtr[r], 1) }
+	up := next
+	clear(up)
+	for _, j := range low {
+		up[j]++
+	}
+	lows := 0
+	for r := 0; r < n; r++ {
+		lower := gRowPtr[r+1] - lows
+		lows = gRowPtr[r+1]
+		gRowPtr[r+1] = gRowPtr[r] + lower + diag(r) + int(up[r])
+		up[r] = int32(gRowPtr[r] + lower + diag(r))
+	}
+	gColIdx := make([]int, gRowPtr[n])
+	// Pass A, r ascending: r's diagonal into place, and r into the upper
+	// triangle of every row its list names, which fills each upper triangle
+	// sorted. Row r's cursor has not moved when the pass reaches r, so it
+	// still tells how long r's list is.
+	lows = 0
+	for r := 0; r < n; r++ {
+		lower := int(up[r]) - diag(r) - gRowPtr[r]
+		if diag(r) == 1 {
+			gColIdx[up[r]-1] = r
+		}
+		for _, j := range low[lows : lows+lower] {
+			gColIdx[up[j]] = r
+			up[j]++
+		}
+		lows += lower
+	}
+	// Pass B: the sorted upper triangles, rows ascending, fill every lower
+	// triangle in ascending order.
+	for r := 0; r < n; r++ {
+		next[r] = int32(gRowPtr[r])
+	}
+	for r := 0; r < n; r++ {
+		for g := gRowPtr[r+1] - 1; g >= gRowPtr[r] && gColIdx[g] > r; g-- {
+			i := gColIdx[g]
+			gColIdx[next[i]] = r
+			next[i]++
+		}
 	}
 	gp.G = &CSR{Rows: n, Cols: n, RowPtr: gRowPtr, ColIdx: gColIdx, Val: make([]float64, len(gColIdx))}
 	return gp

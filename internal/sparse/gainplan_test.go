@@ -463,12 +463,13 @@ func TestGainPlanRefusesNonCanonicalRows(t *testing.T) {
 // FuzzGainPlan turns bytes into a canonical H — two bytes a row, a bitmask
 // over at most 16 columns, so rows come out empty, alone in a column or
 // full — with random values and weights and a random permutation. The
-// natural plan's G must be the replay oracle's bit for bit, its lower
-// triangle summed and its upper mirrored, and bitwise symmetric; the
-// ordered plan's G must be PermuteSym of it bit for bit. With mode odd one
-// row with two entries or more is made non-canonical, its first two columns
-// swapped or repeated, and the build must refuse it by name and panic with
-// nothing else.
+// plan's pattern, work prefix and empty row must be the sorted build's
+// (sortedGainPattern); the natural plan's G must be the replay oracle's bit
+// for bit, its lower triangle summed and its upper mirrored, and bitwise
+// symmetric; the ordered plan's G must be PermuteSym of it bit for bit.
+// With mode odd one row with two entries or more is made non-canonical, its
+// first two columns swapped or repeated, and the build must refuse it by
+// name and panic with nothing else.
 func FuzzGainPlan(f *testing.F) {
 	f.Add(uint8(4), uint8(0), int64(1), []byte{3, 0, 5, 0, 0, 0, 12, 0})
 	f.Add(uint8(16), uint8(1), int64(2), []byte{255, 255, 1, 128, 0, 0, 7, 1, 64, 32})
@@ -515,6 +516,9 @@ func FuzzGainPlan(f *testing.F) {
 			t.Fatalf("a plan was built on non-canonical row %d", m)
 		}
 
+		if msg := gainPatternMismatch(h); msg != "" {
+			t.Fatal(msg)
+		}
 		g := NewGainPlan(h).Refresh(h, w)
 		assertBitEqual(t, "natural plan", g.Val, replayGain(h, w, g))
 		assertSymmetric(t, "natural plan", g)
@@ -624,7 +628,9 @@ func TestDefaultPoolFollowsGOMAXPROCS(t *testing.T) {
 	}
 }
 
-func TestMulVecPoolMatchesSerial(t *testing.T) {
+// TestMulVecRangesMatchesSerial: the pooled mat-vec CG runs, over the
+// cached row partition, is the serial kernel's bit for bit.
+func TestMulVecRangesMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := randomCSR(rng, 500, 300, 3*parallelNNZThreshold)
 	x := make([]float64, a.Cols)
@@ -636,8 +642,10 @@ func TestMulVecPoolMatchesSerial(t *testing.T) {
 
 	p := NewPool(5)
 	defer p.Close()
+	bounds := make([]int, p.Workers()+1)
+	a.partitionRows(bounds, p.Workers())
 	got := make([]float64, a.Rows)
-	a.MulVecPool(got, x, p)
+	a.mulVecRanges(got, x, p, bounds)
 	for i := range want {
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 			t.Fatalf("y[%d]: serial %v != pooled %v", i, want[i], got[i])
@@ -797,6 +805,113 @@ func TestPreconditionerRefreshMatchesRebuild(t *testing.T) {
 			if math.Float64bits(yRef[i]) != math.Float64bits(yNew[i]) {
 				t.Fatalf("%s: refreshed apply differs at %d: %v vs %v", tc.name, i, yRef[i], yNew[i])
 			}
+		}
+	}
+}
+
+// sortedGainPattern is the gain plan's pattern as the plan once built it, the
+// oracle of the sort-free build: one stamped walk per row of G over every
+// full row of H that its column reaches, then a sort of the row. It returns
+// G's row pointers and columns, the work prefix and the first empty row.
+func sortedGainPattern(h *CSR) (rowPtr, colIdx, rowWork []int, emptyRow int) {
+	n := h.Cols
+	emptyRow = -1
+	colPtr := make([]int, n+1)
+	for _, r := range h.ColIdx {
+		colPtr[r+1]++
+	}
+	for r := 0; r < n; r++ {
+		if colPtr[r+1] == 0 && emptyRow < 0 {
+			emptyRow = r
+		}
+		colPtr[r+1] += colPtr[r]
+	}
+	colVal, colRow := make([]int, h.NNZ()), make([]int, h.NNZ())
+	next := slices.Clone(colPtr[:n])
+	for m := 0; m < h.Rows; m++ {
+		for p := h.RowPtr[m]; p < h.RowPtr[m+1]; p++ {
+			k := next[h.ColIdx[p]]
+			next[h.ColIdx[p]]++
+			colVal[k], colRow[k] = p, m
+		}
+	}
+	rowPtr, rowWork = make([]int, n+1), make([]int, n+1)
+	seen := make([]int, n)
+	for r := 0; r < n; r++ {
+		work := 0
+		for k := colPtr[r]; k < colPtr[r+1]; k++ {
+			m := colRow[k]
+			for _, j := range h.ColIdx[h.RowPtr[m]:h.RowPtr[m+1]] {
+				if seen[j] != r+1 {
+					seen[j] = r + 1
+					colIdx = append(colIdx, j)
+				}
+			}
+			work += colVal[k] - h.RowPtr[m] + 1
+		}
+		slices.Sort(colIdx[rowPtr[r]:])
+		rowPtr[r+1], rowWork[r+1] = len(colIdx), rowWork[r]+work
+	}
+	return rowPtr, colIdx, rowWork, emptyRow
+}
+
+// gainPatternMismatch names the first array in which the plan NewGainPlan
+// builds on h differs from sortedGainPattern's, or returns "".
+func gainPatternMismatch(h *CSR) string {
+	gp := NewGainPlan(h)
+	rowPtr, colIdx, rowWork, emptyRow := sortedGainPattern(h)
+	for _, c := range []struct {
+		name      string
+		got, want []int
+	}{{"RowPtr", gp.G.RowPtr, rowPtr}, {"ColIdx", gp.G.ColIdx, colIdx}, {"rowWork", gp.rowWork, rowWork}} {
+		if len(c.got) != len(c.want) {
+			return fmt.Sprintf("%s has %d entries, sorted build %d", c.name, len(c.got), len(c.want))
+		}
+		for i := range c.want {
+			if c.got[i] != c.want[i] {
+				return fmt.Sprintf("%s[%d] = %d, sorted build %d", c.name, i, c.got[i], c.want[i])
+			}
+		}
+	}
+	switch {
+	case gp.EmptyRow() != emptyRow:
+		return fmt.Sprintf("EmptyRow %d, sorted build %d", gp.EmptyRow(), emptyRow)
+	case len(gp.G.Val) != len(colIdx):
+		return fmt.Sprintf("%d values for %d entries", len(gp.G.Val), len(colIdx))
+	}
+	return ""
+}
+
+// TestGainPlanPatternMatchesSortedBuild: the sort-free build lays out G, the
+// work prefix and the empty row exactly as the sorted build did, on H with
+// an empty column, a column no other column shares a row with, rows of one
+// entry, empty rows, a dense row, and on ragged random H.
+func TestGainPlanPatternMatchesSortedBuild(t *testing.T) {
+	csr := func(cols int, rows ...[]int) *CSR {
+		h := &CSR{Rows: len(rows), Cols: cols, RowPtr: make([]int, len(rows)+1)}
+		for m, row := range rows {
+			h.ColIdx = append(h.ColIdx, row...)
+			h.RowPtr[m+1] = len(h.ColIdx)
+		}
+		h.Val = make([]float64, len(h.ColIdx))
+		return h
+	}
+	cases := map[string]*CSR{
+		"empty column":      csr(5, []int{0, 1}, []int{1, 4}, []int{0, 3, 4}),
+		"lone column":       csr(5, []int{0, 1, 3}, []int{2}, []int{2}, []int{1, 4}),
+		"single entries":    csr(4, []int{3}, []int{0}, []int{2}, []int{1}, []int{3}),
+		"empty rows":        csr(4, nil, []int{0, 2}, nil, []int{1, 2, 3}, nil),
+		"dense row":         csr(6, []int{0, 1, 2, 3, 4, 5}, []int{2, 5}),
+		"no rows":           csr(3),
+		"repeated patterns": csr(5, []int{1, 3}, []int{1, 3}, []int{0, 1, 4}, []int{0, 1, 4}, []int{2}),
+	}
+	rng := rand.New(rand.NewSource(40))
+	for trial := 0; trial < 20; trial++ {
+		cases[fmt.Sprintf("ragged %d", trial)] = raggedCSR(rng, 5+rng.Intn(60), 3+rng.Intn(30))
+	}
+	for name, h := range cases {
+		if msg := gainPatternMismatch(h); msg != "" {
+			t.Errorf("%s: %s", name, msg)
 		}
 	}
 }

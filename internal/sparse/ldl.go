@@ -123,21 +123,21 @@ func AnalyzeLDLPool(a *CSR, p *Pool) (*LDLFactor, error) {
 		return nil, fmt.Errorf("sparse: LDL of dimension %d with %d entries exceeds the factor's int32 indices", a.Rows, nnz)
 	}
 	n := a.Rows
-	e := eliminate(a, true)
+	// One backing slice per element type, the pattern's apart from the
+	// values' (numerics), so a SharePattern copy keeps no values of f alive.
+	ints := make([]int, 5*n+3)
 	f := &LDLFactor{
 		n:       n,
-		perm:    e.perm,
+		perm:    carve(&ints, n),
 		rowPtr:  a.RowPtr,
 		colIdx:  a.ColIdx,
-		upPtr:   make([]int, n+1),
+		upPtr:   carve(&ints, n+1),
 		diagSrc: make([]int32, n),
-		parent:  make([]int, n),
-		lPtr:    make([]int, n+1),
-		d:       make([]float64, n),
-		y:       make([]float64, n),
-		lnz:     make([]int, n),
-		w:       make([]float64, n),
+		parent:  carve(&ints, n),
+		lPtr:    carve(&ints, n+1),
+		lRowPtr: ints,
 	}
+	e := eliminate(a, true, f.perm)
 	inv := e.rep // the ordering's scratch, free now
 	for k, o := range f.perm {
 		inv[o] = k
@@ -167,8 +167,8 @@ func AnalyzeLDLPool(a *CSR, p *Pool) (*LDLFactor, error) {
 	for k := 0; k < n; k++ {
 		f.upPtr[k+1] += f.upPtr[k]
 	}
-	f.upRow = make([]int32, f.upPtr[n])
-	f.upSrc = make([]int32, f.upPtr[n])
+	up := make([]int32, 2*f.upPtr[n])
+	f.upRow, f.upSrc = carve(&up, f.upPtr[n]), up
 	next := e.seen
 	copy(next, f.upPtr[:n])
 	for i := 0; i < n; i++ {
@@ -183,6 +183,7 @@ func AnalyzeLDLPool(a *CSR, p *Pool) (*LDLFactor, error) {
 		}
 	}
 	f.lower(&e)
+	f.numerics()
 	f.rows(e.seen)
 	if parts := p.Workers(); parts > 1 && len(a.ColIdx) >= parallelNNZThreshold {
 		f.split(parts, e.seen, e.deg) // the elimination's scratch, free now
@@ -212,8 +213,8 @@ func (f *LDLFactor) lower(e *elimination) {
 	for k := 0; k < n; k++ {
 		lPtr[k+1] += lPtr[k]
 	}
-	f.lRow = make([]int32, lPtr[n])
-	f.lVal = make([]float64, lPtr[n])
+	idx := make([]int32, 2*lPtr[n]) // L's pattern by columns, and by rows (rows)
+	f.lRow, f.lRowCol = carve(&idx, lPtr[n]), idx
 	for s := 0; s < n; {
 		v := perm[s]
 		last, nbrs := s+e.weight[v]-1, e.adj[v]
@@ -252,14 +253,12 @@ func (f *LDLFactor) lower(e *elimination) {
 func (f *LDLFactor) rows(flag []int) {
 	n := f.n
 	clear(flag)
-	f.lRowPtr = make([]int, n+1)
 	for _, r := range f.lRow {
 		f.lRowPtr[r+1]++
 	}
 	for k := 0; k < n; k++ {
 		f.lRowPtr[k+1] += f.lRowPtr[k]
 	}
-	f.lRowCol = make([]int32, f.lRowPtr[n])
 	for k := 0; k < n; k++ {
 		pattern := f.lRowCol[f.lRowPtr[k]:f.lRowPtr[k+1]]
 		top := len(pattern)
@@ -288,11 +287,17 @@ func (f *LDLFactor) rows(flag []int) {
 // the two factors refresh and apply independently, also concurrently.
 func (f *LDLFactor) SharePattern() *LDLFactor {
 	c := *f
-	n := f.n
-	c.lVal = make([]float64, len(f.lVal))
-	c.d, c.y, c.w = make([]float64, n), make([]float64, n), make([]float64, n)
-	c.lnz = make([]int, n)
+	c.numerics()
 	return &c
+}
+
+// numerics gives f L's values, D and the refresh scratch of its own: the
+// float64 arrays in one allocation, and lnz.
+func (f *LDLFactor) numerics() {
+	n := f.n
+	vals := make([]float64, 3*n+f.lPtr[n])
+	f.d, f.y, f.w, f.lVal = carve(&vals, n), carve(&vals, n), carve(&vals, n), vals
+	f.lnz = make([]int, n)
 }
 
 // sameInts is slices.Equal behind the one-array case, which needs no pass.

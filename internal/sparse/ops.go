@@ -28,26 +28,7 @@ func (a *CSR) MulVec(y, x []float64) {
 	}
 }
 
-// MulVecPool computes y = A·x on the persistent pool, rows partitioned into
-// contiguous nnz-balanced blocks. It allocates only the pool hand-off (no
-// goroutine spawns) and falls back to the serial kernel for small matrices
-// or a nil/single-worker pool.
-func (a *CSR) MulVecPool(y, x []float64, p *Pool) {
-	a.checkMulDims(y, x)
-	parts := p.Workers()
-	if parts > a.Rows {
-		parts = a.Rows
-	}
-	if parts <= 1 || a.NNZ() < parallelNNZThreshold {
-		a.MulVec(y, x)
-		return
-	}
-	p.Run(parts, func(w int) {
-		a.mulVecRows(y, x, a.rowBoundary(w, parts), a.rowBoundary(w+1, parts))
-	})
-}
-
-// mulVecRows is the row-range kernel shared by the parallel mat-vec paths.
+// mulVecRows is the row-range kernel of the pooled mat-vec.
 func (a *CSR) mulVecRows(y, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		sum := 0.0
@@ -60,8 +41,7 @@ func (a *CSR) mulVecRows(y, x []float64, lo, hi int) {
 
 // partitionRows fills bounds (length parts+1) with the nnz-balanced row
 // partition — the cached form of rowBoundary used by CG, which would
-// otherwise repeat the boundary searches on every PCG iteration. Ad-hoc
-// callers (MulVecPool on a matrix seen once) keep the pure function.
+// otherwise repeat the boundary searches on every PCG iteration.
 func (a *CSR) partitionRows(bounds []int, parts int) {
 	for w := 0; w <= parts; w++ {
 		bounds[w] = a.rowBoundary(w, parts)

@@ -27,7 +27,7 @@ func MinDegree(a *CSR) []int {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("sparse: MinDegree: dimension %d exceeds the int32 adjacency lists", n))
 	}
-	return eliminate(a, false).perm
+	return eliminate(a, false, make([]int, n)).perm
 }
 
 // elimination is what the minimum-degree elimination leaves: the ordering
@@ -42,9 +42,11 @@ type elimination struct {
 	rep, seen              []int
 }
 
-// eliminate orders the pattern of the n×n matrix a. With lower set it orders
-// the closure of a's strict lower triangle alone, the matrix AnalyzeLDL
-// factors; otherwise the closure of all of a's off-diagonal entries.
+// eliminate orders the pattern of the n×n matrix a into perm, of length n.
+// With lower set it orders the closure of a's strict lower triangle alone,
+// the matrix AnalyzeLDL factors; otherwise the closure of all of a's
+// off-diagonal entries. Its scratch of n entries per array is one
+// allocation.
 //
 // The elimination runs on supervariables. Vertices with the same closed
 // neighborhood — the same row pattern, as a bus's θ and V rows have in a gain
@@ -61,9 +63,11 @@ type elimination struct {
 // the same fill, and compression only saves the work. One elimination costs
 // the summed length of its neighbors' lists, which on the near-planar graphs
 // of power networks stays a small constant.
-func eliminate(a *CSR, lower bool) elimination {
+func eliminate(a *CSR, lower bool, perm []int) elimination {
 	n := a.Rows
-	seen := make([]int, n)
+	scratch := make([]int, 6*n)
+	seen, deg, sum, rep, weight, pos := carve(&scratch, n), carve(&scratch, n), carve(&scratch, n),
+		carve(&scratch, n), carve(&scratch, n), scratch
 	ptr, idx := a.RowPtr, a.ColIdx
 	if !symmetricRows(n, ptr, idx, seen) {
 		c := closure(a, lower)
@@ -72,7 +76,6 @@ func eliminate(a *CSR, lower bool) elimination {
 	// The pattern is symmetric and stores no entry twice from here on, so a
 	// row is a vertex's neighborhood. sum[i] adds up i's closed
 	// neighborhood: equal sets have equal sums.
-	deg, sum := make([]int, n), make([]int, n)
 	for i := 0; i < n; i++ {
 		d, s := 0, i
 		for _, j := range idx[ptr[i]:ptr[i+1]] {
@@ -90,7 +93,7 @@ func eliminate(a *CSR, lower bool) elimination {
 	// equal degree and sum, each confirmed member by member. seen[w] == stamp
 	// marks w as a member of the set being built; every set takes a fresh
 	// stamp, so the array is never cleared.
-	rep, weight, stamp := make([]int, n), make([]int, n), 0
+	stamp := 0
 	for v := range rep {
 		rep[v], weight[v] = v, 1
 	}
@@ -138,7 +141,7 @@ func eliminate(a *CSR, lower bool) elimination {
 	}
 	backing := make([]int32, room)
 	adj := make([][]int32, n)
-	h := degHeap{heap: make([]uint64, 0, reps), pos: make([]int, n)}
+	h := degHeap{heap: make([]uint64, 0, reps), pos: pos}
 	for v := 0; v < n; v++ {
 		if rep[v] != v {
 			continue
@@ -195,7 +198,6 @@ func eliminate(a *CSR, lower bool) elimination {
 			h.update(int(u), d)
 		}
 	}
-	perm := make([]int, n)
 	for w, v := range rep {
 		perm[end[v]] = w
 		end[v]++
@@ -378,4 +380,11 @@ func mustSquare(a *CSR, who string) int {
 		panic(fmt.Sprintf("sparse: %s requires a square matrix, got %dx%d", who, a.Rows, a.Cols))
 	}
 	return a.Rows
+}
+
+// carve cuts the first n elements off *s, its capacity clipped to them.
+func carve[T any](s *[]T, n int) []T {
+	c := (*s)[:n:n]
+	*s = (*s)[n:]
+	return c
 }
