@@ -6,6 +6,7 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -162,24 +163,34 @@ func (n *Network) InService() []Branch {
 }
 
 // Adjacency returns, for each internal bus index, the sorted list of
-// internal neighbor indices over in-service branches (no duplicates).
+// internal neighbor indices over in-service branches (no duplicates). The
+// rows share one backing array, each clipped to its own length.
 func (n *Network) Adjacency() [][]int {
-	adj := make([][]int, n.N())
-	seen := make(map[[2]int]bool)
-	for _, br := range n.InService() {
-		f, t := n.idx[br.From], n.idx[br.To]
-		if f > t {
-			f, t = t, f
+	start := make([]int, n.N()+1)
+	for _, br := range n.Branches {
+		if br.Status {
+			start[n.idx[br.From]+1]++
+			start[n.idx[br.To]+1]++
 		}
-		if seen[[2]int{f, t}] {
-			continue
-		}
-		seen[[2]int{f, t}] = true
-		adj[f] = append(adj[f], t)
-		adj[t] = append(adj[t], f)
 	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	nbrs := make([]int, start[n.N()])
+	adj := make([][]int, n.N())
 	for i := range adj {
-		sort.Ints(adj[i])
+		adj[i] = nbrs[start[i]:start[i]:start[i+1]]
+	}
+	for _, br := range n.Branches {
+		if br.Status {
+			f, t := n.idx[br.From], n.idx[br.To]
+			adj[f] = append(adj[f], t)
+			adj[t] = append(adj[t], f)
+		}
+	}
+	for i, row := range adj {
+		slices.Sort(row)
+		adj[i] = slices.Clip(slices.Compact(row))
 	}
 	return adj
 }

@@ -174,6 +174,63 @@ func TestAdjacencyNoDuplicates(t *testing.T) {
 	}
 }
 
+// mapAdjacency is the map-deduplicated adjacency build that Adjacency
+// replaced; it pins the flat-array build's rows.
+func mapAdjacency(n *Network) [][]int {
+	adj := make([][]int, n.N())
+	seen := make(map[[2]int]bool)
+	for _, br := range n.InService() {
+		f, t := n.idx[br.From], n.idx[br.To]
+		if f > t {
+			f, t = t, f
+		}
+		if seen[[2]int{f, t}] {
+			continue
+		}
+		seen[[2]int{f, t}] = true
+		adj[f] = append(adj[f], t)
+		adj[t] = append(adj[t], f)
+	}
+	for i := range adj {
+		slices.Sort(adj[i])
+	}
+	return adj
+}
+
+func TestAdjacencyMatchesMapBuild(t *testing.T) {
+	wecc, err := SynthWECC(SynthOptions{Areas: 12, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// IEEE-118 with one circuit of the parallel pair 42-49 out (the pair
+	// stays adjacent) and the single branch 8-9 out.
+	outage := Case118()
+	for _, out := range [][2]int{{42, 49}, {8, 9}} {
+		k := slices.IndexFunc(outage.Branches, func(br Branch) bool { return br.From == out[0] && br.To == out[1] })
+		if k < 0 {
+			t.Fatalf("no branch %d-%d", out[0], out[1])
+		}
+		outage.Branches[k].Status = false
+	}
+	for name, n := range map[string]*Network{
+		"ieee14": Case14(), "ieee30": Case30(), "ieee118": Case118(),
+		"ieee118-outage": outage, "synth-wecc-12": wecc,
+	} {
+		got, want := n.Adjacency(), mapAdjacency(n)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("%s: bus %d neighbors %v, want %v", name, i, got[i], want[i])
+			}
+			if cap(got[i]) != len(got[i]) {
+				t.Fatalf("%s: bus %d row has spare capacity %d", name, i, cap(got[i])-len(got[i]))
+			}
+		}
+	}
+}
+
 func TestNetInjections(t *testing.T) {
 	n := Case14()
 	p, q := n.NetInjections()
