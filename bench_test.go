@@ -807,25 +807,6 @@ func BenchmarkWECCScaleDSE(b *testing.B) {
 	}
 }
 
-// BenchmarkFastDecoupledVsNewton compares the two power-flow solvers.
-func BenchmarkFastDecoupledVsNewton(b *testing.B) {
-	n := grid.Case118()
-	b.Run("newton", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := powerflow.Solve(n, powerflow.Options{FlatStart: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fast-decoupled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := powerflow.SolveFastDecoupled(n, powerflow.Options{FlatStart: true, MaxIter: 150}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkContingencyPool118 measures the session-pooled what-if
 // estimation sweep on IEEE-118: cold (a fresh pool each sweep, paying the
 // base skeleton and a clone per outage, with allocations and bytes per

@@ -12,9 +12,9 @@
 // ratio table (new/old ms/op and allocs/op, plus the new record's median
 // and max/min spread) against a previously committed record, flagging
 // entries whose time ratio exceeds -tol. The table opens with the control
-// rows (FastDecoupledVsNewton/*, PowerFlow118, PartitionerScales): code the
-// estimator's changes do not touch, so their drift between the records is
-// the machines', and a drift over 15 % is flagged. The time ratios are a
+// row (PartitionerScales): code the estimator's changes do not touch, so
+// its drift between the records is the machines', and a drift over 15 % is
+// flagged. The time ratios are a
 // report, not a gate: CI machine noise routinely exceeds any tolerance. Allocation counts
 // are deterministic for a given build, so a benchmark present in both
 // records whose allocs/op rose by more than 5 % makes the tool exit with
@@ -139,12 +139,11 @@ func loadRecord(path string) (map[string]*Entry, error) {
 const controlDrift = 0.15
 
 // isControl reports whether name is a control row: a benchmark of code no
-// estimator change touches — the fast-decoupled power flow, the graph
-// partitioner. The Newton power flow solves its steps on the estimator's
-// gain plan and LDLᵀ factor, so its rows are not controls.
+// estimator change touches, which leaves the graph partitioner. The Newton
+// power flow solves its steps on the estimator's gain plan and LDLᵀ
+// factor, so its rows are not controls.
 func isControl(name string) bool {
-	name = strings.TrimPrefix(name, "Benchmark")
-	return name == "FastDecoupledVsNewton/fast-decoupled" || name == "PartitionerScales"
+	return strings.TrimPrefix(name, "Benchmark") == "PartitionerScales"
 }
 
 // writeControlDrift prints the new/old time ratio of every control row

@@ -117,8 +117,8 @@ func TestWriteComparisonFlagsRegressions(t *testing.T) {
 
 // TestControlRowsPrintedFirst: the control rows open the comparison, a
 // drift past 15 % either way is flagged, and drift alone never fails it. The
-// Newton power-flow rows are not controls: a drifted one is a regression in
-// the table, never a drift.
+// power-flow rows are not controls: a drifted one, fast-decoupled included,
+// is a regression in the table, never a drift.
 func TestControlRowsPrintedFirst(t *testing.T) {
 	old := map[string]*Entry{
 		"BenchmarkFastDecoupledVsNewton/fast-decoupled": {NsPerOp: 1e6},
@@ -143,14 +143,17 @@ func TestControlRowsPrintedFirst(t *testing.T) {
 	if control < 0 || table < control {
 		t.Fatalf("control rows do not open the comparison:\n%s", out)
 	}
-	if n := strings.Count(out[:table], "<< drift"); n != 2 {
-		t.Fatalf("%d control rows flagged, want 2 (1.40x and 0.80x):\n%s", n, out)
+	if n := strings.Count(out[:table], "<< drift"); n != 1 {
+		t.Fatalf("%d control rows flagged, want 1 (PartitionerScales at 0.80x):\n%s", n, out)
 	}
-	if !strings.Contains(out, "2 of 2 control rows drifted") {
+	if !strings.Contains(out, "1 of 1 control rows drifted") {
 		t.Fatalf("no drift summary:\n%s", out)
 	}
 	if strings.Contains(out[:table], "newton") || strings.Contains(out[:table], "PowerFlow118") {
 		t.Fatalf("a Newton power-flow row is printed as a control:\n%s", out)
+	}
+	if strings.Contains(out[:table], "fast-decoupled") {
+		t.Fatalf("the fast-decoupled row is printed as a control:\n%s", out)
 	}
 	newton := strings.Index(out, "BenchmarkFastDecoupledVsNewton/newton")
 	if line, _, _ := strings.Cut(out[max(newton, 0):], "\n"); newton < table || !strings.Contains(line, "<< regression") || strings.Contains(line, "drift") {

@@ -1,4 +1,4 @@
-package medici
+package main
 
 import (
 	"context"
@@ -7,6 +7,8 @@ import (
 	"log"
 	"sync"
 	"time"
+
+	"repro/internal/medici"
 )
 
 // The publish/subscribe layer mirrors GridStat (Bakken et al.), the
@@ -14,7 +16,8 @@ import (
 // status dissemination: publishers push topic-tagged updates (e.g. PMU
 // streams) to a broker, and each subscriber receives them at its own
 // requested rate — the broker decimates faster streams per subscriber,
-// GridStat's core QoS mechanism.
+// GridStat's core QoS mechanism. Publications and deliveries are medici
+// length-prefix frames over plain TCP, one connection each.
 
 // pubFrame is one publication. On the wire it is the body of a
 // length-prefix frame: a 4-byte little-endian topic length, the topic,
@@ -35,21 +38,42 @@ func (f pubFrame) encode() []byte {
 // Payload aliases b.
 func decodePubFrame(b []byte) (pubFrame, error) {
 	if len(b) < 4 {
-		return pubFrame{}, errors.New("medici: publish frame shorter than its header")
+		return pubFrame{}, errors.New("broker: publish frame shorter than its header")
 	}
 	n := binary.LittleEndian.Uint32(b)
 	if uint64(n) > uint64(len(b)-4) {
-		return pubFrame{}, errors.New("medici: publish frame topic length exceeds the frame")
+		return pubFrame{}, errors.New("broker: publish frame topic length exceeds the frame")
 	}
 	return pubFrame{Topic: string(b[4 : 4+n]), Payload: b[4+n:]}, nil
+}
+
+// publish sends one topic update to the broker at url.
+func publish(ctx context.Context, url, topic string, payload []byte) error {
+	return send(ctx, url, pubFrame{Topic: topic, Payload: payload}.encode())
+}
+
+// send dials url, writes msg as one length-prefix frame and hangs up; ctx
+// bounds the dial.
+func send(ctx context.Context, url string, msg []byte) error {
+	ep, err := medici.ParseEndpoint(url)
+	if err != nil {
+		return err
+	}
+	conn, err := medici.TCPTransport{}.DialContext(ctx, ep.Addr())
+	if err != nil {
+		return err
+	}
+	werr := medici.LengthPrefixProtocol{}.WriteMessage(conn, msg)
+	if cerr := conn.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }
 
 // Broker is a topic-based publish/subscribe router with per-subscriber
 // rate control.
 type Broker struct {
-	recv      *Receiver
-	transport Transport
-	frame     Protocol
+	recv *medici.Receiver
 
 	// baseCtx bounds broker-originated I/O (subscriber deliveries); it is
 	// canceled when the broker closes.
@@ -68,40 +92,17 @@ type subscription struct {
 	dropped int
 }
 
-// NewBroker starts a broker listening on addr (":0" = ephemeral).
-func NewBroker(addr string, tr Transport, depth int) (*Broker, error) {
-	if tr == nil {
-		tr = TCPTransport{}
-	}
-	frame := LengthPrefixProtocol{}
-	recv, err := NewReceiver(tr, addr, frame, depth)
+// NewBroker starts a broker listening on addr (":0" = ephemeral) that
+// buffers up to depth publications.
+func NewBroker(addr string, depth int) (*Broker, error) {
+	recv, err := medici.NewReceiver(nil, addr, medici.LengthPrefixProtocol{}, depth)
 	if err != nil {
 		return nil, err
 	}
-	b := &Broker{recv: recv, transport: tr, frame: frame, subs: make(map[string][]*subscription)}
+	b := &Broker{recv: recv, subs: make(map[string][]*subscription)}
 	b.baseCtx, b.cancel = context.WithCancel(context.Background())
 	b.wg.Add(1)
 	go b.dispatchLoop()
-	return b, nil
-}
-
-// NewBrokerContext starts a broker whose lifetime is additionally bound to
-// ctx: when ctx is canceled the broker shuts down as if Close had been
-// called, canceling in-flight deliveries and unblocking the dispatch loop.
-func NewBrokerContext(ctx context.Context, addr string, tr Transport, depth int) (*Broker, error) {
-	b, err := NewBroker(addr, tr, depth)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				b.Close()
-			case <-b.baseCtx.Done(): // broker closed on its own
-			}
-		}()
-	}
 	return b, nil
 }
 
@@ -112,7 +113,7 @@ func (b *Broker) URL() string { return b.recv.URL() }
 // messages per second (0 = unthrottled). Registering the same URL again
 // replaces its rate.
 func (b *Broker) Subscribe(topic, url string, maxRate float64) error {
-	if _, err := ParseEndpoint(url); err != nil {
+	if _, err := medici.ParseEndpoint(url); err != nil {
 		return err
 	}
 	var gap time.Duration
@@ -129,19 +130,6 @@ func (b *Broker) Subscribe(topic, url string, maxRate float64) error {
 	}
 	b.subs[topic] = append(b.subs[topic], &subscription{url: url, minGap: gap})
 	return nil
-}
-
-// Unsubscribe removes url from a topic.
-func (b *Broker) Unsubscribe(topic, url string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	list := b.subs[topic]
-	for i, s := range list {
-		if s.url == url {
-			b.subs[topic] = append(list[:i], list[i+1:]...)
-			return
-		}
-	}
 }
 
 // Dropped returns how many updates were decimated for (topic, url).
@@ -165,7 +153,7 @@ func (b *Broker) dispatchLoop() {
 		}
 		f, err := decodePubFrame(msg)
 		if err != nil {
-			log.Printf("medici: broker: %v", err)
+			log.Print(err)
 			continue
 		}
 		b.deliver(f)
@@ -190,21 +178,11 @@ func (b *Broker) deliver(f pubFrame) {
 	}
 	b.mu.Unlock()
 	for _, url := range targets {
-		ep, err := ParseEndpoint(url)
-		if err != nil {
-			continue
-		}
 		dctx, dcancel := context.WithTimeout(b.baseCtx, deliverTimeout)
-		conn, err := b.transport.DialContext(dctx, ep.Addr())
+		if err := send(dctx, url, f.Payload); err != nil {
+			log.Printf("broker: delivering to %s: %v", url, err)
+		}
 		dcancel()
-		if err != nil {
-			log.Printf("medici: broker: subscriber %s unreachable: %v", url, err)
-			continue
-		}
-		if err := b.frame.WriteMessage(conn, f.Payload); err != nil {
-			log.Printf("medici: broker: delivering to %s: %v", url, err)
-		}
-		conn.Close()
 	}
 }
 
@@ -214,28 +192,4 @@ func (b *Broker) Close() error {
 	err := b.recv.Close()
 	b.wg.Wait()
 	return err
-}
-
-// Publisher pushes topic updates to a broker.
-type Publisher struct {
-	broker    string
-	transport Transport
-	frame     Protocol
-}
-
-// NewPublisher returns a publisher bound to the broker's publish URL.
-func NewPublisher(brokerURL string, tr Transport) (*Publisher, error) {
-	if _, err := ParseEndpoint(brokerURL); err != nil {
-		return nil, err
-	}
-	if tr == nil {
-		tr = TCPTransport{}
-	}
-	return &Publisher{broker: brokerURL, transport: tr, frame: LengthPrefixProtocol{}}, nil
-}
-
-// Publish sends one topic update. The context bounds the dial and write
-// to the broker.
-func (p *Publisher) Publish(ctx context.Context, topic string, payload []byte) error {
-	return sendOnce(ctx, p.transport, p.broker, p.frame, pubFrame{Topic: topic, Payload: payload}.encode())
 }

@@ -1,8 +1,9 @@
-// PMU data dissemination through the publish/subscribe middleware — the
-// GridStat-style path the paper's conclusion describes: synchrophasor
-// streams from substations are published to a broker, and consumers with
-// different QoS needs subscribe at their own rates (a 30 Hz archiver, a
-// 1 Hz operator display). The broker decimates per subscriber.
+// PMU data dissemination through publish/subscribe — the GridStat-style
+// path the paper's conclusion describes: synchrophasor streams from
+// substations are published to a broker (broker.go, on the medici TCP
+// transport and length-prefix frames), and consumers with different QoS
+// needs subscribe at their own rates (an unthrottled archiver, a 5 msg/s
+// operator display). The broker decimates per subscriber.
 package main
 
 import (
@@ -39,7 +40,7 @@ func main() {
 		log.Fatalf("power flow: %v", err)
 	}
 
-	broker, err := medici.NewBroker("127.0.0.1:0", nil, 256)
+	broker, err := NewBroker("127.0.0.1:0", 256)
 	if err != nil {
 		log.Fatalf("broker: %v", err)
 	}
@@ -57,8 +58,12 @@ func main() {
 	}
 	defer display.Close()
 	topic := fmt.Sprintf("pmu/bus%d", *busID)
-	broker.Subscribe(topic, archiver.URL(), 0)
-	broker.Subscribe(topic, display.URL(), 5) // 5 msg/s QoS
+	if err := broker.Subscribe(topic, archiver.URL(), 0); err != nil {
+		log.Fatal(err)
+	}
+	if err := broker.Subscribe(topic, display.URL(), 5); err != nil { // 5 msg/s QoS
+		log.Fatal(err)
+	}
 
 	// Substation side: a PMU feed publishing every frame.
 	plan := []gridse.Measurement{
@@ -66,10 +71,6 @@ func main() {
 		{Kind: gridse.Angle, Bus: *busID, Sigma: 0.001},
 	}
 	feed := scada.NewPMUFeed(net, truth.State, plan, 1)
-	pub, err := medici.NewPublisher(broker.URL(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	start := time.Now()
 	for k := 0; k < *frames; k++ {
@@ -82,7 +83,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := pub.Publish(context.Background(), topic, payload); err != nil {
+		if err := publish(context.Background(), broker.URL(), topic, payload); err != nil {
 			log.Fatalf("publish: %v", err)
 		}
 		// Pace at ~10x real time so the run finishes quickly but the

@@ -17,22 +17,22 @@ import (
 // buildStation expands IEEE-14 into a node model where bus 4 has two
 // sections: section A (node 40) keeps the lines to buses 5 and 7, section
 // B (node 41) the lines to 2, 3 and 9 plus the load.
-func buildStation() *grid.NodeModel {
+func buildStation() *NodeModel {
 	base := gridse.Case14()
-	m := &grid.NodeModel{Name: "ieee14-bus4-split", BaseMVA: base.BaseMVA}
+	m := &NodeModel{Name: "ieee14-bus4-split", BaseMVA: base.BaseMVA}
 	for _, b := range base.Buses {
 		if b.ID == 4 {
 			secA := b
 			secA.Pd, secA.Qd = 0, 0 // load lives on section B
-			m.Nodes = append(m.Nodes, grid.Node{ID: 40, Bus: secA})
+			m.Nodes = append(m.Nodes, Node{ID: 40, Bus: secA})
 			secB := b
 			secB.Type = grid.PQ
-			m.Nodes = append(m.Nodes, grid.Node{ID: 41, Bus: secB})
+			m.Nodes = append(m.Nodes, Node{ID: 41, Bus: secB})
 			continue
 		}
-		m.Nodes = append(m.Nodes, grid.Node{ID: b.ID * 10, Bus: b})
+		m.Nodes = append(m.Nodes, Node{ID: b.ID * 10, Bus: b})
 	}
-	m.Switches = []grid.Switch{{Name: "bus4-section", A: 40, B: 41, Kind: grid.Breaker, Closed: true}}
+	m.Switches = []Switch{{Name: "bus4-section", A: 40, B: 41, Closed: true}}
 	for _, br := range base.Branches {
 		nb := br
 		nb.From, nb.To = br.From*10, br.To*10

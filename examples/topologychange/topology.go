@@ -1,8 +1,10 @@
-package grid
+package main
 
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/grid"
 )
 
 // The topology processor converts a substation-level node-breaker model —
@@ -13,20 +15,10 @@ import (
 // dynamics the paper's testbed (after Bose et al.) exercises against
 // hierarchical and distributed estimators.
 
-// SwitchKind classifies switching devices.
-type SwitchKind int
-
-// Switching device kinds.
-const (
-	Breaker SwitchKind = iota + 1
-	Disconnector
-)
-
 // Switch is one switching device between two nodes.
 type Switch struct {
 	Name   string
 	A, B   int // node IDs
-	Kind   SwitchKind
 	Closed bool
 }
 
@@ -34,7 +26,7 @@ type Switch struct {
 // (loads, shunts, voltage) are merged into the consolidated bus.
 type Node struct {
 	ID  int
-	Bus Bus // ID field ignored; Type/Pd/Qd/Gs/Bs/Vm/Va/BaseKV/Area merged
+	Bus grid.Bus // ID field ignored; Type/Pd/Qd/Gs/Bs/Vm/Va/BaseKV/Area merged
 }
 
 // NodeModel is a complete node-breaker network description.
@@ -43,13 +35,13 @@ type NodeModel struct {
 	BaseMVA  float64
 	Nodes    []Node
 	Switches []Switch
-	Branches []Branch // From/To reference node IDs
-	Gens     []Gen    // Bus references a node ID
+	Branches []grid.Branch // From/To reference node IDs
+	Gens     []grid.Gen    // Bus references a node ID
 }
 
 // Consolidation is the result of topology processing.
 type Consolidation struct {
-	Network *Network
+	Network *grid.Network
 	// NodeBus maps each node ID to its consolidated bus number.
 	NodeBus map[int]int
 	// DroppedBranches lists branches whose endpoints consolidated into the
@@ -63,12 +55,12 @@ type Consolidation struct {
 // (Slack > PV > PQ), and branches are re-terminated on the merged buses.
 func (m *NodeModel) Consolidate() (*Consolidation, error) {
 	if len(m.Nodes) == 0 {
-		return nil, fmt.Errorf("grid: topology: empty node model")
+		return nil, fmt.Errorf("topology: empty node model")
 	}
 	idx := make(map[int]int, len(m.Nodes)) // node ID -> position
 	for i, nd := range m.Nodes {
 		if _, dup := idx[nd.ID]; dup {
-			return nil, fmt.Errorf("grid: topology: duplicate node %d", nd.ID)
+			return nil, fmt.Errorf("topology: duplicate node %d", nd.ID)
 		}
 		idx[nd.ID] = i
 	}
@@ -92,11 +84,11 @@ func (m *NodeModel) Consolidate() (*Consolidation, error) {
 		}
 		ia, ok := idx[sw.A]
 		if !ok {
-			return nil, fmt.Errorf("grid: topology: switch %q references unknown node %d", sw.Name, sw.A)
+			return nil, fmt.Errorf("topology: switch %q references unknown node %d", sw.Name, sw.A)
 		}
 		ib, ok := idx[sw.B]
 		if !ok {
-			return nil, fmt.Errorf("grid: topology: switch %q references unknown node %d", sw.Name, sw.B)
+			return nil, fmt.Errorf("topology: switch %q references unknown node %d", sw.Name, sw.B)
 		}
 		union(ia, ib)
 	}
@@ -110,7 +102,7 @@ func (m *NodeModel) Consolidate() (*Consolidation, error) {
 	// Bus number for each group = smallest member node ID.
 	nodeBus := make(map[int]int, len(m.Nodes))
 	type busAgg struct {
-		bus     Bus
+		bus     grid.Bus
 		members []int
 	}
 	var aggs []busAgg
@@ -127,7 +119,7 @@ func (m *NodeModel) Consolidate() (*Consolidation, error) {
 				busID = m.Nodes[p].ID
 			}
 		}
-		agg := Bus{ID: busID, Type: PQ, Vm: 1}
+		agg := grid.Bus{ID: busID, Type: grid.PQ, Vm: 1}
 		for _, p := range members {
 			nd := m.Nodes[p]
 			nodeBus[nd.ID] = busID
@@ -149,20 +141,20 @@ func (m *NodeModel) Consolidate() (*Consolidation, error) {
 		aggs = append(aggs, busAgg{bus: agg, members: members})
 	}
 
-	buses := make([]Bus, len(aggs))
+	buses := make([]grid.Bus, len(aggs))
 	for i, a := range aggs {
 		buses[i] = a.bus
 	}
 	con := &Consolidation{NodeBus: nodeBus}
-	var branches []Branch
+	var branches []grid.Branch
 	for bi, br := range m.Branches {
 		fb, ok := nodeBus[br.From]
 		if !ok {
-			return nil, fmt.Errorf("grid: topology: branch %d references unknown node %d", bi, br.From)
+			return nil, fmt.Errorf("topology: branch %d references unknown node %d", bi, br.From)
 		}
 		tb, ok := nodeBus[br.To]
 		if !ok {
-			return nil, fmt.Errorf("grid: topology: branch %d references unknown node %d", bi, br.To)
+			return nil, fmt.Errorf("topology: branch %d references unknown node %d", bi, br.To)
 		}
 		if fb == tb {
 			con.DroppedBranches = append(con.DroppedBranches, bi)
@@ -172,19 +164,19 @@ func (m *NodeModel) Consolidate() (*Consolidation, error) {
 		nb.From, nb.To = fb, tb
 		branches = append(branches, nb)
 	}
-	var gens []Gen
+	var gens []grid.Gen
 	for gi, g := range m.Gens {
 		b, ok := nodeBus[g.Bus]
 		if !ok {
-			return nil, fmt.Errorf("grid: topology: generator %d references unknown node %d", gi, g.Bus)
+			return nil, fmt.Errorf("topology: generator %d references unknown node %d", gi, g.Bus)
 		}
 		ng := g
 		ng.Bus = b
 		gens = append(gens, ng)
 	}
-	net, err := New(m.Name, m.BaseMVA, buses, branches, gens)
+	net, err := grid.New(m.Name, m.BaseMVA, buses, branches, gens)
 	if err != nil {
-		return nil, fmt.Errorf("grid: topology: consolidated model invalid: %w", err)
+		return nil, fmt.Errorf("topology: consolidated model invalid: %w", err)
 	}
 	con.Network = net
 	return con, nil
@@ -200,43 +192,5 @@ func (m *NodeModel) SetSwitch(name string, closed bool) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("grid: topology: unknown switch %q", name)
-}
-
-// NodeBreakerFromNetwork expands a bus-branch network into a node-breaker
-// model with a breaker-and-a-half-free trivial layout: each bus becomes a
-// pair of nodes joined by a closed bus-section breaker, with all
-// attachments on the first node. Useful for exercising topology-change
-// scenarios on the standard test cases (opening a bus-section breaker
-// splits the bus).
-func NodeBreakerFromNetwork(n *Network) *NodeModel {
-	m := &NodeModel{Name: n.Name + "-nb", BaseMVA: n.BaseMVA}
-	for _, b := range n.Buses {
-		main := b.ID * 10
-		aux := b.ID*10 + 1
-		mb := b
-		mb.ID = 0
-		m.Nodes = append(m.Nodes,
-			Node{ID: main, Bus: mb},
-			Node{ID: aux, Bus: Bus{Type: PQ, Vm: 1, BaseKV: b.BaseKV, Area: b.Area}})
-		m.Switches = append(m.Switches, Switch{
-			Name:   fmt.Sprintf("bs-%d", b.ID),
-			A:      main,
-			B:      aux,
-			Kind:   Breaker,
-			Closed: true,
-		})
-	}
-	for _, br := range n.Branches {
-		nb := br
-		nb.From = br.From * 10
-		nb.To = br.To * 10
-		m.Branches = append(m.Branches, nb)
-	}
-	for _, g := range n.Gens {
-		ng := g
-		ng.Bus = g.Bus * 10
-		m.Gens = append(m.Gens, ng)
-	}
-	return m
+	return fmt.Errorf("topology: unknown switch %q", name)
 }

@@ -1,7 +1,9 @@
-package grid
+package main
 
 import (
 	"testing"
+
+	"repro/internal/grid"
 )
 
 // twoBusStation: a tiny node-breaker model — four nodes, two per bus,
@@ -11,20 +13,20 @@ func twoBusStation() *NodeModel {
 		Name:    "station",
 		BaseMVA: 100,
 		Nodes: []Node{
-			{ID: 10, Bus: Bus{Type: Slack, Vm: 1.02, BaseKV: 138}},
-			{ID: 11, Bus: Bus{Type: PQ, Pd: 10, Qd: 3, Vm: 1, BaseKV: 138}},
-			{ID: 20, Bus: Bus{Type: PQ, Pd: 40, Qd: 12, Vm: 1, BaseKV: 138}},
-			{ID: 21, Bus: Bus{Type: PQ, Pd: 5, Qd: 1, Vm: 1, BaseKV: 138}},
+			{ID: 10, Bus: grid.Bus{Type: grid.Slack, Vm: 1.02, BaseKV: 138}},
+			{ID: 11, Bus: grid.Bus{Type: grid.PQ, Pd: 10, Qd: 3, Vm: 1, BaseKV: 138}},
+			{ID: 20, Bus: grid.Bus{Type: grid.PQ, Pd: 40, Qd: 12, Vm: 1, BaseKV: 138}},
+			{ID: 21, Bus: grid.Bus{Type: grid.PQ, Pd: 5, Qd: 1, Vm: 1, BaseKV: 138}},
 		},
 		Switches: []Switch{
-			{Name: "bs-1", A: 10, B: 11, Kind: Breaker, Closed: true},
-			{Name: "bs-2", A: 20, B: 21, Kind: Breaker, Closed: true},
+			{Name: "bs-1", A: 10, B: 11, Closed: true},
+			{Name: "bs-2", A: 20, B: 21, Closed: true},
 		},
-		Branches: []Branch{
+		Branches: []grid.Branch{
 			{From: 10, To: 20, R: 0.01, X: 0.08, Status: true},
 			{From: 11, To: 21, R: 0.01, X: 0.09, Status: true},
 		},
-		Gens: []Gen{{Bus: 10, Pg: 55, Vset: 1.02, Status: true}},
+		Gens: []grid.Gen{{Bus: 10, Pg: 55, Vset: 1.02, Status: true}},
 	}
 }
 
@@ -43,7 +45,7 @@ func TestConsolidateMergesClosedSwitches(t *testing.T) {
 		t.Fatal("bus 10 missing")
 	}
 	b := n.Buses[i]
-	if b.Type != Slack {
+	if b.Type != grid.Slack {
 		t.Errorf("merged bus type %v, want slack (strongest wins)", b.Type)
 	}
 	if b.Pd != 10 { // 0 + 10 from nodes 10, 11
@@ -73,7 +75,7 @@ func TestConsolidateMergesClosedSwitches(t *testing.T) {
 func TestConsolidateDropsIntraBusBranches(t *testing.T) {
 	m := twoBusStation()
 	// A branch between two nodes of the same consolidated bus.
-	m.Branches = append(m.Branches, Branch{From: 10, To: 11, X: 0.01, Status: true})
+	m.Branches = append(m.Branches, grid.Branch{From: 10, To: 11, X: 0.01, Status: true})
 	con, err := m.Consolidate()
 	if err != nil {
 		t.Fatal(err)
@@ -135,56 +137,64 @@ func TestConsolidateValidation(t *testing.T) {
 	}
 }
 
-func TestNodeBreakerRoundTripIEEE14(t *testing.T) {
-	n := Case14()
-	m := NodeBreakerFromNetwork(n)
-	con, err := m.Consolidate()
+// TestStationClosedIsIEEE14: with its bus-section breaker closed, the
+// example's station consolidates back to IEEE-14, bus numbers times ten.
+func TestStationClosedIsIEEE14(t *testing.T) {
+	n := grid.Case14()
+	con, err := buildStation().Consolidate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := con.Network
-	if got.N() != n.N() {
-		t.Fatalf("%d buses after round trip, want %d", got.N(), n.N())
+	if got.N() != n.N() || len(got.Branches) != len(n.Branches) {
+		t.Fatalf("%d buses and %d branches, want %d and %d", got.N(), len(got.Branches), n.N(), len(n.Branches))
 	}
-	if len(got.Branches) != len(n.Branches) {
-		t.Fatalf("%d branches, want %d", len(got.Branches), len(n.Branches))
-	}
-	// Bus numbering multiplied by 10, loads preserved.
 	for _, b := range n.Buses {
 		i, ok := got.Index(b.ID * 10)
 		if !ok {
 			t.Fatalf("bus %d missing", b.ID*10)
 		}
-		if got.Buses[i].Pd != b.Pd {
-			t.Fatalf("bus %d load %v, want %v", b.ID, got.Buses[i].Pd, b.Pd)
+		if gb := got.Buses[i]; gb.Pd != b.Pd || gb.Type != b.Type {
+			t.Fatalf("bus %d: load %v type %v, want %v and %v", b.ID, gb.Pd, gb.Type, b.Pd, b.Type)
 		}
 	}
 	if !got.Connected() {
-		t.Fatal("round-tripped network disconnected")
+		t.Fatal("closed station disconnected")
 	}
 }
 
-func TestNodeBreakerBusSplitChangesTopology(t *testing.T) {
-	n := Case14()
-	m := NodeBreakerFromNetwork(n)
-	// Opening a bus-section breaker on a bus with all attachments on the
-	// main node leaves the aux node isolated — the consolidated model
-	// gains one (disconnected) bus, which downstream tools must detect.
-	if err := m.SetSwitch("bs-5", false); err != nil {
+// TestStationSplitMovesBranches: opening the bus-section breaker splits
+// bus 4 into its sections, each keeping its own circuits.
+func TestStationSplitMovesBranches(t *testing.T) {
+	m := buildStation()
+	if err := m.SetSwitch("bus4-section", false); err != nil {
 		t.Fatal(err)
 	}
 	con, err := m.Consolidate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if con.Network.N() != n.N()+1 {
-		t.Fatalf("%d buses, want %d", con.Network.N(), n.N()+1)
+	n := con.Network
+	if n.N() != 15 {
+		t.Fatalf("%d buses, want 15", n.N())
 	}
-	if con.Network.Connected() {
-		t.Fatal("isolated aux node should disconnect the network")
+	if !n.Connected() {
+		t.Fatal("split station should stay connected")
 	}
-	islands := con.Network.Islands()
-	if len(islands) != 2 || len(islands[1]) != 1 {
-		t.Fatalf("islands = %v", islands)
+	// The section each bus-4 circuit lands on, by its far end.
+	section := map[int]int{50: 40, 70: 40, 20: 41, 30: 41, 90: 41}
+	seen := 0
+	for _, br := range n.Branches {
+		for _, e := range [][2]int{{br.From, br.To}, {br.To, br.From}} {
+			if e[0] == 40 || e[0] == 41 {
+				seen++
+				if section[e[1]] != e[0] {
+					t.Errorf("branch %d-%d lands on section %d, want %d", br.From, br.To, e[0], section[e[1]])
+				}
+			}
+		}
+	}
+	if seen != len(section) {
+		t.Fatalf("%d circuits on bus 4's sections, want %d", seen, len(section))
 	}
 }

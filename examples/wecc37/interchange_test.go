@@ -1,16 +1,38 @@
-package core
+package main
 
 import (
 	"context"
 	"math"
 	"testing"
 
-	"repro/internal/grid"
+	gridse "repro"
 )
 
+// newFixture decomposes IEEE-118 into nine subsystems and simulates its
+// full measurement plan with PMUs at the reference buses.
+func newFixture(t *testing.T, noise float64) (*gridse.Decomposition, gridse.State, []gridse.Measurement) {
+	t.Helper()
+	n := gridse.Case118()
+	pf, err := gridse.SolvePowerFlow(n)
+	if err != nil {
+		t.Fatalf("powerflow: %v", err)
+	}
+	dec, err := gridse.Decompose(n, 9, gridse.DecomposeOptions{Seed: 1})
+	if err != nil {
+		t.Fatalf("decompose: %v", err)
+	}
+	plan := gridse.FullPlan().Build(n)
+	plan = append(plan, gridse.PMUPlanFor(dec, plan, 0.0005)...)
+	ms, err := gridse.SimulateMeasurements(n, plan, pf.State, noise, 11)
+	if err != nil {
+		t.Fatalf("simulate: %v", err)
+	}
+	return dec, pf.State, ms
+}
+
 func TestInterchangeReportBalances(t *testing.T) {
-	fx := newFixture(t, grid.Case118, 9, 0)
-	reps, err := fx.dec.InterchangeReport(fx.truth)
+	dec, truth, _ := newFixture(t, 0)
+	reps, err := interchangeReport(dec, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,8 +43,8 @@ func TestInterchangeReportBalances(t *testing.T) {
 	// the IEEE-118 tie set are a few MW.
 	var total, totalAbs float64
 	for _, r := range reps {
-		if len(r.TieFlowsMW) != len(fx.dec.TieLinesOf(r.Subsystem)) {
-			t.Fatalf("subsystem %d: %d flows for %d ties", r.Subsystem, len(r.TieFlowsMW), len(fx.dec.TieLinesOf(r.Subsystem)))
+		if len(r.TieFlowsMW) != len(dec.TieLinesOf(r.Subsystem)) {
+			t.Fatalf("subsystem %d: %d flows for %d ties", r.Subsystem, len(r.TieFlowsMW), len(dec.TieLinesOf(r.Subsystem)))
 		}
 		total += r.NetExportMW
 		totalAbs += math.Abs(r.NetExportMW)
@@ -44,16 +66,16 @@ func TestInterchangeReportBalances(t *testing.T) {
 }
 
 func TestInterchangeFromEstimateMatchesTruth(t *testing.T) {
-	fx := newFixture(t, grid.Case118, 9, 1)
-	res, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{})
+	dec, truth, ms := newFixture(t, 1)
+	res, err := gridse.RunDSE(context.Background(), dec, ms, gridse.DSEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromTruth, err := fx.dec.InterchangeReport(fx.truth)
+	fromTruth, err := interchangeReport(dec, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromEst, err := fx.dec.InterchangeReport(res.State)
+	fromEst, err := interchangeReport(dec, res.State)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func main() {
 		dse.Step1Stats.Duration.Round(time.Millisecond),
 		dse.Step2Stats.Duration.Round(time.Millisecond))
 	// Balancing-authority interchange accounting from the DSE solution.
-	reps, err := dec.InterchangeReport(dse.State)
+	reps, err := interchangeReport(dec, dse.State)
 	if err != nil {
 		log.Fatalf("interchange: %v", err)
 	}

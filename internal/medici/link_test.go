@@ -600,23 +600,3 @@ func FuzzLengthPrefixReadMessage(f *testing.F) {
 		}
 	})
 }
-
-func TestPubFrameLayout(t *testing.T) {
-	f := pubFrame{Topic: "pmu/bus-30", Payload: []byte{0, 1, 2, 0xff}}
-	got, err := decodePubFrame(f.encode())
-	if err != nil || got.Topic != f.Topic || !bytes.Equal(got.Payload, f.Payload) {
-		t.Fatalf("round trip gave %+v, %v", got, err)
-	}
-	if got, err := decodePubFrame(pubFrame{}.encode()); err != nil || got.Topic != "" || len(got.Payload) != 0 {
-		t.Fatalf("empty frame gave %+v, %v", got, err)
-	}
-	for name, bad := range map[string][]byte{
-		"short header":          {1, 0, 0},
-		"topic past the frame":  {5, 0, 0, 0, 'a', 'b'},
-		"topic length overflow": {0xff, 0xff, 0xff, 0xff, 'a'},
-	} {
-		if _, err := decodePubFrame(bad); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}

@@ -6,9 +6,8 @@ import (
 	"math"
 )
 
-// Dense is a row-major dense matrix used for the fast-decoupled power flow's
-// B′ and B″, the constrained estimator's KKT system and reference solves in
-// tests.
+// Dense is a row-major dense matrix used for the constrained estimator's
+// KKT system and reference solves in tests.
 type Dense struct {
 	Rows, Cols int
 	Data       []float64 // len Rows*Cols, row-major
