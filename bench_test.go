@@ -353,11 +353,14 @@ func centralizedModels(b *testing.B) []namedModel {
 	return out
 }
 
-// BenchmarkGainPlanBuild times the symbolic half of G = HᵀWH alone — the
-// build a cold solve's LDLᵀ analysis waits for — on the centralized Jacobian
-// skeleton at both sizes. contribs is Σd² over H's rows, what the sorted
-// build once walked; walked is what the build's stamped walk visits (see
-// gainPlanWalk).
+// BenchmarkGainPlanBuild times the symbolic half of G = HᵀWH alone on the
+// centralized Jacobian skeleton at both sizes, two ways. The rows named
+// after the model walk G's pattern off H (NewGainPlan, which the power
+// flow, the observability check and the constrained solve build); the
+// closed-form/ rows write it from the model (Model.GainPattern) and build
+// the plan on it (NewGainPlanOn), as the estimator does. contribs is Σd²
+// over H's rows, what the sorted build once walked; walked is what the
+// stamped walk visits (see gainPlanWalk).
 func BenchmarkGainPlanBuild(b *testing.B) {
 	for _, c := range centralizedModels(b) {
 		h := c.mod.NewJacobianPlan().H
@@ -366,16 +369,24 @@ func BenchmarkGainPlanBuild(b *testing.B) {
 			contribs += h.RowNNZ(m) * h.RowNNZ(m)
 		}
 		walked := gainPlanWalk(h)
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if sparse.NewGainPlan(h).G.Rows != h.Cols {
-					b.Fatal("gain plan of the wrong dimension")
+		for _, build := range []struct {
+			name string
+			plan func() *sparse.GainPlan
+		}{
+			{c.name, func() *sparse.GainPlan { return sparse.NewGainPlan(h) }},
+			{"closed-form/" + c.name, func() *sparse.GainPlan { return sparse.NewGainPlanOn(h, c.mod.GainPattern()) }},
+		} {
+			b.Run(build.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if build.plan().G.Rows != h.Cols {
+						b.Fatal("gain plan of the wrong dimension")
+					}
 				}
-			}
-			b.ReportMetric(float64(contribs), "contribs")
-			b.ReportMetric(float64(walked), "walked")
-		})
+				b.ReportMetric(float64(contribs), "contribs")
+				b.ReportMetric(float64(walked), "walked")
+			})
+		}
 	}
 }
 

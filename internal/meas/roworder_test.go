@@ -16,10 +16,11 @@ import (
 // cases here draw the rows of the hand-built 5-bus network and IEEE-14 in
 // every arrangement — siblings adjacent, reversed, split, alone and
 // duplicated — and hold the plan's pattern and slot map to the two-pass
-// build (twoPassJacobianPattern), and the kernel to the reference evaluator
-// and to the Refresh gradient at a state near flat, with zero weights and
-// exact-zero residuals planted on either half of a pair, on both, or on a
-// row alone.
+// build (twoPassJacobianPattern), the closed-form pattern of G to the one
+// the gain plan walks off H (gainPatternMismatch), and the kernel to the
+// reference evaluator and to the Refresh gradient at a state near flat,
+// with zero weights and exact-zero residuals planted on either half of a
+// pair, on both, or on a row alone.
 
 // rowOrderFixture is one network the cases draw from.
 type rowOrderFixture struct {
@@ -136,6 +137,9 @@ func checkRowOrder(t *testing.T, fixtures []rowOrderFixture, data []byte) (steps
 	requireJacobianPlanMatchesTwoPass(t, mod, pl)
 	requireKernelMatchesReference(t, mod, pl, x)
 	requireGradMatchesRefresh(t, mod, pl, x, z, w)
+	if msg := gainPatternMismatch(mod); msg != "" {
+		t.Fatalf("closed-form gain pattern: %s", msg)
+	}
 	for _, op := range mod.k.ops {
 		steps[op.step]++
 	}

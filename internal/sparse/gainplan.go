@@ -83,34 +83,77 @@ type GainPlan struct {
 // strictly increasing within each row. The plan stays valid while that
 // pattern does; values are free to change.
 //
-// The build sorts nothing. It sweeps H into column lists, walks each G
-// row's strict lower triangle off the prefixes of the H rows its column
-// reaches, unsorted, and then lays G out by two counting passes over those
-// lists: the lower triangles scattered by row give every upper triangle
-// sorted, and the upper triangles scattered back every lower one. The plan
-// indexes H with int32 and Σd² bounds G's size, so an H beyond either is
-// refused by name before anything is allocated, as is a row that is not
-// canonical.
+// It is NewGainPlanOn on the pattern of G walked off H, and the walk sorts
+// nothing: it visits each G row's strict lower triangle off the prefixes of
+// the H rows its column reaches, unsorted, and then lays G out by two
+// counting passes over those lists: the lower triangles scattered by row
+// give every upper triangle sorted, and the upper triangles scattered back
+// every lower one. The plan indexes H with int32 and Σd² bounds G's size,
+// so an H beyond either is refused by name before anything is allocated, as
+// is a row that is not canonical.
 func NewGainPlan(h *CSR) *GainPlan {
+	gp := newGainColumns(h, "NewGainPlan")
+	return gp.on(gp.walk())
+}
+
+// NewGainPlanOn is NewGainPlan on a G pattern the caller already has — g,
+// which must be the pattern of HᵀH for h's pattern, rows sorted, as
+// meas.Model.GainPattern writes it in closed form — so that only the sweep
+// of H into column lists is left to do. The plan takes g as its G, giving
+// it values if it has none (g.Val of another length is replaced), and
+// writes no index of g: an LDLᵀ analysis may read them meanwhile. h is
+// checked as NewGainPlan checks it; of g only the shape is, and a row of g
+// that is empty where H's column is not, or the reverse.
+func NewGainPlanOn(h, g *CSR) *GainPlan {
+	gp := newGainColumns(h, "NewGainPlanOn")
+	n := h.Cols
+	if g.Rows != n || g.Cols != n || len(g.RowPtr) != n+1 || g.RowPtr[n] != len(g.ColIdx) || len(g.ColIdx) > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: NewGainPlanOn: a %dx%d pattern of %d entries for an H of %d columns", g.Rows, g.Cols, len(g.ColIdx), n))
+	}
+	for r := 0; r < n; r++ {
+		if (g.RowPtr[r+1] == g.RowPtr[r]) != (gp.colPtr[r+1] == gp.colPtr[r]) {
+			panic(fmt.Sprintf("sparse: NewGainPlanOn: row %d of the pattern has %d entries where column %d of H has %d", r, g.RowPtr[r+1]-g.RowPtr[r], r, gp.colPtr[r+1]-gp.colPtr[r]))
+		}
+	}
+	return gp.on(g)
+}
+
+// on makes g, with values, the plan's G.
+func (gp *GainPlan) on(g *CSR) *GainPlan {
+	if len(g.Val) != len(g.ColIdx) {
+		g.Val = make([]float64, len(g.ColIdx))
+	}
+	gp.G = g
+	return gp
+}
+
+// newGainColumns is a plan without G: one sweep of h, which the caller
+// names in a refusal, into the column lists, the work prefix and the empty
+// row.
+func newGainColumns(h *CSR, caller string) *GainPlan {
 	n, nnz, hRowPtr, hColIdx := h.Cols, h.NNZ(), h.RowPtr, h.ColIdx
 	work := 0 // Σd² over H's rows: a bound on G's size
 	for m := 0; m < h.Rows; m++ {
 		work += h.RowNNZ(m) * h.RowNNZ(m)
 	}
 	if max(n, nnz, work) > math.MaxInt32 {
-		panic(fmt.Sprintf("sparse: NewGainPlan: %d columns / %d H entries / %d contributions exceed the plan's int32 indices", n, nnz, work))
+		panic(fmt.Sprintf("sparse: %s: %d columns / %d H entries / %d contributions exceed the plan's int32 indices", caller, n, nnz, work))
 	}
 	gp := &GainPlan{hRowPtr: hRowPtr, hColIdx: hColIdx, emptyRow: -1,
 		acc: [][]float64{make([]float64, n)}, next: make([]int32, n)}
 
-	colPtr := make([]int, n+1)
+	// Entry p of row m adds its row's prefix through p, p+1 products, to row
+	// c of G: counted into the work prefix with the column sizes.
+	ptrs := make([]int, 2*(n+1))
+	colPtr, rowWork := ptrs[:n+1:n+1], ptrs[n+1:]
 	for m := 0; m < h.Rows; m++ {
 		row := hColIdx[hRowPtr[m]:hRowPtr[m+1]]
 		for p, c := range row {
 			if p > 0 && c <= row[p-1] {
-				panic(fmt.Sprintf("sparse: NewGainPlan: row %d of H lists column %d after column %d; the plan needs strictly increasing columns", m, c, row[p-1]))
+				panic(fmt.Sprintf("sparse: %s: row %d of H lists column %d after column %d; the plan needs strictly increasing columns", caller, m, c, row[p-1]))
 			}
 			colPtr[c+1]++
+			rowWork[c+1] += p + 1
 		}
 	}
 	for r := 0; r < n; r++ {
@@ -118,10 +161,11 @@ func NewGainPlan(h *CSR) *GainPlan {
 			gp.emptyRow = r
 		}
 		colPtr[r+1] += colPtr[r]
+		rowWork[r+1] += rowWork[r]
 	}
 	lists := make([]int32, 2*nnz) // colVal and colRow, one allocation
 	colVal, colRow := lists[:nnz:nnz], lists[nnz:]
-	next := gp.next // the fill's cursor per column, then the walk's stamps, then cursors per row of G
+	next := gp.next // the fill's cursor per column
 	for r := range next {
 		next[r] = int32(colPtr[r])
 	}
@@ -132,7 +176,16 @@ func NewGainPlan(h *CSR) *GainPlan {
 			colVal[k], colRow[k] = int32(p), int32(m)
 		}
 	}
-	gp.colPtr, gp.colVal, gp.colRow = colPtr, colVal, colRow
+	clear(next) // scratch is zero between builds, so two builds of a plan are equal field for field
+	gp.colPtr, gp.colVal, gp.colRow, gp.rowWork = colPtr, colVal, colRow, rowWork
+	return gp
+}
+
+// walk lays out G's pattern off the plan's column lists (see NewGainPlan),
+// without values. The plan's next is its scratch.
+func (gp *GainPlan) walk() *CSR {
+	n, hRowPtr, hColIdx := len(gp.colPtr)-1, gp.hRowPtr, gp.hColIdx
+	colPtr, colVal, colRow, next := gp.colPtr, gp.colVal, gp.colRow, gp.next
 
 	// The strict lower triangle of row r of G is the union, over the entries
 	// (m, r) of H's column r, of row m's columns before r: a stamped walk of
@@ -140,16 +193,13 @@ func NewGainPlan(h *CSR) *GainPlan {
 	// the one before it, as a P row's and its Q sibling's are, is skipped —
 	// lists it, unsorted, after the rows before it. gRowPtr holds where each
 	// list ends until the row sizes are known.
-	gp.rowWork = make([]int, n+1)
 	gRowPtr := make([]int, n+1)
-	low := make([]int32, 0, nnz) // a guess that fits measured networks; append covers the rest
-	seen := next
-	clear(seen)
+	low := make([]int32, 0, len(hColIdx)) // a guess that fits measured networks; append covers the rest
+	seen := next // zero after the sweep
 	for r := 0; r < n; r++ {
-		rowWork, stamp, last := 0, int32(r+1), []int(nil) // last: the prefix walked last
+		stamp, last := int32(r+1), []int(nil) // last: the prefix walked last
 		for k := colPtr[r]; k < colPtr[r+1]; k++ {
 			pre := hColIdx[hRowPtr[colRow[k]]:colVal[k]]
-			rowWork += len(pre) + 1
 			if slices.Equal(pre, last) {
 				continue
 			}
@@ -161,7 +211,7 @@ func NewGainPlan(h *CSR) *GainPlan {
 				}
 			}
 		}
-		gRowPtr[r+1], gp.rowWork[r+1] = len(low), gp.rowWork[r]+rowWork
+		gRowPtr[r+1] = len(low)
 	}
 
 	// Row r of G is its lower triangle, its diagonal if column r of H has an
@@ -209,8 +259,8 @@ func NewGainPlan(h *CSR) *GainPlan {
 			next[i]++
 		}
 	}
-	gp.G = &CSR{Rows: n, Cols: n, RowPtr: gRowPtr, ColIdx: gColIdx, Val: make([]float64, len(gColIdx))}
-	return gp
+	clear(next)
+	return &CSR{Rows: n, Cols: n, RowPtr: gRowPtr, ColIdx: gColIdx}
 }
 
 // NewGainPlanOrdered is NewGainPlan with a symmetric fill-reducing

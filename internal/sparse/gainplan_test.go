@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -460,16 +461,49 @@ func TestGainPlanRefusesNonCanonicalRows(t *testing.T) {
 	}
 }
 
+// TestGainPlanOnRefusesAnotherShape: NewGainPlanOn checks what it can of
+// the pattern it is handed without walking H — its shape, and that its
+// empty rows are H's empty columns — and refuses a pattern that fails by
+// name. On the right pattern it takes g as its G.
+func TestGainPlanOnRefusesAnotherShape(t *testing.T) {
+	// Column 2 of h is empty, so row 2 of G is.
+	h := &CSR{Rows: 2, Cols: 3, RowPtr: []int{0, 2, 3}, ColIdx: []int{0, 1, 1}, Val: make([]float64, 3)}
+	g := walkGainPattern(h)
+	if gp := NewGainPlanOn(h, g); gp.G != g || gp.EmptyRow() != 2 {
+		t.Fatalf("the plan's G is %p, EmptyRow %d; want g (%p) and 2", gp.G, gp.EmptyRow(), g)
+	}
+	for name, c := range map[string]struct {
+		g    *CSR
+		want string
+	}{
+		"too small":      {&CSR{Rows: 2, Cols: 2, RowPtr: []int{0, 1, 2}, ColIdx: []int{0, 1}}, "2x2 pattern"},
+		"short ColIdx":   {&CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 2, 4, 4}, ColIdx: []int{0, 1, 0}}, "of 3 entries"},
+		"row 2 nonempty": {&CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 2, 4, 5}, ColIdx: []int{0, 1, 0, 1, 2}}, "row 2 of the pattern has 1 entries"},
+		"row 1 empty":    {&CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 1, 1, 1}, ColIdx: []int{0}}, "row 1 of the pattern has 0 entries"},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "NewGainPlanOn") || !strings.Contains(msg, c.want) {
+					t.Fatalf("%s: panic %q, want one naming %q", name, msg, c.want)
+				}
+			}()
+			NewGainPlanOn(h, c.g)
+			t.Fatalf("%s: a plan was built on a pattern of another shape", name)
+		}()
+	}
+}
+
 // FuzzGainPlan turns bytes into a canonical H — two bytes a row, a bitmask
 // over at most 16 columns, so rows come out empty, alone in a column or
 // full — with random values and weights and a random permutation. The
 // plan's pattern, work prefix and empty row must be the sorted build's
 // (sortedGainPattern); the natural plan's G must be the replay oracle's bit
 // for bit, its lower triangle summed and its upper mirrored, and bitwise
-// symmetric; the ordered plan's G must be PermuteSym of it bit for bit.
-// With mode odd one row with two entries or more is made non-canonical, its
-// first two columns swapped or repeated, and the build must refuse it by
-// name and panic with nothing else.
+// symmetric; the ordered plan's G must be PermuteSym of it bit for bit; and
+// NewGainPlanOn on the walked pattern must build NewGainPlan's plan field for
+// field. With mode odd one row with two entries or more is made
+// non-canonical, its first two columns swapped or repeated, and both
+// builders must refuse it by name and panic with nothing else.
 func FuzzGainPlan(f *testing.F) {
 	f.Add(uint8(4), uint8(0), int64(1), []byte{3, 0, 5, 0, 0, 0, 12, 0})
 	f.Add(uint8(16), uint8(1), int64(2), []byte{255, 255, 1, 128, 0, 0, 7, 1, 64, 32})
@@ -507,17 +541,28 @@ func FuzzGainPlan(f *testing.F) {
 			} else {
 				h.ColIdx[p+1] = h.ColIdx[p]
 			}
-			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, fmt.Sprintf("row %d of H", m)) || !strings.Contains(msg, "strictly increasing") {
-					t.Fatalf("panic %q, want the refusal of row %d", msg, m)
-				}
-			}()
-			NewGainPlanOrdered(h, perm)
-			t.Fatalf("a plan was built on non-canonical row %d", m)
+			for name, build := range map[string]func(){
+				"NewGainPlanOrdered": func() { NewGainPlanOrdered(h, perm) },
+				"NewGainPlanOn":      func() { NewGainPlanOn(h, &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}) },
+			} {
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); !strings.Contains(msg, fmt.Sprintf("row %d of H", m)) || !strings.Contains(msg, "strictly increasing") {
+							t.Fatalf("%s: panic %q, want the refusal of row %d", name, msg, m)
+						}
+					}()
+					build()
+					t.Fatalf("%s built a plan on non-canonical row %d", name, m)
+				}()
+			}
+			return
 		}
 
 		if msg := gainPatternMismatch(h); msg != "" {
 			t.Fatal(msg)
+		}
+		if on, walked := NewGainPlanOn(h, walkGainPattern(h)), NewGainPlan(h); !reflect.DeepEqual(on, walked) {
+			t.Fatal("the plan built on the walked pattern is not NewGainPlan's field for field")
 		}
 		g := NewGainPlan(h).Refresh(h, w)
 		assertBitEqual(t, "natural plan", g.Val, replayGain(h, w, g))
@@ -854,6 +899,10 @@ func sortedGainPattern(h *CSR) (rowPtr, colIdx, rowWork []int, emptyRow int) {
 	}
 	return rowPtr, colIdx, rowWork, emptyRow
 }
+
+// walkGainPattern is G's pattern as NewGainPlan walks it off h, in arrays
+// of its own.
+func walkGainPattern(h *CSR) *CSR { return newGainColumns(h, "walkGainPattern").walk() }
 
 // gainPatternMismatch names the first array in which the plan NewGainPlan
 // builds on h differs from sortedGainPattern's, or returns "".

@@ -93,14 +93,15 @@ type gainReuse struct {
 	w     []float64 // length m, weights at last refresh
 }
 
-// NewEngine builds the symbolic plans and buffers for the model. It is the
-// expensive part of a cold solve, not a rounding error on it: at 1 416 buses
-// the two plans cost about as much as two of the four Gauss–Newton
-// iterations that follow (DESIGN §8 has the attribution), so whoever solves
-// the same structure again keeps the engine and Rebinds it.
+// NewEngine builds the symbolic plans and buffers for the model: the
+// Jacobian plan, and the gain plan on the pattern of G the model writes in
+// closed form (Model.GainPattern). They are the expensive part of a cold
+// solve, with the LDLᵀ analysis its first solve starts, not a rounding
+// error on it (DESIGN §8 has the attribution), so whoever solves the same
+// structure again keeps the engine and Rebinds it.
 func NewEngine(mod *meas.Model) *Engine {
 	jplan := mod.NewJacobianPlan()
-	return newEngine(mod, jplan, sparse.NewGainPlan(jplan.H))
+	return newEngine(mod, jplan, sparse.NewGainPlanOn(jplan.H, mod.GainPattern()))
 }
 
 // newEngine allocates an engine's numeric buffers around its two plans.
@@ -247,7 +248,7 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 	if err := e.untouchedState(); err != nil {
 		return nil, err
 	}
-	e.startAnalysis(opts)
+	e.startAnalysis(e.gplan.G, opts)
 
 	x := mod.FlatVec()
 	if opts.X0 != nil {
@@ -666,20 +667,22 @@ func (e *Engine) kernelPool(opts Options) *sparse.Pool {
 	return e.pool
 }
 
-// startAnalysis starts the LDLᵀ analysis of G's pattern on a goroutine when
-// a solve is about to factor for the first time and the factor will run on
-// the pool: the analysis reads only the pattern, which the gain plan fixed,
-// so the first step's numerics — h(x), H, the right-hand side, G — run on
-// the caller meanwhile. The goroutine ends with the analysis, and the
-// channel holds its result, so an engine dropped unjoined leaks nothing.
-// Below the pool's gates the analysis runs where refactor needs it.
-func (e *Engine) startAnalysis(opts Options) {
+// startAnalysis starts the LDLᵀ analysis of g, G's pattern, on a goroutine
+// when a solve is about to factor for the first time and the factor will
+// run on the pool: the analysis reads only the pattern, which the model
+// fixes, so what the caller does meanwhile — the plans of a one-shot solve,
+// the first step's numerics — overlaps it. g must be, or share its index
+// arrays with, the gain plan's G. The goroutine ends with the analysis, and
+// the channel holds its result, so an engine dropped unjoined, or a solve
+// that fails before it factors, leaks nothing. Below the pool's gates the
+// analysis runs where refactor needs it.
+func (e *Engine) startAnalysis(g *sparse.CSR, opts Options) {
 	pool := e.kernelPool(opts)
 	if e.ldl != nil || e.analysis != nil || e.inlineAnalysis ||
-		pool.Workers() <= 1 || e.gplan.G.NNZ() < sparse.ParallelNNZThreshold {
+		pool.Workers() <= 1 || len(g.ColIdx) < sparse.ParallelNNZThreshold {
 		return
 	}
-	ch, g := make(chan ldlAnalysis, 1), e.gplan.G
+	ch := make(chan ldlAnalysis, 1)
 	e.analysis = ch
 	go func() {
 		f, err := sparse.AnalyzeLDLPool(g, pool)

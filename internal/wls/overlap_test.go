@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,7 +62,7 @@ func TestOverlappedAnalysisMatchesInline(t *testing.T) {
 	defer pool.Close()
 	for _, opts := range []Options{{}, {GainReuse: ReuseOff}} {
 		over := pooledEngine(mod, pool)
-		if over.startAnalysis(opts); over.analysis == nil {
+		if over.startAnalysis(over.gplan.G, opts); over.analysis == nil {
 			t.Fatal("a cold solve on a pool of two did not start its analysis")
 		}
 		got, err := over.Estimate(opts)
@@ -69,7 +71,7 @@ func TestOverlappedAnalysisMatchesInline(t *testing.T) {
 		}
 		inline := pooledEngine(mod, pool)
 		inline.inlineAnalysis = true
-		if inline.startAnalysis(opts); inline.analysis != nil {
+		if inline.startAnalysis(inline.gplan.G, opts); inline.analysis != nil {
 			t.Fatal("the test hook did not keep the analysis inline")
 		}
 		want, err := inline.Estimate(opts)
@@ -172,6 +174,60 @@ func TestPendingAnalysis(t *testing.T) {
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines, %d before the pending analyses", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestOneShotEarlyAnalysisEnds: a one-shot solve starts its analysis on the
+// model's gain pattern before it builds a plan, so it may fail with the
+// analysis running. On a model with a state no row touches it still returns
+// ErrUnobservable naming that state (the analysis, refused by the missing
+// diagonal, drops its error), and on a context canceled before the first
+// step the wrapped context.Canceled; both return without waiting for the
+// analysis, whose goroutine then ends on its own, leaving its result in the
+// buffered channel. GOMAXPROCS 2 puts the analysis on its goroutine also
+// under -cpu 1 on a machine with two CPUs or more.
+func TestOneShotEarlyAnalysisEnds(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	full := weccModel(t)
+	// Drop every row that touches the magnitude of bus 7, which leaves its
+	// angle untouched too.
+	col := full.NState() - full.Net.N() + 7
+	h := full.NewJacobianPlan().H
+	var kept []meas.Measurement
+	for m := 0; m < h.Rows; m++ {
+		if !slices.Contains(h.ColIdx[h.RowPtr[m]:h.RowPtr[m+1]], col) {
+			kept = append(kept, full.Meas[m])
+		}
+	}
+	ref := full.Net.SlackIndex()
+	holed, err := meas.NewModel(full.Net, kept, ref, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Estimate(full, Options{}); err != nil { // starts the shared pool's workers
+		t.Fatal(err)
+	}
+	if sparse.DefaultPool().Workers() < 2 {
+		t.Log("one worker: the analysis runs inline, only the errors are checked")
+	}
+	baseline := runtime.NumGoroutine()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 5; i++ {
+		_, err := Estimate(holed, Options{})
+		if !errors.Is(err, ErrUnobservable) || !strings.Contains(err.Error(), "no measurement touches state") {
+			t.Fatalf("untouched state: %v, want ErrUnobservable naming it", err)
+		}
+		if _, err := EstimateCtx(canceled, full, Options{}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled before the first step: %v, want context.Canceled", err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the failed solves", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(time.Millisecond)
 	}

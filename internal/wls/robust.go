@@ -119,11 +119,14 @@ func estimateWeighted(ctx context.Context, mod *meas.Model, opts Options, scale 
 	if mod.NMeas() < mod.NState() {
 		return nil, fmt.Errorf("%w: %d measurements < %d states", ErrUnobservable, mod.NMeas(), mod.NState())
 	}
-	jplan := mod.NewJacobianPlan()
-	e := &Engine{mod: mod, jplan: jplan, gplan: sparse.NewGainPlan(jplan.H), pool: sparse.DefaultPool()}
-	// The analysis reads only the gain plan, so a one-shot solve starts it
-	// before its buffers are made.
-	e.startAnalysis(opts)
+	// The analysis reads only G's pattern, which the model fixes
+	// (Model.GainPattern), so a one-shot solve starts it before the Jacobian
+	// plan, the gain plan built on that pattern and the buffers are made.
+	g := mod.GainPattern()
+	e := &Engine{mod: mod, pool: sparse.DefaultPool()}
+	e.startAnalysis(g, opts)
+	e.jplan = mod.NewJacobianPlan()
+	e.gplan = sparse.NewGainPlanOn(e.jplan.H, g)
 	e.allocate()
 	return e.estimateWeighted(ctx, opts, scale)
 }
