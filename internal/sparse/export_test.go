@@ -11,6 +11,8 @@ var (
 	RandomSPD           = randomSPD
 	GainFixture         = gainFixture
 	WalkingRefresh      = walkingRefresh
+	ScalarRefresh       = scalarRefresh
+	LDLPairShares       = pairShares
 	GainPatternMismatch = gainPatternMismatch
 )
 

@@ -52,6 +52,11 @@ type LDLFactor struct {
 	lPtr   []int   // column pointers of L's strict lower triangle
 	lRow   []int32 // row indices, ascending within a column
 
+	// pair[j] is 1 where column j of L is row j+1 followed by column j+1
+	// (markPairs), 0 elsewhere: the row kernel and the forward sweep take
+	// such a column and the next in one pass over their shared rows.
+	pair []int32
+
 	// L's strict lower triangle by rows: row k holds columns
 	// lRowCol[lRowPtr[k]:lRowPtr[k+1]] in the order a refresh solves for
 	// them, each before its ancestors in the elimination tree: the order the
@@ -213,8 +218,8 @@ func (f *LDLFactor) lower(e *elimination) {
 	for k := 0; k < n; k++ {
 		lPtr[k+1] += lPtr[k]
 	}
-	idx := make([]int32, 2*lPtr[n]) // L's pattern by columns, and by rows (rows)
-	f.lRow, f.lRowCol = carve(&idx, lPtr[n]), idx
+	idx := make([]int32, 2*lPtr[n]+n) // L's pattern by columns, by rows (rows), and pair
+	f.lRow, f.lRowCol, f.pair = carve(&idx, lPtr[n]), carve(&idx, lPtr[n]), idx
 	for s := 0; s < n; {
 		v := perm[s]
 		last, nbrs := s+e.weight[v]-1, e.adj[v]
@@ -240,6 +245,22 @@ func (f *LDLFactor) lower(e *elimination) {
 			f.parent[k] = k + 1
 		}
 		s = last + 1
+	}
+	f.markPairs()
+}
+
+// markPairs sets pair[j] where column j of L starts at row j+1 and holds
+// one entry more than column j+1. Column j less its parent lies in the
+// parent's column (the elimination tree's inclusion), and its parent is its
+// first row, so such a column is exactly j+1 followed by column j+1 — as
+// every member but the last of a supervariable is, a bus's θ column beside
+// its V column.
+func (f *LDLFactor) markPairs() {
+	lPtr, lRow := f.lPtr, f.lRow
+	for j := 0; j+1 < f.n; j++ {
+		if lo := lPtr[j]; lPtr[j+1]-lo == lPtr[j+2]-lPtr[j+1]+1 && lRow[lo] == int32(j+1) {
+			f.pair[j] = 1
+		}
 	}
 }
 
@@ -395,8 +416,14 @@ func (f *LDLFactor) refreshSerial(val []float64) error {
 // column k into y and solves for the columns of row k in their recorded
 // order, touching y, lnz, L and D only at k and the columns below it in the
 // elimination tree.
+//
+// Where the recorded order meets a paired column i and then i+1, the two
+// are solved in one pass over the rows they share: row i+1 of column i
+// first, then y[r] − L(r,i)·y_i − L(r,i+1)·y_{i+1} for the rest. Every entry
+// of y takes the products the column-at-a-time solve gives it, in the same
+// order and with nothing in between, so L and D are its bits.
 func (f *LDLFactor) row(val []float64, k int) *PivotError {
-	y, lnz := f.y, f.lnz
+	y, lnz, d := f.y, f.lnz, f.d
 	lPtr, lRow, lVal := f.lPtr, f.lRow, f.lVal
 	for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
 		y[f.upRow[p]] += val[f.upSrc[p]]
@@ -405,16 +432,39 @@ func (f *LDLFactor) row(val []float64, k int) *PivotError {
 	// Sparse triangular solve for row k of L, and the pivot.
 	akk := val[f.diagSrc[k]]
 	dk := akk
-	for _, i := range f.lRowCol[f.lRowPtr[k]:f.lRowPtr[k+1]] {
+	cols := f.lRowCol[f.lRowPtr[k]:f.lRowPtr[k+1]]
+	for t := 0; t < len(cols); t++ {
+		i := cols[t]
 		yi := y[i]
 		y[i] = 0
 		lo, end := lPtr[i], lPtr[i]+lnz[i]
+		if f.takesPair(cols, t) {
+			// Column i's done rows are i+1, then column i+1's done rows.
+			lo1, end1 := lPtr[i+1], lPtr[i+1]+lnz[i+1]
+			yj := y[i+1] - lVal[lo]*yi
+			y[i+1] = 0
+			rows := lRow[lo1:end1]
+			vi, vj := lVal[lo+1 : end][:len(rows)], lVal[lo1:end1][:len(rows)]
+			for p, r := range rows {
+				y[r] = y[r] - vi[p]*yi - vj[p]*yj
+			}
+			lki := yi / d[i]
+			dk -= lki * yi
+			lVal[end] = lki
+			lnz[i]++
+			lkj := yj / d[i+1]
+			dk -= lkj * yj
+			lVal[end1] = lkj
+			lnz[i+1]++
+			t++
+			continue
+		}
 		rows := lRow[lo:end]
 		vals := lVal[lo:end][:len(rows)]
 		for p, r := range rows {
 			y[r] -= vals[p] * yi
 		}
-		lki := yi / f.d[i]
+		lki := yi / d[i]
 		dk -= lki * yi
 		lVal[end] = lki
 		lnz[i]++
@@ -425,6 +475,13 @@ func (f *LDLFactor) row(val []float64, k int) *PivotError {
 	}
 	f.d[k] = dk
 	return nil
+}
+
+// takesPair reports whether the row kernel solves cols[t], a row's recorded
+// columns, together with cols[t+1]: a paired column met right before the
+// next one.
+func (f *LDLFactor) takesPair(cols []int32, t int) bool {
+	return f.pair[cols[t]] != 0 && t+1 < len(cols) && cols[t+1] == cols[t]+1
 }
 
 // split divides the elimination forest into parts subtree sets and the top
@@ -563,8 +620,12 @@ func (f *LDLFactor) split(parts int, child, sibling []int) {
 
 // Apply solves A·z = r by permuted forward, diagonal and backward
 // substitution, which also makes the factor a Preconditioner. It allocates
-// nothing. The division by D is the first operation the backward sweep
-// applies to each entry, which is where a separate pass would have left it.
+// nothing. The forward sweep takes a paired column and the next in one pass,
+// as the row kernel does, every entry updated in the column-at-a-time order.
+// The backward sweep stays a column at a time: each of its entries is a dot
+// product summed down one column, and two columns' sums do not merge without
+// reordering them. The division by D is the first operation it applies to
+// each entry, which is where a separate pass would have left it.
 func (f *LDLFactor) Apply(z, r []float64) {
 	n := f.n
 	w, d, lPtr := f.w[:n], f.d[:n], f.lPtr[:n+1]
@@ -573,9 +634,21 @@ func (f *LDLFactor) Apply(z, r []float64) {
 	}
 	for j := 0; j < n; j++ {
 		lo, hi := lPtr[j], lPtr[j+1]
+		wj := w[j]
+		if f.pair[j] != 0 {
+			// Column j is row j+1, then column j+1's rows.
+			wk := w[j+1] - f.lVal[lo]*wj
+			w[j+1] = wk
+			rows := f.lRow[hi:lPtr[j+2]]
+			vj, vk := f.lVal[lo+1 : hi][:len(rows)], f.lVal[hi:lPtr[j+2]][:len(rows)]
+			for p, i := range rows {
+				w[i] = w[i] - vj[p]*wj - vk[p]*wk
+			}
+			j++
+			continue
+		}
 		rows := f.lRow[lo:hi]
 		vals := f.lVal[lo:hi][:len(rows)]
-		wj := w[j]
 		for p, i := range rows {
 			w[i] -= vals[p] * wj
 		}

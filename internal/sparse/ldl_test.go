@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -104,11 +105,13 @@ func (o *ldlOracle) apply(z, r []float64) {
 	}
 }
 
-// ldlMatchesOracle factors a and solves for r with LDLFactor and with the
-// oracle on the same analysis, and reports the first L, D or solution entry
-// whose bits differ.
+// ldlMatchesOracle analyzes a, factors it and solves for r with the oracle,
+// with the column-at-a-time kernels (scalarRefresh, scalarApply) and with
+// LDLFactor — serially and pooled at 1, 2 and 4 workers — on the same
+// analysis, and reports the first L, D or solution entry whose bits differ
+// from the oracle's.
 func ldlMatchesOracle(a *CSR, r []float64) error {
-	f, err := NewLDL(a)
+	f, err := AnalyzeLDL(a)
 	if err != nil {
 		return err
 	}
@@ -116,20 +119,151 @@ func ldlMatchesOracle(a *CSR, r []float64) error {
 	if err := o.refresh(a); err != nil {
 		return fmt.Errorf("oracle: %w", err)
 	}
-	got, want := make([]float64, a.Rows), make([]float64, a.Rows)
-	f.Apply(got, r)
+	want := make([]float64, a.Rows)
 	o.apply(want, r)
-	for _, c := range []struct {
-		what      string
-		got, want []float64
-	}{{"L", f.lVal, o.lVal}, {"D", f.d, o.d}, {"solution", got, want}} {
-		for i := range c.want {
-			if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
-				return fmt.Errorf("%s[%d] = %v, oracle %v", c.what, i, c.got[i], c.want[i])
+	same := func(who string, c *LDLFactor, got []float64) error {
+		for _, v := range []struct {
+			what      string
+			got, want []float64
+		}{{"L", c.lVal, o.lVal}, {"D", c.d, o.d}, {"solution", got, want}} {
+			for i := range v.want {
+				if math.Float64bits(v.got[i]) != math.Float64bits(v.want[i]) {
+					return fmt.Errorf("%s: %s[%d] = %v, oracle %v", who, v.what, i, v.got[i], v.want[i])
+				}
 			}
+		}
+		return nil
+	}
+	got := make([]float64, a.Rows)
+	scalar := f.SharePattern()
+	if err := scalarRefresh(scalar, a); err != nil {
+		return fmt.Errorf("column at a time: %w", err)
+	}
+	scalarApply(scalar, got, r)
+	if err := same("column at a time", scalar, got); err != nil {
+		return err
+	}
+	for _, workers := range []int{0, 1, 2, 4} {
+		c, who := f.SharePattern(), "serial"
+		if workers == 0 {
+			err = c.Refresh(a)
+		} else {
+			who = fmt.Sprintf("%d workers", workers)
+			pool := NewPool(workers)
+			err = c.RefreshPool(a, pool)
+			pool.Close()
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", who, err)
+		}
+		c.Apply(got, r)
+		if err := same(who, c, got); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// scalarRow is LDLFactor.row as it was before it took L's column pairs
+// together: every column of the recorded order on its own. It is the
+// oracle the paired row kernel must equal bit for bit.
+func scalarRow(f *LDLFactor, val []float64, k int) *PivotError {
+	y, lnz := f.y, f.lnz
+	lPtr, lRow, lVal := f.lPtr, f.lRow, f.lVal
+	for p := f.upPtr[k]; p < f.upPtr[k+1]; p++ {
+		y[f.upRow[p]] += val[f.upSrc[p]]
+	}
+	lnz[k] = 0
+	akk := val[f.diagSrc[k]]
+	dk := akk
+	for _, i := range f.lRowCol[f.lRowPtr[k]:f.lRowPtr[k+1]] {
+		yi := y[i]
+		y[i] = 0
+		lo, end := lPtr[i], lPtr[i]+lnz[i]
+		rows := lRow[lo:end]
+		vals := lVal[lo:end][:len(rows)]
+		for p, r := range rows {
+			y[r] -= vals[p] * yi
+		}
+		lki := yi / f.d[i]
+		dk -= lki * yi
+		lVal[end] = lki
+		lnz[i]++
+	}
+	if !(dk > ldlPivotRelFloor*math.Abs(akk)) {
+		return &PivotError{State: f.perm[k], Pivot: dk, Diag: akk}
+	}
+	f.d[k] = dk
+	return nil
+}
+
+// scalarRefresh refactors f from a serially with scalarRow.
+func scalarRefresh(f *LDLFactor, a *CSR) error {
+	if err := f.check(a); err != nil {
+		return err
+	}
+	for k := 0; k < f.n; k++ {
+		if pe := scalarRow(f, a.Val, k); pe != nil {
+			return pe
+		}
+	}
+	return nil
+}
+
+// scalarApply is LDLFactor.Apply as it was before its forward sweep took
+// L's column pairs together: the oracle of the paired sweep.
+func scalarApply(f *LDLFactor, z, r []float64) {
+	n := f.n
+	w, d, lPtr := f.w[:n], f.d[:n], f.lPtr[:n+1]
+	for k, o := range f.perm {
+		w[k] = r[o]
+	}
+	for j := 0; j < n; j++ {
+		lo, hi := lPtr[j], lPtr[j+1]
+		rows := f.lRow[lo:hi]
+		vals := f.lVal[lo:hi][:len(rows)]
+		wj := w[j]
+		for p, i := range rows {
+			w[i] -= vals[p] * wj
+		}
+	}
+	for j := n - 1; j >= 0; j-- {
+		lo, hi := lPtr[j], lPtr[j+1]
+		rows := f.lRow[lo:hi]
+		vals := f.lVal[lo:hi][:len(rows)]
+		wj := w[j] / d[j]
+		for p, i := range rows {
+			wj -= vals[p] * w[i]
+		}
+		w[j] = wj
+	}
+	for k, o := range f.perm {
+		z[o] = w[k]
+	}
+}
+
+// pairShares replays the pairing decisions of the row kernel and the
+// forward sweep on f's analysis: the share of L's entries the row kernel
+// solves for in pairs, and the share of L's columns the forward sweep takes
+// in pairs.
+func pairShares(f *LDLFactor) (rowKernel, sweep float64) {
+	inRows, inSweep := 0, 0
+	for k := 0; k < f.n; k++ {
+		cols := f.lRowCol[f.lRowPtr[k]:f.lRowPtr[k+1]]
+		for t := 0; t < len(cols); t++ {
+			if f.takesPair(cols, t) {
+				inRows += 2
+				t++
+			}
+		}
+	}
+	for j := 0; j < f.n; j++ {
+		if f.pair[j] != 0 {
+			inSweep += 2
+			j++
+		}
+	}
+	return float64(inRows) / float64(max(len(f.lRowCol), 1)), float64(inSweep) / float64(max(f.n, 1))
 }
 
 // TestLDLMatchesOracle: Refresh and Apply are bitwise the oracle's on random
@@ -146,6 +280,7 @@ func TestLDLMatchesOracle(t *testing.T) {
 		n := 5 + rng.Intn(200)
 		cases[fmt.Sprintf("spd-%d", n)] = randomSPD(rng, n)
 		cases[fmt.Sprintf("gain-%d", n)] = gainFixture(rng, n, n+rng.Intn(2*n))
+		cases[fmt.Sprintf("bus-gain-%d", n)] = busGainFixture(rng, n, n+rng.Intn(2*n))
 	}
 	for name, a := range cases {
 		r := make([]float64, a.Rows)
@@ -155,7 +290,46 @@ func TestLDLMatchesOracle(t *testing.T) {
 		if err := ldlMatchesOracle(a, r); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+		if strings.HasPrefix(name, "bus-gain") {
+			f, err := AnalyzeLDL(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows, sweep := pairShares(f); rows < 0.5 || sweep < 0.5 {
+				t.Errorf("%s: pairs take %.2f of L's entries in the row kernel and %.2f of its columns in the forward sweep, want most", name, rows, sweep)
+			}
+		}
 	}
+}
+
+// busGainFixture is gainFixture on buses of two states each: the two rows
+// on top for each bus hold both its states (full rank: each row's own state
+// dominates), and every coupling row holds both states of each bus it
+// meets, so the two rows of G of a bus share one pattern, as a bus's θ and
+// V rows do, and L's columns come in pairs.
+func busGainFixture(rng *rand.Rand, buses, extra int) *CSR {
+	n := 2 * buses
+	coo := NewCOO(n+extra, n)
+	for i := 0; i < n; i++ {
+		coo.Add(i, i, 1+rng.Float64())
+		coo.Add(i, i^1, rng.NormFloat64()/4)
+	}
+	for r := 0; r < extra; r++ {
+		for d := 2 + rng.Intn(3); d > 0; d-- {
+			b := rng.Intn(buses)
+			coo.Add(n+r, 2*b, rng.NormFloat64())
+			coo.Add(n+r, 2*b+1, rng.NormFloat64())
+		}
+	}
+	h := coo.ToCSR()
+	w := make([]float64, h.Rows)
+	for i := range w {
+		w[i] = 0.5 + rng.Float64()
+		if i%7 == 0 {
+			w[i] *= 1e6
+		}
+	}
+	return Gain(h, w)
 }
 
 // gainFixture is G = HᵀWH of a measurement-Jacobian-shaped H — a scaled
@@ -507,8 +681,9 @@ func TestLDLRefreshApplyZeroAlloc(t *testing.T) {
 // triangle, then a walk up the elimination tree from every upper-triangle
 // entry to count each column of L, and the same walk again to place its
 // rows, and once more to list each row of L in the order the walking refresh
-// solves for it. With parts > 1 it also splits the forest as AnalyzeLDLPool
-// would.
+// solves for it. A column is paired where it is, as a set, its first row
+// j+1 and column j+1. With parts > 1 it also splits the forest as
+// AnalyzeLDLPool would.
 func walkAnalysis(a *CSR, parts int) (*LDLFactor, error) {
 	n := a.Rows
 	f := &LDLFactor{
@@ -582,6 +757,13 @@ func walkAnalysis(a *CSR, parts int) (*LDLFactor, error) {
 				f.lnz[i]++
 				flag[i] = k
 			}
+		}
+	}
+	f.pair = make([]int32, n)
+	for j := 0; j+1 < n; j++ {
+		col, next := f.lRow[f.lPtr[j]:f.lPtr[j+1]], f.lRow[f.lPtr[j+1]:f.lPtr[j+2]]
+		if len(col) > 0 && col[0] == int32(j+1) && slices.Equal(col[1:], next) {
+			f.pair[j] = 1
 		}
 	}
 	// Row k's pattern in the order the walking refresh solves for it.
@@ -680,7 +862,7 @@ func walkingRefresh(f *LDLFactor, a *CSR) error {
 // analysisMatchesOracle analyzes a on p and reports the first array of the
 // analysis that differs from walkAnalysis's for p's part count: the ordering,
 // the permuted upper triangle, the elimination tree, L's pattern by columns,
-// its rows in the walk's order and the split of the forest.
+// its column pairs, its rows in the walk's order and the split of the forest.
 func analysisMatchesOracle(a *CSR, p *Pool) error {
 	f, err := AnalyzeLDLPool(a, p)
 	if err != nil {
@@ -711,7 +893,7 @@ func analysisMatchesOracle(a *CSR, p *Pool) error {
 		got, want []int32
 	}{
 		{"upRow", f.upRow, o.upRow}, {"upSrc", f.upSrc, o.upSrc}, {"diagSrc", f.diagSrc, o.diagSrc}, {"lRow", f.lRow, o.lRow},
-		{"lRowCol", f.lRowCol, o.lRowCol}, {"splitCols", f.splitCols, o.splitCols},
+		{"pair", f.pair, o.pair}, {"lRowCol", f.lRowCol, o.lRowCol}, {"splitCols", f.splitCols, o.splitCols},
 	} {
 		if !slices.Equal(c.got, c.want) {
 			return fmt.Errorf("%s differs from the walk oracle's", c.what)
@@ -722,18 +904,58 @@ func analysisMatchesOracle(a *CSR, p *Pool) error {
 
 // FuzzAnalyzeLDL turns bytes into a small pattern with a full diagonal.
 // Symmetric, its analysis must equal the walk oracle's array for array, the
-// recorded row patterns being the sequence the walk visits. Made
-// one-sided or given a repeated entry, the analysis must not panic: it
-// either fails, or its factor solves the matrix Refresh reads — the lower
-// triangle mirrored, repeats summed — as the dense solve does.
+// recorded row patterns being the sequence the walk visits, and its factor
+// and solve the oracles' bit for bit. Made one-sided or given a repeated
+// entry, the analysis must not panic: it either fails, or its factor solves
+// the matrix Refresh reads — the lower triangle mirrored, repeats summed —
+// as the dense solve does. With mode&4 every vertex of the drawn graph
+// becomes one to three vertices with one closed neighborhood, as a bus's θ
+// and V states are in a gain matrix, so L's columns come in pairs and
+// triples.
 func FuzzAnalyzeLDL(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{})
 	f.Add(uint8(7), uint8(0), []byte{0, 1, 1, 2, 0, 2, 3, 4, 4, 5, 3, 5})
 	f.Add(uint8(12), uint8(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 11, 3, 9, 1, 1})
 	f.Add(uint8(9), uint8(2), []byte{0, 4, 1, 4, 2, 3, 3, 0, 8, 1})
 	f.Add(uint8(40), uint8(3), []byte("a gain matrix is a two-hop graph of the network"))
+	f.Add(uint8(11), uint8(4), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 0, 7, 8, 9, 10})
+	f.Add(uint8(30), uint8(5), []byte("buses of two states each, and a few of three"))
+	f.Add(uint8(16), uint8(6), []byte{1, 5, 2, 7, 3, 9, 0, 15, 4, 11})
 	f.Fuzz(func(t *testing.T, size, mode uint8, data []byte) {
 		n := int(size) % 40
+		var edges [][2]int
+		for k := 0; n > 0 && k+1 < len(data); k += 2 {
+			if u, v := int(data[k])%n, int(data[k+1])%n; u != v {
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+		grouped := false // some vertex has a copy
+		if mode&4 != 0 && len(data) > 0 {
+			// Vertex v becomes copies first[v] … first[v+1]−1, a clique, each
+			// joined to every copy of v's neighbors.
+			first := make([]int, n+1)
+			for v := 0; v < n; v++ {
+				width := 1 + int(data[v%len(data)]>>2)%3
+				first[v+1] = first[v] + width
+				grouped = grouped || width > 1
+			}
+			var dup [][2]int
+			for v := 0; v < n; v++ {
+				for a := first[v]; a < first[v+1]; a++ {
+					for b := a + 1; b < first[v+1]; b++ {
+						dup = append(dup, [2]int{a, b})
+					}
+				}
+			}
+			for _, e := range edges {
+				for a := first[e[0]]; a < first[e[0]+1]; a++ {
+					for b := first[e[1]]; b < first[e[1]+1]; b++ {
+						dup = append(dup, [2]int{a, b})
+					}
+				}
+			}
+			n, edges = first[n], dup
+		}
 		coo := NewCOO(n, n)
 		dense := NewDense(n, n) // the matrix Refresh reads
 		add := func(i, j int, v float64) {
@@ -741,12 +963,6 @@ func FuzzAnalyzeLDL(f *testing.F) {
 			if j <= i {
 				dense.AddAt(i, j, v)
 				dense.Set(j, i, dense.At(i, j))
-			}
-		}
-		var edges [][2]int
-		for k := 0; n > 0 && k+1 < len(data); k += 2 {
-			if u, v := int(data[k])%n, int(data[k+1])%n; u != v {
-				edges = append(edges, [2]int{u, v})
 			}
 		}
 		deg := make([]float64, n)
@@ -784,6 +1000,16 @@ func FuzzAnalyzeLDL(f *testing.F) {
 		if mode%4 <= 1 {
 			if err := analysisMatchesOracle(a, nil); err != nil {
 				t.Fatal(err)
+			}
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = float64(i%5) - 2
+			}
+			if err := ldlMatchesOracle(a, b); err != nil {
+				t.Fatal(err)
+			}
+			if fac, _ := AnalyzeLDL(a); grouped && !slices.Contains(fac.pair, 1) {
+				t.Fatal("vertices with one closed neighborhood left no column of L paired")
 			}
 			return
 		}

@@ -80,8 +80,9 @@ type CSR struct {
 	Val        []float64
 }
 
-// NNZ returns the number of stored entries.
-func (a *CSR) NNZ() int { return len(a.Val) }
+// NNZ returns the number of stored entries: the pattern's, so a CSR
+// without values, such as a gain pattern before its plan, counts them too.
+func (a *CSR) NNZ() int { return len(a.ColIdx) }
 
 // Dims returns the matrix dimensions.
 func (a *CSR) Dims() (rows, cols int) { return a.Rows, a.Cols }

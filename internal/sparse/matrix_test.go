@@ -36,6 +36,20 @@ func TestCOOToCSRBasic(t *testing.T) {
 	}
 }
 
+// TestCSRNNZCountsPattern: a pattern without values, as a gain pattern is
+// before its plan gives it some, reports the entries its ColIdx stores, as
+// the valued matrix does.
+func TestCSRNNZCountsPattern(t *testing.T) {
+	a := &CSR{Rows: 2, Cols: 3, RowPtr: []int{0, 2, 3}, ColIdx: []int{0, 2, 1}}
+	if got := a.NNZ(); got != 3 {
+		t.Fatalf("values-free pattern: NNZ = %d, want 3", got)
+	}
+	a.Val = []float64{1, 2, 3}
+	if got := a.NNZ(); got != 3 {
+		t.Fatalf("valued matrix: NNZ = %d, want 3", got)
+	}
+}
+
 func TestCSRRowsSortedUnique(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	coo := NewCOO(20, 20)

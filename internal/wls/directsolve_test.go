@@ -19,11 +19,8 @@ func primeGainSystem(e *Engine, opts Options) {
 	for i, m := range e.mod.Meas {
 		e.z[i] = m.Value
 	}
-	e.jplan.EvalInto(e.h, x)
-	sparse.Sub(e.r, e.z, e.h)
-	hj := e.jplan.Refresh(x)
-	e.refreshGain(hj, opts)
-	e.gainRHS(hj, opts)
+	e.evalAt(x, true)
+	e.refreshGain(e.jplan.Refresh(x), opts)
 }
 
 // TestFactorSolvePolishedWhenCheckFails drives the branch no healthy gain

@@ -271,22 +271,20 @@ func TestEngineContextCancellation(t *testing.T) {
 }
 
 // TestEngineIterationZeroAllocKernels pins the per-iteration hot path: the
-// numeric refreshes of H, G and the right-hand side allocate nothing, where
-// the legacy path assembles everything anew each iteration.
+// fused pass (h, r, J and the right-hand side) and the numeric refreshes of
+// H and G allocate nothing, where the legacy path assembles everything anew
+// each iteration.
 func TestEngineIterationZeroAllocKernels(t *testing.T) {
 	mod := engineTestModel(t, grid.Case14, 0.01, 9)
 	eng := NewEngine(mod)
 	x := mod.FlatVec()
-	hj := eng.jplan.Refresh(x)
 	copy(eng.w, eng.baseW)
-	eng.gplan.RefreshPool(hj, eng.w, eng.pool)
-	eng.jplan.EvalInto(eng.h, x)
-	sparse.Sub(eng.r, eng.z, eng.h)
+	eng.evalAt(x, true) // makes rhsTrial and the plan's column map
+	eng.gplan.RefreshPool(eng.jplan.Refresh(x), eng.w, eng.pool)
 
 	if allocs := testing.AllocsPerRun(20, func() {
-		hj := eng.jplan.Refresh(x)
-		eng.gplan.Refresh(hj, eng.w)
-		sparse.GainRHSInto(eng.rhs, hj, eng.w, eng.r, eng.wr)
+		eng.evalAt(x, true)
+		eng.gplan.Refresh(eng.jplan.Refresh(x), eng.w)
 	}); allocs != 0 {
 		t.Fatalf("numeric refresh kernels allocated %v times per run, want 0", allocs)
 	}
