@@ -354,12 +354,14 @@ func centralizedModels(b *testing.B) []namedModel {
 }
 
 // BenchmarkGainPlanBuild times the symbolic half of G = HᵀWH alone on the
-// centralized Jacobian skeleton at both sizes, two ways. The rows named
+// centralized Jacobian skeleton at both sizes, three ways. The rows named
 // after the model walk G's pattern off H (NewGainPlan, which the power
 // flow, the observability check and the constrained solve build); the
-// closed-form/ rows write it from the model (Model.GainPattern) and build
-// the plan on it (NewGainPlanOn), as the estimator does. contribs is Σd²
-// over H's rows, what the sorted build once walked; walked is what the
+// closed-form/ rows write it from the network and the meters
+// (meas.GainPattern) and build the plan on it (NewGainPlanOn), as the
+// estimator does; the frame/ rows write the pattern alone, which
+// wls.EstimateFrame does on a goroutine beside the model build. contribs is
+// Σd² over H's rows, what the sorted build once walked; walked is what the
 // stamped walk visits (see gainPlanWalk).
 func BenchmarkGainPlanBuild(b *testing.B) {
 	for _, c := range centralizedModels(b) {
@@ -369,17 +371,25 @@ func BenchmarkGainPlanBuild(b *testing.B) {
 			contribs += h.RowNNZ(m) * h.RowNNZ(m)
 		}
 		walked := gainPlanWalk(h)
+		pattern := func() *sparse.CSR {
+			g, ok := meas.GainPattern(c.mod.Net, c.mod.Meas, c.mod.RefBus())
+			if !ok {
+				b.Fatal("meas.GainPattern refused the frame")
+			}
+			return g
+		}
 		for _, build := range []struct {
 			name string
-			plan func() *sparse.GainPlan
+			g    func() *sparse.CSR
 		}{
-			{c.name, func() *sparse.GainPlan { return sparse.NewGainPlan(h) }},
-			{"closed-form/" + c.name, func() *sparse.GainPlan { return sparse.NewGainPlanOn(h, c.mod.GainPattern()) }},
+			{c.name, func() *sparse.CSR { return sparse.NewGainPlan(h).G }},
+			{"closed-form/" + c.name, func() *sparse.CSR { return sparse.NewGainPlanOn(h, pattern()).G }},
+			{"frame/" + c.name, pattern},
 		} {
 			b.Run(build.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if build.plan().G.Rows != h.Cols {
+					if build.g().Rows != h.Cols {
 						b.Fatal("gain plan of the wrong dimension")
 					}
 				}

@@ -115,16 +115,13 @@ func RunHierarchical(ctx context.Context, d *Decomposition, global []meas.Measur
 // estimation on the full network — the baseline the distributed
 // architecture is compared against. The reference angle is taken from a
 // PMU angle measurement at the slack bus when present, else zero. The
-// context is checked between Gauss-Newton iterations.
+// context is checked between Gauss-Newton iterations. It is
+// wls.EstimateFrame, which starts the LDLᵀ analysis beside the model build.
 func CentralizedEstimate(ctx context.Context, n *grid.Network, global []meas.Measurement, opts wls.Options) (*wls.Result, error) {
 	ref := n.SlackIndex()
 	refAngle, ok := findRefAngle(global, n.Buses[ref].ID)
 	if !ok {
 		refAngle = 0
 	}
-	mod, err := meas.NewModel(n, global, ref, refAngle)
-	if err != nil {
-		return nil, err
-	}
-	return wls.EstimateCtx(ctx, mod, opts)
+	return wls.EstimateFrame(ctx, n, global, ref, refAngle, opts)
 }

@@ -76,7 +76,16 @@ type Network struct {
 	Gens     []Gen
 
 	idx map[int]int // external bus number -> internal index
+	// dense is idx as an array from bus number base, −1 where no bus has the
+	// number, kept where the numbers span at most denseSpan per bus, as case
+	// files and the synthetic grids number them: an index lookup is then a
+	// load, where the map's is a hash probe.
+	dense []int32
+	base  int
 }
+
+// denseSpan is how many bus numbers per bus the dense index may span.
+const denseSpan = 16
 
 // New assembles a Network, building the external-to-internal bus index.
 // It returns an error for duplicate bus numbers or branches/generators
@@ -92,6 +101,21 @@ func New(name string, baseMVA float64, buses []Bus, branches []Branch, gens []Ge
 			return nil, fmt.Errorf("grid: duplicate bus number %d", b.ID)
 		}
 		n.idx[b.ID] = i
+	}
+	if len(buses) > 0 {
+		lo, hi := buses[0].ID, buses[0].ID
+		for _, b := range buses {
+			lo, hi = min(lo, b.ID), max(hi, b.ID)
+		}
+		if span := uint(hi) - uint(lo); span < uint(denseSpan*len(buses)) {
+			n.dense, n.base = make([]int32, span+1), lo
+			for i := range n.dense {
+				n.dense[i] = -1
+			}
+			for i, b := range buses {
+				n.dense[b.ID-lo] = int32(i)
+			}
+		}
 	}
 	for _, br := range branches {
 		if _, ok := n.idx[br.From]; !ok {
@@ -127,6 +151,12 @@ func (n *Network) N() int { return len(n.Buses) }
 // Index returns the internal index of external bus number id and whether it
 // exists.
 func (n *Network) Index(id int) (int, bool) {
+	if n.dense != nil {
+		if k := uint(id) - uint(n.base); k < uint(len(n.dense)) && n.dense[k] >= 0 {
+			return int(n.dense[k]), true
+		}
+		return 0, false
+	}
 	i, ok := n.idx[id]
 	return i, ok
 }
@@ -134,7 +164,7 @@ func (n *Network) Index(id int) (int, bool) {
 // MustIndex is Index that panics on unknown buses; for use with validated
 // inputs.
 func (n *Network) MustIndex(id int) int {
-	i, ok := n.idx[id]
+	i, ok := n.Index(id)
 	if !ok {
 		panic(fmt.Sprintf("grid: unknown bus %d", id))
 	}
@@ -169,8 +199,8 @@ func (n *Network) Adjacency() [][]int {
 	start := make([]int, n.N()+1)
 	for _, br := range n.Branches {
 		if br.Status {
-			start[n.idx[br.From]+1]++
-			start[n.idx[br.To]+1]++
+			start[n.MustIndex(br.From)+1]++
+			start[n.MustIndex(br.To)+1]++
 		}
 	}
 	for i := 1; i < len(start); i++ {
@@ -183,7 +213,7 @@ func (n *Network) Adjacency() [][]int {
 	}
 	for _, br := range n.Branches {
 		if br.Status {
-			f, t := n.idx[br.From], n.idx[br.To]
+			f, t := n.MustIndex(br.From), n.MustIndex(br.To)
 			adj[f] = append(adj[f], t)
 			adj[t] = append(adj[t], f)
 		}
@@ -254,7 +284,7 @@ func (n *Network) TotalGen() (p float64) {
 func (n *Network) GenAt(i int) []int {
 	var out []int
 	for gi, g := range n.Gens {
-		if g.Status && n.idx[g.Bus] == i {
+		if g.Status && n.MustIndex(g.Bus) == i {
 			out = append(out, gi)
 		}
 	}
@@ -286,7 +316,7 @@ func (n *Network) NetInjections() (p, q []float64) {
 		if !g.Status {
 			continue
 		}
-		i := n.idx[g.Bus]
+		i := n.MustIndex(g.Bus)
 		p[i] += g.Pg / n.BaseMVA
 		q[i] += g.Qg / n.BaseMVA
 	}

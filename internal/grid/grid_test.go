@@ -113,6 +113,49 @@ func TestIndexLookups(t *testing.T) {
 	n.MustIndex(99)
 }
 
+// TestIndexDenseAndSparseNumbering: Index resolves every bus number and no
+// other, through the dense array where the numbers span at most denseSpan
+// per bus (negative ones included) and through the map where they do not:
+// numbers in the gaps, one past either end and the extremes of int are
+// unknown either way.
+func TestIndexDenseAndSparseNumbering(t *testing.T) {
+	for _, c := range []struct {
+		ids   []int
+		dense bool
+	}{
+		{[]int{9, 5, 7, 20}, true},
+		{[]int{-3, 2, -1}, true},
+		{[]int{1, 1000000}, false},
+		{[]int{math.MinInt, math.MaxInt}, false},
+	} {
+		buses := make([]Bus, len(c.ids))
+		for i, id := range c.ids {
+			buses[i] = Bus{ID: id, Type: PQ, Vm: 1}
+		}
+		buses[0].Type = Slack
+		n, err := New("numbering", 100, buses, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (n.dense != nil) != c.dense {
+			t.Errorf("%v: dense index %v, want %v", c.ids, n.dense != nil, c.dense)
+		}
+		known := map[int]bool{}
+		for i, id := range c.ids {
+			known[id] = true
+			if got, ok := n.Index(id); !ok || got != i {
+				t.Errorf("%v: Index(%d) = %d, %v, want %d", c.ids, id, got, ok, i)
+			}
+		}
+		lo, hi := slices.Min(c.ids), slices.Max(c.ids)
+		for _, id := range []int{lo - 1, hi + 1, lo + 1, hi - 1, 0, 6, math.MinInt, math.MaxInt} {
+			if _, ok := n.Index(id); ok != known[id] {
+				t.Errorf("%v: Index(%d) reports %v, want %v", c.ids, id, ok, known[id])
+			}
+		}
+	}
+}
+
 func TestIslands(t *testing.T) {
 	buses := []Bus{
 		{ID: 1, Type: Slack, Vm: 1}, {ID: 2, Type: PQ, Vm: 1},

@@ -37,12 +37,16 @@ func BuildYBus(n *Network) *YBus {
 		g, b float64
 	}
 	// ptr[i] is where row i's bucket starts; placing a term advances it, so
-	// once all are placed ptr[i] is where the bucket ends.
-	ptr := make([]int, nb+1)
-	for _, br := range n.Branches {
+	// once all are placed ptr[i] is where the bucket ends. ends holds each
+	// in-service branch's two buses, resolved once for both passes.
+	ptr := make([]int, nb+1+2*len(n.Branches))
+	ptr, ends := ptr[:nb+1], ptr[nb+1:]
+	for bi, br := range n.Branches {
 		if br.Status {
-			ptr[n.MustIndex(br.From)+1] += 2
-			ptr[n.MustIndex(br.To)+1] += 2
+			f, t := n.MustIndex(br.From), n.MustIndex(br.To)
+			ends[2*bi], ends[2*bi+1] = f, t
+			ptr[f+1] += 2
+			ptr[t+1] += 2
 		}
 	}
 	for i, bus := range n.Buses {
@@ -58,12 +62,11 @@ func BuildYBus(n *Network) *YBus {
 		rows[ptr[row]] = term{col, t.g, t.b}
 		ptr[row]++
 	}
-	for _, br := range n.Branches {
+	for bi, br := range n.Branches {
 		if !br.Status {
 			continue
 		}
-		f := n.MustIndex(br.From)
-		t := n.MustIndex(br.To)
+		f, t := ends[2*bi], ends[2*bi+1]
 		ff, tt, ft, tf := branchTerms(br)
 		place(f, f, ff)
 		place(t, t, tt)

@@ -68,23 +68,15 @@ func eliminate(a *CSR, lower bool, perm []int) elimination {
 	scratch := make([]int, 6*n)
 	seen, deg, sum, rep, weight, pos := carve(&scratch, n), carve(&scratch, n), carve(&scratch, n),
 		carve(&scratch, n), carve(&scratch, n), scratch
-	ptr, idx := a.RowPtr, a.ColIdx
-	if !symmetricRows(n, ptr, idx, seen) {
-		c := closure(a, lower)
-		ptr, idx = c.RowPtr, c.ColIdx
-	}
 	// The pattern is symmetric and stores no entry twice from here on, so a
 	// row is a vertex's neighborhood. sum[i] adds up i's closed
-	// neighborhood: equal sets have equal sums.
-	for i := 0; i < n; i++ {
-		d, s := 0, i
-		for _, j := range idx[ptr[i]:ptr[i+1]] {
-			if j != i {
-				d++
-				s += j
-			}
-		}
-		deg[i], sum[i] = d, s
+	// neighborhood: equal sets have equal sums. a's rows are counted as
+	// they are checked, and counted again on the closure where they fail.
+	ptr, idx := a.RowPtr, a.ColIdx
+	if !countSymmetric(n, ptr, idx, seen, deg, sum) {
+		c := closure(a, lower)
+		ptr, idx = c.RowPtr, c.ColIdx
+		countSymmetric(n, ptr, idx, seen, deg, sum)
 	}
 
 	// Supervariables: rep[u] is the lowest-index vertex with u's closed
@@ -205,17 +197,21 @@ func eliminate(a *CSR, lower bool, perm []int) elimination {
 	return elimination{perm: perm, weight: weight, end: end, deg: deg, adj: adj, rep: rep, seen: seen}
 }
 
-// symmetricRows reports whether every row of the n×n pattern ptr/idx lists
-// its entries in strictly ascending order and the pattern is symmetric —
-// the layout the gain plan builds, which the elimination then reads as it
-// is. Rows are matched in one pass: row i's entries below the diagonal must
-// meet the entries above the diagonal of rows j < i in order, each of which
-// cur[j] points at next. cur is scratch of n entries, left zero.
-func symmetricRows(n int, ptr, idx, cur []int) bool {
+// countSymmetric reports whether every row of the n×n pattern ptr/idx
+// lists its entries in strictly ascending order and the pattern is
+// symmetric — the layout the gain plan builds, which the elimination then
+// reads as it is — and counts each row's off-diagonal entries into deg and
+// adds up its closed neighborhood into sum on the way, which are whole only
+// where it reports true. Rows are matched in one pass: row i's entries below
+// the diagonal must meet the entries above the diagonal of rows j < i in
+// order, each of which cur[j] points at next. cur is scratch of n entries,
+// left zero.
+func countSymmetric(n int, ptr, idx, cur, deg, sum []int) bool {
 	defer clear(cur)
 	for i := 0; i < n; i++ {
 		lo, hi := ptr[i], ptr[i+1]
 		cur[i] = hi
+		d, s := 0, i
 		for k := lo; k < hi; k++ {
 			j := idx[k]
 			switch {
@@ -229,7 +225,12 @@ func symmetricRows(n int, ptr, idx, cur []int) bool {
 			case j > i && cur[i] == hi:
 				cur[i] = k
 			}
+			if j != i {
+				d++
+				s += j
+			}
 		}
+		deg[i], sum[i] = d, s
 	}
 	for j := 0; j < n; j++ {
 		if cur[j] != ptr[j+1] {

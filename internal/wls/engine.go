@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/meas"
 	"repro/internal/sparse"
@@ -54,9 +55,9 @@ type Engine struct {
 	// while the last refresh broke down.
 	ldl *sparse.LDLFactor
 	// analysis is the LDLᵀ analysis running beside an engine's first solve
-	// (startAnalysis); refactor and CloneFor join it. inlineAnalysis keeps
-	// it on the caller, for tests.
-	analysis       chan ldlAnalysis
+	// (startAnalysis, or EstimateFrame's goroutine); refactor and CloneFor
+	// join it. inlineAnalysis keeps it on the caller, for tests.
+	analysis       *pendingAnalysis
 	inlineAnalysis bool
 
 	// reuse anchors the drift-gated numeric-reuse tier (Options.GainReuse):
@@ -76,10 +77,19 @@ type Engine struct {
 
 const maskedStale = -2
 
-// ldlAnalysis is what an overlapped sparse.AnalyzeLDLPool returns.
-type ldlAnalysis struct {
-	f   *sparse.LDLFactor
-	err error
+// pendingAnalysis is an overlapped sparse.AnalyzeLDLPool: f and err are
+// set once done is.
+type pendingAnalysis struct {
+	done sync.WaitGroup
+	f    *sparse.LDLFactor
+	err  error
+}
+
+// run analyzes g for pool and marks the analysis done; done must have been
+// added to.
+func (a *pendingAnalysis) run(g *sparse.CSR, pool *sparse.Pool) {
+	a.f, a.err = sparse.AnalyzeLDLPool(g, pool)
+	a.done.Done()
 }
 
 // gainReuse is the numeric-reuse anchor carried across Gauss–Newton
@@ -93,14 +103,16 @@ type gainReuse struct {
 }
 
 // NewEngine builds the symbolic plans and buffers for the model: the
-// Jacobian plan, and the gain plan on the pattern of G the model writes in
-// closed form (Model.GainPattern). They are the expensive part of a cold
-// solve, with the LDLᵀ analysis its first solve starts, not a rounding
-// error on it (DESIGN §8 has the attribution), so whoever solves the same
-// structure again keeps the engine and Rebinds it.
+// Jacobian plan, and the gain plan on the pattern of G that
+// meas.GainPattern writes in closed form from the model's network, meters
+// and reference. They are the expensive part of a cold solve, with the
+// LDLᵀ analysis its first solve starts, not a rounding error on it (DESIGN
+// §8 has the attribution), so whoever solves the same structure again keeps
+// the engine and Rebinds it.
 func NewEngine(mod *meas.Model) *Engine {
 	jplan := mod.NewJacobianPlan()
-	return newEngine(mod, jplan, sparse.NewGainPlanOn(jplan.H, mod.GainPattern()))
+	g, _ := meas.GainPattern(mod.Net, mod.Meas, mod.RefBus())
+	return newEngine(mod, jplan, gainPlan(jplan.H, g))
 }
 
 // newEngine allocates an engine's numeric buffers around its two plans.
@@ -230,7 +242,9 @@ func (e *Engine) EstimateCtx(ctx context.Context, opts Options) (*Result, error)
 }
 
 // estimateWeighted is the Gauss–Newton core: per-measurement weight scaling
-// (nil = all ones) is applied on top of the 1/σ² base weights.
+// (nil = all ones) is applied on top of the 1/σ² base weights. It starts
+// the LDLᵀ analysis if the engine has none and none is pending, which on a
+// one-shot solve (EstimateCtx, EstimateFrame) has started already.
 func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []float64) (*Result, error) {
 	mod := e.mod
 	tol := opts.Tol
@@ -653,25 +667,24 @@ func (e *Engine) kernelPool(opts Options) *sparse.Pool {
 
 // startAnalysis starts the LDLᵀ analysis of g, G's pattern, on a goroutine
 // when a solve is about to factor for the first time and the factor will
-// run on the pool: the analysis reads only the pattern, which the model
-// fixes, so what the caller does meanwhile — the plans of a one-shot solve,
-// the first step's numerics — overlaps it. g must be, or share its index
-// arrays with, the gain plan's G. The goroutine ends with the analysis, and
-// the channel holds its result, so an engine dropped unjoined, or a solve
-// that fails before it factors, leaks nothing. Below the pool's gates the
-// analysis runs where refactor needs it.
+// run on the pool: the analysis reads only the pattern, which the network
+// and the meters fix, so what the caller does meanwhile — the plans of a
+// one-shot solve, the first step's numerics — overlaps it. g must be, or
+// share its index arrays with, the gain plan's G. The goroutine ends with
+// the analysis, which holds its result, so an engine dropped unjoined, or
+// a solve that fails before it factors, leaks nothing. Below
+// the pool's gates the analysis runs where refactor needs it. EstimateFrame
+// starts the analysis earlier, on the goroutine that writes the pattern
+// (startFrame), and calls this only where that goroutine had not started.
 func (e *Engine) startAnalysis(g *sparse.CSR, opts Options) {
 	pool := e.kernelPool(opts)
 	if e.ldl != nil || e.analysis != nil || e.inlineAnalysis ||
 		pool.Workers() <= 1 || g.NNZ() < sparse.ParallelNNZThreshold {
 		return
 	}
-	ch := make(chan ldlAnalysis, 1)
-	e.analysis = ch
-	go func() {
-		f, err := sparse.AnalyzeLDLPool(g, pool)
-		ch <- ldlAnalysis{f, err}
-	}()
+	e.analysis = &pendingAnalysis{}
+	e.analysis.done.Add(1)
+	go e.analysis.run(g, pool)
 }
 
 // joinAnalysis waits for a pending analysis and takes its factor.
@@ -679,7 +692,8 @@ func (e *Engine) joinAnalysis() error {
 	if e.analysis == nil {
 		return nil
 	}
-	a := <-e.analysis
+	a := e.analysis
+	a.done.Wait()
 	e.analysis, e.ldl = nil, a.f
 	return a.err
 }

@@ -423,3 +423,24 @@ func TestLDLAnalysisSurvivesNumericResets(t *testing.T) {
 	eng.UnmaskAll()
 	check("mask, breakdown and unmask")
 }
+
+// TestEngineOnMetersEditedInPlace: a model keeps the caller's measurement
+// slice, so its meters can be edited past NewModel's checks after it was
+// built. meas.GainPattern refuses such a set — here a NaN value — and the
+// engine then walks G's pattern off H instead, which is the pattern the
+// closed form wrote before the edit; the one-shot solve builds on it too.
+func TestEngineOnMetersEditedInPlace(t *testing.T) {
+	mod := engineTestModel(t, grid.Case14, 0.01, 1)
+	want := NewEngine(mod).gplan.G
+	mod.Meas[0].Value = math.NaN()
+	if _, ok := meas.GainPattern(mod.Net, mod.Meas, mod.RefBus()); ok {
+		t.Fatal("meas.GainPattern accepts a NaN value")
+	}
+	got := NewEngine(mod).gplan.G
+	if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+		t.Fatalf("the walked pattern (%d entries) is not the closed form's (%d)", len(got.ColIdx), len(want.ColIdx))
+	}
+	if _, err := Estimate(mod, Options{MaxIter: 2}); err == nil {
+		t.Fatal("a NaN measurement value estimated without error")
+	}
+}

@@ -176,11 +176,3 @@ var ErrUnobservable = errors.New("wls: network unobservable with given measureme
 func Estimate(mod *meas.Model, opts Options) (*Result, error) {
 	return EstimateCtx(context.Background(), mod, opts)
 }
-
-// EstimateCtx runs Gauss–Newton WLS estimation on the measurement model.
-// Cancellation is checked at the top of every Gauss–Newton iteration, so
-// an expired or canceled context aborts the solve with ctx.Err() instead
-// of finishing the current estimation.
-func EstimateCtx(ctx context.Context, mod *meas.Model, opts Options) (*Result, error) {
-	return estimateWeighted(ctx, mod, opts, nil)
-}

@@ -21,13 +21,7 @@ import (
 // solve analyzes beside its first step and factors on the pool.
 func weccModel(t *testing.T) *meas.Model {
 	t.Helper()
-	return engineTestModel(t, func() *grid.Network {
-		n, err := grid.SynthWECC(grid.SynthOptions{Areas: 12, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}, 1, 4)
+	return engineTestModel(t, synthWECC(t, 12), 1, 4)
 }
 
 // pooledEngine is an engine on pool, which has two workers whatever
@@ -186,8 +180,13 @@ func TestPendingAnalysis(t *testing.T) {
 // diagonal, drops its error), and on a context canceled before the first
 // step the wrapped context.Canceled; both return without waiting for the
 // analysis, whose goroutine then ends on its own, leaving its result in the
-// buffered channel. GOMAXPROCS 2 puts the analysis on its goroutine also
-// under -cpu 1 on a machine with two CPUs or more.
+// unjoined analysis. The frame path's goroutine, once it has claimed the
+// pattern, is left the same way: a frame NewModel rejects — a meter at an
+// unknown bus, a flow on a branch out of service, a NaN value — returns
+// NewModel's error (the goroutine refuses the frame and analyzes nothing),
+// and a canceled context the wrapped context.Canceled. GOMAXPROCS 2 puts the
+// analysis on its goroutine also under -cpu 1 on a machine with two CPUs or
+// more.
 func TestOneShotEarlyAnalysisEnds(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	full := weccModel(t)
@@ -222,6 +221,38 @@ func TestOneShotEarlyAnalysisEnds(t *testing.T) {
 		}
 		if _, err := EstimateCtx(canceled, full, Options{}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("canceled before the first step: %v, want context.Canceled", err)
+		}
+	}
+
+	claimed := func(job *frameJob) {
+		for !job.claimed.Load() {
+			runtime.Gosched()
+		}
+	}
+	flow := slices.IndexFunc(full.Meas, func(m meas.Measurement) bool { return m.Kind == meas.Pflow })
+	outNet := full.Net.Clone()
+	outNet.Branches[full.Meas[flow].Branch].Status = false
+	unknown := append(slices.Clone(full.Meas), meas.Measurement{Kind: meas.Vmag, Bus: -7, Sigma: 0.01})
+	nan := slices.Clone(full.Meas)
+	nan[3].Value = math.NaN()
+	for _, c := range []struct {
+		name string
+		net  *grid.Network
+		ms   []meas.Measurement
+	}{{"unknown bus", full.Net, unknown}, {"flow out of service", outNet, full.Meas}, {"NaN value", full.Net, nan}} {
+		_, want := meas.NewModel(c.net, c.ms, ref, 0)
+		if want == nil {
+			t.Fatalf("%s: NewModel accepts the frame", c.name)
+		}
+		for i := 0; i < 5; i++ {
+			if _, err := estimateFrame(context.Background(), c.net, c.ms, ref, 0, Options{}, claimed); err == nil || err.Error() != want.Error() {
+				t.Fatalf("frame path, %s: %v, want NewModel's %v", c.name, err, want)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := estimateFrame(canceled, full.Net, full.Meas, ref, 0, Options{}, claimed); !errors.Is(err, context.Canceled) {
+			t.Fatalf("frame path, canceled before the first step: %v, want context.Canceled", err)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)

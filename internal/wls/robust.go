@@ -110,23 +110,3 @@ func EstimateRobust(mod *meas.Model, opts RobustOptions) (*RobustResult, error) 
 	}
 	return out, nil
 }
-
-// estimateWeighted is the Gauss–Newton core shared by Estimate and the
-// robust estimator, now routed through a single-use solver engine. Callers
-// that solve the same structure repeatedly (IRLS, DSE rounds, tracking)
-// should hold an Engine and call its methods instead.
-func estimateWeighted(ctx context.Context, mod *meas.Model, opts Options, scale []float64) (*Result, error) {
-	if mod.NMeas() < mod.NState() {
-		return nil, fmt.Errorf("%w: %d measurements < %d states", ErrUnobservable, mod.NMeas(), mod.NState())
-	}
-	// The analysis reads only G's pattern, which the model fixes
-	// (Model.GainPattern), so a one-shot solve starts it before the Jacobian
-	// plan, the gain plan built on that pattern and the buffers are made.
-	g := mod.GainPattern()
-	e := &Engine{mod: mod, pool: sparse.DefaultPool()}
-	e.startAnalysis(g, opts)
-	e.jplan = mod.NewJacobianPlan()
-	e.gplan = sparse.NewGainPlanOn(e.jplan.H, g)
-	e.allocate()
-	return e.estimateWeighted(ctx, opts, scale)
-}
