@@ -100,8 +100,8 @@ func main() {
 	}
 	fmt.Printf("case %s: %d measurements over %d states (redundancy %.2f)\n",
 		net.Name, len(ms), 2*net.N()-1, float64(len(ms))/float64(2*net.N()-1))
-	fmt.Printf("reuse %s: %d Gauss-Newton iterations (%d refreshes, %d lagged, %d guard rollbacks), %d CG iterations, J = %.2f\n",
-		opts.GainReuse, res.Iterations, res.GainRefreshes, res.GainSkips, res.ReuseFallbacks, res.CGIterations, res.ObjectiveJ)
+	fmt.Printf("reuse %s: %d Gauss-Newton iterations (%d refreshes, %d lagged, %d guard rollbacks), J = %.2f\n",
+		opts.GainReuse, res.Iterations, res.GainRefreshes, res.GainSkips, res.ReuseFallbacks, res.ObjectiveJ)
 
 	var worstVm, worstVa float64
 	for i := range truth.State.Vm {

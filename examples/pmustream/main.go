@@ -41,8 +41,8 @@ func main() {
 
 	fmt.Printf("streaming %d frames at cycle %v (noise level %.3f per frame)\n\n",
 		*frames, feed.Cycle, gridse.NoiseFromTimeFrame(feed.Cycle))
-	fmt.Println("frame |  iters  cg-iters   solve-time |  max|Vm err|")
-	fmt.Println("------+------------------------------+-------------")
+	fmt.Println("frame |  iters   solve-time |  max|Vm err|")
+	fmt.Println("------+--------------------+-------------")
 
 	var warm []float64
 	for k := 0; k < *frames; k++ {
@@ -68,8 +68,8 @@ func main() {
 				worst = d
 			}
 		}
-		fmt.Printf("%5d | %6d %9d %12v | %11.5f\n",
-			frame.Seq, res.Iterations, res.CGIterations, elapsed.Round(time.Microsecond), worst)
+		fmt.Printf("%5d | %6d %12v | %11.5f\n",
+			frame.Seq, res.Iterations, elapsed.Round(time.Microsecond), worst)
 	}
 	fmt.Println("\nwarm starts keep later frames cheaper than the first — the streaming win.")
 }

@@ -36,8 +36,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("estimate: %v", err)
 	}
-	fmt.Printf("WLS converged in %d Gauss-Newton iterations, %d inner CG iterations, J = %.1f\n\n",
-		est.Iterations, est.CGIterations, est.ObjectiveJ)
+	fmt.Printf("WLS converged in %d Gauss-Newton iterations, J = %.1f\n\n",
+		est.Iterations, est.ObjectiveJ)
 
 	fmt.Println("bus |   true Vm    est Vm |  true Va°   est Va°")
 	fmt.Println("----+---------------------+--------------------")

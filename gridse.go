@@ -7,8 +7,9 @@
 //
 //   - IEEE 14/30/118-bus network models and AC power flow (ground truth),
 //   - SCADA/PMU measurement simulation,
-//   - weighted-least-squares state estimation with a parallel
-//     preconditioned-conjugate-gradient gain solver,
+//   - weighted-least-squares state estimation whose gain system is solved
+//     by one sparse LDLᵀ factor, refreshed on the shared worker pool (the
+//     paper's PCG is replaced, not kept beside it),
 //   - power-system decomposition with boundary/sensitive-bus analysis,
 //   - the two-step distributed state-estimation (DSE) algorithm,
 //   - METIS-style multilevel graph partitioning and the Expression (1)–(5)

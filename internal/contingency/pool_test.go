@@ -554,13 +554,12 @@ func ringUnobservableFixture(t *testing.T) (*grid.Network, []meas.Measurement) {
 	return n, frame
 }
 
-// TestPoolPrecondBreakdownDegradesToJacobi: outage 3 of the ring fixture
-// has a singular gain at the flat start — semidefinite but consistent, so
-// Jacobi-CG solves it while no factor exists. The pool must run those
-// refreshes on the Jacobi stand-in, count them through SweepStats, and land
-// within 1e-9 of a warm re-screen of the same case, which starts at that
-// estimate, where the gain factors, and records no breakdown.
-func TestPoolPrecondBreakdownDegradesToJacobi(t *testing.T) {
+// TestPoolFlatStartBreakdownRecovers: outage 3 of the ring fixture has a
+// singular gain at the flat start only. The pool must take damped steps on
+// those refreshes, count them through SweepStats, and land within 1e-9 of a
+// warm re-screen of the same case, which starts at that estimate, where the
+// gain factors, and records no breakdown.
+func TestPoolFlatStartBreakdownRecovers(t *testing.T) {
 	n, frame := ringUnobservableFixture(t)
 	pool, err := NewPool(n, PoolOptions{WLS: wls.Options{Tol: 1e-9}})
 	if err != nil {

@@ -1,3 +1,8 @@
+// The program runs no CG: the estimator solves its gain by LDLᵀ
+// substitution alone, and CG, its workspace and options, warm start
+// included, and the Operator interface stay only because
+// benchmark/replay.go times a Jacobi-PCG and IC0 gain solve.
+
 package sparse
 
 import (
@@ -51,8 +56,7 @@ type CGOptions struct {
 	// variables a blocked operator appends (see BSR): a padding position
 	// gathers 0 from b and is skipped on the outward scatter, so len(Perm)
 	// tracks the operator dimension while b and X0 keep the original
-	// (unpadded) length. The estimator solves in natural order; the field
-	// stays only because benchmark/replay.go still sets it.
+	// (unpadded) length.
 	Perm []int
 }
 

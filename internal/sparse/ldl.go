@@ -9,9 +9,10 @@ import (
 
 // LDLFactor is a complete sparse factorization P·A·Pᵀ = L·D·Lᵀ of a
 // symmetric positive-definite matrix (L unit lower triangular, D diagonal).
-// Apply is a direct solve, and how the estimator solves its gain system; the
-// factor is also a Preconditioner, so CG can polish a substitution that
-// misses its tolerance, or iterate on an operator the factor lags.
+// Apply is a direct solve, and how the estimator solves its gain system,
+// refining a substitution that misses its tolerance on the same factor; it
+// also makes the factor a Preconditioner, which only tests and
+// benchmarks hand to CG.
 //
 // The work splits the way the gain plans split theirs. AnalyzeLDL is the
 // symbolic half, paid once per sparsity pattern: the factor's own
@@ -24,8 +25,7 @@ import (
 // instead of walking the tree again, rewrites L and D in place and
 // allocates nothing but the error of a breakdown. The permutation lives
 // inside the factor — Apply takes and returns vectors in the matrix's own
-// order — so the matrix, the CG iteration and every other consumer of it
-// stay in natural order.
+// order — so the matrix and every consumer of it stay in natural order.
 //
 // Row k of L reads and writes only columns in k's subtree of the
 // elimination tree, so RefreshPool factors disjoint subtrees side by side

@@ -364,6 +364,86 @@ func patternOf(n int, edges [][2]int) *CSR {
 	return coo.ToCSR()
 }
 
+// repeatEntry returns a copy of the symmetric pattern a, whose rows ascend,
+// with its k-th off-diagonal entry (i, j) above the diagonal, counted mod
+// their number, stored twice in row i and (j, i) twice in row j, each copy
+// beside the original. The rows still ascend, though not strictly, and
+// still match each other entry for entry, so only the strict order tells
+// the ordering to read the closure instead. a without an off-diagonal entry
+// is returned as it is.
+func repeatEntry(a *CSR, k int) *CSR {
+	rows := make([][]int, a.Rows)
+	var upper [][2]int
+	for r := range rows {
+		rows[r] = slices.Clone(a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]])
+		for _, c := range rows[r] {
+			if c > r {
+				upper = append(upper, [2]int{r, c})
+			}
+		}
+	}
+	if len(upper) == 0 {
+		return a
+	}
+	e := upper[k%len(upper)]
+	for _, rc := range [][2]int{e, {e[1], e[0]}} {
+		r := rows[rc[0]]
+		rows[rc[0]] = slices.Insert(r, slices.Index(r, rc[1]), rc[1])
+	}
+	b := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, 1, a.Rows+1)}
+	for _, r := range rows {
+		b.ColIdx = append(b.ColIdx, r...)
+		b.RowPtr = append(b.RowPtr, len(b.ColIdx))
+	}
+	b.Val = make([]float64, len(b.ColIdx))
+	return b
+}
+
+// TestOrderingReadsRepeatedEntriesAsTheClosure: a symmetric pattern that
+// stores one entry twice in both its rows passes the check that rows match
+// each other; only their strict order sends it to the closure, whose
+// ordering MinDegree and AnalyzeLDL must return. Counted as it stands, the
+// repeated entry lifts two degrees: on a path, an end's to an inner
+// vertex's, so the elimination would start from the other end.
+func TestOrderingReadsRepeatedEntriesAsTheClosure(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []struct {
+		name string
+		a    *CSR
+	}{
+		{"path", patternOf(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})},
+		{"random-gain", gainFixture(rng, 60, 80)},
+	} {
+		want := MinDegree(c.a)
+		fill := fillOf(c.a, minDegreeReference(c.a))
+		clean, err := AnalyzeLDL(c.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 3; k++ {
+			dup := repeatEntry(c.a, k)
+			if len(dup.ColIdx) != len(c.a.ColIdx)+2 {
+				t.Fatalf("%s: no entry repeated", c.name)
+			}
+			perm := MinDegree(dup)
+			if !slices.Equal(perm, want) {
+				t.Errorf("%s, entry %d repeated: ordering %v, the closure's %v", c.name, k, perm, want)
+			}
+			if got := fillOf(c.a, perm); got != fill {
+				t.Errorf("%s, entry %d repeated: fill %d, the closure's %d", c.name, k, got, fill)
+			}
+			f, err := AnalyzeLDL(dup)
+			if err != nil {
+				t.Fatalf("%s, entry %d repeated: %v", c.name, k, err)
+			}
+			if !slices.Equal(f.perm, clean.perm) || f.FactorNNZ() != clean.FactorNNZ() {
+				t.Errorf("%s, entry %d repeated: analysis orders %v with %d fill entries, the closure's %v with %d",
+					c.name, k, f.perm, f.FactorNNZ(), clean.perm, clean.FactorNNZ())
+			}
+		}
+	}
+}
+
 // twinClasses groups the vertices of a's symmetrized pattern by closed
 // neighborhood, by brute force: class[v] is the lowest vertex u with
 // N[u] = N[v].
@@ -476,15 +556,17 @@ func TestMinDegreeSupervariables(t *testing.T) {
 }
 
 // FuzzMinDegree turns bytes into a small symmetric pattern — pairs of bytes
-// are edges, and a third byte in three copies an edge's end onto a twin — and
-// checks the ordering is a permutation that keeps supervariables together and
-// fills exactly as the scalar elimination does.
+// are edges, a third byte in three copies an edge's end onto a twin, and an
+// odd byte out repeats an entry in both its rows (repeatEntry) — and checks
+// the ordering is a permutation that keeps supervariables together, fills
+// exactly as the scalar elimination does and is the closure's.
 func FuzzMinDegree(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(1), []byte{0, 0})
 	f.Add(uint8(7), []byte{0, 1, 1, 2, 0, 2, 3, 4, 4, 5, 3, 5})
 	f.Add(uint8(12), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 11, 3, 9, 1, 1})
 	f.Add(uint8(40), []byte("a gain matrix is a two-hop graph of the network"))
+	f.Add(uint8(5), []byte{0, 1, 1, 2, 2, 3, 3, 4, 0})
 	f.Fuzz(func(t *testing.T, size uint8, data []byte) {
 		n := int(size) % 48
 		var edges [][2]int
@@ -497,7 +579,14 @@ func FuzzMinDegree(f *testing.F) {
 			}
 		}
 		a := patternOf(n, edges)
+		closed := MinDegree(a)
+		if len(data)%2 == 1 {
+			a = repeatEntry(a, int(data[len(data)-1]))
+		}
 		perm := MinDegree(a)
+		if !slices.Equal(perm, closed) {
+			t.Fatalf("ordering %v, the closure's %v (n=%d, edges %v)", perm, closed, n, edges)
+		}
 		assertSupervariableOrder(t, "fuzz", a, perm)
 		if got, ref := fillOf(a, perm), fillOf(a, minDegreeReference(a)); got != ref {
 			t.Fatalf("fill %d, scalar elimination leaves %d (n=%d, edges %v)", got, ref, n, edges)

@@ -1,3 +1,7 @@
+// The program runs no preconditioner: Jacobi and IC0 stay only because
+// benchmark/replay.go times them, and ErrNotSPD because the LDLᵀ factor's
+// PivotError is one.
+
 package sparse
 
 import (
@@ -26,10 +30,9 @@ func (IdentityPreconditioner) Apply(z, r []float64) { copy(z, r) }
 // Name implements Preconditioner.
 func (IdentityPreconditioner) Name() string { return "none" }
 
-// JacobiPreconditioner scales by the inverse diagonal of A. It is the
-// preconditioner used by default in the parallel PCG state-estimation
-// solver: embarrassingly parallel and effective on diagonally dominant
-// gain matrices.
+// JacobiPreconditioner scales by the inverse diagonal of A: the
+// preconditioner of the paper's parallel PCG gain solve, embarrassingly
+// parallel and effective on diagonally dominant gain matrices.
 type JacobiPreconditioner struct {
 	invDiag []float64
 }

@@ -26,14 +26,13 @@ func primeGainSystem(e *Engine, opts Options) {
 // TestFactorSolvePolishedWhenCheckFails drives the branch no healthy gain
 // reaches: a factor that does not solve G to the tolerance. The factor is
 // refreshed from a copy of G scaled by 1 + 1e-3, so its substitution leaves
-// a 1e-3 relative residual; the verified solve must notice, hand CG that
-// factor as preconditioner and that Δx as start, and return the dense
-// solution of the true G with the polish visible in CGIterations.
+// a 1e-3 relative residual; the checked solve must notice, refine Δx on
+// that factor and return the dense solution of the true G, passing the
+// residual check it was refined for.
 func TestFactorSolvePolishedWhenCheckFails(t *testing.T) {
 	mod := engineTestModel(t, grid.Case118, 0.01, 7)
 	e := NewEngine(mod)
-	opts := Options{}
-	primeGainSystem(e, opts)
+	primeGainSystem(e, Options{})
 	g := e.gplan.G
 	want, err := sparse.SolveDense(g.ToDense(), e.rhs)
 	if err != nil {
@@ -48,11 +47,9 @@ func TestFactorSolvePolishedWhenCheckFails(t *testing.T) {
 	if err := e.refactor(g, nil); err != nil {
 		t.Fatal(err)
 	}
-	res := &Result{}
-	dx, err := e.solveWith(e.ldl, opts, cgTol, true, res)
-	if err != nil || res.CGIterations != 0 || relErr(dx) > 1e-9 {
-		t.Fatalf("matched factor: err %v, %d CG iterations, relative error %.3g (want the substitution alone)",
-			err, res.CGIterations, relErr(dx))
+	dx, err := e.solveRefined(solveTol)
+	if err != nil || relErr(dx) > 1e-9 {
+		t.Fatalf("matched factor: err %v, relative error %.3g", err, relErr(dx))
 	}
 
 	off := g.Clone()
@@ -60,25 +57,27 @@ func TestFactorSolvePolishedWhenCheckFails(t *testing.T) {
 	if err := e.refactor(off, nil); err != nil {
 		t.Fatal(err)
 	}
-	res = &Result{}
-	dx, err = e.solveWith(e.ldl, opts, cgTol, false, res)
-	if err != nil || res.CGIterations != 0 || relErr(dx) < 1e-4 {
-		t.Fatalf("unverified solve on the scaled factor: err %v, %d CG iterations, relative error %.3g (want the bare 1e-3-off substitution)",
-			err, res.CGIterations, relErr(dx))
+	if dx := e.solveLagged(); relErr(dx) < 1e-4 {
+		t.Fatalf("unchecked solve on the scaled factor: relative error %.3g (want the bare 1e-3-off substitution)", relErr(dx))
 	}
-	res = &Result{}
-	dx, err = e.solveWith(e.ldl, opts, cgTol, true, res)
+	dx, err = e.solveRefined(solveTol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CGIterations == 0 || res.CGIterations > 4 {
-		t.Errorf("verified solve on the scaled factor: %d CG iterations (want a polish of 1 to 4)", res.CGIterations)
-	}
 	if rel := relErr(dx); rel > 1e-9 {
-		t.Errorf("polished Δx is %.3g off the dense solution of the true G", rel)
+		t.Errorf("refined Δx is %.3g off the dense solution of the true G", rel)
 	}
-	if !e.residualWithin(g, cgTol) {
-		t.Error("polished Δx fails the residual check it was polished for")
+	if !e.residualWithin(g, solveTol) {
+		t.Error("refined Δx fails the residual check it was refined for")
+	}
+
+	// A factor too far off for maxRefinements steps fails the solve.
+	off.Scale(1.5)
+	if err := e.refactor(off, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.solveRefined(solveTol); err == nil {
+		t.Error("a factor of 1.5·G passed the residual check within the refinement bound")
 	}
 }
 

@@ -22,9 +22,9 @@ import (
 //     pattern (sparse.GainPlan), row-parallel on the persistent worker pool,
 //   - the LDLᵀ factor refreshes its numerics on G's fixed pattern, subtrees
 //     of its elimination forest side by side on the pool, and its
-//     substitution is the gain solve,
-//   - where CG runs — a factorization breakdown, a substitution that fails
-//     its residual check — it reuses its iteration vectors.
+//     substitution is the gain solve: refined on the same factor where it
+//     fails its residual check, and on G + μ·diag(G) where G breaks the
+//     factorization down.
 //
 // One engine serves many solves: IRLS reweighting rounds, DSE Step-2
 // re-evaluation rounds, and successive tracking frames all reuse the same
@@ -36,24 +36,21 @@ type Engine struct {
 	pool  *sparse.Pool
 
 	// Persistent numeric buffers (m = measurements, n = states).
-	baseW, w, z, h, r []float64           // length m
-	rhs, dx           []float64           // length n
-	work              *sparse.CGWorkspace // made on the first CG solve
+	baseW, w, z, h, r []float64 // length m
+	rhs, dx           []float64 // length n
 
 	// masked counts the zero slots MaskMeasurement left in baseW, and
 	// maskedEmpty caches what they leave untouched: the first state only
 	// masked rows of H touch, −1 for none, maskedStale until asked.
 	masked, maskedEmpty int
 
-	pre     sparse.Preconditioner
-	havePre bool
-
 	// ldl is the LDLᵀ factor of gplan.G's pattern. Its symbolic analysis is
 	// plan-like: ColdStart, ResetReuse, Rebind, masks and a breakdown drop
 	// or overwrite its numerics only, and the ordering pass never repeats.
-	// pre holds it while the last refresh factored, and a Jacobi stand-in
-	// while the last refresh broke down.
-	ldl *sparse.LDLFactor
+	// factored says its numerics are G's as last refreshed, undamped, so a
+	// lagged step may solve on them.
+	ldl      *sparse.LDLFactor
+	factored bool
 	// analysis is the LDLᵀ analysis running beside an engine's first solve
 	// (startAnalysis, or EstimateFrame's goroutine); refactor and CloneFor
 	// join it. inlineAnalysis keeps it on the caller, for tests.
@@ -61,7 +58,7 @@ type Engine struct {
 	inlineAnalysis bool
 
 	// reuse anchors the drift-gated numeric-reuse tier (Options.GainReuse):
-	// the state and weights at the last full gain+preconditioner refresh.
+	// the state and weights at the last full gain and factor refresh.
 	reuse  gainReuse
 	xTrial []float64 // length n, lagged-gain guard trial iterate; G·Δx scratch of the factor check
 
@@ -155,21 +152,20 @@ func (e *Engine) CloneFor(view *meas.Model) (*Engine, error) {
 }
 
 // ResetReuse drops the drift-gated numeric-reuse anchor: the next gain
-// solve refreshes G and the preconditioner unconditionally regardless of
-// drift. Sessions call it at the start of standalone runs so repeated runs
-// stay bit-identical; tracking operation never needs it.
+// solve refreshes G and the factor unconditionally regardless of drift.
+// Sessions call it at the start of standalone runs so repeated runs stay
+// bit-identical; tracking operation never needs it.
 func (e *Engine) ResetReuse() { e.reuse.valid = false }
 
 // ColdStart drops every numeric carry the engine keeps across solves — the
-// drift-gated reuse anchor and the cached preconditioner numerics — so the
+// drift-gated reuse anchor and the cached factor numerics — so the
 // next solve runs the full refresh path exactly as a freshly constructed
 // engine would, while keeping all symbolic plans. Session pools call it
 // when re-anchoring a pooled what-if engine (contingency.Pool.ResetAnchors);
 // for a single-solve reset of the reuse tier alone, ResetReuse suffices.
 func (e *Engine) ColdStart() {
 	e.reuse.valid = false
-	e.havePre = false
-	e.pre = nil
+	e.factored = false
 }
 
 // Model returns the model the engine is currently bound to.
@@ -305,6 +301,7 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 
 	res := &Result{}
 	prevStep := math.Inf(1)
+	var damped *sparse.PivotError // the last refresh's breakdown, nil if it factored
 	for iter := 0; iter < maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("wls: canceled at iteration %d: %w", iter, err)
@@ -321,24 +318,23 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 		e.hValid, e.rhsValid = false, false
 
 		var dx []float64
-		var err error
 		lagged := false
 		if lagging {
-			if dx, err = e.solveGain(opts, cgTol, true, res); err == nil && e.trialImproves(x, dx, tol) {
+			if dx = e.solveLagged(); e.trialImproves(x, dx, tol) {
 				res.GainSkips++
 				res.PrecondSkips++
 				lagged = true
 			} else {
-				// Guard tripped: the stale operator stalled the descent or the
-				// solve failed outright. Refresh at the current iterate and
-				// re-solve; the trial's pass went to rhsTrial, so rhs still
-				// holds HᵀW·r for x.
+				// Guard tripped: the stale operator stalled the descent.
+				// Refresh at the current iterate and re-solve; the trial's
+				// pass went to rhsTrial, so rhs still holds HᵀW·r for x.
 				res.ReuseFallbacks++
 				dx = nil
 			}
 		}
 		if dx == nil {
-			if dx, err = e.refreshStep(x, e.jplan.Refresh(x), opts, lag, res); err != nil {
+			var err error
+			if dx, damped, err = e.refreshStep(x, e.jplan.Refresh(x), opts, lag, res); err != nil {
 				return nil, err
 			}
 		}
@@ -357,6 +353,10 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 			break
 		}
 	}
+	if damped != nil {
+		// The estimate rests on a damped step: G is singular at it.
+		return nil, e.unobservableAt(damped)
+	}
 	e.finish(res, x)
 	if !res.Converged {
 		return res, fmt.Errorf("%w after %d iterations", ErrNotConverged, res.Iterations)
@@ -365,7 +365,7 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 }
 
 // untouchedState reports a state whose column of H is structurally empty.
-// No solve can move it: the factor finds no diagonal and Jacobi a zero one.
+// No solve can move it: the factor finds a zero diagonal, damped or not.
 //
 // Masked rows count as absent: the plan's check is structural and cannot
 // see a zero weight, so with masks set the unmasked rows of H are walked
@@ -399,7 +399,7 @@ func (e *Engine) untouchedState() error {
 // linear (PMU-only) estimation problem, reusing the engine's plans.
 // Semantics match LinearPMUEstimate's solve.
 func (e *Engine) SolveLinear(opts Options) (*Result, error) {
-	// The linear solve rewrites G and the preconditioner outside the
+	// The linear solve rewrites G and the factor outside the
 	// drift-gate bookkeeping, so any reuse anchor is stale afterwards, and so
 	// is an h/r carry an Estimate that returned early left behind.
 	e.reuse.valid = false
@@ -420,7 +420,10 @@ func (e *Engine) SolveLinear(opts Options) (*Result, error) {
 	res := &Result{Converged: true}
 	res.Iterations = 1
 	e.refreshGain(hj, opts)
-	dx, err := e.solveGain(opts, cgTolLinear, false, res)
+	dx, damped, err := e.solveGain(opts, solveTolLinear, res)
+	if err == nil && damped != nil {
+		err = e.unobservableAt(damped)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("wls: linear PMU solve: %w", err)
 	}
@@ -467,11 +470,11 @@ func (e *Engine) refreshGain(hj *sparse.CSR, opts Options) {
 // scaled state drift from the anchor must sit under the gate. Anything else
 // is a full refresh.
 func (e *Engine) canLag(x []float64, opts Options) bool {
-	return e.reuse.valid && e.havePre && sparse.ScaledDriftInf(x, e.reuse.x) <= ReuseGainGateDefault
+	return e.reuse.valid && e.factored && sparse.ScaledDriftInf(x, e.reuse.x) <= ReuseGainGateDefault
 }
 
-// noteRefresh anchors the reuse state after a fresh gain + preconditioner
-// refresh whose solve succeeded at iterate x.
+// noteRefresh anchors the reuse state after a fresh gain and factor refresh
+// whose solve succeeded at iterate x.
 func (e *Engine) noteRefresh(x []float64) {
 	copy(e.reuse.x, x)
 	copy(e.reuse.w, e.w)
@@ -522,121 +525,125 @@ func (e *Engine) trialImproves(x, dx []float64, tol float64) bool {
 	return false
 }
 
-// refreshStep produces one exact Gauss–Newton step for the iterate x: it
-// refreshes the gain and the preconditioner from H(x), solves G·Δx = HᵀW·r
-// on the right-hand side the fused pass at x left in rhs, and maintains the
-// reuse anchor plus the result's refresh counter. The returned slice
-// aliases the engine's dx buffer, like solveGain's.
-func (e *Engine) refreshStep(x []float64, hj *sparse.CSR, opts Options, lag bool, res *Result) ([]float64, error) {
+// refreshStep produces one Gauss–Newton step for the iterate x: it
+// refreshes the gain and the factor from H(x), solves G·Δx = HᵀW·r on the
+// right-hand side the fused pass at x left in rhs, and maintains the reuse
+// anchor plus the result's refresh counter. A damped step (solveGain)
+// comes back with its breakdown and anchors no reuse. The returned slice
+// aliases the engine's dx buffer.
+func (e *Engine) refreshStep(x []float64, hj *sparse.CSR, opts Options, lag bool, res *Result) ([]float64, *sparse.PivotError, error) {
 	e.refreshGain(hj, opts)
-	dx, err := e.solveGain(opts, cgTol, false, res)
+	dx, damped, err := e.solveGain(opts, solveTol, res)
 	res.GainRefreshes++
-	if err != nil {
+	if err != nil || damped != nil {
 		e.reuse.valid = false
-		return nil, err
+		return dx, damped, err
 	}
 	if lag {
 		e.noteRefresh(x)
 	}
+	return dx, nil, nil
+}
+
+// The gain solve's constants: the relative residual bounds a fresh
+// factor's substitution is checked against, ‖rhs − G·Δx‖₂ ≤ tol·‖rhs‖₂, of a
+// Gauss–Newton step and of the single solve of the linear (PMU-only)
+// problem, which has no later iteration to absorb an inexact one; the
+// refinement steps a substitution may take to pass (one off by a relative
+// δ gains about a factor δ a step); and μ of the Levenberg–Marquardt step a
+// breakdown takes, far below any weight ratio a solvable gain needs and far
+// above the factor's pivot floor, so G + μ·diag(G) factors wherever G's
+// diagonal is positive.
+const (
+	solveTol         = 1e-10
+	solveTolLinear   = 1e-12
+	maxRefinements   = 4
+	breakdownDamping = 1e-8
+)
+
+// solveLagged solves G·Δx = rhs by one substitution on the factor as it
+// stands into the engine's dx buffer and returns it.
+func (e *Engine) solveLagged() []float64 {
+	e.ldl.Apply(e.dx, e.rhs)
+	return e.dx
+}
+
+// solveGain refactors G and solves G·Δx = rhs into the engine's dx buffer
+// and returns it, checked and refined by solveRefined. Where G breaks the
+// factorization down it takes refactorDamped's factor instead and returns
+// that step unchecked beside the breakdown: a damped step is no solution
+// of G, and refining toward one diverges on a singular G.
+func (e *Engine) solveGain(opts Options, tol float64, res *Result) ([]float64, *sparse.PivotError, error) {
+	err := e.refactor(e.gplan.G, e.kernelPool(opts))
+	if e.factored = err == nil; e.factored {
+		dx, err := e.solveRefined(tol)
+		return dx, nil, err
+	}
+	pe, err := e.refactorDamped(err, opts, res)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.solveLagged(), pe, nil
+}
+
+// refactorDamped answers a failed refresh of G: a breakdown refactors
+// G + μ·diag(G) on the same analysis, counted in res.PrecondFallbacks, and
+// returns the breakdown; a damped gain that breaks down too is
+// ErrUnobservable. It is apart from solveGain because the error it
+// inspects escapes, and so costs an allocation only where a refresh failed.
+func (e *Engine) refactorDamped(err error, opts Options, res *Result) (*sparse.PivotError, error) {
+	var pe *sparse.PivotError
+	if !errors.As(err, &pe) {
+		return nil, fmt.Errorf("wls: gain factorization: %w", err)
+	}
+	res.PrecondFallbacks++
+	g := e.gplan.G
+	d := g.SharePattern()
+	copy(d.Val, g.Val)
+	for i := range g.Rows { // every row of G holds its diagonal: the analysis requires it
+		d.Val[g.RowPtr[i]+slices.Index(g.ColIdx[g.RowPtr[i]:g.RowPtr[i+1]], i)] *= 1 + breakdownDamping
+	}
+	var again *sparse.PivotError
+	if errors.As(e.ldl.RefreshPool(d, e.kernelPool(opts)), &again) { // d has G's pattern: only a pivot fails it
+		return nil, e.unobservableAt(again)
+	}
+	return pe, nil
+}
+
+// solveRefined solves G·Δx = rhs on a fresh factor of G into the engine's
+// dx buffer and returns it: one substitution, checked against tol and
+// refined on the same factor, Δx += F⁻¹(rhs − G·Δx), until it passes, at
+// most maxRefinements times and not at all past a NaN.
+func (e *Engine) solveRefined(tol float64) ([]float64, error) {
+	g, dx := e.gplan.G, e.solveLagged()
+	for k := 0; !e.residualWithin(g, tol); k++ {
+		if r := sparse.Norm2(e.xTrial); k == maxRefinements || math.IsNaN(r) { // refining a NaN leaves a NaN
+			return nil, fmt.Errorf("wls: gain solve: residual norm %g against a right-hand side of norm %g after %d refinements", r, sparse.Norm2(e.rhs), k)
+		}
+		e.ldl.Apply(e.xTrial, e.xTrial)
+		sparse.Axpy(1, e.xTrial, dx)
+	}
 	return dx, nil
 }
 
-// Relative residual tolerances of the gain solve — CG's stopping test, and
-// the bound a fresh factor's substitution is checked against: of a
-// Gauss–Newton step, and of the single solve of the linear (PMU-only)
-// problem, which has no later iteration to absorb an inexact one.
-const (
-	cgTol       = 1e-10
-	cgTolLinear = 1e-12
-)
-
-// solveGain solves G·Δx = rhs into the engine's dx buffer and returns it.
-// lagged says G was not refreshed since the preconditioner last was, so the
-// cached numerics are the ones to use, and they have solved this G before.
-// res takes the CG iteration and preconditioner breakdown counts.
-func (e *Engine) solveGain(opts Options, tol float64, lagged bool, res *Result) ([]float64, error) {
-	pre, err := e.preconditioner(e.gplan.G, opts, lagged, res)
-	if errors.Is(err, sparse.ErrNotSPD) {
-		// Not even a diagonal to iterate on: some state moves no weighted
-		// measurement at this iterate.
-		return nil, fmt.Errorf("%w: %v", ErrUnobservable, err)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("wls: preconditioner: %w", err)
-	}
-	return e.solveWith(pre, opts, tol, !lagged, res)
-}
-
-// solveWith solves G·Δx = rhs given the preconditioner's numerics. An
-// intact LDLᵀ factor is the solve: one substitution, and under verify — the
-// first solve after a refactorization — one residual check against tol.
-// Later solves on the same factor reuse numerics that passed it, and the
-// caller's trialImproves guards the step. CG runs where it has work to do:
-// on the Jacobi stand-in after a factorization breakdown, and from the
-// substitution's Δx when the check fails.
-func (e *Engine) solveWith(pre sparse.Preconditioner, opts Options, tol float64, verify bool, res *Result) ([]float64, error) {
-	g := e.gplan.G
-	var x0 []float64
-	if f, ok := pre.(*sparse.LDLFactor); ok {
-		f.Apply(e.dx, e.rhs)
-		if !verify || e.residualWithin(g, tol) {
-			return e.dx, nil
-		}
-		x0 = e.dx
-	}
-	if e.work == nil {
-		e.work = &sparse.CGWorkspace{}
-	}
-	cg, err := sparse.CG(g, e.rhs, sparse.CGOptions{Tol: tol, Precond: pre, Work: e.work, X0: x0, Pool: e.kernelPool(opts)})
-	res.CGIterations += cg.Iterations
-	if err != nil {
-		if errors.Is(err, sparse.ErrNotSPD) {
-			return nil, ErrUnobservable
-		}
-		return nil, err
-	}
-	// cg.X aliases the workspace and the next solve overwrites it.
-	copy(e.dx, cg.X)
-	return e.dx, nil
-}
-
-// residualWithin reports whether the dx buffer meets CG's stopping test,
-// ‖rhs − G·Δx‖₂ ≤ tol·‖rhs‖₂, at the cost of one mat-vec (into xTrial, free
-// whenever a solve runs). A NaN fails it.
+// residualWithin reports whether the dx buffer meets the bound
+// ‖rhs − G·Δx‖₂ ≤ tol·‖rhs‖₂, at the cost of one mat-vec, and leaves
+// rhs − G·Δx in xTrial (free whenever a solve runs). A NaN fails it.
 func (e *Engine) residualWithin(g *sparse.CSR, tol float64) bool {
 	g.MulVec(e.xTrial, e.dx)
 	sparse.Sub(e.xTrial, e.rhs, e.xTrial)
 	return sparse.Norm2(e.xTrial) <= tol*sparse.Norm2(e.rhs)
 }
 
-// preconditioner returns the preconditioner for G: the cached one as it is
-// on a lagged G, and otherwise the LDLᵀ factor with its numerics refreshed
-// in place (G's pattern is fixed by the gain plan, so the symbolic setup
-// never repeats). A refresh that breaks down on a numerically singular G
-// degrades to Jacobi for that refresh, counted in res.PrecondFallbacks: CG
-// on a semidefinite but consistent system can still converge where a
-// factor cannot exist, and where it cannot, CG is what reports the gain as
-// not positive definite.
-func (e *Engine) preconditioner(g *sparse.CSR, opts Options, lagged bool, res *Result) (sparse.Preconditioner, error) {
-	if e.havePre && lagged {
-		return e.pre, nil
+// unobservableAt is ErrUnobservable for a gain that broke the factorization
+// down at pe, naming the bus and quantity of the state whose pivot failed.
+func (e *Engine) unobservableAt(pe *sparse.PivotError) error {
+	bus, angle := e.mod.StateBus(pe.State)
+	quantity := "voltage magnitude"
+	if angle {
+		quantity = "angle"
 	}
-	switch err := e.refactor(g, e.kernelPool(opts)); {
-	case err == nil:
-		e.pre, e.havePre = e.ldl, true
-		return e.ldl, nil
-	case !errors.Is(err, sparse.ErrNotSPD):
-		e.havePre = false
-		return nil, err
-	}
-	res.PrecondFallbacks++ // breakdowns are rare: the stand-in is built anew
-	pre, err := sparse.NewJacobi(g)
-	if err != nil {
-		e.havePre = false
-		return nil, err
-	}
-	e.pre, e.havePre = pre, true
-	return pre, nil
+	return fmt.Errorf("%w: gain singular at the %s of bus %d: %w", ErrUnobservable, quantity, e.mod.Net.Buses[bus].ID, pe)
 }
 
 // refactor refreshes the LDLᵀ factor's numerics from g on pool (nil:

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -110,7 +111,7 @@ func legacySolveGain(g *sparse.CSR, rhs []float64, solve oracleSolve) ([]float64
 	if err != nil {
 		return nil, 0, err
 	}
-	cg, err := sparse.CG(g, rhs, sparse.CGOptions{Tol: cgTol, Precond: pre})
+	cg, err := sparse.CG(g, rhs, sparse.CGOptions{Tol: solveTol, Precond: pre})
 	if err != nil {
 		if errors.Is(err, sparse.ErrNotSPD) {
 			return nil, cg.Iterations, ErrUnobservable
@@ -387,22 +388,36 @@ func TestLDLAnalysisSurvivesNumericResets(t *testing.T) {
 	eng.UnmaskAll()
 	check("mask and unmask")
 
-	// A resistive spur's leaf bus seen through one flow row: both its
-	// states keep an unmasked row and m − masked ≥ n, so no count refuses
-	// the solve, but two unknowns share one equation and G is singular. The
-	// factor breaks down and the Jacobi stand-in carries those refreshes.
-	net := modA.Net
+	// A resistive spur seen through one flow row: the factor breaks down,
+	// damped steps carry those refreshes, and the solve fails naming the
+	// leaf bus rather than return a state for it.
+	leaf := maskSpur(t, eng)
+	eng.ResetReuse()
+	_, err = eng.Estimate(opts)
+	requireNamedBreakdown(t, err, leaf)
+	eng.UnmaskAll()
+	check("mask, breakdown and unmask")
+}
+
+// maskSpur masks every meter of an IEEE-30 engine's model that sees the leaf
+// bus of a resistive spur, bar the spur's from-side P flow, and returns the
+// leaf's bus number. Both its states keep an unmasked row and
+// m − masked ≥ n, so no count refuses a solve, but two unknowns share one
+// equation and G is singular.
+func maskSpur(t *testing.T, eng *Engine) int {
+	t.Helper()
+	mod := eng.Model()
 	degree := make(map[int]int)
-	for _, br := range net.Branches {
+	for _, br := range mod.Net.Branches {
 		degree[br.From]++
 		degree[br.To]++
 	}
-	spur := slices.IndexFunc(net.Branches, func(br grid.Branch) bool { return degree[br.To] == 1 && br.R != 0 })
+	spur := slices.IndexFunc(mod.Net.Branches, func(br grid.Branch) bool { return degree[br.To] == 1 && br.R != 0 })
 	if spur < 0 {
 		t.Fatal("IEEE-30 has no resistive spur")
 	}
-	leaf, hub := net.Branches[spur].To, net.Branches[spur].From
-	for i, m := range modA.Meas {
+	leaf, hub := mod.Net.Branches[spur].To, mod.Net.Branches[spur].From
+	for i, m := range mod.Meas {
 		onSpur := (m.Kind == meas.Pflow || m.Kind == meas.Qflow) && m.Branch == spur
 		atEnds := (m.Kind == meas.Pinj || m.Kind == meas.Qinj) && (m.Bus == leaf || m.Bus == hub)
 		kept := m.Kind == meas.Pflow && m.Branch == spur && m.FromSide
@@ -412,16 +427,27 @@ func TestLDLAnalysisSurvivesNumericResets(t *testing.T) {
 			}
 		}
 	}
-	eng.ResetReuse()
-	res, err := eng.Estimate(opts)
-	if err != nil {
-		t.Fatalf("singular but consistent gain: %v", err)
+	return leaf
+}
+
+// requireNamedBreakdown fails unless err is ErrUnobservable wrapping the
+// factor's breakdown and naming bus.
+func requireNamedBreakdown(t *testing.T, err error, bus int) {
+	t.Helper()
+	var pe *sparse.PivotError
+	if !errors.Is(err, ErrUnobservable) || !errors.As(err, &pe) || !strings.Contains(err.Error(), fmt.Sprintf("bus %d:", bus)) {
+		t.Fatalf("singular gain at bus %d: err %v, want ErrUnobservable naming the bus", bus, err)
 	}
-	if res.PrecondFallbacks == 0 {
-		t.Fatal("a singular gain factored without a breakdown")
-	}
-	eng.UnmaskAll()
-	check("mask, breakdown and unmask")
+}
+
+// TestSolveLinearNamesSingularGain: the linear solve's one gain, at the flat
+// start, is singular on the masked spur. Its damped step is all it has, so
+// it fails naming the leaf bus rather than return that step as a state.
+func TestSolveLinearNamesSingularGain(t *testing.T) {
+	eng := NewEngine(engineTestModel(t, grid.Case30, 0.01, 5))
+	leaf := maskSpur(t, eng)
+	_, err := eng.SolveLinear(Options{})
+	requireNamedBreakdown(t, err, leaf)
 }
 
 // TestEngineOnMetersEditedInPlace: a model keeps the caller's measurement

@@ -6,13 +6,14 @@
 //
 // with the symmetric positive-definite gain matrix G solved by a complete
 // sparse LDLᵀ factorization under its own fill-reducing ordering
-// (sparse.LDLFactor): one substitution per Gauss–Newton step and no CG call,
-// on a lagged gain too, because ReuseGain lags the factor with the gain it
-// factors. The substitution is checked against CG's stopping test once per
-// refactorization, and CG, started from it and preconditioned by the factor,
-// polishes one that fails. A gain too close to singular to factor runs that
-// refresh as Jacobi-preconditioned CG instead (Result.PrecondFallbacks).
-// The package also has chi-square bad-data detection,
+// (sparse.LDLFactor), the one solver: one substitution per Gauss–Newton
+// step, on a lagged gain too, because ReuseGain lags the factor with the
+// gain it factors. The substitution is checked against a relative residual
+// bound once per refactorization and refined on the same factor where it
+// misses it. A gain too close to singular to factor takes a
+// Levenberg–Marquardt step on G + μ·diag(G) instead (Result.PrecondFallbacks),
+// and a solve whose last refresh needed one fails with ErrUnobservable,
+// naming the bus. The package also has chi-square bad-data detection,
 // largest-normalized-residual identification, and a numerical observability
 // check.
 package wls
@@ -28,7 +29,7 @@ import (
 
 // GainReuseKind selects whether the gain solve may run on lagged
 // numerics. The engine anchors the state at which G = HᵀWH and its
-// preconditioner were last refreshed; under ReuseGain, while the scaled
+// factor were last refreshed; under ReuseGain, while the scaled
 // state drift from that anchor stays under ReuseGainGateDefault (and the
 // weights are unchanged), an iteration skips both refreshes. The anchor
 // survives across solves on the same engine, so steady tracking frames
@@ -84,23 +85,22 @@ type Options struct {
 	Tol float64
 	// MaxIter caps Gauss–Newton iterations. Zero selects 25.
 	MaxIter int
-	// Workers 1 runs every kernel of the solve serially: G = HᵀWH, the
-	// right-hand side, the factor refresh and any CG. Any other value runs
-	// them on the shared worker pool.
+	// Workers 1 runs every kernel of the solve serially: G = HᵀWH and the
+	// factor's analysis and refresh. Any other value runs them on the
+	// shared worker pool.
 	Workers int
 	// X0 is an optional warm-start state vector; nil selects flat start.
 	X0 []float64
 	// GainReuse selects whether the gain solve may run on lagged gain and
-	// preconditioner numerics (default ReuseGain; ReuseOff is exact
+	// factor numerics (default ReuseGain; ReuseOff is exact
 	// Gauss–Newton). See GainReuseKind.
 	GainReuse GainReuseKind
 	// X0Gate, when positive, guards the warm start behind a scaled-residual
 	// test: X0 is kept only while its weighted residual J(X0) stays within
 	// X0Gate·J(flat) of the flat start's, and otherwise the solve quietly
-	// falls back to the flat profile — the Gauss–Newton analogue of the CG
-	// warm-start gate. Zero accepts X0 unconditionally (the historical
-	// behavior); WarmStartGate is the standard choice for cross-round and
-	// cross-frame warm starts. Ignored when X0 is nil.
+	// falls back to the flat profile. Zero accepts X0 unconditionally (the
+	// historical behavior); WarmStartGate is the standard choice for
+	// cross-round and cross-frame warm starts. Ignored when X0 is nil.
 	X0Gate float64
 }
 
@@ -132,9 +132,8 @@ type Result struct {
 type Counters struct {
 	// Iterations is the Gauss–Newton iteration count.
 	Iterations int
-	// CGIterations is the cumulative inner CG iteration count. It is zero
-	// unless a factorization broke down (PrecondFallbacks) or a fresh
-	// factor's substitution failed its residual check and was polished.
+	// CGIterations is always 0: the estimator runs no CG. The field stays
+	// only because benchmark/workload.go still reads it.
 	CGIterations int
 	// GainRefreshes and GainSkips split the gain-solve iterations by
 	// whether G = HᵀWH was recomputed or the drift-gated reuse tier kept the
@@ -148,9 +147,9 @@ type Counters struct {
 	// ReuseFallbacks counts lagged-gain iterations rolled back by the
 	// residual-decrease guard (the iteration then refreshed and re-solved).
 	ReuseFallbacks int
-	// PrecondFallbacks counts preconditioner refreshes whose LDLᵀ
-	// factorization broke down on a numerically singular gain and that ran
-	// on the Jacobi preconditioner instead.
+	// PrecondFallbacks counts factor refreshes that broke down on a
+	// numerically singular gain and took a damped step on G + μ·diag(G)
+	// instead.
 	PrecondFallbacks int
 }
 
@@ -168,7 +167,10 @@ func (c *Counters) Add(o Counters) {
 // ErrNotConverged reports that Gauss–Newton hit its iteration cap.
 var ErrNotConverged = errors.New("wls: estimator did not converge")
 
-// ErrUnobservable reports a rank-deficient (unobservable) measurement set.
+// ErrUnobservable reports a rank-deficient (unobservable) measurement set:
+// a state no unmasked measurement touches, or a gain singular at the
+// estimate, where the error wraps the factor's *sparse.PivotError and names
+// its bus.
 var ErrUnobservable = errors.New("wls: network unobservable with given measurements")
 
 // Estimate runs Gauss–Newton WLS estimation on the measurement model. It

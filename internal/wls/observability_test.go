@@ -1,6 +1,8 @@
 package wls
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -141,6 +143,67 @@ func TestObservabilityDropouts(t *testing.T) {
 	if solvedSets < parentDenseSolved {
 		t.Errorf("restored sets solved %d/%d, fewer than the dense check's %d", solvedSets, draws, parentDenseSolved)
 	}
+}
+
+// TestDropoutContract solves TestObservabilityDropouts' 120 draws without
+// restoration, under both reuse tiers, and holds every solve to the
+// estimator's contract on unobservable input. Each returns an estimate,
+// ErrUnobservable or ErrNotConverged, never a solver's own error; every
+// draw CheckObservability calls observable matches the dense oracle within
+// 1e-8; and no solve whose last refresh broke down returns a state. The
+// outcome counts are logged.
+func TestDropoutContract(t *testing.T) {
+	counts := map[string]int{}
+	for _, c := range dropoutCases {
+		n := c.mk()
+		truth := solved(t, n)
+		ref := n.SlackIndex()
+		for d := 0; d < 40; d++ {
+			keep, seed := 0.2+0.4*float64(d)/39, int64(d+1)
+			ms, err := meas.Simulate(n, dropout(n, keep, seed), truth, 1, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mod, err := meas.NewModel(n, ms, ref, truth.Va[ref])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want *Result
+			if CheckObservability(mod).Observable {
+				if want, err = legacyEstimate(mod, Options{}, nil, oracleDense); err != nil {
+					t.Fatalf("%s draw %d: dense oracle: %v", c.name, d, err)
+				}
+			}
+			for _, tier := range []GainReuseKind{ReuseGain, ReuseOff} {
+				name := fmt.Sprintf("%s draw %d %v", c.name, d, tier)
+				eng := NewEngine(mod)
+				got, err := eng.Estimate(Options{GainReuse: tier})
+				switch {
+				case err == nil:
+					counts["estimate"]++
+				case errors.Is(err, ErrUnobservable):
+					counts["unobservable"]++
+				case errors.Is(err, ErrNotConverged):
+					counts["not converged"]++
+				default:
+					t.Errorf("%s: %v, want nil, ErrUnobservable or ErrNotConverged", name, err)
+				}
+				if got != nil && got.PrecondFallbacks > 0 {
+					counts["took a damped step"]++
+				}
+				if !eng.factored && err == nil {
+					t.Errorf("%s: an estimate whose last refresh broke down", name)
+				}
+				if want != nil {
+					if err != nil {
+						t.Fatalf("%s: observable draw: %v", name, err)
+					}
+					requireNear(t, name, got.X, want.X, 1e-8)
+				}
+			}
+		}
+	}
+	t.Logf("240 solves without restoration: %v", counts)
 }
 
 // FuzzObservabilityRank: over any network of the three, any share of the
