@@ -694,7 +694,9 @@ func BenchmarkCentralizedTracked(b *testing.B) {
 
 // benchTrackedFrames times Tracker.Process cycling through frames, after
 // one untimed pass over them, and reports the fraction of gain-solve
-// iterations that ran on lagged numerics.
+// iterations that ran on lagged numerics and the frame's split by phase:
+// Gauss–Newton iterations and wall time of Step 1 and of Step 2 (every
+// round, its exchanges included).
 func benchTrackedFrames(b *testing.B, dec *core.Decomposition, frames [][]meas.Measurement, opts core.DSEOptions) {
 	tracker := core.NewTracker(dec, opts)
 	for _, f := range frames {
@@ -704,19 +706,26 @@ func benchTrackedFrames(b *testing.B, dec *core.Decomposition, frames [][]meas.M
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var skips, total int
+	var step1, step2 core.StepStats
 	for i := 0; i < b.N; i++ {
 		res, err := tracker.Process(frames[i%len(frames)])
 		if err != nil {
 			b.Fatal(err)
 		}
-		skips += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips
-		total += res.Step1Stats.GainSkips + res.Step2Stats.GainSkips +
-			res.Step1Stats.GainRefreshes + res.Step2Stats.GainRefreshes
+		step1.Duration += res.Step1Stats.Duration
+		step1.Add(res.Step1Stats.Counters)
+		step2.Duration += res.Step2Stats.Duration
+		step2.Add(res.Step2Stats.Counters)
 	}
-	if total > 0 {
+	skips := step1.GainSkips + step2.GainSkips
+	if total := skips + step1.GainRefreshes + step2.GainRefreshes; total > 0 {
 		b.ReportMetric(float64(skips)/float64(total), "gain-skip-frac")
 	}
+	n := float64(b.N)
+	b.ReportMetric(float64(step1.Iterations)/n, "step1-gn/frame")
+	b.ReportMetric(float64(step2.Iterations)/n, "step2-gn/frame")
+	b.ReportMetric(step1.Duration.Seconds()*1e3/n, "step1-ms/frame")
+	b.ReportMetric(step2.Duration.Seconds()*1e3/n, "step2-ms/frame")
 }
 
 // BenchmarkDSE118RoundsReuse crosses the standalone 4-round DSE run with

@@ -17,7 +17,10 @@ type DSEOptions struct {
 	// (default PseudoSigmaDefault).
 	PseudoSigma float64
 	// Rounds is the number of Step-2 re-evaluation rounds. Zero selects 1;
-	// the convergence bound is the decomposition-graph diameter [10].
+	// the convergence bound is the decomposition-graph diameter [10]. Only
+	// the last round solves to WLS.Tol: Step 1 and the rounds before it are
+	// intermediate, and stop at the looser tolerance Session.intermediateWLS
+	// derives from PseudoSigma.
 	Rounds int
 	// WLS configures each local estimator. In process, with at least as
 	// many subsystems as GOMAXPROCS, Workers 0 runs as 1: the phase already
@@ -32,12 +35,12 @@ type DSEOptions struct {
 	// (wls.RestoreObservability) instead of failing — telemetry-loss
 	// resilience at reduced redundancy.
 	RestoreObservability bool
-	// NoStep2WarmStart starts every Step-2 solve from the flat profile
+	// noStep2WarmStart starts every Step-2 solve from the flat profile
 	// instead of from what the run already knows (Session.step2Start: the
 	// previous round's or frame's solution, else this run's Step-1 state and
 	// incoming pseudo-measurements, behind wls.WarmStartGate) — the baseline
-	// used by equivalence tests and ablation benchmarks.
-	NoStep2WarmStart bool
+	// the seed's tests compare against.
+	noStep2WarmStart bool
 }
 
 // StepStats reports one DSE phase: its wall time and the summed counters
@@ -51,7 +54,9 @@ type StepStats struct {
 type DSEResult struct {
 	// State is the aggregated system-wide solution (final step).
 	State powerflow.State
-	// Step1 and Step2 hold the per-subsystem local results of each phase.
+	// Step1 and Step2 hold the per-subsystem local results of each phase,
+	// Step2 those of the last round. Step 1 is intermediate: its solves stop
+	// at max(WLS.Tol, PseudoSigma/20), and Step 2's last round at WLS.Tol.
 	Step1 []*wls.Result
 	Step2 []*wls.Result
 	// Step1Stats/Step2Stats aggregate timings and iteration counts.
@@ -151,8 +156,13 @@ func (sess *Session) runDSE(ctx context.Context, pl placement, global []meas.Mea
 	res := &DSEResult{Step2: make([]*wls.Result, m)}
 	t := &res.phases
 
+	// Step 1 and every round before the last hand on pseudo-measurements
+	// only, so they stop at the intermediate tolerance; the last round keeps
+	// the caller's.
+	inter := opts
+	inter.WLS = sess.intermediateWLS(opts.WLS)
 	start := time.Now()
-	probs, step1, err := sess.runStep1(ctx, pl, global, opts)
+	probs, step1, err := sess.runStep1(ctx, pl, global, inter)
 	if err != nil {
 		return nil, err
 	}
@@ -163,8 +173,8 @@ func (sess *Session) runDSE(ctx context.Context, pl placement, global []meas.Mea
 	// Each round every subsystem tells its neighbours what it now holds of
 	// the buses they watch — its Step-1 estimate first, then the previous
 	// round's — and re-estimates with what it is told.
-	last := step1
-	for round := 0; round < max(opts.Rounds, 1); round++ {
+	last, rounds := step1, max(opts.Rounds, 1)
+	for round := 0; round < rounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: canceled before step 2 round %d: %w", round, err)
 		}
@@ -184,13 +194,18 @@ func (sess *Session) runDSE(ctx context.Context, pl placement, global []meas.Mea
 		}
 		t.Exchange += time.Since(start)
 
+		final := round == rounds-1
 		start = time.Now()
 		err = pl.forEach(ctx, "step 2", func(ctx context.Context, si int) error {
 			sp, eng, err := sess.step2(si, global, incoming[si], round == 0)
 			if err != nil {
 				return err
 			}
-			r, err := eng.EstimateCtx(ctx, sess.step2Options(si, opts, step1[si].State))
+			w := sess.step2Options(si, opts, step1[si].State)
+			if !final {
+				w = sess.intermediateWLS(w)
+			}
+			r, err := eng.EstimateCtx(ctx, w)
 			if err != nil {
 				return fmt.Errorf("core: step 2 subsystem %d: %w", si, err)
 			}

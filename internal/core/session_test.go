@@ -134,7 +134,7 @@ func TestSessionCrossRoundWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{Rounds: 4, NoStep2WarmStart: true})
+	cold, err := RunDSE(context.Background(), fx.dec, fx.ms, DSEOptions{Rounds: 4, noStep2WarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,9 @@ import (
 
 // Tracker runs distributed state estimation over successive measurement
 // frames (the SCADA/PMU acquisition cycles), warm-starting every
-// subsystem's Step-1 solve from the previous frame's solution. This is the
+// subsystem's Step-1 solve from the previous frame's Step-1 solution (an
+// intermediate one, see DSEResult.Step1) and every Step-2 solve from the
+// previous frame's last round, solved to Tol. This is the
 // real-time operating mode the architecture targets: the estimator tracks
 // the slowly drifting system state instead of re-solving from scratch.
 type Tracker struct {

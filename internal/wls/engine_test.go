@@ -219,8 +219,8 @@ func TestEngineReuse(t *testing.T) {
 				t.Fatalf("call %d: x[%d] drifted: %v vs %v", call, i, again.X[i], first.X[i])
 			}
 		}
-		if again.Iterations != first.Iterations || again.CGIterations != first.CGIterations {
-			t.Fatalf("call %d: iteration counts drifted", call)
+		if again.Counters != first.Counters {
+			t.Fatalf("call %d: counters drifted: %+v, first call %+v", call, again.Counters, first.Counters)
 		}
 	}
 }

@@ -109,9 +109,8 @@ func TestPCGMatchesDenseSolver(t *testing.T) {
 			t.Fatalf("x[%d]: default %g vs dense %g", i, rp.X[i], rd.X[i])
 		}
 	}
-	if rp.CGIterations != 0 || rp.PrecondFallbacks != 0 {
-		t.Errorf("default path: %d CG iterations, %d factorization breakdowns (want the factor's substitution alone)",
-			rp.CGIterations, rp.PrecondFallbacks)
+	if rp.PrecondFallbacks != 0 {
+		t.Errorf("default path: %d factorization breakdowns", rp.PrecondFallbacks)
 	}
 }
 

@@ -74,9 +74,8 @@ func TestReuseGainMatchesDenseOracle(t *testing.T) {
 					t.Fatalf("%s frame %d: x[%d] = %.12g, dense oracle %.12g (|Δ| = %g)", n.Name, f, k, got.X[k], want.X[k], d)
 				}
 			}
-			if got.CGIterations != 0 || got.PrecondFallbacks != 0 {
-				t.Errorf("%s frame %d: %d CG iterations, %d factorization breakdowns (want the factor's substitution alone)",
-					n.Name, f, got.CGIterations, got.PrecondFallbacks)
+			if got.PrecondFallbacks != 0 {
+				t.Errorf("%s frame %d: %d factorization breakdowns", n.Name, f, got.PrecondFallbacks)
 			}
 			if f > 0 {
 				skips += got.GainSkips
@@ -121,11 +120,8 @@ func TestReuseGainFallbackOnStateJump(t *testing.T) {
 				t.Fatalf("state %d: warm %.17g != cold %.17g (stale anchor leaked into the jumped solve)", i, warmRes.X[i], coldRes.X[i])
 			}
 		}
-		if warmRes.GainRefreshes != coldRes.GainRefreshes || warmRes.GainSkips != coldRes.GainSkips ||
-			warmRes.CGIterations != coldRes.CGIterations {
-			t.Fatalf("warm counters (refresh %d, skip %d, cg %d) != cold (refresh %d, skip %d, cg %d)",
-				warmRes.GainRefreshes, warmRes.GainSkips, warmRes.CGIterations,
-				coldRes.GainRefreshes, coldRes.GainSkips, coldRes.CGIterations)
+		if warmRes.Counters != coldRes.Counters {
+			t.Fatalf("warm counters %+v != cold %+v", warmRes.Counters, coldRes.Counters)
 		}
 		if warmRes.GainRefreshes == 0 {
 			t.Fatal("jumped solve never refreshed the gain matrix")
