@@ -73,7 +73,9 @@ func goroutineBaseline() int {
 // sites are grinding through Step 1 must abort the Gauss-Newton loops,
 // return a wrapped context.Canceled within a second of the cancellation,
 // and leave no goroutines behind. The estimators get a tolerance no step can
-// meet and no iteration cap to speak of, so Step 1 cannot end on its own.
+// meet and no iteration cap to speak of, and a PseudoSigma so small that
+// Step 1's intermediate tolerance (Session.intermediateWLS) is that same
+// tolerance, so Step 1 cannot end on its own and the error names it.
 func TestRunDistributedCancelMidStep1(t *testing.T) {
 	fx := weccFixture(t, 9)
 	base := goroutineBaseline()
@@ -89,11 +91,14 @@ func TestRunDistributedCancelMidStep1(t *testing.T) {
 
 	_, err := RunDistributed(ctx, fx.dec, fx.ms, DistributedOptions{
 		Clusters: 3,
-		DSE:      DSEOptions{WLS: wls.Options{Tol: 1e-300, MaxIter: 1 << 30}},
+		DSE:      DSEOptions{PseudoSigma: 1e-300, WLS: wls.Options{Tol: 1e-300, MaxIter: 1 << 30}},
 	})
 	returned := time.Now()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), "step 1") {
+		t.Errorf("error does not name Step 1: %v", err)
 	}
 	if canceledAt.IsZero() {
 		t.Fatal("run finished before the cancel fired; grow the fixture")
