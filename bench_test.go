@@ -592,19 +592,38 @@ func BenchmarkDSE118Rounds(b *testing.B) {
 }
 
 // BenchmarkTrackerFrames measures the steady-state tracked-frame cost:
-// the first frame (symbolic build — skeletons, models, solver plans) is
-// paid before the timer starts, so every timed iteration is a
-// value-refreshed, warm-started full DSE pass on the pinned session under
-// the tracker's default numeric-reuse tier (ReuseGain). The reported
-// gain-skip-frac is the fraction of gain-solve iterations that ran on the
-// previous frame's G and factor. Its one row, ldl, is 27 solves of ~10 µs,
-// which the phase runner spreads over the caller and its helpers, so
-// -cpu 1,2 reads what a second core buys a 13-bus subsystem.
+// the first pass over the frames (symbolic build — skeletons, models,
+// solver plans) is paid before the timer starts, so every timed iteration
+// is a value-refreshed, warm-started full DSE pass on the pinned session
+// under the tracker's default numeric-reuse tier (ReuseGain), on the next
+// of eight IEEE-118 noise draws (ieee118Frames), so Step 1 moves as a
+// tracked frame's does. The reported gain-skip-frac is the fraction of
+// gain-solve iterations that ran on the previous frame's G and factor. Its
+// one row, ldl, is 27 solves of ~10 µs, which the phase runner spreads over
+// the caller and its helpers, so -cpu 1,2 reads what a second core buys a
+// 13-bus subsystem.
 func BenchmarkTrackerFrames(b *testing.B) {
 	fx := benchFixture(b)
+	frames := ieee118Frames(b, fx, 8)
 	b.Run("ldl", func(b *testing.B) {
-		benchTrackedFrames(b, fx.Dec, [][]meas.Measurement{fx.Meas}, core.DSEOptions{Rounds: 2})
+		benchTrackedFrames(b, fx.Dec, frames, core.DSEOptions{Rounds: 2})
 	})
+}
+
+// ieee118Frames draws nFrames frames of the benchmark fixture's metering
+// plan at its noise, seeds 1 to nFrames: the first is fx.Meas.
+func ieee118Frames(b *testing.B, fx *experiments.Fixture, nFrames int) [][]meas.Measurement {
+	b.Helper()
+	plan := meas.FullPlan().Build(fx.Net)
+	plan = append(plan, core.PMUPlanFor(fx.Dec, plan, 0.0005)...)
+	frames := make([][]meas.Measurement, nFrames)
+	for k := range frames {
+		var err error
+		if frames[k], err = meas.Simulate(fx.Net, plan, fx.Truth, 1, int64(1+k)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return frames
 }
 
 // reuseModes is the numeric-reuse benchmark axis.
@@ -618,16 +637,17 @@ var reuseModes = []struct {
 
 // BenchmarkTrackerFramesReuse crosses the steady-state tracked frame with
 // the numeric-reuse tier, isolating what the lagged tier saves on the hot
-// tracking path: IEEE-118 re-tracking one frame (every step inside the
-// drift gate), and the 1 416-bus 12-area and 4 366-bus 37-area synthetic
-// WECC cycling eight noise draws — the 12-area size and frame-to-frame
-// movement are where wls.ReuseGainGateDefault was chosen (DESIGN §10).
-// gain-rounds-1 is the tracker at its defaults: one Step-2 round.
+// tracking path: IEEE-118, and the 1 416-bus 12-area and 4 366-bus 37-area
+// synthetic WECC, each cycling eight noise draws — the 12-area size and
+// frame-to-frame movement are where wls.ReuseGainGateDefault was chosen
+// (DESIGN §10). gain-rounds-1 is the tracker at its defaults: one Step-2
+// round.
 func BenchmarkTrackerFramesReuse(b *testing.B) {
 	fx := benchFixture(b)
+	frames := ieee118Frames(b, fx, 8)
 	for _, mode := range reuseModes {
 		b.Run(mode.name, func(b *testing.B) {
-			benchTrackedFrames(b, fx.Dec, [][]meas.Measurement{fx.Meas}, core.DSEOptions{Rounds: 2, WLS: wls.Options{GainReuse: mode.kind}})
+			benchTrackedFrames(b, fx.Dec, frames, core.DSEOptions{Rounds: 2, WLS: wls.Options{GainReuse: mode.kind}})
 		})
 	}
 

@@ -114,10 +114,12 @@ type placement interface {
 	// and a nil return means every subsystem ran.
 	forEach(ctx context.Context, phase string, f func(ctx context.Context, si int) error) error
 	// exchange delivers a round's packets — packets[si] is what subsystem si
-	// has for each of its neighbours — and returns, per subsystem, the
-	// packets it received in ascending FromSub order, which is d.Neighbors
-	// order: the stable layout Session.step2 refreshes skeletons against.
-	exchange(ctx context.Context, round int, packets []PseudoPacket) ([][]PseudoPacket, error)
+	// has for each of its neighbours — and refills incoming[si] with the
+	// packets subsystem si received, in ascending FromSub order, which is
+	// d.Neighbors order: the stable layout Session.step2 refreshes skeletons
+	// against. A packet handed over in memory shares its States with
+	// packets, which the next round overwrites.
+	exchange(ctx context.Context, round int, packets []PseudoPacket, incoming [][]PseudoPacket) error
 }
 
 // inProcess places every estimator in the calling process: a phase runs on
@@ -131,16 +133,14 @@ func (p inProcess) forEach(ctx context.Context, phase string, f func(ctx context
 	return phases.run(ctx, phase, len(p.d.Subsystems), f)
 }
 
-func (p inProcess) exchange(_ context.Context, _ int, packets []PseudoPacket) ([][]PseudoPacket, error) {
-	incoming := make([][]PseudoPacket, len(packets))
+func (p inProcess) exchange(_ context.Context, _ int, packets []PseudoPacket, incoming [][]PseudoPacket) error {
 	for si := range incoming {
-		nbrs := p.d.Neighbors(si)
-		incoming[si] = make([]PseudoPacket, len(nbrs))
-		for k, nb := range nbrs {
-			incoming[si][k] = packets[nb]
+		incoming[si] = incoming[si][:0]
+		for _, nb := range p.d.Neighbors(si) {
+			incoming[si] = append(incoming[si], packets[nb])
 		}
 	}
-	return incoming, nil
+	return nil
 }
 
 // runDSE is the DSE sequence — Step 1, then Rounds of pseudo-measurement
@@ -174,22 +174,21 @@ func (sess *Session) runDSE(ctx context.Context, pl placement, global []meas.Mea
 	// the buses they watch — its Step-1 estimate first, then the previous
 	// round's — and re-estimates with what it is told.
 	last, rounds := step1, max(opts.Rounds, 1)
+	packets, incoming := sess.roundBuffers(m)
 	for round := 0; round < rounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: canceled before step 2 round %d: %w", round, err)
 		}
 		start = time.Now()
-		packets := make([]PseudoPacket, m)
 		for si := range packets {
-			packets[si] = d.ExtractPseudo(si, probs[si], last[si].State)
+			packets[si] = PseudoPacket{FromSub: si, States: probs[si].appendPseudo(packets[si].States[:0], last[si].State)}
 			// The volume is the algorithm's, whatever carries it: every
 			// neighbour receives the packet's wire bytes.
 			n := len(d.Neighbors(si))
 			res.ExchangeBytes += n * packets[si].wireSize()
 			res.ExchangeMessages += n
 		}
-		incoming, err := pl.exchange(ctx, round, packets)
-		if err != nil {
+		if err := pl.exchange(ctx, round, packets, incoming); err != nil {
 			return nil, err
 		}
 		t.Exchange += time.Since(start)

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -267,16 +268,18 @@ func (p *onTestbed) forEach(ctx context.Context, phase string, f func(ctx contex
 	})
 }
 
-func (p *onTestbed) exchange(ctx context.Context, round int, packets []PseudoPacket) ([][]PseudoPacket, error) {
+func (p *onTestbed) exchange(ctx context.Context, round int, packets []PseudoPacket, incoming [][]PseudoPacket) error {
 	if round == 0 {
 		if err := p.remap(ctx); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// Inter-site packets travel via the middleware, bundled per pair of
 	// sites; intra-site packets are handed over in memory (same control
 	// center). Ascending (si, nb) here is the bundles' envelope order.
-	incoming := make([][]PseudoPacket, len(packets))
+	for si := range incoming {
+		incoming[si] = incoming[si][:0]
+	}
 	exchanging := newBundles(len(p.tb.Sites))
 	for si := range packets {
 		for _, nb := range p.d.Neighbors(si) {
@@ -304,13 +307,13 @@ func (p *onTestbed) exchange(ctx context.Context, round int, packets []PseudoPac
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Wire arrival order is nondeterministic.
 	for _, in := range incoming {
-		sort.Slice(in, func(a, b int) bool { return in[a].FromSub < in[b].FromSub })
+		slices.SortFunc(in, func(a, b PseudoPacket) int { return cmp.Compare(a.FromSub, b.FromSub) })
 	}
-	return incoming, nil
+	return nil
 }
 
 // remap moves the run from its Step-1 to its Step-2 mapping (Figure 5) and

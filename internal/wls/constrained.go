@@ -48,14 +48,7 @@ var ErrBadConstraint = errors.New("wls: constraint must be a Pinj or Qinj at a k
 // constraints are enforced exactly (to solver precision) rather than
 // weighted into the objective.
 func EstimateConstrained(mod *meas.Model, constraints []Constraint, opts Options) (*ConstrainedResult, error) {
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-6
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 25
-	}
+	tol, maxIter := opts.limits()
 	nc := len(constraints)
 	if nc == 0 {
 		res, err := Estimate(mod, opts)

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/meas"
+	"repro/internal/powerflow"
 	"repro/internal/sparse"
 )
 
@@ -43,6 +44,10 @@ type Engine struct {
 	// maskedEmpty caches what they leave untouched: the first state only
 	// masked rows of H touch, −1 for none, maskedStale until asked.
 	masked, maskedEmpty int
+	// wGen counts the changes to baseW — masks, UnmaskAll, a Rebind — and
+	// wFrom is the generation w was last copied from, 0 once a scale rewrote
+	// it: a solve rewrites w only when the two differ (loadWeights).
+	wGen, wFrom uint64
 
 	// ldl is the LDLᵀ factor of gplan.G's pattern. Its symbolic analysis is
 	// plan-like: ColdStart, ResetReuse, Rebind, masks and a breakdown drop
@@ -123,6 +128,7 @@ func newEngine(mod *meas.Model, jplan *meas.JacobianPlan, gplan *sparse.GainPlan
 func (e *Engine) allocate() {
 	m, n := e.mod.NMeas(), e.mod.NState()
 	e.baseW = e.mod.Weights()
+	e.wGen++
 	e.w, e.z, e.h = make([]float64, m), make([]float64, m), make([]float64, m)
 	e.r = make([]float64, m)
 	e.rhs = make([]float64, n, n+1)
@@ -206,6 +212,7 @@ func (e *Engine) MaskMeasurement(i int) error {
 	}
 	if e.baseW[i] != 0 {
 		e.baseW[i] = 0
+		e.wGen++
 		e.masked++
 		e.maskedEmpty = maskedStale
 	}
@@ -223,6 +230,7 @@ func (e *Engine) UnmaskAll() {
 	for i, m := range e.mod.Meas {
 		e.baseW[i] = 1 / (m.Sigma * m.Sigma)
 	}
+	e.wGen++
 	e.masked = 0
 }
 
@@ -243,14 +251,7 @@ func (e *Engine) EstimateCtx(ctx context.Context, opts Options) (*Result, error)
 // one-shot solve (EstimateCtx, EstimateFrame) has started already.
 func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []float64) (*Result, error) {
 	mod := e.mod
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-6
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 25
-	}
+	tol, maxIter := opts.limits()
 	if m := mod.NMeas() - e.masked; m < mod.NState() {
 		return nil, fmt.Errorf("%w: %d measurements < %d states", ErrUnobservable, m, mod.NState())
 	}
@@ -258,29 +259,28 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 		return nil, err
 	}
 	e.startAnalysis(e.gplan.G, opts)
+	if opts.X0 != nil && len(opts.X0) != mod.NState() {
+		return nil, fmt.Errorf("wls: warm start length %d != state dim %d", len(opts.X0), mod.NState())
+	}
 
-	x := mod.FlatVec()
+	block := e.newBlock()
+	x := block[:mod.NState():mod.NState()]
 	if opts.X0 != nil {
-		if len(opts.X0) != mod.NState() {
-			return nil, fmt.Errorf("wls: warm start length %d != state dim %d", len(opts.X0), mod.NState())
-		}
 		copy(x, opts.X0)
+	} else {
+		e.flatInto(x)
 	}
-	copy(e.w, e.baseW)
-	if scale != nil {
-		for i := range e.w {
-			e.w[i] *= scale[i]
-		}
-	}
+	rewritten := e.loadWeights(scale)
 	for i, m := range mod.Meas {
 		e.z[i] = m.Value
 	}
 	// Lagged numerics unless ReuseOff asks for exact Gauss–Newton. The
-	// weights are fixed for the solve, so the anchor's are compared once, here.
+	// weights are fixed for the solve, so the anchor's are compared once,
+	// here, and only if they were rewritten: the anchor holds w as it was.
 	lag := opts.GainReuse == ReuseGain
 	// An unguarded solve rewrites G outside the anchor bookkeeping, so any
 	// anchor a previous gated solve left behind is stale after it.
-	e.reuse.valid = e.reuse.valid && lag && sparse.EqualVec(e.w, e.reuse.w)
+	e.reuse.valid = e.reuse.valid && lag && (!rewritten || sparse.EqualVec(e.w, e.reuse.w))
 
 	e.hValid, e.rhsValid = false, false
 	if opts.X0 != nil && opts.X0Gate > 0 {
@@ -294,7 +294,7 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 		// start has formed no HᵀW·r it then throws away.
 		jFlat := e.jplan.FlatObjective(e.z, e.w)
 		if e.evalAt(x, e.canLag(x, opts)) > opts.X0Gate*jFlat {
-			copy(x, mod.FlatVec())
+			e.flatInto(x)
 			e.hValid, e.rhsValid = false, false
 		}
 	}
@@ -318,9 +318,11 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 		e.hValid, e.rhsValid = false, false
 
 		var dx []float64
+		var step float64
 		lagged := false
 		if lagging {
-			if dx = e.solveLagged(); e.trialImproves(x, dx, tol) {
+			dx = e.solveLagged()
+			if step = sparse.NormInf(dx); e.trialImproves(x, dx, step >= tol) {
 				res.GainSkips++
 				res.PrecondSkips++
 				lagged = true
@@ -337,8 +339,8 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 			if dx, damped, err = e.refreshStep(x, e.jplan.Refresh(x), opts, lag, res); err != nil {
 				return nil, err
 			}
+			step = sparse.NormInf(dx)
 		}
-		step := sparse.NormInf(dx)
 		if lagged && step >= prevStep {
 			// The stale operator no longer contracts, though J fell: on an
 			// ill-conditioned gain a lagged step can trade error along its
@@ -357,7 +359,7 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 		// The estimate rests on a damped step: G is singular at it.
 		return nil, e.unobservableAt(damped)
 	}
-	e.finish(res, x)
+	e.finish(res, block)
 	if !res.Converged {
 		return res, fmt.Errorf("%w after %d iterations", ErrNotConverged, res.Iterations)
 	}
@@ -408,8 +410,10 @@ func (e *Engine) SolveLinear(opts Options) (*Result, error) {
 		return nil, err
 	}
 	mod := e.mod
-	x := mod.FlatVec()
-	copy(e.w, e.baseW)
+	block := e.newBlock()
+	x := block[:mod.NState():mod.NState()]
+	e.flatInto(x)
+	e.loadWeights(nil)
 	for i, m := range mod.Meas {
 		e.z[i] = m.Value
 	}
@@ -428,18 +432,69 @@ func (e *Engine) SolveLinear(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("wls: linear PMU solve: %w", err)
 	}
 	sparse.Axpy(1, dx, x)
-	e.finish(res, x)
+	e.finish(res, block)
 	return res, nil
+}
+
+// newBlock allocates the float block one solve's result is carved from:
+// the state vector x, which the solve iterates in place, then the result's
+// Vm, Va and residuals (finish).
+func (e *Engine) newBlock() []float64 {
+	return make([]float64, e.mod.NState()+2*e.mod.Net.N()+e.mod.NMeas())
+}
+
+// flatInto writes the flat start, as meas.Model.FlatVec lays it out, into x.
+func (e *Engine) flatInto(x []float64) {
+	ref := e.mod.RefAngle()
+	for i := range x {
+		if _, angle := e.mod.StateBus(i); angle {
+			x[i] = ref
+		} else {
+			x[i] = 1
+		}
+	}
+}
+
+// loadWeights sets w to the solve's weights, baseW times scale (nil: all
+// ones), and reports whether it rewrote them. An unscaled solve leaves w
+// alone while it holds baseW's current generation: no mask, UnmaskAll,
+// Rebind or scaled solve has changed either since w was copied.
+func (e *Engine) loadWeights(scale []float64) bool {
+	if scale == nil && e.wFrom == e.wGen {
+		return false
+	}
+	copy(e.w, e.baseW)
+	e.wFrom = e.wGen
+	if scale != nil {
+		for i := range e.w {
+			e.w[i] *= scale[i]
+		}
+		e.wFrom = 0
+	}
+	return true
 }
 
 // finish evaluates the final residuals and J — or takes them from the r
 // buffer and jx when the last step's accepted trial left them at x, jx being
-// the same sum in the same order — and fills the caller-owned result slices
-// (the engine's internal buffers never escape).
-func (e *Engine) finish(res *Result, x []float64) {
-	r := make([]float64, e.mod.NMeas())
+// the same sum in the same order — and fills the result from block, whose
+// head is x: X, then State.Vm and State.Va as meas.Model.VecToState unpacks
+// them, then the residuals (the engine's internal buffers never escape).
+func (e *Engine) finish(res *Result, block []float64) {
+	mod := e.mod
+	n, nb := mod.NState(), mod.Net.N()
+	x := block[:n:n]
+	vm, va := block[n:n+nb:n+nb], block[n+nb:n+2*nb:n+2*nb]
+	for i, v := range x {
+		if bus, angle := mod.StateBus(i); angle {
+			va[bus] = v
+		} else {
+			vm[bus] = v
+		}
+	}
+	va[mod.RefBus()] = mod.RefAngle()
+	r := block[n+2*nb:]
 	res.X = x
-	res.State = e.mod.VecToState(x)
+	res.State = powerflow.State{Vm: vm, Va: va}
 	res.Residuals = r
 	if e.hValid {
 		e.hValid = false
@@ -508,14 +563,14 @@ func (e *Engine) evalAt(x []float64, grad bool) float64 {
 // trialImproves is the lagged-gain residual-decrease guard: the lagged step
 // dx is kept only if J(x+dx) does not exceed J(x); a fractional slack absorbs
 // roundoff on converged iterates where J is flat. The trial evaluation is
-// the next iteration's fused pass; a step under tol has no next iteration
-// and evaluates h alone. A rejected trial hands rhs at x back and drops the
-// carry, h/r being the trial iterate's.
-func (e *Engine) trialImproves(x, dx []float64, tol float64) bool {
+// the next iteration's fused pass (next: the step is not under tol); the
+// last step has no next iteration and evaluates h alone. A rejected trial
+// hands rhs at x back and drops the carry, h/r being the trial iterate's.
+func (e *Engine) trialImproves(x, dx []float64, next bool) bool {
 	copy(e.xTrial, x)
 	sparse.Axpy(1, dx, e.xTrial)
 	jCur := e.jx
-	if e.evalAt(e.xTrial, sparse.NormInf(dx) >= tol) <= jCur*(1+1e-12) {
+	if e.evalAt(e.xTrial, next) <= jCur*(1+1e-12) {
 		return true
 	}
 	if e.rhsValid {
@@ -718,7 +773,7 @@ func (e *Engine) NormalizedResiduals(res *Result) ([]float64, error) {
 	// the anchor dropped, the next solve refreshes both before it lags.
 	e.reuse.valid = false
 	hj := e.jplan.Refresh(res.X)
-	copy(e.w, e.baseW)
+	e.loadWeights(nil)
 	if err := e.refactor(e.gplan.RefreshPool(hj, e.w, e.pool), e.pool); err != nil {
 		return nil, fmt.Errorf("wls: gain factorization for residual covariance: %w", err)
 	}

@@ -291,6 +291,95 @@ func TestEngineIterationZeroAllocKernels(t *testing.T) {
 	}
 }
 
+// TestWarmEstimateAllocatesResultAndOneBlock pins what a warm solve
+// allocates: its Result and the one float block X, State and Residuals are
+// carved from, each of those a slice whose capacity ends at its length.
+// Solves alternate between two frames' values, lagged (the default tier)
+// and refreshing every step (ReuseOff), and a flat start rejected by the
+// warm-start gate writes into the block too.
+func TestWarmEstimateAllocatesResultAndOneBlock(t *testing.T) {
+	mod := engineTestModel(t, grid.Case118, 1, 3)
+	other := engineTestModel(t, grid.Case118, 1, 4)
+	values := [2][]float64{make([]float64, mod.NMeas()), make([]float64, mod.NMeas())}
+	for i := range mod.Meas {
+		values[0][i], values[1][i] = mod.Meas[i].Value, other.Meas[i].Value
+	}
+	eng := NewEngine(mod)
+	res, err := eng.Estimate(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := slices.Clone(res.X)
+	far := slices.Clone(res.X)
+	for i := range far {
+		far[i] += 0.5
+	}
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"lagged", Options{X0: x0}},
+		{"refreshed", Options{X0: x0, GainReuse: ReuseOff}},
+		{"gated", Options{X0: far, X0Gate: WarmStartGate}},
+	} {
+		k := 0
+		allocs := testing.AllocsPerRun(10, func() {
+			k++
+			for i, v := range values[k&1] {
+				mod.Meas[i].Value = v
+			}
+			if res, err = eng.Estimate(c.opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 2 {
+			t.Errorf("%s: a warm solve allocated %v times, want 2 (its Result and one block)", c.name, allocs)
+		}
+		nb := mod.Net.N()
+		for _, s := range []struct {
+			name string
+			v    []float64
+			len  int
+		}{
+			{"X", res.X, mod.NState()}, {"Vm", res.State.Vm, nb}, {"Va", res.State.Va, nb}, {"Residuals", res.Residuals, mod.NMeas()},
+		} {
+			if len(s.v) != s.len || cap(s.v) != s.len {
+				t.Errorf("%s: %s has length %d, capacity %d; want both %d", c.name, s.name, len(s.v), cap(s.v), s.len)
+			}
+		}
+		if want := mod.VecToState(res.X); !slices.Equal(want.Vm, res.State.Vm) || !slices.Equal(want.Va, res.State.Va) {
+			t.Errorf("%s: State is not VecToState(X)", c.name)
+		}
+	}
+}
+
+// TestUnscaledSolveAfterScaledOne: a solve under a weight scale (an IRLS
+// round) leaves the engine's weights scaled, and the unscaled solve after it
+// must rewrite them, not take them as the 1/σ² weights it keeps until a mask
+// changes them: it matches a fresh engine's solve bit for bit.
+func TestUnscaledSolveAfterScaledOne(t *testing.T) {
+	mod := engineTestModel(t, grid.Case30, 0.01, 8)
+	scale := make([]float64, mod.NMeas())
+	for i := range scale {
+		scale[i] = 1 / float64(1+i%3)
+	}
+	eng := NewEngine(mod)
+	if _, err := eng.estimateWeighted(context.Background(), Options{}, scale); err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Estimate(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEngine(mod).Estimate(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.X, want.X) || got.ObjectiveJ != want.ObjectiveJ {
+		t.Errorf("after a scaled solve: J %v, a fresh engine's %v", got.ObjectiveJ, want.ObjectiveJ)
+	}
+}
+
 // TestGainMatrixBSREquivalence is the randomized property test of the
 // blocked gain layout on real gain patterns (the engine no longer solves in
 // it; benchmark/replay.go still builds it): for the 14/30/118-bus gain

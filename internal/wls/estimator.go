@@ -81,7 +81,7 @@ const ReuseGainGateDefault = 8e-3
 
 // Options controls the Gauss–Newton WLS iteration.
 type Options struct {
-	// Tol is the convergence tolerance on ‖Δx‖∞. Zero selects 1e-6.
+	// Tol is the convergence tolerance on ‖Δx‖∞. Zero selects TolDefault.
 	Tol float64
 	// MaxIter caps Gauss–Newton iterations. Zero selects 25.
 	MaxIter int
@@ -104,6 +104,26 @@ type Options struct {
 	X0Gate float64
 }
 
+// TolDefault is the convergence tolerance a zero Options.Tol selects.
+const TolDefault = 1e-6
+
+// maxIterDefault is the Gauss–Newton iteration cap a zero Options.MaxIter
+// selects.
+const maxIterDefault = 25
+
+// limits returns the options' convergence tolerance and iteration cap, with
+// zero values resolved to their defaults.
+func (o Options) limits() (tol float64, maxIter int) {
+	tol, maxIter = o.Tol, o.MaxIter
+	if tol <= 0 {
+		tol = TolDefault
+	}
+	if maxIter <= 0 {
+		maxIter = maxIterDefault
+	}
+	return tol, maxIter
+}
+
 // WarmStartGate is the standard Options.X0Gate for warm starts carried
 // across DSE rounds or tracking frames: the previous solution is kept only
 // if it fits the new measurement values at least ten times better than the
@@ -111,7 +131,10 @@ type Options struct {
 // never drags Gauss–Newton through a bad basin.
 const WarmStartGate = 0.1
 
-// Result reports a WLS estimation run.
+// Result reports a WLS estimation run. The engine's solves carve X,
+// State.Vm, State.Va and Residuals from one allocation, as slices whose
+// capacity ends at their length: appending to one copies it, and none
+// writes into another.
 type Result struct {
 	// State is the estimated operating point.
 	State powerflow.State

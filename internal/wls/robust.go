@@ -20,7 +20,7 @@ type RobustOptions struct {
 	// MaxReweights caps the IRLS outer iterations. Zero selects 15.
 	MaxReweights int
 	// Tol is the convergence tolerance on the state between reweighting
-	// rounds. Zero selects 1e-6.
+	// rounds. Zero selects TolDefault.
 	Tol float64
 }
 
@@ -54,7 +54,7 @@ func EstimateRobust(mod *meas.Model, opts RobustOptions) (*RobustResult, error) 
 	}
 	tol := opts.Tol
 	if tol <= 0 {
-		tol = 1e-6
+		tol = TolDefault
 	}
 
 	// Huber scaling factors per measurement, starting at 1 (plain WLS).
