@@ -128,67 +128,92 @@ func injectionsFromState(n *grid.Network, st powerflow.State) ([]float64, error)
 // base network is already split with a part the slack does not reach.
 var ErrIslanding = errors.New("contingency: outage islands the network")
 
-// islandChecker answers "does removing branch b split its component?" for
-// one network. The adjacency is built once per screen and shared by every
-// case; the per-query BFS scratch is allocated per call so concurrent
-// workers can query the same checker.
-type islandChecker struct {
-	n   *grid.Network
-	adj [][]halfEdge
+// bridges reports, by branch index, which branches of n island when taken
+// out: the in-service branches that are bridges of the in-service graph,
+// whose removal disconnects their two ends. It is Tarjan's low-link in one
+// iterative depth-first pass over every component, so a pre-split base or an
+// isolated bus is handled like any other component. Branches are told apart
+// by index, not by their end pair, so each of two parallel circuits keeps the
+// other's ends connected and neither is a bridge; a self-loop (From == To)
+// is never a tree edge, so never islands, and an out-of-service branch reads
+// false.
+func bridges(n *grid.Network) []bool {
+	nb := n.N()
+	// The in-service adjacency in one flat array: bus u's half-edges are
+	// adj[off[u]:off[u+1]].
+	off := make([]int, nb+1)
+	for _, br := range n.Branches {
+		if br.Status {
+			off[n.MustIndex(br.From)+1]++
+			off[n.MustIndex(br.To)+1]++
+		}
+	}
+	for u := 0; u < nb; u++ {
+		off[u+1] += off[u]
+	}
+	adj := make([]halfEdge, off[nb])
+	fill := append([]int(nil), off[:nb]...)
+	for bi, br := range n.Branches {
+		if br.Status {
+			f, t := n.MustIndex(br.From), n.MustIndex(br.To)
+			adj[fill[f]], fill[f] = halfEdge{to: t, branch: bi}, fill[f]+1
+			adj[fill[t]], fill[t] = halfEdge{to: f, branch: bi}, fill[t]+1
+		}
+	}
+
+	isBridge := make([]bool, len(n.Branches))
+	// disc is a bus's discovery number from 1 (0: not reached yet) and low
+	// the least discovery number its subtree reaches by one non-tree edge.
+	disc, low := make([]int, nb), make([]int, nb)
+	// Each frame of the explicit stack is a bus on the DFS path, the branch
+	// it was entered by (-1 at a root) and its next half-edge to scan.
+	type frame struct{ u, in, next int }
+	stack := make([]frame, 0, nb)
+	clock := 0
+	for root := 0; root < nb; root++ {
+		if disc[root] != 0 {
+			continue
+		}
+		clock++
+		disc[root], low[root] = clock, clock
+		stack = append(stack, frame{u: root, in: -1, next: off[root]})
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			u := top.u
+			if top.next < off[u+1] {
+				e := adj[top.next]
+				top.next++
+				switch {
+				case e.branch == top.in:
+					// The tree edge back to the parent; a parallel circuit
+					// to it is another branch and counts below.
+				case disc[e.to] == 0:
+					clock++
+					disc[e.to], low[e.to] = clock, clock
+					stack = append(stack, frame{u: e.to, in: e.branch, next: off[e.to]})
+				default:
+					low[u] = min(low[u], disc[e.to])
+				}
+				continue
+			}
+			stack = stack[:len(stack)-1]
+			if len(stack) > 0 {
+				p := stack[len(stack)-1].u
+				low[p] = min(low[p], low[u])
+				if low[u] > disc[p] {
+					isBridge[top.in] = true
+				}
+			}
+		}
+	}
+	return isBridge
 }
 
 // halfEdge is one directed adjacency entry, tagged with its branch index so
-// a query can exclude the outaged branch (and only it — parallel circuits
-// between the same buses keep the endpoints connected).
+// that parallel circuits between the same buses stay distinct edges.
 type halfEdge struct {
 	to     int
 	branch int
-}
-
-func newIslandChecker(n *grid.Network) *islandChecker {
-	adj := make([][]halfEdge, n.N())
-	for bi, br := range n.Branches {
-		if !br.Status {
-			continue
-		}
-		f, t := n.MustIndex(br.From), n.MustIndex(br.To)
-		adj[f] = append(adj[f], halfEdge{to: t, branch: bi})
-		adj[t] = append(adj[t], halfEdge{to: f, branch: bi})
-	}
-	return &islandChecker{n: n, adj: adj}
-}
-
-// islands reports whether removing branch out disconnects its endpoints.
-// Removing a single edge can only split the component containing it, and it
-// does so exactly when the edge's endpoints end up in different components
-// — so the check BFSes from one endpoint looking for the other, rather than
-// counting reachable buses from bus 0. The count-based check silently
-// assumed a connected base network: on a pre-split system (or one with an
-// isolated bus) it misreported every outage as islanding.
-func (c *islandChecker) islands(out int) bool {
-	br := c.n.Branches[out]
-	f, t := c.n.MustIndex(br.From), c.n.MustIndex(br.To)
-	if f == t {
-		return false
-	}
-	seen := make([]bool, c.n.N())
-	stack := []int{f}
-	seen[f] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range c.adj[u] {
-			if e.branch == out || seen[e.to] {
-				continue
-			}
-			if e.to == t {
-				return false
-			}
-			seen[e.to] = true
-			stack = append(stack, e.to)
-		}
-	}
-	return true
 }
 
 // dcScreen is the DC model of one network for a whole N-1 sweep: B′ of the
@@ -201,7 +226,7 @@ func (c *islandChecker) islands(out int) bool {
 //
 // one substitution and a scalar per outage, the line-outage distribution
 // factor of branch k. The denominator vanishes exactly when the outage
-// islands, which the sweep leaves to islandChecker.
+// islands, which the sweep leaves to bridges.
 type dcScreen struct {
 	n      *grid.Network
 	slack  int

@@ -164,7 +164,7 @@ func TestIslandsDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !newIslandChecker(n).islands(0) {
+	if !islandingVerdicts(t, n)[0] {
 		t.Fatal("radial outage not flagged as islanding")
 	}
 }
@@ -182,8 +182,7 @@ func TestIslandsParallelCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk := newIslandChecker(n)
-	if chk.islands(0) || chk.islands(1) {
+	if islanding := islandingVerdicts(t, n); islanding[0] || islanding[1] {
 		t.Fatal("parallel-circuit outage misreported as islanding")
 	}
 }
@@ -213,9 +212,9 @@ func TestIslandsDisconnectedBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk := newIslandChecker(n)
+	islanding := islandingVerdicts(t, n)
 	for out := 0; out < 6; out++ {
-		if chk.islands(out) {
+		if islanding[out] {
 			t.Fatalf("loop outage %d on pre-split network misreported as islanding", out)
 		}
 	}
@@ -343,8 +342,9 @@ func TestDCOutagesMatchRebuiltB(t *testing.T) {
 }
 
 // TestDCDenominatorIsIslanding: the Sherman–Morrison denominator 1 − b·aᵀy
-// vanishes on exactly the outages islandChecker calls islanding, on every
-// in-service branch of the oracle networks and of two parallel circuits.
+// vanishes on exactly the outages the bridge pass calls islanding (checked
+// against islandChecker), on every in-service branch of the oracle networks
+// and of two parallel circuits.
 func TestDCDenominatorIsIslanding(t *testing.T) {
 	nets := screenCases(t)
 	buses := []grid.Bus{{ID: 1, Type: grid.Slack, Vm: 1}, {ID: 2, Type: grid.PQ, Vm: 1}, {ID: 3, Type: grid.PQ, Vm: 1}}
@@ -363,15 +363,15 @@ func TestDCDenominatorIsIslanding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chk := newIslandChecker(n)
+		verdicts := islandingVerdicts(t, n)
 		islanding := 0
 		for out, br := range n.Branches {
 			if !br.Status {
 				continue
 			}
 			_, den := dc.outage(out)
-			if islands := chk.islands(out); islands != (math.Abs(den) <= 1e-10) {
-				t.Errorf("%s: outage %d: denominator %g, islandChecker says islanding %v", name, out, den, islands)
+			if islands := verdicts[out]; islands != (math.Abs(den) <= 1e-10) {
+				t.Errorf("%s: outage %d: denominator %g, the bridge pass says islanding %v", name, out, den, islands)
 			} else if islands {
 				islanding++
 			}

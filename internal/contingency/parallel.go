@@ -130,10 +130,10 @@ func ParallelScreen(ctx context.Context, n *grid.Network, st powerflow.State, ra
 	}
 
 	results := make([]Result, len(cases))
-	chk := newIslandChecker(n)
+	islanding := bridges(n)
 	err = schedule(ctx, len(cases), opts.Workers, func(k int) error {
 		out := cases[k]
-		results[k] = Result{Outage: out, Islanding: chk.islands(out)}
+		results[k] = Result{Outage: out, Islanding: islanding[out]}
 		if !results[k].Islanding {
 			theta, _ := dc.outage(out)
 			results[k].Violations = dcViolations(n, theta, ratings, out, opts.LoadingThreshold)

@@ -102,12 +102,23 @@ type Pool struct {
 	base *grid.Network
 	opts PoolOptions
 
-	runMu sync.Mutex // serializes Screen sweeps and resets; guards sig, ends and skel
+	runMu sync.Mutex // serializes Screen sweeps and resets; guards everything but entries and builds
 	mu    sync.Mutex // guards entries/builds within a sweep
 	sig   *grid.Network
 	// ends has the from-side flow constants of every in-service branch of
 	// sig, resolved once per topology for the violation scan of every case.
 	ends []fromEnd
+	// bridge says, by branch index, which in-service branches of sig island
+	// when taken out (bridges), and all lists every in-service branch of
+	// sig, ascending: the case list a sweep given none screens. Both are
+	// derived once per topology.
+	bridge []bool
+	all    []int
+	// The sweep scratch, refilled by every sweep: listed marks by branch
+	// index the outages of the sweep's case list, and perCase holds each
+	// case's stats.
+	listed  []bool
+	perCase []SweepStats
 	// skel is the pool's one symbolic build, nil until the first sweep and
 	// after a Reset or a topology change. A sweep's workers only read it.
 	skel *skeleton
@@ -166,15 +177,20 @@ func NewPool(n *grid.Network, opts PoolOptions) (*Pool, error) {
 }
 
 // sign records the base network's topology as the one the pool's cached
-// state is valid for.
+// state is valid for, with what a sweep reads of it: every in-service
+// branch's flow constants and islanding verdict, and the default case list.
 func (p *Pool) sign() {
 	p.sig = p.base.Clone()
 	p.ends = make([]fromEnd, len(p.sig.Branches))
+	p.bridge = bridges(p.sig)
+	p.all = p.all[:0]
 	for bi, br := range p.sig.Branches {
 		if br.Status {
 			p.ends[bi] = newFromEnd(p.sig, br)
+			p.all = append(p.all, bi)
 		}
 	}
+	p.listed = make([]bool, len(p.sig.Branches))
 }
 
 // SkeletonBuilds reports the cumulative skeleton constructions over the
@@ -228,49 +244,36 @@ func (p *Pool) Screen(ctx context.Context, frame []meas.Measurement, ratings []f
 		threshold = 1.0
 	}
 
+	if !sameTopology(p.base, p.sig) {
+		p.skel = nil
+		p.entries = make(map[int]*caseSession)
+		p.sign()
+	}
 	if cases == nil {
-		for bi, br := range p.base.Branches {
-			if br.Status {
-				cases = append(cases, bi)
-			}
-		}
-	} else {
-		seen := make(map[int]bool, len(cases))
-		for _, out := range cases {
-			if out < 0 || out >= len(p.base.Branches) {
-				return nil, SweepStats{}, fmt.Errorf("contingency: outage %d out of range [0,%d)", out, len(p.base.Branches))
-			}
-			if !p.base.Branches[out].Status {
-				return nil, SweepStats{}, fmt.Errorf("contingency: outage %d is already out of service", out)
-			}
-			if seen[out] {
-				return nil, SweepStats{}, fmt.Errorf("contingency: outage %d listed twice", out)
-			}
-			seen[out] = true
-		}
+		cases = p.all
+	} else if err := p.checkCases(cases); err != nil {
+		return nil, SweepStats{}, err
 	}
-
-	p.invalidate(cases)
-	chk := newIslandChecker(p.base)
-	islanding := make([]bool, len(cases))
-	for k, out := range cases {
-		islanding[k] = chk.islands(out)
-	}
+	p.prune(cases)
 	if err := p.loadFrame(frame); err != nil {
 		return nil, SweepStats{}, err
 	}
-	if p.needsSeed(cases, islanding) {
+	if p.needsSeed(cases) {
 		p.skel.solveSeed(ctx, p.opts.WLS)
 	}
 
 	results := make([]CaseEstimate, len(cases))
-	perCase := make([]SweepStats, len(cases))
+	if cap(p.perCase) < len(cases) {
+		p.perCase = make([]SweepStats, len(cases))
+	}
+	perCase := p.perCase[:len(cases)]
+	clear(perCase)
 	err := schedule(ctx, len(cases), opts.Workers, func(k int) error {
 		out := cases[k]
 		ce := CaseEstimate{Result: Result{Outage: out}}
 		st := &perCase[k]
 		st.Cases = 1
-		if islanding[k] {
+		if p.bridge[out] {
 			ce.Islanding = true
 			st.Islanding = 1
 			results[k] = ce
@@ -302,22 +305,33 @@ func (p *Pool) Screen(ctx context.Context, frame []meas.Measurement, ratings []f
 	return results, stats, nil
 }
 
-// invalidate applies the pool's two invalidation rules before a sweep:
-// drop everything when the base topology changed since the last snapshot,
-// and prune entries whose outage left the requested case list.
-func (p *Pool) invalidate(cases []int) {
-	if !sameTopology(p.base, p.sig) {
-		p.skel = nil
-		p.entries = make(map[int]*caseSession)
-		p.sign()
-		return
-	}
-	want := make(map[int]bool, len(cases))
+// checkCases rejects a case list with an outage out of range, out of
+// service, or listed twice.
+func (p *Pool) checkCases(cases []int) error {
+	defer clear(p.listed)
 	for _, out := range cases {
-		want[out] = true
+		if out < 0 || out >= len(p.base.Branches) {
+			return fmt.Errorf("contingency: outage %d out of range [0,%d)", out, len(p.base.Branches))
+		}
+		if !p.base.Branches[out].Status {
+			return fmt.Errorf("contingency: outage %d is already out of service", out)
+		}
+		if p.listed[out] {
+			return fmt.Errorf("contingency: outage %d listed twice", out)
+		}
+		p.listed[out] = true
+	}
+	return nil
+}
+
+// prune drops the entries whose outage left the case list.
+func (p *Pool) prune(cases []int) {
+	defer clear(p.listed)
+	for _, out := range cases {
+		p.listed[out] = true
 	}
 	for out := range p.entries {
-		if !want[out] {
+		if !p.listed[out] {
 			delete(p.entries, out)
 		}
 	}
@@ -359,9 +373,9 @@ func (p *Pool) loadFrame(frame []meas.Measurement) error {
 // needsSeed reports whether the sweep estimates a case with no solution of
 // its own to start from: a non-islanding outage with no entry yet, or one
 // whose carry ResetAnchors dropped.
-func (p *Pool) needsSeed(cases []int, islanding []bool) bool {
-	for k, out := range cases {
-		if e := p.entries[out]; !islanding[k] && (e == nil || !e.haveWarm) {
+func (p *Pool) needsSeed(cases []int) bool {
+	for _, out := range cases {
+		if e := p.entries[out]; !p.bridge[out] && (e == nil || !e.haveWarm) {
 			return true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -241,6 +242,74 @@ func testRescreenEquivalence(t *testing.T, n *grid.Network, wantParallel bool) {
 	}
 }
 
+// sweepAllocs is what a warm sweep allocates beside its cases' results and
+// violation lists: the result list, the scheduler's counter, watermark,
+// error list and closures, and its worker goroutine.
+const sweepAllocs = 12
+
+// TestWarmSweepAllocations pins what a primed IEEE-118 pool's warm sweep
+// allocates: per estimated case its wls.Result and the one block that
+// Result's slices share, the violation lists, and sweepAllocs. The
+// islanding verdicts, the default case list and the per-case stats are the
+// pool's, derived once per topology or refilled. AllocsPerRun runs at
+// GOMAXPROCS 1, so the sweep has one worker.
+func TestWarmSweepAllocations(t *testing.T) {
+	n := grid.Case118()
+	st := solved(t, n)
+	frames := make([][]meas.Measurement, 2)
+	frames[0], frames[1] = poolFrames(t, n, meas.FullPlan().Build(n))
+	ratings, err := AutoRatings(n, st, 1.3, 0.3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool(n, PoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, f := range frames {
+		if _, _, err := pool.Screen(ctx, f, ratings, nil, ParallelOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// listAllocs counts the allocations of appending a violation list of the
+	// results one by one, as the scan builds it.
+	listAllocs := func(res []CaseEstimate) (allocs int) {
+		for _, ce := range res {
+			var v []Violation
+			for range ce.Violations {
+				if len(v) == cap(v) {
+					allocs++
+				}
+				v = append(v, Violation{})
+			}
+		}
+		return allocs
+	}
+	// The sweeps' results are kept and counted afterwards: counting
+	// allocates too.
+	results, stats := make([][]CaseEstimate, 0, 11), make([]SweepStats, 0, 11)
+	allocs := testing.AllocsPerRun(10, func() {
+		res, st, err := pool.Screen(ctx, frames[len(results)%2], ratings, nil, ParallelOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, stats = append(results, res), append(stats, st)
+	})
+	estimated, lists := 0, 0
+	for k, st := range stats {
+		if st.SkeletonBuilds != 0 || st.WarmStarts != st.Estimated {
+			t.Fatalf("sweep %d is not warm: %+v", k, st)
+		}
+		estimated, lists = max(estimated, st.Estimated), max(lists, listAllocs(results[k]))
+	}
+	want := 2*estimated + lists + sweepAllocs
+	t.Logf("%v allocations a sweep: %d estimated cases, %d for violation lists", allocs, estimated, lists)
+	if allocs > float64(want) {
+		t.Errorf("a warm IEEE-118 sweep allocated %v times, want at most %d", allocs, want)
+	}
+}
+
 // TestPoolGainReuseDefault checks the pool's default options run the
 // lagged tier: a quiescent re-screen skips gain refreshes.
 func TestPoolGainReuseDefault(t *testing.T) {
@@ -356,7 +425,8 @@ func TestPoolIslandingMatchesDC(t *testing.T) {
 }
 
 // TestPoolTopologyInvalidation mutates the base topology between sweeps and
-// checks every entry is dropped and rebuilt.
+// checks every entry is dropped and rebuilt, and that the islanding verdicts
+// and the default case list are the new topology's.
 func TestPoolTopologyInvalidation(t *testing.T) {
 	n := grid.Case14()
 	pool, err := NewPool(n, PoolOptions{})
@@ -374,15 +444,24 @@ func TestPoolTopologyInvalidation(t *testing.T) {
 		t.Fatal("first sweep built nothing")
 	}
 
-	// Take a looped branch out of service: the topology signature changes,
-	// the case list shrinks, and the telemetry layout follows the new grid.
-	out := -1
-	chk := newIslandChecker(n)
+	// Take out of service a looped branch whose loop then has a bridge: the
+	// topology signature changes, the case list shrinks, an outage that did
+	// not island now does, and the telemetry layout follows the new grid.
+	out, before := -1, islandingVerdicts(t, n)
 	for bi, br := range n.Branches {
-		if br.Status && !chk.islands(bi) {
+		if !br.Status || before[bi] {
+			continue
+		}
+		n.Branches[bi].Status = false
+		after := islandingVerdicts(t, n) // branch bi reads false in both
+		n.Branches[bi].Status = true
+		if !slices.Equal(after, before) {
 			out = bi
 			break
 		}
+	}
+	if out < 0 {
+		t.Fatal("no looped branch whose outage leaves a new bridge")
 	}
 	n.Branches[out].Status = false
 	plan2 := meas.FullPlan().Build(n)
@@ -391,12 +470,25 @@ func TestPoolTopologyInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats2, err := pool.Screen(ctx, frame2, nil, nil, ParallelOptions{})
+	res2, stats2, err := pool.Screen(ctx, frame2, nil, nil, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats2.SkeletonBuilds != stats2.Estimated {
 		t.Fatalf("topology change rebuilt %d of %d entries", stats2.SkeletonBuilds, stats2.Estimated)
+	}
+	after, k := islandingVerdicts(t, n), 0
+	for bi, br := range n.Branches {
+		if !br.Status {
+			continue
+		}
+		if k >= len(res2) || res2[k].Outage != bi || res2[k].Islanding != after[bi] {
+			t.Fatalf("case %d after the change: want outage %d islanding %v, got %+v", k, bi, after[bi], res2[min(k, len(res2)-1)].Result)
+		}
+		k++
+	}
+	if k != len(res2) {
+		t.Fatalf("%d cases after the change, want %d", len(res2), k)
 	}
 }
 

@@ -75,24 +75,37 @@ func goroutineBaseline() int {
 // and leave no goroutines behind. The estimators get a tolerance no step can
 // meet and no iteration cap to speak of, and a PseudoSigma so small that
 // Step 1's intermediate tolerance (Session.intermediateWLS) is that same
-// tolerance, so Step 1 cannot end on its own and the error names it.
+// tolerance, so Step 1 cannot end on its own and the error names it. The
+// cancel fires once the session has started a Step-1 solve, however long
+// set-up and acquisition took.
 func TestRunDistributedCancelMidStep1(t *testing.T) {
 	fx := weccFixture(t, 9)
 	base := goroutineBaseline()
+	dse := DSEOptions{PseudoSigma: 1e-300, WLS: wls.Options{Tol: 1e-300, MaxIter: 1 << 30}}
+	sess := NewSession(fx.dec, dse) // the session RunDistributed takes
+	fx.dec.session = sess
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var canceledAt time.Time
+	stop := make(chan struct{})
+	defer close(stop)
+	var started bool
 	go func() {
-		time.Sleep(50 * time.Millisecond) // set-up and acquire take ~15ms
+		for deadline := time.Now().Add(time.Minute); sess.step1Solves.Load() == 0 && time.Now().Before(deadline); {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+		started = sess.step1Solves.Load() > 0
+		time.Sleep(10 * time.Millisecond) // well into the Gauss–Newton loops
 		canceledAt = time.Now()
 		cancel()
 	}()
 
-	_, err := RunDistributed(ctx, fx.dec, fx.ms, DistributedOptions{
-		Clusters: 3,
-		DSE:      DSEOptions{PseudoSigma: 1e-300, WLS: wls.Options{Tol: 1e-300, MaxIter: 1 << 30}},
-	})
+	_, err := RunDistributed(ctx, fx.dec, fx.ms, DistributedOptions{Clusters: 3, DSE: dse})
 	returned := time.Now()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
@@ -101,7 +114,10 @@ func TestRunDistributedCancelMidStep1(t *testing.T) {
 		t.Errorf("error does not name Step 1: %v", err)
 	}
 	if canceledAt.IsZero() {
-		t.Fatal("run finished before the cancel fired; grow the fixture")
+		t.Fatal("run finished before the cancel fired")
+	}
+	if !started {
+		t.Fatal("no Step-1 solve started within a minute")
 	}
 	if d := returned.Sub(canceledAt); d > time.Second {
 		t.Errorf("returned %v after cancellation, want < 1s", d)

@@ -84,8 +84,8 @@ type DSEResult struct {
 // Step-2 rounds and inside every subsystem's Gauss-Newton loop, and the
 // first subsystem error cancels its siblings (fail-fast).
 func RunDSE(ctx context.Context, d *Decomposition, global []meas.Measurement, opts DSEOptions) (*DSEResult, error) {
-	sess, release := d.sessionFor(opts)
-	defer release()
+	sess := d.sessionFor(opts)
+	defer sess.mu.Unlock()
 	return sess.runDSE(ctx, inProcess{d}, global, inProcessOptions(d, opts))
 }
 
@@ -151,6 +151,7 @@ func (p inProcess) exchange(_ context.Context, _ int, packets []PseudoPacket, in
 // also keeps the clock: res.phases says where the run's time went.
 func (sess *Session) runDSE(ctx context.Context, pl placement, global []meas.Measurement, opts DSEOptions) (*DSEResult, error) {
 	opts = sess.beginRun(opts)
+	defer sess.endRun()
 	d := sess.d
 	m := len(d.Subsystems)
 	res := &DSEResult{Step2: make([]*wls.Result, m)}
@@ -175,6 +176,8 @@ func (sess *Session) runDSE(ctx context.Context, pl placement, global []meas.Mea
 	// round's — and re-estimates with what it is told.
 	last, rounds := step1, max(opts.Rounds, 1)
 	packets, incoming := sess.roundBuffers(m)
+	run := &sess.run
+	run.opts, run.incoming, run.step2 = opts, incoming, res.Step2
 	for round := 0; round < rounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: canceled before step 2 round %d: %w", round, err)
@@ -193,26 +196,9 @@ func (sess *Session) runDSE(ctx context.Context, pl placement, global []meas.Mea
 		}
 		t.Exchange += time.Since(start)
 
-		final := round == rounds-1
+		run.round, run.final = round, round == rounds-1
 		start = time.Now()
-		err = pl.forEach(ctx, "step 2", func(ctx context.Context, si int) error {
-			sp, eng, err := sess.step2(si, global, incoming[si], round == 0)
-			if err != nil {
-				return err
-			}
-			w := sess.step2Options(si, opts, step1[si].State)
-			if !final {
-				w = sess.intermediateWLS(w)
-			}
-			r, err := eng.EstimateCtx(ctx, w)
-			if err != nil {
-				return fmt.Errorf("core: step 2 subsystem %d: %w", si, err)
-			}
-			sess.noteStep2(si, r.X)
-			probs[si], res.Step2[si] = sp, r
-			return nil
-		})
-		if err != nil {
+		if err := pl.forEach(ctx, "step 2", sess.step2Task); err != nil {
 			return nil, err
 		}
 		t.Step2 += time.Since(start)
@@ -239,27 +225,59 @@ func (sess *Session) runDSE(ctx context.Context, pl placement, global []meas.Mea
 // runStep1 is the sequence's first phase, which RunHierarchical runs alone:
 // every subsystem's local estimate on the frame, started from
 // opts.WarmStart where the caller supplied one. It returns the Step-1
-// subproblems beside the results. The caller has called beginRun.
+// subproblems, in the session's list that Step 2 refills, beside the
+// results. The caller has called beginRun, and calls endRun.
 func (sess *Session) runStep1(ctx context.Context, pl placement, global []meas.Measurement, opts DSEOptions) ([]*Subproblem, []*wls.Result, error) {
 	m := len(sess.d.Subsystems)
-	probs, results := make([]*Subproblem, m), make([]*wls.Result, m)
-	err := pl.forEach(ctx, "step 1", func(ctx context.Context, si int) error {
-		sp, eng, err := sess.step1(si, global)
-		if err != nil {
-			return err
-		}
-		wlsOpts := opts.WLS
-		if si < len(opts.WarmStart) && opts.WarmStart[si] != nil {
-			wlsOpts.X0 = opts.WarmStart[si]
-		}
-		r, err := eng.EstimateCtx(ctx, wlsOpts)
-		if err != nil {
-			return fmt.Errorf("core: step 1 subsystem %d: %w", si, err)
-		}
-		probs[si], results[si] = sp, r
-		return nil
-	})
-	return probs, results, err
+	if len(sess.probs) != m {
+		sess.probs = make([]*Subproblem, m)
+	}
+	run := &sess.run
+	run.global, run.opts, run.step1 = global, opts, make([]*wls.Result, m)
+	err := pl.forEach(ctx, "step 1", sess.step1Task)
+	return sess.probs, run.step1, err
+}
+
+// step1Phase is a Step-1 task (Session.step1Task): subsystem si's local
+// estimate of the run's frame.
+func (sess *Session) step1Phase(ctx context.Context, si int) error {
+	run := &sess.run
+	sess.step1Solves.Add(1)
+	sp, eng, err := sess.step1(si, run.global)
+	if err != nil {
+		return err
+	}
+	w := run.opts.WLS
+	if si < len(run.opts.WarmStart) && run.opts.WarmStart[si] != nil {
+		w.X0 = run.opts.WarmStart[si]
+	}
+	r, err := eng.EstimateCtx(ctx, w)
+	if err != nil {
+		return fmt.Errorf("core: step 1 subsystem %d: %w", si, err)
+	}
+	sess.probs[si], run.step1[si] = sp, r
+	return nil
+}
+
+// step2Phase is a Step-2 task (Session.step2Task): subsystem si's estimate
+// in the run's current round, on what its neighbours sent.
+func (sess *Session) step2Phase(ctx context.Context, si int) error {
+	run := &sess.run
+	sp, eng, err := sess.step2(si, run.global, run.incoming[si], run.round == 0)
+	if err != nil {
+		return err
+	}
+	w := sess.step2Options(si, run.opts, run.step1[si].State)
+	if !run.final {
+		w = sess.intermediateWLS(w)
+	}
+	r, err := eng.EstimateCtx(ctx, w)
+	if err != nil {
+		return fmt.Errorf("core: step 2 subsystem %d: %w", si, err)
+	}
+	sess.noteStep2(si, r.X)
+	sess.probs[si], run.step2[si] = sp, r
+	return nil
 }
 
 // PMUPlanFor returns the PMU measurements (voltage angle + magnitude) that

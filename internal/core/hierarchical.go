@@ -54,11 +54,12 @@ func RunHierarchical(ctx context.Context, d *Decomposition, global []meas.Measur
 	if err != nil {
 		return nil, err
 	}
-	pl.assign = mapping.Assign
+	pl.mapTo(mapping.Assign)
 
-	sess, release := d.sessionFor(opts.DSE)
-	defer release()
+	sess := d.sessionFor(opts.DSE)
+	defer sess.mu.Unlock()
 	dseOpts := sess.beginRun(pl.opts.DSE)
+	defer sess.endRun()
 	probs, local, err := sess.runStep1(ctx, pl, global, dseOpts)
 	if err != nil {
 		return nil, err

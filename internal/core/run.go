@@ -128,15 +128,15 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 			return nil, err
 		}
 	}
-	pl.assign = res.Step1Mapping.Assign
+	pl.mapTo(res.Step1Mapping.Assign)
 	res.Timings.Map = time.Since(start)
 
 	// --- Raw-data acquisition: each site fetches its subsystems' SCADA
 	// measurements from the data source through the middleware (the
 	// Figure 1 path: data source -> middleware -> data processor). The
 	// source serves the sets the session's Step-1 skeletons select. ---
-	sess, release := d.sessionFor(opts.DSE)
-	defer release()
+	sess := d.sessionFor(opts.DSE)
+	defer sess.mu.Unlock()
 	pl.raw = make([][]meas.Measurement, m)
 	for si := range pl.raw {
 		sp, _, err := sess.step1(si, global)
@@ -180,7 +180,7 @@ type onTestbed struct {
 	d       *Decomposition
 	opts    DistributedOptions // DSE.WLS.Workers at the sites' width
 	res     *DistributedResult
-	// assign is the mapping the current step runs under.
+	// assign is the mapping the current step runs under (mapTo).
 	assign []int
 	// raw[si] is subsystem si's raw measurement set: what the data source
 	// serves and a migration ships.
@@ -223,7 +223,7 @@ func (p *onTestbed) sent(payloadBytes int) {
 // measurements from the data source in one request.
 func (p *onTestbed) acquire(ctx context.Context) error {
 	p.serve(p.raw)
-	hosted := subsBySite(p.assign, len(p.tb.Sites))
+	hosted := p.perSite
 	ctx, cancel := p.opts.phaseContext(ctx)
 	defer cancel()
 	return concurrently(ctx, "acquire", len(hosted), func(ctx context.Context, c int) error {
@@ -254,9 +254,8 @@ func (p *onTestbed) acquire(ctx context.Context) error {
 func (p *onTestbed) forEach(ctx context.Context, phase string, f func(ctx context.Context, si int) error) error {
 	ctx, cancel := p.opts.phaseContext(ctx)
 	defer cancel()
-	perSite := subsBySite(p.assign, len(p.tb.Sites))
-	return concurrently(ctx, phase, len(perSite), func(ctx context.Context, c int) error {
-		for _, si := range perSite[c] {
+	return concurrently(ctx, phase, len(p.perSite), func(ctx context.Context, c int) error {
+		for _, si := range p.perSite[c] {
 			if ctx.Err() != nil {
 				return nil // a sibling failed; don't start more work
 			}
@@ -280,7 +279,8 @@ func (p *onTestbed) exchange(ctx context.Context, round int, packets []PseudoPac
 	for si := range incoming {
 		incoming[si] = incoming[si][:0]
 	}
-	exchanging := newBundles(len(p.tb.Sites))
+	p.bundles = clearBundles(p.bundles, len(p.tb.Sites))
+	exchanging := p.bundles
 	for si := range packets {
 		for _, nb := range p.d.Neighbors(si) {
 			from, to := p.assign[si], p.assign[nb]
@@ -328,13 +328,14 @@ func (p *onTestbed) remap(ctx context.Context) error {
 		}
 	}
 	res.Migrated = Migrations(res.Step1Mapping, res.Step2Mapping)
-	p.assign = res.Step2Mapping.Assign
+	p.mapTo(res.Step2Mapping.Assign)
 	res.Timings.Remap = time.Since(start)
 
 	start = time.Now()
 	ctx, cancel := p.opts.phaseContext(ctx)
 	defer cancel()
-	migrating := newBundles(len(p.tb.Sites))
+	p.bundles = clearBundles(p.bundles, len(p.tb.Sites))
+	migrating := p.bundles
 	for _, si := range res.Migrated {
 		from, to := res.Step1Mapping.Assign[si], p.assign[si]
 		migrating[from][to] = append(migrating[from][to], outEnvelope{FromSub: si, ToSub: si, Meas: p.raw[si]})
@@ -349,21 +350,36 @@ func (p *onTestbed) remap(ctx context.Context) error {
 	return err
 }
 
-// subsBySite lists each of p sites' subsystems under assign, ascending.
-func subsBySite(assign []int, p int) [][]int {
-	perSite := make([][]int, p)
-	for si, c := range assign {
-		perSite[c] = append(perSite[c], si)
+// mapTo makes assign the mapping the run's phases follow, and lists each
+// site's subsystems under it, ascending, in the testbed's perSite.
+func (p *onTestbed) mapTo(assign []int) {
+	p.assign = assign
+	if len(p.perSite) != len(p.tb.Sites) {
+		p.perSite = make([][]int, len(p.tb.Sites))
 	}
-	return perSite
+	for c := range p.perSite {
+		p.perSite[c] = p.perSite[c][:0]
+	}
+	for si, c := range assign {
+		p.perSite[c] = append(p.perSite[c], si)
+	}
 }
 
-// newBundles returns the empty bundle table of a p-site phase: [a][b] lists
-// the envelopes site a owes site b.
-func newBundles(p int) [][][]outEnvelope {
-	bundles := make([][][]outEnvelope, p)
-	for a := range bundles {
-		bundles[a] = make([][]outEnvelope, p)
+// clearBundles returns the empty bundle table of a p-site phase, [a][b]
+// listing the envelopes site a owes site b: bundles emptied, on its arrays,
+// where it has p sites.
+func clearBundles(bundles [][][]outEnvelope, p int) [][][]outEnvelope {
+	if len(bundles) != p {
+		bundles = make([][][]outEnvelope, p)
+		for a := range bundles {
+			bundles[a] = make([][]outEnvelope, p)
+		}
+	}
+	for _, row := range bundles {
+		for b := range row {
+			clear(row[b])
+			row[b] = row[b][:0]
+		}
 	}
 	return bundles
 }

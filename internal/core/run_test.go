@@ -505,7 +505,7 @@ func TestShipEnvelopesMigrateBundles(t *testing.T) {
 		return got, messages, bytes, err
 	}
 
-	bundles := newBundles(2)
+	bundles := clearBundles(nil, 2)
 	bundles[0][1] = []outEnvelope{migrate(1), migrate(2)}
 	bundles[1][0] = []outEnvelope{migrate(3)}
 	got, messages, bytes, err := ship(t, bundles, nil)
@@ -520,17 +520,17 @@ func TestShipEnvelopesMigrateBundles(t *testing.T) {
 		t.Errorf("accounting %d messages / %d bytes, want 2 / %d", messages, bytes, wantBytes)
 	}
 
-	if _, messages, _, err := ship(t, newBundles(2), nil); err != nil || messages != 0 {
+	if _, messages, _, err := ship(t, clearBundles(nil, 2), nil); err != nil || messages != 0 {
 		t.Errorf("a phase with nothing to ship: %d messages, %v", messages, err)
 	}
 
-	wrongSite := newBundles(2)
+	wrongSite := clearBundles(nil, 2)
 	wrongSite[0][1] = []outEnvelope{migrate(1), migrate(0)} // subsystem 0 stays on site 0
 	if _, _, _, err := ship(t, wrongSite, nil); err == nil || !strings.Contains(err.Error(), "subsystem 0, which it does not host") {
 		t.Errorf("envelope for a subsystem hosted elsewhere: err = %v", err)
 	}
 
-	wrongKind := newBundles(2)
+	wrongKind := clearBundles(nil, 2)
 	wrongKind[0][1] = []outEnvelope{{FromSub: 0, ToSub: 1, Packet: &PseudoPacket{FromSub: 0}}}
 	if _, _, _, err := ship(t, wrongKind, nil); err == nil || !strings.Contains(err.Error(), "envelope kind") {
 		t.Errorf("pseudo envelope in the redistribution: err = %v", err)
@@ -542,7 +542,7 @@ func TestShipEnvelopesMigrateBundles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owed := newBundles(2)
+	owed := clearBundles(nil, 2)
 	owed[0][1] = []outEnvelope{migrate(1), migrate(2)}
 	_, _, _, err = ship(t, owed, func(tb *cluster.Testbed) {
 		if err := tb.Sites[0].Client().Send(context.Background(), "Catamount", stray); err != nil {

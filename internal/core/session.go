@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,9 +46,20 @@ type Session struct {
 
 	// packets and incoming are runDSE's round buffers, refilled every round
 	// and frame: packets[si] is what subsystem si sends, its States
-	// rewritten in place, and incoming[si] the list it receives.
+	// rewritten in place, and incoming[si] the list it receives. probs is
+	// the list of every subsystem's current subproblem, refilled by each
+	// phase.
 	packets  []PseudoPacket
 	incoming [][]PseudoPacket
+	probs    []*Subproblem
+
+	// run is what the phase tasks of the run in flight read, and step1Task
+	// and step2Task are those tasks (step1Phase, step2Phase), made once
+	// with the session so that no phase of a run makes a closure.
+	run                  dseRun
+	step1Task, step2Task func(ctx context.Context, si int) error
+	// step1Solves counts the Step-1 solves the session has started.
+	step1Solves atomic.Int64
 
 	// builds counts skeleton constructions (Step-1/Step-2 subproblems and
 	// the boundary system, each with its fresh engine). Atomic because
@@ -75,6 +87,18 @@ type subSession struct {
 	seed powerflow.State
 }
 
+// dseRun is the run in flight, as its phase tasks read it: the frame, the
+// options of the current phase, and for Step 2 the round, the incoming
+// packets and the lists the phases' results go to. endRun clears it.
+type dseRun struct {
+	global       []meas.Measurement
+	opts         DSEOptions
+	round        int
+	final        bool
+	incoming     [][]PseudoPacket
+	step1, step2 []*wls.Result
+}
+
 // sessionConfig captures the DSEOptions fields baked into the cached
 // skeletons; a change means the skeletons no longer describe the problem
 // and the session must be rebuilt.
@@ -97,7 +121,9 @@ func sessionConfigFor(opts DSEOptions) sessionConfig {
 // NewSession builds an empty session for the decomposition. Skeletons and
 // engines materialize lazily as runs touch each subsystem.
 func NewSession(d *Decomposition, opts DSEOptions) *Session {
-	return &Session{d: d, cfg: sessionConfigFor(opts), subs: make([]subSession, len(d.Subsystems))}
+	s := &Session{d: d, cfg: sessionConfigFor(opts), subs: make([]subSession, len(d.Subsystems))}
+	s.step1Task, s.step2Task = s.step1Phase, s.step2Phase
+	return s
 }
 
 // Reset drops every cached skeleton, engine, and warm-start vector. Call
@@ -139,6 +165,10 @@ func (s *Session) beginRun(opts DSEOptions) DSEOptions {
 	}
 	return opts
 }
+
+// endRun drops the session's references to the run that beginRun began:
+// its frame, options and result lists.
+func (s *Session) endRun() { s.run = dseRun{} }
 
 // step1 returns subsystem si's Step-1 subproblem and engine, refreshed
 // with the frame's values. The skeleton and engine are built on first use
@@ -269,7 +299,15 @@ func (s *Session) step2Start(si int, step1 powerflow.State) []float64 {
 			st.Vm[l2] = v
 		}
 	}
-	sl.warm2 = sp.Model.StateToVec(st)
+	// Packed as Model.StateToVec packs it, into warm2's own array.
+	sl.warm2 = slices.Grow(sl.warm2[:0], sp.Model.NState())[:sp.Model.NState()]
+	for i := range sl.warm2 {
+		if b, angle := sp.Model.StateBus(i); angle {
+			sl.warm2[i] = st.Va[b]
+		} else {
+			sl.warm2[i] = st.Vm[b]
+		}
+	}
 	return sl.warm2
 }
 
@@ -316,8 +354,9 @@ func (s *Session) noteStep2(si int, x []float64) {
 }
 
 // sessionFor returns the decomposition-owned session, creating or
-// replacing it when absent or configured differently, locked for one run.
-func (d *Decomposition) sessionFor(opts DSEOptions) (*Session, func()) {
+// replacing it when absent or configured differently, locked for one run:
+// the caller unlocks its mu.
+func (d *Decomposition) sessionFor(opts DSEOptions) *Session {
 	cfg := sessionConfigFor(opts)
 	d.sessionMu.Lock()
 	s := d.session
@@ -329,15 +368,16 @@ func (d *Decomposition) sessionFor(opts DSEOptions) (*Session, func()) {
 	return lockOrClone(s, d, opts)
 }
 
-// lockOrClone locks s for one run, or hands out a fresh private session
-// when s is serving a concurrent run.
-func lockOrClone(s *Session, d *Decomposition, opts DSEOptions) (*Session, func()) {
+// lockOrClone locks s for one run, or hands out a fresh private session,
+// locked, when s is serving a concurrent run. The caller unlocks the mu of
+// the session it gets.
+func lockOrClone(s *Session, d *Decomposition, opts DSEOptions) *Session {
 	if s.mu.TryLock() {
-		return s, s.mu.Unlock
+		return s
 	}
 	eph := NewSession(d, opts)
 	eph.mu.Lock()
-	return eph, eph.mu.Unlock
+	return eph
 }
 
 // boundarySession is the coordinator-side analogue of a subsystem slot:

@@ -45,12 +45,13 @@ func TestSteadyTrackedFrameAllocations(t *testing.T) {
 	if b := tr.SkeletonBuilds(); b != builds {
 		t.Fatalf("steady frames built %d skeletons", b-builds)
 	}
-	// 27 solves of 2 (a Result and its block); 7 in runDSE (the DSEResult,
-	// its Step-2 list and aggregated state, a closure per round); Step 1's
-	// two lists and closure; the session's unlock; and per phase the phase
-	// runner's job, error list and context (4 × 3). AllocsPerRun runs at
-	// GOMAXPROCS 1, so the runner starts no helper and makes no done channel.
-	const want = 77
+	// 27 solves of 2 (a Result and its block); 5 in runDSE (the DSEResult,
+	// its Step-2 and Step-1 lists and the aggregated state's two slices);
+	// and per phase the phase runner's job, error list and context (4 × 3).
+	// The phase tasks and the subproblem list are the session's. AllocsPerRun
+	// runs at GOMAXPROCS 1, so the runner starts no helper and makes no done
+	// channel.
+	const want = 71
 	if allocs > want {
 		t.Errorf("a steady tracked frame allocated %v times, want at most %d", allocs, want)
 	}

@@ -30,6 +30,12 @@ type keptTestbed struct {
 	// never run.
 	raw   *atomic.Pointer[[][]meas.Measurement]
 	coord *medici.MWClient
+	// perSite lists each site's subsystems under the mapping the run
+	// holding the testbed follows (onTestbed.mapTo), and bundles is the
+	// envelope table of the phase it ships: both are refilled on arrays kept
+	// across runs.
+	perSite [][]int
+	bundles [][][]outEnvelope
 }
 
 // testbedKey is what a testbed is built from: the resolved site count and

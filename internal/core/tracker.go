@@ -57,8 +57,8 @@ func (t *Tracker) stepOn(ctx context.Context, pl placement, frame []meas.Measure
 	if t.sess == nil || t.sess.d != t.Dec || t.sess.cfg != sessionConfigFor(opts) {
 		t.sess = NewSession(t.Dec, opts)
 	}
-	sess, release := lockOrClone(t.sess, t.Dec, opts)
-	defer release()
+	sess := lockOrClone(t.sess, t.Dec, opts)
+	defer sess.mu.Unlock()
 	res, err := sess.runDSE(ctx, pl, frame, inProcessOptions(t.Dec, opts))
 	if err != nil {
 		return nil, err
