@@ -228,7 +228,8 @@ var CheckObservability = wls.CheckObservability
 var RestoreObservability = wls.RestoreObservability
 
 // EstimateConstrained runs equality-constrained WLS (exact zero-injection
-// constraints via the KKT augmented system).
+// constraints, each step the KKT step taken through its Schur complement on
+// the estimator's LDLᵀ factor).
 var EstimateConstrained = wls.EstimateConstrained
 
 // ZeroInjectionConstraints scans a network for structural transit buses.

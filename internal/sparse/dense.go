@@ -7,7 +7,7 @@ import (
 )
 
 // Dense is a row-major dense matrix used for the constrained estimator's
-// KKT system and reference solves in tests.
+// nc×nc Schur complement and reference solves in tests.
 type Dense struct {
 	Rows, Cols int
 	Data       []float64 // len Rows*Cols, row-major

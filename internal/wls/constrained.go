@@ -1,9 +1,11 @@
 package wls
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/meas"
 	"repro/internal/sparse"
@@ -13,18 +15,18 @@ import (
 // zero injections — transit buses with no load or generation — are exact
 // network facts, not noisy telemetry. Modeling them as very-high-weight
 // virtual measurements (the TestZeroInjectionVirtualMeasurements approach)
-// ill-conditions the gain matrix; the constrained estimator instead solves
-// the KKT system of
-//
-//	min (z − h(x))ᵀ W (z − h(x))   s.t.  c(x) = 0
-//
-// at each Gauss–Newton step:
-//
-//	[ HᵀWH  Cᵀ ] [Δx]   [ HᵀW·r ]
-//	[ C      0 ] [λ ]  = [ −c(x) ]
-//
-// where C is the constraint Jacobian. The augmented matrix is indefinite,
-// so it is solved with partially pivoted dense LU.
+// ill-conditions the gain matrix; the constrained estimator instead takes,
+// at each Gauss–Newton step of min (z − h(x))ᵀW(z − h(x)) s.t. c(x) = 0,
+// the KKT step [HᵀWH Cᵀ; C 0]·[Δx; λ] = [HᵀW·r; −c(x)], C being the
+// constraint Jacobian. That matrix is indefinite, so the step is taken
+// through its nc×nc Schur complement on an SPD one: the constraints join the
+// meters as rows of weight α, the largest meter weight, and the engine's
+// factor holds G_α = HᵀWH + αCᵀC ([H; C] of full column rank, the problem's
+// own observability condition, makes it SPD) and its right-hand side
+// b_α = HᵀW·r − αCᵀc. The first block row plus αCᵀ(CΔx) = −αCᵀc reads
+// G_α·Δx + Cᵀλ = b_α, so with y = G_α⁻¹b_α and Z = G_α⁻¹Cᵀ (nc
+// substitutions), S = C·Z, S·λ = C·y + c and Δx = y − Z·λ is the KKT step
+// and multiplier: α sets only the conditioning.
 
 // Constraint declares one exact zero-injection constraint at a bus.
 type Constraint struct {
@@ -46,7 +48,11 @@ var ErrBadConstraint = errors.New("wls: constraint must be a Pinj or Qinj at a k
 
 // EstimateConstrained runs equality-constrained Gauss–Newton WLS. The
 // constraints are enforced exactly (to solver precision) rather than
-// weighted into the objective.
+// weighted into the objective. Tol, MaxIter, Workers and X0 apply as in
+// Estimate; GainReuse and X0Gate are ignored, since every step refreshes
+// the gain and its factor and X0 is always kept. A gain singular at an
+// iterate is ErrUnobservable naming the bus, as in Estimate, and a singular
+// Schur complement is ErrUnobservable naming redundant constraints.
 func EstimateConstrained(mod *meas.Model, constraints []Constraint, opts Options) (*ConstrainedResult, error) {
 	tol, maxIter := opts.limits()
 	nc := len(constraints)
@@ -57,114 +63,108 @@ func EstimateConstrained(mod *meas.Model, constraints []Constraint, opts Options
 		}
 		return &ConstrainedResult{Result: res}, nil
 	}
-	// Constraint evaluator: a zero-sigma-free model over the same network.
-	cms := make([]meas.Measurement, nc)
-	for i, c := range constraints {
+	m, n := mod.NMeas(), mod.NState()
+	sigma := 1.0 // of the constraint rows: weight α, the largest meter weight
+	if m > 0 {
+		sigma = slices.MinFunc(mod.Meas, func(a, b meas.Measurement) int { return cmp.Compare(a.Sigma, b.Sigma) }).Sigma
+	}
+	ms := append(make([]meas.Measurement, 0, m+nc), mod.Meas...)
+	for _, c := range constraints {
 		if c.Kind != meas.Pinj && c.Kind != meas.Qinj {
 			return nil, fmt.Errorf("%w: kind %v", ErrBadConstraint, c.Kind)
 		}
 		if _, ok := mod.Net.Index(c.Bus); !ok {
 			return nil, fmt.Errorf("%w: bus %d", ErrBadConstraint, c.Bus)
 		}
-		cms[i] = meas.Measurement{Kind: c.Kind, Bus: c.Bus, Sigma: 1, Value: 0}
+		ms = append(ms, meas.Measurement{Kind: c.Kind, Bus: c.Bus, Sigma: sigma})
 	}
-	cmod, err := meas.NewModel(mod.Net, cms, mod.RefBus(), mod.RefAngle())
+	if m+nc < n {
+		return nil, fmt.Errorf("%w: %d measurements + %d constraints < %d states", ErrUnobservable, m, nc, n)
+	}
+	if opts.X0 != nil && len(opts.X0) != n {
+		return nil, fmt.Errorf("wls: warm start length %d != state dim %d", len(opts.X0), n)
+	}
+	aug, err := meas.NewModel(mod.Net, ms, mod.RefBus(), mod.RefAngle())
 	if err != nil {
 		return nil, err
 	}
-	if mod.NMeas()+nc < mod.NState() {
-		return nil, fmt.Errorf("%w: %d measurements + %d constraints < %d states",
-			ErrUnobservable, mod.NMeas(), nc, mod.NState())
+	e := NewEngine(aug)
+	if err := e.untouchedState(); err != nil {
+		return nil, err
 	}
-
-	n := mod.NState()
-	x := mod.FlatVec()
+	block := e.newBlock()
+	x := block[:n:n]
 	if opts.X0 != nil {
-		if len(opts.X0) != n {
-			return nil, fmt.Errorf("wls: warm start length %d != state dim %d", len(opts.X0), n)
-		}
 		copy(x, opts.X0)
+	} else {
+		e.flatInto(x)
 	}
-	w := mod.Weights()
-	z := make([]float64, mod.NMeas())
-	for i, m := range mod.Meas {
-		z[i] = m.Value
+	e.loadWeights(nil)
+	for i, mt := range mod.Meas {
+		e.z[i] = mt.Value
 	}
-
-	// Symbolic plans for both the measurement model and the constraint
-	// evaluator: the per-iteration KKT assembly refreshes numerics only.
-	jplan := mod.NewJacobianPlan()
-	gplan := sparse.NewGainPlan(jplan.H)
-	cplan := cmod.NewJacobianPlan()
-	pool := sparse.DefaultPool()
-	h := make([]float64, mod.NMeas())
-	wr := make([]float64, mod.NMeas())
-	cval := make([]float64, nc)
-	// The (n+nc) × (n+nc) KKT system, reassembled every iteration; b's
-	// first n entries are HᵀW·r.
-	kkt := sparse.NewDense(n+nc, n+nc)
-	b := make([]float64, n+nc)
+	// cdot is C's row i, H's row m+i, times v.
+	h := e.jplan.H
+	cdot := func(i int, v []float64) (d float64) {
+		for k := h.RowPtr[m+i]; k < h.RowPtr[m+i+1]; k++ {
+			d += h.Val[k] * v[h.ColIdx[k]]
+		}
+		return d
+	}
 
 	out := &ConstrainedResult{Result: &Result{}}
-	r := make([]float64, mod.NMeas())
+	res := out.Result
+	zs, s, cy := make([]float64, nc*n), sparse.NewDense(nc, nc), make([]float64, nc)
 	for iter := 0; iter < maxIter; iter++ {
-		jplan.EvalInto(h, x)
-		sparse.Sub(r, z, h)
-		hj := jplan.Refresh(x)
-		g := gplan.RefreshPool(hj, w, pool)
-		sparse.GainRHSInto(b[:n], hj, w, r, wr)
-		cplan.EvalInto(cval, x)
-		cj := cplan.Refresh(x)
-
-		clear(kkt.Data)
-		for i := 0; i < g.Rows; i++ {
-			for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
-				kkt.AddAt(i, g.ColIdx[k], g.Val[k])
-			}
+		e.evalAt(x, true) // h, r and b_α at x
+		e.hValid, e.rhsValid = false, false
+		e.refreshGain(e.jplan.Refresh(x), opts)
+		y, damped, err := e.solveGain(opts, solveTol, res)
+		if err == nil && damped != nil {
+			err = e.unobservableAt(damped)
 		}
-		for ci := 0; ci < nc; ci++ {
-			for k := cj.RowPtr[ci]; k < cj.RowPtr[ci+1]; k++ {
-				col := cj.ColIdx[k]
-				v := cj.Val[k]
-				kkt.AddAt(n+ci, col, v)
-				kkt.AddAt(col, n+ci, v)
-			}
-		}
-		for ci := 0; ci < nc; ci++ {
-			b[n+ci] = -cval[ci]
-		}
-		sol, err := sparse.SolveDense(kkt, b)
 		if err != nil {
-			if errors.Is(err, sparse.ErrSingular) {
-				return nil, fmt.Errorf("%w: singular KKT system (redundant constraints?)", ErrUnobservable)
-			}
-			return nil, fmt.Errorf("wls: KKT solve at iteration %d: %w", iter, err)
+			return nil, err
 		}
-		sparse.Axpy(1, sol[:n], x)
-		out.Lambda = sol[n:]
-		out.Iterations = iter + 1
-		if sparse.NormInf(sol[:n]) < tol {
-			out.Converged = true
+		for j := range nc {
+			zj := zs[j*n : (j+1)*n]
+			clear(zj)
+			for k := h.RowPtr[m+j]; k < h.RowPtr[m+j+1]; k++ {
+				zj[h.ColIdx[k]] = h.Val[k]
+			}
+			e.ldl.Apply(zj, zj)
+		}
+		for i := range nc {
+			cy[i] = e.h[m+i] + cdot(i, y)
+			for j := range nc {
+				s.Set(i, j, cdot(i, zs[j*n:]))
+			}
+		}
+		lambda, err := sparse.SolveDense(s, cy)
+		if err != nil {
+			return nil, fmt.Errorf("%w: Schur complement of the KKT system: %w (redundant constraints?)", ErrUnobservable, err)
+		}
+		for j, l := range lambda {
+			sparse.Axpy(-l, zs[j*n:(j+1)*n], y)
+		}
+		sparse.Axpy(1, y, x)
+		out.Lambda = lambda
+		res.Iterations = iter + 1
+		if res.Converged = sparse.NormInf(y) < tol; res.Converged {
 			break
 		}
 	}
 
-	jplan.EvalInto(h, x)
-	sparse.Sub(r, z, h)
-	out.X = x
-	out.State = mod.VecToState(x)
-	out.Residuals = r
-	for i := range r {
-		out.ObjectiveJ += w[i] * r[i] * r[i]
+	e.finish(res, block)
+	res.Residuals, res.ObjectiveJ = res.Residuals[:m:m], 0
+	for i, r := range res.Residuals {
+		res.ObjectiveJ += e.w[i] * r * r
 	}
-	cplan.EvalInto(cval, x)
-	for _, cv := range cval {
-		if a := math.Abs(cv); a > out.MaxConstraintViolation {
-			out.MaxConstraintViolation = a
-		}
+	for _, c := range e.h[m:] { // finish left h at x̂
+		out.MaxConstraintViolation = max(out.MaxConstraintViolation, math.Abs(c))
 	}
-	if !out.Converged {
-		return out, fmt.Errorf("%w after %d iterations", ErrNotConverged, out.Iterations)
+	if !res.Converged {
+		return out, fmt.Errorf("%w after %d iterations", ErrNotConverged, res.Iterations)
 	}
 	return out, nil
 }
