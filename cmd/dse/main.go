@@ -40,10 +40,10 @@ func main() {
 		noise      = flag.Float64("noise", 1.0, "meter noise level")
 		seed       = flag.Int64("seed", 1, "random seed")
 		rounds     = flag.Int("rounds", 1, "DSE Step-2 rounds, on the testbed or in process (not with -hierarchical, which has no Step 2)")
-		inproc     = flag.Bool("inprocess", false, "skip the TCP testbed, run in-process")
-		noMapping  = flag.Bool("nomapping", false, "use the naive contiguous assignment instead of the cost-model mapping")
-		shaped     = flag.Bool("shaped", false, "shape inter-site links to the lab-network profile")
-		hier       = flag.Bool("hierarchical", false, "run the coordinator-based hierarchical mode instead of peer-to-peer DSE")
+		inproc     = flag.Bool("inprocess", false, "skip the TCP testbed, run in-process (not with -hierarchical, whose coordinator sits on the testbed)")
+		noMapping  = flag.Bool("nomapping", false, "on the testbed, without -hierarchical: use the naive contiguous assignment instead of the cost-model mapping")
+		shaped     = flag.Bool("shaped", false, "on the testbed: shape inter-site links to the lab-network profile")
+		hier       = flag.Bool("hierarchical", false, "run the coordinator-based hierarchical mode on the testbed instead of peer-to-peer DSE")
 		refine     = flag.Bool("refine", false, "with -hierarchical: coordinator re-estimates the boundary system")
 		frames     = flag.Int("frames", 1, "serve this many measurement frames on one decomposition: with -inprocess a tracker (session reuse + warm starts), otherwise one testbed run per frame on the testbed the decomposition keeps")
 		gainReuse  = flag.String("gain-reuse", wls.Options{}.GainReuse.String(), "drift-gated gain/factor reuse: gain (lag while the state stays inside the gate) or off (exact Gauss-Newton)")
@@ -63,10 +63,22 @@ func main() {
 		}
 		*subsystems = *areas
 	}
-	tracking := *inproc && *frames > 1
-	if *rounds > 1 && *hier && !tracking {
+	// A flag that names what a flow does not have is refused, not dropped.
+	switch {
+	case *hier && *inproc:
+		usageError("-hierarchical cannot be combined with -inprocess: the coordinator flow runs on the testbed")
+	case *rounds > 1 && *hier:
 		usageError("-rounds %d cannot be combined with -hierarchical: the coordinator flow has no Step 2 to repeat", *rounds)
+	case *refine && !*hier:
+		usageError("-refine needs -hierarchical: only the coordinator re-estimates the boundary system")
+	case *noMapping && *hier:
+		usageError("-nomapping cannot be combined with -hierarchical: the coordinator flow always maps by the cost model")
+	case *noMapping && *inproc:
+		usageError("-nomapping cannot be combined with -inprocess: there are no clusters to map onto")
+	case *shaped && *inproc:
+		usageError("-shaped cannot be combined with -inprocess: no link carries the exchange")
 	}
+	tracking := *inproc && *frames > 1
 	stopProfile, err := prof.StartCPU(*cpuProfile)
 	if err != nil {
 		log.Fatal(err)
@@ -129,6 +141,11 @@ func main() {
 		return fms
 	}
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	// What the testbed flows share; a nil Transport is plain loopback TCP.
+	testbed := gridse.DistributedOptions{Clusters: *clusters, DSE: gridse.DSEOptions{Rounds: *rounds, WLS: wlsOpts}}
+	if *shaped {
+		testbed.Transport = cluster.NewShapedTransport(cluster.LabNetworkProfile(), nil)
+	}
 	switch {
 	case tracking:
 		// Tracking operation: successive acquisition cycles over one
@@ -152,14 +169,12 @@ func main() {
 			state = res.State
 		}
 	case *hier:
+		opts := testbed
+		opts.HierarchicalRefine = *refine
 		// Every frame after the first runs on the sites, links and
 		// coordinator endpoint the first one brought up.
 		for f := 0; f < *frames; f++ {
-			res, err := gridse.RunHierarchical(ctx, dec, frame(f), gridse.DistributedOptions{
-				Clusters:           *clusters,
-				HierarchicalRefine: *refine,
-				DSE:                gridse.DSEOptions{WLS: wlsOpts},
-			})
+			res, err := gridse.RunHierarchical(ctx, dec, frame(f), opts)
 			if err != nil {
 				log.Fatalf("hierarchical: %v", err)
 			}
@@ -181,14 +196,8 @@ func main() {
 			res.ExchangeBytes)
 		state = res.State
 	default:
-		opts := gridse.DistributedOptions{
-			Clusters:  *clusters,
-			NoMapping: *noMapping,
-			DSE:       gridse.DSEOptions{Rounds: *rounds, WLS: wlsOpts},
-		}
-		if *shaped {
-			opts.Transport = cluster.NewShapedTransport(cluster.LabNetworkProfile(), nil)
-		}
+		opts := testbed
+		opts.NoMapping = *noMapping
 		// The first frame brings the testbed up and dials its links; every
 		// later one runs on them, so the cold frame and the steady state
 		// show apart.

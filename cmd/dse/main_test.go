@@ -79,3 +79,44 @@ func TestFramesOnTheTestbed(t *testing.T) {
 		t.Errorf("dse -frames 3 ran the in-process tracker:\n%s", stdout)
 	}
 }
+
+// TestRefusedFlagCombinations: a flag that names something the chosen flow
+// does not have is a usage error naming it, never dropped quietly.
+func TestRefusedFlagCombinations(t *testing.T) {
+	args := []string{"-case", "ieee30", "-subsystems", "3", "-clusters", "2"}
+	for _, c := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-hierarchical", "-inprocess"}, "-hierarchical cannot be combined with -inprocess"},
+		{[]string{"-hierarchical", "-inprocess", "-frames", "2"}, "-hierarchical cannot be combined with -inprocess"},
+		{[]string{"-refine"}, "-refine needs -hierarchical"},
+		{[]string{"-refine", "-inprocess"}, "-refine needs -hierarchical"},
+		{[]string{"-nomapping", "-hierarchical"}, "-nomapping cannot be combined with -hierarchical"},
+		{[]string{"-nomapping", "-inprocess"}, "-nomapping cannot be combined with -inprocess"},
+		{[]string{"-shaped", "-inprocess"}, "-shaped cannot be combined with -inprocess"},
+	} {
+		stdout, stderr, err := runDSE(t, append(args, c.flags...)...)
+		if err == nil || !strings.Contains(stderr, c.want) {
+			t.Errorf("dse %v: err %v, stderr %q; want a usage error %q", c.flags, err, stderr, c.want)
+		}
+		if strings.Contains(stdout, "accuracy vs truth") {
+			t.Errorf("dse %v ran anyway:\n%s", c.flags, stdout)
+		}
+	}
+}
+
+// TestHierarchicalShapedRefined: -shaped reaches the coordinator flow's
+// links, and -refine its boundary system, frame after frame on one
+// decomposition.
+func TestHierarchicalShapedRefined(t *testing.T) {
+	stdout, stderr, err := runDSE(t, "-case", "ieee30", "-subsystems", "3", "-clusters", "2", "-hierarchical", "-refine", "-shaped", "-frames", "2")
+	if err != nil {
+		t.Fatalf("dse -hierarchical -refine -shaped: %v\n%s%s", err, stdout, stderr)
+	}
+	for _, want := range []string{"frame 0: hierarchical run", "frame 1: hierarchical run", "(refine=true)", "accuracy vs truth"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("dse -hierarchical -refine -shaped printed no %q:\n%s", want, stdout)
+		}
+	}
+}

@@ -278,10 +278,12 @@ type (
 	// BusState is one bus's exchanged state.
 	BusState = core.BusState
 	// Session is a decomposition's reusable DSE pipeline: cached subproblem
-	// skeletons, solver engines, and cross-round/cross-frame warm-start
-	// state. Every Decomposition lazily owns one, which the driver behind
-	// RunDSE, RunDistributed, and RunHierarchical runs on; Session.Reset
-	// drops the cached state after an external structural change.
+	// skeletons (every subsystem's Step 1 and Step 2 and the hierarchical
+	// coordinator's boundary system, from one builder), solver engines, and
+	// cross-round/cross-frame warm-start state. Every Decomposition lazily
+	// owns one, which the driver behind RunDSE, RunDistributed, and
+	// RunHierarchical runs on; Session.Reset drops the cached state after an
+	// external structural change.
 	Session = core.Session
 )
 

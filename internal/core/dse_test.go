@@ -566,3 +566,11 @@ func TestRunDSEWithRTUPlan(t *testing.T) {
 	}
 	t.Logf("RTU-plan DSE: %d measurements, max Vm error %.5f", len(ms), worst)
 }
+
+func intSet(xs []int) map[int]bool {
+	s := make(map[int]bool, len(xs))
+	for _, x := range xs {
+		s[x] = true
+	}
+	return s
+}

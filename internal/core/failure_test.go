@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -144,7 +145,7 @@ func TestRunDSEUntouchedStateSurvivesWrapping(t *testing.T) {
 	if !errors.Is(err, wls.ErrUnobservable) {
 		t.Fatalf("err = %v, want wls.ErrUnobservable", err)
 	}
-	if !strings.Contains(err.Error(), "step 1 subsystem 4: ") || !strings.Contains(err.Error(), ": no measurement touches state ") {
+	if !strings.Contains(err.Error(), "step 1 subsystem 4: ") || !strings.Contains(err.Error(), fmt.Sprintf(": no measurement touches the angle of bus %d", id)) {
 		t.Fatalf("error lost its origin: %v", err)
 	}
 }

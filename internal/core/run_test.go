@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -254,6 +255,77 @@ func TestHierarchicalRefinementImprovesBoundary(t *testing.T) {
 		if !isBoundary && plain.State.Vm[i] != refined.State.Vm[i] {
 			t.Fatalf("interior bus %d modified by boundary refinement", i)
 		}
+	}
+}
+
+// TestHierarchicalRefineTieFlowsSwapped: a frame that swaps two tie-line
+// flows of one kind, side and σ keeps its length and every position's kind,
+// so only the branch tells the coordinator's kept boundary system that its
+// layout changed. A frame of the unchanged layout refreshes every skeleton;
+// the swapped one rebuilds the boundary system alone, and the kept
+// decomposition's refined run on it equals a fresh decomposition's bit for
+// bit.
+func TestHierarchicalRefineTieFlowsSwapped(t *testing.T) {
+	fx := newFixture(t, grid.Case118, 9, 1)
+	defer fx.dec.Close()
+	tie := make(map[int]bool)
+	for _, tl := range fx.dec.TieLines {
+		tie[tl.Branch] = true
+	}
+	swapped := append([]meas.Measurement(nil), fx.ms...)
+	first := -1
+	for i, m := range swapped {
+		if m.Kind != meas.Pflow || !tie[m.Branch] {
+			continue
+		}
+		if first < 0 {
+			first = i
+			continue
+		}
+		if f := swapped[first]; m.FromSide == f.FromSide && m.Sigma == f.Sigma && m.Branch != f.Branch {
+			swapped[first], swapped[i] = m, f
+			break
+		}
+	}
+	if slices.Equal(swapped, fx.ms) {
+		t.Fatal("no two tie-line Pflow entries of one side and σ to swap")
+	}
+
+	opts := DistributedOptions{Clusters: 3, HierarchicalRefine: true}
+	if _, err := RunHierarchical(context.Background(), fx.dec, fx.ms, opts); err != nil {
+		t.Fatal(err)
+	}
+	builds := fx.dec.session.SkeletonBuilds()
+	if _, err := RunHierarchical(context.Background(), fx.dec, frameFor(t, fx, 1, 12), opts); err != nil {
+		t.Fatal(err)
+	}
+	if b := fx.dec.session.SkeletonBuilds() - builds; b != 0 {
+		t.Fatalf("a frame of the same layout built %d skeletons", b)
+	}
+	kept, err := RunHierarchical(context.Background(), fx.dec, swapped, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds = fx.dec.session.SkeletonBuilds() - builds
+	d, err := Decompose(fx.net, 9, DecomposeOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	fresh, err := RunHierarchical(context.Background(), d, swapped, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var worst float64
+	for i := range fresh.State.Va {
+		worst = max(worst, math.Abs(kept.State.Va[i]-fresh.State.Va[i]))
+	}
+	if worst != 0 {
+		t.Fatalf("kept decomposition's angles up to %g rad from a fresh one's", worst)
+	}
+	requireSameRun(t, "swapped tie flows", kept.State, kept.Local, nil, &DSEResult{State: fresh.State, Step1: fresh.Local})
+	if builds != 1 {
+		t.Fatalf("the swapped frame built %d skeletons, want the boundary system alone", builds)
 	}
 }
 

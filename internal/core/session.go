@@ -4,18 +4,17 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/grid"
 	"repro/internal/meas"
 	"repro/internal/powerflow"
 	"repro/internal/wls"
 )
 
-// Session is the per-decomposition DSE pipeline state: for every subsystem
-// it keeps the Step-1 and Step-2 subproblem skeletons (sub-network,
+// Session is the per-decomposition DSE pipeline state: it keeps every
+// subsystem's Step-1 and Step-2 subproblem skeletons and the hierarchical
+// coordinator's boundary system, all from one builder (sub-network,
 // measurement mapping, model structure — all topology-invariant), the
 // reusable WLS engines built on them (symbolic Jacobian and gain plans, the
 // LDLᵀ factor's analysis, and the lagged gain and factor of the reuse tier),
@@ -41,8 +40,13 @@ type Session struct {
 	// mu serializes runs: held for the duration of one orchestrator call.
 	mu sync.Mutex
 
-	subs     []subSession
-	boundary *boundarySession
+	subs []subSession
+	// coord is the hierarchical coordinator's boundary system and coordEng
+	// its engine (refineBoundary); coordIn[0] holds the aggregated boundary
+	// states it takes as pseudo-measurements.
+	coord    *Subproblem
+	coordEng *wls.Engine
+	coordIn  [1]PseudoPacket
 
 	// packets and incoming are runDSE's round buffers, refilled every round
 	// and frame: packets[si] is what subsystem si sends, its States
@@ -61,9 +65,8 @@ type Session struct {
 	// step1Solves counts the Step-1 solves the session has started.
 	step1Solves atomic.Int64
 
-	// builds counts skeleton constructions (Step-1/Step-2 subproblems and
-	// the boundary system, each with its fresh engine). Atomic because
-	// subsystems build concurrently within a run.
+	// builds counts skeleton constructions (see SkeletonBuilds). Atomic
+	// because subsystems build concurrently within a run.
 	builds atomic.Int64
 }
 
@@ -133,7 +136,7 @@ func (s *Session) Reset() {
 	for i := range s.subs {
 		s.subs[i] = subSession{}
 	}
-	s.boundary = nil
+	s.coord, s.coordEng = nil, nil
 }
 
 // beginRun prepares the session for one orchestrator call and returns the
@@ -157,11 +160,8 @@ func (s *Session) beginRun(opts DSEOptions) DSEOptions {
 			s.subs[i].eng2.ResetReuse()
 		}
 	}
-	if s.boundary != nil {
-		s.boundary.warm, s.boundary.haveWarm = nil, false
-		if s.boundary.eng != nil {
-			s.boundary.eng.ResetReuse()
-		}
+	if s.coordEng != nil {
+		s.coordEng.ResetReuse()
 	}
 	return opts
 }
@@ -256,8 +256,9 @@ func (s *Session) roundBuffers(m int) ([]PseudoPacket, [][]PseudoPacket) {
 }
 
 // SkeletonBuilds reports the cumulative number of skeleton constructions
-// (Step-1/Step-2 subproblem builds and boundary-system builds, each paired
-// with a fresh engine and its symbolic plans) this session has performed.
+// this session has performed: Subproblem builds — a subsystem's Step 1 or
+// Step 2, or the coordinator's boundary system — each paired with a fresh
+// engine and its symbolic plans.
 // Steady-state value-refresh frames leave the counter unchanged — it is how
 // tests and the contingency pool verify that a re-run paid zero symbolic
 // cost. Safe to read between runs; reads concurrent with a run see a
@@ -380,153 +381,38 @@ func lockOrClone(s *Session, d *Decomposition, opts DSEOptions) *Session {
 	return eph
 }
 
-// boundarySession is the coordinator-side analogue of a subsystem slot:
-// the reduced boundary system (all boundary buses + tie lines), its model,
-// engine, and refresh provenance, plus the cross-frame warm start for the
-// coordinator solve.
-type boundarySession struct {
-	net     *grid.Network
-	bList   []int // boundary buses (global internal indices), sorted
-	mod     *meas.Model
-	eng     *wls.Engine
-	src     []int32 // model meas index -> global frame index (flows), -1 for pseudo
-	nGlobal int
-
-	warm     []float64
-	haveWarm bool
-}
-
 // refineBoundary is the coordinator's second stage: a WLS estimation on
-// the reduced boundary system, anchored by the subsystem solutions as
-// pseudo-measurements and constrained by the tie-line flow telemetry that
-// no single balancing authority could use on its own. Refined boundary
-// states are written back into state. The boundary model and engine are
-// session-cached: successive frames refresh values only, and the
-// coordinator solve warm-starts from the previous frame's solution behind
-// the wls.WarmStartGate.
-func (s *Session) refineBoundary(ctx context.Context, global []meas.Measurement, state *powerflow.State, wlsOpts wls.Options) error {
-	d := s.d
-	if len(d.TieLines) == 0 {
-		return nil
+// the boundary system (Decomposition.boundarySubsystem), anchored by the
+// aggregated subsystem solutions as pseudo-measurements and constrained by
+// the tie-line flow telemetry that no single balancing authority could use
+// on its own. Refined boundary states are written back into state. Like a
+// subsystem's skeletons, the boundary system is built once and
+// value-refreshed by later frames.
+func (s *Session) refineBoundary(ctx context.Context, global []meas.Measurement, state *powerflow.State, w wls.Options) error {
+	d, sp := s.d, s.coord
+	var sub *Subsystem
+	if sp != nil {
+		sub = sp.Sub
+	} else if sub = d.boundarySubsystem(); sub == nil {
+		return nil // no tie lines, nothing to refine
 	}
-	b := s.boundary
-	if b == nil || !b.refresh(d, global, state) {
+	pkt := &s.coordIn[0]
+	pkt.States = pkt.States[:0]
+	for _, gi := range sub.Buses {
+		pkt.States = append(pkt.States, BusState{BusID: d.Net.Buses[gi].ID, Vm: state.Vm[gi], Va: state.Va[gi]})
+	}
+	if sp == nil || sp.UpdateMeasurements(global) != nil || sp.UpdatePseudo(s.coordIn[:]) != nil {
 		var err error
-		if b, err = s.buildBoundary(global, state); err != nil {
+		if sp, err = d.build(sub, nil, global, s.coordIn[:], s.cfg.pseudoSigma); err != nil {
 			return err
 		}
-		s.boundary = b
+		s.coord, s.coordEng = sp, wls.NewEngine(sp.Model)
 		s.builds.Add(1)
 	}
-	if b.haveWarm && len(b.warm) == b.mod.NState() && wlsOpts.X0 == nil {
-		wlsOpts.X0 = b.warm
-		if wlsOpts.X0Gate == 0 {
-			wlsOpts.X0Gate = wls.WarmStartGate
-		}
-	}
-	res, err := b.eng.EstimateCtx(ctx, wlsOpts)
+	res, err := s.coordEng.EstimateCtx(ctx, w)
 	if err != nil {
 		return err
 	}
-	b.warm, b.haveWarm = res.X, true
-	for _, gi := range b.bList {
-		id := d.Net.Buses[gi].ID
-		li := b.net.MustIndex(id)
-		state.Vm[gi] = res.State.Vm[li]
-		state.Va[gi] = res.State.Va[li]
-	}
+	sp.MergeInto(d, res.State, state)
 	return nil
-}
-
-// buildBoundary assembles the boundary system skeleton: boundary buses,
-// tie-line branches, one (Vmag, Angle) pseudo pair per boundary bus from
-// the aggregated state, and the tie-line flow telemetry from the frame.
-func (s *Session) buildBoundary(global []meas.Measurement, state *powerflow.State) (*boundarySession, error) {
-	d := s.d
-	bset := make(map[int]bool)
-	for _, sub := range d.Subsystems {
-		for _, bb := range sub.Boundary {
-			bset[bb] = true
-		}
-	}
-	bList := make([]int, 0, len(bset))
-	for bb := range bset {
-		bList = append(bList, bb)
-	}
-	sort.Ints(bList)
-
-	var buses []grid.Bus
-	for i, gi := range bList {
-		bus := d.Net.Buses[gi]
-		if i == 0 {
-			bus.Type = grid.Slack
-		} else {
-			bus.Type = grid.PQ
-		}
-		buses = append(buses, bus)
-	}
-	var branches []grid.Branch
-	branchMap := make(map[int]int)
-	for _, tl := range d.TieLines {
-		branchMap[tl.Branch] = len(branches)
-		branches = append(branches, d.Net.Branches[tl.Branch])
-	}
-	boundaryNet, err := grid.New(d.Net.Name+"-boundary", d.Net.BaseMVA, buses, branches, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	var ms []meas.Measurement
-	var src []int32
-	for _, gi := range bList {
-		id := d.Net.Buses[gi].ID
-		ms = append(ms,
-			meas.Measurement{Kind: meas.Vmag, Bus: id, Sigma: s.cfg.pseudoSigma, Value: state.Vm[gi]},
-			meas.Measurement{Kind: meas.Angle, Bus: id, Sigma: s.cfg.pseudoSigma, Value: state.Va[gi]})
-		src = append(src, -1, -1)
-	}
-	for gi, m := range global {
-		if m.Kind != meas.Pflow && m.Kind != meas.Qflow {
-			continue
-		}
-		if li, ok := branchMap[m.Branch]; ok {
-			lm := m
-			lm.Branch = li
-			ms = append(ms, lm)
-			src = append(src, int32(gi))
-		}
-	}
-	mod, err := meas.NewModel(boundaryNet, ms, 0, state.Va[bList[0]])
-	if err != nil {
-		return nil, err
-	}
-	return &boundarySession{
-		net: boundaryNet, bList: bList, mod: mod, eng: wls.NewEngine(mod),
-		src: src, nGlobal: len(global),
-	}, nil
-}
-
-// refresh folds a new frame and aggregated state into the boundary
-// skeleton, reporting false when the frame layout drifted or carries a
-// non-finite value (rebuild; NewModel names the bad measurement).
-func (b *boundarySession) refresh(d *Decomposition, global []meas.Measurement, state *powerflow.State) bool {
-	if len(global) != b.nGlobal {
-		return false
-	}
-	for i, gsrc := range b.src {
-		if gsrc < 0 {
-			continue
-		}
-		g, o := global[gsrc], &b.mod.Meas[i]
-		if g.Kind != o.Kind || g.FromSide != o.FromSide || g.Sigma != o.Sigma || finiteValue(int(gsrc), g) != nil {
-			return false
-		}
-		o.Value = g.Value
-	}
-	for i, gi := range b.bList {
-		b.mod.Meas[2*i].Value = state.Vm[gi]
-		b.mod.Meas[2*i+1].Value = state.Va[gi]
-	}
-	b.mod.SetRefAngle(state.Va[b.bList[0]])
-	return true
 }

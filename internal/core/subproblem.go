@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/grid"
 	"repro/internal/meas"
@@ -37,7 +36,8 @@ type PseudoPacket struct {
 	States  []BusState
 }
 
-// Subproblem is a subsystem's local estimation problem: a sub-network, a
+// Subproblem is a local estimation problem — a subsystem's Step 1 or Step 2,
+// or the hierarchical coordinator's boundary system: a sub-network, a
 // measurement model over it, and the mapping back to global bus indices.
 type Subproblem struct {
 	Sub   *Subsystem
@@ -60,11 +60,12 @@ type Subproblem struct {
 	// UpdateMeasurements / UpdatePseudo) instead of being rebuilt per frame.
 	src       []int32        // model meas index -> global frame index, -1 for pseudo/restored
 	srcBranch []int32        // expected global branch index for flow entries, -1 otherwise
-	pseudo    []pseudoSlot   // step-2 pseudo-measurement entries
+	pseudo    []pseudoSlot   // pseudo-measurement entries
 	restored  []restoredSlot // observability-restoration entries
-	refSrc    int32          // global frame index of the reference PMU angle
+	refSrc    int32          // global frame index of the reference PMU angle, or -1
+	refPair   int32          // pseudo index of the reference pseudo angle, or -1
 	nGlobal   int            // frame length the skeleton was built from
-	nPackets  int            // expected incoming packet count (step 2)
+	nPackets  int            // expected incoming packet count
 
 	// A Step-2 skeleton paired with its subsystem's Step-1 skeleton
 	// (pairWith) holds, per model measurement, the Step-1 model measurement
@@ -101,226 +102,228 @@ func (sp *Subproblem) RefAngle() float64 { return sp.refAngle }
 
 // BuildStep1 constructs subsystem si's DSE Step 1 problem from the global
 // measurement set: the local sub-network (own buses + internal branches)
-// and the locally available measurements — voltage and PMU measurements on
-// own buses, P/Q injections on own non-boundary buses, and P/Q flows on
-// internal branches. The angle reference comes from the PMU angle
-// measurement at the subsystem's reference bus, which must be present
-// (the cited DSE algorithm [5] relies on synchronized phasors).
+// and the locally available measurements, the meters it owns there (see
+// build): voltage and PMU measurements on own buses, P/Q injections on own
+// non-boundary buses, and P/Q flows on internal branches. The angle
+// reference is the PMU angle measurement at the subsystem's reference bus,
+// which must be present (the cited DSE algorithm [5] relies on synchronized
+// phasors).
 func (d *Decomposition) BuildStep1(si int, global []meas.Measurement) (*Subproblem, error) {
-	s := &d.Subsystems[si]
-	localNet, branchMap, err := d.subNetwork(s, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	isBoundary := intSet(s.Boundary)
-	own := intSet(s.Buses)
-
-	refID := d.Net.Buses[s.RefBus].ID
-	refIdx := refAngleSource(global, refID)
-	if refIdx < 0 {
-		return nil, fmt.Errorf("core: subsystem %d has no PMU angle measurement at reference bus %d", si, refID)
-	}
-	refAngle := global[refIdx].Value
-
-	var local []meas.Measurement
-	var src, srcBranch []int32
-	add := func(gi int, m meas.Measurement, gbr int) {
-		local = append(local, m)
-		src = append(src, int32(gi))
-		srcBranch = append(srcBranch, int32(gbr))
-	}
-	for gi, m := range global {
-		switch m.Kind {
-		case meas.Vmag, meas.Angle:
-			if b, ok := d.Net.Index(m.Bus); ok && own[b] {
-				add(gi, m, -1)
-			}
-		case meas.Pinj, meas.Qinj:
-			if b, ok := d.Net.Index(m.Bus); ok && own[b] && !isBoundary[b] {
-				add(gi, m, -1)
-			}
-		case meas.Pflow, meas.Qflow:
-			if li, ok := branchMap[m.Branch]; ok {
-				lm := m
-				lm.Branch = li
-				add(gi, lm, m.Branch)
-			}
-		}
-	}
-	sp, err := d.finishSubproblem(s, localNet, local, refAngle)
-	if err != nil {
-		return nil, err
-	}
-	sp.src, sp.srcBranch = src, srcBranch
-	sp.refSrc = int32(refIdx)
-	sp.nGlobal = len(global)
-	return sp, nil
+	return d.build(&d.Subsystems[si], nil, global, nil, 0)
 }
 
 // BuildStep2 constructs subsystem si's DSE Step 2 problem: the extended
-// sub-network (own buses + internal branches + incident tie lines + the
-// neighbor boundary buses they reach), the Step-1 local measurements plus
-// the measurements "related to the boundary and sensitive internal buses"
-// that Step 1 could not use (boundary-bus injections and tie-line flows
-// metered at the own end), and the neighbors' solved states as
+// sub-network (Step 1's plus the incident tie lines and the neighbor
+// boundary buses they reach), the meters it owns there — Step 1's plus the
+// measurements "related to the boundary and sensitive internal buses" that
+// Step 1 could not use (boundary-bus injections and tie-line flows metered
+// at the own end) — and the neighbors' solved states as
 // pseudo-measurements. pseudo holds the packets received from neighbors;
 // pseudoSigma <= 0 selects PseudoSigmaDefault.
 func (d *Decomposition) BuildStep2(si int, global []meas.Measurement, pseudo []PseudoPacket, pseudoSigma float64) (*Subproblem, error) {
-	s := &d.Subsystems[si]
+	var ties []int
+	for _, tl := range d.TieLinesOf(si) {
+		ties = append(ties, tl.Branch)
+	}
+	return d.build(&d.Subsystems[si], ties, global, pseudo, pseudoSigma)
+}
+
+// boundarySystem is the Subsystem.Index of the hierarchical coordinator's
+// boundary system (boundarySubsystem).
+const boundarySystem = -1
+
+// boundarySubsystem returns the region the coordinator re-estimates: every
+// boundary bus, joined by the tie lines as its internal branches, referenced
+// at the lowest bus. It is nil when the decomposition has no tie lines.
+func (d *Decomposition) boundarySubsystem() *Subsystem {
+	if len(d.TieLines) == 0 {
+		return nil
+	}
+	b := &Subsystem{Index: boundarySystem}
+	for _, s := range d.Subsystems {
+		b.Buses = append(b.Buses, s.Boundary...)
+	}
+	slices.Sort(b.Buses)
+	for _, tl := range d.TieLines {
+		b.InternalBranches = append(b.InternalBranches, tl.Branch)
+	}
+	b.RefBus = b.Buses[0]
+	return b
+}
+
+// label names s in messages.
+func (s *Subsystem) label() string {
+	if s.Index == boundarySystem {
+		return "boundary system"
+	}
+	return fmt.Sprintf("subsystem %d", s.Index)
+}
+
+// build constructs the local estimation problem of s — a subsystem's Step 1
+// (ties nil), its Step 2 (ties its tie lines), or the boundary system — on a
+// sub-network of s's buses and internal branches, the branches in ties and
+// the buses they reach. It holds one meter rule: a frame meter belongs to
+// the problem when it sits at an own bus and the sub-network holds every
+// in-service branch its row reads. A flow sits at the metered end of its
+// branch, which must be in the sub-network; an injection reads every
+// in-service branch at its bus. A bus that takes a pseudo pair takes none of
+// its bus meters: the pair is what its own estimator made of them.
+//
+// Every packet state at a bus of the sub-network becomes a pseudo pair
+// (Vmag, Angle) weighted at pseudoSigma (<= 0: PseudoSigmaDefault). The
+// boundary system lists its pairs before its meters, a subsystem after;
+// meters keep frame order. The angle reference is the pair's angle where the
+// reference bus takes a pair, else the frame's PMU angle there, which must
+// be present.
+func (d *Decomposition) build(s *Subsystem, ties []int, global []meas.Measurement, pseudo []PseudoPacket, pseudoSigma float64) (*Subproblem, error) {
+	n := d.Net
 	if pseudoSigma <= 0 {
 		pseudoSigma = PseudoSigmaDefault
 	}
-	ties := d.TieLinesOf(si)
-	own := intSet(s.Buses)
-
-	// Neighbor boundary buses reached by incident tie lines.
-	extSet := make(map[int]bool)
-	var tieBranches []int
-	for _, tl := range ties {
-		br := d.Net.Branches[tl.Branch]
-		f, t := d.Net.MustIndex(br.From), d.Net.MustIndex(br.To)
-		if !own[f] {
-			extSet[f] = true
-		}
-		if !own[t] {
-			extSet[t] = true
-		}
-		tieBranches = append(tieBranches, tl.Branch)
+	own, inNet := make([]bool, n.N()), make([]bool, n.N())
+	for _, gi := range s.Buses {
+		own[gi], inNet[gi] = true, true
 	}
-	ext := make([]int, 0, len(extSet))
-	for b := range extSet {
-		ext = append(ext, b)
+	var ext []int
+	for _, bi := range ties {
+		for _, id := range [2]int{n.Branches[bi].From, n.Branches[bi].To} {
+			if gi := n.MustIndex(id); !inNet[gi] {
+				inNet[gi] = true
+				ext = append(ext, gi)
+			}
+		}
 	}
-	sort.Ints(ext)
-
-	localNet, branchMap, err := d.subNetwork(s, ext, tieBranches)
+	slices.Sort(ext)
+	localNet, branchMap, err := d.subNetwork(s, ext, ties, inNet)
 	if err != nil {
 		return nil, err
 	}
-
-	refID := d.Net.Buses[s.RefBus].ID
-	refIdx := refAngleSource(global, refID)
-	if refIdx < 0 {
-		return nil, fmt.Errorf("core: subsystem %d has no PMU angle measurement at reference bus %d", si, refID)
+	whole, paired := slices.Clone(own), make([]bool, n.N())
+	for bi, br := range n.Branches {
+		if _, ok := branchMap[bi]; br.Status && !ok {
+			whole[n.MustIndex(br.From)], whole[n.MustIndex(br.To)] = false, false
+		}
 	}
-	refAngle := global[refIdx].Value
+	for _, pkt := range pseudo {
+		for _, bs := range pkt.States {
+			if gi, ok := n.Index(bs.BusID); ok && inNet[gi] {
+				paired[gi] = true
+			}
+		}
+	}
 
-	var local []meas.Measurement
-	var src, srcBranch []int32
-	add := func(gi int, m meas.Measurement, gbr int) {
-		local = append(local, m)
-		src = append(src, int32(gi))
-		srcBranch = append(srcBranch, int32(gbr))
+	var ms []meas.Measurement
+	sp := &Subproblem{refSrc: -1, nGlobal: len(global), nPackets: len(pseudo)}
+	add := func(m meas.Measurement, gi, gbr int) {
+		ms = append(ms, m)
+		sp.src = append(sp.src, int32(gi))
+		sp.srcBranch = append(sp.srcBranch, int32(gbr))
+	}
+	addPairs := func() {
+		for pi, pkt := range pseudo {
+			for sj, bs := range pkt.States {
+				if gi, ok := n.Index(bs.BusID); !ok || !inNet[gi] {
+					continue
+				}
+				ps := pseudoSlot{mi: int32(len(ms)), pkt: int32(pi), state: int32(sj), busID: int32(bs.BusID), fromSub: int32(pkt.FromSub)}
+				sp.pseudo = append(sp.pseudo, ps)
+				ps.mi, ps.angle = ps.mi+1, true
+				sp.pseudo = append(sp.pseudo, ps)
+				add(meas.Measurement{Kind: meas.Vmag, Bus: bs.BusID, Sigma: pseudoSigma, Value: bs.Vm}, -1, -1)
+				add(meas.Measurement{Kind: meas.Angle, Bus: bs.BusID, Sigma: pseudoSigma, Value: bs.Va}, -1, -1)
+			}
+		}
+	}
+	if s.Index == boundarySystem {
+		addPairs()
 	}
 	for gi, m := range global {
-		switch m.Kind {
-		case meas.Vmag, meas.Angle:
-			if b, ok := d.Net.Index(m.Bus); ok && own[b] {
-				add(gi, m, -1)
-			}
-		case meas.Pinj, meas.Qinj:
-			// All own injections are now computable: boundary buses see
-			// their tie-line neighbors in the extended network.
-			if b, ok := d.Net.Index(m.Bus); ok && own[b] {
-				add(gi, m, -1)
-			}
-		case meas.Pflow, meas.Qflow:
+		at, gbr := m.Bus, -1
+		if m.Kind == meas.Pflow || m.Kind == meas.Qflow {
 			li, ok := branchMap[m.Branch]
 			if !ok {
 				continue
 			}
-			// Internal branch flows always; tie-line flows only when the
-			// metered end is an own bus (the neighbor's RTU is remote).
-			br := d.Net.Branches[m.Branch]
-			meterBus := br.To
+			br := n.Branches[m.Branch]
+			at, gbr = br.To, m.Branch
 			if m.FromSide {
-				meterBus = br.From
+				at = br.From
 			}
-			if b, ok := d.Net.Index(meterBus); ok && own[b] {
-				lm := m
-				lm.Branch = li
-				add(gi, lm, m.Branch)
-			}
+			m.Branch = li
 		}
+		b, ok := n.Index(at)
+		injection := m.Kind == meas.Pinj || m.Kind == meas.Qinj
+		if ok && own[b] && (gbr >= 0 || !paired[b]) && (!injection || whole[b]) {
+			add(m, gi, gbr)
+		}
+	}
+	if s.Index != boundarySystem {
+		addPairs()
 	}
 
-	// Pseudo-measurements: neighbors' solved states for the extended buses.
-	var slots []pseudoSlot
-	for pi, pkt := range pseudo {
-		for sj, bs := range pkt.States {
-			gi, ok := d.Net.Index(bs.BusID)
-			if !ok || !extSet[gi] {
-				continue // state of a bus outside this extended network
-			}
-			slots = append(slots,
-				pseudoSlot{mi: int32(len(local)), pkt: int32(pi), state: int32(sj),
-					busID: int32(bs.BusID), fromSub: int32(pkt.FromSub)},
-				pseudoSlot{mi: int32(len(local) + 1), pkt: int32(pi), state: int32(sj),
-					busID: int32(bs.BusID), fromSub: int32(pkt.FromSub), angle: true})
-			local = append(local,
-				meas.Measurement{Kind: meas.Vmag, Bus: bs.BusID, Sigma: pseudoSigma, Value: bs.Vm},
-				meas.Measurement{Kind: meas.Angle, Bus: bs.BusID, Sigma: pseudoSigma, Value: bs.Va})
-			src = append(src, -1, -1)
-			srcBranch = append(srcBranch, -1, -1)
+	refID := n.Buses[s.RefBus].ID
+	sp.refPair = int32(slices.IndexFunc(sp.pseudo, func(ps pseudoSlot) bool { return ps.angle && int(ps.busID) == refID }))
+	if sp.refPair >= 0 {
+		sp.refAngle = ms[sp.pseudo[sp.refPair].mi].Value
+	} else if sp.refSrc = int32(refAngleSource(global, refID)); sp.refSrc >= 0 {
+		sp.refAngle = global[sp.refSrc].Value
+	} else {
+		return nil, fmt.Errorf("core: %s has no PMU angle measurement at reference bus %d", s.label(), refID)
+	}
+	localRef, ok := localNet.Index(refID)
+	if !ok {
+		return nil, fmt.Errorf("core: reference bus %d missing from sub-network", refID)
+	}
+	if sp.Model, err = meas.NewModel(localNet, ms, localRef, sp.refAngle); err != nil {
+		return nil, fmt.Errorf("core: %s model: %w", s.label(), err)
+	}
+	sp.Sub, sp.Net, sp.refBusID = s, localNet, refID
+	sp.OwnBuses = make([]int, len(s.Buses))
+	sp.own = make([]busRef, len(s.Buses))
+	for i, gi := range s.Buses {
+		id := n.Buses[gi].ID
+		sp.OwnBuses[i] = id
+		sp.own[i] = busRef{id: int32(id), local: int32(localNet.MustIndex(id)), global: int32(gi)}
+	}
+	for _, gi := range slices.Concat(s.Boundary, s.Sensitive) {
+		id := n.Buses[gi].ID
+		if li, ok := localNet.Index(id); ok {
+			sp.emit = append(sp.emit, busRef{id: int32(id), local: int32(li), global: int32(gi)})
 		}
 	}
-	sp, err := d.finishSubproblem(s, localNet, local, refAngle)
-	if err != nil {
-		return nil, err
-	}
-	sp.src, sp.srcBranch = src, srcBranch
-	sp.pseudo = slots
-	sp.refSrc = int32(refIdx)
-	sp.nGlobal = len(global)
-	sp.nPackets = len(pseudo)
 	return sp, nil
 }
 
-// subNetwork assembles a sub-network of own buses plus optional extra buses
-// and branches. Bus types are normalized: the subsystem reference becomes
-// the slack, everything else PQ (estimation never reads bus types, but the
-// grid package validates them).
-func (d *Decomposition) subNetwork(s *Subsystem, extraBuses, extraBranches []int) (*grid.Network, map[int]int, error) {
+// subNetwork assembles a sub-network of s's buses and internal branches plus
+// extra buses and branches; inNet marks every bus it holds. Bus types are
+// normalized: s's reference becomes the slack, everything else PQ
+// (estimation never reads bus types, but the grid package validates them).
+func (d *Decomposition) subNetwork(s *Subsystem, extraBuses, extraBranches []int, inNet []bool) (*grid.Network, map[int]int, error) {
 	var buses []grid.Bus
-	include := make(map[int]bool)
-	addBus := func(gi int) {
-		if include[gi] {
-			return
-		}
-		include[gi] = true
+	for _, gi := range slices.Concat(s.Buses, extraBuses) {
 		b := d.Net.Buses[gi]
+		b.Type = grid.PQ
 		if gi == s.RefBus {
 			b.Type = grid.Slack
-		} else {
-			b.Type = grid.PQ
 		}
 		buses = append(buses, b)
 	}
-	for _, gi := range s.Buses {
-		addBus(gi)
-	}
-	for _, gi := range extraBuses {
-		addBus(gi)
-	}
-
 	branchMap := make(map[int]int) // global branch index -> local index
 	var branches []grid.Branch
-	for _, bi := range s.InternalBranches {
+	for _, bi := range slices.Concat(s.InternalBranches, extraBranches) {
 		branchMap[bi] = len(branches)
 		branches = append(branches, d.Net.Branches[bi])
 	}
-	for _, bi := range extraBranches {
-		branchMap[bi] = len(branches)
-		branches = append(branches, d.Net.Branches[bi])
-	}
-
 	var gens []grid.Gen
 	for _, g := range d.Net.Gens {
-		if gi, ok := d.Net.Index(g.Bus); ok && include[gi] {
+		if gi, ok := d.Net.Index(g.Bus); ok && inNet[gi] {
 			gens = append(gens, g)
 		}
 	}
 	name := fmt.Sprintf("%s-sub%d", d.Net.Name, s.Index)
+	if s.Index == boundarySystem {
+		name = d.Net.Name + "-boundary"
+	}
 	net, err := grid.New(name, d.Net.BaseMVA, buses, branches, gens)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: building %s: %w", name, err)
@@ -328,42 +331,11 @@ func (d *Decomposition) subNetwork(s *Subsystem, extraBuses, extraBranches []int
 	return net, branchMap, nil
 }
 
-func (d *Decomposition) finishSubproblem(s *Subsystem, localNet *grid.Network, ms []meas.Measurement, refAngle float64) (*Subproblem, error) {
-	refID := d.Net.Buses[s.RefBus].ID
-	localRef, ok := localNet.Index(refID)
-	if !ok {
-		return nil, fmt.Errorf("core: reference bus %d missing from sub-network", refID)
-	}
-	mod, err := meas.NewModel(localNet, ms, localRef, refAngle)
-	if err != nil {
-		return nil, fmt.Errorf("core: subsystem %d model: %w", s.Index, err)
-	}
-	ownIDs := make([]int, len(s.Buses))
-	own := make([]busRef, len(s.Buses))
-	for i, gi := range s.Buses {
-		id := d.Net.Buses[gi].ID
-		ownIDs[i] = id
-		own[i] = busRef{id: int32(id), local: int32(localNet.MustIndex(id)), global: int32(gi)}
-	}
-	emit := make([]busRef, 0, len(s.Boundary)+len(s.Sensitive))
-	for _, gi := range slices.Concat(s.Boundary, s.Sensitive) {
-		id := d.Net.Buses[gi].ID
-		if li, ok := localNet.Index(id); ok {
-			emit = append(emit, busRef{id: int32(id), local: int32(li), global: int32(gi)})
-		}
-	}
-	return &Subproblem{
-		Sub: s, Net: localNet, Model: mod, OwnBuses: ownIDs,
-		refAngle: refAngle, refBusID: refID, refSrc: -1,
-		own: own, emit: emit,
-	}, nil
-}
-
 // UpdateMeasurements refreshes the skeleton's telemetered values from a new
 // global frame without rebuilding anything symbolic: each model measurement
 // is re-read from the frame position recorded at build time, the reference
-// angle is rebound to the fresh PMU value, and restoration pseudo-angles
-// follow it. The frame must have the same layout (count, kinds, locations,
+// angle is rebound to the fresh PMU value (a pseudo reference angle is
+// UpdatePseudo's), and restoration pseudo-angles follow it. The frame must have the same layout (count, kinds, locations,
 // sigmas) as the one the skeleton was built from; any drift returns an
 // error wrapping ErrStaleSkeleton, the caller's signal to rebuild. A
 // non-finite value returns one wrapping meas.ErrBadMeasurement, as the
@@ -487,10 +459,11 @@ func finiteValue(pos int, g meas.Measurement) error {
 	return nil
 }
 
-// UpdatePseudo refreshes the Step-2 pseudo-measurement values from a new
-// round's incoming packets. The packet layout (count, senders, per-packet
-// state order) is topology-determined and must match the build-time layout;
-// a mismatch returns an error wrapping ErrStaleSkeleton.
+// UpdatePseudo refreshes the pseudo-measurement values from a new round's
+// incoming packets, and the reference angle where the reference bus takes a
+// pair. The packet layout (count, senders, per-packet state order) is
+// topology-determined and must match the build-time layout; a mismatch
+// returns an error wrapping ErrStaleSkeleton.
 func (sp *Subproblem) UpdatePseudo(pseudo []PseudoPacket) error {
 	if sp.src == nil {
 		return fmt.Errorf("%w: skeleton has no refresh provenance", ErrStaleSkeleton)
@@ -513,6 +486,10 @@ func (sp *Subproblem) UpdatePseudo(pseudo []PseudoPacket) error {
 		} else {
 			mod.Meas[ps.mi].Value = bs.Vm
 		}
+	}
+	if sp.refPair >= 0 {
+		sp.refAngle = mod.Meas[sp.pseudo[sp.refPair].mi].Value
+		sp.rebindRef()
 	}
 	return nil
 }
@@ -605,12 +582,4 @@ func refAngleSource(ms []meas.Measurement, busID int) int {
 		}
 	}
 	return -1
-}
-
-func intSet(xs []int) map[int]bool {
-	s := make(map[int]bool, len(xs))
-	for _, x := range xs {
-		s[x] = true
-	}
-	return s
 }

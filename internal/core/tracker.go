@@ -75,11 +75,11 @@ func (t *Tracker) stepOn(ctx context.Context, pl placement, frame []meas.Measure
 	return res, nil
 }
 
-// SkeletonBuilds reports how many skeleton constructions (subproblems,
-// boundary systems, engines with their symbolic plans) the tracker's pinned
-// session has performed since the tracker was created or last Reset. A
-// steady tracked frame adds zero; callers sample the counter around a Step
-// to verify a frame was value-refresh only.
+// SkeletonBuilds reports how many skeleton constructions (Step-1 and Step-2
+// subproblems, each with a fresh engine and its symbolic plans) the
+// tracker's pinned session has performed since the tracker was created or
+// last Reset. A steady tracked frame adds zero; callers sample the counter
+// around a Step to verify a frame was value-refresh only.
 func (t *Tracker) SkeletonBuilds() int {
 	if t.sess == nil {
 		return 0

@@ -141,7 +141,7 @@ func TestMaskedOnlyStateIsUnobservable(t *testing.T) {
 	}
 	maskBranchFlows(t, eng, leaf)
 	_, err = eng.Estimate(Options{})
-	if !errors.Is(err, ErrUnobservable) || !strings.Contains(err.Error(), "only masked measurements touch state") {
+	if !errors.Is(err, ErrUnobservable) || !strings.Contains(err.Error(), "only masked measurements touch the angle of bus 8") {
 		t.Fatalf("the leaf's flows masked: %v", err)
 	}
 	if _, err := eng.SolveLinear(Options{}); !errors.Is(err, ErrUnobservable) {

@@ -407,8 +407,8 @@ func TestEstimateConstrainedUnobservable(t *testing.T) {
 		switch {
 		case !errors.Is(err, ErrUnobservable):
 			t.Errorf("bus %d: %v, want ErrUnobservable", id, err)
-		case keep == nil && !strings.Contains(err.Error(), "no measurement touches state"):
-			t.Errorf("bus %d untouched: %v, want the untouched state named", id, err)
+		case keep == nil && !strings.Contains(err.Error(), fmt.Sprintf("no measurement touches the angle of bus %d", id)):
+			t.Errorf("bus %d untouched: %v, want its angle named", id, err)
 		case keep != nil && !errors.As(err, &pe):
 			t.Errorf("bus %d under one flow: %v, want a *sparse.PivotError", id, err)
 		case keep != nil:

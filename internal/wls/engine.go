@@ -366,7 +366,8 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 	return res, nil
 }
 
-// untouchedState reports a state whose column of H is structurally empty.
+// untouchedState reports a state whose column of H is structurally empty,
+// naming its quantity and bus as unobservableAt does.
 // No solve can move it: the factor finds a zero diagonal, damped or not.
 //
 // Masked rows count as absent: the plan's check is structural and cannot
@@ -374,7 +375,7 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 // once per change of the mask set.
 func (e *Engine) untouchedState() error {
 	if i := e.gplan.EmptyRow(); i >= 0 {
-		return fmt.Errorf("%w: no measurement touches state %d", ErrUnobservable, i)
+		return fmt.Errorf("%w: no measurement touches %s", ErrUnobservable, e.stateName(i))
 	}
 	if e.masked == 0 {
 		return nil
@@ -392,7 +393,7 @@ func (e *Engine) untouchedState() error {
 		e.maskedEmpty = slices.Index(touched, false)
 	}
 	if e.maskedEmpty >= 0 {
-		return fmt.Errorf("%w: only masked measurements touch state %d", ErrUnobservable, e.maskedEmpty)
+		return fmt.Errorf("%w: only masked measurements touch %s", ErrUnobservable, e.stateName(e.maskedEmpty))
 	}
 	return nil
 }
@@ -693,12 +694,17 @@ func (e *Engine) residualWithin(g *sparse.CSR, tol float64) bool {
 // unobservableAt is ErrUnobservable for a gain that broke the factorization
 // down at pe, naming the bus and quantity of the state whose pivot failed.
 func (e *Engine) unobservableAt(pe *sparse.PivotError) error {
-	bus, angle := e.mod.StateBus(pe.State)
+	return fmt.Errorf("%w: gain singular at %s: %w", ErrUnobservable, e.stateName(pe.State), pe)
+}
+
+// stateName names state i by quantity and bus ID: "the angle of bus 7".
+func (e *Engine) stateName(i int) string {
+	bus, angle := e.mod.StateBus(i)
 	quantity := "voltage magnitude"
 	if angle {
 		quantity = "angle"
 	}
-	return fmt.Errorf("%w: gain singular at the %s of bus %d: %w", ErrUnobservable, quantity, e.mod.Net.Buses[bus].ID, pe)
+	return fmt.Sprintf("the %s of bus %d", quantity, e.mod.Net.Buses[bus].ID)
 }
 
 // refactor refreshes the LDLᵀ factor's numerics from g on pool (nil:

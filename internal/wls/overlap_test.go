@@ -3,6 +3,7 @@ package wls
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -216,8 +217,8 @@ func TestOneShotEarlyAnalysisEnds(t *testing.T) {
 	cancel()
 	for i := 0; i < 5; i++ {
 		_, err := Estimate(holed, Options{})
-		if !errors.Is(err, ErrUnobservable) || !strings.Contains(err.Error(), "no measurement touches state") {
-			t.Fatalf("untouched state: %v, want ErrUnobservable naming it", err)
+		if want := fmt.Sprintf("no measurement touches the angle of bus %d", full.Net.Buses[7].ID); !errors.Is(err, ErrUnobservable) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("untouched state: %v, want ErrUnobservable naming %q", err, want)
 		}
 		if _, err := EstimateCtx(canceled, full, Options{}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("canceled before the first step: %v, want context.Canceled", err)
