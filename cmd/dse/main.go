@@ -41,7 +41,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		rounds     = flag.Int("rounds", 1, "DSE Step-2 rounds, on the testbed or in process (not with -hierarchical, which has no Step 2)")
 		inproc     = flag.Bool("inprocess", false, "skip the TCP testbed, run in-process (not with -hierarchical, whose coordinator sits on the testbed)")
-		noMapping  = flag.Bool("nomapping", false, "on the testbed, without -hierarchical: use the naive contiguous assignment instead of the cost-model mapping")
+		noMapping  = flag.Bool("nomapping", false, "on the testbed: use the naive contiguous assignment instead of the cost-model mapping")
 		shaped     = flag.Bool("shaped", false, "on the testbed: shape inter-site links to the lab-network profile")
 		hier       = flag.Bool("hierarchical", false, "run the coordinator-based hierarchical mode on the testbed instead of peer-to-peer DSE")
 		refine     = flag.Bool("refine", false, "with -hierarchical: coordinator re-estimates the boundary system")
@@ -71,8 +71,6 @@ func main() {
 		usageError("-rounds %d cannot be combined with -hierarchical: the coordinator flow has no Step 2 to repeat", *rounds)
 	case *refine && !*hier:
 		usageError("-refine needs -hierarchical: only the coordinator re-estimates the boundary system")
-	case *noMapping && *hier:
-		usageError("-nomapping cannot be combined with -hierarchical: the coordinator flow always maps by the cost model")
 	case *noMapping && *inproc:
 		usageError("-nomapping cannot be combined with -inprocess: there are no clusters to map onto")
 	case *shaped && *inproc:
@@ -170,7 +168,7 @@ func main() {
 		}
 	case *hier:
 		opts := testbed
-		opts.HierarchicalRefine = *refine
+		opts.HierarchicalRefine, opts.NoMapping = *refine, *noMapping
 		// Every frame after the first runs on the sites, links and
 		// coordinator endpoint the first one brought up.
 		for f := 0; f < *frames; f++ {

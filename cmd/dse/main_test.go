@@ -92,7 +92,6 @@ func TestRefusedFlagCombinations(t *testing.T) {
 		{[]string{"-hierarchical", "-inprocess", "-frames", "2"}, "-hierarchical cannot be combined with -inprocess"},
 		{[]string{"-refine"}, "-refine needs -hierarchical"},
 		{[]string{"-refine", "-inprocess"}, "-refine needs -hierarchical"},
-		{[]string{"-nomapping", "-hierarchical"}, "-nomapping cannot be combined with -hierarchical"},
 		{[]string{"-nomapping", "-inprocess"}, "-nomapping cannot be combined with -inprocess"},
 		{[]string{"-shaped", "-inprocess"}, "-shaped cannot be combined with -inprocess"},
 	} {
@@ -102,6 +101,20 @@ func TestRefusedFlagCombinations(t *testing.T) {
 		}
 		if strings.Contains(stdout, "accuracy vs truth") {
 			t.Errorf("dse %v ran anyway:\n%s", c.flags, stdout)
+		}
+	}
+}
+
+// TestHierarchicalNoMapping: -nomapping reaches the coordinator flow, which
+// ships every subsystem's own-bus states up wherever the subsystem solves.
+func TestHierarchicalNoMapping(t *testing.T) {
+	stdout, stderr, err := runDSE(t, "-hierarchical", "-nomapping")
+	if err != nil {
+		t.Fatalf("dse -hierarchical -nomapping: %v\n%s%s", err, stdout, stderr)
+	}
+	for _, want := range []string{"2940 bytes to coordinator", "accuracy vs truth"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("dse -hierarchical -nomapping printed no %q:\n%s", want, stdout)
 		}
 	}
 }

@@ -25,8 +25,8 @@ import (
 // GOMAXPROCS.
 //
 // Inputs: "ieee118/9" is IEEE-118 decomposed into 9 subsystems (seed 1),
-// "synthwecc4" the 4-area synthetic WECC (seed 1) with one subsystem per
-// area. Both meter the full plan plus the PMUs DSE needs at the reference
+// "synthwecc4" and "synthwecc12" the 4- and 12-area synthetic WECC (seed 1)
+// with one subsystem per area. All meter the full plan plus the PMUs DSE needs at the reference
 // buses (σ 5e-4), simulated at noise 1 from the flat-start power flow; frame
 // k draws noise seed k.
 var goldenHashes = []struct {
@@ -37,6 +37,7 @@ var goldenHashes = []struct {
 	{"dse/ieee118-9", "RunDSE, Rounds 2, frame 1", 0xb0e296b5cf461028},
 	{"dse/synthwecc4", "RunDSE, Rounds 2, frame 1", 0x47136d3047e1701e},
 	{"track/ieee118-9", "Tracker, frames 1-10", 0x37adc9437c1c6d80},
+	{"track/synthwecc12", "Tracker, Rounds 2, frames 1-5", 0x55b570d69d22b0b7},
 	{"distributed/ieee118-9", "RunDistributed, 3 loopback clusters, frame 1", 0x2e7c63dd5f39d8d8},
 	{"hierarchical/ieee118-9", "RunHierarchical, 3 loopback clusters, frames 1-3 on one decomposition", 0xa1436c57b3989fdb},
 	{"hierarchical-refine/ieee118-9", "as hierarchical, with HierarchicalRefine", 0xcde891cc9d4cb589},
@@ -50,24 +51,20 @@ func TestGoldenHashes(t *testing.T) {
 		t.Skip("golden hashes run the full estimator paths")
 	}
 	ieee := goldenCase(t, grid.Case118(), 9, nil, 10)
-	var wecc *goldenInputs
+	var wecc, wecc12 *goldenInputs
 	if !raceEnabled {
-		n, err := grid.SynthWECC(grid.SynthOptions{Areas: 4, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wecc = goldenCase(t, n, 4, grid.AreaParts(n), 1)
+		wecc, wecc12 = goldenWECC(t, 4, 1), goldenWECC(t, 12, 5)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, g := range goldenHashes {
 		t.Run(g.name, func(t *testing.T) {
-			if g.name == "dse/synthwecc4" && wecc == nil {
+			if (g.name == "dse/synthwecc4" || g.name == "track/synthwecc12") && wecc == nil {
 				t.Skip("the synthetic WECC solves too slowly under the race detector")
 			}
 			var first uint64
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
-				got := goldenRun(t, g.name, ieee, wecc)
+				got := goldenRun(t, g.name, ieee, wecc, wecc12)
 				switch {
 				case procs == 1:
 					first = got
@@ -115,6 +112,17 @@ func goldenCase(t *testing.T, n *grid.Network, m int, parts []int, frames int) *
 	return in
 }
 
+// goldenWECC meters the synthetic WECC of the given areas (seed 1) for one
+// subsystem per area and draws frames noise seeds.
+func goldenWECC(t *testing.T, areas, frames int) *goldenInputs {
+	t.Helper()
+	n, err := grid.SynthWECC(grid.SynthOptions{Areas: areas, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return goldenCase(t, n, areas, grid.AreaParts(n), frames)
+}
+
 // decompose returns a fresh decomposition of the inputs' network, with
 // nothing cached on it.
 func (in *goldenInputs) decompose(t *testing.T) *core.Decomposition {
@@ -134,7 +142,7 @@ func (in *goldenInputs) decompose(t *testing.T) *core.Decomposition {
 }
 
 // goldenRun runs entry name on a fresh decomposition and hashes it.
-func goldenRun(t *testing.T, name string, ieee, wecc *goldenInputs) uint64 {
+func goldenRun(t *testing.T, name string, ieee, wecc, wecc12 *goldenInputs) uint64 {
 	t.Helper()
 	ctx := context.Background()
 	h := fnv.New64a()
@@ -162,6 +170,15 @@ func goldenRun(t *testing.T, name string, ieee, wecc *goldenInputs) uint64 {
 	case "track/ieee118-9":
 		trk := core.NewTracker(ieee.decompose(t), core.DSEOptions{})
 		for _, f := range ieee.frames {
+			r, err := trk.Process(f)
+			check(err)
+			hashState(h, r.State)
+			hashResults(h, r.Step1...)
+			hashResults(h, r.Step2...)
+		}
+	case "track/synthwecc12":
+		trk := core.NewTracker(wecc12.decompose(t), core.DSEOptions{Rounds: 2})
+		for _, f := range wecc12.frames {
 			r, err := trk.Process(f)
 			check(err)
 			hashState(h, r.State)

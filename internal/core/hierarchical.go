@@ -24,10 +24,10 @@ type HierarchicalResult struct {
 }
 
 // RunHierarchical executes hierarchical state estimation on the testbed:
-// every subsystem solves locally — the DSE sequence's Step-1 phase, placed
-// on the sites as RunDistributed places it — then each site sends its
-// subsystems' full solved states to the centralized coordinator, which
-// combines them into the system-wide state. There is no peer-to-peer
+// every subsystem solves locally — the DSE sequence's Step-1 phase, mapped
+// and placed on the sites as RunDistributed maps and places it, NoMapping
+// included — then each site sends its subsystems' full solved states to the
+// centralized coordinator, which combines them into the system-wide state. There is no peer-to-peer
 // Step 2, so DSEOptions.Rounds has nothing to count; the coordinator is the
 // single aggregation point. It runs on the testbed d keeps for
 // RunDistributed, which keeps the coordinator's endpoint too.
@@ -50,11 +50,9 @@ func RunHierarchical(ctx context.Context, d *Decomposition, global []meas.Measur
 		return nil, err
 	}
 
-	mapping, err := d.MapStep1(len(pl.tb.Sites), opts.Map)
-	if err != nil {
+	if _, err := pl.mapStep1(); err != nil {
 		return nil, err
 	}
-	pl.mapTo(mapping.Assign)
 
 	sess := d.sessionFor(opts.DSE)
 	defer sess.mu.Unlock()

@@ -111,24 +111,13 @@ func RunDistributed(ctx context.Context, d *Decomposition, global []meas.Measure
 		return nil, err
 	}
 	defer func() { pl.release(err != nil) }()
-	res, m, p := pl.res, len(d.Subsystems), len(pl.tb.Sites)
+	res, m := pl.res, len(d.Subsystems)
 
 	// --- Mapping before Step 1 (Figure 4). ---
 	start := time.Now()
-	if opts.NoMapping {
-		assign := make([]int, m)
-		for si := range assign {
-			assign[si] = si * p / m
-		}
-		g := d.Graph()
-		res.Step1Mapping = &Mapping{Assign: assign, Imbalance: g.Imbalance(assign, p), EdgeCut: g.EdgeCut(assign)}
-	} else {
-		res.Step1Mapping, err = d.MapStep1(p, opts.Map)
-		if err != nil {
-			return nil, err
-		}
+	if res.Step1Mapping, err = pl.mapStep1(); err != nil {
+		return nil, err
 	}
-	pl.mapTo(res.Step1Mapping.Assign)
 	res.Timings.Map = time.Since(start)
 
 	// --- Raw-data acquisition: each site fetches its subsystems' SCADA
@@ -348,6 +337,29 @@ func (p *onTestbed) remap(ctx context.Context) error {
 	})
 	res.Timings.Redistribute = time.Since(start)
 	return err
+}
+
+// mapStep1 computes the mapping before Step 1 — under NoMapping the naive
+// assignment, subsystem si to site si·p/m, else d.MapStep1 — and makes it
+// the one the run's phases follow.
+func (p *onTestbed) mapStep1() (*Mapping, error) {
+	m, sites := len(p.d.Subsystems), len(p.tb.Sites)
+	var mapping *Mapping
+	if p.opts.NoMapping {
+		assign := make([]int, m)
+		for si := range assign {
+			assign[si] = si * sites / m
+		}
+		g := p.d.Graph()
+		mapping = &Mapping{Assign: assign, Imbalance: g.Imbalance(assign, sites), EdgeCut: g.EdgeCut(assign)}
+	} else {
+		var err error
+		if mapping, err = p.d.MapStep1(sites, p.opts.Map); err != nil {
+			return nil, err
+		}
+	}
+	p.mapTo(mapping.Assign)
+	return mapping, nil
 }
 
 // mapTo makes assign the mapping the run's phases follow, and lists each

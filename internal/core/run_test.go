@@ -165,6 +165,38 @@ func TestRunHierarchical(t *testing.T) {
 	}
 }
 
+// TestRunHierarchicalNoMapping: under NoMapping the hierarchical flow runs
+// on the naive assignment, subsystem si on site si·p/m, as RunDistributed
+// does, and where a subsystem solves does not change its estimate.
+func TestRunHierarchicalNoMapping(t *testing.T) {
+	ctx := context.Background()
+	fx := newFixture(t, grid.Case118, 9, 1)
+	mapped, err := RunHierarchical(ctx, fx.dec, fx.ms, DistributedOptions{Clusters: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mappedSites [][]int // perSite is refilled in place by the next run
+	for _, subs := range fx.dec.testbed.perSite {
+		mappedSites = append(mappedSites, slices.Clone(subs))
+	}
+	naive, err := RunHierarchical(ctx, fx.dec, fx.ms, DistributedOptions{Clusters: 3, NoMapping: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}
+	if got := fx.dec.testbed.perSite; !reflect.DeepEqual(got, want) {
+		t.Fatalf("NoMapping placed the subsystems %v, want %v", got, want)
+	}
+	if reflect.DeepEqual(mappedSites, want) {
+		t.Fatalf("the mapped run placed the subsystems %v too: the test shows nothing", mappedSites)
+	}
+	for i := range mapped.State.Vm {
+		if naive.State.Vm[i] != mapped.State.Vm[i] || naive.State.Va[i] != mapped.State.Va[i] {
+			t.Fatalf("bus %d: %.17g/%.17g without mapping, %.17g/%.17g mapped", i, naive.State.Vm[i], naive.State.Va[i], mapped.State.Vm[i], mapped.State.Va[i])
+		}
+	}
+}
+
 func TestCentralizedEstimateBaseline(t *testing.T) {
 	fx := newFixture(t, grid.Case118, 9, 1)
 	res, err := CentralizedEstimate(context.Background(), fx.net, fx.ms, wls.Options{})

@@ -76,10 +76,6 @@ type Session struct {
 type subSession struct {
 	step1, step2 *Subproblem
 	eng1, eng2   *wls.Engine
-	// step1From is the frame step1 last refreshed or built from, nil after
-	// a failure: a Step-2 skeleton paired with step1 takes the values Step 1
-	// read of that frame instead of reading them again.
-	step1From []meas.Measurement
 	// warm2 is the subsystem's previous Step-2 solution; the next round
 	// (or, in tracking operation, the next frame) starts Gauss–Newton from
 	// it behind the wls.WarmStartGate scaled-residual gate.
@@ -176,9 +172,7 @@ func (s *Session) endRun() { s.run = dseRun{} }
 // it) and value-refreshed afterwards; a stale skeleton is rebuilt.
 func (s *Session) step1(si int, global []meas.Measurement) (*Subproblem, *wls.Engine, error) {
 	sl := &s.subs[si]
-	sl.step1From = nil
 	if sl.step1 != nil && sl.step1.UpdateMeasurements(global) == nil {
-		sl.step1From = global
 		return sl.step1, sl.eng1, nil
 	}
 	sp, err := s.d.BuildStep1(si, global)
@@ -190,7 +184,7 @@ func (s *Session) step1(si int, global []meas.Measurement) (*Subproblem, *wls.En
 			return nil, nil, fmt.Errorf("core: step 1 subsystem %d restoration: %w", si, err)
 		}
 	}
-	sl.step1, sl.eng1, sl.step1From = sp, wls.NewEngine(sp.Model), global
+	sl.step1, sl.eng1 = sp, wls.NewEngine(sp.Model)
 	s.builds.Add(1)
 	return sp, sl.eng1, nil
 }
@@ -204,7 +198,7 @@ func (s *Session) step1(si int, global []meas.Measurement) (*Subproblem, *wls.En
 func (s *Session) step2(si int, global []meas.Measurement, incoming []PseudoPacket, newFrame bool) (*Subproblem, *wls.Engine, error) {
 	sl := &s.subs[si]
 	if sl.step2 != nil &&
-		(!newFrame || sl.refreshStep2(global) == nil) &&
+		(!newFrame || sl.step2.UpdateMeasurements(global) == nil) &&
 		sl.step2.UpdatePseudo(incoming) == nil {
 		return sl.step2, sl.eng2, nil
 	}
@@ -212,39 +206,10 @@ func (s *Session) step2(si int, global []meas.Measurement, incoming []PseudoPack
 	if err != nil {
 		return nil, nil, err
 	}
-	if sameFrame(sl.step1From, global) {
-		sp.pairWith(sl.step1)
-	}
 	sl.step2, sl.eng2 = sp, wls.NewEngine(sp.Model)
 	sl.warm2, sl.haveWarm2 = nil, false // state layout may have shifted
 	s.builds.Add(1)
 	return sp, sl.eng2, nil
-}
-
-// refreshStep2 refreshes the slot's Step-2 skeleton with the frame's
-// values. Where Step 1 took this frame on the skeleton Step 2 is paired
-// with, they come from Step 1; otherwise Step 2 reads and checks all of
-// them, and once they pass it pairs with the Step-1 skeleton of this frame,
-// so a Step-1 rebuild costs the shortcut for one frame only.
-func (sl *subSession) refreshStep2(global []meas.Measurement) error {
-	sp := sl.step2
-	if !sameFrame(sl.step1From, global) {
-		return sp.UpdateMeasurements(global)
-	}
-	if sp.step1 == sl.step1 {
-		return sp.updateAfterStep1(global)
-	}
-	if err := sp.UpdateMeasurements(global); err != nil {
-		return err
-	}
-	sp.pairWith(sl.step1)
-	return nil
-}
-
-// sameFrame reports whether a and b are one frame: the same measurements
-// at the same address.
-func sameFrame(a, b []meas.Measurement) bool {
-	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // roundBuffers returns runDSE's round buffers for m subsystems.

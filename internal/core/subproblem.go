@@ -66,12 +66,6 @@ type Subproblem struct {
 	refPair   int32          // pseudo index of the reference pseudo angle, or -1
 	nGlobal   int            // frame length the skeleton was built from
 	nPackets  int            // expected incoming packet count
-
-	// A Step-2 skeleton paired with its subsystem's Step-1 skeleton
-	// (pairWith) holds, per model measurement, the Step-1 model measurement
-	// read from the same frame position, −1 where Step 1 reads none.
-	step1     *Subproblem
-	fromStep1 []int32
 }
 
 // busRef is one bus of a subproblem: its external ID, its index in the
@@ -358,36 +352,26 @@ func (sp *Subproblem) UpdateMeasurements(global []meas.Measurement) error {
 		if s < 0 {
 			continue // pseudo or restored entry; refreshed elsewhere
 		}
-		if err := sp.readEntry(i, global); err != nil {
-			return err
+		g, o := global[s], &sp.Model.Meas[i]
+		if g.Kind != o.Kind || g.Sigma != o.Sigma || g.FromSide != o.FromSide {
+			return fmt.Errorf("%w: frame position %d changed identity", ErrStaleSkeleton, s)
 		}
+		switch g.Kind {
+		case meas.Pflow, meas.Qflow:
+			if int32(g.Branch) != sp.srcBranch[i] {
+				return fmt.Errorf("%w: frame position %d changed branch", ErrStaleSkeleton, s)
+			}
+		default:
+			if g.Bus != o.Bus {
+				return fmt.Errorf("%w: frame position %d changed bus", ErrStaleSkeleton, s)
+			}
+		}
+		if math.IsNaN(g.Value) || math.IsInf(g.Value, 0) {
+			return fmt.Errorf("%w: frame position %d (%s) has non-finite value %g", meas.ErrBadMeasurement, s, g.Key(), g.Value)
+		}
+		o.Value = g.Value
 	}
 	sp.rebindRef()
-	return nil
-}
-
-// readEntry checks model measurement i's frame position against the layout
-// the skeleton was built from and takes its value.
-func (sp *Subproblem) readEntry(i int, global []meas.Measurement) error {
-	s := sp.src[i]
-	g, o := global[s], &sp.Model.Meas[i]
-	if g.Kind != o.Kind || g.Sigma != o.Sigma || g.FromSide != o.FromSide {
-		return fmt.Errorf("%w: frame position %d changed identity", ErrStaleSkeleton, s)
-	}
-	switch g.Kind {
-	case meas.Pflow, meas.Qflow:
-		if int32(g.Branch) != sp.srcBranch[i] {
-			return fmt.Errorf("%w: frame position %d changed branch", ErrStaleSkeleton, s)
-		}
-	default:
-		if g.Bus != o.Bus {
-			return fmt.Errorf("%w: frame position %d changed bus", ErrStaleSkeleton, s)
-		}
-	}
-	if err := finiteValue(int(s), g); err != nil {
-		return err
-	}
-	o.Value = g.Value
 	return nil
 }
 
@@ -400,63 +384,6 @@ func (sp *Subproblem) rebindRef() {
 		}
 	}
 	sp.Model.SetRefAngle(sp.refAngle)
-}
-
-// pairWith pairs the Step-2 skeleton sp with s1, its subsystem's Step-1
-// skeleton, where both were built against the layout of one frame; it
-// leaves sp unpaired where s1 cannot refresh or reads the reference from
-// elsewhere.
-func (sp *Subproblem) pairWith(s1 *Subproblem) {
-	sp.step1, sp.fromStep1 = nil, nil
-	if s1.src == nil || s1.nGlobal != sp.nGlobal || s1.refSrc != sp.refSrc {
-		return
-	}
-	at := make([]int32, sp.nGlobal)
-	for i := range at {
-		at[i] = -1
-	}
-	for j, s := range s1.src {
-		if s >= 0 {
-			at[s] = int32(j)
-		}
-	}
-	sp.step1, sp.fromStep1 = s1, make([]int32, len(sp.src))
-	for i, s := range sp.src {
-		sp.fromStep1[i] = -1
-		if s >= 0 {
-			sp.fromStep1[i] = at[s]
-		}
-	}
-}
-
-// updateAfterStep1 is UpdateMeasurements for a Step-2 skeleton whose paired
-// Step-1 skeleton has just refreshed from global: the frame positions Step 1
-// reads were checked against one layout there, so their values come from
-// the Step-1 model, and only the positions Step 2 alone reads are checked
-// against the frame.
-func (sp *Subproblem) updateAfterStep1(global []meas.Measurement) error {
-	s1 := sp.step1
-	for i, j := range sp.fromStep1 {
-		if j >= 0 {
-			sp.Model.Meas[i].Value = s1.Model.Meas[j].Value
-		} else if sp.src[i] >= 0 {
-			if err := sp.readEntry(i, global); err != nil {
-				return err
-			}
-		}
-	}
-	sp.refAngle = s1.refAngle
-	sp.rebindRef()
-	return nil
-}
-
-// finiteValue is the check meas.NewModel and Model.UpdateValues apply to a
-// telemetered value, for the folds that write Model.Meas in place.
-func finiteValue(pos int, g meas.Measurement) error {
-	if math.IsNaN(g.Value) || math.IsInf(g.Value, 0) {
-		return fmt.Errorf("%w: frame position %d (%s) has non-finite value %g", meas.ErrBadMeasurement, pos, g.Key(), g.Value)
-	}
-	return nil
 }
 
 // UpdatePseudo refreshes the pseudo-measurement values from a new round's
